@@ -5,9 +5,10 @@
 //! hash, insert into one chain-mode table, then one `finalize()` counting
 //! sort into the CSR layout. The partitioned contender is PR 3's
 //! machinery: the same batches are radix-split by their hash top bits and
-//! scattered to `P = 4` shard workers (`ShardSet`), each inserting into
-//! and finalizing a private table `P`× smaller — so the heavy random-write
-//! phases run on `P` threads over `P`× more cache-resident working sets.
+//! scattered to `P = 4` shards (`ShardSet`, scheduled as tasks on a
+//! `P`-worker pool), each building a private table `P`× smaller — so the
+//! heavy random-write phases run on `P` threads over `P`× more
+//! cache-resident working sets.
 //!
 //! Also proves the acceptance criterion that the steady-state partitioned
 //! *probe* loop (hash → radix split → per-shard fused probe) performs
@@ -19,11 +20,12 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 use vw_common::hash::hash_u64;
 use vw_exec::cancel::CancelToken;
 use vw_exec::hashtable::{FlatTable, ProbeBuf};
-use vw_exec::partition::{RadixRouter, ShardSet, ShardWorker};
+use vw_exec::partition::{RadixRouter, ShardSet, ShardWorker, WorkerPool};
 
 // ---------------------------------------------------------------------------
 // counting allocator (steady-state allocation proof)
@@ -61,7 +63,7 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 /// overhead).
 const VECTOR: usize = 1 << 14;
 
-/// Radix partitions / worker threads ("DOP 4" in the acceptance run).
+/// Radix partitions / pool workers ("DOP 4" in the acceptance run).
 const SHARDS: usize = 4;
 
 fn gen_keys(n: usize, domain: i64, seed: u64) -> Vec<i64> {
@@ -132,14 +134,18 @@ fn serial_bulk_build(batches: &[&[i64]]) -> (FlatTable, Vec<i64>) {
     (FlatTable::build_csr(&hashes), keys)
 }
 
-/// PR 3's partitioned build: hash, radix-scatter to P workers, P parallel
-/// bulk CSR constructions over P× smaller tables.
-fn partitioned_build(batches: &[&[i64]], shards: usize) -> (RadixRouter, Vec<BuildShard>) {
+/// PR 3's partitioned build: hash, radix-scatter to P shards on `pool`, P
+/// parallel bulk CSR constructions over P× smaller tables.
+fn partitioned_build(
+    pool: &Arc<WorkerPool>,
+    batches: &[&[i64]],
+    shards: usize,
+) -> (RadixRouter, Vec<BuildShard>) {
     let mut router = RadixRouter::new(shards);
     let workers: Vec<BuildShard> = (0..router.partitions())
         .map(|_| BuildShard { keys: Vec::new(), hashes: Vec::new(), table: FlatTable::new() })
         .collect();
-    let mut set = ShardSet::spawn(workers, &CancelToken::new());
+    let mut set = ShardSet::spawn_on(pool, workers, &CancelToken::new());
     let mut hashes: Vec<u64> = Vec::new();
     for b in batches {
         hashes.clear();
@@ -253,7 +259,7 @@ fn serial_probe(table: &FlatTable, build_keys: &[i64], batches: &[&[i64]]) -> u6
 
 /// Partitioned build + probe must find exactly the pairs the serial path
 /// finds, and the steady-state partitioned probe loop must not allocate.
-fn correctness_and_alloc_check() {
+fn correctness_and_alloc_check(pool: &Arc<WorkerPool>) {
     let n = 1 << 20;
     let build_keys = gen_keys(n, n as i64 / 2, 11);
     let probe_keys = gen_keys(1 << 18, n as i64, 13); // ~50% match rate
@@ -261,7 +267,7 @@ fn correctness_and_alloc_check() {
     let probe_batches = chunks(&probe_keys);
 
     let (table, keys) = serial_build(&build_batches);
-    let (mut router, shards) = partitioned_build(&build_batches, SHARDS);
+    let (mut router, shards) = partitioned_build(pool, &build_batches, SHARDS);
     let total: usize = shards.iter().map(|s| s.table.len()).sum();
     assert_eq!(total, n, "every build row landed in exactly one shard");
 
@@ -290,7 +296,7 @@ fn correctness_and_alloc_check() {
 /// acceptance observable at 8M rows / DOP 4). Every variant runs one
 /// untimed warm-up pass first so page-fault noise doesn't masquerade as a
 /// parallel speedup.
-fn build_speedup(n: usize, reps: usize) -> f64 {
+fn build_speedup(pool: &Arc<WorkerPool>, n: usize, reps: usize) -> f64 {
     let build_keys = gen_keys(n, n as i64 / 2, 7);
     let batches = chunks(&build_keys);
     let time = |f: &mut dyn FnMut() -> usize| {
@@ -303,7 +309,7 @@ fn build_speedup(n: usize, reps: usize) -> f64 {
     };
     let serial = time(&mut || serial_build(&batches).0.len());
     let bulk = time(&mut || serial_bulk_build(&batches).0.len());
-    let part = time(&mut || partitioned_build(&batches, SHARDS).1.len());
+    let part = time(&mut || partitioned_build(pool, &batches, SHARDS).1.len());
     let speedup = serial.as_secs_f64() / part.as_secs_f64();
     let ms = |d: Duration| d.as_secs_f64() * 1e3 / reps as f64;
     println!(
@@ -319,11 +325,12 @@ fn build_speedup(n: usize, reps: usize) -> f64 {
 }
 
 fn bench(c: &mut Criterion) {
-    correctness_and_alloc_check();
+    let pool = WorkerPool::new(SHARDS);
+    correctness_and_alloc_check(&pool);
 
     // The headline acceptance numbers (1M–16M rows).
     for (n, reps) in [(1 << 20, 3), (8 << 20, 1), (16 << 20, 1)] {
-        build_speedup(n, reps);
+        build_speedup(&pool, n, reps);
     }
 
     let mut g = c.benchmark_group("c14_partitioned");
@@ -338,7 +345,7 @@ fn bench(c: &mut Criterion) {
             b.iter(|| serial_build(black_box(&batches)).0.len())
         });
         g.bench_function(format!("partitioned_build_x{SHARDS}_{n}"), |b| {
-            b.iter(|| partitioned_build(black_box(&batches), SHARDS).1.len())
+            b.iter(|| partitioned_build(&pool, black_box(&batches), SHARDS).1.len())
         });
     }
 
@@ -350,7 +357,7 @@ fn bench(c: &mut Criterion) {
         let build_batches = chunks(&build_keys);
         let probe_batches = chunks(&probe_keys);
         let (table, keys) = serial_build(&build_batches);
-        let (mut router, shards) = partitioned_build(&build_batches, SHARDS);
+        let (mut router, shards) = partitioned_build(&pool, &build_batches, SHARDS);
         let mut s = ProbeScratch::default();
         g.bench_function("serial_probe_1m", |b| {
             b.iter(|| serial_probe(&table, &keys, black_box(&probe_batches)))

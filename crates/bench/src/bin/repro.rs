@@ -1,4 +1,4 @@
-//! `repro` — regenerate every experiment table from DESIGN.md §4.
+//! `repro` — regenerate every paper-experiment table (C1..C11).
 //!
 //! Usage: `cargo run --release -p vw-bench --bin repro [-- --exp c1]`
 //! (no argument = all experiments; sizes are laptop-scale by design).

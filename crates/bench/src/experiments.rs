@@ -1,4 +1,4 @@
-//! One driver per DESIGN.md experiment (C1..C11). Every driver returns a
+//! One driver per paper experiment (C1..C11). Every driver returns a
 //! printable table: `(header, rows)`. The `repro` binary prints them; the
 //! Criterion benches time the hot cores.
 
@@ -740,7 +740,7 @@ pub fn c11(rows: usize, reps: usize) -> Table {
 }
 
 /// Ablation — selection vectors vs eager materialization at varying
-/// selectivity (DESIGN.md §5 item 2).
+/// selectivity.
 pub fn select_ablation(n: usize) -> Table {
     let data = ColData::I64((0..n as i64).collect());
     let mut out = Vec::new();
@@ -784,293 +784,6 @@ pub fn select_ablation(n: usize) -> Table {
         out.push(vec![format!("{sel_pct}%"), ms(with_sel), ms(materialized)]);
     }
     (vec!["selectivity", "selection_vector_ms", "materialize_ms"], out)
-}
-
-/// One perf-smoke measurement: a metric name and its rows/second.
-pub type SmokeMetric = (String, f64);
-
-/// CI perf-smoke harness: a short, deterministic (fixed seed, fixed row
-/// count) measurement of the three headline hot paths — scan→filter→agg,
-/// hash join, and a **skewed scan→filter→agg** (the filter survivors sit
-/// in the last 10% of the clustered `l_orderkey` range, so under static
-/// partitioning DOP 4 used to collapse onto one worker; morsel claims keep
-/// it balanced) — at DOP 1 and DOP 4, reported as input rows per second.
-///
-/// Runs in roughly ten seconds at the `perf_smoke` binary's default 500k
-/// rows: each case is timed as best-of-`reps` after one warm-up run,
-/// which is stable enough for a *trajectory* (the artifact series plotted
-/// across PRs), not a rigorous benchmark — that's what the criterion
-/// benches are for. DOP 4 results are cross-checked against DOP 1 so the
-/// smoke run also guards parallel correctness.
-pub fn perf_smoke(rows: usize, reps: usize) -> Vec<SmokeMetric> {
-    let agg_sql = "SELECT l_returnflag, COUNT(*), SUM(l_quantity), AVG(l_extendedprice) \
-                   FROM lineitem WHERE l_quantity < 40 GROUP BY l_returnflag"
-        .to_string();
-    let join_sql = "SELECT COUNT(*) FROM lineitem a JOIN lineitem b \
-                    ON a.l_orderkey = b.l_orderkey AND a.l_partkey = b.l_partkey"
-        .to_string();
-    // Neither query has an ORDER BY, and parallel plans legitimately emit
-    // groups in a different order — sort by the leading (group-key) value
-    // before the approximate comparison.
-    let canon = |rows: &[Vec<Value>]| {
-        let mut v = rows.to_vec();
-        v.sort_by_key(|r| format!("{:?}", r.first()));
-        v
-    };
-    let mut out = Vec::new();
-    let mut reference: Vec<Option<Vec<Vec<Value>>>> = vec![None, None, None];
-    for dop in [1usize, 4] {
-        let db = Database::open_in_memory();
-        load_lineitem(&db, rows, 1994);
-        db.execute(&format!("SET parallelism = {dop}")).unwrap();
-        // The 90th-percentile cut of the clustered order-key range: all
-        // surviving (and thus all downstream) work lives in the last 10%
-        // of the row space.
-        let max_key = match db.execute("SELECT MAX(l_orderkey) FROM lineitem").unwrap().scalar() {
-            Ok(Value::I64(m)) => *m,
-            other => panic!("unexpected MAX result {other:?}"),
-        };
-        let skew_sql = format!(
-            "SELECT l_returnflag, COUNT(*), SUM(l_quantity), AVG(l_extendedprice) \
-             FROM lineitem WHERE l_orderkey > {} GROUP BY l_returnflag",
-            max_key * 9 / 10
-        );
-        // spill_join: the same self-join under a memory budget one quarter
-        // of the build's staged bytes (two BIGINT key columns per build
-        // row), so the hash build runs ~4× over budget and completes
-        // grace-style through temp spill files. Answers are cross-checked
-        // against the unbounded join's. DOP 1 only: at higher DOP every
-        // Xchg worker replicates the build against the shared budget,
-        // which measures recursion depth × contention instead of the
-        // spill machinery (and would triple the harness runtime).
-        let spill_budget = rows * 16 / 4;
-        for (qi, (name, sql, budget)) in [
-            ("scan_filter_agg", &agg_sql, 0usize),
-            ("join", &join_sql, 0),
-            ("skewed_scan_agg", &skew_sql, 0),
-            ("spill_join", &join_sql, spill_budget),
-        ]
-        .into_iter()
-        .enumerate()
-        {
-            if qi == 3 && dop != 1 {
-                continue;
-            }
-            db.execute(&format!("SET mem_budget = {budget}")).unwrap();
-            let warm = canon(db.execute(sql).unwrap().rows());
-            // spill_join (qi 3) checks against the unbounded join's
-            // reference (slot 1, always filled earlier in this dop pass):
-            // a spilled build must not change the answer.
-            let slot = if qi == 3 { 1 } else { qi };
-            match &reference[slot] {
-                None => reference[slot] = Some(warm),
-                Some(expect) => assert!(
-                    rows_approx_eq(expect, &warm),
-                    "{name}: DOP {dop} / budget {budget} changed the answer"
-                ),
-            }
-            let mut best = Duration::MAX;
-            for _ in 0..reps {
-                let t0 = Instant::now();
-                std::hint::black_box(db.execute(sql).unwrap());
-                best = best.min(t0.elapsed());
-            }
-            db.execute("SET mem_budget = 0").unwrap();
-            out.push((format!("{name}_dop{dop}"), rows as f64 / best.as_secs_f64()));
-        }
-    }
-    out
-}
-
-/// PR 8 multi-join scenario: a 3-table TPC-H-ish join
-/// (lineitem ⋈ orders ⋈ customer, 4:1 and 40:1 key fan-in) with a
-/// selective customer predicate, measured with the cost-based optimizer
-/// on (`multi_join_dop*`) and off (`multi_join_noopt_dop*`) at DOP 1
-/// and 4. The syntactic plan joins the two big tables first and filters
-/// last; the cost-based plan pushes `c_nation = 3` into the customer
-/// scan, joins smallest-first and probes with lineitem — the gap between
-/// the two metric pairs is the optimizer's measured win. Answers from
-/// every configuration are cross-checked.
-pub fn multi_join(rows: usize, reps: usize) -> Vec<SmokeMetric> {
-    let sql = "SELECT c_nation, COUNT(*), SUM(l_quantity) FROM lineitem \
-               JOIN orders ON l_orderkey = o_orderkey \
-               JOIN customer ON o_custkey = c_custkey \
-               WHERE c_nation = 3 AND l_quantity < 40 GROUP BY c_nation";
-    let db = Database::open_in_memory();
-    load_lineitem(&db, rows, 1994);
-    crate::tpch::load_orders_customer(&db, rows, 1994);
-    let mut out = Vec::new();
-    let mut reference: Option<Vec<Vec<Value>>> = None;
-    for dop in [1usize, 4] {
-        db.execute(&format!("SET parallelism = {dop}")).unwrap();
-        for optimizer in [1i64, 0] {
-            db.execute(&format!("SET optimizer = {optimizer}")).unwrap();
-            let warm = db.execute(sql).unwrap().rows().to_vec();
-            match &reference {
-                None => reference = Some(warm),
-                Some(expect) => assert!(
-                    rows_approx_eq(expect, &warm),
-                    "multi_join: optimizer={optimizer} dop={dop} changed the answer"
-                ),
-            }
-            let mut best = Duration::MAX;
-            for _ in 0..reps {
-                let t0 = Instant::now();
-                std::hint::black_box(db.execute(sql).unwrap());
-                best = best.min(t0.elapsed());
-            }
-            let tag = if optimizer == 1 { "" } else { "_noopt" };
-            out.push((format!("multi_join{tag}_dop{dop}"), rows as f64 / best.as_secs_f64()));
-        }
-    }
-    db.execute("SET optimizer = 1").unwrap();
-    out
-}
-
-/// PR 9 compressed-execution scenario: scan a 25-value returnflag-style
-/// string column, range-filter it, and GROUP BY it with a SUM — the
-/// query shape the encoded path is built for (dict codes flow from the
-/// pack reader through Select and HashAggregate; strings materialize
-/// only at the 25-group emit boundary). Measured with `compressed_exec`
-/// on (`dict_scan_filter_agg_dop*`) and off
-/// (`dict_scan_filter_agg_flat_dop*` — inflate-at-scan, today's
-/// baseline) at DOP 1 and 4; the gap between the pairs is compressed
-/// execution's measured win. Answers from every configuration are
-/// cross-checked.
-pub fn dict_scan_filter_agg(rows: usize, reps: usize) -> Vec<SmokeMetric> {
-    let sql = "SELECT f_flag, COUNT(*), SUM(f_qty) FROM flags \
-               WHERE f_flag >= 'FLAG_05' GROUP BY f_flag";
-    let canon = |rows: &[Vec<Value>]| {
-        let mut v = rows.to_vec();
-        v.sort_by_key(|r| format!("{:?}", r.first()));
-        v
-    };
-    let db = Database::open_in_memory();
-    crate::tpch::load_flags(&db, rows, 1994);
-    let mut out = Vec::new();
-    let mut reference: Option<Vec<Vec<Value>>> = None;
-    for dop in [1usize, 4] {
-        db.execute(&format!("SET parallelism = {dop}")).unwrap();
-        for compressed in [1i64, 0] {
-            db.execute(&format!("SET compressed_exec = {compressed}")).unwrap();
-            let warm = canon(db.execute(sql).unwrap().rows());
-            match &reference {
-                None => reference = Some(warm),
-                Some(expect) => assert!(
-                    rows_approx_eq(expect, &warm),
-                    "dict_scan_filter_agg: compressed_exec={compressed} dop={dop} \
-                     changed the answer"
-                ),
-            }
-            let mut best = Duration::MAX;
-            for _ in 0..reps {
-                let t0 = Instant::now();
-                std::hint::black_box(db.execute(sql).unwrap());
-                best = best.min(t0.elapsed());
-            }
-            let tag = if compressed == 1 { "" } else { "_flat" };
-            out.push((
-                format!("dict_scan_filter_agg{tag}_dop{dop}"),
-                rows as f64 / best.as_secs_f64(),
-            ));
-        }
-    }
-    db.execute("SET compressed_exec = 1").unwrap();
-    out
-}
-
-/// Result of the [`concurrent_mix`] service scenario: aggregate scan
-/// throughput across all sessions, the p95 statement latency, and the
-/// session count that produced them.
-pub struct ConcurrentMix {
-    /// Input rows processed per second, summed over every session.
-    pub rows_per_sec: f64,
-    /// 95th-percentile statement latency in milliseconds.
-    pub p95_ms: f64,
-    pub sessions: usize,
-}
-
-/// Multi-session service throughput: `sessions` concurrent [`vw_core::
-/// Session`]s each run the perf-smoke statement mix (scan→filter→agg,
-/// self-join, skewed agg) twice over one shared engine — fixed worker
-/// pool, admission control on — and every answer is compared against a
-/// serial reference captured before the threads start. Reports aggregate
-/// input rows/second and the p95 statement latency, the two numbers a
-/// query service trades against each other when N queries share W
-/// workers.
-pub fn concurrent_mix(rows: usize, sessions: usize) -> ConcurrentMix {
-    use vw_common::EngineConfig;
-    use vw_storage::SimulatedDisk;
-
-    const REPS_PER_SESSION: usize = 2;
-    let cfg = EngineConfig::default().with_parallelism(4).with_global_mem(256 << 20);
-    let db = Database::open_with(cfg, SimulatedDisk::instant());
-    load_lineitem(&db, rows, 1994);
-    let max_key = match db.execute("SELECT MAX(l_orderkey) FROM lineitem").unwrap().scalar() {
-        Ok(Value::I64(m)) => *m,
-        other => panic!("unexpected MAX result {other:?}"),
-    };
-    let stmts: Vec<String> = vec![
-        "SELECT l_returnflag, COUNT(*), SUM(l_quantity), AVG(l_extendedprice) \
-         FROM lineitem WHERE l_quantity < 40 GROUP BY l_returnflag"
-            .into(),
-        "SELECT COUNT(*) FROM lineitem a JOIN lineitem b \
-         ON a.l_orderkey = b.l_orderkey AND a.l_partkey = b.l_partkey"
-            .into(),
-        format!(
-            "SELECT l_returnflag, COUNT(*), SUM(l_quantity), AVG(l_extendedprice) \
-             FROM lineitem WHERE l_orderkey > {} GROUP BY l_returnflag",
-            max_key * 9 / 10
-        ),
-    ];
-    let canon = |rows: &[Vec<Value>]| {
-        let mut v = rows.to_vec();
-        v.sort_by_key(|r| format!("{:?}", r.first()));
-        v
-    };
-    // Serial reference answers, captured before any concurrency exists.
-    let reference: Vec<Vec<Vec<Value>>> =
-        stmts.iter().map(|s| canon(db.execute(s).unwrap().rows())).collect();
-
-    let t0 = Instant::now();
-    let handles: Vec<_> = (0..sessions)
-        .map(|_| {
-            let db = db.clone();
-            let stmts = stmts.clone();
-            let reference = reference.clone();
-            std::thread::spawn(move || {
-                let mut session = db.session();
-                let mut latencies = Vec::with_capacity(stmts.len() * REPS_PER_SESSION);
-                for _ in 0..REPS_PER_SESSION {
-                    for (i, sql) in stmts.iter().enumerate() {
-                        let s0 = Instant::now();
-                        let r = session.execute(sql).unwrap();
-                        latencies.push(s0.elapsed());
-                        // Concurrency must never change an answer.
-                        assert!(
-                            rows_approx_eq(&reference[i], &canon(r.rows())),
-                            "concurrent_mix: session answer diverged from serial on {sql:?}"
-                        );
-                    }
-                }
-                latencies
-            })
-        })
-        .collect();
-    let mut latencies: Vec<Duration> = Vec::new();
-    for h in handles {
-        latencies.extend(h.join().expect("concurrent_mix session panicked"));
-    }
-    let wall = t0.elapsed();
-
-    latencies.sort_unstable();
-    let p95 = latencies[(latencies.len() * 95).div_ceil(100).saturating_sub(1)];
-    let total_input_rows = (latencies.len() * rows) as f64;
-    ConcurrentMix {
-        rows_per_sec: total_input_rows / wall.as_secs_f64(),
-        p95_ms: p95.as_secs_f64() * 1e3,
-        sessions,
-    }
 }
 
 /// Pretty-print a table.

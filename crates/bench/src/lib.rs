@@ -1,7 +1,7 @@
 //! # vw-bench — workload generators and the experiment harness
 //!
 //! Deterministic TPC-H-like data (the paper's motivating workload shape)
-//! plus one driver function per experiment in DESIGN.md §4 (C1..C11). The
+//! plus one driver function per paper experiment (C1..C11). The
 //! `repro` binary prints each experiment's paper-style table; the Criterion
 //! benches wrap the same drivers for statistically robust timing.
 

@@ -1,6 +1,6 @@
 //! A deterministic TPC-H-like `lineitem` generator.
 //!
-//! Substitution for the real dbgen (DESIGN.md §2): same distributions that
+//! Substitution for the real dbgen: same distributions that
 //! matter to the experiments — clustered ascending order keys, small
 //! enumerated flag domains, uniform quantities/prices, a bounded date range
 //! with the classic shipdate offsets.
@@ -128,85 +128,6 @@ pub fn gen_lineitem(n: usize, seed: u64) -> LineitemColumns {
         linestatus: ColData::Str(linestatus),
         shipdate: ColData::Date(shipdate),
     }
-}
-
-/// The orders DDL used by the multi-join experiments.
-pub const ORDERS_DDL: &str = "CREATE TABLE orders (\
-    o_orderkey BIGINT NOT NULL, \
-    o_custkey BIGINT NOT NULL, \
-    o_totalprice DOUBLE NOT NULL)";
-
-/// The customer DDL used by the multi-join experiments.
-pub const CUSTOMER_DDL: &str = "CREATE TABLE customer (\
-    c_custkey BIGINT NOT NULL, \
-    c_nation BIGINT NOT NULL, \
-    c_acctbal DOUBLE NOT NULL)";
-
-/// Generate the orders side of [`gen_lineitem`]'s key space: one row per
-/// distinct `l_orderkey` (`n_lineitem / 4` orders, clustered ascending),
-/// each owned by a uniform customer out of `n_customers`.
-pub fn gen_orders(n_lineitem: usize, n_customers: usize, seed: u64) -> Vec<ColData> {
-    let mut rng = SmallRng::seed_from_u64(seed ^ 0x08de8);
-    let n = (n_lineitem / 4).max(1);
-    let orderkey: Vec<i64> = (1..=n as i64).collect();
-    let custkey: Vec<i64> = (0..n).map(|_| rng.gen_range(1..=n_customers.max(1) as i64)).collect();
-    let total: Vec<f64> = (0..n).map(|_| rng.gen_range(1000.0..=100_000.0)).collect();
-    vec![ColData::I64(orderkey), ColData::I64(custkey), ColData::F64(total)]
-}
-
-/// Generate `n` customers over 25 nations (TPC-H's nation count), uniform.
-pub fn gen_customer(n: usize, seed: u64) -> Vec<ColData> {
-    let mut rng = SmallRng::seed_from_u64(seed ^ 0xc057);
-    let custkey: Vec<i64> = (1..=n as i64).collect();
-    let nation: Vec<i64> = (0..n).map(|_| rng.gen_range(0..25i64)).collect();
-    let acctbal: Vec<f64> = (0..n).map(|_| rng.gen_range(-999.0..=9999.0)).collect();
-    vec![ColData::I64(custkey), ColData::I64(nation), ColData::F64(acctbal)]
-}
-
-/// Create + bulk-load the orders and customer tables sized to match a
-/// `n_lineitem`-row lineitem (1:4 orders, 1:40 customers — enough key
-/// skew that join order matters). Bulk load builds fresh statistics, so
-/// the cost-based optimizer sees real cardinalities.
-pub fn load_orders_customer(
-    db: &std::sync::Arc<vw_core::Database>,
-    n_lineitem: usize,
-    seed: u64,
-) -> (u64, u64) {
-    let n_customers = (n_lineitem / 40).max(1);
-    db.execute(ORDERS_DDL).expect("orders ddl");
-    db.execute(CUSTOMER_DDL).expect("customer ddl");
-    let ocols = gen_orders(n_lineitem, n_customers, seed);
-    let ccols = gen_customer(n_customers, seed);
-    let on = vw_core::bulk_load(db, "orders", &ocols, &vec![None; ocols.len()]).expect("orders");
-    let cn =
-        vw_core::bulk_load(db, "customer", &ccols, &vec![None; ccols.len()]).expect("customer");
-    (on, cn)
-}
-
-/// The flags DDL used by the compressed-execution experiments: a
-/// returnflag-style low-cardinality string column next to a quantity.
-pub const FLAGS_DDL: &str = "CREATE TABLE flags (\
-    f_flag VARCHAR NOT NULL, \
-    f_qty BIGINT NOT NULL)";
-
-/// Generate `n` flag rows: `f_flag` drawn uniformly from a 25-value
-/// enumerated domain (`FLAG_00`..`FLAG_24` — TPC-H nation-count sized, so
-/// stable storage dictionary-codes the column in every pack) and a
-/// uniform `f_qty` in 1..=100.
-pub fn gen_flags(n: usize, seed: u64) -> Vec<ColData> {
-    let mut rng = SmallRng::seed_from_u64(seed ^ 0xf1a6);
-    let domain: Vec<String> = (0..25).map(|i| format!("FLAG_{i:02}")).collect();
-    let flag: Vec<String> =
-        (0..n).map(|_| domain[rng.gen_range(0..domain.len())].clone()).collect();
-    let qty: Vec<i64> = (0..n).map(|_| rng.gen_range(1..=100i64)).collect();
-    vec![ColData::Str(flag), ColData::I64(qty)]
-}
-
-/// Create + bulk-load the flags table into a database.
-pub fn load_flags(db: &std::sync::Arc<vw_core::Database>, n: usize, seed: u64) -> u64 {
-    db.execute(FLAGS_DDL).expect("flags ddl");
-    let cols = gen_flags(n, seed);
-    vw_core::bulk_load(db, "flags", &cols, &vec![None; cols.len()]).expect("flags load")
 }
 
 /// Row-wise view for the Volcano baseline.

@@ -121,14 +121,13 @@ pub struct EngineConfig {
     /// Buffer pool capacity in bytes for the storage layer.
     pub buffer_pool_bytes: usize,
     /// Default degree of parallelism the rewriter targets when inserting
-    /// exchange (Xchg) operators, and that the hash operators use for
-    /// radix-partitioned parallel builds. 1 disables parallelization.
+    /// exchange (Xchg) operators, and from which the hash operators derive
+    /// their partition count ([`EngineConfig::build_partitions`]).
+    /// 1 disables parallelization.
     pub parallelism: usize,
-    /// Radix partition count (as log2) for partitioned hash builds.
-    /// `None` derives `next_pow2(parallelism)` — one shard per worker.
-    pub partition_bits: Option<u32>,
-    /// Build rows below which a partitioned hash build stays serial (the
-    /// exec-side cost gate; thread spawn + scatter only pay off past it).
+    /// The pooled hash build's cost gate: below this many rows a join
+    /// still builds one table and an aggregate's shards stay with the
+    /// driver (task submission + packet gathers only pay off past it).
     pub partition_min_rows: usize,
     /// Rows per morsel claim from a scan's shared work dispenser
     /// (`vw-exec::morsel::MorselSource`). Exchange workers pull claims of
@@ -142,28 +141,25 @@ pub struct EngineConfig {
     /// scheduling through the whole suite).
     pub morsel_rows: usize,
     /// Per-query memory budget in bytes for hash build state (join build
-    /// sides, aggregation groups). `0` = unlimited — the build stays fully
-    /// in memory and none of the spill machinery is even constructed, so
-    /// the zero-spill hot path is byte-for-byte the allocation-free kernel
-    /// path. A non-zero budget makes every hash build in the query charge
-    /// a shared `MemBudget` tracker (`vw-exec::partition`) as staged shards
-    /// grow; when the query exceeds the budget, the largest shards spill
-    /// their staged rows to temp spill files and the affected partitions
-    /// finish grace-style (probe rows routed to probe spill files, each
-    /// spilled partition pair rehydrated and joined/re-aggregated with the
+    /// sides, aggregation groups). `0` = unlimited — hash builds run
+    /// ungoverned: nothing is charged and nothing can be evicted. A
+    /// non-zero budget makes every hash build in the query the governed
+    /// configuration of the one partitioned-build state machine
+    /// (`vw-exec::partition`): slots charge a shared `MemBudget` as they
+    /// grow; when the query exceeds the budget, the largest slot is
+    /// written to a temp spill file and the affected partitions finish
+    /// from disk (probe rows routed to probe spill files, each spilled
+    /// partition pair rehydrated and joined/re-aggregated with the
     /// in-memory kernels, re-partitioning on the next hash-bit stratum if
     /// a partition still does not fit). SET-able (`SET mem_budget = n`),
     /// `VW_MEM_BUDGET` env override (like `VW_DOP`, so CI can force spills
-    /// through the whole suite). See ARCHITECTURE.md ("Knobs") for the
-    /// full knob table.
+    /// through the whole suite). See ARCHITECTURE.md ("Hash builds",
+    /// "Knobs").
     pub mem_budget_bytes: usize,
     /// Arithmetic checking strategy.
     pub check_mode: CheckMode,
     /// NULL representation strategy.
     pub null_mode: NullMode,
-    /// Enable cooperative scans (relevance policy) instead of plain
-    /// attach-style LRU scans.
-    pub cooperative_scans: bool,
     /// Rows per storage pack (the compression granule).
     pub pack_size: usize,
     /// Enable per-operator profiling counters.
@@ -241,13 +237,11 @@ impl Default for EngineConfig {
             vector_size: crate::DEFAULT_VECTOR_SIZE,
             buffer_pool_bytes: 64 << 20,
             parallelism,
-            partition_bits: None,
             partition_min_rows,
             morsel_rows,
             mem_budget_bytes,
             check_mode: CheckMode::Lazy,
             null_mode: NullMode::TwoColumn,
-            cooperative_scans: false,
             pack_size: 16 * 1024,
             profiling: true,
             statement_timeout_ms: 0,
@@ -364,14 +358,10 @@ impl EngineConfig {
     }
 
     /// Number of radix partitions a partitioned hash build should use:
-    /// the explicit `partition_bits` override, or one shard per worker
-    /// (`next_pow2(parallelism)`). Capped at 2^10 — beyond that the
-    /// scatter cost dwarfs any locality win.
+    /// one per worker (`next_pow2(parallelism)`), capped at 2^10 — beyond
+    /// that the scatter cost dwarfs any locality win.
     pub fn build_partitions(&self) -> usize {
-        match self.partition_bits {
-            Some(bits) => 1usize << bits.min(10),
-            None => self.parallelism.next_power_of_two(),
-        }
+        self.parallelism.next_power_of_two().min(1 << 10)
     }
 }
 
@@ -483,12 +473,10 @@ mod tests {
     }
 
     #[test]
-    fn build_partitions_derives_from_dop_or_override() {
-        let mut c = EngineConfig::default().with_parallelism(3);
-        assert_eq!(c.build_partitions(), 4, "next_pow2(dop)");
-        c.partition_bits = Some(5);
-        assert_eq!(c.build_partitions(), 32, "explicit bits win");
-        c.partition_bits = Some(30);
-        assert_eq!(c.build_partitions(), 1024, "capped at 2^10");
+    fn build_partitions_derives_from_dop() {
+        let c = EngineConfig::default();
+        assert_eq!(c.clone().with_parallelism(1).build_partitions(), 1);
+        assert_eq!(c.clone().with_parallelism(3).build_partitions(), 4, "next_pow2(dop)");
+        assert_eq!(c.with_parallelism(5000).build_partitions(), 1024, "capped at 2^10");
     }
 }

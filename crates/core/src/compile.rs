@@ -137,10 +137,9 @@ struct Partition<'a> {
 /// `EngineConfig::mem_budget_bytes` is non-zero. Every hash join build
 /// side and every aggregation in the plan — Exchange worker clones
 /// included — charges the same budget; whichever operator pushes the
-/// total over the line spills its own largest shard (grace-style, see
+/// total over the line spills its own largest partition (see
 /// `vw_exec::partition`). With no budget configured this is `None` and
-/// the operators carry none of the spill machinery (the zero-spill path
-/// is byte-for-byte the allocation-free kernel path).
+/// the builds run ungoverned: nothing is charged, nothing can be evicted.
 struct QuerySpill {
     budget: Arc<MemBudget>,
     partitions: usize,
@@ -413,19 +412,20 @@ fn build_plan_node(
                 JoinKind::NullAwareAnti => JoinType::NullAwareLeftAnti,
             };
             let mut join = HashJoin::new(l, r, lk, rk, jt, schema.clone(), cancel.clone());
-            // Memory-governed builds run the grace-spilling partitioner
-            // (serial in-operator; Xchg parallelism still applies above
-            // it). Otherwise, radix-partition the build across threads —
-            // but never inside an Exchange worker (even on a build side
-            // whose scan `partition` was cleared), where the plan-level
-            // DOP already owns the cores (dop × P threads would
-            // oversubscribe).
+            // One build state machine, two settings: a memory-governed
+            // query gets evictable partitions (driven by this thread; Xchg
+            // parallelism still applies above it). Otherwise the build
+            // fans out on the worker pool — but never inside an Exchange
+            // worker (even on a build side whose scan `partition` was
+            // cleared), where the plan-level DOP already owns the cores.
             if let Some(qs) = spill {
                 join = join.with_spill(qs.config(db));
             } else if config.parallelism > 1 && !in_exchange {
-                join = join
-                    .with_parallel_build(config.build_partitions(), config.partition_min_rows)
-                    .with_task_pool(db.workers.clone());
+                join = join.with_parallel_build(
+                    db.workers.clone(),
+                    config.build_partitions(),
+                    config.partition_min_rows,
+                );
             }
             Box::new(join.with_batch_pool(batch_pool.clone()))
         }
@@ -462,9 +462,11 @@ fn build_plan_node(
             if let Some(qs) = spill {
                 agg = agg.with_spill(qs.config(db));
             } else if config.parallelism > 1 && !in_exchange {
-                agg = agg
-                    .with_parallel_build(config.build_partitions(), config.partition_min_rows)
-                    .with_task_pool(db.workers.clone());
+                agg = agg.with_parallel_build(
+                    db.workers.clone(),
+                    config.build_partitions(),
+                    config.partition_min_rows,
+                );
             }
             Box::new(agg.with_batch_pool(batch_pool.clone()))
         }

@@ -20,7 +20,7 @@ use vw_storage::{TableStats, TableStorage};
 /// An open multi-statement transaction: one PDT transaction per touched
 /// VECTORWISE table.
 ///
-/// Cross-table atomicity caveat (documented in DESIGN.md §6): commit applies
+/// Cross-table atomicity caveat: commit applies
 /// per table under the global commit lock; a positional conflict on a later
 /// table aborts the remainder but does not undo earlier tables.
 #[derive(Default)]

@@ -96,7 +96,7 @@ pub struct Database {
     pub(crate) pool: Arc<BufferPool>,
     /// The table namespace (read access for tools/benches).
     pub catalog: RwLock<Catalog>,
-    /// Serializes cross-table commit sequences (see DESIGN.md §6).
+    /// Serializes cross-table commit sequences (see [`dml::OpenTxn`]).
     pub(crate) commit_lock: Mutex<()>,
     /// Monitoring subsystem.
     pub monitor: Monitor,
@@ -297,15 +297,6 @@ impl Database {
                     return Err(VwError::InvalidParameter("parallelism must be >= 1".into()));
                 }
                 cfg.parallelism = v as usize;
-            }
-            "partition_bits" => {
-                let v = value.as_i64()?;
-                if !(0..=10).contains(&v) {
-                    return Err(VwError::InvalidParameter(
-                        "partition_bits must be in 0..=10".into(),
-                    ));
-                }
-                cfg.partition_bits = Some(v as u32);
             }
             "partition_min_rows" => {
                 let v = value.as_i64()?;

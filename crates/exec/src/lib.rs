@@ -28,12 +28,13 @@
 //! * [`hashtable`] — the flat vectorized hash table (directory + chain
 //!   array over contiguous build rows) shared by hash join and hash
 //!   aggregation, with fully vectorized insert and probe;
-//! * [`partition`] — radix partitioning for parallel hash builds:
-//!   [`partition::RadixRouter`] splits key hashes into `P` partitions,
-//!   [`partition::ShardSet`] runs one `FlatTable` shard per worker thread,
-//!   and probes route partition-wise through reused `SelVec`s; also home
-//!   of the [`partition::MemBudget`] memory governor and the
-//!   [`partition::SpillConfig`] grace-spilling policy;
+//! * [`partition`] — the one hash-build state machine under join and
+//!   aggregation: [`partition::Partitions`] keeps `P` slots of operator
+//!   state behind a [`partition::RadixRouter`] (P = 1 is the serial
+//!   build), charges them to the [`partition::MemBudget`] memory governor
+//!   and picks eviction victims when a [`partition::SpillConfig`] is
+//!   attached, and [`partition::ShardSet`] runs shards as cooperative
+//!   tasks on the worker pool for parallel builds;
 //! * [`spill`] — the disk half of grace spilling: vectors ⇄ compressed
 //!   spill chunks on a temp [`vw_storage::SpillFile`], plus
 //!   [`spill::SpillScan`], the operator that replays a spilled partition;

@@ -1,24 +1,30 @@
 //! Vectorized hash join over the flat hash table.
 //!
-//! Builds a [`FlatTable`] on the right child — key and payload columns are
-//! appended to *contiguous* vectors (no per-key bucket `Vec`s) and rows are
-//! linked through the table's chain array. Probing is vector-at-a-time:
-//! hash the whole probe key vector, gather candidate chain heads for every
-//! lane, then iteratively re-probe only the still-active lanes through a
-//! [`SelVec`], with one-word hash rejection before any key comparison. All
-//! probe scratch is reused across batches, so the steady-state loop
-//! allocates nothing.
+//! **Build** (right child) runs the one partitioned-build state machine of
+//! [`crate::partition`]: every batch's non-NULL key lanes are hashed,
+//! routed to `P` slots and appended to the owning slot's contiguous
+//! key/payload vectors straight from the batch. `P = 1` is the serial
+//! build; [`HashJoin::with_spill`] makes the slots evictable under the
+//! query's memory budget (a slot's rows move to a spill file, and so do
+//! the probe rows later routed to it); [`HashJoin::with_parallel_build`]
+//! fans the per-slot table construction out to the worker pool. One
+//! finalize concatenates the slots into the global build columns and
+//! bulk-builds the [`FlatTable`]s (CSR layout: every probe is a short
+//! sequential scan) — per slot when the build is governed or clears the
+//! cost gate, else a single table.
 //!
-//! With [`HashJoin::with_parallel_build`] the build side radix-partitions
-//! across worker threads: build input stages until the cost gate
-//! (`min_rows`) proves the build is big enough, then every batch's key
-//! hashes are split by their top radix bits and scattered to `P` private
-//! [`FlatTable`] shards, each inserted and `finalize()`d on its own thread
-//! (see [`crate::partition`]). Probes hash once, split by the same radix
-//! bits into reused per-partition `SelVec`s, and run the ordinary fused
-//! kernels shard-wise — each against a table `P`× smaller. Shard-local
-//! build row ids are rebased onto the concatenated global build columns,
-//! so output assembly is identical to the serial path.
+//! **Probe** is vector-at-a-time. Against a single table the fused
+//! per-type kernel hashes, walks and compares in one pass per lane;
+//! against `P` tables the batch is hashed once, split by the build's radix
+//! bits into reused per-slot `SelVec`s, and the same kernels run slot-wise
+//! with slot-local row ids rebased onto the concatenated build columns, so
+//! output assembly is the same either way. All probe scratch is reused
+//! across batches: the steady-state loop allocates nothing.
+//!
+//! **Deferred phase** (governed builds that evicted): once the probe input
+//! is exhausted each spilled build/probe file pair replays through an
+//! inner `HashJoin` — same keys, same join type, the next hash-bit
+//! stratum, the same budget — i.e. this component one level down.
 //!
 //! Supports inner, left outer, left semi, left anti, and the **NULL-aware
 //! left anti join** that gives `NOT IN` its treacherous SQL semantics — the
@@ -37,7 +43,7 @@ use crate::cancel::CancelToken;
 use crate::hashtable::{self, FlatTable, EMPTY};
 use crate::morsel::BatchPool;
 use crate::partition::{
-    RadixRouter, ShardSet, ShardWorker, SpillConfig, DEFAULT_PARALLEL_BUILD_MIN_ROWS,
+    Partitions, ShardSet, ShardWorker, SpillConfig, WorkerPool, DEFAULT_PARALLEL_BUILD_MIN_ROWS,
 };
 use crate::profile::OpProfile;
 use crate::program::{ExprProgram, VecRef, VectorPool};
@@ -46,7 +52,6 @@ use crate::vector::{Batch, Vector};
 use std::sync::Arc;
 use std::time::Instant;
 use vw_common::{ColData, Result, Schema, SelVec, TypeId, VwError};
-use vw_service::WorkerPool;
 use vw_storage::SpillFile;
 
 /// Join variants supported by the kernel.
@@ -114,148 +119,89 @@ struct ProbeScratch {
     refs: Vec<VecRef>,
 }
 
-/// One radix partition's build side: the shard's key/payload rows and
-/// staged hashes, bulk-built into a private finalized table at the end.
-struct JoinShard {
+/// What one build partition holds while the build runs: the gathered
+/// key/payload rows and their hashes, waiting to become a CSR table — or
+/// to be written to a spill file if the memory governor evicts the slot.
+struct JoinStage {
     keys: Vec<Vector>,
     cols: Vec<Vector>,
     hashes: Vec<u64>,
-    table: FlatTable,
+    /// Approximate staged bytes (maintained for governed builds only).
+    bytes: usize,
 }
 
-/// Gathered build rows for one (batch, shard) pair, scattered by radix.
-struct JoinPacket {
-    keys: Vec<Vector>,
-    cols: Vec<Vector>,
-    hashes: Vec<u64>,
-}
-
-impl ShardWorker for JoinShard {
-    type Packet = JoinPacket;
-    type Output = JoinShard;
-
-    fn absorb(&mut self, pkt: JoinPacket) -> Result<()> {
-        for (dst, src) in self.keys.iter_mut().zip(&pkt.keys) {
-            dst.extend_range(src, 0, src.len());
-        }
-        for (dst, src) in self.cols.iter_mut().zip(&pkt.cols) {
-            dst.extend_range(src, 0, src.len());
-        }
-        self.hashes.extend_from_slice(&pkt.hashes);
-        Ok(())
+impl JoinStage {
+    fn new(key_tys: &[TypeId], col_tys: &[TypeId]) -> JoinStage {
+        let empty = |tys: &[TypeId]| tys.iter().map(|&t| Vector::new(ColData::new(t))).collect();
+        JoinStage { keys: empty(key_tys), cols: empty(col_tys), hashes: Vec::new(), bytes: 0 }
     }
 
-    fn finish(mut self) -> Result<JoinShard> {
-        // Bulk CSR construction — the expensive random-access build phase
-        // — runs P-wise in parallel on the workers, each over a table P×
-        // smaller (and that much more cache-resident).
-        self.table = FlatTable::build_csr(&self.hashes);
+    /// Append the `sel` lanes of one batch. `charge` also accounts their
+    /// approximate bytes (the unit the memory governor charges).
+    fn append(
+        &mut self,
+        keys: &[&Vector],
+        cols: &[Vector],
+        hashes: &[u64],
+        sel: &SelVec,
+        charge: bool,
+    ) {
+        if charge {
+            self.bytes += sel.len() * 8 // hashes
+                + keys.iter().map(|v| gathered_bytes(v, sel)).sum::<usize>()
+                + cols.iter().map(|v| gathered_bytes(v, sel)).sum::<usize>();
+        }
+        for (dst, src) in self.keys.iter_mut().zip(keys) {
+            dst.extend_gather_sel(src, sel);
+        }
+        for (dst, src) in self.cols.iter_mut().zip(cols) {
+            dst.extend_gather_sel(src, sel);
+        }
+        self.hashes.extend(sel.iter().map(|p| hashes[p]));
+    }
+
+    /// Free the staged rows (they were just written out), keeping the
+    /// typed column layout.
+    fn clear(&mut self) {
+        for v in self.keys.iter_mut().chain(&mut self.cols) {
+            *v = Vector::new(ColData::new(v.type_id()));
+        }
         self.hashes = Vec::new();
-        Ok(self)
+        self.bytes = 0;
     }
 }
 
-/// Partitioned build state after the workers are joined: one finalized
-/// table per radix shard plus each shard's base offset into the global
-/// (shard-order concatenated) build columns. Grace builds reuse this for
-/// their resident partitions (a spilled partition holds an empty table —
-/// its probe lanes are diverted to a spill file before any probe runs).
-struct ShardedJoin {
-    router: RadixRouter,
+/// A finished build — plain immutable data with no pointer back into the
+/// operator: the finalized tables (one per partition, or a single one),
+/// each table's base offset into the slot-order concatenated build rows,
+/// and the rows themselves. An evicted partition keeps an empty table; its
+/// probe lanes are diverted to a spill file before any probe runs.
+struct JoinBuild {
     tables: Vec<FlatTable>,
     bases: Vec<u32>,
-}
-
-/// One grace partition's in-memory staging: the gathered key/payload rows
-/// and their hashes, waiting to become a CSR table — or to be evicted to a
-/// spill file if the memory governor picks this partition as a victim.
-struct GraceStage {
     keys: Vec<Vector>,
     cols: Vec<Vector>,
-    hashes: Vec<u64>,
+    /// A NULL key arrived on the build side (dropped there — NULL never
+    /// matches — but the NULL-aware anti join needs to know).
+    has_null_key: bool,
 }
 
-impl GraceStage {
-    fn rows(&self) -> usize {
-        self.hashes.len()
-    }
-}
+/// Pool task building one partition's table: bulk CSR construction is the
+/// expensive random-access phase of a build, the one worth fanning out —
+/// each over a table P× smaller and that much more cache-resident.
+struct CsrShard(FlatTable);
 
-/// Memory-governed (grace) build state: the radix router on this
-/// operator's hash-bit stratum, one staging slot per partition
-/// (`None` once the partition spilled), the build/probe spill files of
-/// spilled partitions, and the per-partition bytes charged to the shared
-/// [`MemBudget`](crate::partition::MemBudget).
-struct GraceJoin {
-    cfg: SpillConfig,
-    router: RadixRouter,
-    stages: Vec<Option<GraceStage>>,
-    files: Vec<Option<SpillFile>>,
-    probe_files: Vec<Option<SpillFile>>,
-    charged: Vec<usize>,
-    any_spilled: bool,
-}
+impl ShardWorker for CsrShard {
+    type Packet = Vec<u64>;
+    type Output = FlatTable;
 
-impl GraceJoin {
-    fn new(cfg: SpillConfig, build_keys: &[Vector], build_cols: &[Vector]) -> GraceJoin {
-        let router = RadixRouter::at_depth(cfg.partitions, cfg.depth);
-        let p = router.partitions();
-        let make_stage = || GraceStage {
-            keys: build_keys.iter().map(|v| Vector::new(ColData::new(v.type_id()))).collect(),
-            cols: build_cols.iter().map(|v| Vector::new(ColData::new(v.type_id()))).collect(),
-            hashes: Vec::new(),
-        };
-        GraceJoin {
-            cfg,
-            router,
-            stages: (0..p).map(|_| Some(make_stage())).collect(),
-            files: (0..p).map(|_| None).collect(),
-            probe_files: (0..p).map(|_| None).collect(),
-            charged: vec![0; p],
-            any_spilled: false,
-        }
-    }
-
-    /// The resident partition holding the most charged bytes (the spill
-    /// victim), if any resident partition holds rows at all.
-    fn largest_resident(&self) -> Option<usize> {
-        (0..self.stages.len())
-            .filter(|&si| self.stages[si].as_ref().is_some_and(|st| st.rows() > 0))
-            .max_by_key(|&si| self.charged[si])
-    }
-
-    /// Evict partition `si`: its staged payload rows move to a fresh spill
-    /// file (keys and hashes are recomputed from the payload at
-    /// rehydration time — they are program outputs, not stored state) and
-    /// its budget charge is returned.
-    fn spill_partition(&mut self, si: usize) -> Result<()> {
-        let stage = self.stages[si].take().expect("victim is resident");
-        let mut file = SpillFile::new(self.cfg.disk.clone());
-        if stage.rows() > 0 {
-            let n = spill::append_vectors(&mut file, &stage.cols)?;
-            self.cfg.metrics.record_write(n as u64);
-        }
-        self.files[si] = Some(file);
-        self.cfg.metrics.record_partition();
-        self.any_spilled = true;
-        self.cfg.budget.uncharge(self.charged[si]);
-        self.charged[si] = 0;
+    fn absorb(&mut self, hashes: Vec<u64>) -> Result<()> {
+        self.0 = FlatTable::build_csr(&hashes);
         Ok(())
     }
 
-    /// Return every byte still charged (normal completion zeroes the
-    /// entries first; this covers error and KILL unwinds).
-    fn uncharge_all(&mut self) {
-        for c in &mut self.charged {
-            self.cfg.budget.uncharge(*c);
-            *c = 0;
-        }
-    }
-}
-
-impl Drop for GraceJoin {
-    fn drop(&mut self) {
-        self.uncharge_all();
+    fn finish(self) -> Result<FlatTable> {
+        Ok(self.0)
     }
 }
 
@@ -282,6 +228,7 @@ fn gathered_bytes(v: &Vector, sel: &SelVec) -> usize {
 /// Hash join operator (right side = build, left side = probe).
 pub struct HashJoin {
     left: BoxedOp,
+    /// The build input (taken when the build runs, on the first `next`).
     right: Option<BoxedOp>,
     left_keys: Vec<ExprProgram>,
     right_keys: Vec<ExprProgram>,
@@ -289,33 +236,23 @@ pub struct HashJoin {
     schema: Schema,
     pool: VectorPool,
     cancel: CancelToken,
-    // Build state: contiguous columns indexed by the table's row ids
-    // (global ids — shard rows are concatenated in shard order).
-    build_cols: Vec<Vector>,
-    build_keys: Vec<Vector>,
-    table: FlatTable,
-    /// Partitioned build state (None = serial single-table build).
-    sharded: Option<ShardedJoin>,
-    /// Radix partitions for the parallel build (1 = serial).
-    par_shards: usize,
-    /// Staged build rows below which the build stays serial (the exec-side
-    /// cost gate: thread spawn + scatter only pay off past this point).
+    /// Pool and partition count of a parallel build (None = one slot).
+    par: Option<(Arc<WorkerPool>, usize)>,
+    /// Build rows below which a parallel build still makes one table.
     par_min_rows: usize,
-    /// Shared worker pool for the parallel build (None = dedicated
-    /// threads per shard, the embedder/test path).
-    task_pool: Option<Arc<WorkerPool>>,
-    /// Hashes of staged build rows (insert is deferred until the serial /
-    /// partitioned decision is made).
-    staged_hashes: Vec<u64>,
-    build_has_null_key: bool,
-    built: bool,
+    /// The memory governor, when configured ([`HashJoin::with_spill`]).
+    spill: Option<SpillConfig>,
+    /// The build's partition set: router, budget charges and the spill
+    /// files of evicted slots (the slots' rows moved into `build`).
+    parts: Option<Partitions<JoinStage>>,
+    /// The finished build (None before the build and after the last
+    /// in-memory probe, when the deferred phase has freed it).
+    build: Option<JoinBuild>,
+    /// Probe rows diverted per evicted slot.
+    probe_files: Vec<Option<SpillFile>>,
     scratch: ProbeScratch,
     batch_pool: Option<BatchPool>,
     out_types: Vec<TypeId>,
-    /// Memory-governed spilling, when configured ([`HashJoin::with_spill`]).
-    spill: Option<SpillConfig>,
-    /// Grace build/probe state (Some once a governed build started).
-    grace: Option<GraceJoin>,
     /// Child schemas, kept for replaying spilled rows through
     /// [`SpillScan`]s in the deferred phase.
     probe_schema: Schema,
@@ -376,21 +313,15 @@ impl HashJoin {
             schema,
             pool: VectorPool::new(),
             cancel,
-            build_cols: Vec::new(),
-            build_keys: Vec::new(),
-            table: FlatTable::new(),
-            sharded: None,
-            par_shards: 1,
+            par: None,
             par_min_rows: DEFAULT_PARALLEL_BUILD_MIN_ROWS,
-            task_pool: None,
-            staged_hashes: Vec::new(),
-            build_has_null_key: false,
-            built: false,
+            spill: None,
+            parts: None,
+            build: None,
+            probe_files: Vec::new(),
             scratch: ProbeScratch::default(),
             batch_pool: None,
             out_types,
-            spill: None,
-            grace: None,
             probe_schema,
             build_schema,
             deferred: Vec::new(),
@@ -410,54 +341,46 @@ impl HashJoin {
         self
     }
 
-    /// Enable the radix-partitioned parallel build: `shards` worker threads
-    /// (rounded up to a power of two), engaged once at least `min_rows`
-    /// build rows are staged. `shards <= 1` keeps the serial build.
-    /// Ignored when a memory budget is attached ([`HashJoin::with_spill`]
-    /// wins — a governed build must own its shard lifecycle to evict).
-    pub fn with_parallel_build(mut self, shards: usize, min_rows: usize) -> HashJoin {
-        self.par_shards = shards.max(1).next_power_of_two();
+    /// Partition the build `shards` ways (rounded up to a power of two)
+    /// and, once it holds at least `min_rows` rows, construct the
+    /// per-partition tables as tasks on `pool` and probe partition-wise;
+    /// smaller builds still make a single table. Ignored when a memory
+    /// budget is attached ([`HashJoin::with_spill`] wins).
+    pub fn with_parallel_build(
+        mut self,
+        pool: Arc<WorkerPool>,
+        shards: usize,
+        min_rows: usize,
+    ) -> HashJoin {
+        self.par = Some((pool, shards));
         self.par_min_rows = min_rows;
         self
     }
 
-    /// Run the parallel build's shards as cooperative tasks on the
-    /// engine's shared worker pool instead of spawning a thread per shard
-    /// (see [`ShardSet::spawn_on`]). The engine always sets this; the
-    /// bare-operator path keeps dedicated threads.
-    pub fn with_task_pool(mut self, pool: Arc<WorkerPool>) -> HashJoin {
-        self.task_pool = Some(pool);
-        self
-    }
-
-    /// Attach the query's memory governor: the build radix-partitions on
-    /// `cfg`'s hash-bit stratum and charges `cfg.budget` as partitions
-    /// stage rows. When the query runs over budget, the largest staged
-    /// partition evicts its rows to a temp spill file; probe rows routed
-    /// to a spilled partition divert to a matching probe spill file, and
-    /// after the probe input is exhausted each spilled pair replays
-    /// through a recursive `HashJoin` (same keys, same join type, next
-    /// hash-bit stratum) whose output streams out as this operator's.
+    /// Attach the query's memory governor: the build partitions on `cfg`'s
+    /// hash-bit stratum and charges `cfg.budget` as slots stage rows. When
+    /// the query runs over budget, the largest slot's rows move to a temp
+    /// spill file; probe rows routed to an evicted slot divert to a
+    /// matching probe spill file, and after the probe input is exhausted
+    /// each spilled pair replays through a recursive `HashJoin` (same
+    /// keys, same join type, next hash-bit stratum) whose output streams
+    /// out as this operator's.
     pub fn with_spill(mut self, cfg: SpillConfig) -> HashJoin {
         self.spill = Some(cfg);
         self
     }
 
-    fn build(&mut self) -> Result<()> {
-        let mut right = self.right.take().expect("build once");
-        self.build_cols =
-            right.schema().fields.iter().map(|f| Vector::new(ColData::new(f.ty))).collect();
-        self.build_keys =
-            self.right_keys.iter().map(|e| Vector::new(ColData::new(e.type_id()))).collect();
-        // Memory-governed build: partition from the first row so any
-        // partition can be evicted wholesale when the budget trips.
-        if let Some(cfg) = self.spill.take() {
-            self.grace = Some(GraceJoin::new(cfg, &self.build_keys, &self.build_cols));
+    fn build(&mut self, mut right: BoxedOp) -> Result<()> {
+        let key_tys: Vec<TypeId> = self.right_keys.iter().map(|e| e.type_id()).collect();
+        let col_tys: Vec<TypeId> = right.schema().fields.iter().map(|f| f.ty).collect();
+        let governed = self.spill.is_some();
+        if governed {
+            self.par = None; // a governed build owns its slots' lifecycle
         }
-        // Partitioned-build machinery, spawned lazily once the staged row
-        // count clears the cost gate (never combined with a governed
-        // build — grace owns the shard lifecycle).
-        let mut workers: Option<(RadixRouter, ShardSet<JoinShard>)> = None;
+        let shards = self.par.as_ref().map_or(1, |(_, p)| *p);
+        let mut parts =
+            Partitions::new(shards, self.spill.take(), || Ok(JoinStage::new(&key_tys, &col_tys)))?;
+        let mut has_null_key = false;
         while let Some(mut batch) = right.next()? {
             self.cancel.check()?;
             for &c in &self.flat_cols_build {
@@ -492,226 +415,110 @@ impl HashJoin {
                 // NULL keys never match any probe: drop them at build time and
                 // remember they existed (NULL-aware anti join needs to know).
                 s.live.retain_from(|p| !keys.iter().any(|k| k.is_null(p)), &mut s.nonnull);
-                if s.nonnull.len() != s.live.len() {
-                    self.build_has_null_key = true;
-                }
+                has_null_key |= s.nonnull.len() != s.live.len();
                 if !s.nonnull.is_empty() {
-                    hashtable::hash_keys(
-                        keys,
-                        batch.capacity(),
-                        false,
-                        &mut s.lanes,
-                        &mut s.hashes,
-                    );
-                    if let Some(g) = &mut self.grace {
-                        // Governed build: radix-split and stage (or append
-                        // straight to a spilled partition's file), charging
-                        // the query budget for every staged byte.
-                        g.router.split(&s.hashes, Some(&s.nonnull), batch.capacity());
-                        for si in 0..g.stages.len() {
-                            let sel = g.router.shard_sel(si);
-                            if sel.is_empty() {
-                                continue;
+                    let n = batch.capacity();
+                    hashtable::hash_keys(keys, n, false, &mut s.lanes, &mut s.hashes);
+                    parts.route(&s.hashes, &s.nonnull, n);
+                    for si in 0..parts.partitions() {
+                        if parts.is_spilled(si) {
+                            // Already evicted: rows go straight to disk
+                            // (payload only — keys and hashes are program
+                            // outputs, recomputed at rehydration).
+                            let sel = parts.routed(si);
+                            if !sel.is_empty() {
+                                let cols: Vec<Vector> =
+                                    batch.columns.iter().map(|v| v.gather(sel)).collect();
+                                parts.append_spilled(si, &cols)?;
                             }
-                            match &mut g.stages[si] {
-                                Some(stage) => {
-                                    let mut delta = sel.len() * 8; // hashes
-                                    for (dst, src) in stage.keys.iter_mut().zip(keys) {
-                                        delta += gathered_bytes(src, sel);
-                                        dst.extend_gather_sel(src, sel);
-                                    }
-                                    for (dst, src) in stage.cols.iter_mut().zip(&batch.columns) {
-                                        delta += gathered_bytes(src, sel);
-                                        dst.extend_gather_sel(src, sel);
-                                    }
-                                    stage.hashes.extend(sel.iter().map(|p| s.hashes[p]));
-                                    g.cfg.budget.charge(delta);
-                                    g.charged[si] += delta;
-                                }
-                                None => {
-                                    // Already spilled: rows go straight to
-                                    // disk (payload only — keys and hashes
-                                    // are recomputed at rehydration).
-                                    let cols: Vec<Vector> =
-                                        batch.columns.iter().map(|v| v.gather(sel)).collect();
-                                    let file = g.files[si].as_mut().expect("spilled has file");
-                                    let n = spill::append_vectors(file, &cols)?;
-                                    g.cfg.metrics.record_write(n as u64);
-                                }
-                            }
+                            continue;
                         }
-                        // The governor's spill decision: while the query is
-                        // over budget, evict the largest resident partition.
-                        while g.cfg.budget.over() {
-                            match g.largest_resident() {
-                                Some(victim) => g.spill_partition(victim)?,
-                                None => break, // nothing left to evict here
-                            }
-                        }
-                    } else {
-                        match &mut workers {
-                            // Serial / pre-gate: stage rows densely (insert is
-                            // deferred until the build size is known).
-                            None => {
-                                for (dst, src) in self.build_cols.iter_mut().zip(&batch.columns) {
-                                    dst.extend_gather_sel(src, &s.nonnull);
-                                }
-                                for (dst, src) in self.build_keys.iter_mut().zip(keys) {
-                                    dst.extend_gather_sel(src, &s.nonnull);
-                                }
-                                self.staged_hashes.extend(s.nonnull.iter().map(|p| s.hashes[p]));
-                            }
-                            // Partitioned: radix-scatter this batch to the
-                            // shard workers.
-                            Some((router, set)) => {
-                                router.split(&s.hashes, Some(&s.nonnull), batch.capacity());
-                                for si in 0..router.partitions() {
-                                    let sel = router.shard_sel(si);
-                                    if sel.is_empty() {
-                                        continue;
-                                    }
-                                    let pkt = JoinPacket {
-                                        keys: keys.iter().map(|v| v.gather(sel)).collect(),
-                                        cols: batch.columns.iter().map(|v| v.gather(sel)).collect(),
-                                        hashes: sel.iter().map(|p| s.hashes[p]).collect(),
-                                    };
-                                    set.send(si, pkt)?;
-                                }
-                            }
+                        let (sel, stage) = parts.lane(si, &s.nonnull);
+                        if !sel.is_empty() {
+                            stage.append(keys, &batch.columns, &s.hashes, sel, governed);
+                            let bytes = stage.bytes;
+                            parts.recharge(si, bytes);
                         }
                     }
+                    parts.evict_while_over(|_, stage, file| {
+                        let written = spill::append_vectors(file, &stage.cols)?;
+                        stage.clear();
+                        Ok(written)
+                    })?;
                 }
             }
             self.pool.recycle();
             if let Some(bp) = &self.batch_pool {
                 bp.recycle(batch); // build rows staged: batch goes back
             }
-            if workers.is_none()
-                && self.grace.is_none()
-                && self.par_shards > 1
-                && self.staged_hashes.len() >= self.par_min_rows
-            {
-                workers = Some(self.spawn_build_shards()?);
-            }
         }
         let (runs, instrs) = self.pool.take_counters();
         self.profile.record_expr(runs, instrs);
-        if let Some(g) = &mut self.grace {
-            // Governed finalize: resident partitions bulk-build their CSR
-            // tables and concatenate into the global build columns (shard
-            // order, exactly like the threaded path); spilled partitions
-            // keep an empty table — their probe lanes never reach it.
-            let mut tables = Vec::with_capacity(g.stages.len());
-            let mut bases = Vec::with_capacity(g.stages.len());
-            let mut base: u64 = 0;
-            for si in 0..g.stages.len() {
-                bases.push(base as u32);
-                match &mut g.stages[si] {
-                    Some(stage) => {
-                        self.profile.record_shard_build(si, stage.rows() as u64);
-                        base += stage.rows() as u64;
-                        assert!(base < u32::MAX as u64, "join build exceeds u32 rows");
-                        for (dst, src) in self.build_keys.iter_mut().zip(&stage.keys) {
-                            dst.extend_range(src, 0, src.len());
-                        }
-                        for (dst, src) in self.build_cols.iter_mut().zip(&stage.cols) {
-                            dst.extend_range(src, 0, src.len());
-                        }
-                        tables.push(FlatTable::build_csr(&stage.hashes));
-                        // The stage's rows now live in the globals; free the
-                        // staging copies (the budget charge carries over as
-                        // the approximate cost of table + globals).
-                        *stage =
-                            GraceStage { keys: Vec::new(), cols: Vec::new(), hashes: Vec::new() };
-                    }
-                    None => tables.push(FlatTable::new()),
-                }
-            }
-            self.sharded = Some(ShardedJoin {
-                router: RadixRouter::at_depth(g.cfg.partitions, g.cfg.depth),
-                tables,
-                bases,
-            });
-            self.profile.sync_spill(&g.cfg.metrics);
-            self.staged_hashes = Vec::new();
-            self.built = true;
-            return Ok(());
+        self.build = Some(self.finalize(&mut parts, has_null_key)?);
+        if let Some(cfg) = parts.spill_config() {
+            self.profile.sync_spill(&cfg.metrics);
         }
-        match workers {
-            // Below the gate (or serial): one table bulk-built over the
-            // staged rows in the bucket-grouped contiguous (CSR) layout,
-            // so every probe is a short sequential scan. Staging the whole
-            // build first lets even the serial path skip the chain-insert
-            // phase and its incremental directory doublings.
-            None => self.table = FlatTable::build_csr(&self.staged_hashes),
-            // Partitioned: join the workers, then concatenate the shard
-            // rows into the global build columns (shard order) so output
-            // assembly stays identical to the serial path.
-            Some((router, set)) => {
-                let shards = set.finish()?;
-                let mut tables = Vec::with_capacity(shards.len());
-                let mut bases = Vec::with_capacity(shards.len());
-                let mut base: u64 = 0;
-                for (si, shard) in shards.into_iter().enumerate() {
-                    self.profile.record_shard_build(si, shard.table.len() as u64);
-                    bases.push(base as u32);
-                    base += shard.table.len() as u64;
-                    assert!(base < u32::MAX as u64, "join build exceeds u32 rows");
-                    for (dst, src) in self.build_keys.iter_mut().zip(&shard.keys) {
-                        dst.extend_range(src, 0, src.len());
-                    }
-                    for (dst, src) in self.build_cols.iter_mut().zip(&shard.cols) {
-                        dst.extend_range(src, 0, src.len());
-                    }
-                    tables.push(shard.table);
-                }
-                self.sharded = Some(ShardedJoin { router, tables, bases });
-            }
-        }
-        self.staged_hashes = Vec::new();
-        self.built = true;
+        self.probe_files.resize_with(parts.partitions(), || None);
+        self.parts = Some(parts);
         Ok(())
     }
 
-    /// Spawn the shard workers and flush the staged rows to them (the
-    /// moment the staged build crosses the cost gate).
-    fn spawn_build_shards(&mut self) -> Result<(RadixRouter, ShardSet<JoinShard>)> {
-        let mut router = RadixRouter::new(self.par_shards);
-        let make_shard = |_: usize| JoinShard {
-            keys: self.build_keys.iter().map(|v| Vector::new(ColData::new(v.type_id()))).collect(),
-            cols: self.build_cols.iter().map(|v| Vector::new(ColData::new(v.type_id()))).collect(),
-            hashes: Vec::new(),
-            table: FlatTable::new(),
-        };
-        let workers: Vec<JoinShard> = (0..router.partitions()).map(make_shard).collect();
-        let mut set = match &self.task_pool {
-            Some(pool) => ShardSet::spawn_on(pool, workers, &self.cancel),
-            None => ShardSet::spawn(workers, &self.cancel),
-        };
-        let n = self.staged_hashes.len();
-        router.split(&self.staged_hashes, None, n);
-        for si in 0..router.partitions() {
-            let sel = router.shard_sel(si);
-            if sel.is_empty() {
-                continue;
+    /// The one finalize. The slots' rows concatenate in slot order into
+    /// the global build columns — slot 0's vectors are moved, so a
+    /// one-slot build copies nothing, and every other slot is freed right
+    /// after its copy. The tables are bulk-built from the staged hashes:
+    /// one per slot when the build is governed (an evicted slot keeps an
+    /// empty one) or clears the cost gate, else a single table over all
+    /// rows. With a pool the per-slot constructions run as pool tasks
+    /// while this thread concatenates.
+    fn finalize(
+        &mut self,
+        parts: &mut Partitions<JoinStage>,
+        has_null_key: bool,
+    ) -> Result<JoinBuild> {
+        let mut stages = parts.take_slots();
+        let mut hashes: Vec<Vec<u64>> =
+            stages.iter_mut().map(|st| std::mem::take(&mut st.hashes)).collect();
+        let rows: usize = hashes.iter().map(Vec::len).sum();
+        assert!((rows as u64) < u32::MAX as u64, "join build exceeds u32 rows");
+        let fan_out =
+            hashes.len() > 1 && (parts.spill_config().is_some() || rows >= self.par_min_rows);
+        if !fan_out && hashes.len() > 1 {
+            hashes = vec![hashes.concat()];
+        }
+        let mut bases = Vec::with_capacity(hashes.len());
+        let mut base = 0u32;
+        for (si, h) in hashes.iter().enumerate() {
+            bases.push(base);
+            base += h.len() as u32;
+            self.profile.record_shard_build(si, h.len() as u64);
+        }
+        let tasks = match &self.par {
+            Some((pool, _)) if fan_out => {
+                let shards = hashes.iter().map(|_| CsrShard(FlatTable::new())).collect();
+                let mut set = ShardSet::spawn_on(pool, shards, &self.cancel);
+                for (si, h) in hashes.iter_mut().enumerate() {
+                    set.send(si, std::mem::take(h))?;
+                }
+                Some(set)
             }
-            let pkt = JoinPacket {
-                keys: self.build_keys.iter().map(|v| v.gather(sel)).collect(),
-                cols: self.build_cols.iter().map(|v| v.gather(sel)).collect(),
-                hashes: sel.iter().map(|p| self.staged_hashes[p]).collect(),
-            };
-            set.send(si, pkt)?;
+            _ => None,
+        };
+        let mut stages = stages.into_iter();
+        let mut all = stages.next().expect("at least one slot");
+        for stage in stages {
+            for (dst, src) in all.keys.iter_mut().zip(&stage.keys) {
+                dst.extend_range(src, 0, src.len());
+            }
+            for (dst, src) in all.cols.iter_mut().zip(&stage.cols) {
+                dst.extend_range(src, 0, src.len());
+            }
         }
-        // The shards own the staged rows now; the globals are rebuilt from
-        // the shard outputs (in shard order) when the build completes.
-        for v in &mut self.build_keys {
-            *v = Vector::new(ColData::new(v.type_id()));
-        }
-        for v in &mut self.build_cols {
-            *v = Vector::new(ColData::new(v.type_id()));
-        }
-        self.staged_hashes.clear();
-        Ok((router, set))
+        let tables = match tasks {
+            Some(set) => set.finish()?,
+            None => hashes.iter().map(|h| FlatTable::build_csr(h)).collect(),
+        };
+        Ok(JoinBuild { tables, bases, keys: all.keys, cols: all.cols, has_null_key })
     }
 
     /// Assemble the output batch from the recorded pairs, gathering into
@@ -722,14 +529,14 @@ impl HashJoin {
         if s.out_probe.is_empty() {
             return Ok(None);
         }
-        if batch.columns.len()
-            + if self.join_type.emits_right() { self.build_cols.len() } else { 0 }
+        let build_cols = &self.build.as_ref().expect("built before probing").cols;
+        if batch.columns.len() + if self.join_type.emits_right() { build_cols.len() } else { 0 }
             != self.schema.len()
         {
             return Err(VwError::Plan(format!(
                 "join schema arity mismatch: {} vs {}",
                 batch.columns.len()
-                    + if self.join_type.emits_right() { self.build_cols.len() } else { 0 },
+                    + if self.join_type.emits_right() { build_cols.len() } else { 0 },
                 self.schema.len()
             )));
         }
@@ -748,7 +555,7 @@ impl HashJoin {
             // NULL-indicator machinery entirely.
             let padded = self.join_type == JoinType::LeftOuter && s.out_build.contains(&EMPTY);
             let right = &mut out.columns[batch.columns.len()..];
-            for (src, dst) in self.build_cols.iter().zip(right) {
+            for (src, dst) in build_cols.iter().zip(right) {
                 if padded {
                     src.gather_indices_padded_into(&s.out_build, EMPTY, dst);
                 } else {
@@ -759,27 +566,23 @@ impl HashJoin {
         Ok(Some(out))
     }
 
-    /// The deferred (grace) phase: once the probe input is exhausted, the
-    /// in-memory build state is released back to the governor and each
-    /// spilled partition pair replays through a recursive `HashJoin` —
-    /// [`SpillScan`]s feed the same key programs and join type, on the
-    /// next hash-bit stratum, sharing the same budget and counters — whose
-    /// output streams out as this operator's.
+    /// The deferred phase of a governed build: once the probe input is
+    /// exhausted, the in-memory build is freed and its budget charge
+    /// returned, and each spilled partition pair replays through a
+    /// recursive `HashJoin` — [`SpillScan`]s feed the same key programs
+    /// and join type, on the next hash-bit stratum, sharing the same
+    /// budget and counters — whose output streams out as this operator's.
     fn next_deferred(&mut self) -> Result<Option<Batch>> {
         if !self.probe_done {
             self.probe_done = true;
-            // Resident partitions produced their last row: free the tables
-            // and global columns and return their budget charge before the
-            // recursive joins start charging for rehydrated builds.
-            self.sharded = None;
-            self.table = FlatTable::new();
-            self.build_cols = Vec::new();
-            self.build_keys = Vec::new();
-            let g = self.grace.as_mut().expect("deferred phase is grace-only");
-            g.uncharge_all();
-            for si in 0..g.files.len() {
-                g.stages[si] = None;
-                match (g.files[si].take(), g.probe_files[si].take()) {
+            let parts = self.parts.as_mut().expect("deferred phase follows the build");
+            // Resident partitions produced their last row: free them and
+            // return their charge before the recursive joins start
+            // charging for rehydrated builds.
+            self.build = None;
+            parts.release();
+            for (si, probe_file) in self.probe_files.iter_mut().enumerate() {
+                match (parts.take_file(si), probe_file.take()) {
                     // Both sides spilled rows: a deferred pair to join.
                     (Some(bf), Some(pf)) => self.deferred.push((bf, pf)),
                     // Build spilled but no probe rows ever routed there:
@@ -789,8 +592,10 @@ impl HashJoin {
                     (None, Some(_)) => unreachable!("probe diverted to a resident partition"),
                 }
             }
-            self.profile.sync_spill(&g.cfg.metrics);
         }
+        let cfg = self.parts.as_ref().and_then(|p| p.spill_config());
+        let cfg = cfg.expect("deferred phase is governed-only");
+        self.profile.sync_spill(&cfg.metrics);
         loop {
             self.cancel.check()?;
             if let Some(inner) = &mut self.inner {
@@ -801,9 +606,7 @@ impl HashJoin {
                         return Ok(Some(b));
                     }
                     None => {
-                        if let Some(g) = &self.grace {
-                            self.profile.sync_spill(&g.cfg.metrics);
-                        }
+                        self.profile.sync_spill(&cfg.metrics);
                         self.inner = None;
                     }
                 }
@@ -811,22 +614,17 @@ impl HashJoin {
             let Some((build_file, probe_file)) = self.deferred.pop() else {
                 return Ok(None);
             };
-            let g = self.grace.as_ref().expect("deferred phase is grace-only");
-            let probe_scan: BoxedOp = Box::new(SpillScan::new(
-                probe_file,
-                self.probe_schema.clone(),
-                self.cancel.clone(),
-                g.cfg.metrics.clone(),
-            ));
-            let build_scan: BoxedOp = Box::new(SpillScan::new(
-                build_file,
-                self.build_schema.clone(),
-                self.cancel.clone(),
-                g.cfg.metrics.clone(),
-            ));
+            let scan = |file, schema: &Schema| -> BoxedOp {
+                Box::new(SpillScan::new(
+                    file,
+                    schema.clone(),
+                    self.cancel.clone(),
+                    cfg.metrics.clone(),
+                ))
+            };
             let mut inner = HashJoin::new(
-                probe_scan,
-                build_scan,
+                scan(probe_file, &self.probe_schema),
+                scan(build_file, &self.build_schema),
                 self.left_keys.clone(),
                 self.right_keys.clone(),
                 self.join_type,
@@ -837,7 +635,7 @@ impl HashJoin {
             // the depth floor; past it the partition builds in memory
             // regardless — 8 strata of 8-way splits divide a build ~16M×
             // before that happens.
-            if let Some(deeper) = g.cfg.deeper() {
+            if let Some(deeper) = cfg.deeper() {
                 inner = inner.with_spill(deeper);
             }
             self.inner = Some(Box::new(inner));
@@ -852,23 +650,25 @@ impl HashJoin {
 /// A free function over disjoint operator fields: the probe keys are pool
 /// references, so `&mut self` is off the table while they are alive.
 ///
-/// With a partitioned build (`sharded`), the batch hashes once, splits by
-/// the build's radix bits into reused per-partition `SelVec`s, and runs the
-/// same kernels shard-wise; emitted build rows are rebased to global ids.
-/// `prehashed` promises `scratch.hashes` already holds this batch's key
-/// hashes (grace diversion hashed them while routing spilled lanes).
+/// A single-table build probes through the fused kernels directly. A
+/// partitioned one hashes the batch once and splits it by the build's
+/// radix bits into reused per-slot `SelVec`s; resident slots run the same
+/// kernels over their sub-selection (emitted build rows rebased to global
+/// ids), while lanes owned by an evicted slot are *diverted*: their full
+/// rows go to the slot's probe spill file and leave `live`/`nonnull`, so
+/// flag-based emission never sees them — their entire join result
+/// (matches, padding, anti emission) comes from the deferred join.
 #[allow(clippy::too_many_arguments)]
 fn probe_batch(
-    table: &FlatTable,
-    sharded: Option<&mut ShardedJoin>,
-    build_keys: &[Vector],
+    build: &JoinBuild,
+    parts: &mut Partitions<JoinStage>,
+    probe_files: &mut [Option<SpillFile>],
     join_type: JoinType,
-    scratch: &mut ProbeScratch,
+    s: &mut ProbeScratch,
     keys: &[&Vector],
-    prehashed: bool,
+    batch: &Batch,
     profile: &mut OpProfile,
-) -> u64 {
-    let s = scratch;
+) -> Result<u64> {
     let emit_pairs = !join_type.first_match_only();
     let n = keys.first().map_or(0, |k| k.len());
     // Reset per-lane flags only for the lanes this batch owns.
@@ -879,43 +679,67 @@ fn probe_batch(
         s.matched_flags[p] = false;
     }
     let mut chain_steps = 0u64;
-    if let Some(sh) = sharded {
-        // Partition-wise probe: one hash pass routes every live lane to
-        // its shard; each shard probes its (P× smaller) table with the
-        // ordinary fused kernels over the sub-selection.
-        if !prehashed {
-            hashtable::hash_keys(keys, n, false, &mut s.lanes, &mut s.hashes);
-        }
-        let route_sel = if s.nonnull.len() == n { None } else { Some(&s.nonnull) };
-        sh.router.split(&s.hashes, route_sel, n);
-        for (si, shard_table) in sh.tables.iter().enumerate() {
-            let sel = sh.router.shard_sel(si);
-            if sel.is_empty() {
-                continue;
-            }
-            let mut shard_steps = 0u64;
-            probe_one(
-                shard_table,
-                build_keys,
-                s,
-                keys,
-                Some(sel),
-                sh.bases[si],
-                emit_pairs,
-                true,
-                &mut shard_steps,
-            );
-            profile.record_shard_probe(si, sel.len() as u64, shard_steps);
-            chain_steps += shard_steps;
-        }
-        return chain_steps;
+    if let [table] = &build.tables[..] {
+        probe_one(table, &build.keys, s, keys, None, 0, emit_pairs, false, &mut chain_steps);
+        profile.record_shard_probe(0, s.nonnull.len() as u64, chain_steps);
+        return Ok(chain_steps);
     }
-    probe_one(table, build_keys, s, keys, None, 0, emit_pairs, false, &mut chain_steps);
-    chain_steps
+    hashtable::hash_keys(keys, n, false, &mut s.lanes, &mut s.hashes);
+    parts.route(&s.hashes, &s.nonnull, n);
+    let mut diverted = false;
+    for (si, table) in build.tables.iter().enumerate() {
+        let sel = parts.routed(si);
+        if sel.is_empty() {
+            continue;
+        }
+        if parts.is_spilled(si) {
+            let cfg = parts.spill_config().expect("spilled implies governed");
+            let cols: Vec<Vector> = batch.columns.iter().map(|v| v.gather(sel)).collect();
+            let file = probe_files[si].get_or_insert_with(|| SpillFile::new(cfg.disk.clone()));
+            let written = spill::append_vectors(file, &cols)?;
+            cfg.metrics.record_write(written as u64);
+            if s.deferred_flags.len() < n {
+                s.deferred_flags.resize(n, false);
+            }
+            for p in sel.iter() {
+                s.deferred_flags[p] = true;
+            }
+            diverted = true;
+            continue;
+        }
+        let mut steps = 0u64;
+        probe_one(
+            table,
+            &build.keys,
+            s,
+            keys,
+            Some(sel),
+            build.bases[si],
+            emit_pairs,
+            true,
+            &mut steps,
+        );
+        profile.record_shard_probe(si, sel.len() as u64, steps);
+        chain_steps += steps;
+    }
+    if diverted {
+        let flags = &s.deferred_flags;
+        s.nonnull.retain_from(|p| !flags[p], &mut s.tmp);
+        std::mem::swap(&mut s.nonnull, &mut s.tmp);
+        s.live.retain_from(|p| !flags[p], &mut s.tmp);
+        std::mem::swap(&mut s.live, &mut s.tmp);
+        // Clear the flags we set (only evicted slots' lanes carry them).
+        for si in (0..parts.partitions()).filter(|&si| parts.is_spilled(si)) {
+            for p in parts.routed(si).iter() {
+                s.deferred_flags[p] = false;
+            }
+        }
+    }
+    Ok(chain_steps)
 }
 
-/// Probe one table (the serial table or a radix shard) over one lane set.
-/// `sel = None` derives the selection from `scratch.nonnull` (serial path);
+/// Probe one table (the only one, or one partition's) over one lane set.
+/// `sel = None` derives the selection from `scratch.nonnull` (single table);
 /// `Some` probes an externally-routed sub-selection. `base` rebases the
 /// table's local build row ids onto the global build columns. `prehashed`
 /// promises `scratch.hashes` already holds this batch's key hashes.
@@ -1052,66 +876,6 @@ fn probe_general(
     }
 }
 
-/// Route this batch's probe lanes through the grace router and divert the
-/// ones owned by spilled partitions: their full rows (all probe columns)
-/// are gathered to the partition's probe spill file, and the lanes are
-/// filtered out of `live`/`nonnull` so the in-memory probe and the
-/// flag-based emission never see them. A free function over disjoint
-/// operator fields (the keys are pool references).
-fn divert_spilled_probes(
-    g: &mut GraceJoin,
-    s: &mut ProbeScratch,
-    keys: &[&Vector],
-    batch: &Batch,
-) -> Result<()> {
-    let n = batch.capacity();
-    hashtable::hash_keys(keys, n, false, &mut s.lanes, &mut s.hashes);
-    g.router.split(&s.hashes, Some(&s.nonnull), n);
-    if s.deferred_flags.len() < n {
-        s.deferred_flags.resize(n, false);
-    }
-    let mut any = false;
-    for si in 0..g.files.len() {
-        if g.files[si].is_none() {
-            continue; // resident partition: probed in memory as usual
-        }
-        let sel = g.router.shard_sel(si);
-        if sel.is_empty() {
-            continue;
-        }
-        let cols: Vec<Vector> = batch.columns.iter().map(|v| v.gather(sel)).collect();
-        let file = g.probe_files[si].get_or_insert_with(|| SpillFile::new(g.cfg.disk.clone()));
-        let written = spill::append_vectors(file, &cols)?;
-        g.cfg.metrics.record_write(written as u64);
-        for p in sel.iter() {
-            s.deferred_flags[p] = true;
-        }
-        any = true;
-    }
-    if any {
-        {
-            let flags = &s.deferred_flags;
-            s.nonnull.retain_from(|p| !flags[p], &mut s.tmp);
-        }
-        std::mem::swap(&mut s.nonnull, &mut s.tmp);
-        {
-            let flags = &s.deferred_flags;
-            s.live.retain_from(|p| !flags[p], &mut s.tmp);
-        }
-        std::mem::swap(&mut s.live, &mut s.tmp);
-        // Clear the flags we set (only spilled partitions' lanes carry
-        // them, so this touches exactly the diverted lanes).
-        for si in 0..g.files.len() {
-            if g.files[si].is_some() {
-                for p in g.router.shard_sel(si).iter() {
-                    s.deferred_flags[p] = false;
-                }
-            }
-        }
-    }
-    Ok(())
-}
-
 impl Operator for HashJoin {
     fn schema(&self) -> &Schema {
         &self.schema
@@ -1130,9 +894,9 @@ impl Operator for HashJoin {
     }
 
     fn next(&mut self) -> Result<Option<Batch>> {
-        if !self.built {
+        if let Some(right) = self.right.take() {
             let t0 = Instant::now();
-            self.build()?;
+            self.build(right)?;
             self.profile.record_phase(t0.elapsed());
         }
         if self.probe_done {
@@ -1141,10 +905,8 @@ impl Operator for HashJoin {
         loop {
             self.cancel.check()?;
             let Some(mut batch) = self.left.next()? else {
-                if self.grace.is_some() {
-                    return self.next_deferred();
-                }
-                return Ok(None);
+                let governed = self.parts.as_ref().is_some_and(|p| p.spill_config().is_some());
+                return if governed { self.next_deferred() } else { Ok(None) };
             };
             let t0 = Instant::now();
             self.profile.record_enc_batch(batch.columns.iter().any(|c| c.is_encoded()));
@@ -1156,6 +918,16 @@ impl Operator for HashJoin {
                 let r = prog.run(&mut self.pool, &batch)?;
                 self.scratch.refs.push(r);
             }
+            let build = self.build.as_ref().expect("built before probing");
+            let parts = self.parts.as_mut().expect("built before probing");
+            // NULL-aware anti short-circuits: any build NULL key → nothing
+            // can ever pass; empty build side → everything passes. The
+            // global build keys hold only *resident* rows, so an evicted
+            // partition keeps the build non-empty.
+            let build_empty = build.keys[0].is_empty() && !parts.any_spilled();
+            let has_null_key = build.has_null_key;
+            let skip_probe =
+                self.join_type == JoinType::NullAwareLeftAnti && (has_null_key || build_empty);
             let (chain_steps, probed);
             {
                 // Stack-resolved single key: see the build loop's comment.
@@ -1169,57 +941,31 @@ impl Operator for HashJoin {
                         self.scratch.refs.iter().map(|&r| self.pool.get(&batch, r)).collect();
                     &multi_keys
                 };
-                {
-                    let s = &mut self.scratch;
-                    s.out_probe.clear();
-                    s.out_build.clear();
-                    match &batch.sel {
-                        Some(sel) => s.live.clear_and_extend_from_slice(sel.as_slice()),
-                        None => s.live.fill_identity(batch.capacity()),
-                    }
-                    s.live.retain_from(|p| !keys.iter().any(|k| k.is_null(p)), &mut s.nonnull);
+                let s = &mut self.scratch;
+                s.out_probe.clear();
+                s.out_build.clear();
+                match &batch.sel {
+                    Some(sel) => s.live.clear_and_extend_from_slice(sel.as_slice()),
+                    None => s.live.fill_identity(batch.capacity()),
                 }
-
-                // NULL-aware anti short-circuits: any build NULL key → nothing
-                // can ever pass; empty build side → everything passes. The
-                // global build keys cover serial and sharded builds alike —
-                // but under grace they hold only *resident* rows, so a
-                // spilled partition keeps the build non-empty.
-                let build_empty = self.build_keys[0].is_empty()
-                    && self.grace.as_ref().is_none_or(|g| !g.any_spilled);
-                let skip_probe = self.join_type == JoinType::NullAwareLeftAnti
-                    && (self.build_has_null_key || build_empty);
-                // Grace diversion: lanes whose partition spilled are
-                // gathered to that partition's probe spill file and removed
-                // from this batch's live/nonnull sets — their entire join
-                // result (matches, padding, anti emission) is produced by
-                // the deferred recursive join instead.
-                let mut prehashed = false;
-                if !skip_probe {
-                    if let Some(g) = &mut self.grace {
-                        if g.any_spilled && !self.scratch.nonnull.is_empty() {
-                            divert_spilled_probes(g, &mut self.scratch, keys, &batch)?;
-                            prehashed = true; // diversion filled scratch.hashes
-                        }
-                    }
-                }
-                chain_steps = if skip_probe {
-                    0
-                } else {
-                    probe_batch(
-                        &self.table,
-                        self.sharded.as_mut(),
-                        &self.build_keys,
-                        self.join_type,
-                        &mut self.scratch,
-                        keys,
-                        prehashed,
-                        &mut self.profile,
-                    )
-                };
+                s.live.retain_from(|p| !keys.iter().any(|k| k.is_null(p)), &mut s.nonnull);
                 // Skipped probes contribute nothing to the chain-length
                 // observable — counting their lanes would dilute the average.
-                probed = if skip_probe { 0 } else { self.scratch.nonnull.len() as u64 };
+                (chain_steps, probed) = if skip_probe {
+                    (0, 0)
+                } else {
+                    let steps = probe_batch(
+                        build,
+                        parts,
+                        &mut self.probe_files,
+                        self.join_type,
+                        s,
+                        keys,
+                        &batch,
+                        &mut self.profile,
+                    )?;
+                    (steps, s.nonnull.len() as u64)
+                };
             }
             self.pool.recycle();
             let (runs, instrs) = self.pool.take_counters();
@@ -1258,11 +1004,9 @@ impl Operator for HashJoin {
                     }
                 }
                 JoinType::NullAwareLeftAnti => {
-                    if self.build_has_null_key {
+                    if has_null_key {
                         // x NOT IN (..., NULL) is never TRUE: emit nothing.
-                    } else if self.build_keys[0].is_empty()
-                        && self.grace.as_ref().is_none_or(|g| !g.any_spilled)
-                    {
+                    } else if build_empty {
                         // x NOT IN (empty) is TRUE for all x, NULL included.
                         for p in s.live.iter() {
                             s.out_probe.push(p as u32);
@@ -1490,152 +1234,9 @@ mod tests {
         assert!(p.avg_chain_len() > 0.0);
     }
 
-    #[test]
-    fn partitioned_build_matches_serial_for_every_join_type() {
-        // min_rows = 0 engages the shard workers immediately, so even this
-        // small input exercises scatter, per-shard finalize, rebasing, and
-        // the partition-wise probe split.
-        let rows_l = vec![
-            (Some(1), "a"),
-            (Some(2), "b"),
-            (Some(3), "c"),
-            (None, "d"),
-            (Some(2), "e"),
-            (Some(9), "f"),
-        ];
-        let rows_r =
-            vec![(Some(2), "x"), (Some(3), "y"), (Some(3), "z"), (None, "n"), (Some(7), "w")];
-        for jt in [
-            JoinType::Inner,
-            JoinType::LeftOuter,
-            JoinType::LeftSemi,
-            JoinType::LeftAnti,
-            JoinType::NullAwareLeftAnti,
-        ] {
-            let mut serial = join(source("l", rows_l.clone()), source("r", rows_r.clone()), jt);
-            let serial_out = rows_of(&drain(&mut serial).unwrap());
-            for shards in [2usize, 4, 8] {
-                let mut par = join(source("l", rows_l.clone()), source("r", rows_r.clone()), jt)
-                    .with_parallel_build(shards, 0);
-                let par_out = rows_of(&drain(&mut par).unwrap());
-                let sort = |mut v: Vec<Vec<Value>>| {
-                    v.sort_by_key(|r| format!("{r:?}"));
-                    v
-                };
-                assert_eq!(
-                    sort(par_out),
-                    sort(serial_out.clone()),
-                    "{jt:?} diverged at {shards} shards"
-                );
-                let p = Operator::profile(&par).unwrap();
-                assert_eq!(p.shards(), shards, "shard build counters recorded");
-                let built: u64 = p.shard_build_rows.iter().sum();
-                assert_eq!(built, 4, "4 non-NULL build keys sharded");
-            }
-        }
-    }
-
-    #[test]
-    fn partitioned_build_stays_serial_below_cost_gate() {
-        let l = source("l", vec![(Some(1), "a"), (Some(2), "b")]);
-        let r = source("r", vec![(Some(1), "x")]);
-        let mut j = join(l, r, JoinType::Inner).with_parallel_build(4, 1_000_000);
-        let out = drain(&mut j).unwrap();
-        assert_eq!(out.rows(), 1);
-        let p = Operator::profile(&j).unwrap();
-        assert_eq!(p.shards(), 0, "gate keeps tiny builds serial");
-    }
-
-    #[test]
-    fn partitioned_large_join_multi_column_keys() {
-        // Multi-column keys force the general (SelVec-iterative) probe
-        // path through the shard rebasing logic; enough rows to cross a
-        // realistic gate mid-build.
-        let schema =
-            Schema::new(vec![Field::nullable("a", TypeId::I64), Field::nullable("b", TypeId::I64)])
-                .unwrap();
-        let mk = |n: i64, stride: i64| -> BoxedOp {
-            let rows =
-                (0..n).map(|i| vec![Value::I64(i % 97), Value::I64((i * stride) % 13)]).collect();
-            Box::new(Values::new(schema.clone(), rows, 256, CancelToken::new()))
-        };
-        let keys = || key_cols(&[(0, TypeId::I64), (1, TypeId::I64)]);
-        let run = |par: bool| -> Vec<Vec<Value>> {
-            let mut j = HashJoin::new(
-                mk(3000, 3),
-                mk(2000, 5),
-                keys(),
-                keys(),
-                JoinType::Inner,
-                schema.join(&schema),
-                CancelToken::new(),
-            );
-            if par {
-                j = j.with_parallel_build(4, 512);
-            }
-            let out = drain(&mut j).unwrap();
-            let mut rows = rows_of(&out);
-            rows.sort_by_key(|r| format!("{r:?}"));
-            rows
-        };
-        assert_eq!(run(true), run(false), "partitioned multi-column join diverged");
-    }
-
-    #[test]
-    fn grace_spill_matches_in_memory_for_every_join_type() {
-        use crate::partition::{MemBudget, SpillConfig};
-        use vw_storage::SimulatedDisk;
-        // NULL-bearing keys on both sides; a 1-byte budget forces every
-        // partition to spill, so the whole join runs grace-style.
-        let rows_l = vec![
-            (Some(1), "a"),
-            (Some(2), "b"),
-            (Some(3), "c"),
-            (None, "d"),
-            (Some(2), "e"),
-            (Some(9), "f"),
-        ];
-        let rows_r = vec![(Some(2), "x"), (Some(3), "y"), (Some(3), "z"), (Some(7), "w")];
-        for jt in [
-            JoinType::Inner,
-            JoinType::LeftOuter,
-            JoinType::LeftSemi,
-            JoinType::LeftAnti,
-            JoinType::NullAwareLeftAnti,
-        ] {
-            let mut serial = join(source("l", rows_l.clone()), source("r", rows_r.clone()), jt);
-            let serial_out = rows_of(&drain(&mut serial).unwrap());
-            for budget in [1usize, 200, 1 << 30] {
-                let disk = SimulatedDisk::instant();
-                let tracker = MemBudget::new(budget);
-                let cfg = SpillConfig::new(tracker.clone(), disk.clone(), 4);
-                let metrics = cfg.metrics.clone();
-                let mut gj = join(source("l", rows_l.clone()), source("r", rows_r.clone()), jt)
-                    .with_spill(cfg);
-                let out = rows_of(&drain(&mut gj).unwrap());
-                let sort = |mut v: Vec<Vec<Value>>| {
-                    v.sort_by_key(|r| format!("{r:?}"));
-                    v
-                };
-                assert_eq!(
-                    sort(out),
-                    sort(serial_out.clone()),
-                    "{jt:?} diverged at budget {budget}"
-                );
-                let spilled = metrics.partitions.load(std::sync::atomic::Ordering::Relaxed);
-                if budget == 1 {
-                    assert!(spilled > 0, "{jt:?}: a 1-byte budget must spill");
-                    let p = Operator::profile(&gj).unwrap();
-                    assert!(p.spill_partitions > 0 && p.spill_bytes_written > 0, "{jt:?}");
-                } else if budget == 1 << 30 {
-                    assert_eq!(spilled, 0, "{jt:?}: a huge budget must not spill");
-                }
-                drop(gj);
-                assert_eq!(tracker.used(), 0, "{jt:?}: budget fully uncharged");
-                assert_eq!(disk.used_bytes(), 0, "{jt:?}: spill blocks reclaimed");
-            }
-        }
-    }
+    // Every build configuration (one slot, pooled above/below the gate,
+    // governed ample/tight) × join type × key shape is checked against
+    // the volcano engine in `tests/sql_semantics.rs::build_mode_matrix`.
 
     #[test]
     fn grace_spill_recursion_on_large_build() {

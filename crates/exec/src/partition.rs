@@ -1,51 +1,50 @@
-//! Radix partitioning — the parallel-build engine under hash join and hash
-//! aggregation.
+//! The one hash-build state machine under hash join and hash aggregation.
 //!
-//! The paper's "when more cores hurts" lesson: naively threading a shared
-//! hash table serializes on cache-line ping-pong exactly where the flat
-//! layout was supposed to win. This module attacks the scaling wall with
-//! the classic radix-partitioned design instead:
+//! A hash build is `P` **slots** of operator-defined state (`S`: staged
+//! join rows, or an aggregation shard) behind one [`RadixRouter`]. The
+//! serial, the memory-governed and the parallel build are three settings
+//! of [`Partitions`]:
 //!
-//! * **Radix split** ([`RadixRouter`]) — every build row's key hash (the
-//!   same `hash_keys` output the table indexes by) is routed by its *top*
-//!   `bits` bits into one of `P = next_pow2(dop)` partitions. The top bits
-//!   are provably independent of the [`FlatTable`](crate::hashtable)
-//!   directory index (low bits) and nearly independent of the 8-bit bloom
-//!   tag (bits 57..60), so each shard's table stays as balanced as the
-//!   unpartitioned one.
-//! * **Shard ownership** — each partition owns a *private* `FlatTable`
-//!   shard plus the contiguous key/payload vectors it indexes, built and
-//!   `finalize()`d on its own worker thread ([`ShardSet`], the same
-//!   bounded-channel/cancel machinery as `op/xchg.rs`). No shard is ever
-//!   touched by two threads, so there is no synchronization on the hot
-//!   path — the only cross-thread traffic is handing over gathered row
-//!   packets.
-//! * **Partition-wise probe** — probes are *not* merged back into one
-//!   table. A probe batch is hashed once, split by the same radix bits
-//!   into per-partition [`SelVec`]s (reused scratch — the steady-state
-//!   probe loop stays allocation-free), and each sub-selection runs the
-//!   ordinary fused per-shard probe kernel against a table `P`× smaller
-//!   (and that much more cache-resident) than the monolithic one.
+//! * **P = 1** — the serial build. [`Partitions::route`] does nothing and
+//!   [`Partitions::lane`] hands the live selection back untouched, so the
+//!   operators' fused hash+probe kernels run exactly as if no partitioning
+//!   existed.
+//! * **P > 1 with a governor** ([`SpillConfig`]) — the grace build. Every
+//!   slot's bytes are charged to the query's [`MemBudget`]
+//!   ([`Partitions::recharge`]); while the query is over budget
+//!   [`Partitions::evict_while_over`] hands the largest slot and its
+//!   [`SpillFile`] to the operator, which writes the slot out and resets
+//!   it. Dropping the set returns every charged byte.
+//! * **P > 1 on the pool** — the parallel build. The slots are the same;
+//!   an operator may move them behind a [`ShardSet`], whose shards absorb
+//!   gathered packets as cooperative tasks on the engine's [`WorkerPool`].
 //!
-//! Worker bodies run under `catch_unwind`: a panic inside a shard (or an
-//! `Xchg` partition) becomes a [`VwError`] on the consumer side instead of
-//! a silently dropped channel.
+//! The "when more cores hurts" lesson behind the radix design: threading
+//! one shared table serializes on cache-line ping-pong, so every slot is
+//! *private* — a build row's key hash (the same `hash_keys` output the
+//! [`FlatTable`](crate::hashtable) indexes by) picks its slot by the *top*
+//! `bits` bits, provably independent of the table's low-bit directory
+//! index, and equal keys always meet in one slot. Probes are not merged
+//! back: a probe batch is hashed once, split by the same bits into reused
+//! per-slot [`SelVec`]s, and each sub-selection runs the ordinary
+//! per-table kernel against a table `P`× smaller.
+//!
+//! Shard task bodies run under `catch_unwind`: a panic inside a shard (or
+//! an `Xchg` partition) becomes a [`VwError`] on the consumer side.
 
 use crate::cancel::CancelToken;
-use crossbeam::channel::{bounded, Receiver, Sender};
+use crate::vector::Vector;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Duration;
 use vw_common::{Result, SelVec, VwError};
-use vw_service::WorkerPool;
-use vw_storage::SimulatedDisk;
+pub use vw_service::WorkerPool;
+use vw_storage::{SimulatedDisk, SpillFile};
 
-/// Default staged-row cost gate: a parallel-capable hash build stays
-/// serial until this many build rows are staged (thread spawn + scatter
-/// overhead only pays off past roughly this point).
+/// Default cost gate of a pool-parallel hash build: below this many build
+/// rows the fan-out (task submission + packet gathers) does not pay.
 pub const DEFAULT_PARALLEL_BUILD_MIN_ROWS: usize = 8192;
 
 /// Deepest hash-bit stratum grace spilling will re-partition on. Each
@@ -145,9 +144,171 @@ impl RadixRouter {
     }
 }
 
-/// One partition's build-side consumer: absorbs gathered row packets on a
-/// worker thread, then finalizes into its output (a built table shard, a
-/// merged aggregation state, ...).
+/// The partitioned build state: `P` slots of `S` behind one router, plus —
+/// for a memory-governed build — the per-slot bytes charged to the query's
+/// [`MemBudget`] and the per-slot spill files. The operators supply only
+/// what a slot holds and how one is written out; where rows live while a
+/// build runs, who evicts them and when the charge is returned is decided
+/// here, once (see the module docs for the three settings).
+pub struct Partitions<S> {
+    router: RadixRouter,
+    slots: Vec<S>,
+    gov: Option<Governor>,
+}
+
+struct Governor {
+    cfg: SpillConfig,
+    charged: Vec<usize>,
+    files: Vec<Option<SpillFile>>,
+}
+
+impl<S> Partitions<S> {
+    /// `spill = Some` builds a governed set on the config's fan-out and
+    /// hash-bit stratum; `None` an ungoverned one over
+    /// `next_pow2(partitions)` slots (1 = the serial build).
+    pub fn new(
+        partitions: usize,
+        spill: Option<SpillConfig>,
+        make: impl FnMut() -> Result<S>,
+    ) -> Result<Partitions<S>> {
+        let router = match &spill {
+            Some(cfg) => RadixRouter::at_depth(cfg.partitions, cfg.depth),
+            None => RadixRouter::new(partitions),
+        };
+        let p = router.partitions();
+        let slots = std::iter::repeat_with(make).take(p).collect::<Result<_>>()?;
+        let gov = spill.map(|cfg| Governor {
+            cfg,
+            charged: vec![0; p],
+            files: std::iter::repeat_with(|| None).take(p).collect(),
+        });
+        Ok(Partitions { router, slots, gov })
+    }
+
+    /// Number of slots (a power of two, at least 1).
+    pub fn partitions(&self) -> usize {
+        self.router.partitions()
+    }
+
+    /// The governor's config (`None` = ungoverned build).
+    pub fn spill_config(&self) -> Option<&SpillConfig> {
+        self.gov.as_ref().map(|g| &g.cfg)
+    }
+
+    /// Split the `live` lanes of an `n`-lane batch across the slots by
+    /// their hashes. At P = 1 this does nothing — and reads no hash, so a
+    /// serial build need not compute any.
+    pub fn route(&mut self, hashes: &[u64], live: &SelVec, n: usize) {
+        if self.partitions() > 1 {
+            // A full-length sorted selection is the identity: skip the
+            // indirection.
+            self.router.split(hashes, (live.len() != n).then_some(live), n);
+        }
+    }
+
+    /// The lanes the last [`Partitions::route`] gave slot `si` (P > 1).
+    pub fn routed(&self, si: usize) -> &SelVec {
+        self.router.shard_sel(si)
+    }
+
+    /// Slot `si`'s lanes of the last routed batch together with its state.
+    /// At P = 1 the lanes are `live` itself.
+    pub fn lane<'a>(&'a mut self, si: usize, live: &'a SelVec) -> (&'a SelVec, &'a mut S) {
+        let sel = if self.slots.len() == 1 { live } else { self.router.shard_sel(si) };
+        (sel, &mut self.slots[si])
+    }
+
+    /// Move the slots out (finalize, or hand-over to a [`ShardSet`]); the
+    /// router, charges and spill files stay.
+    pub fn take_slots(&mut self) -> Vec<S> {
+        std::mem::take(&mut self.slots)
+    }
+
+    /// Set slot `si`'s charge to `bytes` (no-op when ungoverned).
+    pub fn recharge(&mut self, si: usize, bytes: usize) {
+        if let Some(g) = &mut self.gov {
+            let before = std::mem::replace(&mut g.charged[si], bytes);
+            if bytes >= before {
+                g.cfg.budget.charge(bytes - before);
+            } else {
+                g.cfg.budget.uncharge(before - bytes);
+            }
+        }
+    }
+
+    /// The governor's spill decision: while the query is over budget, pick
+    /// the slot holding the most charged bytes and let `write_out` move
+    /// its state into the slot's spill file (created on first eviction)
+    /// and reset the slot; `write_out` returns the encoded bytes written.
+    /// The slot's charge is returned afterwards. Stops when nothing this
+    /// set holds is charged — another operator of the query owns the rest.
+    pub fn evict_while_over(
+        &mut self,
+        mut write_out: impl FnMut(usize, &mut S, &mut SpillFile) -> Result<usize>,
+    ) -> Result<()> {
+        let Some(Governor { cfg, charged, files }) = &mut self.gov else { return Ok(()) };
+        while cfg.budget.over() {
+            let victim = (0..charged.len()).max_by_key(|&si| charged[si]).expect("P >= 1");
+            if charged[victim] == 0 {
+                break;
+            }
+            let file = files[victim].get_or_insert_with(|| {
+                cfg.metrics.record_partition();
+                SpillFile::new(cfg.disk.clone())
+            });
+            let written = write_out(victim, &mut self.slots[victim], file)?;
+            cfg.metrics.record_write(written as u64);
+            cfg.budget.uncharge(std::mem::take(&mut charged[victim]));
+        }
+        Ok(())
+    }
+
+    /// Has slot `si` been evicted at least once (does it own a spill file)?
+    pub fn is_spilled(&self, si: usize) -> bool {
+        self.gov.as_ref().is_some_and(|g| g.files[si].is_some())
+    }
+
+    /// Has any slot been evicted?
+    pub fn any_spilled(&self) -> bool {
+        self.gov.as_ref().is_some_and(|g| g.files.iter().any(Option::is_some))
+    }
+
+    /// Append rows that arrive for an already-evicted slot straight to its
+    /// spill file.
+    pub fn append_spilled(&mut self, si: usize, cols: &[Vector]) -> Result<()> {
+        let g = self.gov.as_mut().expect("spilled implies governed");
+        let file = g.files[si].as_mut().expect("slot is spilled");
+        let written = crate::spill::append_vectors(file, cols)?;
+        g.cfg.metrics.record_write(written as u64);
+        Ok(())
+    }
+
+    /// Take slot `si`'s spill file (the deferred phase owns it from here).
+    pub fn take_file(&mut self, si: usize) -> Option<SpillFile> {
+        self.gov.as_mut().and_then(|g| g.files[si].take())
+    }
+
+    /// Return every byte still charged. Normal completion calls this when
+    /// the slots' state has been emitted or handed on; `Drop` calls it for
+    /// error and KILL unwinds.
+    pub fn release(&mut self) {
+        if let Some(g) = &mut self.gov {
+            for c in &mut g.charged {
+                g.cfg.budget.uncharge(std::mem::take(c));
+            }
+        }
+    }
+}
+
+impl<S> Drop for Partitions<S> {
+    fn drop(&mut self) {
+        self.release();
+    }
+}
+
+/// One partition's build-side consumer behind a [`ShardSet`]: absorbs
+/// gathered row packets on a pool task, then finalizes into its output (a
+/// built table, a finished aggregation shard, ...).
 pub trait ShardWorker: Send + 'static {
     /// The unit of work scattered to this shard (gathered rows for one
     /// input batch).
@@ -162,8 +323,8 @@ pub trait ShardWorker: Send + 'static {
     fn finish(self) -> Result<Self::Output>;
 }
 
-/// Packets a shard cell queues ahead of its worker; matches the
-/// bounded(2) channel of the dedicated-thread mode.
+/// Packets a shard cell queues ahead of its worker (keeps the scatter
+/// slightly ahead of the builders without unbounded buffering).
 const CELL_QUEUE_CAP: usize = 2;
 
 /// Packets a pool-scheduled shard task absorbs before voluntarily
@@ -192,52 +353,29 @@ struct Cell<W: ShardWorker> {
     cv: Condvar,
 }
 
-/// A set of shard workers — the `Xchg` worker/cancel design pointed at
-/// operator-internal build parallelism instead of whole plan fragments.
-/// Two scheduling modes, mirroring [`crate::op::xchg::Xchg`]:
-///
-/// * [`ShardSet::spawn`] — one dedicated thread per shard, fed through
-///   bounded channels (capacity 2 keeps the scatter slightly ahead of the
-///   builders without unbounded buffering).
-/// * [`ShardSet::spawn_on`] — each shard is an actor-style `Cell` whose
-///   packets are absorbed by cooperative tasks on the engine's shared
-///   [`WorkerPool`]; thread count stays O(pool workers) no matter how
-///   many queries build concurrently.
-pub struct ShardSet<W: ShardWorker> {
-    inner: ShardSetInner<W>,
+impl<W: ShardWorker> Cell<W> {
+    fn lock(&self) -> MutexGuard<'_, CellState<W>> {
+        self.m.lock().expect("shard cell poisoned")
+    }
 }
 
-enum ShardSetInner<W: ShardWorker> {
-    Threads {
-        txs: Vec<Option<Sender<W::Packet>>>,
-        handles: Vec<Option<JoinHandle<Result<W::Output>>>>,
-    },
-    Pool {
-        cells: Vec<Arc<Cell<W>>>,
-        pool: Arc<WorkerPool>,
-        cancel: CancelToken,
-    },
+/// A set of shard workers — the `Xchg` worker/cancel design pointed at
+/// operator-internal build parallelism instead of whole plan fragments.
+/// Each shard is an actor-style cell whose packets are absorbed by
+/// cooperative tasks on the engine's shared [`WorkerPool`]: thread count
+/// stays O(pool workers) no matter how many queries build concurrently,
+/// and a consumer that must wait donates its thread to the pool instead of
+/// sleeping.
+pub struct ShardSet<W: ShardWorker> {
+    cells: Vec<Arc<Cell<W>>>,
+    pool: Arc<WorkerPool>,
+    cancel: CancelToken,
 }
 
 impl<W: ShardWorker> ShardSet<W> {
-    /// Spawn one worker thread per shard. `cancel` is the query-wide
-    /// token: a cancelled query makes every worker bail out between
-    /// packets with [`VwError::Cancelled`].
-    pub fn spawn(workers: Vec<W>, cancel: &CancelToken) -> ShardSet<W> {
-        let mut txs = Vec::with_capacity(workers.len());
-        let mut handles = Vec::with_capacity(workers.len());
-        for w in workers {
-            let (tx, rx) = bounded::<W::Packet>(2);
-            let cancel = cancel.clone();
-            handles.push(Some(std::thread::spawn(move || run_shard(w, rx, cancel))));
-            txs.push(Some(tx));
-        }
-        ShardSet { inner: ShardSetInner::Threads { txs, handles } }
-    }
-
-    /// Schedule the shards as cooperative tasks on the engine's shared
-    /// worker pool instead of spawning threads. Absorption order, error
-    /// surfacing, and cancellation semantics match [`ShardSet::spawn`].
+    /// Schedule `workers` as shards on `pool`. `cancel` is the query-wide
+    /// token: a cancelled query makes every shard bail out between packets
+    /// with [`VwError::Cancelled`].
     pub fn spawn_on(pool: &Arc<WorkerPool>, workers: Vec<W>, cancel: &CancelToken) -> ShardSet<W> {
         let cells = workers
             .into_iter()
@@ -255,261 +393,148 @@ impl<W: ShardWorker> ShardSet<W> {
                 })
             })
             .collect();
-        ShardSet {
-            inner: ShardSetInner::Pool { cells, pool: pool.clone(), cancel: cancel.clone() },
-        }
+        ShardSet { cells, pool: pool.clone(), cancel: cancel.clone() }
     }
 
     /// Number of shards.
     pub fn len(&self) -> usize {
-        match &self.inner {
-            ShardSetInner::Threads { handles, .. } => handles.len(),
-            ShardSetInner::Pool { cells, .. } => cells.len(),
-        }
+        self.cells.len()
     }
 
     /// True when no shards were spawned.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.cells.is_empty()
     }
 
-    /// Hand a packet to shard `s`. While the shard's queue is full the
-    /// caller *helps*: it runs queued pool tasks on its own thread rather
-    /// than sleeping, so a plan fragment (itself a pool task) driving this
-    /// build cannot starve the shard cells of workers. If the worker died,
-    /// its error (or panic) is surfaced here.
+    /// Submit a task driving cell `s` (the caller has set `scheduled`).
+    /// Runs outside the cell lock: a closed pool runs the task inline, and
+    /// the task re-takes the lock.
+    fn schedule(&self, s: usize) {
+        let (c, p, t) = (self.cells[s].clone(), self.pool.clone(), self.cancel.clone());
+        self.pool.submit(&self.cancel, move || run_cell(&c, &p, &t));
+    }
+
+    /// Wait for progress on cell `s` the pool-friendly way. The caller may
+    /// *itself* be a pool task (a plan fragment driving this build, or
+    /// unwinding it), so sleeping could starve the cell of the very worker
+    /// it needs: run one queued task on this thread instead, and only nap
+    /// on the cell's condvar when the queue is empty (pool tasks notify on
+    /// every exit; the timeout bounds staleness against a racing cancel).
+    fn help_or_wait(&self, s: usize) -> MutexGuard<'_, CellState<W>> {
+        let cell = &self.cells[s];
+        if self.pool.help_run_one() {
+            return cell.lock();
+        }
+        let (guard, _) = cell
+            .cv
+            .wait_timeout(cell.lock(), Duration::from_millis(1))
+            .expect("shard cell poisoned");
+        guard
+    }
+
+    /// Hand a packet to shard `s`, helping the pool while the shard's
+    /// queue is full. If the shard died, its error (or panic) is surfaced
+    /// here.
     pub fn send(&mut self, s: usize, pkt: W::Packet) -> Result<()> {
-        match &mut self.inner {
-            ShardSetInner::Threads { txs, handles } => {
-                let alive = match &txs[s] {
-                    Some(tx) => tx.send(pkt).is_ok(),
-                    None => false,
+        let mut st = self.cells[s].lock();
+        loop {
+            if let Some(out) = st.output.take() {
+                // The shard terminated early (error/panic/cancel); surface
+                // its reason once.
+                return match out {
+                    Ok(_) => Err(VwError::Exec("shard worker exited early".into())),
+                    Err(e) => Err(e),
                 };
-                if alive {
-                    return Ok(());
-                }
-                txs[s] = None; // worker gone: join it to learn why
-                match handles[s].take() {
-                    Some(h) => match h.join() {
-                        Ok(Ok(_)) => Err(VwError::Exec("shard worker exited early".into())),
-                        Ok(Err(e)) => Err(e),
-                        Err(p) => Err(panic_error("hash build shard", p)),
-                    },
-                    None => Err(VwError::Exec("shard worker already joined".into())),
-                }
             }
-            ShardSetInner::Pool { cells, pool, cancel } => {
-                let cell = &cells[s];
-                let mut st = cell.m.lock().expect("shard cell poisoned");
-                loop {
-                    if let Some(out) = st.output.take() {
-                        // The shard terminated early (error/panic/cancel);
-                        // surface its reason once, like the joining path.
-                        return match out {
-                            Ok(_) => Err(VwError::Exec("shard worker exited early".into())),
-                            Err(e) => Err(e),
-                        };
-                    }
-                    if st.worker.is_none() && !st.scheduled {
-                        return Err(VwError::Exec("shard worker already joined".into()));
-                    }
-                    if st.queue.len() < CELL_QUEUE_CAP {
-                        st.queue.push_back(pkt);
-                        let schedule = !st.scheduled;
-                        if schedule {
-                            st.scheduled = true;
-                        }
-                        drop(st);
-                        if schedule {
-                            // Submit outside the lock: a closed pool runs
-                            // the task inline, and the task re-takes it.
-                            let (c, p, t) = (cell.clone(), pool.clone(), cancel.clone());
-                            pool.submit(cancel, move || run_cell(&c, &p, &t));
-                        }
-                        return Ok(());
-                    }
-                    if cancel.is_cancelled() {
-                        return Err(VwError::Cancelled);
-                    }
-                    // Queue full. The caller may *itself* be a pool task (a
-                    // plan fragment driving this build), so sleeping here
-                    // could starve the cell task of the very worker it
-                    // needs — donate this thread to the pool instead.
-                    drop(st);
-                    if !pool.help_run_one() {
-                        // Pool tasks notify on every dequeue; the timeout
-                        // only bounds staleness against a racing cancel.
-                        let guard = cell.m.lock().expect("shard cell poisoned");
-                        let (guard, _) = cell
-                            .cv
-                            .wait_timeout(guard, Duration::from_millis(1))
-                            .expect("shard cell poisoned");
-                        st = guard;
-                    } else {
-                        st = cell.m.lock().expect("shard cell poisoned");
-                    }
-                }
+            if st.worker.is_none() && !st.scheduled {
+                return Err(VwError::Exec("shard worker already joined".into()));
             }
+            if st.queue.len() < CELL_QUEUE_CAP {
+                st.queue.push_back(pkt);
+                let schedule = !std::mem::replace(&mut st.scheduled, true);
+                drop(st);
+                if schedule {
+                    self.schedule(s);
+                }
+                return Ok(());
+            }
+            if self.cancel.is_cancelled() {
+                return Err(VwError::Cancelled);
+            }
+            drop(st);
+            st = self.help_or_wait(s);
         }
     }
 
     /// Close all shards, wait for every worker, and collect the shard
     /// outputs in partition order. The first worker error (or panic)
     /// aborts the collection.
-    pub fn finish(mut self) -> Result<Vec<W::Output>> {
-        match &mut self.inner {
-            ShardSetInner::Threads { txs, handles } => {
-                txs.clear(); // senders drop → workers drain and finalize
-                let mut outs = Vec::with_capacity(handles.len());
-                let mut first_err = None;
-                for h in handles {
-                    let Some(h) = h.take() else { continue };
-                    match h.join() {
-                        Ok(Ok(out)) => outs.push(out),
-                        Ok(Err(e)) => {
-                            first_err.get_or_insert(e);
-                        }
-                        Err(p) => {
-                            first_err.get_or_insert(panic_error("hash build shard", p));
-                        }
-                    }
+    pub fn finish(self) -> Result<Vec<W::Output>> {
+        // Close every cell (scheduling idle ones so they finalize), then
+        // collect outputs in partition order.
+        for s in 0..self.cells.len() {
+            let mut st = self.cells[s].lock();
+            st.closed = true;
+            let schedule = !st.scheduled && st.output.is_none() && st.worker.is_some();
+            st.scheduled |= schedule;
+            drop(st);
+            if schedule {
+                self.schedule(s);
+            }
+        }
+        let mut outs = Vec::with_capacity(self.cells.len());
+        let mut first_err = None;
+        for s in 0..self.cells.len() {
+            let mut st = self.cells[s].lock();
+            let out = loop {
+                if let Some(out) = st.output.take() {
+                    break out;
                 }
-                match first_err {
-                    Some(e) => Err(e),
-                    None => Ok(outs),
+                if st.worker.is_none() && !st.scheduled {
+                    break Err(VwError::Exec("shard worker already joined".into()));
+                }
+                drop(st);
+                st = self.help_or_wait(s);
+            };
+            match out {
+                Ok(o) => outs.push(o),
+                Err(e) => {
+                    first_err.get_or_insert(e);
                 }
             }
-            ShardSetInner::Pool { cells, pool, cancel } => {
-                // Close every cell (scheduling idle ones so they finalize),
-                // then collect outputs in partition order.
-                for cell in cells.iter() {
-                    let mut st = cell.m.lock().expect("shard cell poisoned");
-                    st.closed = true;
-                    let schedule = !st.scheduled && st.output.is_none() && st.worker.is_some();
-                    if schedule {
-                        st.scheduled = true;
-                    }
-                    drop(st);
-                    if schedule {
-                        let (c, p, t) = (cell.clone(), pool.clone(), cancel.clone());
-                        pool.submit(cancel, move || run_cell(&c, &p, &t));
-                    }
-                }
-                let mut outs = Vec::with_capacity(cells.len());
-                let mut first_err = None;
-                for cell in cells.iter() {
-                    let mut st = cell.m.lock().expect("shard cell poisoned");
-                    let out = loop {
-                        if let Some(out) = st.output.take() {
-                            break out;
-                        }
-                        if st.worker.is_none() && !st.scheduled {
-                            break Err(VwError::Exec("shard worker already joined".into()));
-                        }
-                        // Same helping rule as `send`: the barrier may be
-                        // waiting on tasks only this thread can run.
-                        drop(st);
-                        if !pool.help_run_one() {
-                            let guard = cell.m.lock().expect("shard cell poisoned");
-                            let (guard, _) = cell
-                                .cv
-                                .wait_timeout(guard, Duration::from_millis(1))
-                                .expect("shard cell poisoned");
-                            st = guard;
-                        } else {
-                            st = cell.m.lock().expect("shard cell poisoned");
-                        }
-                    };
-                    match out {
-                        Ok(o) => outs.push(o),
-                        Err(e) => {
-                            first_err.get_or_insert(e);
-                        }
-                    }
-                }
-                match first_err {
-                    Some(e) => Err(e),
-                    None => Ok(outs),
-                }
-            }
+        }
+        match first_err {
+            Some(e) => Err(e),
+            None => Ok(outs),
         }
     }
 }
 
 impl<W: ShardWorker> Drop for ShardSet<W> {
     fn drop(&mut self) {
-        match &mut self.inner {
-            ShardSetInner::Threads { txs, handles } => {
-                // Error path: close the channels and join so no worker
-                // outlives the query (their outputs are discarded).
-                txs.clear();
-                for h in handles {
-                    if let Some(h) = h.take() {
-                        let _ = h.join();
-                    }
-                }
+        // Abort every cell, then wait until no task references it before
+        // discarding worker state — the memory the workers staged must be
+        // released before drop returns, because callers assert
+        // `MemBudget::global_in_use() == 0` and a quiet pool right after a
+        // query unwinds.
+        for cell in &self.cells {
+            let mut st = cell.lock();
+            st.aborted = true;
+            st.queue.clear();
+            drop(st);
+            cell.cv.notify_all();
+        }
+        for s in 0..self.cells.len() {
+            let mut st = self.cells[s].lock();
+            while st.scheduled {
+                drop(st);
+                st = self.help_or_wait(s);
             }
-            ShardSetInner::Pool { cells, pool, .. } => {
-                // Abort every cell, then wait until no task references it
-                // before discarding worker state — the memory the workers
-                // staged must be released (and uncharged from any
-                // MemBudget) before drop returns, because callers assert
-                // `MemBudget::global_in_use() == 0` right after a query
-                // unwinds.
-                for cell in cells.iter() {
-                    let mut st = cell.m.lock().expect("shard cell poisoned");
-                    st.aborted = true;
-                    st.queue.clear();
-                    drop(st);
-                    cell.cv.notify_all();
-                }
-                for cell in cells.iter() {
-                    let mut st = cell.m.lock().expect("shard cell poisoned");
-                    while st.scheduled {
-                        // Helping again: the unwind path can run on a pool
-                        // worker (a fragment dropping its operators), and
-                        // the cell's final task may be queued behind us.
-                        drop(st);
-                        if !pool.help_run_one() {
-                            let guard = cell.m.lock().expect("shard cell poisoned");
-                            let (guard, _) = cell
-                                .cv
-                                .wait_timeout(guard, Duration::from_millis(1))
-                                .expect("shard cell poisoned");
-                            st = guard;
-                        } else {
-                            st = cell.m.lock().expect("shard cell poisoned");
-                        }
-                    }
-                    let worker = st.worker.take();
-                    let output = st.output.take();
-                    drop(st);
-                    drop(worker);
-                    drop(output);
-                }
-            }
+            let (worker, output) = (st.worker.take(), st.output.take());
+            drop(st);
+            drop((worker, output));
         }
     }
-}
-
-fn run_shard<W: ShardWorker>(
-    mut w: W,
-    rx: Receiver<W::Packet>,
-    cancel: CancelToken,
-) -> Result<W::Output> {
-    // catch_unwind so a worker panic surfaces as an error at the consumer
-    // instead of a silently dropped channel end.
-    catch_unwind(AssertUnwindSafe(move || loop {
-        if cancel.is_cancelled() {
-            return Err(VwError::Cancelled);
-        }
-        match rx.recv() {
-            Ok(pkt) => w.absorb(pkt)?,
-            // Senders dropped: input exhausted (or consumer bailed).
-            Err(_) => return w.finish(),
-        }
-    }))
-    .unwrap_or_else(|p| Err(panic_error("hash build shard", p)))
 }
 
 /// Drive one pool-scheduled shard cell for up to a quantum of packets.
@@ -518,15 +543,18 @@ fn run_shard<W: ShardWorker>(
 /// finalized, errored, cancelled, or aborted. All but the yield clear
 /// `scheduled`; every exit notifies the cell's condvar.
 fn run_cell<W: ShardWorker>(cell: &Arc<Cell<W>>, pool: &Arc<WorkerPool>, cancel: &CancelToken) {
+    // Every exit but the yield: clear `scheduled`, wake whoever waits.
+    let park = |mut st: MutexGuard<'_, CellState<W>>| {
+        st.scheduled = false;
+        drop(st);
+        cell.cv.notify_all();
+    };
     let mut absorbed = 0;
     loop {
-        let mut st = cell.m.lock().expect("shard cell poisoned");
+        let mut st = cell.lock();
         if st.aborted {
             st.queue.clear();
-            st.scheduled = false;
-            drop(st);
-            cell.cv.notify_all();
-            return;
+            return park(st);
         }
         if cancel.is_cancelled() {
             if st.output.is_none() {
@@ -534,70 +562,41 @@ fn run_cell<W: ShardWorker>(cell: &Arc<Cell<W>>, pool: &Arc<WorkerPool>, cancel:
             }
             st.queue.clear();
             st.worker = None;
-            st.scheduled = false;
-            drop(st);
-            cell.cv.notify_all();
-            return;
+            return park(st);
         }
         if let Some(pkt) = st.queue.pop_front() {
-            let Some(mut w) = st.worker.take() else {
-                st.scheduled = false;
-                drop(st);
-                cell.cv.notify_all();
-                return;
-            };
+            let Some(mut w) = st.worker.take() else { return park(st) };
             drop(st);
             cell.cv.notify_all(); // queue space freed: wake a blocked send
-            let res = catch_unwind(AssertUnwindSafe(|| w.absorb(pkt)));
-            let mut st = cell.m.lock().expect("shard cell poisoned");
-            match res {
-                Ok(Ok(())) => {
-                    st.worker = Some(w);
-                    absorbed += 1;
-                    if absorbed >= CELL_QUANTUM && !pool.is_closed() {
-                        drop(st); // stay scheduled; requeue at the tail
-                        let (c, p, t) = (cell.clone(), pool.clone(), cancel.clone());
-                        pool.submit(cancel, move || run_cell(&c, &p, &t));
-                        return;
-                    }
-                    drop(st);
-                    continue;
-                }
-                Ok(Err(e)) => {
-                    st.output = Some(Err(e));
-                }
-                Err(p) => {
-                    st.output = Some(Err(panic_error("hash build shard", p)));
-                }
+            let res = catch_unwind(AssertUnwindSafe(|| w.absorb(pkt)))
+                .unwrap_or_else(|p| Err(panic_error("hash build shard", p)));
+            let mut st = cell.lock();
+            if let Err(e) = res {
+                st.output = Some(Err(e));
+                st.queue.clear();
+                return park(st);
             }
-            st.queue.clear();
-            st.scheduled = false;
-            drop(st);
-            cell.cv.notify_all();
-            return;
+            st.worker = Some(w);
+            absorbed += 1;
+            if absorbed >= CELL_QUANTUM && !pool.is_closed() {
+                drop(st); // stay scheduled; requeue at the tail
+                let (c, p, t) = (cell.clone(), pool.clone(), cancel.clone());
+                pool.submit(cancel, move || run_cell(&c, &p, &t));
+                return;
+            }
+            continue;
         }
         if st.closed {
-            let Some(w) = st.worker.take() else {
-                st.scheduled = false;
-                drop(st);
-                cell.cv.notify_all();
-                return;
-            };
+            let Some(w) = st.worker.take() else { return park(st) };
             drop(st);
             let res = catch_unwind(AssertUnwindSafe(|| w.finish()))
                 .unwrap_or_else(|p| Err(panic_error("hash build shard", p)));
-            let mut st = cell.m.lock().expect("shard cell poisoned");
+            let mut st = cell.lock();
             st.output = Some(res);
-            st.scheduled = false;
-            drop(st);
-            cell.cv.notify_all();
-            return;
+            return park(st);
         }
         // Idle: park until the next send/finish reschedules the cell.
-        st.scheduled = false;
-        drop(st);
-        cell.cv.notify_all();
-        return;
+        return park(st);
     }
 }
 
@@ -940,72 +939,6 @@ mod tests {
     }
 
     #[test]
-    fn shard_set_collects_outputs_in_order() {
-        let mut set =
-            ShardSet::spawn(vec![shard(None, None), shard(None, None)], &CancelToken::new());
-        for i in 0..10u64 {
-            set.send((i % 2) as usize, vec![i]).unwrap();
-        }
-        let outs = set.finish().unwrap();
-        assert_eq!(outs, vec![2 + 4 + 6 + 8, 1 + 3 + 5 + 7 + 9]);
-    }
-
-    #[test]
-    fn shard_error_surfaces_to_consumer() {
-        // The worker's error comes back either from the send that found the
-        // channel closed (the operator aborts the build on it) or, if every
-        // send squeaked through first, from finish().
-        let mut set =
-            ShardSet::spawn(vec![shard(None, None), shard(Some(5), None)], &CancelToken::new());
-        let mut err = None;
-        for i in 0..100u64 {
-            if let Err(e) = set.send((i % 2) as usize, vec![i]) {
-                err = Some(e);
-                break;
-            }
-        }
-        let err = match err {
-            Some(e) => e,
-            None => set.finish().expect_err("worker error must surface"),
-        };
-        assert!(matches!(err, VwError::Exec(ref m) if m.contains("shard boom")), "{err:?}");
-    }
-
-    #[test]
-    fn shard_panic_becomes_error_not_hang() {
-        let mut set = ShardSet::spawn(vec![shard(None, Some(3))], &CancelToken::new());
-        let mut send_err = None;
-        for i in 0..1000u64 {
-            if let Err(e) = set.send(0, vec![i]) {
-                send_err = Some(e);
-                break;
-            }
-        }
-        let err = match send_err {
-            Some(e) => e,
-            None => set.finish().unwrap_err(),
-        };
-        match err {
-            VwError::Exec(msg) => assert!(msg.contains("panicked"), "{msg}"),
-            other => panic!("unexpected error {other:?}"),
-        }
-    }
-
-    #[test]
-    fn cancellation_stops_workers() {
-        let cancel = CancelToken::new();
-        let mut set = ShardSet::spawn(vec![shard(None, None)], &cancel);
-        set.send(0, vec![1]).unwrap();
-        cancel.cancel();
-        // Workers observe the token between packets; finish must surface
-        // Cancelled (or a clean sum if the worker finished first).
-        match set.finish() {
-            Err(VwError::Cancelled) | Ok(_) => {}
-            Err(e) => panic!("unexpected error {e:?}"),
-        }
-    }
-
-    #[test]
     fn pool_shards_collect_outputs_in_order_on_one_worker() {
         // Four shards on a single-worker pool: the cells must absorb
         // cooperatively without a dedicated thread each (and without
@@ -1027,15 +960,19 @@ mod tests {
 
     #[test]
     fn pool_shard_error_and_panic_surface() {
+        // A healthy shard beside the failing one: the failure comes back
+        // either from the send that found the shard dead (the operator
+        // aborts the build on it) or, if every send squeaked through
+        // first, from finish().
         let pool = WorkerPool::new(2);
         let cancel = CancelToken::new();
         for (w, needle) in
             [(shard(Some(5), None), "shard boom"), (shard(None, Some(3)), "panicked")]
         {
-            let mut set = ShardSet::spawn_on(&pool, vec![w], &cancel);
+            let mut set = ShardSet::spawn_on(&pool, vec![shard(None, None), w], &cancel);
             let mut send_err = None;
             for i in 0..1000u64 {
-                if let Err(e) = set.send(0, vec![i]) {
+                if let Err(e) = set.send((i % 2) as usize, vec![i]) {
                     send_err = Some(e);
                     break;
                 }
@@ -1072,5 +1009,59 @@ mod tests {
         }
         drop(set);
         assert_eq!(pool.queued(), 0, "abandoned cells must drain off the pool");
+    }
+
+    #[test]
+    fn one_slot_partitions_pass_the_live_lanes_through() {
+        let mut parts = Partitions::new(1, None, || Ok(0u32)).unwrap();
+        assert_eq!(parts.partitions(), 1);
+        let live: SelVec = [1u32, 4, 5].into_iter().collect();
+        parts.route(&[], &live, 8); // reads no hash at P = 1
+        let (sel, slot) = parts.lane(0, &live);
+        assert_eq!(sel.as_slice(), live.as_slice());
+        *slot += 1;
+        parts.recharge(0, 1 << 40); // ungoverned: nothing to charge
+        parts.evict_while_over(|_, _, _| panic!("ungoverned sets never evict")).unwrap();
+        assert!(!parts.any_spilled() && parts.spill_config().is_none());
+        assert_eq!(parts.take_slots(), vec![1]);
+    }
+
+    #[test]
+    fn governed_partitions_evict_the_largest_slot_and_uncharge_on_drop() {
+        let disk = SimulatedDisk::instant();
+        let budget = MemBudget::new(1000);
+        let cfg = SpillConfig::new(budget.clone(), disk.clone(), 4);
+        let metrics = cfg.metrics.clone();
+        let mut parts = Partitions::new(1, Some(cfg), || Ok(Vec::<u8>::new())).unwrap();
+        assert_eq!(parts.partitions(), 4, "the config's fan-out wins");
+        let hashes: Vec<u64> = (0..64u64).map(hash_u64).collect();
+        let live: SelVec = (0..64u32).collect();
+        parts.route(&hashes, &live, 64);
+        let routed: usize = (0..4).map(|si| parts.routed(si).len()).sum();
+        assert_eq!(routed, 64);
+        for (si, bytes) in [(0, 300), (1, 500), (2, 100)] {
+            parts.lane(si, &live).1.push(si as u8);
+            parts.recharge(si, bytes);
+        }
+        assert_eq!(budget.used(), 900);
+        parts.evict_while_over(|_, _, _| panic!("within budget")).unwrap();
+        parts.recharge(2, 400); // 1200 > 1000: the 500-byte slot must go
+        let mut victims = Vec::new();
+        parts
+            .evict_while_over(|si, slot, file| {
+                victims.push(si);
+                file.append(std::mem::take(slot))
+            })
+            .unwrap();
+        assert_eq!(victims, vec![1]);
+        assert_eq!(budget.used(), 700);
+        assert!(parts.is_spilled(1) && !parts.is_spilled(0) && parts.any_spilled());
+        assert_eq!(metrics.partitions.load(Ordering::Relaxed), 1);
+        assert!(metrics.bytes_written.load(Ordering::Relaxed) > 0);
+        parts.recharge(0, 100); // shrinking a charge returns the difference
+        assert_eq!(budget.used(), 500);
+        drop(parts);
+        assert_eq!(budget.used(), 0, "drop returns every charged byte");
+        assert_eq!(disk.used_bytes(), 0, "and frees the spill file");
     }
 }

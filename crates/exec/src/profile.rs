@@ -20,7 +20,7 @@
 //! | `chain`   | average hash-chain entries visited per probed key ([`OpProfile::avg_chain_len`]); `-` for operators without a probe phase. | near 1.00 is healthy; growth signals a clustered hash or under-sized directory. |
 //! | `progs`   | compiled expression programs executed, one per expression per batch ([`OpProfile::expr_programs`]). | — |
 //! | `prims`   | primitive instructions those programs dispatched ([`OpProfile::expr_instrs`]); `prims / progs` is the program length after constant folding and CSE. | a jump after a plan change means folding stopped firing. |
-//! | `shards`  | radix partitions of a parallel/grace hash build as `P×skew` where skew is build-row `max/mean` across shards ([`OpProfile::shard_skew`]); `-` for serial builds. | skew near 1.00; ≫ 1 means a clustered radix split. |
+//! | `shards`  | radix partitions of a hash build as `P×skew` where skew is build-row `max/mean` across shards ([`OpProfile::shard_skew`]); `-` for a one-shard build (nothing to skew) and for partitions that were all evicted (they report under `spill`). | skew near 1.00; ≫ 1 means a clustered radix split. |
 //! | `morsels` | morsel claims: scans show their claim count; exchanges show `total×balance` where balance is per-worker `max/mean` ([`OpProfile::morsel_balance`]). | balance near 1.00; toward `DOP` means one worker dragged the fragment. |
 //! | `pool%`   | batch-pool hit rate ([`OpProfile::batch_pool_hit_rate`]): output-batch leases served from the recycled free list. | steady state should sit near 100%; low means the consumer isn't recycling. |
 //! | `spill`   | grace-spill traffic as `Pp written/read` — partitions spilled (all strata) and encoded spill bytes written and read back ([`OpProfile::spill_partitions`], [`OpProfile::spill_bytes_written`], [`OpProfile::spill_bytes_read`]); `-` when the build stayed in memory. | any value at all means the query ran over `mem_budget`; read ≫ written means deep re-partitioning recursion. |
@@ -64,8 +64,8 @@ pub struct OpProfile {
     /// `expr_instrs / expr_programs` is the program length — a direct view
     /// of how much work compile-time folding and CSE removed.
     pub expr_instrs: u64,
-    /// Build rows owned by each radix partition of a partitioned hash
-    /// build (empty for serial builds). Skew across shards is the
+    /// Build rows owned by each radix partition of a hash build (one
+    /// entry for an unpartitioned build). Skew across shards is the
     /// observable that catches a clustered radix split.
     pub shard_build_rows: Vec<u64>,
     /// Keys probed against each shard's table (partition-wise probing).
@@ -260,13 +260,14 @@ impl OpProfile {
         max / (total as f64 / n as f64)
     }
 
-    /// Number of radix partitions this operator built with (0 = serial).
+    /// Number of radix partitions this operator built with (1 =
+    /// unpartitioned; 0 = no hash build, or every partition was evicted).
     pub fn shards(&self) -> usize {
         self.shard_build_rows.len()
     }
 
     /// Build-row skew across shards: `max/mean` (1.0 = perfectly even;
-    /// 0.0 when the build was serial or empty). The partition-quality
+    /// 0.0 when the build was empty). The partition-quality
     /// observable — a clustered radix split shows up here first.
     pub fn shard_skew(&self) -> f64 {
         let n = self.shard_build_rows.len();
@@ -332,7 +333,7 @@ impl QueryProfile {
             } else {
                 (format!("{:>8}", "-"), format!("{:>8}", "-"))
             };
-            let shards = if p.shards() > 0 {
+            let shards = if p.shards() > 1 {
                 // Shard count plus build-skew (max/mean), the partition
                 // health observable.
                 format!("{:>2}x{:.2}", p.shards(), p.shard_skew())
@@ -490,6 +491,8 @@ mod tests {
         assert_eq!(p.shards(), 0);
         assert_eq!(p.shard_skew(), 0.0);
         p.record_shard_build(0, 100);
+        let one = QueryProfile { operators: vec![(0, p.clone())] };
+        assert!(!one.render().contains("1x"), "one shard has no skew to print");
         p.record_shard_build(3, 300);
         p.record_shard_build(1, 100);
         p.record_shard_build(2, 100);

@@ -8,11 +8,11 @@
 //! (`vw_storage::pack::encode_spill_batch` — the same per-column codecs
 //! stable storage uses) and rehydrates them as ordinary [`Batch`]es.
 //!
-//! The policy half — *when* to spill, *which* partition, and how spilled
-//! partitions are re-processed — lives in the operators
-//! (`op/hashjoin.rs`, `op/hashagg.rs`) and in
+//! The policy half — *when* to spill and *which* partition — lives in
 //! [`crate::partition`] (the [`MemBudget`](crate::partition::MemBudget)
-//! governor, radix strata, recursion depth floor).
+//! governor, victim selection, radix strata, recursion depth floor); what
+//! a partition writes and how spilled partitions are re-processed is the
+//! operators' (`op/hashjoin.rs`, `op/hashagg.rs`).
 //!
 //! Temp space is owned by the operator: a [`SpillFile`] frees its blocks
 //! on drop, so spill storage is reclaimed whether the query completes,

@@ -1,8 +1,8 @@
 //! # vw-sql — SQL front-end and Ingres-style optimizer
 //!
 //! The "SQL Parser", "Ingres Rewriter (slightly modified)" and "Ingres
-//! Optimizer (heavily modified)" boxes of Figure 1. As DESIGN.md records,
-//! Ingres itself is proprietary; this crate provides the equivalent
+//! Optimizer (heavily modified)" boxes of Figure 1. Ingres itself is
+//! proprietary; this crate provides the equivalent
 //! pipeline stage: a hand-written SQL [lexer]/[parser], a
 //! [binder] that resolves names and types against a catalog and
 //! produces a typed [logical plan](plan), and a histogram-driven

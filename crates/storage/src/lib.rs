@@ -7,7 +7,7 @@
 //! Architecture:
 //!
 //! * a [simulated disk](disk) is the bandwidth-limited device all table data
-//!   lives on (substitution for the paper's disk arrays — see DESIGN.md §2),
+//!   lives on (substitution for the paper's disk arrays),
 //! * tables are split into row ranges called **packs** (the compression
 //!   granule); each pack's columns are compressed with [`vw_compress`]
 //!   (auto-selected per chunk) and laid out either

@@ -1,8 +1,8 @@
 //! # vectorwise — a Rust reproduction of the X100/Vectorwise system
 //!
-//! Facade crate re-exporting the whole workspace. See `README.md` for the
-//! tour, `DESIGN.md` for the system inventory, and `EXPERIMENTS.md` for the
-//! paper-vs-measured record.
+//! Facade crate re-exporting the whole workspace. See `ARCHITECTURE.md`
+//! for the crate map and the life of a query, and `benchmark/README.md`
+//! for how performance is measured.
 //!
 //! ```
 //! use vectorwise::core::Database;

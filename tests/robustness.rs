@@ -4,13 +4,23 @@
 //! The failure model these tests pin down is documented in
 //! ARCHITECTURE.md ("Failure model").
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 use vectorwise::common::{ColData, EngineConfig, FaultConfig, Value, VwError};
 use vectorwise::core::monitor::QueryState;
 use vectorwise::core::{bulk_load, Database};
 use vectorwise::exec::MemBudget;
 use vectorwise::storage::SimulatedDisk;
+
+/// `MemBudget::global_in_use` is process-global: under a `VW_MEM_BUDGET`
+/// lane every query of every test charges it, so a test asserting it is
+/// back to zero must not overlap another test's query. Every test takes
+/// this lock first (as `tests/service.rs` and `tests/chaos.rs` do).
+static EXCLUSIVE: Mutex<()> = Mutex::new(());
+
+fn exclusive() -> MutexGuard<'static, ()> {
+    EXCLUSIVE.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 /// A table big enough that a self-join at DOP 1 runs for hundreds of ms.
 fn slow_db() -> Arc<Database> {
@@ -31,6 +41,7 @@ const SLOW_JOIN: &str = "SELECT COUNT(*) FROM big a JOIN big b ON a.k = b.k";
 
 #[test]
 fn statement_timeout_fires_within_twice_the_deadline_and_reclaims() {
+    let _x = exclusive();
     let db = slow_db();
     let baseline = db.disk().used_bytes();
     // Sanity: the query takes much longer than the deadline we'll set.
@@ -63,6 +74,7 @@ fn statement_timeout_fires_within_twice_the_deadline_and_reclaims() {
 
 #[test]
 fn timeout_under_parallel_spilling_execution_reclaims_everything() {
+    let _x = exclusive();
     let db = slow_db();
     let baseline = db.disk().used_bytes();
     db.execute("SET parallelism = 4").unwrap();
@@ -79,6 +91,7 @@ fn timeout_under_parallel_spilling_execution_reclaims_everything() {
 
 #[test]
 fn queries_without_timeout_carry_no_deadline_machinery() {
+    let _x = exclusive();
     let db = Database::open_in_memory();
     db.execute("CREATE TABLE t (x BIGINT)").unwrap();
     db.execute("INSERT INTO t VALUES (1)").unwrap();
@@ -104,6 +117,7 @@ fn queries_without_timeout_carry_no_deadline_machinery() {
 
 #[test]
 fn kill_of_finished_query_is_a_clean_error_and_state_survives() {
+    let _x = exclusive();
     let db = Database::open_in_memory();
     db.execute("CREATE TABLE t (x BIGINT)").unwrap();
     db.execute("INSERT INTO t VALUES (1), (2)").unwrap();
@@ -124,6 +138,7 @@ fn kill_of_finished_query_is_a_clean_error_and_state_survives() {
 
 #[test]
 fn kill_racing_query_completion_never_panics_or_corrupts_state() {
+    let _x = exclusive();
     // Fire short queries while another thread KILLs whatever is listed:
     // every KILL either cancels a running query or returns the typed
     // Exec error — the teardown-vs-registry race must never panic or
@@ -168,6 +183,7 @@ fn kill_racing_query_completion_never_panics_or_corrupts_state() {
 
 #[test]
 fn event_log_stays_bounded_through_set() {
+    let _x = exclusive();
     let db = Database::open_in_memory();
     db.execute("CREATE TABLE t (x BIGINT)").unwrap();
     db.execute("INSERT INTO t VALUES (1)").unwrap();
@@ -188,6 +204,7 @@ fn event_log_stays_bounded_through_set() {
 
 #[test]
 fn queries_survive_transient_fault_injection_end_to_end() {
+    let _x = exclusive();
     // Low-probability injected faults (read errors + corruption) must be
     // absorbed by the retry policy: answers identical to fault-free,
     // zero errors surfaced, retries visible in the disk stats.
@@ -222,6 +239,7 @@ fn queries_survive_transient_fault_injection_end_to_end() {
 
 #[test]
 fn terminal_write_fault_surfaces_as_typed_error_and_session_survives() {
+    let _x = exclusive();
     let db = Database::open_in_memory();
     db.execute("CREATE TABLE t (x BIGINT NOT NULL)").unwrap();
     bulk_load(&db, "t", &[ColData::I64(vec![1, 2, 3])], &[None]).unwrap();
@@ -249,6 +267,7 @@ fn terminal_write_fault_surfaces_as_typed_error_and_session_survives() {
 
 #[test]
 fn env_overrides_configure_fault_injection() {
+    let _x = exclusive();
     // The VW_FAULT_* env contract: parsed into EngineConfig::default() by
     // FaultConfig::from_env (unit-tested in vw-common); here we pin the
     // builder plumbing end to end through Database::open_with.

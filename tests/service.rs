@@ -65,6 +65,19 @@ fn live_threads() -> usize {
         .expect("Threads: line in /proc/self/status")
 }
 
+/// Engine threads of this process (pool workers, deadline timer,
+/// statement watchdogs — all named `vw-*`). Unlike [`live_threads`] this
+/// does not count libtest's own threads, which come and go while a test
+/// holds the [`exclusive`] lock (the harness spawns the next test's thread
+/// whenever another finishes).
+fn engine_threads() -> usize {
+    std::fs::read_dir("/proc/self/task")
+        .expect("read /proc/self/task")
+        .filter_map(|t| std::fs::read_to_string(t.ok()?.path().join("comm")).ok())
+        .filter(|comm| comm.starts_with("vw-"))
+        .count()
+}
+
 /// Rows as a sorted multiset of debug-printed tuples (parallel execution
 /// reorders rows; answers compare as sets).
 fn row_set(r: &QueryResult) -> Vec<String> {
@@ -423,7 +436,7 @@ fn kill_dequeues_admission_queued_query() {
 #[test]
 fn drop_with_query_mid_flight_joins_pool_threads() {
     let _x = exclusive();
-    let before_open = live_threads();
+    let before_open = engine_threads();
     let cfg = EngineConfig::default().with_workers(2).with_parallelism(4);
     let db = Database::open_with(cfg, SimulatedDisk::instant());
     load_big_table(&db);
@@ -446,7 +459,7 @@ fn drop_with_query_mid_flight_joins_pool_threads() {
 
     drop(db);
     wait_until("pool and timer threads to join", Duration::from_secs(5), || {
-        live_threads() <= before_open
+        engine_threads() <= before_open
     });
 }
 

@@ -410,84 +410,220 @@ mod differential {
 }
 
 // ---------------------------------------------------------------------------
-// Differential tests for the radix-partitioned parallel hash build: the
-// same randomized joins and aggregations run through the partitioned
-// operators at DOP ∈ {1, 2, 8} and are pitted against the serial
-// vectorized engine and the tuple-at-a-time volcano engine. NULL-bearing
-// multi-column keys exercise the general (SelVec-iterative) probe path
-// through the shard rebasing logic.
+// The hash-build mode matrix. Hash join and hash aggregation each run one
+// partitioned-build state machine (`vw_exec::partition`); what differs
+// between deployments is its configuration — one slot, P slots fanned out
+// on the worker pool (above, across and below the cost gate), or P slots
+// under a memory budget (ample: what every statement under admission
+// control runs; tight: eviction, spill files, recursion). One table-driven
+// differential per operator runs every configuration × every join type /
+// aggregate × {NULL-bearing key, multi-column key, dict-coded key} against
+// the tuple-at-a-time volcano engine.
 // ---------------------------------------------------------------------------
 
-mod partitioned_differential {
+mod build_mode_matrix {
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
-    use vectorwise::common::{Field, Schema, TypeId, Value};
+    use std::collections::HashMap;
+    use std::sync::atomic::Ordering;
+    use std::sync::Arc;
+    use vectorwise::common::{ColData, Field, Schema, TypeId, Value, VwError};
     use vectorwise::exec::cancel::CancelToken;
     use vectorwise::exec::expr::{ExprCtx, PhysExpr};
     use vectorwise::exec::op::{
-        drain, AggFunc, AggSpec, HashAggregate, HashJoin, JoinType, Operator, Values,
+        AggFunc, AggSpec, BoxedOp, HashAggregate, HashJoin, JoinType, Operator,
     };
+    use vectorwise::exec::partition::{MemBudget, SpillConfig, SpillMetrics, WorkerPool};
     use vectorwise::exec::program::ExprProgram;
+    use vectorwise::exec::{Batch, Vector};
+    use vectorwise::storage::SimulatedDisk;
     use vectorwise::volcano::{
         collect_rows, TupleAgg, TupleAggregate, TupleHashJoin, TupleJoinKind, TupleValues,
     };
 
-    fn prog(e: &PhysExpr) -> ExprProgram {
-        ExprProgram::compile(e, &ExprCtx::default())
+    /// One configuration of the build state machine.
+    #[derive(Debug, Clone, Copy)]
+    enum Mode {
+        /// P = 1.
+        Serial,
+        /// P slots, fanned out on a 2-worker pool once `gate` rows arrived.
+        Pooled { shards: usize, gate: usize },
+        /// 4 slots under a memory budget of `budget` bytes.
+        Governed { budget: usize },
     }
 
-    fn kv_schema() -> Schema {
-        Schema::new(vec![Field::nullable("k", TypeId::I64), Field::nullable("v", TypeId::Str)])
-            .unwrap()
+    const AMPLE: usize = 1 << 30;
+    const TIGHT: usize = 256;
+    /// A cost gate no test input reaches.
+    const NEVER: usize = 1 << 20;
+
+    const MODES: [Mode; 9] = [
+        Mode::Serial,
+        Mode::Pooled { shards: 2, gate: 0 },
+        Mode::Pooled { shards: 4, gate: 0 },
+        Mode::Pooled { shards: 8, gate: 0 },
+        // Crossed mid-stream: an aggregate's slots move to the pool with
+        // groups already in them.
+        Mode::Pooled { shards: 4, gate: 100 },
+        Mode::Pooled { shards: 4, gate: NEVER },
+        Mode::Governed { budget: AMPLE },
+        Mode::Governed { budget: TIGHT },
+        Mode::Governed { budget: 1 },
+    ];
+
+    /// Which columns of [`schema`] form the key.
+    #[derive(Debug, Clone, Copy)]
+    enum Keys {
+        /// `k1`: BIGINT, ~12% NULL.
+        Single,
+        /// `(k1, k2)`: NULLs in either component.
+        Multi,
+        /// `s`: a string column that arrives dictionary-coded.
+        Dict,
     }
 
-    fn kkv_schema() -> Schema {
+    impl Keys {
+        fn programs(self) -> Vec<ExprProgram> {
+            let col = |i, ty| ExprProgram::compile(&PhysExpr::ColRef(i, ty), &ExprCtx::default());
+            match self {
+                Keys::Single => vec![col(0, TypeId::I64)],
+                Keys::Multi => vec![col(0, TypeId::I64), col(1, TypeId::I64)],
+                Keys::Dict => vec![col(3, TypeId::Str)],
+            }
+        }
+
+        /// The single column the volcano join keys on: `kc` stands in for
+        /// `(k1, k2)` — it is NULL exactly when either component is.
+        fn volcano_join_col(self) -> usize {
+            match self {
+                Keys::Single => 0,
+                Keys::Multi => 2,
+                Keys::Dict => 3,
+            }
+        }
+
+        fn group_cols(self) -> Vec<usize> {
+            match self {
+                Keys::Single => vec![0],
+                Keys::Multi => vec![0, 1],
+                Keys::Dict => vec![3],
+            }
+        }
+    }
+
+    const DOMAIN: [&str; 7] = ["ash", "bay", "cedar", "elm", "fir", "gum", "hazel"];
+
+    fn schema() -> Schema {
         Schema::new(vec![
             Field::nullable("k1", TypeId::I64),
             Field::nullable("k2", TypeId::I64),
+            Field::nullable("kc", TypeId::I64),
+            Field::nullable("s", TypeId::Str),
             Field::nullable("v", TypeId::I64),
+            Field::nullable("tag", TypeId::Str),
         ])
         .unwrap()
     }
 
-    /// Random single-column-key rows: small key domain (forced
-    /// collisions), ~12% NULL keys.
-    fn random_kv(rng: &mut SmallRng, n: usize, tag: &str) -> Vec<Vec<Value>> {
+    /// Small key domains (forced collisions and duplicates), NULLs in every
+    /// key column and in the aggregated value, a unique tag per row.
+    fn random_rows(rng: &mut SmallRng, n: usize, tag: &str) -> Vec<Vec<Value>> {
         (0..n)
             .map(|i| {
-                let k = if rng.gen_range(0..100) < 12 {
+                let mut int = |domain: i64, null_pct: u32| {
+                    if rng.gen_range(0..100) < null_pct {
+                        Value::Null
+                    } else {
+                        Value::I64(rng.gen_range(0..domain))
+                    }
+                };
+                let (k1, k2, v) = (int(16, 12), int(5, 10), int(100, 15));
+                let kc = match (&k1, &k2) {
+                    (Value::I64(a), Value::I64(b)) => Value::I64(a * 100 + b),
+                    _ => Value::Null,
+                };
+                let s = if rng.gen_range(0..100) < 12 {
                     Value::Null
                 } else {
-                    Value::I64(rng.gen_range(0..16i64))
+                    Value::Str(DOMAIN[rng.gen_range(0..DOMAIN.len())].to_string())
                 };
-                vec![k, Value::Str(format!("{tag}{i}"))]
+                vec![k1, k2, kc, s, v, Value::Str(format!("{tag}{i}"))]
             })
             .collect()
     }
 
-    /// Random multi-column-key rows with NULLs in both key columns and
-    /// the aggregated value.
-    fn random_kkv(rng: &mut SmallRng, n: usize) -> Vec<Vec<Value>> {
-        (0..n)
-            .map(|_| {
-                let k1 = if rng.gen_range(0..100) < 10 {
-                    Value::Null
-                } else {
-                    Value::I64(rng.gen_range(0..8i64))
-                };
-                let k2 = if rng.gen_range(0..100) < 10 {
-                    Value::Null
-                } else {
-                    Value::I64(rng.gen_range(0..5i64))
-                };
-                let v = if rng.gen_range(0..100) < 15 {
-                    Value::Null
-                } else {
-                    Value::I64(rng.gen_range(-50..50i64))
-                };
-                vec![k1, k2, v]
+    /// Serves rows as batches of `chunk`, with column `s` dictionary-coded
+    /// the way the pack reader hands it to a scan; `fail_after` batches it
+    /// returns an error instead (the mid-stream failure of the leak rows).
+    struct Source {
+        schema: Schema,
+        batches: Vec<Batch>,
+        pos: usize,
+        fail_after: usize,
+    }
+
+    fn source(rows: &[Vec<Value>], chunk: usize, fail_after: usize) -> BoxedOp {
+        let schema = schema();
+        let batches = rows
+            .chunks(chunk)
+            .map(|ch| {
+                let mut dict: Vec<String> = Vec::new();
+                let mut index: HashMap<String, u32> = HashMap::new();
+                let (mut codes, mut nulls) = (Vec::new(), Vec::new());
+                for r in ch {
+                    nulls.push(r[3].is_null());
+                    codes.push(match &r[3] {
+                        Value::Str(s) => *index.entry(s.clone()).or_insert_with(|| {
+                            dict.push(s.clone());
+                            (dict.len() - 1) as u32
+                        }),
+                        _ => 0,
+                    });
+                }
+                if dict.is_empty() {
+                    dict.push(String::new()); // code 0 must index something
+                }
+                let columns = schema
+                    .fields
+                    .iter()
+                    .enumerate()
+                    .map(|(c, f)| {
+                        if c == 3 {
+                            let v = Vector::from_dict(
+                                codes.clone(),
+                                Arc::new(dict.clone()),
+                                Some(nulls.clone()),
+                            );
+                            assert!(v.is_encoded());
+                            return v;
+                        }
+                        let mut v = Vector::new(ColData::new(f.ty));
+                        for r in ch {
+                            v.push(&r[c]).unwrap();
+                        }
+                        v
+                    })
+                    .collect();
+                Batch::new(columns)
             })
-            .collect()
+            .collect();
+        Box::new(Source { schema, batches, pos: 0, fail_after })
+    }
+
+    impl Operator for Source {
+        fn schema(&self) -> &Schema {
+            &self.schema
+        }
+        fn name(&self) -> &'static str {
+            "Source"
+        }
+        fn next(&mut self) -> vectorwise::common::Result<Option<Batch>> {
+            if self.pos >= self.fail_after {
+                return Err(VwError::Exec("source failed mid-stream".into()));
+            }
+            self.pos += 1;
+            Ok(self.batches.get(self.pos - 1).cloned())
+        }
     }
 
     fn sort_rows(mut rows: Vec<Vec<Value>>) -> Vec<Vec<Value>> {
@@ -495,41 +631,80 @@ mod partitioned_differential {
         rows
     }
 
-    /// Join at a given shard count (0 = serial build). `min_rows = 0`
-    /// engages the partitioned build from the first batch.
-    fn join_at(
-        left: Vec<Vec<Value>>,
-        right: Vec<Vec<Value>>,
+    /// What a governed run leaves to inspect.
+    struct Governor {
+        budget: Arc<MemBudget>,
+        disk: Arc<SimulatedDisk>,
+        metrics: Arc<SpillMetrics>,
+    }
+
+    fn spill_config(budget: usize) -> (SpillConfig, Governor) {
+        let (budget, disk) = (MemBudget::new(budget), SimulatedDisk::instant());
+        let cfg = SpillConfig::new(budget.clone(), disk.clone(), 4);
+        let metrics = cfg.metrics.clone();
+        (cfg, Governor { budget, disk, metrics })
+    }
+
+    /// Drain `op` to the end (or to its first error), returning the rows.
+    fn run(op: &mut dyn Operator) -> Result<Vec<Vec<Value>>, VwError> {
+        let mut rows = Vec::new();
+        while let Some(b) = op.next()? {
+            rows.extend((0..b.rows()).map(|i| b.row_values(i)));
+        }
+        Ok(rows)
+    }
+
+    /// The governed rows of both matrices: no spill traffic at all under
+    /// an ample budget, real traffic under a tight one, and nothing left
+    /// charged or on disk once the operator is gone.
+    fn check_governor(g: &Governor, budget: usize, drained: bool, what: &str) {
+        let (parts, written, read) = (
+            g.metrics.partitions.load(Ordering::Relaxed),
+            g.metrics.bytes_written.load(Ordering::Relaxed),
+            g.metrics.bytes_read.load(Ordering::Relaxed),
+        );
+        if budget == AMPLE {
+            assert_eq!((parts, written, read), (0, 0, 0), "{what}: ample budget spilled");
+        } else if drained {
+            assert!(parts > 4, "{what}: every slot evicts, then deeper strata ({parts})");
+            assert!(written > 0 && read > 0, "{what}: spilled state was rehydrated");
+        }
+        assert_eq!(g.budget.used(), 0, "{what}: budget still charged");
+        assert_eq!(g.disk.used_bytes(), 0, "{what}: spill blocks not reclaimed");
+    }
+
+    fn join_in(
+        mode: Mode,
+        pool: &Arc<WorkerPool>,
+        probe: BoxedOp,
+        build: BoxedOp,
+        keys: Keys,
         jt: JoinType,
-        shards: usize,
-        vector_size: usize,
-    ) -> Vec<Vec<Value>> {
-        let schema = kv_schema();
-        let out_schema = if jt.emits_right() { schema.join(&schema) } else { schema.clone() };
-        let l = Box::new(Values::new(schema.clone(), left, vector_size, CancelToken::new()));
-        let r = Box::new(Values::new(schema, right, vector_size, CancelToken::new()));
-        let mut j = HashJoin::new(
-            l,
-            r,
-            vec![prog(&PhysExpr::ColRef(0, TypeId::I64))],
-            vec![prog(&PhysExpr::ColRef(0, TypeId::I64))],
+    ) -> (HashJoin, Option<Governor>) {
+        let out = if jt.emits_right() { schema().join(&schema()) } else { schema() };
+        let j = HashJoin::new(
+            probe,
+            build,
+            keys.programs(),
+            keys.programs(),
             jt,
-            out_schema,
+            out,
             CancelToken::new(),
         );
-        if shards > 0 {
-            j = j.with_parallel_build(shards, 0);
+        match mode {
+            Mode::Serial => (j, None),
+            Mode::Pooled { shards, gate } => {
+                (j.with_parallel_build(pool.clone(), shards, gate), None)
+            }
+            Mode::Governed { budget } => {
+                let (cfg, g) = spill_config(budget);
+                (j.with_spill(cfg), Some(g))
+            }
         }
-        let out = drain(&mut j).unwrap();
-        if shards > 1 {
-            let p = Operator::profile(&j).unwrap();
-            assert_eq!(p.shards(), shards, "partitioned build must engage");
-        }
-        (0..out.rows()).map(|i| out.row_values(i)).collect()
     }
 
     #[test]
-    fn partitioned_joins_agree_with_serial_and_volcano_at_every_dop() {
+    fn hash_join_agrees_with_volcano_in_every_build_mode() {
         let cases = [
             (JoinType::Inner, TupleJoinKind::Inner),
             (JoinType::LeftOuter, TupleJoinKind::LeftOuter),
@@ -537,112 +712,206 @@ mod partitioned_differential {
             (JoinType::LeftAnti, TupleJoinKind::LeftAnti),
             (JoinType::NullAwareLeftAnti, TupleJoinKind::NullAwareLeftAnti),
         ];
-        for seed in 0..3u64 {
-            let mut rng = SmallRng::seed_from_u64(0x9a9_d10 + seed);
-            let left = random_kv(&mut rng, 223, "l");
-            let right = random_kv(&mut rng, 157, "r");
+        let pool = WorkerPool::new(2);
+        let mut rng = SmallRng::seed_from_u64(0x9a9_d10);
+        let left = random_rows(&mut rng, 223, "l");
+        let right = random_rows(&mut rng, 157, "r");
+        // NOT IN against a NULL-bearing build side is empty by definition;
+        // a NULL-free build keeps the NULL-aware anti rows meaningful.
+        let right_nonnull = |keys: Keys| -> Vec<Vec<Value>> {
+            right.iter().filter(|r| !r[keys.volcano_join_col()].is_null()).cloned().collect()
+        };
+        for keys in [Keys::Single, Keys::Multi, Keys::Dict] {
             for (jt, kind) in cases {
-                let serial = sort_rows(join_at(left.clone(), right.clone(), jt, 0, 64));
-                let volcano = {
-                    let l = Box::new(TupleValues::new(kv_schema(), left.clone()));
-                    let r = Box::new(TupleValues::new(kv_schema(), right.clone()));
-                    let mut j = TupleHashJoin::with_kind(l, r, 0, 0, kind);
-                    sort_rows(collect_rows(&mut j).unwrap())
-                };
-                assert_eq!(serial, volcano, "serial diverged from volcano for {jt:?}");
-                for dop in [1usize, 2, 8] {
-                    for vector_size in [16usize, 64] {
-                        let part =
-                            sort_rows(join_at(left.clone(), right.clone(), jt, dop, vector_size));
-                        assert_eq!(
-                            part, serial,
-                            "partitioned {jt:?} diverged (seed {seed}, dop {dop}, vs {vector_size})"
+                for build_nulls in [true, false] {
+                    let right = if build_nulls { right.clone() } else { right_nonnull(keys) };
+                    let kc = keys.volcano_join_col();
+                    let build_keys = right.iter().filter(|r| !r[kc].is_null()).count() as u64;
+                    let expect = {
+                        let l = Box::new(TupleValues::new(schema(), left.clone()));
+                        let r = Box::new(TupleValues::new(schema(), right.clone()));
+                        let mut j = TupleHashJoin::with_kind(l, r, kc, kc, kind);
+                        sort_rows(collect_rows(&mut j).unwrap())
+                    };
+                    for mode in MODES {
+                        let what =
+                            format!("{jt:?} on {keys:?}, build NULLs {build_nulls}, {mode:?}");
+                        let (mut j, gov) = join_in(
+                            mode,
+                            &pool,
+                            source(&left, 64, usize::MAX),
+                            source(&right, 16, usize::MAX),
+                            keys,
+                            jt,
                         );
+                        assert_eq!(sort_rows(run(&mut j).unwrap()), expect, "{what}");
+                        let p = Operator::profile(&j).unwrap().clone();
+                        match mode {
+                            // One table: one shard, nothing to skew.
+                            Mode::Serial | Mode::Pooled { gate: NEVER, .. } => {
+                                assert_eq!(p.shard_build_rows, vec![build_keys], "{what}")
+                            }
+                            Mode::Pooled { shards, gate } if build_keys as usize >= gate => {
+                                assert_eq!(p.shards(), shards, "{what}");
+                                assert_eq!(p.shard_build_rows.iter().sum::<u64>(), build_keys);
+                            }
+                            Mode::Governed { budget: AMPLE } => {
+                                assert_eq!(p.shards(), 4, "{what}");
+                                assert_eq!(p.shard_build_rows.iter().sum::<u64>(), build_keys);
+                                assert_eq!(p.spill_partitions, 0, "{what}");
+                            }
+                            _ => {}
+                        }
+                        if let (Mode::Governed { budget }, Some(g)) = (mode, &gov) {
+                            // A NULL-aware anti join with a NULL build key
+                            // never probes, so nothing is ever rehydrated.
+                            let probes = !(jt == JoinType::NullAwareLeftAnti && build_nulls);
+                            if budget != AMPLE && probes {
+                                assert!(
+                                    p.spill_partitions > 0 && p.spill_bytes_written > 0,
+                                    "{what}"
+                                );
+                            }
+                            drop(j);
+                            check_governor(g, budget, probes, &what);
+                            // The same join abandoned mid-probe: the build
+                            // is charged (or on disk) when the probe side
+                            // fails, and all of it comes back on drop.
+                            let (mut j, gov) = join_in(
+                                mode,
+                                &pool,
+                                source(&left, 64, 2),
+                                source(&right, 16, usize::MAX),
+                                keys,
+                                jt,
+                            );
+                            assert!(run(&mut j).is_err(), "{what}: failure must surface");
+                            let g = gov.unwrap();
+                            if budget == AMPLE && build_keys > 0 {
+                                assert!(g.budget.used() > 0, "{what}: probe runs charged");
+                            }
+                            drop(j);
+                            check_governor(&g, budget, false, &what);
+                        }
                     }
                 }
             }
         }
+        pool.shutdown();
     }
 
-    /// Aggregate the kkv rows at a given shard count (0 = serial build).
-    fn agg_at(rows: Vec<Vec<Value>>, shards: usize, vector_size: usize) -> Vec<Vec<Value>> {
-        let col_v = || Some(prog(&PhysExpr::ColRef(2, TypeId::I64)));
-        let out_fields = vec![
-            Field::nullable("k1", TypeId::I64),
-            Field::nullable("k2", TypeId::I64),
+    fn agg_in(
+        mode: Mode,
+        pool: &Arc<WorkerPool>,
+        input: BoxedOp,
+        keys: Keys,
+    ) -> (HashAggregate, Option<Governor>) {
+        let v =
+            || Some(ExprProgram::compile(&PhysExpr::ColRef(4, TypeId::I64), &ExprCtx::default()));
+        let spec = |func, out_ty| AggSpec { func, input: v(), out_ty };
+        let mut fields: Vec<Field> =
+            keys.group_cols().iter().map(|&c| schema().fields[c].clone()).collect();
+        fields.extend([
             Field::not_null("cnt", TypeId::I64),
+            Field::not_null("cntv", TypeId::I64),
             Field::nullable("sum", TypeId::I64),
             Field::nullable("min", TypeId::I64),
             Field::nullable("max", TypeId::I64),
             Field::nullable("avg", TypeId::F64),
-        ];
-        let mut agg = HashAggregate::new(
-            Box::new(Values::new(kkv_schema(), rows, vector_size, CancelToken::new())),
-            vec![prog(&PhysExpr::ColRef(0, TypeId::I64)), prog(&PhysExpr::ColRef(1, TypeId::I64))],
+        ]);
+        let agg = HashAggregate::new(
+            input,
+            keys.programs(),
             vec![
                 AggSpec { func: AggFunc::CountStar, input: None, out_ty: TypeId::I64 },
-                AggSpec { func: AggFunc::Sum, input: col_v(), out_ty: TypeId::I64 },
-                AggSpec { func: AggFunc::Min, input: col_v(), out_ty: TypeId::I64 },
-                AggSpec { func: AggFunc::Max, input: col_v(), out_ty: TypeId::I64 },
-                AggSpec { func: AggFunc::Avg, input: col_v(), out_ty: TypeId::F64 },
+                spec(AggFunc::Count, TypeId::I64),
+                spec(AggFunc::Sum, TypeId::I64),
+                spec(AggFunc::Min, TypeId::I64),
+                spec(AggFunc::Max, TypeId::I64),
+                spec(AggFunc::Avg, TypeId::F64),
             ],
-            Schema::unchecked(out_fields),
+            Schema::unchecked(fields),
             64,
             CancelToken::new(),
         )
         .unwrap();
-        if shards > 0 {
-            agg = agg.with_parallel_build(shards, 0);
+        match mode {
+            Mode::Serial => (agg, None),
+            Mode::Pooled { shards, gate } => {
+                (agg.with_parallel_build(pool.clone(), shards, gate), None)
+            }
+            Mode::Governed { budget } => {
+                let (cfg, g) = spill_config(budget);
+                (agg.with_spill(cfg), Some(g))
+            }
         }
-        let out = drain(&mut agg).unwrap();
-        if shards > 1 {
-            let p = Operator::profile(&agg).unwrap();
-            assert_eq!(p.shards(), shards, "partitioned build must engage");
-        }
-        (0..out.rows()).map(|i| out.row_values(i)).collect()
     }
 
     #[test]
-    fn partitioned_multi_column_group_by_agrees_three_ways() {
-        for seed in 0..3u64 {
-            let mut rng = SmallRng::seed_from_u64(0x5ca1e + seed);
-            let rows = random_kkv(&mut rng, 409);
-
-            let serial = sort_rows(agg_at(rows.clone(), 0, 32));
-            let volcano = {
+    fn hash_aggregate_agrees_with_volcano_in_every_build_mode() {
+        let pool = WorkerPool::new(2);
+        let mut rng = SmallRng::seed_from_u64(0x5ca1e);
+        let rows = random_rows(&mut rng, 409, "r");
+        for keys in [Keys::Single, Keys::Multi, Keys::Dict] {
+            let expect = {
+                let group = keys.group_cols();
+                let mut fields: Vec<Field> =
+                    group.iter().map(|&c| schema().fields[c].clone()).collect();
+                fields.extend((0..6).map(|i| Field::nullable(format!("a{i}"), TypeId::I64)));
                 let mut vol = TupleAggregate::new(
-                    Box::new(TupleValues::new(kkv_schema(), rows.clone())),
-                    vec![0, 1],
+                    Box::new(TupleValues::new(schema(), rows.clone())),
+                    group,
                     vec![
                         TupleAgg::CountStar,
-                        TupleAgg::Sum(2),
-                        TupleAgg::Min(2),
-                        TupleAgg::Max(2),
-                        TupleAgg::Avg(2),
+                        TupleAgg::Count(4),
+                        TupleAgg::Sum(4),
+                        TupleAgg::Min(4),
+                        TupleAgg::Max(4),
+                        TupleAgg::Avg(4),
                     ],
-                    Schema::unchecked(vec![
-                        Field::nullable("k1", TypeId::I64),
-                        Field::nullable("k2", TypeId::I64),
-                        Field::not_null("cnt", TypeId::I64),
-                        Field::nullable("sum", TypeId::I64),
-                        Field::nullable("min", TypeId::I64),
-                        Field::nullable("max", TypeId::I64),
-                        Field::nullable("avg", TypeId::F64),
-                    ]),
+                    Schema::unchecked(fields),
                 );
                 sort_rows(collect_rows(&mut vol).unwrap())
             };
-            assert_eq!(serial, volcano, "serial diverged from volcano (seed {seed})");
-            for dop in [1usize, 2, 8] {
-                for vector_size in [16usize, 64] {
-                    let part = sort_rows(agg_at(rows.clone(), dop, vector_size));
-                    assert_eq!(
-                        part, serial,
-                        "partitioned GROUP BY diverged (seed {seed}, dop {dop}, vs {vector_size})"
-                    );
+            for mode in MODES {
+                for chunk in [16usize, 64] {
+                    let what = format!("GROUP BY {keys:?}, {mode:?}, chunk {chunk}");
+                    let (mut agg, gov) =
+                        agg_in(mode, &pool, source(&rows, chunk, usize::MAX), keys);
+                    assert_eq!(sort_rows(run(&mut agg).unwrap()), expect, "{what}");
+                    let p = Operator::profile(&agg).unwrap().clone();
+                    let shards = match mode {
+                        Mode::Serial => 1,
+                        Mode::Pooled { shards, .. } => shards,
+                        Mode::Governed { .. } => 4,
+                    };
+                    // (Evicted partitions report through `spill`, not `shards`.)
+                    if !matches!(mode, Mode::Governed { budget: TIGHT | 1 }) {
+                        assert_eq!(p.shards(), shards, "{what}");
+                        let groups = p.shard_build_rows.iter().sum::<u64>();
+                        assert_eq!(groups, expect.len() as u64, "{what}: groups per shard");
+                        assert_eq!(p.probe_rows, rows.len() as u64, "{what}: every row probed");
+                        assert_eq!(p.shard_probe_rows.iter().sum::<u64>(), p.probe_rows);
+                        assert_eq!(p.spill_partitions, 0, "{what}");
+                    }
+                    if let (Mode::Governed { budget }, Some(g)) = (mode, &gov) {
+                        if budget != AMPLE {
+                            assert!(p.spill_partitions > 0 && p.spill_bytes_written > 0, "{what}");
+                            assert!(p.spill_bytes_read > 0, "{what}: states rehydrated");
+                        }
+                        drop(agg);
+                        check_governor(g, budget, true, &what);
+                        // The same build abandoned mid-stream: the input
+                        // fails with groups charged (or spilled).
+                        let (mut agg, gov) = agg_in(mode, &pool, source(&rows, chunk, 3), keys);
+                        assert!(run(&mut agg).is_err(), "{what}: failure must surface");
+                        drop(agg);
+                        check_governor(&gov.unwrap(), budget, false, &what);
+                    }
                 }
             }
         }
+        pool.shutdown();
     }
 
     /// End-to-end: the same SQL through the full engine at DOP 1 vs 4 —
