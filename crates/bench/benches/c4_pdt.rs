@@ -20,6 +20,20 @@ fn bench(c: &mut Criterion) {
             store.commit(t).unwrap()
         })
     });
+    // The same table, 1000 scattered rows updated as one sorted batch: one
+    // descent that shares the upper levels of the tree, against the
+    // root-to-leaf copy per row above.
+    let mut rids: Vec<u64> = (0..1000u64).map(|i| (i * 7919) % 100_000).collect();
+    rids.sort_unstable();
+    let values = vec![vec![Value::I64(1)]; rids.len()];
+    g.bench_function("apply_1k_updates_batch_on_100k", |b| {
+        b.iter(|| {
+            let store = PdtStore::new(100_000);
+            let mut t = store.begin();
+            t.update_batch(&rids, &[0], &values).unwrap();
+            store.commit(t).unwrap()
+        })
+    });
     let store = PdtStore::new(100_000);
     let mut t = store.begin();
     for i in 0..5000u64 {

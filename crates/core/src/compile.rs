@@ -17,12 +17,12 @@
 //! through its operators, so steady-state operator outputs recycle instead
 //! of allocating.
 
-use crate::catalog::TableKind;
+use crate::catalog::{TableEntry, TableKind};
 use crate::dml::OpenTxn;
 use crate::Database;
 use parking_lot::Mutex;
 use std::sync::Arc;
-use vw_common::{EngineConfig, Result, Value, VwError};
+use vw_common::{EngineConfig, Field, Result, Schema, TypeId, Value, VwError};
 use vw_exec::expr::{ExprCtx, PhysExpr};
 use vw_exec::morsel::{BatchPool, MorselSource};
 use vw_exec::op::{
@@ -33,8 +33,10 @@ use vw_exec::partition::{MemBudget, SpillConfig};
 use vw_exec::program::{ExprProgram, SelectProgram};
 use vw_exec::CancelToken;
 use vw_pdt::store::items;
-use vw_sql::plan::{JoinKind, LogicalPlan, SetOpKind};
+use vw_pdt::MergeItem;
+use vw_sql::plan::{JoinKind, LogicalPlan, ScanHint, SetOpKind};
 use vw_sql::SqlExpr;
+use vw_storage::TableStorage;
 
 /// Lower a bound+rewritten expression to a kernel expression.
 pub fn lower_expr(e: &SqlExpr) -> Result<PhysExpr> {
@@ -225,84 +227,16 @@ fn build_plan_node(
     let vs = config.vector_size;
     Ok(match plan {
         LogicalPlan::Scan { table, projection, schema, hints } => {
-            let cat = db.catalog.read();
-            let entry = cat
+            let entry = db
+                .catalog
+                .read()
                 .get(table)
                 .ok_or_else(|| VwError::Catalog(format!("unknown table '{table}'")))?;
             match &entry.kind {
-                TableKind::Vectorwise { storage, pdt } => {
-                    let storage = storage.read();
-                    // The visible image: open-transaction private image, or
-                    // the committed snapshot.
-                    let image_items = match txn.and_then(|t| t.image_of(table)) {
-                        Some(root) => items(&root),
-                        None => {
-                            let (root, _, _) = pdt.snapshot();
-                            items(&root)
-                        }
-                    };
-                    // MinMax pruning only applies when the whole image is
-                    // one untouched stable run (hints address stable packs).
-                    let image_items = if !hints.is_empty()
-                        && image_items.len() == 1
-                        && matches!(image_items[0], vw_pdt::MergeItem::Stable { sid: 0, .. })
-                    {
-                        let mut ranges = storage.all_ranges();
-                        for h in hints {
-                            let keep = storage.prune(h.col, h.lo.as_ref(), h.hi.as_ref());
-                            let keep_set: std::collections::HashSet<usize> =
-                                keep.iter().map(|r| r.pack).collect();
-                            ranges.retain(|r| keep_set.contains(&r.pack));
-                        }
-                        VectorScan::items_from_ranges(&ranges)
-                    } else {
-                        image_items
-                    };
-                    // Run-time work claims instead of plan-time ranges: a
-                    // partitioned scan attaches to the Exchange's shared
-                    // dispenser (created on first visit); a serial scan
-                    // owns a private single-consumer one. Either way the
-                    // scan pulls `morsel_rows`-sized claims until dry.
-                    let (source, consumer) = match partition {
-                        Some(p) => {
-                            let idx = p.seq;
-                            p.seq += 1;
-                            let dop = p.dop;
-                            let src = p.shared.get_or_create(idx, || {
-                                MorselSource::new(image_items, config.morsel_rows, dop)
-                            });
-                            (src, p.worker)
-                        }
-                        None => (MorselSource::new(image_items, config.morsel_rows, 1), 0),
-                    };
-                    // Snapshot the storage handle for the operator.
-                    drop(storage);
-                    let storage_arc = match &entry.kind {
-                        TableKind::Vectorwise { storage, .. } => storage.clone(),
-                        _ => unreachable!(),
-                    };
-                    // The scan holds a read-only clone of the storage. The
-                    // stable files are immutable between checkpoints, so a
-                    // cheap Arc over a cloned TableStorage view would be
-                    // ideal; TableStorage is not Clone (block ids are), so
-                    // we wrap the lock read in an adapter via Arc::new on a
-                    // snapshot of pack metadata. For simplicity the scan
-                    // takes an Arc built from the locked value's metadata.
-                    let snapshot = Arc::new(storage_snapshot(&storage_arc.read()));
-                    Box::new(
-                        VectorScan::with_source(
-                            snapshot,
-                            db.pool.clone(),
-                            projection.clone(),
-                            source,
-                            consumer,
-                            vs,
-                            cancel.clone(),
-                        )
-                        .with_batch_pool(batch_pool.clone())
-                        .with_compressed_exec(config.compressed_exec),
-                    )
-                }
+                TableKind::Vectorwise { .. } => Box::new(lower_scan(
+                    db, &entry, table, projection, hints, config, cancel, txn, partition,
+                    batch_pool,
+                )),
                 TableKind::Heap { store } => {
                     // Classic-side table: materialize pages into rows (the
                     // adapter path; the dedicated Volcano engine is used for
@@ -624,13 +558,201 @@ fn build_plan_node(
     })
 }
 
-/// Snapshot a `TableStorage` into an owned value the scan can hold across
+/// Lower a scan of VECTORWISE table `entry` onto a [`VectorScan`] — the
+/// one scan lowering, shared by SELECT plans and the DML victim search.
+///
+/// The image is the open transaction's private one when `txn` touched the
+/// table, else the committed snapshot. With `hints`, rows the zone maps
+/// rule out are clipped from it ([`clip_image`]). Work is claimed at run
+/// time: a partitioned scan attaches to the Exchange's shared dispenser
+/// (created on first visit); a serial scan owns a private single-consumer
+/// one. Either way the scan pulls `morsel_rows`-sized claims until dry.
+#[allow(clippy::too_many_arguments)]
+fn lower_scan(
+    db: &Arc<Database>,
+    entry: &TableEntry,
+    table: &str,
+    projection: &[usize],
+    hints: &[ScanHint],
+    config: &EngineConfig,
+    cancel: &CancelToken,
+    txn: Option<&OpenTxn>,
+    partition: Option<&mut Partition<'_>>,
+    batch_pool: &BatchPool,
+) -> VectorScan {
+    let TableKind::Vectorwise { storage, pdt } = &entry.kind else {
+        unreachable!("caller matched a VECTORWISE table")
+    };
+    // Both under the storage lock: CHECKPOINT swaps the stable table
+    // before it resets the PDT, so it cannot slip between the two.
+    let (snapshot, root) = {
+        let st = storage.read();
+        let root = txn.and_then(|t| t.image_of(table)).unwrap_or_else(|| pdt.snapshot().0);
+        (Arc::new(storage_snapshot(&st)), root)
+    };
+    let make_source = |consumers: usize| {
+        let image = items(&root);
+        if hints.is_empty() {
+            MorselSource::new(image, config.morsel_rows, consumers)
+        } else {
+            let (image, rids) = clip_image(&snapshot, image, hints);
+            MorselSource::with_rids(image, rids, config.morsel_rows, consumers)
+        }
+    };
+    let (source, consumer) = match partition {
+        Some(p) => {
+            let idx = p.seq;
+            p.seq += 1;
+            (p.shared.get_or_create(idx, || make_source(p.dop)), p.worker)
+        }
+        None => (make_source(1), 0),
+    };
+    VectorScan::with_source(
+        snapshot,
+        db.pool.clone(),
+        projection.to_vec(),
+        source,
+        consumer,
+        config.vector_size,
+        cancel.clone(),
+    )
+    .with_batch_pool(batch_pool.clone())
+    .with_compressed_exec(config.compressed_exec)
+}
+
+/// Drop from `image` the rows the MinMax `hints` rule out, returning the
+/// surviving items and the position of each one's first row in the full
+/// image (the scan's RID bases).
+///
+/// Zone maps describe *stable* values, so only what still has them is
+/// clipped: a stable run is cut down to the packs every hint keeps, and a
+/// modified stable row goes only when a hint on a column it did **not**
+/// modify prunes its pack. Inserted rows always stay — their values are
+/// not what any zone map describes.
+fn clip_image(
+    storage: &TableStorage,
+    image: Vec<MergeItem>,
+    hints: &[ScanHint],
+) -> (Vec<MergeItem>, Vec<u64>) {
+    // Per hint, the packs it keeps.
+    let kept: Vec<Vec<bool>> = hints
+        .iter()
+        .map(|h| {
+            let mut keep = vec![false; storage.n_packs()];
+            for r in storage.prune(h.col, h.lo.as_ref(), h.hi.as_ref()) {
+                keep[r.pack] = true;
+            }
+            keep
+        })
+        .collect();
+    // A sid beyond stable storage (CHECKPOINT swapped it under an old
+    // image) is never clipped: the scan reports it.
+    let kept_by_all = |pack: usize| kept.iter().all(|k| k[pack]);
+    let mut out: Vec<MergeItem> = Vec::new();
+    let mut rids: Vec<u64> = Vec::new();
+    let mut rid = 0u64;
+    for item in image {
+        match item {
+            MergeItem::Stable { sid, len } => {
+                let end = sid + len;
+                let mut s = sid;
+                while s < end {
+                    let (e, keep) = match storage.pack_of_row(s) {
+                        Some(pack) => {
+                            let meta = storage.pack_meta(pack);
+                            (end.min(meta.row_start + meta.n_rows as u64), kept_by_all(pack))
+                        }
+                        None => (end, true),
+                    };
+                    if keep {
+                        let at = rid + (s - sid);
+                        // Extend the previous run across a pack seam.
+                        match (out.last_mut(), rids.last()) {
+                            (Some(MergeItem::Stable { sid: s0, len: l0 }), Some(&r0))
+                                if *s0 + *l0 == s && r0 + *l0 == at =>
+                            {
+                                *l0 += e - s
+                            }
+                            _ => {
+                                out.push(MergeItem::Stable { sid: s, len: e - s });
+                                rids.push(at);
+                            }
+                        }
+                    }
+                    s = e;
+                }
+                rid += len;
+            }
+            MergeItem::StableMod { sid, ref mods } => {
+                let ruled_out = storage.pack_of_row(sid).is_some_and(|pack| {
+                    hints
+                        .iter()
+                        .zip(&kept)
+                        .any(|(h, k)| !k[pack] && mods.iter().all(|(c, _)| *c != h.col))
+                });
+                if !ruled_out {
+                    out.push(item);
+                    rids.push(rid);
+                }
+                rid += 1;
+            }
+            MergeItem::Insert { .. } => {
+                out.push(item);
+                rids.push(rid);
+                rid += 1;
+            }
+        }
+    }
+    (out, rids)
+}
+
+/// The victim search of an UPDATE/DELETE on VECTORWISE table `entry`:
+/// `Project[outputs.., rid] ∘ Filter[predicate] ∘ Scan[projection, hints]`
+/// over the image `txn` sees. `predicate` and `outputs` address the scan's
+/// output columns; the last column of every batch is the row's position
+/// in the image.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn victim_scan(
+    db: &Arc<Database>,
+    entry: &TableEntry,
+    table: &str,
+    projection: &[usize],
+    hints: &[ScanHint],
+    predicate: Option<&SqlExpr>,
+    outputs: &[SqlExpr],
+    config: &EngineConfig,
+    txn: Option<&OpenTxn>,
+) -> Result<BoxedOp> {
+    let ctx = ExprCtx { check: config.check_mode, null_mode: config.null_mode };
+    let cancel = CancelToken::new();
+    let batch_pool = BatchPool::new();
+    let scan =
+        lower_scan(db, entry, table, projection, hints, config, &cancel, txn, None, &batch_pool)
+            .with_rids();
+    let mut fields = Vec::with_capacity(outputs.len() + 1);
+    let mut programs = Vec::with_capacity(outputs.len() + 1);
+    for (i, e) in outputs.iter().enumerate() {
+        fields.push(Field::nullable(format!("set{i}"), e.type_id()));
+        programs.push(ExprProgram::compile(&lower_expr(e)?, &ctx));
+    }
+    fields.push(Field::not_null("rid", TypeId::I64));
+    programs.push(ExprProgram::compile(&PhysExpr::ColRef(projection.len(), TypeId::I64), &ctx));
+    let mut op: BoxedOp = Box::new(scan);
+    if let Some(p) = predicate {
+        let program = SelectProgram::compile(&lower_expr(p)?, &ctx);
+        op = Box::new(Select::new(op, program, cancel.clone()).with_batch_pool(batch_pool.clone()));
+    }
+    Ok(Box::new(
+        Project::new(op, programs, Schema::unchecked(fields), cancel).with_batch_pool(batch_pool),
+    ))
+}
+
+/// Snapshot a `TableStorage` into an owned value a scan can hold across
 /// the lock (pack metadata is copied; block payloads stay on the shared
 /// disk). Stable storage only changes at CHECKPOINT, which swaps the whole
 /// object, so a metadata copy is a consistent snapshot.
-fn storage_snapshot(src: &vw_storage::TableStorage) -> vw_storage::TableStorage {
-    let mut snap =
-        vw_storage::TableStorage::new(src.disk().clone(), src.schema().clone(), src.layout());
+pub(crate) fn storage_snapshot(src: &TableStorage) -> TableStorage {
+    let mut snap = TableStorage::new(src.disk().clone(), src.schema().clone(), src.layout());
     snap.adopt_packs(src);
     snap
 }

@@ -9,20 +9,18 @@ use std::sync::Arc;
 use vw_common::{ColData, EngineConfig, Result, Schema, Value, VwError};
 use vw_exec::expr::ExprCtx;
 use vw_exec::op::{Operator, VectorScan};
-use vw_exec::program::{ExprProgram, SelectProgram, VectorPool};
+use vw_exec::program::{ExprProgram, VectorPool};
 use vw_exec::CancelToken;
 use vw_pdt::store::items;
 use vw_pdt::Transaction;
 use vw_sql::ast::Expr;
 use vw_sql::binder::{Binder, CatalogView};
+use vw_sql::SqlExpr;
 use vw_storage::{TableStats, TableStorage};
 
 /// An open multi-statement transaction: one PDT transaction per touched
-/// VECTORWISE table.
-///
-/// Cross-table atomicity caveat: commit applies
-/// per table under the global commit lock; a positional conflict on a later
-/// table aborts the remainder but does not undo earlier tables.
+/// VECTORWISE table. [`commit`] is atomic across them: every table's
+/// commit is checked before any is applied.
 #[derive(Default)]
 pub struct OpenTxn {
     pub(crate) tables: HashMap<String, Transaction>,
@@ -159,129 +157,109 @@ pub(crate) fn insert(
     Ok(n)
 }
 
-/// Shared machinery for UPDATE/DELETE: find the RIDs (and per-row new
-/// values for UPDATE) matching `filter` in the transaction's image.
-#[allow(clippy::type_complexity)]
-fn matching_rows(
+/// Bind a DML expression against the table's own schema and bring it to
+/// the form the kernels take (constants folded, extended functions and
+/// IN-lists rewritten) — what planning does to a SELECT's expressions.
+fn bind_on_table(e: &Expr, schema: &Schema) -> Result<SqlExpr> {
+    let bound = Binder::new(&NoTables).bind_expr_on_schema(e, schema)?;
+    let nullable: Vec<bool> = schema.fields.iter().map(|f| f.nullable).collect();
+    Ok(vw_rewriter::engine::rewrite_fixpoint(
+        vw_sql::optimizer::fold_expr(bound)?,
+        &vw_rewriter::rules::default_rules(),
+        &nullable,
+    ))
+}
+
+/// Resolve the target column of each SET clause.
+fn set_columns(schema: &Schema, sets: &[(String, Expr)]) -> Result<Vec<usize>> {
+    sets.iter()
+        .map(|(col, _)| {
+            schema.index_of(col).ok_or_else(|| VwError::Bind(format!("unknown column '{col}'")))
+        })
+        .collect()
+}
+
+/// The victim search of UPDATE/DELETE: the RIDs matching `filter` in the
+/// image `txn` sees, ascending, and for UPDATE each victim's new values
+/// (one per SET clause, cast to the column type, NOT NULL checked).
+///
+/// It is a query like any other — `Project ∘ Filter ∘ Scan` over only the
+/// columns WHERE and the SET right-hand sides read, with the WHERE's
+/// `col <cmp> literal` conjuncts as zone-map hints — so a statement costs
+/// what it touches. A WHERE-excluded row never reaches a SET expression
+/// (`SET a = 10 / b WHERE b <> 0` must not divide by zero).
+///
+/// `config` is the session's, threaded explicitly: `Database::execute`
+/// holds the default-session lock for the whole statement, so DML paths
+/// must never read it back through `db.config()`.
+#[allow(clippy::too_many_arguments)]
+fn find_victims(
     db: &Arc<Database>,
     config: &EngineConfig,
     entry: &TableEntry,
-    image: vw_pdt::treap::Link,
+    table: &str,
+    txn: &OpenTxn,
     filter: Option<&Expr>,
-    sets: Option<&[(String, Expr)]>,
-) -> Result<(Vec<u64>, Vec<Vec<(usize, Value)>>)> {
-    let TableKind::Vectorwise { storage, .. } = &entry.kind else {
-        unreachable!("caller checked");
-    };
-    let binder_catalog = NoTables;
-    let binder = Binder::new(&binder_catalog);
-    // The session's config, threaded explicitly: `Database::execute`
-    // holds the default-session lock for the whole statement, so DML
-    // paths must never read it back through `db.config()`.
-    let ctx = ExprCtx { check: config.check_mode, null_mode: config.null_mode };
-    // Compile once per statement; the scan loop below only runs programs.
-    let predicate = match filter {
-        Some(f) => {
-            let bound = binder.bind_expr_on_schema(f, &entry.schema)?;
-            let nullable: Vec<bool> = entry.schema.fields.iter().map(|x| x.nullable).collect();
-            let rewritten = vw_rewriter::engine::rewrite_fixpoint(
-                bound,
-                &vw_rewriter::rules::default_rules(),
-                &nullable,
-            );
-            Some(SelectProgram::compile(&crate::compile::lower_expr(&rewritten)?, &ctx))
-        }
-        None => None,
-    };
-    let set_exprs = match sets {
-        Some(sets) => {
-            let mut out = Vec::with_capacity(sets.len());
-            for (col, e) in sets {
-                let idx = entry
-                    .schema
-                    .index_of(col)
-                    .ok_or_else(|| VwError::Bind(format!("unknown column '{col}'")))?;
-                let bound = binder.bind_expr_on_schema(e, &entry.schema)?;
-                let nullable: Vec<bool> = entry.schema.fields.iter().map(|x| x.nullable).collect();
-                let rewritten = vw_rewriter::engine::rewrite_fixpoint(
-                    bound,
-                    &vw_rewriter::rules::default_rules(),
-                    &nullable,
-                );
-                out.push((
-                    idx,
-                    ExprProgram::compile(&crate::compile::lower_expr(&rewritten)?, &ctx),
-                ));
-            }
-            Some(out)
-        }
-        None => None,
-    };
+    sets: &[(String, Expr)],
+    set_cols: &[usize],
+) -> Result<(Vec<u64>, Vec<Vec<Value>>)> {
+    let schema = &entry.schema;
+    let predicate = filter.map(|f| bind_on_table(f, schema)).transpose()?;
+    let set_exprs: Vec<SqlExpr> =
+        sets.iter().map(|(_, e)| bind_on_table(e, schema)).collect::<Result<_>>()?;
 
-    // Scan the image in row order, collecting matches.
-    let snapshot = {
-        let st = storage.read();
-        let mut snap = TableStorage::new(st.disk().clone(), st.schema().clone(), st.layout());
-        snap.adopt_packs(&st);
-        Arc::new(snap)
-    };
-    let all_cols: Vec<usize> = (0..entry.schema.len()).collect();
-    let mut scan = VectorScan::new(
-        snapshot,
-        db.pool.clone(),
-        all_cols,
-        items(&image),
-        config.vector_size,
-        CancelToken::new(),
-    );
-    let mut rids: Vec<u64> = Vec::new();
-    let mut new_values: Vec<Vec<(usize, Value)>> = Vec::new();
-    let mut base = 0u64;
-    let mut pool = VectorPool::new();
-    while let Some(batch) = scan.next()? {
-        let sel = match &predicate {
-            Some(p) => Some(p.run(&mut pool, &batch)?),
-            None => None,
-        };
-        let selected: Vec<usize> = match &sel {
-            Some(s) => s.iter().collect(),
-            None => (0..batch.capacity()).collect(),
-        };
-        if !selected.is_empty() {
-            if let Some(set_exprs) = &set_exprs {
-                // Run each SET program over the *selected* lanes only — a
-                // WHERE-excluded row must not raise errors from the SET
-                // expression (e.g. `SET a = 10 / b WHERE b <> 0`) — then
-                // pick the selected positions out of the pooled results.
-                let evaluated: Vec<(usize, vw_exec::program::VecRef)> = set_exprs
-                    .iter()
-                    .map(|(idx, e)| Ok((*idx, e.run_with_sel(&mut pool, &batch, sel.as_ref())?)))
-                    .collect::<Result<_>>()?;
-                for &pos in &selected {
-                    let mut row_sets = Vec::with_capacity(evaluated.len());
-                    for (idx, vr) in &evaluated {
-                        let v = pool.get(&batch, *vr);
-                        let val = v.get(pos).cast_to(entry.schema.field(*idx).ty)?;
-                        if val.is_null() && !entry.schema.field(*idx).nullable {
-                            return Err(VwError::Exec(format!(
-                                "NULL in NOT NULL column {}",
-                                entry.schema.field(*idx).name
-                            )));
-                        }
-                        row_sets.push((*idx, val));
-                    }
-                    new_values.push(row_sets);
-                }
-            }
-            rids.extend(selected.iter().map(|&p| base + p as u64));
-        }
-        if let Some(s) = sel {
-            pool.put_sel(s);
-        }
-        pool.recycle();
-        base += batch.capacity() as u64;
+    // Scan only what the expressions read; address it by scan position.
+    let mut projection = Vec::new();
+    for e in predicate.iter().chain(&set_exprs) {
+        e.collect_cols(&mut projection);
     }
-    Ok((rids, new_values))
+    projection.sort_unstable();
+    projection.dedup();
+    let onto_scan = |e: &SqlExpr| e.remap_cols(&|c| projection.binary_search(&c).ok());
+    let predicate = predicate.as_ref().map(onto_scan).transpose()?;
+    let set_exprs: Vec<SqlExpr> = set_exprs.iter().map(onto_scan).collect::<Result<_>>()?;
+    let hints: Vec<_> = predicate
+        .iter()
+        .flat_map(|p| p.clone().conjuncts())
+        .filter_map(|c| vw_sql::optimizer::hint_from(&c, &projection))
+        .collect();
+
+    let mut op = crate::compile::victim_scan(
+        db,
+        entry,
+        table,
+        &projection,
+        &hints,
+        predicate.as_ref(),
+        &set_exprs,
+        config,
+        Some(txn),
+    )?;
+    let mut rids: Vec<u64> = Vec::new();
+    let mut values: Vec<Vec<Value>> = Vec::new();
+    while let Some(batch) = op.next()? {
+        let (rid_col, set_vecs) = batch.columns.split_last().expect("victim scan emits rids");
+        let ColData::I64(batch_rids) = &rid_col.data else {
+            unreachable!("the RID column is BIGINT")
+        };
+        rids.extend(batch_rids.iter().map(|&r| r as u64));
+        if set_cols.is_empty() {
+            continue;
+        }
+        for i in 0..batch_rids.len() {
+            let mut row = Vec::with_capacity(set_cols.len());
+            for (&col, v) in set_cols.iter().zip(set_vecs) {
+                let field = schema.field(col);
+                let val = v.get(i).cast_to(field.ty)?;
+                if val.is_null() && !field.nullable {
+                    return Err(VwError::Exec(format!("NULL in NOT NULL column {}", field.name)));
+                }
+                row.push(val);
+            }
+            values.push(row);
+        }
+    }
+    Ok((rids, values))
 }
 
 struct NoTables;
@@ -295,81 +273,52 @@ impl CatalogView for NoTables {
     }
 }
 
-/// UPDATE; returns affected row count.
-pub(crate) fn update(
+/// UPDATE (`sets` given) or DELETE of the rows matching `filter`: find the
+/// victims in the transaction's image, then apply them to its PDT in one
+/// sorted batch. Outside a transaction the statement commits itself.
+/// Returns the affected row count.
+pub(crate) fn update_or_delete(
     db: &Arc<Database>,
     core: &mut SessionCore,
     table: &str,
-    sets: &[(String, Expr)],
+    sets: Option<&[(String, Expr)]>,
     filter: Option<&Expr>,
 ) -> Result<u64> {
     let entry = lookup(db, table)?;
     if matches!(entry.kind, TableKind::Heap { .. }) {
-        return heap_update_delete(db, &core.cfg, &entry, Some(sets), filter);
+        return heap_update_delete(db, &core.cfg, &entry, sets, filter);
     }
     let auto = core.txn.is_none();
-    if auto {
-        core.txn = Some(OpenTxn::default());
-    }
+    let open = core.txn.get_or_insert_with(OpenTxn::default);
     let result = (|| {
-        let txn = core.txn.as_mut().unwrap().txn_for(table, &entry)?;
-        let image = txn.image().clone();
-        let (rids, values) = matching_rows(db, &core.cfg, &entry, image, filter, Some(sets))?;
-        for (rid, row_sets) in rids.iter().zip(values) {
-            for (col, val) in row_sets {
-                txn.update_at(*rid, col, val)?;
-            }
+        let set_cols = set_columns(&entry.schema, sets.unwrap_or(&[]))?;
+        open.txn_for(table, &entry)?;
+        let (rids, values) = find_victims(
+            db,
+            &core.cfg,
+            &entry,
+            table,
+            open,
+            filter,
+            sets.unwrap_or(&[]),
+            &set_cols,
+        )?;
+        let txn = open.txn_for(table, &entry)?;
+        match sets {
+            Some(_) => txn.update_batch(&rids, &set_cols, &values)?,
+            None => txn.delete_batch(&rids)?,
         }
         Ok(rids.len() as u64)
     })();
     if auto {
-        let txn = core.txn.take().unwrap();
+        let txn = core.txn.take().expect("opened above");
         if result.is_ok() {
             commit(db, txn)?;
         }
     }
-    // Updated rows invalidate the distinct/histogram snapshot: mark it
-    // stale so the cost model stops planning against dead numbers until
-    // CHECKPOINT rebuilds it.
-    if matches!(result, Ok(n) if n > 0) {
-        entry.stats.write().mark_stale();
-    }
-    result
-}
-
-/// DELETE; returns affected row count.
-pub(crate) fn delete(
-    db: &Arc<Database>,
-    core: &mut SessionCore,
-    table: &str,
-    filter: Option<&Expr>,
-) -> Result<u64> {
-    let entry = lookup(db, table)?;
-    if matches!(entry.kind, TableKind::Heap { .. }) {
-        return heap_update_delete(db, &core.cfg, &entry, None, filter);
-    }
-    let auto = core.txn.is_none();
-    if auto {
-        core.txn = Some(OpenTxn::default());
-    }
-    let result = (|| {
-        let txn = core.txn.as_mut().unwrap().txn_for(table, &entry)?;
-        let image = txn.image().clone();
-        let (rids, _) = matching_rows(db, &core.cfg, &entry, image, filter, None)?;
-        // Descending order keeps earlier positions stable across deletes.
-        for &rid in rids.iter().rev() {
-            txn.delete_at(rid)?;
-        }
-        Ok(rids.len() as u64)
-    })();
-    if auto {
-        let txn = core.txn.take().unwrap();
-        if result.is_ok() {
-            commit(db, txn)?;
-        }
-    }
-    // Deleted rows invalidate the distinct/histogram snapshot (see
-    // `update`): stale until the next CHECKPOINT rebuild.
+    // Changed or removed rows invalidate the distinct/histogram snapshot:
+    // mark it stale so the cost model stops planning against dead numbers
+    // until CHECKPOINT rebuilds it.
     if matches!(result, Ok(n) if n > 0) {
         entry.stats.write().mark_stale();
     }
@@ -505,20 +454,25 @@ impl ScalarProgram {
     }
 }
 
-/// Commit an open transaction (all touched tables, in name order, under the
-/// global commit lock).
+/// Commit an open transaction atomically: under the global commit lock,
+/// every touched table's commit is prepared (all checks, in name order —
+/// each prepared table stays locked), and only when all passed are they
+/// applied, which cannot fail. A conflict on any table leaves every table
+/// as it was.
 pub fn commit(db: &Arc<Database>, txn: OpenTxn) -> Result<()> {
     let _guard = db.commit_lock.lock();
-    let mut names: Vec<String> = txn.tables.keys().cloned().collect();
-    names.sort();
-    let mut tables = txn.tables;
-    for name in names {
-        let entry = lookup(db, &name)?;
-        let TableKind::Vectorwise { pdt, .. } = &entry.kind else {
-            continue;
-        };
-        let t = tables.remove(&name).expect("keyed");
-        pdt.commit(t)?;
+    let mut tables: Vec<(String, Transaction)> = txn.tables.into_iter().collect();
+    tables.sort_by(|a, b| a.0.cmp(&b.0));
+    let entries: Vec<Arc<TableEntry>> =
+        tables.iter().map(|(name, _)| lookup(db, name)).collect::<Result<_>>()?;
+    let mut prepared = Vec::with_capacity(tables.len());
+    for (entry, (_, t)) in entries.iter().zip(tables) {
+        if let TableKind::Vectorwise { pdt, .. } = &entry.kind {
+            prepared.push(pdt.prepare_commit(t)?);
+        }
+    }
+    for p in prepared {
+        p.apply();
     }
     Ok(())
 }
@@ -540,12 +494,7 @@ pub fn checkpoint(db: &Arc<Database>, config: &EngineConfig, table: Option<&str>
         let _guard = db.commit_lock.lock();
         let (root, _, n_rows) = pdt.snapshot();
         // Materialize the merged image column by column.
-        let snapshot = {
-            let st = storage.read();
-            let mut snap = TableStorage::new(st.disk().clone(), st.schema().clone(), st.layout());
-            snap.adopt_packs(&st);
-            Arc::new(snap)
-        };
+        let snapshot = Arc::new(crate::compile::storage_snapshot(&storage.read()));
         let all_cols: Vec<usize> = (0..entry.schema.len()).collect();
         let mut scan = VectorScan::new(
             snapshot,

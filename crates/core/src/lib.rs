@@ -505,11 +505,11 @@ fn execute_statement(
             Ok(QueryResult { affected: n, ..QueryResult::empty() })
         }
         Statement::Update { table, sets, filter } => {
-            let n = dml::update(db, core, table, sets, filter.as_ref())?;
+            let n = dml::update_or_delete(db, core, table, Some(sets), filter.as_ref())?;
             Ok(QueryResult { affected: n, ..QueryResult::empty() })
         }
         Statement::Delete { table, filter } => {
-            let n = dml::delete(db, core, table, filter.as_ref())?;
+            let n = dml::update_or_delete(db, core, table, None, filter.as_ref())?;
             Ok(QueryResult { affected: n, ..QueryResult::empty() })
         }
         Statement::Begin => {

@@ -29,6 +29,12 @@
 //!    allocate nothing; item clones only bump `Arc` refcounts).
 //! 3. Claims are disjoint and cover the image exactly; a `false` return
 //!    means the source is dry for every consumer.
+//! 4. Every claimed item carries its **RID base** — the position of its
+//!    first row in the table image. For a whole image that is the running
+//!    row count; an image whose zone-map-pruned stable runs were dropped
+//!    ([`MorselSource::with_rids`]) keeps the positions of the full image,
+//!    so a consumer that asks the scan for RIDs (a DML victim search)
+//!    addresses the right rows however much was skipped.
 //!
 //! # BatchPool — a batch free-list threaded through the pipeline
 //!
@@ -80,10 +86,13 @@ const MAX_POOLED: usize = 32;
 
 /// A shared atomic dispenser over one scan image's merge items.
 pub struct MorselSource {
-    /// The full visible image, in row order.
+    /// The rows to scan, in image order.
     items: Vec<MergeItem>,
-    /// `offsets[i]` = logical rows before `items[i]`; last entry = total.
+    /// `offsets[i]` = scanned rows before `items[i]`; last entry = total.
     offsets: Vec<u64>,
+    /// `rids[i]` = image position of `items[i]`'s first row; `None` for a
+    /// whole image, where it is `offsets[i]`.
+    rids: Option<Vec<u64>>,
     total: u64,
     morsel_rows: u64,
     /// Next unclaimed logical row.
@@ -97,6 +106,28 @@ impl MorselSource {
     /// `consumers` workers. `morsel_rows` is clamped to at least 1 and at
     /// most the image size (so `usize::MAX` means "one claim").
     pub fn new(items: Vec<MergeItem>, morsel_rows: usize, consumers: usize) -> Arc<MorselSource> {
+        MorselSource::build(items, None, morsel_rows, consumers)
+    }
+
+    /// A dispenser over a *clipped* image: `rids[i]` is the position of
+    /// `items[i]`'s first row in the full image the items were cut from
+    /// (ascending, gaps where rows were dropped).
+    pub fn with_rids(
+        items: Vec<MergeItem>,
+        rids: Vec<u64>,
+        morsel_rows: usize,
+        consumers: usize,
+    ) -> Arc<MorselSource> {
+        assert_eq!(items.len(), rids.len(), "one RID base per item");
+        MorselSource::build(items, Some(rids), morsel_rows, consumers)
+    }
+
+    fn build(
+        items: Vec<MergeItem>,
+        rids: Option<Vec<u64>>,
+        morsel_rows: usize,
+        consumers: usize,
+    ) -> Arc<MorselSource> {
         let mut offsets = Vec::with_capacity(items.len() + 1);
         let mut pos = 0u64;
         for it in &items {
@@ -108,6 +139,7 @@ impl MorselSource {
         Arc::new(MorselSource {
             items,
             offsets,
+            rids,
             total: pos,
             morsel_rows,
             next: AtomicU64::new(0),
@@ -126,10 +158,11 @@ impl MorselSource {
     }
 
     /// Claim the next morsel for `consumer`, filling `out` (cleared first)
-    /// with the merge items of the claimed row range. Returns `false` when
-    /// the image is exhausted. Stable runs are cut at claim boundaries;
-    /// single-row items (inserts, modifications) are never split.
-    pub fn claim_into(&self, consumer: usize, out: &mut Vec<MergeItem>) -> bool {
+    /// with `(RID base, merge item)` for the claimed row range. Returns
+    /// `false` when the image is exhausted. Stable runs are cut at claim
+    /// boundaries; single-row items (inserts, modifications) are never
+    /// split.
+    pub fn claim_into(&self, consumer: usize, out: &mut Vec<(u64, MergeItem)>) -> bool {
         out.clear();
         if self.total == 0 {
             return false;
@@ -153,12 +186,12 @@ impl MorselSource {
             let s = start.saturating_sub(pos);
             let e = (end - pos).min(n);
             if e > s {
-                match &self.items[i] {
-                    MergeItem::Stable { sid, .. } => {
-                        out.push(MergeItem::Stable { sid: sid + s, len: e - s })
-                    }
-                    other => out.push(other.clone()),
-                }
+                let item = match &self.items[i] {
+                    MergeItem::Stable { sid, .. } => MergeItem::Stable { sid: sid + s, len: e - s },
+                    other => other.clone(),
+                };
+                let rid = self.rids.as_ref().map_or(pos, |r| r[i]);
+                out.push((rid + s, item));
             }
             pos += n;
             i += 1;
@@ -283,8 +316,8 @@ mod tests {
         MergeItem::Stable { sid, len }
     }
 
-    fn rows_of(items: &[MergeItem]) -> u64 {
-        items.iter().map(item_rows).sum()
+    fn rows_of(items: &[(u64, MergeItem)]) -> u64 {
+        items.iter().map(|(_, it)| item_rows(it)).sum()
     }
 
     #[test]
@@ -306,10 +339,17 @@ mod tests {
             let n = rows_of(&buf);
             assert!((1..=16).contains(&n), "claim size bounded by morsel_rows: {n}");
             total += n;
-            for it in &buf {
+            for (rid, it) in &buf {
                 match it {
-                    MergeItem::Stable { sid, len } => stable_rows.push((*sid, *len)),
-                    MergeItem::Insert { .. } => inserts += 1,
+                    MergeItem::Stable { sid, len } => {
+                        // One insert sits between sids 99 and 100.
+                        assert_eq!(*rid, if *sid < 100 { *sid } else { *sid + 1 });
+                        stable_rows.push((*sid, *len))
+                    }
+                    MergeItem::Insert { .. } => {
+                        assert_eq!(*rid, 100);
+                        inserts += 1
+                    }
                     _ => unreachable!(),
                 }
             }
@@ -333,6 +373,25 @@ mod tests {
     }
 
     #[test]
+    fn clipped_image_keeps_full_image_rids() {
+        // Rows 40..60 and 70..100 of a 100-row image, plus the insert at
+        // image position 60; claims of 16 rows cut the runs.
+        let items = vec![
+            stable(40, 20),
+            MergeItem::Insert { row: StdArc::new(vec![Value::I64(7)]) },
+            stable(69, 30),
+        ];
+        let src = MorselSource::with_rids(items, vec![40, 60, 70], 16, 1);
+        assert_eq!(src.total_rows(), 51);
+        let mut buf = Vec::new();
+        let mut seen: Vec<(u64, u64)> = Vec::new(); // (rid, rows)
+        while src.claim_into(0, &mut buf) {
+            seen.extend(buf.iter().map(|(rid, it)| (*rid, item_rows(it))));
+        }
+        assert_eq!(seen, vec![(40, 16), (56, 4), (60, 1), (70, 11), (81, 16), (97, 3)]);
+    }
+
+    #[test]
     fn one_claim_covers_everything_at_usize_max() {
         let src = MorselSource::new(vec![stable(5, 40)], usize::MAX, 1);
         let mut buf = Vec::new();
@@ -344,7 +403,7 @@ mod tests {
     #[test]
     fn empty_image_is_dry_immediately() {
         let src = MorselSource::new(Vec::new(), 1024, 1);
-        let mut buf = vec![stable(0, 1)];
+        let mut buf = vec![(0, stable(0, 1))];
         assert!(!src.claim_into(0, &mut buf));
         assert!(buf.is_empty(), "claim_into clears the buffer even when dry");
     }
@@ -359,7 +418,7 @@ mod tests {
                 let mut buf = Vec::new();
                 let mut ranges: Vec<(u64, u64)> = Vec::new();
                 while src.claim_into(w, &mut buf) {
-                    for it in &buf {
+                    for (_, it) in &buf {
                         if let MergeItem::Stable { sid, len } = it {
                             ranges.push((*sid, *len));
                         }

@@ -17,6 +17,12 @@
 //! plan-time `partition_items` splitting. Output batches lease from the
 //! pipeline's [`BatchPool`] when one is attached, so a steady-state scan
 //! reuses the buffers its consumer recycled instead of allocating.
+//!
+//! A scan built [`with_rids`](VectorScan::with_rids) appends one BIGINT
+//! column holding every row's position in the table image, taken from the
+//! RID base each claimed item carries — correct however many pruned runs
+//! the image skips, and it gives a scan with an empty projection its row
+//! count. The DML victim search is its consumer.
 
 use super::Operator;
 use crate::cancel::CancelToken;
@@ -25,10 +31,10 @@ use crate::profile::OpProfile;
 use crate::vector::Batch;
 use std::sync::Arc;
 use std::time::Instant;
-use vw_common::{Result, Schema, TypeId, Value, VwError};
+use vw_common::{ColData, Field, Result, Schema, TypeId, Value, VwError};
 use vw_pdt::MergeItem;
 use vw_storage::pack::EncodedChunk;
-use vw_storage::{BufferPool, ScanRange, TableStorage};
+use vw_storage::{BufferPool, TableStorage};
 
 /// Decoded chunks of one pack, in projected-column order. With
 /// `compressed_exec` on, PDICT/RLE chunks keep their encoding
@@ -46,14 +52,17 @@ pub struct VectorScan {
     out_types: Vec<TypeId>,
     source: Arc<MorselSource>,
     consumer: usize,
-    /// Items of the currently claimed morsel (buffer reused per claim).
-    morsel: Vec<MergeItem>,
+    /// `(RID base, item)` of the currently claimed morsel (buffer reused
+    /// per claim).
+    morsel: Vec<(u64, MergeItem)>,
     item_idx: usize,
     item_off: u64,
     cur_pack: Option<(usize, DecodedPack)>,
     vector_size: usize,
     batch_pool: Option<BatchPool>,
     compressed_exec: bool,
+    /// Append the RID column (always the last output column).
+    emit_rids: bool,
     profile: OpProfile,
     cancel: CancelToken,
 }
@@ -102,6 +111,7 @@ impl VectorScan {
             vector_size,
             batch_pool: None,
             compressed_exec: false,
+            emit_rids: false,
             profile: OpProfile::new("Scan"),
             cancel,
         }
@@ -121,6 +131,16 @@ impl VectorScan {
         self
     }
 
+    /// Append a `rid BIGINT` column: each row's position in the table
+    /// image (see the module docs).
+    pub fn with_rids(mut self) -> VectorScan {
+        debug_assert!(!self.emit_rids, "one RID column");
+        self.emit_rids = true;
+        self.schema.fields.push(Field::not_null("rid", TypeId::I64));
+        self.out_types.push(TypeId::I64);
+        self
+    }
+
     /// Items for a plain scan with no pending deltas.
     pub fn stable_items(n_rows: u64) -> Vec<MergeItem> {
         if n_rows == 0 {
@@ -130,12 +150,14 @@ impl VectorScan {
         }
     }
 
-    /// Items from MinMax-pruned ranges (delta-free tables only).
-    pub fn items_from_ranges(ranges: &[ScanRange]) -> Vec<MergeItem> {
-        ranges
-            .iter()
-            .map(|r| MergeItem::Stable { sid: r.row_start, len: r.n_rows as u64 })
-            .collect()
+    /// Record the image positions `rid..rid + n` of the rows just emitted.
+    fn push_rids(&self, rid: u64, n: usize, out: &mut Batch) {
+        if self.emit_rids {
+            let ColData::I64(rids) = &mut out.columns[self.columns.len()].data else {
+                unreachable!("the RID column is BIGINT")
+            };
+            rids.extend(rid as i64..rid as i64 + n as i64);
+        }
     }
 
     /// Ensure the current morsel has an unserved item; claims the next
@@ -155,21 +177,11 @@ impl VectorScan {
     }
 
     fn pack_of_sid(&self, sid: u64) -> Result<(usize, usize)> {
-        // Binary search over pack row ranges.
-        let n = self.table.n_packs();
-        let (mut lo, mut hi) = (0usize, n);
-        while lo < hi {
-            let mid = (lo + hi) / 2;
-            let m = self.table.pack_meta(mid);
-            if sid < m.row_start {
-                hi = mid;
-            } else if sid >= m.row_start + m.n_rows as u64 {
-                lo = mid + 1;
-            } else {
-                return Ok((mid, (sid - m.row_start) as usize));
-            }
-        }
-        Err(VwError::Storage(format!("sid {sid} beyond stable storage")))
+        let pack = self
+            .table
+            .pack_of_row(sid)
+            .ok_or_else(|| VwError::Storage(format!("sid {sid} beyond stable storage")))?;
+        Ok((pack, (sid - self.table.pack_meta(pack).row_start) as usize))
     }
 
     fn load_pack(&mut self, pack_idx: usize) -> Result<()> {
@@ -267,7 +279,7 @@ impl Operator for VectorScan {
             if self.item_idx >= self.morsel.len() && !self.ensure_morsel() {
                 break;
             }
-            let item = self.morsel[self.item_idx].clone();
+            let (rid, item) = self.morsel[self.item_idx].clone();
             match item {
                 MergeItem::Stable { sid, len } => {
                     let sid0 = sid + self.item_off;
@@ -276,6 +288,7 @@ impl Operator for VectorScan {
                     let pack_rows = self.table.pack_meta(pack_idx).n_rows;
                     let take = remaining.min(pack_rows - off).min(self.vector_size - filled);
                     self.emit_stable(sid0, take, &mut out)?;
+                    self.push_rids(rid + self.item_off, take, &mut out);
                     filled += take;
                     self.item_off += take as u64;
                     if self.item_off == len {
@@ -291,6 +304,7 @@ impl Operator for VectorScan {
                             out.columns[slot].set(pos, val)?;
                         }
                     }
+                    self.push_rids(rid, 1, &mut out);
                     filled += 1;
                     self.item_idx += 1;
                     self.item_off = 0;
@@ -300,6 +314,7 @@ impl Operator for VectorScan {
                         let v = row.get(col).cloned().unwrap_or(Value::Null);
                         out.columns[slot].push(&v)?;
                     }
+                    self.push_rids(rid, 1, &mut out);
                     filled += 1;
                     self.item_idx += 1;
                     self.item_off = 0;
@@ -486,11 +501,63 @@ mod tests {
     fn pruned_ranges_scan() {
         let (t, pool) = setup(1000, 100);
         let ranges = t.prune(0, Some(&Value::I64(350)), Some(&Value::I64(449)));
-        let items = VectorScan::items_from_ranges(&ranges);
+        let items = ranges
+            .iter()
+            .map(|r| MergeItem::Stable { sid: r.row_start, len: r.n_rows as u64 })
+            .collect();
         let mut s = scan(&t, &pool, vec![0], items, 128);
         let out = drain(&mut s).unwrap();
         assert_eq!(out.rows(), 200, "two packs survive pruning");
         assert_eq!(out.row_values(0)[0], Value::I64(300));
+    }
+
+    #[test]
+    fn rid_column_survives_skipped_runs_and_an_empty_projection() {
+        // Packs 1 and 3 of a five-pack image, a modified row of pack 0 and
+        // an insert in between; 64-row vectors cut the runs mid-pack.
+        let (t, pool) = setup(500, 100);
+        let items = vec![
+            MergeItem::StableMod { sid: 7, mods: Arc::new(vec![(0, Value::I64(-7))]) },
+            MergeItem::Stable { sid: 100, len: 100 },
+            MergeItem::Insert { row: Arc::new(vec![Value::I64(999), Value::Null]) },
+            MergeItem::Stable { sid: 300, len: 100 },
+        ];
+        let rids = vec![7, 100, 200, 301];
+        let mut want_rids: Vec<i64> = vec![7];
+        want_rids.extend(100..201);
+        want_rids.extend(301..401);
+        let mut want_ids: Vec<i64> = vec![-7];
+        want_ids.extend(100..200);
+        want_ids.push(999);
+        want_ids.extend(300..400);
+        for cols in [vec![0], vec![]] {
+            let source = MorselSource::with_rids(items.clone(), rids.clone(), 48, 1);
+            let mut s = VectorScan::with_source(
+                t.clone(),
+                pool.clone(),
+                cols.clone(),
+                source,
+                0,
+                64,
+                CancelToken::new(),
+            )
+            .with_rids();
+            assert_eq!(s.schema().len(), cols.len() + 1);
+            let out = drain(&mut s).unwrap();
+            assert_eq!(out.rows(), want_rids.len());
+            let as_i64 = |c: usize| -> Vec<i64> {
+                (0..out.rows())
+                    .map(|i| match out.row_values(i)[c] {
+                        Value::I64(v) => v,
+                        ref other => panic!("{other:?}"),
+                    })
+                    .collect()
+            };
+            assert_eq!(as_i64(cols.len()), want_rids);
+            if !cols.is_empty() {
+                assert_eq!(as_i64(0), want_ids);
+            }
+        }
     }
 
     #[test]

@@ -24,7 +24,9 @@
 //! * inserted rows (values held in the delta structure).
 //!
 //! Positional operations (insert/delete/modify at **RID** — the row id in
-//! the *current* image) cost `O(log #deltas)`; a full scan-with-merge costs
+//! the *current* image) cost `O(log #deltas)`, and a sorted batch of `k`
+//! modifies or deletes is one descent of `O(k · log(#deltas / k))`
+//! ([`treap::rewrite_rows`]); a full scan-with-merge costs
 //! the stable scan plus `O(#deltas)` — the same asymptotics as the paper's
 //! three-layer PDT encoding. Snapshots are O(1) (persistent structure), which
 //! provides the paper's layered read-/write-/trans-PDT semantics:

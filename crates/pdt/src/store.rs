@@ -17,10 +17,10 @@
 //!   legal).
 
 use crate::treap::{
-    find_stable_at_or_before, for_each_piece, get_at, leaf, merge, prio_for, size, split, Link,
-    Piece,
+    find_stable_at_or_before, for_each_piece, leaf, merge, prio_for, rewrite_rows, size, split,
+    Link, Piece,
 };
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use vw_common::hash::{FxHashMap, FxHashSet};
@@ -67,6 +67,14 @@ enum Anchor {
 enum Op {
     DeleteStable { sid: u64 },
     ModifyStable { sid: u64, col: usize, value: Value },
+}
+
+impl Op {
+    fn sid(&self) -> u64 {
+        match self {
+            Op::DeleteStable { sid } | Op::ModifyStable { sid, .. } => *sid,
+        }
+    }
 }
 
 /// Aggregate delta counters of the committed image.
@@ -176,14 +184,26 @@ impl PdtStore {
         compute_stats(&m.root, m.n_stable)
     }
 
-    /// Commit `txn`, returning the new version.
+    /// Commit `txn`, returning the new version: [`prepare_commit`] then
+    /// [`PreparedCommit::apply`].
+    ///
+    /// [`prepare_commit`]: PdtStore::prepare_commit
+    pub fn commit(&self, txn: Transaction) -> Result<u64> {
+        Ok(self.prepare_commit(txn)?.apply())
+    }
+
+    /// The fallible half of a commit: every check, and the image the
+    /// commit would install. The returned guard holds this store's lock,
+    /// so nothing can commit to the table until it is applied or dropped
+    /// (dropping it leaves the store untouched) — a multi-table commit
+    /// prepares every table, then applies them all.
     ///
     /// Fails with [`VwError::TxnConflict`] if any stable row written by this
     /// transaction was also written by a transaction that committed after
     /// this one's snapshot (write-write conflict on position), or if a
     /// checkpoint invalidated the snapshot's stable coordinates.
-    pub fn commit(&self, txn: Transaction) -> Result<u64> {
-        let mut m = self.inner.lock();
+    pub fn prepare_commit(&self, txn: Transaction) -> Result<PreparedCommit<'_>> {
+        let m = self.inner.lock();
         if txn.snapshot_version < m.checkpoint_version {
             return Err(VwError::TxnConflict(
                 "snapshot predates a checkpoint; restart transaction".into(),
@@ -192,7 +212,8 @@ impl PdtStore {
 
         if txn.touched_foreign_inserts && m.version != txn.snapshot_version {
             return Err(VwError::TxnConflict(
-                "a concurrent commit raced with edits to PDT-resident inserted rows;                  retry the transaction"
+                "a concurrent commit raced with edits to PDT-resident inserted rows; \
+                 retry the transaction"
                     .into(),
             ));
         }
@@ -200,13 +221,7 @@ impl PdtStore {
         if m.version == txn.snapshot_version {
             // Serial fast path: nothing committed since the snapshot, so the
             // transaction's image is exactly the next master image.
-            m.version += 1;
-            let version = m.version;
-            if !txn.write_set.is_empty() {
-                m.commit_log.push((version, txn.write_set));
-            }
-            m.root = txn.root;
-            return Ok(version);
+            return Ok(PreparedCommit { master: m, root: txn.root, write_set: txn.write_set });
         }
 
         for (ver, sids) in m.commit_log.iter().rev() {
@@ -222,35 +237,17 @@ impl PdtStore {
 
         // Replay deletes/modifies by SID onto the current master image.
         let mut root = m.root.clone();
+        let mut fresh_prio = || prio_for(self.next_id());
         for op in &txn.log {
-            match op {
-                Op::DeleteStable { sid } => {
-                    let rid = locate_sid(&root, *sid)?;
-                    let (a, b) = split(root, rid);
-                    let (_, c) = split(b, 1);
-                    root = merge(a, c);
-                }
-                Op::ModifyStable { sid, col, value } => {
-                    let rid = locate_sid(&root, *sid)?;
-                    let (piece, _) = get_at(&root, rid).expect("rid in range");
-                    let mods = match piece {
-                        Piece::StableMod { mods, .. } => {
-                            let mut v = (*mods).clone();
-                            match v.iter_mut().find(|(c, _)| c == col) {
-                                Some(slot) => slot.1 = value.clone(),
-                                None => v.push((*col, value.clone())),
-                            }
-                            Arc::new(v)
-                        }
-                        Piece::StableRun { .. } => Arc::new(vec![(*col, value.clone())]),
-                        Piece::Insert { .. } => unreachable!("sid lookup returned insert"),
-                    };
-                    let (a, b) = split(root, rid);
-                    let (_, c) = split(b, 1);
-                    let node = leaf(prio_for(self.next_id()), Piece::StableMod { sid: *sid, mods });
-                    root = merge(a, merge(node, c));
-                }
-            }
+            let rid = locate_sid(&root, op.sid())?;
+            root = rewrite_rows(&root, 0, &[rid], &mut fresh_prio, &mut |piece, off| {
+                Ok::<_, VwError>(match op {
+                    Op::DeleteStable { .. } => None,
+                    Op::ModifyStable { col, value, .. } => {
+                        Some(overlay_mods(piece, off, &[*col], std::slice::from_ref(value)).1)
+                    }
+                })
+            })?;
         }
 
         // Replay the transaction's own inserts in its image order,
@@ -289,13 +286,7 @@ impl PdtStore {
             root = merge(a, merge(node, b));
         }
 
-        m.version += 1;
-        let version = m.version;
-        if !txn.write_set.is_empty() {
-            m.commit_log.push((version, txn.write_set));
-        }
-        m.root = root;
-        Ok(version)
+        Ok(PreparedCommit { master: m, root, write_set: txn.write_set })
     }
 
     /// Discard all deltas and point at a freshly checkpointed stable table of
@@ -312,6 +303,45 @@ impl PdtStore {
         m.checkpoint_version = m.version;
         m.commit_log.clear();
     }
+}
+
+/// A commit that passed every check ([`PdtStore::prepare_commit`]);
+/// installing it cannot fail.
+pub struct PreparedCommit<'a> {
+    master: MutexGuard<'a, Master>,
+    root: Link,
+    write_set: FxHashSet<u64>,
+}
+
+impl PreparedCommit<'_> {
+    /// Install the prepared image as the next committed version.
+    pub fn apply(mut self) -> u64 {
+        let m = &mut *self.master;
+        m.version += 1;
+        if !self.write_set.is_empty() {
+            m.commit_log.push((m.version, self.write_set));
+        }
+        m.root = self.root;
+        m.version
+    }
+}
+
+/// The stable row at offset `off` of `piece` with `values` written to
+/// `cols` (in order; a repeated column keeps the last value) on top of
+/// the modifications it already carries: `(sid, the StableMod piece)`.
+fn overlay_mods(piece: &Piece, off: u64, cols: &[usize], values: &[Value]) -> (u64, Piece) {
+    let (sid, mut mods) = match piece {
+        Piece::StableRun { sid, .. } => (sid + off, Vec::with_capacity(cols.len())),
+        Piece::StableMod { sid, mods } => (*sid, (**mods).clone()),
+        Piece::Insert { .. } => unreachable!("inserted rows have no stable id"),
+    };
+    for (&col, value) in cols.iter().zip(values) {
+        match mods.iter_mut().find(|(c, _)| *c == col) {
+            Some(slot) => slot.1 = value.clone(),
+            None => mods.push((col, value.clone())),
+        }
+    }
+    (sid, Piece::StableMod { sid, mods: Arc::new(mods) })
 }
 
 /// Find the RID of exactly `sid`, or report the row as vanished.
@@ -404,69 +434,113 @@ impl Transaction {
 
     /// Delete the row at position `rid`.
     pub fn delete_at(&mut self, rid: u64) -> Result<()> {
-        self.check_rid(rid, false)?;
-        let (piece, off) = get_at(&self.root, rid).expect("checked rid");
-        match &piece {
-            Piece::StableRun { sid, .. } => {
-                let sid = sid + off;
-                self.write_set.insert(sid);
-                self.log.push(Op::DeleteStable { sid });
-            }
-            Piece::StableMod { sid, .. } => {
-                self.write_set.insert(*sid);
-                self.log.push(Op::DeleteStable { sid: *sid });
-            }
-            Piece::Insert { id, .. } => {
-                if !self.own_inserts.remove(id) {
-                    // A committed-but-unckeckpointed insert: the removal is
-                    // only expressible through the serial fast path.
-                    self.touched_foreign_inserts = true;
-                }
-            }
-        }
-        let (a, b) = split(self.root.clone(), rid);
-        let (_, c) = split(b, 1);
-        self.root = merge(a, c);
-        Ok(())
+        self.delete_batch(&[rid])
     }
 
     /// Set column `col` of the row at position `rid` to `value`.
     pub fn update_at(&mut self, rid: u64, col: usize, value: Value) -> Result<()> {
-        self.check_rid(rid, false)?;
-        let (piece, off) = get_at(&self.root, rid).expect("checked rid");
-        let new_piece = match &piece {
-            Piece::StableRun { sid, .. } => {
-                let sid = sid + off;
-                self.write_set.insert(sid);
-                self.log.push(Op::ModifyStable { sid, col, value: value.clone() });
-                Piece::StableMod { sid, mods: Arc::new(vec![(col, value)]) }
-            }
-            Piece::StableMod { sid, mods } => {
-                self.write_set.insert(*sid);
-                self.log.push(Op::ModifyStable { sid: *sid, col, value: value.clone() });
-                let mut v = (**mods).clone();
-                match v.iter_mut().find(|(c, _)| *c == col) {
-                    Some(slot) => slot.1 = value,
-                    None => v.push((col, value)),
+        self.update_batch(&[rid], &[col], &[vec![value]])
+    }
+
+    /// Delete the rows at the strictly ascending positions `rids` (all in
+    /// this transaction's current image) in one pass over the tree.
+    pub fn delete_batch(&mut self, rids: &[u64]) -> Result<()> {
+        self.rewrite_batch(rids, |_, piece, off, own_inserts, staged| {
+            match piece {
+                Piece::StableRun { sid, .. } => {
+                    staged.log.push(Op::DeleteStable { sid: sid + off })
                 }
-                Piece::StableMod { sid: *sid, mods: Arc::new(v) }
-            }
-            Piece::Insert { id, row } => {
-                if !self.own_inserts.contains(id) {
-                    self.touched_foreign_inserts = true;
+                Piece::StableMod { sid, .. } => staged.log.push(Op::DeleteStable { sid: *sid }),
+                // Deleting an own insert cancels it; a committed but not
+                // yet checkpointed one has no stable coordinates, so the
+                // removal is only expressible through the serial fast path.
+                Piece::Insert { id, .. } if own_inserts.contains(id) => {
+                    staged.cancelled_inserts.push(*id)
                 }
-                let mut r = (**row).clone();
-                if col >= r.len() {
-                    return Err(VwError::Exec(format!("column {col} out of range")));
-                }
-                r[col] = value;
-                Piece::Insert { id: *id, row: Arc::new(r) }
+                Piece::Insert { .. } => staged.touched_foreign_inserts = true,
             }
-        };
-        let (a, b) = split(self.root.clone(), rid);
-        let (_, c) = split(b, 1);
-        let node = leaf(prio_for(NEXT_LOCAL.fetch_add(1, Ordering::Relaxed)), new_piece);
-        self.root = merge(a, merge(node, c));
+            Ok(None)
+        })
+    }
+
+    /// Set columns `cols` of the rows at the strictly ascending positions
+    /// `rids` in one pass over the tree: `values[i]` holds the new values
+    /// of row `rids[i]`, one per entry of `cols` (written in order).
+    pub fn update_batch(
+        &mut self,
+        rids: &[u64],
+        cols: &[usize],
+        values: &[Vec<Value>],
+    ) -> Result<()> {
+        if values.len() != rids.len() || values.iter().any(|v| v.len() != cols.len()) {
+            return Err(VwError::Exec("update batch: values do not match rids × cols".into()));
+        }
+        self.rewrite_batch(rids, |i, piece, off, own_inserts, staged| {
+            let values = &values[i];
+            if let Piece::Insert { id, row } = piece {
+                if !own_inserts.contains(id) {
+                    staged.touched_foreign_inserts = true;
+                }
+                let mut row = (**row).clone();
+                for (&col, value) in cols.iter().zip(values) {
+                    match row.get_mut(col) {
+                        Some(slot) => *slot = value.clone(),
+                        None => return Err(VwError::Exec(format!("column {col} out of range"))),
+                    }
+                }
+                return Ok(Some(Piece::Insert { id: *id, row: Arc::new(row) }));
+            }
+            let (sid, modified) = overlay_mods(piece, off, cols, values);
+            for (&col, value) in cols.iter().zip(values) {
+                staged.log.push(Op::ModifyStable { sid, col, value: value.clone() });
+            }
+            Ok(Some(modified))
+        })
+    }
+
+    /// The one way this transaction rewrites rows of its image:
+    /// `row_op(index into rids, piece, offset in piece, own inserts,
+    /// staged)` decides each row's replacement (see [`rewrite_rows`]) and
+    /// stages its bookkeeping, which lands only if the whole batch
+    /// succeeds — on an error the transaction is exactly as it was.
+    fn rewrite_batch(
+        &mut self,
+        rids: &[u64],
+        mut row_op: impl FnMut(
+            usize,
+            &Piece,
+            u64,
+            &FxHashSet<u64>,
+            &mut Staged,
+        ) -> Result<Option<Piece>>,
+    ) -> Result<()> {
+        if let Some(w) = rids.windows(2).find(|w| w[0] >= w[1]) {
+            return Err(VwError::Exec(format!(
+                "row positions must ascend strictly ({} then {})",
+                w[0], w[1]
+            )));
+        }
+        if let Some(&last) = rids.last() {
+            self.check_rid(last, false)?;
+        }
+        let mut staged = Staged::default();
+        let mut next = 0usize;
+        self.root = rewrite_rows(
+            &self.root,
+            0,
+            rids,
+            &mut || prio_for(NEXT_LOCAL.fetch_add(1, Ordering::Relaxed)),
+            &mut |piece, off| {
+                next += 1;
+                row_op(next - 1, piece, off, &self.own_inserts, &mut staged)
+            },
+        )?;
+        self.write_set.extend(staged.log.iter().map(Op::sid));
+        self.log.append(&mut staged.log);
+        for id in staged.cancelled_inserts {
+            self.own_inserts.remove(&id);
+        }
+        self.touched_foreign_inserts |= staged.touched_foreign_inserts;
         Ok(())
     }
 
@@ -478,6 +552,14 @@ impl Transaction {
 }
 
 static NEXT_LOCAL: AtomicU64 = AtomicU64::new(1 << 32);
+
+/// Bookkeeping of one batch, held back until the batch has succeeded.
+#[derive(Default)]
+struct Staged {
+    log: Vec<Op>,
+    cancelled_inserts: Vec<u64>,
+    touched_foreign_inserts: bool,
+}
 
 #[cfg(test)]
 mod tests {
@@ -730,6 +812,138 @@ mod tests {
         let (root, _, _) = store.snapshot();
         let it = items(&root);
         assert_eq!(it, vec![MergeItem::Stable { sid: 0, len: 100 }]);
+    }
+
+    /// Property-style: on random images (runs, modified rows, inserts)
+    /// a batch update/delete over a random ascending RID set equals the
+    /// same operations applied one at a time — same image, same
+    /// bookkeeping, same commit outcome through the serial fast path and
+    /// through the concurrent replay path.
+    #[test]
+    fn batch_apply_equals_one_at_a_time() {
+        let mut x = 0x5eed_u64;
+        let mut rnd = move |n: u64| {
+            x = vw_common::hash::hash_u64(x);
+            x % n
+        };
+        let wide = |v: i64| vec![Value::I64(v), Value::I64(-v), Value::Null];
+        let (mut conflicts, mut replays) = (0, 0);
+        for case in 0..300 {
+            let n_stable = 1 + rnd(200);
+            // Two stores brought to the same random committed image.
+            let stores = [PdtStore::new(n_stable), PdtStore::new(n_stable)];
+            let setup: Vec<(u64, u64, i64)> =
+                (0..rnd(30)).map(|_| (rnd(3), rnd(1 << 20), rnd(1000) as i64)).collect();
+            for store in &stores {
+                let mut t = store.begin();
+                for &(kind, pos, v) in &setup {
+                    let pos = pos % t.n_rows().max(1);
+                    match kind {
+                        0 if t.n_rows() > 1 => t.delete_at(pos).unwrap(),
+                        1 => t.insert_at(pos, wide(v)).unwrap(),
+                        _ => t.update_at(pos, (v % 3) as usize, Value::I64(v)).unwrap(),
+                    }
+                }
+                store.commit(t).unwrap();
+            }
+            assert_eq!(items(&stores[0].snapshot().0), items(&stores[1].snapshot().0));
+
+            // The transactions under test, each with an own insert or two.
+            let mut txns = [stores[0].begin(), stores[1].begin()];
+            for _ in 0..rnd(3) {
+                let (pos, v) = (rnd(txns[0].n_rows() + 1), rnd(1000) as i64);
+                for t in &mut txns {
+                    t.insert_at(pos, wide(v)).unwrap();
+                }
+            }
+            let n = txns[0].n_rows();
+            let rids: Vec<u64> = (0..n).filter(|_| rnd(4) == 0).collect();
+            let [batch, single] = &mut txns;
+            if case % 2 == 0 {
+                batch.delete_batch(&rids).unwrap();
+                for &rid in rids.iter().rev() {
+                    single.delete_at(rid).unwrap();
+                }
+            } else {
+                let cols: Vec<usize> = if rnd(2) == 0 { vec![1] } else { vec![2, 0] };
+                let values: Vec<Vec<Value>> = rids
+                    .iter()
+                    .map(|_| cols.iter().map(|_| Value::I64(rnd(50) as i64)).collect())
+                    .collect();
+                batch.update_batch(&rids, &cols, &values).unwrap();
+                for (&rid, row) in rids.iter().zip(&values) {
+                    for (&col, v) in cols.iter().zip(row) {
+                        single.update_at(rid, col, v.clone()).unwrap();
+                    }
+                }
+            }
+            assert_eq!(items(batch.image()), items(single.image()), "case {case}");
+            assert_eq!(batch.write_set, single.write_set);
+            assert_eq!(batch.own_inserts.len(), single.own_inserts.len());
+            assert_eq!(batch.touched_foreign_inserts, single.touched_foreign_inserts);
+            // Same log up to order (a batch delete logs ascending, the
+            // one-at-a-time loop descending).
+            let sorted_log = |t: &Transaction| {
+                let mut l: Vec<String> = t.log.iter().map(|op| format!("{op:?}")).collect();
+                l.sort();
+                l
+            };
+            assert_eq!(sorted_log(batch), sorted_log(single));
+
+            // Every third case another writer commits first: the replay
+            // path, or a conflict — on both stores alike.
+            if case % 3 == 0 {
+                let (pos, v) = (rnd(1 << 20), rnd(1000) as i64);
+                for store in &stores {
+                    let mut w = store.begin();
+                    let pos = pos % w.n_rows();
+                    w.update_at(pos, 0, Value::I64(v)).unwrap();
+                    store.commit(w).unwrap();
+                }
+                replays += 1;
+            }
+            let [batch, single] = txns;
+            let outcomes = [stores[0].commit(batch), stores[1].commit(single)];
+            match &outcomes {
+                [Ok(a), Ok(b)] => assert_eq!(a, b, "case {case}"),
+                [Err(VwError::TxnConflict(_)), Err(VwError::TxnConflict(_))] => conflicts += 1,
+                other => panic!("case {case}: commit outcomes differ: {other:?}"),
+            }
+            assert_eq!(items(&stores[0].snapshot().0), items(&stores[1].snapshot().0));
+            assert_eq!(stores[0].stats(), stores[1].stats(), "case {case}");
+        }
+        assert!(conflicts > 0 && conflicts < replays, "both replay outcomes exercised");
+    }
+
+    #[test]
+    fn failed_batch_leaves_the_transaction_unchanged() {
+        let store = PdtStore::new(10);
+        let mut t = store.begin();
+        t.insert_at(5, row(1)).unwrap();
+        let before = items(t.image());
+        // The insert at rid 5 has one column: column 3 is out of range,
+        // after rid 2 was already rewritten.
+        let v = vec![Value::I64(0)];
+        assert!(t.update_batch(&[2, 5], &[3], &[v.clone(), v.clone()]).is_err());
+        assert!(t.update_batch(&[5, 2], &[0], &[v.clone(), v.clone()]).is_err(), "not ascending");
+        assert!(t.update_batch(&[2], &[0], &[]).is_err(), "values do not match rids");
+        assert!(t.delete_batch(&[3, 11]).is_err(), "out of range");
+        assert_eq!(items(t.image()), before);
+        assert_eq!(t.pending_ops(), 1, "only the insert is pending");
+        assert!(t.write_set.is_empty());
+    }
+
+    #[test]
+    fn prepared_commit_holds_the_store_until_applied_or_dropped() {
+        let store = PdtStore::new(4);
+        let mut t = store.begin();
+        t.delete_at(0).unwrap();
+        drop(store.prepare_commit(t).unwrap());
+        assert_eq!((store.visible_rows(), store.snapshot().1), (4, 0), "dropped: no trace");
+        let mut t = store.begin();
+        t.delete_at(0).unwrap();
+        assert_eq!(store.prepare_commit(t).unwrap().apply(), 1);
+        assert_eq!(store.visible_rows(), 3);
     }
 
     #[test]

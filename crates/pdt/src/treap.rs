@@ -99,8 +99,10 @@ pub fn prio_for(counter: u64) -> u64 {
 
 fn mk(prio: u64, piece: Piece, left: Link, right: Link) -> Link {
     let size = size(&left) + piece.rows() + size(&right);
-    let max_sid = [max_sid(&left), piece.max_sid(), max_sid(&right)].into_iter().flatten().max();
-    let min_sid = [min_sid(&left), piece.min_sid(), min_sid(&right)].into_iter().flatten().min();
+    // Stable sids ascend in traversal order, so the leftmost subtree that
+    // has one holds the minimum and the rightmost the maximum.
+    let max_sid = max_sid(&right).or(piece.max_sid()).or(max_sid(&left));
+    let min_sid = min_sid(&left).or(piece.min_sid()).or(min_sid(&right));
     Some(Arc::new(Node { prio, size, max_sid, min_sid, piece, left, right }))
 }
 
@@ -166,18 +168,94 @@ pub fn leaf(prio: u64, piece: Piece) -> Link {
     mk(prio, piece, None, None)
 }
 
-/// The piece covering row `rid`, with the offset of `rid` inside it.
-pub fn get_at(t: &Link, rid: u64) -> Option<(Piece, u64)> {
-    let n = t.as_ref()?;
-    let lsize = size(&n.left);
-    let own = n.piece.rows();
-    if rid < lsize {
-        get_at(&n.left, rid)
-    } else if rid < lsize + own {
-        Some((n.piece.clone(), rid - lsize))
+/// `left ++ piece ++ right` with `piece` at priority `prio`: one node
+/// when heap order allows it (always, unless a rewrite below just gave a
+/// child a fresh priority above `prio`), the general merge otherwise.
+fn join(prio: u64, piece: Piece, left: Link, right: Link) -> Link {
+    let below = |t: &Link| t.as_ref().is_none_or(|n| n.prio <= prio);
+    if below(&left) && below(&right) {
+        mk(prio, piece, left, right)
     } else {
-        get_at(&n.right, rid - lsize - own)
+        merge(left, merge(leaf(prio, piece), right))
     }
+}
+
+/// Rewrite the rows at the strictly ascending positions `rids` (absolute
+/// RIDs; `base` is the RID of `t`'s first row) in **one descent**.
+///
+/// `f(piece, off)` is called once per RID, in ascending order, with the
+/// piece covering the row and the row's offset inside it; it returns the
+/// single-row piece that replaces the row, or `None` to delete it. A
+/// stable run hit at interior offsets is cut into the surviving run
+/// fragments around the rewritten rows.
+///
+/// Every node on a path to a touched row is copied once and every
+/// untouched subtree is shared with `t`, so `k` RIDs cost
+/// O(k · log(n / k)) node copies — a batch shares the upper levels of the
+/// tree that `k` separate root-to-leaf updates would each copy. A
+/// single-row piece is replaced in place (same priority). The fragments
+/// of a cut run each draw an independent priority from `fresh_prio` —
+/// priorities must not depend on a node's history, or an ascending
+/// sequence of rewrites grows a spine — and merge into place; where one
+/// lands above an ancestor, that ancestor merges too instead of being
+/// copied (O(1) expected such ancestors per fragment, as in a treap
+/// insert).
+///
+/// On `Err` from `f` nothing is returned and `t` is untouched (it is
+/// persistent); the caller keeps its old root.
+pub fn rewrite_rows<E>(
+    t: &Link,
+    base: u64,
+    rids: &[u64],
+    fresh_prio: &mut impl FnMut() -> u64,
+    f: &mut impl FnMut(&Piece, u64) -> Result<Option<Piece>, E>,
+) -> Result<Link, E> {
+    let Some(n) = t else {
+        debug_assert!(rids.is_empty(), "rid beyond the image");
+        return Ok(None);
+    };
+    if rids.is_empty() {
+        return Ok(t.clone());
+    }
+    let lo = base + size(&n.left);
+    let hi = lo + n.piece.rows();
+    let i = rids.partition_point(|&r| r < lo);
+    let j = rids.partition_point(|&r| r < hi);
+    // Left, own piece, right: `f` sees the rows in ascending order.
+    let left = rewrite_rows(&n.left, base, &rids[..i], fresh_prio, f)?;
+    let own = &rids[i..j];
+    // `in_place`: the node keeps its priority under a new piece.
+    // Otherwise `fragments` (possibly none: a deleted row) take its place.
+    let (in_place, fragments) = match &n.piece {
+        piece if own.is_empty() => (Some(piece.clone()), Vec::new()),
+        run @ Piece::StableRun { sid, len } => {
+            let mut fragments = Vec::with_capacity(2 * own.len() + 1);
+            let mut cursor = 0u64;
+            for &rid in own {
+                let off = rid - lo;
+                if off > cursor {
+                    fragments.push(Piece::StableRun { sid: sid + cursor, len: off - cursor });
+                }
+                fragments.extend(f(run, off)?);
+                cursor = off + 1;
+            }
+            if cursor < *len {
+                fragments.push(Piece::StableRun { sid: sid + cursor, len: len - cursor });
+            }
+            (None, fragments)
+        }
+        single_row => (f(single_row, 0)?, Vec::new()),
+    };
+    let right = rewrite_rows(&n.right, hi, &rids[j..], fresh_prio, f)?;
+    Ok(match in_place {
+        Some(piece) => join(n.prio, piece, left, right),
+        None => {
+            let mid = fragments
+                .into_iter()
+                .fold(None, |mid, piece| merge(mid, leaf(fresh_prio(), piece)));
+            merge(left, merge(mid, right))
+        }
+    })
 }
 
 /// Position (RID) of the last visible stable row with `sid' <= sid`, plus
@@ -282,17 +360,6 @@ mod tests {
     }
 
     #[test]
-    fn get_at_walks_pieces() {
-        let t = build(vec![run(0, 3), ins(7), run(3, 3)]);
-        assert_eq!(get_at(&t, 0), Some((run(0, 3), 0)));
-        assert_eq!(get_at(&t, 2), Some((run(0, 3), 2)));
-        assert_eq!(get_at(&t, 3), Some((ins(7), 0)));
-        assert_eq!(get_at(&t, 4), Some((run(3, 3), 0)));
-        assert_eq!(get_at(&t, 6), Some((run(3, 3), 2)));
-        assert_eq!(get_at(&t, 7), None);
-    }
-
-    #[test]
     fn persistence_snapshots_unaffected() {
         let t1 = build(vec![run(0, 10)]);
         let (a, b) = split(t1.clone(), 5);
@@ -332,6 +399,134 @@ mod tests {
             t = merge(t, leaf(prio_for(i), run(i, 1)));
         }
         assert_eq!(size(&t), 10_000);
-        assert_eq!(get_at(&t, 9_999), Some((run(9_999, 1), 0)));
+        assert_eq!(find_stable_at_or_before(&t, 9_999), Some((9_999, 9_999)));
+    }
+
+    /// Heap order, subtree sizes and sid aggregates of every node.
+    fn assert_valid(t: &Link) {
+        let Some(n) = t else { return };
+        for child in [&n.left, &n.right] {
+            assert!(child.as_ref().is_none_or(|c| c.prio <= n.prio), "heap order");
+            assert_valid(child);
+        }
+        let rebuilt = mk(n.prio, n.piece.clone(), n.left.clone(), n.right.clone()).unwrap();
+        assert_eq!(
+            (n.size, n.max_sid, n.min_sid),
+            (rebuilt.size, rebuilt.max_sid, rebuilt.min_sid)
+        );
+    }
+
+    #[test]
+    fn rewrite_rows_matches_a_row_vector_model() {
+        // The image as one entry per row: Ok(sid) stable, Err(id) insert.
+        let mut x = 7u64;
+        let mut rnd = move |n: u64| {
+            x = vw_common::hash::hash_u64(x);
+            x % n
+        };
+        for round in 0..60u64 {
+            let mut pieces = Vec::new();
+            let mut model: Vec<std::result::Result<u64, u64>> = Vec::new();
+            let mut sid = 0;
+            for i in 0..1 + rnd(12) {
+                if rnd(3) == 0 {
+                    pieces.push(ins(1000 + i));
+                    model.push(Err(1000 + i));
+                } else {
+                    let len = 1 + rnd(40);
+                    sid += rnd(3); // gaps: deleted rows
+                    pieces.push(run(sid, len));
+                    model.extend((sid..sid + len).map(Ok));
+                    sid += len;
+                }
+            }
+            let t = build(pieces);
+            let before = collect(&t);
+            // Every third row or so, ascending; odd rounds delete, even
+            // rounds replace the row by a marker insert.
+            let rids: Vec<u64> = (0..model.len() as u64).filter(|_| rnd(3) == 0).collect();
+            let delete = round % 2 == 1;
+            let mut seen = Vec::new();
+            let mut counter = 0u64;
+            let out = rewrite_rows(
+                &t,
+                0,
+                &rids,
+                &mut || {
+                    counter += 1;
+                    prio_for(round * 1_000 + counter)
+                },
+                &mut |piece, off| {
+                    seen.push(match piece {
+                        Piece::StableRun { sid, .. } => Ok(sid + off),
+                        Piece::Insert { id, .. } => Err(*id),
+                        Piece::StableMod { .. } => unreachable!(),
+                    });
+                    Ok::<_, ()>((!delete).then(|| ins(9_000 + seen.len() as u64)))
+                },
+            )
+            .unwrap();
+            assert_valid(&out);
+            assert_eq!(collect(&t), before, "the input tree is persistent");
+            // `f` saw exactly the addressed rows, in order.
+            let want_seen: Vec<_> = rids.iter().map(|&r| model[r as usize]).collect();
+            assert_eq!(seen, want_seen);
+            // The output, row by row.
+            let mut want = model.clone();
+            for (k, &r) in rids.iter().enumerate().rev() {
+                if delete {
+                    let _ = want.remove(r as usize);
+                } else {
+                    want[r as usize] = Err(9_001 + k as u64);
+                }
+            }
+            let mut got = Vec::new();
+            for_each_piece(&out, &mut |p| match p {
+                Piece::StableRun { sid, len } => got.extend((*sid..sid + len).map(Ok)),
+                Piece::Insert { id, .. } => got.push(Err(*id)),
+                Piece::StableMod { .. } => unreachable!(),
+            });
+            assert_eq!(got, want, "round {round}");
+            assert_eq!(size(&out), want.len() as u64);
+        }
+    }
+
+    #[test]
+    fn ascending_single_row_rewrites_stay_balanced() {
+        // One run cut at ascending positions, one row per call: fragment
+        // priorities that depended on their parent's would grow a spine
+        // as long as the sequence.
+        fn depth(t: &Link) -> usize {
+            t.as_ref().map_or(0, |n| 1 + depth(&n.left).max(depth(&n.right)))
+        }
+        let mut t = build(vec![run(0, 1_000_000)]);
+        let mut counter = 0u64;
+        for k in 0..2_000u64 {
+            t = rewrite_rows(
+                &t,
+                0,
+                &[k * 97],
+                &mut || {
+                    counter += 1;
+                    prio_for(counter)
+                },
+                &mut |_, _| Ok::<_, ()>(Some(ins(k))),
+            )
+            .unwrap();
+        }
+        assert_valid(&t);
+        assert_eq!(size(&t), 1_000_000);
+        assert!(depth(&t) < 64, "4001 nodes at depth {}", depth(&t));
+    }
+
+    #[test]
+    fn rewrite_rows_error_leaves_the_tree_alone() {
+        let t = build(vec![run(0, 10), ins(1)]);
+        let r = rewrite_rows(&t, 0, &[2, 10], &mut || 1, &mut |p, _| match p {
+            Piece::Insert { .. } => Err("no"),
+            _ => Ok(None),
+        });
+        assert_eq!(r.unwrap_err(), "no");
+        assert_eq!(collect(&t), vec![run(0, 10), ins(1)]);
     }
 }

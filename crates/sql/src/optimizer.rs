@@ -442,7 +442,7 @@ fn col_vs_lit(e: &SqlExpr) -> Option<(CmpOp, usize, Value, bool)> {
 }
 
 /// `col <cmp> literal` (or reversed) → a MinMax hint in base-table indices.
-fn hint_from(e: &SqlExpr, projection: &[usize]) -> Option<ScanHint> {
+pub fn hint_from(e: &SqlExpr, projection: &[usize]) -> Option<ScanHint> {
     let (op, col, lit, flipped) = col_vs_lit(e)?;
     let base_col = *projection.get(col)?;
     let (lo, hi) = match (op, flipped) {

@@ -136,6 +136,13 @@ impl TableStorage {
         &self.packs[i]
     }
 
+    /// Index of the pack holding stable row `row`; `None` beyond the last
+    /// pack. Packs are contiguous and ascending: a binary search.
+    pub fn pack_of_row(&self, row: u64) -> Option<usize> {
+        let i = self.packs.partition_point(|p| p.row_start + p.n_rows as u64 <= row);
+        (i < self.packs.len()).then_some(i)
+    }
+
     /// The device this table lives on.
     pub fn disk(&self) -> &Arc<SimulatedDisk> {
         &self.disk
@@ -333,15 +340,6 @@ impl TableStorage {
                 }
                 true
             })
-            .map(|(i, p)| ScanRange { pack: i, row_start: p.row_start, n_rows: p.n_rows })
-            .collect()
-    }
-
-    /// All packs as scan ranges (full scan).
-    pub fn all_ranges(&self) -> Vec<ScanRange> {
-        self.packs
-            .iter()
-            .enumerate()
             .map(|(i, p)| ScanRange { pack: i, row_start: p.row_start, n_rows: p.n_rows })
             .collect()
     }
