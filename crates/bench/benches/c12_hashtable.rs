@@ -6,18 +6,25 @@
 //! [`vw_exec::hashtable::FlatTable`]. Also proves the acceptance criterion
 //! that the steady-state vectorized probe loop performs **zero heap
 //! allocations** once its scratch buffers are warm, via a counting global
-//! allocator.
+//! allocator — and the same for every rung of `HashAggregate`'s
+//! group-resolution ladder (no keys, two dict-coded keys, one BIGINT key,
+//! two BIGINT keys), each timed per row beside it.
 
 use criterion::{black_box, criterion_group, Criterion};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
+use std::time::Instant;
 use vw_common::hash::{hash_u64, FxHashMap};
-use vw_common::ColData;
+use vw_common::{CancelToken, ColData, Field, Result, Schema, TypeId};
+use vw_exec::expr::{ExprCtx, PhysExpr};
 use vw_exec::hashtable::{self, FlatTable};
-use vw_exec::Vector;
+use vw_exec::op::{AggFunc, AggSpec, HashAggregate, Operator};
+use vw_exec::program::ExprProgram;
+use vw_exec::{Batch, Vector};
 
 // ---------------------------------------------------------------------------
 // counting allocator (steady-state allocation proof)
@@ -187,8 +194,147 @@ fn steady_state_alloc_check() {
     println!("steady-state probe allocations over 64 batches: {allocated} (OK)");
 }
 
+// ---------------------------------------------------------------------------
+// the group-resolution ladder: one HashAggregate build per rung
+// ---------------------------------------------------------------------------
+
+const RUNG_BATCHES: usize = 256;
+/// Batches served before the allocation count starts: two packs, so the
+/// dict rung's memo has met a dictionary change.
+const RUNG_WARM: usize = 32;
+
+/// Serves pre-built batches by value and notes the allocation counter and
+/// the clock when the steady state starts and when the input ends.
+struct Replay {
+    schema: Schema,
+    batches: std::vec::IntoIter<Batch>,
+    served: usize,
+    marks: Arc<[AtomicU64; 2]>,
+    clock: Arc<Mutex<[Option<Instant>; 2]>>,
+}
+
+impl Operator for Replay {
+    fn schema(&self) -> &Schema {
+        &self.schema
+    }
+    fn name(&self) -> &'static str {
+        "Replay"
+    }
+    fn next(&mut self) -> Result<Option<Batch>> {
+        let mark = |i: usize| {
+            self.marks[i].store(ALLOCS.load(Ordering::Relaxed), Ordering::Relaxed);
+            self.clock.lock().unwrap()[i] = Some(Instant::now());
+        };
+        if self.served == RUNG_WARM {
+            mark(0);
+        }
+        self.served += 1;
+        let batch = self.batches.next();
+        if batch.is_none() {
+            mark(1);
+        }
+        Ok(batch)
+    }
+}
+
+/// Columns: two dict-coded strings (3 × 2 values, one dictionary `Arc` per
+/// 16-batch pack), two BIGINT keys (1000 × 7 values), one BIGINT value.
+fn rung_batches() -> (Schema, Vec<Batch>) {
+    let schema = Schema::new(vec![
+        Field::not_null("flag", TypeId::Str),
+        Field::not_null("status", TypeId::Str),
+        Field::not_null("k1", TypeId::I64),
+        Field::not_null("k2", TypeId::I64),
+        Field::not_null("v", TypeId::I64),
+    ])
+    .unwrap();
+    let mut rng = SmallRng::seed_from_u64(12);
+    let mut dicts: Vec<Arc<Vec<String>>> = Vec::new();
+    let batches = (0..RUNG_BATCHES)
+        .map(|b| {
+            if b % 16 == 0 {
+                let dict = |vals: &[&str]| Arc::new(vals.iter().map(|s| s.to_string()).collect());
+                dicts = vec![dict(&["A", "N", "R"]), dict(&["F", "O"])];
+            }
+            let mut cols: Vec<Vector> = dicts
+                .iter()
+                .map(|d| {
+                    let codes = (0..VECTOR).map(|_| rng.gen_range(0..d.len() as u32)).collect();
+                    Vector::from_dict(codes, d.clone(), None)
+                })
+                .collect();
+            for domain in [1000i64, 7, 100] {
+                let vals = (0..VECTOR).map(|_| rng.gen_range(0..domain)).collect();
+                cols.push(Vector::new(ColData::I64(vals)));
+            }
+            Batch::new(cols)
+        })
+        .collect();
+    (schema, batches)
+}
+
+/// Per rung: build `COUNT(*), SUM(v)` grouped by `keys`, assert that the
+/// steady-state batches allocate nothing, print their nanoseconds per row
+/// (input batches stream cold from memory, 8 MiB of them: the figure is
+/// the rung plus a column scan from DRAM, comparable across rungs).
+fn resolution_rungs() {
+    let (schema, batches) = rung_batches();
+    let rungs: [(&str, &[usize]); 4] = [
+        ("0 keys", &[]),
+        ("2 dict keys", &[0, 1]),
+        ("1 BIGINT key", &[2]),
+        ("2 BIGINT keys", &[2, 3]),
+    ];
+    for (name, keys) in rungs {
+        let col = |c: usize| {
+            ExprProgram::compile(&PhysExpr::ColRef(c, schema.fields[c].ty), &ExprCtx::default())
+        };
+        let mut fields: Vec<Field> = keys.iter().map(|&c| schema.fields[c].clone()).collect();
+        fields.push(Field::not_null("cnt", TypeId::I64));
+        fields.push(Field::nullable("sum", TypeId::I64));
+        // Five builds; the fastest is reported (on a shared box noise only
+        // adds time), every one must be allocation-free.
+        let mut ns_per_row = f64::INFINITY;
+        for _ in 0..5 {
+            let marks = Arc::new([AtomicU64::new(0), AtomicU64::new(0)]);
+            let clock = Arc::new(Mutex::new([None; 2]));
+            let input = Replay {
+                schema: schema.clone(),
+                batches: batches.clone().into_iter(),
+                served: 0,
+                marks: marks.clone(),
+                clock: clock.clone(),
+            };
+            let mut agg = HashAggregate::new(
+                Box::new(input),
+                keys.iter().map(|&c| col(c)).collect(),
+                vec![
+                    AggSpec { func: AggFunc::CountStar, input: None, out_ty: TypeId::I64 },
+                    AggSpec { func: AggFunc::Sum, input: Some(col(4)), out_ty: TypeId::I64 },
+                ],
+                Schema::unchecked(fields.clone()),
+                VECTOR,
+                CancelToken::new(),
+            )
+            .unwrap();
+            black_box(agg.next().unwrap().expect("at least one group"));
+            let [Some(t0), Some(t1)] = *clock.lock().unwrap() else { panic!("input not drained") };
+            let steady_rows = ((RUNG_BATCHES - RUNG_WARM) * VECTOR) as f64;
+            ns_per_row = ns_per_row.min((t1 - t0).as_nanos() as f64 / steady_rows);
+            let allocated = marks[1].load(Ordering::Relaxed) - marks[0].load(Ordering::Relaxed);
+            assert_eq!(allocated, 0, "{name}: a steady-state batch allocated");
+        }
+        println!(
+            "group resolution, {name}: {ns_per_row:.2} ns/row, 0 allocations over {} \
+             steady-state batches (OK)",
+            RUNG_BATCHES - RUNG_WARM
+        );
+    }
+}
+
 fn bench(c: &mut Criterion) {
     steady_state_alloc_check();
+    resolution_rungs();
 
     let mut g = c.benchmark_group("c12_hashtable");
     g.sample_size(10)

@@ -131,7 +131,7 @@ fn bench(c: &mut Criterion) {
     let e = expr();
     let prog = ExprProgram::compile(&e, &ctx);
     let p = pred();
-    let sel_prog = SelectProgram::compile(&p, &ctx);
+    let mut sel_prog = SelectProgram::compile(&p, &ctx);
 
     let mut g = c.benchmark_group("c13_exprprog");
     g.sample_size(10)

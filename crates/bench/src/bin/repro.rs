@@ -51,7 +51,7 @@ fn main() {
         ex::print_table("C10: SQL function battery (100k rows)", &ex::c10(100_000));
     }
     if want("c11") {
-        ex::print_table("C11: monitoring overhead (50k rows, 50 queries)", &ex::c11(50_000, 50));
+        ex::print_table("C11: monitored short query (50k rows, 50 queries)", &ex::c11(50_000, 50));
     }
     if want("ablation") || exp.is_none() {
         ex::print_table(

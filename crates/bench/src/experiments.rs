@@ -713,30 +713,27 @@ pub fn c10(rows: usize) -> Table {
     (vec!["function", "implementation", "time_ms", "result"], out)
 }
 
-/// C11 — monitoring overhead: repeated queries with profiling on/off.
+/// C11 — monitoring: what repeated short queries cost with the (always
+/// on) registry, event log and per-operator counters, and what they leave
+/// behind in the monitor.
 pub fn c11(rows: usize, reps: usize) -> Table {
-    let mut out = Vec::new();
-    for (label, profiling) in [("monitoring on", true), ("monitoring off", false)] {
-        let db = Database::open_in_memory();
-        load_lineitem(&db, rows, 11);
-        db.execute(&format!("SET profiling = {}", profiling as i64)).unwrap();
-        let t0 = Instant::now();
-        for _ in 0..reps {
-            std::hint::black_box(
-                db.execute("SELECT SUM(l_quantity) FROM lineitem WHERE l_quantity < 25").unwrap(),
-            );
-        }
-        let elapsed = t0.elapsed() / reps as u32;
-        let (total, failed) = db.monitor.totals();
-        out.push(vec![
-            label.to_string(),
-            ms(elapsed),
-            total.to_string(),
-            failed.to_string(),
-            db.monitor.events().len().to_string(),
-        ]);
+    let db = Database::open_in_memory();
+    load_lineitem(&db, rows, 11);
+    let t0 = Instant::now();
+    for _ in 0..reps {
+        std::hint::black_box(
+            db.execute("SELECT SUM(l_quantity) FROM lineitem WHERE l_quantity < 25").unwrap(),
+        );
     }
-    (vec!["mode", "per_query_ms", "queries_registered", "failed", "events_logged"], out)
+    let elapsed = t0.elapsed() / reps as u32;
+    let (total, failed) = db.monitor.totals();
+    let out = vec![vec![
+        ms(elapsed),
+        total.to_string(),
+        failed.to_string(),
+        db.monitor.events().len().to_string(),
+    ]];
+    (vec!["per_query_ms", "queries_registered", "failed", "events_logged"], out)
 }
 
 /// Ablation — selection vectors vs eager materialization at varying

@@ -249,8 +249,9 @@ impl ColData {
         Ok(())
     }
 
-    /// Widen the content to i64s (compression input) — not for Str/F64.
-    /// F64 goes through raw bit transmutation, Str through the string codec.
+    /// Widen the content to i64s (compression input; the codecs' `Lane`s
+    /// are the inverse) — not for Str. F64 goes through raw bit
+    /// transmutation, Str through the string codec.
     pub fn to_i64s(&self, out: &mut Vec<i64>) {
         out.clear();
         match self {
@@ -263,38 +264,6 @@ impl ColData {
             ColData::Date(v) => out.extend(v.iter().map(|&x| x as i64)),
             ColData::Str(_) => panic!("to_i64s on string column"),
         }
-    }
-
-    /// Rebuild a column of type `ty` from widened i64s (decompression output).
-    pub fn from_i64s(ty: TypeId, vals: &[i64]) -> Result<ColData> {
-        let narrow_err =
-            |v: i64| VwError::Corruption(format!("value {v} out of range for {}", ty.sql_name()));
-        Ok(match ty {
-            TypeId::Bool => ColData::Bool(vals.iter().map(|&v| v != 0).collect()),
-            TypeId::I8 => ColData::I8(
-                vals.iter()
-                    .map(|&v| i8::try_from(v).map_err(|_| narrow_err(v)))
-                    .collect::<Result<_>>()?,
-            ),
-            TypeId::I16 => ColData::I16(
-                vals.iter()
-                    .map(|&v| i16::try_from(v).map_err(|_| narrow_err(v)))
-                    .collect::<Result<_>>()?,
-            ),
-            TypeId::I32 => ColData::I32(
-                vals.iter()
-                    .map(|&v| i32::try_from(v).map_err(|_| narrow_err(v)))
-                    .collect::<Result<_>>()?,
-            ),
-            TypeId::I64 => ColData::I64(vals.to_vec()),
-            TypeId::F64 => ColData::F64(vals.iter().map(|&v| f64::from_bits(v as u64)).collect()),
-            TypeId::Date => ColData::Date(
-                vals.iter()
-                    .map(|&v| i32::try_from(v).map_err(|_| narrow_err(v)))
-                    .collect::<Result<_>>()?,
-            ),
-            TypeId::Str => return Err(VwError::Corruption("from_i64s on string column".into())),
-        })
     }
 
     /// Borrow as `&[i64]`; panics if not an I64 column (kernel internals).
@@ -379,40 +348,6 @@ mod tests {
         let mut col = ColData::new(TypeId::Str);
         col.push_value(&Value::Null).unwrap();
         assert_eq!(col.get_value(0), Value::Str(String::new()));
-    }
-
-    #[test]
-    fn i64_widening_roundtrip() {
-        for ty in [TypeId::Bool, TypeId::I8, TypeId::I16, TypeId::I32, TypeId::I64, TypeId::Date] {
-            let mut col = ColData::new(ty);
-            for i in -3i64..4 {
-                let v = match ty {
-                    TypeId::Bool => Value::Bool(i != 0),
-                    TypeId::Date => Value::Date(Date(i as i32)),
-                    _ => Value::I64(i).cast_to(ty).unwrap(),
-                };
-                col.push_value(&v).unwrap();
-            }
-            let mut widened = Vec::new();
-            col.to_i64s(&mut widened);
-            let back = ColData::from_i64s(ty, &widened).unwrap();
-            assert_eq!(back, col);
-        }
-    }
-
-    #[test]
-    fn f64_bits_roundtrip() {
-        let col = ColData::F64(vec![0.0, -1.5, f64::INFINITY, f64::MIN_POSITIVE]);
-        let mut widened = Vec::new();
-        col.to_i64s(&mut widened);
-        let back = ColData::from_i64s(TypeId::F64, &widened).unwrap();
-        assert_eq!(back, col);
-    }
-
-    #[test]
-    fn from_i64s_detects_out_of_range() {
-        assert!(ColData::from_i64s(TypeId::I8, &[300]).is_err());
-        assert!(ColData::from_i64s(TypeId::I16, &[1 << 20]).is_err());
     }
 
     #[test]

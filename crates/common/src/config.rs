@@ -162,8 +162,6 @@ pub struct EngineConfig {
     pub null_mode: NullMode,
     /// Rows per storage pack (the compression granule).
     pub pack_size: usize,
-    /// Enable per-operator profiling counters.
-    pub profiling: bool,
     /// Per-query statement timeout in milliseconds; `0` disables timeouts
     /// and constructs none of the deadline machinery (no watchdog thread,
     /// no clock reads in `CancelToken::check`). When non-zero, every query
@@ -243,7 +241,6 @@ impl Default for EngineConfig {
             check_mode: CheckMode::Lazy,
             null_mode: NullMode::TwoColumn,
             pack_size: 16 * 1024,
-            profiling: true,
             statement_timeout_ms: 0,
             event_log_capacity: 1024,
             workers,

@@ -75,17 +75,41 @@ impl SelVec {
         self.positions.extend(0..n as u32);
     }
 
+    /// Replace the contents with the `candidates` (ascending positions)
+    /// that satisfy `keep` — the one selection loop under every
+    /// select/retain primitive. Branch-free: the buffer is pre-sized to
+    /// the candidate count, every candidate is stored at the write cursor
+    /// and the cursor advances by the predicate's outcome
+    /// (`out[j] = p; j += keep(p) as usize`), so a 50 %-selective predicate
+    /// costs what a 0 % or 100 % one does — no mispredictions, no
+    /// capacity test per survivor. Nothing is written past the candidate
+    /// count; the tail beyond the survivors is truncated away.
+    #[inline]
+    pub fn fill_filtered(
+        &mut self,
+        candidates: impl ExactSizeIterator<Item = u32>,
+        mut keep: impl FnMut(usize) -> bool,
+    ) {
+        self.positions.clear();
+        self.positions.resize(candidates.len(), 0);
+        let mut j = 0;
+        for p in candidates {
+            // In bounds: `j` counts survivors among the candidates seen so
+            // far, this one excluded.
+            self.positions[j] = p;
+            j += keep(p as usize) as usize;
+        }
+        self.positions.truncate(j);
+        debug_assert!(self.positions.windows(2).all(|w| w[0] < w[1]), "selection must be sorted");
+    }
+
     /// Copy the positions satisfying `keep` into `out` (cleared first).
     /// Preserves sortedness by construction; this is the narrowing step of
     /// vectorized probe loops — each re-probe round retains only the lanes
     /// that still have a candidate chain entry.
-    pub fn retain_from(&self, mut keep: impl FnMut(usize) -> bool, out: &mut SelVec) {
-        out.clear();
-        for p in self.iter() {
-            if keep(p) {
-                out.positions.push(p as u32);
-            }
-        }
+    #[inline]
+    pub fn retain_from(&self, keep: impl FnMut(usize) -> bool, out: &mut SelVec) {
+        out.fill_filtered(self.positions.iter().copied(), keep);
     }
 
     /// Append a position; caller maintains sortedness.

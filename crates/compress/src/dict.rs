@@ -6,8 +6,8 @@
 //! Vectorwise stores enumerated VARCHAR columns like `l_returnflag`.
 
 use crate::bitpack;
-use crate::bits_for;
 use crate::io::{ByteReader, ByteWriter};
+use crate::{bits_for, emit, emit_words, Lane};
 use vw_common::hash::FxHashMap;
 use vw_common::{Result, VwError};
 
@@ -40,8 +40,10 @@ pub fn encode_i64(values: &[i64], w: &mut ByteWriter) -> Result<()> {
     Ok(())
 }
 
-/// Decode a PDICT integer block of `n` values.
-pub fn decode_i64(r: &mut ByteReader, n: usize, out: &mut Vec<i64>) -> Result<()> {
+/// Decode a PDICT integer block of `n` values, appending to `out`: the
+/// dictionary is narrowed to `T` once, and each block of codes is looked
+/// up as it leaves the unpack kernel.
+pub fn decode_i64<T: Lane>(r: &mut ByteReader, n: usize, out: &mut Vec<T>) -> Result<()> {
     let dict_len = r.get_u32()? as usize;
     if dict_len == 0 {
         return if n == 0 {
@@ -50,25 +52,28 @@ pub fn decode_i64(r: &mut ByteReader, n: usize, out: &mut Vec<i64>) -> Result<()
             Err(VwError::Corruption("empty dictionary for nonempty block".into()))
         };
     }
-    // Guard the allocation: a corrupted header must not trigger a huge
-    // reserve before the reads below would fail anyway.
-    if dict_len.saturating_mul(8) > r.remaining() {
-        return Err(VwError::Corruption(format!(
-            "dictionary of {dict_len} entries larger than block payload"
-        )));
-    }
-    let mut dict = Vec::with_capacity(dict_len);
-    for _ in 0..dict_len {
-        dict.push(r.get_u64()? as i64);
-    }
+    // The length check doubles as the allocation guard: a corrupted header
+    // cannot ask for more entries than the payload holds.
+    let mut dict: Vec<T> = Vec::new();
+    emit_words(r.get_bytes(dict_len.saturating_mul(8))?, &mut dict)?;
     let bits = code_bits(dict_len);
-    let mut codes = Vec::with_capacity(n);
-    bitpack::unpack(r, n, bits, &mut codes)?;
-    for c in codes {
-        let v = *dict
-            .get(c as usize)
-            .ok_or_else(|| VwError::Corruption(format!("dict code {c} out of range {dict_len}")))?;
-        out.push(v);
+    let payload = bitpack::take_packed(r, n, bits)?;
+    bitpack::for_each_block(payload, n, bits, |codes| {
+        check_codes(codes, dict_len)?;
+        out.extend(codes.iter().map(|&c| dict[c as usize]));
+        Ok(())
+    })
+}
+
+/// `Corruption` unless every code of the block indexes a dictionary of
+/// `dict_len > 0` entries — one reduction per block, so the lookups that
+/// follow need no per-value error path. Codes and `dict_len` are below
+/// 2^33, so `last - code` borrows into the sign bit exactly when the code
+/// is out of range: a subtract and an OR per value, no compare.
+fn check_codes(codes: &[u64], dict_len: usize) -> Result<()> {
+    let last = dict_len as u64 - 1;
+    if codes.iter().fold(0, |acc, &c| acc | last.wrapping_sub(c)) >> 63 != 0 {
+        return Err(VwError::Corruption(format!("dict code out of range {dict_len}")));
     }
     Ok(())
 }
@@ -144,18 +149,12 @@ pub fn decode_codes(sd: &StringDict, out: &mut Vec<u32>) -> Result<()> {
         return Err(VwError::Corruption("empty string dictionary".into()));
     }
     let bits = code_bits(sd.dict.len());
-    let mut r = ByteReader::new(&sd.bytes);
-    let mut wide = Vec::with_capacity(sd.len);
-    bitpack::unpack(&mut r, sd.len, bits, &mut wide)?;
-    let dict_len = sd.dict.len() as u64;
+    let payload = bitpack::take_packed(&mut ByteReader::new(&sd.bytes), sd.len, bits)?;
     out.reserve(sd.len);
-    for c in wide {
-        if c >= dict_len {
-            return Err(VwError::Corruption(format!("string code {c} out of range {dict_len}")));
-        }
-        out.push(c as u32);
-    }
-    Ok(())
+    bitpack::for_each_block(payload, sd.len, bits, |codes| {
+        check_codes(codes, sd.dict.len())?;
+        emit(codes, out)
+    })
 }
 
 /// Materialize dictionary codes into `out`, reusing its existing `String`
@@ -184,7 +183,7 @@ mod tests {
         // 4 entries → 2 bits/code.
         assert!(bytes.len() < 4 + 32 + 5000 / 4 + 16);
         let mut r = ByteReader::new(&bytes);
-        let mut out = Vec::new();
+        let mut out: Vec<i64> = Vec::new();
         decode_i64(&mut r, values.len(), &mut out).unwrap();
         assert_eq!(out, values);
     }
@@ -196,7 +195,7 @@ mod tests {
         encode_i64(&values, &mut w).unwrap();
         let bytes = w.into_bytes();
         let mut r = ByteReader::new(&bytes);
-        let mut out = Vec::new();
+        let mut out: Vec<i64> = Vec::new();
         decode_i64(&mut r, 1000, &mut out).unwrap();
         assert_eq!(out, values);
     }
@@ -272,7 +271,7 @@ mod tests {
         // in-range, so instead shrink the dictionary claim.
         bytes[0] = 1; // dict_len = 1 → every code must be 0, but codes contain 1s
         let mut r = ByteReader::new(&bytes);
-        let mut out = Vec::new();
+        let mut out: Vec<i64> = Vec::new();
         assert!(decode_i64(&mut r, 4, &mut out).is_err());
     }
 }

@@ -3,11 +3,18 @@
 //! Plain frame-of-reference must size its bit width for the *largest*
 //! residual, so one outlier ruins a whole block. PFOR instead picks the
 //! width that covers the bulk of the values and stores the outliers as
-//! *exceptions* that are patched over the decoded output in a separate,
-//! branch-free loop. The ICDE'06 paper stores exception offsets inside the
+//! *exceptions*. The ICDE'06 paper stores exception offsets inside the
 //! unused code slots as a linked list; we store (position, value) arrays
-//! after the packed payload — the same decode structure (tight unpack loop +
-//! patch loop), simpler framing.
+//! after the packed payload — simpler framing, same decode structure.
+//!
+//! Decode is one pass over `bitpack::for_each_block`: each 64-value block
+//! leaves the width-specialised unpack kernel in a stack buffer, the
+//! exceptions that fall into it overwrite their slots there (positions are
+//! ascending, so a cursor walks the exception arrays once), and the frame
+//! base — for PFOR-DELTA also the running prefix sum — is applied as the
+//! block is narrowed into the destination vector. The only per-value work
+//! is shift/mask/add; every check (payload length, width, exception
+//! positions, narrowing) is made once per chunk.
 //!
 //! PFOR-DELTA applies PFOR to the differences of consecutive values, which
 //! turns sorted/clustered columns (keys, dates, foreign keys) into tiny
@@ -15,8 +22,8 @@
 //! domain round-trips.
 
 use crate::bitpack;
-use crate::bits_for;
 use crate::io::{ByteReader, ByteWriter};
+use crate::{bits_for, emit, Lane};
 use vw_common::{Result, VwError};
 
 /// Fraction of values that should be covered by the packed width; the
@@ -100,39 +107,74 @@ pub fn encode_pfor(values: &[i64], w: &mut ByteWriter) {
     }
 }
 
-/// Decode a PFOR block of `n` values into `out`.
-pub fn decode_pfor(r: &mut ByteReader, n: usize, out: &mut Vec<i64>) -> Result<()> {
+/// The header and the three byte ranges of a PFOR block of `n` values.
+struct PforBlock<'a> {
+    base: u64,
+    bits: u32,
+    payload: &'a [u8],
+    exc_pos: &'a [u8],
+    exc_val: &'a [u8],
+}
+
+impl<'a> PforBlock<'a> {
+    fn read(r: &mut ByteReader<'a>, n: usize) -> Result<PforBlock<'a>> {
+        let base = r.get_u64()?;
+        let bits = r.get_u8()? as u32;
+        let n_exc = r.get_u32()? as usize;
+        if n_exc > n {
+            return Err(VwError::Corruption(format!("pfor exceptions {n_exc} > n {n}")));
+        }
+        let payload = bitpack::take_packed(r, n, bits)?;
+        Ok(PforBlock {
+            base,
+            bits,
+            payload,
+            exc_pos: r.get_bytes(n_exc * 4)?,
+            exc_val: r.get_bytes(n_exc * 8)?,
+        })
+    }
+
+    /// Unpack the `n` values block by block, patched and with the frame
+    /// base added; `sink` transforms further and emits.
+    fn decode(&self, n: usize, mut sink: impl FnMut(&mut [u64]) -> Result<()>) -> Result<()> {
+        // Infallible: chunks_exact(4 / 8) yield windows of exactly that size.
+        let mut excs = self
+            .exc_pos
+            .chunks_exact(4)
+            .map(|p| u32::from_le_bytes(p.try_into().unwrap()) as usize)
+            .zip(self.exc_val.chunks_exact(8).map(|v| u64::from_le_bytes(v.try_into().unwrap())))
+            .peekable();
+        let mut start = 0usize;
+        bitpack::for_each_block(self.payload, n, self.bits, |block| {
+            let end = start + block.len();
+            while let Some(&(p, v)) = excs.peek().filter(|&&(p, _)| p < end) {
+                // A position before its block is out of order: the cursor
+                // cannot go back (and the encoder never writes one).
+                let slot = p.checked_sub(start).ok_or_else(|| {
+                    VwError::Corruption("pfor exception positions not ascending".into())
+                })?;
+                block[slot] = v;
+                excs.next();
+            }
+            for d in block.iter_mut() {
+                *d = self.base.wrapping_add(*d);
+            }
+            start = end;
+            sink(block)
+        })?;
+        match excs.next() {
+            None => Ok(()),
+            Some((p, _)) => Err(VwError::Corruption(format!("pfor exception position {p} >= {n}"))),
+        }
+    }
+}
+
+/// Decode a PFOR block of `n` values, appending to `out`.
+pub fn decode_pfor<T: Lane>(r: &mut ByteReader, n: usize, out: &mut Vec<T>) -> Result<()> {
     if n == 0 {
         return Ok(());
     }
-    let base = r.get_u64()?;
-    let bits = r.get_u8()? as u32;
-    if bits > 64 {
-        return Err(VwError::Corruption(format!("pfor width {bits} > 64")));
-    }
-    let n_exc = r.get_u32()? as usize;
-    if n_exc > n {
-        return Err(VwError::Corruption(format!("pfor exceptions {n_exc} > n {n}")));
-    }
-    let start = out.len();
-    // Tight unpack loop (branch-free per value)...
-    let mut residuals = Vec::with_capacity(n);
-    bitpack::unpack(r, n, bits, &mut residuals)?;
-    out.extend(residuals.iter().map(|&d| base.wrapping_add(d) as i64));
-    // ...then the patch loop.
-    let exc_pos = r.get_bytes(n_exc * 4)?;
-    let exc_val = r.get_bytes(n_exc * 8)?;
-    for i in 0..n_exc {
-        // Infallible: get_bytes(n_exc * 4/8) above guarantees both slices
-        // are exactly that long, so every 4/8-byte window exists.
-        let p = u32::from_le_bytes(exc_pos[i * 4..i * 4 + 4].try_into().unwrap()) as usize;
-        let v = u64::from_le_bytes(exc_val[i * 8..i * 8 + 8].try_into().unwrap());
-        if p >= n {
-            return Err(VwError::Corruption(format!("pfor exception position {p} >= {n}")));
-        }
-        out[start + p] = base.wrapping_add(v) as i64;
-    }
-    Ok(())
+    PforBlock::read(r, n)?.decode(n, |block| emit(block, out))
 }
 
 /// Encode with PFOR-DELTA: `first u64 | pfor(deltas of values[1..])`.
@@ -148,24 +190,26 @@ pub fn encode_pfor_delta(values: &[i64], w: &mut ByteWriter) {
     encode_pfor(&deltas, w);
 }
 
-/// Decode a PFOR-DELTA block of `n` values into `out`.
-pub fn decode_pfor_delta(r: &mut ByteReader, n: usize, out: &mut Vec<i64>) -> Result<()> {
+/// Decode a PFOR-DELTA block of `n` values, appending to `out`: the
+/// prefix sum runs over each block in place before it is narrowed.
+pub fn decode_pfor_delta<T: Lane>(r: &mut ByteReader, n: usize, out: &mut Vec<T>) -> Result<()> {
     if n == 0 {
         return Ok(());
     }
-    let first = r.get_u64()? as i64;
-    out.push(first);
+    let mut cur = r.get_u64()?;
+    emit(&[cur], out)?;
     if n == 1 {
         return Ok(());
     }
-    let mut deltas = Vec::with_capacity(n - 1);
-    decode_pfor(r, n - 1, &mut deltas)?;
-    let mut cur = first;
-    for &d in &deltas {
-        cur = cur.wrapping_add(d);
-        out.push(cur);
-    }
-    Ok(())
+    PforBlock::read(r, n - 1)?.decode(n - 1, |deltas| {
+        let mut sum = cur;
+        for d in deltas.iter_mut() {
+            sum = sum.wrapping_add(*d);
+            *d = sum;
+        }
+        cur = sum;
+        emit(deltas, out)
+    })
 }
 
 /// Estimated encoded byte size of PFOR for this data (scheme selection).
@@ -186,7 +230,7 @@ mod tests {
         encode_pfor(values, &mut w);
         let bytes = w.into_bytes();
         let mut r = ByteReader::new(&bytes);
-        let mut out = Vec::new();
+        let mut out: Vec<i64> = Vec::new();
         decode_pfor(&mut r, values.len(), &mut out).unwrap();
         assert_eq!(out, values);
         bytes.len()
@@ -197,7 +241,7 @@ mod tests {
         encode_pfor_delta(values, &mut w);
         let bytes = w.into_bytes();
         let mut r = ByteReader::new(&bytes);
-        let mut out = Vec::new();
+        let mut out: Vec<i64> = Vec::new();
         decode_pfor_delta(&mut r, values.len(), &mut out).unwrap();
         assert_eq!(out, values);
         bytes.len()
@@ -271,7 +315,7 @@ mod tests {
         let n = bytes.len();
         bytes[n - 12..n - 8].copy_from_slice(&5000u32.to_le_bytes());
         let mut r = ByteReader::new(&bytes);
-        let mut out = Vec::new();
+        let mut out: Vec<i64> = Vec::new();
         assert!(decode_pfor(&mut r, values.len(), &mut out).is_err());
     }
 
@@ -283,7 +327,7 @@ mod tests {
         let mut bytes = w.into_bytes();
         bytes[8] = 200; // width byte
         let mut r = ByteReader::new(&bytes);
-        let mut out = Vec::new();
+        let mut out: Vec<i64> = Vec::new();
         assert!(decode_pfor(&mut r, values.len(), &mut out).is_err());
     }
 }

@@ -5,6 +5,7 @@
 //! `n_runs u32 | (value u64, run_len u32)*`.
 
 use crate::io::{ByteReader, ByteWriter};
+use crate::Lane;
 use vw_common::{Result, VwError};
 
 /// Encode `values` as runs.
@@ -33,18 +34,22 @@ pub fn encode(values: &[i64], w: &mut ByteWriter) {
     }
 }
 
-/// Decode `n` values from runs into `out`.
-pub fn decode(r: &mut ByteReader, n: usize, out: &mut Vec<i64>) -> Result<()> {
+/// Decode `n` values from runs, appending to `out` (each run's value is
+/// narrowed once, then filled).
+pub fn decode<T: Lane>(r: &mut ByteReader, n: usize, out: &mut Vec<T>) -> Result<()> {
     let n_runs = r.get_u32()? as usize;
     let mut total = 0usize;
     for _ in 0..n_runs {
-        let v = r.get_u64()? as i64;
+        let v = r.get_u64()?;
         let l = r.get_u32()? as usize;
         total += l;
         if total > n {
             return Err(VwError::Corruption(format!("rle runs decode to more than {n} values")));
         }
-        out.resize(out.len() + l, v);
+        if !T::fits(v) {
+            return Err(VwError::Corruption(format!("rle value out of range for {}", T::NAME)));
+        }
+        out.resize(out.len() + l, T::cast(v));
     }
     Ok(())
 }
@@ -78,7 +83,7 @@ mod tests {
         encode(values, &mut w);
         let bytes = w.into_bytes();
         let mut r = ByteReader::new(&bytes);
-        let mut out = Vec::new();
+        let mut out: Vec<i64> = Vec::new();
         decode(&mut r, values.len(), &mut out).unwrap();
         assert_eq!(out, values);
         bytes.len()
@@ -135,7 +140,7 @@ mod tests {
         w.put_u32(1000); // claims 1000 values
         let bytes = w.into_bytes();
         let mut r = ByteReader::new(&bytes);
-        let mut out = Vec::new();
+        let mut out: Vec<i64> = Vec::new();
         assert!(decode(&mut r, 10, &mut out).is_err());
     }
 }

@@ -34,6 +34,7 @@ use vw_exec::program::{ExprProgram, SelectProgram};
 use vw_exec::CancelToken;
 use vw_pdt::store::items;
 use vw_pdt::MergeItem;
+use vw_sql::optimizer::{Estimator, PlanEstimates};
 use vw_sql::plan::{JoinKind, LogicalPlan, ScanHint, SetOpKind};
 use vw_sql::SqlExpr;
 use vw_storage::TableStorage;
@@ -135,6 +136,16 @@ struct Partition<'a> {
     seq: usize,
 }
 
+/// What is fixed for a whole query while its plan compiles, Exchange
+/// worker clones included.
+struct QueryWide<'p> {
+    /// The memory governor (`None` = no budget: builds run ungoverned).
+    spill: Option<QuerySpill>,
+    /// The cost model's row estimate of every plan node, from one
+    /// bottom-up pass (`None` under rule-only planning).
+    estimates: Option<PlanEstimates<'p>>,
+}
+
 /// The query-wide memory governor, created once per plan when
 /// `EngineConfig::mem_budget_bytes` is non-zero. Every hash join build
 /// side and every aggregation in the plan — Exchange worker clones
@@ -173,7 +184,11 @@ pub fn build_plan(
         // fine-grained even at DOP 1 (recursion needs ≥ 2 to split).
         partitions: config.build_partitions().max(8),
     });
-    build_plan_inner(db, plan, config, cancel, txn, None, false, &BatchPool::new(), spill.as_ref())
+    // Rule-only planning (SET optimizer = 0) has no estimates to show.
+    let estimates =
+        config.optimizer.then(|| Estimator::new(&crate::CatalogSnapshot { db }).estimate_all(plan));
+    let query = QueryWide { spill, estimates };
+    build_plan_inner(db, plan, config, cancel, txn, None, false, &BatchPool::new(), &query)
 }
 
 /// `in_exchange` tracks whether this subtree runs inside an Exchange
@@ -182,46 +197,41 @@ pub fn build_plan(
 /// of `dop` concurrent copies. Operator-level parallel builds gate on it:
 /// inside an exchange they would oversubscribe (dop × P threads).
 /// `batch_pool` is this worker pipeline's shared output-batch free-list.
-/// `spill` is the query-wide memory governor (None = unlimited memory,
-/// no spill machinery constructed).
+/// `query` holds what the whole query shares: the memory governor and the
+/// plan's row estimates.
 #[allow(clippy::too_many_arguments)]
-fn build_plan_inner(
+fn build_plan_inner<'p>(
     db: &Arc<Database>,
-    plan: &LogicalPlan,
+    plan: &'p LogicalPlan,
     config: &EngineConfig,
     cancel: &CancelToken,
     txn: Option<&OpenTxn>,
     partition: Option<&mut Partition<'_>>,
     in_exchange: bool,
     batch_pool: &BatchPool,
-    spill: Option<&QuerySpill>,
+    query: &QueryWide<'p>,
 ) -> Result<BoxedOp> {
     let mut op =
-        build_plan_node(db, plan, config, cancel, txn, partition, in_exchange, batch_pool, spill)?;
+        build_plan_node(db, plan, config, cancel, txn, partition, in_exchange, batch_pool, query)?;
     // Stamp the cost model's row estimate onto the operator's profile so
-    // EXPLAIN ANALYZE-style renderings can show estimated vs. actual
-    // rows. Rule-only planning (SET optimizer = 0) leaves it unset.
-    if config.optimizer {
-        if let Some(prof) = op.profile_mut() {
-            let cat = crate::CatalogSnapshot { db };
-            let est = vw_sql::optimizer::Estimator::new(&cat);
-            prof.est_rows = Some(est.rows(plan).round() as u64);
-        }
+    // EXPLAIN ANALYZE-style renderings can show estimated vs. actual rows.
+    if let (Some(est), Some(prof)) = (&query.estimates, op.profile_mut()) {
+        prof.est_rows = est.rows(plan).map(|r| r.round() as u64);
     }
     Ok(op)
 }
 
 #[allow(clippy::too_many_arguments)]
-fn build_plan_node(
+fn build_plan_node<'p>(
     db: &Arc<Database>,
-    plan: &LogicalPlan,
+    plan: &'p LogicalPlan,
     config: &EngineConfig,
     cancel: &CancelToken,
     txn: Option<&OpenTxn>,
     partition: Option<&mut Partition<'_>>,
     in_exchange: bool,
     batch_pool: &BatchPool,
-    spill: Option<&QuerySpill>,
+    query: &QueryWide<'p>,
 ) -> Result<BoxedOp> {
     let ctx = ExprCtx { check: config.check_mode, null_mode: config.null_mode };
     let vs = config.vector_size;
@@ -276,7 +286,7 @@ fn build_plan_node(
                 partition,
                 in_exchange,
                 batch_pool,
-                spill,
+                query,
             )?;
             // Compile once per query: the operator only ever runs programs.
             let program = SelectProgram::compile(&lower_expr(predicate)?, &ctx);
@@ -294,7 +304,7 @@ fn build_plan_node(
                 partition,
                 in_exchange,
                 batch_pool,
-                spill,
+                query,
             )?;
             let programs = exprs
                 .iter()
@@ -317,7 +327,7 @@ fn build_plan_node(
                 partition,
                 in_exchange,
                 batch_pool,
-                spill,
+                query,
             )?;
             let r = build_plan_inner(
                 db,
@@ -328,7 +338,7 @@ fn build_plan_node(
                 None,
                 in_exchange,
                 batch_pool,
-                spill,
+                query,
             )?;
             let lk = keys
                 .iter()
@@ -352,7 +362,7 @@ fn build_plan_node(
             // fans out on the worker pool — but never inside an Exchange
             // worker (even on a build side whose scan `partition` was
             // cleared), where the plan-level DOP already owns the cores.
-            if let Some(qs) = spill {
+            if let Some(qs) = &query.spill {
                 join = join.with_spill(qs.config(db));
             } else if config.parallelism > 1 && !in_exchange {
                 join = join.with_parallel_build(
@@ -373,7 +383,7 @@ fn build_plan_node(
                 partition,
                 in_exchange,
                 batch_pool,
-                spill,
+                query,
             )?;
             let g = group
                 .iter()
@@ -393,7 +403,7 @@ fn build_plan_node(
                 })
                 .collect::<Result<_>>()?;
             let mut agg = HashAggregate::new(child, g, specs, schema.clone(), vs, cancel.clone())?;
-            if let Some(qs) = spill {
+            if let Some(qs) = &query.spill {
                 agg = agg.with_spill(qs.config(db));
             } else if config.parallelism > 1 && !in_exchange {
                 agg = agg.with_parallel_build(
@@ -414,7 +424,7 @@ fn build_plan_node(
                 partition,
                 in_exchange,
                 batch_pool,
-                spill,
+                query,
             )?;
             // Sort directly under a Limit becomes TopN in `Limit` lowering;
             // standalone Sort materializes.
@@ -437,7 +447,7 @@ fn build_plan_node(
                         partition,
                         in_exchange,
                         batch_pool,
-                        spill,
+                        query,
                     )?;
                     let sort_keys: Vec<SortKey> = keys
                         .iter()
@@ -461,7 +471,7 @@ fn build_plan_node(
                 partition,
                 in_exchange,
                 batch_pool,
-                spill,
+                query,
             )?;
             let lim = if *limit == u64::MAX { usize::MAX } else { *limit as usize };
             Box::new(Limit::new(child, *offset as usize, lim, cancel.clone()))
@@ -484,7 +494,7 @@ fn build_plan_node(
                     None,
                     in_exchange,
                     batch_pool,
-                    spill,
+                    query,
                 )?);
             }
             match op {
@@ -543,7 +553,7 @@ fn build_plan_node(
                     Some(&mut part),
                     true,
                     &worker_pool,
-                    spill,
+                    query,
                 )?);
             }
             // Fragments run as cooperative tasks on the engine's shared

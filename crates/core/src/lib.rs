@@ -346,7 +346,6 @@ impl Database {
                     }
                 };
             }
-            "profiling" => cfg.profiling = value.as_i64()? != 0,
             "optimizer" => cfg.optimizer = value.as_i64()? != 0,
             "compressed_exec" => cfg.compressed_exec = value.as_i64()? != 0,
             "statement_timeout" | "statement_timeout_ms" => {

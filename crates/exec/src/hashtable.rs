@@ -961,25 +961,29 @@ fn project_lanes(v: &Vector, nulls_as_group: bool, out: &mut Vec<u64>) {
 /// safe-default data — callers exclude those lanes from the selection, so
 /// the garbage hash is never observed (join semantics: NULL never matches).
 ///
-/// `lanes` is per-column projection scratch; both buffers are reused across
-/// batches. Zero key columns (global aggregate) hash every lane to the same
-/// constant.
+/// `keys` is anything that yields the key columns in order — a slice of
+/// vectors, or an iterator resolving them one by one, so no caller needs a
+/// per-batch `Vec<&Vector>`. `lanes` is per-column projection scratch; both
+/// buffers are reused across batches. Zero key columns (global aggregate)
+/// hash every lane to the same constant.
 pub fn hash_keys<K: std::borrow::Borrow<Vector>>(
-    keys: &[K],
+    keys: impl IntoIterator<Item = K>,
     n: usize,
     nulls_as_group: bool,
     lanes: &mut Vec<u64>,
     out: &mut Vec<u64>,
 ) {
-    let Some(first) = keys.first() else {
+    let mut keys = keys.into_iter();
+    let Some(first) = keys.next() else {
         out.clear();
         out.resize(n, hash_u64(0));
         return;
     };
-    debug_assert!(keys.iter().all(|k| k.borrow().len() == n));
+    debug_assert_eq!(first.borrow().len(), n);
     project_lanes(first.borrow(), nulls_as_group, lanes);
     primitives::hash_start(lanes.iter().copied(), out);
-    for col in &keys[1..] {
+    for col in keys {
+        debug_assert_eq!(col.borrow().len(), n);
         project_lanes(col.borrow(), nulls_as_group, lanes);
         primitives::hash_combine_col(lanes.iter().copied(), out);
     }
@@ -997,7 +1001,7 @@ pub fn hash_keys<K: std::borrow::Borrow<Vector>>(
 /// there. `scratch` ping-pongs with `out` between key columns; both are
 /// reused across batches.
 pub fn keys_match_sel<K: std::borrow::Borrow<Vector>>(
-    probe: &[K],
+    probe: impl IntoIterator<Item = K>,
     build: &[Vector],
     cand: &[u32],
     sel: &SelVec,
@@ -1005,14 +1009,14 @@ pub fn keys_match_sel<K: std::borrow::Borrow<Vector>>(
     out: &mut SelVec,
     null_equals_null: bool,
 ) {
-    debug_assert_eq!(probe.len(), build.len());
-    if probe.is_empty() {
+    let mut cols = probe.into_iter().zip(build);
+    let Some((p, b)) = cols.next() else {
         // Zero key columns: everything matches (global aggregate).
         out.clear_and_extend_from_slice(sel.as_slice());
         return;
-    }
-    filter_col_eq(probe[0].borrow(), &build[0], cand, sel, out, null_equals_null);
-    for (p, b) in probe[1..].iter().zip(&build[1..]) {
+    };
+    filter_col_eq(p.borrow(), b, cand, sel, out, null_equals_null);
+    for (p, b) in cols {
         if out.is_empty() {
             return;
         }
@@ -1362,11 +1366,11 @@ mod tests {
     fn zero_key_columns_match_everything() {
         let sel = SelVec::identity(3);
         let (mut tmp, mut out) = (SelVec::new(), SelVec::new());
-        keys_match_sel::<Vector>(&[], &[], &[0, 0, 0], &sel, &mut tmp, &mut out, false);
+        keys_match_sel(&[] as &[Vector], &[], &[0, 0, 0], &sel, &mut tmp, &mut out, false);
         assert_eq!(out.len(), 3);
         let mut lanes = Vec::new();
         let mut hashes = Vec::new();
-        hash_keys::<Vector>(&[], 3, false, &mut lanes, &mut hashes);
+        hash_keys(&[] as &[Vector], 3, false, &mut lanes, &mut hashes);
         assert_eq!(hashes.len(), 3);
         assert!(hashes.windows(2).all(|w| w[0] == w[1]));
     }

@@ -5,12 +5,34 @@
 //! private [`FlatTable`], contiguous group-key columns and **typed
 //! columnar accumulators** (one dense `Vec` per aggregate, indexed by
 //! group id, no boxed `Value`s on the hot path); it folds a batch's lanes
-//! *by reference*: resolve each lane to a group id with the vectorized
-//! probe loop (hash-gather heads, re-probe still-unmatched lanes through a
-//! `SelVec`; new keys fall to a scalar insert pass that also resolves
-//! batch-internal duplicates), then update the accumulators. Equal keys
-//! hash equal, so shards are key-disjoint and "merging" is emitting them
-//! one after the other.
+//! *by reference*, in two steps that each decide **per vector, not per
+//! row**, what loop to run:
+//!
+//! 1. **Group resolution** is a ladder chosen from what the batch is (see
+//!    `AggShard::resolve_groups`): *no keys* — no table, no group-id
+//!    vector, every lane is group 0; *every key dictionary-coded* — one
+//!    composite code per lane and a code → group memo held while the key
+//!    dictionaries are the previous batch's `Arc`s (`CodeMemo`; a hash +
+//!    chain probe only per distinct code per pack); *one NULL-free flat
+//!    key* — the fused type-monomorphized probe kernel; *anything else* —
+//!    hash all lanes, gather chain heads, confirm keys column by column
+//!    through a `SelVec`, re-probe the unmatched. New keys fall to a scalar insert
+//!    pass that also resolves batch-internal duplicates. All rungs share
+//!    one table and one hash scheme, so a key finds its group whichever
+//!    rung meets it.
+//! 2. **Accumulator update** (`AggState::update_batch`) hoists the three
+//!    per-row questions — NULL indicator or not, dense or selected, one
+//!    group or one per lane — out of the loop through `for_each_live`
+//!    (eight plain loops with the update closure inlined) under
+//!    `fold_values` (a one-group batch accumulates on stack copies of
+//!    group 0's state: the single-group kernel). `SUM(BIGINT)` adds wrapping and
+//!    ORs the overflow bits aside, raising `Overflow("SUM")` once after
+//!    the loop; doubles add in lane order, so sums are bit-identical
+//!    whichever loop ran.
+//!
+//! Equal keys hash equal, so shards are key-disjoint and "merging" is
+//! emitting them one after the other. All of the above sits inside
+//! `AggShard::fold`, so the three build configurations get it alike:
 //!
 //! * `P = 1` is the serial build: no routing, no separate hash pass.
 //! * [`HashAggregate::with_spill`] makes the shards evictable under the
@@ -41,7 +63,7 @@ use crate::vector::{Batch, Vector};
 use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Instant;
-use vw_common::hash::{hash_bytes, hash_u64};
+use vw_common::hash::{hash_bytes, hash_combine, hash_u64};
 use vw_common::{ColData, Result, Schema, SelVec, TypeId, Value, VwError};
 use vw_storage::{encode_spill_batch, SpillFile};
 
@@ -131,112 +153,74 @@ impl AggState {
         }
     }
 
-    /// Vectorized update: fold the selected lanes of `input` into the
-    /// accumulators, routing lane `p` to group `gidx[p]`.
+    /// Vectorized update: fold the live lanes of `input` into the
+    /// accumulators, lane `p` into the group `groups` names for it. NULL
+    /// inputs are skipped (`COUNT(*)` has none).
     fn update_batch(
         &mut self,
         func: AggFunc,
-        gidx: &[u32],
+        groups: Groups<'_>,
         sel: &SelVec,
+        n: usize,
         input: Option<&Vector>,
     ) -> Result<()> {
+        let nulls = input.and_then(|v| v.nulls.as_deref());
         match (self, func) {
-            (AggState::Count(c), AggFunc::CountStar) => {
-                for p in sel.iter() {
-                    c[gidx[p] as usize] += 1;
+            (AggState::Count(c), AggFunc::CountStar | AggFunc::Count) => match groups {
+                Groups::One if nulls.is_none() => c[0] += sel.len() as i64,
+                Groups::One => {
+                    let mut live = 0;
+                    for_each_live(groups, nulls, sel, n, |_, _| live += 1);
+                    c[0] += live;
                 }
-            }
-            (AggState::Count(c), AggFunc::Count) => {
-                let v = input.expect("COUNT has input");
-                for p in sel.iter() {
-                    if !v.is_null(p) {
-                        c[gidx[p] as usize] += 1;
-                    }
-                }
-            }
+                Groups::Each(_) => for_each_live(groups, nulls, sel, n, |_, g| c[g] += 1),
+            },
             (AggState::SumI64 { sums, seen }, _) => {
                 let v = input.expect("SUM has input");
+                // Wrapping adds with the overflow bits OR-ed aside, tested
+                // once after the loop: the same `Overflow("SUM")` as a
+                // per-row `checked_add`, without its per-row branch.
+                let mut overflow = false;
+                let add = |sum: &mut i64, seen: &mut bool, x: i64| {
+                    let (s, o) = sum.overflowing_add(x);
+                    (*sum, *seen) = (s, true);
+                    overflow |= o;
+                };
+                let lanes = (groups, nulls, sel, n);
                 match &v.data {
-                    ColData::I64(d) => {
-                        for p in sel.iter() {
-                            if !v.is_null(p) {
-                                let g = gidx[p] as usize;
-                                sums[g] =
-                                    sums[g].checked_add(d[p]).ok_or(VwError::Overflow("SUM"))?;
-                                seen[g] = true;
-                            }
-                        }
-                    }
-                    other => {
-                        for p in sel.iter() {
-                            if !v.is_null(p) {
-                                let g = gidx[p] as usize;
-                                let x = other.get_value(p).as_i64()?;
-                                sums[g] = sums[g].checked_add(x).ok_or(VwError::Overflow("SUM"))?;
-                                seen[g] = true;
-                            }
-                        }
-                    }
+                    ColData::I64(d) => fold_values(lanes, sums, seen, |p| Ok(d[p]), add),
+                    other => fold_values(lanes, sums, seen, |p| other.get_value(p).as_i64(), add),
+                }?;
+                if overflow {
+                    return Err(VwError::Overflow("SUM"));
                 }
             }
             (AggState::SumF64 { sums, seen }, _) => {
                 let v = input.expect("SUM has input");
+                // Doubles add in lane order, per group: the sum's bits do
+                // not depend on which loop variant ran.
+                let add = |sum: &mut f64, seen: &mut bool, x: f64| (*sum, *seen) = (*sum + x, true);
+                let lanes = (groups, nulls, sel, n);
                 match &v.data {
-                    ColData::F64(d) => {
-                        for p in sel.iter() {
-                            if !v.is_null(p) {
-                                let g = gidx[p] as usize;
-                                sums[g] += d[p];
-                                seen[g] = true;
-                            }
-                        }
-                    }
-                    other => {
-                        for p in sel.iter() {
-                            if !v.is_null(p) {
-                                let g = gidx[p] as usize;
-                                sums[g] += other.get_value(p).as_f64()?;
-                                seen[g] = true;
-                            }
-                        }
-                    }
-                }
+                    ColData::F64(d) => fold_values(lanes, sums, seen, |p| Ok(d[p]), add),
+                    other => fold_values(lanes, sums, seen, |p| other.get_value(p).as_f64(), add),
+                }?;
             }
             (AggState::MinMax { vals, seen, is_min }, _) => {
                 let v = input.expect("MIN/MAX has input");
-                minmax_update(vals, seen, *is_min, gidx, sel, v)?;
+                minmax_update(vals, seen, *is_min, (groups, nulls, sel, n), v)?;
             }
             (AggState::Avg { sums, counts }, _) => {
                 let v = input.expect("AVG has input");
+                let add = |sum: &mut f64, count: &mut i64, x: f64| {
+                    (*sum, *count) = (*sum + x, *count + 1)
+                };
+                let lanes = (groups, nulls, sel, n);
                 match &v.data {
-                    ColData::F64(d) => {
-                        for p in sel.iter() {
-                            if !v.is_null(p) {
-                                let g = gidx[p] as usize;
-                                sums[g] += d[p];
-                                counts[g] += 1;
-                            }
-                        }
-                    }
-                    ColData::I64(d) => {
-                        for p in sel.iter() {
-                            if !v.is_null(p) {
-                                let g = gidx[p] as usize;
-                                sums[g] += d[p] as f64;
-                                counts[g] += 1;
-                            }
-                        }
-                    }
-                    other => {
-                        for p in sel.iter() {
-                            if !v.is_null(p) {
-                                let g = gidx[p] as usize;
-                                sums[g] += other.get_value(p).as_f64()?;
-                                counts[g] += 1;
-                            }
-                        }
-                    }
-                }
+                    ColData::F64(d) => fold_values(lanes, sums, counts, |p| Ok(d[p]), add),
+                    ColData::I64(d) => fold_values(lanes, sums, counts, |p| Ok(d[p] as f64), add),
+                    other => fold_values(lanes, sums, counts, |p| other.get_value(p).as_f64(), add),
+                }?;
             }
             (_, f) => return Err(VwError::Plan(format!("bad aggregate state for {f:?}"))),
         }
@@ -327,56 +311,147 @@ impl AggState {
     }
 
     /// Fold rehydrated partial-state columns (produced by
-    /// [`AggState::spill_columns`], routed by `gidx`) into this
-    /// accumulator — the grace re-aggregation path. NULL partial values
-    /// mean "that chunk never saw an input for this group" and contribute
-    /// nothing.
-    fn merge_columns(&mut self, gidx: &[u32], sel: &SelVec, cols: &[Vector]) -> Result<()> {
+    /// [`AggState::spill_columns`], `n` dense rows routed by `gidx`) into
+    /// this accumulator — the grace re-aggregation path. NULL partial
+    /// values mean "that chunk never saw an input for this group" and
+    /// contribute nothing.
+    fn merge_columns(&mut self, gidx: &[u32], all: &SelVec, cols: &[Vector]) -> Result<()> {
+        let (groups, n) = (Groups::Each(gidx), all.len());
         match self {
             AggState::Count(c) => {
-                let v = &cols[0];
-                let d = v.data.as_i64();
-                for p in sel.iter() {
-                    c[gidx[p] as usize] += d[p];
-                }
-            }
-            AggState::SumI64 { sums, seen } => {
-                let v = &cols[0];
-                let d = v.data.as_i64();
-                for p in sel.iter() {
-                    if !v.is_null(p) {
-                        let g = gidx[p] as usize;
-                        sums[g] = sums[g].checked_add(d[p]).ok_or(VwError::Overflow("SUM"))?;
-                        seen[g] = true;
-                    }
-                }
-            }
-            AggState::SumF64 { sums, seen } => {
-                let v = &cols[0];
-                let d = v.data.as_f64();
-                for p in sel.iter() {
-                    if !v.is_null(p) {
-                        let g = gidx[p] as usize;
-                        sums[g] += d[p];
-                        seen[g] = true;
-                    }
-                }
-            }
-            AggState::MinMax { vals, seen, is_min } => {
-                // A partial MIN/MAX value merges exactly like an input
-                // value of the output type.
-                minmax_update(vals, seen, *is_min, gidx, sel, &cols[0])?;
+                let d = cols[0].data.as_i64();
+                for_each_live(groups, None, all, n, |p, g| c[g] += d[p]);
             }
             AggState::Avg { sums, counts } => {
                 let (ps, pc) = (cols[0].data.as_f64(), cols[1].data.as_i64());
-                for p in sel.iter() {
-                    let g = gidx[p] as usize;
+                for_each_live(groups, None, all, n, |p, g| {
                     sums[g] += ps[p];
                     counts[g] += pc[p];
-                }
+                });
             }
+            // A partial SUM / MIN / MAX merges exactly like an input
+            // value of the output type.
+            other => other.update_batch(AggFunc::Sum, groups, all, n, Some(&cols[0]))?,
         }
         Ok(())
+    }
+}
+
+/// Where a batch's live lanes fold to.
+#[derive(Clone, Copy)]
+enum Groups<'a> {
+    /// Every lane into group 0 (no grouping keys: no table, no `gidx`).
+    One,
+    /// Lane `p` into group `gidx[p]`.
+    Each(&'a [u32]),
+}
+
+/// Call `f(lane, group)` for every live, non-NULL lane of an `n`-lane
+/// batch. The per-row decisions of an accumulator loop — is there a NULL
+/// indicator, is the selection dense, one group or one per lane — are made
+/// here, once per batch: each combination is its own loop with `f`
+/// inlined, so a global SUM over a dense NULL-free vector runs
+/// `for p in 0..n { acc += d[p] }`.
+#[inline(always)]
+fn for_each_live(
+    groups: Groups<'_>,
+    nulls: Option<&[bool]>,
+    sel: &SelVec,
+    n: usize,
+    mut f: impl FnMut(usize, usize),
+) {
+    // Plain `for` loops, not iterator adaptors: inside an accumulator
+    // match the size of `update_batch` an adaptor's generic `fold` is left
+    // as a call, and a loop behind a call keeps its state in memory.
+    macro_rules! lanes {
+        ($group:expr) => {
+            // A selection of all `n` lanes is the identity (positions are
+            // strictly ascending and below `n`).
+            match (nulls, sel.len() == n) {
+                (None, true) => {
+                    for p in 0..n {
+                        f(p, $group(p));
+                    }
+                }
+                (None, false) => {
+                    for &p in sel.as_slice() {
+                        f(p as usize, $group(p as usize));
+                    }
+                }
+                (Some(m), true) => {
+                    for p in 0..n {
+                        if !m[p] {
+                            f(p, $group(p));
+                        }
+                    }
+                }
+                (Some(m), false) => {
+                    for &p in sel.as_slice() {
+                        if !m[p as usize] {
+                            f(p as usize, $group(p as usize));
+                        }
+                    }
+                }
+            }
+        };
+    }
+    match groups {
+        Groups::One => lanes!(|_| 0usize),
+        Groups::Each(gidx) => lanes!(|p: usize| gidx[p] as usize),
+    }
+}
+
+/// The live lanes of one batch: where they fold to, the input's NULL
+/// indicator, the selection, the lane count.
+type Lanes<'a> = (Groups<'a>, Option<&'a [bool]>, &'a SelVec, usize);
+
+/// Fold the value `at(lane)` of every live, non-NULL lane into its group's
+/// pair of state cells with `step`; the first `at` error, if any, is
+/// returned after the loop (the typed kernels' `at` cannot fail, and their
+/// error arm compiles away).
+///
+/// A one-group batch runs on stack copies of group 0's pair, written back
+/// afterwards: the two state columns are separate heap buffers the
+/// compiler cannot prove distinct, so a loop updating `a[0]` and `b[0]` in
+/// place would reload and store both per row; the stack pair stays in
+/// registers. This is the single-group kernel — the same closures, local
+/// state.
+#[inline(always)]
+fn fold_values<A: Default, B: Default, X>(
+    lanes: Lanes<'_>,
+    a: &mut [A],
+    b: &mut [B],
+    at: impl Fn(usize) -> Result<X>,
+    mut step: impl FnMut(&mut A, &mut B, X),
+) -> Result<()> {
+    // One loop nest per call site, so the one-group site sees its slices
+    // are the stack pair.
+    #[inline(always)]
+    fn run<A, B, X>(
+        (groups, nulls, sel, n): Lanes<'_>,
+        a: &mut [A],
+        b: &mut [B],
+        at: &impl Fn(usize) -> Result<X>,
+        step: &mut impl FnMut(&mut A, &mut B, X),
+    ) -> Result<()> {
+        let mut bad = None;
+        for_each_live(groups, nulls, sel, n, |p, g| match at(p) {
+            Ok(x) => step(&mut a[g], &mut b[g], x),
+            Err(e) => {
+                bad.get_or_insert(e);
+            }
+        });
+        bad.map_or(Ok(()), Err)
+    }
+    match lanes.0 {
+        Groups::Each(_) => run(lanes, a, b, &at, &mut step),
+        Groups::One => {
+            let (mut a0, mut b0) = ([std::mem::take(&mut a[0])], [std::mem::take(&mut b[0])]);
+            let res = run(lanes, &mut a0, &mut b0, &at, &mut step);
+            let ([a0], [b0]) = (a0, b0);
+            (a[0], b[0]) = (a0, b0);
+            res
+        }
     }
 }
 
@@ -387,23 +462,25 @@ fn minmax_update(
     vals: &mut ColData,
     seen: &mut [bool],
     is_min: bool,
-    gidx: &[u32],
-    sel: &SelVec,
+    lanes: Lanes<'_>,
     v: &Vector,
 ) -> Result<()> {
     macro_rules! typed {
         ($acc:expr, $d:expr, $better:expr) => {{
-            let (acc, d) = ($acc, $d);
+            let d = $d;
             #[allow(clippy::redundant_closure_call)]
-            for p in sel.iter() {
-                if !v.is_null(p) {
-                    let g = gidx[p] as usize;
-                    if !seen[g] || $better(&d[p], &acc[g]) {
-                        acc[g] = d[p].clone();
-                        seen[g] = true;
+            fold_values(
+                lanes,
+                $acc,
+                seen,
+                |p| Ok(&d[p]),
+                |acc, seen, x| {
+                    if !*seen || $better(x, &*acc) {
+                        acc.clone_from(x);
+                        *seen = true;
                     }
-                }
-            }
+                },
+            )
         }};
     }
     macro_rules! ord_typed {
@@ -433,33 +510,128 @@ fn minmax_update(
         }
         (vals, other) => {
             // Mixed types: compare via Value (cross-type numeric widening).
-            for p in sel.iter() {
-                if !v.is_null(p) {
-                    let g = gidx[p] as usize;
-                    let x = other.get_value(p);
-                    let better = if !seen[g] {
-                        true
-                    } else {
-                        match vals.get_value(g).sql_cmp(&x) {
-                            None => true,
-                            Some(o) => {
-                                if is_min {
-                                    o == std::cmp::Ordering::Greater
-                                } else {
-                                    o == std::cmp::Ordering::Less
-                                }
-                            }
-                        }
+            let (groups, nulls, sel, n) = lanes;
+            let mut bad = None;
+            for_each_live(groups, nulls, sel, n, |p, g| {
+                let x = other.get_value(p);
+                let better = !seen[g]
+                    || match vals.get_value(g).sql_cmp(&x) {
+                        None => true,
+                        Some(o) if is_min => o == std::cmp::Ordering::Greater,
+                        Some(o) => o == std::cmp::Ordering::Less,
                     };
-                    if better {
-                        vals.set_value(g, &x)?;
-                        seen[g] = true;
+                if better {
+                    match vals.set_value(g, &x) {
+                        Ok(()) => seen[g] = true,
+                        Err(e) => {
+                            bad.get_or_insert(e);
+                        }
                     }
                 }
-            }
+            });
+            bad.map_or(Ok(()), Err)
         }
     }
-    Ok(())
+}
+
+/// The group-key columns of the batch being folded, resolved one by one
+/// from wherever they live — no per-batch `Vec<&Vector>`.
+#[derive(Clone, Copy)]
+enum Keys<'a> {
+    /// Key-program results of the driver's current batch.
+    Leased { refs: &'a [VecRef], pool: &'a VectorPool, batch: &'a Batch },
+    /// A packet's or a rehydrated chunk's own vectors.
+    Owned(&'a [Vector]),
+}
+
+impl<'a> Keys<'a> {
+    fn len(self) -> usize {
+        match self {
+            Keys::Leased { refs, .. } => refs.len(),
+            Keys::Owned(vecs) => vecs.len(),
+        }
+    }
+
+    fn get(self, j: usize) -> &'a Vector {
+        match self {
+            Keys::Leased { refs, pool, batch } => pool.get(batch, refs[j]),
+            Keys::Owned(vecs) => &vecs[j],
+        }
+    }
+
+    fn iter(self) -> impl Iterator<Item = &'a Vector> + Clone {
+        (0..self.len()).map(move |j| self.get(j))
+    }
+}
+
+/// Largest composite code domain the dict-key rung memoises (64 KiB of
+/// group ids, reset at every dictionary change — about a pack's worth of
+/// rows, so a reset never costs more than the rows it serves). Wider key
+/// combinations take the general path.
+const MEMO_DOMAIN_MAX: usize = 1 << 14;
+
+/// The dict-key rung's state. With every key dictionary-coded a lane's key
+/// is one *composite code* — `Σ codeⱼ · Πᵢ₍ᵢ<ⱼ₎ (|dictᵢ| + 1)`, NULL being
+/// the extra code `|dictⱼ|` of its column — and `groups` maps it to the
+/// group id. The memo stays valid while the key dictionaries are the very
+/// `Arc`s it was built over (a pack's 16 vectors share them), and it holds
+/// those `Arc`s: pointer equality then means "the same dictionary", not
+/// "an allocation that sits where a freed one did".
+#[derive(Default)]
+struct CodeMemo {
+    dicts: Vec<Arc<Vec<String>>>,
+    /// Group per composite code; EMPTY = not resolved since the
+    /// dictionaries last changed.
+    groups: Vec<u32>,
+    /// Composite code per lane of the current batch.
+    codes: Vec<u32>,
+}
+
+impl CodeMemo {
+    /// Point the memo at `keys`' dictionaries: kept when they are the
+    /// previous batch's, reset when they changed. `false` when a key is not
+    /// dict-coded or the composite domain is over [`MEMO_DOMAIN_MAX`] —
+    /// this rung does not apply.
+    fn attach(&mut self, keys: Keys<'_>) -> bool {
+        fn dict_of(k: &Vector) -> Option<&Arc<Vec<String>>> {
+            k.dict_parts().map(|(_, d)| d)
+        }
+        let same = self.dicts.len() == keys.len()
+            && keys
+                .iter()
+                .zip(&self.dicts)
+                .all(|(k, d)| dict_of(k).is_some_and(|kd| Arc::ptr_eq(kd, d)));
+        if same {
+            return true;
+        }
+        let mut domain = 1usize;
+        for k in keys.iter() {
+            let Some(d) = dict_of(k) else { return false };
+            domain = domain.saturating_mul(d.len() + 1);
+        }
+        if domain > MEMO_DOMAIN_MAX {
+            return false;
+        }
+        self.dicts.clear();
+        self.dicts.extend(keys.iter().filter_map(|k| dict_of(k).cloned()));
+        self.groups.clear();
+        self.groups.resize(domain, EMPTY);
+        true
+    }
+}
+
+/// Each key column's dictionary entry in composite code `code` over
+/// `dicts` (`None` = NULL), in column order.
+fn code_entries(
+    dicts: &[Arc<Vec<String>>],
+    code: usize,
+) -> impl Iterator<Item = Option<&str>> + '_ {
+    let mut rest = code;
+    dicts.iter().map(move |d| {
+        let c = rest % (d.len() + 1);
+        rest /= d.len() + 1;
+        d.get(c).map(String::as_str)
+    })
 }
 
 /// A shard's probe scratch, reused across batches.
@@ -476,11 +648,10 @@ struct AggScratch {
     tmp: SelVec,
     /// Resolved group id per lane (EMPTY = not yet resolved).
     gidx: Vec<u32>,
-    /// Dict fast path: group id per dictionary code for the current batch
-    /// (EMPTY = code not yet probed this batch).
-    code_groups: Vec<u32>,
-    /// Rows resolved through the per-code cache instead of per-row
-    /// hash+probe (drained into `OpProfile::enc_skipped`).
+    /// The dict-key rung's composite code → group memo.
+    memo: CodeMemo,
+    /// Rows resolved through the memo instead of per-row hash+probe
+    /// (drained into `OpProfile::enc_skipped`).
     enc_skipped: u64,
     /// Staged-probe buffers for the fused fast path.
     buf: hashtable::ProbeBuf,
@@ -529,21 +700,37 @@ impl AggShard {
     /// lane's key to a group, then update every accumulator from
     /// `input(i)` (aggregate `i`'s input vector; `None` for `COUNT(*)`).
     /// `hashes` are the lanes' key hashes when the caller already computed
-    /// them for routing.
+    /// them for routing. With no keys there is nothing to resolve: every
+    /// lane is group 0 and the accumulators run their one-group kernels.
     fn fold<'a>(
         &mut self,
-        keys: &[&Vector],
+        keys: Keys<'_>,
         sel: &SelVec,
         n: usize,
         hashes: Option<&[u64]>,
         input: impl Fn(usize) -> Option<&'a Vector>,
     ) -> Result<()> {
-        self.chain_steps += self.resolve_groups(keys, sel, n, hashes)?;
+        let groups = if keys.len() == 0 {
+            self.ensure_global_group();
+            Groups::One
+        } else {
+            self.chain_steps += self.resolve_groups(keys, sel, n, hashes)?;
+            Groups::Each(&self.scratch.gidx)
+        };
         self.probe_rows += sel.len() as u64;
         for (i, state) in self.states.iter_mut().enumerate() {
-            state.update_batch(self.funcs[i], &self.scratch.gidx, sel, input(i))?;
+            state.update_batch(self.funcs[i], groups, sel, n, input(i))?;
         }
         Ok(())
+    }
+
+    /// A global aggregate's one group (it exists even over zero rows:
+    /// COUNT over nothing is 0 — the initial state).
+    fn ensure_global_group(&mut self) {
+        if self.n_groups == 0 {
+            self.n_groups = 1;
+            self.states.iter_mut().for_each(AggState::push_group);
+        }
     }
 
     /// Approximate heap bytes of this shard's group keys + accumulators
@@ -587,10 +774,9 @@ impl AggShard {
         if n == 0 {
             return Ok(());
         }
-        let key_refs: Vec<&Vector> = keys.iter().collect();
         let mut all = std::mem::take(&mut self.scratch.dense);
         all.fill_identity(n);
-        self.chain_steps += self.resolve_groups(&key_refs, &all, n, None)?;
+        self.chain_steps += self.resolve_groups(Keys::Owned(keys), &all, n, None)?;
         self.probe_rows += n as u64;
         let mut off = 0;
         for (st, &func) in self.states.iter_mut().zip(&self.funcs) {
@@ -626,10 +812,10 @@ impl ShardWorker for AggShard {
 
     fn absorb(&mut self, pkt: AggPacket) -> Result<()> {
         let n = pkt.hashes.len();
-        let keys: Vec<&Vector> = pkt.keys.iter().collect();
         let mut all = std::mem::take(&mut self.scratch.dense);
         all.fill_identity(n);
-        let res = self.fold(&keys, &all, n, Some(&pkt.hashes), |i| pkt.inputs[i].as_ref());
+        let keys = Keys::Owned(&pkt.keys);
+        let res = self.fold(keys, &all, n, Some(&pkt.hashes), |i| pkt.inputs[i].as_ref());
         self.scratch.dense = all;
         res
     }
@@ -829,8 +1015,7 @@ impl HashAggregate {
             if rows == 0 {
                 continue;
             }
-            let key_refs: Vec<&Vector> = vecs[..n_keys].iter().collect();
-            hashtable::hash_keys(&key_refs, rows, true, &mut lanes, &mut hashes);
+            hashtable::hash_keys(&vecs[..n_keys], rows, true, &mut lanes, &mut hashes);
             router.split(&hashes, None, rows);
             for (si, slot) in subs.iter_mut().enumerate() {
                 let sel = router.shard_sel(si);
@@ -898,36 +1083,26 @@ impl HashAggregate {
                 self.scratch.agg_refs.push(r);
             }
             {
-                // Single-key groupings (the common case) resolve through a
-                // stack array — a per-batch `Vec` here would be the one
-                // steady-state allocation left in the pipeline.
-                let single_key;
-                let multi_keys: Vec<&Vector>;
-                let keys: &[&Vector] = if self.scratch.refs.len() == 1 {
-                    single_key = [self.pool.get(&batch, self.scratch.refs[0])];
-                    &single_key
-                } else {
-                    multi_keys =
-                        self.scratch.refs.iter().map(|&r| self.pool.get(&batch, r)).collect();
-                    &multi_keys
-                };
-                let (s, vectors, n) = (&mut self.scratch, &self.pool, batch.capacity());
+                let n = batch.capacity();
+                let BatchScratch { refs, agg_refs, live, lanes, hashes } = &mut self.scratch;
+                let keys = Keys::Leased { refs, pool: &self.pool, batch: &batch };
                 match &batch.sel {
-                    Some(sel) => s.live.clear_and_extend_from_slice(sel.as_slice()),
-                    None => s.live.fill_identity(n),
+                    Some(sel) => live.clear_and_extend_from_slice(sel.as_slice()),
+                    None => live.fill_identity(n),
                 }
                 // One shard needs no routing and so no hash pass here: its
                 // fused kernels hash as they probe. Otherwise hash the keys
                 // once (NULL keys to their sentinel lane, as everywhere)
                 // and split the live lanes by this stratum's radix bits.
                 let hashes = if parts.partitions() > 1 {
-                    hashtable::hash_keys(keys, n, true, &mut s.lanes, &mut s.hashes);
-                    parts.route(&s.hashes, &s.live, n);
-                    Some(&s.hashes[..])
+                    hashtable::hash_keys(keys.iter(), n, true, lanes, hashes);
+                    parts.route(hashes, live, n);
+                    Some(&hashes[..])
                 } else {
                     None
                 };
-                let input_of = |i: usize| s.agg_refs[i].map(|r| vectors.get(&batch, r));
+                let vectors = &self.pool;
+                let input_of = |i: usize| agg_refs[i].map(|r| vectors.get(&batch, r));
                 for si in 0..parts.partitions() {
                     if let (Some(set), Some(hashes)) = (&mut pooled, hashes) {
                         let sel = parts.routed(si);
@@ -943,7 +1118,7 @@ impl HashAggregate {
                         }
                         continue;
                     }
-                    let (sel, shard) = parts.lane(si, &s.live);
+                    let (sel, shard) = parts.lane(si, live);
                     if !sel.is_empty() {
                         shard.fold(keys, sel, n, hashes, input_of)?;
                         if let Some(bytes) = shard.grown_bytes() {
@@ -951,7 +1126,7 @@ impl HashAggregate {
                         }
                     }
                 }
-                rows_in += s.live.len();
+                rows_in += live.len();
             }
             self.pool.recycle();
             if let Some(bp) = &self.batch_pool {
@@ -991,9 +1166,8 @@ impl HashAggregate {
                 None => {
                     // Global aggregation over zero rows still yields one
                     // group (COUNT over nothing is 0 — the initial state).
-                    if !grouped && shard.n_groups == 0 {
-                        shard.n_groups = 1;
-                        shard.states.iter_mut().for_each(AggState::push_group);
+                    if !grouped {
+                        shard.ensure_global_group();
                     }
                     self.profile.record_shard_build(si, shard.n_groups as u64);
                     self.out_shards.push_back(shard);
@@ -1016,14 +1190,31 @@ impl HashAggregate {
 }
 
 impl AggShard {
-    /// Resolve every `sel` lane to a group id in `scratch.gidx`, creating
-    /// groups for unseen keys. Returns chain steps visited (profiling).
-    /// `hashes`, when given, are the lanes' key hashes (`hash_keys` with
-    /// NULLs hashed to their sentinel lane) — the general path then skips
-    /// its own hash pass.
+    /// Resolve every `sel` lane's key (at least one key column) to a group
+    /// id in `scratch.gidx`, creating groups for unseen keys. Returns chain
+    /// steps visited (profiling). `hashes`, when given, are the lanes' key
+    /// hashes (`hash_keys` with NULLs hashed to their sentinel lane) — the
+    /// general path then skips its own hash pass.
+    ///
+    /// A ladder, chosen per batch from what the batch is (the rung above
+    /// it, no keys at all, never gets here — see [`AggShard::fold`]):
+    ///
+    /// 1. **every key dictionary-coded** (composite domain within
+    ///    [`MEMO_DOMAIN_MAX`]): one composite code per lane, one memo
+    ///    lookup per lane, one hash + chain probe per *distinct* code per
+    ///    dictionary set ([`CodeMemo`]);
+    /// 2. **one NULL-free, flat (not dict-coded) key column**: the fused,
+    ///    type-monomorphized kernel — hash, chain walk and key compare in
+    ///    one staged pass;
+    /// 3. **anything else**: hash all lanes, gather candidates, confirm
+    ///    keys column by column through selection vectors.
+    ///
+    /// Every rung finds or creates groups in the same table under the same
+    /// hash (`hash_keys`' scheme), so a key's group is the same whichever
+    /// rung meets it — batches may change rung mid-stream.
     fn resolve_groups(
         &mut self,
-        keys: &[&Vector],
+        keys: Keys<'_>,
         sel: &SelVec,
         n: usize,
         hashes: Option<&[u64]>,
@@ -1033,81 +1224,65 @@ impl AggShard {
             s.gidx.resize(n, EMPTY);
         }
         let mut chain_steps = 0u64;
-        // Dictionary-coded single key (the low-cardinality GROUP BY shape):
-        // one hash + chain probe per distinct code present in the batch;
-        // every other lane resolves with a per-code table lookup. Probing a
-        // code hashes its dictionary entry exactly like `hash_keys` would
-        // hash the inflated string, so groups unify with flat-keyed batches.
-        if keys.len() == 1 {
-            if let Some((codes, dict)) = keys[0].dict_parts() {
-                let nulls = keys[0].nulls.as_deref();
-                if s.code_groups.len() < dict.len() {
-                    s.code_groups.resize(dict.len(), EMPTY);
-                }
-                s.code_groups[..dict.len()].fill(EMPTY);
-                let mut null_group = EMPTY;
-                let mut probes = 0u64;
-                for p in sel.iter() {
-                    if nulls.is_some_and(|m| m[p]) {
-                        if null_group == EMPTY {
-                            probes += 1;
-                            let h = hash_u64(hashtable::NULL_KEY_LANE);
-                            null_group = match table
-                                .find_chain(h, |row| group_keys[0].is_null(row as usize))
-                            {
-                                Some(g) => g,
-                                None => {
-                                    let g = table.insert(h);
-                                    debug_assert_eq!(g as usize, *n_groups);
-                                    *n_groups += 1;
-                                    group_keys[0].push(&Value::Null)?;
-                                    for st in states.iter_mut() {
-                                        st.push_group();
-                                    }
-                                    g
-                                }
-                            };
-                        }
-                        s.gidx[p] = null_group;
-                        continue;
-                    }
-                    let c = codes[p] as usize;
-                    let mut g = s.code_groups[c];
-                    if g == EMPTY {
-                        probes += 1;
-                        let val = dict[c].as_str();
-                        let h = hash_u64(hash_bytes(val.as_bytes()));
-                        let gk = &group_keys[0];
-                        g = match table.find_chain(h, |row| {
-                            let row = row as usize;
-                            !gk.is_null(row) && gk.data.as_str()[row] == val
-                        }) {
-                            Some(g) => g,
-                            None => {
-                                let g = table.insert(h);
-                                debug_assert_eq!(g as usize, *n_groups);
-                                *n_groups += 1;
-                                group_keys[0].push(&Value::Str(val.to_string()))?;
-                                for st in states.iter_mut() {
-                                    st.push_group();
-                                }
-                                g
-                            }
-                        };
-                        s.code_groups[c] = g;
-                    }
-                    s.gidx[p] = g;
-                }
-                s.enc_skipped += (sel.len() as u64).saturating_sub(probes);
-                return Ok(chain_steps);
+        if s.memo.attach(keys) {
+            let CodeMemo { dicts, groups, codes } = &mut s.memo;
+            if codes.len() < n {
+                codes.resize(n, 0);
             }
+            // One composite code per lane, a column at a time.
+            let mut stride = 1u32;
+            for (j, (k, dict)) in keys.iter().zip(dicts.iter()).enumerate() {
+                let (col, _) = k.dict_parts().expect("attach saw every key dict-coded");
+                let (null_code, nulls) = (dict.len() as u32, k.nulls.as_deref());
+                for_each_live(
+                    Groups::One,
+                    None,
+                    sel,
+                    n,
+                    #[inline(always)]
+                    |p, _| {
+                        let c = if nulls.is_some_and(|m| m[p]) { null_code } else { col[p] };
+                        codes[p] = if j == 0 { c } else { codes[p] + c * stride };
+                    },
+                );
+                stride *= null_code + 1;
+            }
+            // A code's first lane since the dictionaries changed finds or
+            // creates its group; every other lane is a memo lookup.
+            let (mut probes, mut bad) = (0u64, None);
+            for_each_live(
+                Groups::One,
+                None,
+                sel,
+                n,
+                #[inline(always)]
+                |p, _| {
+                    let code = codes[p] as usize;
+                    if groups[code] == EMPTY {
+                        probes += 1;
+                        match group_of_code(dicts, code, table, group_keys, states, n_groups) {
+                            Ok(g) => groups[code] = g,
+                            Err(e) => {
+                                bad.get_or_insert(e);
+                            }
+                        }
+                    }
+                    s.gidx[p] = groups[code];
+                },
+            );
+            s.enc_skipped += (sel.len() as u64).saturating_sub(probes);
+            return bad.map_or(Ok(0), Err);
         }
-        // Fast path: a single NULL-free key column resolves through the
-        // fused, type-monomorphized kernel — hash, chain walk, and key
-        // compare in one staged pass (the miss lanes fall to the scalar
-        // insert pass below, exactly like the general path's).
-        if keys.len() == 1 && keys[0].nulls.is_none() && group_keys[0].nulls.is_none() {
-            let n = keys[0].len();
+        // A dict-coded key that `attach` turned away (domain over the memo
+        // bound) has no flat `data` for the fused kernel to read: it takes
+        // the general path, which reads codes through the dictionary.
+        let key = keys.get(0);
+        if keys.len() == 1
+            && key.nulls.is_none()
+            && key.dict_parts().is_none()
+            && group_keys[0].nulls.is_none()
+        {
+            let n = key.len();
             let dense = sel.len() == n;
             macro_rules! fused {
                 ($pa:expr, $ba:expr, $hash:expr, $eq:expr) => {{
@@ -1125,7 +1300,7 @@ impl AggShard {
                 }};
             }
             let mut fused_ran = true;
-            hashtable::dispatch_typed_keys!(&keys[0].data, &group_keys[0].data, fused, {
+            hashtable::dispatch_typed_keys!(&key.data, &group_keys[0].data, fused, {
                 fused_ran = false;
             });
             if fused_ran {
@@ -1148,7 +1323,7 @@ impl AggShard {
         let hashes = match hashes {
             Some(h) => h,
             None => {
-                hashtable::hash_keys(keys, n, true, &mut s.lanes, &mut s.hashes);
+                hashtable::hash_keys(keys.iter(), n, true, &mut s.lanes, &mut s.hashes);
                 &s.hashes[..]
             }
         };
@@ -1161,7 +1336,7 @@ impl AggShard {
         table.gather_matching(hashes, sel, &mut s.cand, &mut s.active, &mut chain_steps);
         while !s.active.is_empty() {
             hashtable::keys_match_sel(
-                keys,
+                keys.iter(),
                 group_keys,
                 &s.cand,
                 &s.active,
@@ -1189,6 +1364,52 @@ impl AggShard {
     }
 }
 
+/// Find or create the group of composite code `code` — a tuple of
+/// dictionary entries and NULLs. The tuple hashes exactly as `hash_keys`
+/// hashes the inflated row, so its group is the one a flat-keyed batch, or
+/// a batch over another dictionary, resolves the same key to. Runs once
+/// per distinct code per dictionary set; kept out of line so the per-lane
+/// memo lookup around it stays a few instructions and inlines.
+#[cold]
+#[inline(never)]
+fn group_of_code(
+    dicts: &[Arc<Vec<String>>],
+    code: usize,
+    table: &mut FlatTable,
+    group_keys: &mut [Vector],
+    states: &mut [AggState],
+    n_groups: &mut usize,
+) -> Result<u32> {
+    let lane = |e: Option<&str>| e.map_or(hashtable::NULL_KEY_LANE, |v| hash_bytes(v.as_bytes()));
+    let mut entries = code_entries(dicts, code);
+    let first = hash_u64(lane(entries.next().expect("at least one key column")));
+    let h = entries.fold(first, |h, e| hash_combine(h, lane(e)));
+    let found = table.find_chain(h, |row| {
+        let row = row as usize;
+        code_entries(dicts, code).zip(group_keys.iter()).all(|(e, gk)| match e {
+            None => gk.is_null(row),
+            Some(val) => !gk.is_null(row) && gk.data.as_str()[row] == val,
+        })
+    });
+    if let Some(g) = found {
+        return Ok(g);
+    }
+    for (e, gk) in code_entries(dicts, code).zip(group_keys.iter_mut()) {
+        gk.push(&e.map_or(Value::Null, |v| Value::Str(v.to_string())))?;
+    }
+    Ok(new_group(table, h, states, n_groups))
+}
+
+/// Register the next group id under hash `h` (the caller pushes its key
+/// values) with fresh accumulator state.
+fn new_group(table: &mut FlatTable, h: u64, states: &mut [AggState], n_groups: &mut usize) -> u32 {
+    let g = table.insert(h);
+    debug_assert_eq!(g as usize, *n_groups);
+    *n_groups += 1;
+    states.iter_mut().for_each(AggState::push_group);
+    g
+}
+
 /// Scalar leftover pass: unseen keys become new groups. Walking the
 /// chain again here also catches duplicates introduced earlier in this
 /// very batch (lane A inserts key K, lane B then finds it). `lane_hash`
@@ -1201,7 +1422,7 @@ fn insert_misses(
     states: &mut [AggState],
     n_groups: &mut usize,
     gidx: &mut [u32],
-    keys: &[&Vector],
+    keys: Keys<'_>,
     sel: &SelVec,
     lane_hash: impl Fn(usize) -> u64,
 ) -> Result<()> {
@@ -1214,16 +1435,10 @@ fn insert_misses(
         let g = match found {
             Some(row) => row,
             None => {
-                let g = table.insert(h);
-                debug_assert_eq!(g as usize, *n_groups);
-                *n_groups += 1;
-                for (gk, k) in group_keys.iter_mut().zip(keys) {
+                for (gk, k) in group_keys.iter_mut().zip(keys.iter()) {
                     gk.push(&k.get(p))?;
                 }
-                for st in states.iter_mut() {
-                    st.push_group();
-                }
-                g
+                new_group(table, h, states, n_groups)
             }
         };
         gidx[p] = g;
@@ -1235,7 +1450,7 @@ fn insert_misses(
 /// semantics: NULL equals NULL). Probe keys may be dict-coded (their flat
 /// data is the empty placeholder), so string columns compare through the
 /// encoding-aware `str_at`; stored group keys are always flat.
-fn keys_equal_row(probe: &[&Vector], p: usize, stored: &[Vector], row: usize) -> bool {
+fn keys_equal_row(probe: Keys<'_>, p: usize, stored: &[Vector], row: usize) -> bool {
     probe.iter().zip(stored).all(|(pk, sk)| match (pk.is_null(p), sk.is_null(row)) {
         (true, true) => true,
         (false, false) => {

@@ -418,7 +418,13 @@ impl HashJoin {
                 has_null_key |= s.nonnull.len() != s.live.len();
                 if !s.nonnull.is_empty() {
                     let n = batch.capacity();
-                    hashtable::hash_keys(keys, n, false, &mut s.lanes, &mut s.hashes);
+                    hashtable::hash_keys(
+                        keys.iter().copied(),
+                        n,
+                        false,
+                        &mut s.lanes,
+                        &mut s.hashes,
+                    );
                     parts.route(&s.hashes, &s.nonnull, n);
                     for si in 0..parts.partitions() {
                         if parts.is_spilled(si) {
@@ -684,7 +690,7 @@ fn probe_batch(
         profile.record_shard_probe(0, s.nonnull.len() as u64, chain_steps);
         return Ok(chain_steps);
     }
-    hashtable::hash_keys(keys, n, false, &mut s.lanes, &mut s.hashes);
+    hashtable::hash_keys(keys.iter().copied(), n, false, &mut s.lanes, &mut s.hashes);
     parts.route(&s.hashes, &s.nonnull, n);
     let mut diverted = false;
     for (si, table) in build.tables.iter().enumerate() {
@@ -826,7 +832,7 @@ fn probe_general(
 ) {
     let n = keys.first().map_or(0, |k| k.len());
     if !prehashed {
-        hashtable::hash_keys(keys, n, false, &mut s.lanes, &mut s.hashes);
+        hashtable::hash_keys(keys.iter().copied(), n, false, &mut s.lanes, &mut s.hashes);
     }
     let start_sel = sel.unwrap_or(&s.nonnull);
     // Every lane in `active` holds a hash-matching candidate; the loop
@@ -843,7 +849,7 @@ fn probe_general(
             }
         }
         hashtable::keys_match_sel(
-            keys,
+            keys.iter().copied(),
             build_keys,
             &s.rows,
             &s.active,

@@ -67,6 +67,7 @@ use crate::expr::{decode_field, BinOp, CmpOp, ExprCtx, Func, LikeMatcher, PhysEx
 use crate::primitives::{self, ArithCheck};
 use crate::vector::{Batch, Vector};
 use std::collections::HashMap;
+use std::sync::Arc;
 use vw_common::config::NullMode;
 use vw_common::{ColData, Result, SelVec, TypeId, Value, VwError};
 
@@ -1543,6 +1544,29 @@ pub struct SelectProgram {
     node: SelNode,
 }
 
+/// One predicate's qualifying-code bitmap over one dictionary: `ok[code]`
+/// says whether the dictionary entry satisfies the predicate. A pack's
+/// vectors share their dictionary `Arc`, so the bitmap is computed once
+/// per pack, not per vector. The memo holds the `Arc` it was computed for
+/// — pointer equality then means "the same dictionary", not "an
+/// allocation that happens to sit where a freed one did".
+#[derive(Default)]
+struct DictMemo {
+    dict: Option<Arc<Vec<String>>>,
+    ok: Vec<bool>,
+}
+
+impl DictMemo {
+    fn bitmap(&mut self, dict: &Arc<Vec<String>>, qualifies: impl Fn(&str) -> bool) -> &[bool] {
+        if !self.dict.as_ref().is_some_and(|d| Arc::ptr_eq(d, dict)) {
+            self.ok.clear();
+            self.ok.extend(dict.iter().map(|d| qualifies(d)));
+            self.dict = Some(dict.clone());
+        }
+        &self.ok
+    }
+}
+
 enum SelNode {
     /// Chained narrowing: each step sees only survivors of the previous.
     Conj(Vec<SelNode>),
@@ -1552,10 +1576,10 @@ enum SelNode {
     /// Dictionary-coded string columns are decided with one comparison
     /// per distinct value (qualifying-code bitmap); RLE-sidecar integer
     /// columns accept/reject whole runs.
-    CmpColConst { op: CmpOp, col: usize, val: Value },
+    CmpColConst { op: CmpOp, col: usize, val: Value, memo: DictMemo },
     /// `col LIKE pattern` with the pattern compiled once. On a
     /// dictionary-coded column the matcher runs once per distinct value.
-    LikeCol { col: usize, matcher: LikeMatcher, negated: bool },
+    LikeCol { col: usize, matcher: LikeMatcher, negated: bool, memo: DictMemo },
     /// Constant predicate (TRUE keeps the incoming selection).
     ConstBool(bool),
     /// Irreducible boolean expression: evaluate, then keep TRUE non-NULLs.
@@ -1592,8 +1616,8 @@ impl SelectProgram {
 
     /// Evaluate against `batch` under its own selection, producing the
     /// surviving positions.
-    pub fn run(&self, pool: &mut VectorPool, batch: &Batch) -> Result<SelVec> {
-        run_sel(&self.node, pool, batch, batch.sel.as_ref())
+    pub fn run(&mut self, pool: &mut VectorPool, batch: &Batch) -> Result<SelVec> {
+        run_sel(&mut self.node, pool, batch, batch.sel.as_ref())
     }
 
     /// Columns that must be flat before [`run`](Self::run): everything
@@ -1674,7 +1698,12 @@ fn compile_sel(pred: &PhysExpr, ctx: &ExprCtx, consts: &HashMap<*const PhysExpr,
                         | (TypeId::Str, Value::Str(_))
                 );
                 if typed {
-                    return SelNode::CmpColConst { op: *op, col: *ci, val: k.clone() };
+                    return SelNode::CmpColConst {
+                        op: *op,
+                        col: *ci,
+                        val: k.clone(),
+                        memo: DictMemo::default(),
+                    };
                 }
             }
             SelNode::Bool(ExprProgram::compile(pred, ctx))
@@ -1685,6 +1714,7 @@ fn compile_sel(pred: &PhysExpr, ctx: &ExprCtx, consts: &HashMap<*const PhysExpr,
                     col: *ci,
                     matcher: LikeMatcher::new(pattern),
                     negated: *negated,
+                    memo: DictMemo::default(),
                 };
             }
             SelNode::Bool(ExprProgram::compile(pred, ctx))
@@ -1694,7 +1724,7 @@ fn compile_sel(pred: &PhysExpr, ctx: &ExprCtx, consts: &HashMap<*const PhysExpr,
 }
 
 fn run_sel(
-    node: &SelNode,
+    node: &mut SelNode,
     pool: &mut VectorPool,
     batch: &Batch,
     sel: Option<&SelVec>,
@@ -1745,39 +1775,25 @@ fn run_sel(
             pool.put_sel(tmp);
             Ok(acc)
         }
-        SelNode::CmpColConst { op, col, val } => {
+        SelNode::CmpColConst { op, col, val, memo } => {
             let colv = &batch.columns[*col];
             let mut out = pool.take_sel();
-            pool.enc_skipped += select_col_const(*op, colv, val, n, sel, &mut out);
+            pool.enc_skipped += select_col_const(*op, colv, val, memo, n, sel, &mut out);
             Ok(out)
         }
-        SelNode::LikeCol { col, matcher, negated } => {
+        SelNode::LikeCol { col, matcher, negated, memo } => {
             let colv = &batch.columns[*col];
             let mut out = pool.take_sel();
+            let nulls = colv.nulls.as_deref();
             if let Some((codes, dict)) = colv.dict_parts() {
                 // One matcher run per distinct value; rows reduce to a
                 // bitmap lookup on their code.
-                let mut ok = vec![false; dict.len()];
-                for (d, slot) in dict.iter().zip(ok.iter_mut()) {
-                    *slot = matcher.matches(d) != *negated;
-                }
-                match &colv.nulls {
-                    None => primitives::select_by(n, sel, &mut out, |i| ok[codes[i] as usize]),
-                    Some(m) => {
-                        primitives::select_by(n, sel, &mut out, |i| !m[i] && ok[codes[i] as usize])
-                    }
-                }
+                let ok = memo.bitmap(dict, |d| matcher.matches(d) != *negated);
+                select_where(nulls, n, sel, &mut out, |i| ok[codes[i] as usize]);
                 pool.enc_skipped += sel.map_or(n, |s| s.len()) as u64;
             } else {
                 let vals = colv.data.as_str();
-                match &colv.nulls {
-                    None => primitives::select_by(n, sel, &mut out, |i| {
-                        matcher.matches(&vals[i]) != *negated
-                    }),
-                    Some(m) => primitives::select_by(n, sel, &mut out, |i| {
-                        !m[i] && matcher.matches(&vals[i]) != *negated
-                    }),
-                }
+                select_where(nulls, n, sel, &mut out, |i| matcher.matches(&vals[i]) != *negated);
             }
             Ok(out)
         }
@@ -1786,40 +1802,83 @@ fn run_sel(
             let mut out = pool.take_sel();
             let v = pool.get(batch, vr);
             let vals = v.data.as_bool();
-            primitives::select_by(n, sel, &mut out, |i| vals[i] && !v.is_null(i));
+            select_where(v.nulls.as_deref(), n, sel, &mut out, |i| vals[i]);
             Ok(out)
         }
     }
 }
 
-/// Typed `col <op> const` selection — the X100 `select_*` kernels, ported
-/// from the interpreter's `fast_select_cmp`. Returns the number of rows
-/// decided at the encoding level (dict-code bitmap or RLE run test)
-/// rather than by per-row value comparison.
+/// Select the live non-NULL lanes where `pred` holds; whether there is a
+/// NULL indicator to consult is decided here, once per vector.
+#[inline]
+fn select_where(
+    nulls: Option<&[bool]>,
+    n: usize,
+    sel: Option<&SelVec>,
+    out: &mut SelVec,
+    pred: impl Fn(usize) -> bool,
+) {
+    match nulls {
+        None => primitives::select_by(n, sel, out, pred),
+        Some(m) => primitives::select_by(n, sel, out, |i| !m[i] && pred(i)),
+    }
+}
+
+/// Select the live non-NULL lanes where `at(i) <op> k`: `op` is matched
+/// once per vector, each arm a monomorphic compare — no `Ordering`, no
+/// per-row operator dispatch.
+fn select_cmp<T: PartialOrd + Copy>(
+    op: CmpOp,
+    at: impl Fn(usize) -> T,
+    k: T,
+    nulls: Option<&[bool]>,
+    n: usize,
+    sel: Option<&SelVec>,
+    out: &mut SelVec,
+) {
+    match op {
+        CmpOp::Eq => select_where(nulls, n, sel, out, |i| at(i) == k),
+        CmpOp::Ne => select_where(nulls, n, sel, out, |i| at(i) != k),
+        CmpOp::Lt => select_where(nulls, n, sel, out, |i| at(i) < k),
+        CmpOp::Le => select_where(nulls, n, sel, out, |i| at(i) <= k),
+        CmpOp::Gt => select_where(nulls, n, sel, out, |i| at(i) > k),
+        CmpOp::Ge => select_where(nulls, n, sel, out, |i| at(i) >= k),
+    }
+}
+
+/// `f64::total_cmp`'s order as an integer key: `key(a) < key(b)` exactly
+/// when `a.total_cmp(&b)` is `Less` (so -0.0 < 0.0 and NaN sorts last, as
+/// `Instr::Cmp` and `Value::sql_cmp` have it) — three integer ops per
+/// lane, then a plain integer compare.
+#[inline]
+fn f64_order_key(x: f64) -> i64 {
+    let bits = x.to_bits() as i64;
+    bits ^ (((bits >> 63) as u64) >> 1) as i64
+}
+
+/// Typed `col <op> const` selection — the X100 `select_*` kernels.
+/// Returns the number of rows decided at the encoding level (dict-code
+/// bitmap or RLE run test) rather than by per-row value comparison.
 fn select_col_const(
     op: CmpOp,
     col: &Vector,
     k: &Value,
+    memo: &mut DictMemo,
     n: usize,
     sel: Option<&SelVec>,
     out: &mut SelVec,
 ) -> u64 {
+    let nulls = col.nulls.as_deref();
     // Dictionary-coded strings: one comparison per distinct value builds
     // a qualifying-code bitmap; rows reduce to a code lookup.
     if let (Some((codes, dict)), Value::Str(k)) = (col.dict_parts(), k) {
-        let mut ok = vec![false; dict.len()];
-        for (d, slot) in dict.iter().zip(ok.iter_mut()) {
-            *slot = op.holds(d.as_str().cmp(k.as_str()));
-        }
-        match &col.nulls {
-            None => primitives::select_by(n, sel, out, |i| ok[codes[i] as usize]),
-            Some(m) => primitives::select_by(n, sel, out, |i| !m[i] && ok[codes[i] as usize]),
-        }
+        let ok = memo.bitmap(dict, |d| op.holds(d.cmp(k.as_str())));
+        select_where(nulls, n, sel, out, |i| ok[codes[i] as usize]);
         return sel.map_or(n, |s| s.len()) as u64;
     }
     // RLE runs over a dense, NULL-free integer column: one comparison
     // accepts or rejects the whole run.
-    if sel.is_none() && col.nulls.is_none() {
+    if sel.is_none() && nulls.is_none() {
         if let Some(runs) = col.rle_runs() {
             let kk = match k {
                 Value::I64(v) => Some(*v),
@@ -1842,37 +1901,16 @@ fn select_col_const(
             }
         }
     }
-    macro_rules! run {
-        ($vals:expr, $k:expr) => {{
-            let vals = $vals;
-            let k = $k;
-            match &col.nulls {
-                None => primitives::select_by(n, sel, out, |i| op.holds(vals[i].cmp(&k))),
-                Some(m) => {
-                    primitives::select_by(n, sel, out, |i| !m[i] && op.holds(vals[i].cmp(&k)))
-                }
-            }
-        }};
-    }
     match (&col.data, k) {
-        (ColData::I64(v), Value::I64(k)) => run!(v.as_slice(), *k),
-        (ColData::I32(v), Value::I32(k)) => run!(v.as_slice(), *k),
-        (ColData::Date(v), Value::Date(k)) => run!(v.as_slice(), k.0),
+        (ColData::I64(v), Value::I64(k)) => select_cmp(op, |i| v[i], *k, nulls, n, sel, out),
+        (ColData::I32(v), Value::I32(k)) => select_cmp(op, |i| v[i], *k, nulls, n, sel, out),
+        (ColData::Date(v), Value::Date(k)) => select_cmp(op, |i| v[i], k.0, nulls, n, sel, out),
         (ColData::F64(v), Value::F64(k)) => {
-            let k = *k;
-            match &col.nulls {
-                None => primitives::select_by(n, sel, out, |i| op.holds(v[i].total_cmp(&k))),
-                Some(m) => {
-                    primitives::select_by(n, sel, out, |i| !m[i] && op.holds(v[i].total_cmp(&k)))
-                }
-            }
+            select_cmp(op, |i| f64_order_key(v[i]), f64_order_key(*k), nulls, n, sel, out)
         }
-        (ColData::Str(v), Value::Str(k)) => match &col.nulls {
-            None => primitives::select_by(n, sel, out, |i| op.holds(v[i].as_str().cmp(k.as_str()))),
-            Some(m) => primitives::select_by(n, sel, out, |i| {
-                !m[i] && op.holds(v[i].as_str().cmp(k.as_str()))
-            }),
-        },
+        (ColData::Str(v), Value::Str(k)) => {
+            select_cmp(op, |i| v[i].as_str(), k.as_str(), nulls, n, sel, out)
+        }
         _ => unreachable!("compile_sel only emits CmpColConst for matching types"),
     }
     0
@@ -2160,7 +2198,7 @@ mod tests {
                 rhs: Box::new(lit(1)),
             },
         ]);
-        let sp = SelectProgram::compile(&e, &ctx());
+        let mut sp = SelectProgram::compile(&e, &ctx());
         let batch = batch_i64((0..32).collect());
         let mut pool = VectorPool::new();
         let got = sp.run(&mut pool, &batch).unwrap();
@@ -2208,7 +2246,7 @@ mod tests {
             rhs: Box::new(lit(9)),
         };
         let e = PhysExpr::Or(vec![lt3, ge9]);
-        let sp = SelectProgram::compile(&e, &ctx());
+        let mut sp = SelectProgram::compile(&e, &ctx());
         let batch = batch_i64((0..12).collect());
         let mut pool = VectorPool::new();
         let got = sp.run(&mut pool, &batch).unwrap();
@@ -2222,7 +2260,7 @@ mod tests {
             lhs: Box::new(col(0, TypeId::I64)),
             rhs: Box::new(lit(0)),
         };
-        let sp = SelectProgram::compile(&e, &ctx());
+        let mut sp = SelectProgram::compile(&e, &ctx());
         let mut batch = batch_i64((0..10).collect());
         batch.sel = Some(SelVec::from_positions(vec![0, 1, 2]));
         let mut pool = VectorPool::new();
@@ -2231,11 +2269,83 @@ mod tests {
     }
 
     #[test]
+    fn dict_bitmap_follows_the_dictionary_across_a_pack_seam() {
+        // Two vectors over one dictionary, then one over another whose
+        // codes mean different strings: the memoised qualifying-code
+        // bitmap must be reused for the first pair and rebuilt at the seam
+        // — for the compare and the LIKE node alike, NULLs never selected.
+        let d1 = Arc::new(vec!["apple".to_string(), "fig".into(), "pear".into()]);
+        let d2 = Arc::new(vec!["fig".to_string(), "kiwi".into(), "apple".into()]);
+        let vecs = [
+            Vector::from_dict(vec![0, 1, 2, 1], d1.clone(), None),
+            Vector::from_dict(vec![2, 2, 0, 1], d1, Some(vec![false, true, false, false])),
+            Vector::from_dict(vec![0, 1, 2, 1], d2, None),
+        ];
+        let preds = [
+            PhysExpr::Cmp {
+                op: CmpOp::Ge,
+                lhs: Box::new(col(0, TypeId::Str)),
+                rhs: Box::new(PhysExpr::Const(Value::Str("fig".into()), TypeId::Str)),
+            },
+            PhysExpr::Like {
+                input: Box::new(col(0, TypeId::Str)),
+                pattern: "%p%".into(),
+                negated: true,
+            },
+        ];
+        for e in &preds {
+            let mut sp = SelectProgram::compile(e, &ctx());
+            let mut pool = VectorPool::new();
+            for v in &vecs {
+                let batch = Batch::new(vec![v.clone()]);
+                let mut flat = batch.clone();
+                flat.columns[0].ensure_flat();
+                let got = sp.run(&mut pool, &batch).unwrap();
+                assert_eq!(got, e.eval_select(&flat, &ctx()).unwrap(), "{e:?} over {v:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn double_compare_keeps_the_total_order() {
+        // -0.0 < 0.0 and NaN above everything, as `Instr::Cmp` and the
+        // interpreter order doubles — for every operator, dense and under
+        // a selection, with and without NULLs.
+        let vals =
+            vec![-1.5, -0.0, 0.0, 2.25, f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -f64::NAN];
+        let nulls: Vec<bool> = (0..vals.len()).map(|i| i == 3).collect();
+        for k in [0.0, -0.0, 2.25, f64::NAN] {
+            for op in [CmpOp::Eq, CmpOp::Ne, CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge] {
+                let e = PhysExpr::Cmp {
+                    op,
+                    lhs: Box::new(col(0, TypeId::F64)),
+                    rhs: Box::new(PhysExpr::Const(Value::F64(k), TypeId::F64)),
+                };
+                let mut sp = SelectProgram::compile(&e, &ctx());
+                let mut pool = VectorPool::new();
+                for with_nulls in [false, true] {
+                    let v = Vector::with_nulls(
+                        ColData::F64(vals.clone()),
+                        with_nulls.then(|| nulls.clone()),
+                    );
+                    let mut batch = Batch::new(vec![v]);
+                    for sel in [None, Some(SelVec::from_positions(vec![1, 2, 3, 4, 7]))] {
+                        batch.sel = sel;
+                        let got = sp.run(&mut pool, &batch).unwrap();
+                        let want = e.eval_select(&batch, &ctx()).unwrap();
+                        assert_eq!(got, want, "{op:?} {k}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     fn constant_predicates_fold_to_keep_all_or_drop_all() {
-        let t = SelectProgram::compile(&PhysExpr::bool_const(true), &ctx());
-        let f = SelectProgram::compile(&PhysExpr::bool_const(false), &ctx());
+        let mut t = SelectProgram::compile(&PhysExpr::bool_const(true), &ctx());
+        let mut f = SelectProgram::compile(&PhysExpr::bool_const(false), &ctx());
         // 1 < 2 folds to TRUE as well.
-        let folded = SelectProgram::compile(
+        let mut folded = SelectProgram::compile(
             &PhysExpr::Cmp { op: CmpOp::Lt, lhs: Box::new(lit(1)), rhs: Box::new(lit(2)) },
             &ctx(),
         );

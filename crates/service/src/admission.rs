@@ -225,18 +225,27 @@ mod tests {
         let ctl = AdmissionController::new(100, 8);
         let first = ctl.admit(100, &CancelToken::new()).unwrap();
         let order = Arc::new(Mutex::new(Vec::new()));
+        // The arrival order is forced, not timed: waiter `i` starts only
+        // once `i` waiters are queued, and the grant is released only once
+        // all three are.
+        let queued_reaches = |n: usize| {
+            let t0 = Instant::now();
+            while ctl.queued() < n {
+                assert!(t0.elapsed() < Duration::from_secs(5), "waiter {n} never queued");
+                std::thread::yield_now();
+            }
+        };
         let mut joins = Vec::new();
         for i in 0..3 {
+            queued_reaches(i);
             let (ctl, order) = (ctl.clone(), order.clone());
             joins.push(std::thread::spawn(move || {
-                // Stagger arrivals so the FIFO order is deterministic.
-                std::thread::sleep(Duration::from_millis(20 * (i as u64 + 1)));
                 let g = ctl.admit(100, &CancelToken::new()).unwrap();
                 order.lock().unwrap().push(i);
                 drop(g);
             }));
         }
-        std::thread::sleep(Duration::from_millis(100));
+        queued_reaches(3);
         drop(first);
         for j in joins {
             j.join().unwrap();

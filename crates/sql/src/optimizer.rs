@@ -31,6 +31,7 @@
 use crate::binder::CatalogView;
 use crate::expr::{CmpOp, SqlExpr};
 use crate::plan::{ApplyKind, JoinKind, LogicalPlan, ScanHint, SetOpKind};
+use std::collections::HashMap;
 use vw_common::{Field, Result, Schema, TypeId, Value, VwError};
 
 /// Selectivity floor: a conjunction never claims to filter below this.
@@ -702,7 +703,7 @@ fn build_greedy_join(
     let end = |g: usize| -> End {
         let leaf = owner(g);
         let local = g - offsets[leaf];
-        let ndv = est.ndv(&leaves[leaf], local).unwrap_or(rows[leaf]).max(1.0);
+        let ndv = est.ndv(&leaves[leaf], rows[leaf], local).unwrap_or(rows[leaf]).max(1.0);
         End { leaf, local, ndv }
     };
     let eds: Vec<(End, End)> = edges.iter().map(|&(a, b)| (end(a), end(b))).collect();
@@ -1112,29 +1113,56 @@ impl<'a> Estimator<'a> {
     /// assumption); semi/anti joins keep half the probe side; grouped
     /// aggregates multiply group-key distinct counts, capped at the
     /// input cardinality.
+    ///
+    /// One bottom-up walk: a node's estimate is a function of its
+    /// children's (`node_rows`), so every subtree is visited
+    /// once. Callers that want the estimate of *every* node ask
+    /// [`Estimator::estimate_all`] instead of calling this per node.
     pub fn rows(&self, plan: &LogicalPlan) -> f64 {
+        self.walk(plan, &mut |_, _| {})
+    }
+
+    /// The estimates of every node of `plan`, from one bottom-up pass —
+    /// what the plan compiler stamps on operator profiles and EXPLAIN
+    /// renders per line.
+    pub fn estimate_all<'p>(&self, plan: &'p LogicalPlan) -> PlanEstimates<'p> {
+        let mut rows = HashMap::new();
+        self.walk(plan, &mut |node, r| {
+            rows.insert(node as *const LogicalPlan as usize, r);
+        });
+        PlanEstimates { rows, _plan: std::marker::PhantomData }
+    }
+
+    fn walk<'p>(&self, plan: &'p LogicalPlan, visit: &mut dyn FnMut(&'p LogicalPlan, f64)) -> f64 {
+        let inputs: Vec<f64> = plan.children().into_iter().map(|c| self.walk(c, visit)).collect();
+        let rows = self.node_rows(plan, &inputs);
+        visit(plan, rows);
+        rows
+    }
+
+    /// `plan`'s own estimate, given its children's (`inputs`, in
+    /// [`LogicalPlan::children`] order).
+    fn node_rows(&self, plan: &LogicalPlan, inputs: &[f64]) -> f64 {
         match plan {
             LogicalPlan::Scan { table, .. } => {
                 self.catalog.table_rows(table).unwrap_or(1000) as f64
             }
             LogicalPlan::Filter { input, predicate } => {
-                let inner = self.rows(input);
-                inner * self.selectivity(input, predicate).clamp(MIN_SEL, 1.0)
+                inputs[0] * self.selectivity(input, inputs[0], predicate).clamp(MIN_SEL, 1.0)
             }
-            LogicalPlan::Project { input, .. }
-            | LogicalPlan::Sort { input, .. }
-            | LogicalPlan::Exchange { input, .. } => self.rows(input),
+            LogicalPlan::Project { .. }
+            | LogicalPlan::Sort { .. }
+            | LogicalPlan::Exchange { .. } => inputs[0],
             LogicalPlan::Join { left, right, kind, keys, .. } => {
-                let l = self.rows(left);
-                let r = self.rows(right);
+                let (l, r) = (inputs[0], inputs[1]);
                 match kind {
                     JoinKind::Semi => 0.5 * l,
                     JoinKind::Anti | JoinKind::NullAwareAnti => 0.5 * l,
                     JoinKind::Inner | JoinKind::Left => {
                         let mut card = l * r;
                         for (lk, rk) in keys {
-                            let nl = self.key_ndv(left, lk).unwrap_or(l);
-                            let nr = self.key_ndv(right, rk).unwrap_or(r);
+                            let nl = self.key_ndv(left, l, lk).unwrap_or(l);
+                            let nr = self.key_ndv(right, r, rk).unwrap_or(r);
                             card /= nl.max(nr).max(1.0);
                         }
                         if *kind == JoinKind::Left {
@@ -1149,42 +1177,41 @@ impl<'a> Estimator<'a> {
                 if group.is_empty() {
                     return 1.0;
                 }
-                let inrows = self.rows(input);
+                let inrows = inputs[0];
                 let mut groups = 1.0;
                 for g in group {
                     let n = match g {
-                        SqlExpr::Col(c, _) => self.ndv(input, *c),
+                        SqlExpr::Col(c, _) => self.ndv(input, inrows, *c),
                         _ => None,
                     };
                     groups *= n.unwrap_or(inrows / 10.0).max(1.0);
                 }
                 groups.min(inrows).max(1.0)
             }
-            LogicalPlan::Limit { input, limit, .. } => self.rows(input).min(*limit as f64),
+            LogicalPlan::Limit { limit, .. } => inputs[0].min(*limit as f64),
             LogicalPlan::Values { rows, .. } => rows.len() as f64,
-            LogicalPlan::SetOp { op, inputs, .. } => {
-                let vals: Vec<f64> = inputs.iter().map(|i| self.rows(i)).collect();
-                match op {
-                    SetOpKind::Union | SetOpKind::UnionAll => vals.iter().sum(),
-                    SetOpKind::Intersect => vals.iter().copied().fold(f64::INFINITY, f64::min),
-                    SetOpKind::Except => vals.first().copied().unwrap_or(1.0),
-                }
-            }
-            LogicalPlan::Apply { input, kind, .. } => match kind {
-                ApplyKind::In | ApplyKind::Exists { .. } => 0.5 * self.rows(input),
-                ApplyKind::Scalar => self.rows(input),
+            LogicalPlan::SetOp { op, .. } => match op {
+                SetOpKind::Union | SetOpKind::UnionAll => inputs.iter().sum(),
+                SetOpKind::Intersect => inputs.iter().copied().fold(f64::INFINITY, f64::min),
+                SetOpKind::Except => inputs.first().copied().unwrap_or(1.0),
+            },
+            // `inputs[0]` is the outer input (the subquery is `inputs[1]`).
+            LogicalPlan::Apply { kind, .. } => match kind {
+                ApplyKind::In | ApplyKind::Exists { .. } => 0.5 * inputs[0],
+                ApplyKind::Scalar => inputs[0],
             },
         }
     }
 
     /// Selectivity of `pred` over the output of `input`, in `[0, 1]`.
-    fn selectivity(&self, input: &LogicalPlan, pred: &SqlExpr) -> f64 {
+    /// (`rows` is `input`'s own estimate.)
+    fn selectivity(&self, input: &LogicalPlan, rows: f64, pred: &SqlExpr) -> f64 {
         match pred {
-            SqlExpr::And(parts) => parts.iter().map(|p| self.selectivity(input, p)).product(),
+            SqlExpr::And(parts) => parts.iter().map(|p| self.selectivity(input, rows, p)).product(),
             SqlExpr::Or(parts) => {
-                1.0 - parts.iter().map(|p| 1.0 - self.selectivity(input, p)).product::<f64>()
+                1.0 - parts.iter().map(|p| 1.0 - self.selectivity(input, rows, p)).product::<f64>()
             }
-            SqlExpr::Not(inner) => 1.0 - self.selectivity(input, inner),
+            SqlExpr::Not(inner) => 1.0 - self.selectivity(input, rows, inner),
             SqlExpr::Lit(Value::Bool(b), _) => {
                 if *b {
                     1.0
@@ -1194,7 +1221,7 @@ impl<'a> Estimator<'a> {
             }
             _ => match col_vs_lit(pred) {
                 Some((op, col, lit, flipped)) => {
-                    self.cmp_selectivity(input, op, col, &lit, flipped)
+                    self.cmp_selectivity(input, rows, op, col, &lit, flipped)
                 }
                 None => DEFAULT_SEL,
             },
@@ -1205,14 +1232,15 @@ impl<'a> Estimator<'a> {
     fn cmp_selectivity(
         &self,
         input: &LogicalPlan,
+        rows: f64,
         op: CmpOp,
         col: usize,
         lit: &Value,
         flipped: bool,
     ) -> f64 {
         match op {
-            CmpOp::Eq => self.eq_selectivity(input, col, lit),
-            CmpOp::Ne => (1.0 - self.eq_selectivity(input, col, lit)).clamp(0.0, 1.0),
+            CmpOp::Eq => self.eq_selectivity(input, rows, col, lit),
+            CmpOp::Ne => (1.0 - self.eq_selectivity(input, rows, col, lit)).clamp(0.0, 1.0),
             CmpOp::Lt | CmpOp::Le | CmpOp::Gt | CmpOp::Ge => {
                 let lower_bound = matches!(
                     (op, flipped),
@@ -1224,8 +1252,8 @@ impl<'a> Estimator<'a> {
         }
     }
 
-    fn eq_selectivity(&self, input: &LogicalPlan, col: usize, lit: &Value) -> f64 {
-        if let Some(n) = self.ndv(input, col) {
+    fn eq_selectivity(&self, input: &LogicalPlan, rows: f64, col: usize, lit: &Value) -> f64 {
+        if let Some(n) = self.ndv(input, rows, col) {
             if n >= 1.0 {
                 return (1.0 / n).min(1.0);
             }
@@ -1247,19 +1275,34 @@ impl<'a> Estimator<'a> {
     }
 
     /// Distinct count of an output column, traced back to its base-table
-    /// column and capped at the subplan's own row estimate.
-    fn ndv(&self, plan: &LogicalPlan, col: usize) -> Option<f64> {
+    /// column and capped at the subplan's own row estimate `rows`.
+    fn ndv(&self, plan: &LogicalPlan, rows: f64, col: usize) -> Option<f64> {
         let (table, base) = base_column(plan, col)?;
         let n = self.catalog.column_distinct(table, base)? as f64;
-        Some(n.min(self.rows(plan)).max(1.0))
+        Some(n.min(rows).max(1.0))
     }
 
     /// Distinct count behind a join-key expression (plain columns only).
-    fn key_ndv(&self, side: &LogicalPlan, key: &SqlExpr) -> Option<f64> {
+    fn key_ndv(&self, side: &LogicalPlan, rows: f64, key: &SqlExpr) -> Option<f64> {
         match key {
-            SqlExpr::Col(c, _) => self.ndv(side, *c),
+            SqlExpr::Col(c, _) => self.ndv(side, rows, *c),
             _ => None,
         }
+    }
+}
+
+/// The row estimate of every node of one plan ([`Estimator::estimate_all`]).
+/// Nodes are identified by address: the plan is borrowed for `'p`, so its
+/// nodes neither move nor die while the estimates are in use.
+pub struct PlanEstimates<'p> {
+    rows: HashMap<usize, f64>,
+    _plan: std::marker::PhantomData<&'p LogicalPlan>,
+}
+
+impl<'p> PlanEstimates<'p> {
+    /// The estimate of `node`; `None` for a node of some other plan.
+    pub fn rows(&self, node: &'p LogicalPlan) -> Option<f64> {
+        self.rows.get(&(node as *const LogicalPlan as usize)).copied()
     }
 }
 
@@ -1373,15 +1416,15 @@ pub fn check_schema_preserved(before: &LogicalPlan, after: &LogicalPlan) -> Resu
 /// All other node lines match [`LogicalPlan::explain`], which the
 /// rule-only pipeline (`SET optimizer = 0`) keeps emitting unchanged.
 pub fn explain_with_estimates(plan: &LogicalPlan, catalog: &dyn CatalogView) -> String {
-    let est = Estimator::new(catalog);
+    let est = Estimator::new(catalog).estimate_all(plan);
     let mut out = String::new();
     explain_est_into(plan, &est, catalog, 0, None, &mut out);
     out
 }
 
-fn explain_est_into(
-    plan: &LogicalPlan,
-    est: &Estimator,
+fn explain_est_into<'p>(
+    plan: &'p LogicalPlan,
+    est: &PlanEstimates<'p>,
     catalog: &dyn CatalogView,
     depth: usize,
     role: Option<&str>,
@@ -1422,7 +1465,8 @@ fn explain_est_into(
         }
     };
     out.push_str(&line);
-    out.push_str(&format!(" est~{:.0}\n", est.rows(plan)));
+    let rows = est.rows(plan).expect("every node of the walked plan has an estimate");
+    out.push_str(&format!(" est~{rows:.0}\n"));
     if let LogicalPlan::Join { left, right, .. } = plan {
         explain_est_into(left, est, catalog, depth + 1, Some("probe: "), out);
         explain_est_into(right, est, catalog, depth + 1, Some("build: "), out);

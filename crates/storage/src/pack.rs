@@ -15,12 +15,17 @@
 //! Integer-like data (including dates, bools, f64-bits) goes through
 //! [`vw_compress::compress_auto`]; strings pick PDICT when the dictionary
 //! pays for itself (ratio heuristic), raw otherwise.
+//!
+//! Reading borrows the payload out of the block and decodes it in one pass
+//! into a `Vec` of the column's own type ([`vw_compress::decompress`]): no
+//! payload copy, no widened `i64` column in between, NULL indicators
+//! straight to `Vec<bool>`.
 
 use std::sync::Arc;
 use vw_common::{ColData, Result, TypeId, VwError};
 use vw_compress::dict::{decode_codes, decode_strings, encode_strings, StringDict};
 use vw_compress::io::{ByteReader, ByteWriter};
-use vw_compress::{compress_auto, decompress_into, rle, Compressed, Encoding};
+use vw_compress::{compress_auto, decompress, rle, Compressed, Encoding, Lane};
 
 fn put_ints(c: &Compressed, w: &mut ByteWriter) {
     w.put_u8(c.encoding.tag());
@@ -29,12 +34,64 @@ fn put_ints(c: &Compressed, w: &mut ByteWriter) {
     w.put_bytes(&c.bytes);
 }
 
-fn get_ints(r: &mut ByteReader) -> Result<Compressed> {
+/// An `ints_block` still in its chunk: header fields and borrowed payload.
+struct Ints<'a> {
+    encoding: Encoding,
+    len: usize,
+    bytes: &'a [u8],
+}
+
+/// Read the `ints_block` holding a chunk's `what`, which must have `n` rows.
+fn get_ints<'a>(r: &mut ByteReader<'a>, n: usize, what: &str) -> Result<Ints<'a>> {
     let encoding = Encoding::from_tag(r.get_u8()?)?;
     let len = r.get_u32()? as usize;
+    if len != n {
+        return Err(VwError::Corruption(format!("{what} has {len} rows, expected {n}")));
+    }
     let nbytes = r.get_u32()? as usize;
-    let bytes = r.get_bytes(nbytes)?.to_vec();
-    Ok(Compressed { encoding, len, bytes })
+    Ok(Ints { encoding, len, bytes: r.get_bytes(nbytes)? })
+}
+
+impl Ints<'_> {
+    fn decode<T: Lane>(&self) -> Result<Vec<T>> {
+        let mut out = Vec::new();
+        decompress(self.encoding, self.len, self.bytes, &mut out)?;
+        Ok(out)
+    }
+
+    /// Decode into a column of fixed-width type `ty`.
+    fn decode_as(&self, ty: TypeId) -> Result<ColData> {
+        Ok(match ty {
+            TypeId::Bool => ColData::Bool(self.decode()?),
+            TypeId::I8 => ColData::I8(self.decode()?),
+            TypeId::I16 => ColData::I16(self.decode()?),
+            TypeId::I32 => ColData::I32(self.decode()?),
+            TypeId::I64 => ColData::I64(self.decode()?),
+            TypeId::F64 => ColData::F64(self.decode()?),
+            TypeId::Date => ColData::Date(self.decode()?),
+            TypeId::Str => {
+                return Err(VwError::Corruption("integer block for VARCHAR column".into()))
+            }
+        })
+    }
+}
+
+/// Read a chunk's `null_part`.
+fn get_nulls(r: &mut ByteReader, n: usize) -> Result<Option<Vec<bool>>> {
+    match r.get_u8()? {
+        0 => Ok(None),
+        1 => Ok(Some(get_ints(r, n, "null indicator")?.decode()?)),
+        t => Err(VwError::Corruption(format!("unknown null part tag {t}"))),
+    }
+}
+
+/// `Corruption` unless a string block may sit in a column of type `ty`.
+fn expect_str(ty: TypeId) -> Result<()> {
+    if ty == TypeId::Str {
+        Ok(())
+    } else {
+        Err(VwError::Corruption(format!("string block for {} column", ty.sql_name())))
+    }
 }
 
 fn put_strings(values: &[String], w: &mut ByteWriter) {
@@ -132,42 +189,11 @@ pub fn encode_chunk(data: &ColData, nulls: Option<&[bool]>) -> Vec<u8> {
 /// Returns the values and the NULL indicator (None = no NULLs in chunk).
 pub fn decode_chunk(bytes: &[u8], ty: TypeId, n: usize) -> Result<(ColData, Option<Vec<bool>>)> {
     let mut r = ByteReader::new(bytes);
-    let nulls = match r.get_u8()? {
-        0 => None,
-        1 => {
-            let c = get_ints(&mut r)?;
-            if c.len != n {
-                return Err(VwError::Corruption(format!(
-                    "null indicator has {} rows, expected {n}",
-                    c.len
-                )));
-            }
-            let mut ints = Vec::new();
-            decompress_into(&c, &mut ints)?;
-            Some(ints.into_iter().map(|v| v != 0).collect())
-        }
-        t => return Err(VwError::Corruption(format!("unknown null part tag {t}"))),
-    };
+    let nulls = get_nulls(&mut r, n)?;
     let data = match r.get_u8()? {
-        0 => {
-            let c = get_ints(&mut r)?;
-            if c.len != n {
-                return Err(VwError::Corruption(format!(
-                    "value block has {} rows, expected {n}",
-                    c.len
-                )));
-            }
-            let mut ints = Vec::new();
-            decompress_into(&c, &mut ints)?;
-            ColData::from_i64s(ty, &ints)?
-        }
+        0 => get_ints(&mut r, n, "value block")?.decode_as(ty)?,
         1 => {
-            if ty != TypeId::Str {
-                return Err(VwError::Corruption(format!(
-                    "string block for {} column",
-                    ty.sql_name()
-                )));
-            }
+            expect_str(ty)?;
             ColData::Str(get_strings(&mut r, n)?)
         }
         t => return Err(VwError::Corruption(format!("unknown value part tag {t}"))),
@@ -214,39 +240,16 @@ impl EncodedChunk {
 /// `EncodedChunk::into_flat` — the two paths are differential-tested.
 pub fn decode_chunk_encoded(bytes: &[u8], ty: TypeId, n: usize) -> Result<EncodedChunk> {
     let mut r = ByteReader::new(bytes);
-    let nulls = match r.get_u8()? {
-        0 => None,
-        1 => {
-            let c = get_ints(&mut r)?;
-            if c.len != n {
-                return Err(VwError::Corruption(format!(
-                    "null indicator has {} rows, expected {n}",
-                    c.len
-                )));
-            }
-            let mut ints = Vec::new();
-            decompress_into(&c, &mut ints)?;
-            Some(ints.into_iter().map(|v| v != 0).collect())
-        }
-        t => return Err(VwError::Corruption(format!("unknown null part tag {t}"))),
-    };
+    let nulls = get_nulls(&mut r, n)?;
     match r.get_u8()? {
         0 => {
-            let c = get_ints(&mut r)?;
-            if c.len != n {
-                return Err(VwError::Corruption(format!(
-                    "value block has {} rows, expected {n}",
-                    c.len
-                )));
-            }
-            let mut ints = Vec::new();
-            decompress_into(&c, &mut ints)?;
-            let data = ColData::from_i64s(ty, &ints)?;
+            let c = get_ints(&mut r, n, "value block")?;
+            let data = c.decode_as(ty)?;
             // Per-run predicate evaluation compares the widened i64 run
             // value, so any integer-like type qualifies; the run list only
             // pays off when runs are long, so thin run lists are dropped.
             if c.encoding == Encoding::Rle {
-                let runs = rle::decode_runs(&mut ByteReader::new(&c.bytes), c.len)?;
+                let runs = rle::decode_runs(&mut ByteReader::new(c.bytes), c.len)?;
                 if runs.len() * 4 <= n {
                     return Ok(EncodedChunk::Rle { data, runs, nulls });
                 }
@@ -254,12 +257,7 @@ pub fn decode_chunk_encoded(bytes: &[u8], ty: TypeId, n: usize) -> Result<Encode
             Ok(EncodedChunk::Flat(data, nulls))
         }
         1 => {
-            if ty != TypeId::Str {
-                return Err(VwError::Corruption(format!(
-                    "string block for {} column",
-                    ty.sql_name()
-                )));
-            }
+            expect_str(ty)?;
             match r.get_u8()? {
                 1 => {
                     let dict_len = r.get_u32()? as usize;
@@ -369,6 +367,145 @@ mod tests {
         roundtrip(ColData::Bool((0..100).map(|i| i % 3 == 0).collect()), None);
         roundtrip(ColData::Date((0..100).map(|i| 9000 + i).collect()), None);
         roundtrip(ColData::F64((0..100).map(|i| i as f64 * 0.25).collect()), None);
+    }
+
+    /// The read path this module had before decoding became one typed
+    /// pass: widen everything to `i64`, then rebuild the column
+    /// (`ColData::from_i64s`). Kept as the oracle.
+    fn from_i64s(ty: TypeId, vals: &[i64]) -> Option<ColData> {
+        fn narrow<T: TryFrom<i64>>(vals: &[i64]) -> Option<Vec<T>> {
+            vals.iter().map(|&v| T::try_from(v).ok()).collect()
+        }
+        Some(match ty {
+            TypeId::Bool => ColData::Bool(vals.iter().map(|&v| v != 0).collect()),
+            TypeId::I8 => ColData::I8(narrow(vals)?),
+            TypeId::I16 => ColData::I16(narrow(vals)?),
+            TypeId::I32 => ColData::I32(narrow(vals)?),
+            TypeId::I64 => ColData::I64(vals.to_vec()),
+            TypeId::F64 => ColData::F64(vals.iter().map(|&v| f64::from_bits(v as u64)).collect()),
+            TypeId::Date => ColData::Date(narrow(vals)?),
+            TypeId::Str => return None,
+        })
+    }
+
+    /// A value-part-only chunk holding `values` under `encoding`.
+    fn ints_chunk(values: &[i64], encoding: Encoding) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        w.put_u8(0); // no NULLs
+        w.put_u8(0); // fixed-width value part
+        put_ints(&vw_compress::compress_with(values, encoding).unwrap(), &mut w);
+        w.into_bytes()
+    }
+
+    const FIXED: [(TypeId, i64, i64); 7] = [
+        (TypeId::Bool, 0, 1),
+        (TypeId::I8, i8::MIN as i64, i8::MAX as i64),
+        (TypeId::I16, i16::MIN as i64, i16::MAX as i64),
+        (TypeId::I32, i32::MIN as i64, i32::MAX as i64),
+        (TypeId::I64, i64::MIN, i64::MAX),
+        (TypeId::F64, i64::MIN, i64::MAX),
+        (TypeId::Date, i32::MIN as i64, i32::MAX as i64),
+    ];
+    const ENCODINGS: [Encoding; 6] = [
+        Encoding::Raw,
+        Encoding::BitPack,
+        Encoding::Pfor,
+        Encoding::PforDelta,
+        Encoding::Dict,
+        Encoding::Rle,
+    ];
+
+    #[test]
+    fn every_type_and_encoding_decodes_like_the_widen_then_narrow_chain() {
+        let mut st = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = move || {
+            st ^= st << 13;
+            st ^= st >> 7;
+            st ^= st << 17;
+            st
+        };
+        for (ty, lo, hi) in FIXED {
+            let span = (hi as i128 - lo as i128 + 1) as u128;
+            for n in [0usize, 1, 63, 64, 65, 1024, 16384] {
+                let mut any = || (lo as i128 + (next() as u128 % span) as i128) as i64;
+                let constant = vec![any(); n];
+                let mut sorted: Vec<i64> = (0..n).map(|_| any()).collect();
+                sorted.sort_unstable();
+                let mut full: Vec<i64> = (0..n).map(|_| any()).collect();
+                if n >= 2 {
+                    (full[0], full[n - 1]) = (lo, hi);
+                }
+                let near = (hi as i128 - lo as i128).min(100) as i64;
+                let outliers: Vec<i64> = (0..n)
+                    .map(|i| {
+                        if i % 33 == 7 {
+                            any()
+                        } else {
+                            lo + (any().unsigned_abs() % (near as u64 + 1)) as i64
+                        }
+                    })
+                    .collect();
+                for values in [constant, sorted, full, outliers] {
+                    let want = from_i64s(ty, &values).unwrap();
+                    for enc in ENCODINGS {
+                        if enc == Encoding::Dict
+                            && vw_compress::compress_with(&values, enc).is_err()
+                        {
+                            continue; // cardinality above the PDICT limit
+                        }
+                        let bytes = ints_chunk(&values, enc);
+                        let (got, nulls) = decode_chunk(&bytes, ty, n).unwrap();
+                        assert!(nulls.is_none());
+                        // Doubles compare by bits: NaN payloads must survive.
+                        let (mut a, mut b) = (Vec::new(), Vec::new());
+                        got.to_i64s(&mut a);
+                        want.to_i64s(&mut b);
+                        assert_eq!(got.type_id(), ty);
+                        assert_eq!(a, b, "{} {} n={n}", ty.sql_name(), enc.name());
+                        let enc_chunk = decode_chunk_encoded(&bytes, ty, n).unwrap();
+                        let (flat, _) = enc_chunk.into_flat().unwrap();
+                        flat.to_i64s(&mut a);
+                        assert_eq!(a, b, "encoded {} {} n={n}", ty.sql_name(), enc.name());
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn narrowing_overflow_is_corruption_not_truncation() {
+        // A BIGINT-range value in a chunk read as INT / DATE / SMALLINT.
+        let mut values: Vec<i64> = (0..200).collect();
+        values[77] = i32::MAX as i64 + 1;
+        for enc in ENCODINGS {
+            let bytes = ints_chunk(&values, enc);
+            assert!(decode_chunk(&bytes, TypeId::I64, 200).is_ok());
+            for ty in [TypeId::I32, TypeId::Date, TypeId::I16, TypeId::I8] {
+                assert!(from_i64s(ty, &values).is_none());
+                for r in [
+                    decode_chunk(&bytes, ty, 200).map(|_| ()),
+                    decode_chunk_encoded(&bytes, ty, 200).map(|_| ()),
+                ] {
+                    assert!(matches!(r, Err(VwError::Corruption(_))), "{} {}", enc.name(), ty);
+                }
+            }
+            assert!(matches!(decode_chunk(&bytes, TypeId::Str, 200), Err(VwError::Corruption(_))));
+        }
+    }
+
+    #[test]
+    fn every_truncation_of_a_chunk_is_corruption() {
+        let data = ColData::I32((0..300).map(|i| i * 3 % 97).collect());
+        let mask: Vec<bool> = (0..300).map(|i| i % 10 == 0).collect();
+        let bytes = encode_chunk(&data, Some(&mask));
+        for cut in 0..bytes.len() {
+            for r in [
+                decode_chunk(&bytes[..cut], TypeId::I32, 300).map(|_| ()),
+                decode_chunk_encoded(&bytes[..cut], TypeId::I32, 300).map(|_| ()),
+            ] {
+                assert!(matches!(r, Err(VwError::Corruption(_))), "cut {cut}");
+            }
+        }
     }
 
     #[test]

@@ -914,6 +914,334 @@ mod build_mode_matrix {
         pool.shutdown();
     }
 
+    // -----------------------------------------------------------------
+    // The group-resolution ladder and the accumulator kernels: every key
+    // shape that picks a different rung (none, all dict-coded, dict-coded
+    // over too wide a domain, dict + BIGINT) × dense and selected batches,
+    // over dictionaries that are shared by three batches and then replaced
+    // (a pack seam), against volcano, in the P = 1, pooled and governed
+    // configurations.
+    // -----------------------------------------------------------------
+
+    /// `a`, `b`, `c`: low-cardinality strings (NULLs in `a` and `b`);
+    /// `w1`, `w2`: 130 values each, so `(w1, w2)`'s composite code domain
+    /// (131² = 17 161) is over the memo bound; `k`, `v`: nullable BIGINT.
+    fn ladder_schema() -> Schema {
+        Schema::new(vec![
+            Field::nullable("a", TypeId::Str),
+            Field::nullable("b", TypeId::Str),
+            Field::nullable("c", TypeId::Str),
+            Field::nullable("w1", TypeId::Str),
+            Field::nullable("w2", TypeId::Str),
+            Field::nullable("k", TypeId::I64),
+            Field::nullable("v", TypeId::I64),
+        ])
+        .unwrap()
+    }
+
+    const LADDER_STRS: usize = 5;
+
+    fn ladder_domain(col: usize) -> Vec<String> {
+        let n = [5, 3, 4, 130, 130][col];
+        (0..n).map(|i| format!("{}{i:03}", ["a", "b", "c", "w", "x"][col])).collect()
+    }
+
+    fn ladder_rows(rng: &mut SmallRng, n: usize) -> Vec<Vec<Value>> {
+        let domains: Vec<Vec<String>> = (0..LADDER_STRS).map(ladder_domain).collect();
+        (0..n)
+            .map(|_| {
+                let mut row: Vec<Value> = domains
+                    .iter()
+                    .enumerate()
+                    .map(|(c, d)| {
+                        if c < 2 && rng.gen_range(0..100) < 15 {
+                            Value::Null
+                        } else {
+                            Value::Str(d[rng.gen_range(0..d.len())].clone())
+                        }
+                    })
+                    .collect();
+                for (domain, null_pct) in [(6i64, 10), (100, 15)] {
+                    row.push(if rng.gen_range(0..100) < null_pct {
+                        Value::Null
+                    } else {
+                        Value::I64(rng.gen_range(0..domain))
+                    });
+                }
+                row
+            })
+            .collect()
+    }
+
+    /// `rows` as batches of `chunk` with every string column dict-coded.
+    /// Three consecutive batches share their dictionaries' `Arc`s (a
+    /// pack); the next three get the domain rotated, so the same code
+    /// means another string. With `select`, every batch carries a
+    /// selection dropping the rows whose index is a multiple of three.
+    fn ladder_batches(rows: &[Vec<Value>], chunk: usize, select: bool) -> Vec<Batch> {
+        let schema = ladder_schema();
+        let mut packs: Vec<Vec<Arc<Vec<String>>>> = Vec::new();
+        rows.chunks(chunk)
+            .enumerate()
+            .map(|(bi, ch)| {
+                if bi % 3 == 0 {
+                    packs.push(
+                        (0..LADDER_STRS)
+                            .map(|c| {
+                                let mut d = ladder_domain(c);
+                                d.rotate_left((bi / 3) % 3);
+                                Arc::new(d)
+                            })
+                            .collect(),
+                    );
+                }
+                let dicts = packs.last().unwrap();
+                let mut columns: Vec<Vector> = (0..LADDER_STRS)
+                    .map(|c| {
+                        let code = |v: &Value| match v {
+                            Value::Str(s) => dicts[c].iter().position(|d| d == s).unwrap() as u32,
+                            _ => 0,
+                        };
+                        Vector::from_dict(
+                            ch.iter().map(|r| code(&r[c])).collect(),
+                            dicts[c].clone(),
+                            Some(ch.iter().map(|r| r[c].is_null()).collect()),
+                        )
+                    })
+                    .collect();
+                for c in LADDER_STRS..schema.len() {
+                    let mut v = Vector::new(ColData::new(TypeId::I64));
+                    ch.iter().for_each(|r| v.push(&r[c]).unwrap());
+                    columns.push(v);
+                }
+                let mut batch = Batch::new(columns);
+                if select {
+                    let first = bi * chunk;
+                    batch.sel = Some(
+                        (0..ch.len() as u32)
+                            .filter(|&p| !(first + p as usize).is_multiple_of(3))
+                            .collect(),
+                    );
+                }
+                batch
+            })
+            .collect()
+    }
+
+    fn ladder_op(batches: Vec<Batch>) -> BoxedOp {
+        Box::new(Source { schema: ladder_schema(), batches, pos: 0, fail_after: usize::MAX })
+    }
+
+    fn ladder_source(rows: &[Vec<Value>], chunk: usize, select: bool) -> BoxedOp {
+        ladder_op(ladder_batches(rows, chunk, select))
+    }
+
+    /// The six aggregates over `v` grouped by `group` (columns of
+    /// [`ladder_schema`]), configured for `mode`.
+    fn ladder_agg(
+        mode: Mode,
+        pool: &Arc<WorkerPool>,
+        input: BoxedOp,
+        group: &[usize],
+    ) -> (HashAggregate, Option<Governor>) {
+        let schema = ladder_schema();
+        let col = |c: usize| {
+            ExprProgram::compile(&PhysExpr::ColRef(c, schema.fields[c].ty), &ExprCtx::default())
+        };
+        let spec = |func, out_ty| AggSpec { func, input: Some(col(6)), out_ty };
+        let mut fields: Vec<Field> = group.iter().map(|&c| schema.fields[c].clone()).collect();
+        fields.extend((0..6).map(|i| Field::nullable(format!("a{i}"), TypeId::I64)));
+        let agg = HashAggregate::new(
+            input,
+            group.iter().map(|&c| col(c)).collect(),
+            vec![
+                AggSpec { func: AggFunc::CountStar, input: None, out_ty: TypeId::I64 },
+                spec(AggFunc::Count, TypeId::I64),
+                spec(AggFunc::Sum, TypeId::I64),
+                spec(AggFunc::Min, TypeId::I64),
+                spec(AggFunc::Max, TypeId::I64),
+                spec(AggFunc::Avg, TypeId::F64),
+            ],
+            Schema::unchecked(fields),
+            64,
+            CancelToken::new(),
+        )
+        .unwrap();
+        match mode {
+            Mode::Serial => (agg, None),
+            Mode::Pooled { shards, gate } => {
+                (agg.with_parallel_build(pool.clone(), shards, gate), None)
+            }
+            Mode::Governed { budget } => {
+                let (cfg, g) = spill_config(budget);
+                (agg.with_spill(cfg), Some(g))
+            }
+        }
+    }
+
+    fn ladder_volcano(rows: &[Vec<Value>], group: &[usize]) -> Result<Vec<Vec<Value>>, VwError> {
+        let schema = ladder_schema();
+        let mut fields: Vec<Field> = group.iter().map(|&c| schema.fields[c].clone()).collect();
+        fields.extend((0..6).map(|i| Field::nullable(format!("a{i}"), TypeId::I64)));
+        let mut vol = TupleAggregate::new(
+            Box::new(TupleValues::new(schema, rows.to_vec())),
+            group.to_vec(),
+            vec![
+                TupleAgg::CountStar,
+                TupleAgg::Count(6),
+                TupleAgg::Sum(6),
+                TupleAgg::Min(6),
+                TupleAgg::Max(6),
+                TupleAgg::Avg(6),
+            ],
+            Schema::unchecked(fields),
+        );
+        collect_rows(&mut vol).map(sort_rows)
+    }
+
+    const LADDER_MODES: [Mode; 5] = [
+        Mode::Serial,
+        Mode::Pooled { shards: 4, gate: 0 },
+        Mode::Pooled { shards: 4, gate: 100 },
+        Mode::Governed { budget: AMPLE },
+        Mode::Governed { budget: TIGHT },
+    ];
+
+    #[test]
+    fn every_resolution_rung_and_accumulator_kernel_agrees_with_volcano() {
+        let pool = WorkerPool::new(2);
+        let mut rng = SmallRng::seed_from_u64(0x1adde2);
+        let rows = ladder_rows(&mut rng, 613);
+        let shapes: [(&str, &[usize]); 6] = [
+            ("global", &[]),
+            ("two dict keys", &[0, 1]),
+            ("three dict keys", &[0, 1, 2]),
+            ("dict keys over the memo bound", &[3, 4]),
+            ("dict + BIGINT", &[0, 5]),
+            ("BIGINT + dict", &[5, 1]),
+        ];
+        for (shape, group) in shapes {
+            for select in [false, true] {
+                let live: Vec<Vec<Value>> = rows
+                    .iter()
+                    .enumerate()
+                    .filter(|(i, _)| !select || i % 3 != 0)
+                    .map(|(_, r)| r.clone())
+                    .collect();
+                let expect = ladder_volcano(&live, group).unwrap();
+                for mode in LADDER_MODES {
+                    for chunk in [16usize, 50] {
+                        let what = format!("{shape}, select {select}, {mode:?}, chunk {chunk}");
+                        let input = ladder_source(&rows, chunk, select);
+                        let (mut agg, gov) = ladder_agg(mode, &pool, input, group);
+                        assert_eq!(sort_rows(run(&mut agg).unwrap()), expect, "{what}");
+                        let p = Operator::profile(&agg).unwrap().clone();
+                        if group.iter().all(|&c| c < 3) && !group.is_empty() {
+                            assert!(p.enc_skipped > 0, "{what}: the memo resolved no lane");
+                        }
+                        drop(agg);
+                        if let (Mode::Governed { budget }, Some(g)) = (mode, &gov) {
+                            // A global aggregate is one group: never governed.
+                            if !group.is_empty() {
+                                check_governor(g, budget, true, &what);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        // No input at all: a global aggregate still answers one row.
+        for mode in LADDER_MODES {
+            let (mut agg, _) = ladder_agg(mode, &pool, ladder_source(&[], 16, false), &[]);
+            assert_eq!(run(&mut agg).unwrap(), ladder_volcano(&[], &[]).unwrap(), "{mode:?}");
+            let (mut agg, _) = ladder_agg(mode, &pool, ladder_source(&[], 16, false), &[0, 1]);
+            assert!(run(&mut agg).unwrap().is_empty(), "{mode:?}");
+        }
+        pool.shutdown();
+    }
+
+    #[test]
+    fn one_wide_null_free_dict_key_takes_the_general_path() {
+        // One dict-coded key, no NULL indicator, over a dictionary wider
+        // than the memo bound (a pack above 16 K rows of distinct strings,
+        // or any `Vector::from_dict` producer): the memo turns it away and
+        // the fused single-key kernel must too — it has no flat data.
+        const WIDE: usize = 20_000;
+        let pool = WorkerPool::new(2);
+        let mut rng = SmallRng::seed_from_u64(0x51de);
+        let base = ladder_rows(&mut rng, 613);
+        let dict: Arc<Vec<String>> = Arc::new((0..WIDE).map(|i| format!("wide{i:05}")).collect());
+        // Few enough distinct codes that groups repeat within and across batches.
+        let codes: Vec<u32> = base.iter().map(|_| rng.gen_range(0..40) * 499).collect();
+        // What volcano sees: `base` with column 0 replaced by the wide key.
+        let mut rows = base.clone();
+        for (r, &c) in rows.iter_mut().zip(&codes) {
+            r[0] = Value::Str(dict[c as usize].clone());
+        }
+        for select in [false, true] {
+            let live: Vec<Vec<Value>> = rows
+                .iter()
+                .enumerate()
+                .filter(|(i, _)| !select || i % 3 != 0)
+                .map(|(_, r)| r.clone())
+                .collect();
+            let expect = ladder_volcano(&live, &[0]).unwrap();
+            for mode in LADDER_MODES {
+                for chunk in [16usize, 50] {
+                    let mut batches = ladder_batches(&base, chunk, select);
+                    for (b, ch) in batches.iter_mut().zip(codes.chunks(chunk)) {
+                        b.columns[0] = Vector::from_dict(ch.to_vec(), dict.clone(), None);
+                    }
+                    let (mut agg, _) = ladder_agg(mode, &pool, ladder_op(batches), &[0]);
+                    let what = format!("select {select}, {mode:?}, chunk {chunk}");
+                    assert_eq!(sort_rows(run(&mut agg).unwrap()), expect, "{what}");
+                }
+            }
+        }
+        pool.shutdown();
+    }
+
+    #[test]
+    fn sum_overflow_is_the_same_error_in_every_kernel() {
+        // i64::MAX then 1, in one group whatever the key shape: the dense
+        // and the selected kernel, one group and many, raise what volcano
+        // raises — also when a later value would bring the sum back.
+        let pool = WorkerPool::new(2);
+        let mut rng = SmallRng::seed_from_u64(7);
+        let mut rows = ladder_rows(&mut rng, 40);
+        for (i, r) in rows.iter_mut().enumerate() {
+            r[0] = Value::Str("a000".into());
+            r[5] = Value::I64(1);
+            r[6] = Value::I64(match i {
+                10 => i64::MAX,
+                11 => 1,
+                12 => -5,
+                _ => 0,
+            });
+        }
+        for group in [&[][..], &[0], &[5], &[0, 5]] {
+            for select in [false, true] {
+                let live: Vec<Vec<Value>> = rows
+                    .iter()
+                    .enumerate()
+                    .filter(|(i, _)| !select || i % 3 != 0)
+                    .map(|(_, r)| r.clone())
+                    .collect();
+                assert!(matches!(ladder_volcano(&live, group), Err(VwError::Overflow(_))));
+                for mode in LADDER_MODES {
+                    let input = ladder_source(&rows, 16, select);
+                    let (mut agg, _) = ladder_agg(mode, &pool, input, group);
+                    let got = run(&mut agg);
+                    assert!(
+                        matches!(got, Err(VwError::Overflow("SUM"))),
+                        "{group:?}, select {select}, {mode:?}: {got:?}"
+                    );
+                }
+            }
+        }
+        pool.shutdown();
+    }
+
     /// End-to-end: the same SQL through the full engine at DOP 1 vs 4 —
     /// the rewriter's Exchange shapes plus the operators' partitioned
     /// builds must not change any answer.
@@ -1166,7 +1494,7 @@ mod expr_differential {
             let (pe, _) = gen_bool(&mut rng, 3);
             let mut batch = batch_of(&rows);
             let interp = pe.eval_select(&batch, &ctx);
-            let sp = SelectProgram::compile(&pe, &ctx);
+            let mut sp = SelectProgram::compile(&pe, &ctx);
             let mut pool = VectorPool::new();
             let compiled = sp.run(&mut pool, &batch);
             assert_eq!(interp.is_err(), compiled.is_err(), "seed {seed}: {pe:?}");
