@@ -20,7 +20,7 @@ use std::time::Duration;
 use std::time::Instant;
 use vw_common::hash::{hash_u64, FxHashMap};
 use vw_common::{CancelToken, ColData, Field, Result, Schema, TypeId};
-use vw_exec::expr::{ExprCtx, PhysExpr};
+use vw_exec::expr::PhysExpr;
 use vw_exec::hashtable::{self, FlatTable};
 use vw_exec::op::{AggFunc, AggSpec, HashAggregate, Operator};
 use vw_exec::program::ExprProgram;
@@ -286,9 +286,7 @@ fn resolution_rungs() {
         ("2 BIGINT keys", &[2, 3]),
     ];
     for (name, keys) in rungs {
-        let col = |c: usize| {
-            ExprProgram::compile(&PhysExpr::ColRef(c, schema.fields[c].ty), &ExprCtx::default())
-        };
+        let col = |c: usize| ExprProgram::compile(&PhysExpr::ColRef(c, schema.fields[c].ty));
         let mut fields: Vec<Field> = keys.iter().map(|&c| schema.fields[c].clone()).collect();
         fields.push(Field::not_null("cnt", TypeId::I64));
         fields.push(Field::nullable("sum", TypeId::I64));

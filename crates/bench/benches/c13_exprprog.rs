@@ -16,7 +16,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 use vw_common::{ColData, TypeId, Value};
-use vw_exec::expr::{BinOp, CmpOp, ExprCtx, PhysExpr};
+use vw_exec::expr::{BinOp, CmpOp, PhysExpr};
 use vw_exec::program::{ExprProgram, SelectProgram, VectorPool};
 use vw_exec::vector::Batch;
 use vw_exec::Vector;
@@ -103,8 +103,7 @@ fn checksum(v: &Vector) -> i64 {
 
 fn steady_state_alloc_check() {
     let e = expr();
-    let ctx = ExprCtx::default();
-    let prog = ExprProgram::compile(&e, &ctx);
+    let prog = ExprProgram::compile(&e);
     let b = batch(1 << 16, 42);
     let mut pool = VectorPool::new();
     // Warm the register arena, then measure 64 steady-state batches.
@@ -127,11 +126,10 @@ fn steady_state_alloc_check() {
 fn bench(c: &mut Criterion) {
     steady_state_alloc_check();
 
-    let ctx = ExprCtx::default();
     let e = expr();
-    let prog = ExprProgram::compile(&e, &ctx);
+    let prog = ExprProgram::compile(&e);
     let p = pred();
-    let mut sel_prog = SelectProgram::compile(&p, &ctx);
+    let mut sel_prog = SelectProgram::compile(&p);
 
     let mut g = c.benchmark_group("c13_exprprog");
     g.sample_size(10)
@@ -143,12 +141,12 @@ fn bench(c: &mut Criterion) {
         // Correctness cross-check before timing anything.
         let mut pool = VectorPool::new();
         let vr = prog.run(&mut pool, &b).unwrap();
-        let want = checksum(&e.eval(&b, &ctx).unwrap());
+        let want = checksum(&e.eval(&b).unwrap());
         assert_eq!(checksum(pool.get(&b, vr)), want, "engines disagree");
         pool.recycle();
 
         g.bench_function(format!("tree_interp_{n}"), |bench| {
-            bench.iter(|| checksum(&e.eval(black_box(&b), &ctx).unwrap()))
+            bench.iter(|| checksum(&e.eval(black_box(&b)).unwrap()))
         });
         g.bench_function(format!("compiled_prog_{n}"), |bench| {
             bench.iter(|| {
@@ -159,13 +157,13 @@ fn bench(c: &mut Criterion) {
             })
         });
 
-        let interp_sel = p.eval_select(&b, &ctx).unwrap().len();
+        let interp_sel = p.eval_select(&b).unwrap().len();
         let compiled_sel = sel_prog.run(&mut pool, &b).unwrap();
         assert_eq!(compiled_sel.len(), interp_sel, "select paths disagree");
         pool.put_sel(compiled_sel);
         pool.recycle();
         g.bench_function(format!("tree_select_{n}"), |bench| {
-            bench.iter(|| p.eval_select(black_box(&b), &ctx).unwrap().len())
+            bench.iter(|| p.eval_select(black_box(&b)).unwrap().len())
         });
         g.bench_function(format!("fused_select_{n}"), |bench| {
             bench.iter(|| {

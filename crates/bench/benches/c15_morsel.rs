@@ -40,7 +40,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 use vw_common::{ColData, Field, Result, Schema, TypeId, Value};
 use vw_exec::cancel::CancelToken;
-use vw_exec::expr::{BinOp, CmpOp, ExprCtx, PhysExpr};
+use vw_exec::expr::{BinOp, CmpOp, PhysExpr};
 use vw_exec::morsel::{BatchPool, MorselSource};
 use vw_exec::op::{
     AggFunc, AggSpec, BoxedOp, HashAggregate, HashJoin, JoinType, Operator, Project, Select,
@@ -131,10 +131,6 @@ fn build_table(n: usize, pack: usize, hot: &[bool]) -> (Arc<TableStorage>, Arc<B
     (Arc::new(t), pool)
 }
 
-fn ctx() -> ExprCtx {
-    ExprCtx::default()
-}
-
 fn col(i: usize) -> PhysExpr {
     PhysExpr::ColRef(i, TypeId::I64)
 }
@@ -148,7 +144,7 @@ fn cmp(op: CmpOp, l: PhysExpr, r: PhysExpr) -> PhysExpr {
 }
 
 fn prog(e: &PhysExpr) -> ExprProgram {
-    ExprProgram::compile(e, &ctx())
+    ExprProgram::compile(e)
 }
 
 // ---------------------------------------------------------------------------
@@ -258,7 +254,7 @@ fn run_skew(
             cancel.clone(),
         )
         .with_batch_pool(bp.clone());
-        let pred = SelectProgram::compile(&cmp(CmpOp::Eq, col(2), i64lit(1)), &ctx());
+        let pred = SelectProgram::compile(&cmp(CmpOp::Eq, col(2), i64lit(1)));
         let select = Select::new(Box::new(scan), pred, cancel.clone()).with_batch_pool(bp.clone());
         let stall = Stall { input: Box::new(select), ns_per_row: stall_ns, seen: counter.clone() };
         let out_schema = Schema::new(vec![
@@ -440,7 +436,7 @@ fn alloc_experiment() {
         cancel.clone(),
     )
     .with_batch_pool(bp.clone());
-    let pred = SelectProgram::compile(&cmp(CmpOp::Lt, col(1), i64lit(500)), &ctx());
+    let pred = SelectProgram::compile(&cmp(CmpOp::Lt, col(1), i64lit(500)));
     let select = Select::new(Box::new(scan), pred, cancel.clone()).with_batch_pool(bp.clone());
     let proj_schema =
         Schema::new(vec![Field::not_null("key", TypeId::I64), Field::not_null("v2", TypeId::I64)])

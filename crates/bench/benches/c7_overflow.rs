@@ -1,6 +1,5 @@
 //! C7: overflow-checking strategies.
-use vw_common::config::CheckMode;
-use vw_exec::primitives::add_i64;
+use vw_exec::primitives::{add_i64, ArithCheck};
 
 fn bench(c: &mut Criterion) {
     let n = 64 * 1024;
@@ -10,9 +9,9 @@ fn bench(c: &mut Criterion) {
     let mut g = c.benchmark_group("c7");
     quick(&mut g);
     for (name, mode) in [
-        ("unchecked", CheckMode::Unchecked),
-        ("naive", CheckMode::Naive),
-        ("lazy_vectorized", CheckMode::Lazy),
+        ("unchecked", ArithCheck::Unchecked),
+        ("naive", ArithCheck::Naive),
+        ("lazy_vectorized", ArithCheck::Lazy),
     ] {
         g.bench_function(name, |b| b.iter(|| add_i64(&a, &bb, None, &mut out, mode).unwrap()));
     }

@@ -1,5 +1,6 @@
-//! C8: cancellation check overhead + end-to-end latency (see repro for the
-//! kill-mid-join latency table).
+//! C8: cancellation check overhead — what a per-vector `CancelToken::check`
+//! costs. That a KILL lands promptly mid-join is asserted, not timed:
+//! `tests/architecture.rs::cancellation_is_prompt_and_clean`.
 use vw_exec::CancelToken;
 
 fn bench(c: &mut Criterion) {

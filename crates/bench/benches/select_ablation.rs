@@ -1,6 +1,6 @@
 //! Ablation: selection vectors vs eager materialization.
 use vw_common::{ColData, TypeId, Value};
-use vw_exec::expr::{BinOp, CmpOp, ExprCtx, PhysExpr};
+use vw_exec::expr::{BinOp, CmpOp, PhysExpr};
 use vw_exec::{Batch, Vector};
 
 fn bench(c: &mut Criterion) {
@@ -9,7 +9,6 @@ fn bench(c: &mut Criterion) {
         Vector::new(ColData::I64((0..n as i64).collect())),
         Vector::new(ColData::I64(vec![2; n])),
     ]);
-    let ctx = ExprCtx::default();
     let mul = PhysExpr::Arith {
         op: BinOp::Mul,
         lhs: Box::new(PhysExpr::ColRef(0, TypeId::I64)),
@@ -26,19 +25,19 @@ fn bench(c: &mut Criterion) {
         };
         g.bench_function(format!("selvec_{pct}pct"), |b| {
             b.iter(|| {
-                let sel = pred.eval_select(&batch, &ctx).unwrap();
+                let sel = pred.eval_select(&batch).unwrap();
                 let mut bb = batch.clone();
                 bb.sel = Some(sel);
-                mul.eval(&bb, &ctx).unwrap()
+                mul.eval(&bb).unwrap()
             })
         });
         g.bench_function(format!("materialize_{pct}pct"), |b| {
             b.iter(|| {
-                let sel = pred.eval_select(&batch, &ctx).unwrap();
+                let sel = pred.eval_select(&batch).unwrap();
                 let mut bb = batch.clone();
                 bb.sel = Some(sel);
                 let dense = bb.compact();
-                mul.eval(&dense, &ctx).unwrap()
+                mul.eval(&dense).unwrap()
             })
         });
     }

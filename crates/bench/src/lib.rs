@@ -1,9 +1,10 @@
 //! # vw-bench — workload generators and the experiment harness
 //!
 //! Deterministic TPC-H-like data (the paper's motivating workload shape)
-//! plus one driver function per paper experiment (C1..C11). The
-//! `repro` binary prints each experiment's paper-style table; the Criterion
-//! benches wrap the same drivers for statistically robust timing.
+//! plus the few experiment pieces more than one target shares
+//! ([`experiments`]). Each paper claim C1..C15 is measured by the criterion
+//! bench of that name under `benches/`; end-to-end performance by the
+//! top-level `benchmark/` package.
 
 pub mod experiments;
 pub mod tpch;

@@ -7,7 +7,7 @@
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use vw_common::{ColData, Date, Value};
+use vw_common::{ColData, Date};
 
 /// One generated lineitem row (columnar container below).
 #[derive(Debug, Clone)]
@@ -128,12 +128,6 @@ pub fn gen_lineitem(n: usize, seed: u64) -> LineitemColumns {
         linestatus: ColData::Str(linestatus),
         shipdate: ColData::Date(shipdate),
     }
-}
-
-/// Row-wise view for the Volcano baseline.
-pub fn gen_lineitem_rows(n: usize, seed: u64) -> Vec<Vec<Value>> {
-    let cols = gen_lineitem(n, seed).into_columns();
-    (0..n).map(|i| cols.iter().map(|c| c.get_value(i)).collect()).collect()
 }
 
 /// Create + bulk-load lineitem into a database.
@@ -598,6 +592,7 @@ pub fn load_tpch_micro(db: &std::sync::Arc<vw_core::Database>, seed: u64) -> u64
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vw_common::Value;
 
     #[test]
     fn micro_instance_is_deterministic() {

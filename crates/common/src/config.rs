@@ -1,37 +1,12 @@
-//! Engine-wide tuning knobs, threaded from `Database` down to the kernels.
+//! Engine-wide tuning knobs, threaded from `Database` down to the
+//! operators. Kernel-level strawmen and reference paths (branchy NULLs,
+//! unchecked arithmetic, inflate-at-scan, the tree interpreter) are not
+//! knobs: they live in benches and test modules.
 //!
-//! The repo-root `ARCHITECTURE.md` ("Knobs") tabulates every knob with
-//! its SET name, default, and env override; the rustdoc on each field
-//! below is the authoritative description.
-
-/// How arithmetic error checking (overflow, division by zero) is performed.
-///
-/// The paper: "Naive implementation for some of these would incur a
-/// significant overhead, and special algorithms in the kernel had to be
-/// devised." Benchmark C7 compares these modes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CheckMode {
-    /// No checking at all — the research-prototype behaviour (wrapping).
-    /// Kept only for the C7 baseline; never used by the SQL layer.
-    Unchecked,
-    /// Branch per value: test every operation's result immediately.
-    Naive,
-    /// Vectorized lazy checking: compute the whole vector with wrapping
-    /// arithmetic while OR-accumulating an error flag, inspect once per
-    /// vector, and only on failure re-run a slow path to pinpoint the error.
-    Lazy,
-}
-
-/// How NULLs are represented during execution (benchmark C6).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum NullMode {
-    /// Vectorwise production design: a boolean indicator column plus a value
-    /// column holding safe values; kernels stay NULL-oblivious and the
-    /// rewriter composes indicator propagation separately.
-    TwoColumn,
-    /// Strawman: every kernel checks a null mask per value (branchy).
-    Branchy,
-}
+//! The repo-root `ARCHITECTURE.md` ("Knobs") tabulates every field with
+//! its SET name (when it has one), default, and env override — a test
+//! holds that table against `SET`; the rustdoc on each field below is
+//! the authoritative description.
 
 /// Deterministic fault-injection knobs for the simulated block device
 /// (`vw-storage::disk`). All-zero (the default) means **no machinery is
@@ -156,10 +131,6 @@ pub struct EngineConfig {
     /// through the whole suite). See ARCHITECTURE.md ("Hash builds",
     /// "Knobs").
     pub mem_budget_bytes: usize,
-    /// Arithmetic checking strategy.
-    pub check_mode: CheckMode,
-    /// NULL representation strategy.
-    pub null_mode: NullMode,
     /// Rows per storage pack (the compression granule).
     pub pack_size: usize,
     /// Per-query statement timeout in milliseconds; `0` disables timeouts
@@ -209,13 +180,6 @@ pub struct EngineConfig {
     /// the whole suite against the unoptimized plans). See ARCHITECTURE.md
     /// ("The optimizer") for what each pass does.
     pub optimizer: bool,
-    /// Run kernels directly on encoded column data (dictionary codes, RLE
-    /// run sidecars) and late-materialize at emit, instead of inflating
-    /// every pack chunk at the scan boundary. `false` restores the
-    /// inflate-at-scan behavior byte-for-byte. SET-able
-    /// (`SET compressed_exec = 0/1`), `VW_COMPRESSED_EXEC` env override.
-    /// See ARCHITECTURE.md ("Compressed execution").
-    pub compressed_exec: bool,
 }
 
 impl Default for EngineConfig {
@@ -230,7 +194,6 @@ impl Default for EngineConfig {
         let workers = env_usize("VW_WORKERS").unwrap_or(0);
         let global_mem_bytes = env_u64("VW_GLOBAL_MEM").unwrap_or(0);
         let optimizer = env_usize("VW_OPTIMIZER").is_none_or(|v| v != 0);
-        let compressed_exec = env_usize("VW_COMPRESSED_EXEC").is_none_or(|v| v != 0);
         EngineConfig {
             vector_size: crate::DEFAULT_VECTOR_SIZE,
             buffer_pool_bytes: 64 << 20,
@@ -238,8 +201,6 @@ impl Default for EngineConfig {
             partition_min_rows,
             morsel_rows,
             mem_budget_bytes,
-            check_mode: CheckMode::Lazy,
-            null_mode: NullMode::TwoColumn,
             pack_size: 16 * 1024,
             statement_timeout_ms: 0,
             event_log_capacity: 1024,
@@ -248,7 +209,6 @@ impl Default for EngineConfig {
             admission_queue_depth: 16,
             faults: FaultConfig::from_env(),
             optimizer,
-            compressed_exec,
         }
     }
 }
@@ -277,12 +237,6 @@ impl EngineConfig {
     pub fn with_parallelism(mut self, n: usize) -> Self {
         assert!(n > 0, "parallelism must be positive");
         self.parallelism = n;
-        self
-    }
-
-    /// Override the checking mode (builder style).
-    pub fn with_check_mode(mut self, m: CheckMode) -> Self {
-        self.check_mode = m;
         self
     }
 
@@ -337,13 +291,6 @@ impl EngineConfig {
         self
     }
 
-    /// Enable or disable compressed execution (builder style; `false` =
-    /// inflate every pack chunk at the scan boundary, the pre-PR 9 path).
-    pub fn with_compressed_exec(mut self, on: bool) -> Self {
-        self.compressed_exec = on;
-        self
-    }
-
     /// The worker-pool size this config resolves to: the explicit
     /// `workers` override, or the machine's core count.
     pub fn resolved_workers(&self) -> usize {
@@ -367,22 +314,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn default_is_production_shape() {
-        let c = EngineConfig::default();
-        assert_eq!(c.vector_size, 1024);
-        assert_eq!(c.check_mode, CheckMode::Lazy);
-        assert_eq!(c.null_mode, NullMode::TwoColumn);
-    }
-
-    #[test]
     fn builder_overrides() {
-        let c = EngineConfig::default()
-            .with_vector_size(64)
-            .with_parallelism(4)
-            .with_check_mode(CheckMode::Naive);
+        assert_eq!(EngineConfig::default().vector_size, 1024);
+        let c = EngineConfig::default().with_vector_size(64).with_parallelism(4);
         assert_eq!(c.vector_size, 64);
         assert_eq!(c.parallelism, 4);
-        assert_eq!(c.check_mode, CheckMode::Naive);
     }
 
     #[test]
@@ -458,15 +394,6 @@ mod tests {
             assert!(c.optimizer, "cost-based planning is the default");
         }
         assert!(!c.with_optimizer(false).optimizer);
-    }
-
-    #[test]
-    fn compressed_exec_defaults_on_and_overrides() {
-        let c = EngineConfig::default();
-        if std::env::var("VW_COMPRESSED_EXEC").is_err() {
-            assert!(c.compressed_exec, "compressed execution is the default");
-        }
-        assert!(!c.with_compressed_exec(false).compressed_exec);
     }
 
     #[test]

@@ -23,7 +23,7 @@ use crate::Database;
 use parking_lot::Mutex;
 use std::sync::Arc;
 use vw_common::{EngineConfig, Field, Result, Schema, TypeId, Value, VwError};
-use vw_exec::expr::{ExprCtx, PhysExpr};
+use vw_exec::expr::PhysExpr;
 use vw_exec::morsel::{BatchPool, MorselSource};
 use vw_exec::op::{
     AggSpec, BoxedOp, HashAggregate, HashJoin, JoinType, Limit, Project, Select, SetOp, SetOpMode,
@@ -233,7 +233,6 @@ fn build_plan_node<'p>(
     batch_pool: &BatchPool,
     query: &QueryWide<'p>,
 ) -> Result<BoxedOp> {
-    let ctx = ExprCtx { check: config.check_mode, null_mode: config.null_mode };
     let vs = config.vector_size;
     Ok(match plan {
         LogicalPlan::Scan { table, projection, schema, hints } => {
@@ -289,7 +288,7 @@ fn build_plan_node<'p>(
                 query,
             )?;
             // Compile once per query: the operator only ever runs programs.
-            let program = SelectProgram::compile(&lower_expr(predicate)?, &ctx);
+            let program = SelectProgram::compile(&lower_expr(predicate)?);
             Box::new(
                 Select::new(child, program, cancel.clone()).with_batch_pool(batch_pool.clone()),
             )
@@ -308,7 +307,7 @@ fn build_plan_node<'p>(
             )?;
             let programs = exprs
                 .iter()
-                .map(|e| Ok(ExprProgram::compile(&lower_expr(e)?, &ctx)))
+                .map(|e| Ok(ExprProgram::compile(&lower_expr(e)?)))
                 .collect::<Result<_>>()?;
             Box::new(
                 Project::new(child, programs, schema.clone(), cancel.clone())
@@ -342,11 +341,11 @@ fn build_plan_node<'p>(
             )?;
             let lk = keys
                 .iter()
-                .map(|(a, _)| Ok(ExprProgram::compile(&lower_expr(a)?, &ctx)))
+                .map(|(a, _)| Ok(ExprProgram::compile(&lower_expr(a)?)))
                 .collect::<Result<_>>()?;
             let rk = keys
                 .iter()
-                .map(|(_, b)| Ok(ExprProgram::compile(&lower_expr(b)?, &ctx)))
+                .map(|(_, b)| Ok(ExprProgram::compile(&lower_expr(b)?)))
                 .collect::<Result<_>>()?;
             let jt = match kind {
                 JoinKind::Inner => JoinType::Inner,
@@ -387,7 +386,7 @@ fn build_plan_node<'p>(
             )?;
             let g = group
                 .iter()
-                .map(|e| Ok(ExprProgram::compile(&lower_expr(e)?, &ctx)))
+                .map(|e| Ok(ExprProgram::compile(&lower_expr(e)?)))
                 .collect::<Result<_>>()?;
             let specs = aggs
                 .iter()
@@ -395,7 +394,7 @@ fn build_plan_node<'p>(
                     Ok(AggSpec {
                         func: a.func,
                         input: match &a.input {
-                            Some(e) => Some(ExprProgram::compile(&lower_expr(e)?, &ctx)),
+                            Some(e) => Some(ExprProgram::compile(&lower_expr(e)?)),
                             None => None,
                         },
                         out_ty: a.out_ty,
@@ -627,7 +626,6 @@ fn lower_scan(
         cancel.clone(),
     )
     .with_batch_pool(batch_pool.clone())
-    .with_compressed_exec(config.compressed_exec)
 }
 
 /// Drop from `image` the rows the MinMax `hints` rule out, returning the
@@ -733,7 +731,6 @@ pub(crate) fn victim_scan(
     config: &EngineConfig,
     txn: Option<&OpenTxn>,
 ) -> Result<BoxedOp> {
-    let ctx = ExprCtx { check: config.check_mode, null_mode: config.null_mode };
     let cancel = CancelToken::new();
     let batch_pool = BatchPool::new();
     let scan =
@@ -743,13 +740,13 @@ pub(crate) fn victim_scan(
     let mut programs = Vec::with_capacity(outputs.len() + 1);
     for (i, e) in outputs.iter().enumerate() {
         fields.push(Field::nullable(format!("set{i}"), e.type_id()));
-        programs.push(ExprProgram::compile(&lower_expr(e)?, &ctx));
+        programs.push(ExprProgram::compile(&lower_expr(e)?));
     }
     fields.push(Field::not_null("rid", TypeId::I64));
-    programs.push(ExprProgram::compile(&PhysExpr::ColRef(projection.len(), TypeId::I64), &ctx));
+    programs.push(ExprProgram::compile(&PhysExpr::ColRef(projection.len(), TypeId::I64)));
     let mut op: BoxedOp = Box::new(scan);
     if let Some(p) = predicate {
-        let program = SelectProgram::compile(&lower_expr(p)?, &ctx);
+        let program = SelectProgram::compile(&lower_expr(p)?);
         op = Box::new(Select::new(op, program, cancel.clone()).with_batch_pool(batch_pool.clone()));
     }
     Ok(Box::new(

@@ -7,7 +7,6 @@ use crate::{Database, SessionCore};
 use std::collections::HashMap;
 use std::sync::Arc;
 use vw_common::{ColData, EngineConfig, Result, Schema, Value, VwError};
-use vw_exec::expr::ExprCtx;
 use vw_exec::op::{Operator, VectorScan};
 use vw_exec::program::{ExprProgram, VectorPool};
 use vw_exec::CancelToken;
@@ -286,7 +285,7 @@ pub(crate) fn update_or_delete(
 ) -> Result<u64> {
     let entry = lookup(db, table)?;
     if matches!(entry.kind, TableKind::Heap { .. }) {
-        return heap_update_delete(db, &core.cfg, &entry, sets, filter);
+        return heap_update_delete(db, &entry, sets, filter);
     }
     let auto = core.txn.is_none();
     let open = core.txn.get_or_insert_with(OpenTxn::default);
@@ -329,7 +328,6 @@ pub(crate) fn update_or_delete(
 /// the paper's transactional machinery is the PDT path).
 fn heap_update_delete(
     db: &Arc<Database>,
-    config: &EngineConfig,
     entry: &TableEntry,
     sets: Option<&[(String, Expr)]>,
     filter: Option<&Expr>,
@@ -353,18 +351,15 @@ fn heap_update_delete(
         .transpose()?;
 
     // Compile once per statement; rows only pay a one-row program run.
-    // The session's configured checking/NULL strategy applies here
-    // exactly as on the columnar path.
-    let ctx = ExprCtx { check: config.check_mode, null_mode: config.null_mode };
     let mut pred_prog = match &pred {
-        Some(p) => Some(ScalarProgram::new(p, &entry.schema, &ctx)?),
+        Some(p) => Some(ScalarProgram::new(p, &entry.schema)?),
         None => None,
     };
     let mut set_progs = match &set_bound {
         Some(sets) => {
             let mut out = Vec::with_capacity(sets.len());
             for (idx, e) in sets {
-                out.push((*idx, ScalarProgram::new(e, &entry.schema, &ctx)?));
+                out.push((*idx, ScalarProgram::new(e, &entry.schema)?));
             }
             Some(out)
         }
@@ -421,7 +416,7 @@ struct ScalarProgram {
 }
 
 impl ScalarProgram {
-    fn new(e: &vw_sql::SqlExpr, schema: &Schema, ctx: &ExprCtx) -> Result<ScalarProgram> {
+    fn new(e: &vw_sql::SqlExpr, schema: &Schema) -> Result<ScalarProgram> {
         let nullable = vec![true; schema.len()];
         let rewritten = vw_rewriter::engine::rewrite_fixpoint(
             e.clone(),
@@ -429,7 +424,7 @@ impl ScalarProgram {
             &nullable,
         );
         Ok(ScalarProgram {
-            program: ExprProgram::compile(&crate::compile::lower_expr(&rewritten)?, ctx),
+            program: ExprProgram::compile(&crate::compile::lower_expr(&rewritten)?),
             pool: VectorPool::new(),
         })
     }
@@ -512,8 +507,9 @@ pub fn checkpoint(db: &Arc<Database>, config: &EngineConfig, table: Option<&str>
             .collect();
         let mut nulls: Vec<Option<Vec<bool>>> = vec![None; entry.schema.len()];
         let mut row_count = 0usize;
-        while let Some(batch) = scan.next()? {
-            let batch = batch.compact();
+        while let Some(mut batch) = scan.next()? {
+            // The scan hands dictionary-coded strings out still coded.
+            batch.ensure_flat();
             for (i, v) in batch.columns.iter().enumerate() {
                 columns[i].extend_from_range(&v.data, 0, v.len());
                 let mask_needed = v.nulls.is_some() || nulls[i].is_some();

@@ -280,8 +280,8 @@ impl Database {
 
     /// Apply `SET <name> = <value>` to one session's config copy.
     /// Engine-wide knobs (`event_log_capacity`, `admission_queue_depth`)
-    /// additionally poke the live subsystem; pool size and the global
-    /// memory limit are fixed at open and reject the SET.
+    /// additionally poke the live subsystem; what `Database::open` sized
+    /// once is fixed at open and rejects the SET.
     fn apply_set(&self, cfg: &mut EngineConfig, name: &str, value: &Value) -> Result<()> {
         match name.to_ascii_lowercase().as_str() {
             "vector_size" => {
@@ -323,31 +323,7 @@ impl Database {
                 }
                 cfg.mem_budget_bytes = v as usize;
             }
-            "check_mode" => {
-                cfg.check_mode = match value.as_str()?.to_ascii_lowercase().as_str() {
-                    "unchecked" => vw_common::config::CheckMode::Unchecked,
-                    "naive" => vw_common::config::CheckMode::Naive,
-                    "lazy" => vw_common::config::CheckMode::Lazy,
-                    other => {
-                        return Err(VwError::InvalidParameter(format!(
-                            "unknown check_mode '{other}'"
-                        )))
-                    }
-                };
-            }
-            "null_mode" => {
-                cfg.null_mode = match value.as_str()?.to_ascii_lowercase().as_str() {
-                    "two_column" | "twocolumn" => vw_common::config::NullMode::TwoColumn,
-                    "branchy" => vw_common::config::NullMode::Branchy,
-                    other => {
-                        return Err(VwError::InvalidParameter(format!(
-                            "unknown null_mode '{other}'"
-                        )))
-                    }
-                };
-            }
             "optimizer" => cfg.optimizer = value.as_i64()? != 0,
-            "compressed_exec" => cfg.compressed_exec = value.as_i64()? != 0,
             "statement_timeout" | "statement_timeout_ms" => {
                 let v = value.as_i64()?;
                 if v < 0 {
@@ -383,17 +359,15 @@ impl Database {
                     a.set_queue_depth(v as usize);
                 }
             }
-            "workers" => {
-                return Err(VwError::InvalidParameter(
-                    "workers is fixed at engine open (VW_WORKERS / EngineConfig::workers)".into(),
-                ))
-            }
-            "global_mem" | "global_mem_bytes" => {
-                return Err(VwError::InvalidParameter(
-                    "global_mem is fixed at engine open (VW_GLOBAL_MEM / \
-                     EngineConfig::global_mem_bytes)"
-                        .into(),
-                ))
+            // What `Database::open` sized once — the worker pool, the
+            // admission limit, the buffer pool, the pack size of stored
+            // tables — cannot change under running sessions.
+            fixed @ ("workers" | "global_mem" | "global_mem_bytes" | "buffer_pool_bytes"
+            | "pack_size") => {
+                return Err(VwError::InvalidParameter(format!(
+                    "{fixed} is fixed at engine open (an EngineConfig field; see \
+                     ARCHITECTURE.md, Knobs, for its env override)"
+                )))
             }
             other => return Err(VwError::InvalidParameter(format!("unknown setting '{other}'"))),
         }
@@ -874,7 +848,6 @@ mod tests {
         let db = Database::open_in_memory();
         db.execute("SET vector_size = 64").unwrap();
         assert_eq!(db.config().vector_size, 64);
-        db.execute("SET check_mode = 'naive'").unwrap();
         db.execute("SET morsel_rows = 256").unwrap();
         assert_eq!(db.config().morsel_rows, 256);
         db.execute("SET mem_budget = 65536").unwrap();
@@ -894,10 +867,6 @@ mod tests {
         assert_eq!(db.config().event_log_capacity, 16);
         assert_eq!(db.monitor.event_capacity(), 16, "applies to the live monitor");
         assert!(db.execute("SET event_log_capacity = 0").is_err());
-        db.execute("SET compressed_exec = 0").unwrap();
-        assert!(!db.config().compressed_exec);
-        db.execute("SET compressed_exec = 1").unwrap();
-        assert!(db.config().compressed_exec);
     }
 
     #[test]

@@ -10,23 +10,23 @@
 //!   folding, common-subexpression elimination, register reuse) into a
 //!   flat sequence of primitive invocations over scratch vectors leased
 //!   from a [`VectorPool`](crate::program::VectorPool). Every operator
-//!   executes expressions this way; the per-batch loop re-dispatches
-//!   nothing and allocates nothing.
+//!   executes expressions this way, and so does constant folding (a
+//!   column-free subtree is compiled and run over one row).
 //!
 //! The tree-walking [`PhysExpr::eval`] / [`PhysExpr::eval_select`]
-//! interpreter below is retained as the **reference semantics**: the
-//! compiler constant-folds through it, the randomized differential suite
-//! cross-checks compiled programs against it, and the `c13_exprprog`
-//! bench measures the compiled path's win over it. It re-matches every
-//! node and allocates a fresh [`Vector`] per node per batch — exactly the
-//! overhead the compiled path exists to avoid. New call sites should use
-//! the compiled API.
+//! interpreter below is **test support, not an execution path**: nothing
+//! in the engine calls it. Its callers are `#[cfg(test)]` modules and the
+//! integration suites, which cross-check compiled programs against it,
+//! and `crates/bench` (`c13_exprprog` measures the compiled path's win
+//! over it). It re-matches every node and allocates a fresh [`Vector`]
+//! per node per batch — exactly the overhead the compiled path exists to
+//! avoid.
 //!
 //! NULLs follow the production Vectorwise design (paper §1, "NULLs"): a
 //! value vector of safe values plus a boolean indicator vector. Kernels stay
 //! NULL-oblivious; indicator propagation (OR of input indicators) is
-//! composed around them. `NullMode::Branchy` switches arithmetic to
-//! per-value NULL tests — the strawman benchmark C6 measures against.
+//! composed around them. (The per-value-NULL-test strawman it is measured
+//! against is written out in bench C6.)
 //!
 //! Division by a NULL demonstrates why "safe values" need care: the NULL
 //! position holds 0, which would raise a spurious division-by-zero, so the
@@ -38,7 +38,6 @@
 
 use crate::primitives::{self, ArithCheck};
 use crate::vector::{Batch, Vector};
-use vw_common::config::NullMode;
 use vw_common::date::DateField;
 use vw_common::{ColData, Result, SelVec, TypeId, Value, VwError};
 
@@ -132,21 +131,6 @@ pub enum Func {
     DateAddMonths,
     /// `DATE_DIFF_DAYS(a, b)`
     DateDiffDays,
-}
-
-/// Evaluation context threaded from the engine configuration.
-#[derive(Debug, Clone, Copy)]
-pub struct ExprCtx {
-    /// Overflow / division checking strategy.
-    pub check: ArithCheck,
-    /// NULL representation strategy.
-    pub null_mode: NullMode,
-}
-
-impl Default for ExprCtx {
-    fn default() -> Self {
-        ExprCtx { check: ArithCheck::Lazy, null_mode: NullMode::TwoColumn }
-    }
 }
 
 /// A physical (executable) expression over batch columns.
@@ -251,7 +235,7 @@ impl PhysExpr {
     /// Evaluate over the live rows of `batch`, producing a full-length
     /// vector (positions outside the selection hold unspecified safe
     /// values).
-    pub fn eval(&self, batch: &Batch, ctx: &ExprCtx) -> Result<Vector> {
+    pub fn eval(&self, batch: &Batch) -> Result<Vector> {
         let n = batch.capacity();
         let sel = batch.sel.as_ref();
         match self {
@@ -272,13 +256,13 @@ impl PhysExpr {
                 Ok(Vector::with_nulls(col, nulls))
             }
             PhysExpr::Arith { op, lhs, rhs, ty } => {
-                let a = lhs.eval(batch, ctx)?;
-                let b = rhs.eval(batch, ctx)?;
-                eval_arith(*op, &a, &b, *ty, sel, ctx)
+                let a = lhs.eval(batch)?;
+                let b = rhs.eval(batch)?;
+                eval_arith(*op, &a, &b, *ty, sel)
             }
             PhysExpr::Cmp { op, lhs, rhs } => {
-                let a = lhs.eval(batch, ctx)?;
-                let b = rhs.eval(batch, ctx)?;
+                let a = lhs.eval(batch)?;
+                let b = rhs.eval(batch)?;
                 let nulls = union_nulls(n, &[&a, &b]);
                 let mut out = vec![false; n];
                 let run = |i: usize, out: &mut Vec<bool>| {
@@ -292,19 +276,19 @@ impl PhysExpr {
                 }
                 Ok(Vector::with_nulls(ColData::Bool(out), nulls))
             }
-            PhysExpr::And(parts) => eval_and_or(parts, batch, ctx, true),
-            PhysExpr::Or(parts) => eval_and_or(parts, batch, ctx, false),
+            PhysExpr::And(parts) => eval_and_or(parts, batch, true),
+            PhysExpr::Or(parts) => eval_and_or(parts, batch, false),
             PhysExpr::Not(inner) => {
-                let v = inner.eval(batch, ctx)?;
+                let v = inner.eval(batch)?;
                 let vals = v.data.as_bool().iter().map(|b| !b).collect();
                 Ok(Vector::with_nulls(ColData::Bool(vals), v.nulls.clone()))
             }
             PhysExpr::Cast { input, to } => {
-                let v = input.eval(batch, ctx)?;
+                let v = input.eval(batch)?;
                 eval_cast(&v, *to, sel)
             }
             PhysExpr::IsNull(inner) => {
-                let v = inner.eval(batch, ctx)?;
+                let v = inner.eval(batch)?;
                 let out = match &v.nulls {
                     Some(m) => m.clone(),
                     None => vec![false; n],
@@ -312,7 +296,7 @@ impl PhysExpr {
                 Ok(Vector::new(ColData::Bool(out)))
             }
             PhysExpr::IsNotNull(inner) => {
-                let v = inner.eval(batch, ctx)?;
+                let v = inner.eval(batch)?;
                 let out = match &v.nulls {
                     Some(m) => m.iter().map(|b| !b).collect(),
                     None => vec![true; n],
@@ -320,11 +304,11 @@ impl PhysExpr {
                 Ok(Vector::new(ColData::Bool(out)))
             }
             PhysExpr::Case { branches, else_expr, ty } => {
-                eval_case(branches, else_expr.as_deref(), *ty, batch, ctx)
+                eval_case(branches, else_expr.as_deref(), *ty, batch)
             }
-            PhysExpr::FuncCall { func, args, ty } => eval_func(*func, args, *ty, batch, ctx),
+            PhysExpr::FuncCall { func, args, ty } => eval_func(*func, args, *ty, batch),
             PhysExpr::Like { input, pattern, negated } => {
-                let v = input.eval(batch, ctx)?;
+                let v = input.eval(batch)?;
                 let pat = LikeMatcher::new(pattern);
                 let strs = v.data.as_str();
                 let mut out = vec![false; n];
@@ -340,7 +324,7 @@ impl PhysExpr {
 
     /// Evaluate as a predicate, producing the selection of live rows where
     /// the expression is TRUE (NULL counts as false, per SQL semantics).
-    pub fn eval_select(&self, batch: &Batch, ctx: &ExprCtx) -> Result<SelVec> {
+    pub fn eval_select(&self, batch: &Batch) -> Result<SelVec> {
         let n = batch.capacity();
         let sel_in = batch.sel.as_ref();
         match self {
@@ -349,7 +333,7 @@ impl PhysExpr {
                 // only looks at rows that survived the previous ones.
                 let mut current = Batch { columns: batch.columns.clone(), sel: batch.sel.clone() };
                 for p in parts {
-                    let next = p.eval_select(&current, ctx)?;
+                    let next = p.eval_select(&current)?;
                     current.sel = Some(next);
                 }
                 Ok(current.sel.unwrap_or_else(|| SelVec::identity(n)))
@@ -358,7 +342,7 @@ impl PhysExpr {
                 // Union of branch selections (each under the original sel).
                 let mut acc: Option<SelVec> = None;
                 for p in parts {
-                    let s = p.eval_select(batch, ctx)?;
+                    let s = p.eval_select(batch)?;
                     acc = Some(match acc {
                         None => s,
                         Some(prev) => union_sorted(&prev, &s),
@@ -380,7 +364,7 @@ impl PhysExpr {
                 if let Some(sel) = fast_select_cmp(*op, lhs, rhs, batch) {
                     return Ok(sel);
                 }
-                let v = self.eval(batch, ctx)?;
+                let v = self.eval(batch)?;
                 let vals = v.data.as_bool();
                 let mut out = SelVec::with_capacity(batch.rows());
                 primitives::select_by(n, sel_in, &mut out, |i| vals[i] && !v.is_null(i));
@@ -388,7 +372,7 @@ impl PhysExpr {
             }
             _ => {
                 // Generic path: evaluate to a boolean vector, keep TRUEs.
-                let v = self.eval(batch, ctx)?;
+                let v = self.eval(batch)?;
                 let vals = v.data.as_bool();
                 let mut out = SelVec::with_capacity(batch.rows());
                 primitives::select_by(n, sel_in, &mut out, |i| vals[i] && !v.is_null(i));
@@ -483,12 +467,8 @@ fn eval_arith(
     b: &Vector,
     ty: TypeId,
     sel: Option<&SelVec>,
-    ctx: &ExprCtx,
 ) -> Result<Vector> {
     let n = a.len();
-    if ctx.null_mode == NullMode::Branchy && ty == TypeId::I64 {
-        return eval_arith_branchy(op, a, b, sel, ctx);
-    }
     let nulls = union_nulls(n, &[a, b]);
     match ty {
         TypeId::I64 => {
@@ -509,11 +489,11 @@ fn eval_arith(
                 y
             };
             match op {
-                BinOp::Add => primitives::add_i64(x, y, sel, &mut out, ctx.check)?,
-                BinOp::Sub => primitives::sub_i64(x, y, sel, &mut out, ctx.check)?,
-                BinOp::Mul => primitives::mul_i64(x, y, sel, &mut out, ctx.check)?,
-                BinOp::Div => primitives::div_i64(x, y, sel, &mut out, ctx.check)?,
-                BinOp::Rem => primitives::rem_i64(x, y, sel, &mut out, ctx.check)?,
+                BinOp::Add => primitives::add_i64(x, y, sel, &mut out, ArithCheck::Lazy)?,
+                BinOp::Sub => primitives::sub_i64(x, y, sel, &mut out, ArithCheck::Lazy)?,
+                BinOp::Mul => primitives::mul_i64(x, y, sel, &mut out, ArithCheck::Lazy)?,
+                BinOp::Div => primitives::div_i64(x, y, sel, &mut out, ArithCheck::Lazy)?,
+                BinOp::Rem => primitives::rem_i64(x, y, sel, &mut out, ArithCheck::Lazy)?,
             }
             Ok(Vector::with_nulls(ColData::I64(out), nulls))
         }
@@ -534,7 +514,7 @@ fn eval_arith(
             }
             // SQL: float division by zero is an error (not infinity), but
             // only at live, non-NULL positions.
-            if matches!(op, BinOp::Div | BinOp::Rem) && ctx.check != ArithCheck::Unchecked {
+            if matches!(op, BinOp::Div | BinOp::Rem) {
                 let bad = |i: usize| y[i] == 0.0 && !a.is_null(i) && !b.is_null(i);
                 let any_bad = match sel {
                     None => (0..n).any(bad),
@@ -553,67 +533,13 @@ fn eval_arith(
     }
 }
 
-/// The C6 strawman: every value checks the NULL masks inline.
-fn eval_arith_branchy(
-    op: BinOp,
-    a: &Vector,
-    b: &Vector,
-    sel: Option<&SelVec>,
-    ctx: &ExprCtx,
-) -> Result<Vector> {
-    let n = a.len();
-    let x = a.data.as_i64();
-    let y = b.data.as_i64();
-    let mut out = vec![0i64; n];
-    let mut nulls = vec![false; n];
-    let mut step = |i: usize| -> Result<()> {
-        if a.is_null(i) || b.is_null(i) {
-            nulls[i] = true;
-            return Ok(());
-        }
-        let r = match op {
-            BinOp::Add => x[i].checked_add(y[i]).ok_or(VwError::Overflow("+"))?,
-            BinOp::Sub => x[i].checked_sub(y[i]).ok_or(VwError::Overflow("-"))?,
-            BinOp::Mul => x[i].checked_mul(y[i]).ok_or(VwError::Overflow("*"))?,
-            BinOp::Div => {
-                if y[i] == 0 {
-                    return Err(VwError::DivideByZero);
-                }
-                x[i].checked_div(y[i]).ok_or(VwError::Overflow("/"))?
-            }
-            BinOp::Rem => {
-                if y[i] == 0 {
-                    return Err(VwError::DivideByZero);
-                }
-                x[i].wrapping_rem(y[i])
-            }
-        };
-        out[i] = r;
-        Ok(())
-    };
-    let _ = ctx;
-    match sel {
-        None => {
-            for i in 0..n {
-                step(i)?;
-            }
-        }
-        Some(s) => {
-            for i in s.iter() {
-                step(i)?;
-            }
-        }
-    }
-    Ok(Vector::with_nulls(ColData::I64(out), Some(nulls)))
-}
-
-fn eval_and_or(parts: &[PhysExpr], batch: &Batch, ctx: &ExprCtx, is_and: bool) -> Result<Vector> {
+fn eval_and_or(parts: &[PhysExpr], batch: &Batch, is_and: bool) -> Result<Vector> {
     // Three-valued logic on full boolean vectors.
     let n = batch.capacity();
     let mut acc_val = vec![is_and; n];
     let mut acc_null = vec![false; n];
     for p in parts {
-        let v = p.eval(batch, ctx)?;
+        let v = p.eval(batch)?;
         let vals = v.data.as_bool();
         for i in 0..n {
             let (pv, pn) = (vals[i], v.is_null(i));
@@ -699,17 +625,14 @@ fn eval_case(
     else_expr: Option<&PhysExpr>,
     ty: TypeId,
     batch: &Batch,
-    ctx: &ExprCtx,
 ) -> Result<Vector> {
     let n = batch.capacity();
     // Evaluate all branches over the full batch, then pick per row. (A
     // production kernel narrows the selection per branch; the semantics and
     // vectorized structure are the same.)
-    let conds: Vec<Vector> =
-        branches.iter().map(|(c, _)| c.eval(batch, ctx)).collect::<Result<_>>()?;
-    let vals: Vec<Vector> =
-        branches.iter().map(|(_, v)| v.eval(batch, ctx)).collect::<Result<_>>()?;
-    let else_v = else_expr.map(|e| e.eval(batch, ctx)).transpose()?;
+    let conds: Vec<Vector> = branches.iter().map(|(c, _)| c.eval(batch)).collect::<Result<_>>()?;
+    let vals: Vec<Vector> = branches.iter().map(|(_, v)| v.eval(batch)).collect::<Result<_>>()?;
+    let else_v = else_expr.map(|e| e.eval(batch)).transpose()?;
     let mut out = Vector::new(ColData::with_capacity(ty, n));
     for i in 0..n {
         let mut chosen: Option<Value> = None;
@@ -729,16 +652,10 @@ fn arg_err(func: Func, msg: &str) -> VwError {
     VwError::InvalidParameter(format!("{func:?}: {msg}"))
 }
 
-fn eval_func(
-    func: Func,
-    args: &[PhysExpr],
-    ty: TypeId,
-    batch: &Batch,
-    ctx: &ExprCtx,
-) -> Result<Vector> {
+fn eval_func(func: Func, args: &[PhysExpr], ty: TypeId, batch: &Batch) -> Result<Vector> {
     let n = batch.capacity();
     let sel = batch.sel.as_ref();
-    let vs: Vec<Vector> = args.iter().map(|a| a.eval(batch, ctx)).collect::<Result<_>>()?;
+    let vs: Vec<Vector> = args.iter().map(|a| a.eval(batch)).collect::<Result<_>>()?;
     let nulls = union_nulls(n, &vs.iter().collect::<Vec<_>>());
     let live = |i: usize| -> bool { !nulls.as_ref().is_some_and(|m| m[i]) };
     macro_rules! for_live {
@@ -1056,10 +973,6 @@ mod tests {
     use super::*;
     use vw_common::Date;
 
-    fn ctx() -> ExprCtx {
-        ExprCtx::default()
-    }
-
     fn batch_i64(vals: Vec<i64>) -> Batch {
         Batch::new(vec![Vector::new(ColData::I64(vals))])
     }
@@ -1085,31 +998,10 @@ mod tests {
             rhs: Box::new(lit_i64(5)),
             ty: TypeId::I64,
         };
-        let r = e.eval(&batch, &ctx()).unwrap();
+        let r = e.eval(&batch).unwrap();
         assert_eq!(r.get(0), Value::I64(15));
         assert_eq!(r.get(1), Value::Null);
         assert_eq!(r.get(2), Value::I64(35));
-    }
-
-    #[test]
-    fn branchy_mode_matches_two_column() {
-        let mut v = Vector::new(ColData::new(TypeId::I64));
-        for x in [Value::I64(7), Value::Null, Value::I64(-3)] {
-            v.push(&x).unwrap();
-        }
-        let batch = Batch::new(vec![v]);
-        let e = PhysExpr::Arith {
-            op: BinOp::Mul,
-            lhs: Box::new(col(0, TypeId::I64)),
-            rhs: Box::new(lit_i64(2)),
-            ty: TypeId::I64,
-        };
-        let two = e.eval(&batch, &ctx()).unwrap();
-        let branchy_ctx = ExprCtx { null_mode: NullMode::Branchy, ..ctx() };
-        let br = e.eval(&batch, &branchy_ctx).unwrap();
-        for i in 0..3 {
-            assert_eq!(two.get(i), br.get(i));
-        }
     }
 
     #[test]
@@ -1125,7 +1017,7 @@ mod tests {
             rhs: Box::new(col(1, TypeId::I64)),
             ty: TypeId::I64,
         };
-        let r = e.eval(&batch, &ctx()).unwrap();
+        let r = e.eval(&batch).unwrap();
         assert_eq!(r.get(0), Value::I64(5));
         assert_eq!(r.get(1), Value::Null);
     }
@@ -1142,7 +1034,7 @@ mod tests {
             rhs: Box::new(col(1, TypeId::I64)),
             ty: TypeId::I64,
         };
-        assert!(matches!(e.eval(&batch, &ctx()), Err(VwError::DivideByZero)));
+        assert!(matches!(e.eval(&batch), Err(VwError::DivideByZero)));
     }
 
     #[test]
@@ -1156,7 +1048,7 @@ mod tests {
             rhs: Box::new(col(1, TypeId::F64)),
             ty: TypeId::F64,
         };
-        let r = e.eval(&batch, &ctx()).unwrap();
+        let r = e.eval(&batch).unwrap();
         assert!(r.is_null(0));
     }
 
@@ -1168,7 +1060,7 @@ mod tests {
             lhs: Box::new(col(0, TypeId::I64)),
             rhs: Box::new(lit_i64(10)),
         };
-        let s = e.eval_select(&batch, &ctx()).unwrap();
+        let s = e.eval_select(&batch).unwrap();
         assert_eq!(s.len(), 10);
     }
 
@@ -1186,14 +1078,14 @@ mod tests {
             rhs: Box::new(lit_i64(10)),
         };
         let and = PhysExpr::And(vec![ge5.clone(), lt10.clone()]);
-        assert_eq!(and.eval_select(&batch, &ctx()).unwrap().len(), 5);
+        assert_eq!(and.eval_select(&batch).unwrap().len(), 5);
         let lt3 = PhysExpr::Cmp {
             op: CmpOp::Lt,
             lhs: Box::new(col(0, TypeId::I64)),
             rhs: Box::new(lit_i64(3)),
         };
         let or = PhysExpr::Or(vec![lt3, ge5]);
-        assert_eq!(or.eval_select(&batch, &ctx()).unwrap().len(), 18);
+        assert_eq!(or.eval_select(&batch).unwrap().len(), 18);
     }
 
     #[test]
@@ -1205,11 +1097,11 @@ mod tests {
         let null_b = col(0, TypeId::Bool);
         let t = PhysExpr::bool_const(true);
         let f = PhysExpr::bool_const(false);
-        let and_f = PhysExpr::And(vec![null_b.clone(), f]).eval(&batch, &ctx()).unwrap();
+        let and_f = PhysExpr::And(vec![null_b.clone(), f]).eval(&batch).unwrap();
         assert_eq!(and_f.get(0), Value::Bool(false));
-        let and_t = PhysExpr::And(vec![null_b.clone(), t.clone()]).eval(&batch, &ctx()).unwrap();
+        let and_t = PhysExpr::And(vec![null_b.clone(), t.clone()]).eval(&batch).unwrap();
         assert!(and_t.is_null(0));
-        let or_t = PhysExpr::Or(vec![null_b, t]).eval(&batch, &ctx()).unwrap();
+        let or_t = PhysExpr::Or(vec![null_b, t]).eval(&batch).unwrap();
         assert_eq!(or_t.get(0), Value::Bool(true));
     }
 
@@ -1228,7 +1120,7 @@ mod tests {
             else_expr: Some(Box::new(PhysExpr::Const(Value::Str("big".into()), TypeId::Str))),
             ty: TypeId::Str,
         };
-        let r = e.eval(&batch, &ctx()).unwrap();
+        let r = e.eval(&batch).unwrap();
         assert_eq!(r.get(0), Value::Str("small".into()));
         assert_eq!(r.get(1), Value::Str("big".into()));
     }
@@ -1242,14 +1134,14 @@ mod tests {
             args: vec![col(0, TypeId::Str)],
             ty: TypeId::Str,
         };
-        let r = upper.eval(&batch, &ctx()).unwrap();
+        let r = upper.eval(&batch).unwrap();
         assert_eq!(r.get(1), Value::Str("WORLD".into()));
         let trim = PhysExpr::FuncCall {
             func: Func::Trim,
             args: vec![col(0, TypeId::Str)],
             ty: TypeId::Str,
         };
-        assert_eq!(trim.eval(&batch, &ctx()).unwrap().get(0), Value::Str("Hello".into()));
+        assert_eq!(trim.eval(&batch).unwrap().get(0), Value::Str("Hello".into()));
     }
 
     #[test]
@@ -1260,13 +1152,13 @@ mod tests {
             args: vec![col(0, TypeId::Str), lit_i64(0)],
             ty: TypeId::Str,
         };
-        assert!(matches!(e.eval(&batch, &ctx()), Err(VwError::InvalidParameter(_))));
+        assert!(matches!(e.eval(&batch), Err(VwError::InvalidParameter(_))));
         let ok = PhysExpr::FuncCall {
             func: Func::Substr,
             args: vec![col(0, TypeId::Str), lit_i64(2)],
             ty: TypeId::Str,
         };
-        assert_eq!(ok.eval(&batch, &ctx()).unwrap().get(0), Value::Str("bc".into()));
+        assert_eq!(ok.eval(&batch).unwrap().get(0), Value::Str("bc".into()));
     }
 
     #[test]
@@ -1278,13 +1170,13 @@ mod tests {
             args: vec![col(0, TypeId::Date), lit_i64(encode_field(DateField::Year))],
             ty: TypeId::I64,
         };
-        assert_eq!(year.eval(&batch, &ctx()).unwrap().get(0), Value::I64(1996));
+        assert_eq!(year.eval(&batch).unwrap().get(0), Value::I64(1996));
         let plus = PhysExpr::FuncCall {
             func: Func::DateAddDays,
             args: vec![col(0, TypeId::Date), lit_i64(30)],
             ty: TypeId::Date,
         };
-        let r = plus.eval(&batch, &ctx()).unwrap();
+        let r = plus.eval(&batch).unwrap();
         assert_eq!(r.get(0), Value::Date(Date::parse("1996-04-12").unwrap()));
     }
 
@@ -1312,11 +1204,11 @@ mod tests {
             pattern: "promo%".into(),
             negated: false,
         };
-        let r = e.eval(&batch, &ctx()).unwrap();
+        let r = e.eval(&batch).unwrap();
         assert_eq!(r.get(0), Value::Bool(true));
         assert!(r.is_null(1));
         // As a predicate, NULL rows are filtered out.
-        let s = e.eval_select(&batch, &ctx()).unwrap();
+        let s = e.eval_select(&batch).unwrap();
         assert_eq!(s.as_slice(), &[0]);
     }
 
@@ -1327,18 +1219,18 @@ mod tests {
         v.push(&Value::Null).unwrap();
         let batch = Batch::new(vec![v]);
         let e = PhysExpr::IsNull(Box::new(col(0, TypeId::I64)));
-        assert_eq!(e.eval_select(&batch, &ctx()).unwrap().as_slice(), &[1]);
+        assert_eq!(e.eval_select(&batch).unwrap().as_slice(), &[1]);
         let e = PhysExpr::IsNotNull(Box::new(col(0, TypeId::I64)));
-        assert_eq!(e.eval_select(&batch, &ctx()).unwrap().as_slice(), &[0]);
+        assert_eq!(e.eval_select(&batch).unwrap().as_slice(), &[0]);
     }
 
     #[test]
     fn cast_widen_and_string() {
         let batch = Batch::new(vec![Vector::new(ColData::I32(vec![1, 2]))]);
         let e = PhysExpr::Cast { input: Box::new(col(0, TypeId::I32)), to: TypeId::F64 };
-        assert_eq!(e.eval(&batch, &ctx()).unwrap().get(1), Value::F64(2.0));
+        assert_eq!(e.eval(&batch).unwrap().get(1), Value::F64(2.0));
         let e = PhysExpr::Cast { input: Box::new(col(0, TypeId::I32)), to: TypeId::Str };
-        assert_eq!(e.eval(&batch, &ctx()).unwrap().get(0), Value::Str("1".into()));
+        assert_eq!(e.eval(&batch).unwrap().get(0), Value::Str("1".into()));
     }
 
     #[test]
@@ -1350,7 +1242,7 @@ mod tests {
             lhs: Box::new(col(0, TypeId::I64)),
             rhs: Box::new(lit_i64(0)),
         };
-        let s = e.eval_select(&batch, &ctx()).unwrap();
+        let s = e.eval_select(&batch).unwrap();
         assert_eq!(s.as_slice(), &[1, 2], "rows outside sel must not leak in");
     }
 
@@ -1363,6 +1255,6 @@ mod tests {
             rhs: Box::new(lit_i64(1)),
             ty: TypeId::I64,
         };
-        assert!(matches!(e.eval(&batch, &ctx()), Err(VwError::Overflow(_))));
+        assert!(matches!(e.eval(&batch), Err(VwError::Overflow(_))));
     }
 }

@@ -14,11 +14,13 @@
 //!   [`Batch`] (a set of equally-long vectors plus an optional selection
 //!   vector);
 //! * [`primitives`] — the branch-light per-type kernels (map, compare/select,
-//!   hash, gather) in *full* and *selective* variants, including the three
-//!   overflow-checking strategies of benchmark C7;
-//! * [`expr`] — the physical expression tree ([`expr::PhysExpr`]) plus the
-//!   reference tree-walking interpreter: arithmetic, comparisons, CASE,
-//!   casts, and the SQL function library ("many functions" — §1);
+//!   hash, gather) in *full* and *selective* variants; the arithmetic
+//!   kernels take the overflow-checking strategy as a parameter (the
+//!   engine passes the lazy one, benchmark C7 all three);
+//! * [`expr`] — the physical expression tree ([`expr::PhysExpr`]:
+//!   arithmetic, comparisons, CASE, casts, the SQL function library —
+//!   "many functions", §1) plus its tree-walking reference interpreter,
+//!   which only tests and benches call;
 //! * [`program`] — the **compiled** expression path every operator uses:
 //!   [`program::ExprProgram`] flattens a `PhysExpr` once per query into
 //!   primitive invocations over a register file leased from a reusable

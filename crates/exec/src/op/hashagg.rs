@@ -1536,7 +1536,7 @@ impl Operator for HashAggregate {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::expr::{ExprCtx, PhysExpr};
+    use crate::expr::PhysExpr;
     use crate::op::drain;
     use crate::op::simple::Values;
     use vw_common::{Field, Value};
@@ -1561,7 +1561,7 @@ mod tests {
 
     fn agg(src: BoxedOp, group: bool, specs: Vec<AggSpec>, out: Vec<Field>) -> HashAggregate {
         let group_exprs = if group {
-            vec![ExprProgram::compile(&PhysExpr::ColRef(0, TypeId::Str), &ExprCtx::default())]
+            vec![ExprProgram::compile(&PhysExpr::ColRef(0, TypeId::Str))]
         } else {
             vec![]
         };
@@ -1577,7 +1577,7 @@ mod tests {
     }
 
     fn col_v() -> Option<ExprProgram> {
-        Some(ExprProgram::compile(&PhysExpr::ColRef(1, TypeId::I64), &ExprCtx::default()))
+        Some(ExprProgram::compile(&PhysExpr::ColRef(1, TypeId::I64)))
     }
 
     #[test]
@@ -1888,7 +1888,7 @@ mod tests {
         let src: BoxedOp = Box::new(Values::new(schema2(), rows, 512, CancelToken::new()));
         let mut op = HashAggregate::new(
             src,
-            vec![ExprProgram::compile(&PhysExpr::ColRef(0, TypeId::Str), &ExprCtx::default())],
+            vec![ExprProgram::compile(&PhysExpr::ColRef(0, TypeId::Str))],
             vec![AggSpec { func: AggFunc::CountStar, input: None, out_ty: TypeId::I64 }],
             Schema::unchecked(vec![
                 Field::nullable("k", TypeId::Str),

@@ -1052,7 +1052,7 @@ impl Operator for HashJoin {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::expr::{ExprCtx, PhysExpr};
+    use crate::expr::PhysExpr;
     use crate::op::drain;
     use crate::op::simple::Values;
     use vw_common::{Field, TypeId, Value};
@@ -1078,9 +1078,7 @@ mod tests {
     }
 
     fn key_cols(cols: &[(usize, TypeId)]) -> Vec<ExprProgram> {
-        cols.iter()
-            .map(|&(i, ty)| ExprProgram::compile(&PhysExpr::ColRef(i, ty), &ExprCtx::default()))
-            .collect()
+        cols.iter().map(|&(i, ty)| ExprProgram::compile(&PhysExpr::ColRef(i, ty))).collect()
     }
 
     fn join(left: BoxedOp, right: BoxedOp, jt: JoinType) -> HashJoin {

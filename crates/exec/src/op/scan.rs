@@ -36,11 +36,9 @@ use vw_pdt::MergeItem;
 use vw_storage::pack::EncodedChunk;
 use vw_storage::{BufferPool, TableStorage};
 
-/// Decoded chunks of one pack, in projected-column order. With
-/// `compressed_exec` on, PDICT/RLE chunks keep their encoding
-/// ([`EncodedChunk`]) and flow into batches still coded; off, every chunk
-/// is [`EncodedChunk::Flat`] and the emit path is byte-identical to the
-/// pre-compressed-execution scan.
+/// Decoded chunks of one pack, in projected-column order: PDICT string
+/// and RLE integer chunks keep their encoding ([`EncodedChunk`]) and flow
+/// into batches still coded; every other chunk is [`EncodedChunk::Flat`].
 type DecodedPack = Vec<EncodedChunk>;
 
 /// Scan of one table image, pulling work from a morsel dispenser.
@@ -60,7 +58,6 @@ pub struct VectorScan {
     cur_pack: Option<(usize, DecodedPack)>,
     vector_size: usize,
     batch_pool: Option<BatchPool>,
-    compressed_exec: bool,
     /// Append the RID column (always the last output column).
     emit_rids: bool,
     profile: OpProfile,
@@ -110,7 +107,6 @@ impl VectorScan {
             cur_pack: None,
             vector_size,
             batch_pool: None,
-            compressed_exec: false,
             emit_rids: false,
             profile: OpProfile::new("Scan"),
             cancel,
@@ -120,14 +116,6 @@ impl VectorScan {
     /// Lease output batches from (and let consumers recycle into) `pool`.
     pub fn with_batch_pool(mut self, pool: BatchPool) -> VectorScan {
         self.batch_pool = Some(pool);
-        self
-    }
-
-    /// Hand encoded chunks (dict codes, RLE run sidecars) straight into
-    /// output batches instead of inflating at the scan boundary
-    /// (`SET compressed_exec`).
-    pub fn with_compressed_exec(mut self, on: bool) -> VectorScan {
-        self.compressed_exec = on;
         self
     }
 
@@ -187,15 +175,7 @@ impl VectorScan {
     fn load_pack(&mut self, pack_idx: usize) -> Result<()> {
         if self.cur_pack.as_ref().map(|(i, _)| *i) != Some(pack_idx) {
             let retries_before = self.pool.disk().stats().io_retries;
-            let chunks = if self.compressed_exec {
-                self.table.read_pack_encoded(&self.pool, pack_idx, &self.columns)?
-            } else {
-                self.table
-                    .read_pack(&self.pool, pack_idx, &self.columns)?
-                    .into_iter()
-                    .map(|(data, nulls)| EncodedChunk::Flat(data, nulls))
-                    .collect()
-            };
+            let chunks = self.table.read_pack_encoded(&self.pool, pack_idx, &self.columns)?;
             let retries_after = self.pool.disk().stats().io_retries;
             self.profile.record_io_retries(retries_after - retries_before);
             self.cur_pack = Some((pack_idx, chunks));
@@ -561,9 +541,9 @@ mod tests {
     }
 
     #[test]
-    fn compressed_scan_emits_dict_vectors_and_matches_flat() {
-        // Low-cardinality strings come back dictionary-coded when the knob is
-        // on, byte-identical to the inflated scan when it is off.
+    fn scan_emits_dict_vectors_that_decode_to_the_loaded_rows() {
+        // Low-cardinality strings come back dictionary-coded; read row-wise
+        // or flattened, they are the rows that were loaded.
         let disk = SimulatedDisk::instant();
         let pool = BufferPool::new(disk.clone(), 16 << 20);
         let schema = Schema::new(vec![
@@ -579,29 +559,29 @@ mod tests {
         t.append_columns(&[ids, flags], &[None, Some(nulls)], 256).unwrap();
         let t = Arc::new(t);
 
-        let mut enc_scan = scan(&t, &pool, vec![0, 1], VectorScan::stable_items(n as u64), 100)
-            .with_compressed_exec(true);
+        let mut s = scan(&t, &pool, vec![0, 1], VectorScan::stable_items(n as u64), 100);
         let mut saw_encoded = false;
-        let mut enc_rows = Vec::new();
-        while let Some(b) = enc_scan.next().unwrap() {
+        let mut row = 0usize;
+        while let Some(mut b) = s.next().unwrap() {
             saw_encoded |= b.columns[1].is_encoded();
-            for i in 0..b.rows() {
-                enc_rows.push(b.row_values(i));
+            let coded: Vec<_> = (0..b.rows()).map(|i| b.row_values(i)).collect();
+            b.ensure_flat();
+            assert!(!b.columns[1].is_encoded());
+            for (i, got) in coded.into_iter().enumerate() {
+                let flag = if row.is_multiple_of(11) {
+                    Value::Null
+                } else {
+                    Value::Str(format!("F{:02}", row % 9))
+                };
+                assert_eq!(got, vec![Value::I64(row as i64), flag], "row {row}");
+                assert_eq!(got, b.row_values(i), "row {row} after ensure_flat");
+                row += 1;
             }
         }
+        assert_eq!(row, n);
         assert!(saw_encoded, "string column should arrive dictionary-coded");
-        let p = Operator::profile(&enc_scan).unwrap();
+        let p = Operator::profile(&s).unwrap();
         assert!(p.enc_batches > 0, "profile counts encoded batches: {p:?}");
-
-        let mut flat_scan = scan(&t, &pool, vec![0, 1], VectorScan::stable_items(n as u64), 100);
-        let flat = drain(&mut flat_scan).unwrap();
-        assert_eq!(enc_rows.len(), flat.rows());
-        for (i, row) in enc_rows.iter().enumerate() {
-            assert_eq!(*row, flat.row_values(i), "row {i}");
-        }
-        let p = Operator::profile(&flat_scan).unwrap();
-        assert_eq!(p.enc_batches, 0);
-        assert!(p.flat_batches > 0);
     }
 
     #[test]

@@ -361,7 +361,7 @@ impl Operator for UnionAll {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::expr::{CmpOp, ExprCtx, PhysExpr};
+    use crate::expr::{CmpOp, PhysExpr};
     use crate::op::drain;
     use vw_common::{Field, TypeId, VwError};
 
@@ -380,7 +380,7 @@ mod tests {
             lhs: Box::new(PhysExpr::ColRef(0, TypeId::I64)),
             rhs: Box::new(PhysExpr::Const(Value::I64(threshold), TypeId::I64)),
         };
-        SelectProgram::compile(&e, &ExprCtx::default())
+        SelectProgram::compile(&e)
     }
 
     #[test]
@@ -423,7 +423,7 @@ mod tests {
         };
         let mut proj = Project::new(
             Box::new(sel),
-            vec![ExprProgram::compile(&double, &ExprCtx::default())],
+            vec![ExprProgram::compile(&double)],
             int_schema(),
             CancelToken::new(),
         );

@@ -18,21 +18,28 @@
 //! dispatched once per vector by the caller
 //! ([`SelectProgram`](crate::program::SelectProgram)), never inside `pred`.
 //!
-//! The arithmetic kernels implement the three error-checking strategies the
-//! paper alludes to ("special algorithms in the kernel had to be devised"):
-//!
-//! * [`ArithCheck::Unchecked`] — wrapping, research-prototype behaviour;
-//! * [`ArithCheck::Naive`] — test every single operation and bail out
-//!   immediately (one branch per value);
-//! * [`ArithCheck::Lazy`] — compute the whole vector with wrapping ops while
-//!   OR-accumulating an overflow flag, then check the flag **once per
-//!   vector**; only when it fires is the slow path run to localize the
-//!   error. On clean data this costs almost nothing over unchecked.
+//! The arithmetic kernels take the error-checking strategy as a parameter,
+//! [`ArithCheck`] — the three the paper alludes to ("special algorithms in
+//! the kernel had to be devised"). The engine always passes
+//! [`ArithCheck::Lazy`] (a constant in [`program`](crate::program)); the
+//! other two exist for bench C7 and the kernel tests below, which drive
+//! these functions directly.
 
 use vw_common::{Result, SelVec, VwError};
 
-/// Re-export of the engine-wide checking strategy.
-pub use vw_common::config::CheckMode as ArithCheck;
+/// How an arithmetic kernel detects overflow and division by zero.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ArithCheck {
+    /// No checking at all — the research-prototype behaviour (wrapping).
+    /// The C7 baseline; the engine never runs it.
+    Unchecked,
+    /// Branch per value: test every operation's result immediately.
+    Naive,
+    /// Compute the whole vector with wrapping arithmetic while
+    /// OR-accumulating an error flag, inspect it **once per vector**. On
+    /// clean data this costs almost nothing over unchecked.
+    Lazy,
+}
 
 // ---------------------------------------------------------------------------
 // map primitives

@@ -25,7 +25,7 @@
 //! | `pool%`   | batch-pool hit rate ([`OpProfile::batch_pool_hit_rate`]): output-batch leases served from the recycled free list. | steady state should sit near 100%; low means the consumer isn't recycling. |
 //! | `spill`   | grace-spill traffic as `Pp written/read` — partitions spilled (all strata) and encoded spill bytes written and read back ([`OpProfile::spill_partitions`], [`OpProfile::spill_bytes_written`], [`OpProfile::spill_bytes_read`]); `-` when the build stayed in memory. | any value at all means the query ran over `mem_budget`; read ≫ written means deep re-partitioning recursion. |
 //! | `ioretry` | transient device faults absorbed by the retry policy during this operator's reads ([`OpProfile::io_retries`]); `-` when no retries happened (always, unless faults are armed — see ARCHITECTURE.md "Failure model"). | nonzero only under fault injection; sustained growth means the injected fault rate is near the retry budget. |
-//! | `enc`     | compressed execution: batches processed still carrying encoded columns vs fully inflated, as `E/F` ([`OpProfile::enc_batches`], [`OpProfile::flat_batches`]), plus `+N` rows decided wholesale at the run/dictionary-code level without per-row work ([`OpProfile::enc_skipped`]); `-` when the operator never saw a batch (or `SET compressed_exec = 0`). | `0/F` on a dictionary scan means the encoded path fell back — check for per-pack dictionary mismatches or an operator that forces early materialization. |
+//! | `enc`     | compressed execution: batches processed still carrying encoded columns vs fully inflated, as `E/F` ([`OpProfile::enc_batches`], [`OpProfile::flat_batches`]), plus `+N` rows decided wholesale at the run/dictionary-code level without per-row work ([`OpProfile::enc_skipped`]); `-` when the operator never saw a batch. | `0/F` on a dictionary scan means the encoded path fell back — check for per-pack dictionary mismatches or an operator that forces early materialization. |
 //! | `dedup`   | set-operation rows eliminated by the hash pass ([`OpProfile::setop_dropped`]): duplicates removed by UNION/INTERSECT, or rows subtracted by EXCEPT; `-` for operators that never deduplicate. | `rows + dedup` is the operator's input traffic; `dedup ≫ rows` means the query is mostly duplicate elimination — consider UNION ALL if duplicates are acceptable. |
 
 use std::time::{Duration, Instant};

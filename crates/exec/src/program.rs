@@ -8,11 +8,13 @@
 //! leased from a reusable [`VectorPool`]. The tree is walked once, at
 //! compile time:
 //!
-//! * **constant folding** — subtrees without column references are
-//!   evaluated at compile time (via the reference interpreter, so the
-//!   semantics cannot diverge) and replaced by a single constant fill;
+//! * **constant folding** — a subtree without column references is
+//!   compiled on its own (folding off) and run over one row, so a
+//!   constant is computed by the same kernels — same overflow,
+//!   NULL-denominator and double-ordering rules — as the column
+//!   expression next to it, then replaced by a single constant fill;
 //!   subtrees whose folding would *error* (`1/0`) are left compiled so the
-//!   error still surfaces at run time, exactly as before;
+//!   error still surfaces at run time;
 //! * **common-subexpression elimination** — structurally identical
 //!   subtrees compile to one instruction sequence and share a register;
 //! * **register reuse** — a register is returned to the free list after
@@ -63,13 +65,15 @@
 //! Registers hold *garbage* in unselected lanes (the selective-primitive
 //! contract); NULL-indicator buffers are always full-width valid.
 
-use crate::expr::{decode_field, BinOp, CmpOp, ExprCtx, Func, LikeMatcher, PhysExpr};
+use crate::expr::{decode_field, BinOp, CmpOp, Func, LikeMatcher, PhysExpr};
 use crate::primitives::{self, ArithCheck};
 use crate::vector::{Batch, Vector};
 use std::collections::HashMap;
 use std::sync::Arc;
-use vw_common::config::NullMode;
 use vw_common::{ColData, Result, SelVec, TypeId, Value, VwError};
+
+/// The one checking strategy programs run their arithmetic kernels under.
+const CHECK: ArithCheck = ArithCheck::Lazy;
 
 // ---------------------------------------------------------------------------
 // VectorPool
@@ -296,8 +300,6 @@ enum Instr {
     DivRemI64 { op: BinOp, a: Opd, b: Opd, dst: u16 },
     /// F64 arithmetic (division-by-zero checked at live non-NULL lanes).
     ArithF64 { op: BinOp, a: Opd, b: Opd, dst: u16 },
-    /// The C6 strawman: per-value NULL tests inside the arithmetic loop.
-    ArithBranchyI64 { op: BinOp, a: Opd, b: Opd, dst: u16 },
     /// Comparison producing BOOLEAN (typed loops for same-type numeric
     /// operands, `Value::sql_cmp` otherwise).
     Cmp { op: CmpOp, a: Opd, b: Opd, dst: u16 },
@@ -336,7 +338,6 @@ pub struct ExprProgram {
     reg_types: Vec<TypeId>,
     result: Opd,
     ty: TypeId,
-    check: ArithCheck,
     /// Input columns the instruction stream reads through typed slices
     /// (sorted, deduplicated). Encoded columns must be flattened before
     /// the program runs — see ARCHITECTURE.md "Compressed execution".
@@ -344,11 +345,16 @@ pub struct ExprProgram {
 }
 
 impl ExprProgram {
-    /// Compile `expr` under `ctx` (checking strategy and NULL mode are
-    /// baked into the instruction stream).
-    pub fn compile(expr: &PhysExpr, ctx: &ExprCtx) -> ExprProgram {
+    /// Compile `expr`.
+    pub fn compile(expr: &PhysExpr) -> ExprProgram {
+        ExprProgram::compile_with(expr, true)
+    }
+
+    /// `fold = false` is the folder's own recursion guard: the program
+    /// that computes a constant must not itself ask for that constant.
+    fn compile_with(expr: &PhysExpr, fold: bool) -> ExprProgram {
         let mut c = Compiler {
-            ctx: *ctx,
+            fold,
             instrs: Vec::new(),
             reg_types: Vec::new(),
             free_regs: Vec::new(),
@@ -371,7 +377,6 @@ impl ExprProgram {
             reg_types: c.reg_types,
             result,
             ty: expr.type_id(),
-            check: ctx.check,
             cols_used,
         }
     }
@@ -427,7 +432,7 @@ impl ExprProgram {
         pool.begin_run(&self.reg_types);
         let mut res = Ok(());
         for instr in &self.instrs {
-            res = exec_instr(instr, pool, batch, sel, self.check);
+            res = exec_instr(instr, pool, batch, sel);
             if res.is_err() {
                 break;
             }
@@ -463,7 +468,8 @@ struct NodeKey {
 }
 
 struct Compiler {
-    ctx: ExprCtx,
+    /// Fold column-free subtrees (off inside the folder's own program).
+    fold: bool,
     instrs: Vec<Instr>,
     reg_types: Vec<TypeId>,
     free_regs: Vec<u16>,
@@ -609,15 +615,15 @@ impl Compiler {
         }
     }
 
-    /// Fold a column-free subtree to a single constant via the reference
-    /// interpreter (identical semantics by construction). Folding that
+    /// Fold a column-free subtree to a single constant. Folding that
     /// *errors* returns `None`: the subtree stays compiled so the error
-    /// surfaces at run time exactly as the interpreter raised it.
+    /// surfaces at run time.
     fn try_fold(&self, e: &PhysExpr) -> Option<Value> {
-        if matches!(e, PhysExpr::Const(..)) || !self.is_const[self.id_of(e) as usize] {
+        if !self.fold || matches!(e, PhysExpr::Const(..)) || !self.is_const[self.id_of(e) as usize]
+        {
             return None;
         }
-        fold_const_value(e, &self.ctx)
+        fold_const_value(e)
     }
 
     fn emit(&mut self, e: &PhysExpr) -> Opd {
@@ -649,9 +655,6 @@ impl Compiler {
                 let b = self.emit(rhs);
                 let dst = self.alloc_reg(*ty);
                 let instr = match ty {
-                    TypeId::I64 if self.ctx.null_mode == NullMode::Branchy => {
-                        Instr::ArithBranchyI64 { op: *op, a, b, dst }
-                    }
                     TypeId::I64 => match op {
                         BinOp::Div | BinOp::Rem => Instr::DivRemI64 { op: *op, a, b, dst },
                         _ => Instr::ArithI64 { op: *op, a, b, dst },
@@ -854,7 +857,6 @@ fn exec_instr(
     pool: &mut VectorPool,
     batch: &Batch,
     sel: Option<&SelVec>,
-    check: ArithCheck,
 ) -> Result<()> {
     let n = batch.capacity();
     match instr {
@@ -869,9 +871,9 @@ fn exec_instr(
             let y = bv.data.as_i64();
             let o = as_i64_mut(&mut out.data);
             match op {
-                BinOp::Add => primitives::add_i64(x, y, sel, o, check)?,
-                BinOp::Sub => primitives::sub_i64(x, y, sel, o, check)?,
-                BinOp::Mul => primitives::mul_i64(x, y, sel, o, check)?,
+                BinOp::Add => primitives::add_i64(x, y, sel, o, CHECK)?,
+                BinOp::Sub => primitives::sub_i64(x, y, sel, o, CHECK)?,
+                BinOp::Mul => primitives::mul_i64(x, y, sel, o, CHECK)?,
                 _ => unreachable!("Div/Rem compile to DivRemI64"),
             }
             Ok(any)
@@ -894,8 +896,8 @@ fn exec_instr(
                 }
                 let o = as_i64_mut(&mut out.data);
                 match op {
-                    BinOp::Div => primitives::div_i64(x, y, sel, o, check)?,
-                    BinOp::Rem => primitives::rem_i64(x, y, sel, o, check)?,
+                    BinOp::Div => primitives::div_i64(x, y, sel, o, CHECK)?,
+                    BinOp::Rem => primitives::rem_i64(x, y, sel, o, CHECK)?,
                     _ => unreachable!(),
                 }
                 Ok(any)
@@ -924,7 +926,7 @@ fn exec_instr(
             }
             // SQL: float division by zero errors, but only at live,
             // non-NULL lanes.
-            if matches!(op, BinOp::Div | BinOp::Rem) && check != ArithCheck::Unchecked {
+            if matches!(op, BinOp::Div | BinOp::Rem) {
                 let bad = |i: usize| y[i] == 0.0 && !av.is_null(i) && !bv.is_null(i);
                 let any_bad = match sel {
                     None => (0..n).any(bad),
@@ -932,57 +934,6 @@ fn exec_instr(
                 };
                 if any_bad {
                     return Err(VwError::DivideByZero);
-                }
-            }
-            Ok(any)
-        }),
-        Instr::ArithBranchyI64 { op, a, b, dst } => with_dst(pool, *dst, |pool, out, buf| {
-            let av = pool.opd(batch, *a);
-            let bv = pool.opd(batch, *b);
-            let x = av.data.as_i64();
-            let y = bv.data.as_i64();
-            let o = as_i64_mut(&mut out.data);
-            o.clear();
-            o.resize(n, 0);
-            buf.clear();
-            buf.resize(n, false);
-            let mut any = false;
-            let mut step = |i: usize| -> Result<()> {
-                if av.is_null(i) || bv.is_null(i) {
-                    buf[i] = true;
-                    any = true;
-                    return Ok(());
-                }
-                let r = match op {
-                    BinOp::Add => x[i].checked_add(y[i]).ok_or(VwError::Overflow("+"))?,
-                    BinOp::Sub => x[i].checked_sub(y[i]).ok_or(VwError::Overflow("-"))?,
-                    BinOp::Mul => x[i].checked_mul(y[i]).ok_or(VwError::Overflow("*"))?,
-                    BinOp::Div => {
-                        if y[i] == 0 {
-                            return Err(VwError::DivideByZero);
-                        }
-                        x[i].checked_div(y[i]).ok_or(VwError::Overflow("/"))?
-                    }
-                    BinOp::Rem => {
-                        if y[i] == 0 {
-                            return Err(VwError::DivideByZero);
-                        }
-                        x[i].wrapping_rem(y[i])
-                    }
-                };
-                o[i] = r;
-                Ok(())
-            };
-            match sel {
-                None => {
-                    for i in 0..n {
-                        step(i)?;
-                    }
-                }
-                Some(s) => {
-                    for i in s.iter() {
-                        step(i)?;
-                    }
                 }
             }
             Ok(any)
@@ -1587,13 +1538,13 @@ enum SelNode {
 }
 
 impl SelectProgram {
-    /// Compile a predicate under `ctx`.
-    pub fn compile(pred: &PhysExpr, ctx: &ExprCtx) -> SelectProgram {
+    /// Compile a predicate.
+    pub fn compile(pred: &PhysExpr) -> SelectProgram {
         // One linear pass marks const-ness per node; compile_sel then asks
         // in O(1) instead of re-walking subtrees at every And/Or level.
         let mut consts = HashMap::new();
         mark_const(pred, &mut consts);
-        SelectProgram { node: compile_sel(pred, ctx, &consts) }
+        SelectProgram { node: compile_sel(pred, &consts) }
     }
 
     /// Total boolean-program instructions (observability; the typed steps
@@ -1640,15 +1591,19 @@ impl SelectProgram {
     }
 }
 
-/// Evaluate a column-free subtree to a single value via the reference
-/// interpreter — the one constant-folding mechanism shared by expression
-/// compilation (`try_fold`) and predicate compilation (`compile_sel`).
+/// Evaluate a column-free subtree to a single value — the one
+/// constant-folding mechanism shared by expression compilation
+/// (`try_fold`) and predicate compilation (`compile_sel`): compile the
+/// subtree with folding off and run it over a one-row batch, so the
+/// constant comes out of the kernels a column expression would use.
 /// `None` when evaluation errors; callers leave the subtree compiled so
 /// the error still surfaces at run time.
-fn fold_const_value(e: &PhysExpr, ctx: &ExprCtx) -> Option<Value> {
+fn fold_const_value(e: &PhysExpr) -> Option<Value> {
     // One-row dummy batch: the expression references no columns.
     let batch = Batch::new(vec![Vector::new(ColData::I64(vec![0]))]);
-    e.eval(&batch, ctx).ok().map(|v| v.get(0))
+    let mut pool = VectorPool::new();
+    let r = ExprProgram::compile_with(e, false).run(&mut pool, &batch).ok()?;
+    Some(pool.get(&batch, r).get(0))
 }
 
 /// Linear const-ness marking (no short-circuit: every node gets an entry).
@@ -1669,11 +1624,11 @@ fn mark_const(e: &PhysExpr, out: &mut HashMap<*const PhysExpr, bool>) -> bool {
     c
 }
 
-fn compile_sel(pred: &PhysExpr, ctx: &ExprCtx, consts: &HashMap<*const PhysExpr, bool>) -> SelNode {
+fn compile_sel(pred: &PhysExpr, consts: &HashMap<*const PhysExpr, bool>) -> SelNode {
     // Constant predicates fold to a keep-all / drop-all step (NULL is
     // never TRUE, so it drops everything).
     if consts[&(pred as *const PhysExpr)] {
-        match fold_const_value(pred, ctx) {
+        match fold_const_value(pred) {
             Some(Value::Bool(b)) => return SelNode::ConstBool(b),
             Some(Value::Null) => return SelNode::ConstBool(false),
             _ => {}
@@ -1681,10 +1636,10 @@ fn compile_sel(pred: &PhysExpr, ctx: &ExprCtx, consts: &HashMap<*const PhysExpr,
     }
     match pred {
         PhysExpr::And(parts) => {
-            SelNode::Conj(parts.iter().map(|p| compile_sel(p, ctx, consts)).collect())
+            SelNode::Conj(parts.iter().map(|p| compile_sel(p, consts)).collect())
         }
         PhysExpr::Or(parts) => {
-            SelNode::Disj(parts.iter().map(|p| compile_sel(p, ctx, consts)).collect())
+            SelNode::Disj(parts.iter().map(|p| compile_sel(p, consts)).collect())
         }
         PhysExpr::Cmp { op, lhs, rhs } => {
             if let (PhysExpr::ColRef(ci, cty), PhysExpr::Const(k, _)) = (lhs.as_ref(), rhs.as_ref())
@@ -1706,7 +1661,7 @@ fn compile_sel(pred: &PhysExpr, ctx: &ExprCtx, consts: &HashMap<*const PhysExpr,
                     };
                 }
             }
-            SelNode::Bool(ExprProgram::compile(pred, ctx))
+            SelNode::Bool(ExprProgram::compile(pred))
         }
         PhysExpr::Like { input, pattern, negated } => {
             if let PhysExpr::ColRef(ci, TypeId::Str) = input.as_ref() {
@@ -1717,9 +1672,9 @@ fn compile_sel(pred: &PhysExpr, ctx: &ExprCtx, consts: &HashMap<*const PhysExpr,
                     memo: DictMemo::default(),
                 };
             }
-            SelNode::Bool(ExprProgram::compile(pred, ctx))
+            SelNode::Bool(ExprProgram::compile(pred))
         }
-        _ => SelNode::Bool(ExprProgram::compile(pred, ctx)),
+        _ => SelNode::Bool(ExprProgram::compile(pred)),
     }
 }
 
@@ -1941,10 +1896,6 @@ pub(crate) fn union_sorted_into(a: &SelVec, b: &SelVec, out: &mut SelVec) {
 mod tests {
     use super::*;
 
-    fn ctx() -> ExprCtx {
-        ExprCtx::default()
-    }
-
     fn col(i: usize, ty: TypeId) -> PhysExpr {
         PhysExpr::ColRef(i, ty)
     }
@@ -1982,7 +1933,7 @@ mod tests {
     fn constant_subtrees_fold_to_one_fill() {
         // (1 + 2) * x: the (1 + 2) subtree folds at compile time.
         let e = arith(BinOp::Mul, arith(BinOp::Add, lit(1), lit(2)), col(0, TypeId::I64));
-        let p = ExprProgram::compile(&e, &ctx());
+        let p = ExprProgram::compile(&e);
         assert_eq!(p.len(), 2, "ConstFill(3) + Mul — no instructions for the folded subtree");
         let mut pool = VectorPool::new();
         assert_eq!(
@@ -1993,11 +1944,30 @@ mod tests {
 
     #[test]
     fn erroring_constants_stay_compiled_and_fail_at_run_time() {
-        // 1/0 must not fold away the error (nor error at compile time).
-        let e = arith(BinOp::Add, col(0, TypeId::I64), arith(BinOp::Div, lit(1), lit(0)));
-        let p = ExprProgram::compile(&e, &ctx());
-        let mut pool = VectorPool::new();
-        assert!(matches!(p.run(&mut pool, &batch_i64(vec![1])), Err(VwError::DivideByZero)));
+        // A constant whose evaluation errors must not fold the error away,
+        // nor raise it at compile time: it stays compiled (more than the
+        // one fill a fold leaves) and raises the kernel's own error per run
+        // — beside a column, alone, and for `x % 0`, where only the
+        // denominator is constant.
+        let x = || col(0, TypeId::I64);
+        let div0 = || arith(BinOp::Div, lit(1), lit(0));
+        let max_plus_1 = || arith(BinOp::Add, lit(i64::MAX), lit(1));
+        let cases = [
+            (arith(BinOp::Add, x(), div0()), VwError::DivideByZero),
+            (div0(), VwError::DivideByZero),
+            (arith(BinOp::Add, x(), max_plus_1()), VwError::Overflow("BIGINT +")),
+            (max_plus_1(), VwError::Overflow("BIGINT +")),
+            (arith(BinOp::Rem, x(), lit(0)), VwError::DivideByZero),
+        ];
+        for (e, want) in &cases {
+            let p = ExprProgram::compile(e);
+            assert!(p.len() > 1, "{e:?} must stay compiled");
+            let mut pool = VectorPool::new();
+            for _ in 0..2 {
+                assert_eq!(p.run(&mut pool, &batch_i64(vec![1])).as_ref(), Err(want), "{e:?}");
+                pool.recycle();
+            }
+        }
     }
 
     #[test]
@@ -2005,7 +1975,7 @@ mod tests {
         // (x + 1) * (x + 1): one Add, one ConstFill, one Mul.
         let sub = arith(BinOp::Add, col(0, TypeId::I64), lit(1));
         let e = arith(BinOp::Mul, sub.clone(), sub);
-        let p = ExprProgram::compile(&e, &ctx());
+        let p = ExprProgram::compile(&e);
         assert_eq!(p.len(), 3, "shared subexpression must compile exactly once");
         let mut pool = VectorPool::new();
         assert_eq!(run_values(&p, &mut pool, &batch_i64(vec![3])), vec![Value::I64(16)]);
@@ -2018,7 +1988,7 @@ mod tests {
         for k in 1..=5 {
             e = arith(BinOp::Add, e, lit(k));
         }
-        let p = ExprProgram::compile(&e, &ctx());
+        let p = ExprProgram::compile(&e);
         assert!(
             p.n_regs() <= 4,
             "expected register reuse, got {} regs for a 5-add chain",
@@ -2035,7 +2005,7 @@ mod tests {
         let sub = arith(BinOp::Add, col(0, TypeId::I64), lit(1));
         let cast = PhysExpr::Cast { input: Box::new(sub.clone()), to: TypeId::I64 };
         let e = arith(BinOp::Mul, cast.clone(), arith(BinOp::Add, cast, sub));
-        let p = ExprProgram::compile(&e, &ctx());
+        let p = ExprProgram::compile(&e);
         let mut pool = VectorPool::new();
         // x = 2 → (3) * (3 + 3) = 18.
         assert_eq!(run_values(&p, &mut pool, &batch_i64(vec![2])), vec![Value::I64(18)]);
@@ -2051,7 +2021,7 @@ mod tests {
         let inner = PhysExpr::Cast { input: Box::new(sub.clone()), to: TypeId::I64 };
         let outer = PhysExpr::Cast { input: Box::new(inner), to: TypeId::I64 };
         let e = arith(BinOp::Mul, outer.clone(), outer);
-        let p = ExprProgram::compile(&e, &ctx());
+        let p = ExprProgram::compile(&e);
         let mut pool = VectorPool::new();
         // x = 3 → (4) * (4) = 16.
         assert_eq!(run_values(&p, &mut pool, &batch_i64(vec![3])), vec![Value::I64(16)]);
@@ -2061,7 +2031,7 @@ mod tests {
             to: TypeId::I64,
         };
         let e2 = arith(BinOp::Mul, outer2, arith(BinOp::Add, sub.clone(), sub));
-        let p2 = ExprProgram::compile(&e2, &ctx());
+        let p2 = ExprProgram::compile(&e2);
         // x = 2 → 3 * 6 = 18.
         assert_eq!(run_values(&p2, &mut pool, &batch_i64(vec![2])), vec![Value::I64(18)]);
     }
@@ -2069,7 +2039,7 @@ mod tests {
     #[test]
     fn pool_slots_stabilize_across_batches() {
         let e = arith(BinOp::Add, arith(BinOp::Mul, col(0, TypeId::I64), lit(2)), lit(1));
-        let p = ExprProgram::compile(&e, &ctx());
+        let p = ExprProgram::compile(&e);
         let mut pool = VectorPool::new();
         let batch = batch_i64((0..1024).collect());
         run_values(&p, &mut pool, &batch);
@@ -2083,7 +2053,7 @@ mod tests {
     #[test]
     fn profiling_counters_accumulate() {
         let e = arith(BinOp::Add, col(0, TypeId::I64), lit(1));
-        let p = ExprProgram::compile(&e, &ctx());
+        let p = ExprProgram::compile(&e);
         let mut pool = VectorPool::new();
         let batch = batch_i64(vec![1, 2]);
         run_values(&p, &mut pool, &batch);
@@ -2094,58 +2064,49 @@ mod tests {
         assert_eq!(pool.take_counters(), (0, 0), "counters drain");
     }
 
-    /// The dedicated Div/Rem instruction must preserve the "patch NULL
-    /// denominators to 1" semantics under every checking strategy.
+    /// The dedicated Div/Rem instruction patches NULL denominators to 1:
+    /// a NULL lane's safe value 0 must not raise a division by zero.
     #[test]
-    fn div_rem_null_denominators_under_all_check_modes() {
-        for check in [ArithCheck::Unchecked, ArithCheck::Naive, ArithCheck::Lazy] {
-            for op in [BinOp::Div, BinOp::Rem] {
-                let cx = ExprCtx { check, ..ctx() };
-                let num = nullable_i64(vec![Some(10), None, Some(12)]);
-                let den = nullable_i64(vec![Some(2), None, None]);
-                let batch = Batch::new(vec![num, den]);
-                let e = arith(op, col(0, TypeId::I64), col(1, TypeId::I64));
-                let p = ExprProgram::compile(&e, &cx);
-                let mut pool = VectorPool::new();
-                let got = run_values(&p, &mut pool, &batch);
-                let want = match op {
-                    BinOp::Div => vec![Value::I64(5), Value::Null, Value::Null],
-                    _ => vec![Value::I64(0), Value::Null, Value::Null],
-                };
-                assert_eq!(got, want, "{op:?} under {check:?}");
-                // And identically through the reference interpreter.
-                let r = e.eval(&batch, &cx).unwrap();
-                for (i, w) in want.iter().enumerate() {
-                    assert_eq!(&r.get(i), w, "interpreter {op:?} under {check:?}");
-                }
+    fn div_rem_null_denominators_are_null_not_errors() {
+        for op in [BinOp::Div, BinOp::Rem] {
+            let num = nullable_i64(vec![Some(10), None, Some(12)]);
+            let den = nullable_i64(vec![Some(2), None, None]);
+            let batch = Batch::new(vec![num, den]);
+            let e = arith(op, col(0, TypeId::I64), col(1, TypeId::I64));
+            let p = ExprProgram::compile(&e);
+            let mut pool = VectorPool::new();
+            let got = run_values(&p, &mut pool, &batch);
+            let want = match op {
+                BinOp::Div => vec![Value::I64(5), Value::Null, Value::Null],
+                _ => vec![Value::I64(0), Value::Null, Value::Null],
+            };
+            assert_eq!(got, want, "{op:?}");
+            // And identically through the reference interpreter.
+            let r = e.eval(&batch).unwrap();
+            for (i, w) in want.iter().enumerate() {
+                assert_eq!(&r.get(i), w, "interpreter {op:?}");
             }
         }
     }
 
     #[test]
-    fn div_by_actual_zero_still_errors_when_checked() {
+    fn div_by_actual_zero_still_errors() {
         for op in [BinOp::Div, BinOp::Rem] {
             let e = arith(op, col(0, TypeId::I64), col(1, TypeId::I64));
             let batch = Batch::new(vec![
                 Vector::new(ColData::I64(vec![1])),
                 Vector::new(ColData::I64(vec![0])),
             ]);
-            for check in [ArithCheck::Naive, ArithCheck::Lazy] {
-                let p = ExprProgram::compile(&e, &ExprCtx { check, ..ctx() });
-                let mut pool = VectorPool::new();
-                assert!(matches!(p.run(&mut pool, &batch), Err(VwError::DivideByZero)));
-            }
-            // Unchecked: research-prototype mode swallows it.
-            let p = ExprProgram::compile(&e, &ExprCtx { check: ArithCheck::Unchecked, ..ctx() });
+            let p = ExprProgram::compile(&e);
             let mut pool = VectorPool::new();
-            assert!(p.run(&mut pool, &batch).is_ok());
+            assert!(matches!(p.run(&mut pool, &batch), Err(VwError::DivideByZero)));
         }
     }
 
     #[test]
     fn div_by_zero_outside_selection_is_ignored() {
         let e = arith(BinOp::Div, col(0, TypeId::I64), col(1, TypeId::I64));
-        let p = ExprProgram::compile(&e, &ctx());
+        let p = ExprProgram::compile(&e);
         let mut batch = Batch::new(vec![
             Vector::new(ColData::I64(vec![8, 9])),
             Vector::new(ColData::I64(vec![0, 3])),
@@ -2157,18 +2118,8 @@ mod tests {
     }
 
     #[test]
-    fn branchy_null_mode_compiles_to_branchy_instruction() {
-        let cx = ExprCtx { null_mode: NullMode::Branchy, ..ctx() };
-        let e = arith(BinOp::Mul, col(0, TypeId::I64), lit(3));
-        let p = ExprProgram::compile(&e, &cx);
-        let batch = Batch::new(vec![nullable_i64(vec![Some(2), None])]);
-        let mut pool = VectorPool::new();
-        assert_eq!(run_values(&p, &mut pool, &batch), vec![Value::I64(6), Value::Null]);
-    }
-
-    #[test]
     fn bare_column_program_copies_nothing() {
-        let p = ExprProgram::compile(&col(0, TypeId::I64), &ctx());
+        let p = ExprProgram::compile(&col(0, TypeId::I64));
         assert_eq!(p.len(), 0);
         let batch = batch_i64(vec![1, 2]);
         let mut pool = VectorPool::new();
@@ -2198,11 +2149,11 @@ mod tests {
                 rhs: Box::new(lit(1)),
             },
         ]);
-        let mut sp = SelectProgram::compile(&e, &ctx());
+        let mut sp = SelectProgram::compile(&e);
         let batch = batch_i64((0..32).collect());
         let mut pool = VectorPool::new();
         let got = sp.run(&mut pool, &batch).unwrap();
-        let want = e.eval_select(&batch, &ctx()).unwrap();
+        let want = e.eval_select(&batch).unwrap();
         assert_eq!(got.as_slice(), want.as_slice());
         assert_eq!(got.as_slice(), &[5, 7, 9]);
     }
@@ -2223,13 +2174,13 @@ mod tests {
             Vector::new(ColData::I64(vec![a])),
             Vector::new(ColData::I64(vec![b])),
         ]);
-        let p = ExprProgram::compile(&e, &ctx());
+        let p = ExprProgram::compile(&e);
         let mut pool = VectorPool::new();
         assert_eq!(run_values(&p, &mut pool, &batch), vec![Value::Bool(false)]);
-        assert_eq!(e.eval(&batch, &ctx()).unwrap().get(0), Value::Bool(false));
+        assert_eq!(e.eval(&batch).unwrap().get(0), Value::Bool(false));
         // Folded constant form of the same comparison agrees.
         let folded = PhysExpr::Cmp { op: CmpOp::Eq, lhs: Box::new(lit(a)), rhs: Box::new(lit(b)) };
-        let fp = ExprProgram::compile(&folded, &ctx());
+        let fp = ExprProgram::compile(&folded);
         assert_eq!(run_values(&fp, &mut pool, &batch), vec![Value::Bool(false)]);
     }
 
@@ -2246,7 +2197,7 @@ mod tests {
             rhs: Box::new(lit(9)),
         };
         let e = PhysExpr::Or(vec![lt3, ge9]);
-        let mut sp = SelectProgram::compile(&e, &ctx());
+        let mut sp = SelectProgram::compile(&e);
         let batch = batch_i64((0..12).collect());
         let mut pool = VectorPool::new();
         let got = sp.run(&mut pool, &batch).unwrap();
@@ -2260,7 +2211,7 @@ mod tests {
             lhs: Box::new(col(0, TypeId::I64)),
             rhs: Box::new(lit(0)),
         };
-        let mut sp = SelectProgram::compile(&e, &ctx());
+        let mut sp = SelectProgram::compile(&e);
         let mut batch = batch_i64((0..10).collect());
         batch.sel = Some(SelVec::from_positions(vec![0, 1, 2]));
         let mut pool = VectorPool::new();
@@ -2294,14 +2245,14 @@ mod tests {
             },
         ];
         for e in &preds {
-            let mut sp = SelectProgram::compile(e, &ctx());
+            let mut sp = SelectProgram::compile(e);
             let mut pool = VectorPool::new();
             for v in &vecs {
                 let batch = Batch::new(vec![v.clone()]);
                 let mut flat = batch.clone();
                 flat.columns[0].ensure_flat();
                 let got = sp.run(&mut pool, &batch).unwrap();
-                assert_eq!(got, e.eval_select(&flat, &ctx()).unwrap(), "{e:?} over {v:?}");
+                assert_eq!(got, e.eval_select(&flat).unwrap(), "{e:?} over {v:?}");
             }
         }
     }
@@ -2321,7 +2272,7 @@ mod tests {
                     lhs: Box::new(col(0, TypeId::F64)),
                     rhs: Box::new(PhysExpr::Const(Value::F64(k), TypeId::F64)),
                 };
-                let mut sp = SelectProgram::compile(&e, &ctx());
+                let mut sp = SelectProgram::compile(&e);
                 let mut pool = VectorPool::new();
                 for with_nulls in [false, true] {
                     let v = Vector::with_nulls(
@@ -2332,7 +2283,7 @@ mod tests {
                     for sel in [None, Some(SelVec::from_positions(vec![1, 2, 3, 4, 7]))] {
                         batch.sel = sel;
                         let got = sp.run(&mut pool, &batch).unwrap();
-                        let want = e.eval_select(&batch, &ctx()).unwrap();
+                        let want = e.eval_select(&batch).unwrap();
                         assert_eq!(got, want, "{op:?} {k}");
                     }
                 }
@@ -2342,19 +2293,38 @@ mod tests {
 
     #[test]
     fn constant_predicates_fold_to_keep_all_or_drop_all() {
-        let mut t = SelectProgram::compile(&PhysExpr::bool_const(true), &ctx());
-        let mut f = SelectProgram::compile(&PhysExpr::bool_const(false), &ctx());
+        let mut t = SelectProgram::compile(&PhysExpr::bool_const(true));
+        let mut f = SelectProgram::compile(&PhysExpr::bool_const(false));
         // 1 < 2 folds to TRUE as well.
-        let mut folded = SelectProgram::compile(
-            &PhysExpr::Cmp { op: CmpOp::Lt, lhs: Box::new(lit(1)), rhs: Box::new(lit(2)) },
-            &ctx(),
-        );
+        let mut folded = SelectProgram::compile(&PhysExpr::Cmp {
+            op: CmpOp::Lt,
+            lhs: Box::new(lit(1)),
+            rhs: Box::new(lit(2)),
+        });
         let batch = batch_i64(vec![1, 2, 3]);
         let mut pool = VectorPool::new();
         assert_eq!(t.run(&mut pool, &batch).unwrap().len(), 3);
         assert_eq!(f.run(&mut pool, &batch).unwrap().len(), 0);
         assert_eq!(folded.run(&mut pool, &batch).unwrap().len(), 3);
         assert!(folded.is_empty(), "folded predicate needs no boolean program");
+        // A constant NULL is never TRUE: NULL < 2 drops every row.
+        let null = PhysExpr::Const(Value::Null, TypeId::I64);
+        let mut unknown = SelectProgram::compile(&PhysExpr::Cmp {
+            op: CmpOp::Lt,
+            lhs: Box::new(null),
+            rhs: Box::new(lit(2)),
+        });
+        assert!(unknown.is_empty());
+        assert_eq!(unknown.run(&mut pool, &batch).unwrap().len(), 0);
+        // An erroring constant predicate keeps its boolean program and
+        // raises at run time.
+        let mut bad = SelectProgram::compile(&PhysExpr::Cmp {
+            op: CmpOp::Eq,
+            lhs: Box::new(arith(BinOp::Div, lit(1), lit(0))),
+            rhs: Box::new(lit(1)),
+        });
+        assert!(!bad.is_empty());
+        assert!(matches!(bad.run(&mut pool, &batch), Err(VwError::DivideByZero)));
     }
 
     #[test]
@@ -2399,10 +2369,10 @@ mod tests {
             },
         ];
         for e in &exprs {
-            let p = ExprProgram::compile(e, &ctx());
+            let p = ExprProgram::compile(e);
             let mut pool = VectorPool::new();
             let got = run_values(&p, &mut pool, &batch);
-            let want = e.eval(&batch, &ctx()).unwrap();
+            let want = e.eval(&batch).unwrap();
             for (i, g) in got.iter().enumerate() {
                 assert_eq!(g, &want.get(i), "{e:?} lane {i}");
             }

@@ -10,7 +10,8 @@
 use std::sync::Arc;
 use vw_common::{ColData, Result, Schema, SelVec, TypeId, Value, VwError};
 
-/// An encoded vector form riding on a [`Vector`] (`SET compressed_exec`).
+/// An encoded vector form riding on a [`Vector`]: what a scan hands out for
+/// a PDICT string or RLE integer chunk.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Enc {
     /// Dictionary-coded strings: one `u32` code per position into a shared

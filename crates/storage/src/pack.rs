@@ -202,12 +202,12 @@ pub fn decode_chunk(bytes: &[u8], ty: TypeId, n: usize) -> Result<(ColData, Opti
 }
 
 /// One column chunk decoded *preserving its on-disk encoding* where the
-/// execution engine has a kernel for it — the compressed execution entry
-/// point (`SET compressed_exec`). Chunks whose encoding has no encoded
-/// kernel come back [`EncodedChunk::Flat`], identical to [`decode_chunk`].
+/// execution engine has a kernel for it — what every table scan reads.
+/// Chunks whose encoding has no encoded kernel come back
+/// [`EncodedChunk::Flat`], identical to [`decode_chunk`].
 #[derive(Debug, Clone)]
 pub enum EncodedChunk {
-    /// Fully inflated values (the only form `compressed_exec = 0` produces).
+    /// Fully inflated values.
     Flat(ColData, Option<Vec<bool>>),
     /// PDICT strings kept as codes over a shared dictionary. The dictionary
     /// is decoded once per pack and shared by `Arc` with every batch sliced

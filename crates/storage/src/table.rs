@@ -278,8 +278,8 @@ impl TableStorage {
         Ok(out)
     }
 
-    /// [`TableStorage::read_pack`], but preserving on-disk encodings the
-    /// engine can execute on directly (`SET compressed_exec = 1`): PDICT
+    /// The table scan's reader: [`TableStorage::read_pack`], but preserving
+    /// on-disk encodings the engine can execute on directly: PDICT
     /// string chunks come back as codes + shared dictionary, RLE integer
     /// chunks carry their run list. Same block fetch path (and therefore
     /// the same retry/fault accounting) as the flat reader.

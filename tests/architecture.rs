@@ -354,3 +354,64 @@ fn dml_marks_statistics_stale_until_checkpoint_rebuild() {
     db.execute("CHECKPOINT").unwrap();
     assert!(!stale(&db), "CHECKPOINT rebuild clears staleness again");
 }
+
+/// The knob surface is the *Knobs* table of ARCHITECTURE.md — no row
+/// without a `SET` answer, no `EngineConfig` field without a row, and no
+/// way back to the reference paths that used to hide behind settings.
+#[test]
+fn knobs_table_is_the_set_surface() {
+    let doc = include_str!("../ARCHITECTURE.md");
+    let section = doc.split("\n## Knobs\n").nth(1).expect("a Knobs section");
+    let section = section.split("\n## ").next().unwrap();
+    let db = Database::open_in_memory();
+
+    // A row is `| `name` [/ `alias`] (unit) | default | env | what it does |`;
+    // the fault-injection row has no SET name and starts with a dash.
+    let mut documented = Vec::new();
+    for row in section.lines().filter(|l| l.starts_with("| `")) {
+        let cells: Vec<&str> = row.split('|').map(str::trim).collect();
+        let value: String = cells[2].chars().take_while(char::is_ascii_digit).collect();
+        assert!(!value.is_empty(), "default of {} must lead with a number", cells[1]);
+        let open_only = cells[4].contains("open only");
+        for name in cells[1].split('`').skip(1).step_by(2) {
+            match db.execute(&format!("SET {name} = {value}")) {
+                Ok(_) => assert!(!open_only, "{name} is documented as open only but SET took it"),
+                Err(VwError::InvalidParameter(m)) if m.contains("is fixed at engine open") => {
+                    assert!(open_only, "SET {name}: {m} — the table does not say so")
+                }
+                Err(e) => panic!("SET {name} = {value}, a documented knob: {e}"),
+            }
+            documented.push(name);
+        }
+    }
+
+    // Every top-level field of the struct has its row (SET names may drop
+    // a unit suffix: `mem_budget` for `mem_budget_bytes`); `faults` is the
+    // dash row.
+    let debug = format!("{:?}", vectorwise::common::EngineConfig::default());
+    let mut depth = 0;
+    let mut fields = Vec::new();
+    for part in debug.split_inclusive(['{', '}', ',']) {
+        if depth == 1 {
+            if let Some((name, _)) = part.split_once(':') {
+                fields.push(name.trim().to_string());
+            }
+        }
+        depth += part.matches('{').count();
+        depth -= part.matches('}').count();
+    }
+    assert_eq!(fields.len(), 14, "EngineConfig fields: {fields:?}");
+    for f in fields.iter().filter(|f| *f != "faults") {
+        assert!(documented.iter().any(|d| f.starts_with(d)), "{f} has no row in the Knobs table");
+    }
+    assert!(section.contains("| — (faults) |"), "the fault-injection row");
+
+    for gone in
+        ["SET compressed_exec = 1", "SET check_mode = 'lazy'", "SET null_mode = 'two_column'"]
+    {
+        match db.execute(gone) {
+            Err(VwError::InvalidParameter(m)) => assert!(m.starts_with("unknown setting"), "{m}"),
+            other => panic!("{gone} must be an unknown setting, got {other:?}"),
+        }
+    }
+}

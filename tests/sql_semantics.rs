@@ -207,14 +207,14 @@ mod differential {
     use rand::{Rng, SeedableRng};
     use vectorwise::common::{Field, Schema, TypeId, Value};
     use vectorwise::exec::cancel::CancelToken;
-    use vectorwise::exec::expr::{ExprCtx, PhysExpr};
+    use vectorwise::exec::expr::PhysExpr;
     use vectorwise::exec::op::{
         drain, AggFunc, AggSpec, HashAggregate, HashJoin, JoinType, Operator, Values,
     };
     use vectorwise::exec::program::ExprProgram;
 
     fn prog(e: &PhysExpr) -> ExprProgram {
-        ExprProgram::compile(e, &ExprCtx::default())
+        ExprProgram::compile(e)
     }
     use vectorwise::volcano::{
         collect_rows, TupleAgg, TupleAggregate, TupleHashJoin, TupleJoinKind, TupleValues,
@@ -429,7 +429,7 @@ mod build_mode_matrix {
     use std::sync::Arc;
     use vectorwise::common::{ColData, Field, Schema, TypeId, Value, VwError};
     use vectorwise::exec::cancel::CancelToken;
-    use vectorwise::exec::expr::{ExprCtx, PhysExpr};
+    use vectorwise::exec::expr::PhysExpr;
     use vectorwise::exec::op::{
         AggFunc, AggSpec, BoxedOp, HashAggregate, HashJoin, JoinType, Operator,
     };
@@ -484,7 +484,7 @@ mod build_mode_matrix {
 
     impl Keys {
         fn programs(self) -> Vec<ExprProgram> {
-            let col = |i, ty| ExprProgram::compile(&PhysExpr::ColRef(i, ty), &ExprCtx::default());
+            let col = |i, ty| ExprProgram::compile(&PhysExpr::ColRef(i, ty));
             match self {
                 Keys::Single => vec![col(0, TypeId::I64)],
                 Keys::Multi => vec![col(0, TypeId::I64), col(1, TypeId::I64)],
@@ -806,8 +806,7 @@ mod build_mode_matrix {
         input: BoxedOp,
         keys: Keys,
     ) -> (HashAggregate, Option<Governor>) {
-        let v =
-            || Some(ExprProgram::compile(&PhysExpr::ColRef(4, TypeId::I64), &ExprCtx::default()));
+        let v = || Some(ExprProgram::compile(&PhysExpr::ColRef(4, TypeId::I64)));
         let spec = |func, out_ty| AggSpec { func, input: v(), out_ty };
         let mut fields: Vec<Field> =
             keys.group_cols().iter().map(|&c| schema().fields[c].clone()).collect();
@@ -1045,9 +1044,7 @@ mod build_mode_matrix {
         group: &[usize],
     ) -> (HashAggregate, Option<Governor>) {
         let schema = ladder_schema();
-        let col = |c: usize| {
-            ExprProgram::compile(&PhysExpr::ColRef(c, schema.fields[c].ty), &ExprCtx::default())
-        };
+        let col = |c: usize| ExprProgram::compile(&PhysExpr::ColRef(c, schema.fields[c].ty));
         let spec = |func, out_ty| AggSpec { func, input: Some(col(6)), out_ty };
         let mut fields: Vec<Field> = group.iter().map(|&c| schema.fields[c].clone()).collect();
         fields.extend((0..6).map(|i| Field::nullable(format!("a{i}"), TypeId::I64)));
@@ -1296,9 +1293,9 @@ mod expr_differential {
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
     use vectorwise::common::{ColData, SelVec, TypeId, Value};
-    use vectorwise::exec::expr::{BinOp, CmpOp, ExprCtx, Func, PhysExpr};
+    use vectorwise::exec::expr::{BinOp, CmpOp, Func, PhysExpr};
     use vectorwise::exec::program::{ExprProgram, SelectProgram, VectorPool};
-    use vectorwise::exec::vector::Batch;
+    use vectorwise::exec::vector::{vector_from_values, Batch};
     use vectorwise::exec::Vector;
     use vectorwise::volcano::ScalarExpr;
 
@@ -1429,10 +1426,9 @@ mod expr_differential {
         rows: &[(Option<i64>, Option<i64>)],
         label: &str,
     ) {
-        let ctx = ExprCtx::default();
         let batch = batch_of(rows);
-        let interp = pe.eval(&batch, &ctx);
-        let prog = ExprProgram::compile(pe, &ctx);
+        let interp = pe.eval(&batch);
+        let prog = ExprProgram::compile(pe);
         let mut pool = VectorPool::new();
         let compiled = prog.run(&mut pool, &batch);
         let volcano = volcano_eval_all(ve, rows);
@@ -1487,14 +1483,13 @@ mod expr_differential {
     fn random_predicates_select_identically() {
         // The fused SelectProgram path vs the interpreter's eval_select,
         // with and without an incoming selection.
-        let ctx = ExprCtx::default();
         for seed in 0..30u64 {
             let mut rng = SmallRng::seed_from_u64(0x5e1_000 + seed);
             let rows = random_rows(&mut rng, 101);
             let (pe, _) = gen_bool(&mut rng, 3);
             let mut batch = batch_of(&rows);
-            let interp = pe.eval_select(&batch, &ctx);
-            let mut sp = SelectProgram::compile(&pe, &ctx);
+            let interp = pe.eval_select(&batch);
+            let mut sp = SelectProgram::compile(&pe);
             let mut pool = VectorPool::new();
             let compiled = sp.run(&mut pool, &batch);
             assert_eq!(interp.is_err(), compiled.is_err(), "seed {seed}: {pe:?}");
@@ -1504,7 +1499,7 @@ mod expr_differential {
             // Under a narrowed incoming selection.
             let sel: Vec<u32> = (0..rows.len() as u32).filter(|p| p % 3 != 1).collect();
             batch.sel = Some(SelVec::from_positions(sel));
-            let interp = pe.eval_select(&batch, &ctx);
+            let interp = pe.eval_select(&batch);
             let mut pool = VectorPool::new();
             let compiled = sp.run(&mut pool, &batch);
             assert_eq!(interp.is_err(), compiled.is_err(), "seed {seed} (sel): {pe:?}");
@@ -1514,11 +1509,108 @@ mod expr_differential {
         }
     }
 
+    /// The function battery over a (VARCHAR, BIGINT) batch.
+    fn scalar_func_exprs() -> Vec<PhysExpr> {
+        let s0 = || PhysExpr::ColRef(0, TypeId::Str);
+        let i1 = || PhysExpr::ColRef(1, TypeId::I64);
+        let lit = |k: i64| PhysExpr::Const(Value::I64(k), TypeId::I64);
+        let f = |func, args, ty| PhysExpr::FuncCall { func, args, ty };
+        vec![
+            f(Func::Upper, vec![s0()], TypeId::Str),
+            f(Func::Lower, vec![s0()], TypeId::Str),
+            f(Func::Trim, vec![s0()], TypeId::Str),
+            f(Func::Length, vec![f(Func::Trim, vec![s0()], TypeId::Str)], TypeId::I64),
+            f(Func::Concat, vec![s0(), f(Func::Upper, vec![s0()], TypeId::Str)], TypeId::Str),
+            f(Func::Substr, vec![s0(), lit(2), lit(3)], TypeId::Str),
+            f(Func::Abs, vec![i1()], TypeId::I64),
+            PhysExpr::Like { input: Box::new(s0()), pattern: "%a%".into(), negated: false },
+            PhysExpr::Like { input: Box::new(s0()), pattern: "_b%".into(), negated: true },
+            f(
+                Func::Floor,
+                vec![PhysExpr::Cast { input: Box::new(i1()), to: TypeId::F64 }],
+                TypeId::F64,
+            ),
+            PhysExpr::IsNull(Box::new(s0())),
+            PhysExpr::IsNotNull(Box::new(i1())),
+        ]
+    }
+
+    /// `e` with every column reference replaced by that column's value in
+    /// `row`: a column-free tree the compiler will fold.
+    fn bind_row(e: &PhysExpr, row: &[Value]) -> PhysExpr {
+        let b = |x: &PhysExpr| Box::new(bind_row(x, row));
+        let all = |xs: &[PhysExpr]| xs.iter().map(|x| bind_row(x, row)).collect();
+        match e {
+            PhysExpr::ColRef(i, ty) => PhysExpr::Const(row[*i].clone(), *ty),
+            PhysExpr::Const(..) => e.clone(),
+            PhysExpr::Arith { op, lhs, rhs, ty } => {
+                PhysExpr::Arith { op: *op, lhs: b(lhs), rhs: b(rhs), ty: *ty }
+            }
+            PhysExpr::Cmp { op, lhs, rhs } => PhysExpr::Cmp { op: *op, lhs: b(lhs), rhs: b(rhs) },
+            PhysExpr::And(xs) => PhysExpr::And(all(xs)),
+            PhysExpr::Or(xs) => PhysExpr::Or(all(xs)),
+            PhysExpr::Not(x) => PhysExpr::Not(b(x)),
+            PhysExpr::Cast { input, to } => PhysExpr::Cast { input: b(input), to: *to },
+            PhysExpr::IsNull(x) => PhysExpr::IsNull(b(x)),
+            PhysExpr::IsNotNull(x) => PhysExpr::IsNotNull(b(x)),
+            PhysExpr::Case { branches, else_expr, ty } => PhysExpr::Case {
+                branches: branches.iter().map(|(c, v)| (*b(c), *b(v))).collect(),
+                else_expr: else_expr.as_deref().map(b),
+                ty: *ty,
+            },
+            PhysExpr::FuncCall { func, args, ty } => {
+                PhysExpr::FuncCall { func: *func, args: all(args), ty: *ty }
+            }
+            PhysExpr::Like { input, pattern, negated } => {
+                PhysExpr::Like { input: b(input), pattern: pattern.clone(), negated: *negated }
+            }
+        }
+    }
+
+    /// Constant folding runs a column-free tree as a one-row program. So
+    /// for every shape above, binding a row's values into the tree must
+    /// fold it to a single constant fill of exactly the value the unbound
+    /// tree computes over that row as a one-row batch of columns — NULLs,
+    /// Div/Rem signs and function results included.
+    #[test]
+    fn folded_constants_equal_the_one_row_program_result() {
+        let check = |e: &PhysExpr, batch: &Batch| {
+            let mut pool = VectorPool::new();
+            let mut value_of = |p: &ExprProgram| {
+                let r = p.run(&mut pool, batch).unwrap();
+                pool.get(batch, r).get(0)
+            };
+            let over_columns = value_of(&ExprProgram::compile(e));
+            let bound = bind_row(e, &batch.row_values(0));
+            let folded = ExprProgram::compile(&bound);
+            assert_eq!(folded.len(), 1, "one constant fill for {bound:?}");
+            assert_eq!(value_of(&folded), over_columns, "{bound:?}");
+        };
+        for seed in 0..40u64 {
+            let mut rng = SmallRng::seed_from_u64(0xf01d + seed);
+            let exprs = [gen_i64(&mut rng, 4).0, gen_bool(&mut rng, 3).0];
+            for row in random_rows(&mut rng, 4) {
+                exprs.iter().for_each(|e| check(e, &batch_of(&[row])));
+            }
+        }
+        let rows = [
+            [Value::Str(" abc ".into()), Value::I64(7)],
+            [Value::Null, Value::I64(-3)],
+            [Value::Str("".into()), Value::Null],
+        ];
+        for [s, i] in rows {
+            let batch = Batch::new(vec![
+                vector_from_values(TypeId::Str, &[s]).unwrap(),
+                vector_from_values(TypeId::I64, &[i]).unwrap(),
+            ]);
+            scalar_func_exprs().iter().for_each(|e| check(e, &batch));
+        }
+    }
+
     /// Scalar functions and NULL propagation: compiled vs interpreter
     /// (volcano has no function battery) over NULL-bearing strings.
     #[test]
     fn scalar_funcs_agree_with_interpreter() {
-        let ctx = ExprCtx::default();
         let mut rng = SmallRng::seed_from_u64(0xf0_0d);
         let mut sv = Vector::new(ColData::new(TypeId::Str));
         let mut iv = Vector::new(ColData::new(TypeId::I64));
@@ -1537,31 +1629,9 @@ mod expr_differential {
             }
         }
         let batch = Batch::new(vec![sv, iv]);
-        let s0 = || PhysExpr::ColRef(0, TypeId::Str);
-        let i1 = || PhysExpr::ColRef(1, TypeId::I64);
-        let lit = |k: i64| PhysExpr::Const(Value::I64(k), TypeId::I64);
-        let f = |func, args, ty| PhysExpr::FuncCall { func, args, ty };
-        let exprs = vec![
-            f(Func::Upper, vec![s0()], TypeId::Str),
-            f(Func::Lower, vec![s0()], TypeId::Str),
-            f(Func::Trim, vec![s0()], TypeId::Str),
-            f(Func::Length, vec![f(Func::Trim, vec![s0()], TypeId::Str)], TypeId::I64),
-            f(Func::Concat, vec![s0(), f(Func::Upper, vec![s0()], TypeId::Str)], TypeId::Str),
-            f(Func::Substr, vec![s0(), lit(2), lit(3)], TypeId::Str),
-            f(Func::Abs, vec![i1()], TypeId::I64),
-            PhysExpr::Like { input: Box::new(s0()), pattern: "%a%".into(), negated: false },
-            PhysExpr::Like { input: Box::new(s0()), pattern: "_b%".into(), negated: true },
-            f(
-                Func::Floor,
-                vec![PhysExpr::Cast { input: Box::new(i1()), to: TypeId::F64 }],
-                TypeId::F64,
-            ),
-            PhysExpr::IsNull(Box::new(s0())),
-            PhysExpr::IsNotNull(Box::new(i1())),
-        ];
-        for e in &exprs {
-            let interp = e.eval(&batch, &ctx).unwrap();
-            let prog = ExprProgram::compile(e, &ctx);
+        for e in &scalar_func_exprs() {
+            let interp = e.eval(&batch).unwrap();
+            let prog = ExprProgram::compile(e);
             let mut pool = VectorPool::new();
             let vr = prog.run(&mut pool, &batch).unwrap();
             let got = pool.get(&batch, vr);
@@ -2208,14 +2278,17 @@ mod optimizer_differential {
 }
 
 // ---------------------------------------------------------------------------
-// Differential tests for compressed execution (PR 9): the encoded path
-// (dict codes and RLE runs flowing through Select/Project/HashJoin/
-// HashAggregate, late-materialized at emit/Sort/spill) vs the flat path
-// (`SET compressed_exec = 0`, inflate-at-scan) vs the tuple-at-a-time
-// volcano engine (HEAP twin tables), over randomized NULL-bearing low-
-// and high-cardinality string and clustered int data, at DOP 1 and 4 —
-// plus all five join types over dictionary-coded keys at the operator
-// level (shared and per-batch dictionaries), and a mem-budget run that
+// Differential tests for compressed execution (PR 9): dict codes and RLE
+// runs flowing through Select/Project/HashJoin/HashAggregate,
+// late-materialized at emit/Sort/spill. The scan has one path, so "flat"
+// is an oracle built here, two ways: HEAP twin tables (a volcano scan
+// feeds the same operators flat values) against the engine's SQL answers
+// over randomized NULL-bearing low- and high-cardinality string and
+// clustered int data at DOP 1 and 4; and, at the operator level, the very
+// batches a scan hands out fed once as they are and once after
+// `Batch::ensure_flat()` through Select → Project → HashAggregate and the
+// five join types — plus those join types over hand-built dictionary
+// keys (shared and per-batch dictionaries), and a mem-budget run that
 // proves encoded build batches round-trip through grace spill files.
 // ---------------------------------------------------------------------------
 
@@ -2227,12 +2300,16 @@ mod compressed_differential {
     use vectorwise::common::{ColData, EngineConfig, Field, Schema, TypeId, Value};
     use vectorwise::core::Database;
     use vectorwise::exec::cancel::CancelToken;
-    use vectorwise::exec::expr::{ExprCtx, PhysExpr};
-    use vectorwise::exec::op::{drain, HashJoin, JoinType, Operator};
-    use vectorwise::exec::program::ExprProgram;
+    use vectorwise::exec::expr::PhysExpr;
+    use vectorwise::exec::expr::{BinOp, CmpOp, Func};
+    use vectorwise::exec::op::{
+        drain, AggFunc, AggSpec, BoxedOp, HashAggregate, HashJoin, JoinType, Operator, Project,
+        Select, VectorScan,
+    };
+    use vectorwise::exec::program::{ExprProgram, SelectProgram};
     use vectorwise::exec::vector::Batch;
     use vectorwise::exec::Vector;
-    use vectorwise::storage::SimulatedDisk;
+    use vectorwise::storage::{BufferPool, Layout, SimulatedDisk, TableStorage};
     use vectorwise::volcano::{collect_rows, TupleHashJoin, TupleJoinKind, TupleValues};
 
     fn sort_rows(mut rows: Vec<Vec<Value>>) -> Vec<Vec<Value>> {
@@ -2262,19 +2339,24 @@ mod compressed_differential {
             .collect()
     }
 
-    /// Serve pre-encoded batches: the key column arrives dictionary-coded
-    /// the way the pack reader hands it to a scan. `shared` uses one
-    /// dictionary Arc across every batch (the same-dictionary code-compare
-    /// join path); otherwise each batch builds its own first-appearance
-    /// dictionary (the per-pack remap fallback).
-    struct DictBatches {
+    /// Serve prepared batches as an operator.
+    struct Batches {
         schema: Schema,
         batches: Vec<Batch>,
         pos: usize,
     }
 
-    impl DictBatches {
-        fn new(rows: &[Vec<Value>], chunk: usize, shared: Option<Arc<Vec<String>>>) -> DictBatches {
+    impl Batches {
+        fn of(schema: Schema, batches: Vec<Batch>) -> BoxedOp {
+            Box::new(Batches { schema, batches, pos: 0 })
+        }
+
+        /// `rows` of [`kv_schema`] with the key column dictionary-coded
+        /// the way the pack reader hands it to a scan. `shared` uses one
+        /// dictionary Arc across every batch (the same-dictionary
+        /// code-compare join path); otherwise each batch builds its own
+        /// first-appearance dictionary (the per-pack remap fallback).
+        fn dict(rows: &[Vec<Value>], chunk: usize, shared: Option<Arc<Vec<String>>>) -> BoxedOp {
             let batches = rows
                 .chunks(chunk.max(1))
                 .map(|ch| {
@@ -2317,16 +2399,16 @@ mod compressed_differential {
                     Batch::new(vec![k, payload])
                 })
                 .collect();
-            DictBatches { schema: kv_schema(), batches, pos: 0 }
+            Batches::of(kv_schema(), batches)
         }
     }
 
-    impl Operator for DictBatches {
+    impl Operator for Batches {
         fn schema(&self) -> &Schema {
             &self.schema
         }
         fn name(&self) -> &'static str {
-            "DictBatches"
+            "Batches"
         }
         fn next(&mut self) -> vectorwise::common::Result<Option<Batch>> {
             if self.pos >= self.batches.len() {
@@ -2337,6 +2419,27 @@ mod compressed_differential {
         }
     }
 
+    fn rows_of(op: &mut dyn Operator) -> Vec<Vec<Value>> {
+        let out = drain(op).unwrap();
+        sort_rows((0..out.rows()).map(|i| out.row_values(i)).collect())
+    }
+
+    /// `l ⋈ r` on string column `key` of both sides.
+    fn str_join(l: BoxedOp, r: BoxedOp, key: usize, jt: JoinType) -> Vec<Vec<Value>> {
+        let prog = || ExprProgram::compile(&PhysExpr::ColRef(key, TypeId::Str));
+        let out_schema =
+            if jt.emits_right() { l.schema().join(r.schema()) } else { l.schema().clone() };
+        rows_of(&mut HashJoin::new(
+            l,
+            r,
+            vec![prog()],
+            vec![prog()],
+            jt,
+            out_schema,
+            CancelToken::new(),
+        ))
+    }
+
     fn dict_join(
         left: &[Vec<Value>],
         right: &[Vec<Value>],
@@ -2344,22 +2447,9 @@ mod compressed_differential {
         chunk: usize,
         shared: Option<&Arc<Vec<String>>>,
     ) -> Vec<Vec<Value>> {
-        let prog = |e: &PhysExpr| ExprProgram::compile(e, &ExprCtx::default());
-        let schema = kv_schema();
-        let out_schema = if jt.emits_right() { schema.join(&schema) } else { schema };
-        let l = Box::new(DictBatches::new(left, chunk, shared.cloned()));
-        let r = Box::new(DictBatches::new(right, chunk, shared.cloned()));
-        let mut j = HashJoin::new(
-            l,
-            r,
-            vec![prog(&PhysExpr::ColRef(0, TypeId::Str))],
-            vec![prog(&PhysExpr::ColRef(0, TypeId::Str))],
-            jt,
-            out_schema,
-            CancelToken::new(),
-        );
-        let out = drain(&mut j).unwrap();
-        (0..out.rows()).map(|i| out.row_values(i)).collect()
+        let l = Batches::dict(left, chunk, shared.cloned());
+        let r = Batches::dict(right, chunk, shared.cloned());
+        str_join(l, r, 0, jt)
     }
 
     #[test]
@@ -2391,18 +2481,229 @@ mod compressed_differential {
                 for chunk in [7usize, 64] {
                     // Both sides share one dictionary Arc: the join
                     // compares codes without touching strings.
-                    let same = sort_rows(dict_join(&left, &right, jt, chunk, Some(&domain)));
+                    let same = dict_join(&left, &right, jt, chunk, Some(&domain));
                     assert_eq!(
                         same, volcano,
                         "shared-dict {jt:?} diverged (seed {seed}, chunk {chunk})"
                     );
                     // Every batch carries its own dictionary: the remap
                     // fallback must agree too.
-                    let per = sort_rows(dict_join(&left, &right, jt, chunk, None));
+                    let per = dict_join(&left, &right, jt, chunk, None);
                     assert_eq!(
                         per, volcano,
                         "per-batch-dict {jt:?} diverged (seed {seed}, chunk {chunk})"
                     );
+                }
+            }
+        }
+    }
+
+    const DOMAIN: [&str; 12] = [
+        "ash", "bay", "cedar", "elm", "fir", "gum", "hazel", "ivy", "kapok", "larch", "maple",
+        "oak",
+    ];
+
+    fn scanned_schema() -> Schema {
+        Schema::new(vec![
+            Field::nullable("s", TypeId::Str),
+            Field::nullable("hs", TypeId::Str),
+            Field::not_null("c", TypeId::I64),
+            Field::nullable("v", TypeId::I64),
+        ])
+        .unwrap()
+    }
+
+    /// `n` rows of [`scanned_schema`] — `s` from one 12-value domain (~10%
+    /// NULL, the same dictionary in every pack), `hs` from a 25-value
+    /// domain *per pack* (~8% NULL, so every pack has its own dictionary),
+    /// `c` in runs of 40 (RLE; the run values in no order, since an
+    /// ascending column would delta-code), `v` plain ints (~10% NULL) —
+    /// stored in 256-row packs and drained through a scan with 100-row
+    /// vectors, so batches straddle pack seams. Returns what the scan
+    /// handed out (`read_pack_encoded`'s chunks, still coded) and the same
+    /// batches after `ensure_flat()`.
+    fn scanned_batches(seed: u64, n: usize) -> (Vec<Batch>, Vec<Batch>) {
+        let mut rng = SmallRng::seed_from_u64(0x5ca9 ^ seed);
+        let mut nulls = vec![vec![false; n]; 4];
+        let s = (0..n).map(|_| DOMAIN[rng.gen_range(0..DOMAIN.len())].to_string()).collect();
+        let hs = (0..n).map(|i| format!("h{:02}-{:02}", i / 256, rng.gen_range(0..25))).collect();
+        let c = (0..n as i64).map(|i| (i / 40) * 7919 % 1000).collect();
+        let v = (0..n).map(|_| rng.gen_range(0..1000i64)).collect();
+        for (col, pct) in [(0, 10), (1, 8), (3, 10)] {
+            nulls[col].iter_mut().for_each(|b| *b = rng.gen_range(0..100) < pct);
+        }
+        let disk = SimulatedDisk::instant();
+        let pool = BufferPool::new(disk.clone(), 16 << 20);
+        let mut t = TableStorage::new(disk, scanned_schema(), Layout::Dsm);
+        let nulls: Vec<_> = nulls.into_iter().map(Some).collect();
+        t.append_columns(
+            &[ColData::Str(s), ColData::Str(hs), ColData::I64(c), ColData::I64(v)],
+            &nulls,
+            256,
+        )
+        .unwrap();
+        let mut scan = VectorScan::new(
+            Arc::new(t),
+            pool,
+            vec![0, 1, 2, 3],
+            VectorScan::stable_items(n as u64),
+            100,
+            CancelToken::new(),
+        );
+        let mut coded = Vec::new();
+        while let Some(b) = scan.next().unwrap() {
+            coded.push(b);
+        }
+        for (col, what) in [(0, "s"), (1, "hs")] {
+            assert!(coded.iter().any(|b| b.columns[col].dict_parts().is_some()), "{what} coded");
+        }
+        assert!(coded.iter().any(|b| b.columns[2].rle_runs().is_some()), "c keeps its runs");
+        let flat: Vec<Batch> = coded
+            .iter()
+            .map(|b| {
+                let mut b = b.clone();
+                b.ensure_flat();
+                b
+            })
+            .collect();
+        assert!(flat.iter().all(|b| b.columns.iter().all(|c| !c.is_encoded())));
+        (coded, flat)
+    }
+
+    /// Select(`pred`) → Project(s, hs, c pass through bare; `v * 2` and
+    /// `UPPER(s)` read typed slices) → HashAggregate(GROUP BY `group`:
+    /// COUNT(*), SUM(v * 2), MIN(UPPER(s))).
+    fn select_project_aggregate(
+        batches: Vec<Batch>,
+        pred: &PhysExpr,
+        group: &[usize],
+    ) -> Vec<Vec<Value>> {
+        let cancel = CancelToken::new();
+        let schema = scanned_schema();
+        let col = |i: usize| PhysExpr::ColRef(i, schema.fields[i].ty);
+        let select = Select::new(
+            Batches::of(schema.clone(), batches),
+            SelectProgram::compile(pred),
+            cancel.clone(),
+        );
+        let exprs = [
+            col(0),
+            col(1),
+            col(2),
+            PhysExpr::Arith {
+                op: BinOp::Mul,
+                lhs: Box::new(col(3)),
+                rhs: Box::new(PhysExpr::Const(Value::I64(2), TypeId::I64)),
+                ty: TypeId::I64,
+            },
+            PhysExpr::FuncCall { func: Func::Upper, args: vec![col(0)], ty: TypeId::Str },
+        ];
+        let fields: Vec<Field> = exprs
+            .iter()
+            .enumerate()
+            .map(|(i, e)| Field::nullable(format!("p{i}"), e.type_id()))
+            .collect();
+        let project = Project::new(
+            Box::new(select),
+            exprs.iter().map(ExprProgram::compile).collect(),
+            Schema::unchecked(fields.clone()),
+            cancel.clone(),
+        );
+        let input = |i: usize| Some(ExprProgram::compile(&PhysExpr::ColRef(i, fields[i].ty)));
+        let mut out_fields: Vec<Field> = group.iter().map(|&g| fields[g].clone()).collect();
+        out_fields.extend(
+            [TypeId::I64, TypeId::I64, TypeId::Str]
+                .iter()
+                .enumerate()
+                .map(|(i, &ty)| Field::nullable(format!("a{i}"), ty)),
+        );
+        rows_of(
+            &mut HashAggregate::new(
+                Box::new(project),
+                group.iter().map(|&g| input(g).unwrap()).collect(),
+                vec![
+                    AggSpec { func: AggFunc::CountStar, input: None, out_ty: TypeId::I64 },
+                    AggSpec { func: AggFunc::Sum, input: input(3), out_ty: TypeId::I64 },
+                    AggSpec { func: AggFunc::Min, input: input(4), out_ty: TypeId::Str },
+                ],
+                Schema::unchecked(out_fields),
+                64,
+                cancel,
+            )
+            .unwrap(),
+        )
+    }
+
+    /// The flat-vs-encoded differential, where both sides are the *same*
+    /// scan output: every operator must answer alike whether a column
+    /// arrives as dictionary codes / RLE runs or as plain values.
+    #[test]
+    fn operators_answer_alike_over_scanned_batches_coded_and_flattened() {
+        let schema = scanned_schema();
+        let col = |i: usize| Box::new(PhysExpr::ColRef(i, schema.fields[i].ty));
+        let cmp = |op, i: usize, k: Value| {
+            let ty = schema.fields[i].ty;
+            PhysExpr::Cmp { op, lhs: col(i), rhs: Box::new(PhysExpr::Const(k, ty)) }
+        };
+        let like = PhysExpr::Like { input: col(0), pattern: "%a%".into(), negated: false };
+        let upper_elm = PhysExpr::Cmp {
+            op: CmpOp::Eq,
+            lhs: Box::new(PhysExpr::FuncCall {
+                func: Func::Upper,
+                args: vec![*col(0)],
+                ty: TypeId::Str,
+            }),
+            rhs: Box::new(PhysExpr::Const(Value::Str("ELM".into()), TypeId::Str)),
+        };
+        let cases: [(PhysExpr, &[usize]); 4] = [
+            // One comparison per dictionary entry; dict-coded group key.
+            (cmp(CmpOp::Ge, 0, Value::Str("gum".into())), &[0]),
+            // Whole RLE runs accepted or rejected, then LIKE over the
+            // dictionary; dict + BIGINT keys take the general rung.
+            (PhysExpr::And(vec![cmp(CmpOp::Ge, 2, Value::I64(500)), like]), &[0, 2]),
+            // A union of two selections; per-pack dictionaries as keys.
+            (
+                PhysExpr::Or(vec![
+                    cmp(CmpOp::Lt, 1, Value::Str("h02".into())),
+                    cmp(CmpOp::Gt, 3, Value::I64(500)),
+                ]),
+                &[1],
+            ),
+            // An irreducible boolean program (reads `s` as typed values);
+            // no keys at all.
+            (upper_elm, &[]),
+        ];
+        for seed in 0..2u64 {
+            let (coded, flat) = scanned_batches(seed, 1200);
+            for (pred, group) in &cases {
+                let want = select_project_aggregate(flat.clone(), pred, group);
+                assert!(!want.is_empty(), "vacuous case: {pred:?}");
+                let got = select_project_aggregate(coded.clone(), pred, group);
+                assert_eq!(got, want, "seed {seed}: {pred:?} GROUP BY {group:?}");
+            }
+            // Joins on the shared-dictionary key and on the per-pack one,
+            // both sides coded, both flat, and one of each.
+            let (r_coded, r_flat) = scanned_batches(seed + 100, 150);
+            let (l_coded, l_flat): (Vec<Batch>, Vec<Batch>) =
+                (coded.into_iter().take(5).collect(), flat.into_iter().take(5).collect());
+            for jt in [
+                JoinType::Inner,
+                JoinType::LeftOuter,
+                JoinType::LeftSemi,
+                JoinType::LeftAnti,
+                JoinType::NullAwareLeftAnti,
+            ] {
+                for key in [0usize, 1] {
+                    let side = |b: &Vec<Batch>| Batches::of(scanned_schema(), b.clone());
+                    let want = str_join(side(&l_flat), side(&r_flat), key, jt);
+                    for (l, r, what) in [
+                        (&l_coded, &r_coded, "coded ⋈ coded"),
+                        (&l_coded, &r_flat, "coded ⋈ flat"),
+                        (&l_flat, &r_coded, "flat ⋈ coded"),
+                    ] {
+                        let got = str_join(side(l), side(r), key, jt);
+                        assert_eq!(got, want, "seed {seed}: {jt:?} on column {key}, {what}");
+                    }
                 }
             }
         }
@@ -2413,13 +2714,10 @@ mod compressed_differential {
     /// column RLE-codes in stable storage) plus HEAP twins (`*_h`) holding
     /// identical rows for the volcano reference. Columns of `t`:
     /// `s` low-cardinality string (~10% NULL), `hs` high-cardinality
-    /// string (~8% NULL, distinct per-pack dictionaries), `c` clustered
-    /// NOT NULL int (RLE runs of ~40), `v` int values (~10% NULL).
+    /// string (~8% NULL, stored raw), `c` NOT NULL int in runs of 40 (the
+    /// run values in no order: an ascending column would delta-code, not
+    /// RLE-code), `v` int values (~10% NULL).
     fn twin_db(seed: u64, rows_n: usize) -> Arc<Database> {
-        const DOMAIN: [&str; 12] = [
-            "ash", "bay", "cedar", "elm", "fir", "gum", "hazel", "ivy", "kapok", "larch", "maple",
-            "oak",
-        ];
         let cfg = EngineConfig { pack_size: 256, ..EngineConfig::default() };
         let db = Database::open_with(cfg, SimulatedDisk::instant());
         for (name, ty) in [("t", "VECTORWISE"), ("t_h", "HEAP")] {
@@ -2446,7 +2744,7 @@ mod compressed_differential {
                 } else {
                     format!("'h{:04}'", rng.gen_range(0..3000))
                 };
-                let c = (i / 40) as i64;
+                let c = (i as i64 / 40) * 7919 % 1000;
                 let v = if rng.gen_range(0..100) < 10 {
                     "NULL".to_string()
                 } else {
@@ -2477,7 +2775,7 @@ mod compressed_differential {
         db
     }
 
-    const QUERIES: [&str; 12] = [
+    const QUERIES: [&str; 13] = [
         // Dict-coded GROUP BY, unfiltered and under a dict range filter.
         "SELECT s, COUNT(*), SUM(v) FROM t@ GROUP BY s",
         "SELECT s, COUNT(*), SUM(v) FROM t@ WHERE s >= 'gum' GROUP BY s",
@@ -2489,51 +2787,47 @@ mod compressed_differential {
         // LIKE over dictionary entries (one match test per distinct value).
         "SELECT COUNT(*) FROM t@ WHERE s LIKE '%a%'",
         "SELECT COUNT(*) FROM t@ WHERE s NOT LIKE '%a%'",
-        // High-cardinality strings: per-pack dictionaries differ.
+        // High-cardinality strings: stored raw, flat beside coded columns.
         "SELECT COUNT(*), MIN(hs), MAX(hs) FROM t@ WHERE hs > 'h1500'",
         // RLE-coded clustered int under a range filter (whole-run skips).
-        "SELECT c, COUNT(*), SUM(v) FROM t@ WHERE c >= 12 GROUP BY c",
+        "SELECT c, COUNT(*), SUM(v) FROM t@ WHERE c >= 500 GROUP BY c",
         // Dict-keyed joins: inner, outer, semi (IN), null-aware anti.
         "SELECT COUNT(*) FROM t@ a JOIN r@ b ON a.s = b.s",
         "SELECT a.s, b.w FROM t@ a LEFT JOIN r@ b ON a.s = b.s",
         "SELECT COUNT(*) FROM t@ WHERE s IN (SELECT s FROM r@)",
         "SELECT COUNT(*) FROM t@ WHERE s NOT IN (SELECT s FROM r@ WHERE w > 5)",
+        // Sort/TopN is a materialization boundary: encoded batches must
+        // inflate before ordering.
+        "SELECT s, v FROM t@ WHERE v > 500 ORDER BY s, v LIMIT 10",
     ];
 
     #[test]
-    fn encoded_flat_and_volcano_answers_agree_at_every_dop() {
+    fn engine_and_volcano_twin_answers_agree_at_every_dop() {
         for seed in 0..2u64 {
             let db = twin_db(seed, 1200);
             for q in QUERIES {
-                let volcano = sort_rows(db.execute(&q.replace('@', "_h")).unwrap().rows().to_vec());
+                // An ORDER BY answer is compared in order, the rest as sets.
+                let rows = |sql: String| {
+                    let rows = db.execute(&sql).unwrap().rows().to_vec();
+                    if q.contains("ORDER BY") {
+                        rows
+                    } else {
+                        sort_rows(rows)
+                    }
+                };
+                let volcano = rows(q.replace('@', "_h"));
                 for dop in [1usize, 4] {
                     db.execute(&format!("SET parallelism = {dop}")).unwrap();
-                    for compressed in [1i64, 0] {
-                        db.execute(&format!("SET compressed_exec = {compressed}")).unwrap();
-                        let got =
-                            sort_rows(db.execute(&q.replace('@', "")).unwrap().rows().to_vec());
-                        assert_eq!(
-                            got, volcano,
-                            "compressed_exec={compressed} dop={dop} seed={seed} diverged \
-                             from volcano: {q}"
-                        );
-                    }
+                    let got = rows(q.replace('@', ""));
+                    assert_eq!(got, volcano, "dop={dop} seed={seed} diverged from volcano: {q}");
                 }
             }
-            // Sort/TopN is a materialization boundary: encoded batches must
-            // inflate before ordering.
-            db.execute("SET compressed_exec = 1").unwrap();
-            let a = db.execute("SELECT s, v FROM t WHERE v > 500 ORDER BY s, v LIMIT 10").unwrap();
-            db.execute("SET compressed_exec = 0").unwrap();
-            let b = db.execute("SELECT s, v FROM t WHERE v > 500 ORDER BY s, v LIMIT 10").unwrap();
-            assert_eq!(a.rows(), b.rows(), "ORDER BY output differs between encoded and flat");
         }
     }
 
     #[test]
     fn spilled_encoded_builds_round_trip_and_match_unbounded_answers() {
         let db = twin_db(7, 1500);
-        db.execute("SET compressed_exec = 1").unwrap();
         let spill_queries = [
             // Dict-keyed join and GROUP BY whose builds dwarf the budget:
             // staged (still-encoded) batches flatten into spill chunks and

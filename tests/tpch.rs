@@ -17,11 +17,11 @@
 //! documents a construct the engine deliberately rejects — the harness then
 //! asserts the typed `E_UNSUPPORTED` message instead of rows.
 //!
-//! Every query runs across **8 lanes**: dop {1,4} × compressed_exec {0,1}
-//! × optimizer {0,1}. Rows must match in every lane (floats compared with a
-//! print-granularity tolerance); the EXPLAIN text is byte-compared at the
-//! pinned lane (optimizer=1, dop=1, compressed_exec=0) only, since the
-//! cost-based pipeline annotates plans with estimates.
+//! Every query runs across **4 lanes**: dop {1,4} × optimizer {0,1}. Rows
+//! must match in every lane (floats compared with a print-granularity
+//! tolerance); the EXPLAIN text is byte-compared at the pinned lane
+//! (dop=1, optimizer=1) only, since the cost-based pipeline annotates
+//! plans with estimates.
 //!
 //! The run prints `N of 22 pass`, writes a per-query × per-lane pass
 //! matrix to `target/tpch_pass_matrix.tsv` (uploaded as a CI artifact),
@@ -37,18 +37,18 @@ use vectorwise::common::Value;
 use vectorwise::core::Database;
 use vw_bench::tpch::load_tpch_micro;
 
-/// Committed floor: the run fails if fewer queries pass all 8 lanes.
-const FLOOR: usize = 15;
+/// Committed floor: the run fails if fewer queries pass all 4 lanes. All
+/// 22 do (q16 and q21 as pinned rejections), so any regression is red.
+const FLOOR: usize = 22;
 
 /// The pinned data seed. Changing it invalidates every golden.
 const SEED: u64 = 1;
 
-/// The 8 execution lanes: (dop, compressed_exec, optimizer).
-const LANES: [(usize, usize, usize); 8] =
-    [(1, 0, 0), (1, 0, 1), (1, 1, 0), (1, 1, 1), (4, 0, 0), (4, 0, 1), (4, 1, 0), (4, 1, 1)];
+/// The 4 execution lanes: (dop, optimizer).
+const LANES: [(usize, usize); 4] = [(1, 0), (1, 1), (4, 0), (4, 1)];
 
 /// The lane whose EXPLAIN output is committed as the golden.
-const PINNED: (usize, usize, usize) = (1, 0, 1);
+const PINNED: (usize, usize) = (1, 1);
 
 struct Golden {
     path: PathBuf,
@@ -126,9 +126,8 @@ fn rows_eq(actual: &[String], expected: &[String]) -> bool {
         })
 }
 
-fn set_lane(db: &Arc<Database>, (dop, compressed, optimizer): (usize, usize, usize)) {
+fn set_lane(db: &Arc<Database>, (dop, optimizer): (usize, usize)) {
     db.execute(&format!("SET parallelism = {dop}")).unwrap();
-    db.execute(&format!("SET compressed_exec = {compressed}")).unwrap();
     db.execute(&format!("SET optimizer = {optimizer}")).unwrap();
 }
 
@@ -313,8 +312,8 @@ fn tpch_goldens() {
 
     // Per-query × per-lane artifact for CI.
     let mut tsv = String::from("query");
-    for (d, c, o) in LANES {
-        let _ = write!(tsv, "\tdop{d}_c{c}_o{o}");
+    for (d, o) in LANES {
+        let _ = write!(tsv, "\tdop{d}_o{o}");
     }
     tsv.push('\n');
     let mut passing = 0;
