@@ -46,6 +46,7 @@ use vw_exec::op::{
     AggFunc, AggSpec, BoxedOp, HashAggregate, HashJoin, JoinType, Operator, Project, Select,
     Values, VectorScan, Xchg,
 };
+use vw_exec::partition::WorkerPool;
 use vw_exec::program::{ExprProgram, SelectProgram};
 use vw_exec::vector::Batch;
 use vw_pdt::MergeItem;
@@ -277,7 +278,9 @@ fn run_skew(
         .with_batch_pool(bp.clone());
         parts.push(Box::new(project));
     }
-    let mut x = Xchg::spawn(parts, cancel);
+    // A worker per fragment, so the stalls overlap as the scheme allows.
+    let workers = WorkerPool::new(parts.len());
+    let mut x = Xchg::spawn_on(&workers, parts, cancel);
     if let Some(src) = &shared {
         x = x.with_sources(vec![src.clone()]);
     }

@@ -18,9 +18,8 @@
 //! (`vw-service`: worker pool, admission controller, deadline timer) can
 //! speak cancellation without depending on the execution crate. Deadline
 //! *enforcement* (the machinery that actually fires at the deadline) lives
-//! upstack: `vw_exec::cancel::TimeoutGuard` (a per-query watchdog used by
-//! unit tests) and `vw_service::timer::DeadlineQueue` (the shared timer the
-//! engine uses, keeping thread count O(workers)).
+//! upstack, in one place: `vw_service::timer::DeadlineQueue`, the engine's
+//! single timer thread.
 
 use crate::error::{Result, VwError};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -47,9 +46,8 @@ impl CancelToken {
         CancelToken::default()
     }
 
-    /// A fresh token that should be cancelled at `deadline` — pair it with
-    /// deadline machinery (`TimeoutGuard` or the service `DeadlineQueue`)
-    /// to actually enforce it.
+    /// A fresh token that should be cancelled at `deadline` — register it
+    /// with the service `DeadlineQueue` to actually enforce it.
     pub fn with_deadline(deadline: Instant) -> CancelToken {
         CancelToken { deadline: Some(deadline), ..CancelToken::default() }
     }

@@ -88,6 +88,12 @@ impl FaultConfig {
     }
 }
 
+/// Largest `parallelism` a session can ask for (`SET parallelism`,
+/// `VW_DOP`): Exchange lowering compiles that many fragment clones and
+/// sizes its buffer by it, and [`EngineConfig::build_partitions`] stops
+/// at the same figure.
+pub const MAX_PARALLELISM: usize = 1 << 10;
+
 /// Tuning knobs for one engine instance.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
@@ -133,11 +139,13 @@ pub struct EngineConfig {
     pub mem_budget_bytes: usize,
     /// Rows per storage pack (the compression granule).
     pub pack_size: usize,
-    /// Per-query statement timeout in milliseconds; `0` disables timeouts
-    /// and constructs none of the deadline machinery (no watchdog thread,
-    /// no clock reads in `CancelToken::check`). When non-zero, every query
-    /// carries a deadline in its cancel token and a monitor watchdog fires
-    /// `Cancelled` at expiry (registry shows `TimedOut`). SET-able
+    /// Per-statement timeout in milliseconds; `0` disables timeouts and
+    /// constructs none of the deadline state (nothing registered with the
+    /// timer, no clock reads in `CancelToken::check`). When non-zero,
+    /// every monitored statement — SELECT, UPDATE, DELETE — carries a
+    /// deadline in its cancel token and the engine's one timer thread
+    /// (`vw-service::timer::DeadlineQueue`) fires `Cancelled` at expiry
+    /// (registry shows `TimedOut`). SET-able
     /// (`SET statement_timeout = ms`).
     pub statement_timeout_ms: u64,
     /// Ring-buffer capacity of the monitor's event log (oldest events drop
@@ -187,7 +195,7 @@ impl Default for EngineConfig {
         // `VW_DOP` / `VW_PARTITION_MIN_ROWS` override the defaults so CI
         // can run the whole test suite through the parallel (Xchg +
         // partitioned-build) code paths without touching every test.
-        let parallelism = env_usize("VW_DOP").unwrap_or(1).max(1);
+        let parallelism = env_usize("VW_DOP").unwrap_or(1).clamp(1, MAX_PARALLELISM);
         let partition_min_rows = env_usize("VW_PARTITION_MIN_ROWS").unwrap_or(8192);
         let morsel_rows = env_usize("VW_MORSEL_ROWS").unwrap_or(16 * 1024).max(1);
         let mem_budget_bytes = env_usize("VW_MEM_BUDGET").unwrap_or(0);
@@ -305,7 +313,7 @@ impl EngineConfig {
     /// one per worker (`next_pow2(parallelism)`), capped at 2^10 — beyond
     /// that the scatter cost dwarfs any locality win.
     pub fn build_partitions(&self) -> usize {
-        self.parallelism.next_power_of_two().min(1 << 10)
+        self.parallelism.next_power_of_two().min(MAX_PARALLELISM)
     }
 }
 
@@ -402,5 +410,7 @@ mod tests {
         assert_eq!(c.clone().with_parallelism(1).build_partitions(), 1);
         assert_eq!(c.clone().with_parallelism(3).build_partitions(), 4, "next_pow2(dop)");
         assert_eq!(c.with_parallelism(5000).build_partitions(), 1024, "capped at 2^10");
+        // Whatever `VW_DOP` this process runs under, the default is in range.
+        assert!((1..=MAX_PARALLELISM).contains(&EngineConfig::default().parallelism));
     }
 }

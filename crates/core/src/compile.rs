@@ -716,9 +716,9 @@ fn clip_image(
 
 /// The victim search of an UPDATE/DELETE on VECTORWISE table `entry`:
 /// `Project[outputs.., rid] ∘ Filter[predicate] ∘ Scan[projection, hints]`
-/// over the image `txn` sees. `predicate` and `outputs` address the scan's
-/// output columns; the last column of every batch is the row's position
-/// in the image.
+/// over the image `txn` sees, under the statement's `cancel` token.
+/// `predicate` and `outputs` address the scan's output columns; the last
+/// column of every batch is the row's position in the image.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn victim_scan(
     db: &Arc<Database>,
@@ -729,12 +729,12 @@ pub(crate) fn victim_scan(
     predicate: Option<&SqlExpr>,
     outputs: &[SqlExpr],
     config: &EngineConfig,
+    cancel: &CancelToken,
     txn: Option<&OpenTxn>,
 ) -> Result<BoxedOp> {
-    let cancel = CancelToken::new();
     let batch_pool = BatchPool::new();
     let scan =
-        lower_scan(db, entry, table, projection, hints, config, &cancel, txn, None, &batch_pool)
+        lower_scan(db, entry, table, projection, hints, config, cancel, txn, None, &batch_pool)
             .with_rids();
     let mut fields = Vec::with_capacity(outputs.len() + 1);
     let mut programs = Vec::with_capacity(outputs.len() + 1);
@@ -749,9 +749,8 @@ pub(crate) fn victim_scan(
         let program = SelectProgram::compile(&lower_expr(p)?);
         op = Box::new(Select::new(op, program, cancel.clone()).with_batch_pool(batch_pool.clone()));
     }
-    Ok(Box::new(
-        Project::new(op, programs, Schema::unchecked(fields), cancel).with_batch_pool(batch_pool),
-    ))
+    let project = Project::new(op, programs, Schema::unchecked(fields), cancel.clone());
+    Ok(Box::new(project.with_batch_pool(batch_pool)))
 }
 
 /// Snapshot a `TableStorage` into an owned value a scan can hold across

@@ -190,11 +190,13 @@ fn set_columns(schema: &Schema, sets: &[(String, Expr)]) -> Result<Vec<usize>> {
 ///
 /// `config` is the session's, threaded explicitly: `Database::execute`
 /// holds the default-session lock for the whole statement, so DML paths
-/// must never read it back through `db.config()`.
+/// must never read it back through `db.config()`. The scan runs under
+/// `cancel`, the statement's token.
 #[allow(clippy::too_many_arguments)]
 fn find_victims(
     db: &Arc<Database>,
     config: &EngineConfig,
+    cancel: &CancelToken,
     entry: &TableEntry,
     table: &str,
     txn: &OpenTxn,
@@ -232,6 +234,7 @@ fn find_victims(
         predicate.as_ref(),
         &set_exprs,
         config,
+        cancel,
         Some(txn),
     )?;
     let mut rids: Vec<u64> = Vec::new();
@@ -276,44 +279,66 @@ impl CatalogView for NoTables {
 /// victims in the transaction's image, then apply them to its PDT in one
 /// sorted batch. Outside a transaction the statement commits itself.
 /// Returns the affected row count.
+///
+/// The statement is monitored like a SELECT ([`crate::tracked`]; `sql`
+/// labels it): the victim scan runs under its token, so `KILL` and
+/// `statement_timeout` end it. They can only land in the scan, before
+/// anything is applied, and like any failed statement it leaves the
+/// transaction as it was — an auto-commit statement commits nothing, an
+/// open transaction does not even keep the snapshot a first touch of
+/// `table` pinned.
 pub(crate) fn update_or_delete(
     db: &Arc<Database>,
     core: &mut SessionCore,
     table: &str,
     sets: Option<&[(String, Expr)]>,
     filter: Option<&Expr>,
+    sql: &str,
 ) -> Result<u64> {
     let entry = lookup(db, table)?;
     if matches!(entry.kind, TableKind::Heap { .. }) {
         return heap_update_delete(db, &entry, sets, filter);
     }
+    let (session, timeout_ms) = (core.id, core.cfg.statement_timeout_ms);
     let auto = core.txn.is_none();
     let open = core.txn.get_or_insert_with(OpenTxn::default);
-    let result = (|| {
-        let set_cols = set_columns(&entry.schema, sets.unwrap_or(&[]))?;
-        open.txn_for(table, &entry)?;
-        let (rids, values) = find_victims(
-            db,
-            &core.cfg,
-            &entry,
-            table,
-            open,
-            filter,
-            sets.unwrap_or(&[]),
-            &set_cols,
-        )?;
-        let txn = open.txn_for(table, &entry)?;
-        match sets {
-            Some(_) => txn.update_batch(&rids, &set_cols, &values)?,
-            None => txn.delete_batch(&rids)?,
-        }
-        Ok(rids.len() as u64)
-    })();
+    let first_touch = open.image_of(table).is_none();
+    let result = crate::tracked(
+        db,
+        session,
+        timeout_ms,
+        sql,
+        false,
+        |n| *n,
+        |cancel, _| {
+            let set_cols = set_columns(&entry.schema, sets.unwrap_or(&[]))?;
+            open.txn_for(table, &entry)?;
+            let (rids, values) = find_victims(
+                db,
+                &core.cfg,
+                cancel,
+                &entry,
+                table,
+                open,
+                filter,
+                sets.unwrap_or(&[]),
+                &set_cols,
+            )?;
+            let txn = open.txn_for(table, &entry)?;
+            match sets {
+                Some(_) => txn.update_batch(&rids, &set_cols, &values)?,
+                None => txn.delete_batch(&rids)?,
+            }
+            Ok(rids.len() as u64)
+        },
+    );
     if auto {
         let txn = core.txn.take().expect("opened above");
         if result.is_ok() {
             commit(db, txn)?;
         }
+    } else if first_touch && result.is_err() {
+        open.tables.remove(&table.to_ascii_lowercase());
     }
     // Changed or removed rows invalidate the distinct/histogram snapshot:
     // mark it stale so the cost model stops planning against dead numbers

@@ -39,6 +39,7 @@ use monitor::{EventLevel, Monitor};
 use parking_lot::{Mutex, RwLock};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use vw_common::config::MAX_PARALLELISM;
 use vw_common::{ColData, EngineConfig, Result, Schema, TypeId, Value, VwError};
 use vw_exec::op::drain;
 use vw_exec::CancelToken;
@@ -292,9 +293,13 @@ impl Database {
                 cfg.vector_size = v as usize;
             }
             "parallelism" | "dop" => {
+                // Exchange lowering compiles `parallelism` fragment clones:
+                // bound it where it enters.
                 let v = value.as_i64()?;
-                if v < 1 {
-                    return Err(VwError::InvalidParameter("parallelism must be >= 1".into()));
+                if !(1..=MAX_PARALLELISM as i64).contains(&v) {
+                    return Err(VwError::InvalidParameter(format!(
+                        "parallelism must be between 1 and {MAX_PARALLELISM}"
+                    )));
                 }
                 cfg.parallelism = v as usize;
             }
@@ -478,11 +483,11 @@ fn execute_statement(
             Ok(QueryResult { affected: n, ..QueryResult::empty() })
         }
         Statement::Update { table, sets, filter } => {
-            let n = dml::update_or_delete(db, core, table, Some(sets), filter.as_ref())?;
+            let n = dml::update_or_delete(db, core, table, Some(sets), filter.as_ref(), sql)?;
             Ok(QueryResult { affected: n, ..QueryResult::empty() })
         }
         Statement::Delete { table, filter } => {
-            let n = dml::update_or_delete(db, core, table, None, filter.as_ref())?;
+            let n = dml::update_or_delete(db, core, table, None, filter.as_ref(), sql)?;
             Ok(QueryResult { affected: n, ..QueryResult::empty() })
         }
         Statement::Begin => {
@@ -630,16 +635,47 @@ fn run_select(
     execute_plan(db, core, &plan, sql_label)
 }
 
+/// Run `body` as one monitored statement — the part of the life of a query
+/// (ARCHITECTURE.md) that SELECT and UPDATE/DELETE share: register with
+/// the monitor (`Queued` or `Running`) under a fresh token that carries
+/// the session's statement deadline, if it has one → register the token
+/// with the engine's timer → `body(token, query id)` → finish (`rows`
+/// counts the result) or fail. `KILL`, the timeout and `SHOW QUERIES`
+/// reach whatever runs under that token. The timer registration is an
+/// RAII guard, so every exit — completion, error, KILL, timeout,
+/// panic-as-error — releases the deadline.
+pub(crate) fn tracked<T>(
+    db: &Database,
+    session: u64,
+    timeout_ms: u64,
+    label: &str,
+    queued: bool,
+    rows: impl FnOnce(&T) -> u64,
+    body: impl FnOnce(&CancelToken, u64) -> Result<T>,
+) -> Result<T> {
+    let timeout = (timeout_ms > 0).then(|| std::time::Duration::from_millis(timeout_ms));
+    let cancel = match timeout {
+        Some(t) => CancelToken::with_deadline(std::time::Instant::now() + t),
+        None => CancelToken::new(),
+    };
+    let qid = db.monitor.register_query(label, cancel.clone(), timeout, session, queued);
+    let _deadline = db.timer.register(&cancel);
+    let result = body(&cancel, qid);
+    match &result {
+        Ok(v) => db.monitor.finish_query(qid, rows(v)),
+        Err(e) => db.monitor.fail_query(qid, e),
+    }
+    result
+}
+
 /// Execute an already-rewritten plan. `sql_label` names the query in the
 /// monitoring registry.
 ///
-/// Life of a query (ARCHITECTURE.md): register (Queued when admission is
-/// on, else Running) → deadline registered with the engine's timer →
-/// admission grant (FIFO; the grant clamps this query's `mem_budget`) →
-/// compile onto the shared worker pool → drain → finish/fail. The grant
-/// and timer registration are RAII guards, so every exit — completion,
-/// error, KILL, timeout, panic-as-error — releases its memory and
-/// deadline.
+/// Inside [`tracked`]: admission grant (FIFO; the grant clamps this
+/// query's `mem_budget`) → compile onto the shared worker pool → drain.
+/// The grant is an RAII guard and the plan (with any pool tasks / spill
+/// files) is dropped before the registry update, so every exit releases
+/// its memory.
 pub(crate) fn execute_plan(
     db: &Arc<Database>,
     core: &mut SessionCore,
@@ -647,65 +683,35 @@ pub(crate) fn execute_plan(
     sql_label: Option<&str>,
 ) -> Result<QueryResult> {
     let mut config = core.cfg.clone();
-    // A configured statement timeout puts a deadline on the token,
-    // enforced by the engine's single timer thread; without one neither
-    // exists.
-    let timeout = (config.statement_timeout_ms > 0)
-        .then(|| std::time::Duration::from_millis(config.statement_timeout_ms));
-    let cancel = match timeout {
-        Some(t) => CancelToken::with_deadline(std::time::Instant::now() + t),
-        None => CancelToken::new(),
-    };
-    let queued = db.admission.is_some();
-    let qid = db.monitor.register_query_full(
-        sql_label.unwrap_or("<query>"),
-        cancel.clone(),
-        timeout,
-        core.id,
-        queued,
-    );
-    let _deadline = db.timer.register(&cancel);
-    // Admission: FIFO for a slice of the global memory budget. A session
-    // with its own `mem_budget` requests exactly that; otherwise an even
-    // split of the global limit across the pool. The grant becomes this
-    // query's spill budget, so the sum of all admitted queries' staged
-    // bytes stays under the global limit.
-    let _grant = match &db.admission {
-        Some(ctl) => {
-            let request = if config.mem_budget_bytes > 0 {
-                config.mem_budget_bytes as u64
-            } else {
-                (ctl.limit() / db.workers.workers() as u64).max(1)
-            };
-            match ctl.admit(request, &cancel) {
-                Ok(g) => {
-                    db.monitor.admit_query(qid, g.bytes());
-                    config.mem_budget_bytes = g.bytes() as usize;
-                    Some(g)
-                }
-                Err(e) => {
-                    db.monitor.fail_query(qid, &e);
-                    return Err(e);
-                }
+    let (session, timeout_ms) = (core.id, config.statement_timeout_ms);
+    let label = sql_label.unwrap_or("<query>");
+    let rows = |r: &QueryResult| r.rows.len() as u64;
+    tracked(db, session, timeout_ms, label, db.admission.is_some(), rows, |cancel, qid| {
+        // Admission: FIFO for a slice of the global memory budget. A
+        // session with its own `mem_budget` requests exactly that;
+        // otherwise an even split of the global limit across the pool. The
+        // grant becomes this query's spill budget, so the sum of all
+        // admitted queries' staged bytes stays under the global limit.
+        let _grant = match &db.admission {
+            Some(ctl) => {
+                let request = if config.mem_budget_bytes > 0 {
+                    config.mem_budget_bytes as u64
+                } else {
+                    (ctl.limit() / db.workers.workers() as u64).max(1)
+                };
+                let grant = ctl.admit(request, cancel)?;
+                db.monitor.admit_query(qid, grant.bytes());
+                config.mem_budget_bytes = grant.bytes() as usize;
+                Some(grant)
             }
-        }
-        None => None,
-    };
-    let result = (|| -> Result<QueryResult> {
-        let mut op = compile::build_plan(db, plan, &config, &cancel, core.txn.as_ref())?;
+            None => None,
+        };
+        let mut op = compile::build_plan(db, plan, &config, cancel, core.txn.as_ref())?;
         let batch = drain(op.as_mut())?;
         let schema = op.schema().clone();
         let rows = (0..batch.rows()).map(|i| batch.row_values(i)).collect();
         Ok(QueryResult { schema, rows, affected: 0, text: None })
-    })();
-    // Drop the plan (and with it any pool tasks / spill files) before the
-    // registry update; the memory grant and the timer registration
-    // release when `_grant` / `_deadline` drop at return.
-    match &result {
-        Ok(r) => db.monitor.finish_query(qid, r.rows.len() as u64),
-        Err(e) => db.monitor.fail_query(qid, e),
-    }
-    result
+    })
 }
 
 /// Catalog adapter implementing the planner's view.
@@ -858,6 +864,15 @@ mod tests {
         assert!(db.execute("SET morsel_rows = 0").is_err());
         assert!(db.execute("SET vector_size = 0").is_err());
         assert!(db.execute("SET nonsense = 1").is_err());
+        db.execute("SET parallelism = 1024").unwrap();
+        assert_eq!(db.config().parallelism, MAX_PARALLELISM);
+        for out_of_range in ["0", "1025", "1000000"] {
+            // A plan compiles `parallelism` fragment clones: an unbounded
+            // value used to be an allocation storm at the next SELECT.
+            let e = db.execute(&format!("SET parallelism = {out_of_range}")).unwrap_err();
+            assert!(matches!(e, VwError::InvalidParameter(_)), "{out_of_range}: {e}");
+            assert_eq!(db.config().parallelism, MAX_PARALLELISM, "a rejected SET changes nothing");
+        }
         db.execute("SET statement_timeout = 500").unwrap();
         assert_eq!(db.config().statement_timeout_ms, 500);
         db.execute("SET statement_timeout = 0").unwrap();

@@ -184,26 +184,11 @@ impl Monitor {
         self.events.lock().iter().cloned().collect()
     }
 
-    /// Register a running query; returns its id.
-    pub fn register_query(&self, sql: &str, cancel: CancelToken) -> u64 {
-        self.register_query_with(sql, cancel, None)
-    }
-
-    /// Register a running query that executes under `timeout` (visible in
-    /// the registry); returns its id.
-    pub fn register_query_with(
-        &self,
-        sql: &str,
-        cancel: CancelToken,
-        timeout: Option<Duration>,
-    ) -> u64 {
-        self.register_query_full(sql, cancel, timeout, 0, false)
-    }
-
-    /// Register a query with full attribution: the session it runs in
-    /// (0 = none) and whether it starts life waiting for an admission
-    /// grant (`queued`) rather than running.
-    pub fn register_query_full(
+    /// Register a statement; returns its id (the `KILL` target). `timeout`
+    /// is the statement timeout it runs under (shown in the registry),
+    /// `session` the session it belongs to (0 = none), and `queued` says
+    /// it starts life waiting for an admission grant rather than running.
+    pub fn register_query(
         &self,
         sql: &str,
         cancel: CancelToken,
@@ -430,7 +415,7 @@ mod tests {
     fn query_lifecycle() {
         let m = Monitor::new();
         let t = CancelToken::new();
-        let id = m.register_query("SELECT 1", t.clone());
+        let id = m.register_query("SELECT 1", t.clone(), None, 0, false);
         assert_eq!(m.list_queries()[0].state, QueryState::Running);
         assert_eq!(m.list_queries()[0].timeout, None);
         m.finish_query(id, 42);
@@ -444,7 +429,7 @@ mod tests {
     fn kill_sets_token() {
         let m = Monitor::new();
         let t = CancelToken::new();
-        let id = m.register_query("SELECT long", t.clone());
+        let id = m.register_query("SELECT long", t.clone(), None, 0, false);
         m.kill(id).unwrap();
         assert!(t.is_cancelled());
         m.fail_query(id, &VwError::Cancelled);
@@ -456,7 +441,7 @@ mod tests {
     fn kill_of_finished_or_unknown_query_is_a_clean_exec_error() {
         let m = Monitor::new();
         let t = CancelToken::new();
-        let id = m.register_query("SELECT 1", t.clone());
+        let id = m.register_query("SELECT 1", t.clone(), None, 0, false);
         m.finish_query(id, 1);
         // KILL raced with completion: typed error, state untouched, token
         // never tripped.
@@ -473,8 +458,10 @@ mod tests {
         use std::time::Instant;
         let m = Monitor::new();
         let t = CancelToken::with_deadline(Instant::now() + Duration::from_millis(5));
-        let guard = vw_exec::TimeoutGuard::spawn(&t).unwrap();
-        let id = m.register_query_with("SELECT slow", t.clone(), Some(Duration::from_millis(5)));
+        let timer = vw_service::DeadlineQueue::new();
+        let guard = timer.register(&t).unwrap();
+        let id =
+            m.register_query("SELECT slow", t.clone(), Some(Duration::from_millis(5)), 0, false);
         assert_eq!(m.list_queries()[0].timeout, Some(Duration::from_millis(5)));
         while !t.is_cancelled() {
             std::thread::sleep(Duration::from_millis(1));
@@ -498,7 +485,7 @@ mod tests {
         // A queued query marks its session Queued; admission flips it to
         // Running and records the grant.
         let t = CancelToken::new();
-        let q = m.register_query_full("SELECT 1", t, None, s1, true);
+        let q = m.register_query("SELECT 1", t, None, s1, true);
         let info = m.list_sessions().into_iter().find(|s| s.id == s1).unwrap();
         assert_eq!(info.state, SessionState::Queued);
         assert_eq!(info.query, Some(q));
@@ -521,7 +508,7 @@ mod tests {
     fn kill_reaches_admission_queued_queries() {
         let m = Monitor::new();
         let t = CancelToken::new();
-        let id = m.register_query_full("SELECT big", t.clone(), None, 0, true);
+        let id = m.register_query("SELECT big", t.clone(), None, 0, true);
         assert_eq!(m.list_queries()[0].state, QueryState::Queued);
         m.kill(id).unwrap();
         assert!(t.is_cancelled(), "KILL must reach a query waiting for admission");
@@ -532,7 +519,7 @@ mod tests {
     #[test]
     fn failures_logged() {
         let m = Monitor::new();
-        let id = m.register_query("SELECT 1/0", CancelToken::new());
+        let id = m.register_query("SELECT 1/0", CancelToken::new(), None, 0, false);
         m.fail_query(id, &VwError::DivideByZero);
         assert!(m.events().iter().any(|e| e.message.contains("E_DIV_ZERO")));
         assert_eq!(m.totals().1, 1);

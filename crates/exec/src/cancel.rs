@@ -9,124 +9,12 @@
 //!
 //! A token built with [`CancelToken::with_deadline`] carries a wall-clock
 //! deadline. Cooperative checks do *not* read the clock (that would put a
-//! syscall on the hot path); instead deadline machinery fires
-//! [`CancelToken::cancel`] after setting the `timed_out` marker so the
-//! monitor can distinguish `TimedOut` from a user `KILL`. Two enforcers
-//! exist:
-//!
-//! * [`TimeoutGuard`] (here) — a dedicated watchdog thread per guarded
-//!   query. Simple and self-contained; used by unit tests and embedders of
-//!   the bare executor.
-//! * `vw_service::timer::DeadlineQueue` — one shared timer thread for the
-//!   whole engine, used by `vw-core` so N in-flight statements cost one
-//!   thread, not N (the thread-count budget is O(workers); see
-//!   ARCHITECTURE.md "Failure model" and "Life of a query").
-//!
-//! A query without a timeout constructs neither the deadline state nor any
-//! watchdog machinery.
-
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::Instant;
+//! syscall on the hot path); the engine's one
+//! `vw_service::timer::DeadlineQueue` thread marks the token timed-out and
+//! cancels it at the deadline, so the monitor can tell `TimedOut` from a
+//! user `KILL`. This crate spawns no thread of its own: everything it
+//! runs concurrently is a task on the `vw-service` worker pool
+//! (`tests/architecture.rs` holds that at source level). A query without
+//! a timeout constructs no deadline state at all.
 
 pub use vw_common::cancel::CancelToken;
-
-/// State shared between a [`TimeoutGuard`] and its watchdog thread.
-struct GuardShared {
-    /// Set by the guard's `Drop` to wake the watchdog early (query
-    /// finished before the deadline).
-    done: Mutex<bool>,
-    cv: Condvar,
-}
-
-/// Watchdog enforcing a [`CancelToken`] deadline: one thread sleeps on a
-/// condvar until the deadline, then marks the token timed-out and cancels
-/// it. Dropping the guard (the query finished first) wakes and joins the
-/// thread immediately, so a guarded query never leaves a stray thread
-/// behind — one of the reclamation invariants in ARCHITECTURE.md
-/// ("Failure model").
-pub struct TimeoutGuard {
-    shared: Arc<GuardShared>,
-    handle: Option<std::thread::JoinHandle<()>>,
-}
-
-impl TimeoutGuard {
-    /// Spawn a watchdog for `token`. Returns `None` when the token has no
-    /// deadline — the no-timeout path constructs nothing.
-    pub fn spawn(token: &CancelToken) -> Option<TimeoutGuard> {
-        let deadline = token.deadline()?;
-        let shared = Arc::new(GuardShared { done: Mutex::new(false), cv: Condvar::new() });
-        let th_shared = shared.clone();
-        let th_token = token.clone();
-        let handle = std::thread::Builder::new()
-            .name("vw-stmt-timeout".into())
-            .spawn(move || {
-                let mut done = th_shared.done.lock().expect("watchdog mutex poisoned");
-                loop {
-                    if *done {
-                        return; // query finished before the deadline
-                    }
-                    let now = Instant::now();
-                    if now >= deadline {
-                        th_token.mark_timed_out();
-                        th_token.cancel();
-                        return;
-                    }
-                    let (guard, _) = th_shared
-                        .cv
-                        .wait_timeout(done, deadline - now)
-                        .expect("watchdog mutex poisoned");
-                    done = guard;
-                }
-            })
-            .expect("spawn statement-timeout watchdog");
-        Some(TimeoutGuard { shared, handle: Some(handle) })
-    }
-}
-
-impl Drop for TimeoutGuard {
-    fn drop(&mut self) {
-        *self.shared.done.lock().expect("watchdog mutex poisoned") = true;
-        self.shared.cv.notify_all();
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use std::time::Duration;
-
-    #[test]
-    fn no_deadline_spawns_no_guard() {
-        let t = CancelToken::new();
-        assert!(t.deadline().is_none());
-        assert!(TimeoutGuard::spawn(&t).is_none(), "no-timeout path constructs nothing");
-    }
-
-    #[test]
-    fn deadline_fires_and_marks_timeout() {
-        let t = CancelToken::with_deadline(Instant::now() + Duration::from_millis(30));
-        let guard = TimeoutGuard::spawn(&t).expect("deadline token spawns a guard");
-        let t0 = Instant::now();
-        while !t.is_cancelled() {
-            assert!(t0.elapsed() < Duration::from_secs(5), "watchdog never fired");
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        assert!(t.timed_out(), "deadline cancellation is marked as a timeout");
-        assert!(t0.elapsed() >= Duration::from_millis(25), "fired no earlier than the deadline");
-        drop(guard);
-    }
-
-    #[test]
-    fn dropping_guard_before_deadline_reclaims_the_watchdog() {
-        let t = CancelToken::with_deadline(Instant::now() + Duration::from_secs(3600));
-        let guard = TimeoutGuard::spawn(&t).unwrap();
-        let t0 = Instant::now();
-        drop(guard); // joins the watchdog — must return promptly, not at the deadline
-        assert!(t0.elapsed() < Duration::from_secs(5));
-        assert!(!t.is_cancelled(), "early completion never cancels");
-        assert!(!t.timed_out());
-    }
-}

@@ -59,7 +59,7 @@ pub mod program;
 pub mod spill;
 pub mod vector;
 
-pub use cancel::{CancelToken, TimeoutGuard};
+pub use cancel::CancelToken;
 pub use expr::PhysExpr;
 pub use morsel::{BatchPool, MorselSource};
 pub use op::Operator;

@@ -7,22 +7,17 @@
 //! that **share one [`MorselSource`] per scan** — workers pull
 //! `morsel_rows`-sized claims until the dispenser runs dry, so a slow
 //! worker claims fewer morsels instead of stranding a pre-assigned static
-//! row range. `Xchg` merges the clones' batch streams; two scheduling
-//! modes exist:
+//! row range. `Xchg` merges the clones' batch streams.
 //!
-//! * [`Xchg::spawn`] — one dedicated thread per partition (the original,
-//!   library-style gang; still used by unit tests and bare-kernel
-//!   embedders).
-//! * [`Xchg::spawn_on`] — partitions become **tasks on the engine's fixed
-//!   [`WorkerPool`]** (`vw-service`). This is what the SQL layer uses: N
-//!   concurrent queries share W pool workers, so thread count stays
-//!   O(workers). Fragment tasks never block a pool worker — a task whose
-//!   output buffer is full *parks itself* and the consumer reschedules it
-//!   when it drains — and they yield (resubmit to the queue tail) every
-//!   few batches so morsel claims from different queries interleave.
+//! Every clone is a cooperative task ([`vw_service::task`]) on the
+//! engine's fixed [`WorkerPool`], so N concurrent queries share W workers
+//! and thread count stays O(workers). All this file says about scheduling
+//! is a fragment's `step`: output buffer full → `Blocked`, otherwise pull
+//! one batch from the fragment and push it; the consumer's `next` pops a
+//! batch and `wake`s the fragments. Parking, the quantum yield, panic and
+//! cancel routing and reclaim-on-drop are the primitive's.
 //!
-//! Cancellation propagates through the shared [`CancelToken`]; errors
-//! from any worker surface on the consumer side. When the stream
+//! Errors from any fragment surface on the consumer side. When the stream
 //! completes, the per-worker morsel counts are folded into this
 //! operator's [`OpProfile`] (the scheduling-balance observable in
 //! `EXPLAIN ANALYZE`).
@@ -30,208 +25,93 @@
 use super::{BoxedOp, Operator};
 use crate::cancel::CancelToken;
 use crate::morsel::MorselSource;
-use crate::partition::panic_error;
 use crate::profile::OpProfile;
 use crate::vector::Batch;
-use crossbeam::channel::{bounded, Receiver};
 use std::collections::VecDeque;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
 use std::time::Duration;
 use vw_common::{Result, Schema, VwError};
-use vw_service::WorkerPool;
+use vw_service::{CoopTask, Step, TaskHandle, WorkerPool};
 
-/// Batches a pool-mode fragment produces before voluntarily yielding its
-/// worker (resubmitting itself to the pool queue tail). Small enough that
-/// no query monopolizes a worker, large enough to amortize the requeue.
-const FRAGMENT_QUANTUM: usize = 4;
-
-/// Shared state between a pool-mode exchange consumer and its fragment
-/// tasks: a bounded deque of produced batches plus the parking lot for
-/// fragments waiting on buffer space.
-struct PoolXchgState {
+/// What the fragments and the consumer share: a bounded deque of produced
+/// batches and the count of fragments that have not ended yet.
+struct Buffer {
     items: VecDeque<Result<Batch>>,
-    /// Fragments parked because `items` was at capacity. Invariant: a
-    /// fragment only parks while `items.len() >= cap`, and every consumer
-    /// pop below capacity unparks, so parked tasks can never be stranded
-    /// behind an empty buffer.
-    parked: Vec<FragmentTask>,
-    /// Fragments not yet finished (running, queued, or parked).
     live: usize,
 }
 
-struct PoolXchgShared {
-    m: Mutex<PoolXchgState>,
+struct Shared {
+    m: Mutex<Buffer>,
     cv: Condvar,
+    /// Fragments stop producing at this many buffered batches.
     cap: usize,
 }
 
-/// One plan-fragment clone running as a pool task. Dropping it (normal
-/// completion, abandoned-in-queue after shutdown, or discarded while
-/// parked) decrements `live` and wakes the consumer — every exit path
-/// accounts the fragment exactly once.
-struct FragmentTask {
-    part: Option<BoxedOp>,
-    query_cancel: CancelToken,
-    local_cancel: CancelToken,
-    shared: Arc<PoolXchgShared>,
-    pool: Arc<WorkerPool>,
-}
-
-impl FragmentTask {
-    fn push(&self, item: Result<Batch>) {
-        let mut st = self.shared.m.lock().expect("xchg mutex poisoned");
-        st.items.push_back(item);
-        drop(st);
-        self.shared.cv.notify_all();
-    }
-
-    /// Drive the fragment for up to one quantum. Never blocks: a full
-    /// output buffer parks the task (the consumer resubmits it), and a
-    /// spent quantum requeues it at the pool tail — unless the pool is
-    /// closed, in which case submissions run inline and yielding would
-    /// recurse, so the task runs to completion instead.
-    fn run(mut self) {
-        let mut produced = 0;
-        loop {
-            if self.local_cancel.is_cancelled() {
-                return; // silent: the consumer initiated shutdown
-            }
-            if self.query_cancel.is_cancelled() {
-                self.push(Err(VwError::Cancelled));
-                return;
-            }
-            {
-                let shared = self.shared.clone();
-                let mut st = shared.m.lock().expect("xchg mutex poisoned");
-                if st.items.len() >= shared.cap {
-                    st.parked.push(self);
-                    return;
-                }
-            }
-            let part = self.part.as_mut().expect("fragment operator present");
-            match catch_unwind(AssertUnwindSafe(|| part.next())) {
-                Ok(Ok(Some(batch))) => {
-                    self.push(Ok(batch));
-                    produced += 1;
-                    if produced >= FRAGMENT_QUANTUM && !self.pool.is_closed() {
-                        let pool = self.pool.clone();
-                        let token = self.query_cancel.clone();
-                        pool.submit(&token, move || self.run());
-                        return;
-                    }
-                }
-                Ok(Ok(None)) => return, // fragment drained; Drop accounts it
-                Ok(Err(e)) => {
-                    self.push(Err(e));
-                    return;
-                }
-                Err(payload) => {
-                    self.push(Err(panic_error("Xchg partition", payload)));
-                    return;
-                }
-            }
+impl Shared {
+    /// Push a fragment's next batch, or its last word — an error, or
+    /// `None` for a clean end — and wake the consumer.
+    fn push(&self, item: Option<Result<Batch>>) {
+        let ended = !matches!(item, Some(Ok(_)));
+        let mut st = self.m.lock().expect("xchg mutex poisoned");
+        st.items.extend(item);
+        if ended {
+            st.live -= 1;
         }
-    }
-}
-
-impl Drop for FragmentTask {
-    fn drop(&mut self) {
-        let mut st = self.shared.m.lock().expect("xchg mutex poisoned");
-        st.live -= 1;
         drop(st);
-        self.shared.cv.notify_all();
+        self.cv.notify_all();
     }
 }
 
-/// The two ways an exchange drives its partitions.
-enum XchgStream {
-    /// Dedicated thread per partition, merged through a bounded channel.
-    Threads { rx: Option<Receiver<Result<Batch>>>, workers: Vec<JoinHandle<()>> },
-    /// Partitions as cooperative tasks on the shared worker pool.
-    Pool { shared: Arc<PoolXchgShared> },
+/// One plan-fragment clone as a pool task.
+struct Fragment {
+    part: BoxedOp,
+    shared: Arc<Shared>,
 }
 
-/// Exchange operator: merges the outputs of N worker-driven partitions.
+impl CoopTask for Fragment {
+    fn step(&mut self) -> Result<Step> {
+        let shared = &self.shared;
+        if shared.m.lock().expect("xchg mutex poisoned").items.len() >= shared.cap {
+            return Ok(Step::Blocked); // the consumer's next pop wakes us
+        }
+        Ok(match self.part.next()? {
+            Some(batch) => {
+                shared.push(Some(Ok(batch)));
+                Step::Progress
+            }
+            None => {
+                shared.push(None);
+                Step::Done
+            }
+        })
+    }
+
+    fn fail(&mut self, err: VwError) {
+        self.shared.push(Some(Err(err)));
+    }
+}
+
+/// Exchange operator: merges the outputs of N pool-driven partitions.
 pub struct Xchg {
     schema: Schema,
-    stream: XchgStream,
-    /// Local shutdown signal for this operator's workers only. The
-    /// query-wide token is shared with every operator in the plan and must
-    /// NOT be cancelled when the exchange is merely dropped after a normal
-    /// drain — that would poison the rest of the still-running query.
-    local_cancel: CancelToken,
+    shared: Arc<Shared>,
+    /// The fragments' handles. Dropping them (stream end, first error, or
+    /// the exchange itself going away) aborts and reclaims the fragments;
+    /// the query-wide token is never cancelled from here.
+    tasks: Vec<TaskHandle<Fragment>>,
     /// The fragment's morsel dispensers (one per shared scan); read at
     /// stream end for the per-worker claim counts.
     sources: Vec<Arc<MorselSource>>,
     n_workers: usize,
     profile: OpProfile,
-    done: bool,
 }
 
 impl Xchg {
-    /// Spawn one worker per partition operator. Each worker drains its
-    /// operator and pushes batches into a bounded channel (capacity 2 per
-    /// worker keeps producers slightly ahead without unbounded buffering).
-    pub fn spawn(partitions: Vec<BoxedOp>, query_cancel: CancelToken) -> Xchg {
-        assert!(!partitions.is_empty());
-        let schema = partitions[0].schema().clone();
-        let local_cancel = CancelToken::new();
-        let (tx, rx) = bounded::<Result<Batch>>(partitions.len() * 2);
-        let mut workers = Vec::with_capacity(partitions.len());
-        for mut part in partitions {
-            let tx = tx.clone();
-            let query_cancel = query_cancel.clone();
-            let local_cancel = local_cancel.clone();
-            workers.push(std::thread::spawn(move || {
-                // catch_unwind: a panicking partition operator must surface
-                // as an error on the channel, not silently drop the sender
-                // and strand the consumer with a truncated stream.
-                let unwound = catch_unwind(AssertUnwindSafe(|| loop {
-                    if local_cancel.is_cancelled() {
-                        break; // silent: the consumer initiated shutdown
-                    }
-                    if query_cancel.is_cancelled() {
-                        let _ = tx.send(Err(VwError::Cancelled));
-                        break;
-                    }
-                    match part.next() {
-                        Ok(Some(batch)) => {
-                            if tx.send(Ok(batch)).is_err() {
-                                break; // consumer dropped
-                            }
-                        }
-                        Ok(None) => break,
-                        Err(e) => {
-                            let _ = tx.send(Err(e));
-                            break;
-                        }
-                    }
-                }));
-                if let Err(payload) = unwound {
-                    let _ = tx.send(Err(panic_error("Xchg partition", payload)));
-                }
-            }));
-        }
-        drop(tx); // channel closes when the last worker finishes
-        let n_workers = workers.len();
-        Xchg {
-            schema,
-            stream: XchgStream::Threads { rx: Some(rx), workers },
-            local_cancel,
-            sources: Vec::new(),
-            n_workers,
-            profile: OpProfile::new("Xchg"),
-            done: false,
-        }
-    }
-
     /// Schedule one cooperative task per partition on the engine's shared
-    /// worker pool instead of spawning threads. The output buffer holds at
-    /// most 2 batches per partition (same bound as the channel in
-    /// [`Xchg::spawn`]); fragments park on a full buffer and the consumer
-    /// reschedules them as it drains.
+    /// worker pool. The output buffer holds at most 2 batches per
+    /// partition (producers stay slightly ahead without unbounded
+    /// buffering); fragments park on a full buffer and the consumer wakes
+    /// them as it drains.
     pub fn spawn_on(
         pool: &Arc<WorkerPool>,
         partitions: Vec<BoxedOp>,
@@ -239,35 +119,27 @@ impl Xchg {
     ) -> Xchg {
         assert!(!partitions.is_empty());
         let schema = partitions[0].schema().clone();
-        let local_cancel = CancelToken::new();
         let n_workers = partitions.len();
-        let shared = Arc::new(PoolXchgShared {
-            m: Mutex::new(PoolXchgState {
-                items: VecDeque::new(),
-                parked: Vec::new(),
-                live: n_workers,
-            }),
+        let shared = Arc::new(Shared {
+            m: Mutex::new(Buffer { items: VecDeque::new(), live: n_workers }),
             cv: Condvar::new(),
             cap: n_workers * 2,
         });
-        for part in partitions {
-            let task = FragmentTask {
-                part: Some(part),
-                query_cancel: query_cancel.clone(),
-                local_cancel: local_cancel.clone(),
-                shared: shared.clone(),
-                pool: pool.clone(),
-            };
-            pool.submit(&query_cancel, move || task.run());
-        }
+        let tasks: Vec<_> = partitions
+            .into_iter()
+            .map(|part| {
+                let body = Fragment { part, shared: shared.clone() };
+                TaskHandle::new(pool, &query_cancel, "Xchg partition", body)
+            })
+            .collect();
+        tasks.iter().for_each(TaskHandle::wake);
         Xchg {
             schema,
-            stream: XchgStream::Pool { shared },
-            local_cancel,
+            shared,
+            tasks,
             sources: Vec::new(),
             n_workers,
             profile: OpProfile::new("Xchg"),
-            done: false,
         }
     }
 
@@ -280,9 +152,11 @@ impl Xchg {
         self
     }
 
-    /// Fold the dispensers' per-consumer claim counts into the profile
-    /// (idempotent: overwrites).
-    fn collect_worker_morsels(&mut self) {
+    /// The stream is over (drained or failed): reclaim the fragments —
+    /// on an error this is what stops the siblings — and fold the
+    /// dispensers' per-consumer claim counts into the profile.
+    fn close(&mut self) {
+        self.tasks.clear();
         if self.sources.is_empty() {
             return;
         }
@@ -316,118 +190,44 @@ impl Operator for Xchg {
     }
 
     fn next(&mut self) -> Result<Option<Batch>> {
-        if self.done {
+        if self.tasks.is_empty() {
             return Ok(None);
         }
-        let item = match &self.stream {
-            XchgStream::Threads { rx, .. } => {
-                let Some(rx) = rx else {
-                    return Ok(None);
-                };
-                // An Err means all workers are done and the channel closed.
-                rx.recv().ok()
-            }
-            XchgStream::Pool { shared } => {
-                let mut st = shared.m.lock().expect("xchg mutex poisoned");
-                loop {
-                    if let Some(item) = st.items.pop_front() {
-                        // Draining below capacity unparks waiting
-                        // fragments — resubmit them *after* releasing the
-                        // lock (a closed pool runs submissions inline, and
-                        // an inline fragment re-takes this lock).
-                        let unparked: Vec<FragmentTask> = if st.items.len() < shared.cap {
-                            st.parked.drain(..).collect()
-                        } else {
-                            Vec::new()
-                        };
-                        drop(st);
-                        for t in unparked {
-                            let pool = t.pool.clone();
-                            let token = t.query_cancel.clone();
-                            pool.submit(&token, move || t.run());
-                        }
-                        break Some(item);
-                    }
-                    if st.live == 0 {
-                        break None; // every fragment finished and drained
-                    }
-                    // Producers notify on every push and on task drop; the
-                    // timeout only bounds staleness against lost wakeups.
-                    let (guard, _) = shared
-                        .cv
-                        .wait_timeout(st, Duration::from_millis(5))
-                        .expect("xchg mutex poisoned");
-                    st = guard;
+        let item = {
+            let mut st = self.shared.m.lock().expect("xchg mutex poisoned");
+            loop {
+                if let Some(item) = st.items.pop_front() {
+                    break Some(item);
                 }
+                if st.live == 0 {
+                    break None; // every fragment ended and was drained
+                }
+                // Fragments notify on every push; the timeout only bounds
+                // staleness against a lost wakeup.
+                let (guard, _) = self
+                    .shared
+                    .cv
+                    .wait_timeout(st, Duration::from_millis(5))
+                    .expect("xchg mutex poisoned");
+                st = guard;
             }
         };
         match item {
             Some(Ok(batch)) => {
+                // The pop made room: wake the fragments, outside the lock
+                // (on a closed pool a wake runs the fragment right here).
+                self.tasks.iter().for_each(TaskHandle::wake);
                 self.profile.invocations += 1;
                 self.profile.rows_out += batch.rows() as u64;
                 Ok(Some(batch))
             }
             Some(Err(e)) => {
-                // Stop the sibling workers; the error propagates upward.
-                self.local_cancel.cancel();
-                self.done = true;
-                self.collect_worker_morsels();
+                self.close();
                 Err(e)
             }
             None => {
-                self.done = true;
-                self.collect_worker_morsels();
+                self.close();
                 Ok(None)
-            }
-        }
-    }
-}
-
-impl Drop for Xchg {
-    fn drop(&mut self) {
-        // Stop our own workers (never the query-wide token), then reclaim
-        // them before returning — an exchange drop must leave no producer
-        // behind, whatever the scheduling mode.
-        self.local_cancel.cancel();
-        match &mut self.stream {
-            XchgStream::Threads { rx, workers } => {
-                // Drain the channel before dropping it: a producer blocked
-                // on a full bounded channel wakes as soon as a slot frees
-                // (or the receiver disconnects), observes the local
-                // cancel, and exits — the drain makes that independent of
-                // whether the channel implementation wakes blocked senders
-                // on receiver drop. Only then join.
-                if let Some(rx) = rx {
-                    while rx.try_recv().is_ok() {}
-                }
-                *rx = None;
-                for h in workers.drain(..) {
-                    let _ = h.join();
-                }
-            }
-            XchgStream::Pool { shared } => {
-                // Discard parked fragments (their Drop accounts them) and
-                // drain buffered output so still-scheduled fragments can
-                // push their final item; wait until every fragment has
-                // exited. A cancelled task never parks again, but one may
-                // race past the cancel into the parking lot once — hence
-                // the loop re-takes the parked list each round.
-                loop {
-                    let parked: Vec<FragmentTask> = {
-                        let mut st = shared.m.lock().expect("xchg mutex poisoned");
-                        st.items.clear();
-                        std::mem::take(&mut st.parked)
-                    };
-                    drop(parked); // decrements live; must not hold the lock
-                    let st = shared.m.lock().expect("xchg mutex poisoned");
-                    if st.live == 0 {
-                        break;
-                    }
-                    let _ = shared
-                        .cv
-                        .wait_timeout(st, Duration::from_millis(2))
-                        .expect("xchg mutex poisoned");
-                }
             }
         }
     }
@@ -440,6 +240,12 @@ mod tests {
     use crate::op::simple::Values;
     use vw_common::{Field, Schema, TypeId, Value};
 
+    fn schema() -> Schema {
+        Schema::new(vec![Field::not_null("v", TypeId::I64)]).unwrap()
+    }
+
+    /// A partition over `range` in 16-row batches that fails with
+    /// `VwError::Exec("boom")` once `fail_at` rows were served.
     fn part(range: std::ops::Range<i64>, fail_at: Option<i64>) -> BoxedOp {
         struct Failing {
             inner: Values,
@@ -466,76 +272,19 @@ mod tests {
                 Ok(b)
             }
         }
-        let schema = Schema::new(vec![Field::not_null("v", TypeId::I64)]).unwrap();
         let rows = range.map(|v| vec![Value::I64(v)]).collect();
         Box::new(Failing {
-            inner: Values::new(schema, rows, 16, CancelToken::new()),
+            inner: Values::new(schema(), rows, 16, CancelToken::new()),
             fail_at,
             seen: 0,
         })
     }
 
-    #[test]
-    fn merges_all_partitions() {
-        let parts = vec![part(0..100, None), part(100..250, None), part(250..300, None)];
-        let mut x = Xchg::spawn(parts, CancelToken::new());
-        let out = drain(&mut x).unwrap();
-        assert_eq!(out.rows(), 300);
-        let mut vals: Vec<i64> = (0..300)
-            .map(|i| match out.row_values(i)[0] {
-                Value::I64(v) => v,
-                _ => panic!(),
-            })
-            .collect();
-        vals.sort_unstable();
-        assert_eq!(vals, (0..300).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn worker_error_propagates() {
-        let parts = vec![part(0..1000, None), part(0..1000, Some(32))];
-        let mut x = Xchg::spawn(parts, CancelToken::new());
-        let mut saw_error = false;
-        loop {
-            match x.next() {
-                Ok(Some(_)) => {}
-                Ok(None) => break,
-                Err(e) => {
-                    saw_error = true;
-                    assert!(matches!(e, VwError::Exec(_)));
-                    break;
-                }
-            }
-        }
-        assert!(saw_error);
-    }
-
-    #[test]
-    fn cancellation_stops_workers() {
-        let cancel = CancelToken::new();
-        let parts = vec![part(0..1_000_000, None), part(0..1_000_000, None)];
-        let mut x = Xchg::spawn(parts, cancel.clone());
-        x.next().unwrap();
-        cancel.cancel();
-        // Drain to completion: must terminate promptly with Cancelled or
-        // clean end-of-stream, never hang.
-        loop {
-            match x.next() {
-                Ok(Some(_)) => continue,
-                Ok(None) => break,
-                Err(VwError::Cancelled) => break,
-                Err(e) => panic!("unexpected error {e}"),
-            }
-        }
-    }
-
-    #[test]
-    fn worker_panic_surfaces_as_error_not_hang() {
-        // Regression: a panic inside a worker used to just drop the sender,
-        // ending the stream early with no error at the consumer.
+    /// A partition that serves `serve` two-row batches, then panics.
+    fn panicking(serve: usize) -> BoxedOp {
         struct Panicking {
             schema: Schema,
-            served: usize,
+            left: usize,
         }
         impl Operator for Panicking {
             fn schema(&self) -> &Schema {
@@ -545,183 +294,122 @@ mod tests {
                 "Panicking"
             }
             fn next(&mut self) -> Result<Option<Batch>> {
-                if self.served >= 2 {
-                    panic!("worker exploded mid-stream");
+                if self.left == 0 {
+                    panic!("fragment exploded mid-stream");
                 }
-                self.served += 1;
+                self.left -= 1;
                 let col = crate::vector::Vector::new(vw_common::ColData::I64(vec![1, 2]));
                 Ok(Some(Batch::new(vec![col])))
             }
         }
-        let schema = Schema::new(vec![Field::not_null("v", TypeId::I64)]).unwrap();
-        let parts: Vec<BoxedOp> =
-            vec![Box::new(Panicking { schema, served: 0 }), part(0..64, None)];
-        let mut x = Xchg::spawn(parts, CancelToken::new());
-        let mut saw_panic_error = false;
+        Box::new(Panicking { schema: schema(), left: serve })
+    }
+
+    /// Every scenario runs on a pool smaller than the plan (the acid test
+    /// for non-blocking fragments: one worker drives them all) and on one
+    /// as wide as the plan.
+    fn on_pools(scenario: impl Fn(&Arc<WorkerPool>)) {
+        for workers in [1, 4] {
+            let pool = WorkerPool::new(workers);
+            scenario(&pool);
+            assert_eq!(pool.queued(), 0, "{workers} workers: fragments left on the pool");
+            pool.shutdown();
+        }
+    }
+
+    /// Drain `x` to its end; the error that ended it, if one did.
+    fn run_to_end(x: &mut Xchg) -> Option<VwError> {
         loop {
             match x.next() {
                 Ok(Some(_)) => {}
-                Ok(None) => break,
-                Err(VwError::Exec(msg)) => {
-                    assert!(msg.contains("panicked"), "{msg}");
-                    assert!(msg.contains("worker exploded"), "{msg}");
-                    saw_panic_error = true;
-                    break;
+                Ok(None) => return None,
+                Err(e) => return Some(e),
+            }
+        }
+    }
+
+    #[test]
+    fn merges_all_partitions() {
+        on_pools(|pool| {
+            for bounds in [vec![0, 100, 250, 300], vec![0, 100, 250, 300, 1000]] {
+                let total = *bounds.last().unwrap();
+                let parts = bounds.windows(2).map(|w| part(w[0]..w[1], None)).collect();
+                let mut x = Xchg::spawn_on(pool, parts, CancelToken::new());
+                let out = drain(&mut x).unwrap();
+                let mut vals: Vec<i64> = (0..out.rows())
+                    .map(|i| match out.row_values(i)[0] {
+                        Value::I64(v) => v,
+                        _ => panic!(),
+                    })
+                    .collect();
+                vals.sort_unstable();
+                assert_eq!(vals, (0..total).collect::<Vec<_>>());
+            }
+        });
+    }
+
+    #[test]
+    fn fragment_error_and_panic_surface() {
+        // Regression (panic): a panicking fragment used to end the stream
+        // early with no error at the consumer.
+        on_pools(|pool| {
+            let cases: [(Vec<BoxedOp>, &str); 4] = [
+                (vec![part(0..1000, None), part(0..1000, Some(32))], "boom"),
+                (vec![part(0..100_000, None), part(0..1000, Some(32))], "boom"),
+                (vec![panicking(2), part(0..64, None)], "exploded mid-stream"),
+                (vec![panicking(0), part(0..64, None)], "panicked"),
+            ];
+            for (parts, needle) in cases {
+                let mut x = Xchg::spawn_on(pool, parts, CancelToken::new());
+                match run_to_end(&mut x) {
+                    Some(VwError::Exec(msg)) => assert!(msg.contains(needle), "{msg}"),
+                    other => panic!("expected an Exec error, got {other:?}"),
                 }
-                Err(e) => panic!("unexpected error {e}"),
+                assert!(matches!(x.next(), Ok(None)), "a failed stream stays ended");
             }
-        }
-        assert!(saw_panic_error, "panic must surface as VwError::Exec");
-        drop(x); // join must not deadlock after the panic
+        });
     }
 
     #[test]
-    fn drop_mid_stream_joins_workers() {
-        let parts = vec![part(0..100_000, None)];
-        let mut x = Xchg::spawn(parts, CancelToken::new());
-        x.next().unwrap();
-        drop(x); // must not deadlock
+    fn cancellation_stops_fragments() {
+        on_pools(|pool| {
+            let cancel = CancelToken::new();
+            let parts = vec![part(0..1_000_000, None), part(0..1_000_000, None)];
+            let mut x = Xchg::spawn_on(pool, parts, cancel.clone());
+            x.next().unwrap();
+            cancel.cancel();
+            // Must terminate promptly with Cancelled or a clean
+            // end-of-stream, never hang.
+            match run_to_end(&mut x) {
+                None | Some(VwError::Cancelled) => {}
+                Some(e) => panic!("unexpected error {e}"),
+            }
+        });
     }
 
     #[test]
-    fn drop_with_saturated_channel_joins_blocked_workers() {
-        // Regression for the shutdown path: fast producers saturate the
-        // bounded channel (capacity 2 per worker) and block inside send.
-        // Dropping the exchange mid-stream must drain/unblock them and
-        // join every thread — promptly, not after the workers pushed all
-        // remaining batches.
-        let parts: Vec<BoxedOp> =
-            (0..4).map(|i| part(i * 1_000_000..(i + 1) * 1_000_000, None)).collect();
-        let mut x = Xchg::spawn(parts, CancelToken::new());
-        x.next().unwrap();
-        // Give the workers time to fill every channel slot and block.
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        let t0 = std::time::Instant::now();
-        drop(x); // must unblock the parked senders and join
-        assert!(
-            t0.elapsed() < std::time::Duration::from_secs(10),
-            "drop must not wait for the full streams to drain"
-        );
+    fn drop_mid_stream_reclaims_fragments() {
+        on_pools(|pool| {
+            for n in [1, 4] {
+                let parts: Vec<BoxedOp> =
+                    (0..n).map(|i| part(i * 1_000_000..(i + 1) * 1_000_000, None)).collect();
+                let mut x = Xchg::spawn_on(pool, parts, CancelToken::new());
+                x.next().unwrap();
+                // Let the fragments saturate the buffer and park.
+                std::thread::sleep(Duration::from_millis(20));
+                let t0 = std::time::Instant::now();
+                drop(x);
+                assert!(
+                    t0.elapsed() < Duration::from_secs(10),
+                    "drop must not wait for the full streams to drain"
+                );
+                assert_eq!(pool.queued(), 0);
+            }
+        });
     }
 
     #[test]
-    fn pool_mode_merges_all_partitions_on_one_worker() {
-        // The acid test for non-blocking fragments: a single pool worker
-        // must drive 4 fragments to completion (fragments park on a full
-        // buffer instead of blocking the only worker).
-        let pool = WorkerPool::new(1);
-        let parts = vec![
-            part(0..100, None),
-            part(100..250, None),
-            part(250..300, None),
-            part(300..1000, None),
-        ];
-        let mut x = Xchg::spawn_on(&pool, parts, CancelToken::new());
-        let out = drain(&mut x).unwrap();
-        assert_eq!(out.rows(), 1000);
-        let mut vals: Vec<i64> = (0..1000)
-            .map(|i| match out.row_values(i)[0] {
-                Value::I64(v) => v,
-                _ => panic!(),
-            })
-            .collect();
-        vals.sort_unstable();
-        assert_eq!(vals, (0..1000).collect::<Vec<_>>());
-        drop(x);
-        pool.shutdown();
-    }
-
-    #[test]
-    fn pool_mode_error_and_panic_surface() {
-        let pool = WorkerPool::new(2);
-        let parts = vec![part(0..100_000, None), part(0..1000, Some(32))];
-        let mut x = Xchg::spawn_on(&pool, parts, CancelToken::new());
-        let mut saw_error = false;
-        loop {
-            match x.next() {
-                Ok(Some(_)) => {}
-                Ok(None) => break,
-                Err(e) => {
-                    saw_error = true;
-                    assert!(matches!(e, VwError::Exec(_)));
-                    break;
-                }
-            }
-        }
-        assert!(saw_error);
-        drop(x);
-
-        struct Panicking {
-            schema: Schema,
-        }
-        impl Operator for Panicking {
-            fn schema(&self) -> &Schema {
-                &self.schema
-            }
-            fn name(&self) -> &'static str {
-                "Panicking"
-            }
-            fn next(&mut self) -> Result<Option<Batch>> {
-                panic!("fragment exploded");
-            }
-        }
-        let schema = Schema::new(vec![Field::not_null("v", TypeId::I64)]).unwrap();
-        let parts: Vec<BoxedOp> = vec![Box::new(Panicking { schema }), part(0..64, None)];
-        let mut x = Xchg::spawn_on(&pool, parts, CancelToken::new());
-        let mut saw_panic = false;
-        loop {
-            match x.next() {
-                Ok(Some(_)) => {}
-                Ok(None) => break,
-                Err(VwError::Exec(msg)) => {
-                    assert!(msg.contains("panicked"), "{msg}");
-                    saw_panic = true;
-                    break;
-                }
-                Err(e) => panic!("unexpected error {e}"),
-            }
-        }
-        assert!(saw_panic, "fragment panic must surface as VwError::Exec");
-        drop(x);
-        pool.shutdown();
-    }
-
-    #[test]
-    fn pool_mode_cancellation_and_drop_reclaim_fragments() {
-        let pool = WorkerPool::new(1);
-        let cancel = CancelToken::new();
-        let parts = vec![part(0..1_000_000, None), part(0..1_000_000, None)];
-        let mut x = Xchg::spawn_on(&pool, parts, cancel.clone());
-        x.next().unwrap();
-        cancel.cancel();
-        loop {
-            match x.next() {
-                Ok(Some(_)) => continue,
-                Ok(None) => break,
-                Err(VwError::Cancelled) => break,
-                Err(e) => panic!("unexpected error {e}"),
-            }
-        }
-        drop(x);
-
-        // Drop mid-stream with a saturated buffer: fragments are parked;
-        // drop must discard them and return promptly.
-        let parts: Vec<BoxedOp> =
-            (0..4).map(|i| part(i * 1_000_000..(i + 1) * 1_000_000, None)).collect();
-        let mut x = Xchg::spawn_on(&pool, parts, CancelToken::new());
-        x.next().unwrap();
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        let t0 = std::time::Instant::now();
-        drop(x);
-        assert!(
-            t0.elapsed() < std::time::Duration::from_secs(10),
-            "drop must not wait for the full streams to drain"
-        );
-        pool.shutdown();
-    }
-
-    #[test]
-    fn pool_mode_interleaves_two_queries_on_one_worker() {
+    fn interleaves_two_queries_on_one_worker() {
         // Two "queries" (exchanges) share a 1-worker pool: both must make
         // progress — the quantum yield prevents either from monopolizing
         // the worker until done.
@@ -758,8 +446,9 @@ mod tests {
         // scans; here the counts are what matters).
         let mut buf = Vec::new();
         while src.claim_into(0, &mut buf) {}
+        let pool = WorkerPool::new(2);
         let parts = vec![part(0..10, None), part(0..10, None)];
-        let mut x = Xchg::spawn(parts, CancelToken::new()).with_sources(vec![src]);
+        let mut x = Xchg::spawn_on(&pool, parts, CancelToken::new()).with_sources(vec![src]);
         let out = drain(&mut x).unwrap();
         assert_eq!(out.rows(), 20);
         let p = Operator::profile(&x).unwrap();

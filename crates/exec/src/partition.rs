@@ -17,7 +17,8 @@
 //!   it. Dropping the set returns every charged byte.
 //! * **P > 1 on the pool** — the parallel build. The slots are the same;
 //!   an operator may move them behind a [`ShardSet`], whose shards absorb
-//!   gathered packets as cooperative tasks on the engine's [`WorkerPool`].
+//!   gathered packets as cooperative tasks ([`vw_service::task`]) on the
+//!   engine's [`WorkerPool`].
 //!
 //! The "when more cores hurts" lesson behind the radix design: threading
 //! one shared table serializes on cache-line ping-pong, so every slot is
@@ -29,18 +30,17 @@
 //! per-slot [`SelVec`]s, and each sub-selection runs the ordinary
 //! per-table kernel against a table `P`× smaller.
 //!
-//! Shard task bodies run under `catch_unwind`: a panic inside a shard (or
-//! an `Xchg` partition) becomes a [`VwError`] on the consumer side.
+//! A panic inside a shard becomes a [`VwError`] on the driver's side (the
+//! task primitive catches it).
 
 use crate::cancel::CancelToken;
 use crate::vector::Vector;
 use std::collections::VecDeque;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-use std::time::Duration;
+use std::sync::{Arc, Mutex};
 use vw_common::{Result, SelVec, VwError};
 pub use vw_service::WorkerPool;
+use vw_service::{CoopTask, Step, TaskHandle};
 use vw_storage::{SimulatedDisk, SpillFile};
 
 /// Default cost gate of a pool-parallel hash build: below this many build
@@ -323,146 +323,119 @@ pub trait ShardWorker: Send + 'static {
     fn finish(self) -> Result<Self::Output>;
 }
 
-/// Packets a shard cell queues ahead of its worker (keeps the scatter
+/// Packets a shard's mailbox queues ahead of its worker (keeps the scatter
 /// slightly ahead of the builders without unbounded buffering).
-const CELL_QUEUE_CAP: usize = 2;
+const MAILBOX_CAP: usize = 2;
 
-/// Packets a pool-scheduled shard task absorbs before voluntarily
-/// requeueing itself (cross-query fairness on a small pool).
-const CELL_QUANTUM: usize = 8;
-
-/// State of one pool-scheduled shard: an actor mailbox plus the worker it
-/// protects. A task is scheduled for the cell only while there is work
-/// (`scheduled`), and the task never blocks — it parks by clearing
-/// `scheduled` and returning, and the next `send`/`finish` reschedules it.
-struct CellState<W: ShardWorker> {
+/// What the build driver and one shard's pool task share.
+struct Mailbox<W: ShardWorker> {
     queue: VecDeque<W::Packet>,
-    worker: Option<W>,
-    /// A pool task for this cell is queued or running.
-    scheduled: bool,
     /// No further packets; finalize once the queue drains.
     closed: bool,
-    /// Consumer dropped mid-build: discard everything, produce no output.
-    aborted: bool,
-    /// The shard's result (set by finalize, error, or cancellation).
+    /// How the shard ended: its output, or the error (failed absorb,
+    /// panic, cancelled query) that killed it early.
     output: Option<Result<W::Output>>,
 }
 
-struct Cell<W: ShardWorker> {
-    m: Mutex<CellState<W>>,
-    cv: Condvar,
+type SharedMailbox<W> = Arc<Mutex<Mailbox<W>>>;
+
+/// One shard as a pool task ([`vw_service::task`]): mailbox empty →
+/// `Blocked` (the next `send`/`finish` wakes it), a packet → absorb it,
+/// closed and empty → finalize → `Done`.
+struct ShardTask<W: ShardWorker> {
+    mailbox: SharedMailbox<W>,
+    worker: Option<W>,
 }
 
-impl<W: ShardWorker> Cell<W> {
-    fn lock(&self) -> MutexGuard<'_, CellState<W>> {
-        self.m.lock().expect("shard cell poisoned")
+impl<W: ShardWorker> CoopTask for ShardTask<W> {
+    fn step(&mut self) -> Result<Step> {
+        let pkt = {
+            let mut mb = self.mailbox.lock().expect("shard mailbox poisoned");
+            match mb.queue.pop_front() {
+                Some(pkt) => pkt,
+                None if mb.closed => {
+                    drop(mb);
+                    let out = self.worker.take().expect("a shard finalizes once").finish()?;
+                    self.mailbox.lock().expect("shard mailbox poisoned").output = Some(Ok(out));
+                    return Ok(Step::Done);
+                }
+                None => return Ok(Step::Blocked),
+            }
+        };
+        self.worker.as_mut().expect("a live shard has its worker").absorb(pkt)?;
+        Ok(Step::Progress)
+    }
+
+    fn fail(&mut self, err: VwError) {
+        self.worker = None;
+        let mut mb = self.mailbox.lock().expect("shard mailbox poisoned");
+        mb.queue.clear();
+        mb.output = Some(Err(err));
     }
 }
 
-/// A set of shard workers — the `Xchg` worker/cancel design pointed at
-/// operator-internal build parallelism instead of whole plan fragments.
-/// Each shard is an actor-style cell whose packets are absorbed by
-/// cooperative tasks on the engine's shared [`WorkerPool`]: thread count
-/// stays O(pool workers) no matter how many queries build concurrently,
-/// and a consumer that must wait donates its thread to the pool instead of
-/// sleeping.
+/// A set of shard workers — operator-internal build parallelism. Each
+/// shard is an actor: a bounded mailbox the driver fills and a
+/// cooperative task on the engine's shared [`WorkerPool`] that empties
+/// it, so thread count stays O(pool workers) no matter how many queries
+/// build concurrently. A driver that must wait (full mailbox, final
+/// barrier) helps the pool instead of sleeping, and dropping the set
+/// mid-build reclaims every shard — the memory the workers staged is
+/// released before drop returns, because callers assert
+/// `MemBudget::global_in_use() == 0` and a quiet pool right after a query
+/// unwinds.
 pub struct ShardSet<W: ShardWorker> {
-    cells: Vec<Arc<Cell<W>>>,
-    pool: Arc<WorkerPool>,
-    cancel: CancelToken,
+    shards: Vec<(TaskHandle<ShardTask<W>>, SharedMailbox<W>)>,
 }
 
 impl<W: ShardWorker> ShardSet<W> {
-    /// Schedule `workers` as shards on `pool`. `cancel` is the query-wide
-    /// token: a cancelled query makes every shard bail out between packets
-    /// with [`VwError::Cancelled`].
+    /// Put `workers` behind mailboxes on `pool`. `cancel` is the
+    /// query-wide token: a cancelled query makes every shard end between
+    /// packets with [`VwError::Cancelled`].
     pub fn spawn_on(pool: &Arc<WorkerPool>, workers: Vec<W>, cancel: &CancelToken) -> ShardSet<W> {
-        let cells = workers
+        let shards = workers
             .into_iter()
             .map(|w| {
-                Arc::new(Cell {
-                    m: Mutex::new(CellState {
-                        queue: VecDeque::new(),
-                        worker: Some(w),
-                        scheduled: false,
-                        closed: false,
-                        aborted: false,
-                        output: None,
-                    }),
-                    cv: Condvar::new(),
-                })
+                let mailbox = Arc::new(Mutex::new(Mailbox {
+                    queue: VecDeque::new(),
+                    closed: false,
+                    output: None,
+                }));
+                let task = ShardTask { mailbox: mailbox.clone(), worker: Some(w) };
+                (TaskHandle::new(pool, cancel, "hash build shard", task), mailbox)
             })
             .collect();
-        ShardSet { cells, pool: pool.clone(), cancel: cancel.clone() }
+        ShardSet { shards }
     }
 
     /// Number of shards.
     pub fn len(&self) -> usize {
-        self.cells.len()
+        self.shards.len()
     }
 
     /// True when no shards were spawned.
     pub fn is_empty(&self) -> bool {
-        self.cells.is_empty()
-    }
-
-    /// Submit a task driving cell `s` (the caller has set `scheduled`).
-    /// Runs outside the cell lock: a closed pool runs the task inline, and
-    /// the task re-takes the lock.
-    fn schedule(&self, s: usize) {
-        let (c, p, t) = (self.cells[s].clone(), self.pool.clone(), self.cancel.clone());
-        self.pool.submit(&self.cancel, move || run_cell(&c, &p, &t));
-    }
-
-    /// Wait for progress on cell `s` the pool-friendly way. The caller may
-    /// *itself* be a pool task (a plan fragment driving this build, or
-    /// unwinding it), so sleeping could starve the cell of the very worker
-    /// it needs: run one queued task on this thread instead, and only nap
-    /// on the cell's condvar when the queue is empty (pool tasks notify on
-    /// every exit; the timeout bounds staleness against a racing cancel).
-    fn help_or_wait(&self, s: usize) -> MutexGuard<'_, CellState<W>> {
-        let cell = &self.cells[s];
-        if self.pool.help_run_one() {
-            return cell.lock();
-        }
-        let (guard, _) = cell
-            .cv
-            .wait_timeout(cell.lock(), Duration::from_millis(1))
-            .expect("shard cell poisoned");
-        guard
+        self.shards.is_empty()
     }
 
     /// Hand a packet to shard `s`, helping the pool while the shard's
-    /// queue is full. If the shard died, its error (or panic) is surfaced
-    /// here.
+    /// mailbox is full. If the shard died, its error (or panic) is
+    /// surfaced here.
     pub fn send(&mut self, s: usize, pkt: W::Packet) -> Result<()> {
-        let mut st = self.cells[s].lock();
+        let (task, mailbox) = &self.shards[s];
         loop {
-            if let Some(out) = st.output.take() {
-                // The shard terminated early (error/panic/cancel); surface
-                // its reason once.
-                return match out {
-                    Ok(_) => Err(VwError::Exec("shard worker exited early".into())),
-                    Err(e) => Err(e),
-                };
+            let mut mb = mailbox.lock().expect("shard mailbox poisoned");
+            if let Some(Err(e)) = &mb.output {
+                return Err(e.clone());
             }
-            if st.worker.is_none() && !st.scheduled {
-                return Err(VwError::Exec("shard worker already joined".into()));
-            }
-            if st.queue.len() < CELL_QUEUE_CAP {
-                st.queue.push_back(pkt);
-                let schedule = !std::mem::replace(&mut st.scheduled, true);
-                drop(st);
-                if schedule {
-                    self.schedule(s);
-                }
+            if mb.queue.len() < MAILBOX_CAP {
+                mb.queue.push_back(pkt);
+                drop(mb);
+                task.wake();
                 return Ok(());
             }
-            if self.cancel.is_cancelled() {
-                return Err(VwError::Cancelled);
-            }
-            drop(st);
-            st = self.help_or_wait(s);
+            drop(mb);
+            task.help();
         }
     }
 
@@ -470,133 +443,17 @@ impl<W: ShardWorker> ShardSet<W> {
     /// outputs in partition order. The first worker error (or panic)
     /// aborts the collection.
     pub fn finish(self) -> Result<Vec<W::Output>> {
-        // Close every cell (scheduling idle ones so they finalize), then
-        // collect outputs in partition order.
-        for s in 0..self.cells.len() {
-            let mut st = self.cells[s].lock();
-            st.closed = true;
-            let schedule = !st.scheduled && st.output.is_none() && st.worker.is_some();
-            st.scheduled |= schedule;
-            drop(st);
-            if schedule {
-                self.schedule(s);
-            }
+        for (task, mailbox) in &self.shards {
+            mailbox.lock().expect("shard mailbox poisoned").closed = true;
+            task.wake();
         }
-        let mut outs = Vec::with_capacity(self.cells.len());
-        let mut first_err = None;
-        for s in 0..self.cells.len() {
-            let mut st = self.cells[s].lock();
-            let out = loop {
-                if let Some(out) = st.output.take() {
-                    break out;
-                }
-                if st.worker.is_none() && !st.scheduled {
-                    break Err(VwError::Exec("shard worker already joined".into()));
-                }
-                drop(st);
-                st = self.help_or_wait(s);
-            };
-            match out {
-                Ok(o) => outs.push(o),
-                Err(e) => {
-                    first_err.get_or_insert(e);
-                }
-            }
+        let mut outs = Vec::with_capacity(self.shards.len());
+        for (task, mailbox) in &self.shards {
+            task.join();
+            let out = mailbox.lock().expect("shard mailbox poisoned").output.take();
+            outs.push(out.expect("a joined shard left its output or its error")?);
         }
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(outs),
-        }
-    }
-}
-
-impl<W: ShardWorker> Drop for ShardSet<W> {
-    fn drop(&mut self) {
-        // Abort every cell, then wait until no task references it before
-        // discarding worker state — the memory the workers staged must be
-        // released before drop returns, because callers assert
-        // `MemBudget::global_in_use() == 0` and a quiet pool right after a
-        // query unwinds.
-        for cell in &self.cells {
-            let mut st = cell.lock();
-            st.aborted = true;
-            st.queue.clear();
-            drop(st);
-            cell.cv.notify_all();
-        }
-        for s in 0..self.cells.len() {
-            let mut st = self.cells[s].lock();
-            while st.scheduled {
-                drop(st);
-                st = self.help_or_wait(s);
-            }
-            let (worker, output) = (st.worker.take(), st.output.take());
-            drop(st);
-            drop((worker, output));
-        }
-    }
-}
-
-/// Drive one pool-scheduled shard cell for up to a quantum of packets.
-/// Exit paths: parked (queue empty, not closed — `scheduled` cleared),
-/// yielded (quantum spent — resubmitted, `scheduled` stays set),
-/// finalized, errored, cancelled, or aborted. All but the yield clear
-/// `scheduled`; every exit notifies the cell's condvar.
-fn run_cell<W: ShardWorker>(cell: &Arc<Cell<W>>, pool: &Arc<WorkerPool>, cancel: &CancelToken) {
-    // Every exit but the yield: clear `scheduled`, wake whoever waits.
-    let park = |mut st: MutexGuard<'_, CellState<W>>| {
-        st.scheduled = false;
-        drop(st);
-        cell.cv.notify_all();
-    };
-    let mut absorbed = 0;
-    loop {
-        let mut st = cell.lock();
-        if st.aborted {
-            st.queue.clear();
-            return park(st);
-        }
-        if cancel.is_cancelled() {
-            if st.output.is_none() {
-                st.output = Some(Err(VwError::Cancelled));
-            }
-            st.queue.clear();
-            st.worker = None;
-            return park(st);
-        }
-        if let Some(pkt) = st.queue.pop_front() {
-            let Some(mut w) = st.worker.take() else { return park(st) };
-            drop(st);
-            cell.cv.notify_all(); // queue space freed: wake a blocked send
-            let res = catch_unwind(AssertUnwindSafe(|| w.absorb(pkt)))
-                .unwrap_or_else(|p| Err(panic_error("hash build shard", p)));
-            let mut st = cell.lock();
-            if let Err(e) = res {
-                st.output = Some(Err(e));
-                st.queue.clear();
-                return park(st);
-            }
-            st.worker = Some(w);
-            absorbed += 1;
-            if absorbed >= CELL_QUANTUM && !pool.is_closed() {
-                drop(st); // stay scheduled; requeue at the tail
-                let (c, p, t) = (cell.clone(), pool.clone(), cancel.clone());
-                pool.submit(cancel, move || run_cell(&c, &p, &t));
-                return;
-            }
-            continue;
-        }
-        if st.closed {
-            let Some(w) = st.worker.take() else { return park(st) };
-            drop(st);
-            let res = catch_unwind(AssertUnwindSafe(|| w.finish()))
-                .unwrap_or_else(|p| Err(panic_error("hash build shard", p)));
-            let mut st = cell.lock();
-            st.output = Some(res);
-            return park(st);
-        }
-        // Idle: park until the next send/finish reschedules the cell.
-        return park(st);
+        Ok(outs)
     }
 }
 
@@ -776,17 +633,6 @@ impl std::fmt::Debug for SpillConfig {
             .field("depth", &self.depth)
             .finish()
     }
-}
-
-/// Convert a caught panic payload into a `VwError` naming the worker kind
-/// (shared with the `Xchg` exchange workers).
-pub fn panic_error(what: &str, payload: Box<dyn std::any::Any + Send>) -> VwError {
-    let msg = payload
-        .downcast_ref::<&str>()
-        .map(|s| s.to_string())
-        .or_else(|| payload.downcast_ref::<String>().cloned())
-        .unwrap_or_else(|| "non-string panic payload".into());
-    VwError::Exec(format!("{what} worker panicked: {msg}"))
 }
 
 #[cfg(test)]

@@ -35,7 +35,11 @@ use vw_sql::plan::LogicalPlan;
 pub struct RewriterConfig {
     /// Target degree of parallelism (1 = no parallelization).
     pub dop: usize,
-    /// Minimum estimated input rows before parallelization pays off.
+    /// Not consulted: the rewriter has no plan-level cost gate (scan
+    /// cardinalities are not in the plan it sees), so every partitionable
+    /// fragment is parallelized at `dop > 1`. The field stays only because
+    /// `benchmark/src/trace.rs` builds this struct as a literal; it is on
+    /// ROADMAP's deletion ledger for the next benchmark PR.
     pub parallel_threshold_rows: f64,
 }
 

@@ -13,8 +13,7 @@
 //! (`vw-exec::morsel::MorselSource`), and workers claim
 //! `morsel_rows`-sized slices at run time until the image is dry. A
 //! skewed fragment therefore rebalances itself — the rewriter does not
-//! need to predict skew, only whether the fragment is big enough for
-//! parallelism to pay at all (the cost gate below).
+//! need to predict skew.
 //!
 //! Rewrite shapes:
 //!
@@ -28,12 +27,13 @@
 //!   plan root, an aggregation, or anything under a Sort — which
 //!   materializes anyway; a bare `Limit` pins order and blocks it).
 //!
-//! Whether parallelism pays off is a cost call: fragments below
-//! `parallel_threshold_rows` estimated input rows are left serial (the
-//! "getting the best out of modern multi-core CPUs is not simple" caveat).
-//! Below the plan level, the hash operators additionally radix-partition
-//! their *builds* across threads (`vw-exec::partition`) — that decision is
-//! taken inside the operator, gated by `EngineConfig::partition_min_rows`.
+//! There is no plan-level cost gate: at `dop > 1` every partitionable
+//! fragment gets its Xchg, whatever its size (scan cardinalities are not
+//! in the plan here; a small fragment costs its workers one empty morsel
+//! claim each). Below the plan level, the hash operators additionally
+//! radix-partition their *builds* across pool tasks (`vw-exec::partition`)
+//! — that decision is taken inside the operator at run time, gated by
+//! `EngineConfig::partition_min_rows`.
 
 use crate::RewriterConfig;
 use vw_common::{Field, Schema, TypeId};
@@ -53,7 +53,7 @@ pub fn parallelize(plan: LogicalPlan, config: &RewriterConfig) -> LogicalPlan {
 fn rewrite(plan: LogicalPlan, config: &RewriterConfig, order_ok: bool) -> LogicalPlan {
     match plan {
         LogicalPlan::Aggregate { input, group, aggs, schema } => {
-            if is_partitionable(&input) && fragment_rows(&input) >= config.parallel_threshold_rows {
+            if is_partitionable(&input) {
                 return build_parallel_aggregate(*input, group, aggs, schema, config.dop);
             }
             LogicalPlan::Aggregate {
@@ -76,10 +76,7 @@ fn rewrite(plan: LogicalPlan, config: &RewriterConfig, order_ok: bool) -> Logica
             // Probe-side-partitionable join under an order-insensitive
             // consumer: run the whole fragment per partition (each worker
             // probes its slice against a complete build side).
-            if order_ok
-                && is_partitionable(&join)
-                && fragment_rows(&join) >= config.parallel_threshold_rows
-            {
+            if order_ok && is_partitionable(&join) {
                 return LogicalPlan::Exchange { input: Box::new(join), dop: config.dop };
             }
             let LogicalPlan::Join { left, right, kind, keys, schema } = join else {
@@ -122,22 +119,6 @@ fn is_partitionable(plan: &LogicalPlan) -> bool {
         }
         LogicalPlan::Join { left, .. } => is_partitionable(left),
         _ => false,
-    }
-}
-
-/// Crude fragment cardinality for the profitability check (the real
-/// estimate came from the optimizer; at this stage the scan row count is
-/// not in the plan, so we use a structural proxy: unknown scans count as
-/// large). The engine substitutes precise numbers via the optimizer's
-/// estimator when available. Joins inherit their probe side's estimate.
-fn fragment_rows(plan: &LogicalPlan) -> f64 {
-    match plan {
-        LogicalPlan::Scan { .. } => f64::INFINITY,
-        LogicalPlan::Filter { input, .. } | LogicalPlan::Project { input, .. } => {
-            fragment_rows(input)
-        }
-        LogicalPlan::Join { left, .. } => fragment_rows(left),
-        _ => 0.0,
     }
 }
 

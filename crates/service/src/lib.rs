@@ -5,18 +5,20 @@
 //! This crate hosts the pieces of that story that sit between the SQL
 //! facade (`vw-core`) and the execution kernel (`vw-exec`):
 //!
-//! * [`pool::WorkerPool`] — one fixed gang of worker threads per engine.
-//!   Parallel plan fragments (`Xchg` partitions, `ShardSet` build shards)
-//!   are *tasks* scheduled onto this pool instead of per-query thread
-//!   gangs, so N concurrent queries cost O(workers) threads, not
-//!   O(queries × DOP). Tasks yield cooperatively (requeue after a quantum)
-//!   so one query cannot starve the rest.
+//! * [`pool::WorkerPool`] — one fixed gang of worker threads per engine,
+//!   so N concurrent queries cost O(workers) threads, not
+//!   O(queries × DOP).
+//! * [`task::TaskHandle`] — the one cooperative-task primitive everything
+//!   on that pool is written against (`Xchg` fragments, `ShardSet` build
+//!   shards): the client supplies a `step`, the primitive owns parking
+//!   and waking, the quantum yield, panic and cancel routing, the helping
+//!   wait and reclaim-on-drop.
 //! * [`admission::AdmissionController`] — partitions the engine's global
 //!   memory limit across admitted queries; overflow waits in a bounded
 //!   FIFO queue or is rejected with the typed `E_ADMISSION` error.
 //!   `KILL` and statement timeouts dequeue waiting queries promptly.
 //! * [`timer::DeadlineQueue`] — one shared timer thread enforcing every
-//!   in-flight statement deadline (replacing a watchdog thread per query).
+//!   in-flight statement deadline.
 //!
 //! Everything here speaks [`vw_common::cancel::CancelToken`] and nothing
 //! here knows about SQL, plans, or operators — the dependency points
@@ -27,8 +29,10 @@
 
 pub mod admission;
 pub mod pool;
+pub mod task;
 pub mod timer;
 
 pub use admission::{AdmissionController, AdmissionGrant};
 pub use pool::WorkerPool;
+pub use task::{CoopTask, Step, TaskHandle};
 pub use timer::{DeadlineQueue, TimerGuard};

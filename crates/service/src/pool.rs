@@ -1,27 +1,19 @@
 //! The fixed global worker pool.
 //!
 //! One [`WorkerPool`] per engine, sized by `EngineConfig::workers`
-//! (`VW_WORKERS`, default = core count). Parallel plan fragments are
-//! submitted as *tasks*; a task is an ordinary closure that must follow
-//! two rules, both enforced by the exec-side task implementations rather
-//! than by the pool:
-//!
-//! 1. **Never block on progress owed by another pool task.** A task that
-//!    cannot make progress (its output queue is full, its input is empty)
-//!    parks itself in its own operator state and *returns*; whoever
-//!    removes the obstacle reschedules it. This is what makes a 1-worker
-//!    pool able to drive a DOP-4 plan without deadlock.
-//! 2. **Yield after a bounded quantum.** Long-running tasks resubmit
-//!    themselves to the queue tail every few vectors, interleaving morsel
-//!    claims across queries so no query starves the rest.
+//! (`VW_WORKERS`, default = core count). The pool itself is a FIFO of
+//! closures; what the engine puts on it are cooperative tasks
+//! ([`crate::task`]), and that module — not its clients — enforces the
+//! two rules that keep a small pool live and fair: a task never blocks a
+//! worker on another task (it parks and is woken), and it yields after a
+//! bounded quantum.
 //!
 //! Shutdown (on `Database` drop or explicit close) cancels the tokens of
-//! every queued and running task, then *runs* the remaining queue to
+//! every queued and running job, then *runs* the remaining queue to
 //! completion — tasks observe their cancelled token and unwind fast — and
 //! joins all worker threads. Submissions that race past shutdown run
-//! inline on the caller; combined with tasks checking [`WorkerPool::
-//! is_closed`] before yielding, work submitted to a closed pool still
-//! finishes (without unbounded inline recursion).
+//! inline on the caller, so work submitted to a closed pool still
+//! finishes.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -47,8 +39,8 @@ struct PoolState {
 struct PoolInner {
     m: Mutex<PoolState>,
     cv: Condvar,
-    /// Mirror of `PoolState::closed` readable without the lock — tasks
-    /// consult it on their yield path.
+    /// Mirror of `PoolState::closed` readable without the lock (the task
+    /// yield path reads it).
     closed: AtomicBool,
 }
 
@@ -90,11 +82,9 @@ impl WorkerPool {
         self.workers
     }
 
-    /// True once [`WorkerPool::shutdown`] has begun. Tasks check this on
-    /// their yield path: a closed pool runs submissions inline, so instead
-    /// of resubmitting (which would recurse) a task on a closed pool keeps
-    /// going until done.
-    pub fn is_closed(&self) -> bool {
+    /// True once [`WorkerPool::shutdown`] has begun: submissions now run
+    /// inline, so a task must keep stepping instead of yielding.
+    pub(crate) fn is_closed(&self) -> bool {
         self.inner.closed.load(Ordering::Acquire)
     }
 
@@ -120,23 +110,19 @@ impl WorkerPool {
         self.inner.m.lock().expect("pool mutex poisoned").jobs.len()
     }
 
-    /// Pop one queued task and run it inline on the calling thread.
-    /// Returns false if the queue was empty.
-    ///
-    /// This is the *helping* half of rule 1 in the module docs: code that
-    /// must wait for progress owed by pool tasks (a shard barrier, a full
-    /// shard queue) donates its own thread instead of sleeping. Without
-    /// this, a task blocking on another task deadlocks a 1-worker pool —
-    /// the waiter occupies the only worker the awaited task needs.
-    pub fn help_run_one(&self) -> bool {
+    /// Pop one queued job and run it inline on the calling thread; false
+    /// if the queue was empty. The helping wait of [`crate::task`] is built
+    /// on this: a waiter that may itself be a pool worker donates its
+    /// thread, because sleeping could occupy the only worker the awaited
+    /// task needs.
+    pub(crate) fn help_run_one(&self) -> bool {
         let job = {
             let mut st = self.inner.m.lock().expect("pool mutex poisoned");
             st.jobs.pop_front()
         };
         match job {
             Some(job) => {
-                // Same outer net as the worker loop: task panics are routed
-                // into query errors by the task itself.
+                // Same outer net as the worker loop.
                 let _ = catch_unwind(AssertUnwindSafe(job.run));
                 true
             }
@@ -164,7 +150,12 @@ impl WorkerPool {
         }
         self.inner.cv.notify_all();
         let handles = std::mem::take(&mut *self.handles.lock().expect("pool handles poisoned"));
-        for h in handles {
+        // A job may hold the last `Arc<WorkerPool>` (a task's final run
+        // outliving its handle by an instant), so this can be a worker
+        // thread dropping the pool: it cannot join itself — it is left to
+        // return from its loop, which `closed` now guarantees.
+        let me = std::thread::current().id();
+        for h in handles.into_iter().filter(|h| h.thread().id() != me) {
             let _ = h.join();
         }
     }
@@ -192,9 +183,9 @@ fn worker_loop(inner: &PoolInner, me: usize) {
             }
         };
         let Some(job) = job else { return };
-        // Tasks carry their own catch_unwind and route panics into query
-        // errors; this outer net only keeps the *pool* alive if that ever
-        // fails, so a buggy task cannot take a worker thread down with it.
+        // Cooperative tasks route a panicking step into a query error
+        // themselves; this outer net keeps the *pool* alive under a bare
+        // closure that panics.
         let _ = catch_unwind(AssertUnwindSafe(job.run));
         inner.m.lock().expect("pool mutex poisoned").running[me] = None;
     }
@@ -275,6 +266,25 @@ mod tests {
         pool.submit(&CancelToken::new(), move || r.store(true, Ordering::SeqCst));
         assert!(ran.load(Ordering::SeqCst), "post-shutdown submit completes inline");
         pool.shutdown(); // idempotent
+    }
+
+    #[test]
+    fn a_job_may_drop_the_last_reference_to_its_pool() {
+        // The worker running that job shuts the pool down from inside: it
+        // must skip joining itself (std panics on a self-join, and the
+        // pool's own net would swallow that panic mid-shutdown).
+        let pool = WorkerPool::new(2);
+        let (go, gone) = std::sync::mpsc::channel();
+        let (done, finished) = std::sync::mpsc::channel();
+        let last = pool.clone();
+        pool.submit(&CancelToken::new(), move || {
+            gone.recv().unwrap(); // until the test thread has let go
+            drop(last);
+            done.send(()).unwrap();
+        });
+        drop(pool);
+        go.send(()).unwrap();
+        finished.recv_timeout(Duration::from_secs(10)).expect("shutdown inside a job unwound");
     }
 
     #[test]

@@ -1,13 +1,13 @@
-//! Shared statement-deadline timer.
+//! Shared statement-deadline timer — the engine's only deadline enforcer.
 //!
-//! PR 6 enforced `statement_timeout` with one watchdog thread per guarded
-//! query (`vw_exec::cancel::TimeoutGuard`) — fine for a library, wrong for
-//! a service where the thread budget is O(workers): N concurrent guarded
-//! statements would mean N sleeping threads. The [`DeadlineQueue`] keeps
-//! the same observable semantics (token marked timed-out, then cancelled,
-//! no earlier than its deadline; nothing registered for queries without a
-//! timeout) with **one** timer thread for the whole engine, spawned at
-//! construction so the engine's thread count is deterministic from open.
+//! A statement with a timeout carries its deadline on its
+//! [`CancelToken`]; the cooperative per-vector check never reads the
+//! clock. The [`DeadlineQueue`] is what fires: **one** timer thread for
+//! the whole engine (the thread budget is O(workers), not O(statements)),
+//! spawned at construction so the engine's thread count is deterministic
+//! from open. At a registered token's deadline — never earlier — it marks
+//! the token timed-out, then cancels it; a statement without a timeout
+//! registers nothing.
 //!
 //! Registrations are RAII: dropping the [`TimerGuard`] (query finished
 //! first) deregisters the token. The heap keeps lazily-invalidated

@@ -415,3 +415,52 @@ fn knobs_table_is_the_set_surface() {
         }
     }
 }
+
+/// "O(workers) threads" and "the pool's rules live in one place", held at
+/// source level. Below `vw-service` no engine crate starts a thread —
+/// concurrency is a task on the worker pool, deadlines are the one timer
+/// thread — and `vw-exec`, the pool's client, hand-rolls none of the task
+/// protocol (`vw_service::task` owns unwinding, the closed-pool guard and
+/// the helping wait). Test modules and comments are exempt.
+#[test]
+fn engine_crates_spawn_no_threads_and_exec_rolls_no_task_protocol() {
+    fn rust_files(dir: &std::path::Path, out: &mut Vec<std::path::PathBuf>) {
+        for entry in std::fs::read_dir(dir).unwrap_or_else(|e| panic!("{}: {e}", dir.display())) {
+            let path = entry.unwrap().path();
+            if path.is_dir() {
+                rust_files(&path, out);
+            } else if path.extension().is_some_and(|e| e == "rs") {
+                out.push(path);
+            }
+        }
+    }
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("crates");
+    let mut checked = 0;
+    for krate in ["common", "compress", "storage", "pdt", "exec", "rewriter", "sql", "core"] {
+        let mut banned = vec!["thread::spawn", "thread::Builder"];
+        if krate == "exec" {
+            banned.extend(["catch_unwind", "is_closed()", "help_run_one"]);
+        }
+        let mut files = Vec::new();
+        rust_files(&root.join(krate).join("src"), &mut files);
+        for file in files {
+            let text = std::fs::read_to_string(&file).unwrap();
+            let code = text
+                .lines()
+                .take_while(|l| !l.trim_start().starts_with("#[cfg(test)]"))
+                .filter(|l| !l.trim_start().starts_with("//"));
+            for line in code {
+                for word in &banned {
+                    assert!(
+                        !line.contains(word),
+                        "{}: `{word}` in `{}`",
+                        file.display(),
+                        line.trim()
+                    );
+                }
+            }
+            checked += 1;
+        }
+    }
+    assert!(checked > 40, "the walk found the crates ({checked} files)");
+}

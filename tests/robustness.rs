@@ -89,6 +89,85 @@ fn timeout_under_parallel_spilling_execution_reclaims_everything() {
     assert_eq!(MemBudget::global_in_use(), 0, "budget uncharged across workers");
 }
 
+/// DML is a monitored statement like any other: the victim scan of an
+/// UPDATE/DELETE runs under the statement's token, so `statement_timeout`
+/// and `KILL` reach it, `SHOW QUERIES` lists it, and a statement that is
+/// cut short leaves the table and the transaction as it found them.
+/// (The scan used to run under a private token nothing could cancel.)
+#[test]
+fn statement_timeout_and_kill_reach_update_and_delete() {
+    let _x = exclusive();
+    // 64 packs of two columns, 5 ms per block read, through a buffer pool
+    // too small to keep them: a victim scan is ≥ 600 ms of device time.
+    let disk = SimulatedDisk::instant();
+    let cfg = EngineConfig { buffer_pool_bytes: 1 << 10, pack_size: 64, ..EngineConfig::default() };
+    let db = Database::open_with(cfg, disk.clone());
+    db.execute("CREATE TABLE t (k BIGINT NOT NULL, v BIGINT NOT NULL)").unwrap();
+    let n = 64 * 64i64;
+    let k = ColData::I64((0..n).collect());
+    let v = ColData::I64((0..n).map(|i| (i * 31) % 1000).collect());
+    bulk_load(&db, "t", &[k, v], &[None, None]).unwrap();
+    let sum = |db: &Arc<Database>| db.execute("SELECT SUM(v), COUNT(*) FROM t").unwrap();
+    let before = sum(&db).rows().to_vec();
+    disk.arm_faults(FaultConfig { seed: 1, latency_us: 5000, ..Default::default() });
+
+    // Auto-commit UPDATE under a timeout: typed error, TimedOut in the
+    // registry under the statement's own text, nothing committed.
+    let mut s = db.session();
+    s.execute("SET statement_timeout = 60").unwrap();
+    const UPDATE: &str = "UPDATE t SET v = v + 1 WHERE k % 2 = 0";
+    let t0 = Instant::now();
+    let err = s.execute(UPDATE).unwrap_err();
+    assert!(matches!(err, VwError::Cancelled), "timeout surfaces as Cancelled: {err}");
+    assert!(t0.elapsed() < Duration::from_millis(400), "cut short, took {:?}", t0.elapsed());
+    let q = &db.monitor.list_queries()[0];
+    assert_eq!((q.sql.as_str(), &q.state), (UPDATE, &QueryState::TimedOut));
+    assert_eq!(q.timeout, Some(Duration::from_millis(60)));
+    assert_eq!(q.session, s.id());
+    assert!(!s.in_transaction());
+
+    // Inside a transaction: the transaction stays open and untouched —
+    // not even pinned to the snapshot the failed first touch would have
+    // taken, so a row committed afterwards is visible to it.
+    s.execute("BEGIN").unwrap();
+    let err = s.execute("DELETE FROM t WHERE v = 7").unwrap_err();
+    assert!(matches!(err, VwError::Cancelled), "{err}");
+    assert_eq!(db.monitor.list_queries()[0].state, QueryState::TimedOut);
+    assert!(s.in_transaction(), "a failed statement does not end the transaction");
+    disk.disarm_faults();
+    s.execute("SET statement_timeout = 0").unwrap();
+    db.execute("INSERT INTO t VALUES (-1, 0)").unwrap();
+    let seen = s.execute("SELECT COUNT(*) FROM t").unwrap();
+    assert_eq!(seen.scalar().unwrap(), &Value::I64(n + 1));
+    s.execute("COMMIT").unwrap();
+    db.execute("DELETE FROM t WHERE k = -1").unwrap();
+    assert_eq!(sum(&db).rows(), &before[..], "neither cancelled statement changed a row");
+
+    // KILL reaches a running DELETE the same way.
+    disk.arm_faults(FaultConfig { seed: 1, latency_us: 5000, ..Default::default() });
+    let runner = {
+        let db = db.clone();
+        std::thread::spawn(move || db.execute("DELETE FROM t WHERE v = 7"))
+    };
+    let qid = loop {
+        let running = db
+            .monitor
+            .list_queries()
+            .into_iter()
+            .find(|q| q.state == QueryState::Running && q.sql.starts_with("DELETE"));
+        match running {
+            Some(q) => break q.id,
+            None => std::thread::sleep(Duration::from_micros(200)),
+        }
+    };
+    db.kill(qid).unwrap();
+    let err = runner.join().unwrap().unwrap_err();
+    assert!(matches!(err, VwError::Cancelled), "{err}");
+    assert_eq!(db.monitor.list_queries()[0].state, QueryState::Cancelled);
+    disk.disarm_faults();
+    assert_eq!(sum(&db).rows(), &before[..], "the killed DELETE removed nothing");
+}
+
 #[test]
 fn queries_without_timeout_carry_no_deadline_machinery() {
     let _x = exclusive();
@@ -96,10 +175,10 @@ fn queries_without_timeout_carry_no_deadline_machinery() {
     db.execute("CREATE TABLE t (x BIGINT)").unwrap();
     db.execute("INSERT INTO t VALUES (1)").unwrap();
     db.execute("SELECT x FROM t").unwrap();
-    // No timeout configured → the registry records none (and no watchdog
-    // thread existed: its lifetime is the TimeoutGuard, which
-    // `CancelToken` without a deadline never spawns — unit-tested in
-    // vw-exec::cancel).
+    // No timeout configured → the registry records none (and nothing was
+    // registered with the deadline timer: a `CancelToken` without a
+    // deadline is refused by `DeadlineQueue::register` — unit-tested in
+    // vw-service::timer).
     assert_eq!(db.monitor.list_queries()[0].timeout, None);
     assert_eq!(db.config().statement_timeout_ms, 0);
     // Fault machinery equally absent by default — unless CI's fault lane

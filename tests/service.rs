@@ -65,8 +65,8 @@ fn live_threads() -> usize {
         .expect("Threads: line in /proc/self/status")
 }
 
-/// Engine threads of this process (pool workers, deadline timer,
-/// statement watchdogs — all named `vw-*`). Unlike [`live_threads`] this
+/// Engine threads of this process (pool workers and the deadline timer,
+/// all named `vw-*`). Unlike [`live_threads`] this
 /// does not count libtest's own threads, which come and go while a test
 /// holds the [`exclusive`] lock (the harness spawns the next test's thread
 /// whenever another finishes).
@@ -461,6 +461,47 @@ fn drop_with_query_mid_flight_joins_pool_threads() {
     wait_until("pool and timer threads to join", Duration::from_secs(5), || {
         engine_threads() <= before_open
     });
+}
+
+/// Shared-worker liveness: one pool worker, a DOP-4 plan and a low build
+/// gate. Four `Xchg` fragments stream partial aggregates to the session
+/// thread, whose final aggregate scatters them to four pooled shards —
+/// eight cooperative tasks and one thread to run them. It completes only
+/// because no task ever holds the worker while it waits (fragments park on
+/// a full buffer, shards on an empty mailbox) and the driver helps instead
+/// of sleeping when a mailbox is full; the answer must be the serial one.
+#[test]
+fn one_worker_drives_xchg_fragments_and_pooled_build_shards() {
+    let _x = exclusive();
+    let cfg = EngineConfig::default().with_workers(1);
+    let db = Database::open_with(cfg, SimulatedDisk::instant());
+    db.execute("CREATE TABLE g (k BIGINT NOT NULL, v BIGINT NOT NULL)").unwrap();
+    let n = 60_000i64;
+    let k = ColData::I64((0..n).map(|i| (i * 7919) % 6000).collect());
+    let v = ColData::I64((0..n).map(|i| i % 97).collect());
+    bulk_load(&db, "g", &[k, v], &[None, None]).unwrap();
+    const SQL: &str = "SELECT k, COUNT(*), SUM(v), MIN(v), AVG(v) FROM g GROUP BY k";
+
+    // An ungoverned build is the pooled one (a `VW_MEM_BUDGET` lane would
+    // otherwise turn it into the governed, driver-only configuration).
+    db.execute("SET mem_budget = 0; SET parallelism = 1").unwrap();
+    let serial = row_set(&db.execute(SQL).unwrap());
+    assert_eq!(serial.len(), 6000);
+
+    db.execute("SET parallelism = 4; SET partition_min_rows = 16; SET morsel_rows = 256").unwrap();
+    let plan = db.execute(&format!("EXPLAIN {SQL}")).unwrap().text.unwrap();
+    assert!(plan.contains("Xchg"), "partials stream through an exchange:\n{plan}");
+    let runner = {
+        let db = db.clone();
+        std::thread::spawn(move || db.execute(SQL))
+    };
+    wait_until("the one worker to finish the plan", Duration::from_secs(120), || {
+        runner.is_finished()
+    });
+    let parallel = runner.join().expect("runner must not panic").unwrap();
+    assert_eq!(row_set(&parallel), serial);
+    assert_eq!(db.worker_pool().workers(), 1);
+    assert_eq!(db.worker_pool().queued(), 0, "no task left behind");
 }
 
 /// SHOW SESSIONS reports session ids, states, current query and grant;

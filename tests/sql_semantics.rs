@@ -1827,10 +1827,10 @@ mod morsel_differential {
 
     #[test]
     fn worker_panic_with_shared_source_surfaces_as_error() {
-        // Two Xchg workers share one MorselSource; one panics mid-stream.
-        // The catch_unwind path must turn that into a VwError at the
-        // consumer (not a truncated stream), and dropping the exchange
-        // must join the surviving worker that keeps claiming morsels.
+        // Two Xchg fragments share one MorselSource; one panics
+        // mid-stream. The task primitive must turn that into a VwError at
+        // the consumer (not a truncated stream), and dropping the exchange
+        // must reclaim the surviving fragment that keeps claiming morsels.
         use vectorwise::exec::cancel::CancelToken;
         use vectorwise::exec::morsel::MorselSource;
         use vectorwise::exec::op::{BoxedOp, Operator, VectorScan, Xchg};
@@ -1881,7 +1881,8 @@ mod morsel_differential {
             Box::new(PanicAfter { inner: Box::new(mk_scan(0)), batches: 2 }),
             Box::new(mk_scan(1)),
         ];
-        let mut x = Xchg::spawn(parts, cancel).with_sources(vec![source]);
+        let workers = vectorwise::exec::partition::WorkerPool::new(2);
+        let mut x = Xchg::spawn_on(&workers, parts, cancel).with_sources(vec![source]);
         let mut saw_panic_error = false;
         loop {
             match x.next() {
@@ -1897,7 +1898,8 @@ mod morsel_differential {
             }
         }
         assert!(saw_panic_error, "worker panic must surface as VwError::Exec");
-        drop(x); // join must not deadlock while the sibling still claims
+        drop(x); // must not deadlock while the sibling still claims
+        assert_eq!(workers.queued(), 0);
     }
 }
 
