@@ -9,6 +9,12 @@
 //! allocator — and the same for every rung of `HashAggregate`'s
 //! group-resolution ladder (no keys, two dict-coded keys, one BIGINT key,
 //! two BIGINT keys), each timed per row beside it.
+//!
+//! The bulk CSR build (`FlatTable::build_csr`) is swept over 8 k → 1 M
+//! rows, first call and warm, with allocated bytes per row, against the
+//! layout it replaced (reconstructed here: 16-byte slots, a cursor clone of
+//! the directory, one global histogram and scatter). This sweep is what
+//! picked `CSR_RANGE_ROWS`.
 
 use criterion::{black_box, criterion_group, Criterion};
 use rand::rngs::SmallRng;
@@ -33,11 +39,19 @@ use vw_exec::{Batch, Vector};
 struct CountingAlloc;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
+static ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        ALLOC_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        ALLOC_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
@@ -46,6 +60,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        ALLOC_BYTES.fetch_add(new_size.saturating_sub(layout.size()) as u64, Ordering::Relaxed);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -330,9 +345,82 @@ fn resolution_rungs() {
     }
 }
 
+// ---------------------------------------------------------------------------
+// bulk CSR build: the layout `build_csr` replaced, and the sweep
+// ---------------------------------------------------------------------------
+
+/// The table `build_csr` built before it split by radix ranges: full hash
+/// and row in a 16-byte slot, zero-filled up front; one histogram and one
+/// scatter over the whole directory; a cursor clone of the offsets.
+#[allow(dead_code)]
+struct OldCsr {
+    offsets: Vec<u32>,
+    slots: Vec<(u64, u32)>,
+    bloom: Vec<u8>,
+}
+
+fn old_build_csr(hashes: &[u64]) -> OldCsr {
+    let dir = (hashes.len().max(4) * 2).next_power_of_two();
+    let mask = dir as u64 - 1;
+    let mut offsets = vec![0u32; dir + 1];
+    let mut bloom = vec![0u8; dir];
+    for &h in hashes {
+        let b = (h & mask) as usize;
+        offsets[b + 1] += 1;
+        bloom[b] |= 1u8 << ((h >> 57) & 7);
+    }
+    for b in 1..offsets.len() {
+        offsets[b] += offsets[b - 1];
+    }
+    let mut cursor = offsets[..dir].to_vec();
+    let mut slots = vec![(0u64, u32::MAX); hashes.len()];
+    for (row, &h) in hashes.iter().enumerate() {
+        let b = (h & mask) as usize;
+        slots[cursor[b] as usize] = (h, row as u32);
+        cursor[b] += 1;
+    }
+    OldCsr { offsets, slots, bloom }
+}
+
+/// ns/row of the first call and of the best of the following ones, and
+/// bytes allocated per row by one call.
+fn time_build<T>(hashes: &[u64], build: impl Fn(&[u64]) -> T) -> (f64, f64, f64) {
+    let per_row = |t: Duration| t.as_nanos() as f64 / hashes.len() as f64;
+    let bytes0 = ALLOC_BYTES.load(Ordering::Relaxed);
+    let t0 = Instant::now();
+    black_box(build(black_box(hashes)));
+    let first = per_row(t0.elapsed());
+    let bytes = (ALLOC_BYTES.load(Ordering::Relaxed) - bytes0) as f64 / hashes.len() as f64;
+    let reps = (4_000_000 / hashes.len()).clamp(5, 200);
+    let warm = (0..reps)
+        .map(|_| {
+            let t0 = Instant::now();
+            black_box(build(black_box(hashes)));
+            per_row(t0.elapsed())
+        })
+        .fold(f64::MAX, f64::min);
+    (first, warm, bytes)
+}
+
+fn csr_build_sweep() {
+    println!("bulk CSR build, ns/row (first call / warm) and allocated B/row:");
+    for n in [8_000usize, 25_000, 50_000, 100_000, 200_000, 500_000, 1_000_000] {
+        // Distinct seeds per size so no run finds the other's pages warm.
+        let hashes: Vec<u64> = (0..n as u64).map(|i| hash_u64(i ^ (n as u64) << 32)).collect();
+        let (of, ow, ob) = time_build(&hashes, old_build_csr);
+        let (nf, nw, nb) = time_build(&hashes, FlatTable::build_csr);
+        println!(
+            "  {n:>9} rows: old {of:>5.1} / {ow:>5.1}  {ob:>5.1} B/row   \
+             new {nf:>5.1} / {nw:>5.1}  {nb:>5.1} B/row   warm x{:.2}",
+            ow / nw
+        );
+    }
+}
+
 fn bench(c: &mut Criterion) {
     steady_state_alloc_check();
     resolution_rungs();
+    csr_build_sweep();
 
     let mut g = c.benchmark_group("c12_hashtable");
     g.sample_size(10)

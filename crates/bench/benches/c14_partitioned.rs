@@ -14,6 +14,13 @@
 //! *probe* loop (hash → radix split → per-shard fused probe) performs
 //! **zero heap allocations** once warm (counting global allocator, same
 //! technique as C12/C13).
+//!
+//! And the operator-level experiment behind "build once, probe many": a
+//! 200 k × 200 k join at DOP 1/2/4 on pools of 1/2/4 workers, with the
+//! build side made once for the exchange (`SharedBuild`: `dop` sinks, one
+//! table set, `dop` probers) against the lowering it replaced, rebuilt
+//! here as the reference — every fragment a `HashJoin` that drains the
+//! whole build side for itself.
 
 use criterion::{black_box, criterion_group, Criterion};
 use rand::rngs::SmallRng;
@@ -23,9 +30,14 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use vw_common::hash::hash_u64;
+use vw_common::{ColData, Field, Schema, TypeId};
 use vw_exec::cancel::CancelToken;
+use vw_exec::expr::PhysExpr;
 use vw_exec::hashtable::{FlatTable, ProbeBuf};
+use vw_exec::op::{BoxedOp, HashJoin, JoinType, Operator, SharedBuild, Xchg};
 use vw_exec::partition::{RadixRouter, ShardSet, ShardWorker, WorkerPool};
+use vw_exec::program::ExprProgram;
+use vw_exec::{Batch, Vector};
 
 // ---------------------------------------------------------------------------
 // counting allocator (steady-state allocation proof)
@@ -324,7 +336,145 @@ fn build_speedup(pool: &Arc<WorkerPool>, n: usize, reps: usize) -> f64 {
     speedup
 }
 
+// ---------------------------------------------------------------------------
+// build once, probe many: the shared build vs a build per fragment
+// ---------------------------------------------------------------------------
+
+/// Serves ready-made batches.
+struct Batches {
+    schema: Schema,
+    batches: std::vec::IntoIter<Batch>,
+}
+
+impl Operator for Batches {
+    fn schema(&self) -> &Schema {
+        &self.schema
+    }
+    fn name(&self) -> &'static str {
+        "Batches"
+    }
+    fn next(&mut self) -> vw_common::Result<Option<Batch>> {
+        Ok(self.batches.next())
+    }
+}
+
+fn kv_schema() -> Schema {
+    Schema::new(vec![Field::not_null("k", TypeId::I64), Field::not_null("v", TypeId::I64)]).unwrap()
+}
+
+/// `(k, v)` batches over `keys`, every `of`-th 1024-row batch starting at
+/// `share` (a worker's share of a dealt-out input; `0, 1` = all of it).
+fn kv_source(keys: &[i64], share: usize, of: usize) -> BoxedOp {
+    let batches: Vec<Batch> = keys
+        .chunks(1024)
+        .skip(share)
+        .step_by(of)
+        .map(|c| {
+            let col = |d: Vec<i64>| Vector::new(ColData::I64(d));
+            Batch::new(vec![col(c.to_vec()), col(c.iter().map(|k| k % 97).collect())])
+        })
+        .collect();
+    Box::new(Batches { schema: kv_schema(), batches: batches.into_iter() })
+}
+
+fn key_program() -> Vec<ExprProgram> {
+    vec![ExprProgram::compile(&PhysExpr::ColRef(0, TypeId::I64))]
+}
+
+/// The join at `dop`: a plain `HashJoin` at 1; inside an `Xchg` above it,
+/// with the build shared or — the reference — made whole by every
+/// fragment. Returns the output row count.
+fn join_at(
+    pool: &Arc<WorkerPool>,
+    build: &[i64],
+    probe: &[i64],
+    dop: usize,
+    shared: bool,
+) -> usize {
+    let cancel = CancelToken::new();
+    let out = kv_schema().join(&kv_schema());
+    let own = |probe_side: BoxedOp| {
+        HashJoin::new(
+            probe_side,
+            kv_source(build, 0, 1),
+            key_program(),
+            key_program(),
+            JoinType::Inner,
+            out.clone(),
+            cancel.clone(),
+        )
+        .expecting_build_rows(build.len())
+    };
+    let mut root: BoxedOp = if dop == 1 {
+        Box::new(own(kv_source(probe, 0, 1)))
+    } else if !shared {
+        let frags = (0..dop).map(|w| Box::new(own(kv_source(probe, w, dop))) as BoxedOp).collect();
+        Box::new(Xchg::spawn_on(pool, frags, cancel.clone()))
+    } else {
+        let sb = SharedBuild::new(key_program(), kv_schema(), JoinType::Inner, dop, cancel.clone())
+            .partitioned(dop, 8192)
+            .expecting(build.len());
+        let sb = Arc::new(sb);
+        let sinks = (0..dop)
+            .map(|w| sb.sink(Some(kv_source(build, w, dop)), Vec::new(), None).unwrap())
+            .collect();
+        let frags = (0..dop)
+            .map(|w| {
+                let probe_side = kv_source(probe, w, dop);
+                let j = HashJoin::probing(
+                    probe_side,
+                    sb.clone(),
+                    key_program(),
+                    out.clone(),
+                    cancel.clone(),
+                );
+                Box::new(j) as BoxedOp
+            })
+            .collect();
+        Box::new(Xchg::spawn_staged(pool, sinks, frags, &[sb], cancel.clone()))
+    };
+    let mut rows = 0;
+    while let Some(b) = root.next().unwrap() {
+        rows += b.rows();
+    }
+    rows
+}
+
+fn shared_vs_per_fragment_build() {
+    let n = 200_000;
+    let build: Vec<i64> = (0..n as i64).collect();
+    let probe = gen_keys(n, n as i64, 21);
+    println!(
+        "200k x 200k join, ms (best of 15): build per fragment -> shared build \
+         ({} hardware threads)",
+        std::thread::available_parallelism().map_or(0, |n| n.get())
+    );
+    let best = |f: &dyn Fn() -> usize| {
+        (0..15)
+            .map(|_| {
+                let t0 = Instant::now();
+                assert_eq!(black_box(f()), n, "every probe key has its one build row");
+                t0.elapsed().as_secs_f64() * 1e3
+            })
+            .fold(f64::MAX, f64::min)
+    };
+    for workers in [1usize, 2, 4] {
+        let pool = WorkerPool::new(workers);
+        let serial = best(&|| join_at(&pool, &build, &probe, 1, false));
+        print!("  {workers} workers: dop 1 {serial:>6.2}");
+        for dop in [2usize, 4] {
+            let each = best(&|| join_at(&pool, &build, &probe, dop, false));
+            let once = best(&|| join_at(&pool, &build, &probe, dop, true));
+            print!("   dop {dop} {each:>6.2} -> {once:>6.2} (x{:.2})", each / once);
+        }
+        println!();
+        pool.shutdown();
+    }
+}
+
 fn bench(c: &mut Criterion) {
+    shared_vs_per_fragment_build();
+
     let pool = WorkerPool::new(SHARDS);
     correctness_and_alloc_check(&pool);
 

@@ -16,6 +16,18 @@
 //! pipeline also threads one [`BatchPool`]
 //! through its operators, so steady-state operator outputs recycle instead
 //! of allocating.
+//!
+//! A join inside the fragment is two pipelines. Its probe side stays on
+//! the fragment's spine; its build side becomes a pipeline of its own that
+//! ends in a sink of **one shared [`SharedBuild`]** per join, registered
+//! the way the dispensers are: the first worker creates it, the rest
+//! attach. A build child the rewriter would call partitionable is compiled
+//! per worker with the fragment's partition — its scans share dispensers
+//! like any other — and the `dop` sinks each stage their share; any other
+//! build child (a GROUP BY subquery, a SetOp) is compiled once, for the
+//! first worker's sink. The sinks run as tasks of the `Xchg`, which steps
+//! a pipeline only once the builds it probes are published; every
+//! fragment then probes the same immutable build.
 
 use crate::catalog::{TableEntry, TableKind};
 use crate::dml::OpenTxn;
@@ -26,8 +38,8 @@ use vw_common::{EngineConfig, Field, Result, Schema, TypeId, Value, VwError};
 use vw_exec::expr::PhysExpr;
 use vw_exec::morsel::{BatchPool, MorselSource};
 use vw_exec::op::{
-    AggSpec, BoxedOp, HashAggregate, HashJoin, JoinType, Limit, Project, Select, SetOp, SetOpMode,
-    Sort, SortKey, TopN, UnionAll, Values, VectorScan, Xchg,
+    AggSpec, BoxedOp, BuildSink, HashAggregate, HashJoin, JoinType, Limit, Project, Select, SetOp,
+    SetOpMode, SharedBuild, Sort, SortKey, TopN, UnionAll, Values, VectorScan, Xchg,
 };
 use vw_exec::partition::{MemBudget, SpillConfig};
 use vw_exec::program::{ExprProgram, SelectProgram};
@@ -95,45 +107,43 @@ pub fn lower_expr(e: &SqlExpr) -> Result<PhysExpr> {
 }
 
 /// Shared state of one Exchange lowering: the morsel dispensers its
-/// partitioned scans share, in scan-visit order. The first worker's build
-/// creates each dispenser; the remaining workers attach to it (every
-/// worker compiles the same plan, so the visit order is identical).
+/// partitioned scans share, in scan-visit order, and the hash builds its
+/// joins share, in join-visit order. The first worker's compile creates
+/// each; the remaining workers attach to it (every worker compiles the
+/// same plan, so the visit order is identical). `sinks` collects every
+/// worker's sink of every build, for the `Xchg` to run.
 #[derive(Default)]
-struct ExchangeSources {
+struct ExchangeShared {
     sources: Mutex<Vec<Arc<MorselSource>>>,
+    builds: Mutex<Vec<Arc<SharedBuild>>>,
+    sinks: Mutex<Vec<BuildSink>>,
 }
 
-impl ExchangeSources {
-    fn get_or_create(
-        &self,
-        idx: usize,
-        make: impl FnOnce() -> Arc<MorselSource>,
-    ) -> Arc<MorselSource> {
-        let mut v = self.sources.lock();
-        if idx < v.len() {
-            v[idx].clone()
-        } else {
-            debug_assert_eq!(idx, v.len(), "scan visit order diverged across workers");
-            let s = make();
-            v.push(s.clone());
-            s
-        }
+/// Entry `idx` of a visit-order registry, made by the first visitor.
+fn get_or_create<T: Clone>(registry: &Mutex<Vec<T>>, idx: usize, make: impl FnOnce() -> T) -> T {
+    let mut v = registry.lock();
+    if idx == v.len() {
+        v.push(make());
     }
-
-    fn into_sources(self) -> Vec<Arc<MorselSource>> {
-        self.sources.into_inner()
-    }
+    debug_assert!(idx < v.len(), "visit order diverged across workers");
+    v[idx].clone()
 }
 
 /// One worker's view while the pipeline factory compiles its clone of an
-/// Exchange fragment. Cleared (passed as `None`) for join build sides,
-/// which must see the whole input on every worker.
+/// Exchange fragment — the fragment's spine and, with the same partition,
+/// the build sides of its joins. `None` below anything that must see its
+/// whole input in one place (a build child that cannot be partitioned, a
+/// SetOp's inputs).
 struct Partition<'a> {
     worker: usize,
     dop: usize,
-    shared: &'a ExchangeSources,
-    /// Scan-visit sequence number within this worker's build.
-    seq: usize,
+    shared: &'a ExchangeShared,
+    /// Scan- and join-visit sequence numbers within this worker's compile.
+    scans: usize,
+    joins: usize,
+    /// The shared builds probed by the pipeline being compiled: what its
+    /// task must see published before it is stepped.
+    deps: Vec<Arc<SharedBuild>>,
 }
 
 /// What is fixed for a whole query while its plan compiles, Exchange
@@ -148,8 +158,9 @@ struct QueryWide<'p> {
 
 /// The query-wide memory governor, created once per plan when
 /// `EngineConfig::mem_budget_bytes` is non-zero. Every hash join build
-/// side and every aggregation in the plan — Exchange worker clones
-/// included — charges the same budget; whichever operator pushes the
+/// and every aggregation in the plan charges the same budget — a join
+/// inside an Exchange once, through the build its worker clones share,
+/// an aggregation there once per clone; whichever operator pushes the
 /// total over the line spills its own largest partition (see
 /// `vw_exec::partition`). With no budget configured this is `None` and
 /// the builds run ungoverned: nothing is charged, nothing can be evicted.
@@ -191,11 +202,11 @@ pub fn build_plan(
     build_plan_inner(db, plan, config, cancel, txn, None, false, &BatchPool::new(), &query)
 }
 
-/// `in_exchange` tracks whether this subtree runs inside an Exchange
-/// worker — distinct from `partition`, which is cleared for join build
-/// sides (they must see the whole input) while the subtree is still one
-/// of `dop` concurrent copies. Operator-level parallel builds gate on it:
-/// inside an exchange they would oversubscribe (dop × P threads).
+/// `in_exchange` tracks whether this subtree runs inside an Exchange —
+/// distinct from `partition`, which is `None` below a build child compiled
+/// once for all workers. A nested Exchange is refused on it, and an
+/// aggregation's pooled build gates on it: the partial aggregates are
+/// already one per worker.
 /// `batch_pool` is this worker pipeline's shared output-batch free-list.
 /// `query` holds what the whole query shares: the memory governor and the
 /// plan's row estimates.
@@ -315,30 +326,6 @@ fn build_plan_node<'p>(
             )
         }
         LogicalPlan::Join { left, right, kind, keys, schema } => {
-            // Build side must see the whole input even under partitioning;
-            // only the probe side partitions.
-            let l = build_plan_inner(
-                db,
-                left,
-                config,
-                cancel,
-                txn,
-                partition,
-                in_exchange,
-                batch_pool,
-                query,
-            )?;
-            let r = build_plan_inner(
-                db,
-                right,
-                config,
-                cancel,
-                txn,
-                None,
-                in_exchange,
-                batch_pool,
-                query,
-            )?;
             let lk = keys
                 .iter()
                 .map(|(a, _)| Ok(ExprProgram::compile(&lower_expr(a)?)))
@@ -354,22 +341,67 @@ fn build_plan_node<'p>(
                 JoinKind::Anti => JoinType::LeftAnti,
                 JoinKind::NullAwareAnti => JoinType::NullAwareLeftAnti,
             };
-            let mut join = HashJoin::new(l, r, lk, rk, jt, schema.clone(), cancel.clone());
-            // One build state machine, two settings: a memory-governed
-            // query gets evictable partitions (driven by this thread; Xchg
-            // parallelism still applies above it). Otherwise the build
-            // fans out on the worker pool — but never inside an Exchange
-            // worker (even on a build side whose scan `partition` was
-            // cleared), where the plan-level DOP already owns the cores.
-            if let Some(qs) = &query.spill {
-                join = join.with_spill(qs.config(db));
-            } else if config.parallelism > 1 && !in_exchange {
-                join = join.with_parallel_build(
-                    db.workers.clone(),
-                    config.build_partitions(),
-                    config.partition_min_rows,
-                );
-            }
+            let build_rows =
+                query.estimates.as_ref().and_then(|e| e.rows(right)).map_or(0, |r| r as usize);
+            let side = |plan: &'p LogicalPlan, partition: Option<&mut Partition<'_>>| {
+                build_plan_inner(
+                    db,
+                    plan,
+                    config,
+                    cancel,
+                    txn,
+                    partition,
+                    in_exchange,
+                    batch_pool,
+                    query,
+                )
+            };
+            let Some(p) = partition else {
+                // A join that builds for itself: one build state machine,
+                // two settings — evictable partitions under the query's
+                // memory budget, else table construction fanned out on
+                // the worker pool.
+                let (l, r) = (side(left, None)?, side(right, None)?);
+                let mut join = HashJoin::new(l, r, lk, rk, jt, schema.clone(), cancel.clone())
+                    .expecting_build_rows(build_rows);
+                if let Some(qs) = &query.spill {
+                    join = join.with_spill(qs.config(db));
+                } else if config.parallelism > 1 {
+                    join = join.with_parallel_build(
+                        db.workers.clone(),
+                        config.build_partitions(),
+                        config.partition_min_rows,
+                    );
+                }
+                return Ok(Box::new(join.with_batch_pool(batch_pool.clone())));
+            };
+            let l = side(left, Some(&mut *p))?;
+            // Inside an Exchange the build side is a pipeline of its own,
+            // ending in this worker's sink of the one build all workers
+            // share. What that pipeline probes is its sink's business; the
+            // pipeline we are on probes the build itself.
+            let probed = std::mem::take(&mut p.deps);
+            let input = if vw_rewriter::parallel::is_partitionable(right) {
+                Some(side(right, Some(&mut *p))?)
+            } else if p.worker == 0 {
+                Some(side(right, None)?)
+            } else {
+                None
+            };
+            let sink_deps = std::mem::replace(&mut p.deps, probed);
+            let idx = p.joins;
+            p.joins += 1;
+            let shared = get_or_create(&p.shared.builds, idx, || {
+                let build = SharedBuild::new(rk, right.schema().clone(), jt, p.dop, cancel.clone())
+                    .expecting(build_rows);
+                Arc::new(match &query.spill {
+                    Some(qs) => build.governed(qs.config(db)),
+                    None => build.partitioned(config.build_partitions(), config.partition_min_rows),
+                })
+            });
+            p.shared.sinks.lock().push(shared.sink(input, sink_deps, Some(batch_pool.clone()))?);
+            p.deps.push(shared.clone());
+            let join = HashJoin::probing(l, shared, lk, schema.clone(), cancel.clone());
             Box::new(join.with_batch_pool(batch_pool.clone()))
         }
         LogicalPlan::Aggregate { input, group, aggs, schema } => {
@@ -479,9 +511,9 @@ fn build_plan_node<'p>(
             Box::new(Values::new(schema.clone(), rows.clone(), vs, cancel.clone()))
         }
         LogicalPlan::SetOp { op, inputs, .. } => {
-            // Inputs compile unpartitioned (like join build sides): the
-            // dedup state is per-operator, so partitioned inputs would
-            // let workers double-count rows.
+            // Inputs compile unpartitioned: the dedup state is
+            // per-operator, so partitioned inputs would let workers
+            // double-count rows.
             let mut compiled: Vec<BoxedOp> = Vec::with_capacity(inputs.len());
             for child in inputs {
                 compiled.push(build_plan_inner(
@@ -534,15 +566,23 @@ fn build_plan_node<'p>(
                 return Err(VwError::Plan("nested Exchange".into()));
             }
             // The pipeline factory: compile `dop` clones of the fragment.
-            // Partitioned scans share dispensers through `shared`; each
-            // worker gets a private batch free-list (batches cross the
-            // exchange channel and never come back, so sharing one across
-            // threads would only add contention).
-            let shared = ExchangeSources::default();
+            // Partitioned scans share dispensers, and joins their builds,
+            // through `shared`; each worker gets a private batch free-list
+            // (batches cross the exchange channel and never come back, so
+            // sharing one across threads would only add contention).
+            let shared = ExchangeShared::default();
             let mut parts: Vec<BoxedOp> = Vec::with_capacity(*dop);
+            let mut probed = Vec::new();
             for worker in 0..*dop {
                 let worker_pool = BatchPool::new();
-                let mut part = Partition { worker, dop: *dop, shared: &shared, seq: 0 };
+                let mut part = Partition {
+                    worker,
+                    dop: *dop,
+                    shared: &shared,
+                    scans: 0,
+                    joins: 0,
+                    deps: Vec::new(),
+                };
                 parts.push(build_plan_inner(
                     db,
                     input,
@@ -554,15 +594,16 @@ fn build_plan_node<'p>(
                     &worker_pool,
                     query,
                 )?);
+                probed = part.deps; // the same builds for every clone
             }
-            // Fragments run as cooperative tasks on the engine's shared
-            // worker pool: plan-time `dop` sizes the fragment count, the
-            // pool bounds actual threads, and interleaved scheduling keeps
-            // concurrent queries from starving each other.
-            Box::new(
-                Xchg::spawn_on(&db.workers, parts, cancel.clone())
-                    .with_sources(shared.into_sources()),
-            )
+            // Fragments and build sinks run as cooperative tasks on the
+            // engine's shared worker pool: plan-time `dop` sizes their
+            // count, the pool bounds actual threads, and interleaved
+            // scheduling keeps concurrent queries from starving each other.
+            let ExchangeShared { sources, sinks, .. } = shared;
+            let xchg =
+                Xchg::spawn_staged(&db.workers, sinks.into_inner(), parts, &probed, cancel.clone());
+            Box::new(xchg.with_sources(sources.into_inner()))
         }
     })
 }
@@ -610,9 +651,9 @@ fn lower_scan(
     };
     let (source, consumer) = match partition {
         Some(p) => {
-            let idx = p.seq;
-            p.seq += 1;
-            (p.shared.get_or_create(idx, || make_source(p.dop)), p.worker)
+            let idx = p.scans;
+            p.scans += 1;
+            (get_or_create(&p.shared.sources, idx, || make_source(p.dop)), p.worker)
         }
         None => (make_source(1), 0),
     };

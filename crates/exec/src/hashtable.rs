@@ -28,13 +28,19 @@
 //! via a [`SelVec`] ([`keys_match_sel`] → [`FlatTable::advance_matching`]).
 //! Single-column keys take a fused, type-monomorphized fast path instead
 //! ([`FlatTable::probe_join`] / [`FlatTable::probe_groups`]) that stages
-//! hash → prefetch → scan across the whole vector. Hash join additionally
-//! [`finalize`](FlatTable::finalize)s its build into a bucket-grouped
-//! contiguous (CSR) layout whose probes are short sequential scans — or,
-//! when the whole build input is staged first, bulk-constructs that layout
-//! directly ([`FlatTable::build_csr`]: histogram → prefix sum → scatter,
-//! no chain phase at all). All scratch buffers are caller-owned and reused
-//! across batches, so the steady-state probe loop performs no allocations.
+//! hash → prefetch → scan across the whole vector. Hash join probes a
+//! bucket-grouped contiguous (CSR) layout whose probes are short
+//! sequential scans: a directory of `u32` offsets, one bloom byte per
+//! bucket, and 8-byte slots — a row id and the upper half of its hash
+//! (the lower half *is* the bucket). Its whole build input is staged
+//! first, so the layout is bulk-constructed ([`FlatTable::build_csr`]:
+//! histogram → prefix sum → scatter, no chain phase at all, the directory
+//! its own scatter cursor; past a cache-sized row count the rows are
+//! first split by the directory's top bits so every pass works inside one
+//! window of it). [`finalize`](FlatTable::finalize) is the same
+//! construction over a chain-mode table's rows. All scratch buffers are
+//! caller-owned and reused across batches, so the steady-state probe loop
+//! performs no allocations.
 //!
 //! **Partitioned builds** (see [`crate::partition`]): one `FlatTable` is
 //! also the unit of radix sharding. The partition id is the *top* bits of
@@ -75,13 +81,22 @@ struct Entry {
     next: u32,
 }
 
-/// One finalized (CSR) slot: a row's full hash and its row id, stored
-/// bucket-grouped and contiguous so probing a bucket is a short sequential
-/// scan instead of a pointer chase.
-#[derive(Debug, Clone, Copy)]
+/// One finalized (CSR) slot: the upper half of a row's hash and its row
+/// id, stored bucket-grouped and contiguous so probing a bucket is a short
+/// sequential scan instead of a pointer chase. The bucket index already
+/// is the hash's low bits, so the 32-bit tag rejects all but one in 2^32
+/// foreign candidates before the key comparison that decides every match
+/// — in 8 bytes a slot, half of what the full hash took.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct Slot {
-    hash: u64,
+    tag: u32,
     row: u32,
+}
+
+/// The part of hash `h` a [`Slot`] keeps.
+#[inline(always)]
+fn tag_of(h: u64) -> u32 {
+    (h >> 32) as u32
 }
 
 /// Open-addressing directory + chain array over contiguous build rows.
@@ -91,7 +106,8 @@ struct Slot {
 /// * **chain mode** (initial): `heads[h & mask]` points at the newest row
 ///   of the bucket; rows link through `entries[row].next`. Supports
 ///   incremental find-or-insert — hash aggregation lives here.
-/// * **finalized mode** (after [`FlatTable::finalize`]): entries are
+/// * **finalized mode** ([`FlatTable::build_csr`], or
+///   [`FlatTable::finalize`] of a chain-mode table): rows are
 ///   counting-sorted into bucket-grouped contiguous `slots` with a CSR
 ///   `offsets` directory. Probing a bucket becomes a bounded sequential
 ///   scan — the layout hash join probes after its build phase completes.
@@ -122,6 +138,15 @@ pub struct FlatTable {
 fn bloom_bit(h: u64) -> u8 {
     1u8 << ((h >> 57) & 7)
 }
+
+/// Build rows per radix range of a [`FlatTable::build_csr`] over more than
+/// [`SMALL_TABLE`] rows: a range's window of the directory, the bloom tags
+/// and the slots (≈ 21 B a row at load factor 0.4) stays well inside L2
+/// while its histogram and scatter touch it at random. Both constants are
+/// `c12_hashtable`'s build sweep's: the split costs a pass (≈ 3 ns/row)
+/// and starts paying between 100 k and 200 k rows; 8 k- and 16 k-row
+/// ranges measure alike, 32 k and up lose.
+const CSR_RANGE_ROWS: usize = 8192;
 
 impl Default for FlatTable {
     fn default() -> FlatTable {
@@ -238,26 +263,86 @@ impl FlatTable {
     /// before the first probe (hash join; each radix shard of a
     /// partitioned build). Aggregation keeps the incremental chain path:
     /// it interleaves lookups with inserts.
+    ///
+    /// # Panics
+    /// At `u32::MAX` rows or more — row ids are `u32`. Callers that can be
+    /// handed that many rows check first (the join does, with a typed
+    /// error, before any table is allocated).
     pub fn build_csr(hashes: &[u64]) -> FlatTable {
-        assert!(hashes.len() < EMPTY as usize, "flat table holds at most u32::MAX - 1 rows");
-        let dir = directory_size(hashes.len());
+        FlatTable::build_csr_chunks(&[hashes])
+    }
+
+    /// [`FlatTable::build_csr`] over a hash array that arrives in pieces
+    /// (the per-worker stages of a shared build): row ids number the
+    /// chunks' hashes consecutively, in chunk order.
+    ///
+    /// A random histogram and scatter over a directory larger than the
+    /// cache misses on nearly every row, so past `SMALL_TABLE` rows the
+    /// rows are first split — one sequential pass, stable — by the *top*
+    /// bits of their bucket index into ranges of about
+    /// `CSR_RANGE_ROWS`. A range owns one contiguous window of the
+    /// directory, the bloom tags and the slots, and the three random
+    /// passes run window by window. The table is the one a single global
+    /// pass builds (and does build, below the threshold): the same
+    /// offsets, and within a bucket the rows in ascending order. The
+    /// cursor of the scatter is the directory itself, one entry ahead
+    /// (`offsets[b + 1]` runs from bucket `b`'s start to its end, which is
+    /// bucket `b + 1`'s start), so no second array is needed; slots are
+    /// grown one window at a time, which is also what first touches them.
+    pub fn build_csr_chunks(chunks: &[&[u64]]) -> FlatTable {
+        let n: usize = chunks.iter().map(|c| c.len()).sum();
+        assert!(n < EMPTY as usize, "flat table holds at most u32::MAX - 1 rows");
+        let dir = directory_size(n);
         let mask = dir as u64 - 1;
+        let ranges = if n <= SMALL_TABLE { 1 } else { (n / CSR_RANGE_ROWS).next_power_of_two() };
         let mut offsets = vec![0u32; dir + 1];
         let mut bloom = vec![0u8; dir];
-        for &h in hashes {
-            let b = (h & mask) as usize;
-            offsets[b + 1] += 1;
-            bloom[b] |= bloom_bit(h);
-        }
-        for b in 1..offsets.len() {
-            offsets[b] += offsets[b - 1];
-        }
-        let mut cursor = offsets[..dir].to_vec();
-        let mut slots = vec![Slot { hash: 0, row: EMPTY }; hashes.len()];
-        for (row, &h) in hashes.iter().enumerate() {
-            let b = (h & mask) as usize;
-            slots[cursor[b] as usize] = Slot { hash: h, row: row as u32 };
-            cursor[b] += 1;
+        let mut slots: Vec<Slot> = Vec::with_capacity(n);
+        let mut filled = 0u32;
+        if ranges == 1 {
+            let rows = chunks
+                .iter()
+                .flat_map(|c| c.iter())
+                .zip(0u32..)
+                .map(|(&h, row)| [(h & mask) as u32, tag_of(h), row]);
+            fill_window(&mut offsets, &mut bloom, &mut slots, &mut filled, rows);
+        } else {
+            // Buckets per range, as a shift and a mask of the bucket index.
+            let shift = dir.trailing_zeros() - ranges.trailing_zeros();
+            let local = (1u64 << shift) - 1;
+            // The split: `(bucket within its range, tag, row)` per row, range
+            // by range. `starts` is its own scatter cursor, the same way.
+            let mut starts = vec![0usize; ranges + 1];
+            for chunk in chunks {
+                for &h in *chunk {
+                    starts[((h & mask) >> shift) as usize + 1] += 1;
+                }
+            }
+            let mut at = 0;
+            for s in &mut starts[1..] {
+                at += std::mem::replace(s, at);
+            }
+            let mut split = vec![[0u32; 3]; n];
+            let mut row = 0u32;
+            for chunk in chunks {
+                for &h in *chunk {
+                    let b = h & mask;
+                    let cursor = &mut starts[(b >> shift) as usize + 1];
+                    split[*cursor] = [(b & local) as u32, tag_of(h), row];
+                    *cursor += 1;
+                    row += 1;
+                }
+            }
+            let width = 1usize << shift;
+            for r in 0..ranges {
+                fill_window(
+                    &mut offsets[r * width..(r + 1) * width + 1],
+                    &mut bloom[r * width..(r + 1) * width],
+                    &mut slots,
+                    &mut filled,
+                    split[starts[r]..starts[r + 1]].iter().copied(),
+                );
+            }
         }
         FlatTable {
             heads: Vec::new(),
@@ -270,39 +355,17 @@ impl FlatTable {
         }
     }
 
-    /// Convert chains into the finalized CSR layout: one counting-sort pass
-    /// groups every bucket's rows contiguously (in ascending row order), so
-    /// probes scan a cache-friendly range instead of chasing `next` links.
-    /// Hash join calls this once its build side is drained; further inserts
-    /// are rejected. No-op on an already-finalized table.
+    /// Convert chains into the finalized CSR layout (see
+    /// [`FlatTable::build_csr`], which this runs over the inserted rows'
+    /// hashes): every bucket's rows become contiguous, in ascending row
+    /// order, so probes scan a cache-friendly range instead of chasing
+    /// `next` links. Further inserts are rejected. No-op on an
+    /// already-finalized table.
     pub fn finalize(&mut self) {
-        if self.finalized {
-            return;
+        if !self.finalized {
+            let hashes: Vec<u64> = self.entries.iter().map(|e| e.hash).collect();
+            *self = FlatTable::build_csr(&hashes);
         }
-        let dir = self.heads.len();
-        self.offsets.clear();
-        self.offsets.resize(dir + 1, 0);
-        self.bloom.clear();
-        self.bloom.resize(dir, 0);
-        for e in &self.entries {
-            let b = (e.hash & self.mask) as usize;
-            self.offsets[b + 1] += 1;
-            self.bloom[b] |= bloom_bit(e.hash);
-        }
-        for b in 1..self.offsets.len() {
-            self.offsets[b] += self.offsets[b - 1];
-        }
-        let mut cursor = self.offsets.clone();
-        self.slots.clear();
-        self.slots.resize(self.entries.len(), Slot { hash: 0, row: EMPTY });
-        for (row, e) in self.entries.iter().enumerate() {
-            let b = (e.hash & self.mask) as usize;
-            self.slots[cursor[b] as usize] = Slot { hash: e.hash, row: row as u32 };
-            cursor[b] += 1;
-        }
-        self.heads = Vec::new();
-        self.entries = Vec::new();
-        self.finalized = true;
     }
 
     /// Double (or jump) the chain directory and relink every row. Rows are
@@ -364,7 +427,7 @@ impl FlatTable {
                     let mut i = self.offsets[b] as usize;
                     while i < end {
                         visited += 1;
-                        if self.slots[i].hash == h {
+                        if self.slots[i].tag == tag_of(h) {
                             cand[p] = i as u32;
                             return true;
                         }
@@ -416,7 +479,7 @@ impl FlatTable {
                     let mut i = cand[p] as usize + 1;
                     while i < end {
                         visited += 1;
-                        if self.slots[i].hash == h {
+                        if self.slots[i].tag == tag_of(h) {
                             cand[p] = i as u32;
                             return true;
                         }
@@ -538,7 +601,7 @@ impl FlatTable {
                             while i < end {
                                 visited += 1;
                                 let slot = self.slots[i];
-                                if slot.hash == h && key_eq(p, slot.row) {
+                                if slot.tag == tag_of(h) && key_eq(p, slot.row) {
                                     emit!(p, slot.row, break);
                                 }
                                 i += 1;
@@ -558,7 +621,7 @@ impl FlatTable {
                         while i < end {
                             visited += 1;
                             let slot = self.slots[i];
-                            if slot.hash == h && key_eq(p, slot.row) {
+                            if slot.tag == tag_of(h) && key_eq(p, slot.row) {
                                 emit!(p, slot.row, break);
                             }
                             i += 1;
@@ -865,6 +928,32 @@ pub(crate) use dispatch_typed_keys;
 /// probes skip the staged-prefetch passes, whose latency-hiding only pays
 /// off once the directory and slots spill out of the last-level cache.
 const SMALL_TABLE: usize = 1 << 17;
+
+/// One window of [`FlatTable::build_csr_chunks`]: histogram, prefix sum
+/// and scatter of `rows` — `[bucket within the window, tag, row]` — over
+/// the window's `offsets` (one entry longer than its buckets: the last is
+/// the next window's first) and `bloom`, appending its slots.
+fn fill_window(
+    offsets: &mut [u32],
+    bloom: &mut [u8],
+    slots: &mut Vec<Slot>,
+    filled: &mut u32,
+    rows: impl Iterator<Item = [u32; 3]> + Clone,
+) {
+    for [b, tag, _] in rows.clone() {
+        offsets[b as usize + 1] += 1;
+        bloom[b as usize] |= bloom_bit((tag as u64) << 32);
+    }
+    for o in &mut offsets[1..] {
+        *filled += std::mem::replace(o, *filled);
+    }
+    slots.resize(*filled as usize, Slot::default());
+    for [b, tag, row] in rows {
+        let cursor = &mut offsets[b as usize + 1];
+        slots[*cursor as usize] = Slot { tag, row };
+        *cursor += 1;
+    }
+}
 
 /// Smallest power-of-two directory keeping load factor ≤ 0.5.
 fn directory_size(rows: usize) -> usize {
@@ -1257,26 +1346,61 @@ mod tests {
         assert!(steps > 0);
     }
 
+    /// What `build_csr` must produce, written the obvious way: one global
+    /// histogram, prefix sum and scatter.
+    fn csr_reference(hashes: &[u64]) -> (Vec<u32>, Vec<Slot>, Vec<u8>) {
+        let dir = directory_size(hashes.len());
+        let bucket = |h: u64| (h & (dir as u64 - 1)) as usize;
+        let (mut offsets, mut bloom) = (vec![0u32; dir + 1], vec![0u8; dir]);
+        for &h in hashes {
+            offsets[bucket(h) + 1] += 1;
+            bloom[bucket(h)] |= bloom_bit(h);
+        }
+        for b in 1..offsets.len() {
+            offsets[b] += offsets[b - 1];
+        }
+        let mut cursor = offsets.clone();
+        let mut slots = vec![Slot::default(); hashes.len()];
+        for (row, &h) in hashes.iter().enumerate() {
+            slots[cursor[bucket(h)] as usize] = Slot { tag: tag_of(h), row: row as u32 };
+            cursor[bucket(h)] += 1;
+        }
+        (offsets, slots, bloom)
+    }
+
     #[test]
-    fn build_csr_equals_insert_then_finalize() {
-        // Bulk CSR construction must produce the identical layout the
-        // incremental insert + finalize path produces (same directory,
-        // same bucket-grouped slot order), so probes cannot diverge.
+    fn build_csr_is_the_global_counting_sort_at_every_range_count() {
+        // One range (at and below the split threshold), then many;
+        // duplicates force multi-row buckets whose ascending row order
+        // must survive the split. Chunked input numbers rows across the
+        // chunks.
+        for n in [0usize, 1, 100, 10_000, SMALL_TABLE, SMALL_TABLE + 1, 300_000] {
+            let hashes: Vec<u64> = (0..n as u64).map(|i| hash_u64(i % 40_961)).collect();
+            let (offsets, slots, bloom) = csr_reference(&hashes);
+            let cut = n / 3;
+            for t in [
+                FlatTable::build_csr(&hashes),
+                FlatTable::build_csr_chunks(&[&hashes[..cut], &[], &hashes[cut..]]),
+            ] {
+                assert!(t.is_finalized());
+                assert_eq!(t.len(), n);
+                assert_eq!(t.offsets, offsets, "{n} rows");
+                assert_eq!(t.slots, slots, "{n} rows");
+                assert_eq!(t.bloom, bloom, "{n} rows");
+            }
+        }
+    }
+
+    #[test]
+    fn finalize_is_build_csr_over_the_inserted_rows() {
         let hashes: Vec<u64> = (0..10_000u64).map(|i| hash_u64(i % 4096)).collect();
         let mut incremental = FlatTable::new();
         incremental.insert_batch(&hashes, None);
         incremental.finalize();
         let bulk = FlatTable::build_csr(&hashes);
-        assert_eq!(bulk.len(), incremental.len());
         assert_eq!(bulk.directory_len(), incremental.directory_len());
         assert_eq!(bulk.offsets, incremental.offsets);
-        assert_eq!(bulk.bloom, incremental.bloom);
-        assert!(bulk
-            .slots
-            .iter()
-            .zip(&incremental.slots)
-            .all(|(a, b)| a.hash == b.hash && a.row == b.row));
-        assert!(bulk.is_finalized());
+        assert_eq!(bulk.slots, incremental.slots);
     }
 
     #[test]

@@ -1,30 +1,54 @@
 //! Vectorized hash join over the flat hash table.
 //!
-//! **Build** (right child) runs the one partitioned-build state machine of
-//! [`crate::partition`]: every batch's non-NULL key lanes are hashed,
-//! routed to `P` slots and appended to the owning slot's contiguous
-//! key/payload vectors straight from the batch. `P = 1` is the serial
-//! build; [`HashJoin::with_spill`] makes the slots evictable under the
-//! query's memory budget (a slot's rows move to a spill file, and so do
-//! the probe rows later routed to it); [`HashJoin::with_parallel_build`]
-//! fans the per-slot table construction out to the worker pool. One
-//! finalize concatenates the slots into the global build columns and
-//! bulk-builds the [`FlatTable`]s (CSR layout: every probe is a short
-//! sequential scan) — per slot when the build is governed or clears the
-//! cost gate, else a single table.
+//! **Build** (right child) and **probe** (left child) are two halves that
+//! meet in one immutable value, the [`JoinBuild`].
+//!
+//! A build is a [`SharedBuild`] fed by one or more [`BuildSink`]s. A sink
+//! drains its share of the build input into *private* slots — the
+//! partitioned-build state machine of [`crate::partition`]: every batch's
+//! non-NULL key lanes are hashed, routed to `P` slots and appended to the
+//! owning slot's contiguous vectors straight from the batch, each column
+//! once (a bare-column key *is* its payload column; semi and anti joins
+//! stage no payload at all). Under the query's memory budget a sink evicts
+//! its own largest slot to its own spill file. When the last sink has
+//! deposited its slots, the finalize work is cut into units — one table
+//! per slot (or a single one below the cost gate), bulk-built by
+//! [`FlatTable::build_csr_chunks`] over the sinks' hashes, and one
+//! concatenation of the slots per build column — and whichever sink is
+//! free claims the next unit; the one that finishes the last unit
+//! publishes the [`JoinBuild`] and wakes whoever waits for it. A slot
+//! evicted by any sink is on disk for all: what the other sinks still hold
+//! of it is written out before the units are cut.
+//!
+//! A join outside an Exchange ([`HashJoin::new`]) owns a build with one
+//! sink and drives it inline on its first `next`
+//! ([`HashJoin::with_parallel_build`] lends it pool tasks for the table
+//! units). Inside an Exchange the build is *shared*
+//! ([`HashJoin::probing`]): the compiler makes one `SharedBuild` per join,
+//! its `dop` sinks run as cooperative tasks of the exchange
+//! ([`super::xchg`]) over the partitioned build input, and every fragment
+//! probes the one `Arc<JoinBuild>` — the build side is scanned, hashed,
+//! staged, charged and resident once, whatever the DOP. Nothing waits on a
+//! thread: a sink with nothing to claim yet, and a fragment whose build is
+//! not published yet, report `Blocked` and are woken.
 //!
 //! **Probe** is vector-at-a-time. Against a single table the fused
 //! per-type kernel hashes, walks and compares in one pass per lane;
 //! against `P` tables the batch is hashed once, split by the build's radix
-//! bits into reused per-slot `SelVec`s, and the same kernels run slot-wise
-//! with slot-local row ids rebased onto the concatenated build columns, so
-//! output assembly is the same either way. All probe scratch is reused
-//! across batches: the steady-state loop allocates nothing.
+//! bits into the prober's own per-slot `SelVec`s, and the same kernels run
+//! slot-wise with slot-local row ids rebased onto the concatenated build
+//! columns, so output assembly is the same either way. All probe scratch
+//! is per operator and reused across batches: the steady-state loop
+//! allocates nothing.
 //!
-//! **Deferred phase** (governed builds that evicted): once the probe input
-//! is exhausted each spilled build/probe file pair replays through an
+//! **Deferred phase** (governed builds that evicted): a prober diverts the
+//! lanes of an evicted slot to its *own* probe spill file; once its probe
+//! input is exhausted it lets go of the resident build and replays each
+//! probe file against the slot's shared, read-only build files through an
 //! inner `HashJoin` — same keys, same join type, the next hash-bit
-//! stratum, the same budget — i.e. this component one level down.
+//! stratum, the same budget — i.e. this component one level down. Workers
+//! do not wait for each other: grace works at any DOP with no barrier
+//! beyond the publish.
 //!
 //! Supports inner, left outer, left semi, left anti, and the **NULL-aware
 //! left anti join** that gives `NOT IN` its treacherous SQL semantics — the
@@ -33,8 +57,9 @@
 //!
 //! NULL-aware anti join semantics (`x NOT IN (SELECT k ...)`):
 //! * a probe row whose key matches any build row is dropped;
-//! * if the build side contains **any** NULL key, every non-matching probe
-//!   row evaluates to NULL (dropped) — so the operator emits nothing;
+//! * if the build side contains **any** NULL key — seen by any sink —
+//!   every non-matching probe row evaluates to NULL (dropped), so the
+//!   operator emits nothing;
 //! * a probe row with a NULL key is dropped unless the build side is empty;
 //! * if the build side is empty, **all** probe rows pass (even NULL keys).
 
@@ -43,15 +68,17 @@ use crate::cancel::CancelToken;
 use crate::hashtable::{self, FlatTable, EMPTY};
 use crate::morsel::BatchPool;
 use crate::partition::{
-    Partitions, ShardSet, ShardWorker, SpillConfig, WorkerPool, DEFAULT_PARALLEL_BUILD_MIN_ROWS,
+    Partitions, RadixRouter, SpillConfig, WorkerPool, DEFAULT_PARALLEL_BUILD_MIN_ROWS,
 };
 use crate::profile::OpProfile;
 use crate::program::{ExprProgram, VecRef, VectorPool};
 use crate::spill::{self, SpillScan};
 use crate::vector::{Batch, Vector};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU8, Ordering::SeqCst};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 use vw_common::{ColData, Result, Schema, SelVec, TypeId, VwError};
+use vw_service::{CoopTask, Step, TaskHandle, Waker};
 use vw_storage::SpillFile;
 
 /// Join variants supported by the kernel.
@@ -119,89 +146,123 @@ struct ProbeScratch {
     refs: Vec<VecRef>,
 }
 
-/// What one build partition holds while the build runs: the gathered
-/// key/payload rows and their hashes, waiting to become a CSR table — or
-/// to be written to a spill file if the memory governor evicts the slot.
+/// Which vectors a build stages, each build column at most once: the key
+/// vectors first (so the probe kernels see them as one slice), then the
+/// build columns no bare-column key already is. Joins that never emit the
+/// right side stage the keys only — unless the build is governed, whose
+/// evicted rows must be replayable in full.
+#[derive(Debug, Clone)]
+struct StageLayout {
+    n_keys: usize,
+    /// Build columns staged after the keys.
+    rest: Vec<usize>,
+    /// Where build column `c` is staged (empty when the payload is not).
+    payload_at: Vec<usize>,
+    /// The staged vectors' types.
+    tys: Vec<TypeId>,
+}
+
+impl StageLayout {
+    fn new(keys: &[ExprProgram], build_schema: &Schema, stage_payload: bool) -> StageLayout {
+        let mut tys: Vec<TypeId> = keys.iter().map(|k| k.type_id()).collect();
+        let (mut rest, mut payload_at) = (Vec::new(), Vec::new());
+        if stage_payload {
+            payload_at = vec![usize::MAX; build_schema.len()];
+            for (k, prog) in keys.iter().enumerate() {
+                if let (true, &[c]) = (prog.is_bare_col(), prog.cols_used()) {
+                    if payload_at[c] == usize::MAX {
+                        payload_at[c] = k;
+                    }
+                }
+            }
+            for (c, at) in payload_at.iter_mut().enumerate() {
+                if *at == usize::MAX {
+                    *at = tys.len();
+                    tys.push(build_schema.fields[c].ty);
+                    rest.push(c);
+                }
+            }
+        }
+        StageLayout { n_keys: keys.len(), rest, payload_at, tys }
+    }
+
+    /// The build columns, in schema order, out of staged vectors.
+    fn payload<'a>(&self, vecs: &'a [Vector]) -> Vec<&'a Vector> {
+        self.payload_at.iter().map(|&at| &vecs[at]).collect()
+    }
+}
+
+/// An empty vector of `ty` with room for `rows` values (strings arrive
+/// dictionary-coded more often than not: their value buffer is left to
+/// grow on demand).
+fn presized(ty: TypeId, rows: usize) -> Vector {
+    Vector::new(match ty {
+        TypeId::Str => ColData::new(ty),
+        _ => ColData::with_capacity(ty, rows),
+    })
+}
+
+/// What one build partition of one sink holds while the build runs: the
+/// gathered rows and their hashes, waiting to become part of a CSR table
+/// — or to be written to a spill file if the memory governor evicts the
+/// slot.
 struct JoinStage {
-    keys: Vec<Vector>,
-    cols: Vec<Vector>,
+    /// One vector per [`StageLayout::tys`].
+    vecs: Vec<Vector>,
     hashes: Vec<u64>,
     /// Approximate staged bytes (maintained for governed builds only).
     bytes: usize,
 }
 
 impl JoinStage {
-    fn new(key_tys: &[TypeId], col_tys: &[TypeId]) -> JoinStage {
-        let empty = |tys: &[TypeId]| tys.iter().map(|&t| Vector::new(ColData::new(t))).collect();
-        JoinStage { keys: empty(key_tys), cols: empty(col_tys), hashes: Vec::new(), bytes: 0 }
+    fn new(tys: &[TypeId], rows: usize) -> JoinStage {
+        JoinStage {
+            vecs: tys.iter().map(|&t| presized(t, rows)).collect(),
+            hashes: Vec::with_capacity(rows),
+            bytes: 0,
+        }
     }
 
-    /// Append the `sel` lanes of one batch. `charge` also accounts their
-    /// approximate bytes (the unit the memory governor charges).
-    fn append(
+    /// Append the `sel` lanes of one batch's source vectors (`dense`: they
+    /// are all of its lanes, in order — a plain copy). `charge` also
+    /// accounts their approximate bytes (the unit the memory governor
+    /// charges).
+    fn append<'a>(
         &mut self,
-        keys: &[&Vector],
-        cols: &[Vector],
+        srcs: impl Iterator<Item = &'a Vector>,
         hashes: &[u64],
         sel: &SelVec,
+        dense: bool,
         charge: bool,
     ) {
+        for (dst, src) in self.vecs.iter_mut().zip(srcs) {
+            if charge {
+                self.bytes += gathered_bytes(src, sel);
+            }
+            if dense {
+                dst.extend_range(src, 0, src.len());
+            } else {
+                dst.extend_gather_sel(src, sel);
+            }
+        }
         if charge {
-            self.bytes += sel.len() * 8 // hashes
-                + keys.iter().map(|v| gathered_bytes(v, sel)).sum::<usize>()
-                + cols.iter().map(|v| gathered_bytes(v, sel)).sum::<usize>();
+            self.bytes += sel.len() * 8;
         }
-        for (dst, src) in self.keys.iter_mut().zip(keys) {
-            dst.extend_gather_sel(src, sel);
+        if dense {
+            self.hashes.extend_from_slice(&hashes[..sel.len()]);
+        } else {
+            self.hashes.extend(sel.iter().map(|p| hashes[p]));
         }
-        for (dst, src) in self.cols.iter_mut().zip(cols) {
-            dst.extend_gather_sel(src, sel);
-        }
-        self.hashes.extend(sel.iter().map(|p| hashes[p]));
     }
 
     /// Free the staged rows (they were just written out), keeping the
-    /// typed column layout.
+    /// typed layout.
     fn clear(&mut self) {
-        for v in self.keys.iter_mut().chain(&mut self.cols) {
+        for v in &mut self.vecs {
             *v = Vector::new(ColData::new(v.type_id()));
         }
         self.hashes = Vec::new();
         self.bytes = 0;
-    }
-}
-
-/// A finished build — plain immutable data with no pointer back into the
-/// operator: the finalized tables (one per partition, or a single one),
-/// each table's base offset into the slot-order concatenated build rows,
-/// and the rows themselves. An evicted partition keeps an empty table; its
-/// probe lanes are diverted to a spill file before any probe runs.
-struct JoinBuild {
-    tables: Vec<FlatTable>,
-    bases: Vec<u32>,
-    keys: Vec<Vector>,
-    cols: Vec<Vector>,
-    /// A NULL key arrived on the build side (dropped there — NULL never
-    /// matches — but the NULL-aware anti join needs to know).
-    has_null_key: bool,
-}
-
-/// Pool task building one partition's table: bulk CSR construction is the
-/// expensive random-access phase of a build, the one worth fanning out —
-/// each over a table P× smaller and that much more cache-resident.
-struct CsrShard(FlatTable);
-
-impl ShardWorker for CsrShard {
-    type Packet = Vec<u64>;
-    type Output = FlatTable;
-
-    fn absorb(&mut self, hashes: Vec<u64>) -> Result<()> {
-        self.0 = FlatTable::build_csr(&hashes);
-        Ok(())
-    }
-
-    fn finish(self) -> Result<FlatTable> {
-        Ok(self.0)
     }
 }
 
@@ -225,49 +286,672 @@ fn gathered_bytes(v: &Vector, sel: &SelVec) -> usize {
     data_bytes + null_bytes
 }
 
+/// Most rows one build keeps resident: build row ids are `u32`, and
+/// [`EMPTY`] is taken.
+const MAX_BUILD_ROWS: u64 = EMPTY as u64 - 1;
+
+/// The resource limit of a build, checked where the total first becomes
+/// known — before any table or column is allocated for it.
+fn check_build_rows(rows: u64, limit: u64) -> Result<()> {
+    if rows > limit {
+        return Err(VwError::Plan(format!(
+            "join build side of {rows} rows exceeds the {limit} rows one hash build can address"
+        )));
+    }
+    Ok(())
+}
+
+/// A finished build — plain immutable data, shared by every prober: the
+/// finalized tables (one per slot, or a single one), each table's base
+/// offset into the slot-order concatenated build rows, and the rows
+/// themselves. An evicted slot keeps an empty table and the files its rows
+/// went to; its probe lanes are diverted to a spill file before any probe
+/// runs.
+pub struct JoinBuild {
+    tables: Vec<FlatTable>,
+    bases: Vec<u32>,
+    /// The build rows, laid out by [`StageLayout`]: keys, then the rest.
+    staged: Vec<Vector>,
+    n_keys: usize,
+    payload_at: Vec<usize>,
+    /// A NULL key arrived on the build side (dropped there — NULL never
+    /// matches — but the NULL-aware anti join needs to know).
+    has_null_key: bool,
+    /// Per slot, the spill files of an evicted slot's rows (one per sink
+    /// that held any); empty for a resident slot.
+    files: Vec<Vec<Arc<SpillFile>>>,
+    /// The governor the build ran under; probers divert and recurse with it.
+    spill: Option<SpillConfig>,
+    /// The sinks' partition sets, emptied of rows: what they still charge
+    /// the budget is the resident rows, returned when the build drops.
+    _charges: Vec<Partitions<JoinStage>>,
+}
+
+impl JoinBuild {
+    fn keys(&self) -> &[Vector] {
+        &self.staged[..self.n_keys]
+    }
+
+    fn is_spilled(&self, si: usize) -> bool {
+        !self.files[si].is_empty()
+    }
+
+    fn any_spilled(&self) -> bool {
+        self.files.iter().any(|f| !f.is_empty())
+    }
+
+    /// A router splitting probe hashes the way the sinks split build rows
+    /// (`None` for a single table: nothing to route).
+    fn router(&self) -> Option<RadixRouter> {
+        (self.tables.len() > 1).then(|| {
+            let depth = self.spill.as_ref().map_or(0, |cfg| cfg.depth);
+            RadixRouter::at_depth(self.tables.len(), depth)
+        })
+    }
+}
+
+/// Finalize work one sink can do on its own.
+enum Unit {
+    /// Bulk-build table `idx` over these hash runs, in order.
+    Table { idx: usize, hashes: Vec<Vec<u64>> },
+    /// Concatenate the resident stages' vector `at`, in table order, into
+    /// the build's, of `rows` rows.
+    Column { at: usize, pieces: Vec<Vector>, rows: usize },
+}
+
+const PENDING: u8 = 0;
+const READY: u8 = 1;
+const FAILED: u8 = 2;
+
+struct BuildState {
+    /// Sinks that have not deposited their slots yet.
+    draining: usize,
+    deposits: Vec<Partitions<JoinStage>>,
+    has_null_key: bool,
+    rows_in: u64,
+    /// Unclaimed finalize work, and how much is claimed or unclaimed.
+    units: Vec<Unit>,
+    unfinished: usize,
+    /// The build under assembly (between the last deposit and the publish).
+    assembling: Option<JoinBuild>,
+    /// How the build ended; the `Ok` is dropped once every prober took it.
+    outcome: Option<Result<Arc<JoinBuild>>>,
+    probers_left: usize,
+}
+
+/// The build side of one join: what its sinks, its finalizers and its
+/// probers share. See the module docs for the life cycle.
+pub struct SharedBuild {
+    right_keys: Vec<ExprProgram>,
+    /// Build input columns read by non-trivial key programs: encoded
+    /// vectors are flattened before the programs run. Bare-column keys
+    /// stay coded (hash/compare paths handle dict codes).
+    flat_cols: Vec<usize>,
+    build_schema: Schema,
+    join_type: JoinType,
+    layout: StageLayout,
+    cancel: CancelToken,
+    /// Sinks that deposit (and probers that take the result).
+    sinks: usize,
+    /// Slots of an ungoverned build, and the build rows below which they
+    /// still make one table.
+    slots: usize,
+    min_rows: usize,
+    spill: Option<SpillConfig>,
+    /// Expected build rows (0 = unknown): the stages are sized for it.
+    rows_hint: usize,
+    /// `state.outcome`, readable without the lock.
+    phase: AtomicU8,
+    state: Mutex<BuildState>,
+    /// Tasks to wake when the sinks have all deposited, and when the
+    /// build is published or fails.
+    waiters: Mutex<Vec<Waker>>,
+}
+
+impl SharedBuild {
+    /// The build side of a `join_type` join on `right_keys` over rows of
+    /// `build_schema`, fed by `sinks` sinks and probed by as many probers
+    /// (1 and 1 for a join that builds for itself): one slot, no budget.
+    pub fn new(
+        right_keys: Vec<ExprProgram>,
+        build_schema: Schema,
+        join_type: JoinType,
+        sinks: usize,
+        cancel: CancelToken,
+    ) -> SharedBuild {
+        assert!(!right_keys.is_empty(), "joins require at least one key");
+        let sinks = sinks.max(1);
+        SharedBuild {
+            flat_cols: nontrivial_cols(&right_keys),
+            layout: StageLayout::new(&right_keys, &build_schema, join_type.emits_right()),
+            right_keys,
+            build_schema,
+            join_type,
+            cancel,
+            sinks,
+            slots: 1,
+            min_rows: DEFAULT_PARALLEL_BUILD_MIN_ROWS,
+            spill: None,
+            rows_hint: 0,
+            phase: AtomicU8::new(PENDING),
+            state: Mutex::new(BuildState {
+                draining: sinks,
+                deposits: Vec::with_capacity(sinks),
+                has_null_key: false,
+                rows_in: 0,
+                units: Vec::new(),
+                unfinished: 0,
+                assembling: None,
+                outcome: None,
+                probers_left: sinks,
+            }),
+            waiters: Mutex::new(Vec::new()),
+        }
+    }
+
+    /// Route the build rows to `slots` slots (rounded up to a power of
+    /// two) and, once they are at least `min_rows`, build and probe one
+    /// table per slot; smaller builds still make a single table. Ignored
+    /// under a memory budget ([`SharedBuild::governed`] wins).
+    pub fn partitioned(mut self, slots: usize, min_rows: usize) -> SharedBuild {
+        self.slots = slots;
+        self.min_rows = min_rows;
+        self
+    }
+
+    /// Run under the query's memory governor: the slots are `cfg`'s
+    /// hash-bit stratum, every sink charges `cfg.budget` for what it
+    /// stages and evicts its own largest slot while the query is over.
+    pub fn governed(mut self, cfg: SpillConfig) -> SharedBuild {
+        self.layout = StageLayout::new(&self.right_keys, &self.build_schema, true);
+        self.spill = Some(cfg);
+        self
+    }
+
+    /// Size the stages for about `rows` build rows in all.
+    pub fn expecting(mut self, rows: usize) -> SharedBuild {
+        self.rows_hint = rows;
+        self
+    }
+
+    /// One of this build's sinks over `input` (`None`: a sink with no
+    /// share of the input — a build child that cannot be partitioned is
+    /// drained by one sink, the others only help finalize). The sink
+    /// starts once every build in `deps` — the builds `input` probes — is
+    /// published. `batch_pool` takes the drained input batches back.
+    pub fn sink(
+        self: &Arc<Self>,
+        input: Option<BoxedOp>,
+        deps: Vec<Arc<SharedBuild>>,
+        batch_pool: Option<BatchPool>,
+    ) -> Result<BuildSink> {
+        let slots = self.spill.as_ref().map_or(self.slots, |cfg| cfg.partitions);
+        let tys = &self.layout.tys;
+        // Over-reserving costs address space only; an estimate gone wild
+        // is capped all the same.
+        let rows = if input.is_some() { self.rows_hint.min(1 << 22) } else { 0 };
+        let mut per_slot = rows / self.sinks / slots.max(1).next_power_of_two();
+        per_slot += per_slot / 8;
+        let parts =
+            Partitions::new(slots, self.spill.clone(), || Ok(JoinStage::new(tys, per_slot)))?;
+        Ok(BuildSink::new(self.clone(), input, deps, Some(parts), batch_pool))
+    }
+
+    /// Has the build been published? An `Err` is the failure that ended
+    /// it instead.
+    fn ready(&self) -> Result<bool> {
+        match self.phase.load(SeqCst) {
+            PENDING => Ok(false),
+            READY => Ok(true),
+            _ => match &self.lock().outcome {
+                Some(Err(e)) => Err(e.clone()),
+                _ => unreachable!("a failed build keeps its error"),
+            },
+        }
+    }
+
+    /// Are all of `deps` published? Drops the ones seen published; an
+    /// `Err` is the failure of one of them. A task that gets `false`
+    /// reports `Blocked`: the publish it waits for wakes it.
+    pub fn all_ready(deps: &mut Vec<Arc<SharedBuild>>) -> Result<bool> {
+        while let Some(dep) = deps.last() {
+            if !dep.ready()? {
+                return Ok(false);
+            }
+            deps.pop();
+        }
+        Ok(true)
+    }
+
+    /// Wake `waker`'s task whenever this build moves on: its sinks have
+    /// all deposited, it is published, it failed. Subscribe before any of
+    /// the build's tasks first runs.
+    pub fn subscribe(&self, waker: Waker) {
+        self.waiters.lock().expect("build waiters poisoned").push(waker);
+    }
+
+    /// Rows that entered the build, over all sinks (NULL-keyed ones
+    /// included).
+    pub fn rows_in(&self) -> u64 {
+        self.lock().rows_in
+    }
+
+    /// Did any sink see a NULL key?
+    pub fn has_null_key(&self) -> bool {
+        self.lock().has_null_key
+    }
+
+    fn lock(&self) -> MutexGuard<'_, BuildState> {
+        self.state.lock().expect("join build state poisoned")
+    }
+
+    fn wake_all(&self, done: bool) {
+        let waiters = {
+            let mut w = self.waiters.lock().expect("build waiters poisoned");
+            if done {
+                std::mem::take(&mut *w)
+            } else {
+                w.clone()
+            }
+        };
+        // Outside every lock: on a closed pool a wake runs the task here.
+        waiters.iter().for_each(Waker::wake);
+    }
+
+    /// One prober's reference to the published build.
+    fn take_build(&self) -> Result<Arc<JoinBuild>> {
+        let mut st = self.lock();
+        let build = match &st.outcome {
+            Some(Ok(build)) => build.clone(),
+            Some(Err(e)) => return Err(e.clone()),
+            None => {
+                return Err(VwError::Plan(
+                    "hash join probed with no published build to probe".into(),
+                ))
+            }
+        };
+        st.probers_left = st.probers_left.saturating_sub(1);
+        if st.probers_left == 0 {
+            // The probers own it from here: the last one to finish its
+            // in-memory probe frees the rows and returns their charge.
+            st.outcome = None;
+        }
+        Ok(build)
+    }
+
+    /// The build ended in `err`: every task waiting for it gets the error.
+    fn fail(&self, err: VwError) {
+        {
+            let mut st = self.lock();
+            if st.outcome.is_some() {
+                return;
+            }
+            st.outcome = Some(Err(err));
+            st.deposits.clear();
+            st.units.clear();
+            st.assembling = None;
+            self.phase.store(FAILED, SeqCst);
+        }
+        self.wake_all(true);
+    }
+
+    /// A sink's input is exhausted: take its slots. The last deposit cuts
+    /// the finalize work and wakes the sinks parked for it.
+    fn deposit(
+        &self,
+        parts: Partitions<JoinStage>,
+        has_null_key: bool,
+        rows_in: u64,
+    ) -> Result<()> {
+        {
+            let mut st = self.lock();
+            if let Some(Err(e)) = &st.outcome {
+                return Err(e.clone());
+            }
+            st.deposits.push(parts);
+            st.has_null_key |= has_null_key;
+            st.rows_in += rows_in;
+            st.draining -= 1;
+            if st.draining > 0 {
+                return Ok(());
+            }
+            self.plan(&mut st)?;
+        }
+        self.wake_all(false);
+        Ok(())
+    }
+
+    /// Every sink has deposited: write out what is left in memory of
+    /// slots some sink evicted, check the resident total against the row
+    /// limit, and cut the rest into [`Unit`]s.
+    fn plan(&self, st: &mut BuildState) -> Result<()> {
+        let slots = st.deposits[0].partitions();
+        // [sink][slot]
+        let mut stages: Vec<Vec<JoinStage>> =
+            st.deposits.iter_mut().map(Partitions::take_slots).collect();
+        let mut files = vec![Vec::new(); slots];
+        for (si, slot_files) in files.iter_mut().enumerate() {
+            if !st.deposits.iter().any(|d| d.is_spilled(si)) {
+                continue;
+            }
+            for (parts, own) in st.deposits.iter_mut().zip(&mut stages) {
+                let stage = &mut own[si];
+                if !stage.hashes.is_empty() {
+                    parts.append_spilled(si, &self.layout.payload(&stage.vecs))?;
+                    stage.clear();
+                    parts.recharge(si, 0);
+                }
+                slot_files.extend(parts.take_file(si).map(Arc::new));
+            }
+        }
+        let slot_rows: Vec<usize> =
+            (0..slots).map(|si| stages.iter().map(|own| own[si].hashes.len()).sum()).collect();
+        let rows: usize = slot_rows.iter().sum();
+        check_build_rows(rows as u64, MAX_BUILD_ROWS)?;
+
+        let fan_out = slots > 1 && (self.spill.is_some() || rows >= self.min_rows);
+        let table_rows = if fan_out { slot_rows } else { vec![rows] };
+        let mut bases = Vec::with_capacity(table_rows.len());
+        let mut base = 0u32;
+        for &n in &table_rows {
+            bases.push(base);
+            base += n as u32;
+        }
+        // Slot-major, sink-minor: the order of the build's row ids.
+        let tys = &self.layout.tys;
+        let mut hashes: Vec<Vec<Vec<u64>>> = table_rows.iter().map(|_| Vec::new()).collect();
+        let mut pieces: Vec<Vec<Vector>> = tys.iter().map(|_| Vec::new()).collect();
+        for si in 0..slots {
+            for own in &mut stages {
+                let stage = &mut own[si];
+                if !stage.hashes.is_empty() {
+                    hashes[if fan_out { si } else { 0 }].push(std::mem::take(&mut stage.hashes));
+                    for (pieces, v) in pieces.iter_mut().zip(stage.vecs.drain(..)) {
+                        pieces.push(v);
+                    }
+                }
+            }
+        }
+        let columns = pieces.into_iter().enumerate();
+        st.units = columns.map(|(at, pieces)| Unit::Column { at, pieces, rows }).collect();
+        st.units.extend(
+            hashes.into_iter().enumerate().map(|(idx, hashes)| Unit::Table { idx, hashes }),
+        );
+        st.unfinished = st.units.len();
+        st.assembling = Some(JoinBuild {
+            tables: table_rows.iter().map(|_| FlatTable::new()).collect(),
+            bases,
+            staged: tys.iter().map(|&t| presized(t, 0)).collect(),
+            n_keys: self.layout.n_keys,
+            payload_at: self.layout.payload_at.clone(),
+            has_null_key: st.has_null_key,
+            files,
+            spill: self.spill.clone(),
+            _charges: std::mem::take(&mut st.deposits),
+        });
+        Ok(())
+    }
+
+    /// Claim and run one unit of finalize work. `Blocked` while sinks are
+    /// still draining (the last deposit wakes), `Done` when nothing is
+    /// left to claim — the sink finishing the last unit publishes.
+    fn finalize_step(&self) -> Result<Step> {
+        let unit = {
+            let mut st = self.lock();
+            if let Some(Err(e)) = &st.outcome {
+                return Err(e.clone());
+            }
+            if st.draining > 0 {
+                return Ok(Step::Blocked);
+            }
+            match st.units.pop() {
+                Some(unit) => unit,
+                None => return Ok(Step::Done),
+            }
+        };
+        enum Built {
+            Table(usize, FlatTable),
+            Column(usize, Vector),
+        }
+        let built = match unit {
+            Unit::Table { idx, hashes } => {
+                let runs: Vec<&[u64]> = hashes.iter().map(Vec::as_slice).collect();
+                Built::Table(idx, FlatTable::build_csr_chunks(&runs))
+            }
+            // One stage holds it all (every P = 1 build of one sink): its
+            // vectors are the build columns, nothing is copied.
+            Unit::Column { at, mut pieces, .. } if pieces.len() == 1 => {
+                Built::Column(at, pieces.pop().expect("one piece"))
+            }
+            Unit::Column { at, pieces, rows } => {
+                let mut all = presized(self.layout.tys[at], rows);
+                for piece in pieces {
+                    all.extend_range(&piece, 0, piece.len()); // and the piece is freed
+                }
+                Built::Column(at, all)
+            }
+        };
+        {
+            let mut st = self.lock();
+            // A failure meanwhile dropped the build under assembly.
+            let Some(build) = &mut st.assembling else { return Ok(Step::Done) };
+            match built {
+                Built::Table(idx, table) => build.tables[idx] = table,
+                Built::Column(at, column) => build.staged[at] = column,
+            }
+            st.unfinished -= 1;
+            if st.unfinished > 0 {
+                return Ok(Step::Progress);
+            }
+            let build = st.assembling.take().expect("checked above");
+            st.outcome = Some(Ok(Arc::new(build)));
+            self.phase.store(READY, SeqCst);
+        }
+        self.wake_all(true);
+        Ok(Step::Done)
+    }
+}
+
+/// One sink of a [`SharedBuild`]: drains its input into private slots,
+/// deposits them, then helps finalize. A cooperative task inside an
+/// Exchange ([`super::xchg`]); stepped inline by a join that builds for
+/// itself.
+pub struct BuildSink {
+    build: Arc<SharedBuild>,
+    input: Option<BoxedOp>,
+    /// Builds the input probes, not yet seen published.
+    deps: Vec<Arc<SharedBuild>>,
+    /// The private slots while draining; `None` once deposited.
+    parts: Option<Partitions<JoinStage>>,
+    has_null_key: bool,
+    rows_in: u64,
+    pool: VectorPool,
+    batch_pool: Option<BatchPool>,
+    /// Hashing and lane-selection scratch (the probe's, as far as it goes).
+    scratch: ProbeScratch,
+    /// Key programs run / instructions executed, for the owner's profile.
+    expr: (u64, u64),
+}
+
+impl BuildSink {
+    /// `parts = None` makes a sink with nothing to drain or deposit: it
+    /// only claims finalize units (the pool tasks a self-building join
+    /// fans its tables out to).
+    fn new(
+        build: Arc<SharedBuild>,
+        input: Option<BoxedOp>,
+        deps: Vec<Arc<SharedBuild>>,
+        parts: Option<Partitions<JoinStage>>,
+        batch_pool: Option<BatchPool>,
+    ) -> BuildSink {
+        BuildSink {
+            build,
+            input,
+            deps,
+            parts,
+            has_null_key: false,
+            rows_in: 0,
+            pool: VectorPool::new(),
+            batch_pool,
+            scratch: ProbeScratch::default(),
+            expr: (0, 0),
+        }
+    }
+
+    /// The builds whose progress this sink's task must be woken for: the
+    /// ones its input probes, and its own.
+    pub fn subscriptions(&self) -> impl Iterator<Item = &Arc<SharedBuild>> {
+        self.deps.iter().chain(std::iter::once(&self.build))
+    }
+
+    /// Stage one input batch into the private slots.
+    fn stage(&mut self, mut batch: Batch) -> Result<()> {
+        let BuildSink { build, parts, pool, scratch, .. } = self;
+        let ProbeScratch { refs, lanes, hashes, live, nonnull, .. } = scratch;
+        let parts = parts.as_mut().expect("staging before the deposit");
+        build.cancel.check()?;
+        for &c in &build.flat_cols {
+            batch.columns[c].ensure_flat();
+        }
+        // Run the compiled key programs; results live in the pool until
+        // `recycle` at the end of this batch.
+        refs.clear();
+        for prog in &build.right_keys {
+            refs.push(prog.run(pool, &batch)?);
+        }
+        {
+            // Single-key joins (the common case) resolve through a stack
+            // array — a per-batch `Vec` here would be the one steady-state
+            // allocation left in the pipeline.
+            let single_key;
+            let multi_keys: Vec<&Vector>;
+            let keys: &[&Vector] = if refs.len() == 1 {
+                single_key = [pool.get(&batch, refs[0])];
+                &single_key
+            } else {
+                multi_keys = refs.iter().map(|&r| pool.get(&batch, r)).collect();
+                &multi_keys
+            };
+            match &batch.sel {
+                Some(sel) => live.clear_and_extend_from_slice(sel.as_slice()),
+                None => live.fill_identity(batch.capacity()),
+            }
+            self.rows_in += live.len() as u64;
+            // NULL keys never match any probe: drop them at build time and
+            // remember they existed (NULL-aware anti join needs to know).
+            live.retain_from(|p| !keys.iter().any(|k| k.is_null(p)), nonnull);
+            self.has_null_key |= nonnull.len() != live.len();
+            if !nonnull.is_empty() {
+                let n = batch.capacity();
+                hashtable::hash_keys(keys.iter().copied(), n, false, lanes, hashes);
+                parts.route(hashes, nonnull, n);
+                let governed = build.spill.is_some();
+                for si in 0..parts.partitions() {
+                    if parts.is_spilled(si) {
+                        // Already evicted: rows go straight to disk (the
+                        // build columns only — keys and hashes are program
+                        // outputs, recomputed at rehydration).
+                        let sel = parts.routed(si);
+                        if !sel.is_empty() {
+                            let cols: Vec<Vector> =
+                                batch.columns.iter().map(|v| v.gather(sel)).collect();
+                            parts.append_spilled(si, &cols)?;
+                        }
+                        continue;
+                    }
+                    let (sel, stage) = parts.lane(si, nonnull);
+                    if !sel.is_empty() {
+                        let rest = build.layout.rest.iter().map(|&c| &batch.columns[c]);
+                        let srcs = keys.iter().copied().chain(rest);
+                        stage.append(srcs, hashes, sel, sel.len() == n, governed);
+                        let bytes = stage.bytes;
+                        parts.recharge(si, bytes);
+                    }
+                }
+                parts.evict_while_over(|_, stage, file| {
+                    let written = spill::append_vectors(file, &build.layout.payload(&stage.vecs))?;
+                    stage.clear();
+                    Ok(written)
+                })?;
+            }
+        }
+        pool.recycle();
+        if let Some(bp) = &self.batch_pool {
+            bp.recycle(batch); // build rows staged: batch goes back
+        }
+        Ok(())
+    }
+}
+
+impl CoopTask for BuildSink {
+    fn step(&mut self) -> Result<Step> {
+        if !SharedBuild::all_ready(&mut self.deps)? {
+            return Ok(Step::Blocked);
+        }
+        if self.parts.is_some() {
+            if let Some(batch) = self.input.as_mut().map(|i| i.next()).transpose()?.flatten() {
+                self.stage(batch)?;
+                return Ok(Step::Progress);
+            }
+            self.input = None;
+            self.expr = self.pool.take_counters();
+            let parts = self.parts.take().expect("checked above");
+            self.build.deposit(parts, self.has_null_key, self.rows_in)?;
+        }
+        self.build.finalize_step()
+    }
+
+    fn fail(&mut self, err: VwError) {
+        self.parts = None;
+        self.build.fail(err);
+    }
+}
+
+/// The build side of a join that builds for itself, until its first
+/// `next` runs it.
+struct OwnBuild {
+    build: SharedBuild,
+    right: BoxedOp,
+    /// Lends tasks to the finalize units of a pooled build.
+    pool: Option<Arc<WorkerPool>>,
+}
+
 /// Hash join operator (right side = build, left side = probe).
 pub struct HashJoin {
     left: BoxedOp,
-    /// The build input (taken when the build runs, on the first `next`).
-    right: Option<BoxedOp>,
     left_keys: Vec<ExprProgram>,
-    right_keys: Vec<ExprProgram>,
     join_type: JoinType,
     schema: Schema,
     pool: VectorPool,
     cancel: CancelToken,
-    /// Pool and partition count of a parallel build (None = one slot).
-    par: Option<(Arc<WorkerPool>, usize)>,
-    /// Build rows below which a parallel build still makes one table.
-    par_min_rows: usize,
-    /// The memory governor, when configured ([`HashJoin::with_spill`]).
-    spill: Option<SpillConfig>,
-    /// The build's partition set: router, budget charges and the spill
-    /// files of evicted slots (the slots' rows moved into `build`).
-    parts: Option<Partitions<JoinStage>>,
-    /// The finished build (None before the build and after the last
-    /// in-memory probe, when the deferred phase has freed it).
-    build: Option<JoinBuild>,
-    /// Probe rows diverted per evicted slot.
+    /// The build side still to run ([`HashJoin::new`]); taken by the first
+    /// `next`, which leaves its `SharedBuild` in `shared`.
+    own: Option<OwnBuild>,
+    /// The build this join probes (`None` only until an own build ran).
+    shared: Option<Arc<SharedBuild>>,
+    /// The published build (None before it is taken and after the last
+    /// in-memory probe, when the deferred phase has let go of it).
+    build: Option<Arc<JoinBuild>>,
+    /// Splits probe hashes across a multi-table build's slots.
+    router: Option<RadixRouter>,
+    /// Probe rows diverted per evicted slot — this prober's own files.
     probe_files: Vec<Option<SpillFile>>,
     scratch: ProbeScratch,
     batch_pool: Option<BatchPool>,
     out_types: Vec<TypeId>,
-    /// Child schemas, kept for replaying spilled rows through
-    /// [`SpillScan`]s in the deferred phase.
+    /// Kept for replaying spilled probe rows through a [`SpillScan`] in
+    /// the deferred phase.
     probe_schema: Schema,
-    build_schema: Schema,
-    /// Spilled partition pairs awaiting the deferred (recursive) joins.
-    deferred: Vec<(SpillFile, SpillFile)>,
+    /// Spilled partition pairs awaiting the deferred (recursive) joins:
+    /// the slot's shared build files, and this prober's probe file.
+    deferred: Vec<(Vec<Arc<SpillFile>>, SpillFile)>,
     /// The recursive join currently draining one spilled partition pair.
     inner: Option<Box<HashJoin>>,
     /// Has the probe input been exhausted (deferred phase reached)?
     probe_done: bool,
-    /// Probe/build input columns read by non-trivial key programs:
-    /// encoded vectors are flattened before the programs run. Bare-column
-    /// keys stay coded (hash/compare paths handle dict codes).
+    /// Probe input columns read by non-trivial key programs (see
+    /// [`SharedBuild::flat_cols`]).
     flat_cols_probe: Vec<usize>,
-    flat_cols_build: Vec<usize>,
     profile: OpProfile,
 }
 
@@ -285,8 +969,10 @@ fn nontrivial_cols(progs: &[ExprProgram]) -> Vec<usize> {
 }
 
 impl HashJoin {
-    /// Create a join; `schema` must match the join type's output layout
-    /// (left columns, then right columns for inner/outer joins).
+    /// A join that builds for itself: the first `next` drains `right`
+    /// through a one-sink [`SharedBuild`], inline. `schema` must match the
+    /// join type's output layout (left columns, then right columns for
+    /// inner/outer joins).
     #[allow(clippy::too_many_arguments)]
     pub fn new(
         left: BoxedOp,
@@ -298,37 +984,56 @@ impl HashJoin {
         cancel: CancelToken,
     ) -> HashJoin {
         assert_eq!(left_keys.len(), right_keys.len());
+        let build =
+            SharedBuild::new(right_keys, right.schema().clone(), join_type, 1, cancel.clone());
+        let own = OwnBuild { build, right, pool: None };
+        HashJoin::over(left, left_keys, join_type, schema, cancel, Some(own), None)
+    }
+
+    /// A join over a build it shares with the other fragments of its
+    /// Exchange: `shared`'s sinks run as tasks of the exchange, which does
+    /// not step this fragment before the build is published.
+    pub fn probing(
+        left: BoxedOp,
+        shared: Arc<SharedBuild>,
+        left_keys: Vec<ExprProgram>,
+        schema: Schema,
+        cancel: CancelToken,
+    ) -> HashJoin {
+        assert_eq!(left_keys.len(), shared.right_keys.len());
+        HashJoin::over(left, left_keys, shared.join_type, schema, cancel, None, Some(shared))
+    }
+
+    fn over(
+        left: BoxedOp,
+        left_keys: Vec<ExprProgram>,
+        join_type: JoinType,
+        schema: Schema,
+        cancel: CancelToken,
+        own: Option<OwnBuild>,
+        shared: Option<Arc<SharedBuild>>,
+    ) -> HashJoin {
         assert!(!left_keys.is_empty(), "joins require at least one key");
-        let out_types = schema.fields.iter().map(|f| f.ty).collect();
-        let probe_schema = left.schema().clone();
-        let build_schema = right.schema().clone();
-        let flat_cols_probe = nontrivial_cols(&left_keys);
-        let flat_cols_build = nontrivial_cols(&right_keys);
         HashJoin {
+            out_types: schema.fields.iter().map(|f| f.ty).collect(),
+            probe_schema: left.schema().clone(),
+            flat_cols_probe: nontrivial_cols(&left_keys),
             left,
-            right: Some(right),
             left_keys,
-            right_keys,
             join_type,
             schema,
             pool: VectorPool::new(),
             cancel,
-            par: None,
-            par_min_rows: DEFAULT_PARALLEL_BUILD_MIN_ROWS,
-            spill: None,
-            parts: None,
+            own,
+            shared,
             build: None,
+            router: None,
             probe_files: Vec::new(),
             scratch: ProbeScratch::default(),
             batch_pool: None,
-            out_types,
-            probe_schema,
-            build_schema,
             deferred: Vec::new(),
             inner: None,
             probe_done: false,
-            flat_cols_probe,
-            flat_cols_build,
             profile: OpProfile::new("HashJoin"),
         }
     }
@@ -341,190 +1046,99 @@ impl HashJoin {
         self
     }
 
-    /// Partition the build `shards` ways (rounded up to a power of two)
-    /// and, once it holds at least `min_rows` rows, construct the
+    /// Reconfigure the build of a join that builds for itself, before it
+    /// runs (a probing join's build is configured where it is made).
+    fn own_build(mut self, f: impl FnOnce(SharedBuild) -> SharedBuild) -> HashJoin {
+        let own = self.own.take().expect("the join owns a build that has not run");
+        self.own = Some(OwnBuild { build: f(own.build), ..own });
+        self
+    }
+
+    /// Partition the own build `shards` ways (rounded up to a power of
+    /// two) and, once it holds at least `min_rows` rows, construct the
     /// per-partition tables as tasks on `pool` and probe partition-wise;
-    /// smaller builds still make a single table. Ignored when a memory
-    /// budget is attached ([`HashJoin::with_spill`] wins).
+    /// smaller builds still make a single table. Under a memory budget
+    /// ([`HashJoin::with_spill`]) the partitions are the governor's.
     pub fn with_parallel_build(
         mut self,
         pool: Arc<WorkerPool>,
         shards: usize,
         min_rows: usize,
     ) -> HashJoin {
-        self.par = Some((pool, shards));
-        self.par_min_rows = min_rows;
+        self = self.own_build(|b| b.partitioned(shards, min_rows));
+        self.own.as_mut().expect("just put back").pool = Some(pool);
         self
     }
 
-    /// Attach the query's memory governor: the build partitions on `cfg`'s
-    /// hash-bit stratum and charges `cfg.budget` as slots stage rows. When
-    /// the query runs over budget, the largest slot's rows move to a temp
-    /// spill file; probe rows routed to an evicted slot divert to a
-    /// matching probe spill file, and after the probe input is exhausted
-    /// each spilled pair replays through a recursive `HashJoin` (same
-    /// keys, same join type, next hash-bit stratum) whose output streams
-    /// out as this operator's.
-    pub fn with_spill(mut self, cfg: SpillConfig) -> HashJoin {
-        self.spill = Some(cfg);
-        self
+    /// Attach the query's memory governor to the own build: it partitions
+    /// on `cfg`'s hash-bit stratum and charges `cfg.budget` as slots stage
+    /// rows. When the query runs over budget, the largest slot's rows move
+    /// to a temp spill file; probe rows routed to an evicted slot divert
+    /// to a matching probe spill file, and after the probe input is
+    /// exhausted each spilled pair replays through a recursive `HashJoin`
+    /// (same keys, same join type, next hash-bit stratum) whose output
+    /// streams out as this operator's.
+    pub fn with_spill(self, cfg: SpillConfig) -> HashJoin {
+        self.own_build(|b| b.governed(cfg))
     }
 
-    fn build(&mut self, mut right: BoxedOp) -> Result<()> {
-        let key_tys: Vec<TypeId> = self.right_keys.iter().map(|e| e.type_id()).collect();
-        let col_tys: Vec<TypeId> = right.schema().fields.iter().map(|f| f.ty).collect();
-        let governed = self.spill.is_some();
-        if governed {
-            self.par = None; // a governed build owns its slots' lifecycle
+    /// Size the own build's stage for about `rows` build rows.
+    pub fn expecting_build_rows(self, rows: usize) -> HashJoin {
+        self.own_build(|b| b.expecting(rows))
+    }
+
+    /// Run the own build: one sink over the right child, stepped here; a
+    /// pooled build's finalize units are also offered to pool tasks.
+    fn run_own_build(&mut self, own: OwnBuild) -> Result<Arc<SharedBuild>> {
+        let build = Arc::new(own.build);
+        let mut sink = build.sink(Some(own.right), Vec::new(), self.batch_pool.clone())?;
+        let drive = |sink: &mut BuildSink| -> Result<()> {
+            while sink.parts.is_some() {
+                sink.step()?;
+            }
+            // Deposited and cut into units: above the gate there is a
+            // table per slot, each worth a pool task beside this thread.
+            let tables = build.lock().assembling.as_ref().map_or(0, |b| b.tables.len());
+            let helpers: Vec<TaskHandle<BuildSink>> = match &own.pool {
+                Some(pool) if tables > 1 => (0..tables)
+                    .map(|_| {
+                        let helper = BuildSink::new(build.clone(), None, Vec::new(), None, None);
+                        let task = TaskHandle::new(pool, &self.cancel, "hash build shard", helper);
+                        task.wake();
+                        task
+                    })
+                    .collect(),
+                _ => Vec::new(),
+            };
+            while sink.step()? != Step::Done {}
+            helpers.iter().for_each(TaskHandle::join);
+            Ok(())
+        };
+        if let Err(e) = drive(&mut sink) {
+            build.fail(e.clone());
+            return Err(e);
         }
-        let shards = self.par.as_ref().map_or(1, |(_, p)| *p);
-        let mut parts =
-            Partitions::new(shards, self.spill.take(), || Ok(JoinStage::new(&key_tys, &col_tys)))?;
-        let mut has_null_key = false;
-        while let Some(mut batch) = right.next()? {
-            self.cancel.check()?;
-            for &c in &self.flat_cols_build {
-                batch.columns[c].ensure_flat();
-            }
-            // Run the compiled key programs; results live in the pool
-            // until `recycle` at the end of this batch.
-            self.scratch.refs.clear();
-            for prog in &self.right_keys {
-                let r = prog.run(&mut self.pool, &batch)?;
-                self.scratch.refs.push(r);
-            }
-            {
-                // Single-key joins (the common case) resolve through a
-                // stack array — a per-batch `Vec` here would be the one
-                // steady-state allocation left in the pipeline.
-                let single_key;
-                let multi_keys: Vec<&Vector>;
-                let keys: &[&Vector] = if self.scratch.refs.len() == 1 {
-                    single_key = [self.pool.get(&batch, self.scratch.refs[0])];
-                    &single_key
-                } else {
-                    multi_keys =
-                        self.scratch.refs.iter().map(|&r| self.pool.get(&batch, r)).collect();
-                    &multi_keys
-                };
-                let s = &mut self.scratch;
-                match &batch.sel {
-                    Some(sel) => s.live.clear_and_extend_from_slice(sel.as_slice()),
-                    None => s.live.fill_identity(batch.capacity()),
-                }
-                // NULL keys never match any probe: drop them at build time and
-                // remember they existed (NULL-aware anti join needs to know).
-                s.live.retain_from(|p| !keys.iter().any(|k| k.is_null(p)), &mut s.nonnull);
-                has_null_key |= s.nonnull.len() != s.live.len();
-                if !s.nonnull.is_empty() {
-                    let n = batch.capacity();
-                    hashtable::hash_keys(
-                        keys.iter().copied(),
-                        n,
-                        false,
-                        &mut s.lanes,
-                        &mut s.hashes,
-                    );
-                    parts.route(&s.hashes, &s.nonnull, n);
-                    for si in 0..parts.partitions() {
-                        if parts.is_spilled(si) {
-                            // Already evicted: rows go straight to disk
-                            // (payload only — keys and hashes are program
-                            // outputs, recomputed at rehydration).
-                            let sel = parts.routed(si);
-                            if !sel.is_empty() {
-                                let cols: Vec<Vector> =
-                                    batch.columns.iter().map(|v| v.gather(sel)).collect();
-                                parts.append_spilled(si, &cols)?;
-                            }
-                            continue;
-                        }
-                        let (sel, stage) = parts.lane(si, &s.nonnull);
-                        if !sel.is_empty() {
-                            stage.append(keys, &batch.columns, &s.hashes, sel, governed);
-                            let bytes = stage.bytes;
-                            parts.recharge(si, bytes);
-                        }
-                    }
-                    parts.evict_while_over(|_, stage, file| {
-                        let written = spill::append_vectors(file, &stage.cols)?;
-                        stage.clear();
-                        Ok(written)
-                    })?;
-                }
-            }
-            self.pool.recycle();
-            if let Some(bp) = &self.batch_pool {
-                bp.recycle(batch); // build rows staged: batch goes back
-            }
+        self.profile.record_expr(sink.expr.0, sink.expr.1);
+        Ok(build)
+    }
+
+    /// First `next`: run the own build if there is one, then take this
+    /// prober's reference to the published build.
+    fn attach_build(&mut self) -> Result<()> {
+        if let Some(own) = self.own.take() {
+            self.shared = Some(self.run_own_build(own)?);
         }
-        let (runs, instrs) = self.pool.take_counters();
-        self.profile.record_expr(runs, instrs);
-        self.build = Some(self.finalize(&mut parts, has_null_key)?);
-        if let Some(cfg) = parts.spill_config() {
+        let build = self.shared.as_ref().expect("a join has a build side").take_build()?;
+        for (si, table) in build.tables.iter().enumerate() {
+            self.profile.record_shard_build(si, table.len() as u64);
+        }
+        if let Some(cfg) = &build.spill {
             self.profile.sync_spill(&cfg.metrics);
         }
-        self.probe_files.resize_with(parts.partitions(), || None);
-        self.parts = Some(parts);
+        self.router = build.router();
+        self.probe_files.resize_with(build.tables.len(), || None);
+        self.build = Some(build);
         Ok(())
-    }
-
-    /// The one finalize. The slots' rows concatenate in slot order into
-    /// the global build columns — slot 0's vectors are moved, so a
-    /// one-slot build copies nothing, and every other slot is freed right
-    /// after its copy. The tables are bulk-built from the staged hashes:
-    /// one per slot when the build is governed (an evicted slot keeps an
-    /// empty one) or clears the cost gate, else a single table over all
-    /// rows. With a pool the per-slot constructions run as pool tasks
-    /// while this thread concatenates.
-    fn finalize(
-        &mut self,
-        parts: &mut Partitions<JoinStage>,
-        has_null_key: bool,
-    ) -> Result<JoinBuild> {
-        let mut stages = parts.take_slots();
-        let mut hashes: Vec<Vec<u64>> =
-            stages.iter_mut().map(|st| std::mem::take(&mut st.hashes)).collect();
-        let rows: usize = hashes.iter().map(Vec::len).sum();
-        assert!((rows as u64) < u32::MAX as u64, "join build exceeds u32 rows");
-        let fan_out =
-            hashes.len() > 1 && (parts.spill_config().is_some() || rows >= self.par_min_rows);
-        if !fan_out && hashes.len() > 1 {
-            hashes = vec![hashes.concat()];
-        }
-        let mut bases = Vec::with_capacity(hashes.len());
-        let mut base = 0u32;
-        for (si, h) in hashes.iter().enumerate() {
-            bases.push(base);
-            base += h.len() as u32;
-            self.profile.record_shard_build(si, h.len() as u64);
-        }
-        let tasks = match &self.par {
-            Some((pool, _)) if fan_out => {
-                let shards = hashes.iter().map(|_| CsrShard(FlatTable::new())).collect();
-                let mut set = ShardSet::spawn_on(pool, shards, &self.cancel);
-                for (si, h) in hashes.iter_mut().enumerate() {
-                    set.send(si, std::mem::take(h))?;
-                }
-                Some(set)
-            }
-            _ => None,
-        };
-        let mut stages = stages.into_iter();
-        let mut all = stages.next().expect("at least one slot");
-        for stage in stages {
-            for (dst, src) in all.keys.iter_mut().zip(&stage.keys) {
-                dst.extend_range(src, 0, src.len());
-            }
-            for (dst, src) in all.cols.iter_mut().zip(&stage.cols) {
-                dst.extend_range(src, 0, src.len());
-            }
-        }
-        let tables = match tasks {
-            Some(set) => set.finish()?,
-            None => hashes.iter().map(|h| FlatTable::build_csr(h)).collect(),
-        };
-        Ok(JoinBuild { tables, bases, keys: all.keys, cols: all.cols, has_null_key })
     }
 
     /// Assemble the output batch from the recorded pairs, gathering into
@@ -535,14 +1149,12 @@ impl HashJoin {
         if s.out_probe.is_empty() {
             return Ok(None);
         }
-        let build_cols = &self.build.as_ref().expect("built before probing").cols;
-        if batch.columns.len() + if self.join_type.emits_right() { build_cols.len() } else { 0 }
-            != self.schema.len()
-        {
+        let build = self.build.as_ref().expect("built before probing");
+        let right_cols = if self.join_type.emits_right() { build.payload_at.len() } else { 0 };
+        if batch.columns.len() + right_cols != self.schema.len() {
             return Err(VwError::Plan(format!(
                 "join schema arity mismatch: {} vs {}",
-                batch.columns.len()
-                    + if self.join_type.emits_right() { build_cols.len() } else { 0 },
+                batch.columns.len() + right_cols,
                 self.schema.len()
             )));
         }
@@ -561,7 +1173,8 @@ impl HashJoin {
             // NULL-indicator machinery entirely.
             let padded = self.join_type == JoinType::LeftOuter && s.out_build.contains(&EMPTY);
             let right = &mut out.columns[batch.columns.len()..];
-            for (src, dst) in build_cols.iter().zip(right) {
+            for (&at, dst) in build.payload_at.iter().zip(right) {
+                let src = &build.staged[at];
                 if padded {
                     src.gather_indices_padded_into(&s.out_build, EMPTY, dst);
                 } else {
@@ -572,35 +1185,28 @@ impl HashJoin {
         Ok(Some(out))
     }
 
-    /// The deferred phase of a governed build: once the probe input is
-    /// exhausted, the in-memory build is freed and its budget charge
-    /// returned, and each spilled partition pair replays through a
-    /// recursive `HashJoin` — [`SpillScan`]s feed the same key programs
-    /// and join type, on the next hash-bit stratum, sharing the same
-    /// budget and counters — whose output streams out as this operator's.
+    /// The deferred phase of a governed build: once this prober's input
+    /// is exhausted it lets go of the in-memory build — the last prober to
+    /// do so frees it and returns its budget charge — and replays each of
+    /// its probe files against the slot's shared build files through a
+    /// recursive `HashJoin`: [`SpillScan`]s feed the same key programs and
+    /// join type, on the next hash-bit stratum, sharing the same budget
+    /// and counters — whose output streams out as this operator's.
     fn next_deferred(&mut self) -> Result<Option<Batch>> {
         if !self.probe_done {
             self.probe_done = true;
-            let parts = self.parts.as_mut().expect("deferred phase follows the build");
-            // Resident partitions produced their last row: free them and
-            // return their charge before the recursive joins start
-            // charging for rehydrated builds.
-            self.build = None;
-            parts.release();
+            let build = self.build.take().expect("deferred phase follows the build");
             for (si, probe_file) in self.probe_files.iter_mut().enumerate() {
-                match (parts.take_file(si), probe_file.take()) {
-                    // Both sides spilled rows: a deferred pair to join.
-                    (Some(bf), Some(pf)) => self.deferred.push((bf, pf)),
-                    // Build spilled but no probe rows ever routed there:
-                    // no probe row ⇒ no output row (every join type here
-                    // is probe-driven) — dropping the file frees it.
-                    (Some(_), None) | (None, None) => {}
-                    (None, Some(_)) => unreachable!("probe diverted to a resident partition"),
+                // A spilled slot no probe row was routed to has no output
+                // row (every join type here is probe-driven).
+                if let Some(pf) = probe_file.take() {
+                    debug_assert!(build.is_spilled(si), "probe diverted to a resident partition");
+                    self.deferred.push((build.files[si].clone(), pf));
                 }
             }
         }
-        let cfg = self.parts.as_ref().and_then(|p| p.spill_config());
-        let cfg = cfg.expect("deferred phase is governed-only");
+        let shared = self.shared.clone().expect("a join has a build side");
+        let cfg = shared.spill.clone().expect("deferred phase is governed-only");
         self.profile.sync_spill(&cfg.metrics);
         loop {
             self.cancel.check()?;
@@ -617,22 +1223,22 @@ impl HashJoin {
                     }
                 }
             }
-            let Some((build_file, probe_file)) = self.deferred.pop() else {
+            let Some((build_files, probe_file)) = self.deferred.pop() else {
                 return Ok(None);
             };
-            let scan = |file, schema: &Schema| -> BoxedOp {
+            let scan = |files, schema: &Schema| -> BoxedOp {
                 Box::new(SpillScan::new(
-                    file,
+                    files,
                     schema.clone(),
                     self.cancel.clone(),
                     cfg.metrics.clone(),
                 ))
             };
             let mut inner = HashJoin::new(
-                scan(probe_file, &self.probe_schema),
-                scan(build_file, &self.build_schema),
+                scan(vec![Arc::new(probe_file)], &self.probe_schema),
+                scan(build_files, &shared.build_schema),
                 self.left_keys.clone(),
-                self.right_keys.clone(),
+                shared.right_keys.clone(),
                 self.join_type,
                 self.schema.clone(),
                 self.cancel.clone(),
@@ -658,16 +1264,17 @@ impl HashJoin {
 ///
 /// A single-table build probes through the fused kernels directly. A
 /// partitioned one hashes the batch once and splits it by the build's
-/// radix bits into reused per-slot `SelVec`s; resident slots run the same
-/// kernels over their sub-selection (emitted build rows rebased to global
-/// ids), while lanes owned by an evicted slot are *diverted*: their full
-/// rows go to the slot's probe spill file and leave `live`/`nonnull`, so
-/// flag-based emission never sees them — their entire join result
-/// (matches, padding, anti emission) comes from the deferred join.
+/// radix bits into the prober's reused per-slot `SelVec`s; resident slots
+/// run the same kernels over their sub-selection (emitted build rows
+/// rebased to global ids), while lanes owned by an evicted slot are
+/// *diverted*: their full rows go to this prober's probe spill file for
+/// the slot and leave `live`/`nonnull`, so flag-based emission never sees
+/// them — their entire join result (matches, padding, anti emission) comes
+/// from the deferred join.
 #[allow(clippy::too_many_arguments)]
 fn probe_batch(
     build: &JoinBuild,
-    parts: &mut Partitions<JoinStage>,
+    router: Option<&mut RadixRouter>,
     probe_files: &mut [Option<SpillFile>],
     join_type: JoinType,
     s: &mut ProbeScratch,
@@ -685,21 +1292,23 @@ fn probe_batch(
         s.matched_flags[p] = false;
     }
     let mut chain_steps = 0u64;
-    if let [table] = &build.tables[..] {
-        probe_one(table, &build.keys, s, keys, None, 0, emit_pairs, false, &mut chain_steps);
+    let Some(router) = router else {
+        let table = &build.tables[0];
+        probe_one(table, build.keys(), s, keys, None, 0, emit_pairs, false, &mut chain_steps);
         profile.record_shard_probe(0, s.nonnull.len() as u64, chain_steps);
         return Ok(chain_steps);
-    }
+    };
     hashtable::hash_keys(keys.iter().copied(), n, false, &mut s.lanes, &mut s.hashes);
-    parts.route(&s.hashes, &s.nonnull, n);
+    // A full-length sorted selection is the identity: skip the indirection.
+    router.split(&s.hashes, (s.nonnull.len() != n).then_some(&s.nonnull), n);
     let mut diverted = false;
     for (si, table) in build.tables.iter().enumerate() {
-        let sel = parts.routed(si);
+        let sel = router.shard_sel(si);
         if sel.is_empty() {
             continue;
         }
-        if parts.is_spilled(si) {
-            let cfg = parts.spill_config().expect("spilled implies governed");
+        if build.is_spilled(si) {
+            let cfg = build.spill.as_ref().expect("spilled implies governed");
             let cols: Vec<Vector> = batch.columns.iter().map(|v| v.gather(sel)).collect();
             let file = probe_files[si].get_or_insert_with(|| SpillFile::new(cfg.disk.clone()));
             let written = spill::append_vectors(file, &cols)?;
@@ -716,7 +1325,7 @@ fn probe_batch(
         let mut steps = 0u64;
         probe_one(
             table,
-            &build.keys,
+            build.keys(),
             s,
             keys,
             Some(sel),
@@ -735,8 +1344,8 @@ fn probe_batch(
         s.live.retain_from(|p| !flags[p], &mut s.tmp);
         std::mem::swap(&mut s.live, &mut s.tmp);
         // Clear the flags we set (only evicted slots' lanes carry them).
-        for si in (0..parts.partitions()).filter(|&si| parts.is_spilled(si)) {
-            for p in parts.routed(si).iter() {
+        for si in (0..build.tables.len()).filter(|&si| build.is_spilled(si)) {
+            for p in router.shard_sel(si).iter() {
                 s.deferred_flags[p] = false;
             }
         }
@@ -900,18 +1509,18 @@ impl Operator for HashJoin {
     }
 
     fn next(&mut self) -> Result<Option<Batch>> {
-        if let Some(right) = self.right.take() {
-            let t0 = Instant::now();
-            self.build(right)?;
-            self.profile.record_phase(t0.elapsed());
-        }
         if self.probe_done {
             return self.next_deferred();
+        }
+        if self.build.is_none() {
+            let t0 = Instant::now();
+            self.attach_build()?;
+            self.profile.record_phase(t0.elapsed());
         }
         loop {
             self.cancel.check()?;
             let Some(mut batch) = self.left.next()? else {
-                let governed = self.parts.as_ref().is_some_and(|p| p.spill_config().is_some());
+                let governed = self.build.as_ref().is_some_and(|b| b.spill.is_some());
                 return if governed { self.next_deferred() } else { Ok(None) };
             };
             let t0 = Instant::now();
@@ -925,12 +1534,11 @@ impl Operator for HashJoin {
                 self.scratch.refs.push(r);
             }
             let build = self.build.as_ref().expect("built before probing");
-            let parts = self.parts.as_mut().expect("built before probing");
             // NULL-aware anti short-circuits: any build NULL key → nothing
             // can ever pass; empty build side → everything passes. The
             // global build keys hold only *resident* rows, so an evicted
             // partition keeps the build non-empty.
-            let build_empty = build.keys[0].is_empty() && !parts.any_spilled();
+            let build_empty = build.keys()[0].is_empty() && !build.any_spilled();
             let has_null_key = build.has_null_key;
             let skip_probe =
                 self.join_type == JoinType::NullAwareLeftAnti && (has_null_key || build_empty);
@@ -962,7 +1570,7 @@ impl Operator for HashJoin {
                 } else {
                     let steps = probe_batch(
                         build,
-                        parts,
+                        self.router.as_mut(),
                         &mut self.probe_files,
                         self.join_type,
                         s,
@@ -1239,8 +1847,49 @@ mod tests {
     }
 
     // Every build configuration (one slot, pooled above/below the gate,
-    // governed ample/tight) × join type × key shape is checked against
-    // the volcano engine in `tests/sql_semantics.rs::build_mode_matrix`.
+    // governed ample/tight; own and shared inside an exchange) × join type
+    // × key shape is checked against the volcano engine in
+    // `tests/sql_semantics.rs::build_mode_matrix`.
+
+    #[test]
+    fn a_build_past_the_row_limit_is_a_typed_error() {
+        // The real limit is 4 G rows; the check is the same at any limit.
+        assert!(check_build_rows(10, 10).is_ok());
+        match check_build_rows(11, 10) {
+            Err(VwError::Plan(m)) => assert!(m.contains("11 rows exceeds the 10 rows"), "{m}"),
+            other => panic!("expected a plan error, got {other:?}"),
+        }
+        assert!(check_build_rows(MAX_BUILD_ROWS, MAX_BUILD_ROWS).is_ok());
+        assert!(check_build_rows(u32::MAX as u64, MAX_BUILD_ROWS).is_err());
+    }
+
+    #[test]
+    fn each_build_column_is_staged_once() {
+        let tys = |l: &StageLayout| l.tys.clone();
+        // k is a bare-column key: it is the payload column too.
+        let inner = StageLayout::new(&key(), &schema_kv("r"), true);
+        assert_eq!(tys(&inner), vec![TypeId::I64, TypeId::Str]);
+        assert_eq!((inner.n_keys, &inner.rest, &inner.payload_at), (1, &vec![1], &vec![0, 1]));
+        // The same column as both keys: the second is a vector of its own.
+        let twice = key_cols(&[(0, TypeId::I64), (0, TypeId::I64)]);
+        let dup = StageLayout::new(&twice, &schema_kv("r"), true);
+        assert_eq!(tys(&dup), vec![TypeId::I64, TypeId::I64, TypeId::Str]);
+        assert_eq!(dup.payload_at, vec![0, 2]);
+        // A computed key is not any build column.
+        let sum = PhysExpr::Arith {
+            op: crate::expr::BinOp::Add,
+            lhs: Box::new(PhysExpr::ColRef(0, TypeId::I64)),
+            rhs: Box::new(PhysExpr::Const(Value::I64(1), TypeId::I64)),
+            ty: TypeId::I64,
+        };
+        let computed = StageLayout::new(&[ExprProgram::compile(&sum)], &schema_kv("r"), true);
+        assert_eq!(tys(&computed), vec![TypeId::I64, TypeId::I64, TypeId::Str]);
+        assert_eq!(computed.payload_at, vec![1, 2]);
+        // Semi and anti joins emit no build column: keys only.
+        let semi = StageLayout::new(&key(), &schema_kv("r"), false);
+        assert_eq!(tys(&semi), vec![TypeId::I64]);
+        assert!(semi.payload_at.is_empty() && semi.rest.is_empty());
+    }
 
     #[test]
     fn grace_spill_recursion_on_large_build() {

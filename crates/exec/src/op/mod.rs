@@ -14,7 +14,7 @@ pub mod sort;
 pub mod xchg;
 
 pub use hashagg::{AggFunc, AggSpec, HashAggregate};
-pub use hashjoin::{HashJoin, JoinType};
+pub use hashjoin::{BuildSink, HashJoin, JoinType, SharedBuild};
 pub use scan::VectorScan;
 pub use setop::{Mode as SetOpMode, SetOp};
 pub use simple::{Limit, Project, Select, UnionAll, Values};

@@ -17,11 +17,23 @@
 //! batch and `wake`s the fragments. Parking, the quantum yield, panic and
 //! cancel routing and reclaim-on-drop are the primitive's.
 //!
+//! **Stages before fragments.** A hash join inside the fragment probes a
+//! build that is made once for all clones ([`SharedBuild`]): the build's
+//! sinks ([`BuildSink`], one per clone, over the partitioned build input)
+//! are tasks of this exchange too ([`Xchg::spawn_staged`]). Order is task
+//! dependency, not waiting: a sink whose input probes another build, and
+//! a fragment, report `Blocked` until the builds they probe are published,
+//! and the sink that publishes wakes them (every task subscribes to the
+//! builds it depends on before any of them runs). A failed build fails
+//! its dependents with the same error, so it reaches the consumer the way
+//! a fragment's own error does.
+//!
 //! Errors from any fragment surface on the consumer side. When the stream
 //! completes, the per-worker morsel counts are folded into this
 //! operator's [`OpProfile`] (the scheduling-balance observable in
 //! `EXPLAIN ANALYZE`).
 
+use super::hashjoin::{BuildSink, SharedBuild};
 use super::{BoxedOp, Operator};
 use crate::cancel::CancelToken;
 use crate::morsel::MorselSource;
@@ -66,10 +78,15 @@ impl Shared {
 struct Fragment {
     part: BoxedOp,
     shared: Arc<Shared>,
+    /// Builds the fragment probes, not yet seen published.
+    deps: Vec<Arc<SharedBuild>>,
 }
 
 impl CoopTask for Fragment {
     fn step(&mut self) -> Result<Step> {
+        if !SharedBuild::all_ready(&mut self.deps)? {
+            return Ok(Step::Blocked);
+        }
         let shared = &self.shared;
         if shared.m.lock().expect("xchg mutex poisoned").items.len() >= shared.cap {
             return Ok(Step::Blocked); // the consumer's next pop wakes us
@@ -99,6 +116,8 @@ pub struct Xchg {
     /// the exchange itself going away) aborts and reclaims the fragments;
     /// the query-wide token is never cancelled from here.
     tasks: Vec<TaskHandle<Fragment>>,
+    /// The sinks of the builds the fragments probe; same ownership.
+    sinks: Vec<TaskHandle<BuildSink>>,
     /// The fragment's morsel dispensers (one per shared scan); read at
     /// stream end for the per-worker claim counts.
     sources: Vec<Arc<MorselSource>>,
@@ -117,6 +136,20 @@ impl Xchg {
         partitions: Vec<BoxedOp>,
         query_cancel: CancelToken,
     ) -> Xchg {
+        Xchg::spawn_staged(pool, Vec::new(), partitions, &[], query_cancel)
+    }
+
+    /// [`Xchg::spawn_on`] for fragments that probe shared hash builds:
+    /// `sinks` are the sinks of every build made inside the exchange, and
+    /// `deps` the builds the fragments themselves probe (the same for
+    /// every clone). See the module docs for the ordering.
+    pub fn spawn_staged(
+        pool: &Arc<WorkerPool>,
+        sinks: Vec<BuildSink>,
+        partitions: Vec<BoxedOp>,
+        deps: &[Arc<SharedBuild>],
+        query_cancel: CancelToken,
+    ) -> Xchg {
         assert!(!partitions.is_empty());
         let schema = partitions[0].schema().clone();
         let n_workers = partitions.len();
@@ -128,15 +161,29 @@ impl Xchg {
         let tasks: Vec<_> = partitions
             .into_iter()
             .map(|part| {
-                let body = Fragment { part, shared: shared.clone() };
-                TaskHandle::new(pool, &query_cancel, "Xchg partition", body)
+                let body = Fragment { part, shared: shared.clone(), deps: deps.to_vec() };
+                let task = TaskHandle::new(pool, &query_cancel, "Xchg partition", body);
+                deps.iter().for_each(|d| d.subscribe(task.waker()));
+                task
             })
             .collect();
+        let sinks: Vec<_> = sinks
+            .into_iter()
+            .map(|sink| {
+                let subs: Vec<_> = sink.subscriptions().cloned().collect();
+                let task = TaskHandle::new(pool, &query_cancel, "hash build sink", sink);
+                subs.iter().for_each(|b| b.subscribe(task.waker()));
+                task
+            })
+            .collect();
+        // Everyone is subscribed: now they may run.
+        sinks.iter().for_each(TaskHandle::wake);
         tasks.iter().for_each(TaskHandle::wake);
         Xchg {
             schema,
             shared,
             tasks,
+            sinks,
             sources: Vec::new(),
             n_workers,
             profile: OpProfile::new("Xchg"),
@@ -157,6 +204,7 @@ impl Xchg {
     /// dispensers' per-consumer claim counts into the profile.
     fn close(&mut self) {
         self.tasks.clear();
+        self.sinks.clear();
         if self.sources.is_empty() {
             return;
         }

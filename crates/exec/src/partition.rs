@@ -16,9 +16,19 @@
 //!   [`SpillFile`] to the operator, which writes the slot out and resets
 //!   it. Dropping the set returns every charged byte.
 //! * **P > 1 on the pool** — the parallel build. The slots are the same;
-//!   an operator may move them behind a [`ShardSet`], whose shards absorb
+//!   the aggregate moves them behind a [`ShardSet`], whose shards absorb
 //!   gathered packets as cooperative tasks ([`vw_service::task`]) on the
-//!   engine's [`WorkerPool`].
+//!   engine's [`WorkerPool`]; the join keeps routing into them and hands
+//!   the per-slot table construction to pool tasks at finalize.
+//!
+//! A set has one writer. A join build inside an Exchange has `dop` of
+//! them — one sink per worker, each with a set of its own, all on the same
+//! fan-out and stratum, a governed one charging the same budget — and
+//! joins them up slot by slot when the last sink is done
+//! (`op/hashjoin.rs`): there is no shared table and no lock per row.
+//! "Spilled" is then a property of the slot, not of one set: a slot any
+//! set evicted goes to disk in every set
+//! ([`Partitions::append_spilled`]).
 //!
 //! The "when more cores hurts" lesson behind the radix design: threading
 //! one shared table serializes on cache-line ping-pong, so every slot is
@@ -35,6 +45,7 @@
 
 use crate::cancel::CancelToken;
 use crate::vector::Vector;
+use std::borrow::Borrow;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -252,10 +263,7 @@ impl<S> Partitions<S> {
             if charged[victim] == 0 {
                 break;
             }
-            let file = files[victim].get_or_insert_with(|| {
-                cfg.metrics.record_partition();
-                SpillFile::new(cfg.disk.clone())
-            });
+            let file = files[victim].get_or_insert_with(|| cfg.new_file());
             let written = write_out(victim, &mut self.slots[victim], file)?;
             cfg.metrics.record_write(written as u64);
             cfg.budget.uncharge(std::mem::take(&mut charged[victim]));
@@ -273,13 +281,15 @@ impl<S> Partitions<S> {
         self.gov.as_ref().is_some_and(|g| g.files.iter().any(Option::is_some))
     }
 
-    /// Append rows that arrive for an already-evicted slot straight to its
-    /// spill file.
-    pub fn append_spilled(&mut self, si: usize, cols: &[Vector]) -> Result<()> {
-        let g = self.gov.as_mut().expect("spilled implies governed");
-        let file = g.files[si].as_mut().expect("slot is spilled");
+    /// Append rows straight to slot `si`'s spill file: rows that arrive
+    /// for a slot already evicted, or — once every sink of a shared build
+    /// has deposited — the rows this set still holds for a slot *another*
+    /// sink's set evicted (the file is created then).
+    pub fn append_spilled<V: Borrow<Vector>>(&mut self, si: usize, cols: &[V]) -> Result<()> {
+        let Governor { cfg, files, .. } = self.gov.as_mut().expect("spilling is governed");
+        let file = files[si].get_or_insert_with(|| cfg.new_file());
         let written = crate::spill::append_vectors(file, cols)?;
-        g.cfg.metrics.record_write(written as u64);
+        cfg.metrics.record_write(written as u64);
         Ok(())
     }
 
@@ -463,9 +473,11 @@ impl<W: ShardWorker> ShardSet<W> {
 /// largest shards to disk.
 ///
 /// One `MemBudget` is created per query (see `vw-core::compile`) and
-/// shared — through an `Arc` — by every hash join build side and every
-/// aggregation in the plan, including Exchange worker clones and the
-/// recursive joins/re-aggregations of already-spilled partitions. The
+/// shared — through an `Arc` — by every hash join build and every
+/// aggregation in the plan, including the sinks of a build shared inside
+/// an Exchange (which together charge it for that build once), the
+/// per-worker partial aggregates there, and the recursive
+/// joins/re-aggregations of already-spilled partitions. The
 /// budget is therefore a *query-wide* ceiling on hash build state, not a
 /// per-operator one: whichever operator pushes the total over the line
 /// spills its own largest shard first.
@@ -598,6 +610,13 @@ impl SpillConfig {
             depth: 0,
             metrics: SpillMetrics::new(),
         }
+    }
+
+    /// A fresh spill file for one evicted partition, counted in the
+    /// metrics.
+    fn new_file(&self) -> SpillFile {
+        self.metrics.record_partition();
+        SpillFile::new(self.disk.clone())
     }
 
     /// The deepest usable stratum for `partitions`-way splits: capped by

@@ -23,6 +23,7 @@ use crate::op::Operator;
 use crate::partition::SpillMetrics;
 use crate::profile::OpProfile;
 use crate::vector::{Batch, Vector};
+use std::borrow::Borrow;
 use std::sync::Arc;
 use vw_common::{Result, Schema, TypeId};
 use vw_storage::{decode_spill_batch, encode_spill_batch, SpillFile};
@@ -31,13 +32,14 @@ use vw_storage::{decode_spill_batch, encode_spill_batch, SpillFile};
 /// to `file`; returns the encoded size in bytes. Transient device faults
 /// are retried inside [`SpillFile::append`]; terminal ones surface here
 /// and fail the spilling operator (its temp blocks still free on drop).
-pub fn append_vectors(file: &mut SpillFile, cols: &[Vector]) -> Result<usize> {
+pub fn append_vectors<V: Borrow<Vector>>(file: &mut SpillFile, cols: &[V]) -> Result<usize> {
     // Spill chunks hold flat values — the pack codecs re-derive their own
     // per-column encoding. Dict-coded vectors inflate into a scratch copy
     // here (a late-materialization boundary, like Sort and emit).
     let flat: Vec<Option<Vector>> = cols
         .iter()
         .map(|v| {
+            let v = v.borrow();
             v.is_encoded().then(|| {
                 let mut c = v.clone();
                 c.ensure_flat();
@@ -49,7 +51,7 @@ pub fn append_vectors(file: &mut SpillFile, cols: &[Vector]) -> Result<usize> {
         .iter()
         .zip(&flat)
         .map(|(v, f)| {
-            let v = f.as_ref().unwrap_or(v);
+            let v = f.as_ref().unwrap_or(v.borrow());
             (&v.data, v.nulls.as_deref())
         })
         .collect();
@@ -68,36 +70,42 @@ pub fn read_vectors(file: &SpillFile, i: usize, types: &[TypeId]) -> Result<(Vec
     ))
 }
 
-/// An operator that replays a finished spill file as a batch stream — the
-/// input side of a recursive grace join over one spilled partition pair.
-/// Chunk boundaries become batch boundaries (one chunk was one gathered
-/// input batch, or one flushed staging run).
+/// An operator that replays finished spill files, one after the other, as
+/// a batch stream — the input side of a recursive grace join over one
+/// spilled partition pair. Chunk boundaries become batch boundaries (one
+/// chunk was one gathered input batch, or one flushed staging run).
+///
+/// The files are shared, read-only: a partition of a shared build is on
+/// disk once — one file per sink that held rows for it — and every probing
+/// worker replays it against its own probe rows. The last scan to drop
+/// frees the blocks.
 pub struct SpillScan {
-    file: SpillFile,
+    files: Vec<Arc<SpillFile>>,
     schema: Schema,
     types: Vec<TypeId>,
-    next_chunk: usize,
+    /// The next chunk to read: `(file, chunk within it)`.
+    next: (usize, usize),
     cancel: CancelToken,
     metrics: Arc<SpillMetrics>,
     profile: OpProfile,
 }
 
 impl SpillScan {
-    /// Replay `file` as batches of `schema`. Actual rehydration traffic is
-    /// recorded into `metrics` (shared with the spilling operator, so the
-    /// top-level profile sees the whole cascade).
+    /// Replay `files` as batches of `schema`. Actual rehydration traffic
+    /// is recorded into `metrics` (shared with the spilling operator, so
+    /// the top-level profile sees the whole cascade).
     pub fn new(
-        file: SpillFile,
+        files: Vec<Arc<SpillFile>>,
         schema: Schema,
         cancel: CancelToken,
         metrics: Arc<SpillMetrics>,
     ) -> SpillScan {
         let types = schema.fields.iter().map(|f| f.ty).collect();
         SpillScan {
-            file,
+            files,
             schema,
             types,
-            next_chunk: 0,
+            next: (0, 0),
             cancel,
             metrics,
             profile: OpProfile::new("SpillScan"),
@@ -125,14 +133,16 @@ impl Operator for SpillScan {
     fn next(&mut self) -> Result<Option<Batch>> {
         loop {
             self.cancel.check()?;
-            if self.next_chunk >= self.file.n_chunks() {
-                return Ok(None);
+            let (f, i) = self.next;
+            let Some(file) = self.files.get(f) else { return Ok(None) };
+            if i >= file.n_chunks() {
+                self.next = (f + 1, 0);
+                continue;
             }
-            let i = self.next_chunk;
-            self.next_chunk += 1;
-            let retries_before = self.file.disk().stats().io_retries;
-            let (columns, nbytes) = read_vectors(&self.file, i, &self.types)?;
-            let retries_after = self.file.disk().stats().io_retries;
+            self.next.1 += 1;
+            let retries_before = file.disk().stats().io_retries;
+            let (columns, nbytes) = read_vectors(file, i, &self.types)?;
+            let retries_after = file.disk().stats().io_retries;
             self.profile.record_io_retries(retries_after - retries_before);
             self.metrics.record_read(nbytes as u64);
             let batch = Batch::new(columns);
@@ -185,19 +195,29 @@ mod tests {
         append_vectors(&mut file, &kv(&[])).unwrap();
         append_vectors(&mut file, &kv(&[(None, "c")])).unwrap();
         let metrics = SpillMetrics::new();
-        let mut scan = SpillScan::new(file, kv_schema(), CancelToken::new(), metrics.clone());
+        // A second, shared file follows the first; an empty file between
+        // them is stepped over.
+        let mut tail = SpillFile::new(disk.clone());
+        append_vectors(&mut tail, &kv(&[(Some(4), "d")])).unwrap();
+        let tail = Arc::new(tail);
+        let files = vec![Arc::new(file), Arc::new(SpillFile::new(disk.clone())), tail.clone()];
+        let mut scan = SpillScan::new(files, kv_schema(), CancelToken::new(), metrics.clone());
         let b1 = scan.next().unwrap().unwrap();
         assert_eq!(b1.rows(), 2);
         let b2 = scan.next().unwrap().unwrap();
         assert_eq!(b2.rows(), 1, "empty chunk skipped");
         assert!(b2.columns[0].is_null(0));
+        let b3 = scan.next().unwrap().unwrap();
+        assert_eq!(b3.row_values(0)[1], Value::Str("d".into()), "the next file follows");
         assert!(scan.next().unwrap().is_none());
         assert!(
             metrics.bytes_read.load(std::sync::atomic::Ordering::Relaxed) > 0,
             "rehydration traffic recorded"
         );
         drop(scan);
-        assert_eq!(disk.used_bytes(), 0, "spill blocks reclaimed when the scan drops");
+        assert!(disk.used_bytes() > 0, "a file another reader still holds stays");
+        drop(tail);
+        assert_eq!(disk.used_bytes(), 0, "spill blocks reclaimed with the last reader");
     }
 
     #[test]
@@ -205,7 +225,8 @@ mod tests {
         let mut file = SpillFile::new(SimulatedDisk::instant());
         append_vectors(&mut file, &kv(&[(Some(1), "a")])).unwrap();
         let cancel = CancelToken::new();
-        let mut scan = SpillScan::new(file, kv_schema(), cancel.clone(), SpillMetrics::new());
+        let mut scan =
+            SpillScan::new(vec![Arc::new(file)], kv_schema(), cancel.clone(), SpillMetrics::new());
         cancel.cancel();
         assert!(matches!(scan.next(), Err(VwError::Cancelled)));
     }

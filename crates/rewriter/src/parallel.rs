@@ -3,9 +3,14 @@
 //! The rewriter decides where to insert exchange (Xchg) operators. A plan
 //! fragment is *partitionable* when it is a pipeline of
 //! Scan → Filter* → Project* — optionally flowing through the **probe
-//! side of hash joins** (the build side is compiled whole into every
-//! worker, so partitioning the probe input partitions the join output
-//! disjointly for every join type, NULL-aware anti included).
+//! side of hash joins**: every worker probes the one complete build of the
+//! join, so partitioning the probe input partitions the join output
+//! disjointly for every join type, NULL-aware anti included. The build
+//! side is not this module's concern — the logical plan does not say how
+//! it is made. The plan compiler makes it a pipeline of its own that runs
+//! once for the whole exchange (`vw-core::compile`): a build child that is
+//! itself partitionable by [`is_partitionable`] is drained by all workers
+//! into one shared build, any other by one of them.
 //!
 //! The plan-time `dop` only sizes the worker pool. *Which rows a worker
 //! scans* is no longer decided here: the compiler's pipeline factory gives
@@ -75,7 +80,7 @@ fn rewrite(plan: LogicalPlan, config: &RewriterConfig, order_ok: bool) -> Logica
             let join = LogicalPlan::Join { left, right, kind, keys, schema };
             // Probe-side-partitionable join under an order-insensitive
             // consumer: run the whole fragment per partition (each worker
-            // probes its slice against a complete build side).
+            // probes its slice against the complete, shared build side).
             if order_ok && is_partitionable(&join) {
                 return LogicalPlan::Exchange { input: Box::new(join), dop: config.dop };
             }
@@ -108,10 +113,12 @@ fn rewrite(plan: LogicalPlan, config: &RewriterConfig, order_ok: bool) -> Logica
 }
 
 /// Scan → Filter* → Project* pipelines are partitionable, flowing through
-/// the probe (left) side of any hash join — the build side is compiled
-/// whole into every worker, so probe partitions produce disjoint slices of
-/// the join output for every join type.
-fn is_partitionable(plan: &LogicalPlan) -> bool {
+/// the probe (left) side of any hash join — every worker probes the one
+/// complete build, so probe partitions produce disjoint slices of the join
+/// output for every join type. The plan compiler asks the same question
+/// of a join's build child: a partitionable one is drained by all workers
+/// into the shared build, any other by one.
+pub fn is_partitionable(plan: &LogicalPlan) -> bool {
     match plan {
         LogicalPlan::Scan { .. } => true,
         LogicalPlan::Filter { input, .. } | LogicalPlan::Project { input, .. } => {

@@ -34,10 +34,14 @@
 //!   parked task is reclaimed on the spot, a queued or running one is
 //!   helped/awaited. After the drop the task holds nothing on the pool.
 //!
-//! `wake` takes the handle, so only the handle's owner — the exchange
-//! consumer that popped a batch, the build driver that queued a packet —
-//! can schedule the task. Call it outside any lock `step` takes: on a
-//! closed pool the wake runs the task inline on the caller.
+//! `wake` takes the handle, so by default only the handle's owner — the
+//! exchange consumer that popped a batch, the build driver that queued a
+//! packet — can schedule the task. Where one *task* must wake another (a
+//! pipeline stage that publishes its result wakes the tasks parked on it),
+//! the owner hands out [`Waker`]s ([`TaskHandle::waker`]): a waker is the
+//! same `wake`, detached from the handle's lifetime, and a no-op once the
+//! task is Done. Call either outside any lock `step` takes: on a closed
+//! pool the wake runs the task inline on the caller.
 
 use crate::pool::WorkerPool;
 use std::any::Any;
@@ -132,20 +136,16 @@ impl<T: CoopTask> TaskHandle<T> {
     /// it if parked, or have the running step re-check. Cheap and
     /// idempotent in every other state.
     pub fn wake(&self) {
-        let state = &self.core.state;
-        loop {
-            let (from, to) = match state.load(SeqCst) {
-                IDLE => (IDLE, SCHEDULED),
-                RUNNING => (RUNNING, NOTIFIED),
-                _ => return, // a run is already owed, or none ever will be
-            };
-            if state.compare_exchange(from, to, SeqCst, SeqCst).is_ok() {
-                if to == SCHEDULED {
-                    Core::submit(&self.core);
-                }
-                return;
-            }
-        }
+        Core::wake(&self.core);
+    }
+
+    /// A [`TaskHandle::wake`] that another task may hold: whoever removes
+    /// the obstacle this task parks on (a stage publishing its result)
+    /// calls it. Outliving the handle is harmless — a Done task ignores
+    /// wakes.
+    pub fn waker(&self) -> Waker {
+        let core = self.core.clone();
+        Waker(Arc::new(move || Core::wake(&core)))
     }
 
     /// Has the task reached Done (finished, failed, or aborted)?
@@ -178,6 +178,17 @@ impl<T: CoopTask> TaskHandle<T> {
     }
 }
 
+/// A detached [`TaskHandle::wake`]; see [`TaskHandle::waker`].
+#[derive(Clone)]
+pub struct Waker(Arc<dyn Fn() + Send + Sync>);
+
+impl Waker {
+    /// Wake the task this waker was made for.
+    pub fn wake(&self) {
+        (self.0)()
+    }
+}
+
 impl<T: CoopTask> Drop for TaskHandle<T> {
     fn drop(&mut self) {
         let core = &self.core;
@@ -185,8 +196,9 @@ impl<T: CoopTask> Drop for TaskHandle<T> {
         loop {
             match core.state.load(SeqCst) {
                 DONE => return,
-                // Parked: no job references the task (and `&mut self`
-                // rules out a concurrent wake), so reclaim it here.
+                // Parked: no job references the task, so reclaim it here
+                // (a `Waker` racing this either loses the exchange, or wins
+                // it and queues a run that sees `aborted`).
                 IDLE if core.state.compare_exchange(IDLE, DONE, SeqCst, SeqCst).is_ok() => {
                     *core.body.lock().unwrap_or_else(PoisonError::into_inner) = None;
                     return;
@@ -198,6 +210,22 @@ impl<T: CoopTask> Drop for TaskHandle<T> {
 }
 
 impl<T: CoopTask> Core<T> {
+    fn wake(core: &Arc<Core<T>>) {
+        loop {
+            let (from, to) = match core.state.load(SeqCst) {
+                IDLE => (IDLE, SCHEDULED),
+                RUNNING => (RUNNING, NOTIFIED),
+                _ => return, // a run is already owed, or none ever will be
+            };
+            if core.state.compare_exchange(from, to, SeqCst, SeqCst).is_ok() {
+                if to == SCHEDULED {
+                    Core::submit(core);
+                }
+                return;
+            }
+        }
+    }
+
     /// Queue one run (the caller moved the state to Scheduled).
     fn submit(core: &Arc<Core<T>>) {
         let me = core.clone();
@@ -471,6 +499,45 @@ mod tests {
         b.wake();
         a_started.recv_timeout(Duration::from_secs(20)).expect("task a never ran");
         b_started.recv_timeout(Duration::from_secs(20)).expect("task b starved behind a");
+    }
+
+    #[test]
+    fn a_waker_wakes_from_another_task_and_outlives_the_handle() {
+        // Task b parks until task a's step hands it a credit and wakes it
+        // through a waker — the stage-publishes-and-wakes pattern, on one
+        // worker, so b can only ever run after a's step returned.
+        struct Publisher {
+            credit_to: Arc<Probe>,
+            waker: Waker,
+        }
+        impl CoopTask for Publisher {
+            fn step(&mut self) -> Result<Step> {
+                self.credit_to.credits.store(1, SeqCst);
+                self.waker.wake();
+                Ok(Step::Done)
+            }
+            fn fail(&mut self, _: VwError) {}
+        }
+        let pool = WorkerPool::new(1);
+        let token = CancelToken::new();
+        let (b, probe, started) = scripted(&pool, &token, Script::Credits(1));
+        b.wake();
+        started.recv_timeout(Duration::from_secs(20)).expect("b never ran");
+        wait_for("b to reach the gate", || probe.at_gate.load(SeqCst));
+        probe.at_gate.store(false, SeqCst);
+        wait_for("b to park", || b.core.state.load(SeqCst) == IDLE);
+        let waker = b.waker();
+        let body = Publisher { credit_to: probe.clone(), waker: waker.clone() };
+        let a = TaskHandle::new(&pool, &token, "publisher", body);
+        a.wake();
+        b.join();
+        assert_eq!(probe.consumed.load(SeqCst), 1, "the waker scheduled the parked task");
+        // Done, then dropped: a late wake finds nothing to schedule.
+        waker.wake();
+        drop(b);
+        waker.wake();
+        a.join();
+        assert_eq!(pool.queued(), 0);
     }
 
     #[test]

@@ -421,7 +421,10 @@ fn knobs_table_is_the_set_surface() {
 /// concurrency is a task on the worker pool, deadlines are the one timer
 /// thread — and `vw-exec`, the pool's client, hand-rolls none of the task
 /// protocol (`vw_service::task` owns unwinding, the closed-pool guard and
-/// the helping wait). Test modules and comments are exempt.
+/// the helping wait). Test modules and comments are exempt — except from
+/// the last rule: a join build side inside an Exchange runs once, and no
+/// code or comment in the compiler, the rewriter or the kernel still
+/// describes the path that ran it once per worker.
 #[test]
 fn engine_crates_spawn_no_threads_and_exec_rolls_no_task_protocol() {
     fn rust_files(dir: &std::path::Path, out: &mut Vec<std::path::PathBuf>) {
@@ -445,10 +448,16 @@ fn engine_crates_spawn_no_threads_and_exec_rolls_no_task_protocol() {
         rust_files(&root.join(krate).join("src"), &mut files);
         for file in files {
             let text = std::fs::read_to_string(&file).unwrap();
-            let code = text
-                .lines()
-                .take_while(|l| !l.trim_start().starts_with("#[cfg(test)]"))
-                .filter(|l| !l.trim_start().starts_with("//"));
+            let non_test =
+                || text.lines().take_while(|l| !l.trim_start().starts_with("#[cfg(test)]"));
+            if ["core", "rewriter", "exec"].contains(&krate) {
+                for gone in ["whole into every worker", "whole input on every worker"] {
+                    let prose = non_test().map(|l| l.trim_start_matches(['/', '!', ' ']));
+                    let prose = prose.collect::<Vec<_>>().join(" ");
+                    assert!(!prose.contains(gone), "{}: still says `{gone}`", file.display());
+                }
+            }
+            let code = non_test().filter(|l| !l.trim_start().starts_with("//"));
             for line in code {
                 for word in &banned {
                     assert!(

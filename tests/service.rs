@@ -470,6 +470,13 @@ fn drop_with_query_mid_flight_joins_pool_threads() {
 /// because no task ever holds the worker while it waits (fragments park on
 /// a full buffer, shards on an empty mailbox) and the driver helps instead
 /// of sleeping when a mailbox is full; the answer must be the serial one.
+///
+/// Then a two-join fragment, `g ⋈ (d1 ⋈ d2)`: two shared builds, the
+/// second's pipeline probing the first — twelve tasks in three stages
+/// (four sinks of `d2`'s build, four of `d1 ⋈ d2`'s, four fragments) on
+/// the same one worker, ungoverned and under a budget that evicts. Order
+/// is task dependency (a task whose build is not published parks and is
+/// woken by the publish): if any task waited on another, this would hang.
 #[test]
 fn one_worker_drives_xchg_fragments_and_pooled_build_shards() {
     let _x = exclusive();
@@ -502,6 +509,40 @@ fn one_worker_drives_xchg_fragments_and_pooled_build_shards() {
     assert_eq!(row_set(&parallel), serial);
     assert_eq!(db.worker_pool().workers(), 1);
     assert_eq!(db.worker_pool().queued(), 0, "no task left behind");
+
+    db.execute("CREATE TABLE d1 (k BIGINT NOT NULL, g BIGINT NOT NULL)").unwrap();
+    db.execute("CREATE TABLE d2 (g BIGINT NOT NULL, w BIGINT NOT NULL)").unwrap();
+    let d1 = [ColData::I64((0..6000).collect()), ColData::I64((0..6000).map(|k| k % 50).collect())];
+    let d2 = [ColData::I64((0..50).collect()), ColData::I64((0..50).map(|g| g % 7).collect())];
+    bulk_load(&db, "d1", &d1, &[None, None]).unwrap();
+    bulk_load(&db, "d2", &d2, &[None, None]).unwrap();
+    const JOINS: &str = "SELECT d2.w, COUNT(*), SUM(g.v) FROM g, d1, d2 \
+                         WHERE g.k = d1.k AND d1.g = d2.g GROUP BY d2.w";
+    // The cost-based order puts the small join on the build side of the
+    // large one (a `VW_OPTIMIZER=0` lane would make the builds siblings).
+    db.execute("SET optimizer = 1; SET mem_budget = 0; SET parallelism = 1").unwrap();
+    let serial = row_set(&db.execute(JOINS).unwrap());
+    assert_eq!(serial.len(), 7);
+    db.execute("SET parallelism = 4").unwrap();
+    let plan = db.execute(&format!("EXPLAIN {JOINS}")).unwrap().text.unwrap();
+    assert!(
+        plan.contains("Xchg") && plan.contains("build: HashJoin"),
+        "a build side that probes another build, inside an exchange:\n{plan}"
+    );
+    for budget in [0, 2048] {
+        db.execute(&format!("SET mem_budget = {budget}")).unwrap();
+        let runner = {
+            let db = db.clone();
+            std::thread::spawn(move || db.execute(JOINS))
+        };
+        wait_until("the one worker to run three stages", Duration::from_secs(120), || {
+            runner.is_finished()
+        });
+        let staged = runner.join().expect("runner must not panic").unwrap();
+        assert_eq!(row_set(&staged), serial, "mem_budget = {budget}");
+        assert_eq!(db.worker_pool().queued(), 0, "no task left behind");
+        assert_eq!(MemBudget::global_in_use(), 0, "mem_budget = {budget}: charge returned");
+    }
 }
 
 /// SHOW SESSIONS reports session ids, states, current query and grant;

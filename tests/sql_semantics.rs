@@ -418,7 +418,13 @@ mod differential {
 // control runs; tight: eviction, spill files, recursion). One table-driven
 // differential per operator runs every configuration × every join type /
 // aggregate × {NULL-bearing key, multi-column key, dict-coded key} against
-// the tuple-at-a-time volcano engine.
+// the tuple-at-a-time volcano engine. The join has a second axis: inside
+// an Exchange its build is one `SharedBuild` fed by `dop` sinks and probed
+// by `dop` fragments — DOP × pool width × governor × join type × build
+// child shape, same oracle, plus what must hold of the one build: rows
+// enter it once, a NULL key seen by any sink counts, the budget is charged
+// once, and nothing is left charged, on disk or on the pool however the
+// statement ends.
 // ---------------------------------------------------------------------------
 
 mod build_mode_matrix {
@@ -431,7 +437,7 @@ mod build_mode_matrix {
     use vectorwise::exec::cancel::CancelToken;
     use vectorwise::exec::expr::PhysExpr;
     use vectorwise::exec::op::{
-        AggFunc, AggSpec, BoxedOp, HashAggregate, HashJoin, JoinType, Operator,
+        AggFunc, AggSpec, BoxedOp, HashAggregate, HashJoin, JoinType, Operator, SharedBuild, Xchg,
     };
     use vectorwise::exec::partition::{MemBudget, SpillConfig, SpillMetrics, WorkerPool};
     use vectorwise::exec::program::ExprProgram;
@@ -798,6 +804,348 @@ mod build_mode_matrix {
             }
         }
         pool.shutdown();
+    }
+
+    // -----------------------------------------------------------------
+    // The Exchange axis: one shared build, `dop` sinks, `dop` probers.
+    // -----------------------------------------------------------------
+
+    /// How the statement around the exchange ends.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Ending {
+        Drained,
+        /// The build input of the last sink fails after two batches.
+        BuildInputFails,
+        /// The same input cancels the query after two batches: a KILL
+        /// that lands while the build is being staged.
+        KilledDuringBuild,
+        /// The consumer takes one batch and drops the root.
+        DroppedMidProbe,
+    }
+
+    /// Passes `inner` through; after `after` batches it cancels `cancel`
+    /// (and keeps serving, like an input that has not noticed yet).
+    struct Killing {
+        inner: BoxedOp,
+        cancel: CancelToken,
+        after: usize,
+    }
+
+    impl Operator for Killing {
+        fn schema(&self) -> &Schema {
+            self.inner.schema()
+        }
+        fn name(&self) -> &'static str {
+            "Killing"
+        }
+        fn next(&mut self) -> vectorwise::common::Result<Option<Batch>> {
+            if self.after == 0 {
+                self.cancel.cancel();
+            }
+            self.after = self.after.saturating_sub(1);
+            self.inner.next()
+        }
+    }
+
+    /// Passes `inner` through, recording the highest budget charge it
+    /// ever sees: a probe input runs while the build it probes is
+    /// resident, so this is the build's charge as the probers see it.
+    struct Peak {
+        inner: BoxedOp,
+        budget: Arc<MemBudget>,
+        peak: Arc<std::sync::atomic::AtomicUsize>,
+    }
+
+    impl Operator for Peak {
+        fn schema(&self) -> &Schema {
+            self.inner.schema()
+        }
+        fn name(&self) -> &'static str {
+            "Peak"
+        }
+        fn next(&mut self) -> vectorwise::common::Result<Option<Batch>> {
+            self.peak.fetch_max(self.budget.used(), Ordering::SeqCst);
+            self.inner.next()
+        }
+    }
+
+    /// Deal `rows` out to `n` hands; rows with a NULL in column `nulls_last`
+    /// all go to the last hand, so only one worker ever sees a NULL key.
+    fn deal(rows: &[Vec<Value>], n: usize, nulls_last: usize) -> Vec<Vec<Vec<Value>>> {
+        let mut hands = vec![Vec::new(); n];
+        for (i, r) in rows.iter().enumerate() {
+            let hand = if r[nulls_last].is_null() { n - 1 } else { i % n };
+            hands[hand].push(r.clone());
+        }
+        hands
+    }
+
+    /// What the test keeps of an exchange: the root, the build (its
+    /// counters outlive the statement), the governor and the query token.
+    struct Exchange {
+        root: Xchg,
+        build: Arc<SharedBuild>,
+        gov: Option<Governor>,
+    }
+
+    /// `left ⋈ right` as the plan compiler lowers it inside an Exchange:
+    /// one `SharedBuild`, a sink and a probing fragment per worker. A
+    /// partitionable build child is dealt out to all sinks; any other is
+    /// the first sink's alone.
+    #[allow(clippy::too_many_arguments)]
+    fn exchange_join(
+        pool: &Arc<WorkerPool>,
+        dop: usize,
+        budget: Option<usize>,
+        left: &[Vec<Value>],
+        right: &[Vec<Value>],
+        keys: Keys,
+        jt: JoinType,
+        partitionable: bool,
+        ending: Ending,
+    ) -> Exchange {
+        let cancel = CancelToken::new();
+        let kc = keys.volcano_join_col();
+        let mut build = SharedBuild::new(keys.programs(), schema(), jt, dop, cancel.clone());
+        let gov = budget.map(spill_config);
+        build = match &gov {
+            Some((cfg, _)) => build.governed(cfg.clone()),
+            None => build.partitioned(dop, 0),
+        };
+        let build = Arc::new(build);
+        let shares = if partitionable { deal(right, dop, kc) } else { vec![right.to_vec()] };
+        let last = shares.len() - 1;
+        let sinks = (0..dop)
+            .map(|w| {
+                let input = shares.get(w).map(|share| {
+                    let fail_after = match ending {
+                        Ending::BuildInputFails if w == last => 2,
+                        _ => usize::MAX,
+                    };
+                    let input = source(share, 16, fail_after);
+                    match ending {
+                        Ending::KilledDuringBuild if w == last => {
+                            Box::new(Killing { inner: input, cancel: cancel.clone(), after: 2 })
+                                as BoxedOp
+                        }
+                        _ => input,
+                    }
+                });
+                build.sink(input, Vec::new(), None).unwrap()
+            })
+            .collect();
+        let out = if jt.emits_right() { schema().join(&schema()) } else { schema() };
+        let frags = deal(left, dop, kc)
+            .iter()
+            .map(|share| {
+                let probe = source(share, 64, usize::MAX);
+                let j = HashJoin::probing(
+                    probe,
+                    build.clone(),
+                    keys.programs(),
+                    out.clone(),
+                    cancel.clone(),
+                );
+                Box::new(j) as BoxedOp
+            })
+            .collect();
+        let root = Xchg::spawn_staged(pool, sinks, frags, std::slice::from_ref(&build), cancel);
+        Exchange { root, build, gov: gov.map(|(_, g)| g) }
+    }
+
+    #[test]
+    fn shared_build_in_an_exchange_agrees_with_volcano_and_leaves_nothing_behind() {
+        let cases = [
+            (JoinType::Inner, TupleJoinKind::Inner),
+            (JoinType::LeftOuter, TupleJoinKind::LeftOuter),
+            (JoinType::LeftSemi, TupleJoinKind::LeftSemi),
+            (JoinType::LeftAnti, TupleJoinKind::LeftAnti),
+            (JoinType::NullAwareLeftAnti, TupleJoinKind::NullAwareLeftAnti),
+        ];
+        let mut rng = SmallRng::seed_from_u64(0x5ba2ed);
+        let left = random_rows(&mut rng, 223, "l");
+        let right = random_rows(&mut rng, 157, "r");
+        let keys = Keys::Single;
+        let kc = keys.volcano_join_col();
+        for workers in [1usize, 4] {
+            let pool = WorkerPool::new(workers);
+            for dop in [2usize, 4] {
+                for budget in [None, Some(AMPLE), Some(TIGHT), Some(1)] {
+                    for (jt, kind) in cases {
+                        for build_nulls in [true, false] {
+                            let right: Vec<Vec<Value>> = right
+                                .iter()
+                                .filter(|r| build_nulls || !r[kc].is_null())
+                                .cloned()
+                                .collect();
+                            let expect = {
+                                let l = Box::new(TupleValues::new(schema(), left.clone()));
+                                let r = Box::new(TupleValues::new(schema(), right.clone()));
+                                let mut j = TupleHashJoin::with_kind(l, r, kc, kc, kind);
+                                sort_rows(collect_rows(&mut j).unwrap())
+                            };
+                            for partitionable in [true, false] {
+                                for ending in [
+                                    Ending::Drained,
+                                    Ending::BuildInputFails,
+                                    Ending::KilledDuringBuild,
+                                    Ending::DroppedMidProbe,
+                                ] {
+                                    let what = format!(
+                                        "{jt:?}, build NULLs {build_nulls}, partitionable \
+                                         {partitionable}, budget {budget:?}, dop {dop} on \
+                                         {workers} workers, {ending:?}"
+                                    );
+                                    let mut x = exchange_join(
+                                        &pool,
+                                        dop,
+                                        budget,
+                                        &left,
+                                        &right,
+                                        keys,
+                                        jt,
+                                        partitionable,
+                                        ending,
+                                    );
+                                    match ending {
+                                        Ending::Drained => {
+                                            let got = run(&mut x.root).unwrap();
+                                            assert_eq!(sort_rows(got), expect, "{what}");
+                                            // One build: every row entered it
+                                            // once, and a NULL key one sink saw
+                                            // is the build's.
+                                            assert_eq!(
+                                                x.build.rows_in(),
+                                                right.len() as u64,
+                                                "{what}"
+                                            );
+                                            assert_eq!(
+                                                x.build.has_null_key(),
+                                                build_nulls,
+                                                "{what}"
+                                            );
+                                        }
+                                        Ending::BuildInputFails => match run(&mut x.root) {
+                                            Err(VwError::Exec(m)) => {
+                                                assert!(
+                                                    m.contains("failed mid-stream"),
+                                                    "{what}: {m}"
+                                                )
+                                            }
+                                            other => panic!("{what}: {other:?}"),
+                                        },
+                                        Ending::KilledDuringBuild => match run(&mut x.root) {
+                                            Err(VwError::Cancelled) => {}
+                                            other => panic!("{what}: {other:?}"),
+                                        },
+                                        Ending::DroppedMidProbe => {
+                                            let _ = x.root.next().unwrap();
+                                        }
+                                    }
+                                    drop(x.root);
+                                    assert_eq!(pool.queued(), 0, "{what}: tasks left on the pool");
+                                    drop(x.build);
+                                    if let (Some(g), Some(budget)) = (&x.gov, budget) {
+                                        // A NULL-aware anti join with a NULL
+                                        // build key never probes, so nothing
+                                        // is ever rehydrated.
+                                        let probes =
+                                            !(jt == JoinType::NullAwareLeftAnti && build_nulls);
+                                        let drained = ending == Ending::Drained && probes;
+                                        check_governor(g, budget, drained, &what);
+                                    }
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+            pool.shutdown();
+        }
+    }
+
+    /// A governed join is charged for its build once, whatever the DOP:
+    /// a budget of twice the build's staged bytes never evicts, and the
+    /// probers of a DOP-4 exchange see about the charge a DOP-1 join's
+    /// prober sees. (With a build per worker the DOP-4 statement charged
+    /// four times that and spilled — parallelism caused the spilling.)
+    #[test]
+    fn a_governed_join_charges_its_build_once_at_any_dop() {
+        use std::sync::atomic::AtomicUsize;
+        let mut rng = SmallRng::seed_from_u64(0xc4a26e);
+        let left = random_rows(&mut rng, 223, "l");
+        let right = random_rows(&mut rng, 400, "r");
+        let keys = Keys::Single;
+        let peak_of = |budget: usize, dop: usize| -> (usize, Governor) {
+            let pool = WorkerPool::new(2);
+            let peak = Arc::new(AtomicUsize::new(0));
+            let (cfg, g) = spill_config(budget);
+            let watched = |rows: &[Vec<Value>]| -> BoxedOp {
+                Box::new(Peak {
+                    inner: source(rows, 64, usize::MAX),
+                    budget: g.budget.clone(),
+                    peak: peak.clone(),
+                })
+            };
+            let out = schema().join(&schema());
+            let cancel = CancelToken::new();
+            let mut root: BoxedOp = if dop == 1 {
+                let j = HashJoin::new(
+                    watched(&left),
+                    source(&right, 16, usize::MAX),
+                    keys.programs(),
+                    keys.programs(),
+                    JoinType::Inner,
+                    out,
+                    cancel,
+                );
+                Box::new(j.with_spill(cfg))
+            } else {
+                let build = SharedBuild::new(
+                    keys.programs(),
+                    schema(),
+                    JoinType::Inner,
+                    dop,
+                    cancel.clone(),
+                )
+                .governed(cfg);
+                let build = Arc::new(build);
+                let sinks = deal(&right, dop, 0)
+                    .iter()
+                    .map(|share| {
+                        build.sink(Some(source(share, 16, usize::MAX)), Vec::new(), None).unwrap()
+                    })
+                    .collect();
+                let frags = deal(&left, dop, 0)
+                    .iter()
+                    .map(|share| {
+                        let j = HashJoin::probing(
+                            watched(share),
+                            build.clone(),
+                            keys.programs(),
+                            out.clone(),
+                            cancel.clone(),
+                        );
+                        Box::new(j) as BoxedOp
+                    })
+                    .collect();
+                Box::new(Xchg::spawn_staged(&pool, sinks, frags, &[build], cancel))
+            };
+            let rows = run(root.as_mut()).unwrap().len();
+            assert!(rows > 0);
+            drop(root);
+            assert_eq!(g.budget.used(), 0, "dop {dop}: charge returned after the drain");
+            pool.shutdown();
+            (peak.load(Ordering::SeqCst), g)
+        };
+        let (staged, _) = peak_of(AMPLE, 1);
+        assert!(staged > 0, "a resident governed build is charged");
+        for dop in [1usize, 4] {
+            let (peak, g) = peak_of(2 * staged, dop);
+            let what = format!("dop {dop}, budget 2 x {staged}");
+            assert!(peak > 0 && peak * 4 <= staged * 5, "{what}: probers saw {peak} charged");
+            check_governor(&g, AMPLE, true, &what);
+        }
     }
 
     fn agg_in(
