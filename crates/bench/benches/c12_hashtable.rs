@@ -3,14 +3,14 @@
 //! Reproduces the operator-internal data-structure experiment behind the
 //! hash join / aggregation rewrite: build and probe throughput at varying
 //! build cardinalities and probe match rates, old-map baseline vs. the
-//! [`vw_exec::hashtable::FlatTable`]. Also proves the acceptance criterion
+//! [`vw_exec::hashtable::JoinTable`]. Also proves the acceptance criterion
 //! that the steady-state vectorized probe loop performs **zero heap
 //! allocations** once its scratch buffers are warm, via a counting global
 //! allocator — and the same for every rung of `HashAggregate`'s
 //! group-resolution ladder (no keys, two dict-coded keys, one BIGINT key,
 //! two BIGINT keys), each timed per row beside it.
 //!
-//! The bulk CSR build (`FlatTable::build_csr`) is swept over 8 k → 1 M
+//! The bulk CSR build (`JoinTable::build`) is swept over 8 k → 1 M
 //! rows, first call and warm, with allocated bytes per row, against the
 //! layout it replaced (reconstructed here: 16-byte slots, a cursor clone of
 //! the directory, one global histogram and scatter). This sweep is what
@@ -27,7 +27,7 @@ use std::time::Instant;
 use vw_common::hash::{hash_u64, FxHashMap};
 use vw_common::{CancelToken, ColData, Field, Result, Schema, TypeId};
 use vw_exec::expr::PhysExpr;
-use vw_exec::hashtable::{self, FlatTable};
+use vw_exec::hashtable::{self, JoinTable};
 use vw_exec::op::{AggFunc, AggSpec, HashAggregate, Operator};
 use vw_exec::program::ExprProgram;
 use vw_exec::{Batch, Vector};
@@ -127,21 +127,20 @@ fn map_probe(table: &FxHashMap<u64, Vec<u32>>, build: &[i64], probe: &[i64]) -> 
 // ---------------------------------------------------------------------------
 
 struct FlatSide {
-    table: FlatTable,
+    table: JoinTable,
     keys: Vec<Vector>,
 }
 
 fn flat_build(keys: &[i64]) -> FlatSide {
-    let mut table = FlatTable::with_capacity(keys.len());
     let key_vec = vec![Vector::new(ColData::I64(keys.to_vec()))];
     let (mut lanes, mut hashes) = (Vec::new(), Vec::new());
+    let mut staged = Vec::with_capacity(keys.len());
     for chunk in keys.chunks(VECTOR) {
         let chunk_vec = vec![Vector::new(ColData::I64(chunk.to_vec()))];
         hashtable::hash_keys(&chunk_vec, chunk.len(), false, &mut lanes, &mut hashes);
-        table.insert_batch(&hashes, None);
+        staged.extend_from_slice(&hashes);
     }
-    table.finalize();
-    FlatSide { table, keys: key_vec }
+    FlatSide { table: JoinTable::build(&[&staged]), keys: key_vec }
 }
 
 /// Reusable probe scratch mirroring the operator's (allocation-free once
@@ -156,7 +155,7 @@ struct Scratch {
 
 /// The vectorized probe loop over pre-chunked probe vectors; the counted /
 /// timed region is exactly what the operators run per batch — the fused
-/// single-column i64 kernel (`FlatTable::probe_join`) with reused scratch.
+/// single-column i64 kernel (`JoinTable::probe_join`) with reused scratch.
 fn flat_probe(side: &FlatSide, chunks: &[Vec<Vector>], s: &mut Scratch) -> u64 {
     let mut hits = 0u64;
     let mut steps = 0u64;
@@ -346,10 +345,10 @@ fn resolution_rungs() {
 }
 
 // ---------------------------------------------------------------------------
-// bulk CSR build: the layout `build_csr` replaced, and the sweep
+// bulk CSR build: the layout `JoinTable::build` replaced, and the sweep
 // ---------------------------------------------------------------------------
 
-/// The table `build_csr` built before it split by radix ranges: full hash
+/// The table the join built before it split by radix ranges: full hash
 /// and row in a 16-byte slot, zero-filled up front; one histogram and one
 /// scatter over the whole directory; a cursor clone of the offsets.
 #[allow(dead_code)]
@@ -408,7 +407,7 @@ fn csr_build_sweep() {
         // Distinct seeds per size so no run finds the other's pages warm.
         let hashes: Vec<u64> = (0..n as u64).map(|i| hash_u64(i ^ (n as u64) << 32)).collect();
         let (of, ow, ob) = time_build(&hashes, old_build_csr);
-        let (nf, nw, nb) = time_build(&hashes, FlatTable::build_csr);
+        let (nf, nw, nb) = time_build(&hashes, |h| JoinTable::build(&[h]));
         println!(
             "  {n:>9} rows: old {of:>5.1} / {ow:>5.1}  {ob:>5.1} B/row   \
              new {nf:>5.1} / {nw:>5.1}  {nb:>5.1} B/row   warm x{:.2}",

@@ -1,26 +1,17 @@
-//! C14: radix-partitioned parallel hash build vs the serial `FlatTable`
-//! build — the "when more cores hurts" experiment.
+//! C14: partition-wise probing and "build once, probe many".
 //!
-//! The serial baseline is PR 1's flat-table build: stream key batches,
-//! hash, insert into one chain-mode table, then one `finalize()` counting
-//! sort into the CSR layout. The partitioned contender is PR 3's
-//! machinery: the same batches are radix-split by their hash top bits and
-//! scattered to `P = 4` shards (`ShardSet`, scheduled as tasks on a
-//! `P`-worker pool), each building a private table `P`× smaller — so the
-//! heavy random-write phases run on `P` threads over `P`× more
-//! cache-resident working sets.
+//! The operator-level experiment: a 200 k × 200 k join at DOP 1/2/4 on
+//! pools of 1/2/4 workers, with the build side made once for the exchange
+//! (`SharedBuild`: `dop` sinks, one table set, `dop` probers) against the
+//! lowering it replaced, rebuilt here as the reference — every fragment a
+//! `HashJoin` that drains the whole build side for itself.
 //!
-//! Also proves the acceptance criterion that the steady-state partitioned
-//! *probe* loop (hash → radix split → per-shard fused probe) performs
-//! **zero heap allocations** once warm (counting global allocator, same
-//! technique as C12/C13).
-//!
-//! And the operator-level experiment behind "build once, probe many": a
-//! 200 k × 200 k join at DOP 1/2/4 on pools of 1/2/4 workers, with the
-//! build side made once for the exchange (`SharedBuild`: `dop` sinks, one
-//! table set, `dop` probers) against the lowering it replaced, rebuilt
-//! here as the reference — every fragment a `HashJoin` that drains the
-//! whole build side for itself.
+//! The kernel-level one: one `JoinTable` over 1 M build rows against
+//! `P = 4` tables over their radix partitions (what a shared build above
+//! the cost gate makes), probed monolithically and partition-wise — with
+//! the proof that the steady-state partitioned *probe* loop (hash → radix
+//! split → per-table fused probe) performs **zero heap allocations** once
+//! warm (counting global allocator, same technique as C12/C13).
 
 use criterion::{black_box, criterion_group, Criterion};
 use rand::rngs::SmallRng;
@@ -33,9 +24,9 @@ use vw_common::hash::hash_u64;
 use vw_common::{ColData, Field, Schema, TypeId};
 use vw_exec::cancel::CancelToken;
 use vw_exec::expr::PhysExpr;
-use vw_exec::hashtable::{FlatTable, ProbeBuf};
+use vw_exec::hashtable::{JoinTable, ProbeBuf};
 use vw_exec::op::{BoxedOp, HashJoin, JoinType, Operator, SharedBuild, Xchg};
-use vw_exec::partition::{RadixRouter, ShardSet, ShardWorker, WorkerPool};
+use vw_exec::partition::{RadixRouter, WorkerPool};
 use vw_exec::program::ExprProgram;
 use vw_exec::{Batch, Vector};
 
@@ -75,7 +66,7 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 /// overhead).
 const VECTOR: usize = 1 << 14;
 
-/// Radix partitions / pool workers ("DOP 4" in the acceptance run).
+/// Radix partitions of the partition-wise probe.
 const SHARDS: usize = 4;
 
 fn gen_keys(n: usize, domain: i64, seed: u64) -> Vec<i64> {
@@ -87,95 +78,40 @@ fn chunks(keys: &[i64]) -> Vec<&[i64]> {
     keys.chunks(VECTOR).collect()
 }
 
-/// One partition's build side for the bench: keys + staged hashes,
-/// bulk-built into the private table at finish (the operator's design).
+/// One partition's build side: its keys and the table over them.
 struct BuildShard {
     keys: Vec<i64>,
-    hashes: Vec<u64>,
-    table: FlatTable,
+    table: JoinTable,
 }
 
-struct Packet {
-    keys: Vec<i64>,
-    hashes: Vec<u64>,
+/// One table over all the keys: stage the hashes, bulk-build.
+fn serial_build(batches: &[&[i64]]) -> (JoinTable, Vec<i64>) {
+    let keys: Vec<i64> = batches.concat();
+    let hashes: Vec<u64> = keys.iter().map(|&k| hash_u64(k as u64)).collect();
+    (JoinTable::build(&[&hashes]), keys)
 }
 
-impl ShardWorker for BuildShard {
-    type Packet = Packet;
-    type Output = BuildShard;
-
-    fn absorb(&mut self, pkt: Packet) -> vw_common::Result<()> {
-        self.keys.extend_from_slice(&pkt.keys);
-        self.hashes.extend_from_slice(&pkt.hashes);
-        Ok(())
-    }
-
-    fn finish(mut self) -> vw_common::Result<BuildShard> {
-        self.table = FlatTable::build_csr(&self.hashes);
-        self.hashes = Vec::new();
-        Ok(self)
-    }
-}
-
-/// PR 1's serial build — the baseline: stream batches through chain-mode
-/// `insert_batch` (incremental directory doublings included), then one
-/// `finalize()` counting sort.
-fn serial_build(batches: &[&[i64]]) -> (FlatTable, Vec<i64>) {
-    let mut keys: Vec<i64> = Vec::new();
-    let mut table = FlatTable::new();
-    let mut hashes: Vec<u64> = Vec::new();
-    for b in batches {
-        hashes.clear();
-        hashes.extend(b.iter().map(|&k| hash_u64(k as u64)));
-        keys.extend_from_slice(b);
-        table.insert_batch(&hashes, None);
-    }
-    table.finalize();
-    (table, keys)
-}
-
-/// The serial half of PR 3's redesign: stage all hashes, then one bulk
-/// CSR construction (what the operator's serial path now does).
-fn serial_bulk_build(batches: &[&[i64]]) -> (FlatTable, Vec<i64>) {
-    let mut keys: Vec<i64> = Vec::new();
-    let mut hashes: Vec<u64> = Vec::new();
-    for b in batches {
-        hashes.extend(b.iter().map(|&k| hash_u64(k as u64)));
-        keys.extend_from_slice(b);
-    }
-    (FlatTable::build_csr(&hashes), keys)
-}
-
-/// PR 3's partitioned build: hash, radix-scatter to P shards on `pool`, P
-/// parallel bulk CSR constructions over P× smaller tables.
-fn partitioned_build(
-    pool: &Arc<WorkerPool>,
-    batches: &[&[i64]],
-    shards: usize,
-) -> (RadixRouter, Vec<BuildShard>) {
+/// A table per radix partition of the keys (the hash's top bits), each
+/// `shards`× smaller.
+fn partitioned_build(batches: &[&[i64]], shards: usize) -> (RadixRouter, Vec<BuildShard>) {
     let mut router = RadixRouter::new(shards);
-    let workers: Vec<BuildShard> = (0..router.partitions())
-        .map(|_| BuildShard { keys: Vec::new(), hashes: Vec::new(), table: FlatTable::new() })
-        .collect();
-    let mut set = ShardSet::spawn_on(pool, workers, &CancelToken::new());
+    let mut staged: Vec<(Vec<i64>, Vec<u64>)> = vec![Default::default(); router.partitions()];
     let mut hashes: Vec<u64> = Vec::new();
     for b in batches {
         hashes.clear();
         hashes.extend(b.iter().map(|&k| hash_u64(k as u64)));
         router.split(&hashes, None, b.len());
-        for si in 0..router.partitions() {
+        for (si, (keys, staged_hashes)) in staged.iter_mut().enumerate() {
             let sel = router.shard_sel(si);
-            if sel.is_empty() {
-                continue;
-            }
-            let pkt = Packet {
-                keys: sel.iter().map(|p| b[p]).collect(),
-                hashes: sel.iter().map(|p| hashes[p]).collect(),
-            };
-            set.send(si, pkt).unwrap();
+            keys.extend(sel.iter().map(|p| b[p]));
+            staged_hashes.extend(sel.iter().map(|p| hashes[p]));
         }
     }
-    (router, set.finish().unwrap())
+    let shards = staged
+        .into_iter()
+        .map(|(keys, hashes)| BuildShard { keys, table: JoinTable::build(&[&hashes]) })
+        .collect();
+    (router, shards)
 }
 
 /// Reusable partitioned-probe scratch, mirroring the operator's.
@@ -234,7 +170,7 @@ fn partitioned_probe(
 }
 
 /// Serial reference probe over the monolithic table.
-fn serial_probe(table: &FlatTable, build_keys: &[i64], batches: &[&[i64]]) -> u64 {
+fn serial_probe(table: &JoinTable, build_keys: &[i64], batches: &[&[i64]]) -> u64 {
     let mut s = ProbeScratch::default();
     let mut pairs = 0u64;
     for b in batches {
@@ -266,12 +202,12 @@ fn serial_probe(table: &FlatTable, build_keys: &[i64], batches: &[&[i64]]) -> u6
 }
 
 // ---------------------------------------------------------------------------
-// acceptance criteria: correctness, allocation-freedom, build speedup
+// acceptance criteria: correctness, allocation-freedom
 // ---------------------------------------------------------------------------
 
 /// Partitioned build + probe must find exactly the pairs the serial path
 /// finds, and the steady-state partitioned probe loop must not allocate.
-fn correctness_and_alloc_check(pool: &Arc<WorkerPool>) {
+fn correctness_and_alloc_check() {
     let n = 1 << 20;
     let build_keys = gen_keys(n, n as i64 / 2, 11);
     let probe_keys = gen_keys(1 << 18, n as i64, 13); // ~50% match rate
@@ -279,7 +215,7 @@ fn correctness_and_alloc_check(pool: &Arc<WorkerPool>) {
     let probe_batches = chunks(&probe_keys);
 
     let (table, keys) = serial_build(&build_batches);
-    let (mut router, shards) = partitioned_build(pool, &build_batches, SHARDS);
+    let (mut router, shards) = partitioned_build(&build_batches, SHARDS);
     let total: usize = shards.iter().map(|s| s.table.len()).sum();
     assert_eq!(total, n, "every build row landed in exactly one shard");
 
@@ -302,38 +238,6 @@ fn correctness_and_alloc_check(pool: &Arc<WorkerPool>) {
         "partitioned probe: {expect} pairs/pass, allocations over 16 steady-state passes: \
          {allocated} (OK)"
     );
-}
-
-/// One timed three-way comparison, printed as speedup lines (the
-/// acceptance observable at 8M rows / DOP 4). Every variant runs one
-/// untimed warm-up pass first so page-fault noise doesn't masquerade as a
-/// parallel speedup.
-fn build_speedup(pool: &Arc<WorkerPool>, n: usize, reps: usize) -> f64 {
-    let build_keys = gen_keys(n, n as i64 / 2, 7);
-    let batches = chunks(&build_keys);
-    let time = |f: &mut dyn FnMut() -> usize| {
-        black_box(f()); // warm-up: fault pages in, size the allocator pools
-        let t0 = Instant::now();
-        for _ in 0..reps {
-            black_box(f());
-        }
-        t0.elapsed()
-    };
-    let serial = time(&mut || serial_build(&batches).0.len());
-    let bulk = time(&mut || serial_bulk_build(&batches).0.len());
-    let part = time(&mut || partitioned_build(pool, &batches, SHARDS).1.len());
-    let speedup = serial.as_secs_f64() / part.as_secs_f64();
-    let ms = |d: Duration| d.as_secs_f64() * 1e3 / reps as f64;
-    println!(
-        "build {:>9} rows: serial(PR1 insert+finalize) {:>8.1}ms  serial(bulk CSR) {:>8.1}ms  \
-         partitioned(x{SHARDS}) {:>8.1}ms  speedup vs PR1 {:.2}x",
-        n,
-        ms(serial),
-        ms(bulk),
-        ms(part),
-        speedup
-    );
-    speedup
 }
 
 // ---------------------------------------------------------------------------
@@ -475,29 +379,12 @@ fn shared_vs_per_fragment_build() {
 fn bench(c: &mut Criterion) {
     shared_vs_per_fragment_build();
 
-    let pool = WorkerPool::new(SHARDS);
-    correctness_and_alloc_check(&pool);
-
-    // The headline acceptance numbers (1M–16M rows).
-    for (n, reps) in [(1 << 20, 3), (8 << 20, 1), (16 << 20, 1)] {
-        build_speedup(&pool, n, reps);
-    }
+    correctness_and_alloc_check();
 
     let mut g = c.benchmark_group("c14_partitioned");
     g.sample_size(10)
         .measurement_time(Duration::from_millis(800))
         .warm_up_time(Duration::from_millis(100));
-
-    for &n in &[1usize << 20, 8 << 20] {
-        let build_keys = gen_keys(n, n as i64 / 2, 7);
-        let batches = chunks(&build_keys);
-        g.bench_function(format!("serial_build_{n}"), |b| {
-            b.iter(|| serial_build(black_box(&batches)).0.len())
-        });
-        g.bench_function(format!("partitioned_build_x{SHARDS}_{n}"), |b| {
-            b.iter(|| partitioned_build(&pool, black_box(&batches), SHARDS).1.len())
-        });
-    }
 
     // Probe comparison at 1M build rows: monolithic vs partition-wise.
     {
@@ -507,7 +394,7 @@ fn bench(c: &mut Criterion) {
         let build_batches = chunks(&build_keys);
         let probe_batches = chunks(&probe_keys);
         let (table, keys) = serial_build(&build_batches);
-        let (mut router, shards) = partitioned_build(&pool, &build_batches, SHARDS);
+        let (mut router, shards) = partitioned_build(&build_batches, SHARDS);
         let mut s = ProbeScratch::default();
         g.bench_function("serial_probe_1m", |b| {
             b.iter(|| serial_probe(&table, &keys, black_box(&probe_batches)))

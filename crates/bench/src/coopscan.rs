@@ -1,4 +1,4 @@
-//! # vw-coopscan — Cooperative Scans: dynamic bandwidth sharing
+//! # Cooperative Scans: dynamic bandwidth sharing
 //!
 //! Reproduction of *Cooperative Scans: Dynamic Bandwidth Sharing in a DBMS*
 //! (Zukowski, Héman, Nes, Boncz, VLDB 2007) — reference \[7\] of the

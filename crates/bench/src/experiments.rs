@@ -4,10 +4,10 @@
 //! `c3_coopscan`), and approximate row equality for differential tests.
 //! Every other C-claim is measured by its criterion bench alone.
 
+use crate::coopscan::{Abm, ChunkSource, ScanPolicy};
 use std::sync::Arc;
 use std::time::Duration;
 use vw_common::{ColData, Field, Schema, TypeId, Value};
-use vw_coopscan::{Abm, ChunkSource, ScanPolicy};
 use vw_exec::expr::{BinOp, CmpOp, PhysExpr};
 use vw_exec::op::{drain, AggFunc, AggSpec, HashAggregate, Operator, Select};
 use vw_exec::{Batch, CancelToken, Vector};

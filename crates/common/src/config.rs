@@ -94,10 +94,20 @@ impl FaultConfig {
 /// at the same figure.
 pub const MAX_PARALLELISM: usize = 1 << 10;
 
+/// Largest `vector_size` a session can ask for (`SET vector_size`,
+/// [`EngineConfig::with_vector_size`]). Every operator output batch is
+/// allocated eagerly at `vector_size` values per column and a pipeline's
+/// `BatchPool` keeps up to 32 of them, so the figure is a memory bound
+/// before it is anything else: 2^20 values is 8 MiB per BIGINT column per
+/// batch — 64 packs of the default size, a thousand times the default
+/// vector — and stays far inside the `u32` lane positions of a `SelVec`.
+pub const MAX_VECTOR_SIZE: usize = 1 << 20;
+
 /// Tuning knobs for one engine instance.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
-    /// Values per vector in the X100 kernel (the C1 sweep parameter).
+    /// Values per vector in the X100 kernel (the C1 sweep parameter),
+    /// `1..=`[`MAX_VECTOR_SIZE`].
     pub vector_size: usize,
     /// Buffer pool capacity in bytes for the storage layer.
     pub buffer_pool_bytes: usize,
@@ -106,10 +116,6 @@ pub struct EngineConfig {
     /// their partition count ([`EngineConfig::build_partitions`]).
     /// 1 disables parallelization.
     pub parallelism: usize,
-    /// The pooled hash build's cost gate: below this many rows a join
-    /// still builds one table and an aggregate's shards stay with the
-    /// driver (task submission + packet gathers only pay off past it).
-    pub partition_min_rows: usize,
     /// Rows per morsel claim from a scan's shared work dispenser
     /// (`vw-exec::morsel::MorselSource`). Exchange workers pull claims of
     /// this size until the image is dry, so run-time claims replace the
@@ -118,8 +124,8 @@ pub struct EngineConfig {
     /// (16Ki rows) makes claim overhead invisible while still splitting a
     /// skewed scan into many claims per worker. SET-able
     /// (`SET morsel_rows = n`), `VW_MORSEL_ROWS` env override (like
-    /// `VW_DOP` / `VW_PARTITION_MIN_ROWS`, so CI can force many-morsel
-    /// scheduling through the whole suite).
+    /// `VW_DOP`, so CI can force many-morsel scheduling through the whole
+    /// suite).
     pub morsel_rows: usize,
     /// Per-query memory budget in bytes for hash build state (join build
     /// sides, aggregation groups). `0` = unlimited — hash builds run
@@ -192,11 +198,10 @@ pub struct EngineConfig {
 
 impl Default for EngineConfig {
     fn default() -> Self {
-        // `VW_DOP` / `VW_PARTITION_MIN_ROWS` override the defaults so CI
-        // can run the whole test suite through the parallel (Xchg +
-        // partitioned-build) code paths without touching every test.
+        // `VW_DOP` overrides the default so CI can run the whole test
+        // suite through the parallel (Xchg + shared-build) code paths
+        // without touching every test.
         let parallelism = env_usize("VW_DOP").unwrap_or(1).clamp(1, MAX_PARALLELISM);
-        let partition_min_rows = env_usize("VW_PARTITION_MIN_ROWS").unwrap_or(8192);
         let morsel_rows = env_usize("VW_MORSEL_ROWS").unwrap_or(16 * 1024).max(1);
         let mem_budget_bytes = env_usize("VW_MEM_BUDGET").unwrap_or(0);
         let workers = env_usize("VW_WORKERS").unwrap_or(0);
@@ -206,7 +211,6 @@ impl Default for EngineConfig {
             vector_size: crate::DEFAULT_VECTOR_SIZE,
             buffer_pool_bytes: 64 << 20,
             parallelism,
-            partition_min_rows,
             morsel_rows,
             mem_budget_bytes,
             pack_size: 16 * 1024,
@@ -236,7 +240,10 @@ fn env_f64(name: &str) -> Option<f64> {
 impl EngineConfig {
     /// Override the vector size (builder style).
     pub fn with_vector_size(mut self, n: usize) -> Self {
-        assert!(n > 0, "vector size must be positive");
+        assert!(
+            (1..=MAX_VECTOR_SIZE).contains(&n),
+            "vector size must be between 1 and {MAX_VECTOR_SIZE}"
+        );
         self.vector_size = n;
         self
     }
@@ -333,6 +340,12 @@ mod tests {
     #[should_panic]
     fn zero_vector_size_rejected() {
         let _ = EngineConfig::default().with_vector_size(0);
+    }
+
+    #[test]
+    #[should_panic]
+    fn vector_size_past_the_bound_rejected() {
+        let _ = EngineConfig::default().with_vector_size(MAX_VECTOR_SIZE + 1);
     }
 
     #[test]

@@ -41,7 +41,7 @@ use vw_exec::op::{
     AggSpec, BoxedOp, BuildSink, HashAggregate, HashJoin, JoinType, Limit, Project, Select, SetOp,
     SetOpMode, SharedBuild, Sort, SortKey, TopN, UnionAll, Values, VectorScan, Xchg,
 };
-use vw_exec::partition::{MemBudget, SpillConfig};
+use vw_exec::partition::{MemBudget, SpillConfig, DEFAULT_PARALLEL_BUILD_MIN_ROWS};
 use vw_exec::program::{ExprProgram, SelectProgram};
 use vw_exec::CancelToken;
 use vw_pdt::store::items;
@@ -204,9 +204,7 @@ pub fn build_plan(
 
 /// `in_exchange` tracks whether this subtree runs inside an Exchange —
 /// distinct from `partition`, which is `None` below a build child compiled
-/// once for all workers. A nested Exchange is refused on it, and an
-/// aggregation's pooled build gates on it: the partial aggregates are
-/// already one per worker.
+/// once for all workers. A nested Exchange is refused on it.
 /// `batch_pool` is this worker pipeline's shared output-batch free-list.
 /// `query` holds what the whole query shares: the memory governor and the
 /// plan's row estimates.
@@ -357,21 +355,14 @@ fn build_plan_node<'p>(
                 )
             };
             let Some(p) = partition else {
-                // A join that builds for itself: one build state machine,
-                // two settings — evictable partitions under the query's
-                // memory budget, else table construction fanned out on
-                // the worker pool.
+                // A join that builds for itself: one inline sink into one
+                // table, or evictable partitions under the query's memory
+                // budget.
                 let (l, r) = (side(left, None)?, side(right, None)?);
                 let mut join = HashJoin::new(l, r, lk, rk, jt, schema.clone(), cancel.clone())
                     .expecting_build_rows(build_rows);
                 if let Some(qs) = &query.spill {
                     join = join.with_spill(qs.config(db));
-                } else if config.parallelism > 1 {
-                    join = join.with_parallel_build(
-                        db.workers.clone(),
-                        config.build_partitions(),
-                        config.partition_min_rows,
-                    );
                 }
                 return Ok(Box::new(join.with_batch_pool(batch_pool.clone())));
             };
@@ -396,7 +387,8 @@ fn build_plan_node<'p>(
                     .expecting(build_rows);
                 Arc::new(match &query.spill {
                     Some(qs) => build.governed(qs.config(db)),
-                    None => build.partitioned(config.build_partitions(), config.partition_min_rows),
+                    None => build
+                        .partitioned(config.build_partitions(), DEFAULT_PARALLEL_BUILD_MIN_ROWS),
                 })
             });
             p.shared.sinks.lock().push(shared.sink(input, sink_deps, Some(batch_pool.clone()))?);
@@ -436,12 +428,6 @@ fn build_plan_node<'p>(
             let mut agg = HashAggregate::new(child, g, specs, schema.clone(), vs, cancel.clone())?;
             if let Some(qs) = &query.spill {
                 agg = agg.with_spill(qs.config(db));
-            } else if config.parallelism > 1 && !in_exchange {
-                agg = agg.with_parallel_build(
-                    db.workers.clone(),
-                    config.build_partitions(),
-                    config.partition_min_rows,
-                );
             }
             Box::new(agg.with_batch_pool(batch_pool.clone()))
         }

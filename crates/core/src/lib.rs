@@ -39,7 +39,7 @@ use monitor::{EventLevel, Monitor};
 use parking_lot::{Mutex, RwLock};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use vw_common::config::MAX_PARALLELISM;
+use vw_common::config::{MAX_PARALLELISM, MAX_VECTOR_SIZE};
 use vw_common::{ColData, EngineConfig, Result, Schema, TypeId, Value, VwError};
 use vw_exec::op::drain;
 use vw_exec::CancelToken;
@@ -286,9 +286,13 @@ impl Database {
     fn apply_set(&self, cfg: &mut EngineConfig, name: &str, value: &Value) -> Result<()> {
         match name.to_ascii_lowercase().as_str() {
             "vector_size" => {
+                // Batches are allocated at this size, column by column:
+                // bound it where it enters.
                 let v = value.as_i64()?;
-                if v < 1 {
-                    return Err(VwError::InvalidParameter("vector_size must be >= 1".into()));
+                if !(1..=MAX_VECTOR_SIZE as i64).contains(&v) {
+                    return Err(VwError::InvalidParameter(format!(
+                        "vector_size must be between 1 and {MAX_VECTOR_SIZE}"
+                    )));
                 }
                 cfg.vector_size = v as usize;
             }
@@ -302,15 +306,6 @@ impl Database {
                     )));
                 }
                 cfg.parallelism = v as usize;
-            }
-            "partition_min_rows" => {
-                let v = value.as_i64()?;
-                if v < 0 {
-                    return Err(VwError::InvalidParameter(
-                        "partition_min_rows must be >= 0".into(),
-                    ));
-                }
-                cfg.partition_min_rows = v as usize;
             }
             "morsel_rows" => {
                 let v = value.as_i64()?;

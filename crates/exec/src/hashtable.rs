@@ -1,63 +1,61 @@
-//! Flat vectorized hash table — the shared engine under hash join and hash
+//! Flat vectorized hash tables — the shared engine under hash join and hash
 //! aggregation.
 //!
 //! The X100 lesson this module applies: operator-internal data structures
 //! decide whether the hot loop stays a tight, allocation-free, vector-at-a-
 //! time primitive. The previous implementation funneled every probe row
 //! through a `FxHashMap<u64, Vec<u32>>` — a heap-allocated bucket `Vec` per
-//! distinct key and a tuple-at-a-time map lookup per row. This table
-//! replaces it with:
+//! distinct key and a tuple-at-a-time map lookup per row. Two tables replace
+//! it, one per operator, both a power-of-two **directory** indexed by the
+//! low bits of the key hash over contiguously numbered rows:
 //!
-//! * a power-of-two **directory** of `u32` chain heads indexed by the low
-//!   bits of the key hash (`EMPTY` marks a free bucket);
-//! * a **`next` chain array** parallel to the contiguously numbered build
-//!   rows — row `r`'s bucket successor is `next[r]`, so collision chains
-//!   live in one flat allocation instead of many little `Vec`s;
-//! * the **full 64-bit hash per row**, so probe lanes reject mismatched
-//!   candidates with one integer compare before any key comparison.
+//! * [`GroupTable`] — hash aggregation's: it grows while it is probed. The
+//!   directory holds `u32` chain heads (`EMPTY` marks a free bucket) and a
+//!   **chain array** parallel to the rows holds each row's full 64-bit hash
+//!   and its bucket successor, so collision chains live in one flat
+//!   allocation and a lane rejects a foreign candidate with one integer
+//!   compare before any key comparison.
+//! * [`JoinTable`] — hash join's: its whole build input is staged before
+//!   the first probe, so it is immutable and bulk-constructed
+//!   ([`JoinTable::build`]: histogram → prefix sum → scatter, no chain
+//!   phase at all, the directory its own scatter cursor; past a cache-sized
+//!   row count the rows are first split by the directory's top bits so
+//!   every pass works inside one window of it). The layout is
+//!   bucket-grouped and contiguous (CSR), so a probe is a short sequential
+//!   scan: a directory of `u32` offsets, one bloom byte per bucket, and
+//!   8-byte slots — a row id and the upper half of its hash (the lower half
+//!   *is* the bucket).
 //!
-//! The table stores *only* hashes and links. Key and payload columns live in
+//! The tables store *only* hashes and links. Key and payload columns live in
 //! ordinary contiguous [`Vector`]s owned by the operator, indexed by row id
 //! — which is what makes the probe a gather over columnar data rather than
 //! a pointer chase through per-key heap nodes.
 //!
 //! Probing is fully vectorized: hash the whole key vector with the
 //! `vw_common::hash` kernels ([`hash_keys`]), gather hash-matching
-//! candidates for all lanes ([`FlatTable::gather_matching`]), then
-//! iteratively confirm keys and re-probe only the still-unmatched lanes
-//! via a [`SelVec`] ([`keys_match_sel`] → [`FlatTable::advance_matching`]).
-//! Single-column keys take a fused, type-monomorphized fast path instead
-//! ([`FlatTable::probe_join`] / [`FlatTable::probe_groups`]) that stages
-//! hash → prefetch → scan across the whole vector. Hash join probes a
-//! bucket-grouped contiguous (CSR) layout whose probes are short
-//! sequential scans: a directory of `u32` offsets, one bloom byte per
-//! bucket, and 8-byte slots — a row id and the upper half of its hash
-//! (the lower half *is* the bucket). Its whole build input is staged
-//! first, so the layout is bulk-constructed ([`FlatTable::build_csr`]:
-//! histogram → prefix sum → scatter, no chain phase at all, the directory
-//! its own scatter cursor; past a cache-sized row count the rows are
-//! first split by the directory's top bits so every pass works inside one
-//! window of it). [`finalize`](FlatTable::finalize) is the same
-//! construction over a chain-mode table's rows. All scratch buffers are
-//! caller-owned and reused across batches, so the steady-state probe loop
-//! performs no allocations.
+//! candidates for all lanes (`gather_matching`), then iteratively confirm
+//! keys and re-probe only the still-unmatched lanes via a [`SelVec`]
+//! ([`keys_match_sel`] → `advance_matching`). Single-column keys take a
+//! fused, type-monomorphized fast path instead ([`JoinTable::probe_join`] /
+//! [`GroupTable::probe_groups`]) that stages hash → prefetch → scan across
+//! the whole vector. All scratch buffers are caller-owned and reused across
+//! batches, so the steady-state probe loop performs no allocations.
 //!
-//! **Partitioned builds** (see [`crate::partition`]): one `FlatTable` is
-//! also the unit of radix sharding. The partition id is the *top* bits of
-//! the same 64-bit key hash — provably disjoint from the directory index
-//! (low bits) and nearly so from the bloom tag (bits 57..60) — so `P`
-//! shard tables built from a radix split stay exactly as balanced as one
-//! big table, while each is `P`× smaller. Shards are never merged; probes
-//! split partition-wise by the same bits and run these same kernels
-//! against the owning shard.
+//! **Partitioned builds** (see [`crate::partition`]): one table is also the
+//! unit of radix sharding. The partition id is the *top* bits of the same
+//! 64-bit key hash — provably disjoint from the directory index (low bits)
+//! and nearly so from the bloom tag (bits 57..60) — so `P` tables built from
+//! a radix split stay exactly as balanced as one big table, while each is
+//! `P`× smaller. They are never merged; probes split partition-wise by the
+//! same bits and run these same kernels against the owning table.
 //!
 //! **Grace-spilled builds** rehydrate through the same entry point:
 //! a spilled partition's rows are replayed from its spill file
 //! ([`crate::spill`]), their key hashes recomputed with [`hash_keys`]
 //! (hashing is a pure function of the key values, so rehydrated runs
 //! land in the same buckets), and the partition's table bulk-built with
-//! [`FlatTable::build_csr`] exactly like any staged-then-finalized build.
-//! Nothing in this module knows whether its input ever touched disk.
+//! [`JoinTable::build`] exactly like any staged build. Nothing in this
+//! module knows whether its input ever touched disk.
 
 use crate::primitives;
 use crate::vector::Vector;
@@ -81,12 +79,12 @@ struct Entry {
     next: u32,
 }
 
-/// One finalized (CSR) slot: the upper half of a row's hash and its row
-/// id, stored bucket-grouped and contiguous so probing a bucket is a short
-/// sequential scan instead of a pointer chase. The bucket index already
-/// is the hash's low bits, so the 32-bit tag rejects all but one in 2^32
-/// foreign candidates before the key comparison that decides every match
-/// — in 8 bytes a slot, half of what the full hash took.
+/// One CSR slot: the upper half of a row's hash and its row id, stored
+/// bucket-grouped and contiguous so probing a bucket is a short sequential
+/// scan instead of a pointer chase. The bucket index already is the hash's
+/// low bits, so the 32-bit tag rejects all but one in 2^32 foreign
+/// candidates before the key comparison that decides every match — in 8
+/// bytes a slot, half of what the full hash took.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct Slot {
     tag: u32,
@@ -99,39 +97,6 @@ fn tag_of(h: u64) -> u32 {
     (h >> 32) as u32
 }
 
-/// Open-addressing directory + chain array over contiguous build rows.
-///
-/// Two layouts share this type:
-///
-/// * **chain mode** (initial): `heads[h & mask]` points at the newest row
-///   of the bucket; rows link through `entries[row].next`. Supports
-///   incremental find-or-insert — hash aggregation lives here.
-/// * **finalized mode** ([`FlatTable::build_csr`], or
-///   [`FlatTable::finalize`] of a chain-mode table): rows are
-///   counting-sorted into bucket-grouped contiguous `slots` with a CSR
-///   `offsets` directory. Probing a bucket becomes a bounded sequential
-///   scan — the layout hash join probes after its build phase completes.
-///   Finalized tables reject further inserts.
-#[derive(Debug, Clone)]
-pub struct FlatTable {
-    /// Chain-mode directory (empty once finalized).
-    heads: Vec<u32>,
-    /// Chain-mode entries, indexed by row id (empty once finalized).
-    entries: Vec<Entry>,
-    /// Finalized CSR directory: bucket `b` owns `slots[offsets[b]..offsets[b + 1]]`.
-    offsets: Vec<u32>,
-    /// Finalized bucket-grouped slots.
-    slots: Vec<Slot>,
-    /// Finalized per-bucket 8-bit bloom tag (one bit per resident hash's
-    /// high bits). One byte per bucket keeps the array dense enough to stay
-    /// cache-resident, so most probe *misses* resolve without ever touching
-    /// the (much larger) offsets or slot arrays — the same trick behind
-    /// SwissTable control bytes and Vectorwise's bloom-filtered joins.
-    bloom: Vec<u8>,
-    finalized: bool,
-    mask: u64,
-}
-
 /// Bloom tag bit for hash `h`: derived from bits far above the bucket
 /// index so tag and bucket stay independent.
 #[inline(always)]
@@ -139,7 +104,269 @@ fn bloom_bit(h: u64) -> u8 {
     1u8 << ((h >> 57) & 7)
 }
 
-/// Build rows per radix range of a [`FlatTable::build_csr`] over more than
+/// Hash aggregation's table: a directory of chain heads over a growable
+/// chain array. `heads[h & mask]` points at the newest row of the bucket;
+/// rows link through `entries[row].next`. Find-or-insert is incremental —
+/// lookups interleave with inserts for as long as the build runs.
+#[derive(Debug, Clone)]
+pub struct GroupTable {
+    heads: Vec<u32>,
+    /// Indexed by row id.
+    entries: Vec<Entry>,
+    mask: u64,
+}
+
+impl Default for GroupTable {
+    fn default() -> GroupTable {
+        GroupTable::new()
+    }
+}
+
+impl GroupTable {
+    /// An empty table.
+    pub fn new() -> GroupTable {
+        let dir = directory_size(0);
+        GroupTable { heads: vec![EMPTY; dir], entries: Vec::new(), mask: dir as u64 - 1 }
+    }
+
+    /// Number of inserted rows.
+    pub fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// True when no rows have been inserted.
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+
+    #[inline]
+    fn bucket(&self, h: u64) -> usize {
+        (h & self.mask) as usize
+    }
+
+    /// Insert the next row (id = current [`GroupTable::len`]) with hash `h`;
+    /// returns the new row id. New rows prepend to their bucket chain.
+    #[inline]
+    pub fn insert(&mut self, h: u64) -> u32 {
+        if (self.len() + 1) * 2 > self.heads.len() {
+            self.rebuild_directory(self.heads.len() * 2);
+        }
+        let row = self.entries.len() as u32;
+        assert!(row != EMPTY, "a hash table holds at most u32::MAX - 1 rows");
+        let b = self.bucket(h);
+        self.entries.push(Entry { hash: h, next: self.heads[b] });
+        self.heads[b] = row;
+        row
+    }
+
+    /// Double the directory and relink every row. Rows are relinked in id
+    /// order so chains stay deterministic.
+    fn rebuild_directory(&mut self, dir: usize) {
+        debug_assert!(dir.is_power_of_two());
+        self.heads.clear();
+        self.heads.resize(dir, EMPTY);
+        self.mask = dir as u64 - 1;
+        for row in 0..self.entries.len() {
+            let b = self.bucket(self.entries[row].hash);
+            self.entries[row].next = self.heads[b];
+            self.heads[b] = row as u32;
+        }
+    }
+
+    /// Walk one bucket looking for a row whose stored hash equals `h` and
+    /// whose keys match (scalar path: new-group insertion, where at most a
+    /// handful of lanes per batch miss).
+    #[inline]
+    pub fn find_chain(&self, h: u64, mut matches: impl FnMut(u32) -> bool) -> Option<u32> {
+        let mut row = self.heads[self.bucket(h)];
+        while row != EMPTY {
+            let e = self.entries[row as usize];
+            if e.hash == h && matches(row) {
+                return Some(row);
+            }
+            row = e.next;
+        }
+        None
+    }
+
+    /// Gather each selected lane's first *hash-matching* row: walk from the
+    /// bucket head skipping entries whose stored hash differs (one integer
+    /// compare each). `active` receives the lanes that found one; their
+    /// `cand[p]` (a row id) needs only key confirmation. Entries visited
+    /// are added to `steps` (profiling).
+    pub fn gather_matching(
+        &self,
+        hashes: &[u64],
+        sel: &SelVec,
+        cand: &mut Vec<u32>,
+        active: &mut SelVec,
+        steps: &mut u64,
+    ) {
+        if cand.len() < hashes.len() {
+            cand.resize(hashes.len(), EMPTY);
+        }
+        let mut visited = 0u64;
+        sel.retain_from(
+            |p| {
+                let h = hashes[p];
+                let mut row = self.heads[self.bucket(h)];
+                while row != EMPTY {
+                    visited += 1;
+                    let e = self.entries[row as usize];
+                    if e.hash == h {
+                        cand[p] = row;
+                        return true;
+                    }
+                    row = e.next;
+                }
+                false
+            },
+            active,
+        );
+        *steps += visited;
+    }
+
+    /// Advance every selected lane past its current candidate to the next
+    /// hash-matching one (see [`GroupTable::gather_matching`]); `out`
+    /// receives the lanes that found another candidate.
+    pub fn advance_matching(
+        &self,
+        hashes: &[u64],
+        sel: &SelVec,
+        cand: &mut [u32],
+        out: &mut SelVec,
+        steps: &mut u64,
+    ) {
+        let mut visited = 0u64;
+        sel.retain_from(
+            |p| {
+                let h = hashes[p];
+                let mut row = self.entries[cand[p] as usize].next;
+                while row != EMPTY {
+                    visited += 1;
+                    let e = self.entries[row as usize];
+                    if e.hash == h {
+                        cand[p] = row;
+                        return true;
+                    }
+                    row = e.next;
+                }
+                false
+            },
+            out,
+        );
+        *steps += visited;
+    }
+
+    /// Fused group lookup for type-specialized single-column keys: `gidx[p]`
+    /// receives the first hash-and-key-matching row for each selected lane,
+    /// or [`EMPTY`] when the key is unseen.
+    ///
+    /// `hash_of` computes the lane hash inline (monomorphized — e.g.
+    /// `hash_u64` of an `i64` key); `sel = None` probes all `n` lanes
+    /// (dense batch, no NULL keys) without selection-vector indirection.
+    /// Staged like [`JoinTable::probe_join`]; the lane hashes remain in
+    /// `buf` for the caller's miss-insert pass.
+    #[inline]
+    #[allow(clippy::too_many_arguments)]
+    pub fn probe_groups<H: FnMut(usize) -> u64, F: FnMut(usize, u32) -> bool>(
+        &self,
+        n: usize,
+        sel: Option<&SelVec>,
+        mut hash_of: H,
+        mut key_eq: F,
+        gidx: &mut [u32],
+        buf: &mut ProbeBuf,
+        steps: &mut u64,
+    ) {
+        let mut visited = 0u64;
+        // The miss-insert pass needs every lane's hash afterwards, so the
+        // staging pass runs even for small tables.
+        self.stage(n, sel, &mut hash_of, buf);
+        macro_rules! lane {
+            ($p:expr) => {{
+                let p = $p;
+                let h = buf.hashes[p];
+                let mut row = buf.cand[p];
+                gidx[p] = EMPTY;
+                while row != EMPTY {
+                    visited += 1;
+                    let e = self.entries[row as usize];
+                    if e.hash == h && key_eq(p, row) {
+                        gidx[p] = row;
+                        break;
+                    }
+                    row = e.next;
+                }
+            }};
+        }
+        match sel {
+            None => {
+                for p in 0..n {
+                    lane!(p);
+                }
+            }
+            Some(s) => {
+                for p in s.iter() {
+                    lane!(p);
+                }
+            }
+        }
+        *steps += visited;
+    }
+
+    /// Probe staging: hash every lane (prefetching its directory line),
+    /// then gather every lane's chain head (prefetching its entry). Fills
+    /// `buf.hashes` and `buf.cand`; unselected lanes are garbage.
+    #[inline]
+    fn stage<H: FnMut(usize) -> u64>(
+        &self,
+        n: usize,
+        sel: Option<&SelVec>,
+        hash_of: &mut H,
+        buf: &mut ProbeBuf,
+    ) {
+        buf.ensure(n);
+        macro_rules! hash_lane {
+            ($p:expr) => {{
+                let p = $p;
+                let h = hash_of(p);
+                buf.hashes[p] = h;
+                prefetch(&self.heads[self.bucket(h)]);
+            }};
+        }
+        macro_rules! head_lane {
+            ($p:expr) => {{
+                let p = $p;
+                let row = self.heads[self.bucket(buf.hashes[p])];
+                buf.cand[p] = row;
+                if row != EMPTY {
+                    prefetch(&self.entries[row as usize]);
+                }
+            }};
+        }
+        match sel {
+            None => {
+                for p in 0..n {
+                    hash_lane!(p);
+                }
+                for p in 0..n {
+                    head_lane!(p);
+                }
+            }
+            Some(s) => {
+                for p in s.iter() {
+                    hash_lane!(p);
+                }
+                for p in s.iter() {
+                    head_lane!(p);
+                }
+            }
+        }
+    }
+}
+
+/// Build rows per radix range of a [`JoinTable::build`] over more than
 /// [`SMALL_TABLE`] rows: a range's window of the directory, the bloom tags
 /// and the slots (≈ 21 B a row at load factor 0.4) stays well inside L2
 /// while its histogram and scatter touch it at random. Both constants are
@@ -148,150 +375,58 @@ fn bloom_bit(h: u64) -> u8 {
 /// ranges measure alike, 32 k and up lose.
 const CSR_RANGE_ROWS: usize = 8192;
 
-impl Default for FlatTable {
-    fn default() -> FlatTable {
-        FlatTable::new()
+/// Hash join's table: rows counting-sorted into bucket-grouped contiguous
+/// `slots` under a CSR `offsets` directory, built in one go over the whole
+/// build input and immutable afterwards.
+#[derive(Debug, Clone)]
+pub struct JoinTable {
+    /// Bucket `b` owns `slots[offsets[b]..offsets[b + 1]]`.
+    offsets: Vec<u32>,
+    slots: Vec<Slot>,
+    /// Per-bucket 8-bit bloom tag (one bit per resident hash's high bits).
+    /// One byte per bucket keeps the array dense enough to stay
+    /// cache-resident, so most probe *misses* resolve without ever touching
+    /// the (much larger) offsets or slot arrays — the same trick behind
+    /// SwissTable control bytes and Vectorwise's bloom-filtered joins.
+    bloom: Vec<u8>,
+    mask: u64,
+}
+
+impl Default for JoinTable {
+    /// A table of no rows.
+    fn default() -> JoinTable {
+        JoinTable::build(&[])
     }
 }
 
-impl FlatTable {
-    /// An empty table.
-    pub fn new() -> FlatTable {
-        FlatTable::with_capacity(0)
-    }
-
-    /// An empty table sized for `rows` build rows without regrowing.
-    pub fn with_capacity(rows: usize) -> FlatTable {
-        let dir = directory_size(rows);
-        FlatTable {
-            heads: vec![EMPTY; dir],
-            entries: Vec::with_capacity(rows),
-            offsets: Vec::new(),
-            slots: Vec::new(),
-            bloom: Vec::new(),
-            finalized: false,
-            mask: dir as u64 - 1,
-        }
-    }
-
-    /// Number of inserted rows.
-    pub fn len(&self) -> usize {
-        if self.finalized {
-            self.slots.len()
-        } else {
-            self.entries.len()
-        }
-    }
-
-    /// True when no rows have been inserted.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Directory size (power of two) — exposed for bench introspection.
-    pub fn directory_len(&self) -> usize {
-        if self.finalized {
-            self.offsets.len() - 1
-        } else {
-            self.heads.len()
-        }
-    }
-
-    /// Has [`FlatTable::finalize`] run?
-    pub fn is_finalized(&self) -> bool {
-        self.finalized
-    }
-
-    #[inline]
-    fn bucket(&self, h: u64) -> usize {
-        (h & self.mask) as usize
-    }
-
-    /// Pre-size for `additional` more rows so [`FlatTable::insert`] will not
-    /// rebuild mid-batch.
-    pub fn reserve(&mut self, additional: usize) {
-        debug_assert!(!self.finalized, "reserve on finalized table");
-        let need = directory_size(self.len() + additional);
-        if need > self.heads.len() {
-            self.rebuild_directory(need);
-        }
-        self.entries.reserve(additional);
-    }
-
-    /// Insert the next row (id = current [`FlatTable::len`]) with hash `h`;
-    /// returns the new row id. New rows prepend to their bucket chain.
-    #[inline]
-    pub fn insert(&mut self, h: u64) -> u32 {
-        debug_assert!(!self.finalized, "insert on finalized table");
-        if (self.len() + 1) * 2 > self.heads.len() {
-            self.rebuild_directory(self.heads.len() * 2);
-        }
-        let row = self.entries.len() as u32;
-        assert!(row != EMPTY, "flat table holds at most u32::MAX - 1 rows");
-        let b = self.bucket(h);
-        self.entries.push(Entry { hash: h, next: self.heads[b] });
-        self.heads[b] = row;
-        row
-    }
-
-    /// Vectorized insert: append one row per selected lane, in lane order.
-    /// Row ids are assigned contiguously, matching the order in which the
-    /// caller appended the corresponding key/payload values.
-    pub fn insert_batch(&mut self, hashes: &[u64], sel: Option<&SelVec>) {
-        match sel {
-            None => {
-                self.reserve(hashes.len());
-                for &h in hashes {
-                    self.insert(h);
-                }
-            }
-            Some(s) => {
-                self.reserve(s.len());
-                for p in s.iter() {
-                    self.insert(hashes[p]);
-                }
-            }
-        }
-    }
-
-    /// Bulk-build a finalized (CSR) table directly from a complete hash
-    /// array: histogram → prefix sum → scatter. Row `r` is `hashes[r]`.
+impl JoinTable {
+    /// Bulk-build the table from a complete hash array that arrives in
+    /// pieces (the per-worker stages of a shared build; one piece for a
+    /// build with one sink): row ids number the chunks' hashes
+    /// consecutively, in chunk order.
     ///
-    /// This skips the chain-insert phase entirely — no `heads`/`entries`
-    /// arrays, no incremental directory doublings with their relink passes
-    /// — so it is the build of choice whenever the whole input is known
-    /// before the first probe (hash join; each radix shard of a
-    /// partitioned build). Aggregation keeps the incremental chain path:
-    /// it interleaves lookups with inserts.
+    /// Histogram → prefix sum → scatter: no chain phase, no incremental
+    /// directory doublings with their relink passes. A random histogram and
+    /// scatter over a directory larger than the cache misses on nearly
+    /// every row, so past `SMALL_TABLE` rows the rows are first split — one
+    /// sequential pass, stable — by the *top* bits of their bucket index
+    /// into ranges of about `CSR_RANGE_ROWS`. A range owns one contiguous
+    /// window of the directory, the bloom tags and the slots, and the three
+    /// random passes run window by window. The table is the one a single
+    /// global pass builds (and does build, below the threshold): the same
+    /// offsets, and within a bucket the rows in ascending order. The cursor
+    /// of the scatter is the directory itself, one entry ahead
+    /// (`offsets[b + 1]` runs from bucket `b`'s start to its end, which is
+    /// bucket `b + 1`'s start), so no second array is needed; slots are
+    /// grown one window at a time, which is also what first touches them.
     ///
     /// # Panics
     /// At `u32::MAX` rows or more — row ids are `u32`. Callers that can be
     /// handed that many rows check first (the join does, with a typed
     /// error, before any table is allocated).
-    pub fn build_csr(hashes: &[u64]) -> FlatTable {
-        FlatTable::build_csr_chunks(&[hashes])
-    }
-
-    /// [`FlatTable::build_csr`] over a hash array that arrives in pieces
-    /// (the per-worker stages of a shared build): row ids number the
-    /// chunks' hashes consecutively, in chunk order.
-    ///
-    /// A random histogram and scatter over a directory larger than the
-    /// cache misses on nearly every row, so past `SMALL_TABLE` rows the
-    /// rows are first split — one sequential pass, stable — by the *top*
-    /// bits of their bucket index into ranges of about
-    /// `CSR_RANGE_ROWS`. A range owns one contiguous window of the
-    /// directory, the bloom tags and the slots, and the three random
-    /// passes run window by window. The table is the one a single global
-    /// pass builds (and does build, below the threshold): the same
-    /// offsets, and within a bucket the rows in ascending order. The
-    /// cursor of the scatter is the directory itself, one entry ahead
-    /// (`offsets[b + 1]` runs from bucket `b`'s start to its end, which is
-    /// bucket `b + 1`'s start), so no second array is needed; slots are
-    /// grown one window at a time, which is also what first touches them.
-    pub fn build_csr_chunks(chunks: &[&[u64]]) -> FlatTable {
+    pub fn build(chunks: &[&[u64]]) -> JoinTable {
         let n: usize = chunks.iter().map(|c| c.len()).sum();
-        assert!(n < EMPTY as usize, "flat table holds at most u32::MAX - 1 rows");
+        assert!(n < EMPTY as usize, "a hash table holds at most u32::MAX - 1 rows");
         let dir = directory_size(n);
         let mask = dir as u64 - 1;
         let ranges = if n <= SMALL_TABLE { 1 } else { (n / CSR_RANGE_ROWS).next_power_of_two() };
@@ -344,67 +479,28 @@ impl FlatTable {
                 );
             }
         }
-        FlatTable {
-            heads: Vec::new(),
-            entries: Vec::new(),
-            offsets,
-            slots,
-            bloom,
-            finalized: true,
-            mask,
-        }
+        JoinTable { offsets, slots, bloom, mask }
     }
 
-    /// Convert chains into the finalized CSR layout (see
-    /// [`FlatTable::build_csr`], which this runs over the inserted rows'
-    /// hashes): every bucket's rows become contiguous, in ascending row
-    /// order, so probes scan a cache-friendly range instead of chasing
-    /// `next` links. Further inserts are rejected. No-op on an
-    /// already-finalized table.
-    pub fn finalize(&mut self) {
-        if !self.finalized {
-            let hashes: Vec<u64> = self.entries.iter().map(|e| e.hash).collect();
-            *self = FlatTable::build_csr(&hashes);
-        }
+    /// Number of build rows.
+    pub fn len(&self) -> usize {
+        self.slots.len()
     }
 
-    /// Double (or jump) the chain directory and relink every row. Rows are
-    /// relinked in id order so chains stay deterministic.
-    fn rebuild_directory(&mut self, dir: usize) {
-        debug_assert!(dir.is_power_of_two());
-        self.heads.clear();
-        self.heads.resize(dir, EMPTY);
-        self.mask = dir as u64 - 1;
-        for row in 0..self.entries.len() {
-            let b = self.bucket(self.entries[row].hash);
-            self.entries[row].next = self.heads[b];
-            self.heads[b] = row as u32;
-        }
+    /// True for a table of no rows.
+    pub fn is_empty(&self) -> bool {
+        self.slots.is_empty()
     }
 
-    /// Walk one bucket looking for a row whose stored hash equals `h` and
-    /// whose keys match (scalar path: aggregation's new-group insertion,
-    /// where at most a handful of lanes per batch miss).
     #[inline]
-    pub fn find_chain(&self, h: u64, mut matches: impl FnMut(u32) -> bool) -> Option<u32> {
-        debug_assert!(!self.finalized, "find_chain on finalized table");
-        let mut row = self.heads[self.bucket(h)];
-        while row != EMPTY {
-            let e = self.entries[row as usize];
-            if e.hash == h && matches(row) {
-                return Some(row);
-            }
-            row = e.next;
-        }
-        None
+    fn bucket(&self, h: u64) -> usize {
+        (h & self.mask) as usize
     }
 
-    /// Gather each selected lane's first *hash-matching* candidate:
-    /// chain mode walks from the bucket head skipping entries whose stored
-    /// hash differs (one integer compare each); finalized mode scans the
-    /// bucket's slot range. `active` receives the lanes that found one;
-    /// their `cand[p]` (a chain row / slot index — translate with
-    /// [`FlatTable::candidate_rows`]) needs only key confirmation. Entries
+    /// Gather each selected lane's first *hash-matching* slot by scanning
+    /// its bucket's slot range. `active` receives the lanes that found one;
+    /// their `cand[p]` (a slot index — translate with
+    /// [`JoinTable::candidate_rows`]) needs only key confirmation. Slots
     /// visited are added to `steps` (profiling).
     pub fn gather_matching(
         &self,
@@ -418,49 +514,29 @@ impl FlatTable {
             cand.resize(hashes.len(), EMPTY);
         }
         let mut visited = 0u64;
-        if self.finalized {
-            sel.retain_from(
-                |p| {
-                    let h = hashes[p];
-                    let b = self.bucket(h);
-                    let end = self.offsets[b + 1] as usize;
-                    let mut i = self.offsets[b] as usize;
-                    while i < end {
-                        visited += 1;
-                        if self.slots[i].tag == tag_of(h) {
-                            cand[p] = i as u32;
-                            return true;
-                        }
-                        i += 1;
+        sel.retain_from(
+            |p| {
+                let h = hashes[p];
+                let b = self.bucket(h);
+                let end = self.offsets[b + 1] as usize;
+                let mut i = self.offsets[b] as usize;
+                while i < end {
+                    visited += 1;
+                    if self.slots[i].tag == tag_of(h) {
+                        cand[p] = i as u32;
+                        return true;
                     }
-                    false
-                },
-                active,
-            );
-        } else {
-            sel.retain_from(
-                |p| {
-                    let h = hashes[p];
-                    let mut row = self.heads[self.bucket(h)];
-                    while row != EMPTY {
-                        visited += 1;
-                        let e = self.entries[row as usize];
-                        if e.hash == h {
-                            cand[p] = row;
-                            return true;
-                        }
-                        row = e.next;
-                    }
-                    false
-                },
-                active,
-            );
-        }
+                    i += 1;
+                }
+                false
+            },
+            active,
+        );
         *steps += visited;
     }
 
     /// Advance every selected lane past its current candidate to the next
-    /// hash-matching one (see [`FlatTable::gather_matching`]); `out`
+    /// hash-matching one (see [`JoinTable::gather_matching`]); `out`
     /// receives the lanes that found another candidate.
     pub fn advance_matching(
         &self,
@@ -471,62 +547,35 @@ impl FlatTable {
         steps: &mut u64,
     ) {
         let mut visited = 0u64;
-        if self.finalized {
-            sel.retain_from(
-                |p| {
-                    let h = hashes[p];
-                    let end = self.offsets[self.bucket(h) + 1] as usize;
-                    let mut i = cand[p] as usize + 1;
-                    while i < end {
-                        visited += 1;
-                        if self.slots[i].tag == tag_of(h) {
-                            cand[p] = i as u32;
-                            return true;
-                        }
-                        i += 1;
+        sel.retain_from(
+            |p| {
+                let h = hashes[p];
+                let end = self.offsets[self.bucket(h) + 1] as usize;
+                let mut i = cand[p] as usize + 1;
+                while i < end {
+                    visited += 1;
+                    if self.slots[i].tag == tag_of(h) {
+                        cand[p] = i as u32;
+                        return true;
                     }
-                    false
-                },
-                out,
-            );
-        } else {
-            sel.retain_from(
-                |p| {
-                    let h = hashes[p];
-                    let mut row = self.entries[cand[p] as usize].next;
-                    while row != EMPTY {
-                        visited += 1;
-                        let e = self.entries[row as usize];
-                        if e.hash == h {
-                            cand[p] = row;
-                            return true;
-                        }
-                        row = e.next;
-                    }
-                    false
-                },
-                out,
-            );
-        }
+                    i += 1;
+                }
+                false
+            },
+            out,
+        );
         *steps += visited;
     }
 
-    /// Translate candidate handles (chain rows / finalized slot indices)
-    /// into build row ids for the selected lanes: `rows[p]` receives the
-    /// row id behind `cand[p]`. Key comparison and output assembly index
-    /// build columns by row id.
+    /// Translate candidate slot indices into build row ids for the selected
+    /// lanes: `rows[p]` receives the row id behind `cand[p]`. Key comparison
+    /// and output assembly index build columns by row id.
     pub fn candidate_rows(&self, cand: &[u32], sel: &SelVec, rows: &mut Vec<u32>) {
         if rows.len() < cand.len() {
             rows.resize(cand.len(), EMPTY);
         }
-        if self.finalized {
-            for p in sel.iter() {
-                rows[p] = self.slots[cand[p] as usize].row;
-            }
-        } else {
-            for p in sel.iter() {
-                rows[p] = cand[p];
-            }
+        for p in sel.iter() {
+            rows[p] = self.slots[cand[p] as usize].row;
         }
     }
 
@@ -588,36 +637,15 @@ impl FlatTable {
                 out_build.push($row);
             }};
         }
-        if self.finalized {
-            if self.slots.len() <= SMALL_TABLE {
-                macro_rules! lane {
-                    ($p:expr) => {{
-                        let p = $p;
-                        let h = hash_of(p);
-                        let b = self.bucket(h);
-                        if self.bloom[b] & bloom_bit(h) != 0 {
-                            let end = self.offsets[b + 1] as usize;
-                            let mut i = self.offsets[b] as usize;
-                            while i < end {
-                                visited += 1;
-                                let slot = self.slots[i];
-                                if slot.tag == tag_of(h) && key_eq(p, slot.row) {
-                                    emit!(p, slot.row, break);
-                                }
-                                i += 1;
-                            }
-                        }
-                    }};
-                }
-                for_lanes!(lane);
-            } else {
-                self.stage_csr(n, sel, &mut hash_of, buf);
-                macro_rules! lane {
-                    ($p:expr) => {{
-                        let p = $p;
-                        let h = buf.hashes[p];
-                        let end = buf.ends[p] as usize;
-                        let mut i = buf.cand[p] as usize;
+        if self.slots.len() <= SMALL_TABLE {
+            macro_rules! lane {
+                ($p:expr) => {{
+                    let p = $p;
+                    let h = hash_of(p);
+                    let b = self.bucket(h);
+                    if self.bloom[b] & bloom_bit(h) != 0 {
+                        let end = self.offsets[b + 1] as usize;
+                        let mut i = self.offsets[b] as usize;
                         while i < end {
                             visited += 1;
                             let slot = self.slots[i];
@@ -626,41 +654,25 @@ impl FlatTable {
                             }
                             i += 1;
                         }
-                    }};
-                }
-                for_lanes!(lane);
-            }
-        } else if self.entries.len() <= SMALL_TABLE {
-            macro_rules! lane {
-                ($p:expr) => {{
-                    let p = $p;
-                    let h = hash_of(p);
-                    let mut row = self.heads[self.bucket(h)];
-                    while row != EMPTY {
-                        visited += 1;
-                        let e = self.entries[row as usize];
-                        if e.hash == h && key_eq(p, row) {
-                            emit!(p, row, break);
-                        }
-                        row = e.next;
                     }
                 }};
             }
             for_lanes!(lane);
         } else {
-            self.stage_chain(n, sel, &mut hash_of, buf);
+            self.stage(n, sel, &mut hash_of, buf);
             macro_rules! lane {
                 ($p:expr) => {{
                     let p = $p;
                     let h = buf.hashes[p];
-                    let mut row = buf.cand[p];
-                    while row != EMPTY {
+                    let end = buf.ends[p] as usize;
+                    let mut i = buf.cand[p] as usize;
+                    while i < end {
                         visited += 1;
-                        let e = self.entries[row as usize];
-                        if e.hash == h && key_eq(p, row) {
-                            emit!(p, row, break);
+                        let slot = self.slots[i];
+                        if slot.tag == tag_of(h) && key_eq(p, slot.row) {
+                            emit!(p, slot.row, break);
                         }
-                        row = e.next;
+                        i += 1;
                     }
                 }};
             }
@@ -669,133 +681,20 @@ impl FlatTable {
         *steps += visited;
     }
 
-    /// Fused group lookup (aggregation): `gidx[p]` receives the first
-    /// hash-and-key-matching row for each selected lane, or [`EMPTY`] when
-    /// the key is unseen. Staged like [`FlatTable::probe_join`], over the
-    /// chain layout (aggregation keeps inserting, so it never finalizes).
-    /// The lane hashes remain in `buf` for the caller's miss-insert pass.
+    /// Probe staging: hash every lane, bloom-test every lane on the dense
+    /// tag array (prefetching the offsets line only for bloom-positive
+    /// lanes), then gather bucket ranges (prefetching the first slot).
+    /// Bloom-negative lanes get an empty range and never touch the large
+    /// arrays. Fills `buf.hashes`/`cand`/`ends`.
     #[inline]
-    #[allow(clippy::too_many_arguments)]
-    pub fn probe_groups<H: FnMut(usize) -> u64, F: FnMut(usize, u32) -> bool>(
-        &self,
-        n: usize,
-        sel: Option<&SelVec>,
-        mut hash_of: H,
-        mut key_eq: F,
-        gidx: &mut [u32],
-        buf: &mut ProbeBuf,
-        steps: &mut u64,
-    ) {
-        debug_assert!(!self.finalized, "probe_groups on finalized table");
-        let mut visited = 0u64;
-        // The miss-insert pass needs every lane's hash afterwards, so the
-        // staging pass runs even for small tables.
-        self.stage_chain(n, sel, &mut hash_of, buf);
-        macro_rules! lane {
-            ($p:expr) => {{
-                let p = $p;
-                let h = buf.hashes[p];
-                let mut row = buf.cand[p];
-                gidx[p] = EMPTY;
-                while row != EMPTY {
-                    visited += 1;
-                    let e = self.entries[row as usize];
-                    if e.hash == h && key_eq(p, row) {
-                        gidx[p] = row;
-                        break;
-                    }
-                    row = e.next;
-                }
-            }};
-        }
-        match sel {
-            None => {
-                for p in 0..n {
-                    lane!(p);
-                }
-            }
-            Some(s) => {
-                for p in s.iter() {
-                    lane!(p);
-                }
-            }
-        }
-        *steps += visited;
-    }
-
-    fn ensure_buf(n: usize, buf: &mut ProbeBuf) {
-        if buf.hashes.len() < n {
-            buf.hashes.resize(n, 0);
-            buf.cand.resize(n, EMPTY);
-            buf.ends.resize(n, 0);
-        }
-    }
-
-    /// Chain-mode probe staging: hash every lane (prefetching its
-    /// directory line), then gather every lane's chain head (prefetching
-    /// its entry). Fills `buf.hashes` and `buf.cand`; unselected lanes are
-    /// garbage.
-    #[inline]
-    fn stage_chain<H: FnMut(usize) -> u64>(
+    fn stage<H: FnMut(usize) -> u64>(
         &self,
         n: usize,
         sel: Option<&SelVec>,
         hash_of: &mut H,
         buf: &mut ProbeBuf,
     ) {
-        Self::ensure_buf(n, buf);
-        macro_rules! hash_lane {
-            ($p:expr) => {{
-                let p = $p;
-                let h = hash_of(p);
-                buf.hashes[p] = h;
-                prefetch(&self.heads[self.bucket(h)]);
-            }};
-        }
-        macro_rules! head_lane {
-            ($p:expr) => {{
-                let p = $p;
-                let row = self.heads[self.bucket(buf.hashes[p])];
-                buf.cand[p] = row;
-                if row != EMPTY {
-                    prefetch(&self.entries[row as usize]);
-                }
-            }};
-        }
-        match sel {
-            None => {
-                for p in 0..n {
-                    hash_lane!(p);
-                }
-                for p in 0..n {
-                    head_lane!(p);
-                }
-            }
-            Some(s) => {
-                for p in s.iter() {
-                    hash_lane!(p);
-                }
-                for p in s.iter() {
-                    head_lane!(p);
-                }
-            }
-        }
-    }
-
-    /// Finalized-mode probe staging: hash every lane, bloom-test every
-    /// lane on the dense tag array (prefetching the offsets line only for
-    /// bloom-positive lanes), then gather bucket ranges (prefetching the
-    /// first slot). Bloom-negative lanes get an empty range and never
-    /// touch the large arrays. Fills `buf.hashes`/`cand`/`ends`.
-    #[inline]
-    fn stage_csr<H: FnMut(usize) -> u64>(
-        &self,
-        n: usize,
-        sel: Option<&SelVec>,
-        hash_of: &mut H,
-        buf: &mut ProbeBuf,
-    ) {
-        Self::ensure_buf(n, buf);
+        buf.ensure(n);
         macro_rules! hash_lane {
             ($p:expr) => {{
                 let p = $p;
@@ -929,7 +828,7 @@ pub(crate) use dispatch_typed_keys;
 /// off once the directory and slots spill out of the last-level cache.
 const SMALL_TABLE: usize = 1 << 17;
 
-/// One window of [`FlatTable::build_csr_chunks`]: histogram, prefix sum
+/// One window of [`JoinTable::build`]: histogram, prefix sum
 /// and scatter of `rows` — `[bucket within the window, tag, row]` — over
 /// the window's `offsets` (one entry longer than its buckets: the last is
 /// the next window's first) and `bloom`, appending its slots.
@@ -967,11 +866,19 @@ fn directory_size(rows: usize) -> usize {
 pub struct ProbeBuf {
     hashes: Vec<u64>,
     cand: Vec<u32>,
-    /// Finalized-mode bucket end bound per lane.
+    /// Bucket end bound per lane ([`JoinTable`] only).
     ends: Vec<u32>,
 }
 
 impl ProbeBuf {
+    fn ensure(&mut self, n: usize) {
+        if self.hashes.len() < n {
+            self.hashes.resize(n, 0);
+            self.cand.resize(n, EMPTY);
+            self.ends.resize(n, 0);
+        }
+    }
+
     /// The staged hash of lane `p` from the last fused probe (valid for
     /// lanes that were selected; aggregation's miss-insert pass reuses it).
     #[inline]
@@ -1221,9 +1128,17 @@ mod tests {
         Vector::new(ColData::I64(vals))
     }
 
+    fn group_table(hashes: &[u64]) -> GroupTable {
+        let mut t = GroupTable::new();
+        for &h in hashes {
+            t.insert(h);
+        }
+        t
+    }
+
     #[test]
     fn insert_and_chain_walk() {
-        let mut t = FlatTable::new();
+        let mut t = GroupTable::new();
         let h = hash_u64(42);
         assert_eq!(t.insert(h), 0);
         assert_eq!(t.insert(h), 1); // same bucket chains
@@ -1241,22 +1156,62 @@ mod tests {
 
     #[test]
     fn directory_grows_and_relinks() {
-        let mut t = FlatTable::with_capacity(0);
-        let start_dir = t.directory_len();
+        let mut t = GroupTable::new();
+        let start_dir = t.heads.len();
         for i in 0..1000u64 {
             t.insert(hash_u64(i));
         }
-        assert!(t.directory_len() > start_dir);
-        assert!(t.directory_len() >= 2 * t.len());
+        assert!(t.heads.len() > start_dir);
+        assert!(t.heads.len() >= 2 * t.len());
         // Every row stays findable after rebuilds.
         for i in 0..1000u64 {
             assert!(t.find_chain(hash_u64(i), |_| true).is_some(), "key {i} lost");
         }
     }
 
+    /// The general probe pipeline's three table steps, for either layout.
+    trait Candidates {
+        fn gather(&self, h: &[u64], sel: &SelVec, cand: &mut Vec<u32>, out: &mut SelVec) -> u64;
+        fn advance(&self, h: &[u64], sel: &SelVec, cand: &mut [u32], out: &mut SelVec) -> u64;
+        fn rows(&self, cand: &[u32], sel: &SelVec, rows: &mut Vec<u32>);
+    }
+
+    impl Candidates for GroupTable {
+        fn gather(&self, h: &[u64], sel: &SelVec, cand: &mut Vec<u32>, out: &mut SelVec) -> u64 {
+            let mut steps = 0;
+            self.gather_matching(h, sel, cand, out, &mut steps);
+            steps
+        }
+        fn advance(&self, h: &[u64], sel: &SelVec, cand: &mut [u32], out: &mut SelVec) -> u64 {
+            let mut steps = 0;
+            self.advance_matching(h, sel, cand, out, &mut steps);
+            steps
+        }
+        fn rows(&self, cand: &[u32], _: &SelVec, rows: &mut Vec<u32>) {
+            rows.clear();
+            rows.extend_from_slice(cand); // a candidate is its row
+        }
+    }
+
+    impl Candidates for JoinTable {
+        fn gather(&self, h: &[u64], sel: &SelVec, cand: &mut Vec<u32>, out: &mut SelVec) -> u64 {
+            let mut steps = 0;
+            self.gather_matching(h, sel, cand, out, &mut steps);
+            steps
+        }
+        fn advance(&self, h: &[u64], sel: &SelVec, cand: &mut [u32], out: &mut SelVec) -> u64 {
+            let mut steps = 0;
+            self.advance_matching(h, sel, cand, out, &mut steps);
+            steps
+        }
+        fn rows(&self, cand: &[u32], sel: &SelVec, rows: &mut Vec<u32>) {
+            self.candidate_rows(cand, sel, rows);
+        }
+    }
+
     /// Drive the general SelVec-iterative probe pipeline over a table.
     fn iterative_pairs(
-        t: &FlatTable,
+        t: &impl Candidates,
         probe_keys: &[Vector],
         build_keys: &[Vector],
         ph: &[u64],
@@ -1265,31 +1220,28 @@ mod tests {
     ) -> Vec<(usize, u32)> {
         let sel = SelVec::identity(n);
         let (mut cand, mut rows, mut active) = (Vec::new(), Vec::new(), SelVec::new());
-        let mut steps = 0u64;
-        t.gather_matching(ph, &sel, &mut cand, &mut active, &mut steps);
+        let mut steps = t.gather(ph, &sel, &mut cand, &mut active);
         let mut pairs: Vec<(usize, u32)> = Vec::new();
         let (mut matched, mut tmp, mut next_active) = (SelVec::new(), SelVec::new(), SelVec::new());
         while !active.is_empty() {
-            t.candidate_rows(&cand, &active, &mut rows);
+            t.rows(&cand, &active, &mut rows);
             keys_match_sel(probe_keys, build_keys, &rows, &active, &mut tmp, &mut matched, null_eq);
             for p in matched.iter() {
                 pairs.push((p, rows[p]));
             }
-            t.advance_matching(ph, &active, &mut cand, &mut next_active, &mut steps);
+            steps += t.advance(ph, &active, &mut cand, &mut next_active);
             std::mem::swap(&mut active, &mut next_active);
         }
         assert!(steps > 0, "probing visited entries");
+        pairs.sort_unstable();
         pairs
     }
 
     #[test]
-    fn vectorized_probe_roundtrip_chain_and_finalized() {
+    fn both_tables_agree_on_membership_for_the_same_hashes() {
         let build_keys = vec![i64_vec(vec![10, 20, 30, 20])];
-        let mut t = FlatTable::new();
         let (mut lanes, mut hashes) = (Vec::new(), Vec::new());
         hash_keys(&build_keys, 4, false, &mut lanes, &mut hashes);
-        t.insert_batch(&hashes, None);
-
         let probe_keys = vec![i64_vec(vec![20, 99, 10, 20])];
         let mut ph = Vec::new();
         hash_keys(&probe_keys, 4, false, &mut lanes, &mut ph);
@@ -1297,28 +1249,40 @@ mod tests {
         // Lane 0 (20) matches rows 1 and 3; lane 2 (10) matches row 0;
         // lane 3 (20) matches rows 1 and 3; lane 1 (99) matches nothing.
         let expect = vec![(0, 1), (0, 3), (2, 0), (3, 1), (3, 3)];
+        let chain = group_table(&hashes);
+        assert_eq!(iterative_pairs(&chain, &probe_keys, &build_keys, &ph, 4, false), expect);
+        let csr = JoinTable::build(&[&hashes]);
+        assert_eq!(csr.len(), 4);
+        assert_eq!(iterative_pairs(&csr, &probe_keys, &build_keys, &ph, 4, false), expect);
 
-        let mut pairs = iterative_pairs(&t, &probe_keys, &build_keys, &ph, 4, false);
-        pairs.sort_unstable();
-        assert_eq!(pairs, expect, "chain mode");
-
-        t.finalize();
-        assert!(t.is_finalized());
-        assert_eq!(t.len(), 4);
-        let mut pairs = iterative_pairs(&t, &probe_keys, &build_keys, &ph, 4, false);
-        pairs.sort_unstable();
-        assert_eq!(pairs, expect, "finalized (CSR) mode");
+        // And at a size where buckets collide and the directory has grown:
+        // every probe finds the same rows in both layouts.
+        let keys: Vec<i64> = (0..10_000).map(|i| i % 4096).collect();
+        let build_keys = vec![i64_vec(keys)];
+        hash_keys(&build_keys, 10_000, false, &mut lanes, &mut hashes);
+        let probe_keys = vec![i64_vec((0..5000).map(|i| i * 3).collect())];
+        hash_keys(&probe_keys, 5000, false, &mut lanes, &mut ph);
+        let chain =
+            iterative_pairs(&group_table(&hashes), &probe_keys, &build_keys, &ph, 5000, false);
+        let csr = iterative_pairs(
+            &JoinTable::build(&[&hashes]),
+            &probe_keys,
+            &build_keys,
+            &ph,
+            5000,
+            false,
+        );
+        assert!(!chain.is_empty());
+        assert_eq!(chain, csr);
     }
 
     #[test]
     fn fused_probe_matches_iterative() {
         let build = i64_vec(vec![10, 20, 30, 20, 7]);
         let build_keys = vec![build];
-        let mut t = FlatTable::new();
         let (mut lanes, mut hashes) = (Vec::new(), Vec::new());
         hash_keys(&build_keys, 5, false, &mut lanes, &mut hashes);
-        t.insert_batch(&hashes, None);
-        t.finalize();
+        let t = JoinTable::build(&[&hashes]);
 
         let probe = i64_vec(vec![20, 99, 10, 7]);
         let pa = probe.data.as_i64().to_vec();
@@ -1346,8 +1310,8 @@ mod tests {
         assert!(steps > 0);
     }
 
-    /// What `build_csr` must produce, written the obvious way: one global
-    /// histogram, prefix sum and scatter.
+    /// What `JoinTable::build` must produce, written the obvious way: one
+    /// global histogram, prefix sum and scatter.
     fn csr_reference(hashes: &[u64]) -> (Vec<u32>, Vec<Slot>, Vec<u8>) {
         let dir = directory_size(hashes.len());
         let bucket = |h: u64| (h & (dir as u64 - 1)) as usize;
@@ -1369,7 +1333,7 @@ mod tests {
     }
 
     #[test]
-    fn build_csr_is_the_global_counting_sort_at_every_range_count() {
+    fn build_is_the_global_counting_sort_at_every_range_count() {
         // One range (at and below the split threshold), then many;
         // duplicates force multi-row buckets whose ascending row order
         // must survive the split. Chunked input numbers rows across the
@@ -1379,47 +1343,24 @@ mod tests {
             let (offsets, slots, bloom) = csr_reference(&hashes);
             let cut = n / 3;
             for t in [
-                FlatTable::build_csr(&hashes),
-                FlatTable::build_csr_chunks(&[&hashes[..cut], &[], &hashes[cut..]]),
+                JoinTable::build(&[&hashes]),
+                JoinTable::build(&[&hashes[..cut], &[], &hashes[cut..]]),
             ] {
-                assert!(t.is_finalized());
                 assert_eq!(t.len(), n);
                 assert_eq!(t.offsets, offsets, "{n} rows");
                 assert_eq!(t.slots, slots, "{n} rows");
                 assert_eq!(t.bloom, bloom, "{n} rows");
             }
         }
+        assert!(JoinTable::default().is_empty());
     }
 
     #[test]
-    fn finalize_is_build_csr_over_the_inserted_rows() {
-        let hashes: Vec<u64> = (0..10_000u64).map(|i| hash_u64(i % 4096)).collect();
-        let mut incremental = FlatTable::new();
-        incremental.insert_batch(&hashes, None);
-        incremental.finalize();
-        let bulk = FlatTable::build_csr(&hashes);
-        assert_eq!(bulk.directory_len(), incremental.directory_len());
-        assert_eq!(bulk.offsets, incremental.offsets);
-        assert_eq!(bulk.slots, incremental.slots);
-    }
-
-    #[test]
-    fn build_csr_empty() {
-        let t = FlatTable::build_csr(&[]);
-        assert!(t.is_empty() && t.is_finalized());
-    }
-
-    #[test]
-    fn finalize_rejects_insert_and_preserves_lookup() {
-        let mut t = FlatTable::new();
-        for i in 0..500u64 {
-            t.insert(hash_u64(i));
-        }
-        t.finalize();
-        t.finalize(); // idempotent
-        assert_eq!(t.len(), 500);
-        // Every hash remains findable through the fused probe.
+    fn every_built_row_is_found_by_the_fused_probe() {
         let keys: Vec<i64> = (0..500).collect();
+        let hashes: Vec<u64> = keys.iter().map(|&k| hash_u64(k as u64)).collect();
+        let t = JoinTable::build(&[&hashes]);
+        assert_eq!(t.len(), 500);
         let mut flags = vec![false; 500];
         let (mut op, mut ob) = (Vec::new(), Vec::new());
         let mut buf = ProbeBuf::default();
@@ -1436,8 +1377,7 @@ mod tests {
             &mut buf,
             &mut steps,
         );
-        assert!(flags.iter().all(|&f| f), "all 500 hashes found after finalize");
-        // Slot order within the probe output is ascending row per bucket.
+        assert!(flags.iter().all(|&f| f), "all 500 hashes found");
         assert_eq!(op.len(), 500);
     }
 
@@ -1448,10 +1388,9 @@ mod tests {
         bk.push(&vw_common::Value::Null).unwrap();
         bk.push(&vw_common::Value::I64(5)).unwrap();
         let build_keys = vec![bk];
-        let mut t = FlatTable::new();
         let (mut lanes, mut hashes) = (Vec::new(), Vec::new());
         hash_keys(&build_keys, 2, true, &mut lanes, &mut hashes);
-        t.insert_batch(&hashes, None);
+        let t = group_table(&hashes);
 
         // Probe: NULL, 5, 0 (0 is the safe default stored under NULLs —
         // must NOT match the NULL group).
@@ -1497,16 +1436,5 @@ mod tests {
         hash_keys(&[] as &[Vector], 3, false, &mut lanes, &mut hashes);
         assert_eq!(hashes.len(), 3);
         assert!(hashes.windows(2).all(|w| w[0] == w[1]));
-    }
-
-    #[test]
-    fn reserve_prevents_mid_batch_rebuild() {
-        let mut t = FlatTable::new();
-        t.reserve(10_000);
-        let dir = t.directory_len();
-        for i in 0..10_000u64 {
-            t.insert(hash_u64(i));
-        }
-        assert_eq!(t.directory_len(), dir, "no rebuild after reserve");
     }
 }

@@ -27,16 +27,18 @@
 //!   [`program::VectorPool`], so the per-batch loop neither re-walks the
 //!   tree nor allocates; [`program::SelectProgram`] is the fused predicate
 //!   variant chaining selective kernels through a `SelVec`;
-//! * [`hashtable`] — the flat vectorized hash table (directory + chain
-//!   array over contiguous build rows) shared by hash join and hash
-//!   aggregation, with fully vectorized insert and probe;
+//! * [`hashtable`] — the two flat vectorized hash tables over contiguous
+//!   build rows: [`hashtable::GroupTable`] (directory + chain array, grows
+//!   while probed) under hash aggregation, [`hashtable::JoinTable`]
+//!   (bulk-built, immutable, bucket-grouped) under hash join, and the
+//!   vectorized key hashing and comparison both probe with;
 //! * [`partition`] — the one hash-build state machine under join and
 //!   aggregation: [`partition::Partitions`] keeps `P` slots of operator
 //!   state behind a [`partition::RadixRouter`] (P = 1 is the serial
 //!   build), charges them to the [`partition::MemBudget`] memory governor
 //!   and picks eviction victims when a [`partition::SpillConfig`] is
-//!   attached, and [`partition::ShardSet`] runs shards as cooperative
-//!   tasks on the worker pool for parallel builds;
+//!   attached; it starts no task — the only tasks of this crate are the
+//!   fragments and build sinks of [`op::Xchg`];
 //! * [`spill`] — the disk half of grace spilling: vectors ⇄ compressed
 //!   spill chunks on a temp [`vw_storage::SpillFile`], plus
 //!   [`spill::SpillScan`], the operator that replays a spilled partition;

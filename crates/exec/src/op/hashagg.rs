@@ -2,7 +2,7 @@
 //!
 //! Build: drain the child into `P` `AggShard`s — the slots of the one
 //! partitioned-build state machine in [`crate::partition`]. A shard owns a
-//! private [`FlatTable`], contiguous group-key columns and **typed
+//! private [`GroupTable`], contiguous group-key columns and **typed
 //! columnar accumulators** (one dense `Vec` per aggregate, indexed by
 //! group id, no boxed `Value`s on the hot path); it folds a batch's lanes
 //! *by reference*, in two steps that each decide **per vector, not per
@@ -32,16 +32,17 @@
 //!
 //! Equal keys hash equal, so shards are key-disjoint and "merging" is
 //! emitting them one after the other. All of the above sits inside
-//! `AggShard::fold`, so the three build configurations get it alike:
+//! `AggShard::fold`, so the two build configurations get it alike:
 //!
 //! * `P = 1` is the serial build: no routing, no separate hash pass.
 //! * [`HashAggregate::with_spill`] makes the shards evictable under the
 //!   query's memory budget: the largest shard's partial state flushes to
 //!   its spill file and the shard restarts empty; spilled partitions are
 //!   re-aggregated at emit time.
-//! * [`HashAggregate::with_parallel_build`] moves the same shards behind a
-//!   [`ShardSet`] on the worker pool once the input clears the cost gate;
-//!   only then are lanes gathered into packets (they cross threads).
+//!
+//! Inside an Exchange every worker runs a partial aggregate of its own
+//! and a final one merges them above it; the operator itself spawns
+//! nothing.
 //!
 //! Emit: stream groups out in vector-sized batches by slicing the
 //! contiguous key vectors and accumulator columns.
@@ -51,12 +52,9 @@
 
 use super::{BoxedOp, Operator};
 use crate::cancel::CancelToken;
-use crate::hashtable::{self, FlatTable, EMPTY};
+use crate::hashtable::{self, GroupTable, EMPTY};
 use crate::morsel::BatchPool;
-use crate::partition::{
-    Partitions, RadixRouter, ShardSet, ShardWorker, SpillConfig, WorkerPool,
-    DEFAULT_PARALLEL_BUILD_MIN_ROWS,
-};
+use crate::partition::{Partitions, RadixRouter, SpillConfig};
 use crate::profile::OpProfile;
 use crate::program::{ExprProgram, VecRef, VectorPool};
 use crate::vector::{Batch, Vector};
@@ -540,7 +538,7 @@ fn minmax_update(
 enum Keys<'a> {
     /// Key-program results of the driver's current batch.
     Leased { refs: &'a [VecRef], pool: &'a VectorPool, batch: &'a Batch },
-    /// A packet's or a rehydrated chunk's own vectors.
+    /// A rehydrated chunk's own vectors.
     Owned(&'a [Vector]),
 }
 
@@ -640,7 +638,7 @@ struct AggScratch {
     lanes: Vec<u64>,
     hashes: Vec<u64>,
     cand: Vec<u32>,
-    /// The identity selection of a dense input (packet, rehydrated chunk).
+    /// The identity selection of a rehydrated chunk.
     dense: SelVec,
     active: SelVec,
     next_active: SelVec,
@@ -659,13 +657,12 @@ struct AggScratch {
 
 /// What one build partition holds: a private table + accumulators over the
 /// partition's (key-disjoint) groups. A serial build is one shard; a
-/// governed build's shards are evictable; a pooled build's shards absorb
-/// gathered packets behind a [`ShardSet`]. A finished shard is what the
+/// governed build's shards are evictable. A finished shard is what the
 /// operator emits from.
 struct AggShard {
     funcs: Vec<AggFunc>,
     out_tys: Vec<TypeId>,
-    table: FlatTable,
+    table: GroupTable,
     group_keys: Vec<Vector>,
     states: Vec<AggState>,
     n_groups: usize,
@@ -682,7 +679,7 @@ impl AggShard {
         Ok(AggShard {
             funcs: aggs.iter().map(|a| a.func).collect(),
             out_tys: aggs.iter().map(|a| a.out_ty).collect(),
-            table: FlatTable::new(),
+            table: GroupTable::new(),
             group_keys: group_exprs
                 .iter()
                 .map(|e| Vector::new(ColData::new(e.type_id())))
@@ -793,35 +790,8 @@ impl AggShard {
     fn retire(&mut self, profile: &mut OpProfile) {
         profile.record_probe(self.probe_rows, self.chain_steps);
         profile.record_enc_skipped(self.scratch.enc_skipped);
-        self.table = FlatTable::new();
+        self.table = GroupTable::new();
         self.scratch = AggScratch::default();
-    }
-}
-
-/// Dense gathered rows for one (batch, shard) pair of a pooled build:
-/// group keys, aggregate inputs, and the group hashes the driver routed by.
-struct AggPacket {
-    keys: Vec<Vector>,
-    inputs: Vec<Option<Vector>>,
-    hashes: Vec<u64>,
-}
-
-impl ShardWorker for AggShard {
-    type Packet = AggPacket;
-    type Output = AggShard;
-
-    fn absorb(&mut self, pkt: AggPacket) -> Result<()> {
-        let n = pkt.hashes.len();
-        let mut all = std::mem::take(&mut self.scratch.dense);
-        all.fill_identity(n);
-        let keys = Keys::Owned(&pkt.keys);
-        let res = self.fold(keys, &all, n, Some(&pkt.hashes), |i| pkt.inputs[i].as_ref());
-        self.scratch.dense = all;
-        res
-    }
-
-    fn finish(self) -> Result<AggShard> {
-        Ok(self)
     }
 }
 
@@ -848,10 +818,6 @@ pub struct HashAggregate {
     pool: VectorPool,
     cancel: CancelToken,
     vector_size: usize,
-    /// Pool and partition count of a parallel build (None = one shard).
-    par: Option<(Arc<WorkerPool>, usize)>,
-    /// Input rows below which a parallel build's shards stay inline.
-    par_min_rows: usize,
     /// Finished shards, emitted front to back in partition order.
     out_shards: VecDeque<AggShard>,
     emit_pos: usize,
@@ -907,8 +873,6 @@ impl HashAggregate {
             pool: VectorPool::new(),
             cancel,
             vector_size,
-            par: None,
-            par_min_rows: DEFAULT_PARALLEL_BUILD_MIN_ROWS,
             out_shards: VecDeque::new(),
             emit_pos: 0,
             scratch: BatchScratch::default(),
@@ -924,24 +888,6 @@ impl HashAggregate {
     /// a pipeline breaker, so its own outputs exit the loop).
     pub fn with_batch_pool(mut self, pool: BatchPool) -> HashAggregate {
         self.batch_pool = Some(pool);
-        self
-    }
-
-    /// Partition the build `shards` ways (rounded up to a power of two);
-    /// once at least `min_rows` input rows have arrived the shards move
-    /// behind a [`ShardSet`] on `pool` and absorb gathered packets as pool
-    /// tasks. Global aggregates (no group keys) always keep one shard —
-    /// their single group cannot partition. Ignored when a memory budget
-    /// is attached ([`HashAggregate::with_spill`] wins — evictable shards
-    /// stay with the driver).
-    pub fn with_parallel_build(
-        mut self,
-        pool: Arc<WorkerPool>,
-        shards: usize,
-        min_rows: usize,
-    ) -> HashAggregate {
-        self.par = Some((pool, shards));
-        self.par_min_rows = min_rows;
         self
     }
 
@@ -1046,20 +992,11 @@ impl HashAggregate {
 
     fn build(&mut self, mut input: BoxedOp) -> Result<()> {
         // One group cannot partition: a global aggregate keeps one
-        // ungoverned shard. A governed build's shards stay with the driver.
+        // ungoverned shard.
         let grouped = !self.group_exprs.is_empty();
         let spill = self.spill.clone().filter(|_| grouped);
-        let par = self.par.clone().filter(|(_, p)| grouped && spill.is_none() && *p > 1);
         let (group_exprs, aggs) = (&self.group_exprs, &self.aggs);
-        let mut parts = Partitions::new(par.as_ref().map_or(1, |(_, p)| *p), spill, || {
-            AggShard::new(group_exprs, aggs)
-        })?;
-        // The shards fold lanes inline, by reference, until a parallel
-        // build's input clears the cost gate; from then on they sit behind
-        // `pooled` and absorb gathered packets (lanes crossing threads must
-        // be copied).
-        let mut pooled: Option<ShardSet<AggShard>> = None;
-        let mut rows_in = 0usize;
+        let mut parts = Partitions::new(1, spill, || AggShard::new(group_exprs, aggs))?;
         while let Some(mut batch) = input.next()? {
             self.cancel.check()?;
             let t0 = Instant::now();
@@ -1104,20 +1041,6 @@ impl HashAggregate {
                 let vectors = &self.pool;
                 let input_of = |i: usize| agg_refs[i].map(|r| vectors.get(&batch, r));
                 for si in 0..parts.partitions() {
-                    if let (Some(set), Some(hashes)) = (&mut pooled, hashes) {
-                        let sel = parts.routed(si);
-                        if !sel.is_empty() {
-                            let pkt = AggPacket {
-                                keys: keys.iter().map(|v| v.gather(sel)).collect(),
-                                inputs: (0..aggs.len())
-                                    .map(|i| input_of(i).map(|v| v.gather(sel)))
-                                    .collect(),
-                                hashes: sel.iter().map(|p| hashes[p]).collect(),
-                            };
-                            set.send(si, pkt)?;
-                        }
-                        continue;
-                    }
                     let (sel, shard) = parts.lane(si, live);
                     if !sel.is_empty() {
                         shard.fold(keys, sel, n, hashes, input_of)?;
@@ -1126,7 +1049,6 @@ impl HashAggregate {
                         }
                     }
                 }
-                rows_in += live.len();
             }
             self.pool.recycle();
             if let Some(bp) = &self.batch_pool {
@@ -1145,21 +1067,12 @@ impl HashAggregate {
                 evicted.retire(profile);
                 Ok(written)
             })?;
-            if let (None, Some((pool, _))) = (&pooled, &par) {
-                if rows_in >= self.par_min_rows {
-                    pooled = Some(ShardSet::spawn_on(pool, parts.take_slots(), &self.cancel));
-                }
-            }
         }
         // The one finalize. Shards are key-disjoint, so never-evicted ones
         // emit directly, in partition order. An evicted partition flushes
         // its live remainder and queues its file for lazy re-aggregation
         // at emit time — one merged partition in memory at a time.
-        let shards = match pooled {
-            Some(set) => set.finish()?,
-            None => parts.take_slots(),
-        };
-        for (si, mut shard) in shards.into_iter().enumerate() {
+        for (si, mut shard) in parts.take_slots().into_iter().enumerate() {
             self.profile.record_shard_probe(si, shard.probe_rows, shard.chain_steps);
             shard.retire(&mut self.profile);
             match parts.take_file(si) {
@@ -1375,7 +1288,7 @@ impl AggShard {
 fn group_of_code(
     dicts: &[Arc<Vec<String>>],
     code: usize,
-    table: &mut FlatTable,
+    table: &mut GroupTable,
     group_keys: &mut [Vector],
     states: &mut [AggState],
     n_groups: &mut usize,
@@ -1402,7 +1315,7 @@ fn group_of_code(
 
 /// Register the next group id under hash `h` (the caller pushes its key
 /// values) with fresh accumulator state.
-fn new_group(table: &mut FlatTable, h: u64, states: &mut [AggState], n_groups: &mut usize) -> u32 {
+fn new_group(table: &mut GroupTable, h: u64, states: &mut [AggState], n_groups: &mut usize) -> u32 {
     let g = table.insert(h);
     debug_assert_eq!(g as usize, *n_groups);
     *n_groups += 1;
@@ -1417,7 +1330,7 @@ fn new_group(table: &mut FlatTable, h: u64, states: &mut [AggState], n_groups: &
 /// fused kernel's staging buffer or the hash vector).
 #[allow(clippy::too_many_arguments)]
 fn insert_misses(
-    table: &mut FlatTable,
+    table: &mut GroupTable,
     group_keys: &mut [Vector],
     states: &mut [AggState],
     n_groups: &mut usize,
@@ -1783,26 +1696,10 @@ mod tests {
         assert!(p.probe_chain_steps > 0, "repeat keys walked chains");
     }
 
-    // Every build configuration (one shard, pooled above/across/below the
-    // gate, governed ample/tight) × aggregate × key shape is checked
+    // Every build configuration (one shard, governed ample/tight) ×
+    // aggregate × key shape is checked
     // against the volcano engine in
     // `tests/sql_semantics.rs::build_mode_matrix`.
-
-    #[test]
-    fn global_aggregate_ignores_parallel_build() {
-        let src = source(vec![(Some("x"), Some(4)), (Some("y"), Some(6))]);
-        let mut op = agg(
-            src,
-            false,
-            vec![AggSpec { func: AggFunc::Sum, input: col_v(), out_ty: TypeId::I64 }],
-            vec![Field::nullable("sum", TypeId::I64)],
-        )
-        .with_parallel_build(WorkerPool::new(1), 4, 0);
-        let out = drain(&mut op).unwrap();
-        assert_eq!(out.rows(), 1);
-        assert_eq!(out.row_values(0)[0], Value::I64(10));
-        assert_eq!(Operator::profile(&op).unwrap().shards(), 1, "one group, one shard");
-    }
 
     #[test]
     fn grace_spill_reaggregates_many_groups_with_recursion() {

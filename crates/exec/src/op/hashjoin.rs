@@ -1,4 +1,4 @@
-//! Vectorized hash join over the flat hash table.
+//! Vectorized hash join over the bulk-built CSR hash table.
 //!
 //! **Build** (right child) and **probe** (left child) are two halves that
 //! meet in one immutable value, the [`JoinBuild`].
@@ -13,7 +13,7 @@
 //! its own largest slot to its own spill file. When the last sink has
 //! deposited its slots, the finalize work is cut into units — one table
 //! per slot (or a single one below the cost gate), bulk-built by
-//! [`FlatTable::build_csr_chunks`] over the sinks' hashes, and one
+//! [`JoinTable::build`] over the sinks' hashes, and one
 //! concatenation of the slots per build column — and whichever sink is
 //! free claims the next unit; the one that finishes the last unit
 //! publishes the [`JoinBuild`] and wakes whoever waits for it. A slot
@@ -21,9 +21,8 @@
 //! of it is written out before the units are cut.
 //!
 //! A join outside an Exchange ([`HashJoin::new`]) owns a build with one
-//! sink and drives it inline on its first `next`
-//! ([`HashJoin::with_parallel_build`] lends it pool tasks for the table
-//! units). Inside an Exchange the build is *shared*
+//! sink and steps it inline on its first `next`, finalize units included.
+//! Inside an Exchange the build is *shared*
 //! ([`HashJoin::probing`]): the compiler makes one `SharedBuild` per join,
 //! its `dop` sinks run as cooperative tasks of the exchange
 //! ([`super::xchg`]) over the partitioned build input, and every fragment
@@ -65,11 +64,9 @@
 
 use super::{BoxedOp, Operator};
 use crate::cancel::CancelToken;
-use crate::hashtable::{self, FlatTable, EMPTY};
+use crate::hashtable::{self, JoinTable, EMPTY};
 use crate::morsel::BatchPool;
-use crate::partition::{
-    Partitions, RadixRouter, SpillConfig, WorkerPool, DEFAULT_PARALLEL_BUILD_MIN_ROWS,
-};
+use crate::partition::{Partitions, RadixRouter, SpillConfig, DEFAULT_PARALLEL_BUILD_MIN_ROWS};
 use crate::profile::OpProfile;
 use crate::program::{ExprProgram, VecRef, VectorPool};
 use crate::spill::{self, SpillScan};
@@ -78,7 +75,7 @@ use std::sync::atomic::{AtomicU8, Ordering::SeqCst};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 use vw_common::{ColData, Result, Schema, SelVec, TypeId, VwError};
-use vw_service::{CoopTask, Step, TaskHandle, Waker};
+use vw_service::{CoopTask, Step, Waker};
 use vw_storage::SpillFile;
 
 /// Join variants supported by the kernel.
@@ -116,10 +113,9 @@ struct ProbeScratch {
     lanes: Vec<u64>,
     /// Combined key hash per lane.
     hashes: Vec<u64>,
-    /// Candidate handle per lane (chain row / finalized slot index;
-    /// garbage outside the active set).
+    /// Candidate slot index per lane (garbage outside the active set).
     cand: Vec<u32>,
-    /// Row ids behind `cand` (see `FlatTable::candidate_rows`).
+    /// Row ids behind `cand` (see `JoinTable::candidate_rows`).
     rows: Vec<u32>,
     /// Live lanes of the incoming batch.
     live: SelVec,
@@ -302,13 +298,13 @@ fn check_build_rows(rows: u64, limit: u64) -> Result<()> {
 }
 
 /// A finished build — plain immutable data, shared by every prober: the
-/// finalized tables (one per slot, or a single one), each table's base
+/// tables (one per slot, or a single one), each table's base
 /// offset into the slot-order concatenated build rows, and the rows
 /// themselves. An evicted slot keeps an empty table and the files its rows
 /// went to; its probe lanes are diverted to a spill file before any probe
 /// runs.
 pub struct JoinBuild {
-    tables: Vec<FlatTable>,
+    tables: Vec<JoinTable>,
     bases: Vec<u32>,
     /// The build rows, laid out by [`StageLayout`]: keys, then the rest.
     staged: Vec<Vector>,
@@ -494,7 +490,18 @@ impl SharedBuild {
         per_slot += per_slot / 8;
         let parts =
             Partitions::new(slots, self.spill.clone(), || Ok(JoinStage::new(tys, per_slot)))?;
-        Ok(BuildSink::new(self.clone(), input, deps, Some(parts), batch_pool))
+        Ok(BuildSink {
+            build: self.clone(),
+            input,
+            deps,
+            parts: Some(parts),
+            has_null_key: false,
+            rows_in: 0,
+            pool: VectorPool::new(),
+            batch_pool,
+            scratch: ProbeScratch::default(),
+            expr: (0, 0),
+        })
     }
 
     /// Has the build been published? An `Err` is the failure that ended
@@ -679,7 +686,7 @@ impl SharedBuild {
         );
         st.unfinished = st.units.len();
         st.assembling = Some(JoinBuild {
-            tables: table_rows.iter().map(|_| FlatTable::new()).collect(),
+            tables: table_rows.iter().map(|_| JoinTable::default()).collect(),
             bases,
             staged: tys.iter().map(|&t| presized(t, 0)).collect(),
             n_keys: self.layout.n_keys,
@@ -710,13 +717,13 @@ impl SharedBuild {
             }
         };
         enum Built {
-            Table(usize, FlatTable),
+            Table(usize, JoinTable),
             Column(usize, Vector),
         }
         let built = match unit {
             Unit::Table { idx, hashes } => {
                 let runs: Vec<&[u64]> = hashes.iter().map(Vec::as_slice).collect();
-                Built::Table(idx, FlatTable::build_csr_chunks(&runs))
+                Built::Table(idx, JoinTable::build(&runs))
             }
             // One stage holds it all (every P = 1 build of one sink): its
             // vectors are the build columns, nothing is copied.
@@ -774,30 +781,6 @@ pub struct BuildSink {
 }
 
 impl BuildSink {
-    /// `parts = None` makes a sink with nothing to drain or deposit: it
-    /// only claims finalize units (the pool tasks a self-building join
-    /// fans its tables out to).
-    fn new(
-        build: Arc<SharedBuild>,
-        input: Option<BoxedOp>,
-        deps: Vec<Arc<SharedBuild>>,
-        parts: Option<Partitions<JoinStage>>,
-        batch_pool: Option<BatchPool>,
-    ) -> BuildSink {
-        BuildSink {
-            build,
-            input,
-            deps,
-            parts,
-            has_null_key: false,
-            rows_in: 0,
-            pool: VectorPool::new(),
-            batch_pool,
-            scratch: ProbeScratch::default(),
-            expr: (0, 0),
-        }
-    }
-
     /// The builds whose progress this sink's task must be woken for: the
     /// ones its input probes, and its own.
     pub fn subscriptions(&self) -> impl Iterator<Item = &Arc<SharedBuild>> {
@@ -912,8 +895,6 @@ impl CoopTask for BuildSink {
 struct OwnBuild {
     build: SharedBuild,
     right: BoxedOp,
-    /// Lends tasks to the finalize units of a pooled build.
-    pool: Option<Arc<WorkerPool>>,
 }
 
 /// Hash join operator (right side = build, left side = probe).
@@ -986,7 +967,7 @@ impl HashJoin {
         assert_eq!(left_keys.len(), right_keys.len());
         let build =
             SharedBuild::new(right_keys, right.schema().clone(), join_type, 1, cancel.clone());
-        let own = OwnBuild { build, right, pool: None };
+        let own = OwnBuild { build, right };
         HashJoin::over(left, left_keys, join_type, schema, cancel, Some(own), None)
     }
 
@@ -1054,22 +1035,6 @@ impl HashJoin {
         self
     }
 
-    /// Partition the own build `shards` ways (rounded up to a power of
-    /// two) and, once it holds at least `min_rows` rows, construct the
-    /// per-partition tables as tasks on `pool` and probe partition-wise;
-    /// smaller builds still make a single table. Under a memory budget
-    /// ([`HashJoin::with_spill`]) the partitions are the governor's.
-    pub fn with_parallel_build(
-        mut self,
-        pool: Arc<WorkerPool>,
-        shards: usize,
-        min_rows: usize,
-    ) -> HashJoin {
-        self = self.own_build(|b| b.partitioned(shards, min_rows));
-        self.own.as_mut().expect("just put back").pool = Some(pool);
-        self
-    }
-
     /// Attach the query's memory governor to the own build: it partitions
     /// on `cfg`'s hash-bit stratum and charges `cfg.budget` as slots stage
     /// rows. When the query runs over budget, the largest slot's rows move
@@ -1087,36 +1052,20 @@ impl HashJoin {
         self.own_build(|b| b.expecting(rows))
     }
 
-    /// Run the own build: one sink over the right child, stepped here; a
-    /// pooled build's finalize units are also offered to pool tasks.
+    /// Run the own build: one sink over the right child, stepped here to
+    /// its end — the drain, the deposit and every finalize unit.
     fn run_own_build(&mut self, own: OwnBuild) -> Result<Arc<SharedBuild>> {
         let build = Arc::new(own.build);
         let mut sink = build.sink(Some(own.right), Vec::new(), self.batch_pool.clone())?;
-        let drive = |sink: &mut BuildSink| -> Result<()> {
-            while sink.parts.is_some() {
-                sink.step()?;
+        loop {
+            match sink.step() {
+                Ok(Step::Done) => break,
+                Ok(_) => {}
+                Err(e) => {
+                    build.fail(e.clone());
+                    return Err(e);
+                }
             }
-            // Deposited and cut into units: above the gate there is a
-            // table per slot, each worth a pool task beside this thread.
-            let tables = build.lock().assembling.as_ref().map_or(0, |b| b.tables.len());
-            let helpers: Vec<TaskHandle<BuildSink>> = match &own.pool {
-                Some(pool) if tables > 1 => (0..tables)
-                    .map(|_| {
-                        let helper = BuildSink::new(build.clone(), None, Vec::new(), None, None);
-                        let task = TaskHandle::new(pool, &self.cancel, "hash build shard", helper);
-                        task.wake();
-                        task
-                    })
-                    .collect(),
-                _ => Vec::new(),
-            };
-            while sink.step()? != Step::Done {}
-            helpers.iter().for_each(TaskHandle::join);
-            Ok(())
-        };
-        if let Err(e) = drive(&mut sink) {
-            build.fail(e.clone());
-            return Err(e);
         }
         self.profile.record_expr(sink.expr.0, sink.expr.1);
         Ok(build)
@@ -1360,7 +1309,7 @@ fn probe_batch(
 /// promises `scratch.hashes` already holds this batch's key hashes.
 #[allow(clippy::too_many_arguments)]
 fn probe_one(
-    table: &FlatTable,
+    table: &JoinTable,
     build_keys: &[Vector],
     s: &mut ProbeScratch,
     keys: &[&Vector],
@@ -1429,7 +1378,7 @@ fn probe_one(
 /// lanes through `SelVec`s (multi-column or mixed-type keys).
 #[allow(clippy::too_many_arguments)]
 fn probe_general(
-    table: &FlatTable,
+    table: &JoinTable,
     build_keys: &[Vector],
     s: &mut ProbeScratch,
     keys: &[&Vector],
@@ -1846,8 +1795,8 @@ mod tests {
         assert!(p.avg_chain_len() > 0.0);
     }
 
-    // Every build configuration (one slot, pooled above/below the gate,
-    // governed ample/tight; own and shared inside an exchange) × join type
+    // Every build configuration (one slot, governed ample/tight; own and
+    // shared inside an exchange, one table and one per slot) × join type
     // × key shape is checked against the volcano engine in
     // `tests/sql_semantics.rs::build_mode_matrix`.
 

@@ -2,8 +2,8 @@
 //!
 //! A hash build is `P` **slots** of operator-defined state (`S`: staged
 //! join rows, or an aggregation shard) behind one [`RadixRouter`]. The
-//! serial, the memory-governed and the parallel build are three settings
-//! of [`Partitions`]:
+//! serial and the memory-governed build are the two settings of
+//! [`Partitions`]:
 //!
 //! * **P = 1** — the serial build. [`Partitions::route`] does nothing and
 //!   [`Partitions::lane`] hands the live selection back untouched, so the
@@ -15,14 +15,10 @@
 //!   [`Partitions::evict_while_over`] hands the largest slot and its
 //!   [`SpillFile`] to the operator, which writes the slot out and resets
 //!   it. Dropping the set returns every charged byte.
-//! * **P > 1 on the pool** — the parallel build. The slots are the same;
-//!   the aggregate moves them behind a [`ShardSet`], whose shards absorb
-//!   gathered packets as cooperative tasks ([`vw_service::task`]) on the
-//!   engine's [`WorkerPool`]; the join keeps routing into them and hands
-//!   the per-slot table construction to pool tasks at finalize.
 //!
-//! A set has one writer. A join build inside an Exchange has `dop` of
-//! them — one sink per worker, each with a set of its own, all on the same
+//! A set has one writer. A join build inside an Exchange has `dop`
+//! writers — one sink per worker, each with a set of its own (ungoverned
+//! at P > 1 there: the slots become one table each), all on the same
 //! fan-out and stratum, a governed one charging the same budget — and
 //! joins them up slot by slot when the last sink is done
 //! (`op/hashjoin.rs`): there is no shared table and no lock per row.
@@ -33,29 +29,24 @@
 //! The "when more cores hurts" lesson behind the radix design: threading
 //! one shared table serializes on cache-line ping-pong, so every slot is
 //! *private* — a build row's key hash (the same `hash_keys` output the
-//! [`FlatTable`](crate::hashtable) indexes by) picks its slot by the *top*
+//! tables of [`crate::hashtable`] index by) picks its slot by the *top*
 //! `bits` bits, provably independent of the table's low-bit directory
 //! index, and equal keys always meet in one slot. Probes are not merged
 //! back: a probe batch is hashed once, split by the same bits into reused
 //! per-slot [`SelVec`]s, and each sub-selection runs the ordinary
 //! per-table kernel against a table `P`× smaller.
-//!
-//! A panic inside a shard becomes a [`VwError`] on the driver's side (the
-//! task primitive catches it).
 
-use crate::cancel::CancelToken;
 use crate::vector::Vector;
 use std::borrow::Borrow;
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
-use vw_common::{Result, SelVec, VwError};
+use std::sync::Arc;
+use vw_common::{Result, SelVec};
 pub use vw_service::WorkerPool;
-use vw_service::{CoopTask, Step, TaskHandle};
 use vw_storage::{SimulatedDisk, SpillFile};
 
-/// Default cost gate of a pool-parallel hash build: below this many build
-/// rows the fan-out (task submission + packet gathers) does not pay.
+/// Cost gate of a table per slot: a join build shared inside an Exchange
+/// with fewer rows than this still makes (and probes) a single table —
+/// the probe-side split does not pay for tables that small.
 pub const DEFAULT_PARALLEL_BUILD_MIN_ROWS: usize = 8192;
 
 /// Deepest hash-bit stratum grace spilling will re-partition on. Each
@@ -70,8 +61,8 @@ pub const MAX_SPILL_DEPTH: u32 = 8;
 /// batches.
 ///
 /// A router lives on a hash-bit **stratum**: depth 0 routes on the top
-/// `bits` bits (disjoint from the [`FlatTable`](crate::hashtable) low-bit
-/// directory index), depth `d` on the next `bits` bits below stratum
+/// `bits` bits (disjoint from the low-bit directory index of the tables in
+/// [`crate::hashtable`]), depth `d` on the next `bits` bits below stratum
 /// `d - 1`. Grace-spill recursion re-partitions an oversized partition on
 /// the next stratum, so every level's split is independent of all levels
 /// above it.
@@ -160,7 +151,7 @@ impl RadixRouter {
 /// [`MemBudget`] and the per-slot spill files. The operators supply only
 /// what a slot holds and how one is written out; where rows live while a
 /// build runs, who evicts them and when the charge is returned is decided
-/// here, once (see the module docs for the three settings).
+/// here, once (see the module docs for the two settings).
 pub struct Partitions<S> {
     router: RadixRouter,
     slots: Vec<S>,
@@ -229,8 +220,8 @@ impl<S> Partitions<S> {
         (sel, &mut self.slots[si])
     }
 
-    /// Move the slots out (finalize, or hand-over to a [`ShardSet`]); the
-    /// router, charges and spill files stay.
+    /// Move the slots out (finalize); the router, charges and spill files
+    /// stay.
     pub fn take_slots(&mut self) -> Vec<S> {
         std::mem::take(&mut self.slots)
     }
@@ -313,157 +304,6 @@ impl<S> Partitions<S> {
 impl<S> Drop for Partitions<S> {
     fn drop(&mut self) {
         self.release();
-    }
-}
-
-/// One partition's build-side consumer behind a [`ShardSet`]: absorbs
-/// gathered row packets on a pool task, then finalizes into its output (a
-/// built table, a finished aggregation shard, ...).
-pub trait ShardWorker: Send + 'static {
-    /// The unit of work scattered to this shard (gathered rows for one
-    /// input batch).
-    type Packet: Send + 'static;
-    /// What the shard hands back when the build input is exhausted.
-    type Output: Send + 'static;
-
-    /// Fold one packet into the shard state.
-    fn absorb(&mut self, pkt: Self::Packet) -> Result<()>;
-
-    /// Input exhausted: finalize and hand the shard back.
-    fn finish(self) -> Result<Self::Output>;
-}
-
-/// Packets a shard's mailbox queues ahead of its worker (keeps the scatter
-/// slightly ahead of the builders without unbounded buffering).
-const MAILBOX_CAP: usize = 2;
-
-/// What the build driver and one shard's pool task share.
-struct Mailbox<W: ShardWorker> {
-    queue: VecDeque<W::Packet>,
-    /// No further packets; finalize once the queue drains.
-    closed: bool,
-    /// How the shard ended: its output, or the error (failed absorb,
-    /// panic, cancelled query) that killed it early.
-    output: Option<Result<W::Output>>,
-}
-
-type SharedMailbox<W> = Arc<Mutex<Mailbox<W>>>;
-
-/// One shard as a pool task ([`vw_service::task`]): mailbox empty →
-/// `Blocked` (the next `send`/`finish` wakes it), a packet → absorb it,
-/// closed and empty → finalize → `Done`.
-struct ShardTask<W: ShardWorker> {
-    mailbox: SharedMailbox<W>,
-    worker: Option<W>,
-}
-
-impl<W: ShardWorker> CoopTask for ShardTask<W> {
-    fn step(&mut self) -> Result<Step> {
-        let pkt = {
-            let mut mb = self.mailbox.lock().expect("shard mailbox poisoned");
-            match mb.queue.pop_front() {
-                Some(pkt) => pkt,
-                None if mb.closed => {
-                    drop(mb);
-                    let out = self.worker.take().expect("a shard finalizes once").finish()?;
-                    self.mailbox.lock().expect("shard mailbox poisoned").output = Some(Ok(out));
-                    return Ok(Step::Done);
-                }
-                None => return Ok(Step::Blocked),
-            }
-        };
-        self.worker.as_mut().expect("a live shard has its worker").absorb(pkt)?;
-        Ok(Step::Progress)
-    }
-
-    fn fail(&mut self, err: VwError) {
-        self.worker = None;
-        let mut mb = self.mailbox.lock().expect("shard mailbox poisoned");
-        mb.queue.clear();
-        mb.output = Some(Err(err));
-    }
-}
-
-/// A set of shard workers — operator-internal build parallelism. Each
-/// shard is an actor: a bounded mailbox the driver fills and a
-/// cooperative task on the engine's shared [`WorkerPool`] that empties
-/// it, so thread count stays O(pool workers) no matter how many queries
-/// build concurrently. A driver that must wait (full mailbox, final
-/// barrier) helps the pool instead of sleeping, and dropping the set
-/// mid-build reclaims every shard — the memory the workers staged is
-/// released before drop returns, because callers assert
-/// `MemBudget::global_in_use() == 0` and a quiet pool right after a query
-/// unwinds.
-pub struct ShardSet<W: ShardWorker> {
-    shards: Vec<(TaskHandle<ShardTask<W>>, SharedMailbox<W>)>,
-}
-
-impl<W: ShardWorker> ShardSet<W> {
-    /// Put `workers` behind mailboxes on `pool`. `cancel` is the
-    /// query-wide token: a cancelled query makes every shard end between
-    /// packets with [`VwError::Cancelled`].
-    pub fn spawn_on(pool: &Arc<WorkerPool>, workers: Vec<W>, cancel: &CancelToken) -> ShardSet<W> {
-        let shards = workers
-            .into_iter()
-            .map(|w| {
-                let mailbox = Arc::new(Mutex::new(Mailbox {
-                    queue: VecDeque::new(),
-                    closed: false,
-                    output: None,
-                }));
-                let task = ShardTask { mailbox: mailbox.clone(), worker: Some(w) };
-                (TaskHandle::new(pool, cancel, "hash build shard", task), mailbox)
-            })
-            .collect();
-        ShardSet { shards }
-    }
-
-    /// Number of shards.
-    pub fn len(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// True when no shards were spawned.
-    pub fn is_empty(&self) -> bool {
-        self.shards.is_empty()
-    }
-
-    /// Hand a packet to shard `s`, helping the pool while the shard's
-    /// mailbox is full. If the shard died, its error (or panic) is
-    /// surfaced here.
-    pub fn send(&mut self, s: usize, pkt: W::Packet) -> Result<()> {
-        let (task, mailbox) = &self.shards[s];
-        loop {
-            let mut mb = mailbox.lock().expect("shard mailbox poisoned");
-            if let Some(Err(e)) = &mb.output {
-                return Err(e.clone());
-            }
-            if mb.queue.len() < MAILBOX_CAP {
-                mb.queue.push_back(pkt);
-                drop(mb);
-                task.wake();
-                return Ok(());
-            }
-            drop(mb);
-            task.help();
-        }
-    }
-
-    /// Close all shards, wait for every worker, and collect the shard
-    /// outputs in partition order. The first worker error (or panic)
-    /// aborts the collection.
-    pub fn finish(self) -> Result<Vec<W::Output>> {
-        for (task, mailbox) in &self.shards {
-            mailbox.lock().expect("shard mailbox poisoned").closed = true;
-            task.wake();
-        }
-        let mut outs = Vec::with_capacity(self.shards.len());
-        for (task, mailbox) in &self.shards {
-            task.join();
-            let out = mailbox.lock().expect("shard mailbox poisoned").output.take();
-            outs.push(out.expect("a joined shard left its output or its error")?);
-        }
-        Ok(outs)
     }
 }
 
@@ -702,38 +542,6 @@ mod tests {
         assert_eq!(total, sel.len());
     }
 
-    struct SummingShard {
-        sum: u64,
-        fail_at: Option<u64>,
-        panic_at: Option<u64>,
-    }
-
-    impl ShardWorker for SummingShard {
-        type Packet = Vec<u64>;
-        type Output = u64;
-
-        fn absorb(&mut self, pkt: Vec<u64>) -> Result<()> {
-            for v in pkt {
-                self.sum += v;
-                if self.fail_at.is_some_and(|f| self.sum >= f) {
-                    return Err(VwError::Exec("shard boom".into()));
-                }
-                if self.panic_at.is_some_and(|f| self.sum >= f) {
-                    panic!("shard worker panic at {}", self.sum);
-                }
-            }
-            Ok(())
-        }
-
-        fn finish(self) -> Result<u64> {
-            Ok(self.sum)
-        }
-    }
-
-    fn shard(fail_at: Option<u64>, panic_at: Option<u64>) -> SummingShard {
-        SummingShard { sum: 0, fail_at, panic_at }
-    }
-
     #[test]
     fn router_strata_are_independent() {
         // The same hash set splits differently (and completely) on every
@@ -801,79 +609,6 @@ mod tests {
             let _ = RadixRouter::at_depth(cfg.partitions, cfg.depth);
         }
         assert_eq!(levels, 3);
-    }
-
-    #[test]
-    fn pool_shards_collect_outputs_in_order_on_one_worker() {
-        // Four shards on a single-worker pool: the cells must absorb
-        // cooperatively without a dedicated thread each (and without
-        // deadlocking the lone worker).
-        let pool = WorkerPool::new(1);
-        let cancel = CancelToken::new();
-        let workers: Vec<_> = (0..4).map(|_| shard(None, None)).collect();
-        let mut set = ShardSet::spawn_on(&pool, workers, &cancel);
-        assert_eq!(set.len(), 4);
-        let mut expect = [0u64; 4];
-        for i in 0..200u64 {
-            let s = (i % 4) as usize;
-            expect[s] += i;
-            set.send(s, vec![i]).unwrap();
-        }
-        let outs = set.finish().unwrap();
-        assert_eq!(outs, expect);
-    }
-
-    #[test]
-    fn pool_shard_error_and_panic_surface() {
-        // A healthy shard beside the failing one: the failure comes back
-        // either from the send that found the shard dead (the operator
-        // aborts the build on it) or, if every send squeaked through
-        // first, from finish().
-        let pool = WorkerPool::new(2);
-        let cancel = CancelToken::new();
-        for (w, needle) in
-            [(shard(Some(5), None), "shard boom"), (shard(None, Some(3)), "panicked")]
-        {
-            let mut set = ShardSet::spawn_on(&pool, vec![shard(None, None), w], &cancel);
-            let mut send_err = None;
-            for i in 0..1000u64 {
-                if let Err(e) = set.send((i % 2) as usize, vec![i]) {
-                    send_err = Some(e);
-                    break;
-                }
-            }
-            let err = match send_err {
-                Some(e) => e,
-                None => set.finish().unwrap_err(),
-            };
-            match err {
-                VwError::Exec(msg) => assert!(msg.contains(needle), "{msg}"),
-                other => panic!("unexpected error {other:?}"),
-            }
-        }
-    }
-
-    #[test]
-    fn pool_shard_cancellation_and_drop_reclaim_cells() {
-        let pool = WorkerPool::new(1);
-        let cancel = CancelToken::new();
-        let mut set = ShardSet::spawn_on(&pool, vec![shard(None, None)], &cancel);
-        set.send(0, vec![1]).unwrap();
-        cancel.cancel();
-        match set.finish() {
-            Err(VwError::Cancelled) | Ok(_) => {}
-            Err(e) => panic!("unexpected error {e:?}"),
-        }
-        // Drop path: a consumer that bails mid-build must not leave tasks
-        // or packets behind on the shared pool.
-        let cancel = CancelToken::new();
-        let mut set =
-            ShardSet::spawn_on(&pool, vec![shard(None, None), shard(None, None)], &cancel);
-        for i in 0..20u64 {
-            set.send((i % 2) as usize, vec![i]).unwrap();
-        }
-        drop(set);
-        assert_eq!(pool.queued(), 0, "abandoned cells must drain off the pool");
     }
 
     #[test]

@@ -35,10 +35,9 @@
 //! There is no plan-level cost gate: at `dop > 1` every partitionable
 //! fragment gets its Xchg, whatever its size (scan cardinalities are not
 //! in the plan here; a small fragment costs its workers one empty morsel
-//! claim each). Below the plan level, the hash operators additionally
-//! radix-partition their *builds* across pool tasks (`vw-exec::partition`)
-//! — that decision is taken inside the operator at run time, gated by
-//! `EngineConfig::partition_min_rows`.
+//! claim each). Below the plan level a join inside an Exchange builds
+//! once for all its fragments, through `dop` sink tasks of the exchange
+//! (`vw-exec::op::hashjoin`); no operator spawns work of its own.
 
 use crate::RewriterConfig;
 use vw_common::{Field, Schema, TypeId};

@@ -9,12 +9,11 @@
 //!   so N concurrent queries cost O(workers) threads, not
 //!   O(queries × DOP).
 //! * [`task::TaskHandle`] — the one cooperative-task primitive everything
-//!   on that pool is written against (`Xchg` fragments, join build sinks,
-//!   `ShardSet` build shards): the client supplies a `step`, the
-//!   primitive owns parking and waking — by the owner, or through a
-//!   [`task::Waker`] by the task whose result it waits for — the quantum
-//!   yield, panic and cancel routing, the helping wait and
-//!   reclaim-on-drop.
+//!   on that pool is written against (`Xchg` fragments, join build
+//!   sinks): the client supplies a `step`, the primitive owns parking
+//!   and waking — by the owner, or through a [`task::Waker`] by the task
+//!   whose result it waits for — the quantum yield, panic and cancel
+//!   routing, the helping wait and reclaim-on-drop.
 //! * [`admission::AdmissionController`] — partitions the engine's global
 //!   memory limit across admitted queries; overflow waits in a bounded
 //!   FIFO queue or is rejected with the typed `E_ADMISSION` error.

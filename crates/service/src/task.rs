@@ -1,7 +1,7 @@
 //! The cooperative-task primitive: the pool's two rules, enforced once.
 //!
 //! Everything the engine runs on the [`WorkerPool`] — an `Xchg` plan
-//! fragment, a hash-build shard — is a [`CoopTask`]: the client writes
+//! fragment, a hash-build sink — is a [`CoopTask`]: the client writes
 //! only [`CoopTask::step`] (do one bounded unit of work and say whether
 //! it made [`Step::Progress`], is [`Step::Blocked`] on something another
 //! party must change, or is [`Step::Done`]) and [`CoopTask::fail`] (where
@@ -16,10 +16,10 @@
 //! * **Rule 1 — never block a worker.** `step` must not wait for another
 //!   pool task: it returns `Blocked` and the task parks (Idle, holding no
 //!   worker and no queue slot) until whoever removed the obstacle calls
-//!   `wake`. Code that *must* wait for a task ([`TaskHandle::join`],
-//!   [`TaskHandle::help`], the handle's `Drop`) donates its thread to the
-//!   pool queue instead of sleeping, which is what lets a 1-worker pool
-//!   drive a DOP-4 plan whose fragments run pooled hash builds.
+//!   `wake`. The one place that *must* wait for a task — the handle's
+//!   `Drop` — donates its thread to the pool queue instead of sleeping,
+//!   which is what lets a 1-worker pool reclaim a DOP-4 plan's fragments
+//!   and build sinks.
 //! * **Rule 2 — yield after a quantum.** After [`QUANTUM`] progress steps
 //!   the task requeues itself at the pool tail so tasks of different
 //!   queries interleave — unless the pool is closed, where a submission
@@ -27,21 +27,21 @@
 //! * **Failure.** Before every step the query's [`CancelToken`] is
 //!   checked (`fail(VwError::Cancelled)`); an `Err` from `step` and a
 //!   panic inside it (caught and rendered as a `VwError::Exec` naming
-//!   the task kind) end the task through the same `fail`. The body is dropped before the task reads
-//!   Done, so its memory is back when `join` returns.
+//!   the task kind) end the task through the same `fail`. The body is
+//!   dropped before the task reads Done.
 //! * **Drop.** Dropping the handle aborts the task — no further `step`,
 //!   no `fail` — and returns only once no pool job references it: a
 //!   parked task is reclaimed on the spot, a queued or running one is
 //!   helped/awaited. After the drop the task holds nothing on the pool.
 //!
 //! `wake` takes the handle, so by default only the handle's owner — the
-//! exchange consumer that popped a batch, the build driver that queued a
-//! packet — can schedule the task. Where one *task* must wake another (a
-//! pipeline stage that publishes its result wakes the tasks parked on it),
-//! the owner hands out [`Waker`]s ([`TaskHandle::waker`]): a waker is the
-//! same `wake`, detached from the handle's lifetime, and a no-op once the
-//! task is Done. Call either outside any lock `step` takes: on a closed
-//! pool the wake runs the task inline on the caller.
+//! exchange consumer that popped a batch — can schedule the task. Where
+//! one *task* must wake another (a pipeline stage that publishes its
+//! result wakes the tasks parked on it), the owner hands out [`Waker`]s
+//! ([`TaskHandle::waker`]): a waker is the same `wake`, detached from the
+//! handle's lifetime, and a no-op once the task is Done. Call either
+//! outside any lock `step` takes: on a closed pool the wake runs the task
+//! inline on the caller.
 
 use crate::pool::WorkerPool;
 use std::any::Any;
@@ -63,7 +63,7 @@ pub enum Step {
     /// One unit of work done; more may follow.
     Progress,
     /// Nothing can be done until another party acts and calls
-    /// [`TaskHandle::wake`] (output buffer full, mailbox empty).
+    /// [`TaskHandle::wake`] (output buffer full, build not published).
     Blocked,
     /// The task finished its work.
     Done,
@@ -155,9 +155,9 @@ impl<T: CoopTask> TaskHandle<T> {
 
     /// One round of the helping wait: run one queued pool job on this
     /// thread, or, with the queue empty, nap until the task's runner
-    /// signals (the timeout bounds a signal that raced the nap). Callers
-    /// loop on their own condition around it.
-    pub fn help(&self) {
+    /// signals (the timeout bounds a signal that raced the nap). `Drop`
+    /// loops on the task's state around it.
+    fn help(&self) {
         let core = &self.core;
         if core.pool.help_run_one() {
             return;
@@ -171,7 +171,8 @@ impl<T: CoopTask> TaskHandle<T> {
     }
 
     /// Wait, helping the pool, until the task is Done.
-    pub fn join(&self) {
+    #[cfg(test)]
+    fn join(&self) {
         while !self.is_done() {
             self.help();
         }

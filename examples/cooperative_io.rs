@@ -6,8 +6,8 @@
 use std::sync::Arc;
 use std::time::Instant;
 use vectorwise::common::{ColData, Field, Schema, TypeId};
-use vectorwise::coopscan::{Abm, ScanPolicy, TableChunkSource};
 use vectorwise::storage::{BufferPool, DiskConfig, Layout, SimulatedDisk, TableStorage};
+use vw_bench::coopscan::{Abm, ScanPolicy, TableChunkSource};
 
 fn main() {
     // A table that is much larger than the chunk cache, on a simulated

@@ -16,7 +16,6 @@
 
 pub use vw_common as common;
 pub use vw_compress as compress;
-pub use vw_coopscan as coopscan;
 pub use vw_core as core;
 pub use vw_exec as exec;
 pub use vw_pdt as pdt;

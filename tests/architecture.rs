@@ -400,15 +400,20 @@ fn knobs_table_is_the_set_surface() {
         depth += part.matches('{').count();
         depth -= part.matches('}').count();
     }
-    assert_eq!(fields.len(), 14, "EngineConfig fields: {fields:?}");
+    assert_eq!(fields.len(), 13, "EngineConfig fields: {fields:?}");
     for f in fields.iter().filter(|f| *f != "faults") {
         assert!(documented.iter().any(|d| f.starts_with(d)), "{f} has no row in the Knobs table");
     }
     assert!(section.contains("| — (faults) |"), "the fault-injection row");
 
-    for gone in
-        ["SET compressed_exec = 1", "SET check_mode = 'lazy'", "SET null_mode = 'two_column'"]
-    {
+    for gone in [
+        "SET compressed_exec = 1",
+        "SET check_mode = 'lazy'",
+        "SET null_mode = 'two_column'",
+        // Spelled in halves, like the type names in the source guard below:
+        // a grep for a deleted name finds nothing, this file included.
+        concat!("SET partition_min", "_rows = 0"),
+    ] {
         match db.execute(gone) {
             Err(VwError::InvalidParameter(m)) => assert!(m.starts_with("unknown setting"), "{m}"),
             other => panic!("{gone} must be an unknown setting, got {other:?}"),
@@ -421,10 +426,13 @@ fn knobs_table_is_the_set_surface() {
 /// concurrency is a task on the worker pool, deadlines are the one timer
 /// thread — and `vw-exec`, the pool's client, hand-rolls none of the task
 /// protocol (`vw_service::task` owns unwinding, the closed-pool guard and
-/// the helping wait). Test modules and comments are exempt — except from
-/// the last rule: a join build side inside an Exchange runs once, and no
-/// code or comment in the compiler, the rewriter or the kernel still
-/// describes the path that ran it once per worker.
+/// the helping wait) and creates tasks in one file only: `op/xchg.rs`, whose
+/// fragments and build sinks are all the tasks there are — the shard actors
+/// of the pooled hash build are gone from every crate. Test modules and
+/// comments are exempt — except from the last rule: a join build side
+/// inside an Exchange runs once, and no code or comment in the compiler,
+/// the rewriter or the kernel still describes the path that ran it once
+/// per worker.
 #[test]
 fn engine_crates_spawn_no_threads_and_exec_rolls_no_task_protocol() {
     fn rust_files(dir: &std::path::Path, out: &mut Vec<std::path::PathBuf>) {
@@ -438,6 +446,14 @@ fn engine_crates_spawn_no_threads_and_exec_rolls_no_task_protocol() {
         }
     }
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("crates");
+    let mut all = Vec::new();
+    rust_files(&root, &mut all);
+    for file in all.iter().filter(|f| f.components().any(|c| c.as_os_str() == "src")) {
+        let text = std::fs::read_to_string(file).unwrap();
+        for gone in [concat!("Shard", "Set"), concat!("Shard", "Worker")] {
+            assert!(!text.contains(gone), "{}: `{gone}` is back", file.display());
+        }
+    }
     let mut checked = 0;
     for krate in ["common", "compress", "storage", "pdt", "exec", "rewriter", "sql", "core"] {
         let mut banned = vec!["thread::spawn", "thread::Builder"];
@@ -459,6 +475,14 @@ fn engine_crates_spawn_no_threads_and_exec_rolls_no_task_protocol() {
             }
             let code = non_test().filter(|l| !l.trim_start().starts_with("//"));
             for line in code {
+                if krate == "exec" && !file.ends_with("op/xchg.rs") {
+                    assert!(
+                        !line.contains("TaskHandle::new"),
+                        "{}: only the exchange creates tasks, yet `{}`",
+                        file.display(),
+                        line.trim()
+                    );
+                }
                 for word in &banned {
                     assert!(
                         !line.contains(word),

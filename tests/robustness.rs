@@ -260,6 +260,36 @@ fn kill_racing_query_completion_never_panics_or_corrupts_state() {
     let _ = cancelled;
 }
 
+/// `SET vector_size` sizes every batch the session's operators allocate,
+/// so it is bounded where it enters: past `MAX_VECTOR_SIZE` a typed error,
+/// not an allocation that aborts the process (5 G values), a capacity
+/// overflow that panics the session's thread (`i64::MAX`), or lane
+/// positions silently truncated to `u32`. The session stays usable and the
+/// largest accepted value runs a scan.
+#[test]
+fn set_vector_size_is_bounded_and_a_rejected_value_changes_nothing() {
+    use vectorwise::common::config::MAX_VECTOR_SIZE;
+    let _x = exclusive();
+    let db = Database::open_in_memory();
+    db.execute("CREATE TABLE t (a BIGINT NOT NULL)").unwrap();
+    bulk_load(&db, "t", &[ColData::I64((0..5000).collect())], &[None]).unwrap();
+    const SCAN: &str = "SELECT a FROM t WHERE a > 1";
+    let before = db.config().vector_size;
+    for bad in ["5000000000", "9223372036854775807", "4294967296", "1048577", "0"] {
+        match db.execute(&format!("SET vector_size = {bad}; {SCAN}")) {
+            Err(VwError::InvalidParameter(m)) => assert!(m.contains("vector_size"), "{bad}: {m}"),
+            other => panic!("SET vector_size = {bad} must be rejected, got {other:?}"),
+        }
+        assert_eq!(db.config().vector_size, before, "a rejected SET changes nothing");
+        assert_eq!(db.execute(SCAN).unwrap().rows().len(), 4998, "session usable after {bad}");
+    }
+    db.execute(&format!("SET vector_size = {MAX_VECTOR_SIZE}")).unwrap();
+    assert_eq!(db.config().vector_size, 1 << 20);
+    let r = db.execute(SCAN).unwrap();
+    assert_eq!(r.rows().len(), 4998);
+    assert_eq!(r.rows()[0], vec![Value::I64(2)]);
+}
+
 #[test]
 fn event_log_stays_bounded_through_set() {
     let _x = exclusive();

@@ -463,13 +463,12 @@ fn drop_with_query_mid_flight_joins_pool_threads() {
     });
 }
 
-/// Shared-worker liveness: one pool worker, a DOP-4 plan and a low build
-/// gate. Four `Xchg` fragments stream partial aggregates to the session
-/// thread, whose final aggregate scatters them to four pooled shards —
-/// eight cooperative tasks and one thread to run them. It completes only
-/// because no task ever holds the worker while it waits (fragments park on
-/// a full buffer, shards on an empty mailbox) and the driver helps instead
-/// of sleeping when a mailbox is full; the answer must be the serial one.
+/// Shared-worker liveness: one pool worker and a DOP-4 plan. Four `Xchg`
+/// fragments stream partial aggregates to the session thread, whose final
+/// aggregate folds them inline — four cooperative tasks and one thread to
+/// run them. It completes only because no task ever holds the worker while
+/// it waits (a fragment parks on a full buffer and the consumer wakes it);
+/// the answer must be the serial one.
 ///
 /// Then a two-join fragment, `g ⋈ (d1 ⋈ d2)`: two shared builds, the
 /// second's pipeline probing the first — twelve tasks in three stages
@@ -478,7 +477,7 @@ fn drop_with_query_mid_flight_joins_pool_threads() {
 /// is task dependency (a task whose build is not published parks and is
 /// woken by the publish): if any task waited on another, this would hang.
 #[test]
-fn one_worker_drives_xchg_fragments_and_pooled_build_shards() {
+fn one_worker_drives_xchg_fragments_and_build_sinks() {
     let _x = exclusive();
     let cfg = EngineConfig::default().with_workers(1);
     let db = Database::open_with(cfg, SimulatedDisk::instant());
@@ -489,13 +488,12 @@ fn one_worker_drives_xchg_fragments_and_pooled_build_shards() {
     bulk_load(&db, "g", &[k, v], &[None, None]).unwrap();
     const SQL: &str = "SELECT k, COUNT(*), SUM(v), MIN(v), AVG(v) FROM g GROUP BY k";
 
-    // An ungoverned build is the pooled one (a `VW_MEM_BUDGET` lane would
-    // otherwise turn it into the governed, driver-only configuration).
+    // (A `VW_MEM_BUDGET` lane would otherwise govern the build.)
     db.execute("SET mem_budget = 0; SET parallelism = 1").unwrap();
     let serial = row_set(&db.execute(SQL).unwrap());
     assert_eq!(serial.len(), 6000);
 
-    db.execute("SET parallelism = 4; SET partition_min_rows = 16; SET morsel_rows = 256").unwrap();
+    db.execute("SET parallelism = 4; SET morsel_rows = 256").unwrap();
     let plan = db.execute(&format!("EXPLAIN {SQL}")).unwrap().text.unwrap();
     assert!(plan.contains("Xchg"), "partials stream through an exchange:\n{plan}");
     let runner = {

@@ -412,10 +412,9 @@ mod differential {
 // ---------------------------------------------------------------------------
 // The hash-build mode matrix. Hash join and hash aggregation each run one
 // partitioned-build state machine (`vw_exec::partition`); what differs
-// between deployments is its configuration — one slot, P slots fanned out
-// on the worker pool (above, across and below the cost gate), or P slots
-// under a memory budget (ample: what every statement under admission
-// control runs; tight: eviction, spill files, recursion). One table-driven
+// between deployments is its configuration — one slot, or P slots under a
+// memory budget (ample: what every statement under admission control runs;
+// tight: eviction, spill files, recursion). One table-driven
 // differential per operator runs every configuration × every join type /
 // aggregate × {NULL-bearing key, multi-column key, dict-coded key} against
 // the tuple-at-a-time volcano engine. The join has a second axis: inside
@@ -452,26 +451,15 @@ mod build_mode_matrix {
     enum Mode {
         /// P = 1.
         Serial,
-        /// P slots, fanned out on a 2-worker pool once `gate` rows arrived.
-        Pooled { shards: usize, gate: usize },
         /// 4 slots under a memory budget of `budget` bytes.
         Governed { budget: usize },
     }
 
     const AMPLE: usize = 1 << 30;
     const TIGHT: usize = 256;
-    /// A cost gate no test input reaches.
-    const NEVER: usize = 1 << 20;
 
-    const MODES: [Mode; 9] = [
+    const MODES: [Mode; 4] = [
         Mode::Serial,
-        Mode::Pooled { shards: 2, gate: 0 },
-        Mode::Pooled { shards: 4, gate: 0 },
-        Mode::Pooled { shards: 8, gate: 0 },
-        // Crossed mid-stream: an aggregate's slots move to the pool with
-        // groups already in them.
-        Mode::Pooled { shards: 4, gate: 100 },
-        Mode::Pooled { shards: 4, gate: NEVER },
         Mode::Governed { budget: AMPLE },
         Mode::Governed { budget: TIGHT },
         Mode::Governed { budget: 1 },
@@ -681,7 +669,6 @@ mod build_mode_matrix {
 
     fn join_in(
         mode: Mode,
-        pool: &Arc<WorkerPool>,
         probe: BoxedOp,
         build: BoxedOp,
         keys: Keys,
@@ -699,9 +686,6 @@ mod build_mode_matrix {
         );
         match mode {
             Mode::Serial => (j, None),
-            Mode::Pooled { shards, gate } => {
-                (j.with_parallel_build(pool.clone(), shards, gate), None)
-            }
             Mode::Governed { budget } => {
                 let (cfg, g) = spill_config(budget);
                 (j.with_spill(cfg), Some(g))
@@ -718,7 +702,6 @@ mod build_mode_matrix {
             (JoinType::LeftAnti, TupleJoinKind::LeftAnti),
             (JoinType::NullAwareLeftAnti, TupleJoinKind::NullAwareLeftAnti),
         ];
-        let pool = WorkerPool::new(2);
         let mut rng = SmallRng::seed_from_u64(0x9a9_d10);
         let left = random_rows(&mut rng, 223, "l");
         let right = random_rows(&mut rng, 157, "r");
@@ -744,7 +727,6 @@ mod build_mode_matrix {
                             format!("{jt:?} on {keys:?}, build NULLs {build_nulls}, {mode:?}");
                         let (mut j, gov) = join_in(
                             mode,
-                            &pool,
                             source(&left, 64, usize::MAX),
                             source(&right, 16, usize::MAX),
                             keys,
@@ -754,12 +736,8 @@ mod build_mode_matrix {
                         let p = Operator::profile(&j).unwrap().clone();
                         match mode {
                             // One table: one shard, nothing to skew.
-                            Mode::Serial | Mode::Pooled { gate: NEVER, .. } => {
+                            Mode::Serial => {
                                 assert_eq!(p.shard_build_rows, vec![build_keys], "{what}")
-                            }
-                            Mode::Pooled { shards, gate } if build_keys as usize >= gate => {
-                                assert_eq!(p.shards(), shards, "{what}");
-                                assert_eq!(p.shard_build_rows.iter().sum::<u64>(), build_keys);
                             }
                             Mode::Governed { budget: AMPLE } => {
                                 assert_eq!(p.shards(), 4, "{what}");
@@ -785,7 +763,6 @@ mod build_mode_matrix {
                             // fails, and all of it comes back on drop.
                             let (mut j, gov) = join_in(
                                 mode,
-                                &pool,
                                 source(&left, 64, 2),
                                 source(&right, 16, usize::MAX),
                                 keys,
@@ -803,7 +780,6 @@ mod build_mode_matrix {
                 }
             }
         }
-        pool.shutdown();
     }
 
     // -----------------------------------------------------------------
@@ -1148,12 +1124,7 @@ mod build_mode_matrix {
         }
     }
 
-    fn agg_in(
-        mode: Mode,
-        pool: &Arc<WorkerPool>,
-        input: BoxedOp,
-        keys: Keys,
-    ) -> (HashAggregate, Option<Governor>) {
+    fn agg_in(mode: Mode, input: BoxedOp, keys: Keys) -> (HashAggregate, Option<Governor>) {
         let v = || Some(ExprProgram::compile(&PhysExpr::ColRef(4, TypeId::I64)));
         let spec = |func, out_ty| AggSpec { func, input: v(), out_ty };
         let mut fields: Vec<Field> =
@@ -1184,9 +1155,6 @@ mod build_mode_matrix {
         .unwrap();
         match mode {
             Mode::Serial => (agg, None),
-            Mode::Pooled { shards, gate } => {
-                (agg.with_parallel_build(pool.clone(), shards, gate), None)
-            }
             Mode::Governed { budget } => {
                 let (cfg, g) = spill_config(budget);
                 (agg.with_spill(cfg), Some(g))
@@ -1196,7 +1164,6 @@ mod build_mode_matrix {
 
     #[test]
     fn hash_aggregate_agrees_with_volcano_in_every_build_mode() {
-        let pool = WorkerPool::new(2);
         let mut rng = SmallRng::seed_from_u64(0x5ca1e);
         let rows = random_rows(&mut rng, 409, "r");
         for keys in [Keys::Single, Keys::Multi, Keys::Dict] {
@@ -1223,13 +1190,11 @@ mod build_mode_matrix {
             for mode in MODES {
                 for chunk in [16usize, 64] {
                     let what = format!("GROUP BY {keys:?}, {mode:?}, chunk {chunk}");
-                    let (mut agg, gov) =
-                        agg_in(mode, &pool, source(&rows, chunk, usize::MAX), keys);
+                    let (mut agg, gov) = agg_in(mode, source(&rows, chunk, usize::MAX), keys);
                     assert_eq!(sort_rows(run(&mut agg).unwrap()), expect, "{what}");
                     let p = Operator::profile(&agg).unwrap().clone();
                     let shards = match mode {
                         Mode::Serial => 1,
-                        Mode::Pooled { shards, .. } => shards,
                         Mode::Governed { .. } => 4,
                     };
                     // (Evicted partitions report through `spill`, not `shards`.)
@@ -1250,7 +1215,7 @@ mod build_mode_matrix {
                         check_governor(g, budget, true, &what);
                         // The same build abandoned mid-stream: the input
                         // fails with groups charged (or spilled).
-                        let (mut agg, gov) = agg_in(mode, &pool, source(&rows, chunk, 3), keys);
+                        let (mut agg, gov) = agg_in(mode, source(&rows, chunk, 3), keys);
                         assert!(run(&mut agg).is_err(), "{what}: failure must surface");
                         drop(agg);
                         check_governor(&gov.unwrap(), budget, false, &what);
@@ -1258,7 +1223,6 @@ mod build_mode_matrix {
                 }
             }
         }
-        pool.shutdown();
     }
 
     // -----------------------------------------------------------------
@@ -1266,7 +1230,7 @@ mod build_mode_matrix {
     // shape that picks a different rung (none, all dict-coded, dict-coded
     // over too wide a domain, dict + BIGINT) × dense and selected batches,
     // over dictionaries that are shared by three batches and then replaced
-    // (a pack seam), against volcano, in the P = 1, pooled and governed
+    // (a pack seam), against volcano, in the P = 1 and governed
     // configurations.
     // -----------------------------------------------------------------
 
@@ -1387,7 +1351,6 @@ mod build_mode_matrix {
     /// [`ladder_schema`]), configured for `mode`.
     fn ladder_agg(
         mode: Mode,
-        pool: &Arc<WorkerPool>,
         input: BoxedOp,
         group: &[usize],
     ) -> (HashAggregate, Option<Governor>) {
@@ -1414,9 +1377,6 @@ mod build_mode_matrix {
         .unwrap();
         match mode {
             Mode::Serial => (agg, None),
-            Mode::Pooled { shards, gate } => {
-                (agg.with_parallel_build(pool.clone(), shards, gate), None)
-            }
             Mode::Governed { budget } => {
                 let (cfg, g) = spill_config(budget);
                 (agg.with_spill(cfg), Some(g))
@@ -1444,17 +1404,11 @@ mod build_mode_matrix {
         collect_rows(&mut vol).map(sort_rows)
     }
 
-    const LADDER_MODES: [Mode; 5] = [
-        Mode::Serial,
-        Mode::Pooled { shards: 4, gate: 0 },
-        Mode::Pooled { shards: 4, gate: 100 },
-        Mode::Governed { budget: AMPLE },
-        Mode::Governed { budget: TIGHT },
-    ];
+    const LADDER_MODES: [Mode; 3] =
+        [Mode::Serial, Mode::Governed { budget: AMPLE }, Mode::Governed { budget: TIGHT }];
 
     #[test]
     fn every_resolution_rung_and_accumulator_kernel_agrees_with_volcano() {
-        let pool = WorkerPool::new(2);
         let mut rng = SmallRng::seed_from_u64(0x1adde2);
         let rows = ladder_rows(&mut rng, 613);
         let shapes: [(&str, &[usize]); 6] = [
@@ -1478,7 +1432,7 @@ mod build_mode_matrix {
                     for chunk in [16usize, 50] {
                         let what = format!("{shape}, select {select}, {mode:?}, chunk {chunk}");
                         let input = ladder_source(&rows, chunk, select);
-                        let (mut agg, gov) = ladder_agg(mode, &pool, input, group);
+                        let (mut agg, gov) = ladder_agg(mode, input, group);
                         assert_eq!(sort_rows(run(&mut agg).unwrap()), expect, "{what}");
                         let p = Operator::profile(&agg).unwrap().clone();
                         if group.iter().all(|&c| c < 3) && !group.is_empty() {
@@ -1497,12 +1451,11 @@ mod build_mode_matrix {
         }
         // No input at all: a global aggregate still answers one row.
         for mode in LADDER_MODES {
-            let (mut agg, _) = ladder_agg(mode, &pool, ladder_source(&[], 16, false), &[]);
+            let (mut agg, _) = ladder_agg(mode, ladder_source(&[], 16, false), &[]);
             assert_eq!(run(&mut agg).unwrap(), ladder_volcano(&[], &[]).unwrap(), "{mode:?}");
-            let (mut agg, _) = ladder_agg(mode, &pool, ladder_source(&[], 16, false), &[0, 1]);
+            let (mut agg, _) = ladder_agg(mode, ladder_source(&[], 16, false), &[0, 1]);
             assert!(run(&mut agg).unwrap().is_empty(), "{mode:?}");
         }
-        pool.shutdown();
     }
 
     #[test]
@@ -1512,7 +1465,6 @@ mod build_mode_matrix {
         // or any `Vector::from_dict` producer): the memo turns it away and
         // the fused single-key kernel must too — it has no flat data.
         const WIDE: usize = 20_000;
-        let pool = WorkerPool::new(2);
         let mut rng = SmallRng::seed_from_u64(0x51de);
         let base = ladder_rows(&mut rng, 613);
         let dict: Arc<Vec<String>> = Arc::new((0..WIDE).map(|i| format!("wide{i:05}")).collect());
@@ -1537,13 +1489,12 @@ mod build_mode_matrix {
                     for (b, ch) in batches.iter_mut().zip(codes.chunks(chunk)) {
                         b.columns[0] = Vector::from_dict(ch.to_vec(), dict.clone(), None);
                     }
-                    let (mut agg, _) = ladder_agg(mode, &pool, ladder_op(batches), &[0]);
+                    let (mut agg, _) = ladder_agg(mode, ladder_op(batches), &[0]);
                     let what = format!("select {select}, {mode:?}, chunk {chunk}");
                     assert_eq!(sort_rows(run(&mut agg).unwrap()), expect, "{what}");
                 }
             }
         }
-        pool.shutdown();
     }
 
     #[test]
@@ -1551,7 +1502,6 @@ mod build_mode_matrix {
         // i64::MAX then 1, in one group whatever the key shape: the dense
         // and the selected kernel, one group and many, raise what volcano
         // raises — also when a later value would bring the sum back.
-        let pool = WorkerPool::new(2);
         let mut rng = SmallRng::seed_from_u64(7);
         let mut rows = ladder_rows(&mut rng, 40);
         for (i, r) in rows.iter_mut().enumerate() {
@@ -1575,7 +1525,7 @@ mod build_mode_matrix {
                 assert!(matches!(ladder_volcano(&live, group), Err(VwError::Overflow(_))));
                 for mode in LADDER_MODES {
                     let input = ladder_source(&rows, 16, select);
-                    let (mut agg, _) = ladder_agg(mode, &pool, input, group);
+                    let (mut agg, _) = ladder_agg(mode, input, group);
                     let got = run(&mut agg);
                     assert!(
                         matches!(got, Err(VwError::Overflow("SUM"))),
@@ -1584,7 +1534,6 @@ mod build_mode_matrix {
                 }
             }
         }
-        pool.shutdown();
     }
 
     /// End-to-end: the same SQL through the full engine at DOP 1 vs 4 —
@@ -1615,7 +1564,6 @@ mod build_mode_matrix {
                 .collect();
             db.execute(&format!("INSERT INTO t VALUES {}", rows.join(", "))).unwrap();
             db.execute(&format!("SET parallelism = {dop}")).unwrap();
-            db.execute("SET partition_min_rows = 0").unwrap();
             db
         };
         let serial = build(1);
@@ -2063,7 +2011,6 @@ mod morsel_differential {
         db.execute(&format!("INSERT INTO t VALUES {}", lits.join(", "))).unwrap();
         db.execute(&format!("SET parallelism = {dop}")).unwrap();
         db.execute(&format!("SET morsel_rows = {morsel_rows}")).unwrap();
-        db.execute("SET partition_min_rows = 0").unwrap();
         db
     }
 
@@ -2549,7 +2496,6 @@ mod optimizer_differential {
                 };
                 for dop in [1usize, 4] {
                     db.execute(&format!("SET parallelism = {dop}")).unwrap();
-                    db.execute("SET partition_min_rows = 0").unwrap();
                     for optimizer in [0, 1] {
                         db.execute(&format!("SET optimizer = {optimizer}")).unwrap();
                         let got =
