@@ -185,14 +185,13 @@ pub struct EngineConfig {
     /// Deterministic fault injection for the simulated device (inactive by
     /// default; see [`FaultConfig`] for the `VW_FAULT_*` env overrides).
     pub faults: FaultConfig,
-    /// Enable the cost-based optimizer passes (statistics-driven join
-    /// ordering, filter pushdown below joins, join-aware column pruning,
-    /// histogram selectivities). `false` falls back to the original
-    /// rule-only pipeline — the escape hatch that keeps the pre-cost-based
-    /// plans reachable for differential testing and plan triage. SET-able
-    /// (`SET optimizer = 0/1`), `VW_OPTIMIZER` env override (so CI can run
-    /// the whole suite against the unoptimized plans). See ARCHITECTURE.md
-    /// ("The optimizer") for what each pass does.
+    /// Let the optimizer read table statistics (distinct counts,
+    /// histograms). `false` plans as if none existed: the same pass list
+    /// runs over schemas and row counts only, exactly as it does when DML
+    /// has left the statistics stale — for plan triage when statistics
+    /// mislead the cost model, and as a differential-testing lane (a
+    /// missing statistic may change plan shape, never answers). SET-able
+    /// (`SET optimizer = 0/1`). See ARCHITECTURE.md ("The optimizer").
     pub optimizer: bool,
 }
 
@@ -206,7 +205,6 @@ impl Default for EngineConfig {
         let mem_budget_bytes = env_usize("VW_MEM_BUDGET").unwrap_or(0);
         let workers = env_usize("VW_WORKERS").unwrap_or(0);
         let global_mem_bytes = env_u64("VW_GLOBAL_MEM").unwrap_or(0);
-        let optimizer = env_usize("VW_OPTIMIZER").is_none_or(|v| v != 0);
         EngineConfig {
             vector_size: crate::DEFAULT_VECTOR_SIZE,
             buffer_pool_bytes: 64 << 20,
@@ -220,7 +218,7 @@ impl Default for EngineConfig {
             global_mem_bytes,
             admission_queue_depth: 16,
             faults: FaultConfig::from_env(),
-            optimizer,
+            optimizer: true,
         }
     }
 }
@@ -296,13 +294,6 @@ impl EngineConfig {
     /// Override the admission queue depth (builder style).
     pub fn with_admission_queue_depth(mut self, depth: usize) -> Self {
         self.admission_queue_depth = depth;
-        self
-    }
-
-    /// Enable or disable the cost-based optimizer passes (builder style;
-    /// `false` = original rule-only pipeline).
-    pub fn with_optimizer(mut self, on: bool) -> Self {
-        self.optimizer = on;
         self
     }
 
@@ -409,12 +400,8 @@ mod tests {
     }
 
     #[test]
-    fn optimizer_defaults_on_and_overrides() {
-        let c = EngineConfig::default();
-        if std::env::var("VW_OPTIMIZER").is_err() {
-            assert!(c.optimizer, "cost-based planning is the default");
-        }
-        assert!(!c.with_optimizer(false).optimizer);
+    fn optimizer_reads_statistics_by_default() {
+        assert!(EngineConfig::default().optimizer, "no env override turns statistics off");
     }
 
     #[test]

@@ -152,8 +152,8 @@ struct QueryWide<'p> {
     /// The memory governor (`None` = no budget: builds run ungoverned).
     spill: Option<QuerySpill>,
     /// The cost model's row estimate of every plan node, from one
-    /// bottom-up pass (`None` under rule-only planning).
-    estimates: Option<PlanEstimates<'p>>,
+    /// bottom-up pass over the view the statement planned against.
+    estimates: PlanEstimates<'p>,
 }
 
 /// The query-wide memory governor, created once per plan when
@@ -195,9 +195,7 @@ pub fn build_plan(
         // fine-grained even at DOP 1 (recursion needs ≥ 2 to split).
         partitions: config.build_partitions().max(8),
     });
-    // Rule-only planning (SET optimizer = 0) has no estimates to show.
-    let estimates =
-        config.optimizer.then(|| Estimator::new(&crate::CatalogSnapshot { db }).estimate_all(plan));
+    let estimates = Estimator::new(&crate::CatalogSnapshot::new(db, config)).estimate_all(plan);
     let query = QueryWide { spill, estimates };
     build_plan_inner(db, plan, config, cancel, txn, None, false, &BatchPool::new(), &query)
 }
@@ -224,8 +222,8 @@ fn build_plan_inner<'p>(
         build_plan_node(db, plan, config, cancel, txn, partition, in_exchange, batch_pool, query)?;
     // Stamp the cost model's row estimate onto the operator's profile so
     // EXPLAIN ANALYZE-style renderings can show estimated vs. actual rows.
-    if let (Some(est), Some(prof)) = (&query.estimates, op.profile_mut()) {
-        prof.est_rows = est.rows(plan).map(|r| r.round() as u64);
+    if let Some(prof) = op.profile_mut() {
+        prof.est_rows = query.estimates.rows(plan).map(|r| r.round() as u64);
     }
     Ok(op)
 }
@@ -339,8 +337,7 @@ fn build_plan_node<'p>(
                 JoinKind::Anti => JoinType::LeftAnti,
                 JoinKind::NullAwareAnti => JoinType::NullAwareLeftAnti,
             };
-            let build_rows =
-                query.estimates.as_ref().and_then(|e| e.rows(right)).map_or(0, |r| r as usize);
+            let build_rows = query.estimates.rows(right).map_or(0, |r| r as usize);
             let side = |plan: &'p LogicalPlan, partition: Option<&mut Partition<'_>>| {
                 build_plan_inner(
                     db,

@@ -323,7 +323,13 @@ impl Database {
                 }
                 cfg.mem_budget_bytes = v as usize;
             }
-            "optimizer" => cfg.optimizer = value.as_i64()? != 0,
+            "optimizer" => {
+                cfg.optimizer = match value.as_i64()? {
+                    0 => false,
+                    1 => true,
+                    _ => return Err(VwError::InvalidParameter("optimizer must be 0 or 1".into())),
+                }
+            }
             "statement_timeout" | "statement_timeout_ms" => {
                 let v = value.as_i64()?;
                 if v < 0 {
@@ -596,25 +602,17 @@ fn run_select(
     explain: ExplainMode,
     sql_label: Option<&str>,
 ) -> Result<QueryResult> {
-    let cat_view = CatalogSnapshot { db };
+    let cat_view = CatalogSnapshot::new(db, &core.cfg);
     let binder = Binder::new(&cat_view);
     let plan = binder.bind_select(stmt)?;
-    let cost_based = core.cfg.optimizer;
-    let plan = optimizer::optimize_with(plan, &cat_view, cost_based)?;
+    let plan = optimizer::optimize(plan, &cat_view)?;
     let rw_cfg = vw_rewriter::RewriterConfig {
         dop: core.cfg.parallelism,
         parallel_threshold_rows: 10_000.0,
     };
     let plan = vw_rewriter::rewrite_plan(plan, &rw_cfg);
     if explain != ExplainMode::Off {
-        // The cost-based pipeline annotates EXPLAIN with its estimates
-        // (documented contract in sql::optimizer); the rule-only path
-        // keeps the original unannotated rendering.
-        let text = if cost_based {
-            optimizer::explain_with_estimates(&plan, &cat_view)
-        } else {
-            plan.explain()
-        };
+        let text = optimizer::explain_with_estimates(&plan, &cat_view);
         if explain == ExplainMode::Plan {
             return Ok(QueryResult {
                 schema: plan.schema().clone(),
@@ -709,9 +707,42 @@ pub(crate) fn execute_plan(
     })
 }
 
-/// Catalog adapter implementing the planner's view.
+/// Catalog adapter implementing the planner's view: the one view a
+/// statement is bound, optimized, explained and compiled against.
 pub(crate) struct CatalogSnapshot<'a> {
-    pub(crate) db: &'a Arc<Database>,
+    db: &'a Arc<Database>,
+    /// `EngineConfig::optimizer`: `false` plans as if no statistics
+    /// existed — the statistics methods answer what a stale snapshot does.
+    statistics: bool,
+}
+
+impl<'a> CatalogSnapshot<'a> {
+    /// The view a statement running under `cfg` plans against.
+    pub(crate) fn new(db: &'a Arc<Database>, cfg: &EngineConfig) -> Self {
+        CatalogSnapshot { db, statistics: cfg.optimizer }
+    }
+
+    /// `f` over column `col` of `table`'s statistics snapshot (built at bulk
+    /// load / CHECKPOINT). `None` when the view plans without statistics
+    /// or the snapshot is stale (DML since the build), so the cost model
+    /// falls back to structural defaults instead of planning against dead
+    /// distinct counts.
+    fn column_stats<R>(
+        &self,
+        table: &str,
+        col: usize,
+        f: impl FnOnce(&vw_storage::stats::ColumnStats) -> Option<R>,
+    ) -> Option<R> {
+        if !self.statistics {
+            return None;
+        }
+        let stats = self.db.catalog.read().get(table)?.stats.clone();
+        let stats = stats.read();
+        if stats.stale {
+            return None;
+        }
+        f(stats.columns.get(col)?)
+    }
 }
 
 impl CatalogView for CatalogSnapshot<'_> {
@@ -728,20 +759,8 @@ impl CatalogView for CatalogSnapshot<'_> {
         })
     }
 
-    // Statistics come from the snapshot built at bulk load / CHECKPOINT.
-    // A stale snapshot (DML since the build) answers `None` for everything
-    // so the cost model falls back to structural defaults instead of
-    // planning against dead distinct counts.
-
     fn column_distinct(&self, table: &str, col: usize) -> Option<u64> {
-        let cat = self.db.catalog.read();
-        let stats = cat.get(table)?.stats.clone();
-        let stats = stats.read();
-        if stats.stale {
-            return None;
-        }
-        let c = stats.columns.get(col)?;
-        (c.n_distinct > 0).then_some(c.n_distinct)
+        self.column_stats(table, col, |c| (c.n_distinct > 0).then_some(c.n_distinct))
     }
 
     fn column_range_selectivity(
@@ -751,25 +770,20 @@ impl CatalogView for CatalogSnapshot<'_> {
         lo: Option<&Value>,
         hi: Option<&Value>,
     ) -> Option<f64> {
-        let cat = self.db.catalog.read();
-        let stats = cat.get(table)?.stats.clone();
-        let stats = stats.read();
-        if stats.stale {
-            return None;
-        }
-        let c = stats.columns.get(col)?;
-        let h = c.histogram.as_ref()?;
-        let lo = match lo {
-            Some(v) => Some(vw_storage::stats::project(v)?),
-            None => None,
-        };
-        let hi = match hi {
-            Some(v) => Some(vw_storage::stats::project(v)?),
-            None => None,
-        };
-        // `sel_lt` is strict; nudge the upper bound so `hi` stays
-        // inclusive under interpolation (matches the hint semantics).
-        Some(h.sel_range(lo, hi.map(|v| v + 1e-9)))
+        self.column_stats(table, col, |c| {
+            let h = c.histogram.as_ref()?;
+            let lo = match lo {
+                Some(v) => Some(vw_storage::stats::project(v)?),
+                None => None,
+            };
+            let hi = match hi {
+                Some(v) => Some(vw_storage::stats::project(v)?),
+                None => None,
+            };
+            // `sel_lt` is strict; nudge the upper bound so `hi` stays
+            // inclusive under interpolation (matches the hint semantics).
+            Some(h.sel_range(lo, hi.map(|v| v + 1e-9)))
+        })
     }
 }
 
@@ -877,6 +891,19 @@ mod tests {
         assert_eq!(db.config().event_log_capacity, 16);
         assert_eq!(db.monitor.event_capacity(), 16, "applies to the live monitor");
         assert!(db.execute("SET event_log_capacity = 0").is_err());
+        db.execute("SET optimizer = 0").unwrap();
+        assert!(!db.config().optimizer);
+        for not_a_switch in ["2", "-1", "9223372036854775807"] {
+            // Any non-zero integer used to switch statistics on.
+            let e = db.execute(&format!("SET optimizer = {not_a_switch}")).unwrap_err();
+            assert!(matches!(e, VwError::InvalidParameter(_)), "{not_a_switch}: {e}");
+            assert!(!db.config().optimizer, "a rejected SET changes nothing");
+        }
+        db.execute("CREATE TABLE k (a BIGINT)").unwrap();
+        db.execute("INSERT INTO k VALUES (1), (2)").unwrap();
+        assert_eq!(db.execute("SELECT COUNT(*) FROM k").unwrap().scalar().unwrap(), &Value::I64(2));
+        db.execute("SET optimizer = 1").unwrap();
+        assert!(db.config().optimizer);
     }
 
     #[test]

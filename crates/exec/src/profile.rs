@@ -15,7 +15,7 @@
 //! |-----------|---------|----------------------|
 //! | `calls`   | `next()` invocations that returned a batch ([`OpProfile::invocations`]). | ≈ `rows / vector_size`; far higher means many empty probe batches. |
 //! | `rows`    | live rows across all returned batches ([`OpProfile::rows_out`]). | — |
-//! | `est`     | the optimizer's estimated output rows for this operator ([`OpProfile::est_rows`]), filled at compile time from the statistics-driven cost model; `-` when the cost-based optimizer was off (`SET optimizer = 0`) or the operator has no plan-node counterpart. | compare with `rows`: a large ratio either way marks the estimate that misled join ordering or build-side choice — rebuild statistics (CHECKPOINT) if DML left them stale. |
+//! | `est`     | the optimizer's estimated output rows for this operator ([`OpProfile::est_rows`]), filled at compile time from the cost model the statement planned with (default selectivities where statistics are stale or `SET optimizer = 0`); `-` when the operator has no plan-node counterpart. | compare with `rows`: a large ratio either way marks the estimate that misled join ordering or build-side choice — rebuild statistics (CHECKPOINT) if DML left them stale. |
 //! | `time`    | wall time inside this operator's `next()` plus internal phases like hash build ([`OpProfile::time`]); children measured separately. | — |
 //! | `chain`   | average hash-chain entries visited per probed key ([`OpProfile::avg_chain_len`]); `-` for operators without a probe phase. | near 1.00 is healthy; growth signals a clustered hash or under-sized directory. |
 //! | `progs`   | compiled expression programs executed, one per expression per batch ([`OpProfile::expr_programs`]). | — |
@@ -40,8 +40,8 @@ pub struct OpProfile {
     /// Rows produced (live rows across all returned batches).
     pub rows_out: u64,
     /// The optimizer's estimated output rows, stamped at compile time by
-    /// the cost-based planner (`None` when planning ran rule-only or the
-    /// operator has no logical-plan counterpart). Comparing against
+    /// the planner (`None` when the operator has no logical-plan
+    /// counterpart). Comparing against
     /// [`rows_out`](OpProfile::rows_out) is the estimate-quality
     /// observable.
     pub est_rows: Option<u64>,

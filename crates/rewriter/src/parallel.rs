@@ -269,6 +269,24 @@ fn build_parallel_aggregate(
 mod tests {
     use super::*;
     use vw_common::Value;
+    use vw_sql::CatalogView;
+
+    /// A catalog that knows no table: EXPLAIN falls back to its defaults.
+    struct NoTables;
+
+    impl CatalogView for NoTables {
+        fn table_schema(&self, _: &str) -> Option<Schema> {
+            None
+        }
+
+        fn table_rows(&self, _: &str) -> Option<u64> {
+            None
+        }
+    }
+
+    fn explain(plan: &LogicalPlan) -> String {
+        vw_sql::optimizer::explain_with_estimates(plan, &NoTables)
+    }
 
     fn scan() -> LogicalPlan {
         LogicalPlan::Scan {
@@ -313,7 +331,7 @@ mod tests {
     fn aggregate_parallelized_with_partial_final() {
         let cfg = RewriterConfig { dop: 4, parallel_threshold_rows: 0.0 };
         let out = parallelize(agg_plan(), &cfg);
-        let text = out.explain();
+        let text = explain(&out);
         assert!(text.contains("Xchg dop=4"), "{text}");
         // Project(finalize) over Aggr(final) over Xchg over Aggr(partial).
         let mut lines = text.lines();
@@ -359,7 +377,7 @@ mod tests {
         };
         let cfg = RewriterConfig { dop: 8, parallel_threshold_rows: 0.0 };
         let out = parallelize(plan, &cfg);
-        assert!(!out.explain().contains("Xchg"));
+        assert!(!explain(&out).contains("Xchg"));
     }
 
     #[test]
@@ -373,7 +391,7 @@ mod tests {
         };
         let cfg = RewriterConfig { dop: 2, parallel_threshold_rows: 0.0 };
         let out = parallelize(join, &cfg);
-        assert!(out.explain().contains("Xchg"), "aggregate under join parallelizes");
+        assert!(explain(&out).contains("Xchg"), "aggregate under join parallelizes");
     }
 
     fn scan_join_scan() -> LogicalPlan {
@@ -390,7 +408,7 @@ mod tests {
     fn probe_partitionable_join_gets_exchange() {
         let cfg = RewriterConfig { dop: 4, parallel_threshold_rows: 0.0 };
         let out = parallelize(scan_join_scan(), &cfg);
-        let text = out.explain();
+        let text = explain(&out);
         assert!(text.starts_with("Xchg dop=4"), "join fragment wrapped: {text}");
         assert_eq!(out.schema(), scan_join_scan().schema(), "schema preserved");
     }
@@ -411,7 +429,7 @@ mod tests {
         };
         let cfg = RewriterConfig { dop: 2, parallel_threshold_rows: 0.0 };
         let out = parallelize(plan, &cfg);
-        let text = out.explain();
+        let text = explain(&out);
         assert!(text.contains("Xchg dop=2"), "{text}");
         assert_eq!(text.matches("Aggr").count(), 2, "partial + final: {text}");
     }
@@ -422,9 +440,9 @@ mod tests {
         let cfg = RewriterConfig { dop: 4, parallel_threshold_rows: 0.0 };
         let out = parallelize(plan, &cfg);
         assert!(
-            !out.explain().contains("Xchg"),
+            !explain(&out).contains("Xchg"),
             "LIMIT's first-k rows must stay deterministic: {}",
-            out.explain()
+            explain(&out)
         );
     }
 
@@ -434,7 +452,7 @@ mod tests {
             LogicalPlan::Sort { input: Box::new(scan_join_scan()), keys: vec![(0, true, false)] };
         let cfg = RewriterConfig { dop: 2, parallel_threshold_rows: 0.0 };
         let out = parallelize(plan, &cfg);
-        assert!(out.explain().contains("Xchg"), "sort re-materializes: {}", out.explain());
+        assert!(explain(&out).contains("Xchg"), "sort re-materializes: {}", explain(&out));
     }
 
     #[test]
@@ -456,6 +474,6 @@ mod tests {
         };
         let cfg = RewriterConfig { dop: 4, parallel_threshold_rows: 0.0 };
         let out = parallelize(plan, &cfg);
-        assert!(!out.explain().contains("Xchg"), "{}", out.explain());
+        assert!(!explain(&out).contains("Xchg"), "{}", explain(&out));
     }
 }

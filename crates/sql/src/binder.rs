@@ -31,13 +31,14 @@ const OUTER_BASE: usize = 1 << 24;
 /// Read-only view of the catalog the binder and optimizer need.
 ///
 /// The two schema/row methods are required (the binder cannot work without
-/// them); the statistics methods have conservative `None` defaults so
-/// lightweight implementers (mock catalogs, the DML helper views) keep
-/// compiling while the engine's catalog adapter serves real numbers from
-/// `vw_storage::stats`. Returning `None` from a statistics method makes
-/// the cost model fall back to its structural defaults — implementers
-/// should also return `None` when their statistics are stale (DML since
-/// the last rebuild), so the planner never consumes dead numbers.
+/// them); the statistics methods default to `None`, which is how a view
+/// says "no statistics": lightweight implementers (mock catalogs, the DML
+/// helper views) answer it always, the engine's catalog adapter serves
+/// real numbers from `vw_storage::stats` and answers `None` when they are
+/// stale (DML since the last rebuild) or when the session plans without
+/// statistics (`SET optimizer = 0`). The estimator then takes its fixed
+/// default selectivities and assumes unique join keys; the plan may
+/// change shape, the answers may not.
 pub trait CatalogView {
     /// Schema of `name`, if the table exists.
     fn table_schema(&self, name: &str) -> Option<Schema>;
@@ -1779,10 +1780,14 @@ mod tests {
         Binder::new(&MockCatalog).bind_select(s)
     }
 
+    fn explain(plan: &LogicalPlan) -> String {
+        crate::optimizer::explain_with_estimates(plan, &MockCatalog)
+    }
+
     #[test]
     fn simple_select() {
         let p = bind("SELECT id, qty + 1 FROM t WHERE qty > 5").unwrap();
-        let text = p.explain();
+        let text = explain(&p);
         assert!(text.contains("Project"));
         assert!(text.contains("Select"));
         assert!(text.contains("Scan t"));
@@ -1816,7 +1821,7 @@ mod tests {
     fn aggregate_binding() {
         let p = bind("SELECT name, SUM(qty), COUNT(*) FROM t GROUP BY name HAVING SUM(qty) > 10")
             .unwrap();
-        let text = p.explain();
+        let text = explain(&p);
         assert!(text.contains("Aggr groups=1 aggs=2"));
         assert!(text.contains("Select")); // HAVING
         assert_eq!(p.schema().field(1).ty, TypeId::I64);
@@ -1837,7 +1842,7 @@ mod tests {
     #[test]
     fn join_binding_and_left_nullability() {
         let p = bind("SELECT t.id, s.v FROM t LEFT JOIN s ON t.id = s.id").unwrap();
-        let text = p.explain();
+        let text = explain(&p);
         assert!(text.contains("HashJoin Left"));
         assert_eq!(p.schema().len(), 2);
     }
@@ -1850,23 +1855,23 @@ mod tests {
     #[test]
     fn in_subquery_becomes_semi_join() {
         let p = bind("SELECT id FROM t WHERE id IN (SELECT id FROM s)").unwrap();
-        assert!(p.explain().contains("HashJoin Semi"));
+        assert!(explain(&p).contains("HashJoin Semi"));
         let p = bind("SELECT id FROM t WHERE id NOT IN (SELECT id FROM s)").unwrap();
-        assert!(p.explain().contains("HashJoin NullAwareAnti"));
+        assert!(explain(&p).contains("HashJoin NullAwareAnti"));
     }
 
     #[test]
     fn exists_becomes_semi_join_on_const() {
         let p = bind("SELECT id FROM t WHERE EXISTS (SELECT id FROM s)").unwrap();
-        assert!(p.explain().contains("HashJoin Semi"));
+        assert!(explain(&p).contains("HashJoin Semi"));
         let p = bind("SELECT id FROM t WHERE NOT EXISTS (SELECT id FROM s)").unwrap();
-        assert!(p.explain().contains("HashJoin Anti"));
+        assert!(explain(&p).contains("HashJoin Anti"));
     }
 
     #[test]
     fn order_by_and_limit() {
         let p = bind("SELECT id, qty FROM t ORDER BY qty DESC, 1 ASC LIMIT 5 OFFSET 2").unwrap();
-        let text = p.explain();
+        let text = explain(&p);
         assert!(text.contains("Limit 5 offset 2"));
         assert!(text.contains("Sort keys=[(1, false, true), (0, true, false)]"));
     }
@@ -1901,6 +1906,6 @@ mod tests {
     #[test]
     fn in_list_binds_with_promotion() {
         let p = bind("SELECT id FROM t WHERE qty IN (1, 2, 3)").unwrap();
-        assert!(p.explain().contains("Select"));
+        assert!(explain(&p).contains("Select"));
     }
 }

@@ -6,10 +6,12 @@
 //! pipeline stage: a hand-written SQL [lexer]/[parser], a
 //! [binder] that resolves names and types against a catalog and
 //! produces a typed [logical plan](plan), and a histogram-driven
-//! [optimizer] doing constant folding, predicate pushdown,
+//! [optimizer] doing decorrelation, constant folding, predicate pushdown,
 //! projection pruning, selectivity-ordered greedy join ordering and
-//! functional-dependency-based GROUP BY simplification — the features the
-//! paper explicitly says were added to the Ingres optimizer.
+//! build-side choice in one pass list — the kind of features the paper
+//! says were added to the Ingres optimizer. Without statistics
+//! (`SET optimizer = 0`, or after DML made them stale) the same passes
+//! run on default selectivities.
 //!
 //! Subqueries follow the paper's join-based treatment: `IN (SELECT …)`
 //! binds to a **left semi join**, `EXISTS` likewise, `NOT EXISTS` to a left

@@ -1,32 +1,28 @@
 //! The "Ingres Optimizer (heavily modified)" stage: histogram-driven,
 //! cost-based logical optimization.
 //!
-//! Two pipelines share a common prefix (constant folding, GROUP BY
-//! simplification, filter merging) and then diverge on the `optimizer`
-//! engine knob (`SET optimizer = 0/1`, `VW_OPTIMIZER`):
+//! [`optimize`] runs one pass list over the bound plan:
 //!
-//! * **Rule-only** (`optimizer = 0`): predicate-to-hint extraction,
-//!   scan projection pruning and a structural join build-side choice —
-//!   the original pipeline, kept reachable so plans can be compared.
-//! * **Cost-based** (`optimizer = 1`, default): additionally
-//!   1. **Filter pushdown below joins** — error-free conjuncts sink
-//!      through projections and join inputs until they sit directly above
-//!      the scans they constrain (where the hint extractor turns them
-//!      into MinMax pack-skip decisions);
-//!   2. **Join reordering** — inner equi-join chains are flattened and
-//!      rebuilt greedily, smallest estimated intermediate result first,
-//!      using per-column distinct counts and histogram selectivities from
-//!      [`CatalogView`];
-//!   3. **Join-aware projection pruning** — unused columns are dropped
-//!      through joins and projections, not just at scans;
-//!   4. **Build-side choice by estimated cardinality** — via
-//!      [`Estimator`] instead of the structural row proxy.
+//! 1. **Decorrelation** — every Apply becomes a hash join;
+//! 2. **Constant folding** and **filter merging**;
+//! 3. **Filter pushdown below joins** — error-free conjuncts sink through
+//!    projections and join inputs until they sit directly above the scans
+//!    they constrain;
+//! 4. **Join reordering** — inner equi-join chains are flattened and
+//!    rebuilt greedily, smallest estimated intermediate result first;
+//! 5. **Scan hints** — range/equality conjuncts over scans become MinMax
+//!    pack-skip decisions;
+//! 6. **Join-aware projection pruning** — unused columns are dropped
+//!    through joins and projections, not just at scans;
+//! 7. **Build-side choice** by the [`Estimator`]'s cardinalities.
 //!
 //! Estimates come from `storage::stats` (row counts, distinct counts,
 //! equi-depth histograms) surfaced through the [`CatalogView`] trait; a
 //! stale or missing statistic degrades to the structural defaults, never
-//! to an error. The full cost model, rule catalog and a worked
-//! life-of-a-query are documented in ARCHITECTURE.md ("The optimizer").
+//! to an error. `SET optimizer = 0` is the same list planned as if no
+//! statistics existed ([`optimize_with`]). The full cost model, pass list
+//! and a worked life-of-a-query are documented in ARCHITECTURE.md ("The
+//! optimizer").
 
 use crate::binder::CatalogView;
 use crate::expr::{CmpOp, SqlExpr};
@@ -44,37 +40,47 @@ const DEFAULT_EQ_SEL: f64 = 0.1;
 /// enumeration is linear, but estimate quality decays with depth).
 const MAX_REORDER_LEAVES: usize = 8;
 
-/// Run all optimization passes (cost-based pipeline).
+/// Run the optimizer's pass list, estimating from `catalog`.
 pub fn optimize(plan: LogicalPlan, catalog: &dyn CatalogView) -> Result<LogicalPlan> {
-    optimize_with(plan, catalog, true)
-}
-
-/// Run the optimizer with an explicit pipeline choice.
-///
-/// `cost_based = false` reproduces the original rule-only pipeline
-/// exactly (the `SET optimizer = 0` escape hatch); `true` adds filter
-/// pushdown below joins, statistics-driven join reordering, join-aware
-/// column pruning and cardinality-based build-side choice.
-pub fn optimize_with(
-    plan: LogicalPlan,
-    catalog: &dyn CatalogView,
-    cost_based: bool,
-) -> Result<LogicalPlan> {
     let plan = decorrelate(plan)?;
     let plan = fold_constants_plan(plan)?;
-    let plan = simplify_group_by(plan);
     let plan = merge_filters(plan);
-    if !cost_based {
-        let plan = push_hints(plan);
-        let plan = prune_projections(plan, false)?;
-        return Ok(choose_build_side(plan, &|p| estimate_rows(p, catalog)));
-    }
     let plan = push_filters(plan)?;
     let est = Estimator::new(catalog);
     let plan = reorder_joins(plan, &est)?;
     let plan = push_hints(plan);
-    let plan = prune_projections(plan, true)?;
-    Ok(choose_build_side(plan, &|p| est.rows(p)))
+    let plan = prune_projections(plan)?;
+    Ok(choose_build_side(plan, &est))
+}
+
+/// [`optimize`] with (`statistics = true`) or without the catalog's
+/// statistics. Without, the same passes plan over schemas and row counts
+/// alone — what a stale statistics snapshot answers — so every estimate
+/// takes its structural default.
+pub fn optimize_with(
+    plan: LogicalPlan,
+    catalog: &dyn CatalogView,
+    statistics: bool,
+) -> Result<LogicalPlan> {
+    if statistics {
+        optimize(plan, catalog)
+    } else {
+        optimize(plan, &NoStatistics(catalog))
+    }
+}
+
+/// `catalog` with its statistics hidden: schemas and row counts pass
+/// through, every statistics method keeps its `None` default.
+struct NoStatistics<'a>(&'a dyn CatalogView);
+
+impl CatalogView for NoStatistics<'_> {
+    fn table_schema(&self, name: &str) -> Option<Schema> {
+        self.0.table_schema(name)
+    }
+
+    fn table_rows(&self, name: &str) -> Option<u64> {
+        self.0.table_rows(name)
+    }
 }
 
 /// Rebuild `plan` with `f` applied to each direct child; leaves pass
@@ -131,7 +137,7 @@ fn map_inputs(
 
 /// Lower every binder-emitted [`Apply`](LogicalPlan::Apply) to a hash
 /// join — the paper's rewriter does all unnesting before the operators
-/// ever see a plan. Runs first, in *both* pipelines, so downstream
+/// ever see a plan. Runs first, so downstream
 /// passes (pushdown, reordering, pruning, build-side choice) only ever
 /// see join trees. Compile rejects any surviving Apply.
 ///
@@ -340,31 +346,6 @@ fn eval_const_arith(op: crate::expr::BinOp, a: &Value, b: &Value, ty: TypeId) ->
             }
         };
         Some(Value::I64(v))
-    }
-}
-
-// ---------------------------------------------------------------------------
-// group-by simplification (FD-lite)
-// ---------------------------------------------------------------------------
-
-fn simplify_group_by(plan: LogicalPlan) -> LogicalPlan {
-    match plan {
-        LogicalPlan::Aggregate { input, group, aggs, schema } => {
-            let input = Box::new(simplify_group_by(*input));
-            // Constant keys contribute nothing to grouping; duplicates are
-            // functionally dependent on their first occurrence. The output
-            // schema must keep the original arity, so we only drop keys when
-            // the binder has already deduplicated (it has) and constants
-            // remain. Constants are kept in the schema by re-projecting —
-            // to stay simple we only drop them when no consumer could see a
-            // difference: group arity must stay in sync with the schema, so
-            // constants are replaced by grouping on a single shared constant
-            // at most.
-            let _ = &group;
-            LogicalPlan::Aggregate { input, group, aggs, schema }
-        }
-        other => map_inputs(other, &mut |c| Ok(simplify_group_by(c)))
-            .expect("simplify_group_by is infallible"),
     }
 }
 
@@ -857,18 +838,17 @@ fn build_greedy_join(
 // projection pruning
 // ---------------------------------------------------------------------------
 
-/// Drop columns no consumer references. With `join_aware = false` only
-/// Filter→Scan pipelines narrow (the original rule); with `true` the
-/// narrowing also traverses projections and both join inputs, so wide
+/// Drop columns no consumer references. The narrowing traverses filters,
+/// projections and both join inputs down to the scans, so wide
 /// intermediate results shrink before materialization.
-fn prune_projections(plan: LogicalPlan, join_aware: bool) -> Result<LogicalPlan> {
+fn prune_projections(plan: LogicalPlan) -> Result<LogicalPlan> {
     match plan {
         LogicalPlan::Project { input, exprs, schema } => {
             let mut needed = Vec::new();
             for e in &exprs {
                 e.collect_cols(&mut needed);
             }
-            let (input, remap) = narrow(*input, needed, join_aware)?;
+            let (input, remap) = narrow(*input, needed)?;
             let exprs = exprs.iter().map(|e| e.remap_cols(&|i| remap(i))).collect::<Result<_>>()?;
             Ok(LogicalPlan::Project { input: Box::new(input), exprs, schema })
         }
@@ -882,7 +862,7 @@ fn prune_projections(plan: LogicalPlan, join_aware: bool) -> Result<LogicalPlan>
                     e.collect_cols(&mut needed);
                 }
             }
-            let (input, remap) = narrow(*input, needed, join_aware)?;
+            let (input, remap) = narrow(*input, needed)?;
             let group = group.iter().map(|e| e.remap_cols(&|i| remap(i))).collect::<Result<_>>()?;
             let aggs = aggs
                 .iter()
@@ -899,7 +879,7 @@ fn prune_projections(plan: LogicalPlan, join_aware: bool) -> Result<LogicalPlan>
                 .collect::<Result<_>>()?;
             Ok(LogicalPlan::Aggregate { input: Box::new(input), group, aggs, schema })
         }
-        other => map_inputs(other, &mut |c| prune_projections(c, join_aware)),
+        other => map_inputs(other, &mut prune_projections),
     }
 }
 
@@ -910,7 +890,6 @@ fn prune_projections(plan: LogicalPlan, join_aware: bool) -> Result<LogicalPlan>
 fn narrow(
     plan: LogicalPlan,
     mut needed: Vec<usize>,
-    join_aware: bool,
 ) -> Result<(LogicalPlan, Box<dyn Fn(usize) -> Option<usize>>)> {
     needed.sort_unstable();
     needed.dedup();
@@ -944,11 +923,11 @@ fn narrow(
             // The filter needs its own columns too.
             let mut all = needed.clone();
             predicate.collect_cols(&mut all);
-            let (inner, remap) = narrow(*input, all, join_aware)?;
+            let (inner, remap) = narrow(*input, all)?;
             let predicate = predicate.remap_cols(&|i| remap(i))?;
             Ok((LogicalPlan::Filter { input: Box::new(inner), predicate }, remap))
         }
-        LogicalPlan::Project { input, exprs, schema } if join_aware => {
+        LogicalPlan::Project { input, exprs, schema } => {
             // Keep only the referenced output expressions; compute what
             // they read and narrow below.
             let mut kept = needed;
@@ -960,7 +939,7 @@ fn narrow(
             for e in &new_exprs {
                 e.collect_cols(&mut sub);
             }
-            let (input, imap) = narrow(*input, sub, join_aware)?;
+            let (input, imap) = narrow(*input, sub)?;
             let new_exprs =
                 new_exprs.iter().map(|e| e.remap_cols(&|i| imap(i))).collect::<Result<Vec<_>>>()?;
             let new_schema = schema.project(&kept);
@@ -975,7 +954,7 @@ fn narrow(
                 Box::new(move |i| map.get(&i).copied()),
             ))
         }
-        LogicalPlan::Join { left, right, kind, keys, schema } if join_aware => {
+        LogicalPlan::Join { left, right, kind, keys, schema } => {
             let lw = left.schema().len();
             let rw = right.schema().len();
             // Semi/anti joins output the left side only; the right side
@@ -994,8 +973,8 @@ fn narrow(
                 lk.collect_cols(&mut lneed);
                 rk.collect_cols(&mut rneed);
             }
-            let (left, lmap) = narrow(*left, lneed, join_aware)?;
-            let (right, rmap) = narrow(*right, rneed, join_aware)?;
+            let (left, lmap) = narrow(*left, lneed)?;
+            let (right, rmap) = narrow(*right, rneed)?;
             let keys = keys
                 .iter()
                 .map(|(lk, rk)| Ok((lk.remap_cols(&|i| lmap(i))?, rk.remap_cols(&|i| rmap(i))?)))
@@ -1031,7 +1010,7 @@ fn narrow(
             Ok((plan, Box::new(map)))
         }
         other => {
-            let other = prune_projections(other, join_aware)?;
+            let other = prune_projections(other)?;
             Ok((other, Box::new(Some)))
         }
     }
@@ -1040,53 +1019,6 @@ fn narrow(
 // ---------------------------------------------------------------------------
 // cardinality estimation
 // ---------------------------------------------------------------------------
-
-/// Structural row estimate used by the rule-only pipeline: table row
-/// counts at scans, fixed fractions everywhere else. Kept bit-for-bit so
-/// `SET optimizer = 0` reproduces the original plans.
-fn estimate_rows(plan: &LogicalPlan, catalog: &dyn CatalogView) -> f64 {
-    match plan {
-        LogicalPlan::Scan { table, .. } => catalog.table_rows(table).unwrap_or(1000) as f64,
-        LogicalPlan::Filter { input, .. } => 0.3 * estimate_rows(input, catalog),
-        LogicalPlan::Project { input, .. } | LogicalPlan::Sort { input, .. } => {
-            estimate_rows(input, catalog)
-        }
-        LogicalPlan::Join { left, right, kind, .. } => match kind {
-            JoinKind::Semi | JoinKind::Anti | JoinKind::NullAwareAnti => {
-                0.5 * estimate_rows(left, catalog)
-            }
-            _ => {
-                let l = estimate_rows(left, catalog);
-                let r = estimate_rows(right, catalog);
-                (l * r).sqrt().max(l.max(r) * 0.1)
-            }
-        },
-        LogicalPlan::Aggregate { input, group, .. } => {
-            if group.is_empty() {
-                1.0
-            } else {
-                (estimate_rows(input, catalog) / 10.0).max(1.0)
-            }
-        }
-        LogicalPlan::Limit { input, limit, .. } => {
-            (estimate_rows(input, catalog)).min(*limit as f64)
-        }
-        LogicalPlan::Values { rows, .. } => rows.len() as f64,
-        LogicalPlan::Exchange { input, .. } => estimate_rows(input, catalog),
-        LogicalPlan::SetOp { op, inputs, .. } => {
-            let vals: Vec<f64> = inputs.iter().map(|i| estimate_rows(i, catalog)).collect();
-            match op {
-                SetOpKind::Union | SetOpKind::UnionAll => vals.iter().sum(),
-                SetOpKind::Intersect => vals.iter().copied().fold(f64::INFINITY, f64::min),
-                SetOpKind::Except => vals.first().copied().unwrap_or(1.0),
-            }
-        }
-        LogicalPlan::Apply { input, kind, .. } => match kind {
-            ApplyKind::In | ApplyKind::Exists { .. } => 0.5 * estimate_rows(input, catalog),
-            ApplyKind::Scalar => estimate_rows(input, catalog),
-        },
-    }
-}
 
 /// Statistics-backed cardinality estimator.
 ///
@@ -1345,13 +1277,13 @@ fn base_column(plan: &LogicalPlan, col: usize) -> Option<(&str, usize)> {
 // join build-side choice
 // ---------------------------------------------------------------------------
 
-fn choose_build_side(plan: LogicalPlan, est: &dyn Fn(&LogicalPlan) -> f64) -> LogicalPlan {
+fn choose_build_side(plan: LogicalPlan, est: &Estimator) -> LogicalPlan {
     match plan {
         LogicalPlan::Join { left, right, kind, keys, schema } => {
             let left = Box::new(choose_build_side(*left, est));
             let right = Box::new(choose_build_side(*right, est));
             // Only inner joins are symmetric enough to swap.
-            if kind == JoinKind::Inner && est(&left) < est(&right) {
+            if kind == JoinKind::Inner && est.rows(&left) < est.rows(&right) {
                 let lwidth = left.schema().len();
                 let rwidth = right.schema().len();
                 // Swap sides; output schema must keep the original order, so
@@ -1378,32 +1310,19 @@ fn choose_build_side(plan: LogicalPlan, est: &dyn Fn(&LogicalPlan) -> f64) -> Lo
     }
 }
 
-/// Estimated output rows of a plan, using the structural model; exposed
-/// for the rewriter's parallelization cost check.
-pub fn estimate_plan_rows(plan: &LogicalPlan, catalog: &dyn CatalogView) -> f64 {
-    estimate_rows(plan, catalog)
-}
-
-/// Guard: optimization must never change the output schema.
-pub fn check_schema_preserved(before: &LogicalPlan, after: &LogicalPlan) -> Result<()> {
-    if before.schema() != after.schema() {
-        return Err(VwError::Plan(format!(
-            "optimizer changed output schema:\n  before {:?}\n  after  {:?}",
-            before.schema(),
-            after.schema()
-        )));
-    }
-    Ok(())
-}
-
 // ---------------------------------------------------------------------------
-// EXPLAIN with estimates
+// EXPLAIN
 // ---------------------------------------------------------------------------
 
-/// Render an EXPLAIN tree annotated with the cost model's estimates.
+/// Render an EXPLAIN tree annotated with the cost model's estimates —
+/// the engine's one plan renderer, whatever the `optimizer` setting.
 ///
 /// Output contract (each line, byte-exact — golden-tested):
 ///
+/// * one line per node, indented two spaces per level: `Select`,
+///   `Project [n exprs]`, `HashJoin <kind> on n key(s)`, `Aggr groups=g
+///   aggs=a`, `Sort keys=..`, `Limit n offset m`, `Values [n rows]`,
+///   `Xchg dop=n`, `SetOp <kind> [n inputs]`, `Apply <kind> on n key(s)`;
 /// * every node carries ` est~N` — its estimated output rows, rounded;
 /// * `Scan` lines read `Scan <table> cols=<projected>/<base-width>
 ///   hints=<n> [<pred> & ...]`, where the bracketed list renders the
@@ -1412,9 +1331,6 @@ pub fn check_schema_preserved(before: &LogicalPlan, after: &LogicalPlan) -> Resu
 /// * join children are prefixed with their runtime role: `probe:` for
 ///   the left (streamed) input, `build:` for the right (hash-table)
 ///   input.
-///
-/// All other node lines match [`LogicalPlan::explain`], which the
-/// rule-only pipeline (`SET optimizer = 0`) keeps emitting unchanged.
 pub fn explain_with_estimates(plan: &LogicalPlan, catalog: &dyn CatalogView) -> String {
     let est = Estimator::new(catalog).estimate_all(plan);
     let mut out = String::new();
@@ -1575,26 +1491,28 @@ mod tests {
         Binder::new(&MockCatalog).bind_select(s).unwrap()
     }
 
-    fn plan_for(sql: &str) -> LogicalPlan {
+    /// `sql` bound and optimized with (`statistics`) or without the mock
+    /// catalog's statistics.
+    fn plan_with(sql: &str, statistics: bool) -> LogicalPlan {
         let plan = bound(sql);
         let before_schema = plan.schema().clone();
-        let optimized = optimize(plan, &MockCatalog).unwrap();
+        let optimized = optimize_with(plan, &MockCatalog, statistics).unwrap();
         assert_eq!(optimized.schema(), &before_schema, "schema must be stable");
         optimized
     }
 
-    fn plan_rule_only(sql: &str) -> LogicalPlan {
-        let plan = bound(sql);
-        let before_schema = plan.schema().clone();
-        let optimized = optimize_with(plan, &MockCatalog, false).unwrap();
-        assert_eq!(optimized.schema(), &before_schema, "schema must be stable");
-        optimized
+    fn plan_for(sql: &str) -> LogicalPlan {
+        plan_with(sql, true)
+    }
+
+    fn explain(plan: &LogicalPlan) -> String {
+        explain_with_estimates(plan, &MockCatalog)
     }
 
     #[test]
     fn constant_folding_removes_true_filters() {
         let p = plan_for("SELECT id FROM big WHERE 1 + 1 = 2");
-        assert!(!p.explain().contains("Select"), "{}", p.explain());
+        assert!(!explain(&p).contains("Select"), "{}", explain(&p));
     }
 
     #[test]
@@ -1608,14 +1526,14 @@ mod tests {
     #[test]
     fn hints_pushed_to_scan() {
         let p = plan_for("SELECT a FROM big WHERE id >= 100 AND id < 200 AND b LIKE 'x%'");
-        let text = p.explain();
+        let text = explain(&p);
         assert!(text.contains("hints=2"), "{text}");
     }
 
     #[test]
     fn projection_pruned_to_used_columns() {
         let p = plan_for("SELECT a FROM big WHERE id > 5");
-        let text = p.explain();
+        let text = explain(&p);
         // Only id (0) and a (1) should be read, not b, c.
         assert!(text.contains("cols=[0, 1]"), "{text}");
     }
@@ -1694,28 +1612,20 @@ mod tests {
     }
 
     #[test]
-    fn rule_only_pipeline_keeps_syntactic_join_order() {
-        let p = plan_rule_only(
+    fn blind_planning_orders_joins_by_row_counts() {
+        // Without distinct counts every key is assumed unique, so a join's
+        // estimate is its smaller side: the chain still starts from
+        // mid ⋈ small and still probes with big.
+        let p = plan_with(
             "SELECT COUNT(*) FROM big \
              JOIN mid ON big.id = mid.id \
              JOIN small ON mid.id = small.id",
+            false,
         );
-        // The rule-only path never reorders the chain: the plan stays
-        // left-deep, so the top join's build side is a single table.
-        let mut node = &p;
-        let build = loop {
-            match node {
-                LogicalPlan::Join { right, .. } => break right,
-                other => node = other.children()[0],
-            }
-        };
-        let mut build_tables = Vec::new();
-        scan_tables(build, &mut build_tables);
-        assert_eq!(
-            build_tables,
-            vec!["small"],
-            "rule-only path must keep the syntactic left-deep shape"
-        );
+        let text = explain(&p);
+        let probe = text.find("probe: Scan big").expect("big streams");
+        let build = text.find("build: HashJoin").expect("the small join builds");
+        assert!(probe < build, "{text}");
     }
 
     #[test]
@@ -1724,7 +1634,7 @@ mod tests {
             "SELECT big.a FROM big JOIN small ON big.id = small.id \
              WHERE big.a > 10 AND small.a < 5",
         );
-        let text = p.explain();
+        let text = explain(&p);
         assert_eq!(
             text.matches("hints=1").count(),
             2,
@@ -1736,7 +1646,7 @@ mod tests {
     fn error_prone_predicates_stay_above_join() {
         let p =
             plan_for("SELECT big.a FROM big JOIN small ON big.id = small.id WHERE 10 / big.a > 1");
-        let text = p.explain();
+        let text = explain(&p);
         let select = text.find("Select").expect("filter survives");
         let join = text.find("HashJoin").expect("join survives");
         assert!(select < join, "division must not be evaluated on pre-join rows:\n{text}");
@@ -1774,12 +1684,34 @@ mod tests {
     #[test]
     fn explain_estimates_golden() {
         let p = plan_for("SELECT a FROM small WHERE id >= 10 AND id < 20");
-        let text = explain_with_estimates(&p, &MockCatalog);
+        let text = explain(&p);
         let expected = "\
 Project [1 exprs] est~18
   Select est~18
     Scan small cols=[0, 1]/4 hints=2 [c0>=10 & c0<=20] est~100
 ";
         assert_eq!(text, expected, "EXPLAIN contract drifted:\n{text}");
+    }
+
+    #[test]
+    fn blind_explain_golden() {
+        // The same plan without statistics: each range conjunct takes the
+        // default selectivity 0.3, so the filter keeps 100 × 0.09 rows.
+        let p = plan_with("SELECT a FROM small WHERE id >= 10 AND id < 20", false);
+        let text = explain_with_estimates(&p, &NoStatistics(&MockCatalog));
+        let expected = "\
+Project [1 exprs] est~9
+  Select est~9
+    Scan small cols=[0, 1]/4 hints=2 [c0>=10 & c0<=20] est~100
+";
+        assert_eq!(text, expected, "blind EXPLAIN drifted:\n{text}");
+    }
+
+    #[test]
+    fn explain_indents_children() {
+        let p = plan_for("SELECT id FROM big LIMIT 5");
+        let text = explain(&p);
+        assert!(text.starts_with("Limit 5 offset 0 est~5\n"), "{text}");
+        assert!(text.contains("\n    Scan big"), "{text}");
     }
 }

@@ -256,6 +256,11 @@ impl Parser {
             let name = self.ident()?;
             self.expect_sym("=")?;
             let value = match self.bump() {
+                // Signed, so a negative value reaches the knob's own range check.
+                Tok::Sym("-") => match self.bump() {
+                    Tok::Int(v) => Value::I64(-v),
+                    other => return Err(perr(format!("bad SET value -{other:?}"))),
+                },
                 Tok::Int(v) => Value::I64(v),
                 Tok::Float(v) => Value::F64(v),
                 Tok::Str(s) => Value::Str(s),

@@ -222,75 +222,4 @@ impl LogicalPlan {
             LogicalPlan::Apply { input, subquery, .. } => vec![input, subquery],
         }
     }
-
-    /// Render an indented EXPLAIN tree (the rule-only plan format, no
-    /// cardinality annotations). The cost-based pipeline renders through
-    /// [`optimizer::explain_with_estimates`](crate::optimizer::explain_with_estimates)
-    /// instead, which appends ` est~N` to every line and labels join
-    /// children `probe:`/`build:` — the byte-exact contract both formats
-    /// obey is pinned by `tests/architecture.rs` and documented in
-    /// ARCHITECTURE.md ("The optimizer").
-    pub fn explain(&self) -> String {
-        let mut out = String::new();
-        self.explain_into(0, &mut out);
-        out
-    }
-
-    fn explain_into(&self, depth: usize, out: &mut String) {
-        let pad = "  ".repeat(depth);
-        let line = match self {
-            LogicalPlan::Scan { table, projection, hints, .. } => {
-                let h = if hints.is_empty() {
-                    String::new()
-                } else {
-                    format!(" hints={}", hints.len())
-                };
-                format!("Scan {table} cols={projection:?}{h}")
-            }
-            LogicalPlan::Filter { .. } => "Select".to_string(),
-            LogicalPlan::Project { exprs, .. } => format!("Project [{} exprs]", exprs.len()),
-            LogicalPlan::Join { kind, keys, .. } => {
-                format!("HashJoin {kind:?} on {} key(s)", keys.len())
-            }
-            LogicalPlan::Aggregate { group, aggs, .. } => {
-                format!("Aggr groups={} aggs={}", group.len(), aggs.len())
-            }
-            LogicalPlan::SetOp { op, inputs, .. } => {
-                format!("SetOp {op:?} [{} inputs]", inputs.len())
-            }
-            LogicalPlan::Apply { kind, keys, .. } => {
-                format!("Apply {kind:?} on {} key(s)", keys.len())
-            }
-            LogicalPlan::Sort { keys, .. } => format!("Sort keys={keys:?}"),
-            LogicalPlan::Limit { offset, limit, .. } => format!("Limit {limit} offset {offset}"),
-            LogicalPlan::Values { rows, .. } => format!("Values [{} rows]", rows.len()),
-            LogicalPlan::Exchange { dop, .. } => format!("Xchg dop={dop}"),
-        };
-        out.push_str(&pad);
-        out.push_str(&line);
-        out.push('\n');
-        for c in self.children() {
-            c.explain_into(depth + 1, out);
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use vw_common::Field;
-
-    #[test]
-    fn explain_indents() {
-        let scan = LogicalPlan::Scan {
-            table: "t".into(),
-            projection: vec![0],
-            schema: Schema::new(vec![Field::not_null("a", TypeId::I64)]).unwrap(),
-            hints: vec![],
-        };
-        let plan = LogicalPlan::Limit { input: Box::new(scan), offset: 0, limit: 5 };
-        let text = plan.explain();
-        assert!(text.starts_with("Limit 5"));
-        assert!(text.contains("\n  Scan t"));
-    }
 }

@@ -516,8 +516,9 @@ fn one_worker_drives_xchg_fragments_and_build_sinks() {
     bulk_load(&db, "d2", &d2, &[None, None]).unwrap();
     const JOINS: &str = "SELECT d2.w, COUNT(*), SUM(g.v) FROM g, d1, d2 \
                          WHERE g.k = d1.k AND d1.g = d2.g GROUP BY d2.w";
-    // The cost-based order puts the small join on the build side of the
-    // large one (a `VW_OPTIMIZER=0` lane would make the builds siblings).
+    // The planned order puts the small join on the build side of the
+    // large one — from the statistics bulk_load built, and from the row
+    // counts alone under `SET optimizer = 0`.
     db.execute("SET optimizer = 1; SET mem_budget = 0; SET parallelism = 1").unwrap();
     let serial = row_set(&db.execute(JOINS).unwrap());
     assert_eq!(serial.len(), 7);

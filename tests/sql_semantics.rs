@@ -2400,12 +2400,14 @@ mod spill_differential {
 }
 
 // ---------------------------------------------------------------------------
-// Differential tests for the cost-based optimizer (PR 8): multi-join and
-// filtered queries over NULL-bearing data answered three ways — cost-based
-// plans (`SET optimizer = 1`), rule-only plans (`SET optimizer = 0`), and
-// the tuple-at-a-time volcano path (HEAP twin tables) — at DOP 1 and 4.
-// Join reordering, build-side swaps, filter pushdown into zone-map hints
-// and join-aware column pruning must all be invisible in the answers.
+// Differential tests for the optimizer (PR 8): multi-join and filtered
+// queries over NULL-bearing data answered three ways — planned from fresh
+// statistics (`SET optimizer = 1`), planned without them (`SET optimizer =
+// 0`: default selectivities, which may pick other join orders and build
+// sides), and by the tuple-at-a-time volcano path (HEAP twin tables) — at
+// DOP 1 and 4. Join reordering, build-side swaps, filter pushdown into
+// zone-map hints and join-aware column pruning must all be invisible in
+// the answers.
 // ---------------------------------------------------------------------------
 
 mod optimizer_differential {
@@ -2513,8 +2515,8 @@ mod optimizer_differential {
 
     /// Zone-map safety: with tiny packs and clustered keys, pushed-down
     /// range predicates turn into MinMax hints that skip most packs. The
-    /// skipping must never change answers — compare against rule-only plans
-    /// and the volcano twin over multi-pack data.
+    /// skipping must never change answers — compare plans with and without
+    /// statistics against the volcano twin over multi-pack data.
     #[test]
     fn zone_map_skips_over_multi_pack_data_are_answer_preserving() {
         // 256-row packs: 4000 rows => ~16 packs.

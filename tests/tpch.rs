@@ -20,8 +20,13 @@
 //! Every query runs across **4 lanes**: dop {1,4} × optimizer {0,1}. Rows
 //! must match in every lane (floats compared with a print-granularity
 //! tolerance); the EXPLAIN text is byte-compared at the pinned lane
-//! (dop=1, optimizer=1) only, since the cost-based pipeline annotates
-//! plans with estimates.
+//! (dop=1, optimizer=1) only, since its estimates come from statistics.
+//! The instance is bulk loaded, so its statistics are fresh: the
+//! `optimizer = 1` lanes plan from them, and the `optimizer = 0` lanes run
+//! the same pass list without them (default selectivities, unique join
+//! keys — what any table's DML since its last CHECKPOINT leaves). Those
+//! lanes check that answers do not depend on statistics, whatever join
+//! order and build sides the defaults pick.
 //!
 //! The run prints `N of 22 pass`, writes a per-query × per-lane pass
 //! matrix to `target/tpch_pass_matrix.tsv` (uploaded as a CI artifact),
