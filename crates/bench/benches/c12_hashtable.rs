@@ -158,7 +158,6 @@ struct Scratch {
 /// single-column i64 kernel (`JoinTable::probe_join`) with reused scratch.
 fn flat_probe(side: &FlatSide, chunks: &[Vec<Vector>], s: &mut Scratch) -> u64 {
     let mut hits = 0u64;
-    let mut steps = 0u64;
     let build = side.keys[0].data.as_i64();
     for chunk in chunks {
         let n = chunk[0].len();
@@ -179,7 +178,6 @@ fn flat_probe(side: &FlatSide, chunks: &[Vec<Vector>], s: &mut Scratch) -> u64 {
             &mut s.out_probe,
             &mut s.out_build,
             &mut s.buf,
-            &mut steps,
         );
         hits += s.out_probe.len() as u64;
     }

@@ -122,7 +122,6 @@ struct ProbeScratch {
     out_probe: Vec<u32>,
     out_build: Vec<u32>,
     buf: ProbeBuf,
-    steps: u64,
 }
 
 /// Probe every batch partition-wise; returns total matched pairs.
@@ -161,7 +160,6 @@ fn partitioned_probe(
                 &mut s.out_probe,
                 &mut s.out_build,
                 &mut s.buf,
-                &mut s.steps,
             );
         }
         pairs += s.out_probe.len() as u64;
@@ -194,7 +192,6 @@ fn serial_probe(table: &JoinTable, build_keys: &[i64], batches: &[&[i64]]) -> u6
             &mut s.out_probe,
             &mut s.out_build,
             &mut s.buf,
-            &mut s.steps,
         );
         pairs += s.out_probe.len() as u64;
     }

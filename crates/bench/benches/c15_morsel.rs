@@ -12,9 +12,12 @@
 //!    16Ki-row slices at run time (claims that straddle packs would make
 //!    several workers decode the same pack) and the skew balances itself.
 //!    Measured three ways:
-//!    *   per-worker survivor counts (pure CPU, no simulation): the
-//!        work-balance observable — max/mean collapses toward 4 for
-//!        static ranges and stays near 1 for morsels;
+//!    *   per-worker survivor counts (pure CPU, no simulation), collected
+//!        here by a counting operator per fragment — the engine keeps no
+//!        per-worker counter; in `EXPLAIN ANALYZE` the same number is the
+//!        per-clone row range of a fragment's lines: the work-balance
+//!        observable — max/mean collapses toward 4 for static ranges and
+//!        stays near 1 for morsels;
 //!    *   wall time with **stall-dominated downstream work** (a fixed
 //!        per-survivor latency, modelling the memory/IO stalls that
 //!        dominate joins and aggregations at scale; stalls overlap across
@@ -234,15 +237,15 @@ fn run_skew(
     let items = VectorScan::stable_items(n);
     let cancel = CancelToken::new();
     let shared = match scheme {
-        Scheme::Morsel { rows } => Some(MorselSource::new(items.clone(), *rows, DOP)),
+        Scheme::Morsel { rows } => Some(MorselSource::new(items.clone(), *rows)),
         Scheme::StaticRanges => None,
     };
     let counters: Vec<Arc<AtomicU64>> = (0..DOP).map(|_| Arc::new(AtomicU64::new(0))).collect();
     let mut parts: Vec<BoxedOp> = Vec::new();
     for (w, counter) in counters.iter().enumerate() {
-        let (source, consumer) = match (&shared, scheme) {
-            (Some(src), _) => (src.clone(), w),
-            (None, _) => (MorselSource::new(static_range_items(&items, w, DOP), usize::MAX, 1), 0),
+        let source = match &shared {
+            Some(src) => src.clone(),
+            None => MorselSource::new(static_range_items(&items, w, DOP), usize::MAX),
         };
         let bp = BatchPool::new();
         let scan = VectorScan::with_source(
@@ -250,7 +253,6 @@ fn run_skew(
             pool.clone(),
             vec![0, 1, 2],
             source,
-            consumer,
             VECTOR,
             cancel.clone(),
         )
@@ -281,9 +283,6 @@ fn run_skew(
     // A worker per fragment, so the stalls overlap as the scheme allows.
     let workers = WorkerPool::new(parts.len());
     let mut x = Xchg::spawn_on(&workers, parts, cancel);
-    if let Some(src) = &shared {
-        x = x.with_sources(vec![src.clone()]);
-    }
     let t0 = Instant::now();
     let (mut rows, mut checksum) = (0u64, 0i64);
     while let Some(b) = x.next().unwrap() {
@@ -433,8 +432,7 @@ fn alloc_experiment() {
         table,
         pool,
         vec![0, 1],
-        MorselSource::new(VectorScan::stable_items(n as u64), 8 * 1024, 1),
-        0,
+        MorselSource::new(VectorScan::stable_items(n as u64), 8 * 1024),
         VECTOR,
         cancel.clone(),
     )

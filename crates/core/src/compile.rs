@@ -33,6 +33,8 @@ use crate::catalog::{TableEntry, TableKind};
 use crate::dml::OpenTxn;
 use crate::Database;
 use parking_lot::Mutex;
+use std::collections::HashMap;
+use std::marker::PhantomData;
 use std::sync::Arc;
 use vw_common::{EngineConfig, Field, Result, Schema, TypeId, Value, VwError};
 use vw_exec::expr::PhysExpr;
@@ -42,6 +44,7 @@ use vw_exec::op::{
     SetOpMode, SharedBuild, Sort, SortKey, TopN, UnionAll, Values, VectorScan, Xchg,
 };
 use vw_exec::partition::{MemBudget, SpillConfig, DEFAULT_PARALLEL_BUILD_MIN_ROWS};
+use vw_exec::profile::{NodeProfile, Profiled};
 use vw_exec::program::{ExprProgram, SelectProgram};
 use vw_exec::CancelToken;
 use vw_pdt::store::items;
@@ -154,6 +157,36 @@ struct QueryWide<'p> {
     /// The cost model's row estimate of every plan node, from one
     /// bottom-up pass over the view the statement planned against.
     estimates: PlanEstimates<'p>,
+    /// `EXPLAIN ANALYZE`'s slots (`None` for every other statement).
+    analyze: Option<&'p Analyze<'p>>,
+}
+
+/// `EXPLAIN ANALYZE`'s half of a compile: one [`NodeProfile`] per node of
+/// a plan, by node address (the plan is borrowed while they are in use,
+/// as [`PlanEstimates`] does). Every operator lowered from a node is
+/// wrapped in a [`Profiled`] that reports into the node's slot when it
+/// drops, so once the plan's operators are gone every slot is complete.
+pub(crate) struct Analyze<'p> {
+    nodes: HashMap<usize, Arc<NodeProfile>>,
+    _plan: PhantomData<&'p LogicalPlan>,
+}
+
+impl<'p> Analyze<'p> {
+    /// An empty slot for every node of `plan`.
+    pub(crate) fn new(plan: &'p LogicalPlan) -> Analyze<'p> {
+        fn walk(node: &LogicalPlan, nodes: &mut HashMap<usize, Arc<NodeProfile>>) {
+            nodes.insert(node as *const LogicalPlan as usize, Arc::default());
+            node.children().into_iter().for_each(|c| walk(c, nodes));
+        }
+        let mut nodes = HashMap::new();
+        walk(plan, &mut nodes);
+        Analyze { nodes, _plan: PhantomData }
+    }
+
+    /// The slot of `node`, a node of the plan.
+    pub(crate) fn node(&self, node: &LogicalPlan) -> &Arc<NodeProfile> {
+        &self.nodes[&(node as *const LogicalPlan as usize)]
+    }
 }
 
 /// The query-wide memory governor, created once per plan when
@@ -189,6 +222,19 @@ pub fn build_plan(
     cancel: &CancelToken,
     txn: Option<&OpenTxn>,
 ) -> Result<BoxedOp> {
+    build_plan_with(db, plan, config, cancel, txn, None)
+}
+
+/// [`build_plan`], with every operator wrapped to report into `analyze`
+/// when one is given (`EXPLAIN ANALYZE`).
+pub(crate) fn build_plan_with<'p>(
+    db: &Arc<Database>,
+    plan: &'p LogicalPlan,
+    config: &EngineConfig,
+    cancel: &CancelToken,
+    txn: Option<&OpenTxn>,
+    analyze: Option<&'p Analyze<'p>>,
+) -> Result<BoxedOp> {
     let spill = (config.mem_budget_bytes > 0).then(|| QuerySpill {
         budget: MemBudget::new(config.mem_budget_bytes),
         // Grace fan-out: at least 8 partitions so eviction stays
@@ -196,7 +242,7 @@ pub fn build_plan(
         partitions: config.build_partitions().max(8),
     });
     let estimates = Estimator::new(&crate::CatalogSnapshot::new(db, config)).estimate_all(plan);
-    let query = QueryWide { spill, estimates };
+    let query = QueryWide { spill, estimates, analyze };
     build_plan_inner(db, plan, config, cancel, txn, None, false, &BatchPool::new(), &query)
 }
 
@@ -204,8 +250,8 @@ pub fn build_plan(
 /// distinct from `partition`, which is `None` below a build child compiled
 /// once for all workers. A nested Exchange is refused on it.
 /// `batch_pool` is this worker pipeline's shared output-batch free-list.
-/// `query` holds what the whole query shares: the memory governor and the
-/// plan's row estimates.
+/// `query` holds what the whole query shares: the memory governor, the
+/// plan's row estimates and, under `EXPLAIN ANALYZE`, its nodes' slots.
 #[allow(clippy::too_many_arguments)]
 fn build_plan_inner<'p>(
     db: &Arc<Database>,
@@ -218,14 +264,12 @@ fn build_plan_inner<'p>(
     batch_pool: &BatchPool,
     query: &QueryWide<'p>,
 ) -> Result<BoxedOp> {
-    let mut op =
+    let op =
         build_plan_node(db, plan, config, cancel, txn, partition, in_exchange, batch_pool, query)?;
-    // Stamp the cost model's row estimate onto the operator's profile so
-    // EXPLAIN ANALYZE-style renderings can show estimated vs. actual rows.
-    if let Some(prof) = op.profile_mut() {
-        prof.est_rows = query.estimates.rows(plan).map(|r| r.round() as u64);
-    }
-    Ok(op)
+    Ok(match query.analyze {
+        Some(a) => Profiled::wrap(op, a.node(plan).clone()),
+        None => op,
+    })
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -583,10 +627,8 @@ fn build_plan_node<'p>(
             // engine's shared worker pool: plan-time `dop` sizes their
             // count, the pool bounds actual threads, and interleaved
             // scheduling keeps concurrent queries from starving each other.
-            let ExchangeShared { sources, sinks, .. } = shared;
-            let xchg =
-                Xchg::spawn_staged(&db.workers, sinks.into_inner(), parts, &probed, cancel.clone());
-            Box::new(xchg.with_sources(sources.into_inner()))
+            let sinks = shared.sinks.into_inner();
+            Box::new(Xchg::spawn_staged(&db.workers, sinks, parts, &probed, cancel.clone()))
         }
     })
 }
@@ -623,29 +665,28 @@ fn lower_scan(
         let root = txn.and_then(|t| t.image_of(table)).unwrap_or_else(|| pdt.snapshot().0);
         (Arc::new(storage_snapshot(&st)), root)
     };
-    let make_source = |consumers: usize| {
+    let make_source = || {
         let image = items(&root);
         if hints.is_empty() {
-            MorselSource::new(image, config.morsel_rows, consumers)
+            MorselSource::new(image, config.morsel_rows)
         } else {
             let (image, rids) = clip_image(&snapshot, image, hints);
-            MorselSource::with_rids(image, rids, config.morsel_rows, consumers)
+            MorselSource::with_rids(image, rids, config.morsel_rows)
         }
     };
-    let (source, consumer) = match partition {
+    let source = match partition {
         Some(p) => {
             let idx = p.scans;
             p.scans += 1;
-            (get_or_create(&p.shared.sources, idx, || make_source(p.dop)), p.worker)
+            get_or_create(&p.shared.sources, idx, make_source)
         }
-        None => (make_source(1), 0),
+        None => make_source(),
     };
     VectorScan::with_source(
         snapshot,
         db.pool.clone(),
         projection.to_vec(),
         source,
-        consumer,
         config.vector_size,
         cancel.clone(),
     )

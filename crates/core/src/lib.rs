@@ -457,14 +457,14 @@ fn execute_statement(
 ) -> Result<QueryResult> {
     match stmt {
         Statement::Select(s) => run_select(db, core, s, ExplainMode::Off, Some(sql)),
-        Statement::Explain(inner) => match inner.as_ref() {
-            Statement::Select(s) => run_select(db, core, s, ExplainMode::Plan, Some(sql)),
-            other => Ok(QueryResult { text: Some(format!("{other:?}")), ..QueryResult::empty() }),
-        },
-        Statement::ExplainAnalyze(inner) => match inner.as_ref() {
-            Statement::Select(s) => run_select(db, core, s, ExplainMode::Analyze, Some(sql)),
-            _ => Err(VwError::Unsupported("EXPLAIN ANALYZE of a non-SELECT statement".into())),
-        },
+        Statement::Explain(inner) | Statement::ExplainAnalyze(inner) => {
+            let Statement::Select(s) = inner.as_ref() else {
+                return Err(VwError::Unsupported("EXPLAIN of a non-SELECT statement".into()));
+            };
+            let analyze = matches!(stmt, Statement::ExplainAnalyze(_));
+            let mode = if analyze { ExplainMode::Analyze } else { ExplainMode::Plan };
+            run_select(db, core, s, mode, Some(sql))
+        }
         Statement::CreateTable { name, columns, table_type } => {
             db.create_table(name, columns, *table_type)?;
             Ok(QueryResult::empty())
@@ -590,8 +590,8 @@ enum ExplainMode {
     Off,
     /// `EXPLAIN`: plan text only, nothing runs.
     Plan,
-    /// `EXPLAIN ANALYZE`: run it, return the rows plus the plan text with
-    /// an `actual: N rows` footer.
+    /// `EXPLAIN ANALYZE`: run it, return the rows plus the plan text,
+    /// every line carrying what its operator measured.
     Analyze,
 }
 
@@ -611,21 +611,23 @@ fn run_select(
         parallel_threshold_rows: 10_000.0,
     };
     let plan = vw_rewriter::rewrite_plan(plan, &rw_cfg);
-    if explain != ExplainMode::Off {
-        let text = optimizer::explain_with_estimates(&plan, &cat_view);
-        if explain == ExplainMode::Plan {
-            return Ok(QueryResult {
-                schema: plan.schema().clone(),
-                rows: Vec::new(),
-                affected: 0,
-                text: Some(text),
-            });
+    match explain {
+        ExplainMode::Off => execute_plan(db, core, &plan, sql_label, None),
+        ExplainMode::Plan => Ok(QueryResult {
+            schema: plan.schema().clone(),
+            text: Some(optimizer::explain_with_estimates(&plan, &cat_view, &|_| String::new())),
+            ..QueryResult::empty()
+        }),
+        ExplainMode::Analyze => {
+            // Every slot is complete once `execute_plan` returns: the
+            // plan's operators, pool tasks included, are dropped by then.
+            let analyze = compile::Analyze::new(&plan);
+            let mut result = execute_plan(db, core, &plan, sql_label, Some(&analyze))?;
+            let suffix = |node: &LogicalPlan| analyze.node(node).suffix();
+            result.text = Some(optimizer::explain_with_estimates(&plan, &cat_view, &suffix));
+            Ok(result)
         }
-        let mut result = execute_plan(db, core, &plan, sql_label)?;
-        result.text = Some(format!("{text}actual: {} rows\n", result.rows.len()));
-        return Ok(result);
     }
-    execute_plan(db, core, &plan, sql_label)
 }
 
 /// Run `body` as one monitored statement — the part of the life of a query
@@ -662,7 +664,7 @@ pub(crate) fn tracked<T>(
 }
 
 /// Execute an already-rewritten plan. `sql_label` names the query in the
-/// monitoring registry.
+/// monitoring registry; `analyze` is `EXPLAIN ANALYZE`'s slots.
 ///
 /// Inside [`tracked`]: admission grant (FIFO; the grant clamps this
 /// query's `mem_budget`) → compile onto the shared worker pool → drain.
@@ -674,6 +676,7 @@ pub(crate) fn execute_plan(
     core: &mut SessionCore,
     plan: &LogicalPlan,
     sql_label: Option<&str>,
+    analyze: Option<&compile::Analyze<'_>>,
 ) -> Result<QueryResult> {
     let mut config = core.cfg.clone();
     let (session, timeout_ms) = (core.id, config.statement_timeout_ms);
@@ -699,7 +702,8 @@ pub(crate) fn execute_plan(
             }
             None => None,
         };
-        let mut op = compile::build_plan(db, plan, &config, cancel, core.txn.as_ref())?;
+        let txn = core.txn.as_ref();
+        let mut op = compile::build_plan_with(db, plan, &config, cancel, txn, analyze)?;
         let batch = drain(op.as_mut())?;
         let schema = op.schema().clone();
         let rows = (0..batch.rows()).map(|i| batch.row_values(i)).collect();

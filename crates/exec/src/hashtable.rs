@@ -192,26 +192,22 @@ impl GroupTable {
     /// Gather each selected lane's first *hash-matching* row: walk from the
     /// bucket head skipping entries whose stored hash differs (one integer
     /// compare each). `active` receives the lanes that found one; their
-    /// `cand[p]` (a row id) needs only key confirmation. Entries visited
-    /// are added to `steps` (profiling).
+    /// `cand[p]` (a row id) needs only key confirmation.
     pub fn gather_matching(
         &self,
         hashes: &[u64],
         sel: &SelVec,
         cand: &mut Vec<u32>,
         active: &mut SelVec,
-        steps: &mut u64,
     ) {
         if cand.len() < hashes.len() {
             cand.resize(hashes.len(), EMPTY);
         }
-        let mut visited = 0u64;
         sel.retain_from(
             |p| {
                 let h = hashes[p];
                 let mut row = self.heads[self.bucket(h)];
                 while row != EMPTY {
-                    visited += 1;
                     let e = self.entries[row as usize];
                     if e.hash == h {
                         cand[p] = row;
@@ -223,7 +219,6 @@ impl GroupTable {
             },
             active,
         );
-        *steps += visited;
     }
 
     /// Advance every selected lane past its current candidate to the next
@@ -235,15 +230,12 @@ impl GroupTable {
         sel: &SelVec,
         cand: &mut [u32],
         out: &mut SelVec,
-        steps: &mut u64,
     ) {
-        let mut visited = 0u64;
         sel.retain_from(
             |p| {
                 let h = hashes[p];
                 let mut row = self.entries[cand[p] as usize].next;
                 while row != EMPTY {
-                    visited += 1;
                     let e = self.entries[row as usize];
                     if e.hash == h {
                         cand[p] = row;
@@ -255,7 +247,6 @@ impl GroupTable {
             },
             out,
         );
-        *steps += visited;
     }
 
     /// Fused group lookup for type-specialized single-column keys: `gidx[p]`
@@ -277,9 +268,7 @@ impl GroupTable {
         mut key_eq: F,
         gidx: &mut [u32],
         buf: &mut ProbeBuf,
-        steps: &mut u64,
     ) {
-        let mut visited = 0u64;
         // The miss-insert pass needs every lane's hash afterwards, so the
         // staging pass runs even for small tables.
         self.stage(n, sel, &mut hash_of, buf);
@@ -290,7 +279,6 @@ impl GroupTable {
                 let mut row = buf.cand[p];
                 gidx[p] = EMPTY;
                 while row != EMPTY {
-                    visited += 1;
                     let e = self.entries[row as usize];
                     if e.hash == h && key_eq(p, row) {
                         gidx[p] = row;
@@ -312,7 +300,6 @@ impl GroupTable {
                 }
             }
         }
-        *steps += visited;
     }
 
     /// Probe staging: hash every lane (prefetching its directory line),
@@ -500,20 +487,17 @@ impl JoinTable {
     /// Gather each selected lane's first *hash-matching* slot by scanning
     /// its bucket's slot range. `active` receives the lanes that found one;
     /// their `cand[p]` (a slot index — translate with
-    /// [`JoinTable::candidate_rows`]) needs only key confirmation. Slots
-    /// visited are added to `steps` (profiling).
+    /// [`JoinTable::candidate_rows`]) needs only key confirmation.
     pub fn gather_matching(
         &self,
         hashes: &[u64],
         sel: &SelVec,
         cand: &mut Vec<u32>,
         active: &mut SelVec,
-        steps: &mut u64,
     ) {
         if cand.len() < hashes.len() {
             cand.resize(hashes.len(), EMPTY);
         }
-        let mut visited = 0u64;
         sel.retain_from(
             |p| {
                 let h = hashes[p];
@@ -521,7 +505,6 @@ impl JoinTable {
                 let end = self.offsets[b + 1] as usize;
                 let mut i = self.offsets[b] as usize;
                 while i < end {
-                    visited += 1;
                     if self.slots[i].tag == tag_of(h) {
                         cand[p] = i as u32;
                         return true;
@@ -532,7 +515,6 @@ impl JoinTable {
             },
             active,
         );
-        *steps += visited;
     }
 
     /// Advance every selected lane past its current candidate to the next
@@ -544,16 +526,13 @@ impl JoinTable {
         sel: &SelVec,
         cand: &mut [u32],
         out: &mut SelVec,
-        steps: &mut u64,
     ) {
-        let mut visited = 0u64;
         sel.retain_from(
             |p| {
                 let h = hashes[p];
                 let end = self.offsets[self.bucket(h) + 1] as usize;
                 let mut i = cand[p] as usize + 1;
                 while i < end {
-                    visited += 1;
                     if self.slots[i].tag == tag_of(h) {
                         cand[p] = i as u32;
                         return true;
@@ -564,7 +543,6 @@ impl JoinTable {
             },
             out,
         );
-        *steps += visited;
     }
 
     /// Translate candidate slot indices into build row ids for the selected
@@ -608,9 +586,7 @@ impl JoinTable {
         out_probe: &mut Vec<u32>,
         out_build: &mut Vec<u32>,
         buf: &mut ProbeBuf,
-        steps: &mut u64,
     ) {
-        let mut visited = 0u64;
         macro_rules! for_lanes {
             ($lane:ident) => {
                 match sel {
@@ -647,7 +623,6 @@ impl JoinTable {
                         let end = self.offsets[b + 1] as usize;
                         let mut i = self.offsets[b] as usize;
                         while i < end {
-                            visited += 1;
                             let slot = self.slots[i];
                             if slot.tag == tag_of(h) && key_eq(p, slot.row) {
                                 emit!(p, slot.row, break);
@@ -667,7 +642,6 @@ impl JoinTable {
                     let end = buf.ends[p] as usize;
                     let mut i = buf.cand[p] as usize;
                     while i < end {
-                        visited += 1;
                         let slot = self.slots[i];
                         if slot.tag == tag_of(h) && key_eq(p, slot.row) {
                             emit!(p, slot.row, break);
@@ -678,7 +652,6 @@ impl JoinTable {
             }
             for_lanes!(lane);
         }
-        *steps += visited;
     }
 
     /// Probe staging: hash every lane, bloom-test every lane on the dense
@@ -1171,21 +1144,17 @@ mod tests {
 
     /// The general probe pipeline's three table steps, for either layout.
     trait Candidates {
-        fn gather(&self, h: &[u64], sel: &SelVec, cand: &mut Vec<u32>, out: &mut SelVec) -> u64;
-        fn advance(&self, h: &[u64], sel: &SelVec, cand: &mut [u32], out: &mut SelVec) -> u64;
+        fn gather(&self, h: &[u64], sel: &SelVec, cand: &mut Vec<u32>, out: &mut SelVec);
+        fn advance(&self, h: &[u64], sel: &SelVec, cand: &mut [u32], out: &mut SelVec);
         fn rows(&self, cand: &[u32], sel: &SelVec, rows: &mut Vec<u32>);
     }
 
     impl Candidates for GroupTable {
-        fn gather(&self, h: &[u64], sel: &SelVec, cand: &mut Vec<u32>, out: &mut SelVec) -> u64 {
-            let mut steps = 0;
-            self.gather_matching(h, sel, cand, out, &mut steps);
-            steps
+        fn gather(&self, h: &[u64], sel: &SelVec, cand: &mut Vec<u32>, out: &mut SelVec) {
+            self.gather_matching(h, sel, cand, out);
         }
-        fn advance(&self, h: &[u64], sel: &SelVec, cand: &mut [u32], out: &mut SelVec) -> u64 {
-            let mut steps = 0;
-            self.advance_matching(h, sel, cand, out, &mut steps);
-            steps
+        fn advance(&self, h: &[u64], sel: &SelVec, cand: &mut [u32], out: &mut SelVec) {
+            self.advance_matching(h, sel, cand, out);
         }
         fn rows(&self, cand: &[u32], _: &SelVec, rows: &mut Vec<u32>) {
             rows.clear();
@@ -1194,15 +1163,11 @@ mod tests {
     }
 
     impl Candidates for JoinTable {
-        fn gather(&self, h: &[u64], sel: &SelVec, cand: &mut Vec<u32>, out: &mut SelVec) -> u64 {
-            let mut steps = 0;
-            self.gather_matching(h, sel, cand, out, &mut steps);
-            steps
+        fn gather(&self, h: &[u64], sel: &SelVec, cand: &mut Vec<u32>, out: &mut SelVec) {
+            self.gather_matching(h, sel, cand, out);
         }
-        fn advance(&self, h: &[u64], sel: &SelVec, cand: &mut [u32], out: &mut SelVec) -> u64 {
-            let mut steps = 0;
-            self.advance_matching(h, sel, cand, out, &mut steps);
-            steps
+        fn advance(&self, h: &[u64], sel: &SelVec, cand: &mut [u32], out: &mut SelVec) {
+            self.advance_matching(h, sel, cand, out);
         }
         fn rows(&self, cand: &[u32], sel: &SelVec, rows: &mut Vec<u32>) {
             self.candidate_rows(cand, sel, rows);
@@ -1220,7 +1185,7 @@ mod tests {
     ) -> Vec<(usize, u32)> {
         let sel = SelVec::identity(n);
         let (mut cand, mut rows, mut active) = (Vec::new(), Vec::new(), SelVec::new());
-        let mut steps = t.gather(ph, &sel, &mut cand, &mut active);
+        t.gather(ph, &sel, &mut cand, &mut active);
         let mut pairs: Vec<(usize, u32)> = Vec::new();
         let (mut matched, mut tmp, mut next_active) = (SelVec::new(), SelVec::new(), SelVec::new());
         while !active.is_empty() {
@@ -1229,10 +1194,9 @@ mod tests {
             for p in matched.iter() {
                 pairs.push((p, rows[p]));
             }
-            steps += t.advance(ph, &active, &mut cand, &mut next_active);
+            t.advance(ph, &active, &mut cand, &mut next_active);
             std::mem::swap(&mut active, &mut next_active);
         }
-        assert!(steps > 0, "probing visited entries");
         pairs.sort_unstable();
         pairs
     }
@@ -1290,7 +1254,6 @@ mod tests {
         let mut flags = vec![false; 4];
         let (mut op, mut ob) = (Vec::new(), Vec::new());
         let mut buf = ProbeBuf::default();
-        let mut steps = 0u64;
         t.probe_join(
             4,
             None,
@@ -1301,13 +1264,11 @@ mod tests {
             &mut op,
             &mut ob,
             &mut buf,
-            &mut steps,
         );
         let mut pairs: Vec<(u32, u32)> = op.iter().copied().zip(ob.iter().copied()).collect();
         pairs.sort_unstable();
         assert_eq!(pairs, vec![(0, 1), (0, 3), (2, 0), (3, 4)]);
         assert_eq!(flags, vec![true, false, true, true]);
-        assert!(steps > 0);
     }
 
     /// What `JoinTable::build` must produce, written the obvious way: one
@@ -1364,7 +1325,6 @@ mod tests {
         let mut flags = vec![false; 500];
         let (mut op, mut ob) = (Vec::new(), Vec::new());
         let mut buf = ProbeBuf::default();
-        let mut steps = 0u64;
         t.probe_join(
             500,
             None,
@@ -1375,7 +1335,6 @@ mod tests {
             &mut op,
             &mut ob,
             &mut buf,
-            &mut steps,
         );
         assert!(flags.iter().all(|&f| f), "all 500 hashes found");
         assert_eq!(op.len(), 500);

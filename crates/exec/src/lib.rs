@@ -47,7 +47,9 @@
 //!   aggregation, sort, top-n, limit, union, and the Volcano-style **Xchg**
 //!   exchange operators that the rewriter uses for multi-core parallelism;
 //! * [`cancel`] — cooperative query cancellation (checked once per vector);
-//! * [`profile`] — per-operator profiling counters for the monitoring layer.
+//! * [`profile`] — `EXPLAIN ANALYZE`'s execution side: the one timing
+//!   wrapper ([`profile::Profiled`]) and the per-plan-node slot it reports
+//!   into, plus the few counters only an operator can see.
 
 pub mod cancel;
 pub mod expr;

@@ -20,15 +20,15 @@
 //! Claim rules:
 //!
 //! 1. One `MorselSource` is shared (via `Arc`) by the `DOP` scan clones of
-//!    one Exchange fragment; each clone registers as one *consumer*
-//!    (`consumers` at construction, the consumer index at claim time — the
-//!    per-worker morsel counters surfaced in `EXPLAIN ANALYZE`).
+//!    one Exchange fragment. It does not know which clone claims what:
+//!    how evenly the work spread shows in `EXPLAIN ANALYZE` as the
+//!    per-clone row range of the scan's line.
 //! 2. [`MorselSource::claim_into`] atomically advances the shared cursor
 //!    and materializes the claimed slice's merge items into a
 //!    caller-owned buffer (cleared, capacity reused — steady-state claims
 //!    allocate nothing; item clones only bump `Arc` refcounts).
 //! 3. Claims are disjoint and cover the image exactly; a `false` return
-//!    means the source is dry for every consumer.
+//!    means the source is dry for every clone.
 //! 4. Every claimed item carries its **RID base** — the position of its
 //!    first row in the table image. For a whole image that is the running
 //!    row count; an image whose zone-map-pruned stable runs were dropped
@@ -97,16 +97,14 @@ pub struct MorselSource {
     morsel_rows: u64,
     /// Next unclaimed logical row.
     next: AtomicU64,
-    /// Morsel claims per registered consumer (worker).
-    claims: Vec<AtomicU64>,
 }
 
 impl MorselSource {
-    /// A dispenser over `items` handing out `morsel_rows`-row claims to
-    /// `consumers` workers. `morsel_rows` is clamped to at least 1 and at
-    /// most the image size (so `usize::MAX` means "one claim").
-    pub fn new(items: Vec<MergeItem>, morsel_rows: usize, consumers: usize) -> Arc<MorselSource> {
-        MorselSource::build(items, None, morsel_rows, consumers)
+    /// A dispenser over `items` handing out `morsel_rows`-row claims.
+    /// `morsel_rows` is clamped to at least 1 and at most the image size
+    /// (so `usize::MAX` means "one claim").
+    pub fn new(items: Vec<MergeItem>, morsel_rows: usize) -> Arc<MorselSource> {
+        MorselSource::build(items, None, morsel_rows)
     }
 
     /// A dispenser over a *clipped* image: `rids[i]` is the position of
@@ -116,17 +114,15 @@ impl MorselSource {
         items: Vec<MergeItem>,
         rids: Vec<u64>,
         morsel_rows: usize,
-        consumers: usize,
     ) -> Arc<MorselSource> {
         assert_eq!(items.len(), rids.len(), "one RID base per item");
-        MorselSource::build(items, Some(rids), morsel_rows, consumers)
+        MorselSource::build(items, Some(rids), morsel_rows)
     }
 
     fn build(
         items: Vec<MergeItem>,
         rids: Option<Vec<u64>>,
         morsel_rows: usize,
-        consumers: usize,
     ) -> Arc<MorselSource> {
         let mut offsets = Vec::with_capacity(items.len() + 1);
         let mut pos = 0u64;
@@ -143,7 +139,6 @@ impl MorselSource {
             total: pos,
             morsel_rows,
             next: AtomicU64::new(0),
-            claims: (0..consumers.max(1)).map(|_| AtomicU64::new(0)).collect(),
         })
     }
 
@@ -152,17 +147,12 @@ impl MorselSource {
         self.total
     }
 
-    /// Number of registered consumers.
-    pub fn consumers(&self) -> usize {
-        self.claims.len()
-    }
-
-    /// Claim the next morsel for `consumer`, filling `out` (cleared first)
+    /// Claim the next morsel, filling `out` (cleared first)
     /// with `(RID base, merge item)` for the claimed row range. Returns
     /// `false` when the image is exhausted. Stable runs are cut at claim
     /// boundaries; single-row items (inserts, modifications) are never
     /// split.
-    pub fn claim_into(&self, consumer: usize, out: &mut Vec<(u64, MergeItem)>) -> bool {
+    pub fn claim_into(&self, out: &mut Vec<(u64, MergeItem)>) -> bool {
         out.clear();
         if self.total == 0 {
             return false;
@@ -174,7 +164,6 @@ impl MorselSource {
             return false;
         }
         let end = (start + self.morsel_rows).min(self.total);
-        self.claims[consumer].fetch_add(1, Ordering::Relaxed);
         // First item containing `start`.
         let mut i = match self.offsets.binary_search(&start) {
             Ok(i) => i.min(self.items.len().saturating_sub(1)),
@@ -197,12 +186,6 @@ impl MorselSource {
             i += 1;
         }
         true
-    }
-
-    /// Morsels claimed so far, per consumer (the per-worker balance
-    /// observable rendered in `EXPLAIN ANALYZE`).
-    pub fn claim_counts(&self) -> Vec<u64> {
-        self.claims.iter().map(|c| c.load(Ordering::Relaxed)).collect()
     }
 }
 
@@ -234,9 +217,7 @@ impl BatchPool {
 
     /// Lease a batch whose columns have exactly `types` (in order).
     /// Returns the batch and whether it was a pool hit (a recycled batch
-    /// with warm buffers; a miss sizes fresh vectors to `capacity`) —
-    /// callers record the hit rate in their
-    /// [`OpProfile`](crate::profile::OpProfile).
+    /// with warm buffers; a miss sizes fresh vectors to `capacity`).
     pub fn lease(&self, types: &[TypeId], capacity: usize) -> (Batch, bool) {
         let mut inner = self.inner.lock().unwrap();
         if let Some(i) = inner.batches.iter().position(|b| {
@@ -250,20 +231,11 @@ impl BatchPool {
     }
 
     /// The one lease-or-allocate entry for pooled producers: lease from
-    /// `pool` when the pipeline has one (recording the hit rate in
-    /// `profile`), otherwise build fresh `capacity`-sized typed vectors.
-    pub fn lease_or_new(
-        pool: Option<&BatchPool>,
-        types: &[TypeId],
-        capacity: usize,
-        profile: &mut crate::profile::OpProfile,
-    ) -> Batch {
+    /// `pool` when the pipeline has one, otherwise build fresh
+    /// `capacity`-sized typed vectors.
+    pub fn lease_or_new(pool: Option<&BatchPool>, types: &[TypeId], capacity: usize) -> Batch {
         match pool {
-            Some(bp) => {
-                let (batch, hit) = bp.lease(types, capacity);
-                profile.record_pool_lease(hit);
-                batch
-            }
+            Some(bp) => bp.lease(types, capacity).0,
             None => fresh_batch(types, capacity),
         }
     }
@@ -327,15 +299,13 @@ mod tests {
             MergeItem::Insert { row: StdArc::new(vec![Value::I64(7)]) },
             stable(100, 50),
         ];
-        let src = MorselSource::new(items, 16, 2);
+        let src = MorselSource::new(items, 16);
         assert_eq!(src.total_rows(), 151);
         let mut buf = Vec::new();
         let mut total = 0u64;
         let mut stable_rows: Vec<(u64, u64)> = Vec::new();
         let mut inserts = 0;
-        let mut turn = 0;
-        while src.claim_into(turn % 2, &mut buf) {
-            turn += 1;
+        while src.claim_into(&mut buf) {
             let n = rows_of(&buf);
             assert!((1..=16).contains(&n), "claim size bounded by morsel_rows: {n}");
             total += n;
@@ -365,11 +335,9 @@ mod tests {
             }
         }
         assert!(seen.iter().all(|&b| b), "every stable row claimed");
-        let counts = src.claim_counts();
-        assert_eq!(counts.iter().sum::<u64>(), turn as u64);
         // Exhausted source keeps answering false without moving.
-        assert!(!src.claim_into(0, &mut buf));
-        assert!(!src.claim_into(1, &mut buf));
+        assert!(!src.claim_into(&mut buf));
+        assert!(!src.claim_into(&mut buf));
     }
 
     #[test]
@@ -381,11 +349,11 @@ mod tests {
             MergeItem::Insert { row: StdArc::new(vec![Value::I64(7)]) },
             stable(69, 30),
         ];
-        let src = MorselSource::with_rids(items, vec![40, 60, 70], 16, 1);
+        let src = MorselSource::with_rids(items, vec![40, 60, 70], 16);
         assert_eq!(src.total_rows(), 51);
         let mut buf = Vec::new();
         let mut seen: Vec<(u64, u64)> = Vec::new(); // (rid, rows)
-        while src.claim_into(0, &mut buf) {
+        while src.claim_into(&mut buf) {
             seen.extend(buf.iter().map(|(rid, it)| (*rid, item_rows(it))));
         }
         assert_eq!(seen, vec![(40, 16), (56, 4), (60, 1), (70, 11), (81, 16), (97, 3)]);
@@ -393,31 +361,31 @@ mod tests {
 
     #[test]
     fn one_claim_covers_everything_at_usize_max() {
-        let src = MorselSource::new(vec![stable(5, 40)], usize::MAX, 1);
+        let src = MorselSource::new(vec![stable(5, 40)], usize::MAX);
         let mut buf = Vec::new();
-        assert!(src.claim_into(0, &mut buf));
+        assert!(src.claim_into(&mut buf));
         assert_eq!(rows_of(&buf), 40);
-        assert!(!src.claim_into(0, &mut buf));
+        assert!(!src.claim_into(&mut buf));
     }
 
     #[test]
     fn empty_image_is_dry_immediately() {
-        let src = MorselSource::new(Vec::new(), 1024, 1);
+        let src = MorselSource::new(Vec::new(), 1024);
         let mut buf = vec![(0, stable(0, 1))];
-        assert!(!src.claim_into(0, &mut buf));
+        assert!(!src.claim_into(&mut buf));
         assert!(buf.is_empty(), "claim_into clears the buffer even when dry");
     }
 
     #[test]
     fn concurrent_claims_stay_disjoint() {
-        let src = MorselSource::new(vec![stable(0, 100_000)], 64, 4);
+        let src = MorselSource::new(vec![stable(0, 100_000)], 64);
         let mut handles = Vec::new();
-        for w in 0..4 {
+        for _ in 0..4 {
             let src = src.clone();
             handles.push(std::thread::spawn(move || {
                 let mut buf = Vec::new();
                 let mut ranges: Vec<(u64, u64)> = Vec::new();
-                while src.claim_into(w, &mut buf) {
+                while src.claim_into(&mut buf) {
                     for (_, it) in &buf {
                         if let MergeItem::Stable { sid, len } = it {
                             ranges.push((*sid, *len));
@@ -438,10 +406,6 @@ mod tests {
             pos = sid + len;
         }
         assert_eq!(pos, 100_000);
-        // Claims are attributed to consumers exactly once each (which
-        // worker got how many is the scheduler's business — on a one-core
-        // box a single thread may legitimately drain the source).
-        assert_eq!(src.claim_counts().iter().sum::<u64>(), 100_000_u64.div_ceil(64));
     }
 
     #[test]

@@ -60,7 +60,6 @@ use crate::program::{ExprProgram, VecRef, VectorPool};
 use crate::vector::{Batch, Vector};
 use std::collections::VecDeque;
 use std::sync::Arc;
-use std::time::Instant;
 use vw_common::hash::{hash_bytes, hash_combine, hash_u64};
 use vw_common::{ColData, Result, Schema, SelVec, TypeId, Value, VwError};
 use vw_storage::{encode_spill_batch, SpillFile};
@@ -667,8 +666,6 @@ struct AggShard {
     states: Vec<AggState>,
     n_groups: usize,
     scratch: AggScratch,
-    probe_rows: u64,
-    chain_steps: u64,
     /// Group count at the last [`AggShard::grown_bytes`] computation.
     sized_groups: usize,
 }
@@ -687,8 +684,6 @@ impl AggShard {
             states: aggs.iter().map(AggState::new).collect::<Result<_>>()?,
             n_groups: 0,
             scratch: AggScratch::default(),
-            probe_rows: 0,
-            chain_steps: 0,
             sized_groups: usize::MAX,
         })
     }
@@ -711,10 +706,9 @@ impl AggShard {
             self.ensure_global_group();
             Groups::One
         } else {
-            self.chain_steps += self.resolve_groups(keys, sel, n, hashes)?;
+            self.resolve_groups(keys, sel, n, hashes)?;
             Groups::Each(&self.scratch.gidx)
         };
-        self.probe_rows += sel.len() as u64;
         for (i, state) in self.states.iter_mut().enumerate() {
             state.update_batch(self.funcs[i], groups, sel, n, input(i))?;
         }
@@ -773,8 +767,7 @@ impl AggShard {
         }
         let mut all = std::mem::take(&mut self.scratch.dense);
         all.fill_identity(n);
-        self.chain_steps += self.resolve_groups(Keys::Owned(keys), &all, n, None)?;
-        self.probe_rows += n as u64;
+        self.resolve_groups(Keys::Owned(keys), &all, n, None)?;
         let mut off = 0;
         for (st, &func) in self.states.iter_mut().zip(&self.funcs) {
             let w = AggState::state_width(func);
@@ -785,11 +778,11 @@ impl AggShard {
         Ok(())
     }
 
-    /// The build is over: move this shard's probe counters into `profile`
-    /// and free its probe structures; the groups stay for emission.
+    /// The build is over: move this shard's encoding-level count into
+    /// `profile` and free its probe structures; the groups stay for
+    /// emission.
     fn retire(&mut self, profile: &mut OpProfile) {
-        profile.record_probe(self.probe_rows, self.chain_steps);
-        profile.record_enc_skipped(self.scratch.enc_skipped);
+        profile.enc_skipped += self.scratch.enc_skipped;
         self.table = GroupTable::new();
         self.scratch = AggScratch::default();
     }
@@ -879,7 +872,7 @@ impl HashAggregate {
             batch_pool: None,
             spill: None,
             pending: Vec::new(),
-            profile: OpProfile::new("HashAggr"),
+            profile: OpProfile::default(),
         })
     }
 
@@ -902,6 +895,7 @@ impl HashAggregate {
     /// Global aggregates (no group keys) ignore the governor — their
     /// state is one group.
     pub fn with_spill(mut self, cfg: SpillConfig) -> HashAggregate {
+        self.profile.spill = Some(cfg.metrics.clone());
         self.spill = Some(cfg);
         self
     }
@@ -999,8 +993,7 @@ impl HashAggregate {
         let mut parts = Partitions::new(1, spill, || AggShard::new(group_exprs, aggs))?;
         while let Some(mut batch) = input.next()? {
             self.cancel.check()?;
-            let t0 = Instant::now();
-            self.profile.record_enc_batch(batch.columns.iter().any(|c| c.is_encoded()));
+            self.profile.record_enc_batch(&batch);
             for &c in &self.flat_cols {
                 batch.columns[c].ensure_flat();
             }
@@ -1054,16 +1047,12 @@ impl HashAggregate {
             if let Some(bp) = &self.batch_pool {
                 bp.recycle(batch); // lanes folded: batch goes back
             }
-            let (runs, instrs) = self.pool.take_counters();
-            self.profile.record_expr(runs, instrs);
-            self.profile.record_phase(t0.elapsed());
             // An evicted shard's partial state goes to its spill file and
             // the shard restarts empty (outside the key-program borrows).
             let profile = &mut self.profile;
-            parts.evict_while_over(|si, shard, file| {
+            parts.evict_while_over(|_, shard, file| {
                 let written = shard.spill_state(file)?;
                 let mut evicted = std::mem::replace(shard, AggShard::new(group_exprs, aggs)?);
-                profile.record_shard_probe(si, evicted.probe_rows, evicted.chain_steps);
                 evicted.retire(profile);
                 Ok(written)
             })?;
@@ -1073,7 +1062,6 @@ impl HashAggregate {
         // its live remainder and queues its file for lazy re-aggregation
         // at emit time — one merged partition in memory at a time.
         for (si, mut shard) in parts.take_slots().into_iter().enumerate() {
-            self.profile.record_shard_probe(si, shard.probe_rows, shard.chain_steps);
             shard.retire(&mut self.profile);
             match parts.take_file(si) {
                 None => {
@@ -1095,19 +1083,16 @@ impl HashAggregate {
                 }
             }
         }
-        if let Some(cfg) = parts.spill_config() {
-            self.profile.sync_spill(&cfg.metrics);
-        }
         Ok(())
     }
 }
 
 impl AggShard {
     /// Resolve every `sel` lane's key (at least one key column) to a group
-    /// id in `scratch.gidx`, creating groups for unseen keys. Returns chain
-    /// steps visited (profiling). `hashes`, when given, are the lanes' key
-    /// hashes (`hash_keys` with NULLs hashed to their sentinel lane) — the
-    /// general path then skips its own hash pass.
+    /// id in `scratch.gidx`, creating groups for unseen keys. `hashes`,
+    /// when given, are the lanes' key hashes (`hash_keys` with NULLs
+    /// hashed to their sentinel lane) — the general path then skips its
+    /// own hash pass.
     ///
     /// A ladder, chosen per batch from what the batch is (the rung above
     /// it, no keys at all, never gets here — see [`AggShard::fold`]):
@@ -1131,12 +1116,11 @@ impl AggShard {
         sel: &SelVec,
         n: usize,
         hashes: Option<&[u64]>,
-    ) -> Result<u64> {
+    ) -> Result<()> {
         let AggShard { table, group_keys, states, n_groups, scratch: s, .. } = self;
         if s.gidx.len() < n {
             s.gidx.resize(n, EMPTY);
         }
-        let mut chain_steps = 0u64;
         if s.memo.attach(keys) {
             let CodeMemo { dicts, groups, codes } = &mut s.memo;
             if codes.len() < n {
@@ -1184,7 +1168,7 @@ impl AggShard {
                 },
             );
             s.enc_skipped += (sel.len() as u64).saturating_sub(probes);
-            return bad.map_or(Ok(0), Err);
+            return bad.map_or(Ok(()), Err);
         }
         // A dict-coded key that `attach` turned away (domain over the memo
         // bound) has no flat `data` for the fused kernel to read: it takes
@@ -1208,7 +1192,6 @@ impl AggShard {
                         |p, row| $eq(&pa[p], &ba[row as usize]),
                         &mut s.gidx,
                         &mut s.buf,
-                        &mut chain_steps,
                     )
                 }};
             }
@@ -1228,7 +1211,7 @@ impl AggShard {
                     sel,
                     lane_hash,
                 )?;
-                return Ok(chain_steps);
+                return Ok(());
             }
         }
         // General path: hash all lanes (NULL keys hash to the NULL-group
@@ -1246,7 +1229,7 @@ impl AggShard {
         // Vectorized pass: find existing groups for all lanes at once.
         // `gather_matching` skips hash-mismatching chain entries inline, so
         // every active lane holds a candidate needing only key confirmation.
-        table.gather_matching(hashes, sel, &mut s.cand, &mut s.active, &mut chain_steps);
+        table.gather_matching(hashes, sel, &mut s.cand, &mut s.active);
         while !s.active.is_empty() {
             hashtable::keys_match_sel(
                 keys.iter(),
@@ -1263,17 +1246,10 @@ impl AggShard {
             // Resolved lanes stop walking; the rest advance down the chain.
             let gidx = &s.gidx;
             s.active.retain_from(|p| gidx[p] == EMPTY, &mut s.tmp);
-            table.advance_matching(
-                hashes,
-                &s.tmp,
-                &mut s.cand,
-                &mut s.next_active,
-                &mut chain_steps,
-            );
+            table.advance_matching(hashes, &s.tmp, &mut s.cand, &mut s.next_active);
             std::mem::swap(&mut s.active, &mut s.next_active);
         }
-        insert_misses(table, group_keys, states, n_groups, &mut s.gidx, keys, sel, |p| hashes[p])?;
-        Ok(chain_steps)
+        insert_misses(table, group_keys, states, n_groups, &mut s.gidx, keys, sel, |p| hashes[p])
     }
 }
 
@@ -1390,10 +1366,6 @@ impl Operator for HashAggregate {
         Some(&self.profile)
     }
 
-    fn profile_mut(&mut self) -> Option<&mut OpProfile> {
-        Some(&mut self.profile)
-    }
-
     fn next(&mut self) -> Result<Option<Batch>> {
         self.cancel.check()?;
         if let Some(input) = self.input.take() {
@@ -1422,12 +1394,10 @@ impl Operator for HashAggregate {
                     let cfg = self.spill.clone().expect("pending implies a spill config");
                     let outs = self.reaggregate(file, &cfg, cfg.depth + 1)?;
                     self.out_shards.extend(outs);
-                    self.profile.sync_spill(&cfg.metrics);
                 }
             }
         }
         let shard = &self.out_shards[0];
-        let t0 = Instant::now();
         let end = (self.emit_pos + self.vector_size).min(shard.n_groups);
         let mut columns: Vec<Vector> = Vec::with_capacity(self.schema.len());
         for gk in &shard.group_keys {
@@ -1439,9 +1409,7 @@ impl Operator for HashAggregate {
         for (spec, st) in self.aggs.iter().zip(&shard.states) {
             columns.push(st.finish_range(self.emit_pos, end, spec.out_ty)?);
         }
-        let rows = end - self.emit_pos;
         self.emit_pos = end;
-        self.profile.record(rows, t0.elapsed());
         Ok(Some(Batch::new(columns)))
     }
 }
@@ -1676,7 +1644,7 @@ mod tests {
     }
 
     #[test]
-    fn agg_profile_reports_probe_stats() {
+    fn agg_profile_reports_groups_and_input_batches() {
         let src = source(vec![
             (Some("a"), Some(1)),
             (Some("b"), Some(2)),
@@ -1692,8 +1660,8 @@ mod tests {
         );
         let _ = drain(&mut op).unwrap();
         let p = Operator::profile(&op).unwrap();
-        assert_eq!(p.probe_rows, 5, "every input row probed");
-        assert!(p.probe_chain_steps > 0, "repeat keys walked chains");
+        assert_eq!(p.shard_build_rows, vec![2], "one serial shard of two groups");
+        assert!(p.flat_batches > 0 && p.enc_batches == 0, "{p:?}");
     }
 
     // Every build configuration (one shard, governed ample/tight) ×

@@ -73,7 +73,6 @@ use crate::spill::{self, SpillScan};
 use crate::vector::{Batch, Vector};
 use std::sync::atomic::{AtomicU8, Ordering::SeqCst};
 use std::sync::{Arc, Mutex, MutexGuard};
-use std::time::Instant;
 use vw_common::{ColData, Result, Schema, SelVec, TypeId, VwError};
 use vw_service::{CoopTask, Step, Waker};
 use vw_storage::SpillFile;
@@ -500,7 +499,6 @@ impl SharedBuild {
             pool: VectorPool::new(),
             batch_pool,
             scratch: ProbeScratch::default(),
-            expr: (0, 0),
         })
     }
 
@@ -776,8 +774,6 @@ pub struct BuildSink {
     batch_pool: Option<BatchPool>,
     /// Hashing and lane-selection scratch (the probe's, as far as it goes).
     scratch: ProbeScratch,
-    /// Key programs run / instructions executed, for the owner's profile.
-    expr: (u64, u64),
 }
 
 impl BuildSink {
@@ -877,7 +873,6 @@ impl CoopTask for BuildSink {
                 return Ok(Step::Progress);
             }
             self.input = None;
-            self.expr = self.pool.take_counters();
             let parts = self.parts.take().expect("checked above");
             self.build.deposit(parts, self.has_null_key, self.rows_in)?;
         }
@@ -1015,7 +1010,7 @@ impl HashJoin {
             deferred: Vec::new(),
             inner: None,
             probe_done: false,
-            profile: OpProfile::new("HashJoin"),
+            profile: OpProfile::default(),
         }
     }
 
@@ -1067,7 +1062,6 @@ impl HashJoin {
                 }
             }
         }
-        self.profile.record_expr(sink.expr.0, sink.expr.1);
         Ok(build)
     }
 
@@ -1081,9 +1075,7 @@ impl HashJoin {
         for (si, table) in build.tables.iter().enumerate() {
             self.profile.record_shard_build(si, table.len() as u64);
         }
-        if let Some(cfg) = &build.spill {
-            self.profile.sync_spill(&cfg.metrics);
-        }
+        self.profile.spill = build.spill.as_ref().map(|cfg| cfg.metrics.clone());
         self.router = build.router();
         self.probe_files.resize_with(build.tables.len(), || None);
         self.build = Some(build);
@@ -1107,12 +1099,7 @@ impl HashJoin {
                 self.schema.len()
             )));
         }
-        let mut out = BatchPool::lease_or_new(
-            self.batch_pool.as_ref(),
-            &self.out_types,
-            0,
-            &mut self.profile,
-        );
+        let mut out = BatchPool::lease_or_new(self.batch_pool.as_ref(), &self.out_types, 0);
         for (src, dst) in batch.columns.iter().zip(&mut out.columns) {
             src.gather_indices_into(&s.out_probe, dst);
         }
@@ -1156,20 +1143,12 @@ impl HashJoin {
         }
         let shared = self.shared.clone().expect("a join has a build side");
         let cfg = shared.spill.clone().expect("deferred phase is governed-only");
-        self.profile.sync_spill(&cfg.metrics);
         loop {
             self.cancel.check()?;
             if let Some(inner) = &mut self.inner {
-                let t0 = Instant::now();
                 match inner.next()? {
-                    Some(b) => {
-                        self.profile.record(b.rows(), t0.elapsed());
-                        return Ok(Some(b));
-                    }
-                    None => {
-                        self.profile.sync_spill(&cfg.metrics);
-                        self.inner = None;
-                    }
+                    Some(b) => return Ok(Some(b)),
+                    None => self.inner = None,
                 }
             }
             let Some((build_files, probe_file)) = self.deferred.pop() else {
@@ -1206,7 +1185,7 @@ impl HashJoin {
 
 /// Vectorized probe of one batch's non-NULL lanes. Fills
 /// `scratch.out_probe`/`out_build` for pair-emitting join types and
-/// `scratch.matched_flags` for all; returns chain steps visited.
+/// `scratch.matched_flags` for all.
 ///
 /// A free function over disjoint operator fields: the probe keys are pool
 /// references, so `&mut self` is off the table while they are alive.
@@ -1229,8 +1208,7 @@ fn probe_batch(
     s: &mut ProbeScratch,
     keys: &[&Vector],
     batch: &Batch,
-    profile: &mut OpProfile,
-) -> Result<u64> {
+) -> Result<()> {
     let emit_pairs = !join_type.first_match_only();
     let n = keys.first().map_or(0, |k| k.len());
     // Reset per-lane flags only for the lanes this batch owns.
@@ -1240,12 +1218,9 @@ fn probe_batch(
     for p in s.live.iter() {
         s.matched_flags[p] = false;
     }
-    let mut chain_steps = 0u64;
     let Some(router) = router else {
-        let table = &build.tables[0];
-        probe_one(table, build.keys(), s, keys, None, 0, emit_pairs, false, &mut chain_steps);
-        profile.record_shard_probe(0, s.nonnull.len() as u64, chain_steps);
-        return Ok(chain_steps);
+        probe_one(&build.tables[0], build.keys(), s, keys, None, 0, emit_pairs, false);
+        return Ok(());
     };
     hashtable::hash_keys(keys.iter().copied(), n, false, &mut s.lanes, &mut s.hashes);
     // A full-length sorted selection is the identity: skip the indirection.
@@ -1271,20 +1246,7 @@ fn probe_batch(
             diverted = true;
             continue;
         }
-        let mut steps = 0u64;
-        probe_one(
-            table,
-            build.keys(),
-            s,
-            keys,
-            Some(sel),
-            build.bases[si],
-            emit_pairs,
-            true,
-            &mut steps,
-        );
-        profile.record_shard_probe(si, sel.len() as u64, steps);
-        chain_steps += steps;
+        probe_one(table, build.keys(), s, keys, Some(sel), build.bases[si], emit_pairs, true);
     }
     if diverted {
         let flags = &s.deferred_flags;
@@ -1299,7 +1261,7 @@ fn probe_batch(
             }
         }
     }
-    Ok(chain_steps)
+    Ok(())
 }
 
 /// Probe one table (the only one, or one partition's) over one lane set.
@@ -1317,7 +1279,6 @@ fn probe_one(
     base: u32,
     emit_pairs: bool,
     prehashed: bool,
-    chain_steps: &mut u64,
 ) {
     let n = keys.first().map_or(0, |k| k.len());
     // Fast path: single-column keys probe through a fused kernel
@@ -1354,7 +1315,6 @@ fn probe_one(
                     &mut s.out_probe,
                     &mut s.out_build,
                     &mut s.buf,
-                    chain_steps,
                 )
             }};
         }
@@ -1370,7 +1330,7 @@ fn probe_one(
             return;
         }
     }
-    probe_general(table, build_keys, s, keys, sel, base, emit_pairs, prehashed, chain_steps);
+    probe_general(table, build_keys, s, keys, sel, base, emit_pairs, prehashed);
 }
 
 /// General vectorized probe: gather hash-matching candidates for all
@@ -1386,7 +1346,6 @@ fn probe_general(
     base: u32,
     emit_pairs: bool,
     prehashed: bool,
-    chain_steps: &mut u64,
 ) {
     let n = keys.first().map_or(0, |k| k.len());
     if !prehashed {
@@ -1396,7 +1355,7 @@ fn probe_general(
     // Every lane in `active` holds a hash-matching candidate; the loop
     // below only confirms keys and re-probes the (rare) hash-collision
     // or multi-match lanes.
-    table.gather_matching(&s.hashes, start_sel, &mut s.cand, &mut s.active, chain_steps);
+    table.gather_matching(&s.hashes, start_sel, &mut s.cand, &mut s.active);
     while !s.active.is_empty() {
         table.candidate_rows(&s.cand, &s.active, &mut s.rows);
         if base != 0 {
@@ -1423,18 +1382,12 @@ fn probe_general(
             }
         }
         if emit_pairs {
-            table.advance_matching(
-                &s.hashes,
-                &s.active,
-                &mut s.cand,
-                &mut s.next_active,
-                chain_steps,
-            );
+            table.advance_matching(&s.hashes, &s.active, &mut s.cand, &mut s.next_active);
         } else {
             // Existence semantics: matched lanes stop walking.
             let flags = &s.matched_flags;
             s.active.retain_from(|p| !flags[p], &mut s.tmp);
-            table.advance_matching(&s.hashes, &s.tmp, &mut s.cand, &mut s.next_active, chain_steps);
+            table.advance_matching(&s.hashes, &s.tmp, &mut s.cand, &mut s.next_active);
         }
         std::mem::swap(&mut s.active, &mut s.next_active);
     }
@@ -1453,18 +1406,12 @@ impl Operator for HashJoin {
         Some(&self.profile)
     }
 
-    fn profile_mut(&mut self) -> Option<&mut OpProfile> {
-        Some(&mut self.profile)
-    }
-
     fn next(&mut self) -> Result<Option<Batch>> {
         if self.probe_done {
             return self.next_deferred();
         }
         if self.build.is_none() {
-            let t0 = Instant::now();
             self.attach_build()?;
-            self.profile.record_phase(t0.elapsed());
         }
         loop {
             self.cancel.check()?;
@@ -1472,8 +1419,7 @@ impl Operator for HashJoin {
                 let governed = self.build.as_ref().is_some_and(|b| b.spill.is_some());
                 return if governed { self.next_deferred() } else { Ok(None) };
             };
-            let t0 = Instant::now();
-            self.profile.record_enc_batch(batch.columns.iter().any(|c| c.is_encoded()));
+            self.profile.record_enc_batch(&batch);
             for &c in &self.flat_cols_probe {
                 batch.columns[c].ensure_flat();
             }
@@ -1491,7 +1437,6 @@ impl Operator for HashJoin {
             let has_null_key = build.has_null_key;
             let skip_probe =
                 self.join_type == JoinType::NullAwareLeftAnti && (has_null_key || build_empty);
-            let (chain_steps, probed);
             {
                 // Stack-resolved single key: see the build loop's comment.
                 let single_key;
@@ -1512,27 +1457,13 @@ impl Operator for HashJoin {
                     None => s.live.fill_identity(batch.capacity()),
                 }
                 s.live.retain_from(|p| !keys.iter().any(|k| k.is_null(p)), &mut s.nonnull);
-                // Skipped probes contribute nothing to the chain-length
-                // observable — counting their lanes would dilute the average.
-                (chain_steps, probed) = if skip_probe {
-                    (0, 0)
-                } else {
-                    let steps = probe_batch(
-                        build,
-                        self.router.as_mut(),
-                        &mut self.probe_files,
-                        self.join_type,
-                        s,
-                        keys,
-                        &batch,
-                        &mut self.profile,
-                    )?;
-                    (steps, s.nonnull.len() as u64)
-                };
+                if !skip_probe {
+                    let router = self.router.as_mut();
+                    let files = &mut self.probe_files;
+                    probe_batch(build, router, files, self.join_type, s, keys, &batch)?;
+                }
             }
             self.pool.recycle();
-            let (runs, instrs) = self.pool.take_counters();
-            self.profile.record_expr(runs, instrs);
 
             // Emit the non-pair join types from the matched flags, in probe
             // order (pair emitters filled out_probe during the walk).
@@ -1589,18 +1520,8 @@ impl Operator for HashJoin {
             if let Some(bp) = &self.batch_pool {
                 bp.recycle(batch); // probe columns gathered: batch goes back
             }
-            self.profile.record_probe(probed, chain_steps);
-            match out {
-                // `invocations` counts emitted batches; batches probed
-                // without output still contribute time and probe counters.
-                Some(b) => {
-                    self.profile.record(b.rows(), t0.elapsed());
-                    return Ok(Some(b));
-                }
-                None => {
-                    self.profile.record_phase(t0.elapsed());
-                    continue;
-                }
+            if out.is_some() {
+                return Ok(out);
             }
         }
     }
@@ -1781,18 +1702,6 @@ mod tests {
         let out = drain(&mut j).unwrap();
         // Only (1,10) and (2,10) exist on both sides.
         assert_eq!(out.rows(), 2);
-    }
-
-    #[test]
-    fn probe_profile_reports_chain_steps() {
-        let l = source("l", vec![(Some(2), "a"), (Some(3), "b"), (Some(7), "c")]);
-        let r = source("r", vec![(Some(2), "x"), (Some(3), "y"), (Some(3), "z")]);
-        let mut j = join(l, r, JoinType::Inner);
-        let _ = drain(&mut j).unwrap();
-        let p = Operator::profile(&j).unwrap();
-        assert_eq!(p.probe_rows, 3, "three probe keys hashed");
-        assert!(p.probe_chain_steps >= 2, "matching lanes walked chains");
-        assert!(p.avg_chain_len() > 0.0);
     }
 
     // Every build configuration (one slot, governed ample/tight; own and

@@ -31,18 +31,12 @@ pub trait Operator: Send {
     fn schema(&self) -> &Schema;
     /// Produce the next batch, or `None` when exhausted.
     fn next(&mut self) -> Result<Option<Batch>>;
-    /// Operator display name (EXPLAIN / profiling).
+    /// Operator display name.
     fn name(&self) -> &'static str;
-    /// Internal profiling counters, when the operator keeps them (the
-    /// hash operators report probe-chain statistics here).
+    /// The counters only the operator can see, when it keeps any —
+    /// `EXPLAIN ANALYZE`'s wrapper reads them when it drops (see
+    /// [`crate::profile`]).
     fn profile(&self) -> Option<&OpProfile> {
-        None
-    }
-    /// Mutable access to the same counters, for compile-time annotations
-    /// (the planner stamps its estimated output rows into
-    /// [`OpProfile::est_rows`]). `None` exactly when
-    /// [`profile`](Operator::profile) is `None`.
-    fn profile_mut(&mut self) -> Option<&mut OpProfile> {
         None
     }
 }

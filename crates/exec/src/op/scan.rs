@@ -11,10 +11,10 @@
 //! Work arrives in *morsels*: the scan repeatedly claims the next
 //! `morsel_rows`-sized slice of the image from a shared
 //! [`MorselSource`] dispenser (see `crate::morsel`). A serial scan owns a
-//! private single-consumer dispenser; the scan clones of one exchange
-//! fragment share one, so a slow worker claims fewer morsels instead of
-//! stranding a pre-assigned static range — the replacement for the old
-//! plan-time `partition_items` splitting. Output batches lease from the
+//! private dispenser; the scan clones of one exchange fragment share one,
+//! so a slow worker claims fewer morsels instead of stranding a
+//! pre-assigned static range — the replacement for the old plan-time
+//! `partition_items` splitting. Output batches lease from the
 //! pipeline's [`BatchPool`] when one is attached, so a steady-state scan
 //! reuses the buffers its consumer recycled instead of allocating.
 //!
@@ -30,7 +30,6 @@ use crate::morsel::{BatchPool, MorselSource};
 use crate::profile::OpProfile;
 use crate::vector::Batch;
 use std::sync::Arc;
-use std::time::Instant;
 use vw_common::{ColData, Field, Result, Schema, TypeId, Value, VwError};
 use vw_pdt::MergeItem;
 use vw_storage::pack::EncodedChunk;
@@ -49,7 +48,6 @@ pub struct VectorScan {
     schema: Schema,
     out_types: Vec<TypeId>,
     source: Arc<MorselSource>,
-    consumer: usize,
     /// `(RID base, item)` of the currently claimed morsel (buffer reused
     /// per claim).
     morsel: Vec<(u64, MergeItem)>,
@@ -76,18 +74,17 @@ impl VectorScan {
         vector_size: usize,
         cancel: CancelToken,
     ) -> VectorScan {
-        let source = MorselSource::new(items, usize::MAX, 1);
-        VectorScan::with_source(table, pool, columns, source, 0, vector_size, cancel)
+        let source = MorselSource::new(items, usize::MAX);
+        VectorScan::with_source(table, pool, columns, source, vector_size, cancel)
     }
 
-    /// Scan `columns` of `table`, claiming morsels from `source` as
-    /// consumer `consumer` (the worker index of an exchange fragment).
+    /// Scan `columns` of `table`, claiming morsels from `source` (shared
+    /// by the scan clones of an exchange fragment).
     pub fn with_source(
         table: Arc<TableStorage>,
         pool: Arc<BufferPool>,
         columns: Vec<usize>,
         source: Arc<MorselSource>,
-        consumer: usize,
         vector_size: usize,
         cancel: CancelToken,
     ) -> VectorScan {
@@ -100,7 +97,6 @@ impl VectorScan {
             schema,
             out_types,
             source,
-            consumer,
             morsel: Vec::new(),
             item_idx: 0,
             item_off: 0,
@@ -108,7 +104,7 @@ impl VectorScan {
             vector_size,
             batch_pool: None,
             emit_rids: false,
-            profile: OpProfile::new("Scan"),
+            profile: OpProfile::default(),
             cancel,
         }
     }
@@ -155,10 +151,9 @@ impl VectorScan {
             if self.item_idx < self.morsel.len() {
                 return true;
             }
-            if !self.source.claim_into(self.consumer, &mut self.morsel) {
+            if !self.source.claim_into(&mut self.morsel) {
                 return false;
             }
-            self.profile.record_morsel();
             self.item_idx = 0;
             self.item_off = 0;
         }
@@ -174,10 +169,7 @@ impl VectorScan {
 
     fn load_pack(&mut self, pack_idx: usize) -> Result<()> {
         if self.cur_pack.as_ref().map(|(i, _)| *i) != Some(pack_idx) {
-            let retries_before = self.pool.disk().stats().io_retries;
             let chunks = self.table.read_pack_encoded(&self.pool, pack_idx, &self.columns)?;
-            let retries_after = self.pool.disk().stats().io_retries;
-            self.profile.record_io_retries(retries_after - retries_before);
             self.cur_pack = Some((pack_idx, chunks));
         }
         Ok(())
@@ -238,22 +230,13 @@ impl Operator for VectorScan {
         Some(&self.profile)
     }
 
-    fn profile_mut(&mut self) -> Option<&mut OpProfile> {
-        Some(&mut self.profile)
-    }
-
     fn next(&mut self) -> Result<Option<Batch>> {
         self.cancel.check()?;
         if !self.ensure_morsel() {
             return Ok(None);
         }
-        let t0 = Instant::now();
-        let mut out = BatchPool::lease_or_new(
-            self.batch_pool.as_ref(),
-            &self.out_types,
-            self.vector_size,
-            &mut self.profile,
-        );
+        let mut out =
+            BatchPool::lease_or_new(self.batch_pool.as_ref(), &self.out_types, self.vector_size);
         let mut filled = 0usize;
         while filled < self.vector_size {
             if self.item_idx >= self.morsel.len() && !self.ensure_morsel() {
@@ -307,8 +290,7 @@ impl Operator for VectorScan {
             }
             return Ok(None);
         }
-        self.profile.record(filled, t0.elapsed());
-        self.profile.record_enc_batch(out.columns.iter().any(|c| c.is_encoded()));
+        self.profile.record_enc_batch(&out);
         Ok(Some(out))
     }
 }
@@ -385,30 +367,27 @@ mod tests {
         // Morsels of 64 rows with 100-row vectors: batches keep filling
         // across claim boundaries, so every batch but the last is full.
         let (t, pool) = setup(1000, 128);
-        let source = MorselSource::new(VectorScan::stable_items(1000), 64, 1);
-        let mut s = VectorScan::with_source(t, pool, vec![0], source, 0, 100, CancelToken::new());
+        let source = MorselSource::new(VectorScan::stable_items(1000), 64);
+        let mut s = VectorScan::with_source(t, pool, vec![0], source, 100, CancelToken::new());
         let mut sizes = Vec::new();
         while let Some(b) = s.next().unwrap() {
             sizes.push(b.rows());
         }
         assert_eq!(sizes.iter().sum::<usize>(), 1000);
         assert!(sizes[..sizes.len() - 1].iter().all(|&s| s == 100), "{sizes:?}");
-        let p = Operator::profile(&s).unwrap();
-        assert_eq!(p.morsels, 1000_u64.div_ceil(64), "one claim per 64-row morsel");
     }
 
     #[test]
     fn shared_source_scans_cover_image_disjointly() {
         let (t, pool) = setup(1000, 128);
-        let source = MorselSource::new(VectorScan::stable_items(1000), 96, 3);
+        let source = MorselSource::new(VectorScan::stable_items(1000), 96);
         let mut ids: Vec<i64> = Vec::new();
-        for consumer in 0..3 {
+        for _ in 0..3 {
             let mut s = VectorScan::with_source(
                 t.clone(),
                 pool.clone(),
                 vec![0],
                 source.clone(),
-                consumer,
                 64,
                 CancelToken::new(),
             );
@@ -436,9 +415,12 @@ mod tests {
             bp.recycle(b); // the consumer's side of the protocol
         }
         assert_eq!(rows, 1000);
-        let p = Operator::profile(&s).unwrap();
-        assert_eq!(p.batch_pool_misses, 1, "only the first lease allocates");
-        assert!(p.batch_pool_hits >= 9, "steady-state leases hit: {p:?}");
+        // Only the first lease allocated: every later one took back the
+        // batch just recycled, so the pool holds exactly one.
+        let types = [TypeId::I64, TypeId::Str];
+        let (_held, hit) = bp.lease(&types, 0);
+        assert!(hit, "the recycled batch is pooled");
+        assert!(!bp.lease(&types, 0).1, "and it is the only one: steady-state leases hit");
     }
 
     #[test]
@@ -511,13 +493,12 @@ mod tests {
         want_ids.push(999);
         want_ids.extend(300..400);
         for cols in [vec![0], vec![]] {
-            let source = MorselSource::with_rids(items.clone(), rids.clone(), 48, 1);
+            let source = MorselSource::with_rids(items.clone(), rids.clone(), 48);
             let mut s = VectorScan::with_source(
                 t.clone(),
                 pool.clone(),
                 cols.clone(),
                 source,
-                0,
                 64,
                 CancelToken::new(),
             )

@@ -13,16 +13,14 @@
 //! `SELECT DISTINCT` lowers to a [`Mode::Union`] over a single input:
 //! dedup is the whole job, so the binder gets it for free.
 //!
-//! Eliminated rows are counted in [`OpProfile::setop_dropped`] and
-//! surface as the `dedup` column of `EXPLAIN ANALYZE` (see the
-//! [profile docs](crate::profile)).
+//! The operator keeps no counters of its own: under `EXPLAIN ANALYZE`
+//! what it eliminated is its inputs' `actual=` minus its own (see
+//! [`crate::profile`]).
 
 use super::{BoxedOp, Operator};
 use crate::cancel::CancelToken;
-use crate::profile::OpProfile;
 use crate::vector::{Batch, Vector};
 use std::collections::HashSet;
-use std::time::Instant;
 use vw_common::{ColData, Result, Schema, Value};
 
 /// Which set operation to evaluate.
@@ -50,7 +48,6 @@ pub struct SetOp {
     emitted: HashSet<Vec<u8>>,
     built: bool,
     schema: Schema,
-    profile: OpProfile,
     cancel: CancelToken,
 }
 
@@ -61,11 +58,6 @@ impl SetOp {
     pub fn new(mode: Mode, left: BoxedOp, right: Option<BoxedOp>, cancel: CancelToken) -> SetOp {
         debug_assert_eq!(matches!(mode, Mode::Union), right.is_none());
         let schema = left.schema().clone();
-        let name = match mode {
-            Mode::Union => "Union",
-            Mode::Intersect => "Intersect",
-            Mode::Except => "Except",
-        };
         SetOp {
             mode,
             left,
@@ -74,14 +66,12 @@ impl SetOp {
             emitted: HashSet::new(),
             built: false,
             schema,
-            profile: OpProfile::new(name),
             cancel,
         }
     }
 
     /// Drain the right input into the membership set.
     fn build(&mut self) -> Result<()> {
-        let t0 = Instant::now();
         if let Some(right) = &mut self.right {
             let mut key = Vec::new();
             while let Some(mut batch) = right.next()? {
@@ -97,7 +87,6 @@ impl SetOp {
             }
         }
         self.built = true;
-        self.profile.record_phase(t0.elapsed());
         Ok(())
     }
 }
@@ -108,15 +97,11 @@ impl Operator for SetOp {
     }
 
     fn name(&self) -> &'static str {
-        self.profile.name
-    }
-
-    fn profile(&self) -> Option<&OpProfile> {
-        Some(&self.profile)
-    }
-
-    fn profile_mut(&mut self) -> Option<&mut OpProfile> {
-        Some(&mut self.profile)
+        match self.mode {
+            Mode::Union => "Union",
+            Mode::Intersect => "Intersect",
+            Mode::Except => "Except",
+        }
     }
 
     fn next(&mut self) -> Result<Option<Batch>> {
@@ -129,7 +114,6 @@ impl Operator for SetOp {
             let Some(mut batch) = self.left.next()? else {
                 return Ok(None);
             };
-            let t0 = Instant::now();
             batch.ensure_flat();
             let mut out: Vec<Vector> = self
                 .schema
@@ -138,7 +122,6 @@ impl Operator for SetOp {
                 .map(|f| Vector::new(ColData::with_capacity(f.ty, batch.rows())))
                 .collect();
             let mut kept = 0usize;
-            let mut dropped = 0u64;
             for pos in batch.live() {
                 key.clear();
                 encode_row(&batch, pos, &mut key);
@@ -153,18 +136,12 @@ impl Operator for SetOp {
                         c.push(&src.get(pos))?;
                     }
                     kept += 1;
-                } else {
-                    dropped += 1;
                 }
             }
-            self.profile.record_setop_dropped(dropped);
             if kept == 0 {
-                self.profile.record_phase(t0.elapsed());
                 continue;
             }
-            let out = Batch::new(out);
-            self.profile.record(out.rows(), t0.elapsed());
-            return Ok(Some(out));
+            return Ok(Some(Batch::new(out)));
         }
     }
 }
@@ -251,7 +228,6 @@ mod tests {
         let mut op = SetOp::new(Mode::Union, Box::new(cat), None, CancelToken::new());
         let out = drain(&mut op).unwrap();
         assert_eq!(out.rows(), 3, "1x, NULLy, 2z");
-        assert_eq!(op.profile().unwrap().setop_dropped, 2);
     }
 
     #[test]
@@ -276,8 +252,6 @@ mod tests {
         assert_eq!(rows.len(), 2);
         assert!(rows.contains(&vec![Value::I64(1), Value::Str("x".into())]));
         assert!(rows.contains(&vec![Value::I64(3), Value::Str("z".into())]));
-        // 2 copies of (2,y) subtracted.
-        assert_eq!(op.profile().unwrap().setop_dropped, 2);
     }
 
     #[test]

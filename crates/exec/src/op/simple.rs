@@ -6,7 +6,6 @@ use crate::morsel::BatchPool;
 use crate::profile::OpProfile;
 use crate::program::{ExprProgram, SelectProgram, VectorPool};
 use crate::vector::{Batch, Vector};
-use std::time::Instant;
 use vw_common::{ColData, Result, Schema, SelVec, TypeId, Value};
 
 /// In-memory row source (VALUES lists, tests, DML pipelines).
@@ -87,7 +86,7 @@ impl Select {
             flat_cols,
             pool: VectorPool::new(),
             batch_pool: None,
-            profile: OpProfile::new("Select"),
+            profile: OpProfile::default(),
             cancel,
         }
     }
@@ -114,17 +113,12 @@ impl Operator for Select {
         Some(&self.profile)
     }
 
-    fn profile_mut(&mut self) -> Option<&mut OpProfile> {
-        Some(&mut self.profile)
-    }
-
     fn next(&mut self) -> Result<Option<Batch>> {
         loop {
             self.cancel.check()?;
             let Some(mut batch) = self.input.next()? else {
                 return Ok(None);
             };
-            let t0 = Instant::now();
             // Pull selections the downstream consumer recycled back into
             // the expression pool, so the ones we hand out keep cycling.
             if let Some(bp) = &self.batch_pool {
@@ -132,25 +126,21 @@ impl Operator for Select {
                     self.pool.put_sel(s);
                 }
             }
-            self.profile.record_enc_batch(batch.columns.iter().any(|c| c.is_encoded()));
+            self.profile.record_enc_batch(&batch);
             for &c in &self.flat_cols {
                 batch.columns[c].ensure_flat();
             }
             let sel = self.predicate.run(&mut self.pool, &batch)?;
             self.pool.recycle();
-            let (runs, instrs) = self.pool.take_counters();
-            self.profile.record_expr(runs, instrs);
-            self.profile.record_enc_skipped(self.pool.take_enc_skipped());
+            self.profile.enc_skipped += self.pool.take_enc_skipped();
             if sel.is_empty() {
                 self.pool.put_sel(sel);
                 if let Some(bp) = &self.batch_pool {
                     bp.recycle(batch); // fully filtered: give the batch back
                 }
-                self.profile.record_phase(t0.elapsed());
                 continue; // fetch the next vector
             }
             batch.sel = Some(sel);
-            self.profile.record(batch.rows(), t0.elapsed());
             return Ok(Some(batch));
         }
     }
@@ -200,7 +190,7 @@ impl Project {
             flat_cols,
             pool: VectorPool::new(),
             batch_pool: None,
-            profile: OpProfile::new("Project"),
+            profile: OpProfile::default(),
             cancel,
         }
     }
@@ -227,29 +217,19 @@ impl Operator for Project {
         Some(&self.profile)
     }
 
-    fn profile_mut(&mut self) -> Option<&mut OpProfile> {
-        Some(&mut self.profile)
-    }
-
     fn next(&mut self) -> Result<Option<Batch>> {
         self.cancel.check()?;
         let Some(mut batch) = self.input.next()? else {
             return Ok(None);
         };
-        let t0 = Instant::now();
-        self.profile.record_enc_batch(batch.columns.iter().any(|c| c.is_encoded()));
+        self.profile.record_enc_batch(&batch);
         for &c in &self.flat_cols {
             batch.columns[c].ensure_flat();
         }
         // Lease the output batch: recycled buffers feed the expression
         // pool's slots through `detach_into`, so steady-state projection
         // allocates nothing even though ownership moves downstream.
-        let mut out = BatchPool::lease_or_new(
-            self.batch_pool.as_ref(),
-            &self.out_types,
-            0,
-            &mut self.profile,
-        );
+        let mut out = BatchPool::lease_or_new(self.batch_pool.as_ref(), &self.out_types, 0);
         for (prog, dst) in self.programs.iter().zip(&mut out.columns) {
             let vr = prog.run(&mut self.pool, &batch)?;
             match &batch.sel {
@@ -260,12 +240,9 @@ impl Operator for Project {
             }
         }
         self.pool.recycle();
-        let (runs, instrs) = self.pool.take_counters();
-        self.profile.record_expr(runs, instrs);
         if let Some(bp) = &self.batch_pool {
             bp.recycle(batch); // input consumed: back to the free list
         }
-        self.profile.record(out.rows(), t0.elapsed());
         Ok(Some(out))
     }
 }

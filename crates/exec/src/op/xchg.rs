@@ -4,10 +4,10 @@
 //! query parallelizer". The rewriter marks an order-insensitive plan
 //! fragment for parallel execution (see `vw_rewriter::parallel`); the
 //! compiler's pipeline factory then builds `DOP` clones of the fragment
-//! that **share one [`MorselSource`] per scan** — workers pull
-//! `morsel_rows`-sized claims until the dispenser runs dry, so a slow
-//! worker claims fewer morsels instead of stranding a pre-assigned static
-//! row range. `Xchg` merges the clones' batch streams.
+//! that **share one [`MorselSource`](crate::morsel::MorselSource) per
+//! scan** — workers pull `morsel_rows`-sized claims until the dispenser
+//! runs dry, so a slow worker claims fewer morsels instead of stranding a
+//! pre-assigned static row range. `Xchg` merges the clones' batch streams.
 //!
 //! Every clone is a cooperative task ([`vw_service::task`]) on the
 //! engine's fixed [`WorkerPool`], so N concurrent queries share W workers
@@ -28,16 +28,15 @@
 //! its dependents with the same error, so it reaches the consumer the way
 //! a fragment's own error does.
 //!
-//! Errors from any fragment surface on the consumer side. When the stream
-//! completes, the per-worker morsel counts are folded into this
-//! operator's [`OpProfile`] (the scheduling-balance observable in
-//! `EXPLAIN ANALYZE`).
+//! Errors from any fragment surface on the consumer side. The exchange
+//! keeps no counters: under `EXPLAIN ANALYZE` every clone of every
+//! fragment operator is wrapped on its own, and how evenly the clones
+//! shared the work is the `×k rows a..b time a..b` of their lines (see
+//! [`crate::profile`]).
 
 use super::hashjoin::{BuildSink, SharedBuild};
 use super::{BoxedOp, Operator};
 use crate::cancel::CancelToken;
-use crate::morsel::MorselSource;
-use crate::profile::OpProfile;
 use crate::vector::Batch;
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex};
@@ -118,11 +117,6 @@ pub struct Xchg {
     tasks: Vec<TaskHandle<Fragment>>,
     /// The sinks of the builds the fragments probe; same ownership.
     sinks: Vec<TaskHandle<BuildSink>>,
-    /// The fragment's morsel dispensers (one per shared scan); read at
-    /// stream end for the per-worker claim counts.
-    sources: Vec<Arc<MorselSource>>,
-    n_workers: usize,
-    profile: OpProfile,
 }
 
 impl Xchg {
@@ -179,44 +173,14 @@ impl Xchg {
         // Everyone is subscribed: now they may run.
         sinks.iter().for_each(TaskHandle::wake);
         tasks.iter().for_each(TaskHandle::wake);
-        Xchg {
-            schema,
-            shared,
-            tasks,
-            sinks,
-            sources: Vec::new(),
-            n_workers,
-            profile: OpProfile::new("Xchg"),
-        }
-    }
-
-    /// Attach the fragment's morsel dispensers so the per-worker claim
-    /// counts land in this operator's profile when the stream completes.
-    /// Consumer `w` of every source must be worker `w`'s scan (the
-    /// compiler's pipeline factory registers them in worker order).
-    pub fn with_sources(mut self, sources: Vec<Arc<MorselSource>>) -> Xchg {
-        self.sources = sources;
-        self
+        Xchg { schema, shared, tasks, sinks }
     }
 
     /// The stream is over (drained or failed): reclaim the fragments —
-    /// on an error this is what stops the siblings — and fold the
-    /// dispensers' per-consumer claim counts into the profile.
+    /// on an error this is what stops the siblings.
     fn close(&mut self) {
         self.tasks.clear();
         self.sinks.clear();
-        if self.sources.is_empty() {
-            return;
-        }
-        let mut per_worker = vec![0u64; self.n_workers];
-        for src in &self.sources {
-            for (w, c) in src.claim_counts().into_iter().enumerate() {
-                if let Some(slot) = per_worker.get_mut(w) {
-                    *slot += c;
-                }
-            }
-        }
-        self.profile.worker_morsels = per_worker;
     }
 }
 
@@ -227,14 +191,6 @@ impl Operator for Xchg {
 
     fn name(&self) -> &'static str {
         "Xchg"
-    }
-
-    fn profile(&self) -> Option<&OpProfile> {
-        Some(&self.profile)
-    }
-
-    fn profile_mut(&mut self) -> Option<&mut OpProfile> {
-        Some(&mut self.profile)
     }
 
     fn next(&mut self) -> Result<Option<Batch>> {
@@ -265,8 +221,6 @@ impl Operator for Xchg {
                 // The pop made room: wake the fragments, outside the lock
                 // (on a closed pool a wake runs the fragment right here).
                 self.tasks.iter().for_each(TaskHandle::wake);
-                self.profile.invocations += 1;
-                self.profile.rows_out += batch.rows() as u64;
                 Ok(Some(batch))
             }
             Some(Err(e)) => {
@@ -483,24 +437,5 @@ mod tests {
         assert_eq!(rows_a, 100_000);
         assert_eq!(rows_b, 100_000);
         pool.shutdown();
-    }
-
-    #[test]
-    fn worker_morsel_counts_land_in_profile() {
-        use crate::morsel::MorselSource;
-        use vw_pdt::MergeItem;
-        let src = MorselSource::new(vec![MergeItem::Stable { sid: 0, len: 100 }], 10, 2);
-        // Simulate the workers' claims (the real claims happen inside the
-        // scans; here the counts are what matters).
-        let mut buf = Vec::new();
-        while src.claim_into(0, &mut buf) {}
-        let pool = WorkerPool::new(2);
-        let parts = vec![part(0..10, None), part(0..10, None)];
-        let mut x = Xchg::spawn_on(&pool, parts, CancelToken::new()).with_sources(vec![src]);
-        let out = drain(&mut x).unwrap();
-        assert_eq!(out.rows(), 20);
-        let p = Operator::profile(&x).unwrap();
-        assert_eq!(p.worker_morsels, vec![10, 0], "per-worker claims collected at stream end");
-        assert!((p.morsel_balance() - 2.0).abs() < 1e-9, "collapse shows as max/mean = workers");
     }
 }

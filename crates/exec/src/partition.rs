@@ -35,6 +35,11 @@
 //! back: a probe batch is hashed once, split by the same bits into reused
 //! per-slot [`SelVec`]s, and each sub-selection runs the ordinary
 //! per-table kernel against a table `P`× smaller.
+//!
+//! What a build reports is what `EXPLAIN ANALYZE` prints for it (see
+//! [`crate::profile`]): its final rows or groups per slot (`shards=P×skew`)
+//! and its governor's [`SpillMetrics`] (`spill=Pp W/R`). Probes are not
+//! counted — a probe's cost is its operator's `time=`.
 
 use crate::vector::Vector;
 use std::borrow::Borrow;
@@ -383,9 +388,10 @@ impl MemBudget {
 }
 
 /// Spill traffic counters for one operator's subtree, shared with the
-/// recursive joins / re-aggregations its spilled partitions spawn so the
-/// top-level operator's profile reports the whole cascade. Rendered as the
-/// `spill` column of `EXPLAIN ANALYZE` (see [`crate::profile`]).
+/// recursive joins / re-aggregations its spilled partitions spawn — and
+/// by every prober of one shared join build — so the top-level operator's
+/// `spill=` in `EXPLAIN ANALYZE` counts the whole cascade once (see
+/// [`crate::profile`]).
 #[derive(Debug, Default)]
 pub struct SpillMetrics {
     /// Partitions that spilled at least one chunk (all strata).

@@ -38,7 +38,9 @@
 //! level when the column arrives dictionary-coded (one comparison per
 //! distinct value builds a code-qualifying bitmap) or RLE-coded (one
 //! comparison accepts/rejects a whole run); rows decided this way are
-//! counted in [`VectorPool::take_enc_skipped`]. Everything else reads
+//! counted in [`VectorPool::take_enc_skipped`], the `+S` of the Select's
+//! `enc=E/F+S` in `EXPLAIN ANALYZE` (the pool counts nothing else: what
+//! the programs cost is their operator's `time=`). Everything else reads
 //! typed data slices, which are *empty placeholders* on dict vectors —
 //! operators must `ensure_flat()` the columns in
 //! [`ExprProgram::cols_used`] before running a non-bare program
@@ -98,10 +100,9 @@ struct Slot {
 
 /// Reusable arena of scratch [`Vector`]s — X100's "vector memory".
 ///
-/// See the module docs for the ownership rules. The pool also carries the
-/// per-operator expression profiling counters (`programs_run`,
-/// `instrs_run`) that [`OpProfile`](crate::profile::OpProfile) surfaces in
-/// `EXPLAIN ANALYZE`.
+/// See the module docs for the ownership rules. The pool also counts the
+/// rows its select steps decided at the encoding level, which `Select`
+/// drains into the `enc=E/F+S` of its `EXPLAIN ANALYZE` line.
 #[derive(Default)]
 pub struct VectorPool {
     slots: Vec<Slot>,
@@ -115,10 +116,6 @@ pub struct VectorPool {
     sel_free: Vec<SelVec>,
     /// Scratch for the Div/Rem NULL-denominator patch (see `Instr::DivRemI64`).
     patch_i64: Vec<i64>,
-    /// Program invocations since the last `take_counters`.
-    pub programs_run: u64,
-    /// Instructions executed since the last `take_counters`.
-    pub instrs_run: u64,
     /// Rows decided at the encoding level (dict-code bitmap, RLE run
     /// accept/reject) instead of per-row value comparisons, since the
     /// last `take_enc_skipped`. Feeds `OpProfile::enc_skipped`.
@@ -209,11 +206,6 @@ impl VectorPool {
     /// list (buffers intact). All outstanding `VecRef`s become invalid.
     pub fn recycle(&mut self) {
         self.free.append(&mut self.held);
-    }
-
-    /// Drain the profiling counters (program runs, instructions executed).
-    pub fn take_counters(&mut self) -> (u64, u64) {
-        (std::mem::take(&mut self.programs_run), std::mem::take(&mut self.instrs_run))
     }
 
     /// Drain the rows-decided-at-encoding-level counter.
@@ -437,8 +429,6 @@ impl ExprProgram {
                 break;
             }
         }
-        pool.programs_run += 1;
-        pool.instrs_run += self.instrs.len() as u64;
         let keep = match self.result {
             Opd::Col(_) => None,
             Opd::Reg(r) => Some(pool.regs[r as usize]),
@@ -2048,20 +2038,6 @@ mod tests {
             run_values(&p, &mut pool, &batch);
         }
         assert_eq!(pool.slots.len(), slots_after_first, "steady state must not grow the arena");
-    }
-
-    #[test]
-    fn profiling_counters_accumulate() {
-        let e = arith(BinOp::Add, col(0, TypeId::I64), lit(1));
-        let p = ExprProgram::compile(&e);
-        let mut pool = VectorPool::new();
-        let batch = batch_i64(vec![1, 2]);
-        run_values(&p, &mut pool, &batch);
-        run_values(&p, &mut pool, &batch);
-        let (runs, instrs) = pool.take_counters();
-        assert_eq!(runs, 2);
-        assert_eq!(instrs, 2 * p.len() as u64);
-        assert_eq!(pool.take_counters(), (0, 0), "counters drain");
     }
 
     /// The dedicated Div/Rem instruction patches NULL denominators to 1:

@@ -21,7 +21,6 @@
 use crate::cancel::CancelToken;
 use crate::op::Operator;
 use crate::partition::SpillMetrics;
-use crate::profile::OpProfile;
 use crate::vector::{Batch, Vector};
 use std::borrow::Borrow;
 use std::sync::Arc;
@@ -87,13 +86,12 @@ pub struct SpillScan {
     next: (usize, usize),
     cancel: CancelToken,
     metrics: Arc<SpillMetrics>,
-    profile: OpProfile,
 }
 
 impl SpillScan {
     /// Replay `files` as batches of `schema`. Actual rehydration traffic
     /// is recorded into `metrics` (shared with the spilling operator, so
-    /// the top-level profile sees the whole cascade).
+    /// its `EXPLAIN ANALYZE` line counts the whole cascade).
     pub fn new(
         files: Vec<Arc<SpillFile>>,
         schema: Schema,
@@ -101,15 +99,7 @@ impl SpillScan {
         metrics: Arc<SpillMetrics>,
     ) -> SpillScan {
         let types = schema.fields.iter().map(|f| f.ty).collect();
-        SpillScan {
-            files,
-            schema,
-            types,
-            next: (0, 0),
-            cancel,
-            metrics,
-            profile: OpProfile::new("SpillScan"),
-        }
+        SpillScan { files, schema, types, next: (0, 0), cancel, metrics }
     }
 }
 
@@ -122,14 +112,6 @@ impl Operator for SpillScan {
         "SpillScan"
     }
 
-    fn profile(&self) -> Option<&OpProfile> {
-        Some(&self.profile)
-    }
-
-    fn profile_mut(&mut self) -> Option<&mut OpProfile> {
-        Some(&mut self.profile)
-    }
-
     fn next(&mut self) -> Result<Option<Batch>> {
         loop {
             self.cancel.check()?;
@@ -140,16 +122,12 @@ impl Operator for SpillScan {
                 continue;
             }
             self.next.1 += 1;
-            let retries_before = file.disk().stats().io_retries;
             let (columns, nbytes) = read_vectors(file, i, &self.types)?;
-            let retries_after = file.disk().stats().io_retries;
-            self.profile.record_io_retries(retries_after - retries_before);
             self.metrics.record_read(nbytes as u64);
             let batch = Batch::new(columns);
             if batch.rows() == 0 {
                 continue; // an empty chunk (possible after an empty flush)
             }
-            self.profile.record(batch.rows(), std::time::Duration::ZERO);
             return Ok(Some(batch));
         }
     }

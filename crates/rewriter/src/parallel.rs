@@ -285,7 +285,7 @@ mod tests {
     }
 
     fn explain(plan: &LogicalPlan) -> String {
-        vw_sql::optimizer::explain_with_estimates(plan, &NoTables)
+        vw_sql::optimizer::explain_with_estimates(plan, &NoTables, &|_| String::new())
     }
 
     fn scan() -> LogicalPlan {

@@ -52,7 +52,7 @@ pub enum Statement {
     /// EXPLAIN `<query>`.
     Explain(Box<Statement>),
     /// EXPLAIN ANALYZE `<query>` — run it, return rows plus the plan text
-    /// with an `actual: N rows` footer.
+    /// with every line's measured figures.
     ExplainAnalyze(Box<Statement>),
     /// BEGIN \[TRANSACTION\].
     Begin,

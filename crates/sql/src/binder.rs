@@ -1781,7 +1781,7 @@ mod tests {
     }
 
     fn explain(plan: &LogicalPlan) -> String {
-        crate::optimizer::explain_with_estimates(plan, &MockCatalog)
+        crate::optimizer::explain_with_estimates(plan, &MockCatalog, &|_| String::new())
     }
 
     #[test]

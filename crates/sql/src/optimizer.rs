@@ -1055,8 +1055,8 @@ impl<'a> Estimator<'a> {
     }
 
     /// The estimates of every node of `plan`, from one bottom-up pass —
-    /// what the plan compiler stamps on operator profiles and EXPLAIN
-    /// renders per line.
+    /// what the plan compiler sizes hash builds with and EXPLAIN renders
+    /// per line.
     pub fn estimate_all<'p>(&self, plan: &'p LogicalPlan) -> PlanEstimates<'p> {
         let mut rows = HashMap::new();
         self.walk(plan, &mut |node, r| {
@@ -1330,11 +1330,17 @@ fn choose_build_side(plan: LogicalPlan, est: &Estimator) -> LogicalPlan {
 ///   base-table column numbers) and is omitted when no hints exist;
 /// * join children are prefixed with their runtime role: `probe:` for
 ///   the left (streamed) input, `build:` for the right (hash-table)
-///   input.
-pub fn explain_with_estimates(plan: &LogicalPlan, catalog: &dyn CatalogView) -> String {
+///   input;
+/// * `suffix(node)` is appended after `est~N` — empty for `EXPLAIN`, the
+///   node's measured figures for `EXPLAIN ANALYZE`.
+pub fn explain_with_estimates(
+    plan: &LogicalPlan,
+    catalog: &dyn CatalogView,
+    suffix: &dyn Fn(&LogicalPlan) -> String,
+) -> String {
     let est = Estimator::new(catalog).estimate_all(plan);
     let mut out = String::new();
-    explain_est_into(plan, &est, catalog, 0, None, &mut out);
+    explain_est_into(plan, &est, catalog, suffix, 0, None, &mut out);
     out
 }
 
@@ -1342,6 +1348,7 @@ fn explain_est_into<'p>(
     plan: &'p LogicalPlan,
     est: &PlanEstimates<'p>,
     catalog: &dyn CatalogView,
+    suffix: &dyn Fn(&LogicalPlan) -> String,
     depth: usize,
     role: Option<&str>,
     out: &mut String,
@@ -1382,13 +1389,13 @@ fn explain_est_into<'p>(
     };
     out.push_str(&line);
     let rows = est.rows(plan).expect("every node of the walked plan has an estimate");
-    out.push_str(&format!(" est~{rows:.0}\n"));
+    out.push_str(&format!(" est~{rows:.0}{}\n", suffix(plan)));
     if let LogicalPlan::Join { left, right, .. } = plan {
-        explain_est_into(left, est, catalog, depth + 1, Some("probe: "), out);
-        explain_est_into(right, est, catalog, depth + 1, Some("build: "), out);
+        explain_est_into(left, est, catalog, suffix, depth + 1, Some("probe: "), out);
+        explain_est_into(right, est, catalog, suffix, depth + 1, Some("build: "), out);
     } else {
         for c in plan.children() {
-            explain_est_into(c, est, catalog, depth + 1, None, out);
+            explain_est_into(c, est, catalog, suffix, depth + 1, None, out);
         }
     }
 }
@@ -1506,7 +1513,7 @@ mod tests {
     }
 
     fn explain(plan: &LogicalPlan) -> String {
-        explain_with_estimates(plan, &MockCatalog)
+        explain_with_estimates(plan, &MockCatalog, &|_| String::new())
     }
 
     #[test]
@@ -1698,7 +1705,7 @@ Project [1 exprs] est~18
         // The same plan without statistics: each range conjunct takes the
         // default selectivity 0.3, so the filter keeps 100 × 0.09 rows.
         let p = plan_with("SELECT a FROM small WHERE id >= 10 AND id < 20", false);
-        let text = explain_with_estimates(&p, &NoStatistics(&MockCatalog));
+        let text = explain_with_estimates(&p, &NoStatistics(&MockCatalog), &|_| String::new());
         let expected = "\
 Project [1 exprs] est~9
   Select est~9

@@ -9,6 +9,11 @@
 //! statement stream) or surface a *typed* `VwError` — never a panic,
 //! never a hang, never a leaked resource.
 //!
+//! About a third of the reads run as `EXPLAIN ANALYZE`: the same rows as
+//! the mirror's plain run, and — since every operator then sits in a timing
+//! wrapper that reports when it drops — the same clean baselines below on
+//! every exit path, KILL and timeout included.
+//!
 //! After every statement the suite asserts the global memory-budget gauge
 //! is fully uncharged and (for read-only statements) that the disk holds
 //! exactly the blocks it held before — spill chunks from interrupted
@@ -89,6 +94,8 @@ struct Stmt {
     kill: bool,
     /// Run the statement under a tiny statement timeout.
     timeout: bool,
+    /// Run a read as `EXPLAIN ANALYZE` on the chaotic side.
+    analyze: bool,
 }
 
 fn pick_statement(rng: &mut SmallRng) -> Stmt {
@@ -140,6 +147,7 @@ fn pick_statement(rng: &mut SmallRng) -> Stmt {
         chaos_only,
         kill: killable && rng.gen_bool(0.2),
         timeout: killable && rng.gen_bool(0.1),
+        analyze: killable && rng.gen_bool(0.3),
     }
 }
 
@@ -249,7 +257,11 @@ fn chaos_body(seed: u64) {
         }
         let disk_before = chaos.disk().used_bytes();
         let kill_delay = rng.gen_range(0..3000u64);
-        let res = run_chaotic(&chaos, &stmt.sql, stmt.kill, kill_delay);
+        let sql = match stmt.analyze {
+            true => format!("EXPLAIN ANALYZE {}", stmt.sql),
+            false => stmt.sql.clone(),
+        };
+        let res = run_chaotic(&chaos, &sql, stmt.kill, kill_delay);
         if stmt.timeout {
             chaos.execute("SET statement_timeout = 0").unwrap();
         }
@@ -271,8 +283,13 @@ fn chaos_body(seed: u64) {
                         assert_eq!(
                             row_set(&r),
                             row_set(&m),
-                            "iter {iter}: {:?} diverged from the fault-free mirror (seed {seed})",
-                            stmt.sql
+                            "iter {iter}: {sql:?} diverged from the fault-free mirror (seed {seed})",
+                        );
+                        let root = r.text.as_deref().and_then(|t| t.lines().next());
+                        let counted = format!(" actual={} ", m.rows().len());
+                        assert!(
+                            !stmt.analyze || root.is_some_and(|l| l.contains(&counted)),
+                            "iter {iter}: {sql:?} root line {root:?} (seed {seed})"
                         );
                     }
                 }

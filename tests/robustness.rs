@@ -290,6 +290,37 @@ fn set_vector_size_is_bounded_and_a_rejected_value_changes_nothing() {
     assert_eq!(r.rows()[0], vec![Value::I64(2)]);
 }
 
+/// `EXPLAIN` explains a SELECT and nothing else. Of any other statement it
+/// used to hand back the statement's Rust `Debug` dump as plan text; now it
+/// is the typed `Unsupported` that `EXPLAIN ANALYZE` of a non-SELECT
+/// already was — and neither runs the statement.
+#[test]
+fn explain_of_a_non_select_is_a_typed_error_that_runs_nothing() {
+    let _x = exclusive();
+    let db = Database::open_in_memory();
+    db.execute("CREATE TABLE t (a BIGINT NOT NULL)").unwrap();
+    db.execute("INSERT INTO t VALUES (1), (2), (3)").unwrap();
+    let rows =
+        |db: &Arc<Database>| db.execute("SELECT a FROM t ORDER BY a").unwrap().rows().to_vec();
+    let before = rows(&db);
+    for stmt in [
+        "DELETE FROM t",
+        "UPDATE t SET a = 0",
+        "INSERT INTO t VALUES (4)",
+        "DROP TABLE t",
+        "EXPLAIN SELECT 1",
+        "EXPLAIN ANALYZE SELECT a FROM t",
+    ] {
+        for explain in ["EXPLAIN", "EXPLAIN ANALYZE"] {
+            match db.execute(&format!("{explain} {stmt}")) {
+                Err(VwError::Unsupported(m)) => assert!(m.contains("non-SELECT"), "{m}"),
+                other => panic!("{explain} {stmt} must be Unsupported, got {other:?}"),
+            }
+            assert_eq!(rows(&db), before, "{explain} {stmt} changed the table");
+        }
+    }
+}
+
 #[test]
 fn event_log_stays_bounded_through_set() {
     let _x = exclusive();

@@ -21,6 +21,9 @@
 //! must match in every lane (floats compared with a print-granularity
 //! tolerance); the EXPLAIN text is byte-compared at the pinned lane
 //! (dop=1, optimizer=1) only, since its estimates come from statistics.
+//! In every lane the query also runs as `EXPLAIN ANALYZE`, which must
+//! return the same rows, count them on its root line, and render the
+//! lane's `EXPLAIN` once its measured suffixes are cut off.
 //! The instance is bulk loaded, so its statistics are fresh: the
 //! `optimizer = 1` lanes plan from them, and the `optimizer = 0` lanes run
 //! the same pass list without them (default selectivities, unique join
@@ -166,6 +169,31 @@ fn bless(db: &Arc<Database>, goldens: &[Golden]) {
     }
 }
 
+/// `EXPLAIN ANALYZE` of `sql` in the current lane, against the plain
+/// run's `rows`: the same rows, a root `actual=` that counts them, and —
+/// every ` actual=` suffix cut off — exactly the lane's `EXPLAIN` text.
+fn check_analyze(db: &Arc<Database>, sql: &str, rows: &[String]) -> Result<(), String> {
+    let analyzed = db.execute(&format!("EXPLAIN ANALYZE {sql}")).map_err(|e| e.to_string())?;
+    let text = analyzed.text.as_deref().unwrap();
+    if !rows_eq(&fmt_rows(analyzed.rows()), rows) {
+        return Err("returned other rows".into());
+    }
+    let root = text.lines().next().unwrap_or_default();
+    let actual = root.split(" actual=").nth(1).and_then(|s| s.split(' ').next());
+    if actual != Some(rows.len().to_string().as_str()) {
+        return Err(format!("root line `{root}` does not count {} rows", rows.len()));
+    }
+    let stripped: String =
+        text.lines().map(|l| format!("{}\n", l.split(" actual=").next().unwrap())).collect();
+    let explain = db.execute(&format!("EXPLAIN {sql}")).unwrap().text.unwrap();
+    if stripped != explain {
+        return Err(format!(
+            "stripped drifts from EXPLAIN\n--- EXPLAIN\n{explain}--- stripped\n{stripped}"
+        ));
+    }
+    Ok(())
+}
+
 /// Satellite: every TPC-H construct the engine still rejects must fail
 /// with a typed `E_UNSUPPORTED` naming the exact construct — not a parse
 /// error, not a wrong answer.
@@ -270,6 +298,12 @@ fn tpch_goldens() {
                 (Ok(expected), Ok(r)) => {
                     let actual = fmt_rows(r.rows());
                     let mut ok = rows_eq(&actual, expected);
+                    if ok {
+                        if let Err(why) = check_analyze(&db, &g.sql, &actual) {
+                            failures.push(format!("{name} lane {lane:?}: EXPLAIN ANALYZE {why}"));
+                            ok = false;
+                        }
+                    }
                     if ok && lane == PINNED {
                         let e = db.execute(&format!("EXPLAIN {}", g.sql)).unwrap();
                         let text = e.text.as_deref().unwrap().trim_end();
