@@ -1,7 +1,12 @@
-//! C1: the paper's ">10x faster than conventional engines" claim.
+//! C1: the paper's ">10x faster than conventional engines" claim, and what
+//! handing a large result to a client costs: `result_batches` times
+//! `execute` of `SELECT * FROM lineitem` (the plan's batches, kept as they
+//! are), `result_rows` the same plus the client's row view (`rows()`, one
+//! `Vec<Value>` per row).
 use std::sync::Arc;
 use vw_bench::experiments::{q6_projection, q6_schema, q6_vectorized, q6_volcano, BatchSource};
 use vw_bench::tpch;
+use vw_core::Database;
 
 fn bench(c: &mut Criterion) {
     let n = 20_000;
@@ -17,6 +22,12 @@ fn bench(c: &mut Criterion) {
         });
     }
     g.bench_function("q6_tuple_at_a_time", |b| b.iter(|| q6_volcano(&rows)));
+
+    let db = Database::open_in_memory();
+    tpch::load_lineitem(&db, n, 1);
+    let all = "SELECT * FROM lineitem";
+    g.bench_function("result_batches", |b| b.iter(|| db.execute(all).unwrap().num_rows()));
+    g.bench_function("result_rows", |b| b.iter(|| db.execute(all).unwrap().rows().len()));
     g.finish();
 }
 

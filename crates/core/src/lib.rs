@@ -21,8 +21,14 @@
 //! db.execute("CREATE TABLE t (id BIGINT NOT NULL, name VARCHAR)").unwrap();
 //! db.execute("INSERT INTO t VALUES (1, 'x'), (2, 'y')").unwrap();
 //! let r = db.execute("SELECT COUNT(*) FROM t").unwrap();
+//! assert_eq!(r.num_rows(), 1);
 //! assert_eq!(r.rows()[0][0], vw_common::Value::I64(2));
 //! ```
+//!
+//! A SELECT's [`QueryResult`] is the batches its plan produced
+//! ([`QueryResult::batches`]: dense, dictionary-coded strings still coded);
+//! the engine builds no row for it. [`QueryResult::rows`] is the client's
+//! row view, built from the batches on its first call.
 //!
 //! Production concerns the paper calls out are first-class:
 //! [monitoring](monitor) (event log, query listing, resource gauges),
@@ -38,10 +44,10 @@ use catalog::{Catalog, TableEntry, TableKind};
 use monitor::{EventLevel, Monitor};
 use parking_lot::{Mutex, RwLock};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use vw_common::config::{MAX_PARALLELISM, MAX_VECTOR_SIZE};
 use vw_common::{ColData, EngineConfig, Result, Schema, TypeId, Value, VwError};
-use vw_exec::op::drain;
+use vw_exec::vector::{vector_from_values, Batch};
 use vw_exec::CancelToken;
 use vw_service::{AdmissionController, DeadlineQueue, WorkerPool};
 use vw_sql::ast::{InsertSource, ShowKind, Statement, TableType};
@@ -50,13 +56,16 @@ use vw_sql::optimizer;
 use vw_sql::plan::LogicalPlan;
 use vw_storage::{BufferPool, Layout, SimulatedDisk, TableStats, TableStorage};
 
-/// The result of one statement.
+/// The result of one statement: the batches its plan produced, as the
+/// plan produced them.
 #[derive(Debug, Clone)]
 pub struct QueryResult {
     /// Output schema (empty for DDL/DML).
     pub schema: Schema,
-    /// Output rows (materialized).
-    rows: Vec<Vec<Value>>,
+    /// Dense (no selection), never empty, encoded columns still encoded.
+    batches: Vec<Batch>,
+    /// The row view of `batches`, built on the first [`QueryResult::rows`].
+    row_view: OnceLock<Vec<Vec<Value>>>,
     /// Rows affected by DML.
     pub affected: u64,
     /// EXPLAIN / profile text, when requested.
@@ -65,21 +74,53 @@ pub struct QueryResult {
 
 impl QueryResult {
     fn empty() -> QueryResult {
-        QueryResult { schema: Schema::default(), rows: Vec::new(), affected: 0, text: None }
+        QueryResult::of(Schema::default(), Vec::new())
     }
 
-    /// The materialized rows.
+    fn of(schema: Schema, batches: Vec<Batch>) -> QueryResult {
+        QueryResult { schema, batches, row_view: OnceLock::new(), affected: 0, text: None }
+    }
+
+    /// The result's columns, batch by batch: the typed hand-off. A
+    /// dictionary-coded string column stays coded
+    /// ([`vw_exec::Vector::dict_parts`]).
+    pub fn batches(&self) -> &[Batch] {
+        &self.batches
+    }
+
+    /// Number of result rows (builds nothing).
+    pub fn num_rows(&self) -> usize {
+        self.batches.iter().map(Batch::rows).sum()
+    }
+
+    /// The rows as values, one `Vec` per row — built from the batches on
+    /// the first call and kept.
     pub fn rows(&self) -> &[Vec<Value>] {
-        &self.rows
+        self.row_view.get_or_init(|| row_view(&self.batches))
+    }
+
+    /// The rows by value, without copying a view already built.
+    fn into_rows(self) -> Vec<Vec<Value>> {
+        let batches = self.batches;
+        self.row_view.into_inner().unwrap_or_else(|| row_view(&batches))
     }
 
     /// First value of the first row (single-value queries).
     pub fn scalar(&self) -> Result<&Value> {
-        self.rows
+        self.rows()
             .first()
             .and_then(|r| r.first())
             .ok_or_else(|| VwError::Exec("query produced no rows".into()))
     }
+}
+
+/// One `Vec<Value>` per row of `batches`, in order.
+fn row_view(batches: &[Batch]) -> Vec<Vec<Value>> {
+    let mut rows = Vec::with_capacity(batches.iter().map(Batch::rows).sum());
+    for b in batches {
+        rows.extend((0..b.rows()).map(|i| b.row_values(i)));
+    }
+    rows
 }
 
 /// One embedded engine instance.
@@ -477,7 +518,7 @@ fn execute_statement(
             let rows = match source {
                 InsertSource::Values(rows) => dml::literal_rows(rows)?,
                 InsertSource::Query(q) => {
-                    run_select(db, core, q, ExplainMode::Off, Some(sql))?.rows
+                    run_select(db, core, q, ExplainMode::Off, Some(sql))?.into_rows()
                 }
             };
             let n = dml::insert(db, core, table, columns.as_deref(), rows)?;
@@ -522,14 +563,15 @@ fn execute_statement(
             db.apply_set(&mut core.cfg, name, value)?;
             Ok(QueryResult::empty())
         }
-        Statement::Show { what } => Ok(run_show(db, *what)),
+        Statement::Show { what } => run_show(db, *what),
     }
 }
 
-/// Render a `SHOW` monitoring view as an ordinary result set.
-fn run_show(db: &Database, what: ShowKind) -> QueryResult {
+/// Render a `SHOW` monitoring view as an ordinary result set: one batch
+/// built from its rows.
+fn run_show(db: &Database, what: ShowKind) -> Result<QueryResult> {
     let field = |name: &str, ty| vw_common::Field { name: name.into(), ty, nullable: true };
-    match what {
+    let (schema, rows): (Schema, Vec<Vec<Value>>) = match what {
         ShowKind::Sessions => {
             let schema = Schema::new(vec![
                 field("session", TypeId::I64),
@@ -551,7 +593,7 @@ fn run_show(db: &Database, what: ShowKind) -> QueryResult {
                     ]
                 })
                 .collect();
-            QueryResult { schema, rows, affected: 0, text: None }
+            (schema, rows)
         }
         ShowKind::Queries => {
             let schema = Schema::new(vec![
@@ -578,9 +620,17 @@ fn run_show(db: &Database, what: ShowKind) -> QueryResult {
                     ]
                 })
                 .collect();
-            QueryResult { schema, rows, affected: 0, text: None }
+            (schema, rows)
         }
+    };
+    let mut columns = vec![Vec::with_capacity(rows.len()); schema.fields.len()];
+    for row in rows {
+        columns.iter_mut().zip(row).for_each(|(c, v)| c.push(v));
     }
+    let columns = schema.fields.iter().zip(&columns).map(|(f, c)| vector_from_values(f.ty, c));
+    let batch = Batch::new(columns.collect::<Result<_>>()?);
+    let batches = if batch.rows() > 0 { vec![batch] } else { Vec::new() };
+    Ok(QueryResult::of(schema, batches))
 }
 
 /// How much of the plan / execution a SELECT should surface.
@@ -614,9 +664,8 @@ fn run_select(
     match explain {
         ExplainMode::Off => execute_plan(db, core, &plan, sql_label, None),
         ExplainMode::Plan => Ok(QueryResult {
-            schema: plan.schema().clone(),
             text: Some(optimizer::explain_with_estimates(&plan, &cat_view, &|_| String::new())),
-            ..QueryResult::empty()
+            ..QueryResult::of(plan.schema().clone(), Vec::new())
         }),
         ExplainMode::Analyze => {
             // Every slot is complete once `execute_plan` returns: the
@@ -667,7 +716,8 @@ pub(crate) fn tracked<T>(
 /// monitoring registry; `analyze` is `EXPLAIN ANALYZE`'s slots.
 ///
 /// Inside [`tracked`]: admission grant (FIFO; the grant clamps this
-/// query's `mem_budget`) → compile onto the shared worker pool → drain.
+/// query's `mem_budget`) → compile onto the shared worker pool → pull the
+/// plan's batches, each compacted, into the result.
 /// The grant is an RAII guard and the plan (with any pool tasks / spill
 /// files) is dropped before the registry update, so every exit releases
 /// its memory.
@@ -681,7 +731,7 @@ pub(crate) fn execute_plan(
     let mut config = core.cfg.clone();
     let (session, timeout_ms) = (core.id, config.statement_timeout_ms);
     let label = sql_label.unwrap_or("<query>");
-    let rows = |r: &QueryResult| r.rows.len() as u64;
+    let rows = |r: &QueryResult| r.num_rows() as u64;
     tracked(db, session, timeout_ms, label, db.admission.is_some(), rows, |cancel, qid| {
         // Admission: FIFO for a slice of the global memory budget. A
         // session with its own `mem_budget` requests exactly that;
@@ -704,10 +754,13 @@ pub(crate) fn execute_plan(
         };
         let txn = core.txn.as_ref();
         let mut op = compile::build_plan_with(db, plan, &config, cancel, txn, analyze)?;
-        let batch = drain(op.as_mut())?;
-        let schema = op.schema().clone();
-        let rows = (0..batch.rows()).map(|i| batch.row_values(i)).collect();
-        Ok(QueryResult { schema, rows, affected: 0, text: None })
+        let mut batches = Vec::new();
+        while let Some(b) = op.next()? {
+            if b.rows() > 0 {
+                batches.push(b.compact());
+            }
+        }
+        Ok(QueryResult::of(op.schema().clone(), batches))
     })
 }
 

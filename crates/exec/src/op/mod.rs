@@ -44,7 +44,10 @@ pub trait Operator: Send {
 /// Owned boxed operator.
 pub type BoxedOp = Box<dyn Operator>;
 
-/// Drain an operator into a single dense batch (tests, DML, sorts).
+/// Drain an operator into a single dense batch. Its callers are
+/// [`Sort`]'s input, tests, and the benchmark's replay of a SELECT
+/// (`benchmark/src/trace.rs`); a statement's result keeps the plan's
+/// batches instead (`vw_core::QueryResult`).
 pub fn drain(op: &mut dyn Operator) -> Result<Batch> {
     let mut acc: Option<Batch> = None;
     while let Some(b) = op.next()? {

@@ -8,7 +8,7 @@ use super::{drain, BoxedOp, Operator};
 use crate::cancel::CancelToken;
 use crate::vector::{Batch, Vector};
 use std::cmp::Ordering;
-use vw_common::{ColData, Result, Schema, SelVec, Value};
+use vw_common::{ColData, Result, Schema, Value};
 
 /// One sort key.
 #[derive(Debug, Clone, Copy)]
@@ -101,18 +101,7 @@ impl Operator for Sort {
             all.ensure_flat();
             let mut perm: Vec<u32> = (0..all.rows() as u32).collect();
             perm.sort_by(|&a, &b| cmp_rows(&all, &self.keys, a as usize, b as usize));
-            // Gather through the permutation (not a SelVec: unsorted order).
-            let columns = all
-                .columns
-                .iter()
-                .map(|c| {
-                    let mut v = Vector::new(ColData::with_capacity(c.type_id(), perm.len()));
-                    for &p in &perm {
-                        v.push(&c.get(p as usize)).expect("same type");
-                    }
-                    v
-                })
-                .collect();
+            let columns = all.columns.iter().map(|c| c.gather_indices(&perm)).collect();
             self.sorted = Some(Batch::new(columns));
         }
         let sorted = self.sorted.as_ref().unwrap();
@@ -263,24 +252,6 @@ impl Operator for TopN {
         self.emit = end;
         Ok(Some(Batch::new(columns)))
     }
-}
-
-/// Gather a batch through an arbitrary (possibly unsorted) permutation.
-/// Exposed for operators that cannot use [`SelVec`] (which must be sorted).
-pub fn gather_perm(batch: &Batch, perm: &[u32]) -> Batch {
-    let _ = SelVec::new(); // (documentation anchor: SelVec is the sorted cousin)
-    let columns = batch
-        .columns
-        .iter()
-        .map(|c| {
-            let mut v = Vector::new(ColData::with_capacity(c.type_id(), perm.len()));
-            for &p in perm {
-                v.push(&c.get(p as usize)).expect("same type");
-            }
-            v
-        })
-        .collect();
-    Batch::new(columns)
 }
 
 #[cfg(test)]

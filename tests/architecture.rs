@@ -643,6 +643,36 @@ fn engine_crates_spawn_no_threads_and_exec_rolls_no_task_protocol() {
     assert!(checked > 40, "the walk found the crates ({checked} files)");
 }
 
+/// A SELECT's result is the batches its plan produced, held at source
+/// level: the non-test code of `vw-core` drains no operator into one batch,
+/// and builds rows of values in one place — the client's row view,
+/// `QueryResult::rows`. Names are spelled in halves so a grep for them
+/// finds nothing, this file included.
+#[test]
+fn core_keeps_the_plans_batches_and_builds_rows_in_one_place() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("crates");
+    let mut files = Vec::new();
+    rust_files(&root.join("core").join("src"), &mut files);
+    let mut row_builds = Vec::new();
+    for file in &files {
+        let text = std::fs::read_to_string(file).unwrap();
+        let non_test = text.lines().take_while(|l| !l.trim_start().starts_with("#[cfg(test)]"));
+        for line in non_test.filter(|l| !l.trim_start().starts_with("//")) {
+            assert!(
+                !line.contains(concat!("drain", "(")),
+                "{}: a result is not drained, yet `{}`",
+                file.display(),
+                line.trim()
+            );
+            if line.contains(concat!("row_", "values(")) {
+                row_builds.push(format!("{}: {}", file.display(), line.trim()));
+            }
+        }
+    }
+    assert!(files.len() >= 5, "the walk found the crate ({} files)", files.len());
+    assert_eq!(row_builds.len(), 1, "rows are built by the row view only: {row_builds:#?}");
+}
+
 /// Every `.rs` file under `dir`, recursively.
 fn rust_files(dir: &std::path::Path, out: &mut Vec<std::path::PathBuf>) {
     for entry in std::fs::read_dir(dir).unwrap_or_else(|e| panic!("{}: {e}", dir.display())) {

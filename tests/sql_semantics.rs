@@ -3144,6 +3144,158 @@ mod compressed_differential {
             );
         }
     }
+
+    /// The planner's view of the catalog, over the public `Database::catalog`.
+    struct View<'a>(&'a Database);
+
+    impl vectorwise::sql::CatalogView for View<'_> {
+        fn table_schema(&self, name: &str) -> Option<Schema> {
+            self.0.catalog.read().get(name).map(|t| t.schema.clone())
+        }
+
+        fn table_rows(&self, name: &str) -> Option<u64> {
+            use vectorwise::core::catalog::TableKind;
+            match &self.0.catalog.read().get(name)?.kind {
+                TableKind::Vectorwise { pdt, .. } => Some(pdt.visible_rows()),
+                TableKind::Heap { store } => Some(store.read().n_rows()),
+            }
+        }
+    }
+
+    /// The oracle for a SELECT's result: the same statement planned under
+    /// the default session's settings, compiled, and drained into one batch.
+    fn drained(db: &Arc<Database>, sql: &str) -> Vec<Vec<Value>> {
+        use vectorwise::sql::ast::Statement;
+        let cfg = db.config();
+        let stmts = vectorwise::sql::parse(sql).unwrap();
+        let Statement::Select(select) = &stmts[0] else { panic!("not a SELECT: {sql}") };
+        let view = View(db);
+        let plan = vectorwise::sql::Binder::new(&view).bind_select(select).unwrap();
+        let plan = vectorwise::sql::optimizer::optimize(plan, &view).unwrap();
+        let rw = vectorwise::rewriter::RewriterConfig {
+            dop: cfg.parallelism,
+            parallel_threshold_rows: 10_000.0,
+        };
+        let plan = vectorwise::rewriter::rewrite_plan(plan, &rw);
+        let mut op =
+            vectorwise::core::compile::build_plan(db, &plan, &cfg, &CancelToken::new(), None)
+                .unwrap();
+        let out = drain(op.as_mut()).unwrap();
+        (0..out.rows()).map(|i| out.row_values(i)).collect()
+    }
+
+    /// `e (k, s, v)` over three 1024-row packs: `s` PDICT-coded (12 values,
+    /// ~10% NULL), then a pack of distinct strings stored raw, then PDICT
+    /// again over a dictionary of its own; `v` ~10% NULL. Scanned in
+    /// 256-row vectors, so every batch of pack 1 comes from one dictionary.
+    /// On top, PDT deltas: modified rows in packs 2 and 3, a deleted row,
+    /// and inserted rows.
+    fn three_pack_db() -> Arc<Database> {
+        let cfg = EngineConfig { pack_size: 1024, workers: 2, ..EngineConfig::default() };
+        let db = Database::open_with(cfg, SimulatedDisk::instant());
+        db.execute("CREATE TABLE e (k BIGINT NOT NULL, s VARCHAR, v BIGINT)").unwrap();
+        let n = 3 * 1024;
+        let mut rng = SmallRng::seed_from_u64(0x5a9e);
+        let s = (0..n)
+            .map(|i| match i / 1024 {
+                1 => format!("u{i:05}"),
+                _ => DOMAIN[rng.gen_range(0..DOMAIN.len())].to_string(),
+            })
+            .collect();
+        let v = (0..n).map(|_| rng.gen_range(0..1000i64)).collect();
+        let mut nulls = || Some((0..n).map(|_| rng.gen_range(0..100) < 10).collect());
+        let nulls = [None, nulls(), nulls()];
+        let cols = [ColData::I64((0..n as i64).collect()), ColData::Str(s), ColData::I64(v)];
+        vectorwise::core::bulk_load(&db, "e", &cols, &nulls).unwrap();
+        for dml in [
+            "UPDATE e SET s = 'patched', v = 7 WHERE k >= 1500 AND k < 1510",
+            "UPDATE e SET v = NULL WHERE k = 2900",
+            "DELETE FROM e WHERE k = 1700",
+            "INSERT INTO e VALUES (5000, 'ins', 1), (5001, NULL, NULL), (5002, 'ash', 900)",
+        ] {
+            db.execute(dml).unwrap();
+        }
+        db.execute("SET vector_size = 256").unwrap();
+        db
+    }
+
+    /// A SELECT's result is the batches its plan produced: row for row what
+    /// draining the same plan gives (in order at DOP 1, as a multiset at DOP
+    /// 4), counted without building rows, no batch with a selection, and a
+    /// PDICT column still dictionary-coded — the property that makes a
+    /// large result cheap.
+    #[test]
+    fn a_result_is_the_plans_batches_and_reads_like_the_drained_plan() {
+        let db = three_pack_db();
+        let check = |r: &vectorwise::core::QueryResult, what: &str| {
+            assert_eq!(r.num_rows(), r.rows().len(), "{what}: num_rows");
+            assert!(r.batches().iter().all(|b| b.sel.is_none()), "{what}: a batch with a sel");
+            assert!(r.batches().iter().all(|b| b.rows() > 0), "{what}: an empty batch");
+        };
+        let coded = |r: &vectorwise::core::QueryResult| {
+            r.batches().iter().any(|b| b.columns[1].dict_parts().is_some())
+        };
+        let filter = "SELECT k, s, v FROM e WHERE v IS NULL OR v < 600";
+        // A Limit hands out its input batches under a selection.
+        let limited = format!("{filter} LIMIT 700 OFFSET 300");
+        let cases = [
+            (filter.to_string(), filter),
+            (format!("EXPLAIN ANALYZE {filter}"), filter),
+            (limited.clone(), limited.as_str()),
+        ];
+        for dop in [1usize, 4] {
+            db.execute(&format!("SET parallelism = {dop}")).unwrap();
+            for (sql, select) in &cases {
+                if dop > 1 && *select == limited {
+                    continue; // which rows a LIMIT keeps depends on the order
+                }
+                let want = drained(&db, select);
+                assert!(want.len() >= 700, "{} rows: {select}", want.len());
+                let nulls = |c: usize| want.iter().any(|r| r[c].is_null());
+                assert!(nulls(1) && nulls(2), "NULLs in both columns: {select}");
+                let r = db.execute(sql).unwrap();
+                check(&r, sql);
+                if dop == 1 {
+                    assert_eq!(r.rows(), &want[..], "dop 1: {sql}");
+                    assert!(coded(&r), "the PDICT column was flattened: {sql}");
+                } else {
+                    assert_eq!(sort_rows(r.rows().to_vec()), sort_rows(want), "{sql}");
+                }
+            }
+        }
+        db.execute("SET parallelism = 1").unwrap();
+        let everything = db.execute("SELECT k, s, v FROM e").unwrap();
+        assert_eq!(everything.num_rows(), 3 * 1024 - 1 + 3);
+        assert!(coded(&everything));
+        for sql in ["SELECT k, s, v FROM e LIMIT 0", "SELECT k, s, v FROM e WHERE v > 5000"] {
+            assert!(drained(&db, sql).is_empty());
+            let r = db.execute(sql).unwrap();
+            check(&r, sql);
+            assert!(r.batches().is_empty() && r.rows().is_empty(), "{sql}");
+            assert_eq!(r.schema.fields.len(), 3, "{sql}: the schema survives an empty result");
+        }
+
+        // The monitor counts a result's rows; SHOW QUERIES is one batch.
+        let shown = db.execute("SHOW QUERIES").unwrap();
+        check(&shown, "SHOW QUERIES");
+        assert_eq!(shown.batches().len(), 1);
+        let counted: Vec<&Vec<Value>> =
+            shown.rows().iter().filter(|r| r[2] == Value::Str(filter.into())).collect();
+        assert!(!counted.is_empty(), "the filter is listed");
+        let want = drained(&db, filter);
+        for row in counted {
+            assert_eq!(row[4], Value::I64(want.len() as i64), "{row:?}");
+        }
+
+        // INSERT … SELECT moves exactly those rows.
+        db.execute("CREATE TABLE e2 (k BIGINT NOT NULL, s VARCHAR, v BIGINT)").unwrap();
+        let ins = db.execute(&format!("INSERT INTO e2 {filter}")).unwrap();
+        assert_eq!(ins.affected, want.len() as u64);
+        assert_eq!(ins.num_rows(), 0);
+        let copied = db.execute("SELECT k, s, v FROM e2").unwrap();
+        check(&copied, "SELECT from the copy");
+        assert_eq!(copied.rows(), &want[..]);
+    }
 }
 
 /// Randomized differential tests for the PR's decorrelation and
