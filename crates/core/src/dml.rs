@@ -13,7 +13,6 @@ use vw_exec::CancelToken;
 use vw_pdt::store::items;
 use vw_pdt::Transaction;
 use vw_sql::ast::Expr;
-use vw_sql::binder::{Binder, CatalogView};
 use vw_sql::SqlExpr;
 use vw_storage::{TableStats, TableStorage};
 
@@ -45,31 +44,18 @@ impl OpenTxn {
     }
 }
 
-/// Evaluate literal INSERT rows (constant expressions only).
+/// Evaluate literal INSERT rows: each expression binds like any DML
+/// expression, over no columns. What folding leaves (a rewritten
+/// COALESCE, say) runs once, over a one-row batch whose column it never
+/// reads.
 pub fn literal_rows(rows: &[Vec<Expr>]) -> Result<Vec<Vec<Value>>> {
-    struct NoCatalog;
-    impl CatalogView for NoCatalog {
-        fn table_schema(&self, _n: &str) -> Option<Schema> {
-            None
-        }
-        fn table_rows(&self, _n: &str) -> Option<u64> {
-            None
-        }
-    }
-    let binder = Binder::new(&NoCatalog);
     let empty = Schema::default();
     rows.iter()
         .map(|row| {
             row.iter()
-                .map(|e| {
-                    let bound = binder.bind_expr_on_schema(e, &empty)?;
-                    let folded = vw_sql::optimizer::fold_expr(bound)?;
-                    match folded {
-                        vw_sql::SqlExpr::Lit(v, _) => Ok(v),
-                        other => Err(VwError::Unsupported(format!(
-                            "INSERT VALUES must be constants, got {other:?}"
-                        ))),
-                    }
+                .map(|e| match bind_on_table(e, &empty)? {
+                    SqlExpr::Lit(v, _) => Ok(v),
+                    other => ScalarProgram::new(&other)?.eval_row(&[Value::I64(0)]),
                 })
                 .collect()
         })
@@ -160,10 +146,14 @@ pub(crate) fn insert(
 /// the form the kernels take (constants folded, extended functions and
 /// IN-lists rewritten) — what planning does to a SELECT's expressions.
 fn bind_on_table(e: &Expr, schema: &Schema) -> Result<SqlExpr> {
-    let bound = Binder::new(&NoTables).bind_expr_on_schema(e, schema)?;
+    let folded = vw_sql::optimizer::fold_expr(vw_sql::binder::bind_expr_on_schema(e, schema)?)?;
+    if let SqlExpr::Lit(..) = folded {
+        // No rule rewrites a literal: most INSERT values stop here.
+        return Ok(folded);
+    }
     let nullable: Vec<bool> = schema.fields.iter().map(|f| f.nullable).collect();
     Ok(vw_rewriter::engine::rewrite_fixpoint(
-        vw_sql::optimizer::fold_expr(bound)?,
+        folded,
         &vw_rewriter::rules::default_rules(),
         &nullable,
     ))
@@ -264,17 +254,6 @@ fn find_victims(
     Ok((rids, values))
 }
 
-struct NoTables;
-
-impl CatalogView for NoTables {
-    fn table_schema(&self, _n: &str) -> Option<Schema> {
-        None
-    }
-    fn table_rows(&self, _n: &str) -> Option<u64> {
-        None
-    }
-}
-
 /// UPDATE (`sets` given) or DELETE of the rows matching `filter`: find the
 /// victims in the transaction's image, then apply them to its PDT in one
 /// sorted batch. Outside a transaction the statement commits itself.
@@ -358,9 +337,7 @@ fn heap_update_delete(
     filter: Option<&Expr>,
 ) -> Result<u64> {
     let TableKind::Heap { store } = &entry.kind else { unreachable!() };
-    let binder_catalog = NoTables;
-    let binder = Binder::new(&binder_catalog);
-    let pred = filter.map(|f| binder.bind_expr_on_schema(f, &entry.schema)).transpose()?;
+    let pred = filter.map(|f| bind_on_table(f, &entry.schema)).transpose()?;
     let set_bound = sets
         .map(|sets| {
             sets.iter()
@@ -369,7 +346,7 @@ fn heap_update_delete(
                         .schema
                         .index_of(col)
                         .ok_or_else(|| VwError::Bind(format!("unknown column '{col}'")))?;
-                    Ok((idx, binder.bind_expr_on_schema(e, &entry.schema)?))
+                    Ok((idx, bind_on_table(e, &entry.schema)?))
                 })
                 .collect::<Result<Vec<_>>>()
         })
@@ -377,14 +354,14 @@ fn heap_update_delete(
 
     // Compile once per statement; rows only pay a one-row program run.
     let mut pred_prog = match &pred {
-        Some(p) => Some(ScalarProgram::new(p, &entry.schema)?),
+        Some(p) => Some(ScalarProgram::new(p)?),
         None => None,
     };
     let mut set_progs = match &set_bound {
         Some(sets) => {
             let mut out = Vec::with_capacity(sets.len());
             for (idx, e) in sets {
-                out.push((*idx, ScalarProgram::new(e, &entry.schema)?));
+                out.push((*idx, ScalarProgram::new(e)?));
             }
             Some(out)
         }
@@ -412,7 +389,14 @@ fn heap_update_delete(
             Some(sets) => {
                 let mut row = row;
                 for (idx, prog) in sets.iter_mut() {
-                    let v = prog.eval_row(&row)?.cast_to(entry.schema.field(*idx).ty)?;
+                    let field = entry.schema.field(*idx);
+                    let v = prog.eval_row(&row)?.cast_to(field.ty)?;
+                    if v.is_null() && !field.nullable {
+                        return Err(VwError::Exec(format!(
+                            "NULL in NOT NULL column {}",
+                            field.name
+                        )));
+                    }
                     row[*idx] = v;
                 }
                 kept.push(row);
@@ -432,24 +416,18 @@ fn heap_update_delete(
     Ok(affected)
 }
 
-/// A bound scalar expression for the heap DML path: rewrite, lowering,
-/// and program compilation happen once at construction; each row then
-/// pays only a one-row batch build and a pooled program run.
+/// A bound, rewritten scalar expression for the heap DML path and INSERT
+/// VALUES: lowering and program compilation happen once at construction;
+/// each row then pays only a one-row batch build and a pooled program run.
 struct ScalarProgram {
     program: ExprProgram,
     pool: VectorPool,
 }
 
 impl ScalarProgram {
-    fn new(e: &vw_sql::SqlExpr, schema: &Schema) -> Result<ScalarProgram> {
-        let nullable = vec![true; schema.len()];
-        let rewritten = vw_rewriter::engine::rewrite_fixpoint(
-            e.clone(),
-            &vw_rewriter::rules::default_rules(),
-            &nullable,
-        );
+    fn new(e: &SqlExpr) -> Result<ScalarProgram> {
         Ok(ScalarProgram {
-            program: ExprProgram::compile(&crate::compile::lower_expr(&rewritten)?),
+            program: ExprProgram::compile(&crate::compile::lower_expr(e)?),
             pool: VectorPool::new(),
         })
     }

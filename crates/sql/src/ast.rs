@@ -360,6 +360,50 @@ pub enum Expr {
     },
 }
 
+impl Expr {
+    /// The direct sub-expressions, in source order. The subquery forms
+    /// (`IN (SELECT ..)`, `EXISTS`, scalar) have none here: their bodies
+    /// and operands bind through the subquery's own path.
+    pub fn children(&self) -> Vec<&Expr> {
+        match self {
+            Expr::Binary { left, right, .. } => vec![left, right],
+            Expr::Neg(x) | Expr::Not(x) | Expr::Cast { expr: x, .. } => vec![x],
+            Expr::IsNull { expr, .. } | Expr::Like { expr, .. } | Expr::Extract { expr, .. } => {
+                vec![expr]
+            }
+            Expr::Between { expr, low, high, .. } => vec![expr, low, high],
+            Expr::InList { expr, list, .. } => std::iter::once(&**expr).chain(list).collect(),
+            Expr::Case { branches, else_expr } => {
+                let mut out: Vec<&Expr> = branches.iter().flat_map(|(c, v)| [c, v]).collect();
+                out.extend(else_expr.as_deref());
+                out
+            }
+            Expr::Func { args, .. } => args.iter().collect(),
+            _ => vec![],
+        }
+    }
+
+    /// Pre-order walk over `self` and its sub-expressions; `f` returns
+    /// whether to descend into the node it was handed.
+    pub fn walk<'a>(&'a self, f: &mut dyn FnMut(&'a Expr) -> bool) {
+        if f(self) {
+            for c in self.children() {
+                c.walk(f);
+            }
+        }
+    }
+
+    /// Does `self` or any sub-expression satisfy `p`?
+    pub fn any(&self, p: impl Fn(&Expr) -> bool) -> bool {
+        let mut hit = false;
+        self.walk(&mut |e| {
+            hit |= p(e);
+            !hit
+        });
+        hit
+    }
+}
+
 /// Calendar unit of an INTERVAL literal.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IntervalUnit {

@@ -1,14 +1,32 @@
 //! The binder: resolves names against a catalog, types every expression,
 //! and produces a [`LogicalPlan`].
 //!
+//! One walk over the statement, on a scope stack (the shape of
+//! risingwave's `push_context`/`pop_context`): the query level being bound
+//! is a `Frame`; binding a subquery pushes the frame's columns as the
+//! innermost *upper* context and pops them after. A column reference
+//! resolves to a `(depth, index)`. Depth 0 is a column of the frame; depth
+//! 1 is a correlated reference to the enclosing query and binds past the
+//! frame's last column, so a correlated equality is an equality across a
+//! column boundary — split into an Apply key by the rule that turns `JOIN
+//! … ON` and comma-FROM equalities into join keys (`split_eq`). Depth 2
+//! and beyond is a typed `E_UNSUPPORTED`.
+//!
+//! One expression binder serves queries before and after aggregation: in
+//! a grouped query an aggregate call or a GROUP BY expression maps to its
+//! output column, and everything else takes the common recursion. A scalar
+//! subquery binds where the expression binder meets it: its Apply goes on
+//! the frame's plan and the expression gets that column.
+//!
 //! Uncorrelated subqueries bind to joins directly (the anti-join NULL
 //! intricacies the paper warns about are decided *here*): `IN` → semi
 //! join, `EXISTS` → semi join on a constant key, `NOT EXISTS` → anti
 //! join, `NOT IN` → NULL-aware anti join. Correlated subqueries and
-//! scalar subqueries bind to [`LogicalPlan::Apply`] nodes instead:
-//! outer columns resolve through the scope chain at `OUTER_BASE + i`,
-//! correlated equality conjuncts are extracted as Apply keys, and the
-//! optimizer's decorrelation pass lowers every Apply to a hash join.
+//! scalar subqueries bind to [`LogicalPlan::Apply`] nodes, and the
+//! optimizer's decorrelation pass lowers every Apply to a hash join. The
+//! FROM clause binds uncorrelated (no LATERAL): derived tables, ON
+//! conditions and CTE definitions see no upper context. A CTE binds once,
+//! at its WITH; each reference clones that plan.
 //!
 //! The supported SQL surface (set operations, CTEs, derived tables,
 //! comma-FROM, INTERVAL arithmetic) and each construct's lowering are
@@ -22,23 +40,17 @@ use std::cell::RefCell;
 use vw_common::date::{add_months, DateField};
 use vw_common::{Date, Field, Result, Schema, TypeId, Value, VwError};
 
-/// Column indices at or above this base refer to the *outer* query's
-/// scope during subquery binding (one correlation level). The binder
-/// strips the base back off when it turns correlated equality conjuncts
-/// into Apply keys, so no plan ever ships an `OUTER_BASE` coordinate.
-const OUTER_BASE: usize = 1 << 24;
-
 /// Read-only view of the catalog the binder and optimizer need.
 ///
 /// The two schema/row methods are required (the binder cannot work without
 /// them); the statistics methods default to `None`, which is how a view
-/// says "no statistics": lightweight implementers (mock catalogs, the DML
-/// helper views) answer it always, the engine's catalog adapter serves
-/// real numbers from `vw_storage::stats` and answers `None` when they are
-/// stale (DML since the last rebuild) or when the session plans without
-/// statistics (`SET optimizer = 0`). The estimator then takes its fixed
-/// default selectivities and assumes unique join keys; the plan may
-/// change shape, the answers may not.
+/// says "no statistics": lightweight implementers (mock catalogs) answer
+/// it always, the engine's catalog adapter serves real numbers from
+/// `vw_storage::stats` and answers `None` when they are stale (DML since
+/// the last rebuild) or when the session plans without statistics (`SET
+/// optimizer = 0`). The estimator then takes its fixed default
+/// selectivities and assumes unique join keys; the plan may change shape,
+/// the answers may not.
 pub trait CatalogView {
     /// Schema of `name`, if the table exists.
     fn table_schema(&self, name: &str) -> Option<Schema>;
@@ -74,8 +86,8 @@ fn unsup(msg: impl Into<String>) -> VwError {
     VwError::Unsupported(msg.into())
 }
 
-/// One visible column during binding.
-#[derive(Debug, Clone)]
+/// One visible column during binding. A scalar subquery's value column
+/// has an empty name: no identifier resolves to it.
 struct ScopeCol {
     qualifier: Option<String>,
     name: String,
@@ -83,15 +95,10 @@ struct ScopeCol {
     nullable: bool,
 }
 
-/// The set of columns visible to expressions, with an optional link to
-/// the enclosing query's scope (one correlation level).
-#[derive(Debug, Clone, Default)]
+/// The columns one query level sees.
+#[derive(Default)]
 struct Scope {
     cols: Vec<ScopeCol>,
-    /// The outer query's scope during subquery binding. Lookup never
-    /// recurses past one level: a reference two queries up stays an
-    /// unknown column.
-    outer: Option<Box<Scope>>,
 }
 
 impl Scope {
@@ -107,7 +114,6 @@ impl Scope {
                     nullable: f.nullable,
                 })
                 .collect(),
-            outer: None,
         }
     }
 
@@ -116,8 +122,8 @@ impl Scope {
         self
     }
 
-    /// Resolve against this scope's own columns only. `Ok(None)` = not
-    /// found (an ambiguity is still an error, never a fallthrough).
+    /// Resolve against this scope's own columns. `Ok(None)` = not found
+    /// (an ambiguity is still an error, never a fallthrough).
     fn resolve_local(&self, parts: &[String]) -> Result<Option<(usize, TypeId)>> {
         let (qual, name) = match parts {
             [n] => (None, n.as_str()),
@@ -141,20 +147,6 @@ impl Scope {
         Ok(found)
     }
 
-    /// Resolve locally, then one level up (outer hits come back at
-    /// `OUTER_BASE + i`).
-    fn resolve(&self, parts: &[String]) -> Result<(usize, TypeId)> {
-        if let Some(hit) = self.resolve_local(parts)? {
-            return Ok(hit);
-        }
-        if let Some(outer) = &self.outer {
-            if let Some((i, ty)) = outer.resolve_local(parts)? {
-                return Ok((OUTER_BASE + i, ty));
-            }
-        }
-        Err(berr(format!("unknown column '{}'", parts.join("."))))
-    }
-
     fn to_schema(&self) -> Schema {
         Schema::unchecked(
             self.cols
@@ -165,6 +157,45 @@ impl Scope {
     }
 }
 
+/// A resolved column reference: `depth` query levels out (0 = the query
+/// being bound), column `index` of that level's scope.
+struct ColRef {
+    depth: usize,
+    index: usize,
+    ty: TypeId,
+}
+
+/// The query level being bound: the innermost context of the scope stack.
+struct Frame<'s> {
+    /// What its expressions see: the FROM clause's columns, then one
+    /// nameless column per scalar subquery bound in WHERE.
+    scope: Scope,
+    /// The plan a scalar subquery's Apply goes on; `None` where none may
+    /// bind (SELECT items, GROUP BY, aggregate arguments, IN probes).
+    plan: Option<LogicalPlan>,
+    /// Set once a grouped query has aggregated.
+    grouped: Option<Grouped<'s>>,
+    /// Correlated (depth-1) references bound so far.
+    outer_refs: usize,
+}
+
+impl Frame<'_> {
+    fn new(scope: Scope) -> Self {
+        Frame { scope, plan: None, grouped: None, outer_refs: 0 }
+    }
+}
+
+/// What a grouped query's aggregate outputs: the group columns, then one
+/// column per distinct aggregate call.
+struct Grouped<'s> {
+    /// The GROUP BY expressions as written.
+    asts: &'s [Expr],
+    /// The bound group expressions: user groups, then correlation columns.
+    group: Vec<SqlExpr>,
+    /// Each aggregate call as written, with its output column and type.
+    calls: Vec<(&'s Expr, usize, TypeId)>,
+}
+
 /// A bound SELECT core: the plan, its visible (user-facing) column
 /// count, and the correlation exports — `(outer key expression, export
 /// column index)` pairs the enclosing Apply will join on.
@@ -172,176 +203,58 @@ type BoundCore = (LogicalPlan, usize, Vec<(SqlExpr, usize)>);
 
 /// The binder.
 pub struct Binder<'a> {
-    catalog: &'a dyn CatalogView,
+    /// `None` for a binder that knows no tables ([`bind_expr_on_schema`]).
+    catalog: Option<&'a dyn CatalogView>,
     /// In-scope CTE bindings, innermost last. Pushed when a `WITH` list
     /// binds, popped when its statement finishes; name lookup shadows
     /// base tables and outer CTEs of the same name.
     ctes: RefCell<Vec<(String, LogicalPlan)>>,
+    /// The scope stack's upper contexts: the columns of each enclosing
+    /// query level, innermost last.
+    upper: RefCell<Vec<Scope>>,
 }
 
 const AGG_NAMES: [&str; 5] = ["COUNT", "SUM", "MIN", "MAX", "AVG"];
 
-fn contains_agg(e: &Expr) -> bool {
-    match e {
-        Expr::Func { name, .. } if AGG_NAMES.contains(&name.as_str()) => true,
-        Expr::Binary { left, right, .. } => contains_agg(left) || contains_agg(right),
-        Expr::Neg(e) | Expr::Not(e) | Expr::Cast { expr: e, .. } => contains_agg(e),
-        Expr::IsNull { expr, .. } => contains_agg(expr),
-        Expr::Between { expr, low, high, .. } => {
-            contains_agg(expr) || contains_agg(low) || contains_agg(high)
+fn is_agg(e: &Expr) -> bool {
+    matches!(e, Expr::Func { name, .. } if AGG_NAMES.contains(&name.as_str()))
+}
+
+/// Split `l = r` across the column boundary `at`: `(lower, upper)`, where
+/// every column of `lower` lies below `at` and every column of `upper` in
+/// `at..end`, the upper side rebased to start at 0. The one rule that
+/// turns ON and comma-FROM equalities into join keys and correlated
+/// equalities into Apply keys. The upper side must read a column; the
+/// lower one may be a constant only when `const_lower`.
+fn split_eq(e: &SqlExpr, at: usize, end: usize, const_lower: bool) -> Option<(SqlExpr, SqlExpr)> {
+    let SqlExpr::Cmp { op: CmpOp::Eq, l, r } = e else { return None };
+    let within = |x: &SqlExpr, lo: usize, hi: usize, empty_ok: bool| {
+        let mut cols = Vec::new();
+        x.collect_cols(&mut cols);
+        (empty_ok || !cols.is_empty()) && cols.iter().all(|&c| c >= lo && c < hi)
+    };
+    for (lower, upper) in [(l, r), (r, l)] {
+        if within(lower, 0, at, const_lower) && within(upper, at, end, false) {
+            return Some((lower.as_ref().clone(), upper.remap_cols(&|i| Some(i - at)).ok()?));
         }
-        Expr::Like { expr, .. } => contains_agg(expr),
-        Expr::InList { expr, list, .. } => contains_agg(expr) || list.iter().any(contains_agg),
-        Expr::Case { branches, else_expr } => {
-            branches.iter().any(|(c, v)| contains_agg(c) || contains_agg(v))
-                || else_expr.as_deref().is_some_and(contains_agg)
-        }
-        Expr::Func { args, .. } => args.iter().any(contains_agg),
-        Expr::Extract { expr, .. } => contains_agg(expr),
-        _ => false,
     }
+    None
 }
 
-/// Does `e` contain a scalar subquery? (Does not look inside IN/EXISTS
-/// subquery bodies — those bind their own scalars.)
-fn contains_scalar(e: &Expr) -> bool {
-    match e {
-        Expr::Scalar(_) => true,
-        Expr::Binary { left, right, .. } => contains_scalar(left) || contains_scalar(right),
-        Expr::Neg(x) | Expr::Not(x) | Expr::Cast { expr: x, .. } => contains_scalar(x),
-        Expr::IsNull { expr, .. } | Expr::Like { expr, .. } | Expr::Extract { expr, .. } => {
-            contains_scalar(expr)
-        }
-        Expr::Between { expr, low, high, .. } => {
-            contains_scalar(expr) || contains_scalar(low) || contains_scalar(high)
-        }
-        Expr::InList { expr, list, .. } => {
-            contains_scalar(expr) || list.iter().any(contains_scalar)
-        }
-        Expr::Case { branches, else_expr } => {
-            branches.iter().any(|(c, v)| contains_scalar(c) || contains_scalar(v))
-                || else_expr.as_deref().is_some_and(contains_scalar)
-        }
-        Expr::Func { args, .. } => args.iter().any(contains_scalar),
-        _ => false,
-    }
-}
-
-/// Rebuild `e` with every scalar subquery replaced by whatever `f`
-/// returns for it (a marker identifier pointing at an Apply output).
-fn rewrite_scalars(e: &Expr, f: &mut dyn FnMut(&SelectStmt) -> Result<Expr>) -> Result<Expr> {
-    Ok(match e {
-        Expr::Scalar(sub) => f(sub)?,
-        Expr::Binary { op, left, right } => Expr::Binary {
-            op: *op,
-            left: Box::new(rewrite_scalars(left, f)?),
-            right: Box::new(rewrite_scalars(right, f)?),
-        },
-        Expr::Neg(x) => Expr::Neg(Box::new(rewrite_scalars(x, f)?)),
-        Expr::Not(x) => Expr::Not(Box::new(rewrite_scalars(x, f)?)),
-        Expr::Cast { expr, ty } => {
-            Expr::Cast { expr: Box::new(rewrite_scalars(expr, f)?), ty: *ty }
-        }
-        Expr::IsNull { expr, negated } => {
-            Expr::IsNull { expr: Box::new(rewrite_scalars(expr, f)?), negated: *negated }
-        }
-        Expr::Between { expr, low, high, negated } => Expr::Between {
-            expr: Box::new(rewrite_scalars(expr, f)?),
-            low: Box::new(rewrite_scalars(low, f)?),
-            high: Box::new(rewrite_scalars(high, f)?),
-            negated: *negated,
-        },
-        Expr::Like { expr, pattern, negated } => Expr::Like {
-            expr: Box::new(rewrite_scalars(expr, f)?),
-            pattern: pattern.clone(),
-            negated: *negated,
-        },
-        Expr::InList { expr, list, negated } => Expr::InList {
-            expr: Box::new(rewrite_scalars(expr, f)?),
-            list: list.iter().map(|x| rewrite_scalars(x, f)).collect::<Result<_>>()?,
-            negated: *negated,
-        },
-        Expr::Case { branches, else_expr } => Expr::Case {
-            branches: branches
-                .iter()
-                .map(|(c, v)| Ok((rewrite_scalars(c, f)?, rewrite_scalars(v, f)?)))
-                .collect::<Result<_>>()?,
-            else_expr: match else_expr {
-                Some(x) => Some(Box::new(rewrite_scalars(x, f)?)),
-                None => None,
-            },
-        },
-        Expr::Func { name, args } => Expr::Func {
-            name: name.clone(),
-            args: args.iter().map(|x| rewrite_scalars(x, f)).collect::<Result<_>>()?,
-        },
-        Expr::Extract { field, expr } => {
-            Expr::Extract { field: field.clone(), expr: Box::new(rewrite_scalars(expr, f)?) }
-        }
-        other => other.clone(),
-    })
-}
-
-/// Does this bound expression reference the outer query?
-fn has_outer_ref(e: &SqlExpr) -> bool {
-    let mut cols = Vec::new();
-    e.collect_cols(&mut cols);
-    cols.iter().any(|&c| c >= OUTER_BASE)
-}
-
-fn ensure_no_outer(e: &SqlExpr, what: &str) -> Result<()> {
-    if has_outer_ref(e) {
-        return Err(unsup(format!(
-            "correlated {what} (outer references are only supported in WHERE equality conjuncts)"
-        )));
-    }
-    Ok(())
-}
-
-/// Which query a bound expression's columns belong to (no columns at
-/// all counts as inner: a constant compares against the other side).
-enum ExprSide {
-    Inner,
-    Outer,
-    Mixed,
-}
-
-fn expr_side(e: &SqlExpr) -> ExprSide {
-    let mut cols = Vec::new();
-    e.collect_cols(&mut cols);
-    if cols.is_empty() {
-        return ExprSide::Inner;
-    }
-    let outer = cols.iter().filter(|&&c| c >= OUTER_BASE).count();
-    if outer == 0 {
-        ExprSide::Inner
-    } else if outer == cols.len() {
-        ExprSide::Outer
-    } else {
-        ExprSide::Mixed
-    }
-}
-
-/// Split a correlated conjunct into `(outer expression, inner
-/// expression)`. Only `outer = inner` equalities decorrelate; anything
-/// else (Q21's `l2.l_suppkey <> l1.l_suppkey`, range correlation, ...)
-/// is a typed E_UNSUPPORTED.
-fn correlation_pair(bound: SqlExpr) -> Result<(SqlExpr, SqlExpr)> {
-    let SqlExpr::Cmp { op: CmpOp::Eq, l, r } = bound else {
+/// A correlated WHERE conjunct as an Apply key `(outer, inner)`: outer
+/// columns bind at `at` and past it. Only `outer = inner` equalities
+/// decorrelate; anything else (Q21's `l2.l_suppkey <> l1.l_suppkey`,
+/// range correlation, ...) is a typed E_UNSUPPORTED.
+fn correlation_key(bound: &SqlExpr, at: usize) -> Result<(SqlExpr, SqlExpr)> {
+    if !matches!(bound, SqlExpr::Cmp { op: CmpOp::Eq, .. }) {
         return Err(unsup(
             "correlated predicate that is not an equality (only `outer = inner` \
              correlation decorrelates to a hash join)",
         ));
-    };
-    match (expr_side(&l), expr_side(&r)) {
-        (ExprSide::Outer, ExprSide::Inner) => Ok((strip_outer(*l)?, *r)),
-        (ExprSide::Inner, ExprSide::Outer) => Ok((strip_outer(*r)?, *l)),
-        _ => Err(unsup("correlated predicate mixing outer and inner columns on one side")),
     }
-}
-
-fn strip_outer(e: SqlExpr) -> Result<SqlExpr> {
-    e.remap_cols(&|i| Some(i - OUTER_BASE))
+    let (inner, outer) = split_eq(bound, at, usize::MAX, true)
+        .ok_or_else(|| unsup("correlated predicate mixing outer and inner columns on one side"))?;
+    Ok((outer, inner))
 }
 
 /// Can this plan provably return at most one row? (Gate for
@@ -392,50 +305,42 @@ fn apply_key(outer: SqlExpr, sub: &Schema, col: usize) -> Result<(SqlExpr, usize
 impl<'a> Binder<'a> {
     /// A binder over `catalog`.
     pub fn new(catalog: &'a dyn CatalogView) -> Binder<'a> {
-        Binder { catalog, ctes: RefCell::new(Vec::new()) }
+        Binder { catalog: Some(catalog), ctes: RefCell::default(), upper: RefCell::default() }
     }
 
     /// Bind a full SELECT into a logical plan.
     pub fn bind_select(&self, stmt: &SelectStmt) -> Result<LogicalPlan> {
-        let (plan, corr) = self.bind_query(stmt, None)?;
+        let (plan, corr) = self.bind_query(stmt)?;
         debug_assert!(corr.is_empty(), "top-level query cannot be correlated");
         Ok(plan)
     }
 
-    /// Bind a (sub)query: push its CTEs, bind the body (set-operation
-    /// chain included), pop the CTEs. Returns the plan plus the
-    /// correlation exports `(outer expression, output column)` the
-    /// enclosing query must turn into Apply keys.
-    fn bind_query(
-        &self,
-        stmt: &SelectStmt,
-        outer: Option<&Scope>,
-    ) -> Result<(LogicalPlan, Vec<(SqlExpr, usize)>)> {
+    /// Bind a (sub)query at the current scope stack: push its CTEs, bind
+    /// the body (set-operation chain included), pop the CTEs. Returns the
+    /// plan plus the correlation exports `(outer expression, output
+    /// column)` the enclosing query must turn into Apply keys.
+    fn bind_query(&self, stmt: &SelectStmt) -> Result<(LogicalPlan, Vec<(SqlExpr, usize)>)> {
         let cte_base = self.ctes.borrow().len();
         for (name, q) in &stmt.with {
             // CTEs bind uncorrelated, and may use earlier CTEs of the
             // same WITH list (already pushed).
-            let (p, _) = self.bind_query(q, None)?;
+            let (p, _) = self.uncorrelated(|| self.bind_query(q))?;
             self.ctes.borrow_mut().push((name.clone(), p));
         }
-        let out = self.bind_query_inner(stmt, outer);
+        let out = self.bind_query_inner(stmt);
         self.ctes.borrow_mut().truncate(cte_base);
         out
     }
 
-    fn bind_query_inner(
-        &self,
-        stmt: &SelectStmt,
-        outer: Option<&Scope>,
-    ) -> Result<(LogicalPlan, Vec<(SqlExpr, usize)>)> {
-        let (mut plan, mut items_len, corr) = self.bind_core(stmt, outer)?;
+    fn bind_query_inner(&self, stmt: &SelectStmt) -> Result<(LogicalPlan, Vec<(SqlExpr, usize)>)> {
+        let (mut plan, mut items_len, corr) = self.bind_core(stmt)?;
 
         if !stmt.set_ops.is_empty() {
             if !corr.is_empty() {
                 return Err(unsup("correlated set-operation operand"));
             }
             for (kind, rhs) in &stmt.set_ops {
-                let (rp, rcorr) = self.bind_query(rhs, outer)?;
+                let (rp, rcorr) = self.bind_query(rhs)?;
                 if !rcorr.is_empty() {
                     return Err(unsup("correlated set-operation operand"));
                 }
@@ -473,15 +378,15 @@ impl<'a> Binder<'a> {
 
     /// Bind one SELECT core (FROM/WHERE/GROUP BY/HAVING/items/DISTINCT).
     /// Returns the plan, the visible item count, and correlation exports.
-    fn bind_core(&self, stmt: &SelectStmt, outer: Option<&Scope>) -> Result<BoundCore> {
+    fn bind_core(&self, stmt: &SelectStmt) -> Result<BoundCore> {
         // FROM: one part, or a comma-list the WHERE equalities will join.
-        let (parts, mut scope) = match &stmt.from {
+        let (parts, scope) = self.uncorrelated(|| match &stmt.from {
             None => {
                 // One-row dual for FROM-less SELECT.
                 let schema = Schema::unchecked(vec![Field::not_null("__dual", TypeId::I64)]);
                 let plan =
                     LogicalPlan::Values { schema: schema.clone(), rows: vec![vec![Value::I64(0)]] };
-                (vec![(plan, 1usize)], Scope::from_schema(None, &schema))
+                Ok((vec![(plan, 1usize)], Scope::from_schema(None, &schema)))
             }
             Some(TableRef::Cross(items)) => {
                 let mut parts = Vec::new();
@@ -491,15 +396,15 @@ impl<'a> Binder<'a> {
                     parts.push((p, s.cols.len()));
                     scope = scope.concat(s);
                 }
-                (parts, scope)
+                Ok((parts, scope))
             }
             Some(tr) => {
                 let (p, s) = self.bind_table_ref(tr)?;
                 let w = s.cols.len();
-                (vec![(p, w)], s)
+                Ok((vec![(p, w)], s))
             }
-        };
-        scope.outer = outer.cloned().map(Box::new);
+        })?;
+        let mut cx = Frame::new(scope);
 
         // WHERE: classify conjuncts. Subquery conjuncts join later,
         // scalar-subquery conjuncts apply later, correlated equalities
@@ -509,7 +414,7 @@ impl<'a> Binder<'a> {
         let mut scalarc: Vec<&Expr> = Vec::new();
         let mut cands: Vec<(usize, SqlExpr)> = Vec::new();
         let mut filters: Vec<(usize, SqlExpr)> = Vec::new();
-        let mut corr_raw: Vec<(SqlExpr, SqlExpr)> = Vec::new();
+        let mut corr: Vec<(SqlExpr, SqlExpr)> = Vec::new();
         if let Some(w) = &stmt.where_clause {
             for (ci, conjunct) in split_conjuncts(w).into_iter().enumerate() {
                 // `NOT EXISTS` / `NOT (x IN (...))` arrive wrapped in Not.
@@ -526,11 +431,12 @@ impl<'a> Binder<'a> {
                 };
                 match conjunct {
                     Expr::InSubquery { .. } | Expr::Exists { .. } => subq.push((conjunct, flip)),
-                    other if contains_scalar(other) => scalarc.push(other),
+                    other if other.any(|e| matches!(e, Expr::Scalar(_))) => scalarc.push(other),
                     other => {
-                        let bound = self.bind_expr(other, &scope)?;
-                        if has_outer_ref(&bound) {
-                            corr_raw.push(correlation_pair(bound)?);
+                        let before = cx.outer_refs;
+                        let bound = self.bind_expr(other, &mut cx)?;
+                        if cx.outer_refs > before {
+                            corr.push(correlation_key(&bound, cx.scope.cols.len())?);
                         } else if parts.len() > 1
                             && matches!(bound, SqlExpr::Cmp { op: CmpOp::Eq, .. })
                         {
@@ -553,27 +459,11 @@ impl<'a> Binder<'a> {
         for (p, w) in parts_iter {
             let mut keys = Vec::new();
             for (k, (_, cand)) in cands.iter().enumerate() {
-                if used[k] {
-                    continue;
-                }
-                let SqlExpr::Cmp { op: CmpOp::Eq, l, r } = cand else { continue };
-                let within = |e: &SqlExpr, lo: usize, hi: usize| {
-                    let mut cols = Vec::new();
-                    e.collect_cols(&mut cols);
-                    !cols.is_empty() && cols.iter().all(|&c| c >= lo && c < hi)
-                };
-                let pair = if within(l, 0, prefix_w) && within(r, prefix_w, prefix_w + w) {
-                    Some((l.as_ref().clone(), r.as_ref().clone()))
-                } else if within(r, 0, prefix_w) && within(l, prefix_w, prefix_w + w) {
-                    Some((r.as_ref().clone(), l.as_ref().clone()))
-                } else {
-                    None
-                };
-                if let Some((le, re)) = pair {
-                    let re = re.remap_cols(&|i| Some(i - prefix_w))?;
-                    let (le, re) = unify_key_types(le, re)?;
-                    keys.push((le, re));
-                    used[k] = true;
+                if !used[k] {
+                    if let Some(key) = split_eq(cand, prefix_w, prefix_w + w, false) {
+                        keys.push(key);
+                        used[k] = true;
+                    }
                 }
             }
             if keys.is_empty() {
@@ -582,7 +472,7 @@ impl<'a> Binder<'a> {
             }
             prefix_w += w;
             let schema = Schema::unchecked(
-                scope.cols[..prefix_w]
+                cx.scope.cols[..prefix_w]
                     .iter()
                     .map(|c| Field { name: c.name.clone(), ty: c.ty, nullable: c.nullable })
                     .collect(),
@@ -608,32 +498,29 @@ impl<'a> Binder<'a> {
         for (conjunct, flip) in subq {
             match conjunct {
                 Expr::InSubquery { expr, subquery, negated } => {
-                    plan = self.bind_in_subquery(plan, &scope, expr, subquery, *negated != flip)?;
+                    plan =
+                        self.bind_in_subquery(plan, &mut cx, expr, subquery, *negated != flip)?;
                 }
                 Expr::Exists { subquery, negated } => {
-                    plan = self.bind_exists(plan, &scope, subquery, *negated != flip)?;
+                    plan = self.bind_exists(plan, &mut cx, subquery, *negated != flip)?;
                 }
                 _ => unreachable!("subq holds only IN/EXISTS conjuncts"),
             }
         }
 
-        // Scalar-subquery conjuncts: each scalar becomes an Apply whose
-        // value column extends the scope, then the conjunct binds
-        // normally against the marker.
-        let visible = scope.cols.len();
-        let mut nscalar = 0usize;
+        // Scalar-subquery conjuncts: each scalar stacks its Apply on the
+        // frame's plan as the conjunct binds.
+        let visible = cx.scope.cols.len();
+        cx.plan = Some(plan);
         let mut scalar_filters = Vec::new();
         for c in scalarc {
-            let replaced = rewrite_scalars(c, &mut |sub| {
-                self.apply_scalar(sub, &mut plan, &mut scope, &mut nscalar)
-            })?;
-            let bound = self.bind_expr(&replaced, &scope)?;
-            ensure_no_outer(&bound, "predicate combined with a scalar subquery")?;
+            let bound = self.bind_local(c, &mut cx, "predicate combined with a scalar subquery")?;
             if bound.type_id() != TypeId::Bool {
                 return Err(berr("WHERE predicate must be boolean"));
             }
             scalar_filters.push(bound);
         }
+        let mut plan = cx.plan.take().expect("a bound scalar puts the plan back");
 
         for (_, p) in filters {
             if p.type_id() != TypeId::Bool {
@@ -647,16 +534,16 @@ impl<'a> Binder<'a> {
 
         // Aggregation?
         let has_agg = !stmt.group_by.is_empty()
-            || stmt.items.iter().any(|i| match i {
-                SelectItem::Expr { expr, .. } => contains_agg(expr),
-                SelectItem::Wildcard => false,
-            })
-            || stmt.having.as_ref().is_some_and(contains_agg);
+            || stmt
+                .items
+                .iter()
+                .any(|i| matches!(i, SelectItem::Expr { expr, .. } if expr.any(is_agg)))
+            || stmt.having.as_ref().is_some_and(|h| h.any(is_agg));
 
         let (mut plan, items_len, corr_out) = if has_agg {
-            self.bind_aggregate_query(plan, &scope, stmt, &corr_raw)?
+            self.bind_aggregate_query(plan, &mut cx, stmt, &corr)?
         } else {
-            self.bind_plain_projection(plan, &scope, stmt, visible, &corr_raw)?
+            self.bind_plain_projection(plan, &mut cx, stmt, visible, &corr)?
         };
 
         if stmt.distinct {
@@ -689,13 +576,13 @@ impl<'a> Binder<'a> {
     }
 
     /// Bind the projection of a non-aggregate query. `visible` caps how
-    /// many scope columns `*` expands (scalar-subquery markers ride
-    /// behind and are not user-visible); `corr` inner expressions are
-    /// appended as extra output columns for the enclosing Apply.
+    /// many scope columns `*` expands (scalar-subquery values ride
+    /// behind); `corr` inner expressions are appended as extra output
+    /// columns for the enclosing Apply.
     fn bind_plain_projection(
         &self,
         plan: LogicalPlan,
-        scope: &Scope,
+        cx: &mut Frame,
         stmt: &SelectStmt,
         visible: usize,
         corr: &[(SqlExpr, SqlExpr)],
@@ -705,14 +592,13 @@ impl<'a> Binder<'a> {
         for item in &stmt.items {
             match item {
                 SelectItem::Wildcard => {
-                    for (i, c) in scope.cols.iter().take(visible).enumerate() {
+                    for (i, c) in cx.scope.cols.iter().take(visible).enumerate() {
                         exprs.push(SqlExpr::Col(i, c.ty));
                         fields.push(Field { name: c.name.clone(), ty: c.ty, nullable: c.nullable });
                     }
                 }
                 SelectItem::Expr { expr, alias } => {
-                    let bound = self.bind_expr(expr, scope)?;
-                    ensure_no_outer(&bound, "SELECT item")?;
+                    let bound = self.bind_local(expr, cx, "SELECT item")?;
                     let name = alias.clone().unwrap_or_else(|| display_name(expr));
                     fields.push(Field { name, ty: bound.type_id(), nullable: true });
                     exprs.push(bound);
@@ -734,26 +620,25 @@ impl<'a> Binder<'a> {
     /// Bind an aggregating query. Correlation inner expressions join the
     /// GROUP BY list (that is what decorrelates Q2/Q17-style "aggregate
     /// per outer key" subqueries) and re-emerge behind the items in the
-    /// final projection.
-    fn bind_aggregate_query(
+    /// final projection. HAVING and the items bind after aggregation.
+    fn bind_aggregate_query<'s>(
         &self,
         plan: LogicalPlan,
-        scope: &Scope,
-        stmt: &SelectStmt,
+        cx: &mut Frame<'s>,
+        stmt: &'s SelectStmt,
         corr: &[(SqlExpr, SqlExpr)],
     ) -> Result<BoundCore> {
         // 1. Group expressions: user groups, then correlation columns.
         let mut group: Vec<SqlExpr> = Vec::new();
         let mut group_names: Vec<String> = Vec::new();
         for g in &stmt.group_by {
-            let bound = self.bind_expr(g, scope)?;
-            ensure_no_outer(&bound, "GROUP BY expression")?;
+            let bound = self.bind_local(g, cx, "GROUP BY expression")?;
             if !group.contains(&bound) {
                 group.push(bound);
                 group_names.push(display_name(g));
             }
         }
-        let mut corr_group_idx = Vec::new();
+        let mut corr_cols = Vec::new();
         for (k, (_, ie)) in corr.iter().enumerate() {
             let idx = match group.iter().position(|g| g == ie) {
                 Some(i) => i,
@@ -763,20 +648,33 @@ impl<'a> Binder<'a> {
                     group.len() - 1
                 }
             };
-            corr_group_idx.push(idx);
+            corr_cols.push((idx, ie.type_id()));
         }
-        // 2. Collect aggregate calls from items and HAVING.
+        // 2. The aggregate calls of the items and HAVING, each bound once.
         let mut aggs: Vec<AggCall> = Vec::new();
-        let mut collect = |e: &Expr| -> Result<()> { self.collect_aggs(e, scope, &mut aggs) };
-        for item in &stmt.items {
-            if let SelectItem::Expr { expr, .. } = item {
-                collect(expr)?;
-            } else {
-                return Err(berr("SELECT * cannot be combined with GROUP BY"));
+        let mut calls = Vec::new();
+        let items = stmt.items.iter().map(|item| match item {
+            SelectItem::Expr { expr, .. } => Ok(expr),
+            SelectItem::Wildcard => Err(berr("SELECT * cannot be combined with GROUP BY")),
+        });
+        for e in items.chain(stmt.having.iter().map(Ok)) {
+            let mut found = Vec::new();
+            e?.walk(&mut |x| {
+                let agg = is_agg(x);
+                if agg {
+                    found.push(x);
+                }
+                !agg
+            });
+            for ast in found {
+                let Expr::Func { name, args } = ast else { unreachable!("is_agg matched a call") };
+                let call = self.bind_agg_call(name, args, cx)?;
+                let idx = aggs.iter().position(|a| *a == call).unwrap_or_else(|| {
+                    aggs.push(call);
+                    aggs.len() - 1
+                });
+                calls.push((ast, group.len() + idx, aggs[idx].out_ty));
             }
-        }
-        if let Some(h) = &stmt.having {
-            collect(h)?;
         }
         if !corr.is_empty()
             && aggs.iter().any(|a| matches!(a.func, AggFunc::Count | AggFunc::CountStar))
@@ -787,41 +685,27 @@ impl<'a> Binder<'a> {
                 "correlated COUNT subquery (an empty group's count cannot decorrelate to a join)",
             ));
         }
-        // 3. Aggregate output schema.
+        // 3. The aggregate and its output schema.
         let mut agg_fields: Vec<Field> = Vec::new();
-        for (i, g) in group.iter().enumerate() {
-            agg_fields.push(Field {
-                name: group_names[i].clone(),
-                ty: g.type_id(),
-                nullable: true,
-            });
+        for (g, name) in group.iter().zip(group_names) {
+            agg_fields.push(Field { name, ty: g.type_id(), nullable: true });
         }
         for (i, a) in aggs.iter().enumerate() {
             agg_fields.push(Field { name: format!("__agg{i}"), ty: a.out_ty, nullable: true });
         }
-        let agg_schema = Schema::unchecked(agg_fields);
         let mut plan = LogicalPlan::Aggregate {
             input: Box::new(plan),
             group: group.clone(),
-            aggs: aggs.clone(),
-            schema: agg_schema.clone(),
+            aggs,
+            schema: Schema::unchecked(agg_fields),
         };
-        // 4. HAVING over the aggregate output. Scalar subqueries in
-        // HAVING (Q11's threshold) become Apply nodes above the
-        // aggregate; their value columns resolve through `extra`.
-        let mut extra: Vec<(String, TypeId, usize)> = Vec::new();
-        let having = match &stmt.having {
-            Some(h) if contains_scalar(h) => {
-                let agg_w = group.len() + aggs.len();
-                Some(rewrite_scalars(h, &mut |sub| {
-                    self.apply_having_scalar(sub, &mut plan, &mut extra, agg_w)
-                })?)
-            }
-            Some(h) => Some(h.clone()),
-            None => None,
-        };
-        if let Some(h) = &having {
-            let bound = self.bind_post_agg(h, scope, &stmt.group_by, &group, &aggs, &extra)?;
+        cx.grouped = Some(Grouped { asts: &stmt.group_by, group, calls });
+        // 4. HAVING over the aggregate output; a scalar subquery in it
+        // (Q11's threshold) stacks its Apply above the aggregate.
+        if let Some(h) = &stmt.having {
+            cx.plan = Some(plan);
+            let bound = self.bind_expr(h, cx)?;
+            plan = cx.plan.take().expect("a bound scalar puts the plan back");
             if bound.type_id() != TypeId::Bool {
                 return Err(berr("HAVING must be boolean"));
             }
@@ -831,18 +715,17 @@ impl<'a> Binder<'a> {
         let mut exprs = Vec::new();
         let mut fields = Vec::new();
         for item in &stmt.items {
-            let SelectItem::Expr { expr, alias } = item else { unreachable!() };
-            let bound = self.bind_post_agg(expr, scope, &stmt.group_by, &group, &aggs, &extra)?;
+            let SelectItem::Expr { expr, alias } = item else { unreachable!("rejected above") };
+            let bound = self.bind_expr(expr, cx)?;
             let name = alias.clone().unwrap_or_else(|| display_name(expr));
             fields.push(Field { name, ty: bound.type_id(), nullable: true });
             exprs.push(bound);
         }
         let items_len = exprs.len();
         let mut corr_out = Vec::new();
-        for (k, ((oe, _), gidx)) in corr.iter().zip(&corr_group_idx).enumerate() {
-            let ty = group[*gidx].type_id();
+        for (k, ((oe, _), (gidx, ty))) in corr.iter().zip(corr_cols).enumerate() {
             fields.push(Field { name: format!("__corr{k}"), ty, nullable: true });
-            exprs.push(SqlExpr::Col(*gidx, ty));
+            exprs.push(SqlExpr::Col(gidx, ty));
             corr_out.push((oe.clone(), items_len + k));
         }
         let schema = Schema::unchecked(fields);
@@ -850,59 +733,7 @@ impl<'a> Binder<'a> {
         Ok((plan, items_len, corr_out))
     }
 
-    /// Bind one aggregate AST call to an [`AggCall`], registering it.
-    fn collect_aggs(&self, e: &Expr, scope: &Scope, aggs: &mut Vec<AggCall>) -> Result<()> {
-        if let Expr::Func { name, args } = e {
-            if AGG_NAMES.contains(&name.as_str()) {
-                let call = self.bind_agg_call(name, args, scope)?;
-                if !aggs.contains(&call) {
-                    aggs.push(call);
-                }
-                return Ok(());
-            }
-        }
-        match e {
-            Expr::Binary { left, right, .. } => {
-                self.collect_aggs(left, scope, aggs)?;
-                self.collect_aggs(right, scope, aggs)?;
-            }
-            Expr::Neg(x) | Expr::Not(x) | Expr::Cast { expr: x, .. } => {
-                self.collect_aggs(x, scope, aggs)?;
-            }
-            Expr::IsNull { expr, .. } | Expr::Like { expr, .. } | Expr::Extract { expr, .. } => {
-                self.collect_aggs(expr, scope, aggs)?;
-            }
-            Expr::Between { expr, low, high, .. } => {
-                self.collect_aggs(expr, scope, aggs)?;
-                self.collect_aggs(low, scope, aggs)?;
-                self.collect_aggs(high, scope, aggs)?;
-            }
-            Expr::InList { expr, list, .. } => {
-                self.collect_aggs(expr, scope, aggs)?;
-                for l in list {
-                    self.collect_aggs(l, scope, aggs)?;
-                }
-            }
-            Expr::Case { branches, else_expr } => {
-                for (c, v) in branches {
-                    self.collect_aggs(c, scope, aggs)?;
-                    self.collect_aggs(v, scope, aggs)?;
-                }
-                if let Some(x) = else_expr {
-                    self.collect_aggs(x, scope, aggs)?;
-                }
-            }
-            Expr::Func { args, .. } => {
-                for a in args {
-                    self.collect_aggs(a, scope, aggs)?;
-                }
-            }
-            _ => {}
-        }
-        Ok(())
-    }
-
-    fn bind_agg_call(&self, name: &str, args: &[Expr], scope: &Scope) -> Result<AggCall> {
+    fn bind_agg_call(&self, name: &str, args: &[Expr], cx: &mut Frame) -> Result<AggCall> {
         let func = match name {
             "COUNT" => {
                 if args.len() == 1 && matches!(args[0], Expr::Wildcard) {
@@ -923,8 +754,7 @@ impl<'a> Binder<'a> {
         if args.len() != 1 {
             return Err(berr(format!("{name} takes exactly one argument")));
         }
-        let input = self.bind_expr(&args[0], scope)?;
-        ensure_no_outer(&input, "aggregate argument")?;
+        let input = self.bind_local(&args[0], cx, "aggregate argument")?;
         let ity = input.type_id();
         let (input, out_ty) = match func {
             AggFunc::Count => (input, TypeId::I64),
@@ -949,99 +779,6 @@ impl<'a> Binder<'a> {
         Ok(AggCall { func, input: Some(input), out_ty })
     }
 
-    /// Bind an expression in post-aggregation context: aggregate calls and
-    /// group expressions become references into the aggregate output;
-    /// `extra` maps HAVING scalar-subquery markers to Apply value columns.
-    fn bind_post_agg(
-        &self,
-        e: &Expr,
-        scope: &Scope,
-        group_asts: &[Expr],
-        group: &[SqlExpr],
-        aggs: &[AggCall],
-        extra: &[(String, TypeId, usize)],
-    ) -> Result<SqlExpr> {
-        // HAVING scalar-subquery marker → its Apply output column.
-        if let Expr::Ident(parts) = e {
-            if let [name] = &parts[..] {
-                if let Some((_, ty, idx)) = extra.iter().find(|(n, _, _)| n == name) {
-                    return Ok(SqlExpr::Col(*idx, *ty));
-                }
-            }
-        }
-        // Aggregate call → its output column.
-        if let Expr::Func { name, args } = e {
-            if AGG_NAMES.contains(&name.as_str()) {
-                let call = self.bind_agg_call(name, args, scope)?;
-                let idx = aggs
-                    .iter()
-                    .position(|a| *a == call)
-                    .ok_or_else(|| berr("aggregate not collected (engine bug)"))?;
-                return Ok(SqlExpr::Col(group.len() + idx, call.out_ty));
-            }
-        }
-        // Whole expression structurally equal to a GROUP BY expression?
-        if group_asts.iter().any(|g| g == e) || matches!(e, Expr::Ident(_)) {
-            if let Ok(bound) = self.bind_expr(e, scope) {
-                if let Some(idx) = group.iter().position(|g| *g == bound) {
-                    return Ok(SqlExpr::Col(idx, bound.type_id()));
-                }
-                if matches!(e, Expr::Ident(_)) {
-                    return Err(berr(format!(
-                        "column {e:?} must appear in GROUP BY or inside an aggregate"
-                    )));
-                }
-            }
-        }
-        // Recurse structurally.
-        match e {
-            Expr::Lit(v) => self
-                .bind_expr(e, scope)
-                .or_else(|_| Ok(SqlExpr::Lit(v.clone(), v.type_id().unwrap_or(TypeId::I64)))),
-            Expr::Binary { op, left, right } => {
-                let l = self.bind_post_agg(left, scope, group_asts, group, aggs, extra)?;
-                let r = self.bind_post_agg(right, scope, group_asts, group, aggs, extra)?;
-                combine_binary(*op, l, r)
-            }
-            Expr::Neg(x) => {
-                let b = self.bind_post_agg(x, scope, group_asts, group, aggs, extra)?;
-                negate(b)
-            }
-            Expr::Not(x) => {
-                let b = self.bind_post_agg(x, scope, group_asts, group, aggs, extra)?;
-                Ok(SqlExpr::Not(Box::new(b)))
-            }
-            Expr::Cast { expr, ty } => {
-                let b = self.bind_post_agg(expr, scope, group_asts, group, aggs, extra)?;
-                Ok(cast_to(b, *ty))
-            }
-            Expr::Case { branches, else_expr } => {
-                let mut bs = Vec::new();
-                for (c, v) in branches {
-                    bs.push((
-                        self.bind_post_agg(c, scope, group_asts, group, aggs, extra)?,
-                        self.bind_post_agg(v, scope, group_asts, group, aggs, extra)?,
-                    ));
-                }
-                let el = match else_expr {
-                    Some(x) => Some(Box::new(
-                        self.bind_post_agg(x, scope, group_asts, group, aggs, extra)?,
-                    )),
-                    None => None,
-                };
-                build_case(bs, el)
-            }
-            Expr::Func { name, args } => {
-                let bound_args: Vec<SqlExpr> = args
-                    .iter()
-                    .map(|a| self.bind_post_agg(a, scope, group_asts, group, aggs, extra))
-                    .collect::<Result<_>>()?;
-                bind_function(name, bound_args)
-            }
-            other => Err(berr(format!("expression {other:?} not supported after aggregation"))),
-        }
-    }
-
     fn bind_table_ref(&self, tr: &TableRef) -> Result<(LogicalPlan, Scope)> {
         match tr {
             TableRef::Named { name, alias } => {
@@ -1060,7 +797,7 @@ impl<'a> Binder<'a> {
                 }
                 let schema = self
                     .catalog
-                    .table_schema(name)
+                    .and_then(|c| c.table_schema(name))
                     .ok_or_else(|| VwError::Catalog(format!("unknown table '{name}'")))?;
                 let qual = alias.clone().unwrap_or_else(|| name.clone());
                 let scope = Scope::from_schema(Some(&qual), &schema);
@@ -1073,8 +810,7 @@ impl<'a> Binder<'a> {
                 Ok((plan, scope))
             }
             TableRef::Derived { query, alias } => {
-                // Derived tables bind uncorrelated (no LATERAL).
-                let (p, _) = self.bind_query(query, None)?;
+                let (p, _) = self.bind_query(query)?;
                 let scope = Scope::from_schema(Some(alias), p.schema());
                 Ok((p, scope))
             }
@@ -1082,15 +818,15 @@ impl<'a> Binder<'a> {
                 let (lp, ls) = self.bind_table_ref(left)?;
                 let (rp, rs) = self.bind_table_ref(right)?;
                 let lwidth = ls.cols.len();
-                let combined = ls.clone().concat(rs.clone());
+                let mut cx = Frame::new(ls.concat(rs));
                 // Split the ON condition into equi-keys and residual.
                 let mut keys = Vec::new();
                 let mut residual = Vec::new();
                 for c in split_conjuncts(on) {
-                    if let Some((le, re)) = self.try_equi_key(c, &ls, &rs, lwidth)? {
-                        keys.push((le, re));
-                    } else {
-                        residual.push(self.bind_expr(c, &combined)?);
+                    let bound = self.bind_expr(c, &mut cx)?;
+                    match split_eq(&bound, lwidth, cx.scope.cols.len(), false) {
+                        Some(key) => keys.push(key),
+                        None => residual.push(bound),
                     }
                 }
                 if keys.is_empty() {
@@ -1101,7 +837,7 @@ impl<'a> Binder<'a> {
                     AstJoinKind::Left => JoinKind::Left,
                 };
                 // Left join output: right side columns become nullable.
-                let mut out_scope = combined.clone();
+                let mut out_scope = cx.scope;
                 if kind == JoinKind::Left {
                     for c in &mut out_scope.cols[lwidth..] {
                         c.nullable = true;
@@ -1127,64 +863,41 @@ impl<'a> Binder<'a> {
         }
     }
 
-    /// Try to interpret `e` as `left_col = right_col` across the join.
-    fn try_equi_key(
+    /// Bind `stmt` as a subquery of the frame `cx`: push the frame's
+    /// columns as the innermost upper context, bind, pop.
+    fn bind_subquery(
         &self,
-        e: &Expr,
-        ls: &Scope,
-        rs: &Scope,
-        lwidth: usize,
-    ) -> Result<Option<(SqlExpr, SqlExpr)>> {
-        let Expr::Binary { op: ast::BinaryOp::Eq, left, right } = e else {
-            return Ok(None);
-        };
-        let combined = ls.clone().concat(rs.clone());
-        let l = self.bind_expr(left, &combined)?;
-        let r = self.bind_expr(right, &combined)?;
-        let side = |x: &SqlExpr| -> Option<bool> {
-            // true = purely left, false = purely right
-            let mut cols = Vec::new();
-            x.collect_cols(&mut cols);
-            if cols.is_empty() {
-                return None;
-            }
-            if cols.iter().all(|&c| c < lwidth) {
-                Some(true)
-            } else if cols.iter().all(|&c| c >= lwidth) {
-                Some(false)
-            } else {
-                None
-            }
-        };
-        match (side(&l), side(&r)) {
-            (Some(true), Some(false)) => {
-                let r = r.remap_cols(&|i| Some(i - lwidth))?;
-                let (l, r) = unify_key_types(l, r)?;
-                Ok(Some((l, r)))
-            }
-            (Some(false), Some(true)) => {
-                let l = l.remap_cols(&|i| Some(i - lwidth))?;
-                let (r, l) = unify_key_types(r, l)?;
-                Ok(Some((r, l)))
-            }
-            _ => Ok(None),
-        }
+        stmt: &SelectStmt,
+        cx: &mut Frame,
+    ) -> Result<(LogicalPlan, Vec<(SqlExpr, usize)>)> {
+        self.upper.borrow_mut().push(std::mem::take(&mut cx.scope));
+        let out = self.bind_query(stmt);
+        cx.scope = self.upper.borrow_mut().pop().expect("pushed above");
+        out
+    }
+
+    /// Run `f` with no upper context visible: FROM items and CTE
+    /// definitions bind uncorrelated.
+    fn uncorrelated<T>(&self, f: impl FnOnce() -> Result<T>) -> Result<T> {
+        let upper = self.upper.take();
+        let out = f();
+        *self.upper.borrow_mut() = upper;
+        out
     }
 
     fn bind_in_subquery(
         &self,
         plan: LogicalPlan,
-        scope: &Scope,
+        cx: &mut Frame,
         expr: &Expr,
         subquery: &SelectStmt,
         negated: bool,
     ) -> Result<LogicalPlan> {
-        let (sub, corr) = self.bind_query(subquery, Some(scope))?;
+        let (sub, corr) = self.bind_subquery(subquery, cx)?;
         if sub.schema().len() - corr.len() != 1 {
             return Err(berr("IN subquery must return exactly one column"));
         }
-        let left_key = self.bind_expr(expr, scope)?;
-        ensure_no_outer(&left_key, "IN probe value")?;
+        let left_key = self.bind_local(expr, cx, "IN probe value")?;
         if corr.is_empty() {
             // Uncorrelated: direct semi / NULL-aware anti join.
             let right_key = SqlExpr::Col(0, sub.schema().field(0).ty);
@@ -1219,11 +932,11 @@ impl<'a> Binder<'a> {
     fn bind_exists(
         &self,
         plan: LogicalPlan,
-        scope: &Scope,
+        cx: &mut Frame,
         subquery: &SelectStmt,
         negated: bool,
     ) -> Result<LogicalPlan> {
-        let (sub, corr) = self.bind_query(subquery, Some(scope))?;
+        let (sub, corr) = self.bind_subquery(subquery, cx)?;
         if corr.is_empty() {
             // Uncorrelated EXISTS: semi/anti join on the constant key 1 = 1.
             let one = SqlExpr::Lit(Value::I64(1), TypeId::I64);
@@ -1255,21 +968,21 @@ impl<'a> Binder<'a> {
         })
     }
 
-    /// Turn one scalar subquery in a WHERE conjunct into an Apply above
-    /// `plan`, extend `scope` with the value column, and return the
-    /// marker identifier the rewritten conjunct binds against.
-    fn apply_scalar(
-        &self,
-        sub: &SelectStmt,
-        plan: &mut LogicalPlan,
-        scope: &mut Scope,
-        n: &mut usize,
-    ) -> Result<Expr> {
-        let (sub_plan, corr) = self.bind_query(sub, Some(scope))?;
+    /// A scalar subquery where the expression binder meets it: its Apply
+    /// goes on the frame's plan, and the expression is the Apply's value
+    /// column. In WHERE the value also joins the frame's scope, nameless,
+    /// so later subqueries' outer keys index the Apply's output.
+    fn bind_scalar(&self, sub: &SelectStmt, cx: &mut Frame) -> Result<SqlExpr> {
+        let Some(input) = cx.plan.take() else {
+            return Err(unsup(
+                "scalar subquery in this position (supported in WHERE and HAVING conjuncts)",
+            ));
+        };
+        let (sub_plan, corr) = self.bind_subquery(sub, cx)?;
         if sub_plan.schema().len() - corr.len() != 1 {
             return Err(berr("scalar subquery must return exactly one column"));
         }
-        let ty = sub_plan.schema().field(0).ty;
+        let value = sub_plan.schema().field(0).clone();
         let (sub_plan, keys) = if corr.is_empty() {
             if !at_most_one_row(&sub_plan) {
                 return Err(unsup(
@@ -1280,13 +993,18 @@ impl<'a> Binder<'a> {
             let one = SqlExpr::Lit(Value::I64(1), TypeId::I64);
             let proj = LogicalPlan::Project {
                 schema: Schema::unchecked(vec![
-                    Field { name: "__sval".into(), ty, nullable: true },
+                    Field { name: "__sval".into(), ty: value.ty, nullable: true },
                     Field::not_null("__one", TypeId::I64),
                 ]),
-                exprs: vec![SqlExpr::Col(0, ty), one.clone()],
+                exprs: vec![SqlExpr::Col(0, value.ty), one.clone()],
                 input: Box::new(sub_plan),
             };
             (proj, vec![(one, 1)])
+        } else if cx.grouped.is_some() {
+            return Err(unsup(
+                "correlated scalar subquery in HAVING (only WHERE scalar subqueries \
+                 may correlate)",
+            ));
         } else {
             if !corr_scalar_unique(&sub_plan, corr.len()) {
                 return Err(unsup(
@@ -1300,96 +1018,118 @@ impl<'a> Binder<'a> {
                 .collect::<Result<Vec<_>>>()?;
             (sub_plan, keys)
         };
-        let name = format!("__scalar{n}");
-        *n += 1;
-        let mut fields = plan.schema().fields.clone();
-        fields.push(Field { name: name.clone(), ty, nullable: true });
-        let input = std::mem::replace(
-            plan,
-            LogicalPlan::Values { schema: Schema::unchecked(vec![]), rows: vec![] },
-        );
-        *plan = LogicalPlan::Apply {
+        let col = input.schema().len();
+        let mut fields = input.schema().fields.clone();
+        fields.push(Field { name: value.name, ty: value.ty, nullable: true });
+        cx.plan = Some(LogicalPlan::Apply {
             input: Box::new(input),
             subquery: Box::new(sub_plan),
             kind: ApplyKind::Scalar,
             keys,
             schema: Schema::unchecked(fields),
-        };
-        scope.cols.push(ScopeCol { qualifier: None, name: name.clone(), ty, nullable: true });
-        Ok(Expr::Ident(vec![name]))
+        });
+        if cx.grouped.is_none() {
+            let ty = value.ty;
+            cx.scope.cols.push(ScopeCol {
+                qualifier: None,
+                name: String::new(),
+                ty,
+                nullable: true,
+            });
+        }
+        Ok(SqlExpr::Col(col, value.ty))
     }
 
-    /// Same as [`apply_scalar`](Binder::apply_scalar) but for HAVING:
-    /// the Apply stacks above the aggregate, and the marker resolves via
-    /// the post-aggregation `extra` table instead of the scope. HAVING
-    /// scalars must be uncorrelated (Q11's threshold is).
-    fn apply_having_scalar(
-        &self,
-        sub: &SelectStmt,
-        plan: &mut LogicalPlan,
-        extra: &mut Vec<(String, TypeId, usize)>,
-        agg_w: usize,
-    ) -> Result<Expr> {
-        let (sub_plan, _) = self.bind_query(sub, None)?;
-        if sub_plan.schema().len() != 1 {
-            return Err(berr("scalar subquery must return exactly one column"));
+    /// Bind `e` in a position where only the query's own columns may
+    /// appear; `what` names the position in the error.
+    fn bind_local(&self, e: &Expr, cx: &mut Frame, what: &str) -> Result<SqlExpr> {
+        let before = cx.outer_refs;
+        let bound = self.bind_expr(e, cx)?;
+        if cx.outer_refs > before {
+            return Err(unsup(format!(
+                "correlated {what} (outer references are only supported in WHERE equality conjuncts)"
+            )));
         }
-        if !at_most_one_row(&sub_plan) {
-            return Err(unsup(
-                "uncorrelated scalar subquery without a single-row guarantee \
-                 (use an aggregate without GROUP BY, or LIMIT 1)",
-            ));
-        }
-        let ty = sub_plan.schema().field(0).ty;
-        let one = SqlExpr::Lit(Value::I64(1), TypeId::I64);
-        let proj = LogicalPlan::Project {
-            schema: Schema::unchecked(vec![
-                Field { name: "__sval".into(), ty, nullable: true },
-                Field::not_null("__one", TypeId::I64),
-            ]),
-            exprs: vec![SqlExpr::Col(0, ty), one.clone()],
-            input: Box::new(sub_plan),
-        };
-        let name = format!("__hscalar{}", extra.len());
-        let idx = agg_w + extra.len();
-        let mut fields = plan.schema().fields.clone();
-        fields.push(Field { name: name.clone(), ty, nullable: true });
-        let input = std::mem::replace(
-            plan,
-            LogicalPlan::Values { schema: Schema::unchecked(vec![]), rows: vec![] },
-        );
-        *plan = LogicalPlan::Apply {
-            input: Box::new(input),
-            subquery: Box::new(proj),
-            kind: ApplyKind::Scalar,
-            keys: vec![(one, 1)],
-            schema: Schema::unchecked(fields),
-        };
-        extra.push((name.clone(), ty, idx));
-        Ok(Expr::Ident(vec![name]))
+        Ok(bound)
     }
 
-    /// Bind a scalar expression against a scope.
-    fn bind_expr(&self, e: &Expr, scope: &Scope) -> Result<SqlExpr> {
+    /// Resolve a column name through the scope stack: the frame's own
+    /// columns first, then each upper context, innermost first.
+    fn resolve(&self, parts: &[String], scope: &Scope) -> Result<ColRef> {
+        let upper = self.upper.borrow();
+        for (depth, s) in std::iter::once(scope).chain(upper.iter().rev()).enumerate() {
+            if let Some((index, ty)) = s.resolve_local(parts)? {
+                return Ok(ColRef { depth, index, ty });
+            }
+        }
+        Err(berr(format!("unknown column '{}'", parts.join("."))))
+    }
+
+    /// After aggregation, the output column `e` is when it is an aggregate
+    /// call or a GROUP BY expression (a bare column must be one).
+    fn output_col(&self, e: &Expr, cx: &mut Frame) -> Result<Option<SqlExpr>> {
+        let Some(g) = &cx.grouped else { return Ok(None) };
+        if is_agg(e) {
+            let &(_, col, ty) = g
+                .calls
+                .iter()
+                .find(|(c, ..)| *c == e)
+                .ok_or_else(|| berr("aggregate not collected (engine bug)"))?;
+            return Ok(Some(SqlExpr::Col(col, ty)));
+        }
+        if !matches!(e, Expr::Ident(_)) && !g.asts.contains(e) {
+            return Ok(None);
+        }
+        let grouped = cx.grouped.take();
+        let bound = self.bind_expr(e, cx);
+        cx.grouped = grouped;
+        let bound = bound?;
+        let group = &cx.grouped.as_ref().expect("restored above").group;
+        match group.iter().position(|g| *g == bound) {
+            Some(idx) => Ok(Some(SqlExpr::Col(idx, bound.type_id()))),
+            None if matches!(e, Expr::Ident(_)) => {
+                Err(berr(format!("column {e:?} must appear in GROUP BY or inside an aggregate")))
+            }
+            None => Ok(None),
+        }
+    }
+
+    /// Bind a scalar expression in the frame `cx`.
+    fn bind_expr(&self, e: &Expr, cx: &mut Frame) -> Result<SqlExpr> {
+        if let Some(col) = self.output_col(e, cx)? {
+            return Ok(col);
+        }
         match e {
             Expr::Ident(parts) => {
-                let (i, ty) = scope.resolve(parts)?;
-                Ok(SqlExpr::Col(i, ty))
+                let r = self.resolve(parts, &cx.scope)?;
+                match r.depth {
+                    0 => Ok(SqlExpr::Col(r.index, r.ty)),
+                    1 => {
+                        // Past the frame's columns: `correlation_key`
+                        // splits at that boundary.
+                        cx.outer_refs += 1;
+                        Ok(SqlExpr::Col(cx.scope.cols.len() + r.index, r.ty))
+                    }
+                    _ => Err(unsup(format!(
+                        "correlated reference to a query two or more levels up ('{}')",
+                        parts.join(".")
+                    ))),
+                }
             }
             Expr::Lit(v) => Ok(SqlExpr::Lit(v.clone(), v.type_id().unwrap_or(TypeId::I64))),
             Expr::Binary { op, left, right } => {
-                if let Some(e) = self.try_interval_arith(*op, left, right, scope)? {
+                if let Some(e) = self.try_interval_arith(*op, left, right, cx)? {
                     return Ok(e);
                 }
-                let l = self.bind_expr(left, scope)?;
-                let r = self.bind_expr(right, scope)?;
+                let l = self.bind_expr(left, cx)?;
+                let r = self.bind_expr(right, cx)?;
                 combine_binary(*op, l, r)
             }
-            Expr::Neg(x) => negate(self.bind_expr(x, scope)?),
-            Expr::Not(x) => Ok(SqlExpr::Not(Box::new(self.bind_expr(x, scope)?))),
-            Expr::Cast { expr, ty } => Ok(cast_to(self.bind_expr(expr, scope)?, *ty)),
+            Expr::Neg(x) => negate(self.bind_expr(x, cx)?),
+            Expr::Not(x) => Ok(SqlExpr::Not(Box::new(self.bind_expr(x, cx)?))),
+            Expr::Cast { expr, ty } => Ok(cast_to(self.bind_expr(expr, cx)?, *ty)),
             Expr::IsNull { expr, negated } => {
-                let b = self.bind_expr(expr, scope)?;
+                let b = self.bind_expr(expr, cx)?;
                 Ok(if *negated {
                     SqlExpr::IsNotNull(Box::new(b))
                 } else {
@@ -1399,16 +1139,16 @@ impl<'a> Binder<'a> {
             Expr::Between { expr, low, high, negated } => {
                 // BETWEEN expands here (a rewrite the paper would do in the
                 // rewriter; it is pure syntax, so the binder handles it).
-                let x = self.bind_expr(expr, scope)?;
-                let lo = self.bind_expr(low, scope)?;
-                let hi = self.bind_expr(high, scope)?;
+                let x = self.bind_expr(expr, cx)?;
+                let lo = self.bind_expr(low, cx)?;
+                let hi = self.bind_expr(high, cx)?;
                 let ge = combine_binary(ast::BinaryOp::Ge, x.clone(), lo)?;
                 let le = combine_binary(ast::BinaryOp::Le, x, hi)?;
                 let both = SqlExpr::And(vec![ge, le]);
                 Ok(if *negated { SqlExpr::Not(Box::new(both)) } else { both })
             }
             Expr::Like { expr, pattern, negated } => {
-                let input = self.bind_expr(expr, scope)?;
+                let input = self.bind_expr(expr, cx)?;
                 if input.type_id() != TypeId::Str {
                     return Err(berr("LIKE requires a string input"));
                 }
@@ -1419,11 +1159,11 @@ impl<'a> Binder<'a> {
                 })
             }
             Expr::InList { expr, list, negated } => {
-                let input = self.bind_expr(expr, scope)?;
+                let input = self.bind_expr(expr, cx)?;
                 let mut ty = input.type_id();
                 let mut bound = Vec::with_capacity(list.len());
                 for m in list {
-                    let b = self.bind_expr(m, scope)?;
+                    let b = self.bind_expr(m, cx)?;
                     ty = TypeId::promote(ty, b.type_id())
                         .ok_or_else(|| berr("IN list has incompatible types"))?;
                     bound.push(b);
@@ -1438,24 +1178,24 @@ impl<'a> Binder<'a> {
             Expr::Case { branches, else_expr } => {
                 let mut bs = Vec::new();
                 for (c, v) in branches {
-                    bs.push((self.bind_expr(c, scope)?, self.bind_expr(v, scope)?));
+                    bs.push((self.bind_expr(c, cx)?, self.bind_expr(v, cx)?));
                 }
                 let el = match else_expr {
-                    Some(x) => Some(Box::new(self.bind_expr(x, scope)?)),
+                    Some(x) => Some(Box::new(self.bind_expr(x, cx)?)),
                     None => None,
                 };
                 build_case(bs, el)
             }
             Expr::Func { name, args } => {
                 let bound: Vec<SqlExpr> =
-                    args.iter().map(|a| self.bind_expr(a, scope)).collect::<Result<_>>()?;
+                    args.iter().map(|a| self.bind_expr(a, cx)).collect::<Result<_>>()?;
                 bind_function(name, bound)
             }
             Expr::Wildcard => Err(berr("'*' only valid in COUNT(*)")),
             Expr::Extract { field, expr } => {
                 let f = DateField::parse(field)
                     .ok_or_else(|| berr(format!("unknown EXTRACT field {field}")))?;
-                let d = self.bind_expr(expr, scope)?;
+                let d = self.bind_expr(expr, cx)?;
                 if d.type_id() != TypeId::Date {
                     return Err(berr("EXTRACT requires a DATE input"));
                 }
@@ -1468,9 +1208,7 @@ impl<'a> Binder<'a> {
                     ty: TypeId::I64,
                 })
             }
-            Expr::Scalar(_) => Err(unsup(
-                "scalar subquery in this position (supported in WHERE and HAVING conjuncts)",
-            )),
+            Expr::Scalar(sub) => self.bind_scalar(sub, cx),
             Expr::Interval { .. } => {
                 Err(berr("INTERVAL is only valid in date ± INTERVAL arithmetic"))
             }
@@ -1484,7 +1222,7 @@ impl<'a> Binder<'a> {
         op: ast::BinaryOp,
         left: &Expr,
         right: &Expr,
-        scope: &Scope,
+        cx: &mut Frame,
     ) -> Result<Option<SqlExpr>> {
         use ast::BinaryOp as B;
         let (date_ast, n, unit) = match (left, right, op) {
@@ -1492,7 +1230,7 @@ impl<'a> Binder<'a> {
             (Expr::Interval { n, unit }, d, B::Add) => (d, *n, *unit),
             _ => return Ok(None),
         };
-        let d = self.bind_expr(date_ast, scope)?;
+        let d = self.bind_expr(date_ast, cx)?;
         if d.type_id() != TypeId::Date {
             return Err(berr("INTERVAL arithmetic requires a DATE operand"));
         }
@@ -1528,11 +1266,14 @@ impl<'a> Binder<'a> {
             ty: TypeId::Date,
         }))
     }
+}
 
-    /// Bind an expression against a bare schema (UPDATE SET / DELETE WHERE).
-    pub fn bind_expr_on_schema(&self, e: &Expr, schema: &Schema) -> Result<SqlExpr> {
-        self.bind_expr(e, &Scope::from_schema(None, schema))
-    }
+/// Bind an expression against a bare schema: a DML statement's expression
+/// over its table's columns. It reads no catalog — a subquery here is a
+/// typed error.
+pub fn bind_expr_on_schema(e: &Expr, schema: &Schema) -> Result<SqlExpr> {
+    let binder = Binder { catalog: None, ctes: RefCell::default(), upper: RefCell::default() };
+    binder.bind_expr(e, &mut Frame::new(Scope::from_schema(None, schema)))
 }
 
 fn split_conjuncts(e: &Expr) -> Vec<&Expr> {

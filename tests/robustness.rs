@@ -426,3 +426,546 @@ fn env_overrides_configure_fault_injection() {
     assert_eq!(r.rows(), &[vec![Value::I64(7)]]);
     assert!(t0.elapsed() >= Duration::from_micros(100), "latency charged");
 }
+
+/// A column that exists is never reported as unknown: the two correlated
+/// shapes the binder cannot decorrelate — a reference two query levels up,
+/// and a correlated scalar subquery in HAVING — are typed E_UNSUPPORTED
+/// errors naming the construct, and the session goes on.
+#[test]
+fn correlation_the_binder_cannot_lower_is_a_typed_unsupported() {
+    let _x = exclusive();
+    let db = Database::open_in_memory();
+    db.execute("CREATE TABLE t (id BIGINT, v BIGINT)").unwrap();
+    db.execute("CREATE TABLE s (id BIGINT, w BIGINT)").unwrap();
+    db.execute("CREATE TABLE t2 (id BIGINT)").unwrap();
+    db.execute("INSERT INTO t VALUES (1, 10), (2, 20)").unwrap();
+    db.execute("INSERT INTO s VALUES (1, 5), (2, 7)").unwrap();
+    db.execute("INSERT INTO t2 VALUES (1)").unwrap();
+    let cases = [
+        (
+            "SELECT id FROM t WHERE v IN (SELECT w FROM s \
+             WHERE s.id IN (SELECT t2.id FROM t2 WHERE t2.id = t.id))",
+            "two or more levels up ('t.id')",
+        ),
+        (
+            "SELECT id FROM t GROUP BY id \
+             HAVING SUM(v) > (SELECT MAX(w) FROM s WHERE s.id = t.id)",
+            "correlated scalar subquery in HAVING",
+        ),
+    ];
+    for (sql, names) in cases {
+        let err = db.execute(sql).unwrap_err();
+        assert!(matches!(err, VwError::Unsupported(_)), "{sql}: {err}");
+        assert!(err.to_string().contains(names), "{sql}: {err}");
+        assert_eq!(db.execute("SELECT 1").unwrap().rows(), &[vec![Value::I64(1)]]);
+    }
+}
+
+/// A grammar-based statement fuzzer over the whole front end (lexer →
+/// parser → binder → optimizer → execute). Its seed taxonomy is that of
+/// "Toward Understanding Bugs in Vector Database Management Systems": a
+/// crash on malformed input, and a wrong result at a configuration
+/// boundary. Every statement runs at DOP {1, 4} × `optimizer` {0, 1} and
+/// must never panic: it succeeds in all four runs with equal row
+/// multisets, or fails with the same `VwError` code in all four — and each
+/// session still answers `SELECT 1` after a failure.
+///
+/// Deterministic per seed: the seed in use is printed at the start, and
+/// `VW_FUZZ_SEED=<seed> cargo test --test robustness fuzz` reproduces it.
+mod fuzz {
+    use super::exclusive;
+    use std::sync::Arc;
+    use vectorwise::common::Value;
+    use vectorwise::core::{Database, Session};
+
+    const DEFAULT_SEED: u64 = 20_240_611;
+    const STATEMENTS: usize = 240;
+
+    fn seed() -> u64 {
+        match std::env::var("VW_FUZZ_SEED") {
+            Ok(s) => s.trim().parse().unwrap_or_else(|_| panic!("bad VW_FUZZ_SEED: {s:?}")),
+            Err(_) => DEFAULT_SEED,
+        }
+    }
+
+    /// splitmix64: small, seedable, and plenty to pick grammar branches.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+
+        fn chance(&mut self, pct: u64) -> bool {
+            self.next() % 100 < pct
+        }
+
+        fn pick<T: Copy>(&mut self, xs: &[T]) -> T {
+            xs[self.below(xs.len())]
+        }
+    }
+
+    #[derive(Clone, Copy, PartialEq, Debug)]
+    enum Ty {
+        Int,
+        Dbl,
+        Str,
+        Date,
+    }
+
+    use Ty::*;
+
+    const TABLES: [(&str, &[(&str, Ty)]); 3] = [
+        ("fa", &[("k", Int), ("x", Dbl), ("s", Str), ("d", Date)]),
+        ("fb", &[("k", Int), ("y", Dbl), ("s", Str), ("d", Date)]),
+        ("fc", &[("k", Int), ("z", Int), ("s", Str)]),
+    ];
+    const STRS: [&str; 5] = ["'ab'", "'ac'", "'b'", "'ba'", "'c'"];
+    const DATES: [&str; 5] = [
+        "DATE '1995-01-15'",
+        "DATE '1995-03-01'",
+        "DATE '1995-12-31'",
+        "DATE '1996-02-29'",
+        "DATE '1996-07-04'",
+    ];
+
+    /// Three small tables with NULLs in every column. Doubles are
+    /// multiples of 0.5, so sums are exact in any order and every lane
+    /// must print the same digits.
+    fn load(db: &Arc<Database>) {
+        for (t, (name, cols)) in TABLES.iter().enumerate() {
+            let decl: Vec<String> = cols
+                .iter()
+                .map(|(c, ty)| {
+                    let ty = match ty {
+                        Int => "BIGINT",
+                        Dbl => "DOUBLE",
+                        Str => "VARCHAR",
+                        Date => "DATE",
+                    };
+                    format!("{c} {ty}")
+                })
+                .collect();
+            db.execute(&format!("CREATE TABLE {name} ({})", decl.join(", "))).unwrap();
+            let rows: Vec<String> = (0..[24, 16, 8][t])
+                .map(|i: usize| {
+                    let vals: Vec<String> = cols
+                        .iter()
+                        .enumerate()
+                        .map(|(c, (_, ty))| match ty {
+                            _ if (i + 2 * c + t).is_multiple_of(6) => "NULL".to_string(),
+                            Int => ((i * 3 + c + t) % 7).to_string(),
+                            Dbl => format!("{:.1}", ((i * 5 + t) % 9) as f64 * 0.5),
+                            Str => STRS[(i + t) % 5].to_string(),
+                            Date => DATES[(i * 2 + t) % 5].to_string(),
+                        })
+                        .collect();
+                    format!("({})", vals.join(", "))
+                })
+                .collect();
+            db.execute(&format!("INSERT INTO {name} VALUES {}", rows.join(", "))).unwrap();
+        }
+        // Fresh statistics: `optimizer = 1` plans with them, 0 without.
+        db.execute("CHECKPOINT").unwrap();
+    }
+
+    /// The columns a query level sees, qualified by alias.
+    type Cols = Vec<(String, Ty)>;
+
+    struct Gen {
+        rng: Rng,
+        aliases: usize,
+    }
+
+    impl Gen {
+        fn alias(&mut self) -> String {
+            self.aliases += 1;
+            format!("t{}", self.aliases)
+        }
+
+        fn lit(&mut self, ty: Ty) -> String {
+            match ty {
+                Int => self.rng.below(8).to_string(),
+                Dbl => format!("{:.1}", self.rng.below(10) as f64 * 0.5),
+                Str => self.rng.pick(&STRS).to_string(),
+                Date => self.rng.pick(&DATES).to_string(),
+            }
+        }
+
+        fn cmp(&mut self) -> &'static str {
+            self.rng.pick(&["=", "<>", "<", "<=", ">", ">="])
+        }
+
+        /// A column of `cols` of type `ty`, if there is one.
+        fn col_of(&mut self, cols: &Cols, ty: Ty) -> Option<String> {
+            let of: Vec<&String> = cols.iter().filter(|(_, t)| *t == ty).map(|(c, _)| c).collect();
+            (!of.is_empty()).then(|| of[self.rng.below(of.len())].clone())
+        }
+
+        /// A base table and one of its columns of type `ty`.
+        fn table_col(&mut self, ty: Ty) -> (&'static str, &'static str) {
+            loop {
+                let (t, cols) = self.rng.pick(&TABLES);
+                if let Some((c, _)) = cols.iter().find(|(_, cty)| *cty == ty) {
+                    return (t, c);
+                }
+            }
+        }
+
+        fn table(&mut self) -> (&'static str, Cols, String) {
+            let (t, cols) = self.rng.pick(&TABLES);
+            let a = self.alias();
+            let cols = cols.iter().map(|(c, ty)| (format!("{a}.{c}"), *ty)).collect();
+            (t, cols, a)
+        }
+
+        /// FROM: `(with-prefix, from-text, extra WHERE conjuncts, columns)`.
+        fn from(&mut self, outer: &[Cols]) -> (String, String, Vec<String>, Cols) {
+            let (t, mut cols, a) = self.table();
+            match self.rng.below(7) {
+                0 | 1 => (String::new(), format!("{t} {a}"), vec![], cols),
+                2 | 3 => {
+                    let (u, ucols, b) = self.table();
+                    let kind = if self.rng.chance(40) { "LEFT JOIN" } else { "JOIN" };
+                    let mut on = format!("{a}.k = {b}.k");
+                    if self.rng.chance(30) {
+                        on = format!("{on} AND {}", self.pred(&ucols, outer, 9));
+                    }
+                    cols.extend(ucols);
+                    (String::new(), format!("{t} {a} {kind} {u} {b} ON {on}"), vec![], cols)
+                }
+                4 => {
+                    let (u, ucols, b) = self.table();
+                    let glue = if self.rng.chance(80) {
+                        vec![format!("{a}.k = {}", self.col_of(&ucols, Int).expect("k"))]
+                    } else {
+                        vec![]
+                    };
+                    cols.extend(ucols);
+                    (String::new(), format!("{t} {a} , {u} {b}"), glue, cols)
+                }
+                5 => {
+                    // A derived table over two columns of one base table.
+                    let (_, tcols) = TABLES.iter().find(|(n, _)| *n == t).unwrap();
+                    let (c1, ty1) = tcols[self.rng.below(tcols.len())];
+                    let inner: Cols = tcols.iter().map(|(c, ty)| (c.to_string(), *ty)).collect();
+                    let filter = self.pred(&inner, &[], 9);
+                    let text = format!("( SELECT k , {c1} AS v FROM {t} WHERE {filter} ) {a}");
+                    (
+                        String::new(),
+                        text,
+                        vec![],
+                        vec![(format!("{a}.k"), Int), (format!("{a}.v"), ty1)],
+                    )
+                }
+                _ => {
+                    // A CTE, referenced once or joined with itself.
+                    let (_, tcols) = TABLES.iter().find(|(n, _)| *n == t).unwrap();
+                    let (c1, ty1) = tcols[1 + self.rng.below(tcols.len() - 1)];
+                    let with = format!("WITH w AS ( SELECT k , {c1} FROM {t} ) ");
+                    let mut cols = vec![(format!("{a}.k"), Int), (format!("{a}.{c1}"), ty1)];
+                    if self.rng.chance(40) {
+                        let b = self.alias();
+                        cols.extend([(format!("{b}.k"), Int), (format!("{b}.{c1}"), ty1)]);
+                        (with, format!("w {a} JOIN w {b} ON {a}.k = {b}.k"), vec![], cols)
+                    } else {
+                        (with, format!("w {a}"), vec![], cols)
+                    }
+                }
+            }
+        }
+
+        /// A predicate over `cols`; `outer` holds the enclosing levels'
+        /// columns, innermost last. `depth` > 1 generates no subqueries.
+        fn pred(&mut self, cols: &Cols, outer: &[Cols], depth: usize) -> String {
+            let (c, ty) = cols[self.rng.below(cols.len())].clone();
+            let arms = if depth > 1 { 6 } else { 11 };
+            match self.rng.below(arms) {
+                0 => format!("{c} {} {}", self.cmp(), self.lit(ty)),
+                1 => format!("{c} IS {}NULL", if self.rng.chance(50) { "NOT " } else { "" }),
+                2 => format!("{c} BETWEEN {} AND {}", self.lit(ty), self.lit(ty)),
+                3 => format!("{c} IN ( {} , {} )", self.lit(ty), self.lit(ty)),
+                4 => format!("( {} OR {} )", self.pred(cols, outer, 9), self.pred(cols, outer, 9)),
+                5 if ty == Str => format!("{c} LIKE 'a%'"),
+                5 => format!("NOT ( {c} {} {} )", self.cmp(), self.lit(ty)),
+                6 => {
+                    let (t, tc) = self.table_col(ty);
+                    let not = if self.rng.chance(30) { "NOT " } else { "" };
+                    format!("{c} {not}IN ( SELECT {tc} FROM {t} )")
+                }
+                7 | 8 => {
+                    // Correlated EXISTS / IN on an equality, now and then
+                    // reaching two levels up.
+                    let (t, tcols, u) = self.table();
+                    let key = match outer.last() {
+                        Some(up) if self.rng.chance(15) => self.col_of(up, Int),
+                        _ => self.col_of(cols, Int),
+                    };
+                    let Some(key) = key else { return format!("{c} IS NULL") };
+                    let mut body = format!("{u}.k = {key}");
+                    if self.rng.chance(40) {
+                        let mut levels = outer.to_vec();
+                        levels.push(cols.clone());
+                        body = format!("{body} AND {}", self.pred(&tcols, &levels, depth + 1));
+                    }
+                    match (self.rng.chance(50), self.col_of(&tcols, ty)) {
+                        (true, Some(tc)) => {
+                            format!("{c} IN ( SELECT {tc} FROM {t} {u} WHERE {body} )")
+                        }
+                        _ => {
+                            let not = if self.rng.chance(30) { "NOT " } else { "" };
+                            format!("{not}EXISTS ( SELECT 1 FROM {t} {u} WHERE {body} )")
+                        }
+                    }
+                }
+                _ => {
+                    // A scalar subquery: uncorrelated, or an aggregate per
+                    // outer key.
+                    let agg = self.rng.pick(&["MIN", "MAX", "AVG", "SUM", "COUNT"]);
+                    let num = if ty == Dbl || ty == Int { ty } else { Dbl };
+                    let c = if num == ty { c } else { self.col_of(cols, num).unwrap_or(c) };
+                    let (t, tc) = self.table_col(num);
+                    let u = self.alias();
+                    let key = self.col_of(cols, Int);
+                    match key {
+                        Some(key) if self.rng.chance(50) => format!(
+                            "{c} {} ( SELECT {agg} ( {u}.{tc} ) FROM {t} {u} WHERE {u}.k = {key} )",
+                            self.cmp()
+                        ),
+                        _ => format!("{c} {} ( SELECT {agg} ( {tc} ) FROM {t} )", self.cmp()),
+                    }
+                }
+            }
+        }
+
+        /// A non-aggregate SELECT item over `cols`.
+        fn item(&mut self, cols: &Cols) -> String {
+            let (c, ty) = cols[self.rng.below(cols.len())].clone();
+            match (self.rng.below(4), ty) {
+                (0, _) => c,
+                (1, Int | Dbl) => format!("{c} + 1"),
+                (1, Str) => format!("UPPER ( {c} )"),
+                (1, Date) => format!("EXTRACT ( YEAR FROM {c} )"),
+                (2, Str) => format!("{c} LIKE 'a%'"),
+                (2, Date) => format!("{c} + INTERVAL '1' DAY"),
+                (2, _) => format!("COALESCE ( {c} , {} )", self.lit(ty)),
+                _ => format!("CASE WHEN {} THEN 1 ELSE 0 END", self.pred(cols, &[], 9)),
+            }
+        }
+
+        /// An item after aggregation: an aggregate, an expression over
+        /// aggregates, or one over a group column.
+        fn agg_item(&mut self, cols: &Cols, groups: &Cols) -> String {
+            let c = cols[self.rng.below(cols.len())].0.clone();
+            let num =
+                self.col_of(cols, Dbl).or_else(|| self.col_of(cols, Int)).unwrap_or(c.clone());
+            match self.rng.below(if groups.is_empty() { 9 } else { 12 }) {
+                0 => "COUNT ( * )".into(),
+                1 => format!("COUNT ( {c} )"),
+                2 => format!("{} ( {c} )", self.rng.pick(&["MIN", "MAX"])),
+                3 => format!("{} ( {num} )", self.rng.pick(&["SUM", "AVG"])),
+                4 => format!("SUM ( {num} ) + 1"),
+                5 => "CASE WHEN COUNT ( * ) > 1 THEN 'many' ELSE 'one' END".into(),
+                6 => format!("SUM ( {num} ) BETWEEN 1 AND 10"),
+                7 => "COUNT ( * ) IN ( 1 , 2 )".into(),
+                8 => format!("MAX ( {c} ) IS NULL"),
+                _ => match groups[self.rng.below(groups.len())].clone() {
+                    (g, Str) => format!("{g} LIKE 'a%'"),
+                    (g, Date) if self.rng.chance(50) => format!("EXTRACT ( YEAR FROM {g} )"),
+                    (g, Date) => format!("{g} + INTERVAL '1' DAY"),
+                    (g, _) => format!("{g} * 2"),
+                },
+            }
+        }
+
+        /// A random position among the tokens `p` accepts.
+        fn token(&mut self, toks: &[String], p: impl Fn(&str) -> bool) -> Option<usize> {
+            let hits: Vec<usize> = (0..toks.len()).filter(|&j| p(&toks[j])).collect();
+            (!hits.is_empty()).then(|| hits[self.rng.below(hits.len())])
+        }
+
+        /// One SELECT core with its clauses; returns the text and its
+        /// output width (`None` for `*`).
+        fn core(&mut self, outer: &[Cols]) -> (String, Option<usize>) {
+            let (with, from, mut conjuncts, cols) = self.from(outer);
+            for _ in 0..self.rng.below(3) {
+                conjuncts.push(self.pred(&cols, outer, 0));
+            }
+            let distinct = if self.rng.chance(15) { "DISTINCT " } else { "" };
+            let mut tail = String::new();
+            let (items, width) = if self.rng.chance(35) {
+                let mut groups: Cols = Vec::new();
+                for _ in 0..self.rng.below(3) {
+                    let g = cols[self.rng.below(cols.len())].clone();
+                    if !groups.contains(&g) {
+                        groups.push(g);
+                    }
+                }
+                let mut items: Vec<String> = groups.iter().map(|(g, _)| g.clone()).collect();
+                for _ in 0..1 + self.rng.below(3) {
+                    items.push(self.agg_item(&cols, &groups));
+                }
+                if !groups.is_empty() {
+                    let g: Vec<&str> = groups.iter().map(|(g, _)| g.as_str()).collect();
+                    tail = format!(" GROUP BY {}", g.join(" , "));
+                }
+                if self.rng.chance(50) {
+                    let c = cols[self.rng.below(cols.len())].0.clone();
+                    let num = self.col_of(&cols, Dbl).unwrap_or("1.0".into());
+                    let having = match self.rng.below(5) {
+                        0 => format!("COUNT ( * ) > {}", self.rng.below(3)),
+                        1 => {
+                            let (t, tc) = self.table_col(Dbl);
+                            format!("MAX ( {num} ) > ( SELECT AVG ( {tc} ) FROM {t} )")
+                        }
+                        2 => format!("SUM ( {num} ) BETWEEN 1 AND 10"),
+                        3 => "COUNT ( * ) IN ( 1 , 2 )".into(),
+                        _ => format!("MAX ( {c} ) IS NOT NULL"),
+                    };
+                    tail = format!("{tail} HAVING {having}");
+                }
+                let n = items.len();
+                (items.join(" , "), Some(n))
+            } else if self.rng.chance(10) {
+                ("*".to_string(), None)
+            } else {
+                let n = 1 + self.rng.below(3);
+                let items: Vec<String> =
+                    (0..n).map(|i| format!("{} AS c{i}", self.item(&cols))).collect();
+                (items.join(" , "), Some(n))
+            };
+            let filter = if conjuncts.is_empty() {
+                String::new()
+            } else {
+                format!(" WHERE {}", conjuncts.join(" AND "))
+            };
+            (format!("{with}SELECT {distinct}{items} FROM {from}{filter}{tail}"), width)
+        }
+
+        fn statement(&mut self) -> String {
+            let sql = if self.rng.chance(12) {
+                // A set operation over single-column operands.
+                let ty = self.rng.pick(&[Int, Str]);
+                let arm = |g: &mut Gen| {
+                    let (t, cols, a) = g.table();
+                    let c = g.col_of(&cols, ty).expect("every table has k and s");
+                    let filter = g.pred(&cols, &[], 9);
+                    format!("SELECT {c} FROM {t} {a} WHERE {filter}")
+                };
+                let op = self.rng.pick(&["UNION", "UNION ALL", "INTERSECT", "EXCEPT"]);
+                let (l, r) = (arm(self), arm(self));
+                format!("{l} {op} {r} ORDER BY 1")
+            } else {
+                let (mut sql, width) = self.core(&[]);
+                if let Some(n) = width.filter(|_| self.rng.chance(40)) {
+                    // ORDER BY every output column, so a LIMIT is exact.
+                    let keys: Vec<String> = (1..=n)
+                        .map(|i| format!("{i}{}", if self.rng.chance(30) { " DESC" } else { "" }))
+                        .collect();
+                    sql = format!("{sql} ORDER BY {}", keys.join(" , "));
+                    if self.rng.chance(50) {
+                        sql = format!("{sql} LIMIT {}", 1 + self.rng.below(5));
+                    }
+                }
+                sql
+            };
+            if self.rng.chance(75) {
+                return sql;
+            }
+            // A malformed statement: an unknown name, a type error, or a
+            // dropped or duplicated token.
+            let mut toks: Vec<String> = sql.split(' ').map(str::to_string).collect();
+            let i = self.rng.below(toks.len());
+            match self.rng.below(4) {
+                0 => {
+                    let name = |t: &str| {
+                        ["fa", "fb", "fc"].contains(&t) || (t.starts_with('t') && t.contains('.'))
+                    };
+                    if let Some(j) = self.token(&toks, name) {
+                        toks[j] = match toks[j].split_once('.') {
+                            Some((alias, _)) => format!("{alias}.nope"),
+                            None => "nosuch".into(),
+                        };
+                    }
+                }
+                1 => {
+                    let lit = |t: &str| t.parse::<f64>().is_ok() || t.starts_with('\'');
+                    if let Some(j) = self.token(&toks, lit) {
+                        toks[j] =
+                            if toks[j].starts_with('\'') { "7".into() } else { "'zz'".into() };
+                    }
+                }
+                2 => {
+                    toks.remove(i);
+                }
+                _ => toks.insert(i, toks[i].clone()),
+            }
+            toks.join(" ")
+        }
+    }
+
+    /// A statement's outcome in one lane: its sorted rows, or its error code.
+    fn outcome(s: &mut Session, sql: &str) -> Result<Vec<String>, &'static str> {
+        match s.execute(sql) {
+            Ok(r) => {
+                let mut rows: Vec<String> = r.rows().iter().map(|row| format!("{row:?}")).collect();
+                rows.sort();
+                Ok(rows)
+            }
+            Err(e) => Err(e.code()),
+        }
+    }
+
+    #[test]
+    fn generated_statements_agree_across_dop_and_optimizer() {
+        let _x = exclusive();
+        let seed = seed();
+        println!("fuzz seed: {seed} (set VW_FUZZ_SEED={seed} to reproduce)");
+        let db = Database::open_in_memory();
+        load(&db);
+        let mut lanes: Vec<(String, Session)> = [(1, 0), (1, 1), (4, 0), (4, 1)]
+            .iter()
+            .map(|(dop, opt)| {
+                let mut s = db.session();
+                s.execute(&format!("SET parallelism = {dop}")).unwrap();
+                s.execute(&format!("SET optimizer = {opt}")).unwrap();
+                (format!("dop={dop} optimizer={opt}"), s)
+            })
+            .collect();
+        let mut gen = Gen { rng: Rng(seed), aliases: 0 };
+        let (mut agreed_rows, mut agreed_errors) = (0, 0);
+        for n in 0..STATEMENTS {
+            let sql = gen.statement();
+            let outcomes: Vec<_> = lanes.iter_mut().map(|(_, s)| outcome(s, &sql)).collect();
+            for (((lane, _), got), want) in lanes.iter().zip(&outcomes).skip(1).zip(&outcomes) {
+                assert!(
+                    got == want,
+                    "seed {seed}, statement {n}: {lane} disagrees with {}\n{sql}\n{got:?}\nvs\n{want:?}",
+                    lanes[0].0
+                );
+            }
+            if outcomes[0].is_ok() {
+                agreed_rows += 1;
+                continue;
+            }
+            agreed_errors += 1;
+            for (lane, s) in &mut lanes {
+                let one =
+                    s.execute("SELECT 1").unwrap_or_else(|e| panic!("{lane} after `{sql}`: {e}"));
+                assert_eq!(one.rows(), &[vec![Value::I64(1)]], "{lane} after `{sql}`");
+            }
+        }
+        println!("fuzz: {agreed_rows} statements agreed on rows, {agreed_errors} on an error code");
+        // The grammar must reach both outcomes, or it tests nothing.
+        assert!(agreed_rows > STATEMENTS / 3, "only {agreed_rows} statements ran");
+        assert!(agreed_errors > STATEMENTS / 10, "only {agreed_errors} statements failed");
+    }
+}

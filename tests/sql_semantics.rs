@@ -195,6 +195,88 @@ fn having_and_expressions_over_aggregates() {
     );
 }
 
+/// The rows of `sql`, in the order of their printed form.
+fn sorted(db: &Arc<Database>, sql: &str) -> Vec<Vec<Value>> {
+    let mut rows = db.execute(sql).unwrap_or_else(|e| panic!("{sql}: {e}")).rows().to_vec();
+    rows.sort_by_key(|r| format!("{r:?}"));
+    rows
+}
+
+/// A user column is never captured by a name the binder made up: a scalar
+/// subquery's value column has no name, so columns called like the old
+/// markers resolve to the table's own data.
+#[test]
+fn columns_named_like_scalar_markers_keep_their_own_values() {
+    let db = db_with(
+        "CREATE TABLE n (__hscalar0 BIGINT, x BIGINT); CREATE TABLE m (__scalar0 BIGINT, x BIGINT)",
+        &[
+            "INSERT INTO n VALUES (1, 10), (50, 20), (7, 3)",
+            "INSERT INTO m VALUES (1, 10), (50, 20)",
+        ],
+    );
+    let x = |v: &[i64]| v.iter().map(|&v| vec![Value::I64(v)]).collect::<Vec<_>>();
+    assert_eq!(
+        sorted(
+            &db,
+            "SELECT x FROM n GROUP BY x, __hscalar0 \
+             HAVING __hscalar0 > (SELECT MIN(x) FROM n)"
+        ),
+        x(&[20, 3]),
+    );
+    assert_eq!(
+        sorted(
+            &db,
+            "SELECT x, __hscalar0 FROM n GROUP BY x, __hscalar0 \
+             HAVING SUM(x) > (SELECT MIN(x) FROM n)"
+        ),
+        vec![vec![Value::I64(10), Value::I64(1)], vec![Value::I64(20), Value::I64(50)]],
+    );
+    assert_eq!(sorted(&db, "SELECT x FROM m WHERE x > (SELECT MIN(x) FROM m)"), x(&[20]));
+    assert_eq!(sorted(&db, "SELECT __scalar0 FROM m WHERE x < (SELECT MAX(x) FROM n)"), x(&[1]),);
+}
+
+/// A grouped query binds every expression form a plain one does: each
+/// spelling agrees with one that binds either way.
+#[test]
+fn grouped_queries_bind_every_expression_form() {
+    let db = db_with(
+        "CREATE TABLE t (name VARCHAR, qty BIGINT, d DATE)",
+        &["INSERT INTO t VALUES ('ab', 1, DATE '1996-01-31'), ('ab', 4, DATE '1996-01-31'), \
+           ('b', 20, DATE '1997-03-01'), ('ac', NULL, NULL), ('c', 2, DATE '1996-01-31')"],
+    );
+    let pairs = [
+        (
+            "SELECT name FROM t GROUP BY name HAVING SUM(qty) BETWEEN 1 AND 10",
+            "SELECT name FROM t GROUP BY name HAVING SUM(qty) >= 1 AND SUM(qty) <= 10",
+        ),
+        (
+            "SELECT name FROM t GROUP BY name HAVING SUM(qty) IS NOT NULL",
+            "SELECT name FROM t GROUP BY name HAVING COUNT(qty) > 0",
+        ),
+        (
+            "SELECT d FROM t GROUP BY d HAVING COUNT(*) IN (1, 2)",
+            "SELECT d FROM t GROUP BY d HAVING COUNT(*) = 1 OR COUNT(*) = 2",
+        ),
+        (
+            "SELECT name LIKE 'a%', COUNT(*) FROM t GROUP BY name",
+            "SELECT name LIKE 'a%', COUNT(*) FROM t GROUP BY name LIKE 'a%', name",
+        ),
+        (
+            "SELECT EXTRACT(YEAR FROM d), SUM(qty) FROM t GROUP BY d",
+            "SELECT EXTRACT(YEAR FROM d), SUM(qty) FROM t GROUP BY EXTRACT(YEAR FROM d), d",
+        ),
+        (
+            "SELECT d + INTERVAL '1' DAY, COUNT(*) FROM t GROUP BY d",
+            "SELECT d + INTERVAL '1' DAY, COUNT(*) FROM t GROUP BY d + INTERVAL '1' DAY, d",
+        ),
+    ];
+    for (grouped, equivalent) in pairs {
+        let want = sorted(&db, equivalent);
+        assert!(!want.is_empty(), "{equivalent} returns rows");
+        assert_eq!(sorted(&db, grouped), want, "{grouped}");
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Differential tests: the vectorized hash operators vs. the tuple-at-a-time
 // volcano baseline on randomized data. Any divergence in join or GROUP BY

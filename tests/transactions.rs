@@ -148,6 +148,30 @@ fn update_expressions_use_old_row_values() {
     );
 }
 
+/// INSERT VALUES, UPDATE and DELETE bind their expressions one way on
+/// both table kinds: an extended function in VALUES is evaluated, not
+/// rejected with a debug dump, and a heap UPDATE keeps NOT NULL.
+#[test]
+fn dml_expressions_bind_alike_on_both_table_kinds() {
+    let db = Database::open_in_memory();
+    for kind in ["VECTORWISE", "HEAP"] {
+        db.execute("DROP TABLE IF EXISTS h").unwrap();
+        db.execute(&format!("CREATE TABLE h (a BIGINT NOT NULL, b BIGINT) WITH TYPE = {kind}"))
+            .unwrap();
+        db.execute("INSERT INTO h VALUES (1 + 1, COALESCE(NULL, 5)), (3, NULLIF(4, 4))").unwrap();
+        db.execute("UPDATE h SET b = COALESCE(b, 0) + a WHERE a IN (2, 3)").unwrap();
+        db.execute("DELETE FROM h WHERE GREATEST(a, b) > 6").unwrap();
+        let r = db.execute("SELECT a, b FROM h").unwrap();
+        assert_eq!(r.rows(), &[vec![Value::I64(3), Value::I64(3)]], "{kind}");
+        let err = db.execute("UPDATE h SET a = NULLIF(a, 3)").unwrap_err();
+        assert!(err.to_string().contains("NULL in NOT NULL column a"), "{kind}: {err}");
+        assert!(matches!(
+            db.execute("INSERT INTO h VALUES (1 / 0, 1)"),
+            Err(VwError::DivideByZero)
+        ));
+    }
+}
+
 // ---------------------------------------------------------------------------
 // UPDATE/DELETE against a row mirror: the victim search reads only the
 // columns it needs, skips packs by zone map, and still has to address
