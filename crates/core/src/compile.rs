@@ -24,7 +24,7 @@
 //! attach. A build child the rewriter would call partitionable is compiled
 //! per worker with the fragment's partition — its scans share dispensers
 //! like any other — and the `dop` sinks each stage their share; any other
-//! build child (a GROUP BY subquery, a SetOp) is compiled once, for the
+//! build child (a GROUP BY subquery, a DISTINCT) is compiled once, for the
 //! first worker's sink. The sinks run as tasks of the `Xchg`, which steps
 //! a pipeline only once the builds it probes are published; every
 //! fragment then probes the same immutable build.
@@ -40,8 +40,8 @@ use vw_common::{EngineConfig, Field, Result, Schema, TypeId, Value, VwError};
 use vw_exec::expr::PhysExpr;
 use vw_exec::morsel::{BatchPool, MorselSource};
 use vw_exec::op::{
-    AggSpec, BoxedOp, BuildSink, HashAggregate, HashJoin, JoinType, Limit, Project, Select, SetOp,
-    SetOpMode, SharedBuild, Sort, SortKey, TopN, UnionAll, Values, VectorScan, Xchg,
+    AggSpec, BoxedOp, BuildSink, HashAggregate, HashJoin, JoinType, Limit, Project, Select,
+    SharedBuild, Sort, SortKey, TopN, UnionAll, Values, VectorScan, Xchg,
 };
 use vw_exec::partition::{MemBudget, SpillConfig, DEFAULT_PARALLEL_BUILD_MIN_ROWS};
 use vw_exec::profile::{NodeProfile, Profiled};
@@ -50,7 +50,7 @@ use vw_exec::CancelToken;
 use vw_pdt::store::items;
 use vw_pdt::MergeItem;
 use vw_sql::optimizer::{Estimator, PlanEstimates};
-use vw_sql::plan::{JoinKind, LogicalPlan, ScanHint, SetOpKind};
+use vw_sql::plan::{JoinKind, LogicalPlan, ScanHint};
 use vw_sql::SqlExpr;
 use vw_storage::TableStorage;
 
@@ -136,8 +136,7 @@ fn get_or_create<T: Clone>(registry: &Mutex<Vec<T>>, idx: usize, make: impl FnOn
 /// One worker's view while the pipeline factory compiles its clone of an
 /// Exchange fragment — the fragment's spine and, with the same partition,
 /// the build sides of its joins. `None` below anything that must see its
-/// whole input in one place (a build child that cannot be partitioned, a
-/// SetOp's inputs).
+/// whole input in one place (a build child that cannot be partitioned).
 struct Partition<'a> {
     worker: usize,
     dop: usize,
@@ -280,7 +279,7 @@ fn build_plan_node<'p>(
     config: &EngineConfig,
     cancel: &CancelToken,
     txn: Option<&OpenTxn>,
-    partition: Option<&mut Partition<'_>>,
+    mut partition: Option<&mut Partition<'_>>,
     in_exchange: bool,
     batch_pool: &BatchPool,
     query: &QueryWide<'p>,
@@ -537,51 +536,26 @@ fn build_plan_node<'p>(
         LogicalPlan::Values { schema, rows } => {
             Box::new(Values::new(schema.clone(), rows.clone(), vs, cancel.clone()))
         }
-        LogicalPlan::SetOp { op, inputs, .. } => {
-            // Inputs compile unpartitioned: the dedup state is
-            // per-operator, so partitioned inputs would let workers
-            // double-count rows.
-            let mut compiled: Vec<BoxedOp> = Vec::with_capacity(inputs.len());
-            for child in inputs {
-                compiled.push(build_plan_inner(
-                    db,
-                    child,
-                    config,
-                    cancel,
-                    txn,
-                    None,
-                    in_exchange,
-                    batch_pool,
-                    query,
-                )?);
-            }
-            match op {
-                SetOpKind::UnionAll => Box::new(UnionAll::new(compiled, cancel.clone())),
-                SetOpKind::Union => {
-                    let input = if compiled.len() == 1 {
-                        compiled.pop().unwrap()
-                    } else {
-                        Box::new(UnionAll::new(compiled, cancel.clone())) as BoxedOp
-                    };
-                    Box::new(SetOp::new(SetOpMode::Union, input, None, cancel.clone()))
-                }
-                SetOpKind::Intersect | SetOpKind::Except => {
-                    if compiled.len() != 2 {
-                        return Err(VwError::Plan(format!(
-                            "{op:?} expects exactly 2 inputs, got {}",
-                            compiled.len()
-                        )));
-                    }
-                    let right = compiled.pop().unwrap();
-                    let left = compiled.pop().unwrap();
-                    let mode = if *op == SetOpKind::Intersect {
-                        SetOpMode::Intersect
-                    } else {
-                        SetOpMode::Except
-                    };
-                    Box::new(SetOp::new(mode, left, Some(right), cancel.clone()))
-                }
-            }
+        LogicalPlan::UnionAll { inputs, .. } => {
+            // Inside an Exchange every input is partitioned: the rewriter
+            // calls a concatenation partitionable only when they all are.
+            let compiled = inputs
+                .iter()
+                .map(|child| {
+                    build_plan_inner(
+                        db,
+                        child,
+                        config,
+                        cancel,
+                        txn,
+                        partition.as_deref_mut(),
+                        in_exchange,
+                        batch_pool,
+                        query,
+                    )
+                })
+                .collect::<Result<_>>()?;
+            Box::new(UnionAll::new(compiled, cancel.clone()))
         }
         LogicalPlan::Apply { kind, .. } => {
             return Err(VwError::Plan(format!(

@@ -8,7 +8,6 @@
 pub mod hashagg;
 pub mod hashjoin;
 pub mod scan;
-pub mod setop;
 pub mod simple;
 pub mod sort;
 pub mod xchg;
@@ -16,7 +15,6 @@ pub mod xchg;
 pub use hashagg::{AggFunc, AggSpec, HashAggregate};
 pub use hashjoin::{BuildSink, HashJoin, JoinType, SharedBuild};
 pub use scan::VectorScan;
-pub use setop::{Mode as SetOpMode, SetOp};
 pub use simple::{Limit, Project, Select, UnionAll, Values};
 pub use sort::{Sort, SortKey, TopN};
 pub use xchg::Xchg;

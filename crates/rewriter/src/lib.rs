@@ -127,8 +127,7 @@ fn map_plan_exprs(
         P::Exchange { input, dop } => {
             P::Exchange { input: Box::new(map_plan_exprs(*input, f)), dop }
         }
-        P::SetOp { op, inputs, schema } => P::SetOp {
-            op,
+        P::UnionAll { inputs, schema } => P::UnionAll {
             inputs: inputs.into_iter().map(|i| map_plan_exprs(i, f)).collect(),
             schema,
         },

@@ -5,7 +5,8 @@
 //! Scan → Filter* → Project* — optionally flowing through the **probe
 //! side of hash joins**: every worker probes the one complete build of the
 //! join, so partitioning the probe input partitions the join output
-//! disjointly for every join type, NULL-aware anti included. The build
+//! disjointly for every join type, NULL-aware anti included — or a
+//! `UnionAll` of such pipelines, each partitioned on its own. The build
 //! side is not this module's concern — the logical plan does not say how
 //! it is made. The plan compiler makes it a pipeline of its own that runs
 //! once for the whole exchange (`vw-core::compile`): a build child that is
@@ -100,10 +101,9 @@ fn rewrite(plan: LogicalPlan, config: &RewriterConfig, order_ok: bool) -> Logica
         LogicalPlan::Limit { input, offset, limit } => {
             LogicalPlan::Limit { input: Box::new(rewrite(*input, config, false)), offset, limit }
         }
-        LogicalPlan::SetOp { op, inputs, schema } => LogicalPlan::SetOp {
-            op,
-            // Deduplicating modes emit rows in first-occurrence (input)
-            // order, so the consumer's order sensitivity flows through.
+        LogicalPlan::UnionAll { inputs, schema } => LogicalPlan::UnionAll {
+            // Concatenation keeps each input's order, so the consumer's
+            // order sensitivity flows through.
             inputs: inputs.into_iter().map(|i| rewrite(i, config, order_ok)).collect(),
             schema,
         },
@@ -114,9 +114,10 @@ fn rewrite(plan: LogicalPlan, config: &RewriterConfig, order_ok: bool) -> Logica
 /// Scan → Filter* → Project* pipelines are partitionable, flowing through
 /// the probe (left) side of any hash join — every worker probes the one
 /// complete build, so probe partitions produce disjoint slices of the join
-/// output for every join type. The plan compiler asks the same question
-/// of a join's build child: a partitionable one is drained by all workers
-/// into the shared build, any other by one.
+/// output for every join type — and so is a concatenation of them. The
+/// plan compiler asks the same question of a join's build child: a
+/// partitionable one is drained by all workers into the shared build, any
+/// other by one.
 pub fn is_partitionable(plan: &LogicalPlan) -> bool {
     match plan {
         LogicalPlan::Scan { .. } => true,
@@ -124,6 +125,7 @@ pub fn is_partitionable(plan: &LogicalPlan) -> bool {
             is_partitionable(input)
         }
         LogicalPlan::Join { left, .. } => is_partitionable(left),
+        LogicalPlan::UnionAll { inputs, .. } => inputs.iter().all(is_partitionable),
         _ => false,
     }
 }

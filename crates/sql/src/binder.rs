@@ -35,7 +35,7 @@
 use crate::ast::{self, AstJoinKind, Expr, IntervalUnit, SelectItem, SelectStmt, TableRef};
 use crate::expr::{BinOp, CmpOp, KernelFunc, SqlExpr};
 use crate::functions::{self, FuncImpl};
-use crate::plan::{AggCall, AggFunc, ApplyKind, JoinKind, LogicalPlan, SetOpKind};
+use crate::plan::{AggCall, AggFunc, ApplyKind, JoinKind, LogicalPlan};
 use std::cell::RefCell;
 use vw_common::date::{add_months, DateField};
 use vw_common::{Date, Field, Result, Schema, TypeId, Value, VwError};
@@ -548,11 +548,7 @@ impl<'a> Binder<'a> {
         };
 
         if stmt.distinct {
-            plan = LogicalPlan::SetOp {
-                op: SetOpKind::Union,
-                schema: plan.schema().clone(),
-                inputs: vec![plan],
-            };
+            plan = distinct(plan);
         }
         Ok((plan, items_len, corr_out))
     }
@@ -1093,10 +1089,13 @@ impl<'a> Binder<'a> {
         let group = &cx.grouped.as_ref().expect("restored above").group;
         match group.iter().position(|g| *g == bound) {
             Some(idx) => Ok(Some(SqlExpr::Col(idx, bound.type_id()))),
-            None if matches!(e, Expr::Ident(_)) => {
-                Err(berr(format!("column {e:?} must appear in GROUP BY or inside an aggregate")))
-            }
-            None => Ok(None),
+            None => match e {
+                Expr::Ident(parts) => Err(berr(format!(
+                    "column {} must appear in GROUP BY or inside an aggregate",
+                    parts.join(".")
+                ))),
+                _ => Ok(None),
+            },
         }
     }
 
@@ -1315,6 +1314,14 @@ fn cast_to(e: SqlExpr, ty: TypeId) -> SqlExpr {
 /// Combine two set-operation operands, unifying their schemas: widths
 /// must match, column types promote pairwise (casting a side through a
 /// projection when needed), and the left operand's column names win.
+///
+/// Every set operation lowers onto [`LogicalPlan::UnionAll`] and the hash
+/// aggregate, so duplicates are the aggregate's groups: NULLs group
+/// together and every other value by the key equality of every hash
+/// operator. UNION is [`distinct`] over the concatenation. INTERSECT and
+/// EXCEPT tag each row with its side (0 left, 1 right), group by every
+/// column and keep a group by its tags' MIN and MAX: both sides present
+/// (`MIN < MAX`), or the left side only (`MAX = 0`).
 fn make_setop(kind: ast::SetOpKind, left: LogicalPlan, right: LogicalPlan) -> Result<LogicalPlan> {
     let (lw, rw) = (left.schema().len(), right.schema().len());
     if lw != rw {
@@ -1331,30 +1338,67 @@ fn make_setop(kind: ast::SetOpKind, left: LogicalPlan, right: LogicalPlan) -> Re
         fields.push(Field { name: lf.name.clone(), ty, nullable: lf.nullable || rf.nullable });
     }
     let schema = Schema::unchecked(fields);
-    let left = cast_input(left, &schema);
-    let right = cast_input(right, &schema);
-    let op = match kind {
-        ast::SetOpKind::Union => SetOpKind::Union,
-        ast::SetOpKind::UnionAll => SetOpKind::UnionAll,
-        ast::SetOpKind::Intersect => SetOpKind::Intersect,
-        ast::SetOpKind::Except => SetOpKind::Except,
+    if matches!(kind, ast::SetOpKind::UnionAll | ast::SetOpKind::Union) {
+        let inputs = vec![cast_input(left, &schema, None), cast_input(right, &schema, None)];
+        let all = LogicalPlan::UnionAll { inputs, schema };
+        return Ok(if kind == ast::SetOpKind::Union { distinct(all) } else { all });
+    }
+    let mut tagged = schema.clone();
+    tagged.fields.push(Field::not_null("tag", TypeId::I64));
+    let inputs = vec![cast_input(left, &tagged, Some(0)), cast_input(right, &tagged, Some(1))];
+    let tag = SqlExpr::Col(lw, TypeId::I64);
+    let call = |func| AggCall { func, input: Some(tag.clone()), out_ty: TypeId::I64 };
+    let mut agg_schema = schema.clone();
+    agg_schema.fields.push(Field::nullable("tag_min", TypeId::I64));
+    agg_schema.fields.push(Field::nullable("tag_max", TypeId::I64));
+    let grouped = LogicalPlan::Aggregate {
+        input: Box::new(LogicalPlan::UnionAll { inputs, schema: tagged }),
+        group: columns(&schema),
+        aggs: vec![call(AggFunc::Min), call(AggFunc::Max)],
+        schema: agg_schema,
     };
-    Ok(LogicalPlan::SetOp { op, inputs: vec![left, right], schema })
+    let (min, max) = (SqlExpr::Col(lw, TypeId::I64), SqlExpr::Col(lw + 1, TypeId::I64));
+    let predicate = if kind == ast::SetOpKind::Intersect {
+        SqlExpr::Cmp { op: CmpOp::Lt, l: Box::new(min), r: Box::new(max) }
+    } else {
+        let left_only = SqlExpr::Lit(Value::I64(0), TypeId::I64);
+        SqlExpr::Cmp { op: CmpOp::Eq, l: Box::new(max), r: Box::new(left_only) }
+    };
+    let kept = LogicalPlan::Filter { input: Box::new(grouped), predicate };
+    Ok(LogicalPlan::Project { input: Box::new(kept), exprs: columns(&schema), schema })
 }
 
-/// Wrap `input` in a casting projection when its column types differ
-/// from `target`'s (names are taken from `target` either way).
-fn cast_input(input: LogicalPlan, target: &Schema) -> LogicalPlan {
-    let same = input.schema().fields.iter().zip(&target.fields).all(|(f, t)| f.ty == t.ty);
-    if same {
+/// `input` with its duplicate rows removed: an aggregate grouping by every
+/// column and computing nothing.
+fn distinct(input: LogicalPlan) -> LogicalPlan {
+    let schema = input.schema().clone();
+    LogicalPlan::Aggregate { group: columns(&schema), aggs: vec![], input: Box::new(input), schema }
+}
+
+/// A reference to every column of `schema`, in order.
+fn columns(schema: &Schema) -> Vec<SqlExpr> {
+    schema.fields.iter().enumerate().map(|(i, f)| SqlExpr::Col(i, f.ty)).collect()
+}
+
+/// `input` under `target`'s names and types: its columns cast where the
+/// types differ, then `tag` as a constant last column when one is given,
+/// composed onto `input`'s own projection when it ends in one. With
+/// nothing to cast or tag, `input` itself.
+fn cast_input(input: LogicalPlan, target: &Schema, tag: Option<i64>) -> LogicalPlan {
+    let from = &input.schema().fields;
+    if tag.is_none() && from.iter().zip(&target.fields).all(|(f, t)| f.ty == t.ty) {
         return input;
     }
-    let exprs: Vec<SqlExpr> = target
-        .fields
-        .iter()
-        .enumerate()
-        .map(|(i, t)| cast_to(SqlExpr::Col(i, input.schema().field(i).ty), t.ty))
-        .collect();
+    let (input, exprs) = match input {
+        LogicalPlan::Project { input, exprs, .. } => (*input, exprs),
+        other => {
+            let exprs = columns(other.schema());
+            (other, exprs)
+        }
+    };
+    let mut exprs: Vec<SqlExpr> =
+        exprs.into_iter().zip(&target.fields).map(|(e, t)| cast_to(e, t.ty)).collect();
+    exprs.extend(tag.map(|t| SqlExpr::Lit(Value::I64(t), TypeId::I64)));
     LogicalPlan::Project { schema: target.clone(), exprs, input: Box::new(input) }
 }
 

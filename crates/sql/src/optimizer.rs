@@ -26,7 +26,7 @@
 
 use crate::binder::CatalogView;
 use crate::expr::{CmpOp, SqlExpr};
-use crate::plan::{ApplyKind, JoinKind, LogicalPlan, ScanHint, SetOpKind};
+use crate::plan::{ApplyKind, JoinKind, LogicalPlan, ScanHint};
 use std::collections::HashMap;
 use vw_common::{Field, Result, Schema, TypeId, Value, VwError};
 
@@ -115,8 +115,7 @@ fn map_inputs(
         LogicalPlan::Exchange { input, dop } => {
             LogicalPlan::Exchange { input: Box::new(f(*input)?), dop }
         }
-        LogicalPlan::SetOp { op, inputs, schema } => LogicalPlan::SetOp {
-            op,
+        LogicalPlan::UnionAll { inputs, schema } => LogicalPlan::UnionAll {
             inputs: inputs.into_iter().map(&mut *f).collect::<Result<_>>()?,
             schema,
         },
@@ -1122,11 +1121,7 @@ impl<'a> Estimator<'a> {
             }
             LogicalPlan::Limit { limit, .. } => inputs[0].min(*limit as f64),
             LogicalPlan::Values { rows, .. } => rows.len() as f64,
-            LogicalPlan::SetOp { op, .. } => match op {
-                SetOpKind::Union | SetOpKind::UnionAll => inputs.iter().sum(),
-                SetOpKind::Intersect => inputs.iter().copied().fold(f64::INFINITY, f64::min),
-                SetOpKind::Except => inputs.first().copied().unwrap_or(1.0),
-            },
+            LogicalPlan::UnionAll { .. } => inputs.iter().sum(),
             // `inputs[0]` is the outer input (the subquery is `inputs[1]`).
             LogicalPlan::Apply { kind, .. } => match kind {
                 ApplyKind::In | ApplyKind::Exists { .. } => 0.5 * inputs[0],
@@ -1266,10 +1261,12 @@ fn base_column(plan: &LogicalPlan, col: usize) -> Option<(&str, usize)> {
             SqlExpr::Col(c, _) => base_column(input, *c),
             _ => None,
         },
-        // SetOp columns merge several inputs; the Apply value column is
+        // UnionAll columns merge several inputs; the Apply value column is
         // computed. Apply pass-through columns come from the outer input.
         LogicalPlan::Apply { input, .. } if col < input.schema().len() => base_column(input, col),
-        LogicalPlan::Values { .. } | LogicalPlan::SetOp { .. } | LogicalPlan::Apply { .. } => None,
+        LogicalPlan::Values { .. } | LogicalPlan::UnionAll { .. } | LogicalPlan::Apply { .. } => {
+            None
+        }
     }
 }
 
@@ -1322,7 +1319,7 @@ fn choose_build_side(plan: LogicalPlan, est: &Estimator) -> LogicalPlan {
 /// * one line per node, indented two spaces per level: `Select`,
 ///   `Project [n exprs]`, `HashJoin <kind> on n key(s)`, `Aggr groups=g
 ///   aggs=a`, `Sort keys=..`, `Limit n offset m`, `Values [n rows]`,
-///   `Xchg dop=n`, `SetOp <kind> [n inputs]`, `Apply <kind> on n key(s)`;
+///   `Xchg dop=n`, `UnionAll [n inputs]`, `Apply <kind> on n key(s)`;
 /// * every node carries ` est~N` — its estimated output rows, rounded;
 /// * `Scan` lines read `Scan <table> cols=<projected>/<base-width>
 ///   hints=<n> [<pred> & ...]`, where the bracketed list renders the
@@ -1380,9 +1377,7 @@ fn explain_est_into<'p>(
         LogicalPlan::Limit { offset, limit, .. } => format!("Limit {limit} offset {offset}"),
         LogicalPlan::Values { rows, .. } => format!("Values [{} rows]", rows.len()),
         LogicalPlan::Exchange { dop, .. } => format!("Xchg dop={dop}"),
-        LogicalPlan::SetOp { op, inputs, .. } => {
-            format!("SetOp {op:?} [{} inputs]", inputs.len())
-        }
+        LogicalPlan::UnionAll { inputs, .. } => format!("UnionAll [{} inputs]", inputs.len()),
         LogicalPlan::Apply { kind, keys, .. } => {
             format!("Apply {kind:?} on {} key(s)", keys.len())
         }

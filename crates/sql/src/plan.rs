@@ -19,19 +19,6 @@ pub enum JoinKind {
     NullAwareAnti,
 }
 
-/// Set operations at the plan level.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SetOpKind {
-    /// Distinct rows of all inputs (also `SELECT DISTINCT` with one input).
-    Union,
-    /// Concatenation, duplicates kept.
-    UnionAll,
-    /// Distinct rows present in both inputs.
-    Intersect,
-    /// Distinct left rows absent from the right input.
-    Except,
-}
-
 /// What a correlated-subquery [`Apply`](LogicalPlan::Apply) computes. The
 /// binder emits Apply nodes for correlated subqueries (and scalar
 /// subqueries); the optimizer's decorrelation pass lowers every one to a
@@ -146,11 +133,11 @@ pub enum LogicalPlan {
         /// Max rows to return (u64::MAX = unbounded).
         limit: u64,
     },
-    /// Set operation over schema-unified inputs (one input = DISTINCT).
-    SetOp {
-        /// Which operation.
-        op: SetOpKind,
-        /// Operands (binary for INTERSECT/EXCEPT; UNION may chain).
+    /// Concatenation of schema-unified inputs, duplicates kept. The
+    /// binder lowers every other set operation onto it and an
+    /// [`Aggregate`](LogicalPlan::Aggregate) (see `binder::make_setop`).
+    UnionAll {
+        /// Operands, all of the output schema's width and types.
         inputs: Vec<LogicalPlan>,
         /// Output schema (left operand's names, promoted types).
         schema: Schema,
@@ -198,7 +185,7 @@ impl LogicalPlan {
             LogicalPlan::Project { schema, .. } => schema,
             LogicalPlan::Join { schema, .. } => schema,
             LogicalPlan::Aggregate { schema, .. } => schema,
-            LogicalPlan::SetOp { schema, .. } => schema,
+            LogicalPlan::UnionAll { schema, .. } => schema,
             LogicalPlan::Apply { schema, .. } => schema,
             LogicalPlan::Sort { input, .. } => input.schema(),
             LogicalPlan::Limit { input, .. } => input.schema(),
@@ -218,7 +205,7 @@ impl LogicalPlan {
             | LogicalPlan::Limit { input, .. }
             | LogicalPlan::Exchange { input, .. } => vec![input],
             LogicalPlan::Join { left, right, .. } => vec![left, right],
-            LogicalPlan::SetOp { inputs, .. } => inputs.iter().collect(),
+            LogicalPlan::UnionAll { inputs, .. } => inputs.iter().collect(),
             LogicalPlan::Apply { input, subquery, .. } => vec![input, subquery],
         }
     }

@@ -89,6 +89,54 @@ fn timeout_under_parallel_spilling_execution_reclaims_everything() {
     assert_eq!(MemBudget::global_in_use(), 0, "budget uncharged across workers");
 }
 
+/// Set operations are governed like every other hash build: under a budget
+/// far below their state, DISTINCT, UNION, INTERSECT and EXCEPT spill
+/// through the aggregate they lower to, answer as they do unbounded, and
+/// give back every charged byte and every spilled block.
+#[test]
+fn set_operations_spill_under_the_memory_budget_and_reclaim_it() {
+    let _x = exclusive();
+    let db = Database::open_in_memory();
+    db.execute("CREATE TABLE keys (k BIGINT NOT NULL)").unwrap();
+    bulk_load(&db, "keys", &[ColData::I64((0..200_000).collect())], &[None]).unwrap();
+    let baseline = db.disk().used_bytes();
+    let half = "SELECT k FROM keys WHERE k < 100000";
+    let queries = [
+        ("SELECT DISTINCT k FROM keys".to_string(), 200_000),
+        (format!("SELECT k FROM keys UNION {half}"), 200_000),
+        (format!("SELECT k FROM keys INTERSECT {half}"), 100_000),
+        (format!("SELECT k FROM keys EXCEPT {half}"), 100_000),
+    ];
+    // EXPLAIN ANALYZE returns the query's rows with its plan text.
+    let run = |q: &str| {
+        let r = db.execute(&format!("EXPLAIN ANALYZE {q}")).unwrap();
+        let mut keys: Vec<i64> = r
+            .rows()
+            .iter()
+            .map(|row| match row[0] {
+                Value::I64(k) => k,
+                ref other => panic!("{q}: {other:?}"),
+            })
+            .collect();
+        keys.sort_unstable();
+        (keys, r.text.unwrap())
+    };
+    for (q, rows) in &queries {
+        db.execute("SET mem_budget = 0").unwrap();
+        let (unbounded, _) = run(q);
+        assert_eq!(unbounded.len(), *rows, "{q}");
+        db.execute("SET mem_budget = 65536").unwrap();
+        let (governed, text) = run(q);
+        assert!(
+            text.lines().any(|l| l.trim_start().starts_with("Aggr") && l.contains(" spill=")),
+            "{q} must spill through its aggregate:\n{text}"
+        );
+        assert!(governed == unbounded, "{q}: rows differ under the budget");
+    }
+    assert_eq!(MemBudget::global_in_use(), 0, "budget fully uncharged");
+    assert_eq!(db.disk().used_bytes(), baseline, "spill blocks reclaimed");
+}
+
 /// DML is a monitored statement like any other: the victim scan of an
 /// UPDATE/DELETE runs under the statement's token, so `statement_timeout`
 /// and `KILL` reach it, `SHOW QUERIES` lists it, and a statement that is
@@ -984,17 +1032,22 @@ mod fuzz {
 
         fn statement(&mut self) -> String {
             let sql = if self.rng.chance(12) {
-                // A set operation over single-column operands.
-                let ty = self.rng.pick(&[Int, Str]);
+                // A set operation over one- or two-column operands.
+                let tys: Vec<Ty> =
+                    (0..1 + self.rng.below(2)).map(|_| self.rng.pick(&[Int, Str])).collect();
                 let arm = |g: &mut Gen| {
                     let (t, cols, a) = g.table();
-                    let c = g.col_of(&cols, ty).expect("every table has k and s");
+                    let items: Vec<String> = tys
+                        .iter()
+                        .map(|&ty| g.col_of(&cols, ty).expect("every table has k and s"))
+                        .collect();
                     let filter = g.pred(&cols, &[], 9);
-                    format!("SELECT {c} FROM {t} {a} WHERE {filter}")
+                    format!("SELECT {} FROM {t} {a} WHERE {filter}", items.join(" , "))
                 };
                 let op = self.rng.pick(&["UNION", "UNION ALL", "INTERSECT", "EXCEPT"]);
                 let (l, r) = (arm(self), arm(self));
-                format!("{l} {op} {r} ORDER BY 1")
+                let order = if tys.len() == 1 { "1" } else { "1 , 2" };
+                format!("{l} {op} {r} ORDER BY {order}")
             } else {
                 let (mut sql, width) = self.core(&[]);
                 if let Some(n) = width.filter(|_| self.rng.chance(40)) {

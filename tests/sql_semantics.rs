@@ -299,6 +299,39 @@ fn grouped_queries_bind_every_expression_form() {
     }
 }
 
+/// A bare column that is neither grouped nor aggregated is named in the
+/// error as the query spelled it.
+#[test]
+fn group_by_error_names_the_column() {
+    let db = db_with("CREATE TABLE t (x BIGINT, y BIGINT)", &[]);
+    for (sql, col) in [("SELECT x FROM t GROUP BY y", "x"), ("SELECT t.x FROM t GROUP BY y", "t.x")]
+    {
+        let err = db.execute(sql).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            format!(
+                "E_BIND: binder error: column {col} must appear in GROUP BY or inside an aggregate"
+            ),
+            "{sql}"
+        );
+    }
+}
+
+/// Set operations find duplicates with the key equality of GROUP BY, the
+/// hash joins and `=`: doubles compare in total order, so `-0.0` and `0.0`
+/// are two values.
+#[test]
+fn set_operations_compare_doubles_like_group_by() {
+    let db =
+        db_with("CREATE TABLE f (d DOUBLE)", &["INSERT INTO f VALUES (0.0), (0.0 * -1.0), (1.5)"]);
+    let grouped = sorted(&db, "SELECT d FROM f GROUP BY d");
+    assert_eq!(grouped.len(), 3, "{grouped:?}");
+    assert_eq!(sorted(&db, "SELECT DISTINCT d FROM f"), grouped);
+    let except = sorted(&db, "SELECT d FROM f EXCEPT SELECT d FROM f WHERE d = 0.0");
+    assert_eq!(except, sorted(&db, "SELECT DISTINCT d FROM f WHERE d <> 0.0"));
+    assert_eq!(except, [vec![Value::F64(-0.0)], vec![Value::F64(1.5)]]);
+}
+
 // ---------------------------------------------------------------------------
 // Differential tests: the vectorized hash operators vs. the tuple-at-a-time
 // volcano baseline on randomized data. Any divergence in join or GROUP BY
@@ -3561,50 +3594,54 @@ mod subquery_differential {
 
     #[test]
     fn set_operations_agree_with_naive_reference() {
+        // Set operations deduplicate with NULL treated as one value
+        // (SQL "not distinct from" grouping, unlike `=`).
+        let dedup = |rows: &[Vec<Value>]| {
+            let mut seen: Vec<Vec<Value>> = Vec::new();
+            for r in rows {
+                if !seen.contains(r) {
+                    seen.push(r.clone());
+                }
+            }
+            seen
+        };
+        let column = |rows: &[(Option<i64>, Option<i64>)], i: usize| -> Vec<Vec<Value>> {
+            rows.iter().map(|r| vec![pair_row(r).swap_remove(i)]).collect()
+        };
         for seed in 0..4u64 {
             let mut rng = SmallRng::seed_from_u64(0x5e7_095 + seed);
             let t = random_pairs(&mut rng, 141);
             let s = random_pairs(&mut rng, 117);
             let db = load(&t, &s);
-            // Set operations deduplicate with NULL treated as one value
-            // (SQL "not distinct from" grouping, unlike `=`).
-            let distinct = |rows: &[(Option<i64>, Option<i64>)], left: bool| {
-                let mut seen: Vec<Option<i64>> = Vec::new();
-                for &(a, b) in rows {
-                    let v = if left { a } else { b };
-                    if !seen.contains(&v) {
-                        seen.push(v);
-                    }
-                }
-                seen
-            };
-            let tv = distinct(&t, true);
-            let sv = distinct(&s, false);
-            let to_rows = |vals: Vec<Option<i64>>| -> Vec<Vec<Value>> {
-                vals.into_iter().map(|v| vec![v.map_or(Value::Null, Value::I64)]).collect()
-            };
-            let mut union = tv.clone();
-            for &v in &sv {
-                if !union.contains(&v) {
-                    union.push(v);
+            assert_lanes(&db, "SELECT DISTINCT a FROM t", &dedup(&column(&t, 0)), "DISTINCT");
+            // Operand pairs: one NULL-bearing column, two of them, an
+            // empty right side, and two empty sides.
+            let operands = [
+                ("SELECT a FROM t", "SELECT d FROM s", column(&t, 0), column(&s, 1)),
+                (
+                    "SELECT a, b FROM t",
+                    "SELECT c, d FROM s",
+                    t.iter().map(pair_row).collect(),
+                    s.iter().map(pair_row).collect(),
+                ),
+                ("SELECT a FROM t", "SELECT c FROM s WHERE c > 100", column(&t, 0), vec![]),
+                ("SELECT a FROM t WHERE a > 100", "SELECT c FROM s WHERE c > 100", vec![], vec![]),
+            ];
+            for (lsql, rsql, l, r) in &operands {
+                let union_all: Vec<Vec<Value>> = l.iter().chain(r).cloned().collect();
+                let (l, r) = (dedup(l), dedup(r));
+                let union = dedup(&union_all);
+                let intersect: Vec<_> = l.iter().filter(|v| r.contains(v)).cloned().collect();
+                let except: Vec<_> = l.iter().filter(|v| !r.contains(v)).cloned().collect();
+                for (op, expect) in [
+                    ("UNION", union),
+                    ("UNION ALL", union_all),
+                    ("INTERSECT", intersect),
+                    ("EXCEPT", except),
+                ] {
+                    assert_lanes(&db, &format!("{lsql} {op} {rsql}"), &expect, op);
                 }
             }
-            let intersect: Vec<_> = tv.iter().copied().filter(|v| sv.contains(v)).collect();
-            let except: Vec<_> = tv.iter().copied().filter(|v| !sv.contains(v)).collect();
-            let union_all: Vec<Vec<Value>> = t
-                .iter()
-                .map(|&(a, _)| vec![a.map_or(Value::Null, Value::I64)])
-                .chain(s.iter().map(|&(_, d)| vec![d.map_or(Value::Null, Value::I64)]))
-                .collect();
-            assert_lanes(&db, "SELECT a FROM t UNION SELECT d FROM s", &to_rows(union), "UNION");
-            assert_lanes(&db, "SELECT a FROM t UNION ALL SELECT d FROM s", &union_all, "UNION ALL");
-            assert_lanes(
-                &db,
-                "SELECT a FROM t INTERSECT SELECT d FROM s",
-                &to_rows(intersect),
-                "INTERSECT",
-            );
-            assert_lanes(&db, "SELECT a FROM t EXCEPT SELECT d FROM s", &to_rows(except), "EXCEPT");
         }
     }
 
