@@ -249,19 +249,19 @@ impl ColData {
         Ok(())
     }
 
-    /// Widen the content to i64s (compression input; the codecs' `Lane`s
+    /// Widen rows `rows` to i64s (compression input; the codecs' `Lane`s
     /// are the inverse) — not for Str. F64 goes through raw bit
     /// transmutation, Str through the string codec.
-    pub fn to_i64s(&self, out: &mut Vec<i64>) {
+    pub fn to_i64s(&self, rows: std::ops::Range<usize>, out: &mut Vec<i64>) {
         out.clear();
         match self {
-            ColData::Bool(v) => out.extend(v.iter().map(|&b| b as i64)),
-            ColData::I8(v) => out.extend(v.iter().map(|&x| x as i64)),
-            ColData::I16(v) => out.extend(v.iter().map(|&x| x as i64)),
-            ColData::I32(v) => out.extend(v.iter().map(|&x| x as i64)),
-            ColData::I64(v) => out.extend_from_slice(v),
-            ColData::F64(v) => out.extend(v.iter().map(|&x| x.to_bits() as i64)),
-            ColData::Date(v) => out.extend(v.iter().map(|&x| x as i64)),
+            ColData::Bool(v) => out.extend(v[rows].iter().map(|&b| b as i64)),
+            ColData::I8(v) => out.extend(v[rows].iter().map(|&x| x as i64)),
+            ColData::I16(v) => out.extend(v[rows].iter().map(|&x| x as i64)),
+            ColData::I32(v) => out.extend(v[rows].iter().map(|&x| x as i64)),
+            ColData::I64(v) => out.extend_from_slice(&v[rows]),
+            ColData::F64(v) => out.extend(v[rows].iter().map(|&x| x.to_bits() as i64)),
+            ColData::Date(v) => out.extend(v[rows].iter().map(|&x| x as i64)),
             ColData::Str(_) => panic!("to_i64s on string column"),
         }
     }

@@ -10,6 +10,14 @@ use std::hash::{BuildHasherDefault, Hasher};
 const K: u64 = 0x51_7c_c1_b7_27_22_0a_95;
 
 /// The Fx-style hasher state.
+///
+/// Its last step is a multiply, which never moves bits downwards: the low
+/// `k` bits of the hash depend on the low `k` bits of the word alone. The
+/// `std` hash containers pick a bucket from the low bits, so a key whose
+/// low bits are constant lands every entry in one probe chain. Whole
+/// numbers stored as `f64` bits are such keys (their low mantissa bits are
+/// zero). Mix them through [`hash_u64`], a bijection, before they key an
+/// [`FxHashMap`] or [`FxHashSet`].
 #[derive(Default, Clone, Copy)]
 pub struct FxHasher {
     hash: u64,

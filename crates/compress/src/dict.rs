@@ -8,7 +8,8 @@
 use crate::bitpack;
 use crate::io::{ByteReader, ByteWriter};
 use crate::{bits_for, emit, emit_words, Lane};
-use vw_common::hash::FxHashMap;
+use std::hash::Hash;
+use vw_common::hash::{hash_u64, FxHashMap};
 use vw_common::{Result, VwError};
 
 /// Maximum dictionary entries per block; beyond this PDICT stops paying off
@@ -20,24 +21,52 @@ pub const MAX_DICT: usize = 4096;
 /// Layout: `dict_len u32 | dict values (u64)* | packed codes`.
 /// The dictionary is sorted, so decoded blocks also expose min/max cheaply.
 pub fn encode_i64(values: &[i64], w: &mut ByteWriter) -> Result<()> {
-    let mut dict: Vec<i64> = values.to_vec();
-    dict.sort_unstable();
-    dict.dedup();
-    if dict.len() > MAX_DICT {
-        return Err(VwError::Unsupported(format!(
-            "dictionary too large: {} > {MAX_DICT}",
-            dict.len()
-        )));
-    }
-    let index: FxHashMap<i64, u32> = dict.iter().enumerate().map(|(i, &v)| (v, i as u32)).collect();
+    // Keyed by the mixed value: `f64` bits of whole numbers end in zeros
+    // (see `FxHasher`).
+    let (dict, codes) = dictionary(values.iter().copied(), |v| hash_u64(v as u64), MAX_DICT)
+        .ok_or_else(|| {
+            VwError::Unsupported(format!("dictionary too large: over {MAX_DICT} values"))
+        })?;
     w.put_u32(dict.len() as u32);
     for &v in &dict {
         w.put_u64(v as u64);
     }
-    let bits = code_bits(dict.len());
-    let codes: Vec<u64> = values.iter().map(|v| index[v] as u64).collect();
-    bitpack::pack(&codes, bits, w);
+    bitpack::pack(&codes, code_bits(dict.len()), w);
     Ok(())
+}
+
+/// The sorted distinct values of `values` and each value's code, its rank
+/// among them; `None` past `limit` distinct values. Each value takes the
+/// id of its first occurrence, found by `key`; then only the distinct
+/// values are sorted and the ids renumbered: the codes a sort of every
+/// value would give, without that sort.
+fn dictionary<T: Ord + Copy, K: Hash + Eq>(
+    values: impl ExactSizeIterator<Item = T>,
+    key: impl Fn(T) -> K,
+    limit: usize,
+) -> Option<(Vec<T>, Vec<u64>)> {
+    let mut first_seen: FxHashMap<K, u64> = FxHashMap::default();
+    let mut distinct: Vec<T> = Vec::new();
+    let mut codes = Vec::with_capacity(values.len());
+    for v in values {
+        codes.push(*first_seen.entry(key(v)).or_insert_with(|| {
+            distinct.push(v);
+            distinct.len() as u64 - 1
+        }));
+        if distinct.len() > limit {
+            return None;
+        }
+    }
+    let mut order: Vec<usize> = (0..distinct.len()).collect();
+    order.sort_unstable_by_key(|&id| distinct[id]);
+    let mut rank = vec![0u64; distinct.len()];
+    for (r, &id) in order.iter().enumerate() {
+        rank[id] = r as u64;
+    }
+    for code in &mut codes {
+        *code = rank[*code as usize];
+    }
+    Some((order.iter().map(|&id| distinct[id]).collect(), codes))
 }
 
 /// Decode a PDICT integer block of `n` values, appending to `out`: the
@@ -84,37 +113,34 @@ fn code_bits(len: usize) -> u32 {
     bits_for(len.saturating_sub(1) as u64).max(1)
 }
 
-/// A dictionary-compressed string block.
+/// A dictionary-compressed string block. Decoding owns its dictionary;
+/// [`encode_strings`] borrows it from the values it encodes.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StringDict {
+pub struct StringDict<S = String> {
     /// Sorted distinct strings.
-    pub dict: Vec<String>,
+    pub dict: Vec<S>,
     /// Packed codes (one per row) referencing `dict`.
     pub bytes: Vec<u8>,
     /// Number of rows.
     pub len: usize,
 }
 
-impl StringDict {
+impl<S: AsRef<str>> StringDict<S> {
     /// Compressed size in bytes (dictionary + codes).
     pub fn compressed_bytes(&self) -> usize {
-        self.dict.iter().map(|s| s.len() + 4).sum::<usize>() + self.bytes.len()
+        self.dict.iter().map(|s| s.as_ref().len() + 4).sum::<usize>() + self.bytes.len()
     }
 }
 
 /// Dictionary-encode strings. Unlike the integer path this never fails:
 /// string blocks with huge cardinality simply get a big dictionary (the
 /// storage layer decides whether that is acceptable by inspecting the ratio).
-pub fn encode_strings(values: &[String]) -> StringDict {
-    let mut dict: Vec<String> = values.to_vec();
-    dict.sort_unstable();
-    dict.dedup();
-    let index: FxHashMap<&str, u32> =
-        dict.iter().enumerate().map(|(i, s)| (s.as_str(), i as u32)).collect();
-    let bits = code_bits(dict.len());
-    let codes: Vec<u64> = values.iter().map(|s| index[s.as_str()] as u64).collect();
+/// The dictionary borrows `values`.
+pub fn encode_strings(values: &[String]) -> StringDict<&str> {
+    let (dict, codes) =
+        dictionary(values.iter().map(String::as_str), |s| s, usize::MAX).expect("no limit");
     let mut w = ByteWriter::new();
-    bitpack::pack(&codes, bits, &mut w);
+    bitpack::pack(&codes, code_bits(dict.len()), &mut w);
     StringDict { dict, bytes: w.into_bytes(), len: values.len() }
 }
 
@@ -173,6 +199,49 @@ pub fn materialize_codes(codes: &[u32], dict: &[String], out: &mut Vec<String>) 
 mod tests {
     use super::*;
 
+    /// The encoder this module had before it went over borrowed values:
+    /// copy every value, sort, dedup, index. Kept as the oracle.
+    fn encode_strings_reference(values: &[String]) -> StringDict {
+        let mut dict: Vec<String> = values.to_vec();
+        dict.sort_unstable();
+        dict.dedup();
+        let index: FxHashMap<&str, u32> =
+            dict.iter().enumerate().map(|(i, s)| (s.as_str(), i as u32)).collect();
+        let bits = code_bits(dict.len());
+        let codes: Vec<u64> = values.iter().map(|s| index[s.as_str()] as u64).collect();
+        let mut w = ByteWriter::new();
+        bitpack::pack(&codes, bits, &mut w);
+        StringDict { dict, bytes: w.into_bytes(), len: values.len() }
+    }
+
+    /// The integer encoder this module had before it assigned first-seen
+    /// ids: copy, sort and dedup every value, then index. Kept as the
+    /// oracle.
+    fn encode_i64_reference(values: &[i64], w: &mut ByteWriter) -> Result<()> {
+        let mut dict: Vec<i64> = values.to_vec();
+        dict.sort_unstable();
+        dict.dedup();
+        if dict.len() > MAX_DICT {
+            return Err(VwError::Unsupported("dictionary too large".into()));
+        }
+        let index: std::collections::BTreeMap<i64, u32> =
+            dict.iter().enumerate().map(|(i, &v)| (v, i as u32)).collect();
+        w.put_u32(dict.len() as u32);
+        for &v in &dict {
+            w.put_u64(v as u64);
+        }
+        let bits = code_bits(dict.len());
+        let codes: Vec<u64> = values.iter().map(|v| index[v] as u64).collect();
+        bitpack::pack(&codes, bits, w);
+        Ok(())
+    }
+
+    /// The block as the decoder holds it.
+    fn owned(sd: StringDict<&str>) -> StringDict {
+        let dict = sd.dict.iter().map(|s| s.to_string()).collect();
+        StringDict { dict, bytes: sd.bytes, len: sd.len }
+    }
+
     #[test]
     fn int_dict_roundtrip() {
         let dict_vals = [10i64, -3, 1_000_000, 0];
@@ -211,7 +280,7 @@ mod tests {
     fn string_dict_roundtrip() {
         let flags = ["A", "N", "R"];
         let values: Vec<String> = (0..999).map(|i| flags[i % 3].to_string()).collect();
-        let sd = encode_strings(&values);
+        let sd = owned(encode_strings(&values));
         assert_eq!(sd.dict, vec!["A".to_string(), "N".into(), "R".into()]);
         assert!(sd.compressed_bytes() < 999); // ~2 bits per row
         let mut out = Vec::new();
@@ -221,13 +290,13 @@ mod tests {
 
     #[test]
     fn string_dict_empty_and_unique() {
-        let sd = encode_strings(&[]);
+        let sd = owned(encode_strings(&[]));
         let mut out = vec!["junk".to_string()];
         decode_strings(&sd, &mut out).unwrap();
         assert!(out.is_empty());
 
         let values: Vec<String> = (0..100).map(|i| format!("s{i}")).collect();
-        let sd = encode_strings(&values);
+        let sd = owned(encode_strings(&values));
         decode_strings(&sd, &mut out).unwrap();
         assert_eq!(out, values);
     }
@@ -236,7 +305,7 @@ mod tests {
     fn decode_codes_matches_decode_strings() {
         let flags = ["A", "N", "R"];
         let values: Vec<String> = (0..500).map(|i| flags[i % 3].to_string()).collect();
-        let sd = encode_strings(&values);
+        let sd = owned(encode_strings(&values));
         let mut codes = Vec::new();
         decode_codes(&sd, &mut codes).unwrap();
         assert_eq!(codes.len(), values.len());
@@ -247,7 +316,7 @@ mod tests {
     #[test]
     fn decode_strings_reuses_arena() {
         let values: Vec<String> = (0..64).map(|i| format!("value-{:02}", i % 7)).collect();
-        let sd = encode_strings(&values);
+        let sd = owned(encode_strings(&values));
         // Pre-fill the arena with strings of ample capacity, then record
         // their buffer addresses: a second decode must write into the same
         // allocations instead of replacing them.
@@ -273,5 +342,78 @@ mod tests {
         let mut r = ByteReader::new(&bytes);
         let mut out: Vec<i64> = Vec::new();
         assert!(decode_i64(&mut r, 4, &mut out).is_err());
+    }
+
+    #[test]
+    fn string_encoder_matches_the_sorting_reference() {
+        // Shared 8-byte prefixes, non-ASCII, the empty string, repeats in
+        // every order, and blocks of every cardinality up to all-distinct.
+        let pool =
+            ["", "a", "ab", "b", "Zeta", "prefix__a", "prefix__b", "prefix__", "é", "ö", "日本"];
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        for len in [0usize, 1, 2, 17, 1000, 5000] {
+            for distinct in [1u64, 3, 50, 100_000] {
+                let values: Vec<String> = (0..len)
+                    .map(|_| {
+                        let r = next() % distinct;
+                        let base = pool[(r % pool.len() as u64) as usize];
+                        if r < pool.len() as u64 {
+                            base.to_string()
+                        } else {
+                            format!("{base}{r}")
+                        }
+                    })
+                    .collect();
+                let got = owned(encode_strings(&values));
+                assert_eq!(got, encode_strings_reference(&values), "len {len} distinct {distinct}");
+            }
+        }
+    }
+
+    #[test]
+    fn int_encoder_matches_the_sorting_reference() {
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let special =
+            [i64::MIN, i64::MAX, -1, 0, f64::NAN.to_bits() as i64, (-0.0f64).to_bits() as i64];
+        for len in [0usize, 1, 17, 5000, 16 * 1024] {
+            for distinct in [1u64, 25, 4000, MAX_DICT as u64, MAX_DICT as u64 + 1] {
+                // Whole numbers as doubles (low bits all zero), raw
+                // integers, and the extremes.
+                let values: Vec<i64> = (0..len as u64)
+                    .map(|i| {
+                        // Every id below `distinct` once, then at random.
+                        let r = if i < distinct { i } else { next() % distinct };
+                        match r % 3 {
+                            0 => (r as f64).to_bits() as i64,
+                            1 => r as i64 * 1_000_003 - 7,
+                            _ => special[r as usize % special.len()] ^ ((r as i64) << 8),
+                        }
+                    })
+                    .collect();
+                let (mut got, mut want) = (ByteWriter::new(), ByteWriter::new());
+                let (g, r) =
+                    (encode_i64(&values, &mut got), encode_i64_reference(&values, &mut want));
+                assert_eq!(g.is_ok(), r.is_ok(), "len {len} distinct {distinct}");
+                if g.is_ok() {
+                    assert_eq!(
+                        got.into_bytes(),
+                        want.into_bytes(),
+                        "len {len} distinct {distinct}"
+                    );
+                }
+            }
+        }
     }
 }

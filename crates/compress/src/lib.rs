@@ -264,7 +264,9 @@ pub fn analyze(values: &[i64]) -> BlockStats {
     }
     let mut overflowed = false;
     for &v in values {
-        distinct.insert(v);
+        // Mixed, because `f64` bits of whole numbers end in zeros (see
+        // `FxHasher`); a bijection, so the count is the same.
+        distinct.insert(vw_common::hash::hash_u64(v as u64));
         if distinct.len() > DICT_PROBE_LIMIT {
             overflowed = true;
             break;

@@ -21,6 +21,7 @@
 //! payload copy, no widened `i64` column in between, NULL indicators
 //! straight to `Vec<bool>`.
 
+use std::ops::Range;
 use std::sync::Arc;
 use vw_common::{ColData, Result, TypeId, VwError};
 use vw_compress::dict::{decode_codes, decode_strings, encode_strings, StringDict};
@@ -155,15 +156,15 @@ fn get_strings(r: &mut ByteReader, n: usize) -> Result<Vec<String>> {
     }
 }
 
-/// Serialize one column chunk (values + optional NULL indicator).
+/// Serialize rows `rows` of a column (values + optional NULL indicator)
+/// as one chunk, reading them in place.
 ///
-/// `nulls`, when present, must have the same length as `data`; positions
+/// `nulls`, when present, indexes the same rows as `data`; positions
 /// flagged true are NULL and `data` holds safe defaults there.
-pub fn encode_chunk(data: &ColData, nulls: Option<&[bool]>) -> Vec<u8> {
+pub fn encode_chunk(data: &ColData, rows: Range<usize>, nulls: Option<&[bool]>) -> Vec<u8> {
     let mut w = ByteWriter::new();
-    match nulls {
+    match nulls.map(|m| &m[rows.clone()]) {
         Some(mask) if mask.iter().any(|&b| b) => {
-            debug_assert_eq!(mask.len(), data.len());
             w.put_u8(1);
             let ints: Vec<i64> = mask.iter().map(|&b| b as i64).collect();
             put_ints(&compress_auto(&ints), &mut w);
@@ -173,12 +174,12 @@ pub fn encode_chunk(data: &ColData, nulls: Option<&[bool]>) -> Vec<u8> {
     match data {
         ColData::Str(values) => {
             w.put_u8(1); // value_part kind: strings (dict/raw decided inside)
-            put_strings(values, &mut w);
+            put_strings(&values[rows], &mut w);
         }
         other => {
             w.put_u8(0);
             let mut ints = Vec::new();
-            other.to_i64s(&mut ints);
+            other.to_i64s(rows, &mut ints);
             put_ints(&compress_auto(&ints), &mut w);
         }
     }
@@ -311,7 +312,7 @@ pub fn encode_spill_batch(cols: &[(&ColData, Option<&[bool]>)]) -> Vec<u8> {
     w.put_u32(cols.len() as u32);
     w.put_u32(rows as u32);
     for (data, nulls) in cols {
-        let chunk = encode_chunk(data, *nulls);
+        let chunk = encode_chunk(data, 0..rows, *nulls);
         assert!(
             chunk.len() <= u32::MAX as usize,
             "spill column chunk exceeds the 4 GiB block format limit"
@@ -352,7 +353,7 @@ mod tests {
     use vw_common::Value;
 
     fn roundtrip(data: ColData, nulls: Option<Vec<bool>>) {
-        let bytes = encode_chunk(&data, nulls.as_deref());
+        let bytes = encode_chunk(&data, 0..data.len(), nulls.as_deref());
         let (out, out_nulls) = decode_chunk(&bytes, data.type_id(), data.len()).unwrap();
         assert_eq!(out, data);
         let had_nulls = nulls.map(|m| m.iter().any(|&b| b)).unwrap_or(false);
@@ -458,13 +459,13 @@ mod tests {
                         assert!(nulls.is_none());
                         // Doubles compare by bits: NaN payloads must survive.
                         let (mut a, mut b) = (Vec::new(), Vec::new());
-                        got.to_i64s(&mut a);
-                        want.to_i64s(&mut b);
+                        got.to_i64s(0..n, &mut a);
+                        want.to_i64s(0..n, &mut b);
                         assert_eq!(got.type_id(), ty);
                         assert_eq!(a, b, "{} {} n={n}", ty.sql_name(), enc.name());
                         let enc_chunk = decode_chunk_encoded(&bytes, ty, n).unwrap();
                         let (flat, _) = enc_chunk.into_flat().unwrap();
-                        flat.to_i64s(&mut a);
+                        flat.to_i64s(0..n, &mut a);
                         assert_eq!(a, b, "encoded {} {} n={n}", ty.sql_name(), enc.name());
                     }
                 }
@@ -497,7 +498,7 @@ mod tests {
     fn every_truncation_of_a_chunk_is_corruption() {
         let data = ColData::I32((0..300).map(|i| i * 3 % 97).collect());
         let mask: Vec<bool> = (0..300).map(|i| i % 10 == 0).collect();
-        let bytes = encode_chunk(&data, Some(&mask));
+        let bytes = encode_chunk(&data, 0..data.len(), Some(&mask));
         for cut in 0..bytes.len() {
             for r in [
                 decode_chunk(&bytes[..cut], TypeId::I32, 300).map(|_| ()),
@@ -512,7 +513,7 @@ mod tests {
     fn nulls_roundtrip() {
         let data = ColData::I32((0..100).collect());
         let mask: Vec<bool> = (0..100).map(|i| i % 10 == 0).collect();
-        let bytes = encode_chunk(&data, Some(&mask));
+        let bytes = encode_chunk(&data, 0..data.len(), Some(&mask));
         let (_, out_nulls) = decode_chunk(&bytes, TypeId::I32, 100).unwrap();
         assert_eq!(out_nulls.unwrap(), mask);
     }
@@ -521,7 +522,7 @@ mod tests {
     fn all_false_null_mask_is_elided() {
         let data = ColData::I32(vec![1, 2, 3]);
         let mask = vec![false, false, false];
-        let bytes = encode_chunk(&data, Some(&mask));
+        let bytes = encode_chunk(&data, 0..data.len(), Some(&mask));
         let (_, out_nulls) = decode_chunk(&bytes, TypeId::I32, 3).unwrap();
         assert!(out_nulls.is_none());
     }
@@ -530,7 +531,7 @@ mod tests {
     fn low_cardinality_strings_use_dict() {
         let values: Vec<String> = (0..1000).map(|i| ["A", "N", "R"][i % 3].into()).collect();
         let data = ColData::Str(values);
-        let bytes = encode_chunk(&data, None);
+        let bytes = encode_chunk(&data, 0..data.len(), None);
         assert!(bytes.len() < 1000, "dict should shrink 1000 flags to ~250 bytes");
         roundtrip(data, None);
     }
@@ -558,7 +559,7 @@ mod tests {
     #[test]
     fn corrupted_chunk_detected() {
         let data = ColData::I32((0..50).collect());
-        let mut bytes = encode_chunk(&data, None);
+        let mut bytes = encode_chunk(&data, 0..data.len(), None);
         bytes.truncate(bytes.len() / 2);
         assert!(decode_chunk(&bytes, TypeId::I32, 50).is_err());
     }
@@ -566,7 +567,7 @@ mod tests {
     #[test]
     fn wrong_row_count_detected() {
         let data = ColData::I32((0..50).collect());
-        let bytes = encode_chunk(&data, None);
+        let bytes = encode_chunk(&data, 0..data.len(), None);
         assert!(decode_chunk(&bytes, TypeId::I32, 51).is_err());
     }
 
@@ -614,7 +615,7 @@ mod tests {
             (ColData::I32((0..100).map(|i| i / 25).collect()), None),
         ];
         for (data, nulls) in cases {
-            let bytes = encode_chunk(&data, nulls.as_deref());
+            let bytes = encode_chunk(&data, 0..data.len(), nulls.as_deref());
             let flat = decode_chunk(&bytes, data.type_id(), data.len()).unwrap();
             let enc = decode_chunk_encoded(&bytes, data.type_id(), data.len()).unwrap();
             assert_eq!(enc.into_flat().unwrap(), flat);
@@ -624,7 +625,7 @@ mod tests {
     #[test]
     fn encoded_decode_preserves_encodings() {
         let dict_strs = ColData::Str((0..1000).map(|i| ["A", "N", "R"][i % 3].into()).collect());
-        let bytes = encode_chunk(&dict_strs, None);
+        let bytes = encode_chunk(&dict_strs, 0..dict_strs.len(), None);
         match decode_chunk_encoded(&bytes, TypeId::Str, 1000).unwrap() {
             EncodedChunk::Dict { codes, dict, nulls } => {
                 assert_eq!(codes.len(), 1000);
@@ -641,7 +642,7 @@ mod tests {
             vals.extend(std::iter::repeat_n(v, 250));
         }
         let rle_ints = ColData::I64(vals);
-        let bytes = encode_chunk(&rle_ints, None);
+        let bytes = encode_chunk(&rle_ints, 0..rle_ints.len(), None);
         match decode_chunk_encoded(&bytes, TypeId::I64, 5000).unwrap() {
             EncodedChunk::Rle { data, runs, .. } => {
                 assert_eq!(data.len(), 5000);
@@ -658,7 +659,7 @@ mod tests {
         data.push_value(&Value::I64(5)).unwrap();
         data.push_value(&Value::Null).unwrap();
         let mask = vec![false, true];
-        let bytes = encode_chunk(&data, Some(&mask));
+        let bytes = encode_chunk(&data, 0..data.len(), Some(&mask));
         let (out, _) = decode_chunk(&bytes, TypeId::I64, 2).unwrap();
         assert_eq!(out.get_value(1), Value::I64(0));
     }

@@ -24,8 +24,10 @@
 use crate::buffer::BufferPool;
 use crate::disk::BlockId;
 use crate::pack::{decode_chunk_encoded, encode_chunk, EncodedChunk};
+use std::cmp::Ordering;
+use std::ops::Range;
 use std::sync::Arc;
-use vw_common::{ColData, Result, Schema, Value, VwError};
+use vw_common::{ColData, Date, Result, Schema, Value, VwError};
 
 /// Location and summary of one column chunk.
 #[derive(Debug, Clone)]
@@ -84,35 +86,42 @@ pub struct TableStorage {
     n_rows: u64,
 }
 
-fn minmax(data: &ColData, nulls: Option<&[bool]>) -> (Option<Value>, Option<Value>, usize) {
-    let mut min: Option<Value> = None;
-    let mut max: Option<Value> = None;
-    let mut null_count = 0usize;
-    for i in 0..data.len() {
-        if nulls.is_some_and(|m| m[i]) {
-            null_count += 1;
-            continue;
-        }
-        let v = data.get_value(i);
-        match &min {
-            None => {
-                min = Some(v.clone());
-                max = Some(v);
-                continue;
-            }
-            Some(m) => {
-                if v.sql_cmp(m) == Some(std::cmp::Ordering::Less) {
-                    min = Some(v.clone());
-                }
-            }
-        }
-        if let Some(m) = &max {
-            if v.sql_cmp(m) == Some(std::cmp::Ordering::Greater) {
-                max = Some(v);
-            }
-        }
+/// MinMax summary and NULL count of rows `rows` of a column, read in
+/// place: values compare the way `Value::sql_cmp` orders two of the
+/// column's type (`f64` by `total_cmp`), and only the two winners become
+/// `Value`s.
+fn minmax(
+    data: &ColData,
+    rows: Range<usize>,
+    nulls: Option<&[bool]>,
+) -> (Option<Value>, Option<Value>, usize) {
+    let nulls = nulls.map(|m| &m[rows.clone()]);
+    // The first minimum and maximum of the non-NULL values by `cmp`, as
+    // `Value`s.
+    fn fold<T>(
+        values: &[T],
+        nulls: Option<&[bool]>,
+        cmp: impl Fn(&T, &T) -> Ordering,
+        value: impl Fn(&T) -> Value,
+    ) -> (Option<Value>, Option<Value>) {
+        let mut live = values.iter().enumerate().filter(|(i, _)| !nulls.is_some_and(|m| m[*i]));
+        let Some((_, first)) = live.next() else { return (None, None) };
+        let (lo, hi) = live.fold((first, first), |(lo, hi), (_, v)| {
+            (if cmp(v, lo).is_lt() { v } else { lo }, if cmp(v, hi).is_gt() { v } else { hi })
+        });
+        (Some(value(lo)), Some(value(hi)))
     }
-    (min, max, null_count)
+    let (min, max) = match data {
+        ColData::Bool(v) => fold(&v[rows], nulls, Ord::cmp, |&x| Value::Bool(x)),
+        ColData::I8(v) => fold(&v[rows], nulls, Ord::cmp, |&x| Value::I8(x)),
+        ColData::I16(v) => fold(&v[rows], nulls, Ord::cmp, |&x| Value::I16(x)),
+        ColData::I32(v) => fold(&v[rows], nulls, Ord::cmp, |&x| Value::I32(x)),
+        ColData::I64(v) => fold(&v[rows], nulls, Ord::cmp, |&x| Value::I64(x)),
+        ColData::F64(v) => fold(&v[rows], nulls, f64::total_cmp, |&x| Value::F64(x)),
+        ColData::Str(v) => fold(&v[rows], nulls, Ord::cmp, |x| Value::Str(x.clone())),
+        ColData::Date(v) => fold(&v[rows], nulls, Ord::cmp, |&x| Value::Date(Date(x))),
+    };
+    (min, max, nulls.map_or(0, |m| m.iter().filter(|&&b| b).count()))
 }
 
 impl TableStorage {
@@ -148,24 +157,27 @@ impl TableStorage {
         (i < self.packs.len()).then_some(i)
     }
 
-    /// Append one pack from per-column data (+ optional NULL indicators).
+    /// Append whole columns as packs of `pack_size` rows, each encoded
+    /// from its row range of the input in place.
     ///
-    /// All columns must have identical lengths matching the schema order and
-    /// types. One call creates exactly one pack; bulk loaders chunk their
-    /// input to the configured pack size before calling this. A write that
-    /// fails frees the chunks this call already wrote.
-    pub fn append_pack(&mut self, columns: &[ColData], nulls: &[Option<Vec<bool>>]) -> Result<()> {
+    /// All columns must have identical lengths matching the schema order
+    /// and types. A write that fails frees the chunks of its pack already
+    /// written; the packs before it stay in this generation, which the
+    /// caller then drops.
+    pub fn append_columns(
+        &mut self,
+        columns: &[ColData],
+        nulls: &[Option<Vec<bool>>],
+        pack_size: usize,
+    ) -> Result<()> {
         if columns.len() != self.schema.len() || nulls.len() != self.schema.len() {
             return Err(VwError::Storage(format!(
-                "append_pack got {} columns, schema has {}",
+                "append got {} columns, schema has {}",
                 columns.len(),
                 self.schema.len()
             )));
         }
         let n = columns.first().map_or(0, |c| c.len());
-        if n == 0 {
-            return Ok(());
-        }
         for (i, col) in columns.iter().enumerate() {
             let field = self.schema.field(i);
             if col.len() != n {
@@ -191,49 +203,34 @@ impl TableStorage {
                 }
             }
         }
+        for start in (0..n).step_by(pack_size.max(1)) {
+            self.write_pack(columns, nulls, start..n.min(start + pack_size))?;
+        }
+        Ok(())
+    }
 
+    /// Write rows `rows` of checked columns as one pack.
+    fn write_pack(
+        &mut self,
+        columns: &[ColData],
+        nulls: &[Option<Vec<bool>>],
+        rows: Range<usize>,
+    ) -> Result<()> {
         let mut pack = Pack {
             row_start: self.n_rows,
-            n_rows: n,
+            n_rows: rows.len(),
             columns: Vec::with_capacity(columns.len()),
             pool: self.pool.clone(),
         };
         for (col, nul) in columns.iter().zip(nulls) {
-            let bytes = encode_chunk(col, nul.as_deref());
+            let bytes = encode_chunk(col, rows.clone(), nul.as_deref());
             let length = bytes.len();
             let block = self.pool.disk().write_new_retrying(bytes)?;
-            let (min, max, null_count) = minmax(col, nul.as_deref());
+            let (min, max, null_count) = minmax(col, rows.clone(), nul.as_deref());
             pack.columns.push(ChunkMeta { block, length, min, max, null_count });
         }
+        self.n_rows += pack.n_rows as u64;
         self.packs.push(Arc::new(pack));
-        self.n_rows += n as u64;
-        Ok(())
-    }
-
-    /// Convenience loader: splits whole columns into packs of `pack_size`.
-    pub fn append_columns(
-        &mut self,
-        columns: &[ColData],
-        nulls: &[Option<Vec<bool>>],
-        pack_size: usize,
-    ) -> Result<()> {
-        let n = columns.first().map_or(0, |c| c.len());
-        let mut start = 0;
-        while start < n {
-            let end = (start + pack_size).min(n);
-            let cols: Vec<ColData> = columns
-                .iter()
-                .map(|c| {
-                    let mut out = ColData::with_capacity(c.type_id(), end - start);
-                    out.extend_from_range(c, start, end);
-                    out
-                })
-                .collect();
-            let nls: Vec<Option<Vec<bool>>> =
-                nulls.iter().map(|m| m.as_ref().map(|m| m[start..end].to_vec())).collect();
-            self.append_pack(&cols, &nls)?;
-            start = end;
-        }
         Ok(())
     }
 
@@ -306,7 +303,97 @@ impl TableStorage {
 mod tests {
     use super::*;
     use crate::disk::SimulatedDisk;
+    use crate::stats::tests::every_type;
     use vw_common::{FaultConfig, Field, TypeId};
+
+    /// The summary this module had before it folded typed slices: a
+    /// `Value` per row, compared by `sql_cmp`. Kept as the oracle.
+    fn minmax_reference(
+        data: &ColData,
+        nulls: Option<&[bool]>,
+    ) -> (Option<Value>, Option<Value>, usize) {
+        let mut min: Option<Value> = None;
+        let mut max: Option<Value> = None;
+        let mut null_count = 0usize;
+        for i in 0..data.len() {
+            if nulls.is_some_and(|m| m[i]) {
+                null_count += 1;
+                continue;
+            }
+            let v = data.get_value(i);
+            match &min {
+                None => {
+                    min = Some(v.clone());
+                    max = Some(v);
+                    continue;
+                }
+                Some(m) => {
+                    if v.sql_cmp(m) == Some(Ordering::Less) {
+                        min = Some(v.clone());
+                    }
+                }
+            }
+            if let Some(m) = &max {
+                if v.sql_cmp(m) == Some(Ordering::Greater) {
+                    max = Some(v);
+                }
+            }
+        }
+        (min, max, null_count)
+    }
+
+    /// Every pack `append_columns` wrote is the one the copying writer it
+    /// replaced wrote: each pack's rows copied out of every column, encoded
+    /// and summarized by [`minmax_reference`]. Same chunk bytes, same
+    /// MinMax (doubles compared by bits), same NULL counts.
+    #[test]
+    fn packs_written_in_place_match_the_copying_reference() {
+        let schema = Schema::new(
+            TypeId::ALL.iter().map(|&ty| Field::nullable(format!("c_{ty}"), ty)).collect(),
+        )
+        .unwrap();
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        for (n, pack_size) in [(0, 64), (1, 64), (1000, 256), (2500, 1024), (700, 700)] {
+            let columns = every_type(n, &mut next);
+            let nulls: Vec<Option<Vec<bool>>> = (0..columns.len())
+                .map(|c| match c % 4 {
+                    0 => None,
+                    1 => Some((0..n).map(|_| next() % 5 == 0).collect()),
+                    2 => Some(vec![true; n]),
+                    _ => Some(vec![false; n]),
+                })
+                .collect();
+            let mut t = TableStorage::new(
+                BufferPool::new(SimulatedDisk::instant(), 16 << 20),
+                schema.clone(),
+            );
+            t.append_columns(&columns, &nulls, pack_size).unwrap();
+            assert_eq!(t.n_packs(), n.div_ceil(pack_size));
+            for p in 0..t.n_packs() {
+                let (start, end) = (p * pack_size, n.min((p + 1) * pack_size));
+                assert_eq!((t.pack(p).row_start, t.pack(p).n_rows), (start as u64, end - start));
+                for (c, meta) in t.pack(p).columns.iter().enumerate() {
+                    let mut copy = ColData::with_capacity(columns[c].type_id(), end - start);
+                    copy.extend_from_range(&columns[c], start, end);
+                    let mask = nulls[c].as_ref().map(|m| m[start..end].to_vec());
+                    let what = format!("n={n} pack {p} column {}", copy.type_id());
+                    let bytes = encode_chunk(&copy, 0..copy.len(), mask.as_deref());
+                    assert_eq!(*t.pool.get(meta.block).unwrap(), bytes, "{what}");
+                    assert_eq!(meta.length, bytes.len(), "{what}");
+                    let (min, max, null_count) = minmax_reference(&copy, mask.as_deref());
+                    assert_eq!(meta.min, min, "{what}");
+                    assert_eq!(meta.max, max, "{what}");
+                    assert_eq!(meta.null_count, null_count, "{what}");
+                }
+            }
+        }
+    }
 
     fn schema() -> Schema {
         Schema::new(vec![
@@ -382,20 +469,20 @@ mod tests {
     fn schema_violations_rejected() {
         let mut t = empty();
         // Wrong arity.
-        assert!(t.append_pack(&[ColData::I64(vec![1])], &[None]).is_err());
+        assert!(t.append_columns(&[ColData::I64(vec![1])], &[None], 64).is_err());
         // Wrong type.
         let bad =
             vec![ColData::I32(vec![1]), ColData::I32(vec![1]), ColData::Str(vec!["x".into()])];
-        assert!(t.append_pack(&bad, &[None, None, None]).is_err());
+        assert!(t.append_columns(&bad, &[None, None, None], 64).is_err());
         // NULL in NOT NULL column.
         let cols =
             vec![ColData::I64(vec![1]), ColData::I32(vec![1]), ColData::Str(vec!["x".into()])];
         let nulls = vec![Some(vec![true]), None, None];
-        assert!(t.append_pack(&cols, &nulls).is_err());
+        assert!(t.append_columns(&cols, &nulls, 64).is_err());
         // Ragged lengths.
         let cols =
             vec![ColData::I64(vec![1, 2]), ColData::I32(vec![1]), ColData::Str(vec!["x".into()])];
-        assert!(t.append_pack(&cols, &[None, None, None]).is_err());
+        assert!(t.append_columns(&cols, &[None, None, None], 64).is_err());
     }
 
     #[test]
@@ -407,7 +494,7 @@ mod tests {
             ColData::Str(vec!["a".into(), "b".into()]),
         ];
         let nulls = vec![None, Some(vec![true, true]), None];
-        t.append_pack(&cols, &nulls).unwrap();
+        t.append_columns(&cols, &nulls, 64).unwrap();
         assert!(t.prune(1, Some(&Value::I32(0)), None).is_empty());
         assert_eq!(t.prune(1, None, None).len(), 1);
     }
@@ -448,7 +535,7 @@ mod tests {
         // The third of the pack's three chunk writes fails for good.
         disk.arm_faults(FaultConfig { seed: 1, fail_nth_write: Some(3), ..Default::default() });
         let (cols, nulls) = sample_columns(100, 300);
-        let err = t.append_pack(&cols, &nulls).unwrap_err();
+        let err = t.append_columns(&cols, &nulls, 100).unwrap_err();
         assert!(matches!(err, VwError::Io { transient: false, .. }), "{err}");
         disk.disarm_faults();
         assert_eq!(t.n_packs(), 3);
@@ -460,7 +547,7 @@ mod tests {
         let mut t = empty();
         let cols =
             vec![ColData::new(TypeId::I64), ColData::new(TypeId::I32), ColData::new(TypeId::Str)];
-        t.append_pack(&cols, &[None, None, None]).unwrap();
+        t.append_columns(&cols, &[None, None, None], 64).unwrap();
         assert_eq!(t.n_packs(), 0);
         assert_eq!(t.n_rows(), 0);
     }
