@@ -7,8 +7,10 @@
 //! that the steady-state vectorized probe loop performs **zero heap
 //! allocations** once its scratch buffers are warm, via a counting global
 //! allocator — and the same for every rung of `HashAggregate`'s
-//! group-resolution ladder (no keys, two dict-coded keys, one BIGINT key,
-//! two BIGINT keys), each timed per row beside it.
+//! group-resolution ladder (no keys, two dict-coded keys, one BIGINT key
+//! of 1 000 or 250 k values on the direct rung, one past the direct map's
+//! span cap on the fused rung, two BIGINT keys), each timed per row beside
+//! it.
 //!
 //! The bulk CSR build (`JoinTable::build`) is swept over 8 k → 1 M
 //! rows, first call and warm, with allocated bytes per row, against the
@@ -210,10 +212,16 @@ fn steady_state_alloc_check() {
 // the group-resolution ladder: one HashAggregate build per rung
 // ---------------------------------------------------------------------------
 
-const RUNG_BATCHES: usize = 256;
-/// Batches served before the allocation count starts: two packs, so the
-/// dict rung's memo has met a dictionary change.
-const RUNG_WARM: usize = 32;
+const RUNG_BATCHES: usize = 512;
+/// Batches served before the allocation count starts: more than two
+/// packs, so the dict rung's memo has met a dictionary change, and enough
+/// rows that every one of the wide keys' values has arrived.
+const RUNG_WARM: usize = 256;
+/// Distinct values of the wide keys (`l_partkey`'s at 1 M rows).
+const WIDE: i64 = 250_000;
+/// The sparse key is the wide one times this: its values span 2 M, past
+/// the direct map's 2^20 slots.
+const SPARSE_STRIDE: i64 = 8;
 
 /// Serves pre-built batches by value and notes the allocation counter and
 /// the clock when the steady state starts and when the input ends.
@@ -250,7 +258,10 @@ impl Operator for Replay {
 }
 
 /// Columns: two dict-coded strings (3 × 2 values, one dictionary `Arc` per
-/// 16-batch pack), two BIGINT keys (1000 × 7 values), one BIGINT value.
+/// 16-batch pack), two BIGINT keys (1000 × 7 values), one BIGINT value,
+/// and the wide and sparse BIGINT keys: [`WIDE`] values, and the same
+/// times [`SPARSE_STRIDE`]. The warm-up batches bring every wide value
+/// once, in random order, so the steady state creates no group.
 fn rung_batches() -> (Schema, Vec<Batch>) {
     let schema = Schema::new(vec![
         Field::not_null("flag", TypeId::Str),
@@ -258,9 +269,17 @@ fn rung_batches() -> (Schema, Vec<Batch>) {
         Field::not_null("k1", TypeId::I64),
         Field::not_null("k2", TypeId::I64),
         Field::not_null("v", TypeId::I64),
+        Field::not_null("wide", TypeId::I64),
+        Field::not_null("sparse", TypeId::I64),
     ])
     .unwrap();
     let mut rng = SmallRng::seed_from_u64(12);
+    let mut wide: Vec<i64> = (0..WIDE).collect();
+    for i in (1..wide.len()).rev() {
+        wide.swap(i, rng.gen_range(0..=i));
+    }
+    assert!(wide.len() <= RUNG_WARM * VECTOR, "the warm-up brings every wide value");
+    wide.extend((wide.len()..RUNG_BATCHES * VECTOR).map(|_| rng.gen_range(0..WIDE)));
     let mut dicts: Vec<Arc<Vec<String>>> = Vec::new();
     let batches = (0..RUNG_BATCHES)
         .map(|b| {
@@ -279,6 +298,9 @@ fn rung_batches() -> (Schema, Vec<Batch>) {
                 let vals = (0..VECTOR).map(|_| rng.gen_range(0..domain)).collect();
                 cols.push(Vector::new(ColData::I64(vals)));
             }
+            let wide = &wide[b * VECTOR..(b + 1) * VECTOR];
+            cols.push(Vector::new(ColData::I64(wide.to_vec())));
+            cols.push(Vector::new(ColData::I64(wide.iter().map(|k| k * SPARSE_STRIDE).collect())));
             Batch::new(cols)
         })
         .collect();
@@ -287,14 +309,16 @@ fn rung_batches() -> (Schema, Vec<Batch>) {
 
 /// Per rung: build `COUNT(*), SUM(v)` grouped by `keys`, assert that the
 /// steady-state batches allocate nothing, print their nanoseconds per row
-/// (input batches stream cold from memory, 8 MiB of them: the figure is
+/// (input batches stream cold from memory, 24 MiB of them: the figure is
 /// the rung plus a column scan from DRAM, comparable across rungs).
 fn resolution_rungs() {
     let (schema, batches) = rung_batches();
-    let rungs: [(&str, &[usize]); 4] = [
+    let rungs: [(&str, &[usize]); 6] = [
         ("0 keys", &[]),
         ("2 dict keys", &[0, 1]),
-        ("1 BIGINT key", &[2]),
+        ("1 BIGINT key, 1000 distinct", &[2]),
+        ("1 BIGINT key, 250 k distinct", &[5]),
+        ("1 BIGINT key, sparse past the span cap", &[6]),
         ("2 BIGINT keys", &[2, 3]),
     ];
     for (name, keys) in rungs {

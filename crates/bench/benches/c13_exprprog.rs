@@ -8,15 +8,20 @@
 //! plus the fused select path, plus the acceptance-criterion proof that the
 //! steady-state per-batch `run` loop performs **zero heap allocations**
 //! (counting global allocator, same technique as C12).
+//!
+//! `dense_vs_selective` sets `program::DENSE_PCT`: it times the two loops
+//! an F64 `+ - *` can run under a selection — every lane, or the selected
+//! ones — at 5–95 % of a 1024-lane vector selected.
 
 use criterion::{black_box, criterion_group, Criterion};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
-use vw_common::{ColData, TypeId, Value};
+use std::time::{Duration, Instant};
+use vw_common::{ColData, SelVec, TypeId, Value};
 use vw_exec::expr::{BinOp, CmpOp, PhysExpr};
+use vw_exec::primitives::{map_bin_full, map_bin_sel};
 use vw_exec::program::{ExprProgram, SelectProgram, VectorPool};
 use vw_exec::vector::Batch;
 use vw_exec::Vector;
@@ -123,8 +128,76 @@ fn steady_state_alloc_check() {
     println!("steady-state program.run allocations over 64 batches: {allocated} (OK)");
 }
 
+// ---------------------------------------------------------------------------
+// F64 arithmetic under a selection: every lane or the selected ones
+// ---------------------------------------------------------------------------
+
+/// Best of five runs of 20 000 calls of `run`, in ns per call (on a shared
+/// box noise only adds time).
+fn best_ns(mut run: impl FnMut() -> f64) -> f64 {
+    const REPS: usize = 20_000;
+    (0..5)
+        .map(|_| {
+            let t0 = Instant::now();
+            let mut acc = 0.0;
+            for _ in 0..REPS {
+                acc += run();
+            }
+            black_box(acc);
+            t0.elapsed().as_nanos() as f64 / REPS as f64
+        })
+        .fold(f64::MAX, f64::min)
+}
+
+/// ns per vector of the full and of the selective loop of `f` over
+/// `x`/`y` under `sel` (the closure is a type parameter, so each operator
+/// is its own monomorphic loop, as in the program).
+fn full_and_selective(
+    x: &[f64],
+    y: &[f64],
+    sel: &SelVec,
+    f: impl Fn(f64, f64) -> f64 + Copy,
+) -> (f64, f64) {
+    let last = x.len() - 1;
+    let mut out = Vec::with_capacity(x.len());
+    let full = best_ns(|| {
+        map_bin_full(black_box(x), black_box(y), &mut out, f);
+        out[last]
+    });
+    let selective = best_ns(|| {
+        map_bin_sel(black_box(x), black_box(y), black_box(sel), &mut out, f);
+        out[last]
+    });
+    (full, selective)
+}
+
+/// Per selectivity, ns per 1024-lane vector of the full loop and of the
+/// selective loop for F64 `+ - *`. The program's kernel choice goes full
+/// from `DENSE_PCT` on; this prints where that pays.
+fn dense_vs_selective() {
+    const LANES: usize = 1024;
+    let mut rng = SmallRng::seed_from_u64(13);
+    let x: Vec<f64> = (0..LANES).map(|_| rng.gen_range(-1e6..1e6)).collect();
+    let y: Vec<f64> = (0..LANES).map(|_| rng.gen_range(-1e6..1e6)).collect();
+    println!("F64 arithmetic, ns per {LANES}-lane vector, full loop / selective loop:");
+    for pct in [5u32, 25, 50, 75, 95] {
+        let sel: SelVec = (0..LANES as u32).filter(|_| rng.gen_range(0..100) < pct).collect();
+        let cells = [
+            ("+", full_and_selective(&x, &y, &sel, |p, q| p + q)),
+            ("-", full_and_selective(&x, &y, &sel, |p, q| p - q)),
+            ("*", full_and_selective(&x, &y, &sel, |p, q| p * q)),
+        ];
+        let row: String = cells
+            .iter()
+            .map(|(op, (full, selective))| format!("  {op} {full:>5.0} / {selective:>5.0}"))
+            .collect();
+        println!("  {pct:>2} % selected:{row}");
+    }
+}
+
 fn bench(c: &mut Criterion) {
     steady_state_alloc_check();
+    dense_vs_selective();
 
     let e = expr();
     let prog = ExprProgram::compile(&e);

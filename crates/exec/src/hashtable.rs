@@ -5,7 +5,7 @@
 //! decide whether the hot loop stays a tight, allocation-free, vector-at-a-
 //! time primitive. The previous implementation funneled every probe row
 //! through a `FxHashMap<u64, Vec<u32>>` — a heap-allocated bucket `Vec` per
-//! distinct key and a tuple-at-a-time map lookup per row. Two tables replace
+//! distinct key and a tuple-at-a-time map lookup per row. Two hash tables replace
 //! it, one per operator, both a power-of-two **directory** indexed by the
 //! low bits of the key hash over contiguously numbered rows:
 //!
@@ -14,7 +14,13 @@
 //!   **chain array** parallel to the rows holds each row's full 64-bit hash
 //!   and its bucket successor, so collision chains live in one flat
 //!   allocation and a lane rejects a foreign candidate with one integer
-//!   compare before any key comparison.
+//!   compare before any key comparison. It is an *index* over the
+//!   aggregate's stored key columns and may lag them: rows a non-hashing
+//!   rung created are inserted by [`GroupTable::sync`] before the next
+//!   hashing rung reads the table.
+//! * [`DirectMap`] — the aggregate's other table, for keys that are small
+//!   integers already (a composite dictionary code, an integer key minus a
+//!   base): a zeroed code → group array, no hash, no chain.
 //! * [`JoinTable`] — hash join's: its whole build input is staged before
 //!   the first probe, so it is immutable and bulk-constructed
 //!   ([`JoinTable::build`]: histogram → prefix sum → scatter, no chain
@@ -59,7 +65,7 @@
 
 use crate::primitives;
 use crate::vector::Vector;
-use vw_common::hash::{hash_bytes, hash_u64};
+use vw_common::hash::{hash_bytes, hash_combine, hash_u64};
 use vw_common::{ColData, SelVec};
 
 /// Sentinel row id: a free directory bucket or the end of a chain.
@@ -170,6 +176,20 @@ impl GroupTable {
             let b = self.bucket(self.entries[row].hash);
             self.entries[row].next = self.heads[b];
             self.heads[b] = row as u32;
+        }
+    }
+
+    /// Catch up with groups a non-hashing rung created: insert rows
+    /// `[len, rows of keys)` of the stored key columns `keys`, each hashed
+    /// exactly as [`hash_keys`] hashes that key in a lane (NULL to its
+    /// sentinel lane), so a hashing rung that reads the table next finds
+    /// every group. A no-op while the table is current.
+    pub fn sync(&mut self, keys: &[Vector]) {
+        let rows = keys.first().map_or(0, Vector::len);
+        for row in self.len()..rows {
+            let mut cols = keys.iter().map(|k| lane_of(k, row));
+            let first = hash_u64(cols.next().expect("at least one key column"));
+            self.insert(cols.fold(first, hash_combine));
         }
     }
 
@@ -350,6 +370,57 @@ impl GroupTable {
                 }
             }
         }
+    }
+}
+
+/// A code → group array: the table of a key that *is* a small integer —
+/// the composite dictionary code of the aggregate's dict rung, or an
+/// integer key minus a base in its direct rung. One load resolves a lane;
+/// nothing is hashed. A slot stores group id + 1, so 0 is empty and a
+/// fresh array is a zeroed allocation whose untouched pages cost nothing.
+#[derive(Debug, Default)]
+pub struct DirectMap {
+    slots: Vec<u32>,
+}
+
+impl DirectMap {
+    /// Empty every slot and hold `len` of them. Within the current
+    /// capacity this clears in place (no allocation); a larger array is a
+    /// fresh zeroed one.
+    pub fn reset(&mut self, len: usize) {
+        if len <= self.slots.capacity() {
+            self.slots.clear();
+            self.slots.resize(len, 0);
+        } else {
+            self.slots = vec![0; len];
+        }
+    }
+
+    /// Number of slots (codes `0..len`).
+    pub fn len(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// True when the map holds no slots.
+    pub fn is_empty(&self) -> bool {
+        self.slots.is_empty()
+    }
+
+    /// Heap bytes of the array (memory-governor charging).
+    pub fn bytes(&self) -> usize {
+        self.slots.capacity() * 4
+    }
+
+    /// The group of `code`, if one was set since the last reset.
+    #[inline(always)]
+    pub fn get(&self, code: usize) -> Option<u32> {
+        self.slots[code].checked_sub(1)
+    }
+
+    /// Map `code` to group `g`.
+    #[inline(always)]
+    pub fn set(&mut self, code: usize, g: u32) {
+        self.slots[code] = g + 1;
     }
 }
 
@@ -923,6 +994,24 @@ fn project_lanes(v: &Vector, nulls_as_group: bool, out: &mut Vec<u64>) {
     }
 }
 
+/// [`project_lanes`] of one position of a flat stored key column, NULLs
+/// as a group (the lane [`GroupTable::sync`] hashes).
+fn lane_of(v: &Vector, row: usize) -> u64 {
+    if v.is_null(row) {
+        return NULL_KEY_LANE;
+    }
+    match &v.data {
+        ColData::Bool(d) => d[row] as u64,
+        ColData::I8(d) => d[row] as u64,
+        ColData::I16(d) => d[row] as u64,
+        ColData::I32(d) => d[row] as u64,
+        ColData::I64(d) => d[row] as u64,
+        ColData::F64(d) => d[row].to_bits(),
+        ColData::Date(d) => d[row] as u64,
+        ColData::Str(_) => hash_bytes(v.str_at(row).as_bytes()),
+    }
+}
+
 /// Hash multi-column keys a vector at a time into `out[0..n]`.
 ///
 /// `nulls_as_group` selects GROUP BY semantics (NULL lanes hash to a fixed
@@ -1099,6 +1188,40 @@ mod tests {
 
     fn i64_vec(vals: Vec<i64>) -> Vector {
         Vector::new(ColData::I64(vals))
+    }
+
+    #[test]
+    fn sync_hashes_a_stored_row_as_hash_keys_hashes_its_lane() {
+        let keys = vec![
+            Vector::with_nulls(
+                ColData::I64(vec![7, 0, -3, 7]),
+                Some(vec![false, true, false, false]),
+            ),
+            Vector::new(ColData::Str(vec!["a".into(), "b".into(), "".into(), "a".into()])),
+            Vector::new(ColData::F64(vec![-0.0, 0.0, f64::NAN, 1.5])),
+        ];
+        let (mut lanes, mut hashes) = (Vec::new(), Vec::new());
+        hash_keys(&keys, 4, true, &mut lanes, &mut hashes);
+        let mut t = GroupTable::new();
+        t.sync(&keys);
+        t.sync(&keys); // current: a no-op
+        assert_eq!(t.len(), 4);
+        for (row, &h) in hashes.iter().enumerate() {
+            assert_eq!(t.find_chain(h, |r| r as usize == row), Some(row as u32));
+        }
+    }
+
+    #[test]
+    fn direct_map_reset_empties_in_place_within_capacity() {
+        let mut m = DirectMap::default();
+        m.reset(8);
+        assert_eq!((m.len(), m.get(5)), (8, None));
+        m.set(5, 0);
+        m.set(7, 41);
+        assert_eq!((m.get(5), m.get(7)), (Some(0), Some(41)));
+        let cap = m.bytes();
+        m.reset(4);
+        assert_eq!((m.len(), m.get(3), m.bytes()), (4, None, cap));
     }
 
     fn group_table(hashes: &[u64]) -> GroupTable {

@@ -2,7 +2,7 @@
 //!
 //! Build: drain the child into `P` `AggShard`s — the slots of the one
 //! partitioned-build state machine in [`crate::partition`]. A shard owns a
-//! private [`GroupTable`], contiguous group-key columns and **typed
+//! private [`GroupTable`] and direct map, contiguous group-key columns and **typed
 //! columnar accumulators** (one dense `Vec` per aggregate, indexed by
 //! group id, no boxed `Value`s on the hot path); it folds a batch's lanes
 //! *by reference*, in two steps that each decide **per vector, not per
@@ -10,16 +10,22 @@
 //!
 //! 1. **Group resolution** is a ladder chosen from what the batch is (see
 //!    `AggShard::resolve_groups`): *no keys* — no table, no group-id
-//!    vector, every lane is group 0; *every key dictionary-coded* — one
-//!    composite code per lane and a code → group memo held while the key
-//!    dictionaries are the previous batch's `Arc`s (`CodeMemo`; a hash +
-//!    chain probe only per distinct code per pack); *one NULL-free flat
-//!    key* — the fused type-monomorphized probe kernel; *anything else* —
-//!    hash all lanes, gather chain heads, confirm keys column by column
-//!    through a `SelVec`, re-probe the unmatched. New keys fall to a scalar insert
-//!    pass that also resolves batch-internal duplicates. All rungs share
-//!    one table and one hash scheme, so a key finds its group whichever
-//!    rung meets it.
+//!    vector, every lane is group 0; *one NULL-free flat integer key whose
+//!    live values fit a code → group array* — one subtract and one load
+//!    per lane (`DirectKeys`, at most 2^20 slots, laid out again from the
+//!    stored keys when a batch falls outside it); *every key
+//!    dictionary-coded* — one composite code per lane and a code → group
+//!    memo held while the key dictionaries are the previous batch's `Arc`s
+//!    (`CodeMemo`; a hash + chain probe only per distinct code per pack);
+//!    *one NULL-free flat key* — the fused type-monomorphized probe
+//!    kernel; *anything else* — hash all lanes, gather chain heads,
+//!    confirm keys column by column through a `SelVec`, re-probe the
+//!    unmatched. New keys fall to a scalar insert pass that also resolves
+//!    batch-internal duplicates and appends each key with a typed push.
+//!    Groups live in the stored key columns; the [`GroupTable`] and the
+//!    direct map are indexes over them, each synced before it is read, so
+//!    a key finds its group whichever rung meets it. The accumulators
+//!    grow once per batch to the new group count.
 //! 2. **Accumulator update** (`AggState::update_batch`) hoists the three
 //!    per-row questions — NULL indicator or not, dense or selected, one
 //!    group or one per lane — out of the loop through `for_each_live`
@@ -36,9 +42,10 @@
 //!
 //! * `P = 1` is the serial build: no routing, no separate hash pass.
 //! * [`HashAggregate::with_spill`] makes the shards evictable under the
-//!   query's memory budget: the largest shard's partial state flushes to
-//!   its spill file and the shard restarts empty; spilled partitions are
-//!   re-aggregated at emit time.
+//!   query's memory budget (a shard is charged for its keys, accumulators
+//!   and direct map): the largest shard's partial state flushes to its
+//!   spill file and the shard restarts empty, map dropped; spilled
+//!   partitions are re-aggregated at emit time.
 //!
 //! Inside an Exchange every worker runs a partial aggregate of its own
 //! and a final one merges them above it; the operator itself spawns
@@ -52,7 +59,7 @@
 
 use super::{BoxedOp, Operator};
 use crate::cancel::CancelToken;
-use crate::hashtable::{self, GroupTable, EMPTY};
+use crate::hashtable::{self, DirectMap, GroupTable, EMPTY};
 use crate::morsel::BatchPool;
 use crate::partition::{Partitions, RadixRouter, SpillConfig};
 use crate::profile::OpProfile;
@@ -61,7 +68,7 @@ use crate::vector::{Batch, Vector};
 use std::collections::VecDeque;
 use std::sync::Arc;
 use vw_common::hash::{hash_bytes, hash_combine, hash_u64};
-use vw_common::{ColData, Result, Schema, SelVec, TypeId, Value, VwError};
+use vw_common::{ColData, Result, Schema, SelVec, TypeId, VwError};
 use vw_storage::{encode_spill_batch, SpillFile};
 
 /// Aggregate functions.
@@ -128,24 +135,34 @@ impl AggState {
         })
     }
 
-    fn push_group(&mut self) {
+    /// Give every group up to `n` its initial state: one `resize` per
+    /// column per batch, however many groups the batch created.
+    fn grow(&mut self, n: usize) {
         match self {
-            AggState::Count(c) => c.push(0),
+            AggState::Count(c) => c.resize(n, 0),
             AggState::SumI64 { sums, seen } => {
-                sums.push(0);
-                seen.push(false);
+                sums.resize(n, 0);
+                seen.resize(n, false);
             }
             AggState::SumF64 { sums, seen } => {
-                sums.push(0.0);
-                seen.push(false);
+                sums.resize(n, 0.0);
+                seen.resize(n, false);
             }
             AggState::MinMax { vals, seen, .. } => {
-                vals.push_safe_default();
-                seen.push(false);
+                match vals {
+                    ColData::Bool(v) => v.resize(n, false),
+                    ColData::I8(v) => v.resize(n, 0),
+                    ColData::I16(v) => v.resize(n, 0),
+                    ColData::I32(v) | ColData::Date(v) => v.resize(n, 0),
+                    ColData::I64(v) => v.resize(n, 0),
+                    ColData::F64(v) => v.resize(n, 0.0),
+                    ColData::Str(v) => v.resize(n, String::new()),
+                }
+                seen.resize(n, false);
             }
             AggState::Avg { sums, counts } => {
-                sums.push(0.0);
-                counts.push(0);
+                sums.resize(n, 0.0);
+                counts.resize(n, 0);
             }
         }
     }
@@ -561,6 +578,94 @@ impl<'a> Keys<'a> {
     }
 }
 
+/// Largest key span the direct rung indexes: 2^20 group ids, 4 MiB,
+/// allocated zeroed so only the pages its groups touch cost memory.
+/// Wider live ranges take the hashing rungs.
+const DIRECT_SPAN_MAX: usize = 1 << 20;
+
+/// The direct rung's state: `map[key − base]` is the group of integer
+/// key `key`, for every group below `synced` whose key lies in
+/// `[base, base + map.len())`. Groups another rung created since are
+/// added before the next lookup, like the table's lazy sync.
+#[derive(Default)]
+struct DirectKeys {
+    base: i64,
+    map: DirectMap,
+    synced: usize,
+    /// Rows seen since the map was last laid out. Laying it out reads
+    /// every group key, so it waits until as many rows have passed as
+    /// there are groups: a key range that wanders costs O(1) a row.
+    credit: usize,
+}
+
+impl DirectKeys {
+    /// Offset of key `x` in the map, exact for a key in the map's range
+    /// (see [`DirectKeys::covers`]); out of it the subtraction wraps.
+    #[inline(always)]
+    fn offset(&self, x: i64) -> usize {
+        (x as u64).wrapping_sub(self.base as u64) as usize
+    }
+
+    /// Whether `[lo, hi]` lies inside the map's range, compared without
+    /// wrapping: a range reaching past `i64::MAX` must not take in
+    /// `i64::MIN`.
+    fn covers(&self, lo: i64, hi: i64) -> bool {
+        let base = self.base as i128;
+        lo as i128 >= base && (hi as i128) < base + self.map.len() as i128
+    }
+
+    /// Whether a batch of `lanes` live keys spanning `[lo, hi]` resolves
+    /// through the map over the stored keys `stored`/`nulls` (one column,
+    /// one row per group). A batch outside the map's range lays the map
+    /// out again once the credit allows: over twice the span of the old
+    /// range and the batch's (of the batch's alone when that union is over
+    /// [`DIRECT_SPAN_MAX`]), centred, so keys that spread re-lay it a
+    /// logarithmic number of times and the credit bounds what a drifting
+    /// range costs. A batch that no span within the cap covers drops the
+    /// map.
+    fn cover<T: Copy + Into<i64>>(
+        &mut self,
+        lo: i64,
+        hi: i64,
+        lanes: usize,
+        stored: &[T],
+        nulls: Option<&[bool]>,
+    ) -> bool {
+        self.credit += lanes;
+        if !self.covers(lo, hi) {
+            const MAX: i128 = DIRECT_SPAN_MAX as i128;
+            let (mut lo, mut hi) = (lo as i128, hi as i128);
+            if !self.map.is_empty() {
+                let (base, end) = (self.base as i128, self.base as i128 + self.map.len() as i128);
+                if hi.max(end - 1) - lo.min(base) < MAX {
+                    (lo, hi) = (lo.min(base), hi.max(end - 1));
+                }
+            }
+            let span = hi - lo + 1;
+            if span > MAX {
+                self.map = DirectMap::default();
+                return false;
+            }
+            if self.credit < stored.len() {
+                return false;
+            }
+            let len = (2 * span).min(MAX);
+            self.base = (lo - (len - span) / 2).max(i64::MIN as i128) as i64;
+            self.map.reset(len as usize);
+            self.synced = 0;
+            self.credit = 0;
+        }
+        for g in self.synced..stored.len() {
+            let key = stored[g].into();
+            if self.covers(key, key) && !nulls.is_some_and(|m| m[g]) {
+                self.map.set(self.offset(key), g as u32);
+            }
+        }
+        self.synced = stored.len();
+        true
+    }
+}
+
 /// Largest composite code domain the dict-key rung memoises (64 KiB of
 /// group ids, reset at every dictionary change — about a pack's worth of
 /// rows, so a reset never costs more than the rows it serves). Wider key
@@ -577,9 +682,9 @@ const MEMO_DOMAIN_MAX: usize = 1 << 14;
 #[derive(Default)]
 struct CodeMemo {
     dicts: Vec<Arc<Vec<String>>>,
-    /// Group per composite code; EMPTY = not resolved since the
+    /// Group per composite code; empty = not resolved since the
     /// dictionaries last changed.
-    groups: Vec<u32>,
+    groups: DirectMap,
     /// Composite code per lane of the current batch.
     codes: Vec<u32>,
 }
@@ -611,8 +716,7 @@ impl CodeMemo {
         }
         self.dicts.clear();
         self.dicts.extend(keys.iter().filter_map(|k| dict_of(k).cloned()));
-        self.groups.clear();
-        self.groups.resize(domain, EMPTY);
+        self.groups.reset(domain);
         true
     }
 }
@@ -645,6 +749,8 @@ struct AggScratch {
     tmp: SelVec,
     /// Resolved group id per lane (EMPTY = not yet resolved).
     gidx: Vec<u32>,
+    /// The direct rung's key → group map.
+    direct: DirectKeys,
     /// The dict-key rung's composite code → group memo.
     memo: CodeMemo,
     /// Rows resolved through the memo instead of per-row hash+probe
@@ -666,8 +772,9 @@ struct AggShard {
     states: Vec<AggState>,
     n_groups: usize,
     scratch: AggScratch,
-    /// Group count at the last [`AggShard::grown_bytes`] computation.
-    sized_groups: usize,
+    /// Group count and direct-map bytes at the last
+    /// [`AggShard::grown_bytes`] computation.
+    sized: (usize, usize),
 }
 
 impl AggShard {
@@ -684,7 +791,7 @@ impl AggShard {
             states: aggs.iter().map(AggState::new).collect::<Result<_>>()?,
             n_groups: 0,
             scratch: AggScratch::default(),
-            sized_groups: usize::MAX,
+            sized: (usize::MAX, 0),
         })
     }
 
@@ -707,6 +814,7 @@ impl AggShard {
             Groups::One
         } else {
             self.resolve_groups(keys, sel, n, hashes)?;
+            self.grow_states();
             Groups::Each(&self.scratch.gidx)
         };
         for (i, state) in self.states.iter_mut().enumerate() {
@@ -720,24 +828,33 @@ impl AggShard {
     fn ensure_global_group(&mut self) {
         if self.n_groups == 0 {
             self.n_groups = 1;
-            self.states.iter_mut().for_each(AggState::push_group);
+            self.grow_states();
         }
     }
 
-    /// Approximate heap bytes of this shard's group keys + accumulators
-    /// (the memory governor's charging unit) — but only when the shard
-    /// gained groups since the last call: the walk is O(groups) for string
-    /// keys, and fixed-width state grows only with the group count (string
-    /// MIN/MAX drift in between is bounded by the value sizes and
-    /// corrected at the next growth or eviction).
+    /// Give the groups resolution created this batch their initial
+    /// accumulator state.
+    fn grow_states(&mut self) {
+        let n = self.n_groups;
+        self.states.iter_mut().for_each(|s| s.grow(n));
+    }
+
+    /// Approximate heap bytes of this shard's group keys, accumulators and
+    /// direct map (the memory governor's charging unit) — but only when
+    /// the shard gained groups or re-laid its map since the last call: the
+    /// walk is O(groups) for string keys, and fixed-width state grows only
+    /// with the group count (string MIN/MAX drift in between is bounded by
+    /// the value sizes and corrected at the next growth or eviction).
     fn grown_bytes(&mut self) -> Option<usize> {
-        if self.n_groups == self.sized_groups {
+        let map = self.scratch.direct.map.bytes();
+        if (self.n_groups, map) == self.sized {
             return None;
         }
-        self.sized_groups = self.n_groups;
+        self.sized = (self.n_groups, map);
         Some(
             self.group_keys.iter().map(|v| v.byte_size()).sum::<usize>()
-                + self.states.iter().map(|s| s.approx_bytes()).sum::<usize>(),
+                + self.states.iter().map(|s| s.approx_bytes()).sum::<usize>()
+                + map,
         )
     }
 
@@ -768,6 +885,7 @@ impl AggShard {
         let mut all = std::mem::take(&mut self.scratch.dense);
         all.fill_identity(n);
         self.resolve_groups(Keys::Owned(keys), &all, n, None)?;
+        self.grow_states();
         let mut off = 0;
         for (st, &func) in self.states.iter_mut().zip(&self.funcs) {
             let w = AggState::state_width(func);
@@ -1089,27 +1207,31 @@ impl HashAggregate {
 
 impl AggShard {
     /// Resolve every `sel` lane's key (at least one key column) to a group
-    /// id in `scratch.gidx`, creating groups for unseen keys. `hashes`,
-    /// when given, are the lanes' key hashes (`hash_keys` with NULLs
-    /// hashed to their sentinel lane) — the general path then skips its
-    /// own hash pass.
+    /// id in `scratch.gidx`, creating groups for unseen keys (the caller
+    /// then grows the accumulators to `n_groups`). `hashes`, when given,
+    /// are the lanes' key hashes (`hash_keys` with NULLs hashed to their
+    /// sentinel lane) — the general path then skips its own hash pass.
     ///
     /// A ladder, chosen per batch from what the batch is (the rung above
     /// it, no keys at all, never gets here — see [`AggShard::fold`]):
     ///
-    /// 1. **every key dictionary-coded** (composite domain within
+    /// 1. **one NULL-free, flat integer-like key whose live values fit the
+    ///    direct map** ([`DirectKeys`]): one subtract and one load per
+    ///    lane, no hash;
+    /// 2. **every key dictionary-coded** (composite domain within
     ///    [`MEMO_DOMAIN_MAX`]): one composite code per lane, one memo
     ///    lookup per lane, one hash + chain probe per *distinct* code per
     ///    dictionary set ([`CodeMemo`]);
-    /// 2. **one NULL-free, flat (not dict-coded) key column**: the fused,
+    /// 3. **one NULL-free, flat (not dict-coded) key column**: the fused,
     ///    type-monomorphized kernel — hash, chain walk and key compare in
     ///    one staged pass;
-    /// 3. **anything else**: hash all lanes, gather candidates, confirm
+    /// 4. **anything else**: hash all lanes, gather candidates, confirm
     ///    keys column by column through selection vectors.
     ///
-    /// Every rung finds or creates groups in the same table under the same
-    /// hash (`hash_keys`' scheme), so a key's group is the same whichever
-    /// rung meets it — batches may change rung mid-stream.
+    /// Groups live in `group_keys`; the table and the direct map are
+    /// indexes over them, each synced before it is read (the table under
+    /// `hash_keys`' scheme), so a key's group is the same whichever rung
+    /// meets it — batches may change rung mid-stream.
     fn resolve_groups(
         &mut self,
         keys: Keys<'_>,
@@ -1117,10 +1239,30 @@ impl AggShard {
         n: usize,
         hashes: Option<&[u64]>,
     ) -> Result<()> {
-        let AggShard { table, group_keys, states, n_groups, scratch: s, .. } = self;
+        let AggShard { table, group_keys, n_groups, scratch: s, .. } = self;
         if s.gidx.len() < n {
             s.gidx.resize(n, EMPTY);
         }
+        let key = keys.get(0);
+        if keys.len() == 1 && key.nulls.is_none() && key.dict_parts().is_none() {
+            let (direct, gidx) = (&mut s.direct, &mut s.gidx[..]);
+            let Vector { data, nulls, .. } = &mut group_keys[0];
+            macro_rules! direct {
+                ($($v:ident),*) => {
+                    match (&key.data, data) {
+                        $((ColData::$v(d), ColData::$v(stored)) => {
+                            resolve_direct(d, sel, n, stored, nulls, direct, n_groups, gidx)
+                        })*
+                        _ => false,
+                    }
+                };
+            }
+            if direct!(I64, I32, Date, I16, I8, Bool) {
+                return Ok(());
+            }
+        }
+        // Every rung below reads the table: it must know every group.
+        table.sync(group_keys);
         if s.memo.attach(keys) {
             let CodeMemo { dicts, groups, codes } = &mut s.memo;
             if codes.len() < n {
@@ -1155,16 +1297,23 @@ impl AggShard {
                 #[inline(always)]
                 |p, _| {
                     let code = codes[p] as usize;
-                    if groups[code] == EMPTY {
-                        probes += 1;
-                        match group_of_code(dicts, code, table, group_keys, states, n_groups) {
-                            Ok(g) => groups[code] = g,
-                            Err(e) => {
-                                bad.get_or_insert(e);
+                    let g = match groups.get(code) {
+                        Some(g) => g,
+                        None => {
+                            probes += 1;
+                            match group_of_code(dicts, code, table, group_keys, n_groups) {
+                                Ok(g) => {
+                                    groups.set(code, g);
+                                    g
+                                }
+                                Err(e) => {
+                                    bad.get_or_insert(e);
+                                    EMPTY
+                                }
                             }
                         }
-                    }
-                    s.gidx[p] = groups[code];
+                    };
+                    s.gidx[p] = g;
                 },
             );
             s.enc_skipped += (sel.len() as u64).saturating_sub(probes);
@@ -1173,7 +1322,6 @@ impl AggShard {
         // A dict-coded key that `attach` turned away (domain over the memo
         // bound) has no flat `data` for the fused kernel to read: it takes
         // the general path, which reads codes through the dictionary.
-        let key = keys.get(0);
         if keys.len() == 1
             && key.nulls.is_none()
             && key.dict_parts().is_none()
@@ -1201,17 +1349,15 @@ impl AggShard {
             });
             if fused_ran {
                 let lane_hash = |p| s.buf.lane_hash(p);
-                insert_misses(
+                return insert_misses(
                     table,
                     group_keys,
-                    states,
                     n_groups,
                     &mut s.gidx,
                     keys,
                     sel,
                     lane_hash,
-                )?;
-                return Ok(());
+                );
             }
         }
         // General path: hash all lanes (NULL keys hash to the NULL-group
@@ -1249,8 +1395,61 @@ impl AggShard {
             table.advance_matching(hashes, &s.tmp, &mut s.cand, &mut s.next_active);
             std::mem::swap(&mut s.active, &mut s.next_active);
         }
-        insert_misses(table, group_keys, states, n_groups, &mut s.gidx, keys, sel, |p| hashes[p])
+        insert_misses(table, group_keys, n_groups, &mut s.gidx, keys, sel, |p| hashes[p])
     }
+}
+
+/// The direct rung over one NULL-free integer key `d`: when the live
+/// lanes' range is one the map covers ([`DirectKeys::cover`]), every lane
+/// resolves with one subtract and one load, and a key the map has not
+/// seen becomes the next group — a typed push onto the stored key column,
+/// no hash (the table catches up when a hashing rung next reads it).
+/// `false` when the rung does not apply; nothing was resolved then.
+#[allow(clippy::too_many_arguments)]
+fn resolve_direct<T: Copy + Into<i64>>(
+    d: &[T],
+    sel: &SelVec,
+    n: usize,
+    stored: &mut Vec<T>,
+    nulls: &mut Option<Vec<bool>>,
+    direct: &mut DirectKeys,
+    n_groups: &mut usize,
+    gidx: &mut [u32],
+) -> bool {
+    let (mut lo, mut hi) = (i64::MAX, i64::MIN);
+    for_each_live(Groups::One, None, sel, n, |p, _| {
+        let x: i64 = d[p].into();
+        (lo, hi) = (lo.min(x), hi.max(x));
+    });
+    if sel.is_empty() || !direct.cover(lo, hi, sel.len(), stored, nulls.as_deref()) {
+        return false;
+    }
+    let mut next = *n_groups as u32;
+    for_each_live(
+        Groups::One,
+        None,
+        sel,
+        n,
+        #[inline(always)]
+        |p, _| {
+            let code = direct.offset(d[p].into());
+            gidx[p] = match direct.map.get(code) {
+                Some(g) => g,
+                None => {
+                    direct.map.set(code, next);
+                    stored.push(d[p]);
+                    next += 1;
+                    next - 1
+                }
+            };
+        },
+    );
+    *n_groups = next as usize;
+    direct.synced = *n_groups;
+    if let Some(m) = nulls {
+        m.resize(*n_groups, false);
+    }
+    true
 }
 
 /// Find or create the group of composite code `code` — a tuple of
@@ -1266,7 +1465,6 @@ fn group_of_code(
     code: usize,
     table: &mut GroupTable,
     group_keys: &mut [Vector],
-    states: &mut [AggState],
     n_groups: &mut usize,
 ) -> Result<u32> {
     let lane = |e: Option<&str>| e.map_or(hashtable::NULL_KEY_LANE, |v| hash_bytes(v.as_bytes()));
@@ -1284,19 +1482,66 @@ fn group_of_code(
         return Ok(g);
     }
     for (e, gk) in code_entries(dicts, code).zip(group_keys.iter_mut()) {
-        gk.push(&e.map_or(Value::Null, |v| Value::Str(v.to_string())))?;
+        push_key(gk, e.is_none(), |data| match (data, e) {
+            (ColData::Str(d), Some(v)) => {
+                d.push(v.to_owned());
+                Some(())
+            }
+            _ => None,
+        })?;
     }
-    Ok(new_group(table, h, states, n_groups))
+    Ok(new_group(table, h, n_groups))
 }
 
-/// Register the next group id under hash `h` (the caller pushes its key
-/// values) with fresh accumulator state.
-fn new_group(table: &mut GroupTable, h: u64, states: &mut [AggState], n_groups: &mut usize) -> u32 {
+/// Register the next group id under hash `h` (the caller pushed its key
+/// values; the accumulators grow once the batch is resolved).
+fn new_group(table: &mut GroupTable, h: u64, n_groups: &mut usize) -> u32 {
     let g = table.insert(h);
     debug_assert_eq!(g as usize, *n_groups);
     *n_groups += 1;
-    states.iter_mut().for_each(AggState::push_group);
     g
+}
+
+/// Append one key value to the stored, always flat, key column `gk`:
+/// NULL as the type's safe default under the indicator, anything else
+/// through `push`, a typed push that returns `None` for a value of
+/// another type than the column's (a mixed-type plan key).
+fn push_key(
+    gk: &mut Vector,
+    null: bool,
+    push: impl FnOnce(&mut ColData) -> Option<()>,
+) -> Result<()> {
+    if null {
+        gk.data.push_safe_default();
+    } else if push(&mut gk.data).is_none() {
+        return Err(VwError::Exec(format!(
+            "cannot append a group key to a {} key column",
+            gk.type_id().sql_name()
+        )));
+    }
+    let rows = gk.data.len();
+    match &mut gk.nulls {
+        Some(m) => m.push(null),
+        None if null => gk.nulls = Some((0..rows).map(|r| r + 1 == rows).collect()),
+        None => {}
+    }
+    Ok(())
+}
+
+/// Push lane `p` of key column `k` (flat or dict-coded) onto `data`, if
+/// both are of one type.
+fn push_lane(data: &mut ColData, k: &Vector, p: usize) -> Option<()> {
+    match (data, &k.data) {
+        (ColData::Str(d), _) if k.type_id() == TypeId::Str => d.push(k.str_at(p).to_owned()),
+        (ColData::Bool(d), ColData::Bool(s)) => d.push(s[p]),
+        (ColData::I8(d), ColData::I8(s)) => d.push(s[p]),
+        (ColData::I16(d), ColData::I16(s)) => d.push(s[p]),
+        (ColData::I32(d), ColData::I32(s)) | (ColData::Date(d), ColData::Date(s)) => d.push(s[p]),
+        (ColData::I64(d), ColData::I64(s)) => d.push(s[p]),
+        (ColData::F64(d), ColData::F64(s)) => d.push(s[p]),
+        _ => return None,
+    }
+    Some(())
 }
 
 /// Scalar leftover pass: unseen keys become new groups. Walking the
@@ -1304,11 +1549,9 @@ fn new_group(table: &mut GroupTable, h: u64, states: &mut [AggState], n_groups: 
 /// very batch (lane A inserts key K, lane B then finds it). `lane_hash`
 /// reads a lane's hash from wherever the vectorized pass left it (the
 /// fused kernel's staging buffer or the hash vector).
-#[allow(clippy::too_many_arguments)]
 fn insert_misses(
     table: &mut GroupTable,
     group_keys: &mut [Vector],
-    states: &mut [AggState],
     n_groups: &mut usize,
     gidx: &mut [u32],
     keys: Keys<'_>,
@@ -1321,16 +1564,15 @@ fn insert_misses(
         }
         let h = lane_hash(p);
         let found = table.find_chain(h, |row| keys_equal_row(keys, p, group_keys, row as usize));
-        let g = match found {
+        gidx[p] = match found {
             Some(row) => row,
             None => {
                 for (gk, k) in group_keys.iter_mut().zip(keys.iter()) {
-                    gk.push(&k.get(p))?;
+                    push_key(gk, k.is_null(p), |data| push_lane(data, k, p))?;
                 }
-                new_group(table, h, states, n_groups)
+                new_group(table, h, n_groups)
             }
         };
-        gidx[p] = g;
     }
     Ok(())
 }
@@ -1338,17 +1580,23 @@ fn insert_misses(
 /// Scalar key comparison for the new-group insert path (grouping
 /// semantics: NULL equals NULL). Probe keys may be dict-coded (their flat
 /// data is the empty placeholder), so string columns compare through the
-/// encoding-aware `str_at`; stored group keys are always flat.
+/// encoding-aware `str_at`; stored group keys are always flat. Columns of
+/// two different types never match (`Value`'s structural equality).
 fn keys_equal_row(probe: Keys<'_>, p: usize, stored: &[Vector], row: usize) -> bool {
     probe.iter().zip(stored).all(|(pk, sk)| match (pk.is_null(p), sk.is_null(row)) {
         (true, true) => true,
-        (false, false) => {
-            if pk.type_id() == TypeId::Str && sk.type_id() == TypeId::Str {
-                pk.str_at(p) == sk.str_at(row)
-            } else {
-                pk.data.get_value(p) == sk.data.get_value(row)
+        (false, false) => match (&pk.data, &sk.data) {
+            (_, ColData::Str(s)) if pk.type_id() == TypeId::Str => pk.str_at(p) == s[row],
+            (ColData::Bool(a), ColData::Bool(b)) => a[p] == b[row],
+            (ColData::I8(a), ColData::I8(b)) => a[p] == b[row],
+            (ColData::I16(a), ColData::I16(b)) => a[p] == b[row],
+            (ColData::I32(a), ColData::I32(b)) | (ColData::Date(a), ColData::Date(b)) => {
+                a[p] == b[row]
             }
-        }
+            (ColData::I64(a), ColData::I64(b)) => a[p] == b[row],
+            (ColData::F64(a), ColData::F64(b)) => a[p].to_bits() == b[row].to_bits(),
+            _ => false,
+        },
         _ => false,
     })
 }
@@ -1662,6 +1910,36 @@ mod tests {
         let p = Operator::profile(&op).unwrap();
         assert_eq!(p.shard_build_rows, vec![2], "one serial shard of two groups");
         assert!(p.flat_batches > 0 && p.enc_batches == 0, "{p:?}");
+    }
+
+    #[test]
+    fn an_integer_key_indexes_its_groups_directly_and_the_table_catches_up() {
+        let key = ExprProgram::compile(&PhysExpr::ColRef(0, TypeId::I64));
+        let count = AggSpec { func: AggFunc::CountStar, input: None, out_ty: TypeId::I64 };
+        let mut shard = AggShard::new(&[key], &[count]).unwrap();
+        let fold = |shard: &mut AggShard, keys: Vec<i64>| {
+            let n = keys.len();
+            let keys = [Vector::new(ColData::I64(keys))];
+            shard.fold(Keys::Owned(&keys), &SelVec::identity(n), n, None, |_| None).unwrap();
+            shard.scratch.gidx[..n].to_vec()
+        };
+        // Inside the span: groups in first-seen order, none hashed.
+        assert_eq!(fold(&mut shard, vec![5, 3, 5, 9]), [0, 1, 0, 2]);
+        assert_eq!((shard.n_groups, shard.table.len()), (3, 0));
+        // The governor is charged for the map with the keys and counts.
+        let map = shard.scratch.direct.map.bytes();
+        assert!(map > 0);
+        assert_eq!(shard.grown_bytes(), Some(3 * 8 + 3 * 8 + map));
+        // Over the span cap: the fused rung, after the table caught up.
+        let far = i64::MAX - 1;
+        assert_eq!(fold(&mut shard, vec![9, far, 3, 4]), [2, 3, 1, 4]);
+        assert_eq!((shard.n_groups, shard.table.len()), (5, 5));
+        assert!(shard.scratch.direct.map.is_empty(), "a batch over the cap drops the map");
+        // Inside it again: the map is laid out over every group so far.
+        assert_eq!(fold(&mut shard, vec![4, 6, 5]), [4, 5, 0]);
+        assert_eq!((shard.n_groups, shard.table.len()), (6, 5));
+        let Some(AggState::Count(c)) = shard.states.first() else { panic!() };
+        assert_eq!(c, &[3, 2, 2, 1, 2, 1]);
     }
 
     // Every build configuration (one shard, governed ample/tight) ×

@@ -569,7 +569,7 @@ mod build_mode_matrix {
     use std::collections::HashMap;
     use std::sync::atomic::Ordering;
     use std::sync::Arc;
-    use vectorwise::common::{ColData, Field, Schema, TypeId, Value, VwError};
+    use vectorwise::common::{ColData, Date, Field, Schema, TypeId, Value, VwError};
     use vectorwise::exec::cancel::CancelToken;
     use vectorwise::exec::expr::PhysExpr;
     use vectorwise::exec::op::{
@@ -1359,15 +1359,19 @@ mod build_mode_matrix {
     // -----------------------------------------------------------------
     // The group-resolution ladder and the accumulator kernels: every key
     // shape that picks a different rung (none, all dict-coded, dict-coded
-    // over too wide a domain, dict + BIGINT) × dense and selected batches,
-    // over dictionaries that are shared by three batches and then replaced
-    // (a pack seam), against volcano, in the P = 1 and governed
+    // over too wide a domain, dict + BIGINT, one integer key the direct map
+    // takes, leaves or never takes) × dense and selected batches, over
+    // dictionaries that are shared by three batches and then replaced (a
+    // pack seam), against volcano, in the P = 1 and governed
     // configurations.
     // -----------------------------------------------------------------
 
     /// `a`, `b`, `c`: low-cardinality strings (NULLs in `a` and `b`);
     /// `w1`, `w2`: 130 values each, so `(w1, w2)`'s composite code domain
     /// (131² = 17 161) is over the memo bound; `k`, `v`: nullable BIGINT.
+    /// Then NULL-free integer keys for the direct rung ([`direct_key`]):
+    /// `kb` BIGINT, `kg` BIGINT, `kc` BIGINT, `ki` INT, `kd` DATE, `kx`
+    /// BIGINT.
     fn ladder_schema() -> Schema {
         Schema::new(vec![
             Field::nullable("a", TypeId::Str),
@@ -1377,8 +1381,46 @@ mod build_mode_matrix {
             Field::nullable("w2", TypeId::Str),
             Field::nullable("k", TypeId::I64),
             Field::nullable("v", TypeId::I64),
+            Field::not_null("kb", TypeId::I64),
+            Field::not_null("kg", TypeId::I64),
+            Field::not_null("kc", TypeId::I64),
+            Field::not_null("ki", TypeId::I32),
+            Field::not_null("kd", TypeId::Date),
+            Field::not_null("kx", TypeId::I64),
         ])
         .unwrap()
+    }
+
+    /// Row `i`'s value of direct-rung key column `col` (7..=12):
+    /// * `kb`: 1000 values, inside the span from the first batch;
+    /// * `kg`: up to `50 i`, so the live range widens batch after batch;
+    /// * `kc`: small until row 200, then every other row 3 M above the
+    ///   rest (each batch needs a span over the cap, so the map is dropped
+    ///   and the fused rung meets groups only the map knew), small again
+    ///   from row 400 (the map is laid out over the fused rung's groups);
+    /// * `ki`: INT, negative and positive; `kd`: DATE;
+    /// * `kx`: negative keys, then runs of keys at `i64::MIN` and at
+    ///   `i64::MAX`, then the two mixed (a span no arithmetic may wrap).
+    fn direct_key(rng: &mut SmallRng, col: usize, i: usize) -> Value {
+        let small = rng.gen_range(0..300i64);
+        match col {
+            7 => Value::I64(rng.gen_range(0..1000)),
+            8 => Value::I64(rng.gen_range(0..=50 * i as i64)),
+            9 => Value::I64(if (200..400).contains(&i) && i % 2 == 1 {
+                small + 3_000_000
+            } else {
+                small
+            }),
+            10 => Value::I32(rng.gen_range(-60..60)),
+            11 => Value::Date(Date(rng.gen_range(9000..9100))),
+            12 => Value::I64(match i {
+                0..200 => -small,
+                200..300 => i64::MIN + small % 3,
+                300..400 => i64::MAX - small % 3,
+                _ => [i64::MIN, i64::MAX, -1, 0, 1][small as usize % 5],
+            }),
+            _ => unreachable!("not a direct-rung key column"),
+        }
     }
 
     const LADDER_STRS: usize = 5;
@@ -1390,8 +1432,11 @@ mod build_mode_matrix {
 
     fn ladder_rows(rng: &mut SmallRng, n: usize) -> Vec<Vec<Value>> {
         let domains: Vec<Vec<String>> = (0..LADDER_STRS).map(ladder_domain).collect();
+        // The direct-rung keys draw from their own stream, so the columns
+        // before them are what they were without them.
+        let mut keys_rng = SmallRng::seed_from_u64(n as u64);
         (0..n)
-            .map(|_| {
+            .map(|i| {
                 let mut row: Vec<Value> = domains
                     .iter()
                     .enumerate()
@@ -1410,6 +1455,7 @@ mod build_mode_matrix {
                         Value::I64(rng.gen_range(0..domain))
                     });
                 }
+                row.extend((7..13).map(|c| direct_key(&mut keys_rng, c, i)));
                 row
             })
             .collect()
@@ -1452,7 +1498,7 @@ mod build_mode_matrix {
                     })
                     .collect();
                 for c in LADDER_STRS..schema.len() {
-                    let mut v = Vector::new(ColData::new(TypeId::I64));
+                    let mut v = Vector::new(ColData::new(schema.fields[c].ty));
                     ch.iter().for_each(|r| v.push(&r[c]).unwrap());
                     columns.push(v);
                 }
@@ -1542,13 +1588,20 @@ mod build_mode_matrix {
     fn every_resolution_rung_and_accumulator_kernel_agrees_with_volcano() {
         let mut rng = SmallRng::seed_from_u64(0x1adde2);
         let rows = ladder_rows(&mut rng, 613);
-        let shapes: [(&str, &[usize]); 6] = [
+        let shapes: [(&str, &[usize]); 13] = [
             ("global", &[]),
             ("two dict keys", &[0, 1]),
             ("three dict keys", &[0, 1, 2]),
             ("dict keys over the memo bound", &[3, 4]),
             ("dict + BIGINT", &[0, 5]),
             ("BIGINT + dict", &[5, 1]),
+            ("a NULL-bearing BIGINT key", &[5]),
+            ("a BIGINT key inside the span", &[7]),
+            ("a BIGINT key whose span grows", &[8]),
+            ("a BIGINT key past the span cap and back", &[9]),
+            ("an INT key", &[10]),
+            ("a DATE key", &[11]),
+            ("negative and extreme BIGINT keys", &[12]),
         ];
         for (shape, group) in shapes {
             for select in [false, true] {
@@ -1586,6 +1639,28 @@ mod build_mode_matrix {
             assert_eq!(run(&mut agg).unwrap(), ladder_volcano(&[], &[]).unwrap(), "{mode:?}");
             let (mut agg, _) = ladder_agg(mode, ladder_source(&[], 16, false), &[0, 1]);
             assert!(run(&mut agg).unwrap().is_empty(), "{mode:?}");
+        }
+    }
+
+    #[test]
+    fn a_high_cardinality_integer_key_spills_under_the_governor() {
+        // 3000 rows over 100 000 BIGINT values: nearly every row is a new
+        // group, resolved through the direct map whose bytes the governor
+        // is charged with; under the tight budget every slot evicts, maps
+        // included, and the re-aggregated partitions answer as volcano does.
+        let mut rng = SmallRng::seed_from_u64(0x41d);
+        let mut rows = ladder_rows(&mut rng, 3000);
+        for r in &mut rows {
+            r[7] = Value::I64(rng.gen_range(0..100_000));
+        }
+        let expect = ladder_volcano(&rows, &[7]).unwrap();
+        for mode in LADDER_MODES {
+            let (mut agg, gov) = ladder_agg(mode, ladder_source(&rows, 64, false), &[7]);
+            assert_eq!(sort_rows(run(&mut agg).unwrap()), expect, "{mode:?}");
+            drop(agg);
+            if let (Mode::Governed { budget }, Some(g)) = (mode, &gov) {
+                check_governor(g, budget, true, &format!("{mode:?}"));
+            }
         }
     }
 
