@@ -18,10 +18,10 @@
 /// Env overrides (read by [`EngineConfig::default`], like `VW_DOP`):
 ///
 /// * `VW_FAULT_SEED` — injector seed (default `0xF0A17`),
-/// * `VW_FAULT_IO_ERR` — sets both `read_err` and `write_err`,
-/// * `VW_FAULT_CORRUPT` — bit-flip/truncation probability on read,
-/// * `VW_FAULT_LATENCY_US` — extra device latency per faulted operation,
-/// * `VW_FAULT_NTH_WRITE` — fail the Nth write terminally (1-based).
+/// * `VW_FAULT_IO_ERR` — sets both `read_err` and `write_err`.
+///
+/// The other faults are armed in code (`EngineConfig::with_faults`), as
+/// the chaos and robustness suites do.
 ///
 /// See ARCHITECTURE.md ("Failure model") for the retry policy these faults
 /// are surfaced through.
@@ -81,9 +81,7 @@ impl FaultConfig {
             seed: env_u64("VW_FAULT_SEED").unwrap_or(0xF0A17),
             read_err: io_err,
             write_err: io_err,
-            corrupt: env_f64("VW_FAULT_CORRUPT").unwrap_or(0.0).clamp(0.0, 1.0),
-            latency_us: env_u64("VW_FAULT_LATENCY_US").unwrap_or(0),
-            fail_nth_write: env_u64("VW_FAULT_NTH_WRITE"),
+            ..FaultConfig::default()
         }
     }
 }
@@ -364,12 +362,8 @@ mod tests {
         assert!(FaultConfig { read_err: 0.01, ..Default::default() }.is_active());
         assert!(FaultConfig { latency_us: 5, ..Default::default() }.is_active());
         assert!(FaultConfig { fail_nth_write: Some(3), ..Default::default() }.is_active());
-        // Engine default is inactive unless VW_FAULT_* is exported.
-        if std::env::var("VW_FAULT_IO_ERR").is_err()
-            && std::env::var("VW_FAULT_CORRUPT").is_err()
-            && std::env::var("VW_FAULT_LATENCY_US").is_err()
-            && std::env::var("VW_FAULT_NTH_WRITE").is_err()
-        {
+        // Engine default is inactive unless VW_FAULT_IO_ERR is exported.
+        if std::env::var("VW_FAULT_IO_ERR").is_err() {
             assert!(!EngineConfig::default().faults.is_active());
         }
     }

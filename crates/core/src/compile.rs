@@ -1,9 +1,8 @@
 //! The cross compiler — "a fully new component in the Ingres architecture":
 //! lowers the rewritten algebra onto X100 kernel operators.
 //!
-//! Expressions lower 1:1 ([`SqlExpr`] → [`PhysExpr`]); any surviving
-//! extended function or IN-list means the rewriter did not run — that is a
-//! plan error, not a fallback. Plans lower onto `vw-exec` operators.
+//! Expressions lower 1:1 through [`SqlExpr::lower`]; plans lower onto
+//! `vw-exec` operators.
 //!
 //! [`LogicalPlan::Exchange`] runs the **pipeline factory**: the same plan
 //! fragment is compiled once per worker, but every partitioned scan the
@@ -53,61 +52,7 @@ use vw_sql::optimizer::{Estimator, PlanEstimates};
 use vw_sql::plan::{JoinKind, LogicalPlan, ScanHint};
 use vw_sql::SqlExpr;
 use vw_storage::TableStorage;
-
-/// Lower a bound+rewritten expression to a kernel expression.
-pub fn lower_expr(e: &SqlExpr) -> Result<PhysExpr> {
-    Ok(match e {
-        SqlExpr::Col(i, ty) => PhysExpr::ColRef(*i, *ty),
-        SqlExpr::Lit(v, ty) => PhysExpr::Const(v.clone(), *ty),
-        SqlExpr::Arith { op, l, r, ty } => PhysExpr::Arith {
-            op: *op,
-            lhs: Box::new(lower_expr(l)?),
-            rhs: Box::new(lower_expr(r)?),
-            ty: *ty,
-        },
-        SqlExpr::Cmp { op, l, r } => {
-            PhysExpr::Cmp { op: *op, lhs: Box::new(lower_expr(l)?), rhs: Box::new(lower_expr(r)?) }
-        }
-        SqlExpr::And(v) => PhysExpr::And(v.iter().map(lower_expr).collect::<Result<_>>()?),
-        SqlExpr::Or(v) => PhysExpr::Or(v.iter().map(lower_expr).collect::<Result<_>>()?),
-        SqlExpr::Not(x) => PhysExpr::Not(Box::new(lower_expr(x)?)),
-        SqlExpr::Cast { input, to } => {
-            PhysExpr::Cast { input: Box::new(lower_expr(input)?), to: *to }
-        }
-        SqlExpr::IsNull(x) => PhysExpr::IsNull(Box::new(lower_expr(x)?)),
-        SqlExpr::IsNotNull(x) => PhysExpr::IsNotNull(Box::new(lower_expr(x)?)),
-        SqlExpr::Case { branches, else_expr, ty } => PhysExpr::Case {
-            branches: branches
-                .iter()
-                .map(|(c, v)| Ok((lower_expr(c)?, lower_expr(v)?)))
-                .collect::<Result<_>>()?,
-            else_expr: match else_expr {
-                Some(x) => Some(Box::new(lower_expr(x)?)),
-                None => None,
-            },
-            ty: *ty,
-        },
-        SqlExpr::Func { func, args, ty } => PhysExpr::FuncCall {
-            func: *func,
-            args: args.iter().map(lower_expr).collect::<Result<_>>()?,
-            ty: *ty,
-        },
-        SqlExpr::Like { input, pattern, negated } => PhysExpr::Like {
-            input: Box::new(lower_expr(input)?),
-            pattern: pattern.clone(),
-            negated: *negated,
-        },
-        SqlExpr::Ext { func, .. } => {
-            return Err(VwError::Plan(format!(
-                "extended function {} survived the rewriter",
-                func.name()
-            )))
-        }
-        SqlExpr::InList { .. } => {
-            return Err(VwError::Plan("IN-list survived the rewriter".into()))
-        }
-    })
-}
+use vw_volcano::RowStore;
 
 /// Shared state of one Exchange lowering: the morsel dispensers its
 /// partitioned scans share, each with the stable generation its image
@@ -296,33 +241,15 @@ fn build_plan_node<'p>(
                 TableKind::Vectorwise { .. } => Box::new(lower_scan(
                     &entry, table, projection, hints, config, cancel, txn, partition, batch_pool,
                 )),
-                TableKind::Heap { store } => {
-                    // Classic-side table: materialize pages into rows (the
-                    // adapter path; the dedicated Volcano engine is used for
-                    // baseline benchmarks, not SQL execution).
-                    let store = store.read();
-                    let mut rows = Vec::with_capacity(store.n_rows() as usize);
-                    for p in 0..store.n_pages() {
-                        for row in store.read_page(p)? {
-                            rows.push(
-                                projection.iter().map(|&c| row[c].clone()).collect::<Vec<Value>>(),
-                            );
-                        }
-                    }
-                    let rows = match partition {
-                        // Heap rows have no morsel dispenser; a static
-                        // modulo split keeps the workers disjoint (heap
-                        // tables are the legacy baseline path).
-                        Some(p) => rows
-                            .into_iter()
-                            .enumerate()
-                            .filter(|(idx, _)| idx % p.dop == p.worker)
-                            .map(|(_, r)| r)
-                            .collect(),
-                        None => rows,
-                    };
-                    Box::new(Values::new(schema.clone(), rows, vs, cancel.clone()))
-                }
+                TableKind::Heap { store } => Box::new(heap_scan(
+                    &store.read(),
+                    schema.clone(),
+                    projection,
+                    false,
+                    partition.map(|p| (p.worker, p.dop)),
+                    vs,
+                    cancel,
+                )?),
             }
         }
         LogicalPlan::Filter { input, predicate } => {
@@ -338,7 +265,7 @@ fn build_plan_node<'p>(
                 query,
             )?;
             // Compile once per query: the operator only ever runs programs.
-            let program = SelectProgram::compile(&lower_expr(predicate)?);
+            let program = SelectProgram::compile(&predicate.lower()?);
             Box::new(
                 Select::new(child, program, cancel.clone()).with_batch_pool(batch_pool.clone()),
             )
@@ -357,7 +284,7 @@ fn build_plan_node<'p>(
             )?;
             let programs = exprs
                 .iter()
-                .map(|e| Ok(ExprProgram::compile(&lower_expr(e)?)))
+                .map(|e| Ok(ExprProgram::compile(&e.lower()?)))
                 .collect::<Result<_>>()?;
             Box::new(
                 Project::new(child, programs, schema.clone(), cancel.clone())
@@ -367,11 +294,11 @@ fn build_plan_node<'p>(
         LogicalPlan::Join { left, right, kind, keys, schema } => {
             let lk = keys
                 .iter()
-                .map(|(a, _)| Ok(ExprProgram::compile(&lower_expr(a)?)))
+                .map(|(a, _)| Ok(ExprProgram::compile(&a.lower()?)))
                 .collect::<Result<_>>()?;
             let rk = keys
                 .iter()
-                .map(|(_, b)| Ok(ExprProgram::compile(&lower_expr(b)?)))
+                .map(|(_, b)| Ok(ExprProgram::compile(&b.lower()?)))
                 .collect::<Result<_>>()?;
             let jt = match kind {
                 JoinKind::Inner => JoinType::Inner,
@@ -450,7 +377,7 @@ fn build_plan_node<'p>(
             )?;
             let g = group
                 .iter()
-                .map(|e| Ok(ExprProgram::compile(&lower_expr(e)?)))
+                .map(|e| Ok(ExprProgram::compile(&e.lower()?)))
                 .collect::<Result<_>>()?;
             let specs = aggs
                 .iter()
@@ -458,7 +385,7 @@ fn build_plan_node<'p>(
                     Ok(AggSpec {
                         func: a.func,
                         input: match &a.input {
-                            Some(e) => Some(ExprProgram::compile(&lower_expr(e)?)),
+                            Some(e) => Some(ExprProgram::compile(&e.lower()?)),
                             None => None,
                         },
                         out_ty: a.out_ty,
@@ -743,11 +670,51 @@ fn clip_image(
     (out, rids)
 }
 
-/// The victim search of an UPDATE/DELETE on VECTORWISE table `entry`:
+/// Lower a scan of heap table `store` onto a [`Values`] source — the one
+/// heap scan, shared by SELECT plans and the DML victim search. The
+/// heap's pages are materialized into rows of `schema`: `projection` of
+/// each row and, with `positions`, the row's position in the heap last.
+/// Heap rows have no morsel dispenser, so a worker's share is a static
+/// modulo split: `split = (worker, dop)` keeps every `dop`-th row.
+fn heap_scan(
+    store: &RowStore,
+    schema: Schema,
+    projection: &[usize],
+    positions: bool,
+    split: Option<(usize, usize)>,
+    vector_size: usize,
+    cancel: &CancelToken,
+) -> Result<Values> {
+    let mut rows = Vec::with_capacity(store.n_rows() as usize);
+    let mut pos = 0usize;
+    for p in 0..store.n_pages() {
+        for row in store.read_page(p)? {
+            if split.is_none_or(|(worker, dop)| pos % dop == worker) {
+                let mut out: Vec<Value> = projection.iter().map(|&c| row[c].clone()).collect();
+                if positions {
+                    out.push(Value::I64(pos as i64));
+                }
+                rows.push(out);
+            }
+            pos += 1;
+        }
+    }
+    Ok(Values::new(schema, rows, vector_size, cancel.clone()))
+}
+
+/// What a victim search reads: a VECTORWISE table's image as an open
+/// transaction sees it, or a heap its caller holds write-locked.
+pub(crate) enum VictimSource<'a> {
+    Image(&'a OpenTxn),
+    Heap(&'a RowStore),
+}
+
+/// The victim search of an UPDATE/DELETE on table `entry`:
 /// `Project[outputs.., rid] ∘ Filter[predicate] ∘ Scan[projection, hints]`
-/// over the image `txn` sees, under the statement's `cancel` token.
-/// `predicate` and `outputs` address the scan's output columns; the last
-/// column of every batch is the row's position in the image.
+/// over `source`, under the statement's `cancel` token. `predicate` and
+/// `outputs` address the scan's output columns; the last column of every
+/// batch is the row's position in the image or the heap. A heap has no
+/// zone maps: `hints` prune only an image.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn victim_scan(
     entry: &TableEntry,
@@ -758,22 +725,43 @@ pub(crate) fn victim_scan(
     outputs: &[SqlExpr],
     config: &EngineConfig,
     cancel: &CancelToken,
-    txn: Option<&OpenTxn>,
+    source: VictimSource<'_>,
 ) -> Result<BoxedOp> {
     let batch_pool = BatchPool::new();
-    let scan = lower_scan(entry, table, projection, hints, config, cancel, txn, None, &batch_pool)
-        .with_rids();
+    let rid = Field::not_null("rid", TypeId::I64);
+    let mut op: BoxedOp = match source {
+        VictimSource::Image(txn) => Box::new(
+            lower_scan(
+                entry,
+                table,
+                projection,
+                hints,
+                config,
+                cancel,
+                Some(txn),
+                None,
+                &batch_pool,
+            )
+            .with_rids(),
+        ),
+        VictimSource::Heap(store) => {
+            let mut fields: Vec<Field> =
+                projection.iter().map(|&c| entry.schema.field(c).clone()).collect();
+            fields.push(rid.clone());
+            let schema = Schema::unchecked(fields);
+            Box::new(heap_scan(store, schema, projection, true, None, config.vector_size, cancel)?)
+        }
+    };
     let mut fields = Vec::with_capacity(outputs.len() + 1);
     let mut programs = Vec::with_capacity(outputs.len() + 1);
     for (i, e) in outputs.iter().enumerate() {
         fields.push(Field::nullable(format!("set{i}"), e.type_id()));
-        programs.push(ExprProgram::compile(&lower_expr(e)?));
+        programs.push(ExprProgram::compile(&e.lower()?));
     }
-    fields.push(Field::not_null("rid", TypeId::I64));
+    fields.push(rid);
     programs.push(ExprProgram::compile(&PhysExpr::ColRef(projection.len(), TypeId::I64)));
-    let mut op: BoxedOp = Box::new(scan);
     if let Some(p) = predicate {
-        let program = SelectProgram::compile(&lower_expr(p)?);
+        let program = SelectProgram::compile(&p.lower()?);
         op = Box::new(Select::new(op, program, cancel.clone()).with_batch_pool(batch_pool.clone()));
     }
     let project = Project::new(op, programs, Schema::unchecked(fields), cancel.clone());

@@ -2,19 +2,22 @@
 //! multi-statement transactions, and CHECKPOINT propagation.
 
 use crate::catalog::{Image, TableEntry, TableKind};
+use crate::compile::VictimSource;
 use crate::monitor::EventLevel;
 use crate::{Database, SessionCore};
+use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::sync::Arc;
 use vw_common::{ColData, EngineConfig, Result, Schema, Value, VwError};
 use vw_exec::op::{Operator, VectorScan};
-use vw_exec::program::{ExprProgram, VectorPool};
+use vw_exec::program::eval_const;
 use vw_exec::CancelToken;
 use vw_pdt::store::items;
 use vw_pdt::Transaction;
 use vw_sql::ast::Expr;
 use vw_sql::SqlExpr;
 use vw_storage::{TableStats, TableStorage};
+use vw_volcano::RowStore;
 
 /// An open multi-statement transaction: one PDT transaction per touched
 /// VECTORWISE table, each with the stable generation it began on pinned,
@@ -51,8 +54,8 @@ impl OpenTxn {
 
 /// Evaluate literal INSERT rows: each expression binds like any DML
 /// expression, over no columns. What folding leaves (a rewritten
-/// COALESCE, say) runs once, over a one-row batch whose column it never
-/// reads.
+/// COALESCE, or a constant whose evaluation errors) runs through the
+/// constant evaluator, which reports the error.
 pub fn literal_rows(rows: &[Vec<Expr>]) -> Result<Vec<Vec<Value>>> {
     let empty = Schema::default();
     rows.iter()
@@ -60,7 +63,7 @@ pub fn literal_rows(rows: &[Vec<Expr>]) -> Result<Vec<Vec<Value>>> {
             row.iter()
                 .map(|e| match bind_on_table(e, &empty)? {
                     SqlExpr::Lit(v, _) => Ok(v),
-                    other => ScalarProgram::new(&other)?.eval_row(&[Value::I64(0)]),
+                    other => eval_const(&other.lower()?),
                 })
                 .collect()
         })
@@ -173,9 +176,10 @@ fn set_columns(schema: &Schema, sets: &[(String, Expr)]) -> Result<Vec<usize>> {
         .collect()
 }
 
-/// The victim search of UPDATE/DELETE: the RIDs matching `filter` in the
-/// image `txn` sees, ascending, and for UPDATE each victim's new values
-/// (one per SET clause, cast to the column type, NOT NULL checked).
+/// The victim search of UPDATE/DELETE: the RIDs matching `filter` in
+/// `source` (the image a transaction sees, or a heap), ascending, and for
+/// UPDATE each victim's new values (one per SET clause, cast to the
+/// column type, NOT NULL checked).
 ///
 /// It is a query like any other — `Project ∘ Filter ∘ Scan` over only the
 /// columns WHERE and the SET right-hand sides read, with the WHERE's
@@ -193,7 +197,7 @@ fn find_victims(
     cancel: &CancelToken,
     entry: &TableEntry,
     table: &str,
-    txn: &OpenTxn,
+    source: VictimSource<'_>,
     filter: Option<&Expr>,
     sets: &[(String, Expr)],
     set_cols: &[usize],
@@ -228,7 +232,7 @@ fn find_victims(
         &set_exprs,
         config,
         cancel,
-        Some(txn),
+        source,
     )?;
     let mut rids: Vec<u64> = Vec::new();
     let mut values: Vec<Vec<Value>> = Vec::new();
@@ -268,7 +272,8 @@ fn find_victims(
 /// anything is applied, and like any failed statement it leaves the
 /// transaction as it was — an auto-commit statement commits nothing, an
 /// open transaction does not even keep the snapshot a first touch of
-/// `table` pinned.
+/// `table` pinned. A heap table is rewritten instead (`rewrite_heap`),
+/// under the same monitoring.
 pub(crate) fn update_or_delete(
     db: &Arc<Database>,
     core: &mut SessionCore,
@@ -278,10 +283,19 @@ pub(crate) fn update_or_delete(
     sql: &str,
 ) -> Result<u64> {
     let entry = lookup(db, table)?;
-    if matches!(entry.kind, TableKind::Heap { .. }) {
-        return heap_update_delete(db, &entry, sets, filter);
-    }
     let (session, timeout_ms) = (core.id, core.cfg.statement_timeout_ms);
+    if let TableKind::Heap { store } = &entry.kind {
+        let config = &core.cfg;
+        return crate::tracked(
+            db,
+            session,
+            timeout_ms,
+            sql,
+            false,
+            |n| *n,
+            |cancel, _| rewrite_heap(db, config, cancel, &entry, table, store, sets, filter),
+        );
+    }
     let auto = core.txn.is_none();
     let open = core.txn.get_or_insert_with(OpenTxn::default);
     let first_touch = open.image_of(table).is_none();
@@ -300,7 +314,7 @@ pub(crate) fn update_or_delete(
                 cancel,
                 &entry,
                 table,
-                open,
+                VictimSource::Image(open),
                 filter,
                 sets.unwrap_or(&[]),
                 &set_cols,
@@ -330,127 +344,63 @@ pub(crate) fn update_or_delete(
     result
 }
 
-/// Heap-table UPDATE/DELETE: rewrite the heap (OLTP-side simplification —
-/// the paper's transactional machinery is the PDT path).
-fn heap_update_delete(
+/// Heap-table UPDATE/DELETE: the victims come from the same search as a
+/// VECTORWISE table's ([`find_victims`], over the heap's rows as typed
+/// columns), then the heap is rewritten with each victim replaced or
+/// dropped by position. The write lock is held from reading the rows to
+/// installing the rewritten heap, so no statement sees the heap half
+/// done. Heap DML never opens or joins a transaction: the rewrite is the
+/// commit, and a failed one leaves the old heap in place.
+#[allow(clippy::too_many_arguments)]
+fn rewrite_heap(
     db: &Arc<Database>,
+    config: &EngineConfig,
+    cancel: &CancelToken,
     entry: &TableEntry,
+    table: &str,
+    store: &RwLock<RowStore>,
     sets: Option<&[(String, Expr)]>,
     filter: Option<&Expr>,
 ) -> Result<u64> {
-    let TableKind::Heap { store } = &entry.kind else { unreachable!() };
-    let pred = filter.map(|f| bind_on_table(f, &entry.schema)).transpose()?;
-    let set_bound = sets
-        .map(|sets| {
-            sets.iter()
-                .map(|(col, e)| {
-                    let idx = entry
-                        .schema
-                        .index_of(col)
-                        .ok_or_else(|| VwError::Bind(format!("unknown column '{col}'")))?;
-                    Ok((idx, bind_on_table(e, &entry.schema)?))
-                })
-                .collect::<Result<Vec<_>>>()
-        })
-        .transpose()?;
-
-    // Compile once per statement; rows only pay a one-row program run.
-    let mut pred_prog = match &pred {
-        Some(p) => Some(ScalarProgram::new(p)?),
-        None => None,
-    };
-    let mut set_progs = match &set_bound {
-        Some(sets) => {
-            let mut out = Vec::with_capacity(sets.len());
-            for (idx, e) in sets {
-                out.push((*idx, ScalarProgram::new(e)?));
-            }
-            Some(out)
-        }
-        None => None,
-    };
-
-    let mut st = store.write();
-    let mut all: Vec<Vec<Value>> = Vec::with_capacity(st.n_rows() as usize);
-    for p in 0..st.n_pages() {
-        all.extend(st.read_page(p)?);
+    let set_list = sets.unwrap_or(&[]);
+    let set_cols = set_columns(&entry.schema, set_list)?;
+    let mut heap = store.write();
+    let source = VictimSource::Heap(&heap);
+    let (rids, values) =
+        find_victims(config, cancel, entry, table, source, filter, set_list, &set_cols)?;
+    if rids.is_empty() {
+        return Ok(0);
     }
-    let mut affected = 0u64;
-    let mut kept: Vec<Vec<Value>> = Vec::with_capacity(all.len());
-    for row in all {
-        let matched = match &mut pred_prog {
-            Some(p) => p.eval_row(&row)? == Value::Bool(true),
-            None => true,
-        };
-        if !matched {
-            kept.push(row);
-            continue;
-        }
-        affected += 1;
-        match &mut set_progs {
-            Some(sets) => {
-                let mut row = row;
-                for (idx, prog) in sets.iter_mut() {
-                    let field = entry.schema.field(*idx);
-                    let v = prog.eval_row(&row)?.cast_to(field.ty)?;
-                    if v.is_null() && !field.nullable {
-                        return Err(VwError::Exec(format!(
-                            "NULL in NOT NULL column {}",
-                            field.name
-                        )));
-                    }
-                    row[*idx] = v;
+    let mut rows = Vec::with_capacity(heap.n_rows() as usize);
+    for p in 0..heap.n_pages() {
+        rows.extend(heap.read_page(p)?);
+    }
+    match sets {
+        Some(_) => {
+            for (&rid, new) in rids.iter().zip(values) {
+                for (&col, v) in set_cols.iter().zip(new) {
+                    rows[rid as usize][col] = v;
                 }
-                kept.push(row);
             }
-            None => { /* delete: drop the row */ }
+        }
+        None => {
+            let mut victims = rids.iter().peekable();
+            let mut pos = 0u64;
+            rows.retain(|_| {
+                let victim = victims.next_if_eq(&&pos).is_some();
+                pos += 1;
+                !victim
+            });
         }
     }
-    let mut fresh = vw_volcano::RowStore::new(db.pool.clone(), entry.schema.clone());
-    fresh.append_rows(&kept)?;
-    *st = fresh; // the old heap frees its pages as it drops
-    if affected > 0 {
-        // Same staleness contract as the PDT path: the heap rewrite just
-        // changed or removed rows the statistics still describe.
-        entry.stats.write().mark_stale();
-    }
-    Ok(affected)
-}
-
-/// A bound, rewritten scalar expression for the heap DML path and INSERT
-/// VALUES: lowering and program compilation happen once at construction;
-/// each row then pays only a one-row batch build and a pooled program run.
-struct ScalarProgram {
-    program: ExprProgram,
-    pool: VectorPool,
-}
-
-impl ScalarProgram {
-    fn new(e: &SqlExpr) -> Result<ScalarProgram> {
-        Ok(ScalarProgram {
-            program: ExprProgram::compile(&crate::compile::lower_expr(e)?),
-            pool: VectorPool::new(),
-        })
-    }
-
-    /// Evaluate against one heap row. Columns are typed per value (NULLs
-    /// default to BIGINT), matching the expression evaluation the old
-    /// per-row interpreter performed.
-    fn eval_row(&mut self, row: &[Value]) -> Result<Value> {
-        use vw_exec::vector::Batch;
-        let mut columns = Vec::with_capacity(row.len());
-        for v in row {
-            let ty = v.type_id().unwrap_or(vw_common::TypeId::I64);
-            let mut vec = vw_exec::Vector::new(ColData::with_capacity(ty, 1));
-            vec.push(v)?;
-            columns.push(vec);
-        }
-        let batch = Batch::new(columns);
-        let vr = self.program.run(&mut self.pool, &batch)?;
-        let out = self.pool.get(&batch, vr).get(0);
-        self.pool.recycle();
-        Ok(out)
-    }
+    let mut fresh = RowStore::new(db.pool.clone(), entry.schema.clone());
+    fresh.append_rows(&rows)?;
+    // The old heap frees its pages as it drops.
+    *heap = fresh;
+    // Same staleness contract as the PDT path: the rewrite just changed or
+    // removed rows the statistics still describe.
+    entry.stats.write().mark_stale();
+    Ok(rids.len() as u64)
 }
 
 /// Commit an open transaction atomically: under the global commit lock,

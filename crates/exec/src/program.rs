@@ -1616,19 +1616,26 @@ impl SelectProgram {
     }
 }
 
-/// Evaluate a column-free subtree to a single value — the one
-/// constant-folding mechanism shared by expression compilation
-/// (`try_fold`) and predicate compilation (`compile_sel`): compile the
-/// subtree with folding off and run it over a one-row batch, so the
-/// constant comes out of the kernels a column expression would use.
-/// `None` when evaluation errors; callers leave the subtree compiled so
-/// the error still surfaces at run time.
-fn fold_const_value(e: &PhysExpr) -> Option<Value> {
+/// Evaluate a column-free expression to a single value — the one
+/// constant evaluator: compile it with folding off and run it over a
+/// one-row batch, so the constant comes out of the kernels a column
+/// expression would use, errors included (overflow, division by zero, a
+/// failed cast). Plan-time folding and literal INSERT rows call it
+/// directly; expression and predicate compilation through
+/// `fold_const_value`.
+pub fn eval_const(e: &PhysExpr) -> Result<Value> {
     // One-row dummy batch: the expression references no columns.
     let batch = Batch::new(vec![Vector::new(ColData::I64(vec![0]))]);
     let mut pool = VectorPool::new();
-    let r = ExprProgram::compile_with(e, false).run(&mut pool, &batch).ok()?;
-    Some(pool.get(&batch, r).get(0))
+    let r = ExprProgram::compile_with(e, false).run(&mut pool, &batch)?;
+    Ok(pool.get(&batch, r).get(0))
+}
+
+/// [`eval_const`] for compilation (`try_fold`, `compile_sel`): `None` when
+/// evaluation errors, and callers leave the subtree compiled so the error
+/// still surfaces at run time.
+fn fold_const_value(e: &PhysExpr) -> Option<Value> {
+    eval_const(e).ok()
 }
 
 /// Linear const-ness marking (no short-circuit: every node gets an entry).

@@ -34,7 +34,14 @@ pub fn rewrite_fixpoint(e: SqlExpr, rules: &[Box<dyn ExprRule>], nullable: &[boo
 
 fn rewrite_once(e: SqlExpr, rules: &[Box<dyn ExprRule>], nullable: &[bool]) -> (SqlExpr, bool) {
     // 1. Rewrite children.
-    let (mut e, mut changed) = rebuild_children(e, &mut |c| rewrite_once(c, rules, nullable));
+    let mut changed = false;
+    let mut e = e
+        .map_children(&mut |c| {
+            let (c, fired) = rewrite_once(c, rules, nullable);
+            changed |= fired;
+            Ok(c)
+        })
+        .expect("rewriting a child cannot fail");
     // 2. Apply rules at this node.
     loop {
         let mut fired = false;
@@ -51,60 +58,6 @@ fn rewrite_once(e: SqlExpr, rules: &[Box<dyn ExprRule>], nullable: &[bool]) -> (
         }
     }
     (e, changed)
-}
-
-fn rebuild_children(e: SqlExpr, f: &mut impl FnMut(SqlExpr) -> (SqlExpr, bool)) -> (SqlExpr, bool) {
-    use SqlExpr::*;
-    let mut changed = false;
-    macro_rules! go {
-        ($x:expr) => {{
-            let (y, c) = f($x);
-            changed |= c;
-            Box::new(y)
-        }};
-    }
-    macro_rules! go_vec {
-        ($v:expr) => {{
-            $v.into_iter()
-                .map(|x| {
-                    let (y, c) = f(x);
-                    changed |= c;
-                    y
-                })
-                .collect::<Vec<_>>()
-        }};
-    }
-    let out = match e {
-        Arith { op, l, r, ty } => Arith { op, l: go!(*l), r: go!(*r), ty },
-        Cmp { op, l, r } => Cmp { op, l: go!(*l), r: go!(*r) },
-        And(v) => And(go_vec!(v)),
-        Or(v) => Or(go_vec!(v)),
-        Not(x) => Not(go!(*x)),
-        Cast { input, to } => Cast { input: go!(*input), to },
-        IsNull(x) => IsNull(go!(*x)),
-        IsNotNull(x) => IsNotNull(go!(*x)),
-        Case { branches, else_expr, ty } => Case {
-            branches: branches
-                .into_iter()
-                .map(|(c, v)| {
-                    let (c2, cc) = f(c);
-                    let (v2, vc) = f(v);
-                    changed |= cc | vc;
-                    (c2, v2)
-                })
-                .collect(),
-            else_expr: else_expr.map(|x| go!(*x)),
-            ty,
-        },
-        Func { func, args, ty } => Func { func, args: go_vec!(args), ty },
-        Ext { func, args, ty } => Ext { func, args: go_vec!(args), ty },
-        Like { input, pattern, negated } => Like { input: go!(*input), pattern, negated },
-        InList { input, list, negated } => {
-            InList { input: go!(*input), list: go_vec!(list), negated }
-        }
-        leaf @ (Col(..) | Lit(..)) => leaf,
-    };
-    (out, changed)
 }
 
 #[cfg(test)]

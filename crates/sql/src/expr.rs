@@ -4,10 +4,12 @@
 //! `SqlExpr` is a superset of the kernel's `PhysExpr`: it may still contain
 //! [`ExtFunc`] nodes (COALESCE and friends) and `IN`-lists, which the
 //! rewriter expands into kernel constructs before cross-compilation.
+//! [`SqlExpr::lower`] maps what is left onto `PhysExpr` 1:1.
 
 pub use vw_exec::expr::{BinOp, CmpOp, Func as KernelFunc};
 
 use vw_common::{Result, TypeId, Value, VwError};
+use vw_exec::expr::PhysExpr;
 
 /// SQL-level functions that have no kernel primitive: the rewriter expands
 /// them into combinations of CASE, comparisons and kernel functions —
@@ -193,60 +195,108 @@ impl SqlExpr {
         }
     }
 
+    /// Rebuild the expression with `f` applied to each direct child, in
+    /// place; leaves come back as they are. The one child walk: column
+    /// remapping, constant folding and the rewriter's rule driver are
+    /// built on it.
+    pub fn map_children(
+        mut self,
+        f: &mut dyn FnMut(SqlExpr) -> Result<SqlExpr>,
+    ) -> Result<SqlExpr> {
+        // The child is moved out past an empty AND, which allocates nothing.
+        let mut go = |e: &mut SqlExpr| -> Result<()> {
+            *e = f(std::mem::replace(e, SqlExpr::And(Vec::new())))?;
+            Ok(())
+        };
+        match &mut self {
+            SqlExpr::Col(..) | SqlExpr::Lit(..) => {}
+            SqlExpr::Arith { l, r, .. } | SqlExpr::Cmp { l, r, .. } => {
+                go(l)?;
+                go(r)?;
+            }
+            SqlExpr::And(v)
+            | SqlExpr::Or(v)
+            | SqlExpr::Func { args: v, .. }
+            | SqlExpr::Ext { args: v, .. } => v.iter_mut().try_for_each(&mut go)?,
+            SqlExpr::Not(e)
+            | SqlExpr::Cast { input: e, .. }
+            | SqlExpr::IsNull(e)
+            | SqlExpr::IsNotNull(e)
+            | SqlExpr::Like { input: e, .. } => go(e)?,
+            SqlExpr::Case { branches, else_expr, .. } => {
+                for (c, v) in branches {
+                    go(c)?;
+                    go(v)?;
+                }
+                if let Some(e) = else_expr {
+                    go(e)?;
+                }
+            }
+            SqlExpr::InList { input, list, .. } => {
+                go(input)?;
+                list.iter_mut().try_for_each(&mut go)?;
+            }
+        }
+        Ok(self)
+    }
+
     /// Rewrite column references through `map` (new index per old index);
     /// errors if a referenced column is not mapped.
     pub fn remap_cols(&self, map: &dyn Fn(usize) -> Option<usize>) -> Result<SqlExpr> {
-        let remap_box = |e: &SqlExpr| -> Result<Box<SqlExpr>> { Ok(Box::new(e.remap_cols(map)?)) };
-        let remap_vec = |v: &[SqlExpr]| -> Result<Vec<SqlExpr>> {
-            v.iter().map(|e| e.remap_cols(map)).collect()
-        };
+        fn remap(e: SqlExpr, map: &dyn Fn(usize) -> Option<usize>) -> Result<SqlExpr> {
+            match e {
+                SqlExpr::Col(i, ty) => map(i)
+                    .map(|ni| SqlExpr::Col(ni, ty))
+                    .ok_or_else(|| VwError::Plan(format!("column {i} not available after remap"))),
+                other => other.map_children(&mut |c| remap(c, map)),
+            }
+        }
+        remap(self.clone(), map)
+    }
+
+    /// Lower to the kernel's expression, 1:1. Any surviving extended
+    /// function or IN-list means the rewriter did not run — a plan error,
+    /// not a fallback.
+    pub fn lower(&self) -> Result<PhysExpr> {
+        let boxed = |e: &SqlExpr| -> Result<Box<PhysExpr>> { Ok(Box::new(e.lower()?)) };
+        let all =
+            |v: &[SqlExpr]| -> Result<Vec<PhysExpr>> { v.iter().map(SqlExpr::lower).collect() };
         Ok(match self {
-            SqlExpr::Col(i, ty) => {
-                let ni = map(*i).ok_or_else(|| {
-                    VwError::Plan(format!("column {i} not available after remap"))
-                })?;
-                SqlExpr::Col(ni, *ty)
-            }
-            SqlExpr::Lit(v, ty) => SqlExpr::Lit(v.clone(), *ty),
+            SqlExpr::Col(i, ty) => PhysExpr::ColRef(*i, *ty),
+            SqlExpr::Lit(v, ty) => PhysExpr::Const(v.clone(), *ty),
             SqlExpr::Arith { op, l, r, ty } => {
-                SqlExpr::Arith { op: *op, l: remap_box(l)?, r: remap_box(r)?, ty: *ty }
+                PhysExpr::Arith { op: *op, lhs: boxed(l)?, rhs: boxed(r)?, ty: *ty }
             }
-            SqlExpr::Cmp { op, l, r } => {
-                SqlExpr::Cmp { op: *op, l: remap_box(l)?, r: remap_box(r)? }
-            }
-            SqlExpr::And(v) => SqlExpr::And(remap_vec(v)?),
-            SqlExpr::Or(v) => SqlExpr::Or(remap_vec(v)?),
-            SqlExpr::Not(e) => SqlExpr::Not(remap_box(e)?),
-            SqlExpr::Cast { input, to } => SqlExpr::Cast { input: remap_box(input)?, to: *to },
-            SqlExpr::IsNull(e) => SqlExpr::IsNull(remap_box(e)?),
-            SqlExpr::IsNotNull(e) => SqlExpr::IsNotNull(remap_box(e)?),
-            SqlExpr::Case { branches, else_expr, ty } => SqlExpr::Case {
+            SqlExpr::Cmp { op, l, r } => PhysExpr::Cmp { op: *op, lhs: boxed(l)?, rhs: boxed(r)? },
+            SqlExpr::And(v) => PhysExpr::And(all(v)?),
+            SqlExpr::Or(v) => PhysExpr::Or(all(v)?),
+            SqlExpr::Not(x) => PhysExpr::Not(boxed(x)?),
+            SqlExpr::Cast { input, to } => PhysExpr::Cast { input: boxed(input)?, to: *to },
+            SqlExpr::IsNull(x) => PhysExpr::IsNull(boxed(x)?),
+            SqlExpr::IsNotNull(x) => PhysExpr::IsNotNull(boxed(x)?),
+            SqlExpr::Case { branches, else_expr, ty } => PhysExpr::Case {
                 branches: branches
                     .iter()
-                    .map(|(c, v)| Ok((c.remap_cols(map)?, v.remap_cols(map)?)))
+                    .map(|(c, v)| Ok((c.lower()?, v.lower()?)))
                     .collect::<Result<_>>()?,
-                else_expr: match else_expr {
-                    Some(e) => Some(remap_box(e)?),
-                    None => None,
-                },
+                else_expr: else_expr.as_deref().map(boxed).transpose()?,
                 ty: *ty,
             },
             SqlExpr::Func { func, args, ty } => {
-                SqlExpr::Func { func: *func, args: remap_vec(args)?, ty: *ty }
+                PhysExpr::FuncCall { func: *func, args: all(args)?, ty: *ty }
             }
-            SqlExpr::Ext { func, args, ty } => {
-                SqlExpr::Ext { func: *func, args: remap_vec(args)?, ty: *ty }
+            SqlExpr::Like { input, pattern, negated } => {
+                PhysExpr::Like { input: boxed(input)?, pattern: pattern.clone(), negated: *negated }
             }
-            SqlExpr::Like { input, pattern, negated } => SqlExpr::Like {
-                input: remap_box(input)?,
-                pattern: pattern.clone(),
-                negated: *negated,
-            },
-            SqlExpr::InList { input, list, negated } => SqlExpr::InList {
-                input: remap_box(input)?,
-                list: remap_vec(list)?,
-                negated: *negated,
-            },
+            SqlExpr::Ext { func, .. } => {
+                return Err(VwError::Plan(format!(
+                    "extended function {} survived the rewriter",
+                    func.name()
+                )))
+            }
+            SqlExpr::InList { .. } => {
+                return Err(VwError::Plan("IN-list survived the rewriter".into()))
+            }
         })
     }
 
@@ -257,9 +307,11 @@ impl SqlExpr {
 
     /// True if the expression references no columns (constant).
     pub fn is_const(&self) -> bool {
-        let mut cols = Vec::new();
-        self.collect_cols(&mut cols);
-        cols.is_empty()
+        match self {
+            SqlExpr::Col(..) => false,
+            SqlExpr::Lit(..) => true,
+            other => other.children().into_iter().all(SqlExpr::is_const),
+        }
     }
 
     /// Flatten a conjunction into its conjuncts.

@@ -4,7 +4,8 @@
 //! [`optimize`] runs one pass list over the bound plan:
 //!
 //! 1. **Decorrelation** — every Apply becomes a hash join;
-//! 2. **Constant folding** and **filter merging**;
+//! 2. **Constant folding** (column-free subtrees run once through the
+//!    kernel's compiled programs) and **filter merging**;
 //! 3. **Filter pushdown below joins** — error-free conjuncts sink through
 //!    projections and join inputs until they sit directly above the scans
 //!    they constrain;
@@ -29,6 +30,7 @@ use crate::expr::{CmpOp, SqlExpr};
 use crate::plan::{ApplyKind, JoinKind, LogicalPlan, ScanHint};
 use std::collections::HashMap;
 use vw_common::{Field, Result, Schema, TypeId, Value, VwError};
+use vw_exec::program::eval_const;
 
 /// Selectivity floor: a conjunction never claims to filter below this.
 const MIN_SEL: f64 = 1e-4;
@@ -222,129 +224,46 @@ fn fold_constants_plan(plan: LogicalPlan) -> Result<LogicalPlan> {
     })
 }
 
-/// Fold literal-only arithmetic/comparison subtrees.
+/// Constant folding through the one constant evaluator: the largest
+/// column-free subtree that lowers to the kernel is evaluated once by the
+/// compiled programs ([`eval_const`]) and becomes a literal. One whose
+/// evaluation errors is left as it is, so the error surfaces at run time.
+/// What folding adds of its own is TRUE/FALSE absorption in AND/OR,
+/// which holds whatever the column operands are.
 pub fn fold_expr(e: SqlExpr) -> Result<SqlExpr> {
-    use SqlExpr::*;
-    let e = match e {
-        Arith { op, l, r, ty } => {
-            let l = fold_expr(*l)?;
-            let r = fold_expr(*r)?;
-            if let (Lit(a, _), Lit(b, _)) = (&l, &r) {
-                if !a.is_null() && !b.is_null() {
-                    if let Some(v) = eval_const_arith(op, a, b, ty) {
-                        return Ok(Lit(v, ty));
-                    }
-                }
-            }
-            Arith { op, l: Box::new(l), r: Box::new(r), ty }
+    if !matches!(e, SqlExpr::Lit(..)) && e.is_const() {
+        if let Ok(p) = e.lower() {
+            return Ok(match eval_const(&p) {
+                Ok(v) => SqlExpr::Lit(v, e.type_id()),
+                Err(_) => e,
+            });
         }
-        Cmp { op, l, r } => {
-            let l = fold_expr(*l)?;
-            let r = fold_expr(*r)?;
-            if let (Lit(a, _), Lit(b, _)) = (&l, &r) {
-                if !a.is_null() && !b.is_null() {
-                    if let Some(o) = a.sql_cmp(b) {
-                        let holds = match op {
-                            CmpOp::Eq => o.is_eq(),
-                            CmpOp::Ne => !o.is_eq(),
-                            CmpOp::Lt => o.is_lt(),
-                            CmpOp::Le => !o.is_gt(),
-                            CmpOp::Gt => o.is_gt(),
-                            CmpOp::Ge => !o.is_lt(),
-                        };
-                        return Ok(Lit(Value::Bool(holds), TypeId::Bool));
-                    }
-                }
-            }
-            Cmp { op, l: Box::new(l), r: Box::new(r) }
-        }
-        And(parts) => {
-            let mut out = Vec::new();
-            for p in parts {
-                let p = fold_expr(p)?;
-                match p {
-                    Lit(Value::Bool(true), _) => continue,
-                    Lit(Value::Bool(false), _) => return Ok(Lit(Value::Bool(false), TypeId::Bool)),
-                    other => out.push(other),
-                }
-            }
-            match out.len() {
-                0 => Lit(Value::Bool(true), TypeId::Bool),
-                1 => out.pop().unwrap(),
-                _ => And(out),
-            }
-        }
-        Or(parts) => {
-            let mut out = Vec::new();
-            for p in parts {
-                let p = fold_expr(p)?;
-                match p {
-                    Lit(Value::Bool(false), _) => continue,
-                    Lit(Value::Bool(true), _) => return Ok(Lit(Value::Bool(true), TypeId::Bool)),
-                    other => out.push(other),
-                }
-            }
-            match out.len() {
-                0 => Lit(Value::Bool(false), TypeId::Bool),
-                1 => out.pop().unwrap(),
-                _ => Or(out),
-            }
-        }
-        Cast { input, to } => {
-            let input = fold_expr(*input)?;
-            if let Lit(v, _) = &input {
-                if let Ok(cast) = v.cast_to(to) {
-                    return Ok(Lit(cast, to));
-                }
-            }
-            Cast { input: Box::new(input), to }
-        }
-        Not(inner) => {
-            let inner = fold_expr(*inner)?;
-            if let Lit(Value::Bool(b), _) = inner {
-                return Ok(Lit(Value::Bool(!b), TypeId::Bool));
-            }
-            Not(Box::new(inner))
-        }
+    }
+    Ok(match e.map_children(&mut fold_expr)? {
+        SqlExpr::And(parts) => absorb(parts, false, SqlExpr::And),
+        SqlExpr::Or(parts) => absorb(parts, true, SqlExpr::Or),
         other => other,
-    };
-    Ok(e)
+    })
 }
 
-fn eval_const_arith(op: crate::expr::BinOp, a: &Value, b: &Value, ty: TypeId) -> Option<Value> {
-    use crate::expr::BinOp::*;
-    if ty == TypeId::F64 {
-        let (x, y) = (a.as_f64().ok()?, b.as_f64().ok()?);
-        if matches!(op, Div | Rem) && y == 0.0 {
-            return None; // leave for runtime error reporting
+/// AND (`decisive = false`) or OR (`decisive = true`) over folded `parts`:
+/// a `decisive` literal decides the connective, and the other boolean
+/// literal drops out.
+fn absorb(parts: Vec<SqlExpr>, decisive: bool, rebuild: fn(Vec<SqlExpr>) -> SqlExpr) -> SqlExpr {
+    let mut out = Vec::with_capacity(parts.len());
+    for p in parts {
+        match p {
+            SqlExpr::Lit(Value::Bool(b), _) if b == decisive => {
+                return SqlExpr::Lit(Value::Bool(decisive), TypeId::Bool)
+            }
+            SqlExpr::Lit(Value::Bool(_), _) => {}
+            other => out.push(other),
         }
-        Some(Value::F64(match op {
-            Add => x + y,
-            Sub => x - y,
-            Mul => x * y,
-            Div => x / y,
-            Rem => x % y,
-        }))
-    } else {
-        let (x, y) = (a.as_i64().ok()?, b.as_i64().ok()?);
-        let v = match op {
-            Add => x.checked_add(y)?,
-            Sub => x.checked_sub(y)?,
-            Mul => x.checked_mul(y)?,
-            Div => {
-                if y == 0 {
-                    return None;
-                }
-                x.checked_div(y)?
-            }
-            Rem => {
-                if y == 0 {
-                    return None;
-                }
-                x.wrapping_rem(y)
-            }
-        };
-        Some(Value::I64(v))
+    }
+    match out.len() {
+        0 => SqlExpr::Lit(Value::Bool(!decisive), TypeId::Bool),
+        1 => out.pop().unwrap(),
+        _ => rebuild(out),
     }
 }
 
@@ -1574,6 +1493,30 @@ mod tests {
         // Must NOT fold away: runtime raises the proper error.
         let folded = fold_expr(e.clone()).unwrap();
         assert_eq!(folded, e);
+    }
+
+    #[test]
+    fn fold_expr_evaluates_column_free_subtrees_and_absorbs() {
+        let lit = |v: i64| SqlExpr::Lit(Value::I64(v), TypeId::I64);
+        let cmp = |op: CmpOp, a: i64, b: i64| SqlExpr::Cmp {
+            op,
+            l: Box::new(lit(a)),
+            r: Box::new(lit(b)),
+        };
+        let bool_lit = |b: bool| SqlExpr::Lit(Value::Bool(b), TypeId::Bool);
+        let col = SqlExpr::Col(0, TypeId::Bool);
+        // No node kind needs a fold rule of its own: the kernel runs it.
+        let case = SqlExpr::Case {
+            branches: vec![(cmp(CmpOp::Lt, 1, 2), lit(3))],
+            else_expr: Some(Box::new(lit(4))),
+            ty: TypeId::I64,
+        };
+        assert_eq!(fold_expr(case).unwrap(), lit(3));
+        // A literal decides AND/OR whatever the column holds, or drops out.
+        let and = SqlExpr::And(vec![col.clone(), cmp(CmpOp::Gt, 1, 2)]);
+        assert_eq!(fold_expr(and).unwrap(), bool_lit(false));
+        let or = SqlExpr::Or(vec![col.clone(), cmp(CmpOp::Gt, 1, 2)]);
+        assert_eq!(fold_expr(or).unwrap(), col);
     }
 
     /// Collect scan table names in explain order (probe before build).

@@ -1,18 +1,12 @@
-//! A simulated block device with configurable bandwidth, seek latency, and
-//! deterministic fault injection.
+//! A simulated block device: an in-memory block store with traffic
+//! counters and deterministic fault injection.
 //!
-//! Storage in the paper is a bandwidth-limited device. Running on the page
-//! cache of the build machine would measure nothing; this simulated disk
-//! makes I/O cost explicit and deterministic:
+//! Storage in the paper is a disk array; here every block lives in memory
+//! and the device makes I/O *volume* explicit instead of its time:
 //!
-//! * reading a block costs `seek_latency` (if non-sequential) plus
-//!   `len / bandwidth`, charged by sleeping, so concurrent scans genuinely
-//!   compete for the device,
 //! * all traffic is counted in [`DiskStats`] (I/O volume is the
 //!   policy-independent ground truth),
 //! * a block is written once and never changed; its owner frees it.
-//!
-//! With `DiskConfig::instant()` the device is free, which unit tests use.
 //!
 //! # Fault injection
 //!
@@ -41,22 +35,6 @@ use vw_common::{FaultConfig, Result, VwError};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct BlockId(pub u64);
 
-/// Performance model of the device.
-#[derive(Debug, Clone)]
-pub struct DiskConfig {
-    /// Sustained transfer rate in bytes/second.
-    pub bandwidth_bytes_per_sec: u64,
-    /// Cost of a non-sequential access.
-    pub seek_latency: Duration,
-}
-
-impl DiskConfig {
-    /// A zero-cost device (unit tests; pure in-memory operation).
-    pub fn instant() -> DiskConfig {
-        DiskConfig { bandwidth_bytes_per_sec: 0, seek_latency: Duration::ZERO }
-    }
-}
-
 /// Monotonic traffic counters.
 #[derive(Debug, Default, Clone)]
 pub struct DiskStats {
@@ -64,8 +42,6 @@ pub struct DiskStats {
     pub reads: u64,
     /// Bytes read.
     pub bytes_read: u64,
-    /// Non-sequential reads (predecessor block differs).
-    pub seeks: u64,
     /// Blocks written.
     pub writes: u64,
     /// Bytes written.
@@ -75,11 +51,6 @@ pub struct DiskStats {
     pub io_retries: u64,
     /// Faults the injector has fired (errors + corruptions + Nth-write).
     pub faults_injected: u64,
-}
-
-struct DiskInner {
-    blocks: HashMap<u64, Arc<Vec<u8>>>,
-    last_read: Option<u64>,
 }
 
 /// The seeded fault state: a splitmix64 stream plus the write counter the
@@ -134,12 +105,10 @@ impl FaultInjector {
 
 /// The simulated device. Cheap to clone (`Arc` inside); thread-safe.
 pub struct SimulatedDisk {
-    inner: Mutex<DiskInner>,
-    config: DiskConfig,
+    blocks: Mutex<HashMap<u64, Arc<Vec<u8>>>>,
     next_id: AtomicU64,
     reads: AtomicU64,
     bytes_read: AtomicU64,
-    seeks: AtomicU64,
     writes: AtomicU64,
     bytes_written: AtomicU64,
     io_retries: AtomicU64,
@@ -177,15 +146,13 @@ pub fn retry_io<T>(disk: &SimulatedDisk, mut f: impl FnMut() -> Result<T>) -> Re
 }
 
 impl SimulatedDisk {
-    /// Create a device with the given performance model.
-    pub fn new(config: DiskConfig) -> Arc<SimulatedDisk> {
+    /// Create an empty device.
+    pub fn instant() -> Arc<SimulatedDisk> {
         Arc::new(SimulatedDisk {
-            inner: Mutex::new(DiskInner { blocks: HashMap::new(), last_read: None }),
-            config,
+            blocks: Mutex::new(HashMap::new()),
             next_id: AtomicU64::new(1),
             reads: AtomicU64::new(0),
             bytes_read: AtomicU64::new(0),
-            seeks: AtomicU64::new(0),
             writes: AtomicU64::new(0),
             bytes_written: AtomicU64::new(0),
             io_retries: AtomicU64::new(0),
@@ -193,11 +160,6 @@ impl SimulatedDisk {
             fault_active: AtomicBool::new(false),
             fault: Mutex::new(None),
         })
-    }
-
-    /// Create an instant (cost-free) device.
-    pub fn instant() -> Arc<SimulatedDisk> {
-        SimulatedDisk::new(DiskConfig::instant())
     }
 
     /// Install a fault injector (no-op for an inactive config). Arming
@@ -254,62 +216,41 @@ impl SimulatedDisk {
     /// under armed write faults; the fault-free path cannot fail.
     pub fn write_new(&self, data: Vec<u8>) -> Result<BlockId> {
         self.inject_write_fault()?;
-        let id = BlockId(self.next_id.fetch_add(1, Ordering::Relaxed));
-        self.writes.fetch_add(1, Ordering::Relaxed);
-        self.bytes_written.fetch_add(data.len() as u64, Ordering::Relaxed);
-        self.inner.lock().blocks.insert(id.0, Arc::new(data));
-        Ok(id)
+        Ok(self.store(data))
     }
 
     /// [`write_new`](Self::write_new) under the [`retry_io`] policy — the
     /// data never has to be re-supplied, so writers that cannot cheaply
     /// clone their payload retry here instead of wrapping the call.
     pub fn write_new_retrying(&self, data: Vec<u8>) -> Result<BlockId> {
-        let mut attempt = 0u32;
-        loop {
-            match self.inject_write_fault() {
-                Ok(()) => break,
-                Err(VwError::Io { transient: true, .. }) if attempt < MAX_IO_RETRIES => {
-                    attempt += 1;
-                    self.io_retries.fetch_add(1, Ordering::Relaxed);
-                    std::thread::sleep(Duration::from_micros(50u64 << (attempt - 1)));
-                }
-                Err(e) => return Err(e),
-            }
-        }
+        retry_io(self, || self.inject_write_fault())?;
+        Ok(self.store(data))
+    }
+
+    /// Store `data` under a fresh block id, counting the write.
+    fn store(&self, data: Vec<u8>) -> BlockId {
         let id = BlockId(self.next_id.fetch_add(1, Ordering::Relaxed));
         self.writes.fetch_add(1, Ordering::Relaxed);
         self.bytes_written.fetch_add(data.len() as u64, Ordering::Relaxed);
-        self.inner.lock().blocks.insert(id.0, Arc::new(data));
-        Ok(id)
+        self.blocks.lock().insert(id.0, Arc::new(data));
+        id
     }
 
-    /// Read a block, charging simulated I/O time *outside* the lock so
-    /// concurrent readers serialize on the device only logically (the
-    /// bandwidth model is per-device: we hold a short lock to fetch, then
-    /// sleep for the transfer time).
+    /// Read a block.
     ///
     /// Under armed faults a read may fail with a transient
     /// [`VwError::Io`] or return a *corrupted copy*
     /// of the block — callers that cache or decode bytes pair this with
     /// [`verify`](Self::verify) inside a [`retry_io`] loop.
     pub fn read(&self, id: BlockId) -> Result<Arc<Vec<u8>>> {
-        let (mut data, sequential) = {
-            let mut inner = self.inner.lock();
-            let data = inner
-                .blocks
-                .get(&id.0)
-                .cloned()
-                .ok_or_else(|| VwError::Storage(format!("read of unknown block {id:?}")))?;
-            let sequential = inner.last_read == Some(id.0.wrapping_sub(1));
-            inner.last_read = Some(id.0);
-            (data, sequential)
-        };
+        let mut data = self
+            .blocks
+            .lock()
+            .get(&id.0)
+            .cloned()
+            .ok_or_else(|| VwError::Storage(format!("read of unknown block {id:?}")))?;
         self.reads.fetch_add(1, Ordering::Relaxed);
         self.bytes_read.fetch_add(data.len() as u64, Ordering::Relaxed);
-        if !sequential {
-            self.seeks.fetch_add(1, Ordering::Relaxed);
-        }
         if self.fault_active.load(Ordering::Relaxed) {
             let guard = self.fault.lock();
             if let Some(f) = guard.as_ref() {
@@ -329,18 +270,6 @@ impl SimulatedDisk {
                 }
             }
         }
-        let mut cost = Duration::ZERO;
-        if !sequential {
-            cost += self.config.seek_latency;
-        }
-        if self.config.bandwidth_bytes_per_sec > 0 {
-            cost += Duration::from_secs_f64(
-                data.len() as f64 / self.config.bandwidth_bytes_per_sec as f64,
-            );
-        }
-        if cost > Duration::ZERO {
-            std::thread::sleep(cost);
-        }
         Ok(data)
     }
 
@@ -357,8 +286,7 @@ impl SimulatedDisk {
         if !self.fault_active.load(Ordering::Relaxed) {
             return Ok(());
         }
-        let inner = self.inner.lock();
-        match inner.blocks.get(&id.0) {
+        match self.blocks.lock().get(&id.0) {
             Some(pristine) if Arc::ptr_eq(pristine, data) || **pristine == **data => Ok(()),
             None => Ok(()),
             Some(_) => Err(VwError::Io {
@@ -371,14 +299,13 @@ impl SimulatedDisk {
     /// Drop a block. Only its owner calls this, from its `Drop`: a spill
     /// file directly, a pack or heap table through [`BufferPool::free`](crate::BufferPool::free).
     pub fn free(&self, id: BlockId) {
-        self.inner.lock().blocks.remove(&id.0);
+        self.blocks.lock().remove(&id.0);
     }
 
     /// Size of a block in bytes without charging a read.
     pub fn block_size(&self, id: BlockId) -> Result<usize> {
-        self.inner
+        self.blocks
             .lock()
-            .blocks
             .get(&id.0)
             .map(|b| b.len())
             .ok_or_else(|| VwError::Storage(format!("size of unknown block {id:?}")))
@@ -389,7 +316,6 @@ impl SimulatedDisk {
         DiskStats {
             reads: self.reads.load(Ordering::Relaxed),
             bytes_read: self.bytes_read.load(Ordering::Relaxed),
-            seeks: self.seeks.load(Ordering::Relaxed),
             writes: self.writes.load(Ordering::Relaxed),
             bytes_written: self.bytes_written.load(Ordering::Relaxed),
             io_retries: self.io_retries.load(Ordering::Relaxed),
@@ -399,7 +325,7 @@ impl SimulatedDisk {
 
     /// Total bytes currently stored.
     pub fn used_bytes(&self) -> usize {
-        self.inner.lock().blocks.values().map(|b| b.len()).sum()
+        self.blocks.lock().values().map(|b| b.len()).sum()
     }
 }
 
@@ -452,7 +378,7 @@ impl SpillFile {
         self.bytes
     }
 
-    /// Read chunk `i` back (charges simulated I/O like any block read).
+    /// Read chunk `i` back (counted like any block read).
     /// The returned bytes are verified against the stored block; transient
     /// faults and detected corruption are retried before surfacing.
     pub fn read_chunk(&self, i: usize) -> Result<Arc<Vec<u8>>> {
@@ -514,12 +440,11 @@ mod tests {
         let a = disk.write_new(vec![0; 100]).unwrap();
         let b = disk.write_new(vec![0; 50]).unwrap();
         disk.read(a).unwrap();
-        disk.read(b).unwrap(); // sequential (b = a+1)
-        disk.read(a).unwrap(); // seek back
+        disk.read(b).unwrap();
+        disk.read(a).unwrap();
         let s = disk.stats();
         assert_eq!(s.reads, 3);
         assert_eq!(s.bytes_read, 250);
-        assert_eq!(s.seeks, 2, "first read and the jump back are seeks");
         assert_eq!(s.writes, 2);
         assert_eq!(s.bytes_written, 150);
         assert_eq!(s.io_retries, 0);
@@ -551,19 +476,6 @@ mod tests {
         assert_eq!(disk.used_bytes(), 5);
         drop(f);
         assert_eq!(disk.used_bytes(), 0, "temp blocks reclaimed on drop");
-    }
-
-    #[test]
-    fn simulated_cost_is_charged() {
-        let disk = SimulatedDisk::new(DiskConfig {
-            bandwidth_bytes_per_sec: 1 << 20,
-            seek_latency: Duration::from_millis(2),
-        });
-        let id = disk.write_new(vec![0; 1 << 18]).unwrap(); // 256 KiB = 250 ms at 1 MiB/s
-        let t0 = std::time::Instant::now();
-        disk.read(id).unwrap();
-        let elapsed = t0.elapsed();
-        assert!(elapsed >= Duration::from_millis(200), "read too fast: {elapsed:?}");
     }
 
     #[test]

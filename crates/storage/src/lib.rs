@@ -6,8 +6,9 @@
 //!
 //! Architecture:
 //!
-//! * a [simulated disk](disk) is the bandwidth-limited device all table data
-//!   lives on (substitution for the paper's disk arrays),
+//! * a [simulated disk](disk) is the device all table data lives on: an
+//!   in-memory block store that counts its traffic and injects seeded
+//!   faults (substitution for the paper's disk arrays),
 //! * tables are split into row ranges called **packs** (the compression
 //!   granule); each pack's columns are compressed with [`vw_compress`]
 //!   (auto-selected per chunk) into one block per column chunk, so scans
@@ -29,7 +30,7 @@ pub mod stats;
 pub mod table;
 
 pub use buffer::BufferPool;
-pub use disk::{BlockId, DiskConfig, DiskStats, SimulatedDisk, SpillFile};
+pub use disk::{BlockId, DiskStats, SimulatedDisk, SpillFile};
 pub use pack::{decode_chunk, decode_spill_batch, encode_chunk, encode_spill_batch};
 pub use stats::{ColumnStats, Histogram, TableStats};
 pub use table::{Pack, ScanRange, TableStorage};

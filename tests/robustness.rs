@@ -140,7 +140,8 @@ fn set_operations_spill_under_the_memory_budget_and_reclaim_it() {
 /// DML is a monitored statement like any other: the victim scan of an
 /// UPDATE/DELETE runs under the statement's token, so `statement_timeout`
 /// and `KILL` reach it, `SHOW QUERIES` lists it, and a statement that is
-/// cut short leaves the table and the transaction as it found them.
+/// cut short leaves the table and the transaction as it found them — on
+/// both table kinds.
 /// (The scan used to run under a private token nothing could cancel.)
 #[test]
 fn statement_timeout_and_kill_reach_update_and_delete() {
@@ -214,6 +215,26 @@ fn statement_timeout_and_kill_reach_update_and_delete() {
     assert_eq!(db.monitor.list_queries()[0].state, QueryState::Cancelled);
     disk.disarm_faults();
     assert_eq!(sum(&db).rows(), &before[..], "the killed DELETE removed nothing");
+
+    // A heap table's UPDATE/DELETE is the same monitored statement: it is
+    // listed under its own text, and its deadline ends it before the heap
+    // is rewritten (its one page read takes 20 ms, the deadline is 1 ms).
+    db.execute("CREATE TABLE h (k BIGINT NOT NULL, v BIGINT) WITH TYPE = HEAP").unwrap();
+    db.execute("INSERT INTO h VALUES (1, 10), (2, 20)").unwrap();
+    const HEAP_UPDATE: &str = "UPDATE h SET v = v + 1 WHERE k = 2";
+    assert_eq!(db.execute(HEAP_UPDATE).unwrap().affected, 1);
+    let q = &db.monitor.list_queries()[0];
+    assert_eq!((q.sql.as_str(), &q.state), (HEAP_UPDATE, &QueryState::Finished));
+    let mut s = db.session();
+    s.execute("SET statement_timeout = 1").unwrap();
+    disk.arm_faults(FaultConfig { seed: 1, latency_us: 20_000, ..Default::default() });
+    let err = s.execute("DELETE FROM h WHERE k = 1").unwrap_err();
+    disk.disarm_faults();
+    assert!(matches!(err, VwError::Cancelled), "{err}");
+    assert_eq!(db.monitor.list_queries()[0].state, QueryState::TimedOut);
+    let heap = db.execute("SELECT k, v FROM h ORDER BY k").unwrap();
+    let want = [[Value::I64(1), Value::I64(10)], [Value::I64(2), Value::I64(21)]];
+    assert_eq!(heap.rows(), &want, "the timed-out DELETE removed nothing");
 }
 
 #[test]
@@ -230,12 +251,8 @@ fn queries_without_timeout_carry_no_deadline_machinery() {
     assert_eq!(db.monitor.list_queries()[0].timeout, None);
     assert_eq!(db.config().statement_timeout_ms, 0);
     // Fault machinery equally absent by default — unless CI's fault lane
-    // armed it for the whole suite via the VW_FAULT_* env.
-    if std::env::var_os("VW_FAULT_IO_ERR").is_none()
-        && std::env::var_os("VW_FAULT_CORRUPT").is_none()
-        && std::env::var_os("VW_FAULT_LATENCY_US").is_none()
-        && std::env::var_os("VW_FAULT_NTH_WRITE").is_none()
-    {
+    // armed it for the whole suite via VW_FAULT_IO_ERR.
+    if std::env::var_os("VW_FAULT_IO_ERR").is_none() {
         assert!(!db.config().faults.is_active());
         assert!(!db.disk().faults_armed());
         assert_eq!(db.disk().stats().faults_injected, 0);

@@ -332,6 +332,135 @@ fn set_operations_compare_doubles_like_group_by() {
     assert_eq!(except, [vec![Value::F64(-0.0)], vec![Value::F64(1.5)]]);
 }
 
+/// Plan-time constant folding computes what run time computes. Each
+/// corpus expression runs twice: as `SELECT e`, whose literals the
+/// optimizer folds, and as `SELECT e' FROM one_row`, where every literal
+/// is read from a column of a one-row table, so the kernels evaluate it
+/// per row. The two agree on the value (NaN and -0.0 included) or on the
+/// error code.
+#[test]
+fn folding_equals_run_time() {
+    // (column, type, literal): `{name}` in a corpus entry is the literal
+    // when folded and the column at run time.
+    let cols = [
+        ("i7", "BIGINT", "7"),
+        ("i3", "BIGINT", "3"),
+        ("i0", "BIGINT", "0"),
+        ("ineg", "BIGINT", "-7"),
+        ("imax", "BIGINT", "9223372036854775807"),
+        ("n", "BIGINT", "NULL"),
+        ("d7", "DOUBLE", "7.5"),
+        ("d2", "DOUBLE", "2.0"),
+        ("d0", "DOUBLE", "0.0"),
+        ("dbig", "DOUBLE", "1e308"),
+        ("nd", "DOUBLE", "NULL"),
+        ("ns", "VARCHAR", "NULL"),
+        ("snan", "VARCHAR", "'NaN'"),
+        ("snz", "VARCHAR", "'-0'"),
+        ("s12", "VARCHAR", "'12'"),
+        ("sabc", "VARCHAR", "'abc'"),
+        ("sdt", "VARCHAR", "'1996-03-13'"),
+        ("dt", "DATE", "DATE '1996-03-13'"),
+    ];
+    let ddl: Vec<String> = cols.iter().map(|(c, ty, _)| format!("{c} {ty}")).collect();
+    let values: Vec<&str> = cols.iter().map(|(_, _, lit)| *lit).collect();
+    let db = db_with(
+        &format!("CREATE TABLE one_row ({})", ddl.join(", ")),
+        &[&format!("INSERT INTO one_row VALUES ({})", values.join(", "))],
+    );
+    let corpus = [
+        // Every operator on BIGINT: plain, overflow, zero divisor.
+        "{i7} + {i3}",
+        "{i7} - {i3}",
+        "{i7} * {i3}",
+        "{i7} / {i3}",
+        "{i7} % {i3}",
+        "{ineg} / {i3}",
+        "{ineg} % {i3}",
+        "{imax} + {i7}",
+        "{ineg} - {imax}",
+        "{imax} * {i3}",
+        "{i7} / {i0}",
+        "{i7} % {i0}",
+        // ... on DOUBLE, and mixed.
+        "{d7} + {d2}",
+        "{d7} - {d2}",
+        "{d7} * {d2}",
+        "{d7} / {d2}",
+        "{d7} % {d2}",
+        "{dbig} * {dbig}",
+        "{d7} / {d0}",
+        "{d7} % {d0}",
+        "{i7} + {d2}",
+        "{i7} / {d2}",
+        // A NULL operand.
+        "{n} + {i7}",
+        "{nd} * {d7}",
+        "{n} / {i0}",
+        "{i7} / {n}",
+        "{i7} % {n}",
+        "{n} = {i7}",
+        "{n} IS NULL",
+        "NOT ({n} < {i3})",
+        "{i7} > {i3} AND {n} > {i3}",
+        "{i7} < {i3} OR {n} > {i3}",
+        // NaN and -0 in `=` and `<`.
+        "CAST({snan} AS DOUBLE) = CAST({snan} AS DOUBLE)",
+        "CAST({snan} AS DOUBLE) < {d7}",
+        "{d7} < CAST({snan} AS DOUBLE)",
+        "CAST({snz} AS DOUBLE)",
+        "CAST({snz} AS DOUBLE) = {d0}",
+        "CAST({snz} AS DOUBLE) < {d0}",
+        "{d0} * -1.0 = {d0}",
+        // Comparisons and NOT.
+        "{i7} < {i3}",
+        "{d2} >= {i3}",
+        "{sabc} = {s12}",
+        "NOT ({i7} < {i3})",
+        // CAST successes and failures.
+        "CAST({s12} AS BIGINT)",
+        "CAST({sabc} AS BIGINT)",
+        "CAST({sabc} AS DOUBLE)",
+        "CAST({d7} AS BIGINT)",
+        "CAST({imax} AS INTEGER)",
+        "CAST({i7} AS VARCHAR)",
+        "CAST({d7} AS VARCHAR)",
+        "CAST({sdt} AS DATE)",
+        "CAST({sabc} AS DATE)",
+        "CAST({n} AS VARCHAR)",
+        // CASE, SUBSTRING and EXTRACT.
+        "CASE WHEN {i7} > {i3} THEN {sabc} ELSE {s12} END",
+        "CASE WHEN {n} > {i3} THEN {i7} ELSE {i3} END",
+        "CASE WHEN {i7} < {i3} THEN {i7} / {i0} ELSE {i3} END",
+        "CASE WHEN {i7} > {i3} THEN {i7} / {i0} ELSE {i3} END",
+        "SUBSTRING({sabc}, 2, 1)",
+        "SUBSTRING({sabc}, 0)",
+        "SUBSTRING(CAST({ns} AS VARCHAR), 1)",
+        "EXTRACT(YEAR FROM {dt})",
+        "EXTRACT(MONTH FROM {dt})",
+        "EXTRACT(DAY FROM {dt} + INTERVAL '20' DAY)",
+    ];
+    let spell = |template: &str, folded: bool| {
+        cols.iter().fold(template.to_string(), |sql, (c, _, lit)| {
+            sql.replace(&format!("{{{c}}}"), if folded { lit } else { c })
+        })
+    };
+    // The value's Debug form tells NaN from NaN-free and -0.0 from 0.0.
+    let outcome = |sql: &str| match db.execute(sql) {
+        Ok(r) => {
+            assert_eq!(r.rows().len(), 1, "{sql}");
+            Ok(format!("{:?}", r.rows()[0][0]))
+        }
+        Err(e) => Err(e.code()),
+    };
+    for template in corpus {
+        let folded = format!("SELECT {}", spell(template, true));
+        let run_time = format!("SELECT {} FROM one_row", spell(template, false));
+        assert!(!run_time.contains('{'), "{template}: unknown column placeholder");
+        assert_eq!(outcome(&folded), outcome(&run_time), "{folded}  vs  {run_time}");
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Differential tests: the vectorized hash operators vs. the tuple-at-a-time
 // volcano baseline on randomized data. Any divergence in join or GROUP BY

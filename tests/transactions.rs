@@ -178,7 +178,10 @@ fn update_expressions_use_old_row_values() {
 
 /// INSERT VALUES, UPDATE and DELETE bind their expressions one way on
 /// both table kinds: an extended function in VALUES is evaluated, not
-/// rejected with a debug dump, and a heap UPDATE keeps NOT NULL.
+/// rejected with a debug dump, and a heap UPDATE keeps NOT NULL. Every
+/// statement then runs against a VECTORWISE table and its HEAP twin, with
+/// NULL cells in DOUBLE, DATE and VARCHAR columns: both report the same
+/// outcome and hold the same rows after each one.
 #[test]
 fn dml_expressions_bind_alike_on_both_table_kinds() {
     let db = Database::open_in_memory();
@@ -197,6 +200,48 @@ fn dml_expressions_bind_alike_on_both_table_kinds() {
             db.execute("INSERT INTO h VALUES (1 / 0, 1)"),
             Err(VwError::DivideByZero)
         ));
+    }
+
+    // `@` names the twin: `tv` is VECTORWISE, `th` its HEAP copy.
+    for (twin, kind) in [("tv", "VECTORWISE"), ("th", "HEAP")] {
+        db.execute(&format!(
+            "CREATE TABLE {twin} (a BIGINT NOT NULL, d DOUBLE, dt DATE, s VARCHAR) \
+             WITH TYPE = {kind}"
+        ))
+        .unwrap();
+        db.execute(&format!(
+            "INSERT INTO {twin} VALUES (1, 1.5, DATE '2024-02-28', 'p'), \
+             (2, NULL, NULL, NULL), (3, NULL, DATE '2024-12-31', NULL), (4, 0.0, NULL, 'q')"
+        ))
+        .unwrap();
+    }
+    let statements = [
+        "UPDATE @ SET d = d + 1.0",
+        "UPDATE @ SET dt = dt + INTERVAL '1' DAY",
+        "UPDATE @ SET s = COALESCE(s, 'x')",
+        "UPDATE @ SET d = 10.0 / d WHERE d IS NULL OR d > 1.0",
+        "UPDATE @ SET s = NULL WHERE dt IS NULL",
+        "UPDATE @ SET d = d * 2.0 WHERE d < 5.0",
+        "UPDATE @ SET dt = DATE '2000-01-01' WHERE dt > DATE '2024-06-01'",
+        "UPDATE @ SET s = s || '!' WHERE s = 'x'",
+        "DELETE FROM @ WHERE s IS NULL AND d IS NULL",
+        "UPDATE @ SET d = 1.0 / (d - d)",
+        "DELETE FROM @ WHERE d IS NULL OR dt IS NULL",
+    ];
+    for sql in statements {
+        let outcome = |twin: &str| match db.execute(&sql.replace('@', twin)) {
+            Ok(r) => Ok(r.affected),
+            Err(e) => Err(e.code()),
+        };
+        let (vw, heap) = (outcome("tv"), outcome("th"));
+        assert_eq!(heap, vw, "{sql}");
+        let rows = |twin: &str| {
+            db.execute(&format!("SELECT a, d, dt, s FROM {twin} ORDER BY a"))
+                .unwrap()
+                .rows()
+                .to_vec()
+        };
+        assert_eq!(rows("th"), rows("tv"), "after {sql}");
     }
 }
 
