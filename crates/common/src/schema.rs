@@ -11,8 +11,8 @@ pub struct Field {
     pub name: String,
     /// Column type.
     pub ty: TypeId,
-    /// May this column contain NULLs? Drives the rewriter's NULL
-    /// decomposition: non-nullable columns skip indicator handling entirely.
+    /// May this column contain NULLs? Drives the optimizer's NULL-test
+    /// erasure: `IS [NOT] NULL` over a non-nullable column is a literal.
     pub nullable: bool,
 }
 

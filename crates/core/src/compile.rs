@@ -1,8 +1,8 @@
 //! The cross compiler — "a fully new component in the Ingres architecture":
 //! lowers the rewritten algebra onto X100 kernel operators.
 //!
-//! Expressions lower 1:1 through [`SqlExpr::lower`]; plans lower onto
-//! `vw-exec` operators.
+//! Plan expressions are already the kernel's `PhysExpr`: each compiles to
+//! a program as it is; plans lower onto `vw-exec` operators.
 //!
 //! [`LogicalPlan::Exchange`] runs the **pipeline factory**: the same plan
 //! fragment is compiled once per worker, but every partitioned scan the
@@ -50,7 +50,6 @@ use vw_pdt::store::items;
 use vw_pdt::MergeItem;
 use vw_sql::optimizer::{Estimator, PlanEstimates};
 use vw_sql::plan::{JoinKind, LogicalPlan, ScanHint};
-use vw_sql::SqlExpr;
 use vw_storage::TableStorage;
 use vw_volcano::RowStore;
 
@@ -265,7 +264,7 @@ fn build_plan_node<'p>(
                 query,
             )?;
             // Compile once per query: the operator only ever runs programs.
-            let program = SelectProgram::compile(&predicate.lower()?);
+            let program = SelectProgram::compile(predicate);
             Box::new(
                 Select::new(child, program, cancel.clone()).with_batch_pool(batch_pool.clone()),
             )
@@ -282,24 +281,15 @@ fn build_plan_node<'p>(
                 batch_pool,
                 query,
             )?;
-            let programs = exprs
-                .iter()
-                .map(|e| Ok(ExprProgram::compile(&e.lower()?)))
-                .collect::<Result<_>>()?;
+            let programs = exprs.iter().map(ExprProgram::compile).collect();
             Box::new(
                 Project::new(child, programs, schema.clone(), cancel.clone())
                     .with_batch_pool(batch_pool.clone()),
             )
         }
         LogicalPlan::Join { left, right, kind, keys, schema } => {
-            let lk = keys
-                .iter()
-                .map(|(a, _)| Ok(ExprProgram::compile(&a.lower()?)))
-                .collect::<Result<_>>()?;
-            let rk = keys
-                .iter()
-                .map(|(_, b)| Ok(ExprProgram::compile(&b.lower()?)))
-                .collect::<Result<_>>()?;
+            let lk = keys.iter().map(|(a, _)| ExprProgram::compile(a)).collect();
+            let rk = keys.iter().map(|(_, b)| ExprProgram::compile(b)).collect();
             let jt = match kind {
                 JoinKind::Inner => JoinType::Inner,
                 JoinKind::Left => JoinType::LeftOuter,
@@ -375,23 +365,15 @@ fn build_plan_node<'p>(
                 batch_pool,
                 query,
             )?;
-            let g = group
-                .iter()
-                .map(|e| Ok(ExprProgram::compile(&e.lower()?)))
-                .collect::<Result<_>>()?;
+            let g = group.iter().map(ExprProgram::compile).collect();
             let specs = aggs
                 .iter()
-                .map(|a| {
-                    Ok(AggSpec {
-                        func: a.func,
-                        input: match &a.input {
-                            Some(e) => Some(ExprProgram::compile(&e.lower()?)),
-                            None => None,
-                        },
-                        out_ty: a.out_ty,
-                    })
+                .map(|a| AggSpec {
+                    func: a.func,
+                    input: a.input.as_ref().map(ExprProgram::compile),
+                    out_ty: a.out_ty,
                 })
-                .collect::<Result<_>>()?;
+                .collect();
             let mut agg = HashAggregate::new(child, g, specs, schema.clone(), vs, cancel.clone())?;
             if let Some(qs) = &query.spill {
                 agg = agg.with_spill(qs.config(db));
@@ -721,8 +703,8 @@ pub(crate) fn victim_scan(
     table: &str,
     projection: &[usize],
     hints: &[ScanHint],
-    predicate: Option<&SqlExpr>,
-    outputs: &[SqlExpr],
+    predicate: Option<&PhysExpr>,
+    outputs: &[PhysExpr],
     config: &EngineConfig,
     cancel: &CancelToken,
     source: VictimSource<'_>,
@@ -756,12 +738,12 @@ pub(crate) fn victim_scan(
     let mut programs = Vec::with_capacity(outputs.len() + 1);
     for (i, e) in outputs.iter().enumerate() {
         fields.push(Field::nullable(format!("set{i}"), e.type_id()));
-        programs.push(ExprProgram::compile(&e.lower()?));
+        programs.push(ExprProgram::compile(e));
     }
     fields.push(rid);
     programs.push(ExprProgram::compile(&PhysExpr::ColRef(projection.len(), TypeId::I64)));
     if let Some(p) = predicate {
-        let program = SelectProgram::compile(&p.lower()?);
+        let program = SelectProgram::compile(p);
         op = Box::new(Select::new(op, program, cancel.clone()).with_batch_pool(batch_pool.clone()));
     }
     let project = Project::new(op, programs, Schema::unchecked(fields), cancel.clone());

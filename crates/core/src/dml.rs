@@ -9,13 +9,13 @@ use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::sync::Arc;
 use vw_common::{ColData, EngineConfig, Result, Schema, Value, VwError};
+use vw_exec::expr::PhysExpr;
 use vw_exec::op::{Operator, VectorScan};
 use vw_exec::program::eval_const;
 use vw_exec::CancelToken;
 use vw_pdt::store::items;
 use vw_pdt::Transaction;
 use vw_sql::ast::Expr;
-use vw_sql::SqlExpr;
 use vw_storage::{TableStats, TableStorage};
 use vw_volcano::RowStore;
 
@@ -53,17 +53,17 @@ impl OpenTxn {
 }
 
 /// Evaluate literal INSERT rows: each expression binds like any DML
-/// expression, over no columns. What folding leaves (a rewritten
-/// COALESCE, or a constant whose evaluation errors) runs through the
-/// constant evaluator, which reports the error.
+/// expression, over no columns. What folding leaves — a constant whose
+/// evaluation errors — runs through the constant evaluator, which
+/// reports the error.
 pub fn literal_rows(rows: &[Vec<Expr>]) -> Result<Vec<Vec<Value>>> {
     let empty = Schema::default();
     rows.iter()
         .map(|row| {
             row.iter()
                 .map(|e| match bind_on_table(e, &empty)? {
-                    SqlExpr::Lit(v, _) => Ok(v),
-                    other => eval_const(&other.lower()?),
+                    PhysExpr::Const(v, _) => Ok(v),
+                    other => eval_const(&other),
                 })
                 .collect()
         })
@@ -150,21 +150,12 @@ pub(crate) fn insert(
     Ok(n)
 }
 
-/// Bind a DML expression against the table's own schema and bring it to
-/// the form the kernels take (constants folded, extended functions and
-/// IN-lists rewritten) — what planning does to a SELECT's expressions.
-fn bind_on_table(e: &Expr, schema: &Schema) -> Result<SqlExpr> {
-    let folded = vw_sql::optimizer::fold_expr(vw_sql::binder::bind_expr_on_schema(e, schema)?)?;
-    if let SqlExpr::Lit(..) = folded {
-        // No rule rewrites a literal: most INSERT values stop here.
-        return Ok(folded);
-    }
+/// Bind a DML expression against the table's own schema and normalize it
+/// over the schema's nullability — what planning does to a SELECT's
+/// expressions.
+fn bind_on_table(e: &Expr, schema: &Schema) -> Result<PhysExpr> {
     let nullable: Vec<bool> = schema.fields.iter().map(|f| f.nullable).collect();
-    Ok(vw_rewriter::engine::rewrite_fixpoint(
-        folded,
-        &vw_rewriter::rules::default_rules(),
-        &nullable,
-    ))
+    vw_sql::optimizer::fold_expr(vw_sql::binder::bind_expr_on_schema(e, schema)?, &nullable)
 }
 
 /// Resolve the target column of each SET clause.
@@ -204,7 +195,7 @@ fn find_victims(
 ) -> Result<(Vec<u64>, Vec<Vec<Value>>)> {
     let schema = &entry.schema;
     let predicate = filter.map(|f| bind_on_table(f, schema)).transpose()?;
-    let set_exprs: Vec<SqlExpr> =
+    let set_exprs: Vec<PhysExpr> =
         sets.iter().map(|(_, e)| bind_on_table(e, schema)).collect::<Result<_>>()?;
 
     // Scan only what the expressions read; address it by scan position.
@@ -214,9 +205,9 @@ fn find_victims(
     }
     projection.sort_unstable();
     projection.dedup();
-    let onto_scan = |e: &SqlExpr| e.remap_cols(&|c| projection.binary_search(&c).ok());
+    let onto_scan = |e: &PhysExpr| e.remap_cols(&|c| projection.binary_search(&c).ok());
     let predicate = predicate.as_ref().map(onto_scan).transpose()?;
-    let set_exprs: Vec<SqlExpr> = set_exprs.iter().map(onto_scan).collect::<Result<_>>()?;
+    let set_exprs: Vec<PhysExpr> = set_exprs.iter().map(onto_scan).collect::<Result<_>>()?;
     let hints: Vec<_> = predicate
         .iter()
         .flat_map(|p| p.clone().conjuncts())

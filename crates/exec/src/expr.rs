@@ -2,8 +2,11 @@
 //!
 //! The expression API is split in two, mirroring X100:
 //!
-//! * **Describe** — [`PhysExpr`], the physical expression tree the cross
-//!   compiler lowers SQL onto. It is *data*, not an execution strategy.
+//! * **Describe** — [`PhysExpr`], the one expression tree: the binder
+//!   emits it, logical plans carry it, the optimizer normalizes it and the
+//!   cross compiler hands it to the programs below. It is *data*, not an
+//!   execution strategy; the tree walks every layer shares (children,
+//!   column remapping, conjuncts, const-ness) are its methods.
 //! * **Compile, then run** — [`ExprProgram`](crate::program::ExprProgram)
 //!   / [`SelectProgram`](crate::program::SelectProgram) in the [`program`]
 //!   module: a `PhysExpr` is compiled **once per query** (constant
@@ -91,10 +94,23 @@ impl CmpOp {
                 | (CmpOp::Ge, Equal)
         )
     }
+
+    /// The comparison that holds exactly when this one is FALSE (and is
+    /// NULL on the same inputs): `NOT (a < b)` is `a >= b`.
+    pub fn negated(self) -> CmpOp {
+        match self {
+            CmpOp::Eq => CmpOp::Ne,
+            CmpOp::Ne => CmpOp::Eq,
+            CmpOp::Lt => CmpOp::Ge,
+            CmpOp::Le => CmpOp::Gt,
+            CmpOp::Gt => CmpOp::Le,
+            CmpOp::Ge => CmpOp::Lt,
+        }
+    }
 }
 
 /// Scalar SQL functions implemented natively in the kernel. Many more SQL
-/// functions exist at the SQL level; the rewriter expands them into
+/// functions exist at the SQL level; the binder expands them into
 /// combinations of these (the paper's "implemented in the rewriter phase").
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Func {
@@ -133,8 +149,8 @@ pub enum Func {
     DateDiffDays,
 }
 
-/// A physical (executable) expression over batch columns.
-#[derive(Debug, Clone)]
+/// A typed scalar expression over an input's column indices.
+#[derive(Debug, Clone, PartialEq)]
 pub enum PhysExpr {
     /// Reference to batch column `i`.
     ColRef(usize, TypeId),
@@ -229,6 +245,117 @@ impl PhysExpr {
             PhysExpr::Cast { to, .. } => *to,
             PhysExpr::Case { ty, .. } => *ty,
             PhysExpr::FuncCall { ty, .. } => *ty,
+        }
+    }
+
+    /// The direct children, in evaluation order.
+    pub fn children(&self) -> Vec<&PhysExpr> {
+        match self {
+            PhysExpr::ColRef(..) | PhysExpr::Const(..) => Vec::new(),
+            PhysExpr::Arith { lhs, rhs, .. } | PhysExpr::Cmp { lhs, rhs, .. } => vec![lhs, rhs],
+            PhysExpr::And(v) | PhysExpr::Or(v) | PhysExpr::FuncCall { args: v, .. } => {
+                v.iter().collect()
+            }
+            PhysExpr::Not(x)
+            | PhysExpr::IsNull(x)
+            | PhysExpr::IsNotNull(x)
+            | PhysExpr::Cast { input: x, .. }
+            | PhysExpr::Like { input: x, .. } => vec![x],
+            PhysExpr::Case { branches, else_expr, .. } => {
+                let mut out: Vec<&PhysExpr> = Vec::new();
+                for (c, v) in branches {
+                    out.push(c);
+                    out.push(v);
+                }
+                out.extend(else_expr.as_deref());
+                out
+            }
+        }
+    }
+
+    /// Rebuild the expression with `f` applied to each direct child, in
+    /// place; leaves come back as they are. The one child walk: column
+    /// remapping and the optimizer's normalization are built on it.
+    pub fn map_children(
+        mut self,
+        f: &mut dyn FnMut(PhysExpr) -> Result<PhysExpr>,
+    ) -> Result<PhysExpr> {
+        // The child is moved out past an empty AND, which allocates nothing.
+        let mut go = |e: &mut PhysExpr| -> Result<()> {
+            *e = f(std::mem::replace(e, PhysExpr::And(Vec::new())))?;
+            Ok(())
+        };
+        match &mut self {
+            PhysExpr::ColRef(..) | PhysExpr::Const(..) => {}
+            PhysExpr::Arith { lhs, rhs, .. } | PhysExpr::Cmp { lhs, rhs, .. } => {
+                go(lhs)?;
+                go(rhs)?;
+            }
+            PhysExpr::And(v) | PhysExpr::Or(v) | PhysExpr::FuncCall { args: v, .. } => {
+                v.iter_mut().try_for_each(&mut go)?
+            }
+            PhysExpr::Not(x)
+            | PhysExpr::IsNull(x)
+            | PhysExpr::IsNotNull(x)
+            | PhysExpr::Cast { input: x, .. }
+            | PhysExpr::Like { input: x, .. } => go(x)?,
+            PhysExpr::Case { branches, else_expr, .. } => {
+                for (c, v) in branches {
+                    go(c)?;
+                    go(v)?;
+                }
+                if let Some(x) = else_expr {
+                    go(x)?;
+                }
+            }
+        }
+        Ok(self)
+    }
+
+    /// Collect every referenced column index into `out` (duplicates
+    /// included; callers sort and dedup).
+    pub fn collect_cols(&self, out: &mut Vec<usize>) {
+        if let PhysExpr::ColRef(i, _) = self {
+            out.push(*i);
+        }
+        for c in self.children() {
+            c.collect_cols(out);
+        }
+    }
+
+    /// Rewrite column references through `map` (new index per old index);
+    /// errors if a referenced column is not mapped.
+    pub fn remap_cols(&self, map: &dyn Fn(usize) -> Option<usize>) -> Result<PhysExpr> {
+        fn remap(e: PhysExpr, map: &dyn Fn(usize) -> Option<usize>) -> Result<PhysExpr> {
+            match e {
+                PhysExpr::ColRef(i, ty) => map(i)
+                    .map(|ni| PhysExpr::ColRef(ni, ty))
+                    .ok_or_else(|| VwError::Plan(format!("column {i} not available after remap"))),
+                other => other.map_children(&mut |c| remap(c, map)),
+            }
+        }
+        remap(self.clone(), map)
+    }
+
+    /// Shift all column references by `delta` (join input concatenation).
+    pub fn shift_cols(&self, delta: usize) -> PhysExpr {
+        self.remap_cols(&|i| Some(i + delta)).expect("shift never fails")
+    }
+
+    /// True if the expression references no columns (constant).
+    pub fn is_const(&self) -> bool {
+        match self {
+            PhysExpr::ColRef(..) => false,
+            PhysExpr::Const(..) => true,
+            other => other.children().into_iter().all(PhysExpr::is_const),
+        }
+    }
+
+    /// Flatten a conjunction into its conjuncts.
+    pub fn conjuncts(self) -> Vec<PhysExpr> {
+        match self {
+            PhysExpr::And(v) => v.into_iter().flat_map(PhysExpr::conjuncts).collect(),
+            other => vec![other],
         }
     }
 
@@ -971,6 +1098,38 @@ impl LikeMatcher {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn tree_helpers_walk_every_child() {
+        let col = |i: usize| PhysExpr::ColRef(i, TypeId::I64);
+        let lit = |v: i64| PhysExpr::Const(Value::I64(v), TypeId::I64);
+        let e = PhysExpr::Arith {
+            op: BinOp::Add,
+            lhs: Box::new(col(2)),
+            rhs: Box::new(PhysExpr::Cmp {
+                op: CmpOp::Lt,
+                lhs: Box::new(col(0)),
+                rhs: Box::new(lit(5)),
+            }),
+            ty: TypeId::I64,
+        };
+        let cols = |e: &PhysExpr| {
+            let mut out = Vec::new();
+            e.collect_cols(&mut out);
+            out.sort_unstable();
+            out
+        };
+        assert_eq!(cols(&e), vec![0, 2]);
+        assert_eq!(cols(&e.shift_cols(10)), vec![10, 12]);
+        assert!(col(3).remap_cols(&|i| if i == 0 { Some(0) } else { None }).is_err());
+        let and = PhysExpr::And(vec![PhysExpr::And(vec![col(0), col(1)]), col(2)]);
+        assert_eq!(and.conjuncts().len(), 3);
+        assert!(lit(5).is_const() && !col(0).is_const() && !e.is_const());
+        assert_eq!(CmpOp::Lt.negated(), CmpOp::Ge);
+        for op in [CmpOp::Eq, CmpOp::Ne, CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge] {
+            assert_eq!(op.negated().negated(), op);
+        }
+    }
     use vw_common::Date;
 
     fn batch_i64(vals: Vec<i64>) -> Batch {

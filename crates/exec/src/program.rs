@@ -361,7 +361,7 @@ impl ExprProgram {
         c.count_uses(expr);
         let result = c.emit(expr);
         let mut cols_used = Vec::new();
-        collect_cols(expr, &mut cols_used);
+        expr.collect_cols(&mut cols_used);
         cols_used.sort_unstable();
         cols_used.dedup();
         ExprProgram {
@@ -502,47 +502,11 @@ fn node_desc(e: &PhysExpr) -> String {
     }
 }
 
-/// Collect every column referenced anywhere in `e` (duplicates included;
-/// callers sort/dedup).
-fn collect_cols(e: &PhysExpr, out: &mut Vec<usize>) {
-    if let PhysExpr::ColRef(i, _) = e {
-        out.push(*i);
-        return;
-    }
-    for ch in children(e) {
-        collect_cols(ch, out);
-    }
-}
-
-fn children(e: &PhysExpr) -> Vec<&PhysExpr> {
-    match e {
-        PhysExpr::ColRef(..) | PhysExpr::Const(..) => Vec::new(),
-        PhysExpr::Arith { lhs, rhs, .. } => vec![lhs, rhs],
-        PhysExpr::Cmp { lhs, rhs, .. } => vec![lhs, rhs],
-        PhysExpr::And(v) | PhysExpr::Or(v) => v.iter().collect(),
-        PhysExpr::Not(x) | PhysExpr::IsNull(x) | PhysExpr::IsNotNull(x) => vec![x],
-        PhysExpr::Cast { input, .. } => vec![input],
-        PhysExpr::Case { branches, else_expr, .. } => {
-            let mut out: Vec<&PhysExpr> = Vec::new();
-            for (c, v) in branches {
-                out.push(c);
-                out.push(v);
-            }
-            if let Some(e) = else_expr {
-                out.push(e);
-            }
-            out
-        }
-        PhysExpr::FuncCall { args, .. } => args.iter().collect(),
-        PhysExpr::Like { input, .. } => vec![input],
-    }
-}
-
 impl Compiler {
     /// One linear bottom-up pass: intern every tree node's structure and
     /// record its id by node address (plus const-ness for the folder).
     fn assign_ids(&mut self, e: &PhysExpr) -> u32 {
-        let child_ids: Vec<u32> = children(e).into_iter().map(|c| self.assign_ids(c)).collect();
+        let child_ids: Vec<u32> = e.children().into_iter().map(|c| self.assign_ids(c)).collect();
         let konst = match e {
             PhysExpr::ColRef(..) => false,
             PhysExpr::Const(..) => true,
@@ -571,7 +535,7 @@ impl Compiler {
         let id = self.id_of(e) as usize;
         self.uses[id] += 1;
         if self.uses[id] == 1 {
-            for c in children(e) {
+            for c in e.children() {
                 self.count_uses(c);
             }
         }
@@ -1646,7 +1610,7 @@ fn mark_const(e: &PhysExpr, out: &mut HashMap<*const PhysExpr, bool>) -> bool {
         other => {
             // Visit every child (no short-circuit: each needs its entry).
             let mut all = true;
-            for ch in children(other) {
+            for ch in other.children() {
                 all &= mark_const(ch, out);
             }
             all

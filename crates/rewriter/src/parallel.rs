@@ -42,8 +42,7 @@
 
 use crate::RewriterConfig;
 use vw_common::{Field, Schema, TypeId};
-use vw_sql::plan::{AggCall, AggFunc, LogicalPlan};
-use vw_sql::SqlExpr;
+use vw_sql::plan::{AggCall, AggFunc, BinOp, CmpOp, LogicalPlan, PhysExpr};
 
 /// Insert Xchg markers where profitable. The plan root is
 /// order-insensitive (SQL result order without ORDER BY is unspecified;
@@ -132,7 +131,7 @@ pub fn is_partitionable(plan: &LogicalPlan) -> bool {
 
 fn build_parallel_aggregate(
     input: LogicalPlan,
-    group: Vec<SqlExpr>,
+    group: Vec<PhysExpr>,
     aggs: Vec<AggCall>,
     final_schema: Schema,
     dop: usize,
@@ -155,7 +154,7 @@ fn build_parallel_aggregate(
                     if e.type_id() == TypeId::F64 {
                         e
                     } else {
-                        SqlExpr::Cast { input: Box::new(e), to: TypeId::F64 }
+                        PhysExpr::Cast { input: Box::new(e), to: TypeId::F64 }
                     }
                 });
                 partial_aggs.push(AggCall {
@@ -198,14 +197,14 @@ fn build_parallel_aggregate(
 
     // Final aggregation: group on the partial group columns; merge partial
     // aggregate states.
-    let final_group: Vec<SqlExpr> =
-        group.iter().enumerate().map(|(i, g)| SqlExpr::Col(i, g.type_id())).collect();
+    let final_group: Vec<PhysExpr> =
+        group.iter().enumerate().map(|(i, g)| PhysExpr::ColRef(i, g.type_id())).collect();
     let g = group.len();
     let final_aggs: Vec<AggCall> = partial_aggs
         .iter()
         .enumerate()
         .map(|(i, a)| {
-            let input_col = SqlExpr::Col(g + i, a.out_ty);
+            let input_col = PhysExpr::ColRef(g + i, a.out_ty);
             let merge_func = match a.func {
                 AggFunc::CountStar | AggFunc::Count => AggFunc::Sum,
                 AggFunc::Sum => AggFunc::Sum,
@@ -232,33 +231,33 @@ fn build_parallel_aggregate(
     };
 
     // Finalizing projection restores the original output layout.
-    let mut exprs: Vec<SqlExpr> = Vec::with_capacity(final_schema.len());
+    let mut exprs: Vec<PhysExpr> = Vec::with_capacity(final_schema.len());
     for (i, gexpr) in group.iter().enumerate() {
-        exprs.push(SqlExpr::Col(i, gexpr.type_id()));
+        exprs.push(PhysExpr::ColRef(i, gexpr.type_id()));
     }
     for (a, fin) in aggs.iter().zip(&finalize) {
         match fin {
-            Finalize::Direct(pi) => exprs.push(SqlExpr::Col(g + pi, a.out_ty)),
+            Finalize::Direct(pi) => exprs.push(PhysExpr::ColRef(g + pi, a.out_ty)),
             Finalize::AvgOf(si, ci) => {
                 // sum / count, NULL-safe: count 0 → NULL via CASE.
-                let sum = SqlExpr::Col(g + si, TypeId::F64);
-                let cnt = SqlExpr::Col(g + ci, TypeId::I64);
-                let cnt_f = SqlExpr::Cast { input: Box::new(cnt.clone()), to: TypeId::F64 };
-                exprs.push(SqlExpr::Case {
+                let sum = PhysExpr::ColRef(g + si, TypeId::F64);
+                let cnt = PhysExpr::ColRef(g + ci, TypeId::I64);
+                let cnt_f = PhysExpr::Cast { input: Box::new(cnt.clone()), to: TypeId::F64 };
+                exprs.push(PhysExpr::Case {
                     branches: vec![(
-                        SqlExpr::Cmp {
-                            op: vw_sql::expr::CmpOp::Gt,
-                            l: Box::new(cnt),
-                            r: Box::new(SqlExpr::Lit(vw_common::Value::I64(0), TypeId::I64)),
+                        PhysExpr::Cmp {
+                            op: CmpOp::Gt,
+                            lhs: Box::new(cnt),
+                            rhs: Box::new(PhysExpr::Const(vw_common::Value::I64(0), TypeId::I64)),
                         },
-                        SqlExpr::Arith {
-                            op: vw_sql::expr::BinOp::Div,
-                            l: Box::new(sum),
-                            r: Box::new(cnt_f),
+                        PhysExpr::Arith {
+                            op: BinOp::Div,
+                            lhs: Box::new(sum),
+                            rhs: Box::new(cnt_f),
                             ty: TypeId::F64,
                         },
                     )],
-                    else_expr: Some(Box::new(SqlExpr::Lit(vw_common::Value::Null, TypeId::F64))),
+                    else_expr: Some(Box::new(PhysExpr::Const(vw_common::Value::Null, TypeId::F64))),
                     ty: TypeId::F64,
                 });
             }
@@ -306,16 +305,16 @@ mod tests {
     fn agg_plan() -> LogicalPlan {
         LogicalPlan::Aggregate {
             input: Box::new(scan()),
-            group: vec![SqlExpr::Col(0, TypeId::I32)],
+            group: vec![PhysExpr::ColRef(0, TypeId::I32)],
             aggs: vec![
                 AggCall {
                     func: AggFunc::Sum,
-                    input: Some(SqlExpr::Col(1, TypeId::I64)),
+                    input: Some(PhysExpr::ColRef(1, TypeId::I64)),
                     out_ty: TypeId::I64,
                 },
                 AggCall {
                     func: AggFunc::Avg,
-                    input: Some(SqlExpr::Col(1, TypeId::I64)),
+                    input: Some(PhysExpr::ColRef(1, TypeId::I64)),
                     out_ty: TypeId::F64,
                 },
                 AggCall { func: AggFunc::CountStar, input: None, out_ty: TypeId::I64 },
@@ -388,7 +387,7 @@ mod tests {
             left: Box::new(agg_plan()),
             right: Box::new(scan()),
             kind: vw_sql::plan::JoinKind::Inner,
-            keys: vec![(SqlExpr::Col(0, TypeId::I32), SqlExpr::Col(0, TypeId::I32))],
+            keys: vec![(PhysExpr::ColRef(0, TypeId::I32), PhysExpr::ColRef(0, TypeId::I32))],
             schema: agg_plan().schema().join(scan().schema()),
         };
         let cfg = RewriterConfig { dop: 2, parallel_threshold_rows: 0.0 };
@@ -401,7 +400,7 @@ mod tests {
             left: Box::new(scan()),
             right: Box::new(scan()),
             kind: vw_sql::plan::JoinKind::Inner,
-            keys: vec![(SqlExpr::Col(0, TypeId::I32), SqlExpr::Col(0, TypeId::I32))],
+            keys: vec![(PhysExpr::ColRef(0, TypeId::I32), PhysExpr::ColRef(0, TypeId::I32))],
             schema: scan().schema().join(scan().schema()),
         }
     }
@@ -422,7 +421,7 @@ mod tests {
         // staying serial.
         let plan = LogicalPlan::Aggregate {
             input: Box::new(scan_join_scan()),
-            group: vec![SqlExpr::Col(0, TypeId::I32)],
+            group: vec![PhysExpr::ColRef(0, TypeId::I32)],
             aggs: vec![AggCall { func: AggFunc::CountStar, input: None, out_ty: TypeId::I64 }],
             schema: Schema::unchecked(vec![
                 Field::nullable("k", TypeId::I32),
@@ -467,7 +466,7 @@ mod tests {
             }),
             right: Box::new(scan()),
             kind: vw_sql::plan::JoinKind::Inner,
-            keys: vec![(SqlExpr::Col(0, TypeId::I32), SqlExpr::Col(0, TypeId::I32))],
+            keys: vec![(PhysExpr::ColRef(0, TypeId::I32), PhysExpr::ColRef(0, TypeId::I32))],
             schema: Schema::unchecked(vec![
                 Field::not_null("v", TypeId::I32),
                 Field::nullable("k", TypeId::I32),

@@ -33,12 +33,12 @@
 //! catalogued in ARCHITECTURE.md ("SQL surface").
 
 use crate::ast::{self, AstJoinKind, Expr, IntervalUnit, SelectItem, SelectStmt, TableRef};
-use crate::expr::{BinOp, CmpOp, KernelFunc, SqlExpr};
-use crate::functions::{self, FuncImpl};
+use crate::functions;
 use crate::plan::{AggCall, AggFunc, ApplyKind, JoinKind, LogicalPlan};
 use std::cell::RefCell;
 use vw_common::date::{add_months, DateField};
 use vw_common::{Date, Field, Result, Schema, TypeId, Value, VwError};
+use vw_exec::expr::{BinOp, CmpOp, Func, PhysExpr};
 
 /// Read-only view of the catalog the binder and optimizer need.
 ///
@@ -191,7 +191,7 @@ struct Grouped<'s> {
     /// The GROUP BY expressions as written.
     asts: &'s [Expr],
     /// The bound group expressions: user groups, then correlation columns.
-    group: Vec<SqlExpr>,
+    group: Vec<PhysExpr>,
     /// Each aggregate call as written, with its output column and type.
     calls: Vec<(&'s Expr, usize, TypeId)>,
 }
@@ -199,7 +199,7 @@ struct Grouped<'s> {
 /// A bound SELECT core: the plan, its visible (user-facing) column
 /// count, and the correlation exports — `(outer key expression, export
 /// column index)` pairs the enclosing Apply will join on.
-type BoundCore = (LogicalPlan, usize, Vec<(SqlExpr, usize)>);
+type BoundCore = (LogicalPlan, usize, Vec<(PhysExpr, usize)>);
 
 /// The binder.
 pub struct Binder<'a> {
@@ -226,9 +226,14 @@ fn is_agg(e: &Expr) -> bool {
 /// turns ON and comma-FROM equalities into join keys and correlated
 /// equalities into Apply keys. The upper side must read a column; the
 /// lower one may be a constant only when `const_lower`.
-fn split_eq(e: &SqlExpr, at: usize, end: usize, const_lower: bool) -> Option<(SqlExpr, SqlExpr)> {
-    let SqlExpr::Cmp { op: CmpOp::Eq, l, r } = e else { return None };
-    let within = |x: &SqlExpr, lo: usize, hi: usize, empty_ok: bool| {
+fn split_eq(
+    e: &PhysExpr,
+    at: usize,
+    end: usize,
+    const_lower: bool,
+) -> Option<(PhysExpr, PhysExpr)> {
+    let PhysExpr::Cmp { op: CmpOp::Eq, lhs: l, rhs: r } = e else { return None };
+    let within = |x: &PhysExpr, lo: usize, hi: usize, empty_ok: bool| {
         let mut cols = Vec::new();
         x.collect_cols(&mut cols);
         (empty_ok || !cols.is_empty()) && cols.iter().all(|&c| c >= lo && c < hi)
@@ -245,8 +250,8 @@ fn split_eq(e: &SqlExpr, at: usize, end: usize, const_lower: bool) -> Option<(Sq
 /// columns bind at `at` and past it. Only `outer = inner` equalities
 /// decorrelate; anything else (Q21's `l2.l_suppkey <> l1.l_suppkey`,
 /// range correlation, ...) is a typed E_UNSUPPORTED.
-fn correlation_key(bound: &SqlExpr, at: usize) -> Result<(SqlExpr, SqlExpr)> {
-    if !matches!(bound, SqlExpr::Cmp { op: CmpOp::Eq, .. }) {
+fn correlation_key(bound: &PhysExpr, at: usize) -> Result<(PhysExpr, PhysExpr)> {
+    if !matches!(bound, PhysExpr::Cmp { op: CmpOp::Eq, .. }) {
         return Err(unsup(
             "correlated predicate that is not an equality (only `outer = inner` \
              correlation decorrelates to a hash join)",
@@ -287,7 +292,7 @@ fn corr_scalar_unique(p: &LogicalPlan, ncorr: usize) -> bool {
 /// Build one Apply key: the outer expression joined against subquery
 /// output column `col`. The inner side is a bare column reference, so
 /// any promotion cast must land on the outer side.
-fn apply_key(outer: SqlExpr, sub: &Schema, col: usize) -> Result<(SqlExpr, usize)> {
+fn apply_key(outer: PhysExpr, sub: &Schema, col: usize) -> Result<(PhysExpr, usize)> {
     let ity = sub.field(col).ty;
     let ty = TypeId::promote(outer.type_id(), ity).ok_or_else(|| {
         berr(format!("correlated key types {} and {} are incompatible", outer.type_id(), ity))
@@ -319,7 +324,7 @@ impl<'a> Binder<'a> {
     /// the body (set-operation chain included), pop the CTEs. Returns the
     /// plan plus the correlation exports `(outer expression, output
     /// column)` the enclosing query must turn into Apply keys.
-    fn bind_query(&self, stmt: &SelectStmt) -> Result<(LogicalPlan, Vec<(SqlExpr, usize)>)> {
+    fn bind_query(&self, stmt: &SelectStmt) -> Result<(LogicalPlan, Vec<(PhysExpr, usize)>)> {
         let cte_base = self.ctes.borrow().len();
         for (name, q) in &stmt.with {
             // CTEs bind uncorrelated, and may use earlier CTEs of the
@@ -332,7 +337,7 @@ impl<'a> Binder<'a> {
         out
     }
 
-    fn bind_query_inner(&self, stmt: &SelectStmt) -> Result<(LogicalPlan, Vec<(SqlExpr, usize)>)> {
+    fn bind_query_inner(&self, stmt: &SelectStmt) -> Result<(LogicalPlan, Vec<(PhysExpr, usize)>)> {
         let (mut plan, mut items_len, corr) = self.bind_core(stmt)?;
 
         if !stmt.set_ops.is_empty() {
@@ -412,9 +417,9 @@ impl<'a> Binder<'a> {
         // everything else filters.
         let mut subq: Vec<(&Expr, bool)> = Vec::new();
         let mut scalarc: Vec<&Expr> = Vec::new();
-        let mut cands: Vec<(usize, SqlExpr)> = Vec::new();
-        let mut filters: Vec<(usize, SqlExpr)> = Vec::new();
-        let mut corr: Vec<(SqlExpr, SqlExpr)> = Vec::new();
+        let mut cands: Vec<(usize, PhysExpr)> = Vec::new();
+        let mut filters: Vec<(usize, PhysExpr)> = Vec::new();
+        let mut corr: Vec<(PhysExpr, PhysExpr)> = Vec::new();
         if let Some(w) = &stmt.where_clause {
             for (ci, conjunct) in split_conjuncts(w).into_iter().enumerate() {
                 // `NOT EXISTS` / `NOT (x IN (...))` arrive wrapped in Not.
@@ -438,7 +443,7 @@ impl<'a> Binder<'a> {
                         if cx.outer_refs > before {
                             corr.push(correlation_key(&bound, cx.scope.cols.len())?);
                         } else if parts.len() > 1
-                            && matches!(bound, SqlExpr::Cmp { op: CmpOp::Eq, .. })
+                            && matches!(bound, PhysExpr::Cmp { op: CmpOp::Eq, .. })
                         {
                             cands.push((ci, bound));
                         } else {
@@ -467,7 +472,7 @@ impl<'a> Binder<'a> {
                 }
             }
             if keys.is_empty() {
-                let one = SqlExpr::Lit(Value::I64(1), TypeId::I64);
+                let one = PhysExpr::Const(Value::I64(1), TypeId::I64);
                 keys.push((one.clone(), one));
             }
             prefix_w += w;
@@ -582,7 +587,7 @@ impl<'a> Binder<'a> {
         cx: &mut Frame,
         stmt: &SelectStmt,
         visible: usize,
-        corr: &[(SqlExpr, SqlExpr)],
+        corr: &[(PhysExpr, PhysExpr)],
     ) -> Result<BoundCore> {
         let mut exprs = Vec::new();
         let mut fields = Vec::new();
@@ -590,7 +595,7 @@ impl<'a> Binder<'a> {
             match item {
                 SelectItem::Wildcard => {
                     for (i, c) in cx.scope.cols.iter().take(visible).enumerate() {
-                        exprs.push(SqlExpr::Col(i, c.ty));
+                        exprs.push(PhysExpr::ColRef(i, c.ty));
                         fields.push(Field { name: c.name.clone(), ty: c.ty, nullable: c.nullable });
                     }
                 }
@@ -623,10 +628,10 @@ impl<'a> Binder<'a> {
         plan: LogicalPlan,
         cx: &mut Frame<'s>,
         stmt: &'s SelectStmt,
-        corr: &[(SqlExpr, SqlExpr)],
+        corr: &[(PhysExpr, PhysExpr)],
     ) -> Result<BoundCore> {
         // 1. Group expressions: user groups, then correlation columns.
-        let mut group: Vec<SqlExpr> = Vec::new();
+        let mut group: Vec<PhysExpr> = Vec::new();
         let mut group_names: Vec<String> = Vec::new();
         for g in &stmt.group_by {
             let bound = self.bind_local(g, cx, "GROUP BY expression")?;
@@ -727,7 +732,7 @@ impl<'a> Binder<'a> {
         let mut corr_out = Vec::new();
         for (k, ((oe, _), (gidx, ty))) in corr.iter().zip(corr_cols).enumerate() {
             fields.push(Field { name: format!("__corr{k}"), ty, nullable: true });
-            exprs.push(SqlExpr::Col(gidx, ty));
+            exprs.push(PhysExpr::ColRef(gidx, ty));
             corr_out.push((oe.clone(), items_len + k));
         }
         let schema = Schema::unchecked(fields);
@@ -871,7 +876,7 @@ impl<'a> Binder<'a> {
         &self,
         stmt: &SelectStmt,
         cx: &mut Frame,
-    ) -> Result<(LogicalPlan, Vec<(SqlExpr, usize)>)> {
+    ) -> Result<(LogicalPlan, Vec<(PhysExpr, usize)>)> {
         self.upper.borrow_mut().push(std::mem::take(&mut cx.scope));
         let out = self.bind_query(stmt);
         cx.scope = self.upper.borrow_mut().pop().expect("pushed above");
@@ -902,7 +907,7 @@ impl<'a> Binder<'a> {
         let left_key = self.bind_local(expr, cx, "IN probe value")?;
         if corr.is_empty() {
             // Uncorrelated: direct semi / NULL-aware anti join.
-            let right_key = SqlExpr::Col(0, sub.schema().field(0).ty);
+            let right_key = PhysExpr::ColRef(0, sub.schema().field(0).ty);
             let (left_key, right_key) = unify_key_types(left_key, right_key)?;
             let kind = if negated { JoinKind::NullAwareAnti } else { JoinKind::Semi };
             return Ok(LogicalPlan::Join {
@@ -941,7 +946,7 @@ impl<'a> Binder<'a> {
         let (sub, corr) = self.bind_subquery(subquery, cx)?;
         if corr.is_empty() {
             // Uncorrelated EXISTS: semi/anti join on the constant key 1 = 1.
-            let one = SqlExpr::Lit(Value::I64(1), TypeId::I64);
+            let one = PhysExpr::Const(Value::I64(1), TypeId::I64);
             // Project the subquery down to the constant key.
             let sub_key = LogicalPlan::Project {
                 schema: Schema::unchecked(vec![Field::not_null("__one", TypeId::I64)]),
@@ -954,7 +959,7 @@ impl<'a> Binder<'a> {
                 left: Box::new(plan),
                 right: Box::new(sub_key),
                 kind,
-                keys: vec![(one, SqlExpr::Col(0, TypeId::I64))],
+                keys: vec![(one, PhysExpr::ColRef(0, TypeId::I64))],
             });
         }
         let keys = corr
@@ -974,7 +979,7 @@ impl<'a> Binder<'a> {
     /// goes on the frame's plan, and the expression is the Apply's value
     /// column. In WHERE the value also joins the frame's scope, nameless,
     /// so later subqueries' outer keys index the Apply's output.
-    fn bind_scalar(&self, sub: &SelectStmt, cx: &mut Frame) -> Result<SqlExpr> {
+    fn bind_scalar(&self, sub: &SelectStmt, cx: &mut Frame) -> Result<PhysExpr> {
         let Some(input) = cx.plan.take() else {
             return Err(unsup(
                 "scalar subquery in this position (supported in WHERE and HAVING conjuncts)",
@@ -992,13 +997,13 @@ impl<'a> Binder<'a> {
                      (use an aggregate without GROUP BY, or LIMIT 1)",
                 ));
             }
-            let one = SqlExpr::Lit(Value::I64(1), TypeId::I64);
+            let one = PhysExpr::Const(Value::I64(1), TypeId::I64);
             let proj = LogicalPlan::Project {
                 schema: Schema::unchecked(vec![
                     Field { name: "__sval".into(), ty: value.ty, nullable: true },
                     Field::not_null("__one", TypeId::I64),
                 ]),
-                exprs: vec![SqlExpr::Col(0, value.ty), one.clone()],
+                exprs: vec![PhysExpr::ColRef(0, value.ty), one.clone()],
                 input: Box::new(sub_plan),
             };
             (proj, vec![(one, 1)])
@@ -1039,12 +1044,12 @@ impl<'a> Binder<'a> {
                 nullable: true,
             });
         }
-        Ok(SqlExpr::Col(col, value.ty))
+        Ok(PhysExpr::ColRef(col, value.ty))
     }
 
     /// Bind `e` in a position where only the query's own columns may
     /// appear; `what` names the position in the error.
-    fn bind_local(&self, e: &Expr, cx: &mut Frame, what: &str) -> Result<SqlExpr> {
+    fn bind_local(&self, e: &Expr, cx: &mut Frame, what: &str) -> Result<PhysExpr> {
         let before = cx.outer_refs;
         let bound = self.bind_expr(e, cx)?;
         if cx.outer_refs > before {
@@ -1069,7 +1074,7 @@ impl<'a> Binder<'a> {
 
     /// After aggregation, the output column `e` is when it is an aggregate
     /// call or a GROUP BY expression (a bare column must be one).
-    fn output_col(&self, e: &Expr, cx: &mut Frame) -> Result<Option<SqlExpr>> {
+    fn output_col(&self, e: &Expr, cx: &mut Frame) -> Result<Option<PhysExpr>> {
         let Some(g) = &cx.grouped else { return Ok(None) };
         if is_agg(e) {
             let &(_, col, ty) = g
@@ -1077,7 +1082,7 @@ impl<'a> Binder<'a> {
                 .iter()
                 .find(|(c, ..)| *c == e)
                 .ok_or_else(|| berr("aggregate not collected (engine bug)"))?;
-            return Ok(Some(SqlExpr::Col(col, ty)));
+            return Ok(Some(PhysExpr::ColRef(col, ty)));
         }
         if !matches!(e, Expr::Ident(_)) && !g.asts.contains(e) {
             return Ok(None);
@@ -1088,7 +1093,7 @@ impl<'a> Binder<'a> {
         let bound = bound?;
         let group = &cx.grouped.as_ref().expect("restored above").group;
         match group.iter().position(|g| *g == bound) {
-            Some(idx) => Ok(Some(SqlExpr::Col(idx, bound.type_id()))),
+            Some(idx) => Ok(Some(PhysExpr::ColRef(idx, bound.type_id()))),
             None => match e {
                 Expr::Ident(parts) => Err(berr(format!(
                     "column {} must appear in GROUP BY or inside an aggregate",
@@ -1100,7 +1105,7 @@ impl<'a> Binder<'a> {
     }
 
     /// Bind a scalar expression in the frame `cx`.
-    fn bind_expr(&self, e: &Expr, cx: &mut Frame) -> Result<SqlExpr> {
+    fn bind_expr(&self, e: &Expr, cx: &mut Frame) -> Result<PhysExpr> {
         if let Some(col) = self.output_col(e, cx)? {
             return Ok(col);
         }
@@ -1108,12 +1113,12 @@ impl<'a> Binder<'a> {
             Expr::Ident(parts) => {
                 let r = self.resolve(parts, &cx.scope)?;
                 match r.depth {
-                    0 => Ok(SqlExpr::Col(r.index, r.ty)),
+                    0 => Ok(PhysExpr::ColRef(r.index, r.ty)),
                     1 => {
                         // Past the frame's columns: `correlation_key`
                         // splits at that boundary.
                         cx.outer_refs += 1;
-                        Ok(SqlExpr::Col(cx.scope.cols.len() + r.index, r.ty))
+                        Ok(PhysExpr::ColRef(cx.scope.cols.len() + r.index, r.ty))
                     }
                     _ => Err(unsup(format!(
                         "correlated reference to a query two or more levels up ('{}')",
@@ -1121,7 +1126,7 @@ impl<'a> Binder<'a> {
                     ))),
                 }
             }
-            Expr::Lit(v) => Ok(SqlExpr::Lit(v.clone(), v.type_id().unwrap_or(TypeId::I64))),
+            Expr::Lit(v) => Ok(PhysExpr::Const(v.clone(), v.type_id().unwrap_or(TypeId::I64))),
             Expr::Binary { op, left, right } => {
                 if let Some(e) = self.try_interval_arith(*op, left, right, cx)? {
                     return Ok(e);
@@ -1131,14 +1136,14 @@ impl<'a> Binder<'a> {
                 combine_binary(*op, l, r)
             }
             Expr::Neg(x) => negate(self.bind_expr(x, cx)?),
-            Expr::Not(x) => Ok(SqlExpr::Not(Box::new(self.bind_expr(x, cx)?))),
+            Expr::Not(x) => Ok(PhysExpr::Not(Box::new(self.bind_expr(x, cx)?))),
             Expr::Cast { expr, ty } => Ok(cast_to(self.bind_expr(expr, cx)?, *ty)),
             Expr::IsNull { expr, negated } => {
                 let b = self.bind_expr(expr, cx)?;
                 Ok(if *negated {
-                    SqlExpr::IsNotNull(Box::new(b))
+                    PhysExpr::IsNotNull(Box::new(b))
                 } else {
-                    SqlExpr::IsNull(Box::new(b))
+                    PhysExpr::IsNull(Box::new(b))
                 })
             }
             Expr::Between { expr, low, high, negated } => {
@@ -1149,15 +1154,15 @@ impl<'a> Binder<'a> {
                 let hi = self.bind_expr(high, cx)?;
                 let ge = combine_binary(ast::BinaryOp::Ge, x.clone(), lo)?;
                 let le = combine_binary(ast::BinaryOp::Le, x, hi)?;
-                let both = SqlExpr::And(vec![ge, le]);
-                Ok(if *negated { SqlExpr::Not(Box::new(both)) } else { both })
+                let both = PhysExpr::And(vec![ge, le]);
+                Ok(if *negated { PhysExpr::Not(Box::new(both)) } else { both })
             }
             Expr::Like { expr, pattern, negated } => {
                 let input = self.bind_expr(expr, cx)?;
                 if input.type_id() != TypeId::Str {
                     return Err(berr("LIKE requires a string input"));
                 }
-                Ok(SqlExpr::Like {
+                Ok(PhysExpr::Like {
                     input: Box::new(input),
                     pattern: pattern.clone(),
                     negated: *negated,
@@ -1165,17 +1170,8 @@ impl<'a> Binder<'a> {
             }
             Expr::InList { expr, list, negated } => {
                 let input = self.bind_expr(expr, cx)?;
-                let mut ty = input.type_id();
-                let mut bound = Vec::with_capacity(list.len());
-                for m in list {
-                    let b = self.bind_expr(m, cx)?;
-                    ty = TypeId::promote(ty, b.type_id())
-                        .ok_or_else(|| berr("IN list has incompatible types"))?;
-                    bound.push(b);
-                }
-                let input = cast_to(input, ty);
-                let bound = bound.into_iter().map(|b| cast_to(b, ty)).collect();
-                Ok(SqlExpr::InList { input: Box::new(input), list: bound, negated: *negated })
+                let list = list.iter().map(|m| self.bind_expr(m, cx)).collect::<Result<_>>()?;
+                functions::in_list(input, list, *negated)
             }
             Expr::InSubquery { .. } | Expr::Exists { .. } => {
                 Err(berr("subqueries are only supported as top-level WHERE conjuncts"))
@@ -1192,9 +1188,9 @@ impl<'a> Binder<'a> {
                 build_case(bs, el)
             }
             Expr::Func { name, args } => {
-                let bound: Vec<SqlExpr> =
+                let bound: Vec<PhysExpr> =
                     args.iter().map(|a| self.bind_expr(a, cx)).collect::<Result<_>>()?;
-                bind_function(name, bound)
+                functions::bind(name, bound)
             }
             Expr::Wildcard => Err(berr("'*' only valid in COUNT(*)")),
             Expr::Extract { field, expr } => {
@@ -1204,11 +1200,11 @@ impl<'a> Binder<'a> {
                 if d.type_id() != TypeId::Date {
                     return Err(berr("EXTRACT requires a DATE input"));
                 }
-                Ok(SqlExpr::Func {
-                    func: KernelFunc::Extract,
+                Ok(PhysExpr::FuncCall {
+                    func: Func::Extract,
                     args: vec![
                         d,
-                        SqlExpr::Lit(Value::I64(vw_exec::expr::encode_field(f)), TypeId::I64),
+                        PhysExpr::Const(Value::I64(vw_exec::expr::encode_field(f)), TypeId::I64),
                     ],
                     ty: TypeId::I64,
                 })
@@ -1228,7 +1224,7 @@ impl<'a> Binder<'a> {
         left: &Expr,
         right: &Expr,
         cx: &mut Frame,
-    ) -> Result<Option<SqlExpr>> {
+    ) -> Result<Option<PhysExpr>> {
         use ast::BinaryOp as B;
         let (date_ast, n, unit) = match (left, right, op) {
             (d, Expr::Interval { n, unit }, B::Add | B::Sub) => (d, *n, *unit),
@@ -1247,7 +1243,7 @@ impl<'a> Binder<'a> {
         };
         // Fold literal dates at bind time so MinMax hints and goldens see
         // plain date literals.
-        if let SqlExpr::Lit(Value::Date(dt), _) = &d {
+        if let PhysExpr::Const(Value::Date(dt), _) = &d {
             let out = match months {
                 None => {
                     let delta =
@@ -1259,15 +1255,15 @@ impl<'a> Binder<'a> {
                     add_months(dt.0, m)?
                 }
             };
-            return Ok(Some(SqlExpr::Lit(Value::Date(Date(out)), TypeId::Date)));
+            return Ok(Some(PhysExpr::Const(Value::Date(Date(out)), TypeId::Date)));
         }
         let (func, arg) = match months {
-            None => (KernelFunc::DateAddDays, n),
-            Some(m) => (KernelFunc::DateAddMonths, m),
+            None => (Func::DateAddDays, n),
+            Some(m) => (Func::DateAddMonths, m),
         };
-        Ok(Some(SqlExpr::Func {
+        Ok(Some(PhysExpr::FuncCall {
             func,
-            args: vec![d, SqlExpr::Lit(Value::I64(arg), TypeId::I64)],
+            args: vec![d, PhysExpr::Const(Value::I64(arg), TypeId::I64)],
             ty: TypeId::Date,
         }))
     }
@@ -1276,7 +1272,7 @@ impl<'a> Binder<'a> {
 /// Bind an expression against a bare schema: a DML statement's expression
 /// over its table's columns. It reads no catalog — a subquery here is a
 /// typed error.
-pub fn bind_expr_on_schema(e: &Expr, schema: &Schema) -> Result<SqlExpr> {
+pub fn bind_expr_on_schema(e: &Expr, schema: &Schema) -> Result<PhysExpr> {
     let binder = Binder { catalog: None, ctes: RefCell::default(), upper: RefCell::default() };
     binder.bind_expr(e, &mut Frame::new(Scope::from_schema(None, schema)))
 }
@@ -1300,14 +1296,16 @@ fn display_name(e: &Expr) -> String {
     }
 }
 
-fn cast_to(e: SqlExpr, ty: TypeId) -> SqlExpr {
+/// `e` as `ty`: unchanged when it has that type, a NULL literal retyped,
+/// anything else under a cast.
+pub(crate) fn cast_to(e: PhysExpr, ty: TypeId) -> PhysExpr {
     if e.type_id() == ty {
         e
-    } else if matches!(&e, SqlExpr::Lit(v, _) if v.is_null()) {
+    } else if matches!(&e, PhysExpr::Const(v, _) if v.is_null()) {
         // NULL literals retype for free.
-        SqlExpr::Lit(Value::Null, ty)
+        PhysExpr::Const(Value::Null, ty)
     } else {
-        SqlExpr::Cast { input: Box::new(e), to: ty }
+        PhysExpr::Cast { input: Box::new(e), to: ty }
     }
 }
 
@@ -1346,7 +1344,7 @@ fn make_setop(kind: ast::SetOpKind, left: LogicalPlan, right: LogicalPlan) -> Re
     let mut tagged = schema.clone();
     tagged.fields.push(Field::not_null("tag", TypeId::I64));
     let inputs = vec![cast_input(left, &tagged, Some(0)), cast_input(right, &tagged, Some(1))];
-    let tag = SqlExpr::Col(lw, TypeId::I64);
+    let tag = PhysExpr::ColRef(lw, TypeId::I64);
     let call = |func| AggCall { func, input: Some(tag.clone()), out_ty: TypeId::I64 };
     let mut agg_schema = schema.clone();
     agg_schema.fields.push(Field::nullable("tag_min", TypeId::I64));
@@ -1357,12 +1355,12 @@ fn make_setop(kind: ast::SetOpKind, left: LogicalPlan, right: LogicalPlan) -> Re
         aggs: vec![call(AggFunc::Min), call(AggFunc::Max)],
         schema: agg_schema,
     };
-    let (min, max) = (SqlExpr::Col(lw, TypeId::I64), SqlExpr::Col(lw + 1, TypeId::I64));
+    let (min, max) = (PhysExpr::ColRef(lw, TypeId::I64), PhysExpr::ColRef(lw + 1, TypeId::I64));
     let predicate = if kind == ast::SetOpKind::Intersect {
-        SqlExpr::Cmp { op: CmpOp::Lt, l: Box::new(min), r: Box::new(max) }
+        PhysExpr::Cmp { op: CmpOp::Lt, lhs: Box::new(min), rhs: Box::new(max) }
     } else {
-        let left_only = SqlExpr::Lit(Value::I64(0), TypeId::I64);
-        SqlExpr::Cmp { op: CmpOp::Eq, l: Box::new(max), r: Box::new(left_only) }
+        let left_only = PhysExpr::Const(Value::I64(0), TypeId::I64);
+        PhysExpr::Cmp { op: CmpOp::Eq, lhs: Box::new(max), rhs: Box::new(left_only) }
     };
     let kept = LogicalPlan::Filter { input: Box::new(grouped), predicate };
     Ok(LogicalPlan::Project { input: Box::new(kept), exprs: columns(&schema), schema })
@@ -1376,8 +1374,8 @@ fn distinct(input: LogicalPlan) -> LogicalPlan {
 }
 
 /// A reference to every column of `schema`, in order.
-fn columns(schema: &Schema) -> Vec<SqlExpr> {
-    schema.fields.iter().enumerate().map(|(i, f)| SqlExpr::Col(i, f.ty)).collect()
+fn columns(schema: &Schema) -> Vec<PhysExpr> {
+    schema.fields.iter().enumerate().map(|(i, f)| PhysExpr::ColRef(i, f.ty)).collect()
 }
 
 /// `input` under `target`'s names and types: its columns cast where the
@@ -1396,36 +1394,36 @@ fn cast_input(input: LogicalPlan, target: &Schema, tag: Option<i64>) -> LogicalP
             (other, exprs)
         }
     };
-    let mut exprs: Vec<SqlExpr> =
+    let mut exprs: Vec<PhysExpr> =
         exprs.into_iter().zip(&target.fields).map(|(e, t)| cast_to(e, t.ty)).collect();
-    exprs.extend(tag.map(|t| SqlExpr::Lit(Value::I64(t), TypeId::I64)));
+    exprs.extend(tag.map(|t| PhysExpr::Const(Value::I64(t), TypeId::I64)));
     LogicalPlan::Project { schema: target.clone(), exprs, input: Box::new(input) }
 }
 
-fn unify_key_types(l: SqlExpr, r: SqlExpr) -> Result<(SqlExpr, SqlExpr)> {
+fn unify_key_types(l: PhysExpr, r: PhysExpr) -> Result<(PhysExpr, PhysExpr)> {
     let ty = TypeId::promote(l.type_id(), r.type_id()).ok_or_else(|| {
         berr(format!("join/IN key types {} and {} are incompatible", l.type_id(), r.type_id()))
     })?;
     Ok((cast_to(l, ty), cast_to(r, ty)))
 }
 
-fn negate(e: SqlExpr) -> Result<SqlExpr> {
+fn negate(e: PhysExpr) -> Result<PhysExpr> {
     let ty = e.type_id();
     if !ty.is_numeric() {
         return Err(berr(format!("cannot negate {ty}")));
     }
     let zero = if ty == TypeId::F64 {
-        SqlExpr::Lit(Value::F64(0.0), TypeId::F64)
+        PhysExpr::Const(Value::F64(0.0), TypeId::F64)
     } else {
-        SqlExpr::Lit(Value::I64(0), TypeId::I64)
+        PhysExpr::Const(Value::I64(0), TypeId::I64)
     };
     combine_binary(ast::BinaryOp::Sub, zero, e)
 }
 
 fn build_case(
-    branches: Vec<(SqlExpr, SqlExpr)>,
-    else_expr: Option<Box<SqlExpr>>,
-) -> Result<SqlExpr> {
+    branches: Vec<(PhysExpr, PhysExpr)>,
+    else_expr: Option<Box<PhysExpr>>,
+) -> Result<PhysExpr> {
     let mut ty = branches
         .first()
         .map(|(_, v)| v.type_id())
@@ -1443,27 +1441,17 @@ fn build_case(
     }
     let branches = branches.into_iter().map(|(c, v)| (c, cast_to(v, ty))).collect();
     let else_expr = else_expr.map(|e| Box::new(cast_to(*e, ty)));
-    Ok(SqlExpr::Case { branches, else_expr, ty })
-}
-
-/// Bind a non-aggregate function call by name.
-pub fn bind_function(name: &str, args: Vec<SqlExpr>) -> Result<SqlExpr> {
-    let imp = functions::resolve(name).ok_or_else(|| berr(format!("unknown function {name}")))?;
-    let (args, ty) = functions::type_check(name, imp, args)?;
-    Ok(match imp {
-        FuncImpl::Kernel(func) => SqlExpr::Func { func, args, ty },
-        FuncImpl::Ext(func) => SqlExpr::Ext { func, args, ty },
-    })
+    Ok(PhysExpr::Case { branches, else_expr, ty })
 }
 
 /// Combine a binary AST operator over two bound operands, inserting
 /// promotions/casts and lowering date arithmetic to kernel functions.
-pub fn combine_binary(op: ast::BinaryOp, l: SqlExpr, r: SqlExpr) -> Result<SqlExpr> {
+pub fn combine_binary(op: ast::BinaryOp, l: PhysExpr, r: PhysExpr) -> Result<PhysExpr> {
     use ast::BinaryOp as B;
     let (lt, rt) = (l.type_id(), r.type_id());
     match op {
-        B::And => Ok(SqlExpr::And(vec![l, r])),
-        B::Or => Ok(SqlExpr::Or(vec![l, r])),
+        B::And => Ok(PhysExpr::And(vec![l, r])),
+        B::Or => Ok(PhysExpr::Or(vec![l, r])),
         B::Eq | B::Ne | B::Lt | B::Le | B::Gt | B::Ge => {
             let cmp = match op {
                 B::Eq => CmpOp::Eq,
@@ -1475,15 +1463,19 @@ pub fn combine_binary(op: ast::BinaryOp, l: SqlExpr, r: SqlExpr) -> Result<SqlEx
                 _ => unreachable!(),
             };
             // NULL literals are type-flexible: adopt the other side's type.
-            let ty = if matches!(&l, SqlExpr::Lit(v, _) if v.is_null()) {
+            let ty = if matches!(&l, PhysExpr::Const(v, _) if v.is_null()) {
                 rt
-            } else if matches!(&r, SqlExpr::Lit(v, _) if v.is_null()) {
+            } else if matches!(&r, PhysExpr::Const(v, _) if v.is_null()) {
                 lt
             } else {
                 TypeId::promote(lt, rt)
                     .ok_or_else(|| berr(format!("cannot compare {lt} with {rt}")))?
             };
-            Ok(SqlExpr::Cmp { op: cmp, l: Box::new(cast_to(l, ty)), r: Box::new(cast_to(r, ty)) })
+            Ok(PhysExpr::Cmp {
+                op: cmp,
+                lhs: Box::new(cast_to(l, ty)),
+                rhs: Box::new(cast_to(r, ty)),
+            })
         }
         B::Add | B::Sub | B::Mul | B::Div | B::Rem => {
             // Date arithmetic lowers to kernel date functions.
@@ -1493,15 +1485,15 @@ pub fn combine_binary(op: ast::BinaryOp, l: SqlExpr, r: SqlExpr) -> Result<SqlEx
                 } else {
                     cast_to(r, TypeId::I64)
                 };
-                return Ok(SqlExpr::Func {
-                    func: KernelFunc::DateAddDays,
+                return Ok(PhysExpr::FuncCall {
+                    func: Func::DateAddDays,
                     args: vec![l, days],
                     ty: TypeId::Date,
                 });
             }
             if lt == TypeId::Date && rt == TypeId::Date && op == B::Sub {
-                return Ok(SqlExpr::Func {
-                    func: KernelFunc::DateDiffDays,
+                return Ok(PhysExpr::FuncCall {
+                    func: Func::DateDiffDays,
                     args: vec![l, r],
                     ty: TypeId::I64,
                 });
@@ -1519,10 +1511,10 @@ pub fn combine_binary(op: ast::BinaryOp, l: SqlExpr, r: SqlExpr) -> Result<SqlEx
                 B::Rem => BinOp::Rem,
                 _ => unreachable!(),
             };
-            Ok(SqlExpr::Arith {
+            Ok(PhysExpr::Arith {
                 op: bop,
-                l: Box::new(cast_to(l, target)),
-                r: Box::new(cast_to(r, target)),
+                lhs: Box::new(cast_to(l, target)),
+                rhs: Box::new(cast_to(r, target)),
                 ty: target,
             })
         }
@@ -1532,7 +1524,6 @@ pub fn combine_binary(op: ast::BinaryOp, l: SqlExpr, r: SqlExpr) -> Result<SqlEx
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::expr::ExtFunc;
     use crate::parse;
 
     struct MockCatalog;
@@ -1680,12 +1671,86 @@ mod tests {
         assert_eq!(p.schema().field(0).ty, TypeId::I64);
     }
 
+    /// The first SELECT-list expression of `sql`, as bound.
+    fn first_expr(sql: &str) -> PhysExpr {
+        let LogicalPlan::Project { mut exprs, .. } = bind(sql).unwrap() else { panic!("{sql}") };
+        exprs.swap_remove(0)
+    }
+
+    fn nodes(e: &PhysExpr) -> usize {
+        1 + e.children().into_iter().map(nodes).sum::<usize>()
+    }
+
     #[test]
-    fn ext_functions_stay_extended() {
-        let p = bind("SELECT COALESCE(qty, 0), NULLIF(id, 5) FROM t").unwrap();
-        // The plan still contains Ext nodes (the rewriter expands later).
-        let LogicalPlan::Project { exprs, .. } = &p else { panic!() };
-        assert!(matches!(exprs[0], SqlExpr::Ext { func: ExtFunc::Coalesce, .. }));
+    fn functions_without_a_kernel_primitive_bind_to_case_trees() {
+        // COALESCE(a, b, c): one IS NOT NULL arm per argument but the last.
+        let e = first_expr("SELECT COALESCE(qty, id, 0) FROM t");
+        let PhysExpr::Case { branches, else_expr, ty } = &e else { panic!("{e:?}") };
+        assert_eq!((branches.len(), *ty), (2, TypeId::I64));
+        assert!(matches!(branches[0].0, PhysExpr::IsNotNull(_)));
+        assert!(else_expr.is_some());
+        for sql in [
+            "SELECT NULLIF(id, 5) FROM t",
+            "SELECT IFNULL(qty, 5) FROM t",
+            "SELECT NVL(qty, 5) FROM t",
+            "SELECT GREATEST(id, qty, 3) FROM t",
+            "SELECT LEAST(id, qty) FROM t",
+            "SELECT SIGN(qty) FROM t",
+        ] {
+            assert!(matches!(first_expr(sql), PhysExpr::Case { .. }), "{sql}");
+        }
+        // One argument is the argument itself.
+        assert_eq!(first_expr("SELECT COALESCE(qty) FROM t"), PhysExpr::ColRef(1, TypeId::I32));
+        assert!(matches!(bind("SELECT COALESCE(name, 1) FROM t"), Err(VwError::Bind(_))));
+        assert!(matches!(bind("SELECT SIGN(name) FROM t"), Err(VwError::Bind(_))));
+    }
+
+    #[test]
+    fn greatest_and_least_grow_quadratically_within_the_arity_cap() {
+        let args = |n: usize| vec!["qty"; n].join(", ");
+        let size = |n: usize| nodes(&first_expr(&format!("SELECT GREATEST({}) FROM t", args(n))));
+        // n - 1 arms of at most n tests each (a doubling expansion builds
+        // about 2^n nodes: over 1 000 at n = 8).
+        for n in 2..=8 {
+            assert!(size(n) <= 8 * n * n, "GREATEST of {n}: {} nodes", size(n));
+        }
+        assert!(bind(&format!("SELECT LEAST({}) FROM t", args(9))).is_err());
+    }
+
+    #[test]
+    fn in_lists_bind_to_or_chains() {
+        let e = first_expr("SELECT qty IN (1, 2, 3) FROM t");
+        let PhysExpr::Or(parts) = &e else { panic!("{e:?}") };
+        assert_eq!(parts.len(), 3);
+        // The I32 column and the BIGINT members meet at BIGINT.
+        let PhysExpr::Cmp { op: CmpOp::Eq, lhs, .. } = &parts[0] else { panic!("{e:?}") };
+        assert_eq!(lhs.type_id(), TypeId::I64);
+        let e = first_expr("SELECT qty NOT IN (1) FROM t");
+        assert!(matches!(&e, PhysExpr::Not(x) if matches!(**x, PhysExpr::Or(_))), "{e:?}");
+        assert!(matches!(bind("SELECT id FROM t WHERE name IN (1, 2)"), Err(VwError::Bind(_))));
+    }
+
+    #[test]
+    fn a_null_member_takes_the_in_lists_type() {
+        for sql in [
+            "SELECT id FROM t WHERE name NOT IN ('x', NULL)",
+            "SELECT id FROM t WHERE d IN (DATE '1995-01-01', NULL)",
+            "SELECT id FROM t WHERE NULL IN (name, 'y')",
+        ] {
+            let p = bind(sql).unwrap_or_else(|e| panic!("{sql}: {e}"));
+            let LogicalPlan::Project { input, .. } = &p else { panic!("{sql}") };
+            let LogicalPlan::Filter { predicate, .. } = input.as_ref() else { panic!("{sql}") };
+            let mut lits = Vec::new();
+            fn walk(e: &PhysExpr, out: &mut Vec<TypeId>) {
+                if let PhysExpr::Const(Value::Null, ty) = e {
+                    out.push(*ty);
+                }
+                e.children().into_iter().for_each(|c| walk(c, out));
+            }
+            walk(predicate, &mut lits);
+            assert!(!lits.is_empty(), "{sql}");
+            assert!(!lits.contains(&TypeId::I64), "{sql}: a NULL operand was not retyped");
+        }
     }
 
     #[test]

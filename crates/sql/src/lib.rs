@@ -6,7 +6,7 @@
 //! pipeline stage: a hand-written SQL [lexer]/[parser], a
 //! [binder] that resolves names and types against a catalog and
 //! produces a typed [logical plan](plan), and a histogram-driven
-//! [optimizer] doing decorrelation, constant folding, predicate pushdown,
+//! [optimizer] doing normalization, decorrelation, predicate pushdown,
 //! projection pruning, selectivity-ordered greedy join ordering and
 //! build-side choice in one pass list — the kind of features the paper
 //! says were added to the Ingres optimizer. Without statistics
@@ -18,17 +18,18 @@
 //! anti join, and `NOT IN` to the **NULL-aware left anti join** whose SQL
 //! semantics the paper singles out as treacherous.
 //!
-//! The output of this crate ([`plan::LogicalPlan`] over [`expr::SqlExpr`])
-//! still contains SQL-level "extended functions" (`COALESCE`, `NULLIF`,
-//! `IFNULL`, `GREATEST`, …). Expanding those into kernel primitives is
-//! *deliberately not done here*: that is the job of `vw-rewriter`, exactly
-//! as in Vectorwise ("Some functions were implemented in the rewriter
-//! phase, by simplifying them or expressing as combinations of other
-//! functions").
+//! The output of this crate is a [`plan::LogicalPlan`] over the kernel's
+//! own expression tree, `vw_exec::expr::PhysExpr`: there is no SQL-level
+//! expression type to lower. SQL functions without a kernel primitive
+//! (`COALESCE`, `NULLIF`, `IFNULL`, `GREATEST`, `LEAST`, `SIGN`) and
+//! `x [NOT] IN (…)` lists become CASE/comparison trees as they bind
+//! ([`functions`]) — the paper's "implemented in the rewriter phase, by
+//! simplifying them or expressing as combinations of other functions",
+//! done where this engine types them. The optimizer's first pass
+//! normalizes every plan expression once ([`optimizer::fold_expr`]).
 
 pub mod ast;
 pub mod binder;
-pub mod expr;
 pub mod functions;
 pub mod lexer;
 pub mod optimizer;
@@ -36,7 +37,6 @@ pub mod parser;
 pub mod plan;
 
 pub use binder::{Binder, CatalogView};
-pub use expr::{ExtFunc, SqlExpr};
 pub use plan::{AggCall, JoinKind, LogicalPlan};
 
 use vw_common::Result;

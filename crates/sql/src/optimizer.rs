@@ -3,9 +3,11 @@
 //!
 //! [`optimize`] runs one pass list over the bound plan:
 //!
-//! 1. **Decorrelation** — every Apply becomes a hash join;
-//! 2. **Constant folding** (column-free subtrees run once through the
-//!    kernel's compiled programs) and **filter merging**;
+//! 1. **Normalization** ([`fold_expr`] on every plan expression: constant
+//!    folding through the kernel's compiled programs, logic
+//!    simplification, NULL-test erasure from schema nullability);
+//! 2. **Decorrelation** — every Apply becomes a hash join — and **filter
+//!    merging**;
 //! 3. **Filter pushdown below joins** — error-free conjuncts sink through
 //!    projections and join inputs until they sit directly above the scans
 //!    they constrain;
@@ -26,10 +28,10 @@
 //! optimizer").
 
 use crate::binder::CatalogView;
-use crate::expr::{CmpOp, SqlExpr};
-use crate::plan::{ApplyKind, JoinKind, LogicalPlan, ScanHint};
+use crate::plan::{AggCall, ApplyKind, JoinKind, LogicalPlan, ScanHint};
 use std::collections::HashMap;
 use vw_common::{Field, Result, Schema, TypeId, Value, VwError};
+use vw_exec::expr::{CmpOp, PhysExpr};
 use vw_exec::program::eval_const;
 
 /// Selectivity floor: a conjunction never claims to filter below this.
@@ -44,8 +46,8 @@ const MAX_REORDER_LEAVES: usize = 8;
 
 /// Run the optimizer's pass list, estimating from `catalog`.
 pub fn optimize(plan: LogicalPlan, catalog: &dyn CatalogView) -> Result<LogicalPlan> {
+    let plan = normalize(plan)?;
     let plan = decorrelate(plan)?;
-    let plan = fold_constants_plan(plan)?;
     let plan = merge_filters(plan);
     let plan = push_filters(plan)?;
     let est = Estimator::new(catalog);
@@ -152,11 +154,11 @@ fn decorrelate(plan: LogicalPlan) -> Result<LogicalPlan> {
     let LogicalPlan::Apply { input, subquery, kind, keys, schema } = plan else {
         return Ok(plan);
     };
-    let keys: Vec<(SqlExpr, SqlExpr)> = keys
+    let keys: Vec<(PhysExpr, PhysExpr)> = keys
         .into_iter()
         .map(|(outer, idx)| {
             let ty = subquery.schema().field(idx).ty;
-            (outer, SqlExpr::Col(idx, ty))
+            (outer, PhysExpr::ColRef(idx, ty))
         })
         .collect();
     match kind {
@@ -188,80 +190,164 @@ fn decorrelate(plan: LogicalPlan) -> Result<LogicalPlan> {
                 keys,
                 schema: Schema::unchecked(fields),
             };
-            let exprs: Vec<SqlExpr> =
-                (0..=lw).map(|i| SqlExpr::Col(i, join.schema().field(i).ty)).collect();
+            let exprs: Vec<PhysExpr> =
+                (0..=lw).map(|i| PhysExpr::ColRef(i, join.schema().field(i).ty)).collect();
             Ok(LogicalPlan::Project { input: Box::new(join), exprs, schema })
         }
     }
 }
 
 // ---------------------------------------------------------------------------
-// constant folding
+// normalization
 // ---------------------------------------------------------------------------
 
-fn fold_constants_plan(plan: LogicalPlan) -> Result<LogicalPlan> {
+/// The per-column nullability of `plan`'s output.
+fn nullability(plan: &LogicalPlan) -> Vec<bool> {
+    plan.schema().fields.iter().map(|f| f.nullable).collect()
+}
+
+/// Normalize every expression of the plan once, bottom-up ([`fold_expr`]
+/// over the nullability of the expression's input), and drop filters that
+/// fold to TRUE.
+fn normalize(plan: LogicalPlan) -> Result<LogicalPlan> {
+    let plan = map_inputs(plan, &mut normalize)?;
+    let fold_all = |exprs: Vec<PhysExpr>, nulls: &[bool]| -> Result<Vec<PhysExpr>> {
+        exprs.into_iter().map(|e| fold_expr(e, nulls)).collect()
+    };
     Ok(match plan {
         LogicalPlan::Filter { input, predicate } => {
-            let input = Box::new(fold_constants_plan(*input)?);
-            let predicate = fold_expr(predicate)?;
-            match &predicate {
-                SqlExpr::Lit(Value::Bool(true), _) => *input,
-                _ => LogicalPlan::Filter { input, predicate },
+            match fold_expr(predicate, &nullability(&input))? {
+                PhysExpr::Const(Value::Bool(true), _) => *input,
+                predicate => LogicalPlan::Filter { input, predicate },
             }
         }
-        LogicalPlan::Project { input, exprs, schema } => LogicalPlan::Project {
-            input: Box::new(fold_constants_plan(*input)?),
-            exprs: exprs.into_iter().map(fold_expr).collect::<Result<_>>()?,
-            schema,
-        },
-        LogicalPlan::Aggregate { input, group, aggs, schema } => LogicalPlan::Aggregate {
-            input: Box::new(fold_constants_plan(*input)?),
-            group: group.into_iter().map(fold_expr).collect::<Result<_>>()?,
-            aggs,
-            schema,
-        },
-        other => map_inputs(other, &mut fold_constants_plan)?,
+        LogicalPlan::Project { input, exprs, schema } => {
+            let exprs = fold_all(exprs, &nullability(&input))?;
+            LogicalPlan::Project { input, exprs, schema }
+        }
+        LogicalPlan::Join { left, right, kind, keys, schema } => {
+            let (ln, rn) = (nullability(&left), nullability(&right));
+            let keys = keys
+                .into_iter()
+                .map(|(l, r)| Ok((fold_expr(l, &ln)?, fold_expr(r, &rn)?)))
+                .collect::<Result<_>>()?;
+            LogicalPlan::Join { left, right, kind, keys, schema }
+        }
+        LogicalPlan::Aggregate { input, group, aggs, schema } => {
+            let nulls = nullability(&input);
+            let group = fold_all(group, &nulls)?;
+            let aggs = aggs
+                .into_iter()
+                .map(|a| {
+                    Ok(AggCall { input: a.input.map(|e| fold_expr(e, &nulls)).transpose()?, ..a })
+                })
+                .collect::<Result<_>>()?;
+            LogicalPlan::Aggregate { input, group, aggs, schema }
+        }
+        LogicalPlan::Apply { input, subquery, kind, keys, schema } => {
+            let nulls = nullability(&input);
+            let keys = keys
+                .into_iter()
+                .map(|(e, i)| Ok((fold_expr(e, &nulls)?, i)))
+                .collect::<Result<_>>()?;
+            LogicalPlan::Apply { input, subquery, kind, keys, schema }
+        }
+        other => other,
     })
 }
 
-/// Constant folding through the one constant evaluator: the largest
-/// column-free subtree that lowers to the kernel is evaluated once by the
-/// compiled programs ([`eval_const`]) and becomes a literal. One whose
-/// evaluation errors is left as it is, so the error surfaces at run time.
-/// What folding adds of its own is TRUE/FALSE absorption in AND/OR,
-/// which holds whatever the column operands are.
-pub fn fold_expr(e: SqlExpr) -> Result<SqlExpr> {
-    if !matches!(e, SqlExpr::Lit(..)) && e.is_const() {
-        if let Ok(p) = e.lower() {
-            return Ok(match eval_const(&p) {
-                Ok(v) => SqlExpr::Lit(v, e.type_id()),
-                Err(_) => e,
-            });
-        }
+/// The one normalization of an expression, bottom-up; `nullable` gives
+/// the nullability of each input column.
+///
+/// * The largest column-free subtree is evaluated once by the compiled
+///   programs ([`eval_const`]) and becomes a literal; one whose evaluation
+///   errors is left as it is, so the error surfaces at run time.
+/// * TRUE/FALSE absorb in AND/OR, whatever the column operands are.
+/// * `NOT NOT x` is `x`; `NOT` over a comparison is the negated
+///   comparison (NULL where the comparison is NULL).
+/// * CASE drops WHEN arms whose condition is a FALSE or NULL literal, and
+///   a leading TRUE arm is its result.
+/// * `IS [NOT] NULL` over an input that can never be NULL is a literal —
+///   the schema's nullability spares the kernel the indicator work.
+pub fn fold_expr(e: PhysExpr, nullable: &[bool]) -> Result<PhysExpr> {
+    if e.is_const() {
+        return Ok(evaluate(e));
     }
-    Ok(match e.map_children(&mut fold_expr)? {
-        SqlExpr::And(parts) => absorb(parts, false, SqlExpr::And),
-        SqlExpr::Or(parts) => absorb(parts, true, SqlExpr::Or),
+    let e = match e.map_children(&mut |c| fold_expr(c, nullable))? {
+        PhysExpr::And(parts) => absorb(parts, false, PhysExpr::And),
+        PhysExpr::Or(parts) => absorb(parts, true, PhysExpr::Or),
+        PhysExpr::Not(x) => match *x {
+            PhysExpr::Not(y) => *y,
+            PhysExpr::Cmp { op, lhs, rhs } => PhysExpr::Cmp { op: op.negated(), lhs, rhs },
+            x => PhysExpr::Not(Box::new(x)),
+        },
+        PhysExpr::Case { branches, else_expr, ty } => {
+            let mut branches: Vec<_> = branches
+                .into_iter()
+                .filter(|(c, _)| !matches!(c, PhysExpr::Const(Value::Bool(false) | Value::Null, _)))
+                .collect();
+            match branches.first() {
+                Some((PhysExpr::Const(Value::Bool(true), _), _)) => branches.swap_remove(0).1,
+                Some(_) => PhysExpr::Case { branches, else_expr, ty },
+                None => else_expr.map_or(PhysExpr::Const(Value::Null, ty), |x| *x),
+            }
+        }
+        PhysExpr::IsNull(x) if !maybe_null(&x, nullable) => PhysExpr::bool_const(false),
+        PhysExpr::IsNotNull(x) if !maybe_null(&x, nullable) => PhysExpr::bool_const(true),
         other => other,
-    })
+    };
+    // A rule may leave an operator over literals (`NOT` over a folded test).
+    let over_literals = !matches!(e, PhysExpr::ColRef(..))
+        && e.children().iter().all(|c| matches!(c, PhysExpr::Const(..)));
+    Ok(if over_literals { evaluate(e) } else { e })
+}
+
+/// A column-free `e` as a literal, or `e` itself when it is one already
+/// or its evaluation errors.
+fn evaluate(e: PhysExpr) -> PhysExpr {
+    match e {
+        PhysExpr::Const(..) => e,
+        _ => match eval_const(&e) {
+            Ok(v) => PhysExpr::Const(v, e.type_id()),
+            Err(_) => e,
+        },
+    }
+}
+
+/// Can `e` ever be NULL, given the nullability of each input column?
+fn maybe_null(e: &PhysExpr, nullable: &[bool]) -> bool {
+    match e {
+        PhysExpr::ColRef(i, _) => nullable.get(*i).copied().unwrap_or(true),
+        PhysExpr::Const(v, _) => v.is_null(),
+        PhysExpr::IsNull(_) | PhysExpr::IsNotNull(_) => false,
+        PhysExpr::Case { branches, else_expr, .. } => {
+            branches.iter().any(|(_, v)| maybe_null(v, nullable))
+                || else_expr.as_ref().is_none_or(|x| maybe_null(x, nullable))
+        }
+        other => other.children().into_iter().any(|c| maybe_null(c, nullable)),
+    }
 }
 
 /// AND (`decisive = false`) or OR (`decisive = true`) over folded `parts`:
 /// a `decisive` literal decides the connective, and the other boolean
 /// literal drops out.
-fn absorb(parts: Vec<SqlExpr>, decisive: bool, rebuild: fn(Vec<SqlExpr>) -> SqlExpr) -> SqlExpr {
+fn absorb(
+    parts: Vec<PhysExpr>,
+    decisive: bool,
+    rebuild: fn(Vec<PhysExpr>) -> PhysExpr,
+) -> PhysExpr {
     let mut out = Vec::with_capacity(parts.len());
     for p in parts {
         match p {
-            SqlExpr::Lit(Value::Bool(b), _) if b == decisive => {
-                return SqlExpr::Lit(Value::Bool(decisive), TypeId::Bool)
+            PhysExpr::Const(Value::Bool(b), _) if b == decisive => {
+                return PhysExpr::bool_const(decisive)
             }
-            SqlExpr::Lit(Value::Bool(_), _) => {}
+            PhysExpr::Const(Value::Bool(_), _) => {}
             other => out.push(other),
         }
     }
     match out.len() {
-        0 => SqlExpr::Lit(Value::Bool(!decisive), TypeId::Bool),
+        0 => PhysExpr::bool_const(!decisive),
         1 => out.pop().unwrap(),
         _ => rebuild(out),
     }
@@ -280,7 +366,7 @@ fn merge_filters(plan: LogicalPlan) -> LogicalPlan {
             if let LogicalPlan::Filter { input: inner, predicate: p2 } = input {
                 let mut parts = p2.conjuncts();
                 parts.extend(predicate.conjuncts());
-                merge_filters(LogicalPlan::Filter { input: inner, predicate: SqlExpr::And(parts) })
+                merge_filters(LogicalPlan::Filter { input: inner, predicate: PhysExpr::And(parts) })
             } else {
                 LogicalPlan::Filter { input: Box::new(input), predicate }
             }
@@ -319,18 +405,18 @@ fn push_hints(plan: LogicalPlan) -> LogicalPlan {
 /// binder's widening cast around the column). Returns
 /// `(op, col, literal, flipped)` where `flipped` records that the column
 /// was on the right-hand side.
-fn col_vs_lit(e: &SqlExpr) -> Option<(CmpOp, usize, Value, bool)> {
-    let SqlExpr::Cmp { op, l, r } = e else { return None };
+fn col_vs_lit(e: &PhysExpr) -> Option<(CmpOp, usize, Value, bool)> {
+    let PhysExpr::Cmp { op, lhs: l, rhs: r } = e else { return None };
     match (l.as_ref(), r.as_ref()) {
-        (SqlExpr::Col(c, _), SqlExpr::Lit(v, _)) if !v.is_null() => {
+        (PhysExpr::ColRef(c, _), PhysExpr::Const(v, _)) if !v.is_null() => {
             Some((*op, *c, v.clone(), false))
         }
-        (SqlExpr::Lit(v, _), SqlExpr::Col(c, _)) if !v.is_null() => {
+        (PhysExpr::Const(v, _), PhysExpr::ColRef(c, _)) if !v.is_null() => {
             Some((*op, *c, v.clone(), true))
         }
         // The binder may wrap the scanned column in a widening cast.
-        (SqlExpr::Cast { input, .. }, SqlExpr::Lit(v, _)) if !v.is_null() => {
-            let SqlExpr::Col(c, cty) = input.as_ref() else { return None };
+        (PhysExpr::Cast { input, .. }, PhysExpr::Const(v, _)) if !v.is_null() => {
+            let PhysExpr::ColRef(c, cty) = input.as_ref() else { return None };
             // Narrow the literal back to the column type, if exact.
             match v.cast_to(*cty) {
                 Ok(nv) if nv.cast_to(v.type_id()?) == Ok(v.clone()) => Some((*op, *c, nv, false)),
@@ -342,7 +428,7 @@ fn col_vs_lit(e: &SqlExpr) -> Option<(CmpOp, usize, Value, bool)> {
 }
 
 /// `col <cmp> literal` (or reversed) → a MinMax hint in base-table indices.
-pub fn hint_from(e: &SqlExpr, projection: &[usize]) -> Option<ScanHint> {
+pub fn hint_from(e: &PhysExpr, projection: &[usize]) -> Option<ScanHint> {
     let (op, col, lit, flipped) = col_vs_lit(e)?;
     let base_col = *projection.get(col)?;
     let (lo, hi) = match (op, flipped) {
@@ -362,21 +448,17 @@ pub fn hint_from(e: &SqlExpr, projection: &[usize]) -> Option<ScanHint> {
 /// without risking a new runtime error? Only such predicates may sink
 /// below joins (a join can eliminate the very row that would have
 /// divided by zero or overflowed). Comparisons, boolean connectives,
-/// NULL tests, LIKE, IN-lists and error-free casts qualify; arithmetic,
-/// functions and CASE do not.
-fn error_free(e: &SqlExpr) -> bool {
+/// NULL tests, LIKE and error-free casts qualify (so do IN-lists, bound
+/// as OR chains); arithmetic, functions and CASE do not.
+fn error_free(e: &PhysExpr) -> bool {
     match e {
-        SqlExpr::Col(..) | SqlExpr::Lit(..) => true,
-        SqlExpr::Cmp { l, r, .. } => error_free(l) && error_free(r),
-        SqlExpr::And(v) | SqlExpr::Or(v) => v.iter().all(error_free),
-        SqlExpr::Not(x) | SqlExpr::IsNull(x) | SqlExpr::IsNotNull(x) => error_free(x),
-        SqlExpr::Like { input, .. } => error_free(input),
-        SqlExpr::InList { input, list, .. } => error_free(input) && list.iter().all(error_free),
-        SqlExpr::Cast { input, to } => cast_cannot_fail(input.type_id(), *to) && error_free(input),
-        SqlExpr::Arith { .. }
-        | SqlExpr::Func { .. }
-        | SqlExpr::Ext { .. }
-        | SqlExpr::Case { .. } => false,
+        PhysExpr::ColRef(..) | PhysExpr::Const(..) => true,
+        PhysExpr::Cmp { lhs, rhs, .. } => error_free(lhs) && error_free(rhs),
+        PhysExpr::And(v) | PhysExpr::Or(v) => v.iter().all(error_free),
+        PhysExpr::Not(x) | PhysExpr::IsNull(x) | PhysExpr::IsNotNull(x) => error_free(x),
+        PhysExpr::Like { input, .. } => error_free(input),
+        PhysExpr::Cast { input, to } => cast_cannot_fail(input.type_id(), *to) && error_free(input),
+        PhysExpr::Arith { .. } | PhysExpr::FuncCall { .. } | PhysExpr::Case { .. } => false,
     }
 }
 
@@ -406,7 +488,7 @@ fn cast_cannot_fail(from: TypeId, to: TypeId) -> bool {
 
 /// Wrap `plan` in a filter over `conjuncts`, merging into an existing
 /// top filter instead of stacking `Filter(Filter(..))`.
-fn wrap_filter(plan: LogicalPlan, conjuncts: Vec<SqlExpr>) -> LogicalPlan {
+fn wrap_filter(plan: LogicalPlan, conjuncts: Vec<PhysExpr>) -> LogicalPlan {
     if conjuncts.is_empty() {
         return plan;
     }
@@ -415,7 +497,7 @@ fn wrap_filter(plan: LogicalPlan, conjuncts: Vec<SqlExpr>) -> LogicalPlan {
         other => (other, Vec::new()),
     };
     parts.extend(conjuncts);
-    let predicate = if parts.len() == 1 { parts.pop().unwrap() } else { SqlExpr::And(parts) };
+    let predicate = if parts.len() == 1 { parts.pop().unwrap() } else { PhysExpr::And(parts) };
     LogicalPlan::Filter { input: Box::new(input), predicate }
 }
 
@@ -437,7 +519,7 @@ fn push_filters(plan: LogicalPlan) -> Result<LogicalPlan> {
 
 /// Carry `conjuncts` (all error-free) downward from just above `plan`,
 /// depositing each at the deepest node that still provides its columns.
-fn sink_conjuncts(plan: LogicalPlan, mut conjuncts: Vec<SqlExpr>) -> Result<LogicalPlan> {
+fn sink_conjuncts(plan: LogicalPlan, mut conjuncts: Vec<PhysExpr>) -> Result<LogicalPlan> {
     if conjuncts.is_empty() {
         return push_filters(plan);
     }
@@ -484,7 +566,7 @@ fn sink_conjuncts(plan: LogicalPlan, mut conjuncts: Vec<SqlExpr>) -> Result<Logi
             let mut keep = Vec::new();
             for c in conjuncts {
                 let remapped = c.remap_cols(&|i| match exprs.get(i) {
-                    Some(SqlExpr::Col(src, _)) => Some(*src),
+                    Some(PhysExpr::ColRef(src, _)) => Some(*src),
                     _ => None,
                 });
                 match remapped {
@@ -515,7 +597,7 @@ fn flattenable(p: &LogicalPlan) -> bool {
     matches!(p, LogicalPlan::Join { kind: JoinKind::Inner, keys, .. }
     if !keys.is_empty()
         && keys.iter().all(|(l, r)| {
-            matches!((l, r), (SqlExpr::Col(..), SqlExpr::Col(..)))
+            matches!((l, r), (PhysExpr::ColRef(..), PhysExpr::ColRef(..)))
         }))
 }
 
@@ -543,7 +625,9 @@ fn flatten_joins(
         let lw = flatten_joins(*left, base, leaves, edges);
         let rw = flatten_joins(*right, base + lw, leaves, edges);
         for (lk, rk) in keys {
-            let (SqlExpr::Col(lc, _), SqlExpr::Col(rc, _)) = (lk, rk) else { unreachable!() };
+            let (PhysExpr::ColRef(lc, _), PhysExpr::ColRef(rc, _)) = (lk, rk) else {
+                unreachable!()
+            };
             edges.push((base + lc, base + lw + rc));
         }
         lw + rw
@@ -653,12 +737,12 @@ fn build_greedy_join(
 
     // Keys for the accumulated (probe) side are addressed through `pos`;
     // the fresh leaf keeps its local coordinates.
-    let probe_key = |cur: &LogicalPlan, pos: &[usize], e: &End| -> SqlExpr {
+    let probe_key = |cur: &LogicalPlan, pos: &[usize], e: &End| -> PhysExpr {
         let col = pos[e.leaf] + e.local;
-        SqlExpr::Col(col, cur.schema().field(col).ty)
+        PhysExpr::ColRef(col, cur.schema().field(col).ty)
     };
     let leaf_key =
-        |leaf: &LogicalPlan, e: &End| SqlExpr::Col(e.local, leaf.schema().field(e.local).ty);
+        |leaf: &LogicalPlan, e: &End| PhysExpr::ColRef(e.local, leaf.schema().field(e.local).ty);
 
     let la = slots[a].take().unwrap();
     let lb = slots[b].take().unwrap();
@@ -742,11 +826,11 @@ fn build_greedy_join(
         return Ok(cur); // already in the original order
     }
     // Restore the original column order above the reordered chain.
-    let exprs: Vec<SqlExpr> = (0..total_width)
+    let exprs: Vec<PhysExpr> = (0..total_width)
         .map(|g| {
             let l = owner(g);
             let col = pos[l] + (g - offsets[l]);
-            SqlExpr::Col(col, cur.schema().field(col).ty)
+            PhysExpr::ColRef(col, cur.schema().field(col).ty)
         })
         .collect();
     Ok(LogicalPlan::Project { input: Box::new(cur), exprs, schema: original_schema })
@@ -852,7 +936,7 @@ fn narrow(
             if kept.is_empty() && !exprs.is_empty() {
                 kept.push(0); // row-count carrier
             }
-            let new_exprs: Vec<SqlExpr> = kept.iter().map(|&i| exprs[i].clone()).collect();
+            let new_exprs: Vec<PhysExpr> = kept.iter().map(|&i| exprs[i].clone()).collect();
             let mut sub = Vec::new();
             for e in &new_exprs {
                 e.collect_cols(&mut sub);
@@ -1031,7 +1115,7 @@ impl<'a> Estimator<'a> {
                 let mut groups = 1.0;
                 for g in group {
                     let n = match g {
-                        SqlExpr::Col(c, _) => self.ndv(input, inrows, *c),
+                        PhysExpr::ColRef(c, _) => self.ndv(input, inrows, *c),
                         _ => None,
                     };
                     groups *= n.unwrap_or(inrows / 10.0).max(1.0);
@@ -1051,14 +1135,16 @@ impl<'a> Estimator<'a> {
 
     /// Selectivity of `pred` over the output of `input`, in `[0, 1]`.
     /// (`rows` is `input`'s own estimate.)
-    fn selectivity(&self, input: &LogicalPlan, rows: f64, pred: &SqlExpr) -> f64 {
+    fn selectivity(&self, input: &LogicalPlan, rows: f64, pred: &PhysExpr) -> f64 {
         match pred {
-            SqlExpr::And(parts) => parts.iter().map(|p| self.selectivity(input, rows, p)).product(),
-            SqlExpr::Or(parts) => {
+            PhysExpr::And(parts) => {
+                parts.iter().map(|p| self.selectivity(input, rows, p)).product()
+            }
+            PhysExpr::Or(parts) => {
                 1.0 - parts.iter().map(|p| 1.0 - self.selectivity(input, rows, p)).product::<f64>()
             }
-            SqlExpr::Not(inner) => 1.0 - self.selectivity(input, rows, inner),
-            SqlExpr::Lit(Value::Bool(b), _) => {
+            PhysExpr::Not(inner) => 1.0 - self.selectivity(input, rows, inner),
+            PhysExpr::Const(Value::Bool(b), _) => {
                 if *b {
                     1.0
                 } else {
@@ -1129,9 +1215,9 @@ impl<'a> Estimator<'a> {
     }
 
     /// Distinct count behind a join-key expression (plain columns only).
-    fn key_ndv(&self, side: &LogicalPlan, rows: f64, key: &SqlExpr) -> Option<f64> {
+    fn key_ndv(&self, side: &LogicalPlan, rows: f64, key: &PhysExpr) -> Option<f64> {
         match key {
-            SqlExpr::Col(c, _) => self.ndv(side, rows, *c),
+            PhysExpr::ColRef(c, _) => self.ndv(side, rows, *c),
             _ => None,
         }
     }
@@ -1165,7 +1251,7 @@ fn base_column(plan: &LogicalPlan, col: usize) -> Option<(&str, usize)> {
         | LogicalPlan::Limit { input, .. }
         | LogicalPlan::Exchange { input, .. } => base_column(input, col),
         LogicalPlan::Project { input, exprs, .. } => match exprs.get(col)? {
-            SqlExpr::Col(c, _) => base_column(input, *c),
+            PhysExpr::ColRef(c, _) => base_column(input, *c),
             _ => None,
         },
         LogicalPlan::Join { left, right, kind, .. } => {
@@ -1177,7 +1263,7 @@ fn base_column(plan: &LogicalPlan, col: usize) -> Option<(&str, usize)> {
             }
         }
         LogicalPlan::Aggregate { input, group, .. } => match group.get(col)? {
-            SqlExpr::Col(c, _) => base_column(input, *c),
+            PhysExpr::ColRef(c, _) => base_column(input, *c),
             _ => None,
         },
         // UnionAll columns merge several inputs; the Apply value column is
@@ -1213,9 +1299,9 @@ fn choose_build_side(plan: LogicalPlan, est: &Estimator) -> LogicalPlan {
                     keys,
                     schema: swapped_schema.clone(),
                 };
-                let exprs: Vec<SqlExpr> = (0..lwidth)
-                    .map(|i| SqlExpr::Col(rwidth + i, swapped_schema.field(rwidth + i).ty))
-                    .chain((0..rwidth).map(|i| SqlExpr::Col(i, swapped_schema.field(i).ty)))
+                let exprs: Vec<PhysExpr> = (0..lwidth)
+                    .map(|i| PhysExpr::ColRef(rwidth + i, swapped_schema.field(rwidth + i).ty))
+                    .chain((0..rwidth).map(|i| PhysExpr::ColRef(i, swapped_schema.field(i).ty)))
                     .collect();
                 return LogicalPlan::Project { input: Box::new(join), exprs, schema };
             }
@@ -1484,39 +1570,154 @@ mod tests {
 
     #[test]
     fn fold_expr_handles_div_zero_conservatively() {
-        let e = SqlExpr::Arith {
-            op: crate::expr::BinOp::Div,
-            l: Box::new(SqlExpr::Lit(Value::I64(1), TypeId::I64)),
-            r: Box::new(SqlExpr::Lit(Value::I64(0), TypeId::I64)),
+        let e = PhysExpr::Arith {
+            op: vw_exec::expr::BinOp::Div,
+            lhs: Box::new(PhysExpr::Const(Value::I64(1), TypeId::I64)),
+            rhs: Box::new(PhysExpr::Const(Value::I64(0), TypeId::I64)),
             ty: TypeId::I64,
         };
         // Must NOT fold away: runtime raises the proper error.
-        let folded = fold_expr(e.clone()).unwrap();
+        let folded = fold_expr(e.clone(), &[]).unwrap();
         assert_eq!(folded, e);
     }
 
     #[test]
     fn fold_expr_evaluates_column_free_subtrees_and_absorbs() {
-        let lit = |v: i64| SqlExpr::Lit(Value::I64(v), TypeId::I64);
-        let cmp = |op: CmpOp, a: i64, b: i64| SqlExpr::Cmp {
+        let lit = |v: i64| PhysExpr::Const(Value::I64(v), TypeId::I64);
+        let cmp = |op: CmpOp, a: i64, b: i64| PhysExpr::Cmp {
             op,
-            l: Box::new(lit(a)),
-            r: Box::new(lit(b)),
+            lhs: Box::new(lit(a)),
+            rhs: Box::new(lit(b)),
         };
-        let bool_lit = |b: bool| SqlExpr::Lit(Value::Bool(b), TypeId::Bool);
-        let col = SqlExpr::Col(0, TypeId::Bool);
+        let bool_lit = |b: bool| PhysExpr::Const(Value::Bool(b), TypeId::Bool);
+        let col = PhysExpr::ColRef(0, TypeId::Bool);
         // No node kind needs a fold rule of its own: the kernel runs it.
-        let case = SqlExpr::Case {
+        let case = PhysExpr::Case {
             branches: vec![(cmp(CmpOp::Lt, 1, 2), lit(3))],
             else_expr: Some(Box::new(lit(4))),
             ty: TypeId::I64,
         };
-        assert_eq!(fold_expr(case).unwrap(), lit(3));
+        assert_eq!(fold_expr(case, &[]).unwrap(), lit(3));
         // A literal decides AND/OR whatever the column holds, or drops out.
-        let and = SqlExpr::And(vec![col.clone(), cmp(CmpOp::Gt, 1, 2)]);
-        assert_eq!(fold_expr(and).unwrap(), bool_lit(false));
-        let or = SqlExpr::Or(vec![col.clone(), cmp(CmpOp::Gt, 1, 2)]);
-        assert_eq!(fold_expr(or).unwrap(), col);
+        let and = PhysExpr::And(vec![col.clone(), cmp(CmpOp::Gt, 1, 2)]);
+        assert_eq!(fold_expr(and, &[true]).unwrap(), bool_lit(false));
+        let or = PhysExpr::Or(vec![col.clone(), cmp(CmpOp::Gt, 1, 2)]);
+        assert_eq!(fold_expr(or, &[true]).unwrap(), col);
+    }
+
+    fn col(i: usize) -> PhysExpr {
+        PhysExpr::ColRef(i, TypeId::I64)
+    }
+
+    fn lit(v: i64) -> PhysExpr {
+        PhysExpr::Const(Value::I64(v), TypeId::I64)
+    }
+
+    fn not(e: PhysExpr) -> PhysExpr {
+        PhysExpr::Not(Box::new(e))
+    }
+
+    #[test]
+    fn fold_expr_removes_negations() {
+        let cmp = PhysExpr::Cmp { op: CmpOp::Lt, lhs: Box::new(col(0)), rhs: Box::new(lit(5)) };
+        let folded = fold_expr(not(cmp.clone()), &[true]).unwrap();
+        assert!(matches!(folded, PhysExpr::Cmp { op: CmpOp::Ge, .. }), "{folded:?}");
+        assert_eq!(fold_expr(not(not(cmp.clone())), &[true]).unwrap(), cmp);
+        // Four NOTs over a boolean column, bottom-up in one walk.
+        let b = PhysExpr::ColRef(0, TypeId::Bool);
+        assert_eq!(fold_expr(not(not(not(not(b.clone())))), &[true]).unwrap(), b);
+        // An empty IN-list's chain is a constant.
+        assert_eq!(fold_expr(PhysExpr::Or(vec![]), &[]).unwrap(), PhysExpr::bool_const(false));
+        assert_eq!(fold_expr(not(PhysExpr::Or(vec![])), &[]).unwrap(), PhysExpr::bool_const(true));
+        // Nothing to normalize: the expression comes back as it was.
+        let e = PhysExpr::And(vec![b.clone(), PhysExpr::ColRef(1, TypeId::Bool)]);
+        assert_eq!(fold_expr(e.clone(), &[true, true]).unwrap(), e);
+    }
+
+    #[test]
+    fn fold_expr_erases_null_tests_on_non_null_inputs() {
+        let is_null = |e: PhysExpr| PhysExpr::IsNull(Box::new(e));
+        let is_not_null = |e: PhysExpr| PhysExpr::IsNotNull(Box::new(e));
+        assert_eq!(fold_expr(is_null(col(0)), &[false]).unwrap(), PhysExpr::bool_const(false));
+        assert_eq!(fold_expr(is_not_null(col(0)), &[false]).unwrap(), PhysExpr::bool_const(true));
+        // On nullable columns they stay; NOT over an erased test folds too.
+        assert_eq!(fold_expr(is_null(col(0)), &[true]).unwrap(), is_null(col(0)));
+        assert_eq!(fold_expr(not(is_null(col(0))), &[false]).unwrap(), PhysExpr::bool_const(true));
+        // CASE without ELSE can be NULL, whatever its arms hold.
+        let case = |else_expr: Option<PhysExpr>| PhysExpr::Case {
+            branches: vec![(PhysExpr::ColRef(1, TypeId::Bool), col(0))],
+            else_expr: else_expr.map(Box::new),
+            ty: TypeId::I64,
+        };
+        assert_eq!(fold_expr(is_null(case(None)), &[false, false]).unwrap(), is_null(case(None)));
+        let folded = fold_expr(is_null(case(Some(lit(1)))), &[false, false]).unwrap();
+        assert_eq!(folded, PhysExpr::bool_const(false));
+        assert!(maybe_null(&PhysExpr::Const(Value::Null, TypeId::I64), &[]));
+        assert!(!maybe_null(&lit(1), &[]));
+        // A column past the known ones may be NULL.
+        assert!(maybe_null(&col(3), &[false]));
+    }
+
+    #[test]
+    fn fold_expr_drops_constant_case_arms() {
+        let arm = |c: PhysExpr, v: i64| (c, lit(v));
+        let case = PhysExpr::Case {
+            branches: vec![
+                arm(PhysExpr::bool_const(false), 1),
+                arm(PhysExpr::Const(Value::Null, TypeId::Bool), 2),
+                arm(PhysExpr::ColRef(0, TypeId::Bool), 3),
+            ],
+            else_expr: Some(Box::new(col(1))),
+            ty: TypeId::I64,
+        };
+        let folded = fold_expr(case, &[true, true]).unwrap();
+        let PhysExpr::Case { branches, .. } = &folded else { panic!("{folded:?}") };
+        assert_eq!(branches.len(), 1);
+        // Every arm dropped: the ELSE, or NULL without one.
+        let none = PhysExpr::Case {
+            branches: vec![arm(PhysExpr::bool_const(false), 1)],
+            else_expr: None,
+            ty: TypeId::I64,
+        };
+        assert_eq!(fold_expr(none, &[]).unwrap(), PhysExpr::Const(Value::Null, TypeId::I64));
+    }
+
+    #[test]
+    fn normalization_reaches_every_expression_of_the_plan() {
+        // COALESCE over the NOT NULL `id` is `id` itself, wherever it sits.
+        let p = plan_for("SELECT COALESCE(id, 0) FROM big");
+        let LogicalPlan::Project { exprs, .. } = &p else { panic!("{p:?}") };
+        assert_eq!(exprs[0], col(0));
+        let p = plan_for(
+            "SELECT COALESCE(big.id, 0), SUM(COALESCE(big.id, 1)) FROM big JOIN small \
+             ON COALESCE(big.id, 2) = small.id GROUP BY COALESCE(big.id, 0)",
+        );
+        fn no_case(p: &LogicalPlan) {
+            let exprs: Vec<&PhysExpr> = match p {
+                LogicalPlan::Project { exprs, .. } => exprs.iter().collect(),
+                LogicalPlan::Join { keys, .. } => keys.iter().flat_map(|(l, r)| [l, r]).collect(),
+                LogicalPlan::Aggregate { group, aggs, .. } => {
+                    group.iter().chain(aggs.iter().filter_map(|a| a.input.as_ref())).collect()
+                }
+                _ => Vec::new(),
+            };
+            for e in exprs {
+                assert!(!matches!(e, PhysExpr::Case { .. }), "{e:?} in {p:?}");
+            }
+            p.children().into_iter().for_each(no_case);
+        }
+        no_case(&p);
+        // IS NOT NULL over a NOT NULL column is TRUE, and the filter goes.
+        let p = plan_for("SELECT id FROM big WHERE id IS NOT NULL");
+        assert!(!explain(&p).contains("Select"), "{}", explain(&p));
+        // One-member NOT IN over a nullable column is one `<>` comparison.
+        let p = plan_for("SELECT id FROM big WHERE a NOT IN (7)");
+        let mut node = &p;
+        while !matches!(node, LogicalPlan::Filter { .. }) {
+            node = node.children()[0];
+        }
+        let LogicalPlan::Filter { predicate, .. } = node else { unreachable!() };
+        assert!(matches!(predicate, PhysExpr::Cmp { op: CmpOp::Ne, .. }), "{predicate:?}");
     }
 
     /// Collect scan table names in explain order (probe before build).
@@ -1599,17 +1800,17 @@ mod tests {
 
     #[test]
     fn error_free_classification() {
-        let col = SqlExpr::Col(0, TypeId::I32);
-        let lit = SqlExpr::Lit(Value::I64(1), TypeId::I64);
+        let col = PhysExpr::ColRef(0, TypeId::I32);
+        let lit = PhysExpr::Const(Value::I64(1), TypeId::I64);
         let cmp =
-            SqlExpr::Cmp { op: CmpOp::Gt, l: Box::new(col.clone()), r: Box::new(lit.clone()) };
+            PhysExpr::Cmp { op: CmpOp::Gt, lhs: Box::new(col.clone()), rhs: Box::new(lit.clone()) };
         assert!(error_free(&cmp));
-        assert!(error_free(&SqlExpr::Cast { input: Box::new(col.clone()), to: TypeId::I64 }));
-        assert!(!error_free(&SqlExpr::Cast { input: Box::new(col.clone()), to: TypeId::I8 }));
-        assert!(!error_free(&SqlExpr::Arith {
-            op: crate::expr::BinOp::Div,
-            l: Box::new(lit.clone()),
-            r: Box::new(col),
+        assert!(error_free(&PhysExpr::Cast { input: Box::new(col.clone()), to: TypeId::I64 }));
+        assert!(!error_free(&PhysExpr::Cast { input: Box::new(col.clone()), to: TypeId::I8 }));
+        assert!(!error_free(&PhysExpr::Arith {
+            op: vw_exec::expr::BinOp::Div,
+            lhs: Box::new(lit.clone()),
+            rhs: Box::new(col),
             ty: TypeId::I64,
         }));
     }

@@ -1,7 +1,9 @@
 //! The logical plan — the workspace's "X100 algebra".
 
-use crate::expr::SqlExpr;
 use vw_common::{Schema, TypeId, Value};
+// Plans carry the kernel's own expression tree and aggregate functions;
+// crates that build plans use them from here.
+pub use vw_exec::expr::{BinOp, CmpOp, PhysExpr};
 pub use vw_exec::op::AggFunc;
 
 /// Join kinds at the plan level (cross-compiled to `vw_exec::op::JoinType`).
@@ -47,7 +49,7 @@ pub struct AggCall {
     /// The aggregate function.
     pub func: AggFunc,
     /// Input expression (None for COUNT(*)).
-    pub input: Option<SqlExpr>,
+    pub input: Option<PhysExpr>,
     /// Output type.
     pub out_ty: TypeId,
 }
@@ -82,14 +84,14 @@ pub enum LogicalPlan {
         /// Input.
         input: Box<LogicalPlan>,
         /// Predicate over the input's columns.
-        predicate: SqlExpr,
+        predicate: PhysExpr,
     },
     /// Projection / computation.
     Project {
         /// Input.
         input: Box<LogicalPlan>,
         /// Output expressions.
-        exprs: Vec<SqlExpr>,
+        exprs: Vec<PhysExpr>,
         /// Output schema (names + types for `exprs`).
         schema: Schema,
     },
@@ -102,7 +104,7 @@ pub enum LogicalPlan {
         /// Kind.
         kind: JoinKind,
         /// Key pairs (left expr over left schema, right expr over right).
-        keys: Vec<(SqlExpr, SqlExpr)>,
+        keys: Vec<(PhysExpr, PhysExpr)>,
         /// Output schema.
         schema: Schema,
     },
@@ -111,7 +113,7 @@ pub enum LogicalPlan {
         /// Input.
         input: Box<LogicalPlan>,
         /// Group-by expressions over the input.
-        group: Vec<SqlExpr>,
+        group: Vec<PhysExpr>,
         /// Aggregate calls.
         aggs: Vec<AggCall>,
         /// Output schema: group columns then aggregates.
@@ -154,7 +156,7 @@ pub enum LogicalPlan {
         /// What this Apply computes.
         kind: ApplyKind,
         /// (outer-side expression, subquery output column) equality pairs.
-        keys: Vec<(SqlExpr, usize)>,
+        keys: Vec<(PhysExpr, usize)>,
         /// Output schema: the input's (plus the value column for Scalar).
         schema: Schema,
     },

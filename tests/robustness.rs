@@ -595,20 +595,24 @@ fn env_overrides_configure_fault_injection() {
     // The VW_FAULT_* env contract: parsed into EngineConfig::default() by
     // FaultConfig::from_env (unit-tested in vw-common); here we pin the
     // builder plumbing end to end through Database::open_with.
-    let cfg = EngineConfig::default().with_faults(FaultConfig {
-        seed: 42,
-        latency_us: 100,
-        ..Default::default()
-    });
+    // A buffer pool smaller than one block: every block a scan touches is
+    // a device read, and the injector charges each read its latency.
+    let cfg = EngineConfig { buffer_pool_bytes: 1, ..EngineConfig::default() }
+        .with_faults(FaultConfig { seed: 42, latency_us: 100, ..Default::default() });
     assert!(cfg.faults.is_active(), "latency alone arms the injector");
     let db = Database::open_with(cfg, SimulatedDisk::instant());
     assert!(db.disk().faults_armed());
     db.execute("CREATE TABLE t (x BIGINT)").unwrap();
     db.execute("INSERT INTO t VALUES (7)").unwrap();
+    // The row leaves the PDT for a pack on the device.
+    db.execute("CHECKPOINT").unwrap();
+    let reads = db.disk().stats().reads;
     let t0 = Instant::now();
     let r = db.execute("SELECT x FROM t").unwrap();
+    let elapsed = t0.elapsed();
     assert_eq!(r.rows(), &[vec![Value::I64(7)]]);
-    assert!(t0.elapsed() >= Duration::from_micros(100), "latency charged");
+    assert!(db.disk().stats().reads > reads, "the SELECT reads a block from the device");
+    assert!(elapsed >= Duration::from_micros(100), "latency charged");
 }
 
 /// A column that exists is never reported as unknown: the two correlated
@@ -788,6 +792,39 @@ mod fuzz {
             self.rng.pick(&["=", "<>", "<", "<=", ">", ">="])
         }
 
+        /// `[NOT] IN` over one to three literals of `ty`, now and then with
+        /// a NULL member.
+        fn in_list(&mut self, ty: Ty) -> String {
+            let mut members: Vec<String> =
+                (0..1 + self.rng.below(3)).map(|_| self.lit(ty)).collect();
+            if self.rng.chance(30) {
+                let at = self.rng.below(members.len() + 1);
+                members.insert(at, "NULL".into());
+            }
+            let not = if self.rng.chance(30) { "NOT " } else { "" };
+            format!("{not}IN ( {} )", members.join(" , "))
+        }
+
+        /// A function without a kernel primitive over column `c` of `ty`:
+        /// its text and result type. The other argument is a column of the
+        /// same type, a literal or NULL.
+        fn func(&mut self, cols: &Cols, c: &str, ty: Ty) -> (String, Ty) {
+            let other = match self.rng.below(3) {
+                0 => self.col_of(cols, ty).unwrap_or_else(|| self.lit(ty)),
+                1 => self.lit(ty),
+                _ => "NULL".into(),
+            };
+            match self.rng.below(6) {
+                0 => (format!("COALESCE ( {c} , {other} )"), ty),
+                1 => (format!("NULLIF ( {c} , {other} )"), ty),
+                2 => (format!("IFNULL ( {c} , {other} )"), ty),
+                3 => (format!("GREATEST ( {c} , {other} , {} )", self.lit(ty)), ty),
+                4 => (format!("LEAST ( {other} , {c} )"), ty),
+                _ if ty == Int || ty == Dbl => (format!("SIGN ( {c} )"), Int),
+                _ => (format!("LEAST ( {c} , {other} , NULL )"), ty),
+            }
+        }
+
         /// A column of `cols` of type `ty`, if there is one.
         fn col_of(&mut self, cols: &Cols, ty: Ty) -> Option<String> {
             let of: Vec<&String> = cols.iter().filter(|(_, t)| *t == ty).map(|(c, _)| c).collect();
@@ -873,10 +910,18 @@ mod fuzz {
             let (c, ty) = cols[self.rng.below(cols.len())].clone();
             let arms = if depth > 1 { 6 } else { 11 };
             match self.rng.below(arms) {
+                0 if self.rng.chance(30) => {
+                    let (f, fty) = self.func(cols, &c, ty);
+                    format!("{f} {} {}", self.cmp(), self.lit(fty))
+                }
                 0 => format!("{c} {} {}", self.cmp(), self.lit(ty)),
                 1 => format!("{c} IS {}NULL", if self.rng.chance(50) { "NOT " } else { "" }),
                 2 => format!("{c} BETWEEN {} AND {}", self.lit(ty), self.lit(ty)),
-                3 => format!("{c} IN ( {} , {} )", self.lit(ty), self.lit(ty)),
+                3 if self.rng.chance(50) => {
+                    let (f, fty) = self.func(cols, &c, ty);
+                    format!("{f} {}", self.in_list(fty))
+                }
+                3 => format!("{c} {}", self.in_list(ty)),
                 4 => format!("( {} OR {} )", self.pred(cols, outer, 9), self.pred(cols, outer, 9)),
                 5 if ty == Str => format!("{c} LIKE 'a%'"),
                 5 => format!("NOT ( {c} {} {} )", self.cmp(), self.lit(ty)),
@@ -933,8 +978,9 @@ mod fuzz {
         /// A non-aggregate SELECT item over `cols`.
         fn item(&mut self, cols: &Cols) -> String {
             let (c, ty) = cols[self.rng.below(cols.len())].clone();
-            match (self.rng.below(4), ty) {
+            match (self.rng.below(5), ty) {
                 (0, _) => c,
+                (4, _) => self.func(cols, &c, ty).0,
                 (1, Int | Dbl) => format!("{c} + 1"),
                 (1, Str) => format!("UPPER ( {c} )"),
                 (1, Date) => format!("EXTRACT ( YEAR FROM {c} )"),

@@ -461,6 +461,475 @@ fn folding_equals_run_time() {
     }
 }
 
+/// COALESCE, IFNULL/NVL, NULLIF, GREATEST, LEAST, SIGN and `[NOT] IN`
+/// lists bind to CASE/comparison trees and are normalized with the rest of
+/// the plan. Here they run over NULL-bearing BIGINT, DOUBLE, VARCHAR and
+/// DATE columns in every place an expression sits — the SELECT list,
+/// WHERE, a GROUP BY key, HAVING, an aggregate input, a join ON key and
+/// UPDATE SET/WHERE on both table kinds — against a row-at-a-time
+/// reference that implements SQL three-valued logic. GREATEST and LEAST
+/// ignore NULL arguments (NULL only when every argument is), as in
+/// PostgreSQL.
+mod extended_functions {
+    use super::*;
+    use std::cmp::Ordering;
+    use std::collections::HashMap;
+    use vectorwise::common::Date;
+
+    type Row = Vec<Value>;
+
+    const COLS: &str = "k BIGINT NOT NULL, a BIGINT, b BIGINT, d DOUBLE, e DOUBLE, \
+                        s VARCHAR, u VARCHAR, dt DATE, dt2 DATE";
+    const A: usize = 1;
+    const B: usize = 2;
+    const D: usize = 3;
+    const E: usize = 4;
+    const S: usize = 5;
+    const U: usize = 6;
+    const DT: usize = 7;
+    const DT2: usize = 8;
+
+    fn date(s: &str) -> Value {
+        Value::Date(Date::parse(s).unwrap())
+    }
+
+    fn text(s: &str) -> Value {
+        Value::Str(s.into())
+    }
+
+    /// 40 rows over small domains (ties and repeats are common); row 0 is
+    /// NULL in every nullable column.
+    fn rows() -> Vec<Row> {
+        let ints = [Value::Null, Value::I64(-2), Value::I64(0), Value::I64(1), Value::I64(3)];
+        let dbls =
+            [Value::Null, Value::F64(-1.5), Value::F64(0.0), Value::F64(1.0), Value::F64(2.5)];
+        let strs = [Value::Null, text("x"), text("y"), text("z")];
+        let dates = [Value::Null, date("1995-01-01"), date("1995-06-30"), date("1996-02-29")];
+        let mut x: u64 = 0x5eed;
+        let mut pick = |n: usize| {
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (x >> 33) as usize % n
+        };
+        (0..40)
+            .map(|k| {
+                let mut row = vec![Value::I64(k as i64)];
+                for col in 1..=8 {
+                    let domain: &[Value] = match col {
+                        A | B => &ints,
+                        D | E => &dbls,
+                        S | U => &strs,
+                        _ => &dates,
+                    };
+                    row.push(if k == 0 { Value::Null } else { domain[pick(domain.len())].clone() });
+                }
+                row
+            })
+            .collect()
+    }
+
+    fn literal(v: &Value) -> String {
+        match v {
+            Value::F64(f) => format!("{f:?}"),
+            Value::Str(s) => format!("'{s}'"),
+            Value::Date(d) => format!("DATE '{d}'"),
+            other => other.to_string(),
+        }
+    }
+
+    fn table(name: &str, kind: &str, rows: &[Row]) -> String {
+        let values: Vec<String> = rows
+            .iter()
+            .map(|r| format!("({})", r.iter().map(literal).collect::<Vec<_>>().join(", ")))
+            .collect();
+        format!(
+            "CREATE TABLE {name} ({COLS}) WITH TYPE = {kind}; INSERT INTO {name} VALUES {}",
+            values.join(", ")
+        )
+    }
+
+    // -- the reference: one row at a time, SQL three-valued logic --------
+
+    fn coalesce(args: &[&Value]) -> Value {
+        args.iter().find(|v| !v.is_null()).map_or(Value::Null, |v| (*v).clone())
+    }
+
+    /// GREATEST (`want` = Greater) or LEAST (Less): NULLs ignored.
+    fn extreme(args: &[&Value], want: Ordering) -> Value {
+        args.iter()
+            .filter(|v| !v.is_null())
+            .copied()
+            .reduce(|best, v| if v.sql_cmp(best) == Some(want) { v } else { best })
+            .map_or(Value::Null, Value::clone)
+    }
+
+    fn nullif(a: &Value, b: &Value) -> Value {
+        if a.sql_cmp(b) == Some(Ordering::Equal) {
+            Value::Null
+        } else {
+            a.clone()
+        }
+    }
+
+    fn sign(x: &Value) -> Value {
+        let zero = Value::I64(0);
+        match x.sql_cmp(&zero) {
+            None => Value::Null,
+            Some(o) => Value::I64(o as i64),
+        }
+    }
+
+    fn truth(t: Option<bool>) -> Value {
+        t.map_or(Value::Null, Value::Bool)
+    }
+
+    fn is_true(v: &Value) -> bool {
+        *v == Value::Bool(true)
+    }
+
+    /// `x IN (list)`: TRUE on a match, else NULL if anything was NULL.
+    fn in_list(x: &Value, list: &[Value]) -> Option<bool> {
+        let mut unknown = false;
+        for m in list {
+            match x.sql_cmp(m) {
+                Some(Ordering::Equal) => return Some(true),
+                Some(_) => {}
+                None => unknown = true,
+            }
+        }
+        if unknown {
+            None
+        } else {
+            Some(false)
+        }
+    }
+
+    fn not_in(x: &Value, list: &[Value]) -> Option<bool> {
+        in_list(x, list).map(|t| !t)
+    }
+
+    /// An expression (`{p}` stands for a column qualifier) and its
+    /// reference value over one row.
+    struct Case {
+        sql: &'static str,
+        eval: fn(&Row) -> Value,
+    }
+
+    fn value_cases() -> Vec<Case> {
+        vec![
+            Case {
+                sql: "COALESCE({p}a, {p}b, 0)",
+                eval: |r| coalesce(&[&r[A], &r[B], &Value::I64(0)]),
+            },
+            Case { sql: "COALESCE({p}s, {p}u)", eval: |r| coalesce(&[&r[S], &r[U]]) },
+            Case {
+                sql: "COALESCE({p}dt, {p}dt2, DATE '2000-01-01')",
+                eval: |r| coalesce(&[&r[DT], &r[DT2], &date("2000-01-01")]),
+            },
+            Case { sql: "IFNULL({p}d, {p}e)", eval: |r| coalesce(&[&r[D], &r[E]]) },
+            Case { sql: "NVL({p}s, 'none')", eval: |r| coalesce(&[&r[S], &text("none")]) },
+            Case { sql: "NULLIF({p}a, {p}b)", eval: |r| nullif(&r[A], &r[B]) },
+            Case { sql: "NULLIF({p}dt, {p}dt2)", eval: |r| nullif(&r[DT], &r[DT2]) },
+            Case {
+                sql: "GREATEST({p}a, {p}b)",
+                eval: |r| extreme(&[&r[A], &r[B]], Ordering::Greater),
+            },
+            Case {
+                sql: "GREATEST({p}b, {p}a, 1)",
+                eval: |r| extreme(&[&r[B], &r[A], &Value::I64(1)], Ordering::Greater),
+            },
+            Case { sql: "LEAST({p}d, {p}e)", eval: |r| extreme(&[&r[D], &r[E]], Ordering::Less) },
+            Case { sql: "LEAST({p}s, {p}u)", eval: |r| extreme(&[&r[S], &r[U]], Ordering::Less) },
+            Case {
+                sql: "GREATEST({p}dt, {p}dt2)",
+                eval: |r| extreme(&[&r[DT], &r[DT2]], Ordering::Greater),
+            },
+            Case {
+                sql: "LEAST({p}a, NULL, {p}b)",
+                eval: |r| extreme(&[&r[A], &Value::Null, &r[B]], Ordering::Less),
+            },
+            Case { sql: "SIGN({p}a)", eval: |r| sign(&r[A]) },
+            Case { sql: "SIGN({p}d)", eval: |r| sign(&r[D]) },
+            Case {
+                sql: "CASE WHEN {p}a IN (1, 3, NULL) THEN {p}b ELSE {p}a END",
+                eval: |r| {
+                    let hit = in_list(&r[A], &[Value::I64(1), Value::I64(3), Value::Null]);
+                    if hit == Some(true) {
+                        r[B].clone()
+                    } else {
+                        r[A].clone()
+                    }
+                },
+            },
+        ]
+    }
+
+    fn predicate_cases() -> Vec<Case> {
+        vec![
+            Case {
+                sql: "{p}a IN (1, 3, NULL)",
+                eval: |r| truth(in_list(&r[A], &[Value::I64(1), Value::I64(3), Value::Null])),
+            },
+            Case {
+                sql: "{p}a NOT IN (1, 3)",
+                eval: |r| truth(not_in(&r[A], &[Value::I64(1), Value::I64(3)])),
+            },
+            Case {
+                sql: "{p}a NOT IN (1, NULL)",
+                eval: |r| truth(not_in(&r[A], &[Value::I64(1), Value::Null])),
+            },
+            Case {
+                sql: "{p}d IN (2.5, NULL, 0)",
+                eval: |r| truth(in_list(&r[D], &[Value::F64(2.5), Value::Null, Value::I64(0)])),
+            },
+            Case {
+                sql: "{p}s IN ('x', NULL)",
+                eval: |r| truth(in_list(&r[S], &[text("x"), Value::Null])),
+            },
+            Case {
+                sql: "{p}s NOT IN ('x', NULL)",
+                eval: |r| truth(not_in(&r[S], &[text("x"), Value::Null])),
+            },
+            Case {
+                sql: "{p}s NOT IN ('y', 'z')",
+                eval: |r| truth(not_in(&r[S], &[text("y"), text("z")])),
+            },
+            Case {
+                sql: "{p}dt IN (DATE '1995-01-01', NULL)",
+                eval: |r| truth(in_list(&r[DT], &[date("1995-01-01"), Value::Null])),
+            },
+            Case {
+                sql: "{p}dt NOT IN (DATE '1995-06-30', DATE '1996-02-29')",
+                eval: |r| truth(not_in(&r[DT], &[date("1995-06-30"), date("1996-02-29")])),
+            },
+            Case { sql: "{p}a IN (NULL)", eval: |r| truth(in_list(&r[A], &[Value::Null])) },
+            Case {
+                sql: "NULL IN ({p}s, 'x')",
+                eval: |r| truth(in_list(&Value::Null, &[r[S].clone(), text("x")])),
+            },
+            Case {
+                sql: "GREATEST({p}a, {p}b) IN (3, 0)",
+                eval: |r| {
+                    let g = extreme(&[&r[A], &r[B]], Ordering::Greater);
+                    truth(in_list(&g, &[Value::I64(3), Value::I64(0)]))
+                },
+            },
+            Case {
+                sql: "COALESCE({p}s, {p}u) NOT IN ('z')",
+                eval: |r| truth(not_in(&coalesce(&[&r[S], &r[U]]), &[text("z")])),
+            },
+            Case {
+                sql: "SIGN({p}d) = -1",
+                eval: |r| truth(sign(&r[D]).sql_cmp(&Value::I64(-1)).map(|o| o.is_eq())),
+            },
+            Case {
+                sql: "NULLIF({p}a, {p}b) IS NULL",
+                eval: |r| Value::Bool(nullif(&r[A], &r[B]).is_null()),
+            },
+            Case {
+                sql: "LEAST({p}dt, {p}dt2) < DATE '1995-07-01'",
+                eval: |r| {
+                    let l = extreme(&[&r[DT], &r[DT2]], Ordering::Less);
+                    truth(l.sql_cmp(&date("1995-07-01")).map(|o| o.is_lt()))
+                },
+            },
+        ]
+    }
+
+    fn spell(c: &Case, qualifier: &str) -> String {
+        c.sql.replace("{p}", qualifier)
+    }
+
+    /// Rows in the order `sorted` returns a statement's rows.
+    fn sort(mut rows: Vec<Vec<Value>>) -> Vec<Vec<Value>> {
+        rows.sort_by_key(|r| format!("{r:?}"));
+        rows
+    }
+
+    /// `(value, rows)` per distinct value, NULL its own group.
+    fn groups(rows: &[Row], key: impl Fn(&Row) -> Value) -> HashMap<Value, Vec<&Row>> {
+        let mut out: HashMap<Value, Vec<&Row>> = HashMap::new();
+        for r in rows {
+            out.entry(key(r)).or_default().push(r);
+        }
+        out
+    }
+
+    fn min_max(values: impl Iterator<Item = Value>) -> (Value, Value) {
+        let vals: Vec<Value> = values.filter(|v| !v.is_null()).collect();
+        let pick = |want: Ordering| {
+            vals.iter().reduce(|a, b| if b.sql_cmp(a) == Some(want) { b } else { a }).cloned()
+        };
+        (
+            pick(Ordering::Less).unwrap_or(Value::Null),
+            pick(Ordering::Greater).unwrap_or(Value::Null),
+        )
+    }
+
+    fn db() -> (Arc<Database>, Vec<Row>) {
+        let rows = rows();
+        let db = Database::open_in_memory();
+        db.execute(&table("t", "VECTORWISE", &rows)).unwrap();
+        (db, rows)
+    }
+
+    #[test]
+    fn in_the_select_list_and_where() {
+        let (db, rows) = db();
+        for c in value_cases().iter().chain(&predicate_cases()) {
+            let sql = format!("SELECT k, {} FROM t", spell(c, ""));
+            let want = sort(rows.iter().map(|r| vec![r[0].clone(), (c.eval)(r)]).collect());
+            assert_eq!(sorted(&db, &sql), want, "{sql}");
+        }
+        let keys = |pred: &dyn Fn(&Row) -> bool| -> Vec<Vec<Value>> {
+            sort(rows.iter().filter(|r| pred(r)).map(|r| vec![r[0].clone()]).collect())
+        };
+        for c in predicate_cases() {
+            let sql = format!("SELECT k FROM t WHERE {}", spell(&c, ""));
+            assert_eq!(sorted(&db, &sql), keys(&|r| is_true(&(c.eval)(r))), "{sql}");
+        }
+        for c in value_cases() {
+            let sql = format!("SELECT k FROM t WHERE {} IS NULL", spell(&c, ""));
+            assert_eq!(sorted(&db, &sql), keys(&|r| (c.eval)(r).is_null()), "{sql}");
+        }
+    }
+
+    #[test]
+    fn as_group_keys_and_aggregate_inputs() {
+        let (db, rows) = db();
+        for c in value_cases().iter().chain(&predicate_cases()) {
+            let e = spell(c, "");
+            let sql = format!("SELECT {e}, COUNT(*) FROM t GROUP BY {e}");
+            let want = groups(&rows, c.eval)
+                .into_iter()
+                .map(|(v, rs)| vec![v, Value::I64(rs.len() as i64)])
+                .collect();
+            assert_eq!(sorted(&db, &sql), sort(want), "{sql}");
+        }
+        for c in value_cases() {
+            let e = spell(&c, "");
+            let sql = format!("SELECT COUNT({e}), MIN({e}), MAX({e}) FROM t");
+            let values: Vec<Value> = rows.iter().map(c.eval).collect();
+            let (min, max) = min_max(values.iter().cloned());
+            let count = values.iter().filter(|v| !v.is_null()).count() as i64;
+            assert_eq!(sorted(&db, &sql), vec![vec![Value::I64(count), min, max]], "{sql}");
+        }
+        for c in predicate_cases() {
+            let p = spell(&c, "");
+            let sql = format!(
+                "SELECT SUM(CASE WHEN {p} THEN 1 ELSE 0 END), COUNT(CASE WHEN NOT ({p}) THEN 1 END) FROM t"
+            );
+            let values: Vec<Value> = rows.iter().map(c.eval).collect();
+            let holds = values.iter().filter(|v| is_true(v)).count() as i64;
+            let fails = values.iter().filter(|v| **v == Value::Bool(false)).count() as i64;
+            assert_eq!(
+                sorted(&db, &sql),
+                vec![vec![Value::I64(holds), Value::I64(fails)]],
+                "{sql}"
+            );
+        }
+    }
+
+    #[test]
+    fn in_having() {
+        let (db, rows) = db();
+        type Having = fn(&[&Row]) -> Value;
+        let cases: [(&str, Having); 6] = [
+            ("GREATEST(MIN(b), MAX(b), 0) > 2", |rs| {
+                let (min, max) = min_max(rs.iter().map(|r| r[B].clone()));
+                let g = extreme(&[&min, &max, &Value::I64(0)], Ordering::Greater);
+                truth(g.sql_cmp(&Value::I64(2)).map(|o| o.is_gt()))
+            }),
+            ("COALESCE(MAX(s), 'none') IN ('x', 'none', NULL)", |rs| {
+                let (_, max) = min_max(rs.iter().map(|r| r[S].clone()));
+                let list = [text("x"), text("none"), Value::Null];
+                truth(in_list(&coalesce(&[&max, &text("none")]), &list))
+            }),
+            ("COUNT(*) NOT IN (1, 2)", |rs| {
+                truth(not_in(&Value::I64(rs.len() as i64), &[Value::I64(1), Value::I64(2)]))
+            }),
+            ("NULLIF(MIN(b), MAX(b)) IS NULL", |rs| {
+                let (min, max) = min_max(rs.iter().map(|r| r[B].clone()));
+                Value::Bool(nullif(&min, &max).is_null())
+            }),
+            ("LEAST(MAX(dt), DATE '1995-12-31') = DATE '1995-12-31'", |rs| {
+                let (_, max) = min_max(rs.iter().map(|r| r[DT].clone()));
+                let l = extreme(&[&max, &date("1995-12-31")], Ordering::Less);
+                truth(l.sql_cmp(&date("1995-12-31")).map(|o| o.is_eq()))
+            }),
+            ("SIGN(MAX(d)) IN (1, NULL)", |rs| {
+                let (_, max) = min_max(rs.iter().map(|r| r[D].clone()));
+                truth(in_list(&sign(&max), &[Value::I64(1), Value::Null]))
+            }),
+        ];
+        for (having, eval) in cases {
+            let sql = format!("SELECT a, COUNT(*) FROM t GROUP BY a HAVING {having}");
+            let want = groups(&rows, |r| r[A].clone())
+                .into_iter()
+                .filter(|(_, rs)| is_true(&eval(rs)))
+                .map(|(a, rs)| vec![a, Value::I64(rs.len() as i64)])
+                .collect();
+            assert_eq!(sorted(&db, &sql), sort(want), "{sql}");
+        }
+    }
+
+    #[test]
+    fn as_join_keys() {
+        let (db, rows) = db();
+        for c in value_cases() {
+            let sql = format!(
+                "SELECT x.k, y.k FROM t x JOIN t y ON {} = {}",
+                spell(&c, "x."),
+                spell(&c, "y.")
+            );
+            let mut want = Vec::new();
+            for x in &rows {
+                for y in &rows {
+                    if (c.eval)(x).sql_cmp(&(c.eval)(y)) == Some(Ordering::Equal) {
+                        want.push(vec![x[0].clone(), y[0].clone()]);
+                    }
+                }
+            }
+            assert_eq!(sorted(&db, &sql), sort(want), "{sql}");
+        }
+    }
+
+    #[test]
+    fn in_update_set_and_where_on_both_table_kinds() {
+        let rows = rows();
+        let hit = |r: &Row| {
+            let dt2 = in_list(&r[DT2], &[date("1995-06-30"), Value::Null]);
+            let s = not_in(&r[S], &[text("x"), text("y")]);
+            let a = Value::Bool(nullif(&r[A], &r[B]).is_null());
+            is_true(&truth(dt2)) || is_true(&truth(s)) || is_true(&a)
+        };
+        let want: Vec<Row> = rows
+            .iter()
+            .map(|r| {
+                if !hit(r) {
+                    return r.clone();
+                }
+                let mut n = r.clone();
+                n[A] = extreme(&[&r[A], &r[B]], Ordering::Greater);
+                n[B] = sign(&r[B]);
+                n[D] = coalesce(&[&r[D], &r[E]]);
+                n[S] = coalesce(&[&r[S], &r[U], &text("w")]);
+                n[DT] = extreme(&[&r[DT], &r[DT2]], Ordering::Less);
+                n
+            })
+            .collect();
+        for kind in ["VECTORWISE", "HEAP"] {
+            let db = Database::open_in_memory();
+            db.execute(&table("h", kind, &rows)).unwrap();
+            let sql = "UPDATE h SET a = GREATEST(a, b), b = SIGN(b), d = IFNULL(d, e), \
+                       s = COALESCE(s, u, 'w'), dt = LEAST(dt, dt2) \
+                       WHERE dt2 IN (DATE '1995-06-30', NULL) OR s NOT IN ('x', 'y') \
+                       OR NULLIF(a, b) IS NULL";
+            db.execute(sql).unwrap_or_else(|e| panic!("{kind}: {sql}: {e}"));
+            assert_eq!(sorted(&db, "SELECT * FROM h"), sort(want.clone()), "{kind}: {sql}");
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Differential tests: the vectorized hash operators vs. the tuple-at-a-time
 // volcano baseline on randomized data. Any divergence in join or GROUP BY
