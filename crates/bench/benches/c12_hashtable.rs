@@ -12,6 +12,9 @@
 //! span cap on the fused rung, two BIGINT keys), each timed per row beside
 //! it.
 //!
+//! String key hashing is timed per lane for a key coded over a small
+//! dictionary, over a pack-sized raw-block arena, and flat.
+//!
 //! The bulk CSR build (`JoinTable::build`) is swept over 8 k → 1 M
 //! rows, first call and warm, with allocated bytes per row, against the
 //! layout it replaced (reconstructed here: 16-byte slots, a cursor clone of
@@ -32,7 +35,7 @@ use vw_exec::expr::PhysExpr;
 use vw_exec::hashtable::{self, JoinTable};
 use vw_exec::op::{AggFunc, AggSpec, HashAggregate, Operator};
 use vw_exec::program::ExprProgram;
-use vw_exec::{Batch, Vector};
+use vw_exec::{Batch, StrArena, Vector};
 
 // ---------------------------------------------------------------------------
 // counting allocator (steady-state allocation proof)
@@ -280,11 +283,12 @@ fn rung_batches() -> (Schema, Vec<Batch>) {
     }
     assert!(wide.len() <= RUNG_WARM * VECTOR, "the warm-up brings every wide value");
     wide.extend((wide.len()..RUNG_BATCHES * VECTOR).map(|_| rng.gen_range(0..WIDE)));
-    let mut dicts: Vec<Arc<Vec<String>>> = Vec::new();
+    let mut dicts: Vec<Arc<StrArena>> = Vec::new();
     let batches = (0..RUNG_BATCHES)
         .map(|b| {
             if b % 16 == 0 {
-                let dict = |vals: &[&str]| Arc::new(vals.iter().map(|s| s.to_string()).collect());
+                let dict =
+                    |vals: &[&str]| Arc::new(StrArena::from_strs(vals.iter().copied(), true));
                 dicts = vec![dict(&["A", "N", "R"]), dict(&["F", "O"])];
             }
             let mut cols: Vec<Vector> = dicts
@@ -438,9 +442,59 @@ fn csr_build_sweep() {
     }
 }
 
+/// Key hashing of 1 024-lane batches whose string key is coded over a
+/// 3-entry dictionary, coded over a pack-sized arena (a raw block's
+/// 16 384 rows, each batch a sixteenth of them), or flat: ns per lane,
+/// best of five passes over the pack's 16 batches. Hashing per arena
+/// entry would cost the pack arena 16 entries per lane.
+fn arena_key_hash() {
+    const PACK: usize = 16 * VECTOR;
+    let rows: Vec<String> =
+        (0..PACK).map(|i| format!("Customer#{i:09}-{:08x}", hash_u64(i as u64) as u32)).collect();
+    let arena = Arc::new(StrArena::from_strs(rows.iter().map(String::as_str), false));
+    let flags = Arc::new(StrArena::from_strs(["A", "N", "R"], true));
+    let pack = |f: &dyn Fn(usize) -> Vector| (0..PACK / VECTOR).map(f).collect::<Vec<_>>();
+    let cases = [
+        (
+            "3-entry dictionary",
+            pack(&|_| {
+                let codes = (0..VECTOR as u32).map(|i| i % 3).collect();
+                Vector::from_dict(codes, flags.clone(), None)
+            }),
+        ),
+        (
+            "16 384-entry pack arena",
+            pack(&|b| {
+                let codes = (b * VECTOR..(b + 1) * VECTOR).map(|i| i as u32).collect();
+                Vector::from_dict(codes, arena.clone(), None)
+            }),
+        ),
+        (
+            "flat strings",
+            pack(&|b| Vector::new(ColData::Str(rows[b * VECTOR..(b + 1) * VECTOR].to_vec()))),
+        ),
+    ];
+    println!("string key hashing, ns/lane ({PACK} lanes in {VECTOR}-lane batches, best of 5):");
+    for (name, vecs) in &cases {
+        let (mut lanes, mut out) = (Vec::new(), Vec::new());
+        let best = (0..5)
+            .map(|_| {
+                let t0 = Instant::now();
+                for v in vecs {
+                    hashtable::hash_keys([v], VECTOR, false, &mut lanes, &mut out);
+                    black_box(&out);
+                }
+                t0.elapsed().as_nanos() as f64 / PACK as f64
+            })
+            .fold(f64::MAX, f64::min);
+        println!("  {name:<24} {best:>7.2}");
+    }
+}
+
 fn bench(c: &mut Criterion) {
     steady_state_alloc_check();
     resolution_rungs();
+    arena_key_hash();
     csr_build_sweep();
 
     let mut g = c.benchmark_group("c12_hashtable");

@@ -98,8 +98,9 @@ fn kernel_for(bits: u32) -> fn(&[u8], &mut [u64; BLOCK]) {
             62 63 64)
 }
 
-/// Bytes `n` values of `bits` bits occupy: whole 64-bit words.
-fn packed_bytes(n: usize, bits: u32) -> Result<usize> {
+/// Bytes `n` values of `bits` bits occupy: whole 64-bit words, what
+/// [`pack`] writes.
+pub(crate) fn packed_bytes(n: usize, bits: u32) -> Result<usize> {
     if bits > 64 {
         return Err(VwError::Corruption(format!("bit width {bits} > 64")));
     }

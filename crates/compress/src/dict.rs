@@ -2,13 +2,15 @@
 //!
 //! Values are replaced by codes into a per-block dictionary; codes are
 //! bit-packed at `ceil(log2(|dict|))` bits. Works for integers (this module)
-//! and strings ([`encode_strings`]/[`decode_strings`]), which is how
-//! Vectorwise stores enumerated VARCHAR columns like `l_returnflag`.
+//! and strings ([`encode_strings`]/[`decode_codes`]), which is how
+//! Vectorwise stores enumerated VARCHAR columns like `l_returnflag`. A
+//! decoded string dictionary — and a raw string block — is a [`StrArena`].
 
 use crate::bitpack;
 use crate::io::{ByteReader, ByteWriter};
 use crate::{bits_for, emit, emit_words, Lane};
 use std::hash::Hash;
+use std::sync::Arc;
 use vw_common::hash::{hash_u64, FxHashMap};
 use vw_common::{Result, VwError};
 
@@ -45,6 +47,17 @@ fn dictionary<T: Ord + Copy, K: Hash + Eq>(
     key: impl Fn(T) -> K,
     limit: usize,
 ) -> Option<(Vec<T>, Vec<u64>)> {
+    let (distinct, mut codes) = first_seen(values, key, limit)?;
+    Some((sort_ranks(distinct, &mut codes), codes))
+}
+
+/// The distinct values of `values` in first-seen order and each value's
+/// first-seen id; `None` past `limit` distinct values.
+fn first_seen<T: Copy, K: Hash + Eq>(
+    values: impl ExactSizeIterator<Item = T>,
+    key: impl Fn(T) -> K,
+    limit: usize,
+) -> Option<(Vec<T>, Vec<u64>)> {
     let mut first_seen: FxHashMap<K, u64> = FxHashMap::default();
     let mut distinct: Vec<T> = Vec::new();
     let mut codes = Vec::with_capacity(values.len());
@@ -57,16 +70,22 @@ fn dictionary<T: Ord + Copy, K: Hash + Eq>(
             return None;
         }
     }
+    Some((distinct, codes))
+}
+
+/// Sort first-seen `distinct` values and renumber `codes` from first-seen
+/// ids to ranks; returns the sorted values.
+fn sort_ranks<T: Ord + Copy>(distinct: Vec<T>, codes: &mut [u64]) -> Vec<T> {
     let mut order: Vec<usize> = (0..distinct.len()).collect();
     order.sort_unstable_by_key(|&id| distinct[id]);
     let mut rank = vec![0u64; distinct.len()];
     for (r, &id) in order.iter().enumerate() {
         rank[id] = r as u64;
     }
-    for code in &mut codes {
+    for code in codes {
         *code = rank[*code as usize];
     }
-    Some((order.iter().map(|&id| distinct[id]).collect(), codes))
+    order.iter().map(|&id| distinct[id]).collect()
 }
 
 /// Decode a PDICT integer block of `n` values, appending to `out`: the
@@ -113,22 +132,180 @@ fn code_bits(len: usize) -> u32 {
     bits_for(len.saturating_sub(1) as u64).max(1)
 }
 
-/// A dictionary-compressed string block. Decoding owns its dictionary;
-/// [`encode_strings`] borrows it from the values it encodes.
+/// An immutable string arena: every entry's bytes in one UTF-8 buffer,
+/// validated once when the arena is built, and `u32` offsets into it —
+/// the one in-memory form of a string block, PDICT dictionary or raw.
+/// Entries are read as `&str` slices ([`StrArena::get`], indexing); an
+/// arena costs two allocations however many entries it holds.
+///
+/// `distinct` says no two entries are equal — true for a PDICT
+/// dictionary, false for a raw block, whose entries are its rows. Equal
+/// codes always mean equal strings; *different* codes mean different
+/// strings only over a distinct arena, so every code-equality shortcut
+/// must check [`StrArena::distinct`].
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StringDict<S = String> {
+pub struct StrArena {
+    bytes: String,
+    /// `len() + 1` offsets; entry `i` is `bytes[offsets[i]..offsets[i + 1]]`.
+    offsets: Vec<u32>,
+    distinct: bool,
+}
+
+static EMPTY_ARENA: std::sync::LazyLock<Arc<StrArena>> =
+    std::sync::LazyLock::new(|| Arc::new(StrArena::from_strs([], true)));
+
+impl StrArena {
+    /// An arena over `values`, in order. `distinct` is the caller's word
+    /// that no two values are equal.
+    pub fn from_strs<'a>(values: impl IntoIterator<Item = &'a str>, distinct: bool) -> StrArena {
+        let mut bytes = String::new();
+        let mut offsets = vec![0u32];
+        for v in values {
+            bytes.push_str(v);
+            offsets.push(u32::try_from(bytes.len()).expect("string arena over 4 GiB"));
+        }
+        StrArena { bytes, offsets, distinct }
+    }
+
+    /// The shared empty arena: a placeholder that pins no block's strings
+    /// (cloning it allocates nothing).
+    pub fn empty() -> Arc<StrArena> {
+        EMPTY_ARENA.clone()
+    }
+
+    /// Read `n` entries laid out as `len u32, bytes` each — a PDICT
+    /// dictionary or a raw string block. The bytes are copied into one
+    /// buffer and validated as UTF-8 once; `Corruption` on a short block,
+    /// invalid UTF-8, or an entry that would split a character.
+    pub fn read(r: &mut ByteReader, n: usize, distinct: bool) -> Result<StrArena> {
+        // The length check doubles as the allocation guard: a corrupted
+        // header cannot ask for more entries than the payload holds.
+        if n > r.remaining() / 4 {
+            return Err(VwError::Corruption(format!("string block of {n} entries is truncated")));
+        }
+        // What the entries can hold at most: exact for a raw block, which
+        // ends its chunk; a PDICT dictionary's codes follow it.
+        let room = r.remaining() - 4 * n;
+        if room > u32::MAX as usize {
+            return Err(VwError::Corruption("string block over 4 GiB".into()));
+        }
+        let mut bytes = Vec::with_capacity(room);
+        let mut offsets = Vec::with_capacity(n + 1);
+        offsets.push(0u32);
+        for _ in 0..n {
+            let len = r.get_u32()? as usize;
+            bytes.extend_from_slice(r.get_bytes(len)?);
+            offsets.push(bytes.len() as u32);
+        }
+        let invalid = || VwError::Corruption("invalid UTF-8 in string block".into());
+        let bytes = String::from_utf8(bytes).map_err(|_| invalid())?;
+        // Valid as a whole and cut only at character boundaries is valid
+        // entry by entry.
+        if !offsets.iter().all(|&o| bytes.is_char_boundary(o as usize)) {
+            return Err(invalid());
+        }
+        Ok(StrArena { bytes, offsets, distinct })
+    }
+
+    /// Number of entries.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    /// True when the arena has no entries.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Entry `i`, or `None` past the end.
+    #[inline]
+    pub fn get(&self, i: usize) -> Option<&str> {
+        let (start, end) = (*self.offsets.get(i)?, *self.offsets.get(i + 1)?);
+        Some(&self.bytes[start as usize..end as usize])
+    }
+
+    /// The entries, in order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = &str> + '_ {
+        self.offsets.windows(2).map(|w| &self.bytes[w[0] as usize..w[1] as usize])
+    }
+
+    /// True when no two entries are equal (see the type's docs).
+    #[inline]
+    pub fn distinct(&self) -> bool {
+        self.distinct
+    }
+
+    /// Heap bytes held: the string bytes and the offsets.
+    pub fn byte_size(&self) -> usize {
+        self.bytes.len() + self.offsets.len() * 4
+    }
+}
+
+impl std::ops::Index<usize> for StrArena {
+    type Output = str;
+
+    #[inline]
+    fn index(&self, i: usize) -> &str {
+        let (start, end) = (self.offsets[i], self.offsets[i + 1]);
+        &self.bytes[start as usize..end as usize]
+    }
+}
+
+/// A dictionary-compressed string block, borrowing its dictionary from
+/// the values it encodes.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct StringDict<'a> {
     /// Sorted distinct strings.
-    pub dict: Vec<S>,
+    pub dict: Vec<&'a str>,
     /// Packed codes (one per row) referencing `dict`.
     pub bytes: Vec<u8>,
     /// Number of rows.
     pub len: usize,
 }
 
-impl<S: AsRef<str>> StringDict<S> {
+impl StringDict<'_> {
     /// Compressed size in bytes (dictionary + codes).
     pub fn compressed_bytes(&self) -> usize {
-        self.dict.iter().map(|s| s.as_ref().len() + 4).sum::<usize>() + self.bytes.len()
+        self.dict.iter().map(|s| s.len() + 4).sum::<usize>() + self.bytes.len()
+    }
+}
+
+/// A string block's distinct values in first-seen order and each value's
+/// first-seen id — everything the raw-versus-PDICT choice needs, since a
+/// dictionary's size does not depend on its order. Only a block that
+/// goes PDICT pays for the sort ([`DistinctStrings::into_dict`]).
+#[derive(Debug)]
+pub struct DistinctStrings<'a> {
+    distinct: Vec<&'a str>,
+    ids: Vec<u64>,
+}
+
+impl<'a> DistinctStrings<'a> {
+    /// Hash every value of the block once.
+    pub fn of(values: &'a [String]) -> DistinctStrings<'a> {
+        let (distinct, ids) =
+            first_seen(values.iter().map(String::as_str), |s| s, usize::MAX).expect("no limit");
+        DistinctStrings { distinct, ids }
+    }
+
+    /// Size of the block's PDICT encoding, [`StringDict::compressed_bytes`]
+    /// without building it: each entry with its length word, and the
+    /// packed codes.
+    pub fn compressed_bytes(&self) -> usize {
+        let bits = code_bits(self.distinct.len());
+        self.distinct.iter().map(|s| s.len() + 4).sum::<usize>()
+            + bitpack::packed_bytes(self.ids.len(), bits).expect("code widths are at most 33 bits")
+    }
+
+    /// Sort the dictionary, renumber the codes and pack them.
+    pub fn into_dict(self) -> StringDict<'a> {
+        let DistinctStrings { distinct, mut ids } = self;
+        let dict = sort_ranks(distinct, &mut ids);
+        let mut w = ByteWriter::new();
+        bitpack::pack(&ids, code_bits(dict.len()), &mut w);
+        StringDict { dict, bytes: w.into_bytes(), len: ids.len() }
     }
 }
 
@@ -136,63 +313,37 @@ impl<S: AsRef<str>> StringDict<S> {
 /// string blocks with huge cardinality simply get a big dictionary (the
 /// storage layer decides whether that is acceptable by inspecting the ratio).
 /// The dictionary borrows `values`.
-pub fn encode_strings(values: &[String]) -> StringDict<&str> {
-    let (dict, codes) =
-        dictionary(values.iter().map(String::as_str), |s| s, usize::MAX).expect("no limit");
-    let mut w = ByteWriter::new();
-    bitpack::pack(&codes, code_bits(dict.len()), &mut w);
-    StringDict { dict, bytes: w.into_bytes(), len: values.len() }
+pub fn encode_strings(values: &[String]) -> StringDict<'_> {
+    DistinctStrings::of(values).into_dict()
 }
 
-/// Decode a string dictionary block into owned strings, reusing the
-/// caller's buffer as a string arena: `out`'s existing `String`
-/// allocations are overwritten in place (`clone_into`), so a scan that
-/// hands the same buffer back pack after pack is allocation-free in
-/// steady state (no fresh `String` per value per pack).
-pub fn decode_strings(sd: &StringDict, out: &mut Vec<String>) -> Result<()> {
-    if sd.len == 0 {
-        out.clear();
-        return Ok(());
-    }
-    if sd.dict.is_empty() {
-        return Err(VwError::Corruption("empty string dictionary".into()));
-    }
-    let mut codes = Vec::with_capacity(sd.len);
-    decode_codes(sd, &mut codes)?;
-    materialize_codes(&codes, &sd.dict, out);
-    Ok(())
-}
-
-/// Unpack only the codes of a string dictionary block — the compressed
-/// execution entry: the scan keeps the codes + shared dictionary and never
-/// inflates the strings. Codes are validated against the dictionary.
-pub fn decode_codes(sd: &StringDict, out: &mut Vec<u32>) -> Result<()> {
+/// Unpack the codes of a PDICT string block of `n` rows over a dictionary
+/// of `dict_len` entries — the scan keeps the codes and the shared
+/// dictionary and never inflates the strings. Codes are validated against
+/// the dictionary.
+pub fn decode_codes(bytes: &[u8], n: usize, dict_len: usize, out: &mut Vec<u32>) -> Result<()> {
     out.clear();
-    if sd.len == 0 {
+    if n == 0 {
         return Ok(());
     }
-    if sd.dict.is_empty() {
+    if dict_len == 0 {
         return Err(VwError::Corruption("empty string dictionary".into()));
     }
-    let bits = code_bits(sd.dict.len());
-    let payload = bitpack::take_packed(&mut ByteReader::new(&sd.bytes), sd.len, bits)?;
-    out.reserve(sd.len);
-    bitpack::for_each_block(payload, sd.len, bits, |codes| {
-        check_codes(codes, sd.dict.len())?;
+    let bits = code_bits(dict_len);
+    let payload = bitpack::take_packed(&mut ByteReader::new(bytes), n, bits)?;
+    out.reserve(n);
+    bitpack::for_each_block(payload, n, bits, |codes| {
+        check_codes(codes, dict_len)?;
         emit(codes, out)
     })
 }
 
-/// Materialize dictionary codes into `out`, reusing its existing `String`
-/// allocations (arena-style). `codes` must already be validated against
-/// `dict` — both decode entries above guarantee that.
-pub fn materialize_codes(codes: &[u32], dict: &[String], out: &mut Vec<String>) {
-    let reuse = out.len().min(codes.len());
-    for (slot, &c) in out[..reuse].iter_mut().zip(codes) {
-        dict[c as usize].clone_into(slot);
-    }
-    out.truncate(codes.len());
-    out.extend(codes[reuse..].iter().map(|&c| dict[c as usize].clone()));
+/// Append the strings `codes` name in `dict` to `out` — a `String` per
+/// code, the cost every late-materialization boundary pays. `codes` must
+/// already be validated against `dict`; every decode entry guarantees
+/// that.
+pub fn materialize_codes(codes: &[u32], dict: &StrArena, out: &mut Vec<String>) {
+    out.extend(codes.iter().map(|&c| dict[c as usize].to_owned()));
 }
 
 #[cfg(test)]
@@ -201,7 +352,7 @@ mod tests {
 
     /// The encoder this module had before it went over borrowed values:
     /// copy every value, sort, dedup, index. Kept as the oracle.
-    fn encode_strings_reference(values: &[String]) -> StringDict {
+    fn encode_strings_reference(values: &[String]) -> (Vec<String>, Vec<u8>) {
         let mut dict: Vec<String> = values.to_vec();
         dict.sort_unstable();
         dict.dedup();
@@ -211,7 +362,7 @@ mod tests {
         let codes: Vec<u64> = values.iter().map(|s| index[s.as_str()] as u64).collect();
         let mut w = ByteWriter::new();
         bitpack::pack(&codes, bits, &mut w);
-        StringDict { dict, bytes: w.into_bytes(), len: values.len() }
+        (dict, w.into_bytes())
     }
 
     /// The integer encoder this module had before it assigned first-seen
@@ -236,10 +387,15 @@ mod tests {
         Ok(())
     }
 
-    /// The block as the decoder holds it.
-    fn owned(sd: StringDict<&str>) -> StringDict {
-        let dict = sd.dict.iter().map(|s| s.to_string()).collect();
-        StringDict { dict, bytes: sd.bytes, len: sd.len }
+    /// Decode `sd` as a reader would: its dictionary as an arena, its
+    /// codes, and the strings they materialize to.
+    fn decode(sd: &StringDict) -> (StrArena, Vec<u32>, Vec<String>) {
+        let arena = StrArena::from_strs(sd.dict.iter().copied(), true);
+        let mut codes = Vec::new();
+        decode_codes(&sd.bytes, sd.len, arena.len(), &mut codes).unwrap();
+        let mut out = Vec::new();
+        materialize_codes(&codes, &arena, &mut out);
+        (arena, codes, out)
     }
 
     #[test]
@@ -280,54 +436,86 @@ mod tests {
     fn string_dict_roundtrip() {
         let flags = ["A", "N", "R"];
         let values: Vec<String> = (0..999).map(|i| flags[i % 3].to_string()).collect();
-        let sd = owned(encode_strings(&values));
-        assert_eq!(sd.dict, vec!["A".to_string(), "N".into(), "R".into()]);
+        let sd = encode_strings(&values);
+        assert_eq!(sd.dict, vec!["A", "N", "R"]);
         assert!(sd.compressed_bytes() < 999); // ~2 bits per row
-        let mut out = Vec::new();
-        decode_strings(&sd, &mut out).unwrap();
+        let (arena, codes, out) = decode(&sd);
         assert_eq!(out, values);
+        assert!(arena.distinct());
+        assert_eq!(codes.len(), values.len());
+        assert!(codes.iter().zip(&values).all(|(&c, v)| &arena[c as usize] == v));
     }
 
     #[test]
     fn string_dict_empty_and_unique() {
-        let sd = owned(encode_strings(&[]));
-        let mut out = vec!["junk".to_string()];
-        decode_strings(&sd, &mut out).unwrap();
-        assert!(out.is_empty());
-
+        let sd = encode_strings(&[]);
+        assert!(decode(&sd).2.is_empty());
         let values: Vec<String> = (0..100).map(|i| format!("s{i}")).collect();
-        let sd = owned(encode_strings(&values));
-        decode_strings(&sd, &mut out).unwrap();
-        assert_eq!(out, values);
+        assert_eq!(decode(&encode_strings(&values)).2, values);
     }
 
     #[test]
-    fn decode_codes_matches_decode_strings() {
-        let flags = ["A", "N", "R"];
-        let values: Vec<String> = (0..500).map(|i| flags[i % 3].to_string()).collect();
-        let sd = owned(encode_strings(&values));
+    fn codes_over_an_empty_dictionary_are_corruption() {
         let mut codes = Vec::new();
-        decode_codes(&sd, &mut codes).unwrap();
-        assert_eq!(codes.len(), values.len());
-        let decoded: Vec<String> = codes.iter().map(|&c| sd.dict[c as usize].clone()).collect();
-        assert_eq!(decoded, values);
+        assert!(decode_codes(&[0; 8], 0, 0, &mut codes).is_ok());
+        assert!(matches!(decode_codes(&[0; 8], 3, 0, &mut codes), Err(VwError::Corruption(_))));
     }
 
     #[test]
-    fn decode_strings_reuses_arena() {
-        let values: Vec<String> = (0..64).map(|i| format!("value-{:02}", i % 7)).collect();
-        let sd = owned(encode_strings(&values));
-        // Pre-fill the arena with strings of ample capacity, then record
-        // their buffer addresses: a second decode must write into the same
-        // allocations instead of replacing them.
-        let mut out = Vec::new();
-        decode_strings(&sd, &mut out).unwrap();
-        assert_eq!(out, values);
-        let addrs: Vec<*const u8> = out.iter().map(|s| s.as_ptr()).collect();
-        decode_strings(&sd, &mut out).unwrap();
-        assert_eq!(out, values);
-        let addrs2: Vec<*const u8> = out.iter().map(|s| s.as_ptr()).collect();
-        assert_eq!(addrs, addrs2);
+    fn arena_reads_what_it_was_built_from() {
+        let values = ["", "héllo", "мир", "日本", "", "x"];
+        let arena = StrArena::from_strs(values, false);
+        assert_eq!(arena.len(), 6);
+        assert!(!arena.distinct());
+        assert_eq!(arena.iter().collect::<Vec<_>>(), values);
+        assert_eq!(arena.get(3), Some("日本"));
+        assert_eq!(arena.get(6), None);
+        assert_eq!(&arena[1], "héllo");
+        assert_eq!(arena.byte_size(), values.iter().map(|v| v.len()).sum::<usize>() + 7 * 4);
+        assert!(StrArena::empty().is_empty());
+        assert!(Arc::ptr_eq(&StrArena::empty(), &StrArena::empty()));
+    }
+
+    /// `values` laid out as a string block: `len u32, bytes` each.
+    fn block(values: &[&[u8]]) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        for v in values {
+            w.put_u32(v.len() as u32);
+            w.put_bytes(v);
+        }
+        w.into_bytes()
+    }
+
+    #[test]
+    fn arena_read_validates_utf8_once_per_block() {
+        let ok = block(&[b"ab", "é".as_bytes(), b""]);
+        let arena = StrArena::read(&mut ByteReader::new(&ok), 3, false).unwrap();
+        assert_eq!(arena.iter().collect::<Vec<_>>(), ["ab", "é", ""]);
+        // Invalid bytes; and a two-byte character split across two entries,
+        // valid as a whole buffer but not entry by entry.
+        let e = "é".as_bytes();
+        for bad in [block(&[b"ab", &[0xff, 0xfe]]), block(&[&e[..1], &e[1..]])] {
+            let got = StrArena::read(&mut ByteReader::new(&bad), 2, false);
+            assert!(
+                matches!(&got, Err(VwError::Corruption(m)) if m.contains("invalid UTF-8")),
+                "{got:?}"
+            );
+        }
+        // Truncated, and an entry count the payload cannot hold.
+        assert!(StrArena::read(&mut ByteReader::new(&ok[..ok.len() - 2]), 3, false).is_err());
+        assert!(StrArena::read(&mut ByteReader::new(&ok), 1 << 30, false).is_err());
+    }
+
+    #[test]
+    fn packed_bytes_is_what_pack_writes() {
+        for bits in [1u32, 2, 3, 7, 13, 31, 64] {
+            for n in [0usize, 1, 63, 64, 65, 1000] {
+                let mut w = ByteWriter::new();
+                let max = if bits == 64 { u64::MAX } else { (1u64 << bits) - 1 };
+                bitpack::pack(&vec![max; n], bits, &mut w);
+                assert_eq!(w.len(), bitpack::packed_bytes(n, bits).unwrap(), "bits {bits} n {n}");
+            }
+        }
     }
 
     #[test]
@@ -370,8 +558,12 @@ mod tests {
                         }
                     })
                     .collect();
-                let got = owned(encode_strings(&values));
-                assert_eq!(got, encode_strings_reference(&values), "len {len} distinct {distinct}");
+                let got = encode_strings(&values);
+                let (dict, bytes) = encode_strings_reference(&values);
+                assert_eq!(got.dict, dict, "len {len} distinct {distinct}");
+                assert_eq!(got.bytes, bytes, "len {len} distinct {distinct}");
+                let distinct = DistinctStrings::of(&values);
+                assert_eq!(distinct.compressed_bytes(), got.compressed_bytes());
             }
         }
     }

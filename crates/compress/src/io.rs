@@ -58,7 +58,7 @@ impl ByteWriter {
 }
 
 /// Bounds-checked little-endian byte cursor.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct ByteReader<'a> {
     buf: &'a [u8],
     pos: usize,

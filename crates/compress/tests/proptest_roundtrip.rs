@@ -85,9 +85,13 @@ proptest! {
     fn string_dict_roundtrip(
         values in proptest::collection::vec("[a-z]{0,8}", 0..256)
     ) {
-        let sd = vw_compress::dict::encode_strings(&values);
+        use vw_compress::dict::{decode_codes, encode_strings, materialize_codes, StrArena};
+        let sd = encode_strings(&values);
+        let arena = StrArena::from_strs(sd.dict.iter().copied(), true);
+        let mut codes = Vec::new();
+        decode_codes(&sd.bytes, sd.len, arena.len(), &mut codes).unwrap();
         let mut out = Vec::new();
-        vw_compress::dict::decode_strings(&sd, &mut out).unwrap();
+        materialize_codes(&codes, &arena, &mut out);
         prop_assert_eq!(out, values);
     }
 

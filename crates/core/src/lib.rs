@@ -26,7 +26,7 @@
 //! ```
 //!
 //! A SELECT's [`QueryResult`] is the batches its plan produced
-//! ([`QueryResult::batches`]: dense, dictionary-coded strings still coded);
+//! ([`QueryResult::batches`]: dense, string columns still coded);
 //! the engine builds no row for it. [`QueryResult::rows`] is the client's
 //! row view, built from the batches on its first call.
 //!
@@ -81,8 +81,8 @@ impl QueryResult {
         QueryResult { schema, batches, row_view: OnceLock::new(), affected: 0, text: None }
     }
 
-    /// The result's columns, batch by batch: the typed hand-off. A
-    /// dictionary-coded string column stays coded
+    /// The result's columns, batch by batch: the typed hand-off. A string
+    /// column read from a table stays coded over its pack's arena
     /// ([`vw_exec::Vector::dict_parts`]).
     pub fn batches(&self) -> &[Batch] {
         &self.batches

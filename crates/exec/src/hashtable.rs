@@ -957,11 +957,18 @@ fn prefetch<T>(p: *const T) {
 fn project_lanes(v: &Vector, nulls_as_group: bool, out: &mut Vec<u64>) {
     out.clear();
     if let Some((codes, dict)) = v.dict_parts() {
-        // Dictionary-coded keys: hash each distinct value once, then
-        // project rows through the code. Must match the `Str` arm below
-        // byte-for-byte so coded and flat sides of a join agree.
-        let per_code: Vec<u64> = dict.iter().map(|s| hash_bytes(s.as_bytes())).collect();
-        out.extend(codes.iter().map(|&c| per_code[c as usize]));
+        // Coded keys: an arena with no more entries than the batch has
+        // lanes hashes each entry once and projects rows through the
+        // code; a larger one (a raw block's rows, a wide dictionary)
+        // hashes each lane through its code instead. Both must match the
+        // `Str` arm below byte-for-byte so coded and flat sides of a join
+        // agree.
+        if dict.len() <= codes.len() {
+            let per_code: Vec<u64> = dict.iter().map(|s| hash_bytes(s.as_bytes())).collect();
+            out.extend(codes.iter().map(|&c| per_code[c as usize]));
+        } else {
+            out.extend(codes.iter().map(|&c| hash_bytes(dict[c as usize].as_bytes())));
+        }
         if nulls_as_group {
             if let Some(m) = &v.nulls {
                 for (lane, &is_null) in m.iter().enumerate() {
@@ -1113,12 +1120,15 @@ fn filter_col_eq(
         }};
     }
     match (probe.dict_parts(), build.dict_parts()) {
-        // Same shared dictionary on both sides: keys match iff codes match.
-        (Some((pa, pd)), Some((ba, bd))) if std::sync::Arc::ptr_eq(pd, bd) => {
+        // Same distinct arena on both sides: keys match iff codes match.
+        // Over an arena with repeats (a raw block's rows) unequal codes
+        // may still be equal strings, so it takes the value compare.
+        (Some((pa, pd)), Some((ba, bd))) if std::sync::Arc::ptr_eq(pd, bd) && pd.distinct() => {
             return typed!(pa, ba, |x: &u32, y: &u32| x == y);
         }
-        // One or both sides coded (different dictionaries): remap through
-        // the string values — `str_at` reads dict entries without inflating.
+        // One or both sides coded (different arenas, or one with repeats):
+        // compare the string values — `str_at` reads arena entries
+        // without inflating.
         (Some(_), _) | (_, Some(_))
             if probe.type_id() == vw_common::TypeId::Str
                 && build.type_id() == vw_common::TypeId::Str =>
@@ -1208,6 +1218,61 @@ mod tests {
         assert_eq!(t.len(), 4);
         for (row, &h) in hashes.iter().enumerate() {
             assert_eq!(t.find_chain(h, |r| r as usize == row), Some(row as u32));
+        }
+    }
+
+    #[test]
+    fn coded_flat_and_arena_lanes_hash_alike() {
+        use crate::vector::StrArena;
+        use std::sync::Arc;
+        let vals = ["b", "", "a", "b", "héllo", "a", "b", ""];
+        let nulls = Some(vec![false, false, true, false, false, false, false, true]);
+        let flat = Vector::with_nulls(
+            ColData::Str(vals.iter().map(|s| s.to_string()).collect()),
+            nulls.clone(),
+        );
+        // A distinct dictionary smaller than the batch: hashed per entry.
+        let dict = Arc::new(StrArena::from_strs(["", "a", "b", "héllo"], true));
+        let codes = vals.iter().map(|v| dict.iter().position(|d| d == *v).unwrap() as u32);
+        let coded = Vector::from_dict(codes.collect(), dict.clone(), nulls.clone());
+        // A pack arena with repeats and more entries than the batch has
+        // lanes: hashed per lane through the code.
+        let mut rows: Vec<&str> = vec!["pad"; 3];
+        rows.extend(vals);
+        rows.extend(["z"; 8]);
+        let arena = Arc::new(StrArena::from_strs(rows, false));
+        let arena_codes = (3..3 + vals.len() as u32).collect();
+        let over_arena = Vector::from_dict(arena_codes, arena.clone(), nulls);
+        assert!(dict.len() <= vals.len() && arena.len() > vals.len());
+        for nulls_as_group in [true, false] {
+            let hash = |v: &Vector| {
+                let (mut lanes, mut out) = (Vec::new(), Vec::new());
+                hash_keys([v], vals.len(), nulls_as_group, &mut lanes, &mut out);
+                out
+            };
+            let want = hash(&flat);
+            assert_eq!(hash(&coded), want, "nulls_as_group {nulls_as_group}");
+            assert_eq!(hash(&over_arena), want, "nulls_as_group {nulls_as_group}");
+        }
+    }
+
+    #[test]
+    fn a_shared_arena_with_repeats_matches_keys_by_value() {
+        use crate::vector::StrArena;
+        use std::sync::Arc;
+        // Codes 0 and 1 are both "x": over a raw block's rows unequal
+        // codes can be equal strings.
+        for distinct in [false, true] {
+            let entries = if distinct { ["x", "w", "y"] } else { ["x", "x", "y"] };
+            let arena = Arc::new(StrArena::from_strs(entries, distinct));
+            let probe = Vector::from_dict(vec![0, 2, 1, 0], arena.clone(), None);
+            let build = Vector::from_dict(vec![1, 2, 0], arena.clone(), None);
+            let cand = [0u32, 1, 2, 1];
+            let sel = SelVec::from_positions(vec![0, 1, 2, 3]);
+            let (mut scratch, mut out) = (SelVec::new(), SelVec::new());
+            keys_match_sel([&probe], &[build], &cand, &sel, &mut scratch, &mut out, false);
+            let want: &[u32] = if distinct { &[1] } else { &[0, 1, 2] };
+            assert_eq!(out.as_slice(), want, "distinct {distinct}");
         }
     }
 

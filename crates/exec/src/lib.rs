@@ -69,4 +69,4 @@ pub use morsel::{BatchPool, MorselSource};
 pub use op::Operator;
 pub use partition::MemBudget;
 pub use program::{ExprProgram, SelectProgram, VecRef, VectorPool};
-pub use vector::{Batch, Vector};
+pub use vector::{Batch, StrArena, Vector};

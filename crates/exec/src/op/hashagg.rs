@@ -64,7 +64,7 @@ use crate::morsel::BatchPool;
 use crate::partition::{Partitions, RadixRouter, SpillConfig};
 use crate::profile::OpProfile;
 use crate::program::{ExprProgram, VecRef, VectorPool};
-use crate::vector::{Batch, Vector};
+use crate::vector::{Batch, StrArena, Vector};
 use std::collections::VecDeque;
 use std::sync::Arc;
 use vw_common::hash::{hash_bytes, hash_combine, hash_u64};
@@ -681,7 +681,7 @@ const MEMO_DOMAIN_MAX: usize = 1 << 14;
 /// "an allocation that sits where a freed one did".
 #[derive(Default)]
 struct CodeMemo {
-    dicts: Vec<Arc<Vec<String>>>,
+    dicts: Vec<Arc<StrArena>>,
     /// Group per composite code; empty = not resolved since the
     /// dictionaries last changed.
     groups: DirectMap,
@@ -695,7 +695,7 @@ impl CodeMemo {
     /// dict-coded or the composite domain is over [`MEMO_DOMAIN_MAX`] —
     /// this rung does not apply.
     fn attach(&mut self, keys: Keys<'_>) -> bool {
-        fn dict_of(k: &Vector) -> Option<&Arc<Vec<String>>> {
+        fn dict_of(k: &Vector) -> Option<&Arc<StrArena>> {
             k.dict_parts().map(|(_, d)| d)
         }
         let same = self.dicts.len() == keys.len()
@@ -723,15 +723,12 @@ impl CodeMemo {
 
 /// Each key column's dictionary entry in composite code `code` over
 /// `dicts` (`None` = NULL), in column order.
-fn code_entries(
-    dicts: &[Arc<Vec<String>>],
-    code: usize,
-) -> impl Iterator<Item = Option<&str>> + '_ {
+fn code_entries(dicts: &[Arc<StrArena>], code: usize) -> impl Iterator<Item = Option<&str>> + '_ {
     let mut rest = code;
     dicts.iter().map(move |d| {
         let c = rest % (d.len() + 1);
         rest /= d.len() + 1;
-        d.get(c).map(String::as_str)
+        d.get(c)
     })
 }
 
@@ -1461,7 +1458,7 @@ fn resolve_direct<T: Copy + Into<i64>>(
 #[cold]
 #[inline(never)]
 fn group_of_code(
-    dicts: &[Arc<Vec<String>>],
+    dicts: &[Arc<StrArena>],
     code: usize,
     table: &mut GroupTable,
     group_keys: &mut [Vector],

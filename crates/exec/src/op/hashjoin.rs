@@ -232,7 +232,7 @@ impl JoinStage {
     ) {
         for (dst, src) in self.vecs.iter_mut().zip(srcs) {
             if charge {
-                self.bytes += gathered_bytes(src, sel);
+                self.bytes += gathered_bytes(dst, src, sel);
             }
             if dense {
                 dst.extend_range(src, 0, src.len());
@@ -261,15 +261,22 @@ impl JoinStage {
     }
 }
 
-/// Approximate bytes a gather of `sel` from `v` will stage (the unit the
-/// memory governor charges — matches [`Vector::byte_size`] of the gathered
-/// result without materializing it first).
-fn gathered_bytes(v: &Vector, sel: &SelVec) -> usize {
+/// Approximate bytes a gather of `sel` from `v` onto `dst` will stage (the
+/// unit the memory governor charges — matches [`Vector::byte_size`] of the
+/// gathered result without materializing it first).
+fn gathered_bytes(dst: &Vector, v: &Vector, sel: &SelVec) -> usize {
     let null_bytes = if v.nulls.is_some() { sel.len() } else { 0 };
-    if v.dict_parts().is_some() {
-        // Dict-coded gathers stay coded: 4 bytes of code per lane (the
-        // shared dictionary is not copied).
-        return sel.len() * 4 + null_bytes;
+    if let Some((_, arena)) = v.dict_parts() {
+        // Coded gathers stay coded onto an empty vector or one over the
+        // same arena: 4 bytes of code per lane, and the arena itself the
+        // first time the stage takes it (it may be a whole pack's
+        // strings). Any other destination inflates the lanes.
+        let held = dst.dict_parts().is_some_and(|(_, a)| Arc::ptr_eq(a, arena));
+        if held || dst.is_empty() {
+            let adopted = if held { 0 } else { arena.byte_size() };
+            return sel.len() * 4 + null_bytes + adopted;
+        }
+        return sel.iter().map(|p| v.str_at(p).len() + 24).sum::<usize>() + null_bytes;
     }
     let data_bytes = match &v.data {
         ColData::Bool(_) | ColData::I8(_) => sel.len(),

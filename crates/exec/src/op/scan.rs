@@ -40,9 +40,10 @@ use vw_pdt::MergeItem;
 use vw_storage::pack::EncodedChunk;
 use vw_storage::TableStorage;
 
-/// Decoded chunks of one pack, in projected-column order: PDICT string
-/// and RLE integer chunks keep their encoding ([`EncodedChunk`]) and flow
-/// into batches still coded; every other chunk is [`EncodedChunk::Flat`].
+/// Decoded chunks of one pack, in projected-column order: string chunks
+/// (PDICT or raw, codes over one arena) and RLE integer chunks keep their
+/// encoding ([`EncodedChunk`]) and flow into batches still coded; every
+/// other chunk is [`EncodedChunk::Flat`].
 type DecodedPack = Vec<EncodedChunk>;
 
 /// Scan of one table image, pulling work from a morsel dispenser.
@@ -148,13 +149,16 @@ impl VectorScan {
     }
 
     /// Ensure the current morsel has an unserved item; claims the next
-    /// morsel when the current one is drained. `false` = image exhausted.
+    /// morsel when the current one is drained. `false` = image exhausted,
+    /// and the last decoded pack is let go: the batches already handed out
+    /// hold what they need of it.
     fn ensure_morsel(&mut self) -> bool {
         loop {
             if self.item_idx < self.morsel.len() {
                 return true;
             }
             if !self.source.claim_into(&mut self.morsel) {
+                self.cur_pack = None;
                 return false;
             }
             self.item_idx = 0;
@@ -192,7 +196,7 @@ impl VectorScan {
         for (o, chunk) in out.columns.iter_mut().zip(chunks) {
             match chunk {
                 EncodedChunk::Flat(data, nulls) => {
-                    o.ensure_flat(); // previous pack may have left this coded
+                    o.ensure_flat(); // drop an RLE sidecar the previous pack left
                     let before = o.data.len();
                     o.data.extend_from_range(data, off, off + take);
                     match (&mut o.nulls, nulls) {
@@ -553,6 +557,30 @@ mod tests {
         assert!(saw_encoded, "string column should arrive dictionary-coded");
         let p = Operator::profile(&s).unwrap();
         assert!(p.enc_batches > 0, "profile counts encoded batches: {p:?}");
+    }
+
+    #[test]
+    fn a_drained_scan_and_its_batch_pool_let_go_of_every_pack_arena() {
+        // Unique names are stored raw and come back coded over an arena of
+        // the pack's rows. Once the scan is drained and its batches are
+        // recycled, nothing but the test holds any pack's arena.
+        let t = setup(700, 256);
+        let bp = BatchPool::new();
+        let mut s =
+            scan(&t, vec![0, 1], VectorScan::stable_items(700), 128).with_batch_pool(bp.clone());
+        let mut arenas: Vec<Arc<vw_compress::dict::StrArena>> = Vec::new();
+        while let Some(b) = s.next().unwrap() {
+            let (_, arena) = b.columns[1].dict_parts().expect("raw strings arrive coded");
+            assert!(!arena.distinct());
+            if !arenas.last().is_some_and(|a| Arc::ptr_eq(a, arena)) {
+                arenas.push(arena.clone());
+            }
+            bp.recycle(b);
+        }
+        assert_eq!(arenas.len(), 3, "one arena per pack");
+        for a in &arenas {
+            assert_eq!(Arc::strong_count(a), 1);
+        }
     }
 
     #[test]

@@ -69,7 +69,7 @@
 
 use crate::expr::{decode_field, BinOp, CmpOp, Func, LikeMatcher, PhysExpr};
 use crate::primitives::{self, ArithCheck};
-use crate::vector::{Batch, Vector};
+use crate::vector::{Batch, StrArena, Vector};
 use std::collections::HashMap;
 use std::sync::Arc;
 use vw_common::{ColData, Result, SelVec, TypeId, Value, VwError};
@@ -1484,26 +1484,39 @@ pub struct SelectProgram {
     node: SelNode,
 }
 
-/// One predicate's qualifying-code bitmap over one dictionary: `ok[code]`
-/// says whether the dictionary entry satisfies the predicate. A pack's
-/// vectors share their dictionary `Arc`, so the bitmap is computed once
-/// per pack, not per vector. The memo holds the `Arc` it was computed for
-/// — pointer equality then means "the same dictionary", not "an
-/// allocation that happens to sit where a freed one did".
+/// One predicate's qualifying-code bitmap over one string arena:
+/// `ok[code]` says whether the entry satisfies the predicate. A pack's
+/// vectors share their arena `Arc`, so a bitmap serves the whole pack. It
+/// is built only for an arena with no more entries than the batch has
+/// live lanes, so the per-entry work never exceeds the per-lane work it
+/// replaces; a larger arena (a raw block's rows, a wide dictionary) is
+/// tested lane by lane. The memo holds the `Arc` it was computed for —
+/// pointer equality then means "the same arena", not "an allocation that
+/// happens to sit where a freed one did".
 #[derive(Default)]
 struct DictMemo {
-    dict: Option<Arc<Vec<String>>>,
+    dict: Option<Arc<StrArena>>,
     ok: Vec<bool>,
 }
 
 impl DictMemo {
-    fn bitmap(&mut self, dict: &Arc<Vec<String>>, qualifies: impl Fn(&str) -> bool) -> &[bool] {
+    /// The bitmap of `dict`, or `None` when building it would cost more
+    /// than testing the batch's `lanes` live lanes.
+    fn bitmap(
+        &mut self,
+        dict: &Arc<StrArena>,
+        lanes: usize,
+        qualifies: impl Fn(&str) -> bool,
+    ) -> Option<&[bool]> {
         if !self.dict.as_ref().is_some_and(|d| Arc::ptr_eq(d, dict)) {
+            if dict.len() > lanes {
+                return None;
+            }
             self.ok.clear();
-            self.ok.extend(dict.iter().map(|d| qualifies(d)));
+            self.ok.extend(dict.iter().map(qualifies));
             self.dict = Some(dict.clone());
         }
-        &self.ok
+        Some(&self.ok)
     }
 }
 
@@ -1737,11 +1750,18 @@ fn run_sel(
             let mut out = pool.take_sel();
             let nulls = colv.nulls.as_deref();
             if let Some((codes, dict)) = colv.dict_parts() {
-                // One matcher run per distinct value; rows reduce to a
-                // bitmap lookup on their code.
-                let ok = memo.bitmap(dict, |d| matcher.matches(d) != *negated);
-                select_where(nulls, n, sel, &mut out, |i| ok[codes[i] as usize]);
-                pool.enc_skipped += sel.map_or(n, |s| s.len()) as u64;
+                // One matcher run per arena entry, rows reduce to a bitmap
+                // lookup on their code; or one run per lane through it.
+                let live = sel.map_or(n, |s| s.len());
+                match memo.bitmap(dict, live, |d| matcher.matches(d) != *negated) {
+                    Some(ok) => {
+                        select_where(nulls, n, sel, &mut out, |i| ok[codes[i] as usize]);
+                        pool.enc_skipped += live as u64;
+                    }
+                    None => select_where(nulls, n, sel, &mut out, |i| {
+                        matcher.matches(&dict[codes[i] as usize]) != *negated
+                    }),
+                }
             } else {
                 let vals = colv.data.as_str();
                 select_where(nulls, n, sel, &mut out, |i| matcher.matches(&vals[i]) != *negated);
@@ -1820,12 +1840,17 @@ fn select_col_const(
     out: &mut SelVec,
 ) -> u64 {
     let nulls = col.nulls.as_deref();
-    // Dictionary-coded strings: one comparison per distinct value builds
-    // a qualifying-code bitmap; rows reduce to a code lookup.
+    // Coded strings: one comparison per arena entry builds a
+    // qualifying-code bitmap and rows reduce to a code lookup; or one
+    // comparison per lane, through the code.
     if let (Some((codes, dict)), Value::Str(k)) = (col.dict_parts(), k) {
-        let ok = memo.bitmap(dict, |d| op.holds(d.cmp(k.as_str())));
-        select_where(nulls, n, sel, out, |i| ok[codes[i] as usize]);
-        return sel.map_or(n, |s| s.len()) as u64;
+        let live = sel.map_or(n, |s| s.len());
+        if let Some(ok) = memo.bitmap(dict, live, |d| op.holds(d.cmp(k.as_str()))) {
+            select_where(nulls, n, sel, out, |i| ok[codes[i] as usize]);
+            return live as u64;
+        }
+        select_cmp(op, |i| &dict[codes[i] as usize], k.as_str(), nulls, n, sel, out);
+        return 0;
     }
     // RLE runs over a dense, NULL-free integer column: one comparison
     // accepts or rejects the whole run.
@@ -2276,12 +2301,18 @@ mod tests {
         // codes mean different strings: the memoised qualifying-code
         // bitmap must be reused for the first pair and rebuilt at the seam
         // — for the compare and the LIKE node alike, NULLs never selected.
-        let d1 = Arc::new(vec!["apple".to_string(), "fig".into(), "pear".into()]);
-        let d2 = Arc::new(vec!["fig".to_string(), "kiwi".into(), "apple".into()]);
+        // A pack arena with repeats and more entries than the batch has
+        // lanes is tested lane by lane instead.
+        let d1 = Arc::new(StrArena::from_strs(["apple", "fig", "pear"], true));
+        let d2 = Arc::new(StrArena::from_strs(["fig", "kiwi", "apple"], true));
+        let rows = ["pear", "fig", "kiwi", "fig", "apple", "pear", "zz", "fig"];
+        let d3 = Arc::new(StrArena::from_strs(rows, false));
         let vecs = [
             Vector::from_dict(vec![0, 1, 2, 1], d1.clone(), None),
             Vector::from_dict(vec![2, 2, 0, 1], d1, Some(vec![false, true, false, false])),
             Vector::from_dict(vec![0, 1, 2, 1], d2, None),
+            Vector::from_dict(vec![7, 0, 3, 5], d3.clone(), Some(vec![false, false, true, false])),
+            Vector::from_dict(vec![4, 1, 6, 2], d3, None),
         ];
         let preds = [
             PhysExpr::Cmp {

@@ -9,24 +9,28 @@
 
 use std::sync::Arc;
 use vw_common::{ColData, Result, Schema, SelVec, TypeId, Value, VwError};
+pub use vw_compress::dict::StrArena;
 
 /// An encoded vector form riding on a [`Vector`]: what a scan hands out for
-/// a PDICT string or RLE integer chunk.
+/// a string or RLE integer chunk.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Enc {
-    /// Dictionary-coded strings: one `u32` code per position into a shared
-    /// dictionary (the pack's PDICT dictionary, one `Arc` per pack). While
-    /// this form is present, `data` is an **empty** `ColData::Str`
-    /// placeholder that only carries the type — `len()`/`get()` and every
-    /// gather/extend consult the codes. Two vectors sharing the same `Arc`
-    /// compare by code; different dictionaries fall back to comparing the
-    /// dictionary entries themselves (the code-remap-free fallback).
+    /// Coded strings: one `u32` code per position into a shared string
+    /// arena — the pack's PDICT dictionary, or a raw block's rows (one
+    /// `Arc` per pack either way). While this form is present, `data` is
+    /// an **empty** `ColData::Str` placeholder that only carries the type —
+    /// `len()`/`get()` and every gather/extend consult the codes. Equal
+    /// codes over one `Arc` are equal strings; unequal codes are unequal
+    /// strings only when the arena is [`StrArena::distinct`], so a
+    /// code-equality shortcut checks that bit and otherwise compares the
+    /// entries themselves.
     Dict {
         /// One code per position (`codes[i] < dict.len()`).
         codes: Vec<u32>,
-        /// The shared dictionary, sorted (PDICT), so code order = value
-        /// order and range predicates translate to code predicates.
-        dict: Arc<Vec<String>>,
+        /// The shared arena. Predicates over it are answered per entry
+        /// through a qualifying-code bitmap when it has no more entries
+        /// than the batch has lanes, per lane otherwise.
+        dict: Arc<StrArena>,
     },
     /// Run-length sidecar for an integer column: `(value, run_len)` pairs
     /// covering exactly this vector's rows, **in addition to** fully
@@ -63,15 +67,15 @@ impl Vector {
         Vector { data, nulls, enc: None }
     }
 
-    /// A dictionary-coded string vector (data stays an empty placeholder).
-    pub fn from_dict(codes: Vec<u32>, dict: Arc<Vec<String>>, nulls: Option<Vec<bool>>) -> Vector {
+    /// A coded string vector (data stays an empty placeholder).
+    pub fn from_dict(codes: Vec<u32>, dict: Arc<StrArena>, nulls: Option<Vec<bool>>) -> Vector {
         let nulls = nulls.filter(|m| m.iter().any(|&b| b));
         Vector { data: ColData::new(TypeId::Str), nulls, enc: Some(Enc::Dict { codes, dict }) }
     }
 
-    /// The dictionary codes + dictionary, when this vector is dict-coded.
+    /// The codes and their arena, when this vector is coded.
     #[inline]
-    pub fn dict_parts(&self) -> Option<(&[u32], &Arc<Vec<String>>)> {
+    pub fn dict_parts(&self) -> Option<(&[u32], &Arc<StrArena>)> {
         match &self.enc {
             Some(Enc::Dict { codes, dict }) => Some((codes, dict)),
             _ => None,
@@ -140,7 +144,7 @@ impl Vector {
         if self.is_null(i) {
             Value::Null
         } else if let Some((codes, dict)) = self.dict_parts() {
-            Value::Str(dict[codes[i] as usize].clone())
+            Value::Str(dict[codes[i] as usize].to_owned())
         } else {
             self.data.get_value(i)
         }
@@ -164,8 +168,8 @@ impl Vector {
     /// Approximate heap bytes held by this vector (value buffer plus NULL
     /// indicator) — the unit the memory governor
     /// (`vw-exec::partition::MemBudget`) charges for staged build rows.
-    /// Dict-coded vectors charge their codes (the dictionary is shared,
-    /// pack-owned storage).
+    /// Coded vectors charge their codes (the arena is shared, pack-owned
+    /// storage; a hash build that keeps it charges it once).
     pub fn byte_size(&self) -> usize {
         let enc = match &self.enc {
             Some(Enc::Dict { codes, .. }) => codes.len() * 4,
@@ -353,10 +357,14 @@ impl Vector {
         self.data.clear();
         self.nulls = None;
         match &mut self.enc {
-            // Keep the Dict variant (codes capacity survives recycling; the
-            // next extend either reuses the same Arc or, because the vector
-            // is empty, adopts a new representation wholesale).
-            Some(Enc::Dict { codes, .. }) => codes.clear(),
+            // Keep the Dict variant and its codes' capacity, but let go of
+            // the arena: a pooled batch must not pin a pack's strings until
+            // it is reused. The next extend, the vector being empty, adopts
+            // whatever arena it brings.
+            Some(Enc::Dict { codes, dict }) => {
+                codes.clear();
+                *dict = StrArena::empty();
+            }
             Some(Enc::Rle { .. }) => self.enc = None,
             None => {}
         }
@@ -419,7 +427,7 @@ impl Vector {
     /// Rebuild this (cleared) vector as dict-coded over `dict`, filling
     /// its codes from `src_codes` and reusing the codes buffer if the
     /// vector was already dict-coded before recycling.
-    fn set_dict_gather(&mut self, dict: &Arc<Vec<String>>, src_codes: impl Iterator<Item = u32>) {
+    fn set_dict_gather(&mut self, dict: &Arc<StrArena>, src_codes: impl Iterator<Item = u32>) {
         debug_assert!(self.is_empty() && self.data.is_empty());
         match &mut self.enc {
             Some(Enc::Dict { codes, dict: d }) => {
@@ -495,7 +503,7 @@ impl Vector {
     pub fn extend_dict_range(
         &mut self,
         codes: &[u32],
-        dict: &Arc<Vec<String>>,
+        dict: &Arc<StrArena>,
         nulls: Option<&[bool]>,
         start: usize,
         end: usize,
@@ -534,7 +542,7 @@ impl Vector {
             let ColData::Str(out) = &mut self.data else {
                 unreachable!("dict append on non-string column")
             };
-            out.extend(codes[start..end].iter().map(|&c| dict[c as usize].clone()));
+            out.extend(codes[start..end].iter().map(|&c| dict[c as usize].to_owned()));
         }
     }
 
@@ -843,8 +851,8 @@ mod tests {
         assert!(vector_from_values(TypeId::I32, &[Value::I64(5)]).is_err());
     }
 
-    fn test_dict() -> Arc<Vec<String>> {
-        Arc::new(vec!["apple".to_string(), "kiwi".to_string(), "pear".to_string()])
+    fn test_dict() -> Arc<StrArena> {
+        Arc::new(StrArena::from_strs(["apple", "kiwi", "pear"], true))
     }
 
     #[test]
@@ -904,7 +912,7 @@ mod tests {
         v.clear_keep_capacity();
         assert_eq!(v.len(), 0);
         assert!(v.nulls.is_none());
-        let fresh = Arc::new(vec!["zig".to_string()]);
+        let fresh = Arc::new(StrArena::from_strs(["zig"], true));
         let src = Vector::from_dict(vec![0, 0], fresh.clone(), None);
         v.extend_range(&src, 0, 2);
         let (codes, dict) = v.dict_parts().expect("stays coded");

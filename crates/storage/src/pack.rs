@@ -7,24 +7,31 @@
 //! null_part  := 0x00                          -- no NULLs
 //!             | 0x01 ints_block               -- indicator as 0/1 ints
 //! value_part := 0x00 ints_block               -- fixed-width types, widened
-//!             | 0x01 string_dict_block        -- PDICT strings
-//!             | 0x02 raw_strings_block        -- high-cardinality strings
+//!             | 0x01 strings_block
+//! strings_block := 0x01 dict_len u32 entry* nbytes u32 codes  -- PDICT
+//!             | 0x02 n u32 entry*                              -- raw
+//! entry      := len u32, UTF-8 bytes
 //! ints_block := tag u8, len u32, nbytes u32, payload
 //! ```
 //!
 //! Integer-like data (including dates, bools, f64-bits) goes through
 //! [`vw_compress::compress_auto`]; strings pick PDICT when the dictionary
-//! pays for itself (ratio heuristic), raw otherwise.
+//! pays for itself (ratio heuristic), raw otherwise. The choice is made
+//! from the block's distinct set before any sort: only a block that goes
+//! PDICT sorts its dictionary.
 //!
 //! Reading borrows the payload out of the block and decodes it in one pass
 //! into a `Vec` of the column's own type ([`vw_compress::decompress`]): no
 //! payload copy, no widened `i64` column in between, NULL indicators
-//! straight to `Vec<bool>`.
+//! straight to `Vec<bool>`. Either kind of string block reads into one
+//! [`StrArena`] — the PDICT dictionary, or the raw block's rows — plus one
+//! code per row, so a string costs no allocation of its own until someone
+//! materializes it.
 
 use std::ops::Range;
 use std::sync::Arc;
 use vw_common::{ColData, Result, TypeId, VwError};
-use vw_compress::dict::{decode_codes, decode_strings, encode_strings, StringDict};
+use vw_compress::dict::{decode_codes, materialize_codes, DistinctStrings, StrArena};
 use vw_compress::io::{ByteReader, ByteWriter};
 use vw_compress::{compress_auto, decompress, rle, Compressed, Encoding, Lane};
 
@@ -96,9 +103,10 @@ fn expect_str(ty: TypeId) -> Result<()> {
 }
 
 fn put_strings(values: &[String], w: &mut ByteWriter) {
-    let sd = encode_strings(values);
+    let distinct = DistinctStrings::of(values);
     let raw_size: usize = values.iter().map(|s| s.len() + 4).sum();
-    if sd.compressed_bytes() * 2 < raw_size {
+    if distinct.compressed_bytes() * 2 < raw_size {
+        let sd = distinct.into_dict();
         w.put_u8(1);
         w.put_u32(sd.dict.len() as u32);
         for s in &sd.dict {
@@ -117,27 +125,18 @@ fn put_strings(values: &[String], w: &mut ByteWriter) {
     }
 }
 
-fn get_string(r: &mut ByteReader) -> Result<String> {
-    let len = r.get_u32()? as usize;
-    let bytes = r.get_bytes(len)?;
-    String::from_utf8(bytes.to_vec())
-        .map_err(|_| VwError::Corruption("invalid UTF-8 in string block".into()))
-}
-
-fn get_strings(r: &mut ByteReader, n: usize) -> Result<Vec<String>> {
+/// Read a `strings_block` of `n` rows: its arena and one code per row —
+/// PDICT codes over the distinct dictionary, or a raw block's row
+/// positions over an arena of its rows.
+fn get_strings(r: &mut ByteReader, n: usize) -> Result<(Vec<u32>, StrArena)> {
     match r.get_u8()? {
         1 => {
             let dict_len = r.get_u32()? as usize;
-            let mut dict = Vec::with_capacity(dict_len.min(1 << 20));
-            for _ in 0..dict_len {
-                dict.push(get_string(r)?);
-            }
+            let dict = StrArena::read(r, dict_len, true)?;
             let nbytes = r.get_u32()? as usize;
-            let bytes = r.get_bytes(nbytes)?.to_vec();
-            let sd = StringDict { dict, bytes, len: n };
-            let mut out = Vec::new();
-            decode_strings(&sd, &mut out)?;
-            Ok(out)
+            let mut codes = Vec::new();
+            decode_codes(r.get_bytes(nbytes)?, n, dict.len(), &mut codes)?;
+            Ok((codes, dict))
         }
         2 => {
             let cnt = r.get_u32()? as usize;
@@ -146,11 +145,8 @@ fn get_strings(r: &mut ByteReader, n: usize) -> Result<Vec<String>> {
                     "raw string block has {cnt} values, expected {n}"
                 )));
             }
-            let mut out = Vec::with_capacity(n);
-            for _ in 0..n {
-                out.push(get_string(r)?);
-            }
-            Ok(out)
+            let rows = StrArena::read(r, n, false)?;
+            Ok(((0..n as u32).collect(), rows))
         }
         t => Err(VwError::Corruption(format!("unknown string block tag {t}"))),
     }
@@ -195,7 +191,10 @@ pub fn decode_chunk(bytes: &[u8], ty: TypeId, n: usize) -> Result<(ColData, Opti
         0 => get_ints(&mut r, n, "value block")?.decode_as(ty)?,
         1 => {
             expect_str(ty)?;
-            ColData::Str(get_strings(&mut r, n)?)
+            let (codes, arena) = get_strings(&mut r, n)?;
+            let mut out = Vec::with_capacity(n);
+            materialize_codes(&codes, &arena, &mut out);
+            ColData::Str(out)
         }
         t => return Err(VwError::Corruption(format!("unknown value part tag {t}"))),
     };
@@ -204,16 +203,18 @@ pub fn decode_chunk(bytes: &[u8], ty: TypeId, n: usize) -> Result<(ColData, Opti
 
 /// One column chunk decoded *preserving its on-disk encoding* where the
 /// execution engine has a kernel for it — what every table scan reads.
-/// Chunks whose encoding has no encoded kernel come back
-/// [`EncodedChunk::Flat`], identical to [`decode_chunk`].
+/// Every string chunk comes back [`EncodedChunk::Dict`]; integer chunks
+/// without an encoded kernel come back [`EncodedChunk::Flat`], identical
+/// to [`decode_chunk`].
 #[derive(Debug, Clone)]
 pub enum EncodedChunk {
-    /// Fully inflated values.
+    /// Fully inflated values (never strings).
     Flat(ColData, Option<Vec<bool>>),
-    /// PDICT strings kept as codes over a shared dictionary. The dictionary
-    /// is decoded once per pack and shared by `Arc` with every batch sliced
-    /// from it.
-    Dict { codes: Vec<u32>, dict: Arc<Vec<String>>, nulls: Option<Vec<bool>> },
+    /// Strings kept as codes over a shared string arena: a PDICT block's
+    /// dictionary (`distinct`), or a raw block's rows with codes
+    /// `0..n`. The arena is decoded once per pack and shared by `Arc`
+    /// with every batch sliced from it.
+    Dict { codes: Vec<u32>, dict: Arc<StrArena>, nulls: Option<Vec<bool>> },
     /// RLE integers: fully inflated values *plus* the run list, so
     /// predicates can accept/reject whole runs while everything downstream
     /// still sees flat data.
@@ -228,15 +229,15 @@ impl EncodedChunk {
             EncodedChunk::Rle { data, nulls, .. } => Ok((data, nulls)),
             EncodedChunk::Dict { codes, dict, nulls } => {
                 let mut out = Vec::with_capacity(codes.len());
-                vw_compress::dict::materialize_codes(&codes, &dict, &mut out);
+                materialize_codes(&codes, &dict, &mut out);
                 Ok((ColData::Str(out), nulls))
             }
         }
     }
 }
 
-/// Like [`decode_chunk`], but PDICT string blocks come back as codes over a
-/// shared dictionary and RLE integer blocks carry their run list. Decoding
+/// Like [`decode_chunk`], but string blocks come back as codes over a
+/// shared arena and RLE integer blocks carry their run list. Decoding
 /// the same bytes through [`decode_chunk`] yields exactly
 /// `EncodedChunk::into_flat` — the two paths are differential-tested.
 pub fn decode_chunk_encoded(bytes: &[u8], ty: TypeId, n: usize) -> Result<EncodedChunk> {
@@ -259,35 +260,8 @@ pub fn decode_chunk_encoded(bytes: &[u8], ty: TypeId, n: usize) -> Result<Encode
         }
         1 => {
             expect_str(ty)?;
-            match r.get_u8()? {
-                1 => {
-                    let dict_len = r.get_u32()? as usize;
-                    let mut dict = Vec::with_capacity(dict_len.min(1 << 20));
-                    for _ in 0..dict_len {
-                        dict.push(get_string(&mut r)?);
-                    }
-                    let nbytes = r.get_u32()? as usize;
-                    let sd_bytes = r.get_bytes(nbytes)?.to_vec();
-                    let sd = StringDict { dict, bytes: sd_bytes, len: n };
-                    let mut codes = Vec::with_capacity(n);
-                    decode_codes(&sd, &mut codes)?;
-                    Ok(EncodedChunk::Dict { codes, dict: Arc::new(sd.dict), nulls })
-                }
-                2 => {
-                    let cnt = r.get_u32()? as usize;
-                    if cnt != n {
-                        return Err(VwError::Corruption(format!(
-                            "raw string block has {cnt} values, expected {n}"
-                        )));
-                    }
-                    let mut out = Vec::with_capacity(n);
-                    for _ in 0..n {
-                        out.push(get_string(&mut r)?);
-                    }
-                    Ok(EncodedChunk::Flat(ColData::Str(out), nulls))
-                }
-                t => Err(VwError::Corruption(format!("unknown string block tag {t}"))),
-            }
+            let (codes, dict) = get_strings(&mut r, n)?;
+            Ok(EncodedChunk::Dict { codes, dict: Arc::new(dict), nulls })
         }
         t => Err(VwError::Corruption(format!("unknown value part tag {t}"))),
     }
@@ -629,10 +603,24 @@ mod tests {
         match decode_chunk_encoded(&bytes, TypeId::Str, 1000).unwrap() {
             EncodedChunk::Dict { codes, dict, nulls } => {
                 assert_eq!(codes.len(), 1000);
-                assert_eq!(dict.as_slice(), ["A".to_string(), "N".into(), "R".into()]);
+                assert_eq!(dict.iter().collect::<Vec<_>>(), ["A", "N", "R"]);
+                assert!(dict.distinct());
                 assert!(nulls.is_none());
             }
             other => panic!("expected dict chunk, got {other:?}"),
+        }
+        // A raw block comes back coded too: its rows are the arena, the
+        // codes their positions.
+        let names = ColData::Str((0..200).map(|i| format!("customer#{i:09}")).collect());
+        let bytes = encode_chunk(&names, 0..names.len(), None);
+        assert_eq!(bytes[2], 2, "unique strings are stored raw");
+        match decode_chunk_encoded(&bytes, TypeId::Str, 200).unwrap() {
+            EncodedChunk::Dict { codes, dict, .. } => {
+                assert!(!dict.distinct());
+                assert_eq!(codes, (0..200).collect::<Vec<u32>>());
+                assert_eq!(&dict[7], "customer#000000007");
+            }
+            other => panic!("expected an arena chunk, got {other:?}"),
         }
         // Long runs of wide, non-monotonic values: PFOR needs ~40 bits per
         // value and PFOR-DELTA's sorted gate fails, so the chooser picks RLE.
@@ -651,6 +639,97 @@ mod tests {
             }
             other => panic!("expected rle chunk, got {other:?}"),
         }
+    }
+
+    /// `bytes` with the first occurrence of `from` overwritten by `to`.
+    fn patched(bytes: &[u8], from: &[u8], to: &[u8]) -> Vec<u8> {
+        let at = bytes.windows(from.len()).position(|w| w == from).expect("pattern in block");
+        let mut out = bytes.to_vec();
+        out[at..at + to.len()].copy_from_slice(to);
+        out
+    }
+
+    #[test]
+    fn invalid_utf8_in_a_string_block_is_corruption() {
+        let raw = ColData::Str((0..50).map(|i| format!("row-{i:04}-é")).collect());
+        let dict = ColData::Str((0..500).map(|i| ["ab-é", "cd"][i % 2].into()).collect());
+        for (data, tag) in [(raw, 2u8), (dict, 1)] {
+            let bytes = encode_chunk(&data, 0..data.len(), None);
+            assert_eq!(bytes[2], tag);
+            // Break the two-byte 'é' of an entry: a lone continuation byte.
+            let bad = patched(&bytes, "é".as_bytes(), &[0x80, 0x80]);
+            let n = data.len();
+            for r in [
+                decode_chunk(&bad, TypeId::Str, n).map(|_| ()),
+                decode_chunk_encoded(&bad, TypeId::Str, n).map(|_| ()),
+            ] {
+                assert!(
+                    matches!(&r, Err(VwError::Corruption(m)) if m.contains("invalid UTF-8")),
+                    "tag {tag}: {r:?}"
+                );
+            }
+        }
+    }
+
+    /// The string writer this module had before it chose from the
+    /// distinct set: build and sort the full dictionary, then choose.
+    /// Kept as the oracle.
+    fn put_strings_reference(values: &[String], w: &mut ByteWriter) {
+        let sd = vw_compress::dict::encode_strings(values);
+        let raw_size: usize = values.iter().map(|s| s.len() + 4).sum();
+        if sd.compressed_bytes() * 2 < raw_size {
+            w.put_u8(1);
+            w.put_u32(sd.dict.len() as u32);
+            for s in &sd.dict {
+                w.put_u32(s.len() as u32);
+                w.put_bytes(s.as_bytes());
+            }
+            w.put_u32(sd.bytes.len() as u32);
+            w.put_bytes(&sd.bytes);
+        } else {
+            w.put_u8(2);
+            w.put_u32(values.len() as u32);
+            for s in values {
+                w.put_u32(s.len() as u32);
+                w.put_bytes(s.as_bytes());
+            }
+        }
+    }
+
+    #[test]
+    fn choosing_before_sorting_writes_the_same_bytes() {
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let (mut raw, mut dict) = (0, 0);
+        for len in [0usize, 1, 2, 100, 1024, 16 * 1024] {
+            // Cardinalities on both sides of the choice, short and long
+            // values, repeats in random order.
+            for distinct in [1u64, 2, 17, 300, 4000, u64::MAX] {
+                for width in [1usize, 6, 40] {
+                    let values: Vec<String> = (0..len)
+                        .map(|_| {
+                            let r = next() % distinct;
+                            format!("{r:0>width$}")
+                        })
+                        .collect();
+                    let (mut got, mut want) = (ByteWriter::new(), ByteWriter::new());
+                    put_strings(&values, &mut got);
+                    put_strings_reference(&values, &mut want);
+                    let (got, want) = (got.into_bytes(), want.into_bytes());
+                    assert_eq!(got, want, "len {len} distinct {distinct} width {width}");
+                    match got.first() {
+                        Some(1) => dict += 1,
+                        _ => raw += 1,
+                    }
+                }
+            }
+        }
+        assert!(raw > 10 && dict > 10, "both choices exercised: {raw} raw, {dict} PDICT");
     }
 
     #[test]

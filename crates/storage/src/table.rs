@@ -236,8 +236,9 @@ impl TableStorage {
 
     /// Read the listed columns of pack `pack_idx` through the buffer pool,
     /// one block per column, preserving the on-disk encodings the engine
-    /// executes on directly: PDICT string chunks come back as codes +
-    /// shared dictionary, RLE integer chunks carry their run list
+    /// executes on directly: string chunks come back as codes over a
+    /// shared arena (PDICT dictionary or raw rows), RLE integer chunks
+    /// carry their run list
     /// ([`EncodedChunk::into_flat`] inflates one).
     pub fn read_pack_encoded(
         &self,

@@ -913,6 +913,46 @@ fn one_expression_tree() {
     assert_eq!(rewriter, ["lib.rs", "parallel.rs"], "the rewriter is the parallelizer");
 }
 
+/// One string arena, held at source level and at the scan: every string
+/// chunk a scan reads comes back coded — a PDICT block over its
+/// dictionary, a raw block over an arena of its rows — and no source
+/// under `vw-exec` or `vw-storage`, tests included, names the boxed
+/// dictionary it replaced (spelled in halves so this file does not).
+#[test]
+fn strings_leave_the_scan_coded() {
+    use vectorwise::storage::pack::{decode_chunk_encoded, encode_chunk, EncodedChunk};
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("crates");
+    let boxed = concat!("Arc<Vec<", "String>>");
+    let mut checked = 0;
+    for krate in ["exec", "storage"] {
+        let mut files = Vec::new();
+        rust_files(&root.join(krate), &mut files);
+        for file in files {
+            let text = std::fs::read_to_string(&file).unwrap();
+            assert!(!text.contains(boxed), "{}: `{boxed}`", file.display());
+            checked += 1;
+        }
+    }
+    assert!(checked >= 15, "the walk found the crates ({checked} files)");
+    let flags: Vec<String> = (0..1000).map(|i| ["A", "N", "R"][i % 3].to_string()).collect();
+    let names: Vec<String> = (0..1000).map(|i| format!("Customer#{i:09}")).collect();
+    for (values, distinct) in [(flags, true), (names, false)] {
+        let n = values.len();
+        let nulls: Vec<bool> = (0..n).map(|i| i % 9 == 0).collect();
+        for mask in [None, Some(&nulls[..])] {
+            let data = vectorwise::common::ColData::Str(values.clone());
+            let bytes = encode_chunk(&data, 0..n, mask);
+            match decode_chunk_encoded(&bytes, vectorwise::common::TypeId::Str, n).unwrap() {
+                EncodedChunk::Dict { codes, dict, .. } => {
+                    assert_eq!(dict.distinct(), distinct);
+                    assert!(codes.iter().zip(&values).all(|(&c, v)| &dict[c as usize] == v));
+                }
+                other => panic!("a string chunk decoded as {other:?}"),
+            }
+        }
+    }
+}
+
 /// Every `.rs` file under `dir`, recursively.
 fn rust_files(dir: &std::path::Path, out: &mut Vec<std::path::PathBuf>) {
     for entry in std::fs::read_dir(dir).unwrap_or_else(|e| panic!("{}: {e}", dir.display())) {

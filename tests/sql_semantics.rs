@@ -1175,7 +1175,7 @@ mod build_mode_matrix {
     };
     use vectorwise::exec::partition::{MemBudget, SpillConfig, SpillMetrics, WorkerPool};
     use vectorwise::exec::program::ExprProgram;
-    use vectorwise::exec::{Batch, Vector};
+    use vectorwise::exec::{Batch, StrArena, Vector};
     use vectorwise::storage::SimulatedDisk;
     use vectorwise::volcano::{
         collect_rows, TupleAgg, TupleAggregate, TupleHashJoin, TupleJoinKind, TupleValues,
@@ -1320,7 +1320,10 @@ mod build_mode_matrix {
                         if c == 3 {
                             let v = Vector::from_dict(
                                 codes.clone(),
-                                Arc::new(dict.clone()),
+                                Arc::new(StrArena::from_strs(
+                                    dict.iter().map(String::as_str),
+                                    true,
+                                )),
                                 Some(nulls.clone()),
                             );
                             assert!(v.is_encoded());
@@ -2066,7 +2069,7 @@ mod build_mode_matrix {
     /// selection dropping the rows whose index is a multiple of three.
     fn ladder_batches(rows: &[Vec<Value>], chunk: usize, select: bool) -> Vec<Batch> {
         let schema = ladder_schema();
-        let mut packs: Vec<Vec<Arc<Vec<String>>>> = Vec::new();
+        let mut packs: Vec<Vec<Arc<StrArena>>> = Vec::new();
         rows.chunks(chunk)
             .enumerate()
             .map(|(bi, ch)| {
@@ -2076,7 +2079,7 @@ mod build_mode_matrix {
                             .map(|c| {
                                 let mut d = ladder_domain(c);
                                 d.rotate_left((bi / 3) % 3);
-                                Arc::new(d)
+                                Arc::new(StrArena::from_strs(d.iter().map(String::as_str), true))
                             })
                             .collect(),
                     );
@@ -2085,7 +2088,9 @@ mod build_mode_matrix {
                 let mut columns: Vec<Vector> = (0..LADDER_STRS)
                     .map(|c| {
                         let code = |v: &Value| match v {
-                            Value::Str(s) => dicts[c].iter().position(|d| d == s).unwrap() as u32,
+                            Value::Str(s) => {
+                                dicts[c].iter().position(|d| d == s.as_str()).unwrap() as u32
+                            }
                             _ => 0,
                         };
                         Vector::from_dict(
@@ -2271,13 +2276,14 @@ mod build_mode_matrix {
         const WIDE: usize = 20_000;
         let mut rng = SmallRng::seed_from_u64(0x51de);
         let base = ladder_rows(&mut rng, 613);
-        let dict: Arc<Vec<String>> = Arc::new((0..WIDE).map(|i| format!("wide{i:05}")).collect());
+        let wide: Vec<String> = (0..WIDE).map(|i| format!("wide{i:05}")).collect();
+        let dict = Arc::new(StrArena::from_strs(wide.iter().map(String::as_str), true));
         // Few enough distinct codes that groups repeat within and across batches.
         let codes: Vec<u32> = base.iter().map(|_| rng.gen_range(0..40) * 499).collect();
         // What volcano sees: `base` with column 0 replaced by the wide key.
         let mut rows = base.clone();
         for (r, &c) in rows.iter_mut().zip(&codes) {
-            r[0] = Value::Str(dict[c as usize].clone());
+            r[0] = Value::Str(dict[c as usize].to_owned());
         }
         for select in [false, true] {
             let live: Vec<Vec<Value>> = rows
@@ -3406,7 +3412,7 @@ mod compressed_differential {
     };
     use vectorwise::exec::program::{ExprProgram, SelectProgram};
     use vectorwise::exec::vector::Batch;
-    use vectorwise::exec::Vector;
+    use vectorwise::exec::{StrArena, Vector};
     use vectorwise::storage::{BufferPool, SimulatedDisk, TableStorage};
     use vectorwise::volcano::{collect_rows, TupleHashJoin, TupleJoinKind, TupleValues};
 
@@ -3454,12 +3460,14 @@ mod compressed_differential {
         /// dictionary Arc across every batch (the same-dictionary
         /// code-compare join path); otherwise each batch builds its own
         /// first-appearance dictionary (the per-pack remap fallback).
-        fn dict(rows: &[Vec<Value>], chunk: usize, shared: Option<Arc<Vec<String>>>) -> BoxedOp {
+        fn dict(rows: &[Vec<Value>], chunk: usize, shared: Option<Arc<StrArena>>) -> BoxedOp {
             let batches = rows
                 .chunks(chunk.max(1))
                 .map(|ch| {
-                    let mut dict: Vec<String> =
-                        shared.as_ref().map(|d| (**d).clone()).unwrap_or_default();
+                    let mut dict: Vec<String> = shared
+                        .as_ref()
+                        .map(|d| d.iter().map(str::to_owned).collect())
+                        .unwrap_or_default();
                     let mut index: HashMap<String, u32> =
                         dict.iter().enumerate().map(|(i, s)| (s.clone(), i as u32)).collect();
                     let mut codes = Vec::with_capacity(ch.len());
@@ -3490,7 +3498,7 @@ mod compressed_differential {
                     }
                     let arc = match &shared {
                         Some(d) if dict.len() == d.len() => d.clone(),
-                        _ => Arc::new(dict),
+                        _ => Arc::new(StrArena::from_strs(dict.iter().map(String::as_str), true)),
                     };
                     let k = Vector::from_dict(codes, arc, Some(nulls));
                     assert!(k.is_encoded(), "key column must enter the join dict-coded");
@@ -3543,7 +3551,7 @@ mod compressed_differential {
         right: &[Vec<Value>],
         jt: JoinType,
         chunk: usize,
-        shared: Option<&Arc<Vec<String>>>,
+        shared: Option<&Arc<StrArena>>,
     ) -> Vec<Vec<Value>> {
         let l = Batches::dict(left, chunk, shared.cloned());
         let r = Batches::dict(right, chunk, shared.cloned());
@@ -3559,12 +3567,10 @@ mod compressed_differential {
             (JoinType::LeftAnti, TupleJoinKind::LeftAnti),
             (JoinType::NullAwareLeftAnti, TupleJoinKind::NullAwareLeftAnti),
         ];
-        let domain: Arc<Vec<String>> = Arc::new(
-            ["ash", "bay", "cedar", "elm", "fir", "gum", "hazel", "ivy", "kapok", "larch"]
-                .iter()
-                .map(|s| s.to_string())
-                .collect(),
-        );
+        let domain = Arc::new(StrArena::from_strs(
+            ["ash", "bay", "cedar", "elm", "fir", "gum", "hazel", "ivy", "kapok", "larch"],
+            true,
+        ));
         for seed in 0..3u64 {
             let mut rng = SmallRng::seed_from_u64(0xd1c7 + seed);
             let left = random_rows(&mut rng, 157, "l");
@@ -3883,7 +3889,7 @@ mod compressed_differential {
         // LIKE over dictionary entries (one match test per distinct value).
         "SELECT COUNT(*) FROM t@ WHERE s LIKE '%a%'",
         "SELECT COUNT(*) FROM t@ WHERE s NOT LIKE '%a%'",
-        // High-cardinality strings: stored raw, flat beside coded columns.
+        // High-cardinality strings: stored raw, coded over the pack's rows.
         "SELECT COUNT(*), MIN(hs), MAX(hs) FROM t@ WHERE hs > 'h1500'",
         // RLE-coded clustered int under a range filter (whole-run skips).
         "SELECT c, COUNT(*), SUM(v) FROM t@ WHERE c >= 500 GROUP BY c",
@@ -3948,6 +3954,124 @@ mod compressed_differential {
                 baseline,
                 "temp spill blocks must be reclaimed (budget {budget})"
             );
+        }
+    }
+
+    /// `l (id, ls, v)` and its HEAP twin `l_h`, 256-row packs: `ls` long
+    /// strings (~5% NULL) of which about 30% repeat one of the 40 values
+    /// before them, so most repeats share a pack. The chooser stores every
+    /// pack of `ls` raw, and a raw pack's arena holds its rows — equal
+    /// strings under different codes. Returns the database and a repeated
+    /// value of `ls`.
+    fn repeats_db(seed: u64, rows_n: usize) -> (Arc<Database>, String) {
+        const WORDS: [&str; 8] =
+            ["amber", "brown", "cobalt", "fox", "grey", "lazy", "mauve", "quick"];
+        let cfg = EngineConfig { pack_size: 256, ..EngineConfig::default() };
+        let db = Database::open_with(cfg, SimulatedDisk::instant());
+        for (name, ty) in [("l", "VECTORWISE"), ("l_h", "HEAP")] {
+            db.execute(&format!(
+                "CREATE TABLE {name} (id BIGINT NOT NULL, ls VARCHAR, v BIGINT) WITH TYPE = {ty}"
+            ))
+            .unwrap();
+        }
+        let mut rng = SmallRng::seed_from_u64(0x1095 ^ seed);
+        let (mut fresh, mut repeats): (Vec<String>, Vec<String>) = (Vec::new(), Vec::new());
+        let rows: Vec<String> = (0..rows_n)
+            .map(|i| {
+                let ls = if rng.gen_range(0..100) < 5 {
+                    "NULL".to_string()
+                } else if !fresh.is_empty() && rng.gen_range(0..100) < 30 {
+                    let back = rng.gen_range(0..fresh.len().min(40));
+                    let s = fresh[fresh.len() - 1 - back].clone();
+                    repeats.push(s.clone());
+                    format!("'{s}'")
+                } else {
+                    let (a, b) = (rng.gen_range(0..WORDS.len()), rng.gen_range(0..WORDS.len()));
+                    let pad = "-".repeat(rng.gen_range(10..30));
+                    fresh.push(format!("{} {} note {i:05} {pad}", WORDS[a], WORDS[b]));
+                    format!("'{}'", fresh.last().unwrap())
+                };
+                format!("({i}, {ls}, {})", rng.gen_range(0..1000i64))
+            })
+            .collect();
+        for t in ["l", "l_h"] {
+            for chunk in rows.chunks(500) {
+                db.execute(&format!("INSERT INTO {t} VALUES {}", chunk.join(", "))).unwrap();
+            }
+        }
+        db.execute("CHECKPOINT").unwrap();
+        let share = repeats.len() as f64 / rows_n as f64;
+        assert!((0.2..0.35).contains(&share), "{share} of the rows repeat a value");
+        (db, repeats[repeats.len() / 2].clone())
+    }
+
+    /// Every pack of `l.ls` is a raw block: coded over a non-distinct
+    /// arena of its rows, with repeats inside it.
+    fn assert_stored_raw(db: &Database) {
+        use vectorwise::core::catalog::TableKind;
+        use vectorwise::storage::pack::EncodedChunk;
+        let cat = db.catalog.read();
+        let TableKind::Vectorwise { storage, .. } = &cat.get("l").unwrap().kind else {
+            panic!("l is a VECTORWISE table")
+        };
+        let storage = storage.read().clone();
+        assert!(storage.n_packs() >= 4);
+        let mut repeated = 0;
+        for p in 0..storage.n_packs() {
+            let [EncodedChunk::Dict { dict, .. }] =
+                &storage.read_pack_encoded(p, &[1]).unwrap()[..]
+            else {
+                panic!("pack {p}: a string chunk comes back coded")
+            };
+            assert!(!dict.distinct(), "pack {p} of ls is stored raw");
+            let mut entries: Vec<&str> = dict.iter().filter(|e| !e.is_empty()).collect();
+            let n = entries.len();
+            entries.sort_unstable();
+            entries.dedup();
+            repeated += n - entries.len();
+        }
+        assert!(repeated > 100, "{repeated} repeats inside the raw arenas");
+    }
+
+    /// Raw string blocks arrive coded over arenas whose codes are not
+    /// values: every operator that reads `ls` must answer as the HEAP
+    /// twin does.
+    #[test]
+    fn non_distinct_arenas_answer_like_the_heap_twin() {
+        for seed in 0..2u64 {
+            let (db, repeated) = repeats_db(seed, 1200);
+            assert_stored_raw(&db);
+            let queries = [
+                "SELECT ls, COUNT(*), SUM(v) FROM l@ GROUP BY ls".to_string(),
+                "SELECT DISTINCT ls FROM l@".to_string(),
+                "SELECT ls FROM l@ WHERE v < 300 UNION SELECT ls FROM l@ WHERE v > 700".to_string(),
+                "SELECT a.id, b.id FROM l@ a JOIN l@ b ON a.ls = b.ls WHERE a.id < b.id"
+                    .to_string(),
+                "SELECT COUNT(*) FROM l@ WHERE ls IN (SELECT ls FROM l@ WHERE v < 100)".to_string(),
+                "SELECT COUNT(*), MIN(id) FROM l@ WHERE ls LIKE '%fox%'".to_string(),
+                "SELECT COUNT(*) FROM l@ WHERE ls NOT LIKE 'quick%'".to_string(),
+                format!("SELECT id, v FROM l@ WHERE ls = '{repeated}'"),
+                "SELECT COUNT(*) FROM l@ WHERE ls >= 'grey'".to_string(),
+                "SELECT MIN(ls), MAX(ls), COUNT(ls) FROM l@ WHERE v < 500".to_string(),
+                "SELECT ls, id FROM l@ WHERE v > 900 ORDER BY ls, id".to_string(),
+            ];
+            for q in &queries {
+                let rows = |sql: String| {
+                    let rows = db.execute(&sql).unwrap().rows().to_vec();
+                    if q.contains("ORDER BY") {
+                        rows
+                    } else {
+                        sort_rows(rows)
+                    }
+                };
+                let heap = rows(q.replace('@', "_h"));
+                assert!(!heap.is_empty() && heap[0][0] != Value::I64(0), "vacuous: {q}");
+                for dop in [1usize, 4] {
+                    db.execute(&format!("SET parallelism = {dop}")).unwrap();
+                    let got = rows(q.replace('@', ""));
+                    assert_eq!(got, heap, "dop={dop} seed={seed} diverged from the HEAP twin: {q}");
+                }
+            }
         }
     }
 
