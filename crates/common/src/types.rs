@@ -274,6 +274,9 @@ impl Value {
         if self.type_id() == Some(target) {
             return Ok(self.clone());
         }
+        if let Value::Str(s) = self {
+            return Value::cast_str(s, target);
+        }
         let overflow = |v: &dyn fmt::Debug| {
             VwError::InvalidCast(format!("{v:?} out of range for {}", target.sql_name()))
         };
@@ -287,11 +290,6 @@ impl Value {
                         }
                         Ok(Value::$variant(r as $ty))
                     }
-                    Value::Str(s) => {
-                        s.trim().parse::<$ty>().map(Value::$variant).map_err(|_| {
-                            VwError::InvalidCast(format!("'{s}' is not a valid integer"))
-                        })
-                    }
                     v => {
                         let i = v.as_i64()?;
                         <$ty>::try_from(i).map(Value::$variant).map_err(|_| overflow(&i))
@@ -300,32 +298,46 @@ impl Value {
             }};
         }
         match target {
-            TypeId::Bool => match self {
-                Value::Str(s) => match s.to_ascii_lowercase().as_str() {
-                    "true" | "t" | "1" => Ok(Value::Bool(true)),
-                    "false" | "f" | "0" => Ok(Value::Bool(false)),
-                    _ => Err(VwError::InvalidCast(format!("'{s}' is not a boolean"))),
-                },
-                v => Ok(Value::Bool(v.as_i64()? != 0)),
-            },
+            TypeId::Bool => Ok(Value::Bool(self.as_i64()? != 0)),
             TypeId::I8 => to_int!(I8, i8),
             TypeId::I16 => to_int!(I16, i16),
             TypeId::I32 => to_int!(I32, i32),
             TypeId::I64 => to_int!(I64, i64),
-            TypeId::F64 => match self {
-                Value::Str(s) => s
-                    .trim()
-                    .parse::<f64>()
-                    .map(Value::F64)
-                    .map_err(|_| VwError::InvalidCast(format!("'{s}' is not a valid number"))),
-                v => Ok(Value::F64(v.as_f64()?)),
-            },
+            TypeId::F64 => Ok(Value::F64(self.as_f64()?)),
             TypeId::Str => Ok(Value::Str(self.to_string())),
             TypeId::Date => match self {
-                Value::Str(s) => Date::parse(s).map(Value::Date),
                 Value::I32(d) => Ok(Value::Date(Date(*d))),
                 v => Err(VwError::InvalidCast(format!("cannot cast {v:?} to DATE"))),
             },
+        }
+    }
+
+    /// [`Value::cast_to`] of the string `s`, read in place (string kernels
+    /// cast arena entries without owning them first).
+    pub fn cast_str(s: &str, target: TypeId) -> Result<Value> {
+        fn int<T: std::str::FromStr>(s: &str, wrap: fn(T) -> Value) -> Result<Value> {
+            s.trim()
+                .parse::<T>()
+                .map(wrap)
+                .map_err(|_| VwError::InvalidCast(format!("'{s}' is not a valid integer")))
+        }
+        match target {
+            TypeId::Bool => match s.to_ascii_lowercase().as_str() {
+                "true" | "t" | "1" => Ok(Value::Bool(true)),
+                "false" | "f" | "0" => Ok(Value::Bool(false)),
+                _ => Err(VwError::InvalidCast(format!("'{s}' is not a boolean"))),
+            },
+            TypeId::I8 => int(s, Value::I8),
+            TypeId::I16 => int(s, Value::I16),
+            TypeId::I32 => int(s, Value::I32),
+            TypeId::I64 => int(s, Value::I64),
+            TypeId::F64 => s
+                .trim()
+                .parse::<f64>()
+                .map(Value::F64)
+                .map_err(|_| VwError::InvalidCast(format!("'{s}' is not a valid number"))),
+            TypeId::Str => Ok(Value::Str(s.to_owned())),
+            TypeId::Date => Date::parse(s).map(Value::Date),
         }
     }
 

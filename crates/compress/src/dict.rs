@@ -167,6 +167,39 @@ impl StrArena {
         StrArena { bytes, offsets, distinct }
     }
 
+    /// An empty, non-distinct arena with room for `entries` entries of
+    /// `bytes` bytes in all — the output buffer of a string kernel.
+    pub fn with_capacity(entries: usize, bytes: usize) -> StrArena {
+        let mut offsets = Vec::with_capacity(entries + 1);
+        offsets.push(0);
+        StrArena { bytes: String::with_capacity(bytes), offsets, distinct: false }
+    }
+
+    /// Drop every entry, keeping both buffers' capacity; the arena reads
+    /// as non-distinct again.
+    pub fn clear(&mut self) {
+        self.bytes.clear();
+        self.offsets.truncate(1);
+        self.distinct = false;
+    }
+
+    /// Append `s` as the next entry; returns its code.
+    #[inline]
+    pub fn push(&mut self, s: &str) -> u32 {
+        self.push_with(|b| b.push_str(s))
+    }
+
+    /// Append the next entry by letting `write` append its text to the
+    /// arena's buffer (it must only append); returns the entry's code.
+    #[inline]
+    pub fn push_with(&mut self, write: impl FnOnce(&mut String)) -> u32 {
+        let start = self.bytes.len();
+        write(&mut self.bytes);
+        assert!(self.bytes.len() >= start, "a string arena entry may only append");
+        self.offsets.push(u32::try_from(self.bytes.len()).expect("string arena over 4 GiB"));
+        (self.offsets.len() - 2) as u32
+    }
+
     /// The shared empty arena: a placeholder that pins no block's strings
     /// (cloning it allocates nothing).
     pub fn empty() -> Arc<StrArena> {

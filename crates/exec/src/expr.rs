@@ -1022,76 +1022,214 @@ pub(crate) fn decode_field(code: i64) -> Result<DateField> {
     })
 }
 
-/// Compiled SQL LIKE pattern (`%` = any run, `_` = any char).
-#[derive(Clone)]
+/// Compiled SQL LIKE pattern (`%` = any run, `_` = any one character).
+///
+/// The pattern is cut at its `%`s into pieces once, at compile time. The
+/// first piece must match at the start of a string and the last at its
+/// end — each a single forward or backward walk — and the pieces between
+/// are found left to right, each at its leftmost place after the one
+/// before: with `%` between them, the leftmost place never loses a match
+/// a later one would have found, so nothing backtracks. A piece without
+/// `_` is searched for by its first and last byte before its bytes are
+/// compared; one with `_` is tried at each character boundary. For a
+/// fixed pattern a match is linear in the row. `_` consumes one
+/// character (a UTF-8 sequence), literals compare bytes.
+#[derive(Clone, Debug)]
 pub struct LikeMatcher {
-    tokens: Vec<LikeTok>,
+    /// The `%`-separated pieces: one when the pattern has no `%`.
+    pieces: Vec<Piece>,
 }
 
-#[derive(Clone)]
-enum LikeTok {
+/// One `%`-free stretch of a LIKE pattern.
+#[derive(Clone, Debug, Default)]
+struct Piece {
+    elems: Vec<Elem>,
+}
+
+#[derive(Clone, Debug)]
+enum Elem {
+    /// Literal text.
     Lit(String),
-    AnyOne,
-    AnyRun,
+    /// A run of `_`: that many characters.
+    AnyChars(usize),
+}
+
+/// The byte length of the character starting with byte `b`.
+#[inline]
+fn utf8_len(b: u8) -> usize {
+    match b {
+        0..0x80 => 1,
+        0xE0..0xF0 => 3,
+        0xF0.. => 4,
+        _ => 2,
+    }
+}
+
+impl Piece {
+    /// A piece that is one literal (or empty): searched by bytes.
+    fn literal(&self) -> Option<&str> {
+        match self.elems.as_slice() {
+            [] => Some(""),
+            [Elem::Lit(l)] => Some(l),
+            _ => None,
+        }
+    }
+
+    /// Bytes the piece consumes matched forward at the start of `s`.
+    fn match_at_start(&self, s: &str) -> Option<usize> {
+        let b = s.as_bytes();
+        let mut pos = 0;
+        for e in &self.elems {
+            match e {
+                Elem::Lit(l) => {
+                    if !b[pos..].starts_with(l.as_bytes()) {
+                        return None;
+                    }
+                    pos += l.len();
+                }
+                Elem::AnyChars(k) => {
+                    for _ in 0..*k {
+                        pos += utf8_len(*b.get(pos)?);
+                    }
+                }
+            }
+        }
+        Some(pos)
+    }
+
+    /// Where the piece starts when matched backward against the end of
+    /// `s`.
+    fn match_at_end(&self, s: &str) -> Option<usize> {
+        let b = s.as_bytes();
+        let mut end = b.len();
+        for e in self.elems.iter().rev() {
+            match e {
+                Elem::Lit(l) => {
+                    if !b[..end].ends_with(l.as_bytes()) {
+                        return None;
+                    }
+                    end -= l.len();
+                }
+                Elem::AnyChars(k) => {
+                    for _ in 0..*k {
+                        // Step back over continuation bytes to a start byte.
+                        end = end.checked_sub(1)?;
+                        while b[end] & 0xC0 == 0x80 {
+                            end -= 1;
+                        }
+                    }
+                }
+            }
+        }
+        Some(end)
+    }
+
+    /// The leftmost match in `s`: `(start, end)` in bytes.
+    fn find(&self, s: &str) -> Option<(usize, usize)> {
+        if let Some(lit) = self.literal() {
+            return find_bytes(s.as_bytes(), lit.as_bytes()).map(|at| (at, at + lit.len()));
+        }
+        // A piece that opens with a literal is tried only where that
+        // literal occurs; one that opens with `_` at every character.
+        let mut from = 0;
+        while from <= s.len() {
+            let at = match &self.elems[0] {
+                Elem::Lit(l) => from + find_bytes(&s.as_bytes()[from..], l.as_bytes())?,
+                Elem::AnyChars(_) => from,
+            };
+            if let Some(len) = self.match_at_start(&s[at..]) {
+                return Some((at, at + len));
+            }
+            match s.as_bytes().get(at) {
+                Some(&b) => from = at + utf8_len(b),
+                None => return None,
+            }
+        }
+        None
+    }
+}
+
+/// The leftmost occurrence of `needle` in `hay`: a candidate must agree on
+/// the first and the last byte before the rest is compared. Eight
+/// candidates are screened at once: the words at `i` and `i + m - 1` are
+/// compared bytewise against the needle's first and last byte (SWAR), and
+/// only starts where both agree are compared in full.
+#[inline]
+fn find_bytes(hay: &[u8], needle: &[u8]) -> Option<usize> {
+    const LO7: u64 = 0x7F7F_7F7F_7F7F_7F7F;
+    /// `0x80` in every byte of `x` that is zero, nothing elsewhere.
+    #[inline(always)]
+    fn zero_bytes(x: u64) -> u64 {
+        !((x & LO7).wrapping_add(LO7) | x | LO7)
+    }
+    let word = |at: usize| u64::from_le_bytes(hay[at..at + 8].try_into().expect("8 bytes"));
+    let m = needle.len();
+    if m == 0 {
+        return Some(0);
+    }
+    if hay.len() < m {
+        return None;
+    }
+    let (first, last, mid) = (needle[0], needle[m - 1], &needle[1..m.max(2) - 1]);
+    let full = |at: usize| m < 3 || &hay[at + 1..at + m - 1] == mid;
+    let starts = hay.len() - m + 1;
+    let (f, l) =
+        (u64::from(first) * 0x0101_0101_0101_0101, u64::from(last) * 0x0101_0101_0101_0101);
+    let mut i = 0;
+    while i + 8 <= starts {
+        let mut hits = zero_bytes(word(i) ^ f) & zero_bytes(word(i + m - 1) ^ l);
+        while hits != 0 {
+            let at = i + hits.trailing_zeros() as usize / 8;
+            if full(at) {
+                return Some(at);
+            }
+            hits &= hits - 1;
+        }
+        i += 8;
+    }
+    (i..starts).find(|&at| hay[at] == first && hay[at + m - 1] == last && full(at))
 }
 
 impl LikeMatcher {
-    /// Parse a LIKE pattern.
+    /// Compile a LIKE pattern.
     pub fn new(pattern: &str) -> LikeMatcher {
-        let mut tokens = Vec::new();
-        let mut lit = String::new();
+        let mut pieces = vec![Piece::default()];
         for c in pattern.chars() {
-            match c {
-                '%' => {
-                    if !lit.is_empty() {
-                        tokens.push(LikeTok::Lit(std::mem::take(&mut lit)));
-                    }
-                    if !matches!(tokens.last(), Some(LikeTok::AnyRun)) {
-                        tokens.push(LikeTok::AnyRun);
-                    }
-                }
-                '_' => {
-                    if !lit.is_empty() {
-                        tokens.push(LikeTok::Lit(std::mem::take(&mut lit)));
-                    }
-                    tokens.push(LikeTok::AnyOne);
-                }
-                c => lit.push(c),
+            let piece = pieces.last_mut().expect("at least one piece");
+            match (c, piece.elems.last_mut()) {
+                ('%', _) => pieces.push(Piece::default()),
+                ('_', Some(Elem::AnyChars(k))) => *k += 1,
+                ('_', _) => piece.elems.push(Elem::AnyChars(1)),
+                (c, Some(Elem::Lit(l))) => l.push(c),
+                (c, _) => piece.elems.push(Elem::Lit(c.to_string())),
             }
         }
-        if !lit.is_empty() {
-            tokens.push(LikeTok::Lit(lit));
-        }
-        LikeMatcher { tokens }
+        // `%%` is one `%`: the empty pieces between them match anywhere.
+        let last = pieces.len() - 1;
+        let mut i = 0;
+        pieces.retain(|p| {
+            i += 1;
+            i == 1 || i == last + 1 || !p.elems.is_empty()
+        });
+        LikeMatcher { pieces }
     }
 
     /// Does `s` match the pattern?
     pub fn matches(&self, s: &str) -> bool {
-        fn rec(toks: &[LikeTok], s: &str) -> bool {
-            match toks.first() {
-                None => s.is_empty(),
-                Some(LikeTok::Lit(l)) => {
-                    s.strip_prefix(l.as_str()).is_some_and(|r| rec(&toks[1..], r))
-                }
-                Some(LikeTok::AnyOne) => {
-                    let mut cs = s.chars();
-                    cs.next().is_some() && rec(&toks[1..], cs.as_str())
-                }
-                Some(LikeTok::AnyRun) => {
-                    if rec(&toks[1..], s) {
-                        return true;
-                    }
-                    let mut cs = s.chars();
-                    while cs.next().is_some() {
-                        if rec(&toks[1..], cs.as_str()) {
-                            return true;
-                        }
-                    }
-                    false
-                }
+        let [first, middle @ .., last] = self.pieces.as_slice() else {
+            // No `%`: the one piece must cover the string exactly.
+            return self.pieces[0].match_at_start(s) == Some(s.len());
+        };
+        let Some(start) = first.match_at_start(s) else { return false };
+        let Some(end) = last.match_at_end(&s[start..]) else { return false };
+        let mut rest = &s[start..start + end];
+        for piece in middle {
+            match piece.find(rest) {
+                Some((_, to)) => rest = &rest[to..],
+                None => return false,
             }
         }
-        rec(&self.tokens, s)
+        true
     }
 }
 
@@ -1350,6 +1488,72 @@ mod tests {
         assert!(LikeMatcher::new("").matches(""));
         assert!(!LikeMatcher::new("").matches("x"));
         assert!(LikeMatcher::new("100%%").matches("100%"));
+    }
+
+    /// The matcher LIKE had before it was cut into pieces: a recursive
+    /// walk that backtracks at every `%` — exponential in the number of
+    /// `%` segments, but plainly right. Kept as the oracle.
+    fn like_reference(pattern: &str, s: &str) -> bool {
+        fn rec(p: &[char], s: &str) -> bool {
+            match p.first() {
+                None => s.is_empty(),
+                Some('%') => {
+                    let mut cs = s.chars();
+                    loop {
+                        if rec(&p[1..], cs.as_str()) {
+                            return true;
+                        }
+                        if cs.next().is_none() {
+                            return false;
+                        }
+                    }
+                }
+                Some('_') => {
+                    let mut cs = s.chars();
+                    cs.next().is_some() && rec(&p[1..], cs.as_str())
+                }
+                Some(&c) => s.strip_prefix(c).is_some_and(|r| rec(&p[1..], r)),
+            }
+        }
+        rec(&pattern.chars().collect::<Vec<_>>(), s)
+    }
+
+    #[test]
+    fn like_matcher_agrees_with_the_backtracking_reference() {
+        // Small alphabets, so pieces recur and overlap: repeats, multibyte
+        // characters (2, 3 and 4 bytes), empty strings and patterns.
+        const TEXT: [&str; 6] = ["a", "b", "a", "é", "日", "🦀"];
+        const PAT: [&str; 8] = ["%", "_", "a", "b", "é", "日", "🦀", "%"];
+        let mut seed = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = |m: usize| {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            (seed % m as u64) as usize
+        };
+        let strings: Vec<String> =
+            (0..120).map(|_| (0..next(9)).map(|_| TEXT[next(TEXT.len())]).collect()).collect();
+        for _ in 0..1500 {
+            let pattern: String = (0..next(8)).map(|_| PAT[next(PAT.len())]).collect();
+            let m = LikeMatcher::new(&pattern);
+            for s in &strings {
+                assert_eq!(m.matches(s), like_reference(&pattern, s), "{s:?} LIKE {pattern:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn like_is_linear_in_the_row_however_many_percent_segments() {
+        // Backtracking tries every way to place six `a`s in 200 of them
+        // before the trailing `b` fails: ~10^10 steps.
+        let row = "a".repeat(200);
+        let m = LikeMatcher::new("%a%a%a%a%a%a%ab");
+        let t = std::time::Instant::now();
+        for _ in 0..1000 {
+            assert!(!m.matches(&row));
+        }
+        assert!(m.matches(&(row.clone() + "b")));
+        assert!(t.elapsed() < std::time::Duration::from_secs(1), "{:?}", t.elapsed());
     }
 
     #[test]

@@ -513,7 +513,24 @@ fn minmax_update(
         (ColData::I32(acc), ColData::I32(d)) => ord_typed!(acc, d),
         (ColData::I64(acc), ColData::I64(d)) => ord_typed!(acc, d),
         (ColData::Date(acc), ColData::Date(d)) => ord_typed!(acc, d),
-        (ColData::Str(acc), ColData::Str(d)) => ord_typed!(acc, d),
+        // Strings are read where they lie; a group's best is copied into
+        // its accumulator's buffer only when it improves.
+        (ColData::Str(acc), ColData::Str(_)) => {
+            let d = v.str_lanes();
+            fold_values(
+                lanes,
+                acc,
+                seen,
+                |p| Ok(d.get(p)),
+                |acc, seen, x| {
+                    if !*seen || (if is_min { x < acc.as_str() } else { x > acc.as_str() }) {
+                        acc.clear();
+                        acc.push_str(x);
+                        *seen = true;
+                    }
+                },
+            )
+        }
         // total_cmp matches `Value::sql_cmp` for doubles (NaN sorts last).
         (ColData::F64(acc), ColData::F64(d)) => {
             if is_min {
@@ -522,12 +539,12 @@ fn minmax_update(
                 typed!(acc, d, |x: &f64, y: &f64| x.total_cmp(y).is_gt())
             }
         }
-        (vals, other) => {
+        (vals, _) => {
             // Mixed types: compare via Value (cross-type numeric widening).
             let (groups, nulls, sel, n) = lanes;
             let mut bad = None;
             for_each_live(groups, nulls, sel, n, |p, g| {
-                let x = other.get_value(p);
+                let x = v.get(p);
                 let better = !seen[g]
                     || match vals.get_value(g).sql_cmp(&x) {
                         None => true,
@@ -937,10 +954,6 @@ pub struct HashAggregate {
     /// Spilled partitions' partial-state files, re-aggregated lazily at
     /// emit time (one partition's merged groups in memory at a time).
     pending: Vec<SpillFile>,
-    /// Input columns that must be flattened before programs/accumulators
-    /// run (see `new`); bare-column group keys are excluded so they can
-    /// stay dictionary-coded.
-    flat_cols: Vec<usize>,
     profile: OpProfile,
 }
 
@@ -957,26 +970,10 @@ impl HashAggregate {
     ) -> Result<HashAggregate> {
         // Reject an unsupported aggregate layout now, not at first `next`.
         AggShard::new(&group_exprs, &aggs)?;
-        // Accumulator folds and non-trivial programs read typed data
-        // slices, so their input columns must be flat. Bare-column group
-        // keys stay encoded — resolve_groups probes dict codes directly.
-        let mut flat_cols: Vec<usize> = group_exprs
-            .iter()
-            .filter(|p| !p.is_bare_col())
-            .flat_map(|p| p.cols_used().iter().copied())
-            .chain(
-                aggs.iter()
-                    .filter_map(|a| a.input.as_ref())
-                    .flat_map(|p| p.cols_used().iter().copied()),
-            )
-            .collect();
-        flat_cols.sort_unstable();
-        flat_cols.dedup();
         Ok(HashAggregate {
             input: Some(input),
             group_exprs,
             aggs,
-            flat_cols,
             schema,
             pool: VectorPool::new(),
             cancel,
@@ -1106,12 +1103,9 @@ impl HashAggregate {
         let spill = self.spill.clone().filter(|_| grouped);
         let (group_exprs, aggs) = (&self.group_exprs, &self.aggs);
         let mut parts = Partitions::new(1, spill, || AggShard::new(group_exprs, aggs))?;
-        while let Some(mut batch) = input.next()? {
+        while let Some(batch) = input.next()? {
             self.cancel.check()?;
             self.profile.record_enc_batch(&batch);
-            for &c in &self.flat_cols {
-                batch.columns[c].ensure_flat();
-            }
             // Run the compiled group-key and aggregate-input programs;
             // results stay leased in the pool for the rest of the batch.
             self.scratch.refs.clear();

@@ -69,7 +69,7 @@ use crate::morsel::BatchPool;
 use crate::partition::{Partitions, RadixRouter, SpillConfig, DEFAULT_PARALLEL_BUILD_MIN_ROWS};
 use crate::profile::OpProfile;
 use crate::program::{ExprProgram, VecRef, VectorPool};
-use crate::spill::{self, SpillScan};
+use crate::spill::{self, SpillScan, SpillStage};
 use crate::vector::{Batch, Vector};
 use std::sync::atomic::{AtomicU8, Ordering::SeqCst};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -164,7 +164,7 @@ impl StageLayout {
         if stage_payload {
             payload_at = vec![usize::MAX; build_schema.len()];
             for (k, prog) in keys.iter().enumerate() {
-                if let (true, &[c]) = (prog.is_bare_col(), prog.cols_used()) {
+                if let Some(c) = prog.bare_col() {
                     if payload_at[c] == usize::MAX {
                         payload_at[c] = k;
                     }
@@ -265,7 +265,6 @@ impl JoinStage {
 /// unit the memory governor charges — matches [`Vector::byte_size`] of the
 /// gathered result without materializing it first).
 fn gathered_bytes(dst: &Vector, v: &Vector, sel: &SelVec) -> usize {
-    let null_bytes = if v.nulls.is_some() { sel.len() } else { 0 };
     if let Some((_, arena)) = v.dict_parts() {
         // Coded gathers stay coded onto an empty vector or one over the
         // same arena: 4 bytes of code per lane, and the arena itself the
@@ -273,19 +272,12 @@ fn gathered_bytes(dst: &Vector, v: &Vector, sel: &SelVec) -> usize {
         // strings). Any other destination inflates the lanes.
         let held = dst.dict_parts().is_some_and(|(_, a)| Arc::ptr_eq(a, arena));
         if held || dst.is_empty() {
+            let null_bytes = if v.nulls.is_some() { sel.len() } else { 0 };
             let adopted = if held { 0 } else { arena.byte_size() };
             return sel.len() * 4 + null_bytes + adopted;
         }
-        return sel.iter().map(|p| v.str_at(p).len() + 24).sum::<usize>() + null_bytes;
     }
-    let data_bytes = match &v.data {
-        ColData::Bool(_) | ColData::I8(_) => sel.len(),
-        ColData::I16(_) => sel.len() * 2,
-        ColData::I32(_) | ColData::Date(_) => sel.len() * 4,
-        ColData::I64(_) | ColData::F64(_) => sel.len() * 8,
-        ColData::Str(s) => sel.iter().map(|p| s[p].len() + 24).sum(),
-    };
-    data_bytes + null_bytes
+    v.flat_bytes(sel)
 }
 
 /// Most rows one build keeps resident: build row ids are `u32`, and
@@ -385,10 +377,6 @@ struct BuildState {
 /// probers share. See the module docs for the life cycle.
 pub struct SharedBuild {
     right_keys: Vec<ExprProgram>,
-    /// Build input columns read by non-trivial key programs: encoded
-    /// vectors are flattened before the programs run. Bare-column keys
-    /// stay coded (hash/compare paths handle dict codes).
-    flat_cols: Vec<usize>,
     build_schema: Schema,
     join_type: JoinType,
     layout: StageLayout,
@@ -424,7 +412,6 @@ impl SharedBuild {
         assert!(!right_keys.is_empty(), "joins require at least one key");
         let sinks = sinks.max(1);
         SharedBuild {
-            flat_cols: nontrivial_cols(&right_keys),
             layout: StageLayout::new(&right_keys, &build_schema, join_type.emits_right()),
             right_keys,
             build_schema,
@@ -791,14 +778,11 @@ impl BuildSink {
     }
 
     /// Stage one input batch into the private slots.
-    fn stage(&mut self, mut batch: Batch) -> Result<()> {
+    fn stage(&mut self, batch: Batch) -> Result<()> {
         let BuildSink { build, parts, pool, scratch, .. } = self;
         let ProbeScratch { refs, lanes, hashes, live, nonnull, .. } = scratch;
         let parts = parts.as_mut().expect("staging before the deposit");
         build.cancel.check()?;
-        for &c in &build.flat_cols {
-            batch.columns[c].ensure_flat();
-        }
         // Run the compiled key programs; results live in the pool until
         // `recycle` at the end of this batch.
         refs.clear();
@@ -917,8 +901,9 @@ pub struct HashJoin {
     build: Option<Arc<JoinBuild>>,
     /// Splits probe hashes across a multi-table build's slots.
     router: Option<RadixRouter>,
-    /// Probe rows diverted per evicted slot — this prober's own files.
-    probe_files: Vec<Option<SpillFile>>,
+    /// Probe rows diverted per evicted slot, staged into this prober's own
+    /// files a chunk at a time.
+    probe_spill: Vec<Option<SpillStage>>,
     scratch: ProbeScratch,
     batch_pool: Option<BatchPool>,
     out_types: Vec<TypeId>,
@@ -932,23 +917,7 @@ pub struct HashJoin {
     inner: Option<Box<HashJoin>>,
     /// Has the probe input been exhausted (deferred phase reached)?
     probe_done: bool,
-    /// Probe input columns read by non-trivial key programs (see
-    /// [`SharedBuild::flat_cols`]).
-    flat_cols_probe: Vec<usize>,
     profile: OpProfile,
-}
-
-/// Columns read by the non-bare programs of `progs` (sorted, deduped);
-/// bare column references pass encoded vectors through untouched.
-fn nontrivial_cols(progs: &[ExprProgram]) -> Vec<usize> {
-    let mut out: Vec<usize> = progs
-        .iter()
-        .filter(|p| !p.is_bare_col())
-        .flat_map(|p| p.cols_used().iter().copied())
-        .collect();
-    out.sort_unstable();
-    out.dedup();
-    out
 }
 
 impl HashJoin {
@@ -1000,7 +969,6 @@ impl HashJoin {
         HashJoin {
             out_types: schema.fields.iter().map(|f| f.ty).collect(),
             probe_schema: left.schema().clone(),
-            flat_cols_probe: nontrivial_cols(&left_keys),
             left,
             left_keys,
             join_type,
@@ -1011,7 +979,7 @@ impl HashJoin {
             shared,
             build: None,
             router: None,
-            probe_files: Vec::new(),
+            probe_spill: Vec::new(),
             scratch: ProbeScratch::default(),
             batch_pool: None,
             deferred: Vec::new(),
@@ -1084,7 +1052,7 @@ impl HashJoin {
         }
         self.profile.spill = build.spill.as_ref().map(|cfg| cfg.metrics.clone());
         self.router = build.router();
-        self.probe_files.resize_with(build.tables.len(), || None);
+        self.probe_spill.resize_with(build.tables.len(), || None);
         self.build = Some(build);
         Ok(())
     }
@@ -1139,12 +1107,12 @@ impl HashJoin {
         if !self.probe_done {
             self.probe_done = true;
             let build = self.build.take().expect("deferred phase follows the build");
-            for (si, probe_file) in self.probe_files.iter_mut().enumerate() {
+            for (si, stage) in self.probe_spill.iter_mut().enumerate() {
                 // A spilled slot no probe row was routed to has no output
                 // row (every join type here is probe-driven).
-                if let Some(pf) = probe_file.take() {
+                if let Some(stage) = stage.take() {
                     debug_assert!(build.is_spilled(si), "probe diverted to a resident partition");
-                    self.deferred.push((build.files[si].clone(), pf));
+                    self.deferred.push((build.files[si].clone(), stage.finish()?));
                 }
             }
         }
@@ -1210,7 +1178,7 @@ impl HashJoin {
 fn probe_batch(
     build: &JoinBuild,
     router: Option<&mut RadixRouter>,
-    probe_files: &mut [Option<SpillFile>],
+    probe_spill: &mut [Option<SpillStage>],
     join_type: JoinType,
     s: &mut ProbeScratch,
     keys: &[&Vector],
@@ -1240,10 +1208,10 @@ fn probe_batch(
         }
         if build.is_spilled(si) {
             let cfg = build.spill.as_ref().expect("spilled implies governed");
-            let cols: Vec<Vector> = batch.columns.iter().map(|v| v.gather(sel)).collect();
-            let file = probe_files[si].get_or_insert_with(|| SpillFile::new(cfg.disk.clone()));
-            let written = spill::append_vectors(file, &cols)?;
-            cfg.metrics.record_write(written as u64);
+            let types = batch.columns.iter().map(Vector::type_id);
+            probe_spill[si]
+                .get_or_insert_with(|| SpillStage::new(cfg, types))
+                .push(&batch.columns, sel)?;
             if s.deferred_flags.len() < n {
                 s.deferred_flags.resize(n, false);
             }
@@ -1422,14 +1390,11 @@ impl Operator for HashJoin {
         }
         loop {
             self.cancel.check()?;
-            let Some(mut batch) = self.left.next()? else {
+            let Some(batch) = self.left.next()? else {
                 let governed = self.build.as_ref().is_some_and(|b| b.spill.is_some());
                 return if governed { self.next_deferred() } else { Ok(None) };
             };
             self.profile.record_enc_batch(&batch);
-            for &c in &self.flat_cols_probe {
-                batch.columns[c].ensure_flat();
-            }
             self.scratch.refs.clear();
             for prog in &self.left_keys {
                 let r = prog.run(&mut self.pool, &batch)?;
@@ -1466,7 +1431,7 @@ impl Operator for HashJoin {
                 s.live.retain_from(|p| !keys.iter().any(|k| k.is_null(p)), &mut s.nonnull);
                 if !skip_probe {
                     let router = self.router.as_mut();
-                    let files = &mut self.probe_files;
+                    let files = &mut self.probe_spill;
                     probe_batch(build, router, files, self.join_type, s, keys, &batch)?;
                 }
             }
@@ -1804,6 +1769,92 @@ mod tests {
         drop(j);
         assert_eq!(tracker.used(), 0, "budget fully uncharged");
         assert_eq!(disk.used_bytes(), 0, "all spill blocks reclaimed");
+    }
+
+    /// A probe input that notes, at every pull, the spill chunks written
+    /// so far and the budget in use: the first pull sees the finished
+    /// build, each later one the previous batch routed, the last (the
+    /// input dry) every probe batch routed.
+    struct Watched {
+        inner: BoxedOp,
+        metrics: Arc<crate::partition::SpillMetrics>,
+        budget: Arc<crate::partition::MemBudget>,
+        seen: Arc<Mutex<Vec<(u64, usize)>>>,
+    }
+
+    impl Operator for Watched {
+        fn schema(&self) -> &Schema {
+            self.inner.schema()
+        }
+
+        fn name(&self) -> &'static str {
+            "Watched"
+        }
+
+        fn next(&mut self) -> Result<Option<Batch>> {
+            let chunks = self.metrics.chunks_written.load(std::sync::atomic::Ordering::Relaxed);
+            self.seen.lock().unwrap().push((chunks, self.budget.used()));
+            self.inner.next()
+        }
+    }
+
+    /// A governed inner join of `n` probe rows against `n` build rows (the
+    /// same keys), 64-row batches over 8 partitions under a budget of
+    /// `limit` bytes: each probe batch diverts a few rows to each evicted
+    /// partition. Returns, per probe pull, the spill chunks written so far
+    /// and the budget in use (see [`Watched`]), once the join has drained
+    /// and let go of every byte and block.
+    fn divert_probe_rows(n: i64, limit: usize) -> Vec<(u64, usize)> {
+        use crate::partition::{MemBudget, SpillConfig};
+        use vw_storage::SimulatedDisk;
+        let schema = Schema::new(vec![Field::nullable("k", TypeId::I64)]).unwrap();
+        let mk = |vals: Vec<i64>| -> BoxedOp {
+            let rows = vals.into_iter().map(|v| vec![Value::I64(v)]).collect();
+            Box::new(Values::new(schema.clone(), rows, 64, CancelToken::new()))
+        };
+        let disk = SimulatedDisk::instant();
+        let budget = MemBudget::new(limit);
+        let cfg = SpillConfig::new(budget.clone(), disk.clone(), 8);
+        let metrics = cfg.metrics.clone();
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let probe = Watched {
+            inner: mk((0..n).collect()),
+            metrics: metrics.clone(),
+            budget: budget.clone(),
+            seen: seen.clone(),
+        };
+        let mut j = HashJoin::new(
+            Box::new(probe),
+            mk((0..n).rev().collect()),
+            key_cols(&[(0, TypeId::I64)]),
+            key_cols(&[(0, TypeId::I64)]),
+            JoinType::Inner,
+            schema.join(&schema),
+            CancelToken::new(),
+        )
+        .with_spill(cfg);
+        let out = drain(&mut j).unwrap();
+        assert_eq!(out.rows(), n as usize);
+        let spilled = metrics.partitions.load(std::sync::atomic::Ordering::Relaxed);
+        assert!(spilled >= 4, "{spilled} partitions spilled");
+        drop(j);
+        assert_eq!(budget.used(), 0, "staged rows uncharged");
+        assert_eq!(disk.used_bytes(), 0, "all spill blocks reclaimed");
+        let seen = seen.lock().unwrap().clone();
+        seen
+    }
+
+    #[test]
+    fn diverted_probe_rows_are_staged_and_never_keep_the_budget_over() {
+        let (n, limit) = (20_000, 64 * 1024);
+        let seen = divert_probe_rows(n, limit);
+        // Written while probing: full chunks, and a stage written early
+        // when the push that took the budget over was its own. A chunk per
+        // probe batch per evicted partition would be over 1 000.
+        let (built, probed) = (seen[0].0, seen[seen.len() - 1].0);
+        assert!(probed - built <= n as u64 / 256, "{} chunks for {n} probe rows", probed - built);
+        // Between probe batches the staged rows never leave the budget over.
+        assert!(seen.iter().all(|&(_, used)| used <= limit), "{seen:?}");
     }
 
     #[test]

@@ -66,10 +66,6 @@ impl Operator for Values {
 pub struct Select {
     input: BoxedOp,
     predicate: SelectProgram,
-    /// Columns the predicate's boolean sub-programs read: encoded inputs
-    /// are flattened here before the run. Typed compare / LIKE steps are
-    /// encoding-aware and keep their columns coded.
-    flat_cols: Vec<usize>,
     pool: VectorPool,
     batch_pool: Option<BatchPool>,
     profile: OpProfile,
@@ -79,11 +75,9 @@ pub struct Select {
 impl Select {
     /// Filter `input` by the compiled `predicate`.
     pub fn new(input: BoxedOp, predicate: SelectProgram, cancel: CancelToken) -> Select {
-        let flat_cols = predicate.flat_cols();
         Select {
             input,
             predicate,
-            flat_cols,
             pool: VectorPool::new(),
             batch_pool: None,
             profile: OpProfile::default(),
@@ -127,9 +121,6 @@ impl Operator for Select {
                 }
             }
             self.profile.record_enc_batch(&batch);
-            for &c in &self.flat_cols {
-                batch.columns[c].ensure_flat();
-            }
             let sel = self.predicate.run(&mut self.pool, &batch)?;
             self.pool.recycle();
             self.profile.enc_skipped += self.pool.take_enc_skipped();
@@ -154,10 +145,6 @@ pub struct Project {
     programs: Vec<ExprProgram>,
     schema: Schema,
     out_types: Vec<TypeId>,
-    /// Columns read by non-trivial programs: encoded inputs are flattened
-    /// before evaluation. Bare column references pass encoded vectors
-    /// through untouched (gather/detach are encoding-aware).
-    flat_cols: Vec<usize>,
     pool: VectorPool,
     batch_pool: Option<BatchPool>,
     profile: OpProfile,
@@ -175,19 +162,11 @@ impl Project {
     ) -> Project {
         debug_assert_eq!(programs.len(), schema.len());
         let out_types = programs.iter().map(|p| p.type_id()).collect();
-        let mut flat_cols: Vec<usize> = programs
-            .iter()
-            .filter(|p| !p.is_bare_col())
-            .flat_map(|p| p.cols_used().iter().copied())
-            .collect();
-        flat_cols.sort_unstable();
-        flat_cols.dedup();
         Project {
             input,
             programs,
             schema,
             out_types,
-            flat_cols,
             pool: VectorPool::new(),
             batch_pool: None,
             profile: OpProfile::default(),
@@ -219,13 +198,10 @@ impl Operator for Project {
 
     fn next(&mut self) -> Result<Option<Batch>> {
         self.cancel.check()?;
-        let Some(mut batch) = self.input.next()? else {
+        let Some(batch) = self.input.next()? else {
             return Ok(None);
         };
         self.profile.record_enc_batch(&batch);
-        for &c in &self.flat_cols {
-            batch.columns[c].ensure_flat();
-        }
         // Lease the output batch: recycled buffers feed the expression
         // pool's slots through `detach_into`, so steady-state projection
         // allocates nothing even though ownership moves downstream.

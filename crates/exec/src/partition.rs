@@ -398,6 +398,8 @@ pub struct SpillMetrics {
     pub partitions: AtomicU64,
     /// Encoded bytes written to spill files.
     pub bytes_written: AtomicU64,
+    /// Chunks written to spill files (one per append).
+    pub chunks_written: AtomicU64,
     /// Encoded bytes read back while rehydrating.
     pub bytes_read: AtomicU64,
 }
@@ -413,9 +415,10 @@ impl SpillMetrics {
         self.partitions.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Record `n` encoded bytes appended to a spill file.
+    /// Record one chunk of `n` encoded bytes appended to a spill file.
     pub fn record_write(&self, n: u64) {
         self.bytes_written.fetch_add(n, Ordering::Relaxed);
+        self.chunks_written.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Record `n` encoded bytes rehydrated from a spill file.

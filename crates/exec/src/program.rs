@@ -34,17 +34,20 @@
 //! expressions materialize a boolean vector.
 //!
 //! **Encoded inputs** (ARCHITECTURE.md, "Compressed execution"): select
-//! steps answer `col <op> const` and `col LIKE pat` at the encoding
-//! level when the column arrives dictionary-coded (one comparison per
-//! distinct value builds a code-qualifying bitmap) or RLE-coded (one
+//! steps answer `col <op> const`, `col LIKE pat` and a string `e IN (…)`
+//! at the encoding level when the column arrives dictionary-coded (one
+//! test per arena entry builds a code-qualifying bitmap) or RLE-coded (one
 //! comparison accepts/rejects a whole run); rows decided this way are
 //! counted in [`VectorPool::take_enc_skipped`], the `+S` of the Select's
 //! `enc=E/F+S` in `EXPLAIN ANALYZE` (the pool counts nothing else: what
-//! the programs cost is their operator's `time=`). Everything else reads
-//! typed data slices, which are *empty placeholders* on dict vectors —
-//! operators must `ensure_flat()` the columns in
-//! [`ExprProgram::cols_used`] before running a non-bare program
-//! ([`ExprProgram::is_bare_col`] passes encoded vectors through).
+//! the programs cost is their operator's `time=`). No operator flattens a
+//! program's input: every string instruction reads `&str` lanes where
+//! they lie ([`Vector::str_lanes`] — flat values, or arena entries
+//! through the codes) and writes string results into one arena per
+//! output vector (`Vector::str_output`; non-distinct, the codes point
+//! at it), so a string costs no allocation per value until someone reads
+//! it; other types' data is always materialized (an RLE sidecar rides
+//! next to it).
 //!
 //! # `VectorPool` ownership rules
 //!
@@ -71,6 +74,7 @@ use crate::expr::{decode_field, BinOp, CmpOp, Func, LikeMatcher, PhysExpr};
 use crate::primitives::{self, ArithCheck};
 use crate::vector::{Batch, StrArena, Vector};
 use std::collections::HashMap;
+use std::fmt::Write as _;
 use std::sync::Arc;
 use vw_common::{ColData, Result, SelVec, TypeId, Value, VwError};
 
@@ -330,10 +334,6 @@ pub struct ExprProgram {
     reg_types: Vec<TypeId>,
     result: Opd,
     ty: TypeId,
-    /// Input columns the instruction stream reads through typed slices
-    /// (sorted, deduplicated). Encoded columns must be flattened before
-    /// the program runs — see ARCHITECTURE.md "Compressed execution".
-    cols_used: Vec<usize>,
 }
 
 impl ExprProgram {
@@ -360,32 +360,16 @@ impl ExprProgram {
         c.assign_ids(expr);
         c.count_uses(expr);
         let result = c.emit(expr);
-        let mut cols_used = Vec::new();
-        expr.collect_cols(&mut cols_used);
-        cols_used.sort_unstable();
-        cols_used.dedup();
-        ExprProgram {
-            instrs: c.instrs,
-            reg_types: c.reg_types,
-            result,
-            ty: expr.type_id(),
-            cols_used,
+        ExprProgram { instrs: c.instrs, reg_types: c.reg_types, result, ty: expr.type_id() }
+    }
+
+    /// The column a bare column reference reads: the result is that input
+    /// column itself, untouched (an encoded vector passes through).
+    pub fn bare_col(&self) -> Option<usize> {
+        match self.result {
+            Opd::Col(c) if self.instrs.is_empty() => Some(c),
+            _ => None,
         }
-    }
-
-    /// Input columns the program reads (sorted, deduplicated). Callers
-    /// running the program over a batch with encoded columns must
-    /// [`Vector::ensure_flat`] these first: instructions read typed data
-    /// slices, which are empty placeholders on dictionary-coded vectors.
-    pub fn cols_used(&self) -> &[usize] {
-        &self.cols_used
-    }
-
-    /// True when the program is a bare column reference: the result is the
-    /// input column itself, untouched — encoded vectors can pass through
-    /// without flattening (gather/detach are encoding-aware).
-    pub fn is_bare_col(&self) -> bool {
-        self.instrs.is_empty() && matches!(self.result, Opd::Col(_))
     }
 
     /// The program's result type.
@@ -961,23 +945,22 @@ fn exec_instr(
                 (ColData::F64(x), ColData::F64(y)) => {
                     typed!(x, y, |p: &f64, q: &f64| p.total_cmp(q))
                 }
-                (ColData::Str(x), ColData::Str(y)) => {
-                    typed!(x, y, |p: &String, q: &String| p.cmp(q))
+                // Strings compare where they lie: flat values or arena
+                // entries through the codes, either side.
+                (ColData::Str(_), ColData::Str(_)) => {
+                    let (x, y) = (av.str_lanes(), bv.str_lanes());
+                    for_lanes(n, sel, |i| o[i] = op.holds(x.get(i).cmp(y.get(i))));
                 }
-                (x, y) => {
+                _ => {
                     // Mixed types: Value comparison with numeric widening
                     // (exactly the interpreter's generic path). Incomparable
                     // pairs must read FALSE, so this arm does zero-fill.
                     o.iter_mut().for_each(|b| *b = false);
-                    let mut run = |i: usize| {
-                        if let Some(ord) = x.get_value(i).sql_cmp(&y.get_value(i)) {
+                    for_lanes(n, sel, |i| {
+                        if let Some(ord) = av.get(i).sql_cmp(&bv.get(i)) {
                             o[i] = op.holds(ord);
                         }
-                    };
-                    match sel {
-                        None => (0..n).for_each(&mut run),
-                        Some(s) => s.iter().for_each(&mut run),
-                    }
+                    });
                 }
             }
             Ok(any)
@@ -1030,7 +1013,7 @@ fn exec_instr(
         Instr::Cast { a, to, dst } => with_dst(pool, *dst, |pool, out, buf| {
             let v = pool.opd(batch, *a);
             let any = copy_nulls_into(n, v, buf);
-            exec_cast(v, *to, sel, n, &mut out.data)?;
+            exec_cast(v, *to, sel, n, out)?;
             Ok(any)
         }),
         Instr::IsNull { a, negated, dst } => with_dst(pool, *dst, |pool, out, _| {
@@ -1044,15 +1027,35 @@ fn exec_instr(
             Ok(false)
         }),
         Instr::Case { branches, else_v, dst } => with_dst(pool, *dst, |pool, out, buf| {
-            out.data.clear();
+            // The value operand a live lane takes (`None`: no arm holds and
+            // there is no ELSE — NULL).
+            let pick = |i: usize| -> Option<&Vector> {
+                let arm = branches.iter().find(|(c, _)| {
+                    let cv = pool.opd(batch, *c);
+                    !cv.is_null(i) && cv.data.as_bool()[i]
+                });
+                arm.map(|(_, v)| v).or(else_v.as_ref()).map(|v| pool.opd(batch, *v))
+            };
             buf.clear();
+            buf.resize(n, false);
             let mut any = false;
+            if out.type_id() == TypeId::Str {
+                // Strings are copied from the chosen operand's lanes into
+                // this vector's arena.
+                let (codes, arena) = str_lanes_out(out, n);
+                for_lanes(n, sel, |i| match pick(i).filter(|v| !v.is_null(i)) {
+                    Some(v) => codes[i] = arena.push(v.str_lanes().get(i)),
+                    None => (buf[i], any) = (true, true),
+                });
+                return Ok(any);
+            }
             // Sorted-selection walk: dead lanes only occupy a slot (safe
             // default), live lanes run the branch scan — same structure as
             // the generic cast path.
+            out.data.clear();
             let live = sel.map(SelVec::as_slice);
             let mut next = 0usize;
-            for i in 0..n {
+            for (i, null) in buf.iter_mut().enumerate() {
                 let is_live = match live {
                     None => true,
                     Some(l) => {
@@ -1064,29 +1067,14 @@ fn exec_instr(
                         }
                     }
                 };
-                if !is_live {
-                    out.data.push_safe_default();
-                    buf.push(false);
-                    continue;
-                }
-                let mut chosen: Option<Value> = None;
-                for (c, v) in branches {
-                    let cv = pool.opd(batch, *c);
-                    if !cv.is_null(i) && cv.data.as_bool()[i] {
-                        let vv = pool.opd(batch, *v);
-                        chosen = Some(vv.get(i));
-                        break;
-                    }
-                }
-                let val = chosen
-                    .unwrap_or_else(|| else_v.map_or(Value::Null, |e| pool.opd(batch, e).get(i)));
+                let val =
+                    if is_live { pick(i).map_or(Value::Null, |v| v.get(i)) } else { Value::Null };
                 if val.is_null() {
                     out.data.push_safe_default();
-                    buf.push(true);
-                    any = true;
+                    *null = is_live;
+                    any |= is_live;
                 } else {
                     out.data.push_value(&val)?;
-                    buf.push(false);
                 }
             }
             Ok(any)
@@ -1104,14 +1092,20 @@ fn exec_instr(
         Instr::Like { a, matcher, negated, dst } => with_dst(pool, *dst, |pool, out, buf| {
             let v = pool.opd(batch, *a);
             let any = copy_nulls_into(n, v, buf);
-            let strs = v.data.as_str();
             let o = as_bool_mut(&mut out.data);
             // Every selected lane is written; unselected lanes are garbage.
             primitives::resize_uninit(o, n);
-            let mut run = |i: usize| o[i] = matcher.matches(&strs[i]) != *negated;
-            match sel {
-                None => (0..n).for_each(&mut run),
-                Some(s) => s.iter().for_each(&mut run),
+            let test = |s: &str| matcher.matches(s) != *negated;
+            match entries_of(v, n, sel) {
+                // One match per arena entry, lanes look their code up.
+                Some((codes, dict)) => {
+                    let ok: Vec<bool> = dict.iter().map(test).collect();
+                    for_lanes(n, sel, |i| o[i] = ok[codes[i] as usize]);
+                }
+                None => {
+                    let lanes = v.str_lanes();
+                    for_lanes(n, sel, |i| o[i] = test(lanes.get(i)));
+                }
             }
             Ok(any)
         }),
@@ -1120,9 +1114,9 @@ fn exec_instr(
 }
 
 /// Fill a register with `n` copies of a constant. Copy-type constants fill
-/// by `resize` (memset-class); strings clone per lane, as the interpreter
-/// did. The buffer is fully rewritten — pool slots are shared between
-/// programs, so stale contents cannot be trusted.
+/// by `resize` (memset-class); a string is one arena entry every lane's
+/// code points at. The buffer is fully rewritten — pool slots are shared
+/// between programs, so stale contents cannot be trusted.
 fn fill_const(
     out: &mut Vector,
     buf: &mut Vec<bool>,
@@ -1130,7 +1124,18 @@ fn fill_const(
     v: &Value,
     n: usize,
 ) -> Result<bool> {
+    if let (TypeId::Str, Value::Str(_) | Value::Null) = (ty, v) {
+        let text = if let Value::Str(k) = v { k.as_str() } else { "" };
+        let (codes, arena) = out.str_output(1, text.len());
+        arena.push(text);
+        codes.resize(n, 0);
+    }
     if v.is_null() {
+        if ty == TypeId::Str {
+            buf.clear();
+            buf.resize(n, true);
+            return Ok(n > 0);
+        }
         out.data.clear();
         for _ in 0..n {
             out.data.push_safe_default();
@@ -1160,6 +1165,7 @@ fn fill_const(
             o.clear();
             o.resize(n, k.0);
         }
+        (ColData::Str(_), Value::Str(_)) => {} // filled above
         _ => {
             debug_assert_eq!(out.data.type_id(), ty);
             out.data.clear();
@@ -1177,7 +1183,7 @@ fn exec_cast(
     to: TypeId,
     sel: Option<&SelVec>,
     n: usize,
-    out: &mut ColData,
+    out: &mut Vector,
 ) -> Result<()> {
     // Fast widening paths (full width, like the interpreter).
     macro_rules! widen {
@@ -1188,7 +1194,7 @@ fn exec_cast(
             return Ok(());
         }};
     }
-    match (&v.data, to, &mut *out) {
+    match (&v.data, to, &mut out.data) {
         (ColData::I8(s), TypeId::I64, ColData::I64(o)) => widen!(s, o, i64),
         (ColData::I16(s), TypeId::I64, ColData::I64(o)) => widen!(s, o, i64),
         (ColData::I32(s), TypeId::I64, ColData::I64(o)) => widen!(s, o, i64),
@@ -1198,22 +1204,40 @@ fn exec_cast(
         (ColData::I64(s), TypeId::F64, ColData::F64(o)) => widen!(s, o, f64),
         _ => {}
     }
+    if to == TypeId::Str {
+        // A value's text is written straight into the output arena.
+        let (codes, arena) = str_lanes_out(out, n);
+        for_lanes(n, sel, |i| {
+            if !v.is_null(i) {
+                codes[i] = arena.push_with(|b| {
+                    write!(b, "{}", v.data.get_value(i)).expect("writing to a String cannot fail")
+                });
+            }
+        });
+        return Ok(());
+    }
     // Generic per-value path: live lanes convert (checked), unselected
     // lanes must still occupy slots. The selection is sorted, so a single
-    // pointer walk replaces the interpreter's HashSet.
+    // pointer walk replaces the interpreter's HashSet. A string source is
+    // parsed where it lies.
+    let out = &mut out.data;
     out.clear();
-    fn run(v: &Vector, i: usize, to: TypeId, out: &mut ColData) -> Result<()> {
+    let strs = (v.type_id() == TypeId::Str).then(|| v.str_lanes());
+    let run = |i: usize, out: &mut ColData| -> Result<()> {
         if v.is_null(i) {
             out.push_safe_default();
-        } else {
-            out.push_value(&v.data.get_value(i).cast_to(to)?)?;
+            return Ok(());
         }
-        Ok(())
-    }
+        let cast = match strs {
+            Some(l) => Value::cast_str(l.get(i), to)?,
+            None => v.data.get_value(i).cast_to(to)?,
+        };
+        out.push_value(&cast)
+    };
     match sel {
         None => {
             for i in 0..n {
-                run(v, i, to, out)?;
+                run(i, out)?;
             }
         }
         Some(s) => {
@@ -1222,7 +1246,7 @@ fn exec_cast(
             for i in 0..n {
                 if next < live.len() && live[next] as usize == i {
                     next += 1;
-                    run(v, i, to, out)?;
+                    run(i, out)?;
                 } else {
                     out.push_safe_default();
                 }
@@ -1232,12 +1256,96 @@ fn exec_cast(
     Ok(())
 }
 
+/// Run `f` over the live lanes: the selection, or all `n`.
+#[inline]
+fn for_lanes(n: usize, sel: Option<&SelVec>, mut f: impl FnMut(usize)) {
+    match sel {
+        None => (0..n).for_each(&mut f),
+        Some(s) => s.iter().for_each(&mut f),
+    }
+}
+
+/// `v`'s codes and arena when `v` is coded over an arena with no more
+/// entries than the batch has live lanes — then LIKE matches once per
+/// entry and lanes take their result through the code (the rule
+/// `DictMemo` follows for predicates); `None` means lane by lane.
+fn entries_of<'a>(
+    v: &'a Vector,
+    n: usize,
+    sel: Option<&SelVec>,
+) -> Option<(&'a [u32], &'a StrArena)> {
+    let (codes, dict) = v.dict_parts()?;
+    (dict.len() <= sel.map_or(n, |s| s.len())).then_some((codes, &**dict))
+}
+
+/// Make `out` a coded vector over an arena of its own for a per-lane
+/// string result: entry 0 is the empty string, which every lane reads
+/// until the kernel writes it (dead and NULL lanes keep it).
+fn str_lanes_out(out: &mut Vector, n: usize) -> (&mut Vec<u32>, &mut StrArena) {
+    let (codes, arena) = out.str_output(n + 1, 16 * n);
+    arena.push("");
+    codes.resize(n, 0);
+    (codes, arena)
+}
+
+/// `s` upper-cased onto `b`: `str::to_uppercase`, character by
+/// character, without its `String`.
+fn upper_into(s: &str, b: &mut String) {
+    if s.is_ascii() {
+        b.extend(s.bytes().map(|c| c.to_ascii_uppercase() as char));
+    } else {
+        b.extend(s.chars().flat_map(char::to_uppercase));
+    }
+}
+
+/// `s` lower-cased onto `b`: `str::to_lowercase` without its `String` —
+/// but for a capital sigma, whose lower case depends on where in a word
+/// it stands, which only `str::to_lowercase` knows.
+fn lower_into(s: &str, b: &mut String) {
+    if s.is_ascii() {
+        b.extend(s.bytes().map(|c| c.to_ascii_lowercase() as char));
+    } else if s.contains('Σ') {
+        b.push_str(&s.to_lowercase());
+    } else {
+        b.extend(s.chars().flat_map(char::to_lowercase));
+    }
+}
+
+/// Characters `start..start + take` of `s` (0-based, clipped to `s`).
+fn substr(s: &str, start: usize, take: usize) -> &str {
+    if s.is_ascii() {
+        let from = start.min(s.len());
+        return &s[from..from + take.min(s.len() - from)];
+    }
+    let at = |s: &str, k: usize| s.char_indices().nth(k).map_or(s.len(), |(i, _)| i);
+    let from = at(s, start);
+    let rest = &s[from..];
+    &rest[..at(rest, take)]
+}
+
+/// `str::replace(s, from, to)` onto `b`; an empty `from` leaves `s` as is.
+fn replace_into(s: &str, from: &str, to: &str, b: &mut String) {
+    if from.is_empty() {
+        b.push_str(s);
+        return;
+    }
+    let mut last = 0;
+    for (at, m) in s.match_indices(from) {
+        b.push_str(&s[last..at]);
+        b.push_str(to);
+        last = at + m.len();
+    }
+    b.push_str(&s[last..]);
+}
+
 fn arg_err(func: Func, msg: &str) -> VwError {
     VwError::InvalidParameter(format!("{func:?}: {msg}"))
 }
 
 /// Scalar function execution into a pooled register — the interpreter's
-/// `eval_func`, re-pointed at reusable output buffers.
+/// `eval_func`, re-pointed at reusable output buffers. String arguments
+/// are read where they lie and string results written into the
+/// register's own arena ([`Vector::str_output`]), once per live lane.
 fn exec_func(
     func: Func,
     vs: &[&Vector],
@@ -1249,6 +1357,21 @@ fn exec_func(
 ) -> Result<bool> {
     let any = union_nulls_into(n, vs, buf);
     let live = |i: usize| -> bool { !(any && buf[i]) };
+    // A string result per live non-NULL lane: `$step` appends the result
+    // for first argument `$s` onto `$b`, its other arguments read at lane
+    // `$k`.
+    macro_rules! str_result {
+        (|$s:ident, $k:ident, $b:ident| $step:expr) => {{
+            let lanes = vs[0].str_lanes();
+            let (codes, arena) = str_lanes_out(out, n);
+            for_lanes(n, sel, |i| {
+                if live(i) {
+                    let ($s, $k) = (lanes.get(i), i);
+                    codes[i] = arena.push_with(|$b| $step);
+                }
+            });
+        }};
+    }
     macro_rules! for_live {
         ($body:expr) => {{
             match sel {
@@ -1275,78 +1398,51 @@ fn exec_func(
         }};
     }
     match func {
-        Func::Upper | Func::Lower | Func::Trim => {
-            let s = vs[0].data.as_str();
-            let o = fresh!(as_str_mut(&mut out.data), String::new());
-            let mut f = |i: usize| -> Result<()> {
-                o[i] = match func {
-                    Func::Upper => s[i].to_uppercase(),
-                    Func::Lower => s[i].to_lowercase(),
-                    _ => s[i].trim().to_string(),
-                };
-                Ok(())
-            };
-            for_live!(f);
-        }
+        Func::Upper => str_result!(|s, _k, b| upper_into(s, b)),
+        Func::Lower => str_result!(|s, _k, b| lower_into(s, b)),
+        Func::Trim => str_result!(|s, _k, b| b.push_str(s.trim())),
         Func::Length => {
-            let s = vs[0].data.as_str();
+            let chars = |s: &str| s.chars().count() as i64;
             let o = fresh!(as_i64_mut(&mut out.data), 0i64);
-            let mut f = |i: usize| -> Result<()> {
-                o[i] = s[i].chars().count() as i64;
-                Ok(())
-            };
-            for_live!(f);
+            let lanes = vs[0].str_lanes();
+            for_lanes(n, sel, |i| o[i] = chars(lanes.get(i)));
         }
         Func::Substr => {
-            let s = vs[0].data.as_str();
             let start = vs[1].data.as_i64();
             let len = vs.get(2).map(|v| v.data.as_i64());
-            let o = fresh!(as_str_mut(&mut out.data), String::new());
-            let mut f = |i: usize| -> Result<()> {
-                if !live(i) {
-                    return Ok(());
-                }
+            // Lane i's 0-based start and character count, checked.
+            let bounds = |i: usize| -> Result<(usize, usize)> {
                 if start[i] < 1 {
                     return Err(arg_err(func, "start position must be >= 1"));
                 }
                 let take = match len {
-                    Some(l) => {
-                        if l[i] < 0 {
-                            return Err(arg_err(func, "length must be >= 0"));
-                        }
-                        l[i] as usize
-                    }
+                    Some(l) if l[i] < 0 => return Err(arg_err(func, "length must be >= 0")),
+                    Some(l) => l[i] as usize,
                     None => usize::MAX,
                 };
-                o[i] = s[i].chars().skip(start[i] as usize - 1).take(take).collect();
+                Ok((start[i] as usize - 1, take))
+            };
+            let lanes = vs[0].str_lanes();
+            let (codes, arena) = str_lanes_out(out, n);
+            let mut f = |i: usize| -> Result<()> {
+                if live(i) {
+                    let (from, take) = bounds(i)?;
+                    codes[i] = arena.push(substr(lanes.get(i), from, take));
+                }
                 Ok(())
             };
             for_live!(f);
         }
         Func::Concat => {
-            let a = vs[0].data.as_str();
-            let b = vs[1].data.as_str();
-            let o = fresh!(as_str_mut(&mut out.data), String::new());
-            let mut f = |i: usize| -> Result<()> {
-                let mut s = String::with_capacity(a[i].len() + b[i].len());
-                s.push_str(&a[i]);
-                s.push_str(&b[i]);
-                o[i] = s;
-                Ok(())
-            };
-            for_live!(f);
+            let tail = vs[1].str_lanes();
+            str_result!(|s, k, b| {
+                b.push_str(s);
+                b.push_str(tail.get(k));
+            })
         }
         Func::Replace => {
-            let s = vs[0].data.as_str();
-            let from = vs[1].data.as_str();
-            let to = vs[2].data.as_str();
-            let o = fresh!(as_str_mut(&mut out.data), String::new());
-            let mut f = |i: usize| -> Result<()> {
-                o[i] =
-                    if from[i].is_empty() { s[i].clone() } else { s[i].replace(&from[i], &to[i]) };
-                Ok(())
-            };
-            for_live!(f);
+            let (from, to) = (vs[1].str_lanes(), vs[2].str_lanes());
+            str_result!(|s, k, b| replace_into(s, from.get(k), to.get(k), b))
         }
         Func::Abs => match &vs[0].data {
             ColData::I64(x) => {
@@ -1458,13 +1554,6 @@ fn exec_func(
     Ok(any)
 }
 
-fn as_str_mut(c: &mut ColData) -> &mut Vec<String> {
-    match c {
-        ColData::Str(v) => v,
-        other => panic!("register type mismatch: expected Str, got {}", other.type_id()),
-    }
-}
-
 fn as_date_mut(c: &mut ColData) -> &mut Vec<i32> {
     match c {
         ColData::Date(v) => v,
@@ -1533,6 +1622,12 @@ enum SelNode {
     /// `col LIKE pattern` with the pattern compiled once. On a
     /// dictionary-coded column the matcher runs once per distinct value.
     LikeCol { col: usize, matcher: LikeMatcher, negated: bool, memo: DictMemo },
+    /// String `e IN (k, …)`, bound as the OR of `e = k` arms: `e` is
+    /// evaluated once (a bare column is read in place) and each live lane
+    /// looks its value up among the sorted, deduplicated non-NULL
+    /// constants — once per arena entry over a coded `e`, under the
+    /// bitmap rule.
+    InSet { e: ExprProgram, set: Vec<String>, memo: DictMemo },
     /// Constant predicate (TRUE keeps the incoming selection).
     ConstBool(bool),
     /// Irreducible boolean expression: evaluate, then keep TRUE non-NULLs.
@@ -1555,7 +1650,7 @@ impl SelectProgram {
         fn count(n: &SelNode) -> usize {
             match n {
                 SelNode::Conj(v) | SelNode::Disj(v) => v.iter().map(count).sum(),
-                SelNode::Bool(p) => p.len(),
+                SelNode::Bool(p) | SelNode::InSet { e: p, .. } => p.len(),
                 _ => 0,
             }
         }
@@ -1571,25 +1666,6 @@ impl SelectProgram {
     /// surviving positions.
     pub fn run(&mut self, pool: &mut VectorPool, batch: &Batch) -> Result<SelVec> {
         run_sel(&mut self.node, pool, batch, batch.sel.as_ref())
-    }
-
-    /// Columns that must be flat before [`run`](Self::run): everything
-    /// read by irreducible boolean sub-programs. Columns touched only by
-    /// the typed compare / LIKE steps stay encoded — those kernels work
-    /// on dict codes and RLE runs directly.
-    pub fn flat_cols(&self) -> Vec<usize> {
-        fn walk(n: &SelNode, out: &mut Vec<usize>) {
-            match n {
-                SelNode::Conj(v) | SelNode::Disj(v) => v.iter().for_each(|p| walk(p, out)),
-                SelNode::Bool(p) => out.extend_from_slice(p.cols_used()),
-                SelNode::CmpColConst { .. } | SelNode::LikeCol { .. } | SelNode::ConstBool(_) => {}
-            }
-        }
-        let mut out = Vec::new();
-        walk(&self.node, &mut out);
-        out.sort_unstable();
-        out.dedup();
-        out
     }
 }
 
@@ -1647,9 +1723,9 @@ fn compile_sel(pred: &PhysExpr, consts: &HashMap<*const PhysExpr, bool>) -> SelN
         PhysExpr::And(parts) => {
             SelNode::Conj(parts.iter().map(|p| compile_sel(p, consts)).collect())
         }
-        PhysExpr::Or(parts) => {
+        PhysExpr::Or(parts) => in_set(parts).unwrap_or_else(|| {
             SelNode::Disj(parts.iter().map(|p| compile_sel(p, consts)).collect())
-        }
+        }),
         PhysExpr::Cmp { op, lhs, rhs } => {
             if let (PhysExpr::ColRef(ci, cty), PhysExpr::Const(k, _)) = (lhs.as_ref(), rhs.as_ref())
             {
@@ -1685,6 +1761,30 @@ fn compile_sel(pred: &PhysExpr, consts: &HashMap<*const PhysExpr, bool>) -> SelN
         }
         _ => SelNode::Bool(ExprProgram::compile(pred)),
     }
+}
+
+/// The [`SelNode::InSet`] of an OR of two or more `e = constant` arms over
+/// one string `e`; `None` for any other disjunction (an integer IN list
+/// stays a `Disj` of typed compares, which take RLE runs whole). An
+/// `e = NULL` arm is never TRUE, so it adds no member.
+fn in_set(parts: &[PhysExpr]) -> Option<SelNode> {
+    let mut e = None;
+    let mut set = Vec::new();
+    for p in parts {
+        let PhysExpr::Cmp { op: CmpOp::Eq, lhs, rhs } = p else { return None };
+        if lhs.type_id() != TypeId::Str || *e.get_or_insert(lhs.as_ref()) != lhs.as_ref() {
+            return None;
+        }
+        match rhs.as_ref() {
+            PhysExpr::Const(Value::Null, _) => {}
+            PhysExpr::Const(Value::Str(k), _) => set.push(k.clone()),
+            _ => return None,
+        }
+    }
+    let e = e.filter(|e| parts.len() >= 2 && !e.is_const())?;
+    set.sort_unstable();
+    set.dedup();
+    Some(SelNode::InSet { e: ExprProgram::compile(e), set, memo: DictMemo::default() })
 }
 
 fn run_sel(
@@ -1748,24 +1848,17 @@ fn run_sel(
         SelNode::LikeCol { col, matcher, negated, memo } => {
             let colv = &batch.columns[*col];
             let mut out = pool.take_sel();
-            let nulls = colv.nulls.as_deref();
-            if let Some((codes, dict)) = colv.dict_parts() {
-                // One matcher run per arena entry, rows reduce to a bitmap
-                // lookup on their code; or one run per lane through it.
-                let live = sel.map_or(n, |s| s.len());
-                match memo.bitmap(dict, live, |d| matcher.matches(d) != *negated) {
-                    Some(ok) => {
-                        select_where(nulls, n, sel, &mut out, |i| ok[codes[i] as usize]);
-                        pool.enc_skipped += live as u64;
-                    }
-                    None => select_where(nulls, n, sel, &mut out, |i| {
-                        matcher.matches(&dict[codes[i] as usize]) != *negated
-                    }),
-                }
-            } else {
-                let vals = colv.data.as_str();
-                select_where(nulls, n, sel, &mut out, |i| matcher.matches(&vals[i]) != *negated);
-            }
+            pool.enc_skipped +=
+                select_str(colv, memo, n, sel, &mut out, |s| matcher.matches(s) != *negated);
+            Ok(out)
+        }
+        SelNode::InSet { e, set, memo } => {
+            let mut out = pool.take_sel();
+            let vr = e.run_with_sel(pool, batch, sel)?;
+            let v = pool.get(batch, vr);
+            pool.enc_skipped += select_str(v, memo, n, sel, &mut out, |s| {
+                set.binary_search_by(|k| k.as_str().cmp(s)).is_ok()
+            });
             Ok(out)
         }
         SelNode::Bool(prog) => {
@@ -1777,6 +1870,31 @@ fn run_sel(
             Ok(out)
         }
     }
+}
+
+/// Select the live non-NULL lanes of string vector `v` whose value passes
+/// `test`: once per arena entry through `memo`'s bitmap when `v` is coded
+/// over a small enough arena (returning the lanes so decided), else lane
+/// by lane where the strings lie.
+fn select_str(
+    v: &Vector,
+    memo: &mut DictMemo,
+    n: usize,
+    sel: Option<&SelVec>,
+    out: &mut SelVec,
+    test: impl Fn(&str) -> bool,
+) -> u64 {
+    let nulls = v.nulls.as_deref();
+    if let Some((codes, dict)) = v.dict_parts() {
+        let live = sel.map_or(n, |s| s.len());
+        if let Some(ok) = memo.bitmap(dict, live, &test) {
+            select_where(nulls, n, sel, out, |i| ok[codes[i] as usize]);
+            return live as u64;
+        }
+    }
+    let lanes = v.str_lanes();
+    select_where(nulls, n, sel, out, |i| test(lanes.get(i)));
+    0
 }
 
 /// Select the live non-NULL lanes where `pred` holds; whether there is a
@@ -2457,6 +2575,101 @@ mod tests {
             let want = e.eval(&batch).unwrap();
             for (i, g) in got.iter().enumerate() {
                 assert_eq!(g, &want.get(i), "{e:?} lane {i}");
+            }
+        }
+    }
+
+    #[test]
+    fn string_helpers_write_what_the_std_methods_return() {
+        let words = ["", "abc", "ÀÉÎ straße", "ΟΔΟΣ ΣΑΣ σ", "İstanbul", "日本語🦀", "ǅ ﬁ"];
+        for w in words {
+            let (mut up, mut low) = (String::new(), String::new());
+            upper_into(w, &mut up);
+            lower_into(w, &mut low);
+            assert_eq!((up, low), (w.to_uppercase(), w.to_lowercase()), "{w}");
+            for start in 0..6 {
+                for take in [0, 1, 3, usize::MAX] {
+                    let want: String = w.chars().skip(start).take(take).collect();
+                    assert_eq!(substr(w, start, take), want, "{w} {start} {take}");
+                }
+            }
+            for (from, to) in [("a", "XY"), ("", "z"), ("Σ", ""), ("ΣΑ", "ΣΑΣΑ"), ("🦀", "c")]
+            {
+                let mut got = String::new();
+                replace_into(w, from, to, &mut got);
+                let want = if from.is_empty() { w.to_string() } else { w.replace(from, to) };
+                assert_eq!(got, want, "{w} {from} {to}");
+            }
+        }
+    }
+
+    /// Over a coded column — an arena with fewer entries than the batch has
+    /// live lanes (LIKE runs once per entry) and one with more (once per
+    /// lane, through the codes) — with NULLs and a selection, every string
+    /// kernel answers as the interpreter over the flat column does.
+    #[test]
+    fn string_kernels_on_coded_lanes_match_the_interpreter() {
+        let s = || col(0, TypeId::Str);
+        let k = |v: &str| PhysExpr::Const(Value::Str(v.into()), TypeId::Str);
+        let f = |func, args: Vec<PhysExpr>, ty| PhysExpr::FuncCall { func, args, ty };
+        let like =
+            |p: &str, negated| PhysExpr::Like { input: Box::new(s()), pattern: p.into(), negated };
+        let exprs = [
+            f(Func::Upper, vec![s()], TypeId::Str),
+            f(Func::Lower, vec![s()], TypeId::Str),
+            f(Func::Trim, vec![s()], TypeId::Str),
+            f(Func::Length, vec![s()], TypeId::I64),
+            f(Func::Substr, vec![s(), lit(2), lit(3)], TypeId::Str),
+            f(Func::Substr, vec![s(), col(1, TypeId::I64)], TypeId::Str),
+            f(Func::Concat, vec![s(), k("é")], TypeId::Str),
+            f(Func::Concat, vec![k("<"), s()], TypeId::Str),
+            f(Func::Replace, vec![s(), k("a"), k("ΣΣ")], TypeId::Str),
+            like("%a%b_", false),
+            like("_é%", true),
+            PhysExpr::Cmp { op: CmpOp::Lt, lhs: Box::new(s()), rhs: Box::new(k("b")) },
+            PhysExpr::Cmp {
+                op: CmpOp::Eq,
+                lhs: Box::new(f(Func::Upper, vec![s()], TypeId::Str)),
+                rhs: Box::new(s()),
+            },
+            PhysExpr::Case {
+                branches: vec![(like("%a%", false), f(Func::Upper, vec![s()], TypeId::Str))],
+                else_expr: Some(Box::new(s())),
+                ty: TypeId::Str,
+            },
+            PhysExpr::Cast { input: Box::new(col(1, TypeId::I64)), to: TypeId::Str },
+            PhysExpr::Cast {
+                input: Box::new(f(Func::Length, vec![s()], TypeId::I64)),
+                to: TypeId::Str,
+            },
+        ];
+        let words = ["", " a ", "ab", "éa b", "bab", "ΣΑΣ", "日🦀a", "a_b"];
+        let n = 64;
+        let codes: Vec<u32> = (0..n as u32).map(|i| (i * 5 + i / 7) % 8).collect();
+        let nulls: Vec<bool> = (0..n).map(|i| i % 9 == 4).collect();
+        let starts = Vector::new(ColData::I64((0..n as i64).map(|i| 1 + i % 4).collect()));
+        // 8 distinct entries (LIKE per entry), and 80 with repeats.
+        let small = Arc::new(StrArena::from_strs(words, true));
+        let wide: Vec<&str> = (0..80).map(|i| words[i % 8]).collect();
+        let wide = Arc::new(StrArena::from_strs(wide, false));
+        for arena in [small, wide] {
+            let coded = Vector::from_dict(codes.clone(), arena, Some(nulls.clone()));
+            let mut flat = coded.clone();
+            flat.ensure_flat();
+            for sel in [None, Some(SelVec::from_positions((0..n as u32).step_by(3).collect()))] {
+                let mut batch = Batch::new(vec![coded.clone(), starts.clone()]);
+                let mut reference = Batch::new(vec![flat.clone(), starts.clone()]);
+                batch.sel = sel.clone();
+                reference.sel = sel.clone();
+                for e in &exprs {
+                    let p = ExprProgram::compile(e);
+                    let mut pool = VectorPool::new();
+                    let got = run_values(&p, &mut pool, &batch);
+                    let want = e.eval(&reference).unwrap();
+                    for i in reference.live() {
+                        assert_eq!(got[i], want.get(i), "{e:?} lane {i}");
+                    }
+                }
             }
         }
     }

@@ -9,7 +9,7 @@
 //! stable storage uses) and rehydrates them as ordinary [`Batch`]es.
 //!
 //! The policy half — *when* to spill and *which* partition — lives in
-//! [`crate::partition`] (the [`MemBudget`](crate::partition::MemBudget)
+//! [`crate::partition`] (the [`MemBudget`]
 //! governor, victim selection, radix strata, recursion depth floor); what
 //! a partition writes and how spilled partitions are re-processed is the
 //! operators' (`op/hashjoin.rs`, `op/hashagg.rs`).
@@ -20,11 +20,11 @@
 
 use crate::cancel::CancelToken;
 use crate::op::Operator;
-use crate::partition::SpillMetrics;
+use crate::partition::{MemBudget, SpillConfig, SpillMetrics};
 use crate::vector::{Batch, Vector};
 use std::borrow::Borrow;
 use std::sync::Arc;
-use vw_common::{Result, Schema, TypeId};
+use vw_common::{ColData, Result, Schema, SelVec, TypeId};
 use vw_storage::{decode_spill_batch, encode_spill_batch, SpillFile};
 
 /// Encode one run of equally-long vectors as a spill chunk and append it
@@ -55,6 +55,87 @@ pub fn append_vectors<V: Borrow<Vector>>(file: &mut SpillFile, cols: &[V]) -> Re
         })
         .collect();
     file.append(encode_spill_batch(&encoded))
+}
+
+/// Rows a [`SpillStage`] gathers before it writes them as one chunk.
+pub const SPILL_CHUNK_ROWS: usize = 2048;
+
+/// Rows bound for one spill file, gathered until a chunk's worth is
+/// staged and then written as one chunk — a probe batch spreads over the
+/// partitions, so writing each batch's share at once would make chunks of
+/// a few rows each, replayed as batches as small. At most
+/// [`SPILL_CHUNK_ROWS`] rows (plus one batch's share) wait; their bytes
+/// are charged to the query's budget while they do, and a push that takes
+/// the budget over writes the stage out at once, so staged rows never
+/// keep the budget over (the other operators of the query evict while it
+/// is). The staged vectors are flat: a coded source inflates only the
+/// lanes staged, and the stage pins no pack's arena.
+pub struct SpillStage {
+    /// `None` once [`SpillStage::finish`] handed it over.
+    file: Option<SpillFile>,
+    vecs: Vec<Vector>,
+    /// Bytes charged to `budget` for the staged rows.
+    charged: usize,
+    budget: Arc<MemBudget>,
+    metrics: Arc<SpillMetrics>,
+}
+
+impl SpillStage {
+    /// An empty stage for rows of `types`, writing to a fresh file on
+    /// `cfg`'s device and charging `cfg`'s budget.
+    pub fn new(cfg: &SpillConfig, types: impl Iterator<Item = TypeId>) -> SpillStage {
+        SpillStage {
+            file: Some(SpillFile::new(cfg.disk.clone())),
+            vecs: types.map(|t| Vector::new(ColData::new(t))).collect(),
+            charged: 0,
+            budget: cfg.budget.clone(),
+            metrics: cfg.metrics.clone(),
+        }
+    }
+
+    /// Stage the `sel` lanes of `cols`; a full stage, or one whose rows
+    /// took the budget over, is written out.
+    pub fn push(&mut self, cols: &[Vector], sel: &SelVec) -> Result<()> {
+        let mut bytes = 0;
+        for (dst, src) in self.vecs.iter_mut().zip(cols) {
+            bytes += src.flat_bytes(sel);
+            dst.extend_gather_sel(src, sel);
+            dst.ensure_flat();
+        }
+        self.budget.charge(bytes);
+        self.charged += bytes;
+        if self.vecs[0].len() >= SPILL_CHUNK_ROWS || self.budget.over() {
+            self.flush()?;
+        }
+        Ok(())
+    }
+
+    /// Write the staged rows as one chunk (none staged: nothing written).
+    fn flush(&mut self) -> Result<()> {
+        if self.vecs[0].is_empty() {
+            return Ok(());
+        }
+        let file = self.file.as_mut().expect("a stage writes until it is finished");
+        let written = append_vectors(file, &self.vecs)?;
+        self.metrics.record_write(written as u64);
+        for v in &mut self.vecs {
+            v.clear_keep_capacity();
+        }
+        self.budget.uncharge(std::mem::take(&mut self.charged));
+        Ok(())
+    }
+
+    /// Write what is still staged and hand the file over.
+    pub fn finish(mut self) -> Result<SpillFile> {
+        self.flush()?;
+        Ok(self.file.take().expect("finished once"))
+    }
+}
+
+impl Drop for SpillStage {
+    fn drop(&mut self) {
+        self.budget.uncharge(self.charged);
+    }
 }
 
 /// Decode spill chunk `i` of `file` back into vectors of `types`; also
@@ -196,6 +277,55 @@ mod tests {
         assert!(disk.used_bytes() > 0, "a file another reader still holds stays");
         drop(tail);
         assert_eq!(disk.used_bytes(), 0, "spill blocks reclaimed with the last reader");
+    }
+
+    /// Stage `n` rows of `k` in 64-row batches, the odd lanes of each
+    /// selected, under `budget` with `taken` bytes of it already charged
+    /// by someone else; returns the file and, per push, whether the budget
+    /// was over afterwards.
+    fn stage_odd_rows(n: i64, budget: Arc<MemBudget>, taken: usize) -> (SpillFile, Vec<bool>) {
+        let cfg = SpillConfig::new(budget.clone(), SimulatedDisk::instant(), 8);
+        budget.charge(taken);
+        let mut stage = SpillStage::new(&cfg, [TypeId::I64].into_iter());
+        let odd = SelVec::from_positions((1..64).step_by(2).collect());
+        let mut over = Vec::new();
+        for lo in (0..n).step_by(64) {
+            let k = Vector::new(ColData::I64((lo..lo + 64).collect()));
+            stage.push(&[k], &odd).unwrap();
+            over.push(budget.over());
+        }
+        let file = stage.finish().unwrap();
+        budget.uncharge(taken);
+        assert_eq!(budget.used(), 0, "written rows uncharged");
+        (file, over)
+    }
+
+    /// The rows a file holds, chunk by chunk.
+    fn chunk_rows(file: &SpillFile) -> Vec<Vec<i64>> {
+        (0..file.n_chunks())
+            .map(|i| read_vectors(file, i, &[TypeId::I64]).unwrap().0[0].data.as_i64().to_vec())
+            .collect()
+    }
+
+    #[test]
+    fn a_stage_writes_full_chunks_and_never_keeps_the_budget_over() {
+        let n = 20_480;
+        let odd: Vec<i64> = (1..n).step_by(2).collect();
+        // Room to spare: 32 rows a push, written SPILL_CHUNK_ROWS at a
+        // time (the rest once the input ends).
+        let (file, over) = stage_odd_rows(n, MemBudget::new(1 << 20), 0);
+        assert!(!over.contains(&true));
+        let chunks = chunk_rows(&file);
+        assert_eq!(chunks.len(), odd.len().div_ceil(SPILL_CHUNK_ROWS));
+        assert!(chunks[..chunks.len() - 1].iter().all(|c| c.len() == SPILL_CHUNK_ROWS));
+        assert_eq!(chunks.concat(), odd);
+        // A budget someone else has nearly used up: a push that takes it
+        // over writes the stage at once, so after no push is it over.
+        let (file, over) = stage_odd_rows(n, MemBudget::new(1 << 20), (1 << 20) - 2_000);
+        assert!(!over.contains(&true), "staged rows kept the budget over");
+        let chunks = chunk_rows(&file);
+        assert!(chunks.len() > odd.len().div_ceil(SPILL_CHUNK_ROWS), "flushed early");
+        assert_eq!(chunks.concat(), odd);
     }
 
     #[test]

@@ -42,6 +42,26 @@ pub enum Enc {
     },
 }
 
+/// A string vector's lanes as `&str` — see [`Vector::str_lanes`].
+#[derive(Clone, Copy)]
+pub enum StrLanes<'a> {
+    /// Flat values.
+    Flat(&'a [String]),
+    /// Codes into an arena.
+    Coded(&'a [u32], &'a StrArena),
+}
+
+impl<'a> StrLanes<'a> {
+    /// Lane `i` (not NULL-checked: a NULL lane reads its safe value).
+    #[inline]
+    pub fn get(&self, i: usize) -> &'a str {
+        match *self {
+            StrLanes::Flat(s) => &s[i],
+            StrLanes::Coded(codes, arena) => &arena[codes[i] as usize],
+        }
+    }
+}
+
 /// A typed value vector with the Vectorwise two-column NULL representation:
 /// `data` always holds a well-typed ("safe") value at every position, and
 /// `nulls`, when present, flags the positions that are SQL NULL.
@@ -152,17 +172,67 @@ impl Vector {
 
     /// The string at position `i` without cloning (dict-aware; `i` must
     /// name a string column and is *not* NULL-checked — callers holding a
-    /// non-null position use this in hash/compare loops).
+    /// non-null position use this in hash/compare loops; a loop over many
+    /// lanes takes [`Vector::str_lanes`] once instead).
     #[inline]
     pub fn str_at(&self, i: usize) -> &str {
-        if let Some((codes, dict)) = self.dict_parts() {
-            &dict[codes[i] as usize]
-        } else {
-            match &self.data {
-                ColData::Str(s) => &s[i],
-                _ => unreachable!("str_at on non-string column"),
-            }
+        self.str_lanes().get(i)
+    }
+
+    /// This string vector's lanes, read in place: through the codes when
+    /// it is coded, from the flat values otherwise. Nothing is copied.
+    #[inline]
+    pub fn str_lanes(&self) -> StrLanes<'_> {
+        match (&self.enc, &self.data) {
+            (Some(Enc::Dict { codes, dict }), _) => StrLanes::Coded(codes, dict),
+            (_, ColData::Str(s)) => StrLanes::Flat(s),
+            _ => unreachable!("str_lanes on a {} column", self.type_id()),
         }
+    }
+
+    /// Turn this string vector into an empty coded vector over an arena of
+    /// its own, for a string kernel to fill: one entry per written lane,
+    /// codes pointing at them. The arena is reused when nothing else holds
+    /// it, else a fresh one with room for `lanes` entries of `bytes` bytes
+    /// replaces it — so writing a vector of strings costs no allocation per
+    /// value, and none at all once the buffers are warm.
+    pub(crate) fn str_output(
+        &mut self,
+        lanes: usize,
+        bytes: usize,
+    ) -> (&mut Vec<u32>, &mut StrArena) {
+        debug_assert_eq!(self.type_id(), TypeId::Str);
+        self.data.clear();
+        if !matches!(self.enc, Some(Enc::Dict { .. })) {
+            self.enc =
+                Some(Enc::Dict { codes: Vec::with_capacity(lanes), dict: StrArena::empty() });
+        }
+        let Some(Enc::Dict { codes, dict }) = &mut self.enc else { unreachable!() };
+        codes.clear();
+        match Arc::get_mut(dict) {
+            Some(arena) => arena.clear(),
+            None => *dict = Arc::new(StrArena::with_capacity(lanes, bytes)),
+        }
+        let arena = Arc::get_mut(dict).expect("the output arena is unshared");
+        (codes, arena)
+    }
+
+    /// The bytes [`Vector::byte_size`] counts for the `sel` lanes of this
+    /// vector once gathered flat (a coded string lane as the `String` it
+    /// would inflate to).
+    pub fn flat_bytes(&self, sel: &SelVec) -> usize {
+        let nulls = if self.nulls.is_some() { sel.len() } else { 0 };
+        let values = match self.type_id() {
+            TypeId::Str => {
+                let lanes = self.str_lanes();
+                sel.iter().map(|p| lanes.get(p).len() + 24).sum()
+            }
+            TypeId::Bool | TypeId::I8 => sel.len(),
+            TypeId::I16 => sel.len() * 2,
+            TypeId::I32 | TypeId::Date => sel.len() * 4,
+            TypeId::I64 | TypeId::F64 => sel.len() * 8,
+        };
+        values + nulls
     }
 
     /// Approximate heap bytes held by this vector (value buffer plus NULL
@@ -276,30 +346,26 @@ impl Vector {
         }
     }
 
-    /// Normalize representations before an append: if the append cannot
-    /// stay coded (dictionary mismatch, or mixing flat and coded), flatten
-    /// whichever side this vector owns. Returns a flat copy of `src` when
-    /// *it* was the coded side, else `None` (append straight from `src`).
-    fn flatten_for_append(&mut self, src: &Vector) -> Option<Vector> {
-        if self.adopts_dict_of(src) {
-            return None;
-        }
-        if self.enc.is_some() {
-            self.ensure_flat();
-        }
-        if src.enc.is_some() {
-            let mut flat = src.clone();
-            flat.ensure_flat();
-            Some(flat)
-        } else {
-            None
+    /// Append `src`'s lanes `lanes` to this flat vector's values (the
+    /// NULL indicator is the caller's): a coded source inflates just
+    /// those lanes.
+    fn extend_values_flat(&mut self, src: &Vector, lanes: impl Iterator<Item = usize>) {
+        match src.dict_parts() {
+            Some((codes, dict)) => {
+                let ColData::Str(out) = &mut self.data else {
+                    unreachable!("dict append on non-string column")
+                };
+                out.extend(lanes.map(|p| dict[codes[p] as usize].to_owned()));
+            }
+            None => self.data.extend_gather(&src.data, lanes),
         }
     }
 
     /// Append the lanes of `src` selected by `sel` (vectorized hash-build
     /// append: batch rows flow into the contiguous build-side vectors).
     /// Dict-coded lanes stay coded while the dictionaries match (one pack
-    /// feeding one build); a mismatch materializes both sides.
+    /// feeding one build); on a mismatch this vector goes flat and only
+    /// the selected lanes of the source inflate.
     pub fn extend_gather_sel(&mut self, src: &Vector, sel: &SelVec) {
         if self.adopts_dict_of(src) {
             let Some((src_codes, src_dict)) = src.dict_parts() else { unreachable!() };
@@ -322,12 +388,12 @@ impl Vector {
             }
             return;
         }
-        if let Some(flat) = self.flatten_for_append(src) {
-            return self.extend_gather_sel(&flat, sel);
-        }
-        self.enc = None; // a grown RLE sidecar no longer matches `data`
+        // Not adoptable: this vector goes flat (inflating only the lanes it
+        // holds, or dropping an RLE sidecar that would stop covering), and
+        // only the appended lanes of a coded source inflate.
+        self.ensure_flat();
         self.extend_nulls_gather(src, sel);
-        self.data.extend_gather(&src.data, sel.iter());
+        self.extend_values_flat(src, sel.iter());
     }
 
     /// The NULL-indicator half of [`Vector::extend_gather_sel`].
@@ -450,7 +516,8 @@ impl Vector {
 
     /// Concatenate `other[start..end]` onto this vector. Dict-coded
     /// sources stay coded while the dictionaries match (see
-    /// [`Vector::extend_gather_sel`]); any other mix materializes.
+    /// [`Vector::extend_gather_sel`]); any other mix materializes this
+    /// vector and the appended range only.
     pub fn extend_range(&mut self, other: &Vector, start: usize, end: usize) {
         if self.adopts_dict_of(other) {
             let Some((src_codes, src_dict)) = other.dict_parts() else { unreachable!() };
@@ -470,14 +537,12 @@ impl Vector {
             }
             return;
         }
-        if self.enc.is_some() || other.enc.is_some() {
-            if let Some(flat) = self.flatten_for_append(other) {
-                return self.extend_range(&flat, start, end);
-            }
-            self.enc = None; // drop a no-longer-covering RLE sidecar
-        }
+        self.ensure_flat(); // as in `extend_gather_sel`
         self.extend_nulls_range(other, start, end);
-        self.data.extend_from_range(&other.data, start, end);
+        match other.enc {
+            Some(Enc::Dict { .. }) => self.extend_values_flat(other, start..end),
+            _ => self.data.extend_from_range(&other.data, start, end),
+        }
     }
 
     /// The NULL-indicator half of [`Vector::extend_range`].

@@ -33,7 +33,9 @@ use std::sync::Arc;
 use vw_common::{ColData, Result, TypeId, VwError};
 use vw_compress::dict::{decode_codes, materialize_codes, DistinctStrings, StrArena};
 use vw_compress::io::{ByteReader, ByteWriter};
-use vw_compress::{compress_auto, decompress, rle, Compressed, Encoding, Lane};
+use vw_compress::{
+    bits_for, compress_auto, compress_with, decompress, rle, Compressed, Encoding, Lane,
+};
 
 fn put_ints(c: &Compressed, w: &mut ByteWriter) {
     w.put_u8(c.encoding.tag());
@@ -158,12 +160,36 @@ fn get_strings(r: &mut ByteReader, n: usize) -> Result<(Vec<u32>, StrArena)> {
 /// `nulls`, when present, indexes the same rows as `data`; positions
 /// flagged true are NULL and `data` holds safe defaults there.
 pub fn encode_chunk(data: &ColData, rows: Range<usize>, nulls: Option<&[bool]>) -> Vec<u8> {
+    encode_chunk_with(data, rows, nulls, compress_auto)
+}
+
+/// The integer encoding of a spill chunk: frame of reference when the
+/// frame saves at least a byte a value, raw otherwise — one min/max pass
+/// instead of [`compress_auto`]'s analysis (a distinct-value hash set,
+/// run and sortedness counts, PFOR width histograms), which costs tens of
+/// nanoseconds a value on random keys and doubles: far more than a temp
+/// chunk, written once and read once, saves by being smaller. The tags
+/// are the stable ones, so [`decode_chunk`] reads it unchanged.
+fn compress_spill(values: &[i64]) -> Compressed {
+    let (lo, hi) = values.iter().fold((i64::MAX, i64::MIN), |(lo, hi), &v| (lo.min(v), hi.max(v)));
+    let frame = bits_for((hi as u64).wrapping_sub(lo as u64));
+    let enc = if values.len() >= 16 && frame <= 56 { Encoding::BitPack } else { Encoding::Raw };
+    compress_with(values, enc).expect("FOR and RAW accept any values")
+}
+
+/// [`encode_chunk`] with `ints` choosing the integer blocks' encoding.
+fn encode_chunk_with(
+    data: &ColData,
+    rows: Range<usize>,
+    nulls: Option<&[bool]>,
+    ints: fn(&[i64]) -> Compressed,
+) -> Vec<u8> {
     let mut w = ByteWriter::new();
     match nulls.map(|m| &m[rows.clone()]) {
         Some(mask) if mask.iter().any(|&b| b) => {
             w.put_u8(1);
-            let ints: Vec<i64> = mask.iter().map(|&b| b as i64).collect();
-            put_ints(&compress_auto(&ints), &mut w);
+            let mask: Vec<i64> = mask.iter().map(|&b| b as i64).collect();
+            put_ints(&ints(&mask), &mut w);
         }
         _ => w.put_u8(0),
     }
@@ -174,9 +200,9 @@ pub fn encode_chunk(data: &ColData, rows: Range<usize>, nulls: Option<&[bool]>) 
         }
         other => {
             w.put_u8(0);
-            let mut ints = Vec::new();
-            other.to_i64s(rows, &mut ints);
-            put_ints(&compress_auto(&ints), &mut w);
+            let mut values = Vec::new();
+            other.to_i64s(rows, &mut values);
+            put_ints(&ints(&values), &mut w);
         }
     }
     w.into_bytes()
@@ -268,7 +294,9 @@ pub fn decode_chunk_encoded(bytes: &[u8], ty: TypeId, n: usize) -> Result<Encode
 }
 
 /// Serialize one multi-column spill batch: a row-count header followed by
-/// one [`encode_chunk`]-format chunk per column. This is the on-disk unit
+/// one [`encode_chunk`]-format chunk per column, its integer blocks
+/// encoded by a single pass (frame of reference or raw; strings as in a
+/// pack). This is the on-disk unit
 /// of the grace-spilling hash operators (`vw-exec::spill`) — the same
 /// compressed block format the pack writer uses, so spilled build/probe
 /// rows ride the existing codecs.
@@ -286,7 +314,7 @@ pub fn encode_spill_batch(cols: &[(&ColData, Option<&[bool]>)]) -> Vec<u8> {
     w.put_u32(cols.len() as u32);
     w.put_u32(rows as u32);
     for (data, nulls) in cols {
-        let chunk = encode_chunk(data, 0..rows, *nulls);
+        let chunk = encode_chunk_with(data, 0..rows, *nulls, compress_spill);
         assert!(
             chunk.len() <= u32::MAX as usize,
             "spill column chunk exceeds the 4 GiB block format limit"
@@ -557,6 +585,72 @@ mod tests {
         assert!(cols[0].1.is_none());
         assert_eq!(cols[1].0, b);
         assert_eq!(cols[1].1.as_deref(), Some(&b_nulls[..]));
+    }
+
+    #[test]
+    fn spill_batches_of_every_column_type_roundtrip() {
+        // Each type at 2 048 rows: a constant column, a narrow frame, the
+        // type's extremes (a frame too wide to pack), and NULLs.
+        let n = 2048usize;
+        let mix = |i: usize| (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let cases: Vec<ColData> = vec![
+            ColData::Bool((0..n).map(|i| mix(i) % 3 == 0).collect()),
+            ColData::I8((0..n).map(|i| mix(i) as i8).collect()),
+            ColData::I16((0..n).map(|i| 7 + (mix(i) % 40) as i16).collect()),
+            ColData::I32((0..n).map(|i| mix(i) as i32).collect()),
+            ColData::I64(vec![-5; n]),
+            ColData::I64((0..n).map(|i| 1_000_000 + (mix(i) % 5000) as i64).collect()),
+            ColData::I64((0..n).map(|i| [i64::MIN, i64::MAX, 0][i % 3]).collect()),
+            ColData::F64((0..n).map(|i| f64::from_bits(mix(i))).collect()),
+            ColData::F64((0..n).map(|i| [0.5, -0.0, f64::INFINITY, 3.25][i % 4]).collect()),
+            ColData::Date((0..n).map(|i| 9000 + (i % 400) as i32).collect()),
+            ColData::Str((0..n).map(|i| format!("v{}", mix(i) % 97)).collect()),
+            ColData::Str((0..n).map(|i| format!("{:x}-é", mix(i))).collect()),
+        ];
+        for data in &cases {
+            let ty = data.type_id();
+            let nulls: Vec<bool> = (0..n).map(|i| mix(i + 1) % 5 == 0).collect();
+            for m in [None, Some(&nulls[..])] {
+                let bytes = encode_spill_batch(&[(data, m)]);
+                let cols = decode_spill_batch(&bytes, &[ty]).unwrap();
+                // NaN payloads compare by bits, like the spilled values.
+                let bits = |d: &ColData| match d {
+                    ColData::F64(v) => v.iter().map(|x| x.to_bits() as i64).collect(),
+                    d => {
+                        let mut out = Vec::new();
+                        if ty != TypeId::Str {
+                            d.to_i64s(0..d.len(), &mut out);
+                        }
+                        out
+                    }
+                };
+                assert_eq!(bits(&cols[0].0), bits(data), "{ty:?}");
+                if ty == TypeId::Str {
+                    assert_eq!(&cols[0].0, data);
+                }
+                assert_eq!(cols[0].1.as_deref(), m, "{ty:?} NULLs");
+            }
+        }
+    }
+
+    #[test]
+    fn spill_integers_skip_the_analysis_and_tables_keep_it() {
+        // A frame of 12 bits is packed; random 64-bit patterns stay raw.
+        let narrow = ColData::I64((0..2048).map(|i| 40_000 + (i * 7919) % 4096).collect());
+        let wide = ColData::I64(
+            (0..2048u64).map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15) as i64).collect(),
+        );
+        let value_tag = |bytes: &[u8]| {
+            // batch header (8), chunk length (4), no NULLs (1), ints (1).
+            Encoding::from_tag(bytes[14]).unwrap()
+        };
+        assert_eq!(value_tag(&encode_spill_batch(&[(&narrow, None)])), Encoding::BitPack);
+        assert_eq!(value_tag(&encode_spill_batch(&[(&wide, None)])), Encoding::Raw);
+        // A table pack still picks by analysis (a dense run compresses by
+        // PFOR-DELTA there), and spilling does not change it.
+        let sorted = ColData::I64((0..2048).collect());
+        let pack = encode_chunk(&sorted, 0..2048, None);
+        assert_ne!(Encoding::from_tag(pack[2]).unwrap(), Encoding::BitPack);
     }
 
     #[test]

@@ -953,6 +953,30 @@ fn strings_leave_the_scan_coded() {
     }
 }
 
+/// Strings are computed where they lie: no operator flattens the columns
+/// a program reads (every string instruction reads coded lanes in place),
+/// and no string kernel writes into a flat `Vec<String>` register. Names
+/// are spelled in halves so this file does not hold them.
+#[test]
+fn strings_are_computed_where_they_lie() {
+    let exec = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/exec/src");
+    let non_test = |file: &str| -> String {
+        let text = std::fs::read_to_string(exec.join(file)).unwrap();
+        text.lines().take_while(|l| !l.starts_with("#[cfg(test)]")).collect::<Vec<_>>().join("\n")
+    };
+    for op in ["op/simple.rs", "op/hashagg.rs", "op/hashjoin.rs"] {
+        let code = non_test(op);
+        for name in [concat!("flat", "_cols"), concat!("ensure", "_flat"), concat!("cols", "_used")]
+        {
+            assert!(!code.contains(name), "{op} names `{name}`");
+        }
+    }
+    let program = non_test("program.rs");
+    for name in [concat!("as_str", "_mut"), concat!("flat", "_cols"), concat!("ensure", "_flat")] {
+        assert!(!program.contains(name), "program.rs names `{name}`");
+    }
+}
+
 /// Every `.rs` file under `dir`, recursively.
 fn rust_files(dir: &std::path::Path, out: &mut Vec<std::path::PathBuf>) {
     for entry in std::fs::read_dir(dir).unwrap_or_else(|e| panic!("{}: {e}", dir.display())) {

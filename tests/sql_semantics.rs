@@ -4473,3 +4473,238 @@ mod subquery_differential {
         assert_eq!(r.rows()[0][0], Value::I64(3));
     }
 }
+
+/// LIKE compiled into anchored pieces and searches, checked against the
+/// backtracking matcher it replaced, over every form a string column takes
+/// in a batch: flat (a HEAP table), coded over a PDICT dictionary (tested
+/// once per entry) and coded over a raw block's arena (tested lane by
+/// lane) — in WHERE, in the SELECT list, in a CASE, negated, with NULLs.
+mod like_kernels {
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+    use std::sync::Arc;
+    use std::time::{Duration, Instant};
+    use vectorwise::common::{ColData, EngineConfig, Value};
+    use vectorwise::core::{bulk_load, Database};
+    use vectorwise::storage::SimulatedDisk;
+
+    /// The recursive matcher LIKE had before: exponential in its `%`
+    /// segments, but plainly right — the oracle.
+    fn like_reference(pattern: &[char], s: &str) -> bool {
+        match pattern.first() {
+            None => s.is_empty(),
+            Some('%') => {
+                let mut cs = s.chars();
+                loop {
+                    if like_reference(&pattern[1..], cs.as_str()) {
+                        return true;
+                    }
+                    if cs.next().is_none() {
+                        return false;
+                    }
+                }
+            }
+            Some('_') => {
+                let mut cs = s.chars();
+                cs.next().is_some() && like_reference(&pattern[1..], cs.as_str())
+            }
+            Some(&c) => s.strip_prefix(c).is_some_and(|r| like_reference(&pattern[1..], r)),
+        }
+    }
+
+    const TEXT: [&str; 6] = ["a", "b", "a", "é", "日", "🦀"];
+    const ROWS: usize = 2048;
+
+    fn text(rng: &mut SmallRng, max: usize) -> String {
+        (0..rng.gen_range(0..=max)).map(|_| TEXT[rng.gen_range(0..TEXT.len())]).collect()
+    }
+
+    /// `w (id, d, r)` twice: VECTORWISE in 1 024-row packs scanned in
+    /// 256-row vectors — `d` drawn from 12 values (PDICT), `r` mostly
+    /// distinct (raw) — and its HEAP twin `w_h`, whose strings are flat.
+    fn db(seed: u64) -> (Arc<Database>, Vec<[Option<String>; 2]>) {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let pool: Vec<String> = (0..12).map(|_| text(&mut rng, 5)).collect();
+        let rows: Vec<[Option<String>; 2]> = (0..ROWS)
+            .map(|_| {
+                let d = (rng.gen_range(0..10) > 0).then(|| pool[rng.gen_range(0..12)].clone());
+                let r = (rng.gen_range(0..10) > 0).then(|| text(&mut rng, 14));
+                [d, r]
+            })
+            .collect();
+        let cfg = EngineConfig { pack_size: 1024, vector_size: 256, ..EngineConfig::default() };
+        let db = Database::open_with(cfg, SimulatedDisk::instant());
+        for (name, ty) in [("w", "VECTORWISE"), ("w_h", "HEAP")] {
+            db.execute(&format!(
+                "CREATE TABLE {name} (id BIGINT NOT NULL, d VARCHAR, r VARCHAR) WITH TYPE = {ty}"
+            ))
+            .unwrap();
+        }
+        let col = |j: usize| {
+            let vals = rows.iter().map(|r| r[j].clone().unwrap_or_default()).collect();
+            (ColData::Str(vals), Some(rows.iter().map(|r| r[j].is_none()).collect()))
+        };
+        let ((d, dn), (r, rn)) = (col(0), col(1));
+        let ids = ColData::I64((0..ROWS as i64).collect());
+        bulk_load(&db, "w", &[ids, d, r], &[None, dn, rn]).unwrap();
+        let lit = |v: &Option<String>| v.as_ref().map_or("NULL".into(), |s| format!("'{s}'"));
+        for (i, chunk) in rows.chunks(256).enumerate() {
+            let values: Vec<String> = chunk
+                .iter()
+                .enumerate()
+                .map(|(j, r)| format!("({}, {}, {})", i * 256 + j, lit(&r[0]), lit(&r[1])))
+                .collect();
+            db.execute(&format!("INSERT INTO w_h VALUES {}", values.join(", "))).unwrap();
+        }
+        (db, rows)
+    }
+
+    /// Pack 0 of `w.d` is a PDICT dictionary, of `w.r` a raw block.
+    fn assert_forms(db: &Database) {
+        use vectorwise::core::catalog::TableKind;
+        use vectorwise::storage::pack::EncodedChunk;
+        let cat = db.catalog.read();
+        let TableKind::Vectorwise { storage, .. } = &cat.get("w").unwrap().kind else {
+            panic!("w is a VECTORWISE table")
+        };
+        let storage = storage.read().clone();
+        let distinct = |c: usize| match &storage.read_pack_encoded(0, &[c]).unwrap()[..] {
+            [EncodedChunk::Dict { dict, .. }] => dict.distinct(),
+            _ => panic!("a string chunk comes back coded"),
+        };
+        assert!(distinct(1), "w.d is stored PDICT");
+        assert!(!distinct(2), "w.r is stored raw");
+    }
+
+    #[test]
+    fn like_agrees_with_the_backtracking_matcher_on_flat_pdict_and_raw_columns() {
+        const PAT: [&str; 8] = ["%", "_", "a", "b", "é", "日", "🦀", "%"];
+        for seed in 0..2u64 {
+            let (db, rows) = db(0x11ce ^ seed);
+            assert_forms(&db);
+            let mut rng = SmallRng::seed_from_u64(seed);
+            for _ in 0..12 {
+                let pattern: String =
+                    (0..rng.gen_range(0..7)).map(|_| PAT[rng.gen_range(0..PAT.len())]).collect();
+                let chars: Vec<char> = pattern.chars().collect();
+                for (j, c) in ["d", "r"].into_iter().enumerate() {
+                    // Per row: NULL, or whether the value matches.
+                    let want: Vec<Option<bool>> = rows
+                        .iter()
+                        .map(|r| r[j].as_deref().map(|s| like_reference(&chars, s)))
+                        .collect();
+                    let ids = |keep: bool| -> Vec<Vec<Value>> {
+                        (0..ROWS)
+                            .filter(|&i| want[i] == Some(keep))
+                            .map(|i| vec![Value::I64(i as i64)])
+                            .collect()
+                    };
+                    let truth = |b: Option<bool>| b.map_or(Value::Null, Value::Bool);
+                    let cases: [(String, Vec<Vec<Value>>); 4] = [
+                        (format!("SELECT id FROM @ WHERE {c} LIKE '{pattern}'"), ids(true)),
+                        (format!("SELECT id FROM @ WHERE {c} NOT LIKE '{pattern}'"), ids(false)),
+                        (
+                            format!("SELECT id, {c} LIKE '{pattern}' FROM @"),
+                            (0..ROWS).map(|i| vec![Value::I64(i as i64), truth(want[i])]).collect(),
+                        ),
+                        (
+                            format!(
+                                "SELECT id, CASE WHEN {c} NOT LIKE '{pattern}' THEN 'no' \
+                                 WHEN {c} LIKE '{pattern}' THEN 'yes' END FROM @"
+                            ),
+                            (0..ROWS)
+                                .map(|i| {
+                                    let v = match want[i] {
+                                        Some(true) => Value::Str("yes".into()),
+                                        Some(false) => Value::Str("no".into()),
+                                        None => Value::Null,
+                                    };
+                                    vec![Value::I64(i as i64), v]
+                                })
+                                .collect(),
+                        ),
+                    ];
+                    for (sql, want) in &cases {
+                        for table in ["w", "w_h"] {
+                            let sql = format!("{} ORDER BY id", sql.replace('@', table));
+                            let got = db.execute(&sql).unwrap().rows().to_vec();
+                            assert!(got == *want, "seed {seed}: {sql}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// String functions, IN lists, comparisons, casts and CASE read coded
+    /// lanes where they lie and write one arena per vector — per arena
+    /// entry over a PDICT dictionary, per lane over a raw arena: every
+    /// operator that consumes their results answers as the HEAP twin.
+    #[test]
+    fn string_kernels_answer_like_the_heap_twin_on_pdict_and_raw_columns() {
+        let (db, _) = db(0x57ee);
+        assert_forms(&db);
+        let queries = [
+            "SELECT id, UPPER(@), LOWER(@), TRIM(@), LENGTH(@) FROM t",
+            "SELECT id, SUBSTR(@, 2, 3), SUBSTR(@, 3), CONCAT(@, 'é'), CONCAT(d, r) FROM t",
+            "SELECT id, REPLACE(@, 'a', '日日'), REPLACE(@, r, 'x'), CONCAT(@, CAST(id AS VARCHAR)) FROM t",
+            "SELECT id FROM t WHERE SUBSTR(@, 1, 1) IN ('a', 'é', '🦀')",
+            "SELECT id FROM t WHERE UPPER(@) IN ('AB', 'A', '', 'BÉ') OR @ IN ('b', 'ba')",
+            "SELECT id, CASE WHEN @ < 'b' THEN UPPER(@) WHEN @ = '' THEN 'empty' ELSE @ END FROM t",
+            "SELECT id, @ = d, @ > r, CONCAT(CAST(LENGTH(@) AS VARCHAR), @) FROM t",
+            "SELECT id FROM t WHERE CAST(CAST(id AS VARCHAR) AS BIGINT) = id AND @ <> UPPER(@)",
+            "SELECT SUBSTR(@, 1, 2), COUNT(*), MIN(@), MAX(UPPER(@)) FROM t GROUP BY SUBSTR(@, 1, 2)",
+            "SELECT SUM(CASE WHEN @ = 'a' THEN 1 ELSE 0 END), COUNT(@) FROM t WHERE id % 3 = 1",
+            "SELECT a.id, b.id FROM t a JOIN t b ON UPPER(a.@) = SUBSTR(b.r, 1, 3) \
+             WHERE a.id < 300 AND b.id < 300",
+        ];
+        let sorted = |mut rows: Vec<Vec<Value>>| {
+            rows.sort_by_key(|r| format!("{r:?}"));
+            rows
+        };
+        for q in queries {
+            for c in ["d", "r"] {
+                let q = q.replace('@', c);
+                let heap = sorted(db.execute(&q.replace(" t", " w_h")).unwrap().rows().to_vec());
+                let got = sorted(db.execute(&q.replace(" t", " w")).unwrap().rows().to_vec());
+                assert!(!heap.is_empty(), "vacuous: {q}");
+                assert!(got == heap, "{q} diverged from the HEAP twin");
+            }
+        }
+    }
+
+    /// Backtracking tries every way to place the `%a` segments among the
+    /// row's `a`s; pieces found left to right do one pass per row.
+    #[test]
+    fn a_like_with_many_percent_segments_is_linear_in_the_row() {
+        const ROWS: usize = 10_000;
+        let db = Database::open_in_memory();
+        for (name, ty) in [("a", "VECTORWISE"), ("a_h", "HEAP")] {
+            db.execute(&format!("CREATE TABLE {name} (s VARCHAR NOT NULL) WITH TYPE = {ty}"))
+                .unwrap();
+        }
+        // Two hundred `a`s, a few with a marker the patterns look for.
+        let rows: Vec<String> = (0..ROWS)
+            .map(|i| if i % 1000 == 7 { format!("{}b", "a".repeat(199)) } else { "a".repeat(200) })
+            .collect();
+        bulk_load(&db, "a", &[ColData::Str(rows.clone())], &[None]).unwrap();
+        for chunk in rows.chunks(500) {
+            let values: Vec<String> = chunk.iter().map(|s| format!("('{s}')")).collect();
+            db.execute(&format!("INSERT INTO a_h VALUES {}", values.join(", "))).unwrap();
+        }
+        for (pattern, want) in [
+            ("%a%a%a%a%a%a%ab", 10),
+            ("%a%a%a%a%a%a%b%", 10),
+            ("_%a%a%a_a%a%a%a_", 10_000),
+            ("%a%a%a%a%a%a%a", 9_990),
+        ] {
+            for table in ["a", "a_h"] {
+                let sql = format!("SELECT COUNT(*) FROM {table} WHERE s LIKE '{pattern}'");
+                let t = Instant::now();
+                let got = db.execute(&sql).unwrap().rows().to_vec();
+                assert_eq!(got, vec![vec![Value::I64(want)]], "{sql}");
+                assert!(t.elapsed() < Duration::from_secs(1), "{sql}: {:?}", t.elapsed());
+            }
+        }
+    }
+}

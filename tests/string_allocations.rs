@@ -143,3 +143,122 @@ fn a_point_lookup_allocates_only_the_strings_it_returns() {
          {without} without them"
     );
 }
+
+/// A session at DOP 1 and no memory budget (the CI lanes set both through
+/// the environment): every operator runs on this thread, unpartitioned.
+fn serial_db() -> Arc<Database> {
+    let db = Database::open_in_memory();
+    db.execute("SET dop = 1").unwrap();
+    db.execute("SET mem_budget = 0").unwrap();
+    db
+}
+
+/// The fewest allocations `sql` makes over three warm runs (the result's
+/// row view, built afterwards, is not counted), with its rows.
+fn statement_allocations(db: &Arc<Database>, sql: &str) -> (u64, Vec<Vec<Value>>) {
+    let run = || db.execute(sql).unwrap();
+    run(); // warm: first-use allocations are not the statement's
+    let (n, result) = (0..3).map(|_| allocations(run)).min_by_key(|(n, _)| *n).unwrap();
+    (n, result.rows().to_vec())
+}
+
+/// `t(k BIGINT, s VARCHAR)` of `rows` rows whose every `s` is distinct
+/// and long, so each pack stores its strings raw.
+fn raw_string_table(db: &Arc<Database>, rows: usize) {
+    db.execute("CREATE TABLE t (k BIGINT NOT NULL, s VARCHAR NOT NULL)").unwrap();
+    let columns = [
+        ColData::I64((0..rows as i64).collect()),
+        ColData::Str(
+            (0..rows).map(|i| format!("{:02}-{i:09}#xcomment-y{}", i % 31, i % 13)).collect(),
+        ),
+    ];
+    assert_eq!(bulk_load(db, "t", &columns, &[None, None]).unwrap(), rows as u64);
+}
+
+#[test]
+fn string_functions_like_and_in_lists_allocate_per_pack_and_batch_not_per_row() {
+    const ROWS: usize = 100_000;
+    let db = serial_db();
+    raw_string_table(&db, ROWS);
+    let (packs, batches) = (ROWS.div_ceil(16 * 1024) as u64, ROWS.div_ceil(1024) as u64);
+    // The same scan and aggregate with no string work is the baseline.
+    let (base, _) = statement_allocations(&db, "SELECT COUNT(*) FROM t WHERE k >= 0");
+    let cases = [
+        (
+            "SELECT COUNT(*) FROM t WHERE SUBSTR(s, 1, 2) IN ('00', '03', '07', '11', '19', '23', '30')",
+            Value::I64((0..ROWS).filter(|i| [0, 3, 7, 11, 19, 23, 30].contains(&(i % 31))).count() as i64),
+        ),
+        (
+            "SELECT COUNT(*) FROM t WHERE s LIKE '%x%y%'",
+            Value::I64(ROWS as i64),
+        ),
+        (
+            "SELECT COUNT(*) FROM t WHERE s NOT LIKE '%comment-_1%'",
+            Value::I64((0..ROWS).filter(|i| i % 13 != 1 && i % 13 != 11 && i % 13 != 12 && i % 13 != 10).count() as i64),
+        ),
+    ];
+    for (sql, want) in cases {
+        let (allocs, rows) = statement_allocations(&db, sql);
+        assert_eq!(rows, vec![vec![want]], "{sql}");
+        assert!(
+            allocs <= base + 8 * (packs + batches),
+            "{sql}: {allocs} allocations, {base} for the same count without strings \
+             ({packs} packs, {batches} batches)"
+        );
+    }
+    // A string result costs its batch one arena, not a `String` per row.
+    let (allocs, rows) = statement_allocations(&db, "SELECT UPPER(s) FROM t");
+    assert_eq!(rows.len(), ROWS);
+    assert_eq!(rows[ROWS - 1], vec![Value::Str("24-000099999#XCOMMENT-Y3".into())]);
+    let (base, _) = statement_allocations(&db, "SELECT k + 1 FROM t");
+    assert!(
+        allocs <= base + 8 * (packs + batches),
+        "SELECT UPPER(s): {allocs} allocations, {base} for SELECT k + 1"
+    );
+}
+
+#[test]
+fn a_join_build_keeping_few_strings_of_many_packs_allocates_per_kept_lane() {
+    const ROWS: usize = 8 * 16 * 1024;
+    let db = serial_db();
+    raw_string_table(&db, ROWS);
+    db.execute("CREATE TABLE p (pk BIGINT NOT NULL)").unwrap();
+    // Every even key probes: the larger side, so t's filtered side builds.
+    let keys: Vec<i64> = (0..ROWS as i64).step_by(2).collect();
+    assert_eq!(bulk_load(&db, "p", &[ColData::I64(keys)], &[None]).unwrap(), ROWS as u64 / 2);
+    let kept = ROWS.div_ceil(100) as u64;
+    // The build is t's side, a Select straight over its scan, which keeps
+    // the rows whose number ends in 00.
+    let sql = "SELECT t.s FROM p, t WHERE p.pk = t.k AND t.s LIKE '%00#%'";
+    let plan = db.execute(&format!("EXPLAIN {sql}")).unwrap().text.unwrap();
+    let build = plan.find("build:").expect("a hash join");
+    assert!(plan[build..].starts_with("build: Select"), "t's side must build:\n{plan}");
+    let (allocs, rows) = statement_allocations(&db, sql);
+    assert_eq!(rows.len() as u64, kept);
+    let batches = (ROWS + ROWS / 2).div_ceil(1024) as u64;
+    assert!(
+        allocs <= 4 * kept + 16 * batches,
+        "keeping {kept} strings of {ROWS} rows in 8 packs took {allocs} allocations \
+         ({batches} batches in all)"
+    );
+}
+
+#[test]
+fn an_aggregate_input_comparing_strings_allocates_no_string() {
+    const ROWS: usize = 100_000;
+    let db = serial_db();
+    raw_string_table(&db, ROWS);
+    let (with_strings, rows) = statement_allocations(
+        &db,
+        "SELECT SUM(CASE WHEN s = '00-000000000#xcomment-y0' THEN 1 ELSE 0 END) FROM t",
+    );
+    assert_eq!(rows, vec![vec![Value::I64(1)]]);
+    let (without, _) =
+        statement_allocations(&db, "SELECT SUM(CASE WHEN k = 0 THEN 1 ELSE 0 END) FROM t");
+    // Planning copies the string literal a few times; running it copies
+    // it into one arena entry per batch register, reused across batches.
+    assert!(
+        with_strings <= without + 64,
+        "comparing {ROWS} strings took {with_strings} allocations, {without} comparing integers"
+    );
+}
