@@ -1,32 +1,21 @@
-//! C15: morsel-driven scheduling vs static row-range partitioning, and the
-//! batch free-list's zero-allocation guarantee.
+//! C15: morsel-driven scheduling under skew, and the batch free-list's
+//! zero-allocation guarantee.
 //!
 //! Two acceptance experiments:
 //!
 //! 1. **90/10 skewed scan at DOP 4.** The table's filter survivors (the
 //!    rows that feed all downstream work) are 90% concentrated in the last
-//!    10% of the row space. The old plan-time `partition_items` split —
-//!    reimplemented here as the baseline — hands that whole region to one
-//!    worker, collapsing the fragment to one effective core. The morsel
-//!    contender shares one `MorselSource`; workers claim pack-aligned
-//!    16Ki-row slices at run time (claims that straddle packs would make
-//!    several workers decode the same pack) and the skew balances itself.
-//!    Measured three ways:
-//!    *   per-worker survivor counts (pure CPU, no simulation), collected
-//!        here by a counting operator per fragment — the engine keeps no
-//!        per-worker counter; in `EXPLAIN ANALYZE` the same number is the
-//!        per-clone row range of a fragment's lines: the work-balance
-//!        observable — max/mean collapses toward 4 for static ranges and
-//!        stays near 1 for morsels;
-//!    *   wall time with **stall-dominated downstream work** (a fixed
-//!        per-survivor latency, modelling the memory/IO stalls that
-//!        dominate joins and aggregations at scale; stalls overlap across
-//!        workers even on this 1-core dev box, so the scheduling effect is
-//!        measured deterministically regardless of host core count) —
-//!        the ≥1.5× acceptance number;
-//!    *   wall time with pure CPU work, printed honestly: on a single
-//!        effective core both schemes do the same total work, so this is
-//!        ~1×; on real multicore the balance win applies to CPU time too.
+//!    10% of the row space. The workers share one `MorselSource` and claim
+//!    pack-aligned 16Ki-row slices at run time (claims that straddle packs
+//!    would make several workers decode the same pack), so the skew
+//!    balances itself. Measured as per-worker survivor counts, collected
+//!    here by a counting operator per fragment — the engine keeps no
+//!    per-worker counter; in `EXPLAIN ANALYZE` the same number is the
+//!    per-clone row range of a fragment's lines. It is printed for a pure
+//!    CPU pass and asserted (max/mean ≤ 2) with **stall-dominated
+//!    downstream work**: a fixed per-survivor latency, modelling the
+//!    memory/IO stalls that dominate joins and aggregations at scale,
+//!    which overlaps across workers on any core count.
 //!
 //! 2. **Zero steady-state allocations across the full pipeline.** A serial
 //!    scan→filter→project→join→agg pipeline with one `BatchPool` threaded
@@ -52,7 +41,7 @@ use vw_exec::op::{
 use vw_exec::partition::WorkerPool;
 use vw_exec::program::{ExprProgram, SelectProgram};
 use vw_exec::vector::Batch;
-use vw_pdt::MergeItem;
+use vw_pdt::treap::stable_image;
 use vw_storage::{BufferPool, SimulatedDisk, TableStorage};
 
 // ---------------------------------------------------------------------------
@@ -151,41 +140,8 @@ fn prog(e: &PhysExpr) -> ExprProgram {
 }
 
 // ---------------------------------------------------------------------------
-// experiment 1: 90/10 skewed scan, static ranges vs morsel claims
+// experiment 1: 90/10 skewed scan under morsel claims
 // ---------------------------------------------------------------------------
-
-/// The old plan-time static split (`op/scan.rs::partition_items` before
-/// this change), kept here as the baseline under measurement.
-fn static_range_items(items: &[MergeItem], part: usize, nparts: usize) -> Vec<MergeItem> {
-    fn rows(i: &MergeItem) -> u64 {
-        match i {
-            MergeItem::Stable { len, .. } => *len,
-            _ => 1,
-        }
-    }
-    let total: u64 = items.iter().map(rows).sum();
-    let lo = total * part as u64 / nparts as u64;
-    let hi = total * (part as u64 + 1) / nparts as u64;
-    let mut out = Vec::new();
-    let mut pos = 0u64;
-    for item in items {
-        let n = rows(item);
-        let (start, end) = (pos, pos + n);
-        pos = end;
-        if end <= lo || start >= hi {
-            continue;
-        }
-        match item {
-            MergeItem::Stable { sid, len } => {
-                let s = lo.saturating_sub(start);
-                let e = (hi - start).min(*len);
-                out.push(MergeItem::Stable { sid: sid + s, len: e - s });
-            }
-            other => out.push(other.clone()),
-        }
-    }
-    out
-}
 
 /// Downstream-work model for the skew experiment: counts the survivor rows
 /// a worker processed (the real balance observable) and optionally sleeps
@@ -219,32 +175,20 @@ impl Operator for Stall {
     }
 }
 
-enum Scheme {
-    StaticRanges,
-    Morsel { rows: usize },
-}
-
 /// Run scan→filter(hot=1)→stall→project(key, val*2) on DOP workers under
-/// an exchange; returns (wall, per-worker survivor counts, rows, checksum).
+/// an exchange, claiming `morsel_rows`-row morsels from one shared source;
+/// returns (wall, per-worker survivor counts, rows, checksum).
 fn run_skew(
     table: &Arc<TableStorage>,
-    scheme: &Scheme,
+    morsel_rows: usize,
     stall_ns: u64,
 ) -> (Duration, Vec<u64>, u64, i64) {
-    let n = table.n_rows();
-    let items = VectorScan::stable_items(n);
     let cancel = CancelToken::new();
-    let shared = match scheme {
-        Scheme::Morsel { rows } => Some(MorselSource::new(items.clone(), *rows)),
-        Scheme::StaticRanges => None,
-    };
+    let shared = MorselSource::new(stable_image(table.n_rows()), morsel_rows);
     let counters: Vec<Arc<AtomicU64>> = (0..DOP).map(|_| Arc::new(AtomicU64::new(0))).collect();
     let mut parts: Vec<BoxedOp> = Vec::new();
-    for (w, counter) in counters.iter().enumerate() {
-        let source = match &shared {
-            Some(src) => src.clone(),
-            None => MorselSource::new(static_range_items(&items, w, DOP), usize::MAX),
-        };
+    for counter in &counters {
+        let source = shared.clone();
         let bp = BatchPool::new();
         let scan =
             VectorScan::with_source(table.clone(), vec![0, 1, 2], source, VECTOR, cancel.clone())
@@ -305,67 +249,36 @@ fn skew_experiment() {
     // decoded by more than one worker (the engine's defaults — 16Ki
     // morsels over 16Ki packs — have the same property).
     let table = build_table(n, 16 * 1024, &hot);
-    let morsel = Scheme::Morsel { rows: 16 * 1024 };
+    let morsel = 16 * 1024;
     let expect_rows = hot.iter().filter(|&&h| h).count() as u64;
 
-    // Pure-CPU pass. The static survivor counts are data-determined: the
-    // 90/10 skew collapses the last range's worker no matter how the OS
-    // schedules threads. (The pure-CPU *morsel* split is printed but not
-    // asserted — with no blocking, a single-core scheduler legitimately
-    // lets one worker drain many claims per time slice; the balanced
-    // regime is asserted on the stall-dominated pass below.)
-    let (t_static_cpu, static_counts, r1, c1) = run_skew(&table, &Scheme::StaticRanges, 0);
-    let (t_morsel_cpu, morsel_counts, r2, c2) = run_skew(&table, &morsel, 0);
-    assert_eq!(r1, expect_rows, "static schedule lost rows");
-    assert_eq!(r2, expect_rows, "morsel schedule lost rows");
-    assert_eq!(c1, c2, "schedules disagree on the answer");
-    let sb = balance(&static_counts);
+    // Pure-CPU pass: printed, not asserted — with no blocking, a
+    // single-core scheduler legitimately lets one worker drain many claims
+    // per time slice; the balanced regime is asserted on the
+    // stall-dominated pass below.
+    let (t_cpu, cpu_counts, rows, checksum) = run_skew(&table, morsel, 0);
+    assert_eq!(rows, expect_rows, "morsel schedule lost rows");
     println!(
-        "skew (pure CPU):  static {:>6.1}ms balance {sb:.2}  {static_counts:?}\n                  morsel {:>6.1}ms balance {:.2}  {morsel_counts:?}",
-        t_static_cpu.as_secs_f64() * 1e3,
-        t_morsel_cpu.as_secs_f64() * 1e3,
-        balance(&morsel_counts),
-    );
-    assert!(
-        sb >= 3.0,
-        "static ranges must collapse under 90/10 skew (max/mean {sb:.2}, counts {static_counts:?})"
+        "skew (pure CPU):  morsel {:>6.1}ms balance {:.2}  {cpu_counts:?}",
+        t_cpu.as_secs_f64() * 1e3,
+        balance(&cpu_counts),
     );
 
     // Stall-dominated pass: per-survivor fixed latency models the stalls
     // that dominate real downstream operators at scale; it overlaps across
-    // workers on any core count, so the wall clock now measures the
-    // *schedule*, not this box's core count. Best of 2 runs each.
+    // workers on any core count, so the counts measure the *schedule*,
+    // not this box's core count.
     let stall_ns = 6_000;
-    let best = |scheme: &Scheme| {
-        let mut best_t = Duration::MAX;
-        let mut counts = Vec::new();
-        for _ in 0..2 {
-            let (t, c, r, chk) = run_skew(&table, scheme, stall_ns);
-            assert_eq!((r, chk), (expect_rows, c1));
-            if t < best_t {
-                best_t = t;
-                counts = c;
-            }
-        }
-        (best_t, counts)
-    };
-    let (t_static, _) = best(&Scheme::StaticRanges);
-    let (t_morsel, stalled_counts) = best(&morsel);
-    let mb = balance(&stalled_counts);
-    let speedup = t_static.as_secs_f64() / t_morsel.as_secs_f64();
+    let (t, counts, r, chk) = run_skew(&table, morsel, stall_ns);
+    assert_eq!((r, chk), (expect_rows, checksum));
+    let mb = balance(&counts);
     println!(
-        "skew (stall-dominated, {stall_ns}ns/survivor): static {:>7.1}ms  morsel {:>7.1}ms  \
-         speedup {speedup:.2}x  morsel balance {mb:.2}  {stalled_counts:?}",
-        t_static.as_secs_f64() * 1e3,
-        t_morsel.as_secs_f64() * 1e3,
-    );
-    assert!(
-        speedup >= 1.5,
-        "morsel scheduling must beat static ranges >=1.5x on the 90/10 skew (got {speedup:.2}x)"
+        "skew (stall-dominated, {stall_ns}ns/survivor): morsel {:>7.1}ms  balance {mb:.2}  {counts:?}",
+        t.as_secs_f64() * 1e3,
     );
     assert!(
         mb <= 2.0,
-        "morsel claims must stay near-linear under skew (max/mean {mb:.2}, {stalled_counts:?})"
+        "morsel claims must stay near-linear under skew (max/mean {mb:.2}, {counts:?})"
     );
 }
 
@@ -423,7 +336,7 @@ fn alloc_experiment() {
     let scan = VectorScan::with_source(
         table,
         vec![0, 1],
-        MorselSource::new(VectorScan::stable_items(n as u64), 8 * 1024),
+        MorselSource::new(stable_image(n as u64), 8 * 1024),
         VECTOR,
         cancel.clone(),
     )
@@ -544,11 +457,8 @@ fn bench(c: &mut Criterion) {
     g.sample_size(10)
         .measurement_time(Duration::from_millis(800))
         .warm_up_time(Duration::from_millis(100));
-    g.bench_function("skewed_scan_static_dop4", |b| {
-        b.iter(|| run_skew(black_box(&table), &Scheme::StaticRanges, 0).2)
-    });
     g.bench_function("skewed_scan_morsel_dop4", |b| {
-        b.iter(|| run_skew(black_box(&table), &Scheme::Morsel { rows: 16 * 1024 }, 0).2)
+        b.iter(|| run_skew(black_box(&table), 16 * 1024, 0).2)
     });
     g.finish();
 }

@@ -1,6 +1,7 @@
 //! C4: PDT positional update + merge costs.
 use vw_common::Value;
-use vw_pdt::{store::items, PdtStore};
+use vw_exec::morsel::MorselSource;
+use vw_pdt::PdtStore;
 
 fn bench(c: &mut Criterion) {
     let mut g = c.benchmark_group("c4");
@@ -41,10 +42,14 @@ fn bench(c: &mut Criterion) {
         t.update_at(pos, 0, Value::I64(1)).unwrap();
     }
     store.commit(t).unwrap();
+    // The scan's merge stream: one claim of the whole image walks the
+    // pinned root and copies out its pieces, seams joined.
+    let mut pieces = Vec::new();
     g.bench_function("merge_stream_5k_deltas", |b| {
         b.iter(|| {
             let (root, _, _) = store.snapshot();
-            items(&root).len()
+            MorselSource::new(root, usize::MAX).claim_into(&mut pieces);
+            pieces.len()
         })
     });
     g.finish();

@@ -46,8 +46,6 @@ use vw_exec::partition::{MemBudget, SpillConfig, DEFAULT_PARALLEL_BUILD_MIN_ROWS
 use vw_exec::profile::{NodeProfile, Profiled};
 use vw_exec::program::{ExprProgram, SelectProgram};
 use vw_exec::CancelToken;
-use vw_pdt::store::items;
-use vw_pdt::MergeItem;
 use vw_sql::optimizer::{Estimator, PlanEstimates};
 use vw_sql::plan::{JoinKind, LogicalPlan, ScanHint};
 use vw_storage::TableStorage;
@@ -520,8 +518,9 @@ fn build_plan_node<'p>(
 /// one scan lowering, shared by SELECT plans and the DML victim search.
 ///
 /// The image is the open transaction's private one when `txn` touched the
-/// table, else the committed snapshot. With `hints`, rows the zone maps
-/// rule out are clipped from it ([`clip_image`]). Work is claimed at run
+/// table, else the committed snapshot, read where it lies: the dispenser
+/// holds its treap root. With `hints`, the dispenser drops the rows the
+/// zone maps rule out ([`MorselSource::pruned`]). Work is claimed at run
 /// time: a partitioned scan attaches to the Exchange's shared dispenser
 /// (created on first visit); a serial scan owns a private single-consumer
 /// one. Either way the scan pulls `morsel_rows`-sized claims until dry.
@@ -545,12 +544,11 @@ fn lower_scan(
             Some(image) => image,
             None => entry.kind.committed().expect("caller matched a VECTORWISE table"),
         };
-        let image = items(&root);
         let source = if hints.is_empty() {
-            MorselSource::new(image, config.morsel_rows)
+            MorselSource::new(root, config.morsel_rows)
         } else {
-            let (image, rids) = clip_image(&stable, image, hints);
-            MorselSource::with_rids(image, rids, config.morsel_rows)
+            let hints = hints.iter().map(|h| (h.col, h.lo.as_ref(), h.hi.as_ref()));
+            MorselSource::pruned(root, stable.clone(), hints, config.morsel_rows)
         };
         (stable, source)
     };
@@ -564,92 +562,6 @@ fn lower_scan(
     };
     VectorScan::with_source(stable, projection.to_vec(), source, config.vector_size, cancel.clone())
         .with_batch_pool(batch_pool.clone())
-}
-
-/// Drop from `image` the rows the MinMax `hints` rule out, returning the
-/// surviving items and the position of each one's first row in the full
-/// image (the scan's RID bases).
-///
-/// Zone maps describe *stable* values, so only what still has them is
-/// clipped: a stable run is cut down to the packs every hint keeps, and a
-/// modified stable row goes only when a hint on a column it did **not**
-/// modify prunes its pack. Inserted rows always stay — their values are
-/// not what any zone map describes.
-fn clip_image(
-    storage: &TableStorage,
-    image: Vec<MergeItem>,
-    hints: &[ScanHint],
-) -> (Vec<MergeItem>, Vec<u64>) {
-    // Per hint, the packs it keeps.
-    let kept: Vec<Vec<bool>> = hints
-        .iter()
-        .map(|h| {
-            let mut keep = vec![false; storage.n_packs()];
-            for r in storage.prune(h.col, h.lo.as_ref(), h.hi.as_ref()) {
-                keep[r.pack] = true;
-            }
-            keep
-        })
-        .collect();
-    // The image addresses the generation pinned with it, so every sid has
-    // a pack; one that has none is never clipped: the scan reports it.
-    let kept_by_all = |pack: usize| kept.iter().all(|k| k[pack]);
-    let mut out: Vec<MergeItem> = Vec::new();
-    let mut rids: Vec<u64> = Vec::new();
-    let mut rid = 0u64;
-    for item in image {
-        match item {
-            MergeItem::Stable { sid, len } => {
-                let end = sid + len;
-                let mut s = sid;
-                while s < end {
-                    let (e, keep) = match storage.pack_of_row(s) {
-                        Some(pack) => {
-                            let meta = storage.pack(pack);
-                            (end.min(meta.row_start + meta.n_rows as u64), kept_by_all(pack))
-                        }
-                        None => (end, true),
-                    };
-                    if keep {
-                        let at = rid + (s - sid);
-                        // Extend the previous run across a pack seam.
-                        match (out.last_mut(), rids.last()) {
-                            (Some(MergeItem::Stable { sid: s0, len: l0 }), Some(&r0))
-                                if *s0 + *l0 == s && r0 + *l0 == at =>
-                            {
-                                *l0 += e - s
-                            }
-                            _ => {
-                                out.push(MergeItem::Stable { sid: s, len: e - s });
-                                rids.push(at);
-                            }
-                        }
-                    }
-                    s = e;
-                }
-                rid += len;
-            }
-            MergeItem::StableMod { sid, ref mods } => {
-                let ruled_out = storage.pack_of_row(sid).is_some_and(|pack| {
-                    hints
-                        .iter()
-                        .zip(&kept)
-                        .any(|(h, k)| !k[pack] && mods.iter().all(|(c, _)| *c != h.col))
-                });
-                if !ruled_out {
-                    out.push(item);
-                    rids.push(rid);
-                }
-                rid += 1;
-            }
-            MergeItem::Insert { .. } => {
-                out.push(item);
-                rids.push(rid);
-                rid += 1;
-            }
-        }
-    }
-    (out, rids)
 }
 
 /// Lower a scan of heap table `store` onto a [`Values`] source — the one

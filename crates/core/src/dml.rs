@@ -13,7 +13,6 @@ use vw_exec::expr::PhysExpr;
 use vw_exec::op::{Operator, VectorScan};
 use vw_exec::program::eval_const;
 use vw_exec::CancelToken;
-use vw_pdt::store::items;
 use vw_pdt::Transaction;
 use vw_sql::ast::Expr;
 use vw_storage::{TableStats, TableStorage};
@@ -450,7 +449,7 @@ pub fn checkpoint(db: &Arc<Database>, config: &EngineConfig, table: Option<&str>
         // Materialize the merged image column by column.
         let all_cols: Vec<usize> = (0..entry.schema.len()).collect();
         let mut scan =
-            VectorScan::new(stable, all_cols, items(&root), config.vector_size, CancelToken::new());
+            VectorScan::new(stable, all_cols, root, config.vector_size, CancelToken::new());
         let mut columns: Vec<ColData> = entry
             .schema
             .fields

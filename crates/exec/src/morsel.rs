@@ -6,14 +6,14 @@
 //!
 //! # MorselSource — run-time work claims instead of plan-time ranges
 //!
-//! The old exchange model partitioned a scan's merge-item stream into
-//! `DOP` static row ranges at plan time. Static ranges bake skew into the
-//! schedule: if the expensive rows cluster in one range, its worker runs
-//! long after its siblings went idle — PAPERS.md's "when more cores hurts"
-//! wall. A [`MorselSource`] replaces that with a shared atomic dispenser:
-//! the full merge-item image is held once, and every worker's scan
-//! repeatedly *claims* the next `morsel_rows`-sized slice of the logical
-//! row space (`EngineConfig::morsel_rows`, SET-able, `VW_MORSEL_ROWS`
+//! The old exchange model partitioned a scan's image into `DOP` static
+//! row ranges at plan time. Static ranges bake skew into the schedule: if
+//! the expensive rows cluster in one range, its worker runs long after its
+//! siblings went idle — PAPERS.md's "when more cores hurts" wall. A
+//! [`MorselSource`] replaces that with a shared atomic dispenser over the
+//! pinned PDT root (the image, held once): every worker's scan repeatedly
+//! *claims* the next `morsel_rows`-sized slice of the image's row
+//! positions (`EngineConfig::morsel_rows`, SET-able, `VW_MORSEL_ROWS`
 //! override). A slow worker simply claims fewer morsels; no row is ever
 //! stranded behind a busy thread.
 //!
@@ -24,16 +24,19 @@
 //!    how evenly the work spread shows in `EXPLAIN ANALYZE` as the
 //!    per-clone row range of the scan's line.
 //! 2. [`MorselSource::claim_into`] atomically advances the shared cursor
-//!    and materializes the claimed slice's merge items into a
-//!    caller-owned buffer (cleared, capacity reused — steady-state claims
-//!    allocate nothing; item clones only bump `Arc` refcounts).
+//!    and walks the treap from the claim's first position by subtree
+//!    size ([`vw_pdt::treap::walk_from`]), copying the pieces the claim
+//!    overlaps into a caller-owned buffer (cleared, capacity reused —
+//!    steady-state claims allocate nothing; piece clones only bump `Arc`
+//!    refcounts). Stable runs are cut at the claim's edges, and runs that
+//!    continue each other (the seams a split leaves) are joined.
 //! 3. Claims are disjoint and cover the image exactly; a `false` return
 //!    means the source is dry for every clone.
-//! 4. Every claimed item carries its **RID base** — the position of its
-//!    first row in the table image. For a whole image that is the running
-//!    row count; an image whose zone-map-pruned stable runs were dropped
-//!    ([`MorselSource::with_rids`]) keeps the positions of the full image,
-//!    so a consumer that asks the scan for RIDs (a DML victim search)
+//! 4. Every claimed piece carries its **RID** — the position of its first
+//!    row in the image, which is where the claim found it. A source with
+//!    zone-map hints ([`MorselSource::pruned`]) drops the rows they rule
+//!    out inside each claim and keeps the positions of the rest, so a
+//!    consumer that asks the scan for RIDs (a DML victim search)
 //!    addresses the right rows however much was skipped.
 //!
 //! # BatchPool — a batch free-list threaded through the pipeline
@@ -72,128 +75,160 @@
 use crate::vector::Batch;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use vw_common::{SelVec, TypeId};
-use vw_pdt::MergeItem;
+use vw_common::{SelVec, TypeId, Value};
+use vw_pdt::treap::{self, Link, Piece};
+use vw_storage::TableStorage;
 
 /// Default rows per morsel claim: large enough that claim overhead (one
-/// atomic add + an item slice) vanishes, small enough that a 90/10-skewed
-/// image still splits into many claims per worker.
+/// atomic add + a short treap walk) vanishes, small enough that a
+/// 90/10-skewed image still splits into many claims per worker.
 pub const DEFAULT_MORSEL_ROWS: usize = 16 * 1024;
 
 /// Upper bound on pooled batches / selection vectors kept per pool;
 /// in-flight batches per pipeline stage are O(1), so this is generous.
 const MAX_POOLED: usize = 32;
 
-/// A shared atomic dispenser over one scan image's merge items.
+/// A shared atomic dispenser over one pinned table image.
 pub struct MorselSource {
-    /// The rows to scan, in image order.
-    items: Vec<MergeItem>,
-    /// `offsets[i]` = scanned rows before `items[i]`; last entry = total.
-    offsets: Vec<u64>,
-    /// `rids[i]` = image position of `items[i]`'s first row; `None` for a
-    /// whole image, where it is `offsets[i]`.
-    rids: Option<Vec<u64>>,
+    /// The image: a PDT root, read where it lies.
+    root: Link,
+    /// Rows in the image.
     total: u64,
     morsel_rows: u64,
-    /// Next unclaimed logical row.
+    /// What zone-map hints rule out, when the scan has any.
+    prune: Option<Prune>,
+    /// Next unclaimed image position.
     next: AtomicU64,
 }
 
+/// The packs of the stable generation an image addresses that each
+/// zone-map hint keeps.
+struct Prune {
+    table: Arc<TableStorage>,
+    /// Per hint: its base-table column and its kept-pack bitmap.
+    hints: Vec<(usize, Vec<bool>)>,
+}
+
 impl MorselSource {
-    /// A dispenser over `items` handing out `morsel_rows`-row claims.
-    /// `morsel_rows` is clamped to at least 1 and at most the image size
-    /// (so `usize::MAX` means "one claim").
-    pub fn new(items: Vec<MergeItem>, morsel_rows: usize) -> Arc<MorselSource> {
-        MorselSource::build(items, None, morsel_rows)
+    /// A dispenser over the image `root` handing out `morsel_rows`-row
+    /// claims. `morsel_rows` is clamped to at least 1 and at most the
+    /// image size (so `usize::MAX` means "one claim").
+    pub fn new(root: Link, morsel_rows: usize) -> Arc<MorselSource> {
+        MorselSource::build(root, None, morsel_rows)
     }
 
-    /// A dispenser over a *clipped* image: `rids[i]` is the position of
-    /// `items[i]`'s first row in the full image the items were cut from
-    /// (ascending, gaps where rows were dropped).
-    pub fn with_rids(
-        items: Vec<MergeItem>,
-        rids: Vec<u64>,
+    /// A dispenser like [`MorselSource::new`] that drops, inside each
+    /// claim, the rows the MinMax `hints` — `(column, lo, hi)`, bounds
+    /// inclusive — rule out in `table`, the generation `root` addresses.
+    ///
+    /// Zone maps describe *stable* values, so only what still has them is
+    /// dropped: a stable run is cut down to the packs every hint keeps,
+    /// and a modified stable row goes only when a hint on a column it did
+    /// **not** modify prunes its pack. Inserted rows always stay — their
+    /// values are not what any zone map describes.
+    pub fn pruned<'a>(
+        root: Link,
+        table: Arc<TableStorage>,
+        hints: impl IntoIterator<Item = (usize, Option<&'a Value>, Option<&'a Value>)>,
         morsel_rows: usize,
     ) -> Arc<MorselSource> {
-        assert_eq!(items.len(), rids.len(), "one RID base per item");
-        MorselSource::build(items, Some(rids), morsel_rows)
+        let hints = hints
+            .into_iter()
+            .map(|(col, lo, hi)| {
+                let mut keep = vec![false; table.n_packs()];
+                for r in table.prune(col, lo, hi) {
+                    keep[r.pack] = true;
+                }
+                (col, keep)
+            })
+            .collect();
+        MorselSource::build(root, Some(Prune { table, hints }), morsel_rows)
     }
 
-    fn build(
-        items: Vec<MergeItem>,
-        rids: Option<Vec<u64>>,
-        morsel_rows: usize,
-    ) -> Arc<MorselSource> {
-        let mut offsets = Vec::with_capacity(items.len() + 1);
-        let mut pos = 0u64;
-        for it in &items {
-            offsets.push(pos);
-            pos += item_rows(it);
-        }
-        offsets.push(pos);
-        let morsel_rows = (morsel_rows as u64).clamp(1, pos.max(1));
-        Arc::new(MorselSource {
-            items,
-            offsets,
-            rids,
-            total: pos,
-            morsel_rows,
-            next: AtomicU64::new(0),
-        })
+    fn build(root: Link, prune: Option<Prune>, morsel_rows: usize) -> Arc<MorselSource> {
+        let total = treap::size(&root);
+        let morsel_rows = (morsel_rows as u64).clamp(1, total.max(1));
+        Arc::new(MorselSource { root, total, morsel_rows, prune, next: AtomicU64::new(0) })
     }
 
-    /// Total logical rows in the image.
-    pub fn total_rows(&self) -> u64 {
-        self.total
-    }
-
-    /// Claim the next morsel, filling `out` (cleared first)
-    /// with `(RID base, merge item)` for the claimed row range. Returns
-    /// `false` when the image is exhausted. Stable runs are cut at claim
-    /// boundaries; single-row items (inserts, modifications) are never
-    /// split.
-    pub fn claim_into(&self, out: &mut Vec<(u64, MergeItem)>) -> bool {
+    /// Claim the next morsel, filling `out` (cleared first) with
+    /// `(RID, piece)` for the claimed rows the hints keep. Returns `false`
+    /// when the image is exhausted. Stable runs are cut at claim edges
+    /// and at pruned packs; single-row pieces (inserts, modifications)
+    /// are never split.
+    pub fn claim_into(&self, out: &mut Vec<(u64, Piece)>) -> bool {
         out.clear();
-        if self.total == 0 {
-            return false;
-        }
-        let start = self.next.fetch_add(self.morsel_rows, Ordering::Relaxed);
-        if start >= self.total {
-            // Dry: park the cursor so repeated polls cannot overflow it.
-            self.next.fetch_sub(self.morsel_rows, Ordering::Relaxed);
-            return false;
-        }
-        let end = (start + self.morsel_rows).min(self.total);
-        // First item containing `start`.
-        let mut i = match self.offsets.binary_search(&start) {
-            Ok(i) => i.min(self.items.len().saturating_sub(1)),
-            Err(i) => i - 1,
-        };
-        let mut pos = self.offsets[i];
-        while pos < end && i < self.items.len() {
-            let n = item_rows(&self.items[i]);
-            let s = start.saturating_sub(pos);
-            let e = (end - pos).min(n);
-            if e > s {
-                let item = match &self.items[i] {
-                    MergeItem::Stable { sid, .. } => MergeItem::Stable { sid: sid + s, len: e - s },
-                    other => other.clone(),
-                };
-                let rid = self.rids.as_ref().map_or(pos, |r| r[i]);
-                out.push((rid + s, item));
+        while out.is_empty() {
+            let start = self.next.fetch_add(self.morsel_rows, Ordering::Relaxed);
+            if start >= self.total {
+                // Dry: park the cursor so repeated polls cannot overflow it.
+                self.next.fetch_sub(self.morsel_rows, Ordering::Relaxed);
+                return false;
             }
-            pos += n;
-            i += 1;
+            let end = (start + self.morsel_rows).min(self.total);
+            treap::walk_from(&self.root, start, &mut |rid, piece| {
+                match piece {
+                    Piece::StableRun { sid, len } => {
+                        let from = start.saturating_sub(rid);
+                        let to = (end - rid).min(*len);
+                        self.push_stable(out, rid + from, sid + from, to - from);
+                    }
+                    Piece::StableMod { sid, mods } if self.rules_out(*sid, mods) => {}
+                    single_row => out.push((rid, single_row.clone())),
+                }
+                rid + piece.rows() < end
+            });
         }
         true
     }
+
+    /// Push the `len` stable rows from `sid` on (at `rid`) that every
+    /// hint keeps.
+    fn push_stable(&self, out: &mut Vec<(u64, Piece)>, rid: u64, sid: u64, len: u64) {
+        let Some(p) = &self.prune else {
+            return push_run(out, rid, sid, len);
+        };
+        let end = sid + len;
+        let mut s = sid;
+        while s < end {
+            // The image addresses the generation pinned with it, so every
+            // sid has a pack; one that has none is kept: the scan reports it.
+            let (e, keep) = match p.table.pack_of_row(s) {
+                Some(pack) => {
+                    let meta = p.table.pack(pack);
+                    let pack_end = meta.row_start + meta.n_rows as u64;
+                    (end.min(pack_end), p.hints.iter().all(|(_, keep)| keep[pack]))
+                }
+                None => (end, true),
+            };
+            if keep {
+                push_run(out, rid + (s - sid), s, e - s);
+            }
+            s = e;
+        }
+    }
+
+    /// Whether a hint on a column the modified row `sid` did not modify
+    /// prunes its pack.
+    fn rules_out(&self, sid: u64, mods: &[(usize, Value)]) -> bool {
+        self.prune.as_ref().is_some_and(|p| {
+            p.table.pack_of_row(sid).is_some_and(|pack| {
+                p.hints.iter().any(|(col, keep)| !keep[pack] && mods.iter().all(|(c, _)| c != col))
+            })
+        })
+    }
 }
 
-fn item_rows(i: &MergeItem) -> u64 {
-    match i {
-        MergeItem::Stable { len, .. } => *len,
-        _ => 1,
+/// Append a stable run at `rid`, joining it onto the previous one when it
+/// continues it in both sid and position.
+fn push_run(out: &mut Vec<(u64, Piece)>, rid: u64, sid: u64, len: u64) {
+    if let Some((r0, Piece::StableRun { sid: s0, len: l0 })) = out.last_mut() {
+        if *s0 + *l0 == sid && *r0 + *l0 == rid {
+            *l0 += len;
+            return;
+        }
     }
+    out.push((rid, Piece::StableRun { sid, len }));
 }
 
 /// The batch free-list shared along one worker pipeline. Cloning shares
@@ -281,131 +316,252 @@ fn fresh_batch(types: &[TypeId], capacity: usize) -> Batch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc as StdArc;
-    use vw_common::Value;
+    use vw_common::{ColData, Field, Schema};
+    use vw_pdt::treap::{for_each_piece, leaf, merge, prio_for};
+    use vw_pdt::PdtStore;
+    use vw_storage::{BufferPool, SimulatedDisk};
 
-    fn stable(sid: u64, len: u64) -> MergeItem {
-        MergeItem::Stable { sid, len }
+    fn run(sid: u64, len: u64) -> Piece {
+        Piece::StableRun { sid, len }
     }
 
-    fn rows_of(items: &[(u64, MergeItem)]) -> u64 {
-        items.iter().map(|(_, it)| item_rows(it)).sum()
+    fn ins(v: i64) -> Piece {
+        Piece::Insert { id: v as u64, row: Arc::new(vec![Value::I64(v), Value::I64(v)]) }
+    }
+
+    fn modified(sid: u64, cols: &[usize]) -> Piece {
+        Piece::StableMod {
+            sid,
+            mods: Arc::new(cols.iter().map(|&c| (c, Value::I64(-1))).collect()),
+        }
+    }
+
+    /// A root holding `pieces` in order, one node each.
+    fn image(pieces: Vec<Piece>) -> Link {
+        pieces.into_iter().enumerate().fold(None, |t, (i, p)| merge(t, leaf(prio_for(i as u64), p)))
+    }
+
+    /// One entry per image row: `(rid, Ok(sid) | Err(insert id))`.
+    type Row = (u64, std::result::Result<u64, u64>);
+
+    fn rows(claimed: &[(u64, Piece)]) -> Vec<Row> {
+        let mut out = Vec::new();
+        for (rid, p) in claimed {
+            match p {
+                Piece::StableRun { sid, len } => {
+                    out.extend((0..*len).map(|k| (rid + k, Ok(sid + k))))
+                }
+                Piece::StableMod { sid, .. } => out.push((*rid, Ok(*sid))),
+                Piece::Insert { id, .. } => out.push((*rid, Err(*id))),
+            }
+        }
+        out
+    }
+
+    /// Every claim of `src`, each checked for the claim invariants.
+    fn drain_claims(src: &MorselSource) -> Vec<Vec<(u64, Piece)>> {
+        let mut claims = Vec::new();
+        let mut buf = Vec::new();
+        while src.claim_into(&mut buf) {
+            assert!(!buf.is_empty(), "a successful claim holds rows");
+            for w in buf.windows(2) {
+                let ((r0, p0), (r1, _)) = (&w[0], &w[1]);
+                assert!(r0 + p0.rows() <= *r1, "pieces ascend by RID");
+                if let (Piece::StableRun { sid: s0, len: l0 }, Piece::StableRun { sid: s1, .. }) =
+                    (p0, &w[1].1)
+                {
+                    assert!(s0 + l0 != *s1 || r0 + l0 != *r1, "contiguous runs are joined");
+                }
+            }
+            claims.push(buf.clone());
+        }
+        // An exhausted source keeps answering false without moving.
+        assert!(!src.claim_into(&mut buf));
+        assert!(buf.is_empty(), "claim_into clears the buffer even when dry");
+        claims
     }
 
     #[test]
     fn claims_are_disjoint_and_cover_the_image() {
-        let items = vec![
-            stable(0, 100),
-            MergeItem::Insert { row: StdArc::new(vec![Value::I64(7)]) },
-            stable(100, 50),
-        ];
-        let src = MorselSource::new(items, 16);
-        assert_eq!(src.total_rows(), 151);
-        let mut buf = Vec::new();
-        let mut total = 0u64;
-        let mut stable_rows: Vec<(u64, u64)> = Vec::new();
-        let mut inserts = 0;
-        while src.claim_into(&mut buf) {
-            let n = rows_of(&buf);
+        // Seams (runs that continue each other), an insert and a
+        // modified row; claims of 16 rows cut the runs.
+        let root = image(vec![
+            run(0, 60),
+            run(60, 40),
+            ins(7),
+            modified(100, &[0]),
+            run(101, 30),
+            run(131, 19),
+        ]);
+        let src = MorselSource::new(root, 16);
+        let claims = drain_claims(&src);
+        for c in &claims {
+            let n: u64 = c.iter().map(|(_, p)| p.rows()).sum();
             assert!((1..=16).contains(&n), "claim size bounded by morsel_rows: {n}");
-            total += n;
-            for (rid, it) in &buf {
-                match it {
-                    MergeItem::Stable { sid, len } => {
-                        // One insert sits between sids 99 and 100.
-                        assert_eq!(*rid, if *sid < 100 { *sid } else { *sid + 1 });
-                        stable_rows.push((*sid, *len))
-                    }
-                    MergeItem::Insert { .. } => {
-                        assert_eq!(*rid, 100);
-                        inserts += 1
-                    }
-                    _ => unreachable!(),
-                }
-            }
         }
-        assert_eq!(total, 151);
-        assert_eq!(inserts, 1);
-        // Stable coverage: every sid of 0..150 exactly once.
-        let mut seen = [false; 150];
-        for (sid, len) in stable_rows {
-            for s in sid..sid + len {
-                assert!(!seen[s as usize], "sid {s} claimed twice");
-                seen[s as usize] = true;
-            }
-        }
-        assert!(seen.iter().all(|&b| b), "every stable row claimed");
-        // Exhausted source keeps answering false without moving.
-        assert!(!src.claim_into(&mut buf));
-        assert!(!src.claim_into(&mut buf));
+        let got: Vec<Row> = claims.iter().flat_map(|c| rows(c)).collect();
+        let mut want: Vec<Row> = (0..100).map(|s| (s, Ok(s))).collect();
+        want.push((100, Err(7)));
+        want.extend((100..150).map(|s| (s + 1, Ok(s))));
+        assert_eq!(got, want);
     }
 
     #[test]
-    fn clipped_image_keeps_full_image_rids() {
-        // Rows 40..60 and 70..100 of a 100-row image, plus the insert at
-        // image position 60; claims of 16 rows cut the runs.
-        let items = vec![
-            stable(40, 20),
-            MergeItem::Insert { row: StdArc::new(vec![Value::I64(7)]) },
-            stable(69, 30),
-        ];
-        let src = MorselSource::with_rids(items, vec![40, 60, 70], 16);
-        assert_eq!(src.total_rows(), 51);
-        let mut buf = Vec::new();
-        let mut seen: Vec<(u64, u64)> = Vec::new(); // (rid, rows)
-        while src.claim_into(&mut buf) {
-            seen.extend(buf.iter().map(|(rid, it)| (*rid, item_rows(it))));
-        }
-        assert_eq!(seen, vec![(40, 16), (56, 4), (60, 1), (70, 11), (81, 16), (97, 3)]);
+    fn claims_join_the_seams_a_split_leaves() {
+        // An insert then its delete leaves the run split in two pieces.
+        let store = PdtStore::new(100);
+        let mut t = store.begin();
+        t.insert_at(50, vec![Value::I64(1)]).unwrap();
+        t.delete_at(50).unwrap();
+        store.commit(t).unwrap();
+        let root = store.snapshot().0;
+        let mut pieces = 0;
+        for_each_piece(&root, &mut |_| pieces += 1);
+        assert_eq!(pieces, 2);
+        let claims = drain_claims(&MorselSource::new(root, usize::MAX));
+        assert_eq!(claims, vec![vec![(0, run(0, 100))]]);
     }
 
     #[test]
     fn one_claim_covers_everything_at_usize_max() {
-        let src = MorselSource::new(vec![stable(5, 40)], usize::MAX);
-        let mut buf = Vec::new();
-        assert!(src.claim_into(&mut buf));
-        assert_eq!(rows_of(&buf), 40);
-        assert!(!src.claim_into(&mut buf));
+        let root = image(vec![run(5, 40), ins(1), modified(45, &[1])]);
+        let claims = drain_claims(&MorselSource::new(root, usize::MAX));
+        assert_eq!(claims.len(), 1);
+        assert_eq!(rows(&claims[0]).len(), 42);
     }
 
     #[test]
     fn empty_image_is_dry_immediately() {
-        let src = MorselSource::new(Vec::new(), 1024);
-        let mut buf = vec![(0, stable(0, 1))];
+        let src = MorselSource::new(None, 1024);
+        let mut buf = vec![(0, run(0, 1))];
         assert!(!src.claim_into(&mut buf));
         assert!(buf.is_empty(), "claim_into clears the buffer even when dry");
     }
 
     #[test]
     fn concurrent_claims_stay_disjoint() {
-        let src = MorselSource::new(vec![stable(0, 100_000)], 64);
+        // 1 000 seams of 100 rows each, every tenth with an insert after it.
+        let mut pieces = Vec::new();
+        for k in 0..1_000u64 {
+            pieces.push(run(k * 100, 100));
+            if k % 10 == 0 {
+                pieces.push(ins(k as i64));
+            }
+        }
+        let src = MorselSource::new(image(pieces), 64);
         let mut handles = Vec::new();
         for _ in 0..4 {
             let src = src.clone();
             handles.push(std::thread::spawn(move || {
                 let mut buf = Vec::new();
-                let mut ranges: Vec<(u64, u64)> = Vec::new();
+                let mut got: Vec<Row> = Vec::new();
                 while src.claim_into(&mut buf) {
-                    for (_, it) in &buf {
-                        if let MergeItem::Stable { sid, len } = it {
-                            ranges.push((*sid, *len));
-                        }
-                    }
+                    got.extend(rows(&buf));
                 }
-                ranges
+                got
             }));
         }
-        let mut all: Vec<(u64, u64)> = Vec::new();
+        let mut all: Vec<Row> = Vec::new();
         for h in handles {
             all.extend(h.join().unwrap());
         }
         all.sort_unstable();
-        let mut pos = 0u64;
-        for (sid, len) in all {
-            assert_eq!(sid, pos, "gap or overlap at sid {sid}");
-            pos = sid + len;
+        assert_eq!(all.len(), 100_100);
+        assert!(all.iter().enumerate().all(|(i, (rid, _))| *rid == i as u64), "gap or overlap");
+        let sids: Vec<u64> = all.iter().filter_map(|(_, r)| r.ok()).collect();
+        assert_eq!(sids, (0..100_000).collect::<Vec<_>>());
+    }
+
+    /// A 200-row table of packs of 16 whose two columns are `sid` and
+    /// `sid % 50`.
+    fn table() -> Arc<TableStorage> {
+        let schema =
+            Schema::new(vec![Field::not_null("a", TypeId::I64), Field::not_null("b", TypeId::I64)])
+                .unwrap();
+        let pool = BufferPool::new(SimulatedDisk::instant(), 1 << 20);
+        let mut t = TableStorage::new(pool, schema);
+        let a = ColData::I64((0..200).collect());
+        let b = ColData::I64((0..200).map(|i| i % 50).collect());
+        t.append_columns(&[a, b], &[None, None], 16).unwrap();
+        Arc::new(t)
+    }
+
+    #[test]
+    fn pruned_claims_keep_image_rids_and_the_pruning_rule() {
+        let table = table();
+        let mut x = 11u64;
+        let mut rnd = move |n: u64| {
+            x = vw_common::hash::hash_u64(x);
+            x % n
+        };
+        for round in 0..200 {
+            // A random image of the table: runs with gaps (deleted rows),
+            // seams, modified rows (of column 0, 1 or both) and inserts.
+            let mut pieces = Vec::new();
+            let mut sid = rnd(5);
+            while sid < 200 {
+                match rnd(4) {
+                    0 => pieces.push(ins(1_000 + sid as i64)),
+                    1 => {
+                        pieces.push(modified(sid, [&[0][..], &[1], &[0, 1]][rnd(3) as usize]));
+                        sid += 1;
+                    }
+                    _ => {
+                        let len = (1 + rnd(40)).min(200 - sid);
+                        pieces.push(run(sid, len));
+                        sid += len;
+                    }
+                }
+                sid += rnd(2) * rnd(4);
+            }
+            let root = image(pieces);
+            // One or two hints, on either column.
+            let bounds: Vec<(usize, Value, Value)> = (0..1 + rnd(2))
+                .map(|_| {
+                    let col = rnd(2) as usize;
+                    let lo = rnd(if col == 0 { 200 } else { 50 }) as i64;
+                    (col, Value::I64(lo), Value::I64(lo + rnd(60) as i64))
+                })
+                .collect();
+            let hints = bounds.iter().map(|(c, lo, hi)| (*c, Some(lo), Some(hi)));
+            let morsel = 1 + rnd(40) as usize;
+            let src = MorselSource::pruned(root.clone(), table.clone(), hints, morsel);
+            let got: Vec<Row> = drain_claims(&src).iter().flat_map(|c| rows(c)).collect();
+
+            // The rule, row by row: a hint keeps a pack when its range of
+            // the column meets the hint's.
+            let keeps = |pack: u64, (col, lo, hi): &(usize, Value, Value)| {
+                let sids = pack * 16..(pack * 16 + 16).min(200);
+                let vals: Vec<i64> =
+                    sids.map(|s| if *col == 0 { s as i64 } else { s as i64 % 50 }).collect();
+                let (Value::I64(lo), Value::I64(hi)) = (lo, hi) else { unreachable!() };
+                vals.iter().min().unwrap() <= hi && vals.iter().max().unwrap() >= lo
+            };
+            let mut want: Vec<Row> = Vec::new();
+            let mut rid = 0u64;
+            for_each_piece(&root, &mut |p| {
+                match p {
+                    Piece::StableRun { sid, len } => {
+                        for s in *sid..sid + len {
+                            if bounds.iter().all(|h| keeps(s / 16, h)) {
+                                want.push((rid + s - sid, Ok(s)));
+                            }
+                        }
+                    }
+                    Piece::StableMod { sid, mods } => {
+                        let out = bounds
+                            .iter()
+                            .any(|h| !keeps(sid / 16, h) && mods.iter().all(|(c, _)| *c != h.0));
+                        if !out {
+                            want.push((rid, Ok(*sid)));
+                        }
+                    }
+                    Piece::Insert { id, .. } => want.push((rid, Err(*id))),
+                }
+                rid += p.rows();
+            });
+            assert_eq!(got, want, "round {round}: hints {bounds:?}, morsel {morsel}");
         }
-        assert_eq!(pos, 100_000);
     }
 
     #[test]

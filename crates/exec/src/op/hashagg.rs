@@ -64,12 +64,13 @@ use crate::morsel::BatchPool;
 use crate::partition::{Partitions, RadixRouter, SpillConfig};
 use crate::profile::OpProfile;
 use crate::program::{ExprProgram, VecRef, VectorPool};
+use crate::spill::SpillStage;
 use crate::vector::{Batch, StrArena, Vector};
 use std::collections::VecDeque;
 use std::sync::Arc;
 use vw_common::hash::{hash_bytes, hash_combine, hash_u64};
 use vw_common::{ColData, Result, Schema, SelVec, TypeId, VwError};
-use vw_storage::{encode_spill_batch, SpillFile};
+use vw_storage::SpillFile;
 
 /// Aggregate functions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -873,19 +874,17 @@ impl AggShard {
     }
 
     /// Serialize this shard's groups as one re-mergeable partial-state
-    /// chunk (key columns then flattened state columns) appended to
-    /// `file`; returns encoded bytes. The shard itself is not modified —
-    /// the caller replaces it with a fresh one.
-    fn spill_state(&self, file: &mut SpillFile) -> Result<usize> {
+    /// chunk (key columns then flattened state columns) written through
+    /// `stage`. The shard itself is not modified — the caller replaces it
+    /// with a fresh one.
+    fn spill_state(&self, stage: &mut SpillStage) -> Result<()> {
         let n = self.n_groups;
         let mut state_vecs: Vec<Vector> = Vec::new();
         for (st, &ty) in self.states.iter().zip(&self.out_tys) {
             state_vecs.extend(st.spill_columns(0, n, ty)?);
         }
-        let mut pairs: Vec<(&ColData, Option<&[bool]>)> =
-            self.group_keys.iter().map(|v| (&v.data, v.nulls.as_deref())).collect();
-        pairs.extend(state_vecs.iter().map(|v| (&v.data, v.nulls.as_deref())));
-        file.append(encode_spill_batch(&pairs))
+        let cols: Vec<&Vector> = self.group_keys.iter().chain(&state_vecs).collect();
+        stage.append(&cols)
     }
 
     /// Fold one rehydrated partial-state chunk into this shard: resolve
@@ -1057,7 +1056,7 @@ impl HashAggregate {
         // Too big to merge at once: split every chunk's state rows by the
         // next stratum's radix bits and recurse per sub-partition.
         let mut router = RadixRouter::at_depth(cfg.partitions, depth);
-        let mut subs: Vec<Option<SpillFile>> = (0..router.partitions()).map(|_| None).collect();
+        let mut subs: Vec<Option<SpillStage>> = (0..router.partitions()).map(|_| None).collect();
         let (mut lanes, mut hashes) = (Vec::new(), Vec::new());
         for i in 0..file.n_chunks() {
             self.cancel.check()?;
@@ -1071,26 +1070,21 @@ impl HashAggregate {
             router.split(&hashes, None, rows);
             for (si, slot) in subs.iter_mut().enumerate() {
                 let sel = router.shard_sel(si);
-                if sel.is_empty() {
-                    continue;
+                if !sel.is_empty() {
+                    // A deeper-stratum partition's stage counts it: the
+                    // `spill` column counts partitions across all strata
+                    // (the join path does the same).
+                    let sub = slot.get_or_insert_with(|| cfg.new_stage());
+                    sub.push(&vecs, sel)?;
+                    sub.flush_if_over()?;
                 }
-                let gathered: Vec<Vector> = vecs.iter().map(|v| v.gather(sel)).collect();
-                let pairs: Vec<(&ColData, Option<&[bool]>)> =
-                    gathered.iter().map(|v| (&v.data, v.nulls.as_deref())).collect();
-                if slot.is_none() {
-                    // A deeper-stratum partition spills its first chunk:
-                    // the `spill` column counts partitions across all
-                    // strata (the join path does the same).
-                    cfg.metrics.record_partition();
-                }
-                let sub = slot.get_or_insert_with(|| SpillFile::new(cfg.disk.clone()));
-                let written = sub.append(encode_spill_batch(&pairs))?;
-                cfg.metrics.record_write(written as u64);
             }
         }
+        let subs: Vec<SpillFile> =
+            subs.into_iter().flatten().map(SpillStage::finish).collect::<Result<_>>()?;
         drop(file); // this stratum's blocks are free before recursing
         let mut outs = Vec::new();
-        for sub in subs.into_iter().flatten() {
+        for sub in subs {
             outs.extend(self.reaggregate(sub, cfg, depth + 1)?);
         }
         Ok(outs)
@@ -1159,11 +1153,11 @@ impl HashAggregate {
             // An evicted shard's partial state goes to its spill file and
             // the shard restarts empty (outside the key-program borrows).
             let profile = &mut self.profile;
-            parts.evict_while_over(|_, shard, file| {
-                let written = shard.spill_state(file)?;
+            parts.evict_while_over(|_, shard, stage| {
+                shard.spill_state(stage)?;
                 let mut evicted = std::mem::replace(shard, AggShard::new(group_exprs, aggs)?);
                 evicted.retire(profile);
-                Ok(written)
+                Ok(())
             })?;
         }
         // The one finalize. Shards are key-disjoint, so never-evicted ones
@@ -1172,7 +1166,7 @@ impl HashAggregate {
         // at emit time — one merged partition in memory at a time.
         for (si, mut shard) in parts.take_slots().into_iter().enumerate() {
             shard.retire(&mut self.profile);
-            match parts.take_file(si) {
+            match parts.take_stage(si) {
                 None => {
                     // Global aggregation over zero rows still yields one
                     // group (COUNT over nothing is 0 — the initial state).
@@ -1182,13 +1176,11 @@ impl HashAggregate {
                     self.profile.record_shard_build(si, shard.n_groups as u64);
                     self.out_shards.push_back(shard);
                 }
-                Some(mut file) => {
+                Some(mut stage) => {
                     if shard.n_groups > 0 {
-                        let written = shard.spill_state(&mut file)?;
-                        let cfg = parts.spill_config().expect("a spill file implies a governor");
-                        cfg.metrics.record_write(written as u64);
+                        shard.spill_state(&mut stage)?;
                     }
-                    self.pending.push(file);
+                    self.pending.push(stage.finish()?);
                 }
             }
         }

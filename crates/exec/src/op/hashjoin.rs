@@ -69,7 +69,7 @@ use crate::morsel::BatchPool;
 use crate::partition::{Partitions, RadixRouter, SpillConfig, DEFAULT_PARALLEL_BUILD_MIN_ROWS};
 use crate::profile::OpProfile;
 use crate::program::{ExprProgram, VecRef, VectorPool};
-use crate::spill::{self, SpillScan, SpillStage};
+use crate::spill::{SpillScan, SpillStage};
 use crate::vector::{Batch, Vector};
 use std::sync::atomic::{AtomicU8, Ordering::SeqCst};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -636,11 +636,13 @@ impl SharedBuild {
             for (parts, own) in st.deposits.iter_mut().zip(&mut stages) {
                 let stage = &mut own[si];
                 if !stage.hashes.is_empty() {
-                    parts.append_spilled(si, &self.layout.payload(&stage.vecs))?;
+                    parts.spill_stage(si).append(&self.layout.payload(&stage.vecs))?;
                     stage.clear();
                     parts.recharge(si, 0);
                 }
-                slot_files.extend(parts.take_file(si).map(Arc::new));
+                if let Some(spilled) = parts.take_stage(si) {
+                    slot_files.push(Arc::new(spilled.finish()?));
+                }
             }
         }
         let slot_rows: Vec<usize> =
@@ -818,14 +820,11 @@ impl BuildSink {
                 let governed = build.spill.is_some();
                 for si in 0..parts.partitions() {
                     if parts.is_spilled(si) {
-                        // Already evicted: rows go straight to disk (the
+                        // Already evicted: rows are staged for disk (the
                         // build columns only — keys and hashes are program
                         // outputs, recomputed at rehydration).
-                        let sel = parts.routed(si);
-                        if !sel.is_empty() {
-                            let cols: Vec<Vector> =
-                                batch.columns.iter().map(|v| v.gather(sel)).collect();
-                            parts.append_spilled(si, &cols)?;
+                        if !parts.routed(si).is_empty() {
+                            parts.push_spilled(si, &batch.columns)?;
                         }
                         continue;
                     }
@@ -838,10 +837,10 @@ impl BuildSink {
                         parts.recharge(si, bytes);
                     }
                 }
-                parts.evict_while_over(|_, stage, file| {
-                    let written = spill::append_vectors(file, &build.layout.payload(&stage.vecs))?;
+                parts.evict_while_over(|_, stage, spilled| {
+                    spilled.append(&build.layout.payload(&stage.vecs))?;
                     stage.clear();
-                    Ok(written)
+                    Ok(())
                 })?;
             }
         }
@@ -1208,10 +1207,9 @@ fn probe_batch(
         }
         if build.is_spilled(si) {
             let cfg = build.spill.as_ref().expect("spilled implies governed");
-            let types = batch.columns.iter().map(Vector::type_id);
-            probe_spill[si]
-                .get_or_insert_with(|| SpillStage::new(cfg, types))
-                .push(&batch.columns, sel)?;
+            let stage = probe_spill[si].get_or_insert_with(|| SpillStage::new(cfg));
+            stage.push(&batch.columns, sel)?;
+            stage.flush_if_over()?;
             if s.deferred_flags.len() < n {
                 s.deferred_flags.resize(n, false);
             }
@@ -1855,6 +1853,62 @@ mod tests {
         assert!(probed - built <= n as u64 / 256, "{} chunks for {n} probe rows", probed - built);
         // Between probe batches the staged rows never leave the budget over.
         assert!(seen.iter().all(|&(_, used)| used <= limit), "{seen:?}");
+    }
+
+    #[test]
+    fn spilled_build_rows_are_staged_and_never_keep_the_budget_over() {
+        use crate::partition::{MemBudget, SpillConfig};
+        use crate::spill::SPILL_CHUNK_ROWS;
+        use std::sync::atomic::Ordering::Relaxed;
+        use vw_storage::SimulatedDisk;
+        // 20 000 build rows in 64-row batches over 8 partitions: the
+        // budget holds under a third of them, so every partition evicts
+        // and every later batch routes a few rows to each evicted one.
+        let (n, limit) = (20_000i64, 96 * 1024);
+        let schema = Schema::new(vec![Field::nullable("k", TypeId::I64)]).unwrap();
+        let mk = |vals: Vec<i64>| -> BoxedOp {
+            let rows = vals.into_iter().map(|v| vec![Value::I64(v)]).collect();
+            Box::new(Values::new(schema.clone(), rows, 64, CancelToken::new()))
+        };
+        let disk = SimulatedDisk::instant();
+        let budget = MemBudget::new(limit);
+        let cfg = SpillConfig::new(budget.clone(), disk.clone(), 8);
+        let metrics = cfg.metrics.clone();
+        let (built, probed) = (Arc::new(Mutex::new(Vec::new())), Arc::new(Mutex::new(Vec::new())));
+        let watched = |inner, seen: &Arc<Mutex<Vec<(u64, usize)>>>| -> BoxedOp {
+            Box::new(Watched {
+                inner,
+                metrics: metrics.clone(),
+                budget: budget.clone(),
+                seen: seen.clone(),
+            })
+        };
+        let mut j = HashJoin::new(
+            watched(mk((0..n).collect()), &probed),
+            watched(mk((0..n).rev().collect()), &built),
+            key_cols(&[(0, TypeId::I64)]),
+            key_cols(&[(0, TypeId::I64)]),
+            JoinType::Inner,
+            schema.join(&schema),
+            CancelToken::new(),
+        )
+        .with_spill(cfg);
+        let out = drain(&mut j).unwrap();
+        assert_eq!(out.rows(), n as usize);
+        drop(j);
+        assert_eq!((budget.used(), disk.used_bytes()), (0, 0), "every byte and block let go");
+        // The build is done at the probe's first pull: its chunks are
+        // full ones, one per eviction and at most one last one per
+        // partition. (A chunk per build batch per evicted partition would
+        // be over 1 000.)
+        let spilled = metrics.partitions.load(Relaxed);
+        assert!(spilled >= 4, "{spilled} partitions spilled");
+        let chunks = probed.lock().unwrap()[0].0;
+        let bound = (n as u64).div_ceil(SPILL_CHUNK_ROWS as u64) + spilled + 8;
+        assert!(chunks <= bound, "{chunks} chunks for {n} build rows (bound {bound})");
+        // Between build batches the budget is never over.
+        let built = built.lock().unwrap();
+        assert!(built.iter().all(|&(_, used)| used <= limit), "{built:?}");
     }
 
     #[test]

@@ -1,12 +1,13 @@
 //! The vectorized table scan: compressed packs → cache-resident vectors,
 //! with PDT deltas merged on the fly (MergeScan of the PDT paper).
 //!
-//! The scan walks a [`MergeItem`] stream describing the visible image:
-//! stable runs are served by decompressing pack chunks and memcpy-ing
-//! ranges; modified rows overlay their new column values; inserted rows are
-//! appended from the delta store. Merge cost is therefore proportional to
-//! the *delta count*, not the table size — the property benchmark C4
-//! verifies.
+//! The scan reads the image where it lies, the pinned PDT root: each
+//! claim hands it the treap pieces of a slice of row positions
+//! ([`Piece`]). Stable runs are served by decompressing pack chunks and
+//! memcpy-ing ranges; modified rows overlay their new column values;
+//! inserted rows are appended from the delta store. Merge cost is
+//! therefore proportional to the *delta count* of what is read, not the
+//! table size — the property benchmark C4 verifies.
 //!
 //! The scan holds the stable generation its image addresses (an
 //! `Arc<TableStorage>`) and reads packs through that generation's buffer
@@ -15,19 +16,19 @@
 //!
 //! Work arrives in *morsels*: the scan repeatedly claims the next
 //! `morsel_rows`-sized slice of the image from a shared
-//! [`MorselSource`] dispenser (see `crate::morsel`). A serial scan owns a
-//! private dispenser; the scan clones of one exchange fragment share one,
-//! so a slow worker claims fewer morsels instead of stranding a
-//! pre-assigned static range — the replacement for the old plan-time
-//! `partition_items` splitting. Output batches lease from the
-//! pipeline's [`BatchPool`] when one is attached, so a steady-state scan
-//! reuses the buffers its consumer recycled instead of allocating.
+//! [`MorselSource`] dispenser (see `crate::morsel`), which also drops
+//! what the scan's zone-map hints rule out. A serial scan owns a private
+//! dispenser; the scan clones of one exchange fragment share one, so a
+//! slow worker claims fewer morsels instead of stranding a pre-assigned
+//! static range. Output batches lease from the pipeline's [`BatchPool`]
+//! when one is attached, so a steady-state scan reuses the buffers its
+//! consumer recycled instead of allocating.
 //!
 //! A scan built [`with_rids`](VectorScan::with_rids) appends one BIGINT
-//! column holding every row's position in the table image, taken from the
-//! RID base each claimed item carries — correct however many pruned runs
-//! the image skips, and it gives a scan with an empty projection its row
-//! count. The DML victim search is its consumer.
+//! column holding every row's position in the table image — the position
+//! where its claim found it, correct however many pruned rows the claim
+//! skipped, and it gives a scan with an empty projection its row count.
+//! The DML victim search is its consumer.
 
 use super::Operator;
 use crate::cancel::CancelToken;
@@ -36,7 +37,7 @@ use crate::profile::OpProfile;
 use crate::vector::Batch;
 use std::sync::Arc;
 use vw_common::{ColData, Field, Result, Schema, TypeId, Value, VwError};
-use vw_pdt::MergeItem;
+use vw_pdt::treap::{Link, Piece};
 use vw_storage::pack::EncodedChunk;
 use vw_storage::TableStorage;
 
@@ -55,9 +56,9 @@ pub struct VectorScan {
     schema: Schema,
     out_types: Vec<TypeId>,
     source: Arc<MorselSource>,
-    /// `(RID base, item)` of the currently claimed morsel (buffer reused
-    /// per claim).
-    morsel: Vec<(u64, MergeItem)>,
+    /// `(RID, piece)` of the currently claimed morsel (buffer reused per
+    /// claim).
+    morsel: Vec<(u64, Piece)>,
     item_idx: usize,
     item_off: u64,
     cur_pack: Option<(usize, DecodedPack)>,
@@ -70,17 +71,17 @@ pub struct VectorScan {
 }
 
 impl VectorScan {
-    /// Scan `columns` of `table` over the image described by `items`,
-    /// through a private single-claim dispenser (serial scans; exchange
-    /// fragments use [`VectorScan::with_source`] to share one).
+    /// Scan `columns` of `table` over the image `root`, through a private
+    /// single-claim dispenser (serial scans; exchange fragments use
+    /// [`VectorScan::with_source`] to share one).
     pub fn new(
         table: Arc<TableStorage>,
         columns: Vec<usize>,
-        items: Vec<MergeItem>,
+        root: Link,
         vector_size: usize,
         cancel: CancelToken,
     ) -> VectorScan {
-        let source = MorselSource::new(items, usize::MAX);
+        let source = MorselSource::new(root, usize::MAX);
         VectorScan::with_source(table, columns, source, vector_size, cancel)
     }
 
@@ -129,15 +130,6 @@ impl VectorScan {
         self
     }
 
-    /// Items for a plain scan with no pending deltas.
-    pub fn stable_items(n_rows: u64) -> Vec<MergeItem> {
-        if n_rows == 0 {
-            Vec::new()
-        } else {
-            vec![MergeItem::Stable { sid: 0, len: n_rows }]
-        }
-    }
-
     /// Record the image positions `rid..rid + n` of the rows just emitted.
     fn push_rids(&self, rid: u64, n: usize, out: &mut Batch) {
         if self.emit_rids {
@@ -148,7 +140,7 @@ impl VectorScan {
         }
     }
 
-    /// Ensure the current morsel has an unserved item; claims the next
+    /// Ensure the current morsel has an unserved piece; claims the next
     /// morsel when the current one is drained. `false` = image exhausted,
     /// and the last decoded pack is let go: the batches already handed out
     /// hold what they need of it.
@@ -186,7 +178,7 @@ impl VectorScan {
     ///
     /// Extends straight out of the decoded pack chunks — no intermediate
     /// clone of the pack columns (a delta-heavy image visits this once per
-    /// merge item, so a per-call pack clone would be quadratic). Encoded
+    /// piece, so a per-call pack clone would be quadratic). Encoded
     /// chunks stay encoded when the destination vector can absorb them
     /// (see `Vector::extend_dict_range` / `Vector::extend_rle_range`).
     fn emit_stable(&mut self, sid: u64, take: usize, out: &mut Batch) -> Result<()> {
@@ -249,9 +241,9 @@ impl Operator for VectorScan {
             if self.item_idx >= self.morsel.len() && !self.ensure_morsel() {
                 break;
             }
-            let (rid, item) = self.morsel[self.item_idx].clone();
-            match item {
-                MergeItem::Stable { sid, len } => {
+            let (rid, piece) = self.morsel[self.item_idx].clone();
+            match piece {
+                Piece::StableRun { sid, len } => {
                     let sid0 = sid + self.item_off;
                     let remaining = (len - self.item_off) as usize;
                     let (pack_idx, off) = self.pack_of_sid(sid0)?;
@@ -266,7 +258,7 @@ impl Operator for VectorScan {
                         self.item_off = 0;
                     }
                 }
-                MergeItem::StableMod { sid, mods } => {
+                Piece::StableMod { sid, mods } => {
                     self.emit_stable(sid, 1, &mut out)?;
                     let pos = filled;
                     for (col, val) in mods.iter() {
@@ -279,7 +271,7 @@ impl Operator for VectorScan {
                     self.item_idx += 1;
                     self.item_off = 0;
                 }
-                MergeItem::Insert { row } => {
+                Piece::Insert { row, .. } => {
                     for (slot, &col) in self.columns.iter().enumerate() {
                         let v = row.get(col).cloned().unwrap_or(Value::Null);
                         out.columns[slot].push(&v)?;
@@ -308,6 +300,7 @@ mod tests {
     use crate::op::drain;
     use std::sync::Arc;
     use vw_common::{ColData, Field, TypeId};
+    use vw_pdt::treap::{leaf, merge, prio_for, stable_image};
     use vw_storage::{BufferPool, SimulatedDisk};
 
     fn pool() -> Arc<BufferPool> {
@@ -328,20 +321,19 @@ mod tests {
         Arc::new(t)
     }
 
-    fn scan(
-        t: &Arc<TableStorage>,
-        cols: Vec<usize>,
-        items: Vec<MergeItem>,
-        vec_size: usize,
-    ) -> VectorScan {
-        VectorScan::new(t.clone(), cols, items, vec_size, CancelToken::new())
+    fn scan(t: &Arc<TableStorage>, cols: Vec<usize>, root: Link, vec_size: usize) -> VectorScan {
+        VectorScan::new(t.clone(), cols, root, vec_size, CancelToken::new())
+    }
+
+    /// A root holding `pieces` in order, one node each.
+    fn image(pieces: Vec<Piece>) -> Link {
+        pieces.into_iter().enumerate().fold(None, |t, (i, p)| merge(t, leaf(prio_for(i as u64), p)))
     }
 
     #[test]
     fn full_scan_roundtrip() {
         let t = setup(1000, 128);
-        let items = VectorScan::stable_items(1000);
-        let mut s = scan(&t, vec![0, 1], items, 100);
+        let mut s = scan(&t, vec![0, 1], stable_image(1000), 100);
         let out = drain(&mut s).unwrap();
         assert_eq!(out.rows(), 1000);
         assert_eq!(out.row_values(500)[0], Value::I64(500));
@@ -352,7 +344,7 @@ mod tests {
     #[test]
     fn projection_reads_single_column() {
         let t = setup(256, 64);
-        let mut s = scan(&t, vec![1], VectorScan::stable_items(256), 64);
+        let mut s = scan(&t, vec![1], stable_image(256), 64);
         let out = drain(&mut s).unwrap();
         assert_eq!(out.width(), 1);
         assert_eq!(out.rows(), 256);
@@ -361,7 +353,7 @@ mod tests {
     #[test]
     fn vector_size_respected_across_pack_boundaries() {
         let t = setup(250, 64);
-        let mut s = scan(&t, vec![0], VectorScan::stable_items(250), 100);
+        let mut s = scan(&t, vec![0], stable_image(250), 100);
         let mut sizes = Vec::new();
         while let Some(b) = s.next().unwrap() {
             sizes.push(b.rows());
@@ -375,7 +367,7 @@ mod tests {
         // Morsels of 64 rows with 100-row vectors: batches keep filling
         // across claim boundaries, so every batch but the last is full.
         let t = setup(1000, 128);
-        let source = MorselSource::new(VectorScan::stable_items(1000), 64);
+        let source = MorselSource::new(stable_image(1000), 64);
         let mut s = VectorScan::with_source(t, vec![0], source, 100, CancelToken::new());
         let mut sizes = Vec::new();
         while let Some(b) = s.next().unwrap() {
@@ -388,7 +380,7 @@ mod tests {
     #[test]
     fn shared_source_scans_cover_image_disjointly() {
         let t = setup(1000, 128);
-        let source = MorselSource::new(VectorScan::stable_items(1000), 96);
+        let source = MorselSource::new(stable_image(1000), 96);
         let mut ids: Vec<i64> = Vec::new();
         for _ in 0..3 {
             let mut s =
@@ -409,8 +401,7 @@ mod tests {
     fn pooled_scan_reuses_recycled_batches() {
         let t = setup(1000, 1024);
         let bp = BatchPool::new();
-        let mut s =
-            scan(&t, vec![0, 1], VectorScan::stable_items(1000), 100).with_batch_pool(bp.clone());
+        let mut s = scan(&t, vec![0, 1], stable_image(1000), 100).with_batch_pool(bp.clone());
         let mut rows = 0;
         while let Some(b) = s.next().unwrap() {
             rows += b.rows();
@@ -426,20 +417,19 @@ mod tests {
     }
 
     #[test]
-    fn merge_items_with_deltas() {
+    fn pieces_with_deltas_and_seams() {
         let t = setup(100, 32);
-        let items = vec![
-            MergeItem::Stable { sid: 0, len: 3 },
-            MergeItem::Insert { row: Arc::new(vec![Value::I64(999), Value::Str("ins".into())]) },
-            MergeItem::StableMod {
-                sid: 50,
-                mods: Arc::new(vec![(1, Value::Str("patched".into()))]),
-            },
-            MergeItem::Stable { sid: 98, len: 2 },
-        ];
-        let mut s = scan(&t, vec![0, 1], items, 10);
+        let root = image(vec![
+            Piece::StableRun { sid: 0, len: 2 },
+            Piece::StableRun { sid: 2, len: 1 },
+            Piece::Insert { id: 1, row: Arc::new(vec![Value::I64(999), Value::Str("ins".into())]) },
+            Piece::StableMod { sid: 50, mods: Arc::new(vec![(1, Value::Str("patched".into()))]) },
+            Piece::StableRun { sid: 98, len: 2 },
+        ]);
+        let mut s = scan(&t, vec![0, 1], root, 10);
         let out = drain(&mut s).unwrap();
         assert_eq!(out.rows(), 7);
+        assert_eq!(out.row_values(2)[0], Value::I64(2));
         assert_eq!(out.row_values(3), vec![Value::I64(999), Value::Str("ins".into())]);
         assert_eq!(out.row_values(4), vec![Value::I64(50), Value::Str("patched".into())]);
         assert_eq!(out.row_values(5)[0], Value::I64(98));
@@ -448,15 +438,15 @@ mod tests {
     #[test]
     fn modification_to_null_and_unprojected_column() {
         let t = setup(10, 10);
-        let items = vec![MergeItem::StableMod {
+        let root = image(vec![Piece::StableMod {
             sid: 1,
             mods: Arc::new(vec![(1, Value::Null), (0, Value::I64(-5))]),
-        }];
+        }]);
         // Project only column 1: the mod on column 0 must be ignored.
-        let mut s = scan(&t, vec![1], items.clone(), 4);
+        let mut s = scan(&t, vec![1], root.clone(), 4);
         let out = drain(&mut s).unwrap();
         assert_eq!(out.row_values(0), vec![Value::Null]);
-        let mut s = scan(&t, vec![0], items, 4);
+        let mut s = scan(&t, vec![0], root, 4);
         let out = drain(&mut s).unwrap();
         assert_eq!(out.row_values(0), vec![Value::I64(-5)]);
     }
@@ -464,12 +454,10 @@ mod tests {
     #[test]
     fn pruned_ranges_scan() {
         let t = setup(1000, 100);
-        let ranges = t.prune(0, Some(&Value::I64(350)), Some(&Value::I64(449)));
-        let items = ranges
-            .iter()
-            .map(|r| MergeItem::Stable { sid: r.row_start, len: r.n_rows as u64 })
-            .collect();
-        let mut s = scan(&t, vec![0], items, 128);
+        let (lo, hi) = (Value::I64(350), Value::I64(449));
+        let hints = [(0, Some(&lo), Some(&hi))];
+        let source = MorselSource::pruned(stable_image(1000), t.clone(), hints, usize::MAX);
+        let mut s = VectorScan::with_source(t, vec![0], source, 128, CancelToken::new());
         let out = drain(&mut s).unwrap();
         assert_eq!(out.rows(), 200, "two packs survive pruning");
         assert_eq!(out.row_values(0)[0], Value::I64(300));
@@ -477,25 +465,29 @@ mod tests {
 
     #[test]
     fn rid_column_survives_skipped_runs_and_an_empty_projection() {
-        // Packs 1 and 3 of a five-pack image, a modified row of pack 0 and
-        // an insert in between; 64-row vectors cut the runs mid-pack.
+        // A five-pack table whose image has a modified row in pack 0, a
+        // seam at sid 100 and an insert after sid 199. The hint keeps
+        // packs 1..=3 and the modified row (it modified the hinted
+        // column); 48-row claims and 64-row vectors cut the runs mid-pack.
         let t = setup(500, 100);
-        let items = vec![
-            MergeItem::StableMod { sid: 7, mods: Arc::new(vec![(0, Value::I64(-7))]) },
-            MergeItem::Stable { sid: 100, len: 100 },
-            MergeItem::Insert { row: Arc::new(vec![Value::I64(999), Value::Null]) },
-            MergeItem::Stable { sid: 300, len: 100 },
-        ];
-        let rids = vec![7, 100, 200, 301];
+        let root = image(vec![
+            Piece::StableRun { sid: 0, len: 7 },
+            Piece::StableMod { sid: 7, mods: Arc::new(vec![(0, Value::I64(-7))]) },
+            Piece::StableRun { sid: 8, len: 92 },
+            Piece::StableRun { sid: 100, len: 100 },
+            Piece::Insert { id: 1, row: Arc::new(vec![Value::I64(999), Value::Null]) },
+            Piece::StableRun { sid: 200, len: 300 },
+        ]);
+        let (lo, hi) = (Value::I64(150), Value::I64(349));
         let mut want_rids: Vec<i64> = vec![7];
-        want_rids.extend(100..201);
-        want_rids.extend(301..401);
+        want_rids.extend(100..401);
         let mut want_ids: Vec<i64> = vec![-7];
         want_ids.extend(100..200);
         want_ids.push(999);
-        want_ids.extend(300..400);
+        want_ids.extend(200..400);
         for cols in [vec![0], vec![]] {
-            let source = MorselSource::with_rids(items.clone(), rids.clone(), 48);
+            let hints = [(0, Some(&lo), Some(&hi))];
+            let source = MorselSource::pruned(root.clone(), t.clone(), hints, 48);
             let mut s =
                 VectorScan::with_source(t.clone(), cols.clone(), source, 64, CancelToken::new())
                     .with_rids();
@@ -534,7 +526,7 @@ mod tests {
         t.append_columns(&[ids, flags], &[None, Some(nulls)], 256).unwrap();
         let t = Arc::new(t);
 
-        let mut s = scan(&t, vec![0, 1], VectorScan::stable_items(n as u64), 100);
+        let mut s = scan(&t, vec![0, 1], stable_image(n as u64), 100);
         let mut saw_encoded = false;
         let mut row = 0usize;
         while let Some(mut b) = s.next().unwrap() {
@@ -566,8 +558,7 @@ mod tests {
         // recycled, nothing but the test holds any pack's arena.
         let t = setup(700, 256);
         let bp = BatchPool::new();
-        let mut s =
-            scan(&t, vec![0, 1], VectorScan::stable_items(700), 128).with_batch_pool(bp.clone());
+        let mut s = scan(&t, vec![0, 1], stable_image(700), 128).with_batch_pool(bp.clone());
         let mut arenas: Vec<Arc<vw_compress::dict::StrArena>> = Vec::new();
         while let Some(b) = s.next().unwrap() {
             let (_, arena) = b.columns[1].dict_parts().expect("raw strings arrive coded");
@@ -586,7 +577,7 @@ mod tests {
     #[test]
     fn empty_scan() {
         let t = setup(10, 10);
-        let mut s = scan(&t, vec![0], Vec::new(), 4);
+        let mut s = scan(&t, vec![0], None, 4);
         assert!(s.next().unwrap().is_none());
     }
 
@@ -594,7 +585,7 @@ mod tests {
     fn cancellation_aborts_scan() {
         let t = setup(100, 10);
         let cancel = CancelToken::new();
-        let mut s = VectorScan::new(t, vec![0], VectorScan::stable_items(100), 16, cancel.clone());
+        let mut s = VectorScan::new(t, vec![0], stable_image(100), 16, cancel.clone());
         s.next().unwrap();
         cancel.cancel();
         assert!(matches!(s.next(), Err(VwError::Cancelled)));

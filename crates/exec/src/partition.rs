@@ -13,8 +13,10 @@
 //!   slot's bytes are charged to the query's [`MemBudget`]
 //!   ([`Partitions::recharge`]); while the query is over budget
 //!   [`Partitions::evict_while_over`] hands the largest slot and its
-//!   [`SpillFile`] to the operator, which writes the slot out and resets
-//!   it. Dropping the set returns every charged byte.
+//!   [`SpillStage`] to the operator, which writes the slot out and resets
+//!   it; rows that arrive for an evicted slot are staged for its file
+//!   ([`Partitions::push_spilled`]), build and probe spilling through the
+//!   one writer. Dropping the set returns every charged byte.
 //!
 //! A set has one writer. A join build inside an Exchange has `dop`
 //! writers — one sink per worker, each with a set of its own (ungoverned
@@ -24,7 +26,7 @@
 //! (`op/hashjoin.rs`): there is no shared table and no lock per row.
 //! "Spilled" is then a property of the slot, not of one set: a slot any
 //! set evicted goes to disk in every set
-//! ([`Partitions::append_spilled`]).
+//! ([`Partitions::spill_stage`]).
 //!
 //! The "when more cores hurts" lesson behind the radix design: threading
 //! one shared table serializes on cache-line ping-pong, so every slot is
@@ -41,13 +43,13 @@
 //! and its governor's [`SpillMetrics`] (`spill=Pp W/R`). Probes are not
 //! counted — a probe's cost is its operator's `time=`.
 
+use crate::spill::SpillStage;
 use crate::vector::Vector;
-use std::borrow::Borrow;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use vw_common::{Result, SelVec};
 pub use vw_service::WorkerPool;
-use vw_storage::{SimulatedDisk, SpillFile};
+use vw_storage::SimulatedDisk;
 
 /// Cost gate of a table per slot: a join build shared inside an Exchange
 /// with fewer rows than this still makes (and probes) a single table —
@@ -166,7 +168,9 @@ pub struct Partitions<S> {
 struct Governor {
     cfg: SpillConfig,
     charged: Vec<usize>,
-    files: Vec<Option<SpillFile>>,
+    /// Per slot, once evicted: the stage its rows reach its spill file
+    /// through.
+    stages: Vec<Option<SpillStage>>,
 }
 
 impl<S> Partitions<S> {
@@ -187,7 +191,7 @@ impl<S> Partitions<S> {
         let gov = spill.map(|cfg| Governor {
             cfg,
             charged: vec![0; p],
-            files: std::iter::repeat_with(|| None).take(p).collect(),
+            stages: std::iter::repeat_with(|| None).take(p).collect(),
         });
         Ok(Partitions { router, slots, gov })
     }
@@ -195,11 +199,6 @@ impl<S> Partitions<S> {
     /// Number of slots (a power of two, at least 1).
     pub fn partitions(&self) -> usize {
         self.router.partitions()
-    }
-
-    /// The governor's config (`None` = ungoverned build).
-    pub fn spill_config(&self) -> Option<&SpillConfig> {
-        self.gov.as_ref().map(|g| &g.cfg)
     }
 
     /// Split the `live` lanes of an `n`-lane batch across the slots by
@@ -245,53 +244,58 @@ impl<S> Partitions<S> {
 
     /// The governor's spill decision: while the query is over budget, pick
     /// the slot holding the most charged bytes and let `write_out` move
-    /// its state into the slot's spill file (created on first eviction)
-    /// and reset the slot; `write_out` returns the encoded bytes written.
-    /// The slot's charge is returned afterwards. Stops when nothing this
-    /// set holds is charged — another operator of the query owns the rest.
+    /// its state into the slot's spill stage (created on first eviction)
+    /// and reset the slot. The slot's charge is returned afterwards. Stops
+    /// when nothing this set holds resident is charged — another operator
+    /// of the query owns the rest; if the budget is still over then, the
+    /// stages write out what they hold (the flush rule of
+    /// [`SpillStage`]).
     pub fn evict_while_over(
         &mut self,
-        mut write_out: impl FnMut(usize, &mut S, &mut SpillFile) -> Result<usize>,
+        mut write_out: impl FnMut(usize, &mut S, &mut SpillStage) -> Result<()>,
     ) -> Result<()> {
-        let Some(Governor { cfg, charged, files }) = &mut self.gov else { return Ok(()) };
+        let Some(Governor { cfg, charged, stages }) = &mut self.gov else { return Ok(()) };
         while cfg.budget.over() {
             let victim = (0..charged.len()).max_by_key(|&si| charged[si]).expect("P >= 1");
             if charged[victim] == 0 {
                 break;
             }
-            let file = files[victim].get_or_insert_with(|| cfg.new_file());
-            let written = write_out(victim, &mut self.slots[victim], file)?;
-            cfg.metrics.record_write(written as u64);
+            let stage = stages[victim].get_or_insert_with(|| cfg.new_stage());
+            write_out(victim, &mut self.slots[victim], stage)?;
             cfg.budget.uncharge(std::mem::take(&mut charged[victim]));
+        }
+        for stage in stages.iter_mut().flatten() {
+            stage.flush_if_over()?;
         }
         Ok(())
     }
 
     /// Has slot `si` been evicted at least once (does it own a spill file)?
     pub fn is_spilled(&self, si: usize) -> bool {
-        self.gov.as_ref().is_some_and(|g| g.files[si].is_some())
+        self.gov.as_ref().is_some_and(|g| g.stages[si].is_some())
     }
 
-    /// Has any slot been evicted?
-    pub fn any_spilled(&self) -> bool {
-        self.gov.as_ref().is_some_and(|g| g.files.iter().any(Option::is_some))
+    /// Slot `si`'s spill stage, created on first use: it takes the rows
+    /// that arrive for a slot already evicted, and — once every sink of a
+    /// shared build has deposited — the rows this set still holds for a
+    /// slot *another* sink's set evicted.
+    pub fn spill_stage(&mut self, si: usize) -> &mut SpillStage {
+        let Governor { cfg, stages, .. } = self.gov.as_mut().expect("spilling is governed");
+        stages[si].get_or_insert_with(|| cfg.new_stage())
     }
 
-    /// Append rows straight to slot `si`'s spill file: rows that arrive
-    /// for a slot already evicted, or — once every sink of a shared build
-    /// has deposited — the rows this set still holds for a slot *another*
-    /// sink's set evicted (the file is created then).
-    pub fn append_spilled<V: Borrow<Vector>>(&mut self, si: usize, cols: &[V]) -> Result<()> {
-        let Governor { cfg, files, .. } = self.gov.as_mut().expect("spilling is governed");
-        let file = files[si].get_or_insert_with(|| cfg.new_file());
-        let written = crate::spill::append_vectors(file, cols)?;
-        cfg.metrics.record_write(written as u64);
-        Ok(())
+    /// Stage the lanes the last [`Partitions::route`] gave slot `si`, an
+    /// evicted one, of `cols` for its spill file.
+    pub fn push_spilled(&mut self, si: usize, cols: &[Vector]) -> Result<()> {
+        let Governor { stages, .. } = self.gov.as_mut().expect("spilling is governed");
+        let stage = stages[si].as_mut().expect("an evicted slot has a stage");
+        stage.push(cols, self.router.shard_sel(si))
     }
 
-    /// Take slot `si`'s spill file (the deferred phase owns it from here).
-    pub fn take_file(&mut self, si: usize) -> Option<SpillFile> {
-        self.gov.as_mut().and_then(|g| g.files[si].take())
+    /// Take slot `si`'s spill stage (the deferred phase owns its file,
+    /// once [`SpillStage::finish`]ed).
+    pub fn take_stage(&mut self, si: usize) -> Option<SpillStage> {
+        self.gov.as_mut().and_then(|g| g.stages[si].take())
     }
 
     /// Return every byte still charged. Normal completion calls this when
@@ -461,11 +465,11 @@ impl SpillConfig {
         }
     }
 
-    /// A fresh spill file for one evicted partition, counted in the
+    /// A fresh spill stage for one evicted partition, counted in the
     /// metrics.
-    fn new_file(&self) -> SpillFile {
+    pub(crate) fn new_stage(&self) -> SpillStage {
         self.metrics.record_partition();
-        SpillFile::new(self.disk.clone())
+        SpillStage::new(self)
     }
 
     /// The deepest usable stratum for `partitions`-way splits: capped by
@@ -631,7 +635,7 @@ mod tests {
         *slot += 1;
         parts.recharge(0, 1 << 40); // ungoverned: nothing to charge
         parts.evict_while_over(|_, _, _| panic!("ungoverned sets never evict")).unwrap();
-        assert!(!parts.any_spilled() && parts.spill_config().is_none());
+        assert!(!parts.is_spilled(0) && parts.gov.is_none());
         assert_eq!(parts.take_slots(), vec![1]);
     }
 
@@ -641,7 +645,7 @@ mod tests {
         let budget = MemBudget::new(1000);
         let cfg = SpillConfig::new(budget.clone(), disk.clone(), 4);
         let metrics = cfg.metrics.clone();
-        let mut parts = Partitions::new(1, Some(cfg), || Ok(Vec::<u8>::new())).unwrap();
+        let mut parts = Partitions::new(1, Some(cfg), || Ok(Vec::<i64>::new())).unwrap();
         assert_eq!(parts.partitions(), 4, "the config's fan-out wins");
         let hashes: Vec<u64> = (0..64u64).map(hash_u64).collect();
         let live: SelVec = (0..64u32).collect();
@@ -649,7 +653,7 @@ mod tests {
         let routed: usize = (0..4).map(|si| parts.routed(si).len()).sum();
         assert_eq!(routed, 64);
         for (si, bytes) in [(0, 300), (1, 500), (2, 100)] {
-            parts.lane(si, &live).1.push(si as u8);
+            parts.lane(si, &live).1.push(si as i64);
             parts.recharge(si, bytes);
         }
         assert_eq!(budget.used(), 900);
@@ -657,14 +661,14 @@ mod tests {
         parts.recharge(2, 400); // 1200 > 1000: the 500-byte slot must go
         let mut victims = Vec::new();
         parts
-            .evict_while_over(|si, slot, file| {
+            .evict_while_over(|si, slot, stage| {
                 victims.push(si);
-                file.append(std::mem::take(slot))
+                stage.append(&[Vector::new(vw_common::ColData::I64(std::mem::take(slot)))])
             })
             .unwrap();
         assert_eq!(victims, vec![1]);
         assert_eq!(budget.used(), 700);
-        assert!(parts.is_spilled(1) && !parts.is_spilled(0) && parts.any_spilled());
+        assert!(parts.is_spilled(1) && !parts.is_spilled(0));
         assert_eq!(metrics.partitions.load(Ordering::Relaxed), 1);
         assert!(metrics.bytes_written.load(Ordering::Relaxed) > 0);
         parts.recharge(0, 100); // shrinking a charge returns the difference

@@ -60,19 +60,27 @@ pub fn append_vectors<V: Borrow<Vector>>(file: &mut SpillFile, cols: &[V]) -> Re
 /// Rows a [`SpillStage`] gathers before it writes them as one chunk.
 pub const SPILL_CHUNK_ROWS: usize = 2048;
 
-/// Rows bound for one spill file, gathered until a chunk's worth is
-/// staged and then written as one chunk — a probe batch spreads over the
-/// partitions, so writing each batch's share at once would make chunks of
-/// a few rows each, replayed as batches as small. At most
-/// [`SPILL_CHUNK_ROWS`] rows (plus one batch's share) wait; their bytes
-/// are charged to the query's budget while they do, and a push that takes
-/// the budget over writes the stage out at once, so staged rows never
-/// keep the budget over (the other operators of the query evict while it
-/// is). The staged vectors are flat: a coded source inflates only the
-/// lanes staged, and the stage pins no pack's arena.
+/// The one writer of a spill file: rows bound for it are gathered until a
+/// chunk's worth is staged and then written as one chunk — a batch
+/// spreads over the partitions, so writing each batch's share at once
+/// would make chunks of a few rows each, replayed as batches as small. A
+/// block of rows that is already whole (an evicted build slot, an
+/// aggregate shard's partial state) is written as a chunk of its own
+/// ([`SpillStage::append`]).
+///
+/// At most [`SPILL_CHUNK_ROWS`] rows (plus one batch's share) wait; their
+/// bytes are charged to the query's budget while they do. The flush rule:
+/// a stage writes when it is full, and when the budget is over once its
+/// operator has evicted what it could ([`SpillStage::flush_if_over`]) —
+/// a hash build evicts its resident slots first, a prober has nothing to
+/// evict — so staged rows never keep the budget over (the other operators
+/// of the query evict while it is). The staged vectors are flat: a coded
+/// source inflates only the lanes staged, and the stage pins no pack's
+/// arena.
 pub struct SpillStage {
     /// `None` once [`SpillStage::finish`] handed it over.
     file: Option<SpillFile>,
+    /// Empty until the first push gives the rows' types.
     vecs: Vec<Vector>,
     /// Bytes charged to `budget` for the staged rows.
     charged: usize,
@@ -81,21 +89,23 @@ pub struct SpillStage {
 }
 
 impl SpillStage {
-    /// An empty stage for rows of `types`, writing to a fresh file on
-    /// `cfg`'s device and charging `cfg`'s budget.
-    pub fn new(cfg: &SpillConfig, types: impl Iterator<Item = TypeId>) -> SpillStage {
+    /// An empty stage writing to a fresh file on `cfg`'s device and
+    /// charging `cfg`'s budget.
+    pub fn new(cfg: &SpillConfig) -> SpillStage {
         SpillStage {
             file: Some(SpillFile::new(cfg.disk.clone())),
-            vecs: types.map(|t| Vector::new(ColData::new(t))).collect(),
+            vecs: Vec::new(),
             charged: 0,
             budget: cfg.budget.clone(),
             metrics: cfg.metrics.clone(),
         }
     }
 
-    /// Stage the `sel` lanes of `cols`; a full stage, or one whose rows
-    /// took the budget over, is written out.
+    /// Stage the `sel` lanes of `cols`; a full stage is written out.
     pub fn push(&mut self, cols: &[Vector], sel: &SelVec) -> Result<()> {
+        if self.vecs.is_empty() {
+            self.vecs = cols.iter().map(|v| Vector::new(ColData::new(v.type_id()))).collect();
+        }
         let mut bytes = 0;
         for (dst, src) in self.vecs.iter_mut().zip(cols) {
             bytes += src.flat_bytes(sel);
@@ -104,20 +114,34 @@ impl SpillStage {
         }
         self.budget.charge(bytes);
         self.charged += bytes;
-        if self.vecs[0].len() >= SPILL_CHUNK_ROWS || self.budget.over() {
+        if self.vecs[0].len() >= SPILL_CHUNK_ROWS {
             self.flush()?;
         }
         Ok(())
     }
 
+    /// Write the staged rows out if the budget is over.
+    pub fn flush_if_over(&mut self) -> Result<()> {
+        if self.budget.over() {
+            self.flush()?;
+        }
+        Ok(())
+    }
+
+    /// Write `cols` (equally long) as one chunk of their own.
+    pub fn append<V: Borrow<Vector>>(&mut self, cols: &[V]) -> Result<()> {
+        let file = self.file.as_mut().expect("a stage writes until it is finished");
+        self.metrics.record_write(append_vectors(file, cols)? as u64);
+        Ok(())
+    }
+
     /// Write the staged rows as one chunk (none staged: nothing written).
     fn flush(&mut self) -> Result<()> {
-        if self.vecs[0].is_empty() {
+        if self.vecs.first().is_none_or(|v| v.is_empty()) {
             return Ok(());
         }
         let file = self.file.as_mut().expect("a stage writes until it is finished");
-        let written = append_vectors(file, &self.vecs)?;
-        self.metrics.record_write(written as u64);
+        self.metrics.record_write(append_vectors(file, &self.vecs)? as u64);
         for v in &mut self.vecs {
             v.clear_keep_capacity();
         }
@@ -286,12 +310,13 @@ mod tests {
     fn stage_odd_rows(n: i64, budget: Arc<MemBudget>, taken: usize) -> (SpillFile, Vec<bool>) {
         let cfg = SpillConfig::new(budget.clone(), SimulatedDisk::instant(), 8);
         budget.charge(taken);
-        let mut stage = SpillStage::new(&cfg, [TypeId::I64].into_iter());
+        let mut stage = SpillStage::new(&cfg);
         let odd = SelVec::from_positions((1..64).step_by(2).collect());
         let mut over = Vec::new();
         for lo in (0..n).step_by(64) {
             let k = Vector::new(ColData::I64((lo..lo + 64).collect()));
             stage.push(&[k], &odd).unwrap();
+            stage.flush_if_over().unwrap();
             over.push(budget.over());
         }
         let file = stage.finish().unwrap();

@@ -38,11 +38,14 @@
 //!   conflicts on overlapping SIDs — commit-time positional conflict
 //!   detection, as in the paper (serializability on overlapping updates).
 //!
-//! When the delta count grows past a threshold, the engine **checkpoints**:
-//! it materializes the merged image into fresh stable storage and resets the
-//! PDT (see `vw-core::checkpoint`).
+//! A scan reads the image where it lies: it claims row positions from the
+//! pinned root and walks the pieces they cover ([`treap::walk_from`]).
+//!
+//! The engine **checkpoints** on demand (the `CHECKPOINT` statement,
+//! `vw-core`'s `dml::checkpoint`): it materializes the merged image into
+//! fresh stable storage and resets the PDT.
 
 pub mod store;
 pub mod treap;
 
-pub use store::{MergeItem, PdtStats, PdtStore, Transaction};
+pub use store::{PdtStats, PdtStore, Transaction};

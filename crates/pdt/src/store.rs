@@ -18,39 +18,13 @@
 
 use crate::treap::{
     find_stable_at_or_before, for_each_piece, leaf, merge, prio_for, rewrite_rows, size, split,
-    Link, Piece,
+    stable_image, Link, Piece,
 };
 use parking_lot::{Mutex, MutexGuard};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use vw_common::hash::{FxHashMap, FxHashSet};
 use vw_common::{Result, Value, VwError};
-
-/// One element of the merged (current-image) row stream, produced by
-/// traversing the PDT during a scan.
-#[derive(Debug, Clone, PartialEq)]
-pub enum MergeItem {
-    /// `len` untouched stable rows starting at `sid` — the scan serves these
-    /// straight from column storage.
-    Stable {
-        /// First stable id.
-        sid: u64,
-        /// Run length.
-        len: u64,
-    },
-    /// A stable row with modified columns overlaid.
-    StableMod {
-        /// Stable id.
-        sid: u64,
-        /// `(column, new value)` overrides.
-        mods: Arc<Vec<(usize, Value)>>,
-    },
-    /// A row that exists only in the delta structure.
-    Insert {
-        /// Full row values.
-        row: Arc<Vec<Value>>,
-    },
-}
 
 /// Where an insert lands, in stable coordinates (survives image changes
 /// between snapshot and commit).
@@ -133,14 +107,9 @@ pub struct Transaction {
 impl PdtStore {
     /// A store over a stable table of `n_stable` rows (no deltas yet).
     pub fn new(n_stable: u64) -> PdtStore {
-        let root = if n_stable == 0 {
-            None
-        } else {
-            leaf(prio_for(0), Piece::StableRun { sid: 0, len: n_stable })
-        };
         PdtStore {
             inner: Mutex::new(Master {
-                root,
+                root: stable_image(n_stable),
                 version: 0,
                 n_stable,
                 checkpoint_version: 0,
@@ -293,11 +262,7 @@ impl PdtStore {
     /// `n_stable` rows. In-flight transactions will fail their commit.
     pub fn reset_after_checkpoint(&self, n_stable: u64) {
         let mut m = self.inner.lock();
-        m.root = if n_stable == 0 {
-            None
-        } else {
-            leaf(prio_for(self.next_id()), Piece::StableRun { sid: 0, len: n_stable })
-        };
+        m.root = stable_image(n_stable);
         m.version += 1;
         m.n_stable = n_stable;
         m.checkpoint_version = m.version;
@@ -365,32 +330,6 @@ fn compute_stats(root: &Link, n_stable: u64) -> PdtStats {
         Piece::Insert { .. } => inserts += 1,
     });
     PdtStats { inserts, deletes: n_stable - stable_visible, modifies }
-}
-
-/// Collect the merge stream of an image root (scan driver).
-pub fn items(root: &Link) -> Vec<MergeItem> {
-    let mut out: Vec<MergeItem> = Vec::new();
-    for_each_piece(root, &mut |p| {
-        let item = match p {
-            Piece::StableRun { sid, len } => MergeItem::Stable { sid: *sid, len: *len },
-            Piece::StableMod { sid, mods } => {
-                MergeItem::StableMod { sid: *sid, mods: mods.clone() }
-            }
-            Piece::Insert { row, .. } => MergeItem::Insert { row: row.clone() },
-        };
-        // Coalesce adjacent stable runs (splits leave seams that would
-        // otherwise fragment scans forever).
-        if let (Some(MergeItem::Stable { sid, len }), MergeItem::Stable { sid: s2, len: l2 }) =
-            (out.last_mut(), &item)
-        {
-            if *sid + *len == *s2 {
-                *len += l2;
-                return;
-            }
-        }
-        out.push(item);
-    });
-    out
 }
 
 impl Transaction {
@@ -569,24 +508,37 @@ mod tests {
         vec![Value::I64(v)]
     }
 
+    /// One visible row of an image, whatever pieces hold it: seams and
+    /// insert ids do not show.
+    #[derive(Debug, PartialEq)]
+    enum RowOf {
+        Stable(u64),
+        Modified(u64, Arc<Vec<(usize, Value)>>),
+        Inserted(Arc<Vec<Value>>),
+    }
+
+    fn rows_of(root: &Link) -> Vec<RowOf> {
+        let mut out = Vec::new();
+        for_each_piece(root, &mut |p| match p {
+            Piece::StableRun { sid, len } => out.extend((*sid..sid + len).map(RowOf::Stable)),
+            Piece::StableMod { sid, mods } => out.push(RowOf::Modified(*sid, mods.clone())),
+            Piece::Insert { row, .. } => out.push(RowOf::Inserted(row.clone())),
+        });
+        out
+    }
+
     /// Flatten an image into (Option<sid>, Option<row>) for assertions.
     fn flat(root: &Link) -> Vec<(Option<u64>, Option<i64>)> {
-        let mut out = Vec::new();
-        for item in items(root) {
-            match item {
-                MergeItem::Stable { sid, len } => {
-                    for s in sid..sid + len {
-                        out.push((Some(s), None));
-                    }
-                }
-                MergeItem::StableMod { sid, .. } => out.push((Some(sid), None)),
-                MergeItem::Insert { row } => {
+        rows_of(root)
+            .into_iter()
+            .map(|r| match r {
+                RowOf::Stable(sid) | RowOf::Modified(sid, _) => (Some(sid), None),
+                RowOf::Inserted(row) => {
                     let Value::I64(v) = row[0] else { panic!() };
-                    out.push((None, Some(v)));
+                    (None, Some(v))
                 }
-            }
-        }
-        out
+            })
+            .collect()
     }
 
     #[test]
@@ -793,25 +745,12 @@ mod tests {
         store.commit(t).unwrap();
         assert_eq!(store.stats().modifies, 1);
         let (root, _, _) = store.snapshot();
-        match &items(&root)[0] {
-            MergeItem::StableMod { mods, .. } => {
+        match &rows_of(&root)[0] {
+            RowOf::Modified(_, mods) => {
                 assert_eq!(mods.as_slice(), &[(0, Value::I64(2))]);
             }
-            other => panic!("expected StableMod, got {other:?}"),
+            other => panic!("expected a modified row, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn items_coalesce_seams() {
-        let store = PdtStore::new(100);
-        let mut t = store.begin();
-        // Insert then delete elsewhere leaves run splits behind.
-        t.insert_at(50, row(1)).unwrap();
-        t.delete_at(50).unwrap();
-        store.commit(t).unwrap();
-        let (root, _, _) = store.snapshot();
-        let it = items(&root);
-        assert_eq!(it, vec![MergeItem::Stable { sid: 0, len: 100 }]);
     }
 
     /// Property-style: on random images (runs, modified rows, inserts)
@@ -846,7 +785,7 @@ mod tests {
                 }
                 store.commit(t).unwrap();
             }
-            assert_eq!(items(&stores[0].snapshot().0), items(&stores[1].snapshot().0));
+            assert_eq!(rows_of(&stores[0].snapshot().0), rows_of(&stores[1].snapshot().0));
 
             // The transactions under test, each with an own insert or two.
             let mut txns = [stores[0].begin(), stores[1].begin()];
@@ -877,7 +816,7 @@ mod tests {
                     }
                 }
             }
-            assert_eq!(items(batch.image()), items(single.image()), "case {case}");
+            assert_eq!(rows_of(batch.image()), rows_of(single.image()), "case {case}");
             assert_eq!(batch.write_set, single.write_set);
             assert_eq!(batch.own_inserts.len(), single.own_inserts.len());
             assert_eq!(batch.touched_foreign_inserts, single.touched_foreign_inserts);
@@ -909,7 +848,7 @@ mod tests {
                 [Err(VwError::TxnConflict(_)), Err(VwError::TxnConflict(_))] => conflicts += 1,
                 other => panic!("case {case}: commit outcomes differ: {other:?}"),
             }
-            assert_eq!(items(&stores[0].snapshot().0), items(&stores[1].snapshot().0));
+            assert_eq!(rows_of(&stores[0].snapshot().0), rows_of(&stores[1].snapshot().0));
             assert_eq!(stores[0].stats(), stores[1].stats(), "case {case}");
         }
         assert!(conflicts > 0 && conflicts < replays, "both replay outcomes exercised");
@@ -920,7 +859,7 @@ mod tests {
         let store = PdtStore::new(10);
         let mut t = store.begin();
         t.insert_at(5, row(1)).unwrap();
-        let before = items(t.image());
+        let before = rows_of(t.image());
         // The insert at rid 5 has one column: column 3 is out of range,
         // after rid 2 was already rewritten.
         let v = vec![Value::I64(0)];
@@ -928,7 +867,7 @@ mod tests {
         assert!(t.update_batch(&[5, 2], &[0], &[v.clone(), v.clone()]).is_err(), "not ascending");
         assert!(t.update_batch(&[2], &[0], &[]).is_err(), "values do not match rids");
         assert!(t.delete_batch(&[3, 11]).is_err(), "out of range");
-        assert_eq!(items(t.image()), before);
+        assert_eq!(rows_of(t.image()), before);
         assert_eq!(t.pending_ops(), 1, "only the insert is pending");
         assert!(t.write_set.is_empty());
     }

@@ -286,13 +286,37 @@ pub fn find_stable_at_or_before(t: &Link, sid: u64) -> Option<(u64, u64)> {
     find_stable_at_or_before(&n.left, sid)
 }
 
-/// In-order traversal of pieces (merge-scan driver).
+/// In-order traversal of pieces.
 pub fn for_each_piece(t: &Link, f: &mut impl FnMut(&Piece)) {
     if let Some(n) = t {
         for_each_piece(&n.left, f);
         f(&n.piece);
         for_each_piece(&n.right, f);
     }
+}
+
+/// In-order traversal of the pieces from row position `from` on (the
+/// merge-scan driver): `f(rid, piece)` gets every piece whose rows end
+/// after `from`, with the position of the piece's first row (which may
+/// precede `from`), until it returns `false`. Reaching `from` descends
+/// one path by subtree size, so a walk costs O(log n) plus the pieces it
+/// visits.
+pub fn walk_from(t: &Link, from: u64, f: &mut impl FnMut(u64, &Piece) -> bool) {
+    walk(t, 0, from, f);
+}
+
+fn walk(t: &Link, base: u64, from: u64, f: &mut impl FnMut(u64, &Piece) -> bool) -> bool {
+    let Some(n) = t else { return true };
+    let lo = base + size(&n.left);
+    let hi = lo + n.piece.rows();
+    (from >= lo || walk(&n.left, base, from, f))
+        && (from >= hi || f(lo, &n.piece))
+        && walk(&n.right, hi, from, f)
+}
+
+/// The image of `n_rows` untouched stable rows: one run (none when empty).
+pub fn stable_image(n_rows: u64) -> Link {
+    (n_rows > 0).then(|| leaf(prio_for(0), Piece::StableRun { sid: 0, len: n_rows }))?
 }
 
 #[cfg(test)]
@@ -367,6 +391,29 @@ mod tests {
         assert_eq!(size(&t1), 10, "snapshot untouched");
         assert_eq!(size(&t2), 11);
         assert_eq!(collect(&t1), vec![run(0, 10)]);
+    }
+
+    #[test]
+    fn walk_from_starts_at_the_piece_holding_the_position_and_stops_on_false() {
+        let t = build(vec![run(0, 10), ins(1), run(10, 5), ins(2), run(20, 3)]);
+        let walked = |from: u64, stop_after: usize| {
+            let mut seen = Vec::new();
+            walk_from(&t, from, &mut |rid, p| {
+                seen.push((rid, p.clone()));
+                seen.len() < stop_after
+            });
+            seen
+        };
+        let all =
+            vec![(0, run(0, 10)), (10, ins(1)), (11, run(10, 5)), (16, ins(2)), (17, run(20, 3))];
+        assert_eq!(walked(0, usize::MAX), all);
+        assert_eq!(walked(9, usize::MAX), all, "a run holding `from` is visited whole");
+        assert_eq!(walked(10, usize::MAX), all[1..]);
+        assert_eq!(walked(12, 2), all[2..4]);
+        assert_eq!(walked(19, usize::MAX), all[4..]);
+        assert!(walked(20, usize::MAX).is_empty());
+        assert_eq!(collect(&stable_image(7)), vec![run(0, 7)]);
+        assert!(stable_image(0).is_none());
     }
 
     #[test]

@@ -5,7 +5,8 @@
 use proptest::prelude::*;
 use std::sync::Arc;
 use vw_common::Value;
-use vw_pdt::{store::items, MergeItem, PdtStore};
+use vw_pdt::treap::{for_each_piece, Piece};
+use vw_pdt::PdtStore;
 
 /// The reference model: the visible image as a vector of rows, where each
 /// row is either an untouched stable row (Ok(sid)) or an inserted value
@@ -42,28 +43,26 @@ fn flatten(store: &PdtStore, model: &Model) -> (Vec<Option<i64>>, Vec<Option<i64
     // modified value if modified, None otherwise; inserts yield Some(v).
     let (root, _, _) = store.snapshot();
     let mut pdt_side = Vec::new();
-    for item in items(&root) {
-        match item {
-            MergeItem::Stable { sid, len } => {
-                for s in sid..sid + len {
-                    assert!(!model.mods.contains_key(&s) || true);
-                    pdt_side.push(None::<i64>.or({
-                        // untouched stable row
-                        None
-                    }));
-                    let _ = s;
-                }
-            }
-            MergeItem::StableMod { mods, .. } => {
-                let Value::I64(v) = mods[0].1 else { panic!() };
-                pdt_side.push(Some(v));
-            }
-            MergeItem::Insert { row } => {
-                let Value::I64(v) = row[0] else { panic!() };
-                pdt_side.push(Some(v));
+    for_each_piece(&root, &mut |piece| match piece {
+        Piece::StableRun { sid, len } => {
+            for s in *sid..sid + len {
+                assert!(!model.mods.contains_key(&s) || true);
+                pdt_side.push(None::<i64>.or({
+                    // untouched stable row
+                    None
+                }));
+                let _ = s;
             }
         }
-    }
+        Piece::StableMod { mods, .. } => {
+            let Value::I64(v) = mods[0].1 else { panic!() };
+            pdt_side.push(Some(v));
+        }
+        Piece::Insert { row, .. } => {
+            let Value::I64(v) = row[0] else { panic!() };
+            pdt_side.push(Some(v));
+        }
+    });
     let model_side = model
         .rows
         .iter()
@@ -178,12 +177,12 @@ proptest! {
         store.commit(t).unwrap();
         let (root, _, _) = store.snapshot();
         let mut seen = Vec::new();
-        for item in items(&root) {
-            if let MergeItem::Insert { row } = item {
+        for_each_piece(&root, &mut |piece| {
+            if let Piece::Insert { row, .. } = piece {
                 let Value::I64(v) = row[0] else { panic!() };
                 seen.push(v);
             }
-        }
+        });
         prop_assert_eq!(seen, values);
         let _ = Arc::strong_count(&Arc::new(()));
     }

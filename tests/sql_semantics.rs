@@ -2968,7 +2968,7 @@ mod morsel_differential {
         t.append_columns(&[ColData::I64((0..20_000).collect())], &[None], 1024).unwrap();
         let table = Arc::new(t);
 
-        let source = MorselSource::new(VectorScan::stable_items(20_000), 64);
+        let source = MorselSource::new(vectorwise::pdt::treap::stable_image(20_000), 64);
         let cancel = CancelToken::new();
         let mk_scan = || {
             let scan = VectorScan::with_source(
@@ -3648,7 +3648,7 @@ mod compressed_differential {
         let mut scan = VectorScan::new(
             Arc::new(t),
             vec![0, 1, 2, 3],
-            VectorScan::stable_items(n as u64),
+            vectorwise::pdt::treap::stable_image(n as u64),
             100,
             CancelToken::new(),
         );

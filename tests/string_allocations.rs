@@ -10,6 +10,7 @@ use vectorwise::common::{ColData, Field, Schema, TypeId, Value};
 use vectorwise::core::{bulk_load, Database};
 use vectorwise::exec::op::VectorScan;
 use vectorwise::exec::{CancelToken, Operator};
+use vectorwise::pdt::treap::stable_image;
 use vectorwise::storage::{BufferPool, SimulatedDisk, TableStorage};
 
 struct Counting;
@@ -74,8 +75,8 @@ fn scanning_a_raw_string_column_allocates_per_pack_and_batch_not_per_row() {
     let table = Arc::new(table);
 
     let scan_all = || {
-        let items = VectorScan::stable_items(ROWS as u64);
-        let mut scan = VectorScan::new(table.clone(), vec![0], items, VECTOR, CancelToken::new());
+        let root = stable_image(ROWS as u64);
+        let mut scan = VectorScan::new(table.clone(), vec![0], root, VECTOR, CancelToken::new());
         let (mut rows, mut last) = (0, None);
         while let Some(b) = scan.next().unwrap() {
             let (_, arena) = b.columns[0].dict_parts().expect("strings leave the scan coded");
