@@ -316,9 +316,8 @@ fn join_at(
             .partitioned(dop, 8192)
             .expecting(build.len());
         let sb = Arc::new(sb);
-        let sinks = (0..dop)
-            .map(|w| sb.sink(Some(kv_source(build, w, dop)), Vec::new(), None).unwrap())
-            .collect();
+        let sinks =
+            (0..dop).map(|w| sb.sink(Some(kv_source(build, w, dop)), Vec::new(), None)).collect();
         let frags = (0..dop)
             .map(|w| {
                 let probe_side = kv_source(probe, w, dop);

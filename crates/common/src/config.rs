@@ -126,17 +126,18 @@ pub struct EngineConfig {
     /// suite).
     pub morsel_rows: usize,
     /// Per-query memory budget in bytes for hash build state (join build
-    /// sides, aggregation groups). `0` = unlimited — hash builds run
-    /// ungoverned: nothing is charged and nothing can be evicted. A
-    /// non-zero budget makes every hash build in the query the governed
-    /// configuration of the one partitioned-build state machine
-    /// (`vw-exec::partition`): slots charge a shared `MemBudget` as they
-    /// grow; when the query exceeds the budget, the largest slot is
-    /// written to a temp spill file and the affected partitions finish
-    /// from disk (probe rows routed to probe spill files, each spilled
-    /// partition pair rehydrated and joined/re-aggregated with the
-    /// in-memory kernels, re-partitioning on the next hash-bit stratum if
-    /// a partition still does not fit). SET-able (`SET mem_budget = n`),
+    /// sides, aggregation groups). `0` = unlimited: nothing is charged and
+    /// nothing can overflow. A non-zero budget changes no build: each is
+    /// built as without it and charges a shared `MemBudget` one number,
+    /// the bytes it holds resident (`vw-exec::partition`). The first time
+    /// the query is over budget while a build holds resident rows, that
+    /// build overflows to disk as a whole through a routed spill — one
+    /// temp file per radix partition — and finishes from there (a join's
+    /// probe rows routed the same way, each partition pair rehydrated and
+    /// joined with the in-memory kernels, an aggregate's partial states
+    /// re-aggregated per partition, re-partitioning on the next hash-bit
+    /// stratum if a partition still does not fit). SET-able
+    /// (`SET mem_budget = n`),
     /// `VW_MEM_BUDGET` env override (like `VW_DOP`, so CI can force spills
     /// through the whole suite). See ARCHITECTURE.md ("Hash builds",
     /// "Knobs").

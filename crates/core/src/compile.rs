@@ -133,12 +133,13 @@ impl<'p> Analyze<'p> {
 
 /// The query-wide memory governor, created once per plan when
 /// `EngineConfig::mem_budget_bytes` is non-zero. Every hash join build
-/// and every aggregation in the plan charges the same budget — a join
-/// inside an Exchange once, through the build its worker clones share,
-/// an aggregation there once per clone; whichever operator pushes the
-/// total over the line spills its own largest partition (see
-/// `vw_exec::partition`). With no budget configured this is `None` and
-/// the builds run ungoverned: nothing is charged, nothing can be evicted.
+/// and every aggregation in the plan is built as without it and charges
+/// the same budget what it holds resident — a join inside an Exchange
+/// once, through the build its worker clones share, an aggregation there
+/// once per clone; a build staging rows when the total crosses the line
+/// overflows to disk as a whole through routed spills of `partitions`
+/// ways (see `vw_exec::partition`). With no budget configured this is
+/// `None`: nothing is charged, nothing can overflow.
 struct QuerySpill {
     budget: Arc<MemBudget>,
     partitions: usize,
@@ -179,8 +180,9 @@ pub(crate) fn build_plan_with<'p>(
 ) -> Result<BoxedOp> {
     let spill = (config.mem_budget_bytes > 0).then(|| QuerySpill {
         budget: MemBudget::new(config.mem_budget_bytes),
-        // Grace fan-out: at least 8 partitions so eviction stays
-        // fine-grained even at DOP 1 (recursion needs ≥ 2 to split).
+        // Grace fan-out: at least 8 partitions so a spilled partition is
+        // a fraction of the build even at DOP 1 (recursion needs ≥ 2 to
+        // split).
         partitions: config.build_partitions().max(8),
     });
     let estimates = Estimator::new(&crate::CatalogSnapshot::new(db, config)).estimate_all(plan);
@@ -311,8 +313,8 @@ fn build_plan_node<'p>(
             };
             let Some(p) = partition else {
                 // A join that builds for itself: one inline sink into one
-                // table, or evictable partitions under the query's memory
-                // budget.
+                // table, charged to the query's memory budget if it has
+                // one.
                 let (l, r) = (side(left, None)?, side(right, None)?);
                 let mut join = HashJoin::new(l, r, lk, rk, jt, schema.clone(), cancel.clone())
                     .expecting_build_rows(build_rows);
@@ -339,14 +341,14 @@ fn build_plan_node<'p>(
             p.joins += 1;
             let shared = get_or_create(&p.shared.builds, idx, || {
                 let build = SharedBuild::new(rk, right.schema().clone(), jt, p.dop, cancel.clone())
-                    .expecting(build_rows);
+                    .expecting(build_rows)
+                    .partitioned(config.build_partitions(), DEFAULT_PARALLEL_BUILD_MIN_ROWS);
                 Arc::new(match &query.spill {
                     Some(qs) => build.governed(qs.config(db)),
-                    None => build
-                        .partitioned(config.build_partitions(), DEFAULT_PARALLEL_BUILD_MIN_ROWS),
+                    None => build,
                 })
             });
-            p.shared.sinks.lock().push(shared.sink(input, sink_deps, Some(batch_pool.clone()))?);
+            p.shared.sinks.lock().push(shared.sink(input, sink_deps, Some(batch_pool.clone())));
             p.deps.push(shared.clone());
             let join = HashJoin::probing(l, shared, lk, schema.clone(), cancel.clone());
             Box::new(join.with_batch_pool(batch_pool.clone()))

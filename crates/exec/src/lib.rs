@@ -32,15 +32,17 @@
 //!   while probed) under hash aggregation, [`hashtable::JoinTable`]
 //!   (bulk-built, immutable, bucket-grouped) under hash join, and the
 //!   vectorized key hashing and comparison both probe with;
-//! * [`partition`] — the one hash-build state machine under join and
-//!   aggregation: [`partition::Partitions`] keeps `P` slots of operator
-//!   state behind a [`partition::RadixRouter`] (P = 1 is the serial
-//!   build), charges them to the [`partition::MemBudget`] memory governor
-//!   and picks eviction victims when a [`partition::SpillConfig`] is
-//!   attached; it starts no task — the only tasks of this crate are the
+//! * [`partition`] — radix routing and the memory governor under join and
+//!   aggregation: a [`partition::RadixRouter`] splits a batch's lanes
+//!   across the `P` slots of one sink of a shared join build, and a build
+//!   under a [`partition::SpillConfig`] charges the
+//!   [`partition::MemBudget`] one [`partition::Charge`] — its resident
+//!   bytes — and overflows to disk as a whole once the query is over
+//!   budget; it starts no task — the only tasks of this crate are the
 //!   fragments and build sinks of [`op::Xchg`];
 //! * [`spill`] — the disk half of grace spilling: vectors ⇄ compressed
-//!   spill chunks on a temp [`vw_storage::SpillFile`], plus
+//!   spill chunks on a temp [`vw_storage::SpillFile`], the
+//!   [`spill::RoutedSpill`] every spilled row goes through, and
 //!   [`spill::SpillScan`], the operator that replays a spilled partition;
 //! * [`op`] — the relational operators: scan (with PDT merge), select,
 //!   project, hash join (inner/left/semi/anti/**NULL-aware anti**), hash

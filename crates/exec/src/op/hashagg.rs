@@ -1,8 +1,7 @@
 //! Vectorized hash aggregation (GROUP BY) over the flat hash table.
 //!
-//! Build: drain the child into `P` `AggShard`s — the slots of the one
-//! partitioned-build state machine in [`crate::partition`]. A shard owns a
-//! private [`GroupTable`] and direct map, contiguous group-key columns and **typed
+//! Build: drain the child into one `AggShard`. A shard owns a private
+//! [`GroupTable`] and direct map, contiguous group-key columns and **typed
 //! columnar accumulators** (one dense `Vec` per aggregate, indexed by
 //! group id, no boxed `Value`s on the hot path); it folds a batch's lanes
 //! *by reference*, in two steps that each decide **per vector, not per
@@ -36,16 +35,16 @@
 //!    the loop; doubles add in lane order, so sums are bit-identical
 //!    whichever loop ran.
 //!
-//! Equal keys hash equal, so shards are key-disjoint and "merging" is
-//! emitting them one after the other. All of the above sits inside
-//! `AggShard::fold`, so the two build configurations get it alike:
-//!
-//! * `P = 1` is the serial build: no routing, no separate hash pass.
-//! * [`HashAggregate::with_spill`] makes the shards evictable under the
-//!   query's memory budget (a shard is charged for its keys, accumulators
-//!   and direct map): the largest shard's partial state flushes to its
-//!   spill file and the shard restarts empty, map dropped; spilled
-//!   partitions are re-aggregated at emit time.
+//! Under the query's memory budget ([`HashAggregate::with_spill`]) the
+//! build is the same one shard, charged for its keys, accumulators and
+//! direct map. The first time the query is over budget while the shard
+//! holds groups, the aggregate **overflows**: the shard's partial state
+//! goes through a [`RoutedSpill`] (one spill file per partition of the
+//! governor's fan-out) and folding goes on into a fresh shard, which goes
+//! the same way whenever the budget is over again. Equal keys hash equal,
+//! so the partitions are key-disjoint: at emit time each file is
+//! re-aggregated on its own, and the merged partitions are emitted one
+//! after the other.
 //!
 //! Inside an Exchange every worker runs a partial aggregate of its own
 //! and a final one merges them above it; the operator itself spawns
@@ -61,10 +60,10 @@ use super::{BoxedOp, Operator};
 use crate::cancel::CancelToken;
 use crate::hashtable::{self, DirectMap, GroupTable, EMPTY};
 use crate::morsel::BatchPool;
-use crate::partition::{Partitions, RadixRouter, SpillConfig};
+use crate::partition::{Charge, SpillConfig};
 use crate::profile::OpProfile;
 use crate::program::{ExprProgram, VecRef, VectorPool};
-use crate::spill::SpillStage;
+use crate::spill::RoutedSpill;
 use crate::vector::{Batch, StrArena, Vector};
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -775,10 +774,9 @@ struct AggScratch {
     buf: hashtable::ProbeBuf,
 }
 
-/// What one build partition holds: a private table + accumulators over the
-/// partition's (key-disjoint) groups. A serial build is one shard; a
-/// governed build's shards are evictable. A finished shard is what the
-/// operator emits from.
+/// What the build holds: a private table + accumulators over its groups —
+/// all of them, or those of one spilled partition being re-aggregated. A
+/// finished shard is what the operator emits from.
 struct AggShard {
     funcs: Vec<AggFunc>,
     out_tys: Vec<TypeId>,
@@ -813,22 +811,20 @@ impl AggShard {
     /// Fold the `sel` lanes of one `n`-lane batch, in place: resolve each
     /// lane's key to a group, then update every accumulator from
     /// `input(i)` (aggregate `i`'s input vector; `None` for `COUNT(*)`).
-    /// `hashes` are the lanes' key hashes when the caller already computed
-    /// them for routing. With no keys there is nothing to resolve: every
-    /// lane is group 0 and the accumulators run their one-group kernels.
+    /// With no keys there is nothing to resolve: every lane is group 0 and
+    /// the accumulators run their one-group kernels.
     fn fold<'a>(
         &mut self,
         keys: Keys<'_>,
         sel: &SelVec,
         n: usize,
-        hashes: Option<&[u64]>,
         input: impl Fn(usize) -> Option<&'a Vector>,
     ) -> Result<()> {
         let groups = if keys.len() == 0 {
             self.ensure_global_group();
             Groups::One
         } else {
-            self.resolve_groups(keys, sel, n, hashes)?;
+            self.resolve_groups(keys, sel, n)?;
             self.grow_states();
             Groups::Each(&self.scratch.gidx)
         };
@@ -873,18 +869,20 @@ impl AggShard {
         )
     }
 
-    /// Serialize this shard's groups as one re-mergeable partial-state
-    /// chunk (key columns then flattened state columns) written through
-    /// `stage`. The shard itself is not modified — the caller replaces it
-    /// with a fresh one.
-    fn spill_state(&self, stage: &mut SpillStage) -> Result<()> {
+    /// Write this shard's groups through `spill` as re-mergeable partial
+    /// state (key columns then flattened state columns), routed by their
+    /// key hashes. The groups stay — the caller replaces the shard with a
+    /// fresh one.
+    fn spill_state(&mut self, spill: &mut RoutedSpill) -> Result<()> {
         let n = self.n_groups;
         let mut state_vecs: Vec<Vector> = Vec::new();
         for (st, &ty) in self.states.iter().zip(&self.out_tys) {
             state_vecs.extend(st.spill_columns(0, n, ty)?);
         }
+        let s = &mut self.scratch;
+        hashtable::hash_keys(&self.group_keys, n, true, &mut s.lanes, &mut s.hashes);
         let cols: Vec<&Vector> = self.group_keys.iter().chain(&state_vecs).collect();
-        stage.append(&cols)
+        spill.push(&cols, &s.hashes, None)
     }
 
     /// Fold one rehydrated partial-state chunk into this shard: resolve
@@ -897,7 +895,7 @@ impl AggShard {
         }
         let mut all = std::mem::take(&mut self.scratch.dense);
         all.fill_identity(n);
-        self.resolve_groups(Keys::Owned(keys), &all, n, None)?;
+        self.resolve_groups(Keys::Owned(keys), &all, n)?;
         self.grow_states();
         let mut off = 0;
         for (st, &func) in self.states.iter_mut().zip(&self.funcs) {
@@ -919,8 +917,8 @@ impl AggShard {
     }
 }
 
-/// The driver's per-batch scratch: program results, the live selection,
-/// and (for P > 1) the routing hashes.
+/// The driver's per-batch scratch: program results and the live
+/// selection.
 #[derive(Default)]
 struct BatchScratch {
     /// Group-key program results for the current batch (pool refs).
@@ -928,8 +926,6 @@ struct BatchScratch {
     /// Aggregate-input program results for the current batch.
     agg_refs: Vec<Option<VecRef>>,
     live: SelVec,
-    lanes: Vec<u64>,
-    hashes: Vec<u64>,
 }
 
 /// Hash GROUP BY operator.
@@ -942,7 +938,8 @@ pub struct HashAggregate {
     pool: VectorPool,
     cancel: CancelToken,
     vector_size: usize,
-    /// Finished shards, emitted front to back in partition order.
+    /// Finished shards, emitted front to back: the build's one, or the
+    /// re-aggregated partitions of one spill file.
     out_shards: VecDeque<AggShard>,
     emit_pos: usize,
     scratch: BatchScratch,
@@ -950,8 +947,9 @@ pub struct HashAggregate {
     /// Memory-governed spilling, when configured
     /// ([`HashAggregate::with_spill`]).
     spill: Option<SpillConfig>,
-    /// Spilled partitions' partial-state files, re-aggregated lazily at
-    /// emit time (one partition's merged groups in memory at a time).
+    /// An overflowed build's partial-state files, one per partition,
+    /// re-aggregated lazily at emit time (one partition's merged groups in
+    /// memory at a time).
     pending: Vec<SpillFile>,
     profile: OpProfile,
 }
@@ -995,16 +993,16 @@ impl HashAggregate {
         self
     }
 
-    /// Attach the query's memory governor: the build partitions into
-    /// shards on `cfg`'s hash-bit stratum and charges `cfg.budget` as
-    /// groups accumulate. When the query runs over budget, the largest
-    /// shard's partial aggregation state (group keys + re-mergeable
-    /// accumulator columns) flushes to a temp spill file and the shard
-    /// restarts empty; spilled partitions are re-aggregated by merging
-    /// their partial-state chunks at emit time, re-partitioning on the
-    /// next hash-bit stratum when a partition still exceeds the budget.
-    /// Global aggregates (no group keys) ignore the governor — their
-    /// state is one group.
+    /// Attach the query's memory governor: the build is the same one
+    /// shard, charging `cfg.budget` as groups accumulate. Whenever the
+    /// query is over budget while the shard holds groups, its partial
+    /// aggregation state (group keys + re-mergeable accumulator columns)
+    /// goes to disk through a routed spill on `cfg`'s stratum and
+    /// fan-out, and the build folds on into a fresh shard; the spilled
+    /// partitions are re-aggregated by merging their partial-state chunks
+    /// at emit time, re-partitioning on the next hash-bit stratum when a
+    /// partition still exceeds the budget. Global aggregates (no group
+    /// keys) ignore the governor — their state is one group.
     pub fn with_spill(mut self, cfg: SpillConfig) -> HashAggregate {
         self.profile.spill = Some(cfg.metrics.clone());
         self.spill = Some(cfg);
@@ -1023,26 +1021,25 @@ impl HashAggregate {
 
     /// Re-aggregate one spilled partition: merge its partial-state chunks
     /// into a fresh shard — or, if the file looks bigger than the budget
-    /// and the stratum floor is not reached, re-partition the chunks on
-    /// stratum `depth` into sub-files and recurse. Equal keys hash equal,
-    /// so every level's partitions stay key-disjoint and the merged
-    /// outputs emit without any cross-partition pass.
+    /// and `split` (the next stratum) is not past the floor, re-partition
+    /// the chunks through a routed spill on it and recurse. Equal keys
+    /// hash equal, so every level's partitions stay key-disjoint and the
+    /// merged outputs emit without any cross-partition pass.
     fn reaggregate(
         &mut self,
         file: SpillFile,
-        cfg: &SpillConfig,
-        depth: u32,
+        split: Option<SpillConfig>,
     ) -> Result<Vec<AggShard>> {
         let types = self.chunk_types();
         let n_keys = self.group_exprs.len();
+        let cfg = self.spill.clone().expect("only a governed aggregate spills");
         // The encoded size underestimates the decoded state (compression),
         // but partial states also over-count the merged result (a key in k
         // chunks merges to one group) — a workable victim of a heuristic.
         // Past the depth floor (recursion cap or hash bits exhausted for
         // this fan-out) the partition merges in memory regardless.
-        if file.bytes_written() as usize <= cfg.budget.limit()
-            || depth > SpillConfig::max_depth(cfg.partitions)
-        {
+        let split = split.filter(|_| file.bytes_written() as usize > cfg.budget.limit());
+        let Some(split) = split else {
             let mut shard = AggShard::new(&self.group_exprs, &self.aggs)?;
             for i in 0..file.n_chunks() {
                 self.cancel.check()?;
@@ -1052,51 +1049,39 @@ impl HashAggregate {
             }
             shard.retire(&mut self.profile);
             return Ok(vec![shard]);
-        }
+        };
         // Too big to merge at once: split every chunk's state rows by the
         // next stratum's radix bits and recurse per sub-partition.
-        let mut router = RadixRouter::at_depth(cfg.partitions, depth);
-        let mut subs: Vec<Option<SpillStage>> = (0..router.partitions()).map(|_| None).collect();
+        let mut routed = RoutedSpill::new(&split);
         let (mut lanes, mut hashes) = (Vec::new(), Vec::new());
         for i in 0..file.n_chunks() {
             self.cancel.check()?;
             let (vecs, nbytes) = crate::spill::read_vectors(&file, i, &types)?;
             cfg.metrics.record_read(nbytes as u64);
             let rows = vecs.first().map_or(0, |v| v.len());
-            if rows == 0 {
-                continue;
-            }
             hashtable::hash_keys(&vecs[..n_keys], rows, true, &mut lanes, &mut hashes);
-            router.split(&hashes, None, rows);
-            for (si, slot) in subs.iter_mut().enumerate() {
-                let sel = router.shard_sel(si);
-                if !sel.is_empty() {
-                    // A deeper-stratum partition's stage counts it: the
-                    // `spill` column counts partitions across all strata
-                    // (the join path does the same).
-                    let sub = slot.get_or_insert_with(|| cfg.new_stage());
-                    sub.push(&vecs, sel)?;
-                    sub.flush_if_over()?;
-                }
-            }
+            routed.push(&vecs, &hashes, None)?;
+            routed.flush_if_over()?;
         }
-        let subs: Vec<SpillFile> =
-            subs.into_iter().flatten().map(SpillStage::finish).collect::<Result<_>>()?;
+        let subs = routed.finish()?;
         drop(file); // this stratum's blocks are free before recursing
         let mut outs = Vec::new();
-        for sub in subs {
-            outs.extend(self.reaggregate(sub, cfg, depth + 1)?);
+        for sub in subs.into_iter().flatten() {
+            outs.extend(self.reaggregate(sub, split.deeper())?);
         }
         Ok(outs)
     }
 
     fn build(&mut self, mut input: BoxedOp) -> Result<()> {
-        // One group cannot partition: a global aggregate keeps one
-        // ungoverned shard.
+        // One group cannot partition: a global aggregate is never
+        // governed.
         let grouped = !self.group_exprs.is_empty();
         let spill = self.spill.clone().filter(|_| grouped);
         let (group_exprs, aggs) = (&self.group_exprs, &self.aggs);
-        let mut parts = Partitions::new(1, spill, || AggShard::new(group_exprs, aggs))?;
+        let mut shard = AggShard::new(group_exprs, aggs)?;
+        let mut charge = spill.as_ref().map(|cfg| Charge::new(cfg.budget.clone()));
+        // Where the partial states go once the build overflowed.
+        let mut routed: Option<RoutedSpill> = None;
         while let Some(batch) = input.next()? {
             self.cancel.check()?;
             self.profile.record_enc_batch(&batch);
@@ -1117,71 +1102,56 @@ impl HashAggregate {
             }
             {
                 let n = batch.capacity();
-                let BatchScratch { refs, agg_refs, live, lanes, hashes } = &mut self.scratch;
+                let BatchScratch { refs, agg_refs, live } = &mut self.scratch;
                 let keys = Keys::Leased { refs, pool: &self.pool, batch: &batch };
                 match &batch.sel {
                     Some(sel) => live.clear_and_extend_from_slice(sel.as_slice()),
                     None => live.fill_identity(n),
                 }
-                // One shard needs no routing and so no hash pass here: its
-                // fused kernels hash as they probe. Otherwise hash the keys
-                // once (NULL keys to their sentinel lane, as everywhere)
-                // and split the live lanes by this stratum's radix bits.
-                let hashes = if parts.partitions() > 1 {
-                    hashtable::hash_keys(keys.iter(), n, true, lanes, hashes);
-                    parts.route(hashes, live, n);
-                    Some(&hashes[..])
-                } else {
-                    None
-                };
                 let vectors = &self.pool;
                 let input_of = |i: usize| agg_refs[i].map(|r| vectors.get(&batch, r));
-                for si in 0..parts.partitions() {
-                    let (sel, shard) = parts.lane(si, live);
-                    if !sel.is_empty() {
-                        shard.fold(keys, sel, n, hashes, input_of)?;
-                        if let Some(bytes) = shard.grown_bytes() {
-                            parts.recharge(si, bytes);
-                        }
-                    }
+                if !live.is_empty() {
+                    shard.fold(keys, live, n, input_of)?;
                 }
             }
             self.pool.recycle();
             if let Some(bp) = &self.batch_pool {
                 bp.recycle(batch); // lanes folded: batch goes back
             }
-            // An evicted shard's partial state goes to its spill file and
-            // the shard restarts empty (outside the key-program borrows).
-            let profile = &mut self.profile;
-            parts.evict_while_over(|_, shard, stage| {
-                shard.spill_state(stage)?;
-                let mut evicted = std::mem::replace(shard, AggShard::new(group_exprs, aggs)?);
-                evicted.retire(profile);
-                Ok(())
-            })?;
+            let (Some(cfg), Some(charge)) = (&spill, &mut charge) else { continue };
+            if let Some(bytes) = shard.grown_bytes() {
+                charge.set(bytes);
+            }
+            // Over budget with groups resident: the shard's partial state
+            // goes out routed, and the build folds on into a fresh shard.
+            if cfg.budget.over() && shard.n_groups > 0 {
+                let out = routed.get_or_insert_with(|| RoutedSpill::new(cfg));
+                shard.spill_state(out)?;
+                let mut spilled = std::mem::replace(&mut shard, AggShard::new(group_exprs, aggs)?);
+                spilled.retire(&mut self.profile);
+                charge.set(0);
+                out.flush_if_over()?;
+            }
         }
-        // The one finalize. Shards are key-disjoint, so never-evicted ones
-        // emit directly, in partition order. An evicted partition flushes
-        // its live remainder and queues its file for lazy re-aggregation
-        // at emit time — one merged partition in memory at a time.
-        for (si, mut shard) in parts.take_slots().into_iter().enumerate() {
-            shard.retire(&mut self.profile);
-            match parts.take_stage(si) {
-                None => {
-                    // Global aggregation over zero rows still yields one
-                    // group (COUNT over nothing is 0 — the initial state).
-                    if !grouped {
-                        shard.ensure_global_group();
-                    }
-                    self.profile.record_shard_build(si, shard.n_groups as u64);
-                    self.out_shards.push_back(shard);
+        shard.retire(&mut self.profile);
+        match routed {
+            None => {
+                // Global aggregation over zero rows still yields one
+                // group (COUNT over nothing is 0 — the initial state).
+                if !grouped {
+                    shard.ensure_global_group();
                 }
-                Some(mut stage) => {
-                    if shard.n_groups > 0 {
-                        shard.spill_state(&mut stage)?;
-                    }
-                    self.pending.push(stage.finish()?);
+                self.profile.record_shard_build(0, shard.n_groups as u64);
+                self.out_shards.push_back(shard);
+            }
+            // Overflowed: what is left goes the same way, and the files
+            // wait for lazy re-aggregation at emit time — one merged
+            // partition in memory at a time.
+            Some(mut out) => {
+                if shard.n_groups > 0 {
+                    shard.spill_state(&mut out)?;
                 }
+                self.pending = out.finish()?.into_iter().flatten().collect();
             }
         }
         Ok(())
@@ -1191,9 +1161,7 @@ impl HashAggregate {
 impl AggShard {
     /// Resolve every `sel` lane's key (at least one key column) to a group
     /// id in `scratch.gidx`, creating groups for unseen keys (the caller
-    /// then grows the accumulators to `n_groups`). `hashes`, when given,
-    /// are the lanes' key hashes (`hash_keys` with NULLs hashed to their
-    /// sentinel lane) — the general path then skips its own hash pass.
+    /// then grows the accumulators to `n_groups`).
     ///
     /// A ladder, chosen per batch from what the batch is (the rung above
     /// it, no keys at all, never gets here — see [`AggShard::fold`]):
@@ -1215,13 +1183,7 @@ impl AggShard {
     /// indexes over them, each synced before it is read (the table under
     /// `hash_keys`' scheme), so a key's group is the same whichever rung
     /// meets it — batches may change rung mid-stream.
-    fn resolve_groups(
-        &mut self,
-        keys: Keys<'_>,
-        sel: &SelVec,
-        n: usize,
-        hashes: Option<&[u64]>,
-    ) -> Result<()> {
+    fn resolve_groups(&mut self, keys: Keys<'_>, sel: &SelVec, n: usize) -> Result<()> {
         let AggShard { table, group_keys, n_groups, scratch: s, .. } = self;
         if s.gidx.len() < n {
             s.gidx.resize(n, EMPTY);
@@ -1345,13 +1307,8 @@ impl AggShard {
         }
         // General path: hash all lanes (NULL keys hash to the NULL-group
         // sentinel), then find existing groups for all lanes at once.
-        let hashes = match hashes {
-            Some(h) => h,
-            None => {
-                hashtable::hash_keys(keys.iter(), n, true, &mut s.lanes, &mut s.hashes);
-                &s.hashes[..]
-            }
-        };
+        hashtable::hash_keys(keys.iter(), n, true, &mut s.lanes, &mut s.hashes);
+        let hashes = &s.hashes[..];
         for p in sel.iter() {
             s.gidx[p] = EMPTY;
         }
@@ -1602,9 +1559,9 @@ impl Operator for HashAggregate {
         if let Some(input) = self.input.take() {
             self.build(input)?;
         }
-        // Emit the shards in partition order (serial builds hold one),
-        // slicing each shard's contiguous key columns and accumulators
-        // into vector-sized batches. When the finished shards run dry,
+        // Emit the finished shards (the build's one, when it never
+        // overflowed), slicing each shard's contiguous key columns and
+        // accumulators into vector-sized batches. When they run dry,
         // spilled partitions re-aggregate lazily, one file at a time, so
         // only one merged partition's groups sit in memory at once.
         loop {
@@ -1622,8 +1579,8 @@ impl Operator for HashAggregate {
                     let Some(file) = self.pending.pop() else {
                         return Ok(None);
                     };
-                    let cfg = self.spill.clone().expect("pending implies a spill config");
-                    let outs = self.reaggregate(file, &cfg, cfg.depth + 1)?;
+                    let split = self.spill.as_ref().and_then(SpillConfig::deeper);
+                    let outs = self.reaggregate(file, split)?;
                     self.out_shards.extend(outs);
                 }
             }
@@ -1903,7 +1860,7 @@ mod tests {
         let fold = |shard: &mut AggShard, keys: Vec<i64>| {
             let n = keys.len();
             let keys = [Vector::new(ColData::I64(keys))];
-            shard.fold(Keys::Owned(&keys), &SelVec::identity(n), n, None, |_| None).unwrap();
+            shard.fold(Keys::Owned(&keys), &SelVec::identity(n), n, |_| None).unwrap();
             shard.scratch.gidx[..n].to_vec()
         };
         // Inside the span: groups in first-seen order, none hashed.
@@ -1925,9 +1882,9 @@ mod tests {
         assert_eq!(c, &[3, 2, 2, 1, 2, 1]);
     }
 
-    // Every build configuration (one shard, governed ample/tight) ×
-    // aggregate × key shape is checked
-    // against the volcano engine in
+    // Every build configuration (resident, and overflowed under a tight
+    // budget) × aggregate × key shape is checked against the volcano
+    // engine in
     // `tests/sql_semantics.rs::build_mode_matrix`.
 
     #[test]
@@ -1976,7 +1933,7 @@ mod tests {
         let got = sort(&drain(&mut op).unwrap());
         assert_eq!(got, expect, "re-aggregated groups diverged");
         use std::sync::atomic::Ordering;
-        assert!(metrics.partitions.load(Ordering::Relaxed) >= 4, "all partitions spilled");
+        assert!(metrics.files.load(Ordering::Relaxed) >= 4, "all partitions spilled");
         drop(op);
         assert_eq!(tracker.used(), 0);
         assert_eq!(disk.used_bytes(), 0, "all spill (and re-partition) blocks reclaimed");
@@ -1998,7 +1955,7 @@ mod tests {
         .with_spill(cfg);
         let out = drain(&mut op).unwrap();
         assert_eq!(out.row_values(0)[0], Value::I64(10));
-        assert_eq!(metrics.partitions.load(std::sync::atomic::Ordering::Relaxed), 0);
+        assert_eq!(metrics.files.load(std::sync::atomic::Ordering::Relaxed), 0);
     }
 
     #[test]

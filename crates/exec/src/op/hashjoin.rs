@@ -4,21 +4,28 @@
 //! meet in one immutable value, the [`JoinBuild`].
 //!
 //! A build is a [`SharedBuild`] fed by one or more [`BuildSink`]s. A sink
-//! drains its share of the build input into *private* slots — the
-//! partitioned-build state machine of [`crate::partition`]: every batch's
-//! non-NULL key lanes are hashed, routed to `P` slots and appended to the
+//! drains its share of the build input into *private* slots: every
+//! batch's non-NULL key lanes are hashed, routed to `P` slots by a
+//! [`RadixRouter`] (at `P = 1` nothing is routed) and appended to the
 //! owning slot's contiguous vectors straight from the batch, each column
-//! once (a bare-column key *is* its payload column; semi and anti joins
-//! stage no payload at all). Under the query's memory budget a sink evicts
-//! its own largest slot to its own spill file. When the last sink has
-//! deposited its slots, the finalize work is cut into units — one table
-//! per slot (or a single one below the cost gate), bulk-built by
-//! [`JoinTable::build`] over the sinks' hashes, and one
-//! concatenation of the slots per build column — and whichever sink is
-//! free claims the next unit; the one that finishes the last unit
-//! publishes the [`JoinBuild`] and wakes whoever waits for it. A slot
-//! evicted by any sink is on disk for all: what the other sinks still hold
-//! of it is written out before the units are cut.
+//! once (a bare-column key *is* its payload column; ungoverned semi and
+//! anti joins stage no payload at all). When the last sink has deposited
+//! its slots, the finalize work is cut into units — one table per slot
+//! (or a single one below the cost gate), bulk-built by
+//! [`JoinTable::build`] over the sinks' hashes, and one concatenation of
+//! the slots per build column — and whichever sink is free claims the
+//! next unit; the one that finishes the last unit publishes the
+//! [`JoinBuild`] and wakes whoever waits for it.
+//!
+//! Under the query's memory budget the build is built the same way and
+//! charges the budget what its sinks hold resident. A build is resident
+//! or on disk, never half: the first time a sink finds the query over
+//! budget while it holds resident rows, it **overflows** — everything it
+//! holds goes through a [`RoutedSpill`], and so does every later row of
+//! its input. The other sinks of a shared build overflow on their own
+//! when they find the budget over; what any of them still holds resident
+//! when the last sink has deposited is written the same way, and the
+//! published build has no table.
 //!
 //! A join outside an Exchange ([`HashJoin::new`]) owns a build with one
 //! sink and steps it inline on its first `next`, finalize units included.
@@ -40,14 +47,14 @@
 //! is per operator and reused across batches: the steady-state loop
 //! allocates nothing.
 //!
-//! **Deferred phase** (governed builds that evicted): a prober diverts the
-//! lanes of an evicted slot to its *own* probe spill file; once its probe
-//! input is exhausted it lets go of the resident build and replays each
-//! probe file against the slot's shared, read-only build files through an
-//! inner `HashJoin` — same keys, same join type, the next hash-bit
-//! stratum, the same budget — i.e. this component one level down. Workers
-//! do not wait for each other: grace works at any DOP with no barrier
-//! beyond the publish.
+//! **Deferred phase** (builds that overflowed): a prober diverts every
+//! non-NULL lane to its *own* routed spill, on the build's stratum and
+//! fan-out, and answers the NULL-keyed lanes on the spot; once its probe
+//! input is exhausted it replays each probe partition against the
+//! partition's shared, read-only build files through an inner `HashJoin`
+//! — same keys, same join type, the next hash-bit stratum, the same
+//! budget — i.e. this component one level down. Workers do not wait for
+//! each other: grace works at any DOP with no barrier beyond the publish.
 //!
 //! Supports inner, left outer, left semi, left anti, and the **NULL-aware
 //! left anti join** that gives `NOT IN` its treacherous SQL semantics — the
@@ -66,10 +73,10 @@ use super::{BoxedOp, Operator};
 use crate::cancel::CancelToken;
 use crate::hashtable::{self, JoinTable, EMPTY};
 use crate::morsel::BatchPool;
-use crate::partition::{Partitions, RadixRouter, SpillConfig, DEFAULT_PARALLEL_BUILD_MIN_ROWS};
+use crate::partition::{Charge, RadixRouter, SpillConfig, DEFAULT_PARALLEL_BUILD_MIN_ROWS};
 use crate::profile::OpProfile;
 use crate::program::{ExprProgram, VecRef, VectorPool};
-use crate::spill::{SpillScan, SpillStage};
+use crate::spill::{RoutedSpill, SpillScan};
 use crate::vector::{Batch, Vector};
 use std::sync::atomic::{AtomicU8, Ordering::SeqCst};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -129,9 +136,6 @@ struct ProbeScratch {
     tmp: SelVec,
     /// Per-lane "has matched" flag (semi/anti/outer bookkeeping).
     matched_flags: Vec<bool>,
-    /// Per-lane "routed to a spilled partition" flag (grace probes only;
-    /// cleared after the lanes are filtered out of `live`/`nonnull`).
-    deferred_flags: Vec<bool>,
     /// Staged-probe buffers for the fused fast path.
     buf: hashtable::ProbeBuf,
     /// Output pairs: probe position / build row (EMPTY pads outer misses).
@@ -145,7 +149,7 @@ struct ProbeScratch {
 /// vectors first (so the probe kernels see them as one slice), then the
 /// build columns no bare-column key already is. Joins that never emit the
 /// right side stage the keys only — unless the build is governed, whose
-/// evicted rows must be replayable in full.
+/// rows may go to disk and must then be replayable in full.
 #[derive(Debug, Clone)]
 struct StageLayout {
     n_keys: usize,
@@ -199,8 +203,7 @@ fn presized(ty: TypeId, rows: usize) -> Vector {
 
 /// What one build partition of one sink holds while the build runs: the
 /// gathered rows and their hashes, waiting to become part of a CSR table
-/// — or to be written to a spill file if the memory governor evicts the
-/// slot.
+/// — or to be written to disk if the build overflows.
 struct JoinStage {
     /// One vector per [`StageLayout::tys`].
     vecs: Vec<Vector>,
@@ -250,14 +253,19 @@ impl JoinStage {
         }
     }
 
-    /// Free the staged rows (they were just written out), keeping the
-    /// typed layout.
-    fn clear(&mut self) {
+    /// Write the staged rows through `spill` — their build columns, routed
+    /// by their hashes — and free them, keeping the typed layout.
+    fn spill_to(&mut self, layout: &StageLayout, spill: &mut RoutedSpill) -> Result<()> {
+        if self.hashes.is_empty() {
+            return Ok(());
+        }
+        spill.push(&layout.payload(&self.vecs), &self.hashes, None)?;
         for v in &mut self.vecs {
             *v = Vector::new(ColData::new(v.type_id()));
         }
         self.hashes = Vec::new();
         self.bytes = 0;
+        Ok(())
     }
 }
 
@@ -298,9 +306,8 @@ fn check_build_rows(rows: u64, limit: u64) -> Result<()> {
 /// A finished build — plain immutable data, shared by every prober: the
 /// tables (one per slot, or a single one), each table's base
 /// offset into the slot-order concatenated build rows, and the rows
-/// themselves. An evicted slot keeps an empty table and the files its rows
-/// went to; its probe lanes are diverted to a spill file before any probe
-/// runs.
+/// themselves. A build that overflowed has no table and no row: its rows
+/// are in its files, and every prober diverts its non-NULL lanes to disk.
 pub struct JoinBuild {
     tables: Vec<JoinTable>,
     bases: Vec<u32>,
@@ -311,14 +318,14 @@ pub struct JoinBuild {
     /// A NULL key arrived on the build side (dropped there — NULL never
     /// matches — but the NULL-aware anti join needs to know).
     has_null_key: bool,
-    /// Per slot, the spill files of an evicted slot's rows (one per sink
-    /// that held any); empty for a resident slot.
+    /// An overflowed build's rows per governor partition: one file per
+    /// routed spill that wrote any (a sink's, and the one `plan` writes
+    /// the resident rest through). Empty for a resident build.
     files: Vec<Vec<Arc<SpillFile>>>,
     /// The governor the build ran under; probers divert and recurse with it.
     spill: Option<SpillConfig>,
-    /// The sinks' partition sets, emptied of rows: what they still charge
-    /// the budget is the resident rows, returned when the build drops.
-    _charges: Vec<Partitions<JoinStage>>,
+    /// The resident rows' charge, returned when the build drops.
+    _charge: Option<Charge>,
 }
 
 impl JoinBuild {
@@ -326,21 +333,15 @@ impl JoinBuild {
         &self.staged[..self.n_keys]
     }
 
-    fn is_spilled(&self, si: usize) -> bool {
-        !self.files[si].is_empty()
-    }
-
-    fn any_spilled(&self) -> bool {
-        self.files.iter().any(|f| !f.is_empty())
+    /// Did the build overflow — is it on disk as a whole?
+    fn on_disk(&self) -> bool {
+        self.tables.is_empty()
     }
 
     /// A router splitting probe hashes the way the sinks split build rows
     /// (`None` for a single table: nothing to route).
     fn router(&self) -> Option<RadixRouter> {
-        (self.tables.len() > 1).then(|| {
-            let depth = self.spill.as_ref().map_or(0, |cfg| cfg.depth);
-            RadixRouter::at_depth(self.tables.len(), depth)
-        })
+        (self.tables.len() > 1).then(|| RadixRouter::new(self.tables.len()))
     }
 }
 
@@ -357,10 +358,22 @@ const PENDING: u8 = 0;
 const READY: u8 = 1;
 const FAILED: u8 = 2;
 
+/// What one sink holds while it drains, handed to the build at its
+/// deposit.
+struct Held {
+    /// The resident rows, one stage per slot (emptied when the build
+    /// overflows).
+    stages: Vec<JoinStage>,
+    /// Their bytes, charged to the query's budget (governed builds).
+    charge: Option<Charge>,
+    /// Where this sink's rows go once the build overflowed.
+    spill: Option<RoutedSpill>,
+}
+
 struct BuildState {
     /// Sinks that have not deposited their slots yet.
     draining: usize,
-    deposits: Vec<Partitions<JoinStage>>,
+    deposits: Vec<Held>,
     has_null_key: bool,
     rows_in: u64,
     /// Unclaimed finalize work, and how much is claimed or unclaimed.
@@ -383,8 +396,8 @@ pub struct SharedBuild {
     cancel: CancelToken,
     /// Sinks that deposit (and probers that take the result).
     sinks: usize,
-    /// Slots of an ungoverned build, and the build rows below which they
-    /// still make one table.
+    /// Slots per sink, and the build rows below which they still make one
+    /// table.
     slots: usize,
     min_rows: usize,
     spill: Option<SpillConfig>,
@@ -440,17 +453,18 @@ impl SharedBuild {
 
     /// Route the build rows to `slots` slots (rounded up to a power of
     /// two) and, once they are at least `min_rows`, build and probe one
-    /// table per slot; smaller builds still make a single table. Ignored
-    /// under a memory budget ([`SharedBuild::governed`] wins).
+    /// table per slot; smaller builds still make a single table.
     pub fn partitioned(mut self, slots: usize, min_rows: usize) -> SharedBuild {
         self.slots = slots;
         self.min_rows = min_rows;
         self
     }
 
-    /// Run under the query's memory governor: the slots are `cfg`'s
-    /// hash-bit stratum, every sink charges `cfg.budget` for what it
-    /// stages and evicts its own largest slot while the query is over.
+    /// Run under the query's memory governor: every sink charges
+    /// `cfg.budget` for what it holds resident, and the build overflows
+    /// to disk through routed spills on `cfg`'s stratum and fan-out the
+    /// first time a sink finds the query over budget (see the module
+    /// docs). The slots and the tables are what they are without it.
     pub fn governed(mut self, cfg: SpillConfig) -> SharedBuild {
         self.layout = StageLayout::new(&self.right_keys, &self.build_schema, true);
         self.spill = Some(cfg);
@@ -473,27 +487,28 @@ impl SharedBuild {
         input: Option<BoxedOp>,
         deps: Vec<Arc<SharedBuild>>,
         batch_pool: Option<BatchPool>,
-    ) -> Result<BuildSink> {
-        let slots = self.spill.as_ref().map_or(self.slots, |cfg| cfg.partitions);
+    ) -> BuildSink {
         let tys = &self.layout.tys;
         // Over-reserving costs address space only; an estimate gone wild
         // is capped all the same.
         let rows = if input.is_some() { self.rows_hint.min(1 << 22) } else { 0 };
-        let mut per_slot = rows / self.sinks / slots.max(1).next_power_of_two();
+        let mut per_slot = rows / self.sinks / self.slots.max(1).next_power_of_two();
         per_slot += per_slot / 8;
-        let parts =
-            Partitions::new(slots, self.spill.clone(), || Ok(JoinStage::new(tys, per_slot)))?;
-        Ok(BuildSink {
+        let router = RadixRouter::new(self.slots);
+        let stages = (0..router.partitions()).map(|_| JoinStage::new(tys, per_slot)).collect();
+        let charge = self.spill.as_ref().map(|cfg| Charge::new(cfg.budget.clone()));
+        BuildSink {
             build: self.clone(),
             input,
             deps,
-            parts: Some(parts),
+            router,
+            held: Some(Held { stages, charge, spill: None }),
             has_null_key: false,
             rows_in: 0,
             pool: VectorPool::new(),
             batch_pool,
             scratch: ProbeScratch::default(),
-        })
+        }
     }
 
     /// Has the build been published? An `Err` is the failure that ended
@@ -594,74 +609,88 @@ impl SharedBuild {
         self.wake_all(true);
     }
 
-    /// A sink's input is exhausted: take its slots. The last deposit cuts
-    /// the finalize work and wakes the sinks parked for it.
-    fn deposit(
-        &self,
-        parts: Partitions<JoinStage>,
-        has_null_key: bool,
-        rows_in: u64,
-    ) -> Result<()> {
-        {
+    /// A sink's input is exhausted: take what it holds. The last deposit
+    /// cuts the finalize work and wakes the sinks parked for it.
+    fn deposit(&self, held: Held, has_null_key: bool, rows_in: u64) -> Result<()> {
+        let published = {
             let mut st = self.lock();
             if let Some(Err(e)) = &st.outcome {
                 return Err(e.clone());
             }
-            st.deposits.push(parts);
+            st.deposits.push(held);
             st.has_null_key |= has_null_key;
             st.rows_in += rows_in;
             st.draining -= 1;
             if st.draining > 0 {
                 return Ok(());
             }
-            self.plan(&mut st)?;
-        }
-        self.wake_all(false);
+            self.plan(&mut st)?
+        };
+        self.wake_all(published);
         Ok(())
     }
 
-    /// Every sink has deposited: write out what is left in memory of
-    /// slots some sink evicted, check the resident total against the row
-    /// limit, and cut the rest into [`Unit`]s.
-    fn plan(&self, st: &mut BuildState) -> Result<()> {
-        let slots = st.deposits[0].partitions();
-        // [sink][slot]
-        let mut stages: Vec<Vec<JoinStage>> =
-            st.deposits.iter_mut().map(Partitions::take_slots).collect();
-        let mut files = vec![Vec::new(); slots];
-        for (si, slot_files) in files.iter_mut().enumerate() {
-            if !st.deposits.iter().any(|d| d.is_spilled(si)) {
-                continue;
-            }
-            for (parts, own) in st.deposits.iter_mut().zip(&mut stages) {
-                let stage = &mut own[si];
-                if !stage.hashes.is_empty() {
-                    parts.spill_stage(si).append(&self.layout.payload(&stage.vecs))?;
-                    stage.clear();
-                    parts.recharge(si, 0);
+    /// Every sink has deposited. If one overflowed, write what the others
+    /// hold through one more routed spill and publish the build that is
+    /// on disk as a whole (`true`: nothing is left to finalize). Otherwise
+    /// check the resident total against the row limit and cut it into
+    /// [`Unit`]s.
+    fn plan(&self, st: &mut BuildState) -> Result<bool> {
+        let mut held = std::mem::take(&mut st.deposits);
+        let mut build = JoinBuild {
+            tables: Vec::new(),
+            bases: Vec::new(),
+            staged: self.layout.tys.iter().map(|&t| presized(t, 0)).collect(),
+            n_keys: self.layout.n_keys,
+            payload_at: self.layout.payload_at.clone(),
+            has_null_key: st.has_null_key,
+            files: Vec::new(),
+            spill: self.spill.clone(),
+            _charge: self.spill.as_ref().map(|cfg| Charge::new(cfg.budget.clone())),
+        };
+        if held.iter().any(|h| h.spill.is_some()) {
+            let cfg = self.spill.as_ref().expect("only a governed build overflows");
+            let mut rest = RoutedSpill::new(cfg);
+            for h in &mut held {
+                for stage in &mut h.stages {
+                    stage.spill_to(&self.layout, &mut rest)?;
                 }
-                if let Some(spilled) = parts.take_stage(si) {
-                    slot_files.push(Arc::new(spilled.finish()?));
+            }
+            build.files = vec![Vec::new(); cfg.partitions];
+            for spill in held.into_iter().filter_map(|h| h.spill).chain([rest]) {
+                for (at, file) in build.files.iter_mut().zip(spill.finish()?) {
+                    at.extend(file.map(Arc::new));
                 }
             }
+            st.outcome = Some(Ok(Arc::new(build)));
+            self.phase.store(READY, SeqCst);
+            return Ok(true);
         }
+        // [sink][slot]
+        let mut stages: Vec<Vec<JoinStage>> = Vec::with_capacity(held.len());
+        for h in held {
+            if let (Some(all), Some(c)) = (&mut build._charge, h.charge) {
+                all.absorb(c);
+            }
+            stages.push(h.stages);
+        }
+        let slots = stages[0].len();
         let slot_rows: Vec<usize> =
             (0..slots).map(|si| stages.iter().map(|own| own[si].hashes.len()).sum()).collect();
         let rows: usize = slot_rows.iter().sum();
         check_build_rows(rows as u64, MAX_BUILD_ROWS)?;
 
-        let fan_out = slots > 1 && (self.spill.is_some() || rows >= self.min_rows);
+        let fan_out = slots > 1 && rows >= self.min_rows;
         let table_rows = if fan_out { slot_rows } else { vec![rows] };
-        let mut bases = Vec::with_capacity(table_rows.len());
         let mut base = 0u32;
         for &n in &table_rows {
-            bases.push(base);
+            build.tables.push(JoinTable::default());
+            build.bases.push(base);
             base += n as u32;
         }
         // Slot-major, sink-minor: the order of the build's row ids.
-        let tys = &self.layout.tys;
         let mut hashes: Vec<Vec<Vec<u64>>> = table_rows.iter().map(|_| Vec::new()).collect();
-        let mut pieces: Vec<Vec<Vector>> = tys.iter().map(|_| Vec::new()).collect();
+        let mut pieces: Vec<Vec<Vector>> = self.layout.tys.iter().map(|_| Vec::new()).collect();
         for si in 0..slots {
             for own in &mut stages {
                 let stage = &mut own[si];
@@ -679,18 +708,8 @@ impl SharedBuild {
             hashes.into_iter().enumerate().map(|(idx, hashes)| Unit::Table { idx, hashes }),
         );
         st.unfinished = st.units.len();
-        st.assembling = Some(JoinBuild {
-            tables: table_rows.iter().map(|_| JoinTable::default()).collect(),
-            bases,
-            staged: tys.iter().map(|&t| presized(t, 0)).collect(),
-            n_keys: self.layout.n_keys,
-            payload_at: self.layout.payload_at.clone(),
-            has_null_key: st.has_null_key,
-            files,
-            spill: self.spill.clone(),
-            _charges: std::mem::take(&mut st.deposits),
-        });
-        Ok(())
+        st.assembling = Some(build);
+        Ok(false)
     }
 
     /// Claim and run one unit of finalize work. `Blocked` while sinks are
@@ -762,8 +781,10 @@ pub struct BuildSink {
     input: Option<BoxedOp>,
     /// Builds the input probes, not yet seen published.
     deps: Vec<Arc<SharedBuild>>,
-    /// The private slots while draining; `None` once deposited.
-    parts: Option<Partitions<JoinStage>>,
+    /// Splits each batch's lanes across the slots.
+    router: RadixRouter,
+    /// What the sink holds while draining; `None` once deposited.
+    held: Option<Held>,
     has_null_key: bool,
     rows_in: u64,
     pool: VectorPool,
@@ -779,11 +800,12 @@ impl BuildSink {
         self.deps.iter().chain(std::iter::once(&self.build))
     }
 
-    /// Stage one input batch into the private slots.
+    /// Stage one input batch: into the private slots, or — once the build
+    /// overflowed — through this sink's routed spill.
     fn stage(&mut self, batch: Batch) -> Result<()> {
-        let BuildSink { build, parts, pool, scratch, .. } = self;
+        let BuildSink { build, router, held, pool, scratch, .. } = self;
         let ProbeScratch { refs, lanes, hashes, live, nonnull, .. } = scratch;
-        let parts = parts.as_mut().expect("staging before the deposit");
+        let Held { stages, charge, spill } = held.as_mut().expect("staging before the deposit");
         build.cancel.check()?;
         // Run the compiled key programs; results live in the pool until
         // `recycle` at the end of this batch.
@@ -816,37 +838,59 @@ impl BuildSink {
             if !nonnull.is_empty() {
                 let n = batch.capacity();
                 hashtable::hash_keys(keys.iter().copied(), n, false, lanes, hashes);
-                parts.route(hashes, nonnull, n);
-                let governed = build.spill.is_some();
-                for si in 0..parts.partitions() {
-                    if parts.is_spilled(si) {
-                        // Already evicted: rows are staged for disk (the
-                        // build columns only — keys and hashes are program
-                        // outputs, recomputed at rehydration).
-                        if !parts.routed(si).is_empty() {
-                            parts.push_spilled(si, &batch.columns)?;
-                        }
-                        continue;
+                if let Some(spill) = spill {
+                    // On disk: the build columns only — keys and hashes
+                    // are program outputs, recomputed at rehydration.
+                    spill.push(&batch.columns, hashes, Some(nonnull))?;
+                } else {
+                    let routed = stages.len() > 1;
+                    if routed {
+                        // A full-length sorted selection is the identity:
+                        // skip the indirection.
+                        router.split(hashes, (nonnull.len() != n).then_some(nonnull), n);
                     }
-                    let (sel, stage) = parts.lane(si, nonnull);
-                    if !sel.is_empty() {
-                        let rest = build.layout.rest.iter().map(|&c| &batch.columns[c]);
-                        let srcs = keys.iter().copied().chain(rest);
-                        stage.append(srcs, hashes, sel, sel.len() == n, governed);
-                        let bytes = stage.bytes;
-                        parts.recharge(si, bytes);
+                    for (si, stage) in stages.iter_mut().enumerate() {
+                        let sel = if routed { router.shard_sel(si) } else { &*nonnull };
+                        if !sel.is_empty() {
+                            let rest = build.layout.rest.iter().map(|&c| &batch.columns[c]);
+                            let srcs = keys.iter().copied().chain(rest);
+                            stage.append(srcs, hashes, sel, sel.len() == n, charge.is_some());
+                        }
                     }
                 }
-                parts.evict_while_over(|_, stage, spilled| {
-                    spilled.append(&build.layout.payload(&stage.vecs))?;
-                    stage.clear();
-                    Ok(())
-                })?;
             }
         }
         pool.recycle();
         if let Some(bp) = &self.batch_pool {
             bp.recycle(batch); // build rows staged: batch goes back
+        }
+        self.govern()
+    }
+
+    /// The overflow rule, after every batch of a governed build: the
+    /// first time the query is over budget while this sink holds resident
+    /// rows, everything it holds goes through a routed spill, and so does
+    /// every later row. The other sinks of a shared build follow on their
+    /// own when the budget is over again, or at the latest in
+    /// [`SharedBuild::plan`].
+    fn govern(&mut self) -> Result<()> {
+        let build = &self.build;
+        let Some(Held { stages, charge: Some(charge), spill }) = &mut self.held else {
+            return Ok(());
+        };
+        if let Some(spill) = spill {
+            return spill.flush_if_over();
+        }
+        charge.set(stages.iter().map(|stage| stage.bytes).sum());
+        let cfg = build.spill.as_ref().expect("a charged build is governed");
+        if charge.bytes() > 0 && cfg.budget.over() {
+            let mut routed = RoutedSpill::new(cfg);
+            for stage in stages.iter_mut() {
+                stage.spill_to(&build.layout, &mut routed)?;
+            }
+            charge.set(0);
+            routed.flush_if_over()?;
+            *spill = Some(routed);
         }
         Ok(())
     }
@@ -857,20 +901,20 @@ impl CoopTask for BuildSink {
         if !SharedBuild::all_ready(&mut self.deps)? {
             return Ok(Step::Blocked);
         }
-        if self.parts.is_some() {
+        if self.held.is_some() {
             if let Some(batch) = self.input.as_mut().map(|i| i.next()).transpose()?.flatten() {
                 self.stage(batch)?;
                 return Ok(Step::Progress);
             }
             self.input = None;
-            let parts = self.parts.take().expect("checked above");
-            self.build.deposit(parts, self.has_null_key, self.rows_in)?;
+            let held = self.held.take().expect("checked above");
+            self.build.deposit(held, self.has_null_key, self.rows_in)?;
         }
         self.build.finalize_step()
     }
 
     fn fail(&mut self, err: VwError) {
-        self.parts = None;
+        self.held = None;
         self.build.fail(err);
     }
 }
@@ -900,9 +944,8 @@ pub struct HashJoin {
     build: Option<Arc<JoinBuild>>,
     /// Splits probe hashes across a multi-table build's slots.
     router: Option<RadixRouter>,
-    /// Probe rows diverted per evicted slot, staged into this prober's own
-    /// files a chunk at a time.
-    probe_spill: Vec<Option<SpillStage>>,
+    /// Where the probe rows go when the build is on disk.
+    probe_spill: Option<RoutedSpill>,
     scratch: ProbeScratch,
     batch_pool: Option<BatchPool>,
     out_types: Vec<TypeId>,
@@ -910,7 +953,7 @@ pub struct HashJoin {
     /// the deferred phase.
     probe_schema: Schema,
     /// Spilled partition pairs awaiting the deferred (recursive) joins:
-    /// the slot's shared build files, and this prober's probe file.
+    /// the partition's shared build files, and this prober's probe file.
     deferred: Vec<(Vec<Arc<SpillFile>>, SpillFile)>,
     /// The recursive join currently draining one spilled partition pair.
     inner: Option<Box<HashJoin>>,
@@ -978,7 +1021,7 @@ impl HashJoin {
             shared,
             build: None,
             router: None,
-            probe_spill: Vec::new(),
+            probe_spill: None,
             scratch: ProbeScratch::default(),
             batch_pool: None,
             deferred: Vec::new(),
@@ -1004,14 +1047,15 @@ impl HashJoin {
         self
     }
 
-    /// Attach the query's memory governor to the own build: it partitions
-    /// on `cfg`'s hash-bit stratum and charges `cfg.budget` as slots stage
-    /// rows. When the query runs over budget, the largest slot's rows move
-    /// to a temp spill file; probe rows routed to an evicted slot divert
-    /// to a matching probe spill file, and after the probe input is
-    /// exhausted each spilled pair replays through a recursive `HashJoin`
-    /// (same keys, same join type, next hash-bit stratum) whose output
-    /// streams out as this operator's.
+    /// Attach the query's memory governor to the own build: it is built
+    /// as without one — one table — and charges `cfg.budget` what it
+    /// holds. The first time the query is over budget while it builds,
+    /// every build row goes to disk through a routed spill on `cfg`'s
+    /// stratum and fan-out, every non-NULL probe row follows through one
+    /// of its own, and after the probe input is exhausted each partition
+    /// pair replays through a recursive `HashJoin` (same keys, same join
+    /// type, next hash-bit stratum) whose output streams out as this
+    /// operator's.
     pub fn with_spill(self, cfg: SpillConfig) -> HashJoin {
         self.own_build(|b| b.governed(cfg))
     }
@@ -1025,7 +1069,7 @@ impl HashJoin {
     /// its end — the drain, the deposit and every finalize unit.
     fn run_own_build(&mut self, own: OwnBuild) -> Result<Arc<SharedBuild>> {
         let build = Arc::new(own.build);
-        let mut sink = build.sink(Some(own.right), Vec::new(), self.batch_pool.clone())?;
+        let mut sink = build.sink(Some(own.right), Vec::new(), self.batch_pool.clone());
         loop {
             match sink.step() {
                 Ok(Step::Done) => break,
@@ -1051,7 +1095,10 @@ impl HashJoin {
         }
         self.profile.spill = build.spill.as_ref().map(|cfg| cfg.metrics.clone());
         self.router = build.router();
-        self.probe_spill.resize_with(build.tables.len(), || None);
+        if build.on_disk() {
+            let cfg = build.spill.as_ref().expect("only a governed build is on disk");
+            self.probe_spill = Some(RoutedSpill::new(cfg));
+        }
         self.build = Some(build);
         Ok(())
     }
@@ -1095,28 +1142,28 @@ impl HashJoin {
         Ok(Some(out))
     }
 
-    /// The deferred phase of a governed build: once this prober's input
-    /// is exhausted it lets go of the in-memory build — the last prober to
-    /// do so frees it and returns its budget charge — and replays each of
-    /// its probe files against the slot's shared build files through a
-    /// recursive `HashJoin`: [`SpillScan`]s feed the same key programs and
-    /// join type, on the next hash-bit stratum, sharing the same budget
-    /// and counters — whose output streams out as this operator's.
+    /// The deferred phase: once this prober's input is exhausted it lets
+    /// go of the build — the last prober to do so frees its rows and
+    /// returns their charge — and, when the build is on disk, replays each
+    /// of its probe partitions against the partition's shared build files
+    /// through a recursive `HashJoin`: [`SpillScan`]s feed the same key
+    /// programs and join type, on the next hash-bit stratum, sharing the
+    /// same budget and counters — whose output streams out as this
+    /// operator's.
     fn next_deferred(&mut self) -> Result<Option<Batch>> {
         if !self.probe_done {
             self.probe_done = true;
-            let build = self.build.take().expect("deferred phase follows the build");
-            for (si, stage) in self.probe_spill.iter_mut().enumerate() {
-                // A spilled slot no probe row was routed to has no output
-                // row (every join type here is probe-driven).
-                if let Some(stage) = stage.take() {
-                    debug_assert!(build.is_spilled(si), "probe diverted to a resident partition");
-                    self.deferred.push((build.files[si].clone(), stage.finish()?));
+            let build = self.build.take().expect("the deferred phase follows the probe");
+            if let Some(spill) = self.probe_spill.take() {
+                // A partition no probe row reached has no output row
+                // (every join type here is probe-driven).
+                for (files, probe) in build.files.iter().zip(spill.finish()?) {
+                    if let Some(probe) = probe {
+                        self.deferred.push((files.clone(), probe));
+                    }
                 }
             }
         }
-        let shared = self.shared.clone().expect("a join has a build side");
-        let cfg = shared.spill.clone().expect("deferred phase is governed-only");
         loop {
             self.cancel.check()?;
             if let Some(inner) = &mut self.inner {
@@ -1128,6 +1175,8 @@ impl HashJoin {
             let Some((build_files, probe_file)) = self.deferred.pop() else {
                 return Ok(None);
             };
+            let shared = self.shared.clone().expect("a join has a build side");
+            let cfg = shared.spill.clone().expect("only a governed build is on disk");
             let scan = |files, schema: &Schema| -> BoxedOp {
                 Box::new(SpillScan::new(
                     files,
@@ -1166,74 +1215,52 @@ impl HashJoin {
 ///
 /// A single-table build probes through the fused kernels directly. A
 /// partitioned one hashes the batch once and splits it by the build's
-/// radix bits into the prober's reused per-slot `SelVec`s; resident slots
-/// run the same kernels over their sub-selection (emitted build rows
-/// rebased to global ids), while lanes owned by an evicted slot are
-/// *diverted*: their full rows go to this prober's probe spill file for
-/// the slot and leave `live`/`nonnull`, so flag-based emission never sees
-/// them — their entire join result (matches, padding, anti emission) comes
-/// from the deferred join.
-#[allow(clippy::too_many_arguments)]
+/// radix bits into the prober's reused per-slot `SelVec`s; each slot runs
+/// the same kernels over its sub-selection (emitted build rows rebased to
+/// global ids).
 fn probe_batch(
     build: &JoinBuild,
     router: Option<&mut RadixRouter>,
-    probe_spill: &mut [Option<SpillStage>],
     join_type: JoinType,
+    s: &mut ProbeScratch,
+    keys: &[&Vector],
+) {
+    let emit_pairs = !join_type.first_match_only();
+    let Some(router) = router else {
+        probe_one(&build.tables[0], build.keys(), s, keys, None, 0, emit_pairs, false);
+        return;
+    };
+    let n = keys.first().map_or(0, |k| k.len());
+    hashtable::hash_keys(keys.iter().copied(), n, false, &mut s.lanes, &mut s.hashes);
+    // A full-length sorted selection is the identity: skip the indirection.
+    router.split(&s.hashes, (s.nonnull.len() != n).then_some(&s.nonnull), n);
+    for (si, table) in build.tables.iter().enumerate() {
+        let sel = router.shard_sel(si);
+        if !sel.is_empty() {
+            probe_one(table, build.keys(), s, keys, Some(sel), build.bases[si], emit_pairs, true);
+        }
+    }
+}
+
+/// The build is on disk: stage every non-NULL lane of `batch` for the
+/// deferred phase through this prober's routed spill, and leave only the
+/// NULL-keyed lanes live — their answer (outer padding, anti emission)
+/// needs no build row.
+fn divert(
+    spill: &mut RoutedSpill,
     s: &mut ProbeScratch,
     keys: &[&Vector],
     batch: &Batch,
 ) -> Result<()> {
-    let emit_pairs = !join_type.first_match_only();
-    let n = keys.first().map_or(0, |k| k.len());
-    // Reset per-lane flags only for the lanes this batch owns.
-    if s.matched_flags.len() < n {
-        s.matched_flags.resize(n, false);
+    if !s.nonnull.is_empty() {
+        let n = keys.first().map_or(0, |k| k.len());
+        hashtable::hash_keys(keys.iter().copied(), n, false, &mut s.lanes, &mut s.hashes);
+        spill.push(&batch.columns, &s.hashes, Some(&s.nonnull))?;
+        spill.flush_if_over()?;
     }
-    for p in s.live.iter() {
-        s.matched_flags[p] = false;
-    }
-    let Some(router) = router else {
-        probe_one(&build.tables[0], build.keys(), s, keys, None, 0, emit_pairs, false);
-        return Ok(());
-    };
-    hashtable::hash_keys(keys.iter().copied(), n, false, &mut s.lanes, &mut s.hashes);
-    // A full-length sorted selection is the identity: skip the indirection.
-    router.split(&s.hashes, (s.nonnull.len() != n).then_some(&s.nonnull), n);
-    let mut diverted = false;
-    for (si, table) in build.tables.iter().enumerate() {
-        let sel = router.shard_sel(si);
-        if sel.is_empty() {
-            continue;
-        }
-        if build.is_spilled(si) {
-            let cfg = build.spill.as_ref().expect("spilled implies governed");
-            let stage = probe_spill[si].get_or_insert_with(|| SpillStage::new(cfg));
-            stage.push(&batch.columns, sel)?;
-            stage.flush_if_over()?;
-            if s.deferred_flags.len() < n {
-                s.deferred_flags.resize(n, false);
-            }
-            for p in sel.iter() {
-                s.deferred_flags[p] = true;
-            }
-            diverted = true;
-            continue;
-        }
-        probe_one(table, build.keys(), s, keys, Some(sel), build.bases[si], emit_pairs, true);
-    }
-    if diverted {
-        let flags = &s.deferred_flags;
-        s.nonnull.retain_from(|p| !flags[p], &mut s.tmp);
-        std::mem::swap(&mut s.nonnull, &mut s.tmp);
-        s.live.retain_from(|p| !flags[p], &mut s.tmp);
-        std::mem::swap(&mut s.live, &mut s.tmp);
-        // Clear the flags we set (only evicted slots' lanes carry them).
-        for si in (0..build.tables.len()).filter(|&si| build.is_spilled(si)) {
-            for p in router.shard_sel(si).iter() {
-                s.deferred_flags[p] = false;
-            }
-        }
-    }
+    s.live.retain_from(|p| keys.iter().any(|k| k.is_null(p)), &mut s.tmp);
+    std::mem::swap(&mut s.live, &mut s.tmp);
+    s.nonnull.clear();
     Ok(())
 }
 
@@ -1389,8 +1416,7 @@ impl Operator for HashJoin {
         loop {
             self.cancel.check()?;
             let Some(batch) = self.left.next()? else {
-                let governed = self.build.as_ref().is_some_and(|b| b.spill.is_some());
-                return if governed { self.next_deferred() } else { Ok(None) };
+                return self.next_deferred();
             };
             self.profile.record_enc_batch(&batch);
             self.scratch.refs.clear();
@@ -1400,10 +1426,9 @@ impl Operator for HashJoin {
             }
             let build = self.build.as_ref().expect("built before probing");
             // NULL-aware anti short-circuits: any build NULL key → nothing
-            // can ever pass; empty build side → everything passes. The
-            // global build keys hold only *resident* rows, so an evicted
-            // partition keeps the build non-empty.
-            let build_empty = build.keys()[0].is_empty() && !build.any_spilled();
+            // can ever pass; empty build side → everything passes. A build
+            // on disk holds no resident row, but it is not empty.
+            let build_empty = !build.on_disk() && build.keys()[0].is_empty();
             let has_null_key = build.has_null_key;
             let skip_probe =
                 self.join_type == JoinType::NullAwareLeftAnti && (has_null_key || build_empty);
@@ -1428,9 +1453,17 @@ impl Operator for HashJoin {
                 }
                 s.live.retain_from(|p| !keys.iter().any(|k| k.is_null(p)), &mut s.nonnull);
                 if !skip_probe {
-                    let router = self.router.as_mut();
-                    let files = &mut self.probe_spill;
-                    probe_batch(build, router, files, self.join_type, s, keys, &batch)?;
+                    // Reset per-lane flags only for the lanes this batch owns.
+                    if s.matched_flags.len() < batch.capacity() {
+                        s.matched_flags.resize(batch.capacity(), false);
+                    }
+                    for p in s.live.iter() {
+                        s.matched_flags[p] = false;
+                    }
+                    match &mut self.probe_spill {
+                        Some(spill) => divert(spill, s, keys, &batch)?,
+                        None => probe_batch(build, self.router.as_mut(), self.join_type, s, keys),
+                    }
                 }
             }
             self.pool.recycle();
@@ -1674,9 +1707,9 @@ mod tests {
         assert_eq!(out.rows(), 2);
     }
 
-    // Every build configuration (one slot, governed ample/tight; own and
-    // shared inside an exchange, one table and one per slot) × join type
-    // × key shape is checked against the volcano engine in
+    // Every build configuration (resident and on disk; own and shared
+    // inside an exchange, one table and one per slot) × join type × key
+    // shape is checked against the volcano engine in
     // `tests/sql_semantics.rs::build_mode_matrix`.
 
     #[test]
@@ -1758,7 +1791,7 @@ mod tests {
             assert_eq!(r[0], r[1], "probe key equals matched build key");
         }
         use std::sync::atomic::Ordering;
-        assert!(metrics.partitions.load(Ordering::Relaxed) >= 4, "all partitions spill");
+        assert!(metrics.files.load(Ordering::Relaxed) >= 4, "all partitions spill");
         assert!(
             metrics.bytes_read.load(Ordering::Relaxed)
                 >= metrics.bytes_written.load(Ordering::Relaxed) / 2,
@@ -1797,11 +1830,12 @@ mod tests {
     }
 
     /// A governed inner join of `n` probe rows against `n` build rows (the
-    /// same keys), 64-row batches over 8 partitions under a budget of
-    /// `limit` bytes: each probe batch diverts a few rows to each evicted
-    /// partition. Returns, per probe pull, the spill chunks written so far
-    /// and the budget in use (see [`Watched`]), once the join has drained
-    /// and let go of every byte and block.
+    /// same keys), 64-row batches through 8-way routed spills under a
+    /// budget of `limit` bytes the build overflows: each probe batch
+    /// diverts a few rows to each partition. Returns, per probe pull, the
+    /// spill chunks written so far and the budget in use (see
+    /// [`Watched`]), once the join has drained and let go of every byte
+    /// and block.
     fn divert_probe_rows(n: i64, limit: usize) -> Vec<(u64, usize)> {
         use crate::partition::{MemBudget, SpillConfig};
         use vw_storage::SimulatedDisk;
@@ -1833,7 +1867,7 @@ mod tests {
         .with_spill(cfg);
         let out = drain(&mut j).unwrap();
         assert_eq!(out.rows(), n as usize);
-        let spilled = metrics.partitions.load(std::sync::atomic::Ordering::Relaxed);
+        let spilled = metrics.files.load(std::sync::atomic::Ordering::Relaxed);
         assert!(spilled >= 4, "{spilled} partitions spilled");
         drop(j);
         assert_eq!(budget.used(), 0, "staged rows uncharged");
@@ -1844,13 +1878,15 @@ mod tests {
 
     #[test]
     fn diverted_probe_rows_are_staged_and_never_keep_the_budget_over() {
+        use crate::spill::SPILL_CHUNK_ROWS;
         let (n, limit) = (20_000, 64 * 1024);
         let seen = divert_probe_rows(n, limit);
-        // Written while probing: full chunks, and a stage written early
-        // when the push that took the budget over was its own. A chunk per
-        // probe batch per evicted partition would be over 1 000.
+        // Written while probing: full chunks, and the fullest stage
+        // written early when the budget is over. A chunk per probe batch
+        // per partition would be over 1 000.
         let (built, probed) = (seen[0].0, seen[seen.len() - 1].0);
-        assert!(probed - built <= n as u64 / 256, "{} chunks for {n} probe rows", probed - built);
+        let bound = (n as u64).div_ceil(SPILL_CHUNK_ROWS as u64) + 8;
+        assert!(probed - built <= bound, "{} chunks for {n} probe rows", probed - built);
         // Between probe batches the staged rows never leave the budget over.
         assert!(seen.iter().all(|&(_, used)| used <= limit), "{seen:?}");
     }
@@ -1861,9 +1897,10 @@ mod tests {
         use crate::spill::SPILL_CHUNK_ROWS;
         use std::sync::atomic::Ordering::Relaxed;
         use vw_storage::SimulatedDisk;
-        // 20 000 build rows in 64-row batches over 8 partitions: the
-        // budget holds under a third of them, so every partition evicts
-        // and every later batch routes a few rows to each evicted one.
+        // 20 000 build rows in 64-row batches through an 8-way routed
+        // spill: the budget holds under a third of them, so the build
+        // overflows and every later batch routes a few rows to each
+        // partition.
         let (n, limit) = (20_000i64, 96 * 1024);
         let schema = Schema::new(vec![Field::nullable("k", TypeId::I64)]).unwrap();
         let mk = |vals: Vec<i64>| -> BoxedOp {
@@ -1897,14 +1934,14 @@ mod tests {
         assert_eq!(out.rows(), n as usize);
         drop(j);
         assert_eq!((budget.used(), disk.used_bytes()), (0, 0), "every byte and block let go");
-        // The build is done at the probe's first pull: its chunks are
-        // full ones, one per eviction and at most one last one per
-        // partition. (A chunk per build batch per evicted partition would
-        // be over 1 000.)
-        let spilled = metrics.partitions.load(Relaxed);
-        assert!(spilled >= 4, "{spilled} partitions spilled");
+        // The build is done at the probe's first pull: its chunks are full
+        // ones, the fullest stage written early when the budget is over,
+        // and at most one last one per partition. (A chunk per build batch
+        // per partition would be over 1 000.)
+        let spilled = metrics.files.load(Relaxed);
+        assert!(spilled >= 8, "{spilled} partitions spilled");
         let chunks = probed.lock().unwrap()[0].0;
-        let bound = (n as u64).div_ceil(SPILL_CHUNK_ROWS as u64) + spilled + 8;
+        let bound = (n as u64).div_ceil(SPILL_CHUNK_ROWS as u64) + 8;
         assert!(chunks <= bound, "{chunks} chunks for {n} build rows (bound {bound})");
         // Between build batches the budget is never over.
         let built = built.lock().unwrap();

@@ -1,32 +1,27 @@
-//! The one hash-build state machine under hash join and hash aggregation.
+//! Radix routing and the per-query memory governor under hash join and
+//! hash aggregation.
 //!
-//! A hash build is `P` **slots** of operator-defined state (`S`: staged
-//! join rows, or an aggregation shard) behind one [`RadixRouter`]. The
-//! serial and the memory-governed build are the two settings of
-//! [`Partitions`]:
+//! A hash build is built the same way whether or not its query has a
+//! memory budget: one table (`P = 1`) for a join that builds for itself
+//! and for every aggregate, and `P = next_pow2(dop)` slots behind a
+//! [`RadixRouter`] for a join build shared inside an Exchange — one table
+//! per slot once the build holds [`DEFAULT_PARALLEL_BUILD_MIN_ROWS`] rows,
+//! a single one below. A budget ([`SpillConfig`]) changes two things only:
 //!
-//! * **P = 1** — the serial build. [`Partitions::route`] does nothing and
-//!   [`Partitions::lane`] hands the live selection back untouched, so the
-//!   operators' fused hash+probe kernels run exactly as if no partitioning
-//!   existed.
-//! * **P > 1 with a governor** ([`SpillConfig`]) — the grace build. Every
-//!   slot's bytes are charged to the query's [`MemBudget`]
-//!   ([`Partitions::recharge`]); while the query is over budget
-//!   [`Partitions::evict_while_over`] hands the largest slot and its
-//!   [`SpillStage`] to the operator, which writes the slot out and resets
-//!   it; rows that arrive for an evicted slot are staged for its file
-//!   ([`Partitions::push_spilled`]), build and probe spilling through the
-//!   one writer. Dropping the set returns every charged byte.
+//! * the build charges the query's [`MemBudget`] **one** number, the bytes
+//!   it holds resident ([`Charge`]);
+//! * the first time the query is over budget while the build holds
+//!   resident rows, the build **overflows**: it writes everything it holds
+//!   through a routed spill ([`crate::spill::RoutedSpill`] — one
+//!   [`RadixRouter`] on the governor's stratum and fan-out in front of one
+//!   spill stage per partition), and every later row goes the same way. A
+//!   build is resident or on disk, never half; what happens to an
+//!   overflowed one is the operators' (`op/hashjoin.rs`, `op/hashagg.rs`).
 //!
-//! A set has one writer. A join build inside an Exchange has `dop`
-//! writers — one sink per worker, each with a set of its own (ungoverned
-//! at P > 1 there: the slots become one table each), all on the same
-//! fan-out and stratum, a governed one charging the same budget — and
-//! joins them up slot by slot when the last sink is done
+//! A set of slots has one writer. A join build inside an Exchange has
+//! `dop` writers — one sink per worker, each with a set of its own, all on
+//! the same fan-out — joined up slot by slot when the last sink is done
 //! (`op/hashjoin.rs`): there is no shared table and no lock per row.
-//! "Spilled" is then a property of the slot, not of one set: a slot any
-//! set evicted goes to disk in every set
-//! ([`Partitions::spill_stage`]).
 //!
 //! The "when more cores hurts" lesson behind the radix design: threading
 //! one shared table serializes on cache-line ping-pong, so every slot is
@@ -39,15 +34,13 @@
 //! per-table kernel against a table `P`× smaller.
 //!
 //! What a build reports is what `EXPLAIN ANALYZE` prints for it (see
-//! [`crate::profile`]): its final rows or groups per slot (`shards=P×skew`)
-//! and its governor's [`SpillMetrics`] (`spill=Pp W/R`). Probes are not
-//! counted — a probe's cost is its operator's `time=`.
+//! [`crate::profile`]): a shared join build's final rows per table
+//! (`shards=P×skew`) and its governor's [`SpillMetrics`] (`spill=Fp W/R`).
+//! Probes are not counted — a probe's cost is its operator's `time=`.
 
-use crate::spill::SpillStage;
-use crate::vector::Vector;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-use vw_common::{Result, SelVec};
+use vw_common::SelVec;
 pub use vw_service::WorkerPool;
 use vw_storage::SimulatedDisk;
 
@@ -153,183 +146,62 @@ impl RadixRouter {
     }
 }
 
-/// The partitioned build state: `P` slots of `S` behind one router, plus —
-/// for a memory-governed build — the per-slot bytes charged to the query's
-/// [`MemBudget`] and the per-slot spill files. The operators supply only
-/// what a slot holds and how one is written out; where rows live while a
-/// build runs, who evicts them and when the charge is returned is decided
-/// here, once (see the module docs for the two settings).
-pub struct Partitions<S> {
-    router: RadixRouter,
-    slots: Vec<S>,
-    gov: Option<Governor>,
+/// The bytes one hash build holds resident, charged to its query's
+/// [`MemBudget`] as one number and returned when the charge drops — at
+/// the end of the build, on an overflow, or on an error or KILL unwind.
+#[derive(Debug)]
+pub struct Charge {
+    budget: Arc<MemBudget>,
+    bytes: usize,
 }
 
-struct Governor {
-    cfg: SpillConfig,
-    charged: Vec<usize>,
-    /// Per slot, once evicted: the stage its rows reach its spill file
-    /// through.
-    stages: Vec<Option<SpillStage>>,
-}
-
-impl<S> Partitions<S> {
-    /// `spill = Some` builds a governed set on the config's fan-out and
-    /// hash-bit stratum; `None` an ungoverned one over
-    /// `next_pow2(partitions)` slots (1 = the serial build).
-    pub fn new(
-        partitions: usize,
-        spill: Option<SpillConfig>,
-        make: impl FnMut() -> Result<S>,
-    ) -> Result<Partitions<S>> {
-        let router = match &spill {
-            Some(cfg) => RadixRouter::at_depth(cfg.partitions, cfg.depth),
-            None => RadixRouter::new(partitions),
-        };
-        let p = router.partitions();
-        let slots = std::iter::repeat_with(make).take(p).collect::<Result<_>>()?;
-        let gov = spill.map(|cfg| Governor {
-            cfg,
-            charged: vec![0; p],
-            stages: std::iter::repeat_with(|| None).take(p).collect(),
-        });
-        Ok(Partitions { router, slots, gov })
+impl Charge {
+    /// Nothing charged to `budget` yet.
+    pub fn new(budget: Arc<MemBudget>) -> Charge {
+        Charge { budget, bytes: 0 }
     }
 
-    /// Number of slots (a power of two, at least 1).
-    pub fn partitions(&self) -> usize {
-        self.router.partitions()
+    /// The bytes charged.
+    pub fn bytes(&self) -> usize {
+        self.bytes
     }
 
-    /// Split the `live` lanes of an `n`-lane batch across the slots by
-    /// their hashes. At P = 1 this does nothing — and reads no hash, so a
-    /// serial build need not compute any.
-    pub fn route(&mut self, hashes: &[u64], live: &SelVec, n: usize) {
-        if self.partitions() > 1 {
-            // A full-length sorted selection is the identity: skip the
-            // indirection.
-            self.router.split(hashes, (live.len() != n).then_some(live), n);
+    /// Charge `bytes` instead of what was charged so far.
+    pub fn set(&mut self, bytes: usize) {
+        let before = std::mem::replace(&mut self.bytes, bytes);
+        if bytes >= before {
+            self.budget.charge(bytes - before);
+        } else {
+            self.budget.uncharge(before - bytes);
         }
     }
 
-    /// The lanes the last [`Partitions::route`] gave slot `si` (P > 1).
-    pub fn routed(&self, si: usize) -> &SelVec {
-        self.router.shard_sel(si)
-    }
-
-    /// Slot `si`'s lanes of the last routed batch together with its state.
-    /// At P = 1 the lanes are `live` itself.
-    pub fn lane<'a>(&'a mut self, si: usize, live: &'a SelVec) -> (&'a SelVec, &'a mut S) {
-        let sel = if self.slots.len() == 1 { live } else { self.router.shard_sel(si) };
-        (sel, &mut self.slots[si])
-    }
-
-    /// Move the slots out (finalize); the router, charges and spill files
-    /// stay.
-    pub fn take_slots(&mut self) -> Vec<S> {
-        std::mem::take(&mut self.slots)
-    }
-
-    /// Set slot `si`'s charge to `bytes` (no-op when ungoverned).
-    pub fn recharge(&mut self, si: usize, bytes: usize) {
-        if let Some(g) = &mut self.gov {
-            let before = std::mem::replace(&mut g.charged[si], bytes);
-            if bytes >= before {
-                g.cfg.budget.charge(bytes - before);
-            } else {
-                g.cfg.budget.uncharge(before - bytes);
-            }
-        }
-    }
-
-    /// The governor's spill decision: while the query is over budget, pick
-    /// the slot holding the most charged bytes and let `write_out` move
-    /// its state into the slot's spill stage (created on first eviction)
-    /// and reset the slot. The slot's charge is returned afterwards. Stops
-    /// when nothing this set holds resident is charged — another operator
-    /// of the query owns the rest; if the budget is still over then, the
-    /// stages write out what they hold (the flush rule of
-    /// [`SpillStage`]).
-    pub fn evict_while_over(
-        &mut self,
-        mut write_out: impl FnMut(usize, &mut S, &mut SpillStage) -> Result<()>,
-    ) -> Result<()> {
-        let Some(Governor { cfg, charged, stages }) = &mut self.gov else { return Ok(()) };
-        while cfg.budget.over() {
-            let victim = (0..charged.len()).max_by_key(|&si| charged[si]).expect("P >= 1");
-            if charged[victim] == 0 {
-                break;
-            }
-            let stage = stages[victim].get_or_insert_with(|| cfg.new_stage());
-            write_out(victim, &mut self.slots[victim], stage)?;
-            cfg.budget.uncharge(std::mem::take(&mut charged[victim]));
-        }
-        for stage in stages.iter_mut().flatten() {
-            stage.flush_if_over()?;
-        }
-        Ok(())
-    }
-
-    /// Has slot `si` been evicted at least once (does it own a spill file)?
-    pub fn is_spilled(&self, si: usize) -> bool {
-        self.gov.as_ref().is_some_and(|g| g.stages[si].is_some())
-    }
-
-    /// Slot `si`'s spill stage, created on first use: it takes the rows
-    /// that arrive for a slot already evicted, and — once every sink of a
-    /// shared build has deposited — the rows this set still holds for a
-    /// slot *another* sink's set evicted.
-    pub fn spill_stage(&mut self, si: usize) -> &mut SpillStage {
-        let Governor { cfg, stages, .. } = self.gov.as_mut().expect("spilling is governed");
-        stages[si].get_or_insert_with(|| cfg.new_stage())
-    }
-
-    /// Stage the lanes the last [`Partitions::route`] gave slot `si`, an
-    /// evicted one, of `cols` for its spill file.
-    pub fn push_spilled(&mut self, si: usize, cols: &[Vector]) -> Result<()> {
-        let Governor { stages, .. } = self.gov.as_mut().expect("spilling is governed");
-        let stage = stages[si].as_mut().expect("an evicted slot has a stage");
-        stage.push(cols, self.router.shard_sel(si))
-    }
-
-    /// Take slot `si`'s spill stage (the deferred phase owns its file,
-    /// once [`SpillStage::finish`]ed).
-    pub fn take_stage(&mut self, si: usize) -> Option<SpillStage> {
-        self.gov.as_mut().and_then(|g| g.stages[si].take())
-    }
-
-    /// Return every byte still charged. Normal completion calls this when
-    /// the slots' state has been emitted or handed on; `Drop` calls it for
-    /// error and KILL unwinds.
-    pub fn release(&mut self) {
-        if let Some(g) = &mut self.gov {
-            for c in &mut g.charged {
-                g.cfg.budget.uncharge(std::mem::take(c));
-            }
-        }
+    /// Take over `other`'s bytes (the sinks of one build hand theirs to
+    /// the build they make).
+    pub fn absorb(&mut self, mut other: Charge) {
+        self.bytes += std::mem::take(&mut other.bytes);
     }
 }
 
-impl<S> Drop for Partitions<S> {
+impl Drop for Charge {
     fn drop(&mut self) {
-        self.release();
+        self.budget.uncharge(self.bytes);
     }
 }
 
 /// The per-query memory governor: a shared byte counter every memory-
-/// governed hash build charges as its staged shards grow, with a hard
-/// budget above which the grace-spill machinery starts evicting the
-/// largest shards to disk.
+/// governed hash build charges with what it holds resident, with a hard
+/// budget above which a build that holds resident rows overflows to disk.
 ///
 /// One `MemBudget` is created per query (see `vw-core::compile`) and
 /// shared — through an `Arc` — by every hash join build and every
 /// aggregation in the plan, including the sinks of a build shared inside
 /// an Exchange (which together charge it for that build once), the
 /// per-worker partial aggregates there, and the recursive
-/// joins/re-aggregations of already-spilled partitions. The
-/// budget is therefore a *query-wide* ceiling on hash build state, not a
-/// per-operator one: whichever operator pushes the total over the line
-/// spills its own largest shard first.
+/// joins/re-aggregations of spilled partitions. The budget is therefore a
+/// *query-wide* ceiling on hash build state, not a per-operator one:
+/// whichever build is staging rows when the total crosses the line writes
+/// what it holds out.
 ///
 /// Charging is advisory bookkeeping, not an allocator: operators report
 /// the approximate bytes of rows they stage
@@ -398,8 +270,9 @@ impl MemBudget {
 /// [`crate::profile`]).
 #[derive(Debug, Default)]
 pub struct SpillMetrics {
-    /// Partitions that spilled at least one chunk (all strata).
-    pub partitions: AtomicU64,
+    /// Spill files begun (not partitions): one per partition of every
+    /// routed spill that took a row (builds and probes, all strata).
+    pub files: AtomicU64,
     /// Encoded bytes written to spill files.
     pub bytes_written: AtomicU64,
     /// Chunks written to spill files (one per append).
@@ -414,9 +287,9 @@ impl SpillMetrics {
         Arc::new(SpillMetrics::default())
     }
 
-    /// Record one partition's first spill.
-    pub fn record_partition(&self) {
-        self.partitions.fetch_add(1, Ordering::Relaxed);
+    /// Record one spill file's first row.
+    pub fn record_file(&self) {
+        self.files.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Record one chunk of `n` encoded bytes appended to a spill file.
@@ -463,13 +336,6 @@ impl SpillConfig {
             depth: 0,
             metrics: SpillMetrics::new(),
         }
-    }
-
-    /// A fresh spill stage for one evicted partition, counted in the
-    /// metrics.
-    pub(crate) fn new_stage(&self) -> SpillStage {
-        self.metrics.record_partition();
-        SpillStage::new(self)
     }
 
     /// The deepest usable stratum for `partitions`-way splits: capped by
@@ -625,56 +491,21 @@ mod tests {
     }
 
     #[test]
-    fn one_slot_partitions_pass_the_live_lanes_through() {
-        let mut parts = Partitions::new(1, None, || Ok(0u32)).unwrap();
-        assert_eq!(parts.partitions(), 1);
-        let live: SelVec = [1u32, 4, 5].into_iter().collect();
-        parts.route(&[], &live, 8); // reads no hash at P = 1
-        let (sel, slot) = parts.lane(0, &live);
-        assert_eq!(sel.as_slice(), live.as_slice());
-        *slot += 1;
-        parts.recharge(0, 1 << 40); // ungoverned: nothing to charge
-        parts.evict_while_over(|_, _, _| panic!("ungoverned sets never evict")).unwrap();
-        assert!(!parts.is_spilled(0) && parts.gov.is_none());
-        assert_eq!(parts.take_slots(), vec![1]);
-    }
-
-    #[test]
-    fn governed_partitions_evict_the_largest_slot_and_uncharge_on_drop() {
-        let disk = SimulatedDisk::instant();
+    fn a_build_charges_one_number_and_returns_it_on_drop() {
         let budget = MemBudget::new(1000);
-        let cfg = SpillConfig::new(budget.clone(), disk.clone(), 4);
-        let metrics = cfg.metrics.clone();
-        let mut parts = Partitions::new(1, Some(cfg), || Ok(Vec::<i64>::new())).unwrap();
-        assert_eq!(parts.partitions(), 4, "the config's fan-out wins");
-        let hashes: Vec<u64> = (0..64u64).map(hash_u64).collect();
-        let live: SelVec = (0..64u32).collect();
-        parts.route(&hashes, &live, 64);
-        let routed: usize = (0..4).map(|si| parts.routed(si).len()).sum();
-        assert_eq!(routed, 64);
-        for (si, bytes) in [(0, 300), (1, 500), (2, 100)] {
-            parts.lane(si, &live).1.push(si as i64);
-            parts.recharge(si, bytes);
-        }
-        assert_eq!(budget.used(), 900);
-        parts.evict_while_over(|_, _, _| panic!("within budget")).unwrap();
-        parts.recharge(2, 400); // 1200 > 1000: the 500-byte slot must go
-        let mut victims = Vec::new();
-        parts
-            .evict_while_over(|si, slot, stage| {
-                victims.push(si);
-                stage.append(&[Vector::new(vw_common::ColData::I64(std::mem::take(slot)))])
-            })
-            .unwrap();
-        assert_eq!(victims, vec![1]);
-        assert_eq!(budget.used(), 700);
-        assert!(parts.is_spilled(1) && !parts.is_spilled(0));
-        assert_eq!(metrics.partitions.load(Ordering::Relaxed), 1);
-        assert!(metrics.bytes_written.load(Ordering::Relaxed) > 0);
-        parts.recharge(0, 100); // shrinking a charge returns the difference
-        assert_eq!(budget.used(), 500);
-        drop(parts);
+        let mut a = Charge::new(budget.clone());
+        a.set(600);
+        assert!(!budget.over());
+        let mut b = Charge::new(budget.clone());
+        b.set(500); // another sink of the same build
+        assert!(budget.over());
+        b.set(100); // shrinking a charge returns the difference
+        assert_eq!((budget.used(), b.bytes()), (700, 100));
+        a.absorb(b); // the sinks hand their charges to the build
+        assert_eq!((budget.used(), a.bytes()), (700, 700));
+        let global = MemBudget::global_in_use();
+        assert!(global >= 700, "the process-wide mirror counts it ({global})");
+        drop(a);
         assert_eq!(budget.used(), 0, "drop returns every charged byte");
-        assert_eq!(disk.used_bytes(), 0, "and frees the spill file");
     }
 }

@@ -26,8 +26,8 @@
 //! | `actual=N` | rows the node's operator returned, over all clones. | compare with `est~`: a large ratio either way marks the estimate that misled join order or build side — CHECKPOINT if DML left statistics stale. |
 //! | `time=X.XXXms` | wall time inside the operator's `next()`, children included, summed over clones. | a parent minus its children is the node's own cost. A join's line holds its own build outside an Exchange; inside one the build runs in the build's sink tasks and only its `build:` subtree is timed. |
 //! | `×k rows a..b time a..b` | `k` clones ran this node; per clone the fewest..most rows and least..most time (ms). Only when `k > 1`. | ranges near the mean; a wide `time` range is a straggler, the number behind "when more cores hurts". |
-//! | `shards=P×skew` | a hash build over `P > 1` radix partitions; skew is build rows (join) or groups (aggregate) per partition, `max/mean`. Absent when every partition was evicted (see `spill=`). | skew near 1.00; ≫ 1 is a clustered radix split. |
-//! | `spill=Pp W/R` | grace spilling: partitions spilled (all strata), encoded bytes written / read back. | any value means the query ran over `mem_budget`; read ≫ written is deep re-partitioning. |
+//! | `shards=P×skew` | a join build shared inside an Exchange with a table per slot (`P > 1`); skew is build rows per table, `max/mean`. An aggregate, a one-table build and a build on disk (see `spill=`) never print it. | skew near 1.00; ≫ 1 is a clustered radix split. |
+//! | `spill=Fp W/R` | grace spilling: spill files begun (one per partition of a routed spill that took a row — builds and probes, all strata), encoded bytes written / read back. | any value means the query ran over `mem_budget`; read ≫ written is deep re-partitioning. |
 //! | `enc=E/F+S` | batches the operator took in still encoded (dictionary codes, RLE) / fully inflated, plus `S` rows decided wholesale at the encoding level (whole runs, dictionary-code bitmaps, the aggregate's code memo). `+S` only when `S > 0`. | `0/F` on a dictionary column means the encoded path fell back. |
 //!
 //! A node with no operator of its own prints no suffix: a `Sort` fused
@@ -49,8 +49,9 @@ use vw_common::{Result, Schema};
 /// module docs).
 #[derive(Debug, Default, Clone)]
 pub struct OpProfile {
-    /// Build rows (join) or groups (aggregate) per radix partition of a
-    /// hash build; empty without a hash build.
+    /// Build rows per table of a join build (one entry for a single
+    /// table, none for a build on disk), or an aggregate's groups (one
+    /// entry); empty without a hash build.
     pub shard_build_rows: Vec<u64>,
     /// The spill traffic counters of a memory-governed hash build — shared
     /// down its recursion, and by every prober of one shared build.
@@ -178,7 +179,7 @@ impl NodeProfile {
             let _ = write!(out, " shards={}×{:.2}", c.shard_build_rows.len(), c.shard_skew());
         }
         let sum = |f: fn(&SpillMetrics) -> u64| s.spills.iter().map(|m| f(m)).sum::<u64>();
-        let spilled = sum(|m| m.partitions.load(Relaxed));
+        let spilled = sum(|m| m.files.load(Relaxed));
         if spilled > 0 {
             let written = human_bytes(sum(|m| m.bytes_written.load(Relaxed)));
             let read = human_bytes(sum(|m| m.bytes_read.load(Relaxed)));
@@ -318,8 +319,8 @@ mod tests {
     #[test]
     fn operator_counters_render_once_per_shared_spill() {
         let metrics = SpillMetrics::new();
-        metrics.record_partition();
-        metrics.record_partition();
+        metrics.record_file();
+        metrics.record_file();
         metrics.record_write(3 * 1024 * 1024 / 2);
         metrics.record_read(512);
         let node = NodeProfile::default();

@@ -8,11 +8,14 @@
 //! (`vw_storage::pack::encode_spill_batch` — the same per-column codecs
 //! stable storage uses) and rehydrates them as ordinary [`Batch`]es.
 //!
-//! The policy half — *when* to spill and *which* partition — lives in
-//! [`crate::partition`] (the [`MemBudget`]
-//! governor, victim selection, radix strata, recursion depth floor); what
-//! a partition writes and how spilled partitions are re-processed is the
-//! operators' (`op/hashjoin.rs`, `op/hashagg.rs`).
+//! Rows reach disk one way only, a [`RoutedSpill`]: a join build that
+//! overflowed, the probe rows of such a build, an aggregate's partial
+//! state and the aggregate's re-partitioning pass all push rows with
+//! their key hashes, which one radix router splits into one spill file
+//! per partition. The policy half — *when* a build overflows — is the
+//! [`MemBudget`] governor's (see [`crate::partition`]); what is written
+//! and how a spilled partition is re-processed is the operators'
+//! (`op/hashjoin.rs`, `op/hashagg.rs`).
 //!
 //! Temp space is owned by the operator: a [`SpillFile`] frees its blocks
 //! on drop, so spill storage is reclaimed whether the query completes,
@@ -20,7 +23,7 @@
 
 use crate::cancel::CancelToken;
 use crate::op::Operator;
-use crate::partition::{MemBudget, SpillConfig, SpillMetrics};
+use crate::partition::{MemBudget, RadixRouter, SpillConfig, SpillMetrics};
 use crate::vector::{Batch, Vector};
 use std::borrow::Borrow;
 use std::sync::Arc;
@@ -57,27 +60,92 @@ pub fn append_vectors<V: Borrow<Vector>>(file: &mut SpillFile, cols: &[V]) -> Re
     file.append(encode_spill_batch(&encoded))
 }
 
-/// Rows a [`SpillStage`] gathers before it writes them as one chunk.
+/// Rows a partition's stage gathers before it writes them as one chunk.
 pub const SPILL_CHUNK_ROWS: usize = 2048;
 
-/// The one writer of a spill file: rows bound for it are gathered until a
-/// chunk's worth is staged and then written as one chunk — a batch
-/// spreads over the partitions, so writing each batch's share at once
-/// would make chunks of a few rows each, replayed as batches as small. A
-/// block of rows that is already whole (an evicted build slot, an
-/// aggregate shard's partial state) is written as a chunk of its own
-/// ([`SpillStage::append`]).
+/// Where the rows of a hash build that overflowed go: one
+/// [`RadixRouter`] on the governor's stratum and fan-out in front of one
+/// stage per partition, each the one writer of the partition's spill
+/// file. Rows arrive with their key hashes; equal keys meet in one
+/// partition, and a partition's rows are re-processed on the next stratum
+/// (`op/hashjoin.rs`'s deferred phase, `op/hashagg.rs`'s re-aggregation).
 ///
-/// At most [`SPILL_CHUNK_ROWS`] rows (plus one batch's share) wait; their
-/// bytes are charged to the query's budget while they do. The flush rule:
-/// a stage writes when it is full, and when the budget is over once its
-/// operator has evicted what it could ([`SpillStage::flush_if_over`]) —
-/// a hash build evicts its resident slots first, a prober has nothing to
-/// evict — so staged rows never keep the budget over (the other operators
-/// of the query evict while it is). The staged vectors are flat: a coded
-/// source inflates only the lanes staged, and the stage pins no pack's
-/// arena.
-pub struct SpillStage {
+/// A partition's rows are gathered until a chunk's worth is staged and
+/// then written as one chunk — a batch spreads over the partitions, so
+/// writing each batch's share at once would make chunks of a few rows
+/// each, replayed as batches as small. Staged rows are charged to the
+/// query's budget; the flush rule is that a stage writes when it is full,
+/// and when the budget is over once its operator wrote out what it held
+/// ([`RoutedSpill::flush_if_over`]), so staged rows never keep the budget
+/// over. The staged vectors are flat: a coded source inflates only the
+/// lanes staged, and no stage pins a pack's arena.
+pub struct RoutedSpill {
+    router: RadixRouter,
+    /// Per partition, once it took a row.
+    stages: Vec<Option<SpillStage>>,
+    cfg: SpillConfig,
+}
+
+impl RoutedSpill {
+    /// A routed spill on `cfg`'s stratum and fan-out, writing to `cfg`'s
+    /// device and charging `cfg`'s budget.
+    pub fn new(cfg: &SpillConfig) -> RoutedSpill {
+        let router = RadixRouter::at_depth(cfg.partitions, cfg.depth);
+        let stages = std::iter::repeat_with(|| None).take(router.partitions()).collect();
+        RoutedSpill { router, stages, cfg: cfg.clone() }
+    }
+
+    /// Stage the `sel` lanes (all of them when `None`) of `cols`, routed
+    /// by `hashes` (one per lane); a full stage is written out.
+    pub fn push<V: Borrow<Vector>>(
+        &mut self,
+        cols: &[V],
+        hashes: &[u64],
+        sel: Option<&SelVec>,
+    ) -> Result<()> {
+        let n = hashes.len();
+        // A full-length sorted selection is the identity: skip the
+        // indirection.
+        let sel = sel.filter(|s| s.len() != n);
+        let RoutedSpill { router, stages, cfg } = self;
+        router.split(hashes, sel, n);
+        for (si, stage) in stages.iter_mut().enumerate() {
+            let lanes = router.shard_sel(si);
+            if !lanes.is_empty() {
+                let stage = stage.get_or_insert_with(|| {
+                    cfg.metrics.record_file();
+                    SpillStage::new(cfg)
+                });
+                stage.push(cols, lanes)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// While the budget is over, write out the fullest stage (the fewer
+    /// early writes, the larger their chunks).
+    pub fn flush_if_over(&mut self) -> Result<()> {
+        while self.cfg.budget.over() {
+            let fullest = self.stages.iter_mut().flatten().max_by_key(|s| s.charged);
+            match fullest {
+                Some(stage) if stage.charged > 0 => stage.flush()?,
+                _ => break,
+            }
+        }
+        Ok(())
+    }
+
+    /// Write what is still staged and hand the files over, one per
+    /// partition (`None` for a partition no row reached).
+    pub fn finish(self) -> Result<Vec<Option<SpillFile>>> {
+        self.stages.into_iter().map(|s| s.map(SpillStage::finish).transpose()).collect()
+    }
+}
+
+/// The one writer of one partition's spill file (see [`RoutedSpill`]).
+/// At most [`SPILL_CHUNK_ROWS`] rows (plus one push's share) wait; their
+/// bytes are charged to the query's budget while they do.
+struct SpillStage {
     /// `None` once [`SpillStage::finish`] handed it over.
     file: Option<SpillFile>,
     /// Empty until the first push gives the rows' types.
@@ -91,7 +159,7 @@ pub struct SpillStage {
 impl SpillStage {
     /// An empty stage writing to a fresh file on `cfg`'s device and
     /// charging `cfg`'s budget.
-    pub fn new(cfg: &SpillConfig) -> SpillStage {
+    fn new(cfg: &SpillConfig) -> SpillStage {
         SpillStage {
             file: Some(SpillFile::new(cfg.disk.clone())),
             vecs: Vec::new(),
@@ -102,12 +170,14 @@ impl SpillStage {
     }
 
     /// Stage the `sel` lanes of `cols`; a full stage is written out.
-    pub fn push(&mut self, cols: &[Vector], sel: &SelVec) -> Result<()> {
+    fn push<V: Borrow<Vector>>(&mut self, cols: &[V], sel: &SelVec) -> Result<()> {
         if self.vecs.is_empty() {
-            self.vecs = cols.iter().map(|v| Vector::new(ColData::new(v.type_id()))).collect();
+            let empty = |v: &V| Vector::new(ColData::new(v.borrow().type_id()));
+            self.vecs = cols.iter().map(empty).collect();
         }
         let mut bytes = 0;
         for (dst, src) in self.vecs.iter_mut().zip(cols) {
+            let src = src.borrow();
             bytes += src.flat_bytes(sel);
             dst.extend_gather_sel(src, sel);
             dst.ensure_flat();
@@ -117,21 +187,6 @@ impl SpillStage {
         if self.vecs[0].len() >= SPILL_CHUNK_ROWS {
             self.flush()?;
         }
-        Ok(())
-    }
-
-    /// Write the staged rows out if the budget is over.
-    pub fn flush_if_over(&mut self) -> Result<()> {
-        if self.budget.over() {
-            self.flush()?;
-        }
-        Ok(())
-    }
-
-    /// Write `cols` (equally long) as one chunk of their own.
-    pub fn append<V: Borrow<Vector>>(&mut self, cols: &[V]) -> Result<()> {
-        let file = self.file.as_mut().expect("a stage writes until it is finished");
-        self.metrics.record_write(append_vectors(file, cols)? as u64);
         Ok(())
     }
 
@@ -150,7 +205,7 @@ impl SpillStage {
     }
 
     /// Write what is still staged and hand the file over.
-    pub fn finish(mut self) -> Result<SpillFile> {
+    fn finish(mut self) -> Result<SpillFile> {
         self.flush()?;
         Ok(self.file.take().expect("finished once"))
     }
@@ -304,25 +359,26 @@ mod tests {
     }
 
     /// Stage `n` rows of `k` in 64-row batches, the odd lanes of each
-    /// selected, under `budget` with `taken` bytes of it already charged
-    /// by someone else; returns the file and, per push, whether the budget
-    /// was over afterwards.
+    /// selected and every lane hashed to partition 0, under `budget` with
+    /// `taken` bytes of it already charged by someone else; returns the
+    /// file and, per push, whether the budget was over afterwards.
     fn stage_odd_rows(n: i64, budget: Arc<MemBudget>, taken: usize) -> (SpillFile, Vec<bool>) {
         let cfg = SpillConfig::new(budget.clone(), SimulatedDisk::instant(), 8);
         budget.charge(taken);
-        let mut stage = SpillStage::new(&cfg);
+        let mut spill = RoutedSpill::new(&cfg);
         let odd = SelVec::from_positions((1..64).step_by(2).collect());
         let mut over = Vec::new();
         for lo in (0..n).step_by(64) {
             let k = Vector::new(ColData::I64((lo..lo + 64).collect()));
-            stage.push(&[k], &odd).unwrap();
-            stage.flush_if_over().unwrap();
+            spill.push(&[k], &[0; 64], Some(&odd)).unwrap();
+            spill.flush_if_over().unwrap();
             over.push(budget.over());
         }
-        let file = stage.finish().unwrap();
+        let mut files = spill.finish().unwrap();
+        assert!(files[1..].iter().all(Option::is_none), "no row routed elsewhere");
         budget.uncharge(taken);
         assert_eq!(budget.used(), 0, "written rows uncharged");
-        (file, over)
+        (files[0].take().expect("partition 0 took every row"), over)
     }
 
     /// The rows a file holds, chunk by chunk.
@@ -351,6 +407,43 @@ mod tests {
         let chunks = chunk_rows(&file);
         assert!(chunks.len() > odd.len().div_ceil(SPILL_CHUNK_ROWS), "flushed early");
         assert_eq!(chunks.concat(), odd);
+    }
+
+    #[test]
+    fn a_routed_spill_writes_each_row_to_its_partition_and_lets_go_of_everything() {
+        use vw_common::hash::hash_u64;
+        let (budget, disk) = (MemBudget::new(1 << 20), SimulatedDisk::instant());
+        let mut cfg = SpillConfig::new(budget.clone(), disk.clone(), 4);
+        cfg.depth = 1; // the stratum a first-level partition recurses on
+        let mut spill = RoutedSpill::new(&cfg);
+        let keys: Vec<i64> = (0..1000).collect();
+        let hashes: Vec<u64> = keys.iter().map(|&k| hash_u64(k as u64)).collect();
+        for (k, h) in keys.chunks(100).zip(hashes.chunks(100)) {
+            spill.push(&[Vector::new(ColData::I64(k.to_vec()))], h, None).unwrap();
+        }
+        assert!(budget.used() > 0, "staged rows are charged");
+        let files = spill.finish().unwrap();
+        assert_eq!(budget.used(), 0, "written rows uncharged");
+        let router = RadixRouter::at_depth(4, 1);
+        for (si, file) in files.iter().enumerate() {
+            let rows = chunk_rows(file.as_ref().expect("1000 keys reach every partition"));
+            let want: Vec<i64> = keys
+                .iter()
+                .copied()
+                .filter(|&k| router.shard_of(hash_u64(k as u64)) == si)
+                .collect();
+            assert_eq!(rows.concat(), want, "partition {si}");
+        }
+        assert_eq!(cfg.metrics.files.load(std::sync::atomic::Ordering::Relaxed), 4);
+        assert!(disk.used_bytes() > 0);
+        drop(files);
+        assert_eq!(disk.used_bytes(), 0, "the files free their blocks");
+        // Dropped unfinished (an error or KILL unwind): staged rows uncharged.
+        let mut spill = RoutedSpill::new(&cfg);
+        spill.push(&[Vector::new(ColData::I64(keys.clone()))], &hashes, None).unwrap();
+        assert!(budget.used() > 0);
+        drop(spill);
+        assert_eq!((budget.used(), disk.used_bytes()), (0, 0));
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //! optimizer, rewriter, cross compiler and the vectorized kernel, over both
 //! table kinds, with all the production features wired up.
 
-use vectorwise::common::{Value, VwError};
-use vectorwise::core::Database;
+use vectorwise::common::{ColData, Value, VwError};
+use vectorwise::core::{bulk_load, Database};
 
 #[test]
 fn both_table_kinds_coexist_and_join() {
@@ -472,6 +472,57 @@ fn explain_analyze_prints_every_operator_on_its_plan_line() {
             .iter()
             .any(|l| (l.contains("HashJoin") || l.contains("Aggr")) && l.contains(" spill="));
         assert_eq!(spilled, budget > 0, "spill= exactly when governed:\n{text}");
+    }
+}
+
+/// A budget a statement never crosses changes nothing it prints: a join
+/// that builds for itself feeding a GROUP BY at DOP 1, and a join over a
+/// build two workers share (a table per slot) at DOP 2, print the same
+/// `EXPLAIN ANALYZE` lines under an ample `mem_budget` as under none —
+/// measured times and what the clones of a node split between them
+/// masked, `spill=` cut.
+#[test]
+fn a_budget_never_crossed_changes_no_explain_analyze_line() {
+    let db = Database::open_in_memory();
+    db.execute("CREATE TABLE fact (k BIGINT NOT NULL, g BIGINT NOT NULL)").unwrap();
+    db.execute("CREATE TABLE dim (k BIGINT NOT NULL, v BIGINT NOT NULL)").unwrap();
+    let fact = [
+        ColData::I64((0..20_000).map(|i| i % 10_000).collect()),
+        ColData::I64((0..20_000).map(|i| i % 7).collect()),
+    ];
+    let dim =
+        [ColData::I64((0..10_000).collect()), ColData::I64((0..10_000).map(|i| i * 3).collect())];
+    bulk_load(&db, "fact", &fact, &[None, None]).unwrap();
+    bulk_load(&db, "dim", &dim, &[None, None]).unwrap();
+    // How many batches the clones of a node took in depends on how the
+    // morsel claims fell to them: masked with the per-clone ranges.
+    let masked = |text: &str| -> String {
+        let line = |l: &str| -> String {
+            let clones = l.contains(" ×");
+            let words = l.split(' ').filter(|w| !w.starts_with("spill="));
+            let words = words.map(|w| match w {
+                _ if w.starts_with("time=") => "time=*",
+                _ if w.contains("..") => "*",
+                _ if clones && w.starts_with("enc=") => "enc=*",
+                _ => w,
+            });
+            words.collect::<Vec<_>>().join(" ")
+        };
+        text.lines().map(line).collect::<Vec<_>>().join("\n")
+    };
+    let statements = [
+        (1, "SELECT f.g, COUNT(*), SUM(d.v) FROM fact f JOIN dim d ON f.k = d.k GROUP BY f.g"),
+        (2, "SELECT COUNT(*), SUM(d.v) FROM fact f JOIN dim d ON f.k = d.k"),
+    ];
+    for (dop, sql) in statements {
+        db.execute(&format!("SET parallelism = {dop}")).unwrap();
+        let [none, ample] = [0usize, 1 << 30].map(|budget| {
+            db.execute(&format!("SET mem_budget = {budget}")).unwrap();
+            masked(&db.execute(&format!("EXPLAIN ANALYZE {sql}")).unwrap().text.unwrap())
+        });
+        assert_eq!(none, ample, "dop {dop}: an ample budget changed a line");
+        assert_eq!(none.contains(" shards=2×"), dop == 2, "a table per slot at DOP 2:\n{none}");
+        assert!(!none.contains(" shards=") || dop == 2, "one table at DOP 1:\n{none}");
     }
 }
 
@@ -1121,4 +1172,49 @@ fn set_operations_and_hash_operators_share_one_hash_table() {
         }
     }
     assert!(operators >= 7, "the walk found the operators ({operators} files)");
+}
+
+/// Rows reach disk one way, held at source level: only `spill.rs` makes a
+/// spill stage — everything else writes through its routed spill — the
+/// hash aggregate keeps no set of partitioned slots, and no slot carries a
+/// charge of its own: `partition.rs` keeps no per-slot byte count and no
+/// executor source holds a vector of charges. Names are spelled in halves
+/// so a grep for them finds nothing, this file included.
+#[test]
+fn one_way_to_disk() {
+    let makes_a_stage = [concat!("SpillStage", "::new"), concat!("SpillStage", " {")];
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut files = Vec::new();
+    for dir in ["crates", "src", "examples"] {
+        rust_files(&root.join(dir), &mut files);
+    }
+    let non_test = |f: &&std::path::PathBuf| !f.components().any(|c| c.as_os_str() == "tests");
+    let exec = root.join("crates/exec/src");
+    let mut checked = 0;
+    for file in files.iter().filter(non_test) {
+        let text = std::fs::read_to_string(file).unwrap();
+        for line in text.lines().take_while(|l| !l.trim_start().starts_with("#[cfg(test)]")) {
+            if *file != exec.join("spill.rs") {
+                for name in makes_a_stage {
+                    assert!(!line.contains(name), "{}: `{}`", file.display(), line.trim());
+                }
+            }
+            if *file == exec.join("op/hashagg.rs") {
+                assert!(!line.contains(concat!("Parti", "tions")), "hashagg.rs: `{}`", line.trim());
+            }
+            if *file == exec.join("partition.rs") {
+                assert!(
+                    !line.contains(concat!("Vec<", "usize>")),
+                    "partition.rs: `{}`",
+                    line.trim()
+                );
+            }
+            if file.starts_with(&exec) {
+                let per_slot = concat!("Vec<", "Charge>");
+                assert!(!line.contains(per_slot), "{}: `{}`", file.display(), line.trim());
+            }
+        }
+        checked += 1;
+    }
+    assert!(checked > 60, "the walk found the crates ({checked} files)");
 }

@@ -6,11 +6,17 @@
 
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
-use vectorwise::common::{ColData, EngineConfig, FaultConfig, Value, VwError};
+use vectorwise::common::{
+    ColData, EngineConfig, FaultConfig, Field, Schema, TypeId, Value, VwError,
+};
 use vectorwise::core::monitor::QueryState;
 use vectorwise::core::{bulk_load, Database};
-use vectorwise::exec::MemBudget;
+use vectorwise::exec::op::{BoxedOp, HashJoin, JoinType, SharedBuild, Values, Xchg};
+use vectorwise::exec::partition::{SpillConfig, WorkerPool};
+use vectorwise::exec::profile::OpProfile;
+use vectorwise::exec::{Batch, CancelToken, ExprProgram, MemBudget, Operator, PhysExpr};
 use vectorwise::storage::SimulatedDisk;
+use vectorwise::volcano::{collect_rows, TupleHashJoin, TupleJoinKind, TupleValues};
 
 /// `MemBudget::global_in_use` is process-global: under a `VW_MEM_BUDGET`
 /// lane every query of every test charges it, so a test asserting it is
@@ -135,6 +141,175 @@ fn set_operations_spill_under_the_memory_budget_and_reclaim_it() {
     }
     assert_eq!(MemBudget::global_in_use(), 0, "budget fully uncharged");
     assert_eq!(db.disk().used_bytes(), baseline, "spill blocks reclaimed");
+}
+
+/// Passes `inner` through until it has served `ok` batches, then fails.
+struct FailAfter {
+    inner: BoxedOp,
+    ok: usize,
+}
+
+impl Operator for FailAfter {
+    fn schema(&self) -> &Schema {
+        self.inner.schema()
+    }
+    fn name(&self) -> &'static str {
+        "FailAfter"
+    }
+    fn next(&mut self) -> vectorwise::common::Result<Option<Batch>> {
+        if self.ok == 0 {
+            return Err(VwError::Exec("probe input failed mid-probe".into()));
+        }
+        self.ok -= 1;
+        self.inner.next()
+    }
+}
+
+/// Passes `inner` through and, when it drops, keeps its counters.
+struct Capture {
+    inner: BoxedOp,
+    seen: Arc<Mutex<Vec<OpProfile>>>,
+}
+
+impl Operator for Capture {
+    fn schema(&self) -> &Schema {
+        self.inner.schema()
+    }
+    fn name(&self) -> &'static str {
+        "Capture"
+    }
+    fn next(&mut self) -> vectorwise::common::Result<Option<Batch>> {
+        self.inner.next()
+    }
+}
+
+impl Drop for Capture {
+    fn drop(&mut self) {
+        let p = self.inner.profile().cloned().unwrap_or_default();
+        self.seen.lock().unwrap().push(p);
+    }
+}
+
+/// A shared join build overflows all or nothing. At DOP 4 the last sink
+/// drains almost all of a skewed build share and crosses the budget,
+/// while the other three hold a few rows each, well inside it, and
+/// deposit them resident: the build writes those through a routed spill
+/// too when the last sink deposits, and the build it publishes holds no
+/// table. Every join type, with and without NULL build keys, answers as
+/// volcano does; after the drain, and after a probe input that fails
+/// mid-probe, nothing is charged and the disk holds what it held before.
+#[test]
+fn a_shared_build_overflows_all_or_nothing() {
+    let _x = exclusive();
+    let schema =
+        Schema::new(vec![Field::nullable("k", TypeId::I64), Field::nullable("tag", TypeId::Str)])
+            .unwrap();
+    let row =
+        |k: Option<i64>, tag: String| vec![k.map_or(Value::Null, Value::I64), Value::Str(tag)];
+    let probe: Vec<Vec<Value>> =
+        (0..400).map(|i| row((i % 13 != 0).then_some(i % 200), format!("p{i}"))).collect();
+    let cases = [
+        (JoinType::Inner, TupleJoinKind::Inner),
+        (JoinType::LeftOuter, TupleJoinKind::LeftOuter),
+        (JoinType::LeftSemi, TupleJoinKind::LeftSemi),
+        (JoinType::LeftAnti, TupleJoinKind::LeftAnti),
+        (JoinType::NullAwareLeftAnti, TupleJoinKind::NullAwareLeftAnti),
+    ];
+    let key = || vec![ExprProgram::compile(&PhysExpr::ColRef(0, TypeId::I64))];
+    let values = |rows: &[Vec<Value>], batch: usize| -> BoxedOp {
+        Box::new(Values::new(schema.clone(), rows.to_vec(), batch, CancelToken::new()))
+    };
+    let (dop, limit) = (4, 2048);
+    let pool = WorkerPool::new(2);
+    for build_nulls in [false, true] {
+        // Sinks 0..3 get 8 rows each, sink 3 the other 576: ~50 of its rows
+        // cross the budget. Every sink sees a NULL key when there are any.
+        let shares: Vec<Vec<Vec<Value>>> = (0..dop)
+            .map(|w| {
+                let (lo, hi) = if w < 3 { (8 * w, 8 * w + 8) } else { (24, 600) };
+                (lo..hi)
+                    .map(|i| {
+                        let null = build_nulls && i % 7 == 0;
+                        row((!null).then_some(i as i64 % 150), format!("b{i}"))
+                    })
+                    .collect()
+            })
+            .collect();
+        for (jt, kind) in cases {
+            let expect = {
+                let l = Box::new(TupleValues::new(schema.clone(), probe.clone()));
+                let r = Box::new(TupleValues::new(schema.clone(), shares.concat()));
+                let mut j = TupleHashJoin::with_kind(l, r, 0, 0, kind);
+                let mut rows = collect_rows(&mut j).unwrap();
+                rows.sort_by_key(|r| format!("{r:?}"));
+                rows
+            };
+            for fail in [false, true] {
+                let what = format!("{jt:?}, build NULLs {build_nulls}, probe fails {fail}");
+                let disk = SimulatedDisk::instant();
+                let baseline = disk.used_bytes();
+                let cfg = SpillConfig::new(MemBudget::new(limit), disk.clone(), 8);
+                let metrics = cfg.metrics.clone();
+                let cancel = CancelToken::new();
+                let build = SharedBuild::new(key(), schema.clone(), jt, dop, cancel.clone())
+                    .partitioned(dop, 0)
+                    .governed(cfg);
+                let build = Arc::new(build);
+                let sinks = shares
+                    .iter()
+                    .map(|share| build.sink(Some(values(share, 8)), Vec::new(), None))
+                    .collect();
+                let out = if jt.emits_right() { schema.join(&schema) } else { schema.clone() };
+                let probers = Arc::new(Mutex::new(Vec::new()));
+                let frags = probe
+                    .chunks(100)
+                    .enumerate()
+                    .map(|(w, share)| {
+                        let mut input = values(share, 16);
+                        if fail && w == 0 {
+                            input = Box::new(FailAfter { inner: input, ok: 2 });
+                        }
+                        let j = HashJoin::probing(
+                            input,
+                            build.clone(),
+                            key(),
+                            out.clone(),
+                            cancel.clone(),
+                        );
+                        Box::new(Capture { inner: Box::new(j), seen: probers.clone() }) as BoxedOp
+                    })
+                    .collect();
+                let mut root = Xchg::spawn_staged(&pool, sinks, frags, &[build], cancel);
+                let mut rows = Vec::new();
+                let ended = loop {
+                    match root.next() {
+                        Ok(Some(b)) => rows.extend((0..b.rows()).map(|i| b.row_values(i))),
+                        Ok(None) => break Ok(()),
+                        Err(e) => break Err(e),
+                    }
+                };
+                drop(root);
+                if fail {
+                    assert!(matches!(ended, Err(VwError::Exec(_))), "{what}: {ended:?}");
+                } else {
+                    ended.unwrap();
+                    rows.sort_by_key(|r| format!("{r:?}"));
+                    assert_eq!(rows, expect, "{what}");
+                    let files = metrics.files.load(std::sync::atomic::Ordering::Relaxed);
+                    assert!(files >= 8, "{what}: the build went to disk ({files} files)");
+                }
+                let probers = probers.lock().unwrap();
+                assert_eq!(probers.len(), dop, "{what}");
+                assert!(
+                    probers.iter().all(|p| p.shard_build_rows.is_empty()),
+                    "{what}: the published build holds a table"
+                );
+                assert_eq!(MemBudget::global_in_use(), 0, "{what}: budget still charged");
+                assert_eq!(disk.used_bytes(), baseline, "{what}: spill blocks not reclaimed");
+            }
+        }
+    }
+    pool.shutdown();
 }
 
 /// DML is a monitored statement like any other: the victim scan of an

@@ -1174,6 +1174,7 @@ mod build_mode_matrix {
         AggFunc, AggSpec, BoxedOp, HashAggregate, HashJoin, JoinType, Operator, SharedBuild, Xchg,
     };
     use vectorwise::exec::partition::{MemBudget, SpillConfig, SpillMetrics, WorkerPool};
+    use vectorwise::exec::profile::{NodeProfile, OpProfile, Profiled};
     use vectorwise::exec::program::ExprProgram;
     use vectorwise::exec::{Batch, StrArena, Vector};
     use vectorwise::storage::SimulatedDisk;
@@ -1181,12 +1182,13 @@ mod build_mode_matrix {
         collect_rows, TupleAgg, TupleAggregate, TupleHashJoin, TupleJoinKind, TupleValues,
     };
 
-    /// One configuration of the build state machine.
+    /// How a build runs: ungoverned, or under a memory budget (4-way
+    /// routed spills once the build overflows).
     #[derive(Debug, Clone, Copy)]
     enum Mode {
-        /// P = 1.
+        /// No budget.
         Serial,
-        /// 4 slots under a memory budget of `budget` bytes.
+        /// A memory budget of `budget` bytes.
         Governed { budget: usize },
     }
 
@@ -1390,15 +1392,15 @@ mod build_mode_matrix {
     /// an ample budget, real traffic under a tight one, and nothing left
     /// charged or on disk once the operator is gone.
     fn check_governor(g: &Governor, budget: usize, drained: bool, what: &str) {
-        let (parts, written, read) = (
-            g.metrics.partitions.load(Ordering::Relaxed),
+        let (files, written, read) = (
+            g.metrics.files.load(Ordering::Relaxed),
             g.metrics.bytes_written.load(Ordering::Relaxed),
             g.metrics.bytes_read.load(Ordering::Relaxed),
         );
         if budget == AMPLE {
-            assert_eq!((parts, written, read), (0, 0, 0), "{what}: ample budget spilled");
+            assert_eq!((files, written, read), (0, 0, 0), "{what}: ample budget spilled");
         } else if drained {
-            assert!(parts > 4, "{what}: every slot evicts, then deeper strata ({parts})");
+            assert!(files > 4, "{what}: the build overflows, then deeper strata ({files})");
             assert!(written > 0 && read > 0, "{what}: spilled state was rehydrated");
         }
         assert_eq!(g.budget.used(), 0, "{what}: budget still charged");
@@ -1473,15 +1475,17 @@ mod build_mode_matrix {
                         assert_eq!(sort_rows(run(&mut j).unwrap()), expect, "{what}");
                         let p = Operator::profile(&j).unwrap().clone();
                         match mode {
-                            // One table: one shard, nothing to skew.
-                            Mode::Serial => {
+                            // One table, with or without a budget it never
+                            // crosses: one shard, nothing to skew.
+                            Mode::Serial | Mode::Governed { budget: AMPLE } => {
                                 assert_eq!(p.shard_build_rows, vec![build_keys], "{what}")
                             }
-                            Mode::Governed { budget: AMPLE } => {
-                                assert_eq!(p.shard_build_rows.len(), 4, "{what}");
-                                assert_eq!(p.shard_build_rows.iter().sum::<u64>(), build_keys);
+                            // Overflowed: the whole build is on disk, and
+                            // the published build holds no table.
+                            Mode::Governed { .. } if build_keys > 0 => {
+                                assert!(p.shard_build_rows.is_empty(), "{what}")
                             }
-                            _ => {}
+                            Mode::Governed { .. } => {}
                         }
                         if let (Mode::Governed { budget }, Some(g)) = (mode, &gov) {
                             // A NULL-aware anti join with a NULL build key
@@ -1591,12 +1595,41 @@ mod build_mode_matrix {
         hands
     }
 
+    /// Passes `inner` through and, when it drops, keeps its counters.
+    struct Capture {
+        inner: BoxedOp,
+        seen: Arc<std::sync::Mutex<Vec<OpProfile>>>,
+    }
+
+    impl Operator for Capture {
+        fn schema(&self) -> &Schema {
+            self.inner.schema()
+        }
+        fn name(&self) -> &'static str {
+            "Capture"
+        }
+        fn next(&mut self) -> vectorwise::common::Result<Option<Batch>> {
+            self.inner.next()
+        }
+    }
+
+    impl Drop for Capture {
+        fn drop(&mut self) {
+            let p = self.inner.profile().cloned().unwrap_or_default();
+            self.seen.lock().unwrap().push(p);
+        }
+    }
+
     /// What the test keeps of an exchange: the root, the build (its
-    /// counters outlive the statement), the governor and the query token.
+    /// counters outlive the statement), the governor, and what the
+    /// probers report — into one `EXPLAIN ANALYZE` slot, and one by one
+    /// once they drop.
     struct Exchange {
         root: Xchg,
         build: Arc<SharedBuild>,
         gov: Option<Governor>,
+        node: Arc<NodeProfile>,
+        probers: Arc<std::sync::Mutex<Vec<OpProfile>>>,
     }
 
     /// `left ⋈ right` as the plan compiler lowers it inside an Exchange:
@@ -1617,12 +1650,12 @@ mod build_mode_matrix {
     ) -> Exchange {
         let cancel = CancelToken::new();
         let kc = keys.volcano_join_col();
-        let mut build = SharedBuild::new(keys.programs(), schema(), jt, dop, cancel.clone());
+        let mut build = SharedBuild::new(keys.programs(), schema(), jt, dop, cancel.clone())
+            .partitioned(dop, 0);
         let gov = budget.map(spill_config);
-        build = match &gov {
-            Some((cfg, _)) => build.governed(cfg.clone()),
-            None => build.partitioned(dop, 0),
-        };
+        if let Some((cfg, _)) = &gov {
+            build = build.governed(cfg.clone());
+        }
         let build = Arc::new(build);
         let shares = if partitionable { deal(right, dop, kc) } else { vec![right.to_vec()] };
         let last = shares.len() - 1;
@@ -1642,10 +1675,11 @@ mod build_mode_matrix {
                         _ => input,
                     }
                 });
-                build.sink(input, Vec::new(), None).unwrap()
+                build.sink(input, Vec::new(), None)
             })
             .collect();
         let out = if jt.emits_right() { schema().join(&schema()) } else { schema() };
+        let (node, probers) = (Arc::new(NodeProfile::default()), Arc::default());
         let frags = deal(left, dop, kc)
             .iter()
             .map(|share| {
@@ -1657,11 +1691,78 @@ mod build_mode_matrix {
                     out.clone(),
                     cancel.clone(),
                 );
-                Box::new(j) as BoxedOp
+                let inner = Profiled::wrap(Box::new(j), node.clone());
+                Box::new(Capture { inner, seen: Arc::clone(&probers) }) as BoxedOp
             })
             .collect();
         let root = Xchg::spawn_staged(pool, sinks, frags, std::slice::from_ref(&build), cancel);
-        Exchange { root, build, gov: gov.map(|(_, g)| g) }
+        Exchange { root, build, gov: gov.map(|(_, g)| g), node, probers }
+    }
+
+    /// An `EXPLAIN ANALYZE` suffix with its measured times masked and its
+    /// `spill=` cut.
+    fn masked(node: &NodeProfile) -> String {
+        let suffix = node.suffix();
+        let words: Vec<&str> = suffix
+            .split(' ')
+            .filter(|w| !w.starts_with("spill="))
+            .map(|w| match w {
+                _ if w.starts_with("time=") => "time=*",
+                _ if w.ends_with("ms") && w.contains("..") => "*",
+                _ => w,
+            })
+            .collect();
+        words.join(" ")
+    }
+
+    /// A budget the query never crosses changes nothing about a build: a
+    /// join that builds for itself, a shared build at DOP 2 (one table per
+    /// slot) and a GROUP BY print the `EXPLAIN ANALYZE` suffix they print
+    /// with no budget, `spill=` aside, from the same partition sizes.
+    #[test]
+    fn a_budget_that_is_never_crossed_changes_nothing() {
+        let mut rng = SmallRng::seed_from_u64(0xa3b1e);
+        let left = random_rows(&mut rng, 223, "l");
+        let right = random_rows(&mut rng, 157, "r");
+        let keys = Keys::Single;
+        // Drains `op`; returns its partition sizes.
+        let shards = |op: &mut dyn Operator| -> Vec<u64> {
+            run(op).unwrap();
+            Operator::profile(op).unwrap().shard_build_rows.clone()
+        };
+        let [serial, governed] = [Mode::Serial, Mode::Governed { budget: AMPLE }].map(|mode| {
+            let node = Arc::new(NodeProfile::default());
+            let probe = source(&left, 64, usize::MAX);
+            let (j, _) =
+                join_in(mode, probe, source(&right, 16, usize::MAX), keys, JoinType::Inner);
+            let mut j = Profiled::wrap(Box::new(j), node.clone());
+            let join_shards = shards(j.as_mut());
+            drop(j);
+            let agg_node = Arc::new(NodeProfile::default());
+            let (agg, _) = agg_in(mode, source(&left, 16, usize::MAX), keys);
+            let mut agg = Profiled::wrap(Box::new(agg), agg_node.clone());
+            let agg_shards = shards(agg.as_mut());
+            drop(agg);
+            (masked(&node), join_shards, masked(&agg_node), agg_shards)
+        });
+        assert_eq!(serial, governed, "a join and a GROUP BY under an ample budget");
+        assert_eq!(serial.1.len(), 1, "one table");
+        let pool = WorkerPool::new(2);
+        let [serial, governed] = [None, Some(AMPLE)].map(|budget| {
+            let (jt, drained) = (JoinType::Inner, Ending::Drained);
+            let mut x = exchange_join(&pool, 2, budget, &left, &right, keys, jt, true, drained);
+            run(&mut x.root).unwrap();
+            drop(x.root);
+            let mut probers = x.probers.lock().unwrap().clone();
+            probers.sort_by_key(|p| p.shard_build_rows.clone());
+            let shards: Vec<Vec<u64>> =
+                probers.iter().map(|p| p.shard_build_rows.clone()).collect();
+            (masked(&x.node), shards)
+        });
+        pool.shutdown();
+        assert_eq!(serial, governed, "a shared build at DOP 2 under an ample budget");
+        assert!(serial.0.contains(" shards=2×"), "one table per slot: {}", serial.0);
+        assert_eq!(serial.1.len(), 2, "two probers");
     }
 
     #[test]
@@ -1823,9 +1924,7 @@ mod build_mode_matrix {
                 let build = Arc::new(build);
                 let sinks = deal(&right, dop, 0)
                     .iter()
-                    .map(|share| {
-                        build.sink(Some(source(share, 16, usize::MAX)), Vec::new(), None).unwrap()
-                    })
+                    .map(|share| build.sink(Some(source(share, 16, usize::MAX)), Vec::new(), None))
                     .collect();
                 let frags = deal(&left, dop, 0)
                     .iter()
@@ -1928,15 +2027,11 @@ mod build_mode_matrix {
                     let (mut agg, gov) = agg_in(mode, source(&rows, chunk, usize::MAX), keys);
                     assert_eq!(sort_rows(run(&mut agg).unwrap()), expect, "{what}");
                     let p = Operator::profile(&agg).unwrap().clone();
-                    let shards = match mode {
-                        Mode::Serial => 1,
-                        Mode::Governed { .. } => 4,
-                    };
-                    // (Evicted partitions report through `spill`, not `shards`.)
+                    // One shard, with or without a budget it never crosses.
+                    // (An overflowed build reports through `spill`, not
+                    // `shards`.)
                     if !matches!(mode, Mode::Governed { budget: TIGHT | 1 }) {
-                        assert_eq!(p.shard_build_rows.len(), shards, "{what}");
-                        let groups = p.shard_build_rows.iter().sum::<u64>();
-                        assert_eq!(groups, expect.len() as u64, "{what}: groups per shard");
+                        assert_eq!(p.shard_build_rows, vec![expect.len() as u64], "{what}");
                     }
                     if let (Mode::Governed { budget }, Some(g)) = (mode, &gov) {
                         // `spill=` reads the governor's own counters, which
