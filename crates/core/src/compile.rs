@@ -46,21 +46,21 @@ use vw_exec::partition::{MemBudget, SpillConfig, DEFAULT_PARALLEL_BUILD_MIN_ROWS
 use vw_exec::profile::{NodeProfile, Profiled};
 use vw_exec::program::{ExprProgram, SelectProgram};
 use vw_exec::CancelToken;
+use vw_pdt::treap::Link;
 use vw_sql::optimizer::{Estimator, PlanEstimates};
 use vw_sql::plan::{JoinKind, LogicalPlan, ScanHint};
 use vw_storage::TableStorage;
 use vw_volcano::RowStore;
 
 /// Shared state of one Exchange lowering: the morsel dispensers its
-/// partitioned scans share, each with the stable generation its image
-/// addresses, in scan-visit order, and the hash builds its joins share, in
-/// join-visit order. The first worker's compile creates each; the
+/// partitioned scans share, in scan-visit order, and the hash builds its
+/// joins share, in join-visit order. The first worker's compile creates each; the
 /// remaining workers attach to it (every worker compiles the same plan, so
 /// the visit order is identical). `sinks` collects every worker's sink of
 /// every build, for the `Xchg` to run.
 #[derive(Default)]
 struct ExchangeShared {
-    sources: Mutex<Vec<(Arc<TableStorage>, Arc<MorselSource>)>>,
+    sources: Mutex<Vec<Arc<MorselSource>>>,
     builds: Mutex<Vec<Arc<SharedBuild>>>,
     sinks: Mutex<Vec<BuildSink>>,
 }
@@ -153,11 +153,12 @@ impl QuerySpill {
     }
 }
 
-/// Build the executable operator tree for `plan`.
-///
-/// `txn` supplies private PDT images for tables touched by an open
-/// transaction. [`LogicalPlan::Exchange`] nodes spawn their own worker
-/// pipelines internally (see the module docs).
+/// Build the executable operator tree for `plan`, reading every table as
+/// `txn` sees it: the image it took, and its own PDT root for a table it
+/// wrote. `None` reads the database's current image. The operators pin
+/// what they read, so they run on after `txn` and the image are gone.
+/// [`LogicalPlan::Exchange`] nodes spawn their own worker pipelines
+/// internally (see the module docs).
 pub fn build_plan(
     db: &Arc<Database>,
     plan: &LogicalPlan,
@@ -165,7 +166,10 @@ pub fn build_plan(
     cancel: &CancelToken,
     txn: Option<&OpenTxn>,
 ) -> Result<BoxedOp> {
-    build_plan_with(db, plan, config, cancel, txn, None)
+    match txn {
+        Some(txn) => build_plan_with(db, plan, config, cancel, txn, None),
+        None => build_plan_with(db, plan, config, cancel, &OpenTxn::begin(db), None),
+    }
 }
 
 /// [`build_plan`], with every operator wrapped to report into `analyze`
@@ -175,7 +179,7 @@ pub(crate) fn build_plan_with<'p>(
     plan: &'p LogicalPlan,
     config: &EngineConfig,
     cancel: &CancelToken,
-    txn: Option<&OpenTxn>,
+    txn: &OpenTxn,
     analyze: Option<&'p Analyze<'p>>,
 ) -> Result<BoxedOp> {
     let spill = (config.mem_budget_bytes > 0).then(|| QuerySpill {
@@ -185,7 +189,8 @@ pub(crate) fn build_plan_with<'p>(
         // split).
         partitions: config.build_partitions().max(8),
     });
-    let estimates = Estimator::new(&crate::CatalogSnapshot::new(db, config)).estimate_all(plan);
+    let view = crate::CatalogSnapshot::new(txn.image.clone(), config);
+    let estimates = Estimator::new(&view).estimate_all(plan);
     let query = QueryWide { spill, estimates, analyze };
     build_plan_inner(db, plan, config, cancel, txn, None, false, &BatchPool::new(), &query)
 }
@@ -202,7 +207,7 @@ fn build_plan_inner<'p>(
     plan: &'p LogicalPlan,
     config: &EngineConfig,
     cancel: &CancelToken,
-    txn: Option<&OpenTxn>,
+    txn: &OpenTxn,
     partition: Option<&mut Partition<'_>>,
     in_exchange: bool,
     batch_pool: &BatchPool,
@@ -222,7 +227,7 @@ fn build_plan_node<'p>(
     plan: &'p LogicalPlan,
     config: &EngineConfig,
     cancel: &CancelToken,
-    txn: Option<&OpenTxn>,
+    txn: &OpenTxn,
     mut partition: Option<&mut Partition<'_>>,
     in_exchange: bool,
     batch_pool: &BatchPool,
@@ -231,15 +236,14 @@ fn build_plan_node<'p>(
     let vs = config.vector_size;
     Ok(match plan {
         LogicalPlan::Scan { table, projection, schema, hints } => {
-            let entry = db
-                .catalog
-                .read()
-                .get(table)
-                .ok_or_else(|| VwError::Catalog(format!("unknown table '{table}'")))?;
+            let entry = txn.entry(table)?;
             match &entry.kind {
-                TableKind::Vectorwise { .. } => Box::new(lower_scan(
-                    &entry, table, projection, hints, config, cancel, txn, partition, batch_pool,
-                )),
+                TableKind::Vectorwise { storage, root, .. } => {
+                    let image = (storage, txn.own_root(table).unwrap_or(root));
+                    Box::new(lower_scan(
+                        image, projection, hints, config, cancel, partition, batch_pool,
+                    ))
+                }
                 TableKind::Heap { store } => Box::new(heap_scan(
                     &store.read(),
                     schema.clone(),
@@ -516,45 +520,37 @@ fn build_plan_node<'p>(
     })
 }
 
-/// Lower a scan of VECTORWISE table `entry` onto a [`VectorScan`] — the
-/// one scan lowering, shared by SELECT plans and the DML victim search.
+/// Lower a scan of a VECTORWISE table's image — `(storage, root)`, its
+/// pinned generation and the PDT root that addresses it — onto a
+/// [`VectorScan`]: the one scan lowering, shared by SELECT plans and the
+/// DML victim search.
 ///
-/// The image is the open transaction's private one when `txn` touched the
-/// table, else the committed snapshot, read where it lies: the dispenser
-/// holds its treap root. With `hints`, the dispenser drops the rows the
-/// zone maps rule out ([`MorselSource::pruned`]). Work is claimed at run
-/// time: a partitioned scan attaches to the Exchange's shared dispenser
-/// (created on first visit); a serial scan owns a private single-consumer
-/// one. Either way the scan pulls `morsel_rows`-sized claims until dry.
-#[allow(clippy::too_many_arguments)]
+/// The image is read where it lies: the dispenser holds its treap root.
+/// With `hints`, the dispenser drops the rows the zone maps rule out
+/// ([`MorselSource::pruned`]). Work is claimed at run time: a partitioned
+/// scan attaches to the Exchange's shared dispenser (created on first
+/// visit); a serial scan owns a private single-consumer one. Either way
+/// the scan pulls `morsel_rows`-sized claims until dry. The scan pins the
+/// generation: its blocks outlive the scan whatever CHECKPOINT or DROP
+/// TABLE does meanwhile.
 fn lower_scan(
-    entry: &TableEntry,
-    table: &str,
+    (storage, root): (&Arc<TableStorage>, &Link),
     projection: &[usize],
     hints: &[ScanHint],
     config: &EngineConfig,
     cancel: &CancelToken,
-    txn: Option<&OpenTxn>,
     partition: Option<&mut Partition<'_>>,
     batch_pool: &BatchPool,
 ) -> VectorScan {
-    // The scan pins the generation its image addresses: its blocks outlive
-    // the scan whatever CHECKPOINT or DROP TABLE does meanwhile. The clones
-    // of a partitioned scan share one pin, with the dispenser.
     let make_source = || {
-        let (stable, root) = match txn.and_then(|t| t.image_of(table)) {
-            Some(image) => image,
-            None => entry.kind.committed().expect("caller matched a VECTORWISE table"),
-        };
-        let source = if hints.is_empty() {
-            MorselSource::new(root, config.morsel_rows)
+        if hints.is_empty() {
+            MorselSource::new(root.clone(), config.morsel_rows)
         } else {
             let hints = hints.iter().map(|h| (h.col, h.lo.as_ref(), h.hi.as_ref()));
-            MorselSource::pruned(root, stable.clone(), hints, config.morsel_rows)
-        };
-        (stable, source)
+            MorselSource::pruned(root.clone(), storage.clone(), hints, config.morsel_rows)
+        }
     };
-    let (stable, source) = match partition {
+    let source = match partition {
         Some(p) => {
             let idx = p.scans;
             p.scans += 1;
@@ -562,7 +558,8 @@ fn lower_scan(
         }
         None => make_source(),
     };
-    VectorScan::with_source(stable, projection.to_vec(), source, config.vector_size, cancel.clone())
+    let projection = projection.to_vec();
+    VectorScan::with_source(storage.clone(), projection, source, config.vector_size, cancel.clone())
         .with_batch_pool(batch_pool.clone())
 }
 
@@ -598,10 +595,10 @@ fn heap_scan(
     Ok(Values::new(schema, rows, vector_size, cancel.clone()))
 }
 
-/// What a victim search reads: a VECTORWISE table's image as an open
+/// What a victim search reads: a VECTORWISE table's image as a
 /// transaction sees it, or a heap its caller holds write-locked.
 pub(crate) enum VictimSource<'a> {
-    Image(&'a OpenTxn),
+    Image(&'a Arc<TableStorage>, &'a Link),
     Heap(&'a RowStore),
 }
 
@@ -614,7 +611,6 @@ pub(crate) enum VictimSource<'a> {
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn victim_scan(
     entry: &TableEntry,
-    table: &str,
     projection: &[usize],
     hints: &[ScanHint],
     predicate: Option<&PhysExpr>,
@@ -626,19 +622,9 @@ pub(crate) fn victim_scan(
     let batch_pool = BatchPool::new();
     let rid = Field::not_null("rid", TypeId::I64);
     let mut op: BoxedOp = match source {
-        VictimSource::Image(txn) => Box::new(
-            lower_scan(
-                entry,
-                table,
-                projection,
-                hints,
-                config,
-                cancel,
-                Some(txn),
-                None,
-                &batch_pool,
-            )
-            .with_rids(),
+        VictimSource::Image(storage, root) => Box::new(
+            lower_scan((storage, root), projection, hints, config, cancel, None, &batch_pool)
+                .with_rids(),
         ),
         VictimSource::Heap(store) => {
             let mut fields: Vec<Field> =

@@ -1,7 +1,15 @@
 //! DML and transaction plumbing: INSERT/UPDATE/DELETE through PDTs,
 //! multi-statement transactions, and CHECKPOINT propagation.
+//!
+//! Every statement that reads or writes tables runs in an [`OpenTxn`]:
+//! the session's open transaction, or one of its own that it commits when
+//! it succeeds. An `OpenTxn` reads one published image of the catalog
+//! (`catalog::publish`) throughout, so the isolation level is snapshot
+//! isolation: a transaction reads the database as of its `BEGIN`, first
+//! committer wins on overlapping stable rows, and write skew is allowed.
+//! HEAP tables are outside snapshots: read and written in place.
 
-use crate::catalog::{Image, TableEntry, TableKind};
+use crate::catalog::{publish, Catalog, TableEntry, TableKind};
 use crate::compile::VictimSource;
 use crate::monitor::EventLevel;
 use crate::{Database, SessionCore};
@@ -13,41 +21,45 @@ use vw_exec::expr::PhysExpr;
 use vw_exec::op::{Operator, VectorScan};
 use vw_exec::program::eval_const;
 use vw_exec::CancelToken;
-use vw_pdt::Transaction;
+use vw_pdt::treap::{size, Link};
+use vw_pdt::{PdtStore, Transaction};
 use vw_sql::ast::Expr;
 use vw_storage::{TableStats, TableStorage};
 use vw_volcano::RowStore;
 
-/// An open multi-statement transaction: one PDT transaction per touched
-/// VECTORWISE table, each with the stable generation it began on pinned,
-/// so the transaction's reads stay on its own image whatever a concurrent
-/// CHECKPOINT installs. [`commit`] is atomic across them: every table's
-/// commit is checked before any is applied.
-#[derive(Default)]
+/// A transaction: the image of the catalog it reads, taken when it began,
+/// and one PDT transaction per VECTORWISE table it wrote, each begun on
+/// that image. The image pins every stable generation it names, so the
+/// transaction reads its own instant whatever commits or CHECKPOINTs
+/// meanwhile. [`commit`] is atomic across its tables: every table's commit
+/// is checked before any is applied.
 pub struct OpenTxn {
-    pub(crate) tables: HashMap<String, (Arc<TableStorage>, Transaction)>,
+    pub(crate) image: Arc<Catalog>,
+    pub(crate) tables: HashMap<String, Transaction>,
 }
 
 impl OpenTxn {
-    /// Private image of `table`, if this txn touched it.
-    pub fn image_of(&self, table: &str) -> Option<Image> {
-        let (stable, t) = self.tables.get(&table.to_ascii_lowercase())?;
-        Some((stable.clone(), t.image().clone()))
+    /// A transaction reading the database's current image.
+    pub(crate) fn begin(db: &Database) -> OpenTxn {
+        OpenTxn { image: db.image(), tables: HashMap::new() }
     }
 
-    fn txn_for<'a>(&'a mut self, table: &str, entry: &TableEntry) -> Result<&'a mut Transaction> {
+    /// `table`'s entry in this transaction's image.
+    pub(crate) fn entry(&self, table: &str) -> Result<Arc<TableEntry>> {
+        self.image.get(table).ok_or_else(|| VwError::Catalog(format!("unknown table '{table}'")))
+    }
+
+    /// The PDT root of `table` this transaction wrote, if it wrote it: what
+    /// its scans of the table read instead of the image's root.
+    pub(crate) fn own_root(&self, table: &str) -> Option<&Link> {
+        self.tables.get(&table.to_ascii_lowercase()).map(Transaction::image)
+    }
+
+    /// The PDT transaction of `table`, begun at its first write on the
+    /// image's `root`, committed at `version`.
+    fn txn_for(&mut self, table: &str, root: &Link, version: u64) -> &mut Transaction {
         let key = table.to_ascii_lowercase();
-        if !self.tables.contains_key(&key) {
-            let TableKind::Vectorwise { storage, pdt } = &entry.kind else {
-                return Err(VwError::Unsupported(
-                    "transactional DML requires a VECTORWISE table".into(),
-                ));
-            };
-            // Under the storage lock, as `TableKind::committed` reads.
-            let stable = storage.read();
-            self.tables.insert(key.clone(), (stable.clone(), pdt.begin()));
-        }
-        Ok(&mut self.tables.get_mut(&key).unwrap().1)
+        self.tables.entry(key).or_insert_with(|| PdtStore::begin_at(root.clone(), version))
     }
 }
 
@@ -110,39 +122,23 @@ fn coerce_row(schema: &Schema, columns: Option<&[String]>, row: Vec<Value>) -> R
     Ok(out)
 }
 
-fn lookup(db: &Arc<Database>, table: &str) -> Result<Arc<TableEntry>> {
-    db.catalog.read().get(table).ok_or_else(|| VwError::Catalog(format!("unknown table '{table}'")))
-}
-
-/// INSERT rows; returns the row count.
+/// INSERT rows into `table` within `open`; returns the row count.
 pub(crate) fn insert(
-    db: &Arc<Database>,
-    core: &mut SessionCore,
+    open: &mut OpenTxn,
     table: &str,
     columns: Option<&[String]>,
     rows: Vec<Vec<Value>>,
 ) -> Result<u64> {
-    let entry = lookup(db, table)?;
+    let entry = open.entry(table)?;
     let coerced: Vec<Vec<Value>> =
         rows.into_iter().map(|r| coerce_row(&entry.schema, columns, r)).collect::<Result<_>>()?;
     let n = coerced.len() as u64;
     match &entry.kind {
-        TableKind::Heap { store } => {
-            store.write().append_rows(&coerced)?;
-        }
-        TableKind::Vectorwise { .. } => {
-            let auto = core.txn.is_none();
-            if auto {
-                core.txn = Some(OpenTxn::default());
-            }
-            {
-                let txn = core.txn.as_mut().unwrap().txn_for(table, &entry)?;
-                for row in coerced {
-                    txn.append(row)?;
-                }
-            }
-            if auto {
-                commit(db, core.txn.take().unwrap())?;
+        TableKind::Heap { store } => store.write().append_rows(&coerced)?,
+        TableKind::Vectorwise { root, version, .. } => {
+            let txn = open.txn_for(table, root, *version);
+            for row in coerced {
+                txn.append(row)?;
             }
         }
     }
@@ -186,7 +182,6 @@ fn find_victims(
     config: &EngineConfig,
     cancel: &CancelToken,
     entry: &TableEntry,
-    table: &str,
     source: VictimSource<'_>,
     filter: Option<&Expr>,
     sets: &[(String, Expr)],
@@ -215,7 +210,6 @@ fn find_victims(
 
     let mut op = crate::compile::victim_scan(
         entry,
-        table,
         &projection,
         &hints,
         predicate.as_ref(),
@@ -251,19 +245,16 @@ fn find_victims(
     Ok((rids, values))
 }
 
-/// UPDATE (`sets` given) or DELETE of the rows matching `filter`: find the
-/// victims in the transaction's image, then apply them to its PDT in one
-/// sorted batch. Outside a transaction the statement commits itself.
-/// Returns the affected row count.
+/// UPDATE (`sets` given) or DELETE of the rows matching `filter` within
+/// `open`: find the victims in the transaction's image, then apply them
+/// to its PDT in one sorted batch. Returns the affected row count.
 ///
 /// The statement is monitored like a SELECT ([`crate::tracked`]; `sql`
 /// labels it): the victim scan runs under its token, so `KILL` and
 /// `statement_timeout` end it. They can only land in the scan, before
 /// anything is applied, and like any failed statement it leaves the
-/// transaction as it was — an auto-commit statement commits nothing, an
-/// open transaction does not even keep the snapshot a first touch of
-/// `table` pinned. A heap table is rewritten instead (`rewrite_heap`),
-/// under the same monitoring.
+/// transaction as it was. A heap table is rewritten instead
+/// (`rewrite_heap`), under the same monitoring.
 pub(crate) fn update_or_delete(
     db: &Arc<Database>,
     core: &mut SessionCore,
@@ -272,66 +263,29 @@ pub(crate) fn update_or_delete(
     filter: Option<&Expr>,
     sql: &str,
 ) -> Result<u64> {
-    let entry = lookup(db, table)?;
-    let (session, timeout_ms) = (core.id, core.cfg.statement_timeout_ms);
-    if let TableKind::Heap { store } = &entry.kind {
-        let config = &core.cfg;
-        return crate::tracked(
-            db,
-            session,
-            timeout_ms,
-            sql,
-            false,
-            |n| *n,
-            |cancel, _| rewrite_heap(db, config, cancel, &entry, table, store, sets, filter),
-        );
-    }
-    let auto = core.txn.is_none();
-    let open = core.txn.get_or_insert_with(OpenTxn::default);
-    let first_touch = open.image_of(table).is_none();
-    let result = crate::tracked(
-        db,
-        session,
-        timeout_ms,
-        sql,
-        false,
-        |n| *n,
-        |cancel, _| {
-            let set_cols = set_columns(&entry.schema, sets.unwrap_or(&[]))?;
-            open.txn_for(table, &entry)?;
-            let (rids, values) = find_victims(
-                &core.cfg,
-                cancel,
-                &entry,
-                table,
-                VictimSource::Image(open),
-                filter,
-                sets.unwrap_or(&[]),
-                &set_cols,
-            )?;
-            let txn = open.txn_for(table, &entry)?;
-            match sets {
-                Some(_) => txn.update_batch(&rids, &set_cols, &values)?,
-                None => txn.delete_batch(&rids)?,
+    let (session, timeout_ms, config) = (core.id, core.cfg.statement_timeout_ms, &core.cfg);
+    let open = core.txn.as_mut().expect("DML runs in a transaction");
+    let entry = open.entry(table)?;
+    let statement = |cancel: &CancelToken, _| {
+        let (storage, root, version) = match &entry.kind {
+            TableKind::Heap { store } => {
+                return rewrite_heap(db, config, cancel, &entry, store, sets, filter)
             }
-            Ok(rids.len() as u64)
-        },
-    );
-    if auto {
-        let txn = core.txn.take().expect("opened above");
-        if result.is_ok() {
-            commit(db, txn)?;
+            TableKind::Vectorwise { storage, root, version, .. } => (storage, root, *version),
+        };
+        let set_list = sets.unwrap_or(&[]);
+        let set_cols = set_columns(&entry.schema, set_list)?;
+        let source = VictimSource::Image(storage, open.own_root(table).unwrap_or(root));
+        let (rids, values) =
+            find_victims(config, cancel, &entry, source, filter, set_list, &set_cols)?;
+        let txn = open.txn_for(table, root, version);
+        match sets {
+            Some(_) => txn.update_batch(&rids, &set_cols, &values)?,
+            None => txn.delete_batch(&rids)?,
         }
-    } else if first_touch && result.is_err() {
-        open.tables.remove(&table.to_ascii_lowercase());
-    }
-    // Changed or removed rows invalidate the distinct/histogram snapshot:
-    // mark it stale so the cost model stops planning against dead numbers
-    // until CHECKPOINT rebuilds it.
-    if matches!(result, Ok(n) if n > 0) {
-        entry.stats.write().mark_stale();
-    }
-    result
+        Ok(rids.len() as u64)
+    };
+    crate::tracked(db, session, timeout_ms, sql, false, |n| *n, statement)
 }
 
 /// Heap-table UPDATE/DELETE: the victims come from the same search as a
@@ -347,7 +301,6 @@ fn rewrite_heap(
     config: &EngineConfig,
     cancel: &CancelToken,
     entry: &TableEntry,
-    table: &str,
     store: &RwLock<RowStore>,
     sets: Option<&[(String, Expr)]>,
     filter: Option<&Expr>,
@@ -356,8 +309,7 @@ fn rewrite_heap(
     let set_cols = set_columns(&entry.schema, set_list)?;
     let mut heap = store.write();
     let source = VictimSource::Heap(&heap);
-    let (rids, values) =
-        find_victims(config, cancel, entry, table, source, filter, set_list, &set_cols)?;
+    let (rids, values) = find_victims(config, cancel, entry, source, filter, set_list, &set_cols)?;
     if rids.is_empty() {
         return Ok(0);
     }
@@ -394,17 +346,29 @@ fn rewrite_heap(
 }
 
 /// Commit an open transaction atomically: under the global commit lock,
-/// every touched table's commit is prepared (all checks, in name order —
-/// each prepared table stays locked), and only when all passed are they
-/// applied, which cannot fail. A conflict on any table leaves every table
-/// as it was.
+/// every table it changed has its commit prepared (all checks, in name
+/// order — each prepared table stays locked), and only when all passed
+/// are they applied, which cannot fail, and published as one image. A
+/// conflict on any table leaves every table as it was; a transaction that
+/// changed nothing commits nothing.
 pub fn commit(db: &Arc<Database>, txn: OpenTxn) -> Result<()> {
-    let _guard = db.commit_lock.lock();
     let mut tables: Vec<(String, Transaction)> =
-        txn.tables.into_iter().map(|(name, (_, t))| (name, t)).collect();
+        txn.tables.into_iter().filter(|(_, t)| !t.is_empty()).collect();
+    if tables.is_empty() {
+        return Ok(());
+    }
     tables.sort_by(|a, b| a.0.cmp(&b.0));
-    let entries: Vec<Arc<TableEntry>> =
-        tables.iter().map(|(name, _)| lookup(db, name)).collect::<Result<_>>()?;
+    let guard = db.commit_lock.lock();
+    let current = db.image();
+    // A table dropped since the transaction's image is gone, even if one
+    // of the same name was created since.
+    let entries: Vec<Arc<TableEntry>> = tables
+        .iter()
+        .map(|(name, _)| match (current.get(name), txn.image.get(name)) {
+            (Some(now), Some(then)) if Arc::ptr_eq(&now.stats, &then.stats) => Ok(now),
+            _ => Err(VwError::Catalog(format!("unknown table '{name}'"))),
+        })
+        .collect::<Result<_>>()?;
     let mut prepared = Vec::with_capacity(tables.len());
     for (entry, (_, t)) in entries.iter().zip(tables) {
         if let TableKind::Vectorwise { pdt, .. } = &entry.kind {
@@ -414,6 +378,8 @@ pub fn commit(db: &Arc<Database>, txn: OpenTxn) -> Result<()> {
     for p in prepared {
         p.apply();
     }
+    let changes = entries.iter().map(|e| (e.name.clone(), Some(TableEntry::clone(e)))).collect();
+    publish(db, &guard, changes, true);
     Ok(())
 }
 
@@ -421,40 +387,38 @@ pub fn commit(db: &Arc<Database>, txn: OpenTxn) -> Result<()> {
 /// stable storage and reset the delta layer ("background update
 /// propagation", run on demand). Returns the number of rows materialized.
 ///
-/// The next generation is installed and the PDT reset in one step under
-/// the storage lock, so a scan starting meanwhile pins the old pair or the
-/// new one. Nothing is freed here: the old generation's blocks go when the
-/// last scan pinning it drops. A CHECKPOINT that fails drops the
-/// generation it was building, and the table stays as it was.
+/// Each table is materialized from the current image and installed — the
+/// PDT reset onto the next generation and the image published — in one
+/// `commit_lock` section, so no commit lands in between. Nothing is freed
+/// here: the old generation's blocks go when the last image or scan
+/// pinning it drops. A transaction whose image predates the CHECKPOINT of
+/// a table it wrote is refused at commit. A CHECKPOINT that fails drops
+/// the generation it was building, and the table stays as it was.
 pub fn checkpoint(db: &Arc<Database>, config: &EngineConfig, table: Option<&str>) -> Result<u64> {
     let names: Vec<String> = match table {
         Some(t) => vec![t.to_string()],
-        None => db.catalog.read().names(),
+        None => db.image().names(),
     };
     let mut total = 0u64;
     for name in names {
-        let entry = match lookup(db, &name) {
-            Ok(entry) => entry,
+        let guard = db.commit_lock.lock();
+        let entry = match db.image().get(&name) {
+            Some(entry) => entry,
             // `CHECKPOINT` of every table skips one dropped meanwhile.
-            Err(_) if table.is_none() => continue,
-            Err(e) => return Err(e),
+            None if table.is_none() => continue,
+            None => return Err(VwError::Catalog(format!("unknown table '{name}'"))),
         };
-        let TableKind::Vectorwise { storage, pdt } = &entry.kind else {
-            continue;
-        };
-        // Commits wait, so the image stays the committed one throughout.
-        let _guard = db.commit_lock.lock();
-        let (stable, root) = entry.kind.committed().expect("a VECTORWISE table");
-        let n_rows = pdt.visible_rows();
+        let TableKind::Vectorwise { storage, root, pdt, .. } = &entry.kind else { continue };
         // Materialize the merged image column by column.
         let all_cols: Vec<usize> = (0..entry.schema.len()).collect();
+        let vs = config.vector_size;
         let mut scan =
-            VectorScan::new(stable, all_cols, root, config.vector_size, CancelToken::new());
+            VectorScan::new(storage.clone(), all_cols, root.clone(), vs, CancelToken::new());
         let mut columns: Vec<ColData> = entry
             .schema
             .fields
             .iter()
-            .map(|f| ColData::with_capacity(f.ty, n_rows as usize))
+            .map(|f| ColData::with_capacity(f.ty, size(root) as usize))
             .collect();
         let mut nulls: Vec<Option<Vec<bool>>> = vec![None; entry.schema.len()];
         let mut row_count = 0usize;
@@ -463,8 +427,7 @@ pub fn checkpoint(db: &Arc<Database>, config: &EngineConfig, table: Option<&str>
             batch.ensure_flat();
             for (i, v) in batch.columns.iter().enumerate() {
                 columns[i].extend_from_range(&v.data, 0, v.len());
-                let mask_needed = v.nulls.is_some() || nulls[i].is_some();
-                if mask_needed {
+                if v.nulls.is_some() || nulls[i].is_some() {
                     let m = nulls[i].get_or_insert_with(|| vec![false; row_count]);
                     match &v.nulls {
                         Some(vm) => m.extend_from_slice(vm),
@@ -476,12 +439,9 @@ pub fn checkpoint(db: &Arc<Database>, config: &EngineConfig, table: Option<&str>
         }
         let mut next = TableStorage::new(db.pool.clone(), entry.schema.clone());
         next.append_columns(&columns, &nulls, config.pack_size)?;
-        {
-            let mut st = storage.write();
-            *st = Arc::new(next);
-            pdt.reset_after_checkpoint(row_count as u64);
-        }
+        pdt.reset_after_checkpoint(row_count as u64);
         *entry.stats.write() = TableStats::build(&columns, &nulls, 32);
+        publish(db, &guard, vec![(name.clone(), Some(entry.on_generation(next)))], false);
         db.monitor.log(EventLevel::Info, format!("checkpointed {name}: {row_count} rows"));
         total += row_count as u64;
     }

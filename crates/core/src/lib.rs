@@ -136,9 +136,12 @@ fn row_view(batches: &[Batch]) -> Vec<Vec<Value>> {
 pub struct Database {
     pub(crate) disk: Arc<SimulatedDisk>,
     pub(crate) pool: Arc<BufferPool>,
-    /// The table namespace (read access for tools/benches).
-    pub catalog: RwLock<Catalog>,
-    /// Serializes cross-table commit sequences (see [`dml::OpenTxn`]).
+    /// The published image of the table namespace (read access for
+    /// tools/benches): the lock is held only to clone or swap the `Arc`,
+    /// and only `catalog::publish` swaps it.
+    pub catalog: RwLock<Arc<Catalog>>,
+    /// Serializes publishing: commits, CHECKPOINT, bulk loads and DDL
+    /// (see `catalog::publish`).
     pub(crate) commit_lock: Mutex<()>,
     /// Monitoring subsystem.
     pub monitor: Monitor,
@@ -181,7 +184,7 @@ impl Database {
         Arc::new(Database {
             disk,
             pool,
-            catalog: RwLock::new(Catalog::default()),
+            catalog: RwLock::new(Arc::default()),
             commit_lock: Mutex::new(()),
             monitor,
             workers,
@@ -196,6 +199,12 @@ impl Database {
     /// explicit [`Session`]s carry their own SET state).
     pub fn config(&self) -> EngineConfig {
         self.default_session.lock().cfg.clone()
+    }
+
+    /// The published image of the catalog: the database at one instant,
+    /// every stable generation it names pinned while it is held.
+    pub fn image(&self) -> Arc<Catalog> {
+        self.catalog.read().clone()
     }
 
     /// The simulated device this engine stores blocks on (tests use it to
@@ -277,8 +286,8 @@ impl Database {
             })
             .collect();
         let schema = Schema::new(fields)?;
-        let mut cat = self.catalog.write();
-        if cat.get(name).is_some() {
+        let guard = self.commit_lock.lock();
+        if self.image().get(name).is_some() {
             return Err(VwError::Catalog(format!("table '{name}' already exists")));
         }
         let kind = match table_type {
@@ -290,22 +299,21 @@ impl Database {
             }
         };
         let types: Vec<TypeId> = schema.fields.iter().map(|f| f.ty).collect();
-        cat.insert(TableEntry {
-            name: name.to_string(),
-            schema,
-            kind,
-            stats: Arc::new(RwLock::new(TableStats::empty(&types))),
-        });
+        let stats = Arc::new(RwLock::new(TableStats::empty(&types)));
+        let entry = TableEntry { name: name.to_string(), schema, kind, stats };
+        catalog::publish(self, &guard, vec![(name.to_string(), Some(entry))], false);
         self.monitor.log(EventLevel::Info, format!("created table {name} ({table_type:?})"));
         Ok(())
     }
 
-    /// Remove `name` from the catalog. Its blocks are freed when the last
-    /// holder of its storage drops — here, unless a running scan still
-    /// pins it.
+    /// Publish an image without `name`. Its blocks are freed when the last
+    /// holder of its storage drops — here, unless a running scan or an
+    /// open transaction's image still pins it.
     fn drop_table(&self, name: &str, if_exists: bool) -> Result<()> {
-        match self.catalog.write().remove(name) {
+        let guard = self.commit_lock.lock();
+        match self.image().get(name) {
             Some(_) => {
+                catalog::publish(self, &guard, vec![(name.to_string(), None)], false);
                 self.monitor.log(EventLevel::Info, format!("dropped table {name}"));
                 Ok(())
             }
@@ -483,8 +491,30 @@ impl Drop for Session {
 }
 
 /// One statement, on behalf of one session core — the single execution
-/// path shared by [`Database::execute`] and [`Session::execute`].
+/// path shared by [`Database::execute`] and [`Session::execute`]. Every
+/// statement but `BEGIN`, `COMMIT` and `ROLLBACK` runs in the session's
+/// open transaction, or in one of its own on the current image, committed
+/// if the statement succeeds.
 fn execute_statement(
+    db: &Arc<Database>,
+    core: &mut SessionCore,
+    stmt: &Statement,
+    sql: &str,
+) -> Result<QueryResult> {
+    let control = matches!(stmt, Statement::Begin | Statement::Commit | Statement::Rollback);
+    if control || core.txn.is_some() {
+        return run_statement(db, core, stmt, sql);
+    }
+    core.txn = Some(dml::OpenTxn::begin(db));
+    let result = run_statement(db, core, stmt, sql);
+    let txn = core.txn.take().expect("opened above");
+    if result.is_ok() {
+        dml::commit(db, txn)?;
+    }
+    result
+}
+
+fn run_statement(
     db: &Arc<Database>,
     core: &mut SessionCore,
     stmt: &Statement,
@@ -515,7 +545,8 @@ fn execute_statement(
                     run_select(db, core, q, ExplainMode::Off, Some(sql))?.into_rows()
                 }
             };
-            let n = dml::insert(db, core, table, columns.as_deref(), rows)?;
+            let open = core.txn.as_mut().expect("DML runs in a transaction");
+            let n = dml::insert(open, table, columns.as_deref(), rows)?;
             Ok(QueryResult { affected: n, ..QueryResult::empty() })
         }
         Statement::Update { table, sets, filter } => {
@@ -530,7 +561,7 @@ fn execute_statement(
             if core.txn.is_some() {
                 return Err(VwError::TxnState("transaction already open".into()));
             }
-            core.txn = Some(dml::OpenTxn::default());
+            core.txn = Some(dml::OpenTxn::begin(db));
             Ok(QueryResult::empty())
         }
         Statement::Commit => {
@@ -646,7 +677,8 @@ fn run_select(
     explain: ExplainMode,
     sql_label: Option<&str>,
 ) -> Result<QueryResult> {
-    let cat_view = CatalogSnapshot::new(db, &core.cfg);
+    let image = core.txn.as_ref().expect("a SELECT runs in a transaction").image.clone();
+    let cat_view = CatalogSnapshot::new(image, &core.cfg);
     let binder = Binder::new(&cat_view);
     let plan = binder.bind_select(stmt)?;
     let plan = optimizer::optimize(plan, &cat_view)?;
@@ -746,7 +778,7 @@ pub(crate) fn execute_plan(
             }
             None => None,
         };
-        let txn = core.txn.as_ref();
+        let txn = core.txn.as_ref().expect("a query runs in a transaction");
         let mut op = compile::build_plan_with(db, plan, &config, cancel, txn, analyze)?;
         let mut batches = Vec::new();
         while let Some(b) = op.next()? {
@@ -758,19 +790,19 @@ pub(crate) fn execute_plan(
     })
 }
 
-/// Catalog adapter implementing the planner's view: the one view a
+/// Catalog adapter implementing the planner's view: the one image a
 /// statement is bound, optimized, explained and compiled against.
-pub(crate) struct CatalogSnapshot<'a> {
-    db: &'a Arc<Database>,
+pub(crate) struct CatalogSnapshot {
+    image: Arc<Catalog>,
     /// `EngineConfig::optimizer`: `false` plans as if no statistics
     /// existed — the statistics methods answer what a stale snapshot does.
     statistics: bool,
 }
 
-impl<'a> CatalogSnapshot<'a> {
-    /// The view a statement running under `cfg` plans against.
-    pub(crate) fn new(db: &'a Arc<Database>, cfg: &EngineConfig) -> Self {
-        CatalogSnapshot { db, statistics: cfg.optimizer }
+impl CatalogSnapshot {
+    /// The view of `image` a statement running under `cfg` plans against.
+    pub(crate) fn new(image: Arc<Catalog>, cfg: &EngineConfig) -> Self {
+        CatalogSnapshot { image, statistics: cfg.optimizer }
     }
 
     /// `f` over column `col` of `table`'s statistics snapshot (built at bulk
@@ -787,7 +819,7 @@ impl<'a> CatalogSnapshot<'a> {
         if !self.statistics {
             return None;
         }
-        let stats = self.db.catalog.read().get(table)?.stats.clone();
+        let stats = self.image.get(table)?.stats.clone();
         let stats = stats.read();
         if stats.stale {
             return None;
@@ -796,16 +828,14 @@ impl<'a> CatalogSnapshot<'a> {
     }
 }
 
-impl CatalogView for CatalogSnapshot<'_> {
+impl CatalogView for CatalogSnapshot {
     fn table_schema(&self, name: &str) -> Option<Schema> {
-        self.db.catalog.read().get(name).map(|t| t.schema.clone())
+        self.image.get(name).map(|t| t.schema.clone())
     }
 
     fn table_rows(&self, name: &str) -> Option<u64> {
-        let cat = self.db.catalog.read();
-        let t = cat.get(name)?;
-        Some(match &t.kind {
-            TableKind::Vectorwise { pdt, .. } => pdt.visible_rows(),
+        Some(match &self.image.get(name)?.kind {
+            TableKind::Vectorwise { root, .. } => vw_pdt::treap::size(root),
             TableKind::Heap { store } => store.read().n_rows(),
         })
     }
@@ -839,23 +869,29 @@ impl CatalogView for CatalogSnapshot<'_> {
 }
 
 /// Bulk-load helper: append whole columns to a VECTORWISE table *without*
-/// going through the PDT (initial loads; equivalent to COPY). Updates
-/// statistics and resets the PDT to the new stable image.
+/// going through the PDT (initial loads; equivalent to COPY). Rebuilds
+/// statistics from the loaded columns and resets the PDT onto the new
+/// generation.
 ///
-/// The new image is the next generation: the current one's packs by
-/// reference plus the loaded ones, installed only if every write
-/// succeeded (a failed load drops it, and its blocks with it). A scan
-/// running meanwhile keeps the generation it pinned.
+/// The new generation is the current one's packs by reference plus the
+/// loaded ones. The load is published like a commit: the delta-free check
+/// and the install run in one `commit_lock` section, so no commit lands
+/// between them and a racing CHECKPOINT installs before or after it, never
+/// across it. A failed load drops the generation it built, and its blocks
+/// with it; a scan or transaction running meanwhile keeps its own image.
 pub fn bulk_load(
     db: &Arc<Database>,
     table: &str,
     columns: &[ColData],
     nulls: &[Option<Vec<bool>>],
 ) -> Result<u64> {
-    let cat = db.catalog.read();
-    let entry =
-        cat.get(table).ok_or_else(|| VwError::Catalog(format!("unknown table '{table}'")))?;
-    let TableKind::Vectorwise { storage, pdt } = &entry.kind else {
+    let pack_size = db.config().pack_size;
+    let guard = db.commit_lock.lock();
+    let entry = db
+        .image()
+        .get(table)
+        .ok_or_else(|| VwError::Catalog(format!("unknown table '{table}'")))?;
+    let TableKind::Vectorwise { storage, pdt, .. } = &entry.kind else {
         return Err(VwError::Unsupported("bulk_load targets VECTORWISE tables".into()));
     };
     if pdt.stats().total() > 0 {
@@ -863,14 +899,17 @@ pub fn bulk_load(
             "bulk_load requires a delta-free table (run CHECKPOINT first)".into(),
         ));
     }
-    let pack_size = db.config().pack_size;
-    let mut st = storage.write();
-    let mut next = TableStorage::clone(&st);
+    let mut next = TableStorage::clone(storage);
     next.append_columns(columns, nulls, pack_size)?;
     let n = next.n_rows();
-    *st = Arc::new(next);
     pdt.reset_after_checkpoint(n);
     *entry.stats.write() = TableStats::build(columns, nulls, 32);
+    catalog::publish(
+        db,
+        &guard,
+        vec![(entry.name.clone(), Some(entry.on_generation(next)))],
+        false,
+    );
     db.monitor.log(EventLevel::Info, format!("bulk loaded {table}: {n} rows total"));
     Ok(n)
 }

@@ -32,11 +32,16 @@
 //! provides the paper's layered read-/write-/trans-PDT semantics:
 //!
 //! * the shared committed image plays the role of the read-PDT + write-PDT,
-//! * each [`Transaction`] works on a private snapshot (trans-PDT),
+//! * each [`Transaction`] works on a private snapshot (trans-PDT): the
+//!   root it began on plus its own writes. [`PdtStore::begin_at`] begins
+//!   one on a root taken earlier, so the engine can begin every table a
+//!   transaction writes at the one instant the transaction reads (`vw-core`
+//!   publishes each commit's roots of all tables as one catalog image),
 //! * commit replays the transaction's delta log onto the current master
 //!   image by *stable position* (SID anchors), detecting write-write
 //!   conflicts on overlapping SIDs — commit-time positional conflict
-//!   detection, as in the paper (serializability on overlapping updates).
+//!   detection, as in the paper. The first committer wins; with reads at
+//!   one instant this is snapshot isolation, write skew allowed.
 //!
 //! A scan reads the image where it lies: it claims row positions from the
 //! pinned root and walks the pieces they cover ([`treap::walk_from`]).

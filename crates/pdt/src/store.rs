@@ -126,9 +126,16 @@ impl PdtStore {
     /// Begin a transaction on the current committed image.
     pub fn begin(&self) -> Transaction {
         let m = self.inner.lock();
+        PdtStore::begin_at(m.root.clone(), m.version)
+    }
+
+    /// Begin a transaction on an image taken earlier: `root` as committed
+    /// at `version` ([`PdtStore::snapshot`]). Its commit is checked and
+    /// replayed against everything committed since, like any other.
+    pub fn begin_at(root: Link, version: u64) -> Transaction {
         Transaction {
-            root: m.root.clone(),
-            snapshot_version: m.version,
+            root,
+            snapshot_version: version,
             log: Vec::new(),
             own_inserts: FxHashSet::default(),
             write_set: FxHashSet::default(),
@@ -487,6 +494,12 @@ impl Transaction {
     /// (diagnostics).
     pub fn pending_ops(&self) -> usize {
         self.log.len() + self.own_inserts.len()
+    }
+
+    /// True when this transaction changed no row of its image: its commit
+    /// would change nothing.
+    pub fn is_empty(&self) -> bool {
+        self.pending_ops() == 0 && !self.touched_foreign_inserts
     }
 }
 

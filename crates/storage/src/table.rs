@@ -8,13 +8,13 @@
 //! A [`Pack`] owns its blocks. They are released through the buffer pool
 //! ([`BufferPool::free`]) when the last reference to the pack drops, and at
 //! no other time. A [`TableStorage`] is one **generation** of a table's
-//! stable storage, an immutable list of `Arc<Pack>`, and the catalog holds
-//! the current one behind an `Arc`. A scan *pins* the generation it
-//! started on by cloning that `Arc`. CHECKPOINT and bulk load install the
-//! next generation and DROP TABLE removes the catalog's reference; neither
-//! frees anything. The blocks of a generation go with its last holder,
-//! scan or catalog, the way a [`SpillFile`](crate::SpillFile)'s go with
-//! the file. So a scan never reads a freed block and holds no lock while
+//! stable storage, an immutable list of `Arc<Pack>`, and each published
+//! image of the catalog holds one behind an `Arc`. An image *pins* the
+//! generations it names, and a scan the one it started on, by cloning that
+//! `Arc`. CHECKPOINT and bulk load publish an image with the next
+//! generation and DROP TABLE one without the table; neither frees
+//! anything. The blocks of a generation go with its last holder, scan or
+//! image, the way a [`SpillFile`](crate::SpillFile)'s go with the file. So a scan never reads a freed block and holds no lock while
 //! it runs, and a write that fails half-way drops the generation it was
 //! building, and with it every block it wrote.
 //!

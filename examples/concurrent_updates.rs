@@ -26,7 +26,14 @@ fn main() {
     println!("bob sees total = {} (Alice uncommitted)", r.rows()[0][0]);
     assert_eq!(r.rows()[0][0], Value::I64(225));
 
+    // Bob's own transaction reads one instant: Alice's commit lands while
+    // it is open, and Bob keeps reading the state as of his BEGIN.
+    bob.execute("BEGIN").unwrap();
     alice.execute("COMMIT").unwrap();
+    let r = bob.execute("SELECT balance FROM accounts WHERE id = 2").unwrap();
+    println!("inside his transaction, bob's balance = {} (his snapshot)", r.rows()[0][0]);
+    assert_eq!(r.rows()[0][0], Value::I64(50));
+    bob.execute("COMMIT").unwrap();
     let r = bob.execute("SELECT balance FROM accounts WHERE id = 2").unwrap();
     println!("after Alice commits, bob's balance = {}", r.rows()[0][0]);
     assert_eq!(r.rows()[0][0], Value::I64(80));

@@ -91,7 +91,7 @@ fn compression_is_actually_engaged() {
     let vectorwise::core::catalog::TableKind::Vectorwise { storage, .. } = &entry.kind else {
         panic!()
     };
-    let stored = storage.read().stored_bytes();
+    let stored = storage.stored_bytes();
     let raw = 50_000 * 8 + 50_000;
     assert!(stored * 4 < raw, "expected >4x compression, stored {stored} vs raw {raw}");
     drop(cat);
@@ -526,8 +526,10 @@ fn a_budget_never_crossed_changes_no_explain_analyze_line() {
     }
 }
 
-/// PR 8: UPDATE and DELETE mark table statistics stale so the cost model
-/// stops trusting dead numbers; CHECKPOINT rebuilds and re-arms them.
+/// A commit that changed rows marks the table's statistics stale, so the
+/// cost model stops trusting dead numbers; CHECKPOINT rebuilds and re-arms
+/// them. A statement that commits nothing — rolled back, or refused at
+/// commit — leaves them as they were.
 #[test]
 fn dml_marks_statistics_stale_until_checkpoint_rebuild() {
     let db = Database::open_in_memory();
@@ -547,6 +549,16 @@ fn dml_marks_statistics_stale_until_checkpoint_rebuild() {
     assert!(stale(&db), "DELETE must mark statistics stale");
     db.execute("CHECKPOINT").unwrap();
     assert!(!stale(&db), "CHECKPOINT rebuild clears staleness again");
+
+    let mut s = db.session();
+    s.execute("BEGIN; UPDATE t SET v = 1 WHERE k = 2").unwrap();
+    s.execute("ROLLBACK").unwrap();
+    assert!(!stale(&db), "a rolled-back UPDATE changed nothing");
+    s.execute("BEGIN; UPDATE t SET v = 1 WHERE k = 2").unwrap();
+    db.execute("CHECKPOINT").unwrap();
+    let refused = s.execute("COMMIT").unwrap_err();
+    assert!(matches!(refused, VwError::TxnConflict(_)), "{refused}");
+    assert!(!stale(&db), "a commit refused with TxnConflict changed nothing");
 }
 
 /// The knob surface is the *Knobs* table of ARCHITECTURE.md — no row
@@ -1064,6 +1076,56 @@ fn one_image_representation() {
     let fields = &source[..source.find("\n}").expect("its closing brace")];
     assert!(fields.contains("root: Link"), "the dispenser holds the root:\n{fields}");
     assert!(!fields.contains("Vec<"), "the dispenser keeps a vector beside the root:\n{fields}");
+}
+
+/// The database has one published image (`catalog::publish`). No non-test
+/// source of `vw-core` reads a table's committed state anywhere else: no
+/// per-table storage lock, no per-scan read of a table's latest commit, no
+/// transaction image that falls back to it. Exactly one function stores
+/// the catalog's `Arc`, and only it reads the PDT masters' committed roots.
+/// Names are spelled in halves so a grep for them finds nothing here.
+#[test]
+fn one_published_image() {
+    let gone = [
+        concat!("committed", "()"),
+        concat!("image", "_of"),
+        concat!("RwLock<Arc<", "TableStorage>>"),
+    ];
+    let reads = [concat!(".snap", "shot()"), concat!("visible", "_rows(")];
+    let src = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/core/src");
+    let mut files = Vec::new();
+    rust_files(&src, &mut files);
+    let mut stores = Vec::new();
+    for file in &files {
+        let text = std::fs::read_to_string(file).unwrap();
+        let name = file.file_name().unwrap().to_string_lossy().to_string();
+        let mut function = String::new();
+        for line in text.lines().take_while(|l| !l.starts_with("#[cfg(test)]")) {
+            let code = line.trim_start();
+            if code.starts_with("//") {
+                continue;
+            }
+            for head in ["fn ", "pub fn ", "pub(crate) fn "] {
+                if let Some(rest) = code.strip_prefix(head) {
+                    function = rest.split(['(', '<']).next().unwrap().to_string();
+                }
+            }
+            for gone in gone {
+                assert!(!code.contains(gone), "{name}: `{gone}` in `{code}`");
+            }
+            if code.contains(concat!("catalog", ".write()")) {
+                stores.push(format!("{name}::{function}"));
+            }
+            for read in reads {
+                assert!(
+                    !code.contains(read) || function == "publish",
+                    "{name}::{function} reads a PDT master's committed root: `{code}`"
+                );
+            }
+        }
+    }
+    assert!(files.len() >= 5, "the walk found vw-core ({} files)", files.len());
+    assert_eq!(stores, ["catalog.rs::publish"], "the functions that store the catalog's Arc");
 }
 
 /// Every `.rs` file under `dir`, recursively.

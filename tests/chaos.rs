@@ -21,18 +21,28 @@
 //! still match the mirror and that the process thread count returned to
 //! its post-warmup baseline, i.e. no worker or watchdog thread leaked.
 //!
-//! The run is deterministic per seed. Set `VW_CHAOS_SEED` to reproduce a
+//! Beside the statement loop, a transfer writer and a transfer reader run
+//! sessions of their own on the chaotic database, under the same faults
+//! and KILLs: the writer moves amounts between two tables in transactions,
+//! and every answer the reader gets — one statement, `BEGIN` plus one
+//! SELECT per table, or a join — must see each transfer whole or not at
+//! all. A failed read is fine; a torn one fails the suite.
+//!
+//! The statement loop is deterministic per seed. Set `VW_CHAOS_SEED` to reproduce a
 //! failure; the seed in use is printed at the start of the run. The whole
 //! suite runs under a watchdog: if the statement loop wedges, the test
 //! fails within its own deadline instead of hanging CI.
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use vectorwise::common::{ColData, EngineConfig, FaultConfig, VwError};
+use vectorwise::core::catalog::TableKind;
 use vectorwise::core::monitor::QueryState;
 use vectorwise::core::{bulk_load, Database, QueryResult};
 use vectorwise::exec::MemBudget;
@@ -80,6 +90,133 @@ fn load_tables(db: &Arc<Database>) {
     let k2 = ColData::I64((0..n2).map(|i| i % 101).collect());
     let w2 = ColData::I64((0..n2).map(|i| i % 10).collect());
     bulk_load(db, "t2", &[k2, w2], &[None, None]).unwrap();
+}
+
+/// Rows of each transfer table, and the sum of both tables' `x`.
+const TRANSFER_ROWS: i64 = 500;
+const TRANSFER_TOTAL: i64 = 2000;
+
+/// The transfer pair's tables: `xa` and `xb`, each `TRANSFER_ROWS` rows of
+/// `x = 2`, on stable storage so their scans read the faulted device.
+fn load_transfer_tables(db: &Arc<Database>) {
+    for t in ["xa", "xb"] {
+        db.execute(&format!("CREATE TABLE {t} (k BIGINT NOT NULL, x BIGINT NOT NULL)")).unwrap();
+        let k = ColData::I64((0..TRANSFER_ROWS).collect());
+        let x = ColData::I64(vec![2; TRANSFER_ROWS as usize]);
+        bulk_load(db, t, &[k, x], &[None, None]).unwrap();
+    }
+}
+
+/// The transfer writer and reader, each a session of its own running until
+/// `stop`: the writer returns its commits, the reader its answers. Both run
+/// without a memory budget, so the loop's per-statement check that no
+/// budget is charged holds while they run. A statement may fail — a fault,
+/// a KILL, a conflict — but only with a typed error, and an `Ok` read must
+/// sum to `TRANSFER_TOTAL`.
+fn spawn_transfers(db: &Arc<Database>, seed: u64, stop: &Arc<AtomicBool>) -> [JoinHandle<u32>; 2] {
+    let expected = |e: &VwError| {
+        matches!(e, VwError::Cancelled | VwError::Io { .. } | VwError::TxnConflict(_))
+    };
+    let writer = {
+        let (db, stop) = (db.clone(), stop.clone());
+        std::thread::spawn(move || {
+            let mut s = db.session();
+            s.execute("SET mem_budget = 0; SET statement_timeout = 0").unwrap();
+            let mut rng = SmallRng::seed_from_u64(seed ^ 0x7A45);
+            let mut commits = 0;
+            while !stop.load(Ordering::Relaxed) {
+                let (from, to) = if rng.gen_bool(0.5) { ("xa", "xb") } else { ("xb", "xa") };
+                let (d, k1, k2) = (
+                    rng.gen_range(1..5i64),
+                    rng.gen_range(0..TRANSFER_ROWS),
+                    rng.gen_range(0..TRANSFER_ROWS),
+                );
+                let sql = format!(
+                    "BEGIN; UPDATE {from} SET x = x - {d} WHERE k = {k1}; \
+                     UPDATE {to} SET x = x + {d} WHERE k = {k2}; COMMIT"
+                );
+                match s.execute(&sql) {
+                    Ok(_) => commits += 1,
+                    Err(e) if expected(&e) => {}
+                    Err(e) => panic!("transfer writer: {e} (seed {seed})"),
+                }
+                if s.in_transaction() {
+                    s.execute("ROLLBACK").unwrap();
+                }
+                std::thread::sleep(Duration::from_micros(500));
+            }
+            commits
+        })
+    };
+    let reader = {
+        let (db, stop) = (db.clone(), stop.clone());
+        std::thread::spawn(move || {
+            let mut s = db.session();
+            s.execute("SET mem_budget = 0; SET statement_timeout = 0").unwrap();
+            let sum = |r: QueryResult| match r.scalar() {
+                Ok(vectorwise::common::Value::I64(v)) => *v,
+                other => panic!("transfer reader: {other:?} (seed {seed})"),
+            };
+            let mut reads = 0;
+            for shape in (0..3).cycle() {
+                if stop.load(Ordering::Relaxed) {
+                    break;
+                }
+                let answer: Result<i64, VwError> = match shape {
+                    0 => s
+                        .execute(&format!(
+                            "SELECT COUNT(*) FROM xa WHERE k = 0 AND \
+                             (SELECT SUM(x) FROM xa) + (SELECT SUM(x) FROM xb) <> {TRANSFER_TOTAL}"
+                        ))
+                        .map(|r| TRANSFER_TOTAL + sum(r)),
+                    1 => s.execute("BEGIN").and_then(|_| {
+                        let a = s.execute("SELECT SUM(x) FROM xa").map(sum);
+                        let b =
+                            a.and_then(|a| Ok(a + s.execute("SELECT SUM(x) FROM xb").map(sum)?));
+                        s.execute("ROLLBACK").unwrap();
+                        b
+                    }),
+                    _ => {
+                        s.execute("SELECT SUM(a.x + b.x) FROM xa a, xb b WHERE a.k = b.k").map(sum)
+                    }
+                };
+                match answer {
+                    Ok(total) => {
+                        assert_eq!(total, TRANSFER_TOTAL, "shape {shape} read torn (seed {seed})");
+                        reads += 1;
+                    }
+                    Err(e) if expected(&e) => {}
+                    Err(e) => panic!("transfer reader, shape {shape}: {e} (seed {seed})"),
+                }
+                std::thread::sleep(Duration::from_micros(500));
+            }
+            reads
+        })
+    };
+    [writer, reader]
+}
+
+/// Bytes of every table's current stable storage: what the device holds
+/// once no image or scan pins a generation a CHECKPOINT replaced.
+fn live_bytes(db: &Database) -> usize {
+    let image = db.image();
+    let tables = image.names().into_iter().filter_map(|t| image.get(&t));
+    tables
+        .map(|t| match &t.kind {
+            TableKind::Vectorwise { storage, .. } => storage.stored_bytes(),
+            TableKind::Heap { store } => store.read().stored_bytes(),
+        })
+        .sum()
+}
+
+/// Sets its flag when dropped: stops the transfer pair on every exit of
+/// the statement loop, a failed assertion included.
+struct StopOnDrop(Arc<AtomicBool>);
+
+impl Drop for StopOnDrop {
+    fn drop(&mut self) {
+        self.0.store(true, Ordering::Relaxed);
+    }
 }
 
 /// One randomized statement. `dml` marks statements that mutate `t1` and
@@ -235,12 +372,15 @@ fn chaos_body(seed: u64) {
     let mirror = Database::open_in_memory();
     load_tables(&chaos);
     load_tables(&mirror);
+    load_transfer_tables(&chaos);
 
     // Warm up the parallel machinery once, then take the thread baseline:
     // everything spawned per-query after this point must be joined again.
     chaos.execute("SET parallelism = 4").unwrap();
     chaos.execute("SELECT COUNT(*) FROM t1 a JOIN t2 b ON a.k = b.k").unwrap();
     let thread_baseline = live_threads();
+    let stop = StopOnDrop(Arc::new(AtomicBool::new(false)));
+    let transfers = spawn_transfers(&chaos, seed, &stop.0);
 
     let (mut ok, mut cancelled, mut io_errs) = (0u32, 0u32, 0u32);
     for iter in 0..ITERATIONS {
@@ -254,6 +394,17 @@ fn chaos_body(seed: u64) {
         let stmt = pick_statement(&mut rng);
         if stmt.timeout {
             chaos.execute("SET statement_timeout = 5").unwrap();
+        }
+        // A statement of the transfer pair holds an image, and with it the
+        // generation of `t1` the last CHECKPOINT replaced; the generation
+        // goes when the last such statement ends, within milliseconds.
+        let waited = std::time::Instant::now();
+        while chaos.disk().used_bytes() != live_bytes(&chaos) {
+            assert!(
+                waited.elapsed() < Duration::from_secs(10),
+                "iter {iter}: the device holds blocks beyond the live generations (seed {seed})"
+            );
+            std::thread::sleep(Duration::from_millis(1));
         }
         let disk_before = chaos.disk().used_bytes();
         let kill_delay = rng.gen_range(0..3000u64);
@@ -329,9 +480,13 @@ fn chaos_body(seed: u64) {
             );
         }
     }
+    drop(stop);
+    let [commits, reads] = transfers.map(|t| t.join().expect("transfer thread panicked"));
     println!(
-        "chaos: {ITERATIONS} executions — {ok} ok, {cancelled} cancelled, {io_errs} io errors"
+        "chaos: {ITERATIONS} executions — {ok} ok, {cancelled} cancelled, {io_errs} io errors; \
+         beside them {commits} transfers committed and {reads} reads saw each whole"
     );
+    assert!(commits > 0 && reads > 0, "the transfer pair ran: {commits} commits, {reads} reads");
     assert!(ok as usize > ITERATIONS / 2, "chaos should mostly succeed: only {ok} ok");
 
     // Final differential: the full table image survived every fault, KILL

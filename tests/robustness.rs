@@ -350,9 +350,9 @@ fn statement_timeout_and_kill_reach_update_and_delete() {
     assert_eq!(q.session, s.id());
     assert!(!s.in_transaction());
 
-    // Inside a transaction: the transaction stays open and untouched —
-    // not even pinned to the snapshot the failed first touch would have
-    // taken, so a row committed afterwards is visible to it.
+    // Inside a transaction: the transaction stays open and untouched. It
+    // reads the image it took at BEGIN, so a row committed afterwards is
+    // visible to the session only once the transaction ends.
     s.execute("BEGIN").unwrap();
     let err = s.execute("DELETE FROM t WHERE v = 7").unwrap_err();
     assert!(matches!(err, VwError::Cancelled), "{err}");
@@ -362,8 +362,10 @@ fn statement_timeout_and_kill_reach_update_and_delete() {
     s.execute("SET statement_timeout = 0").unwrap();
     db.execute("INSERT INTO t VALUES (-1, 0)").unwrap();
     let seen = s.execute("SELECT COUNT(*) FROM t").unwrap();
-    assert_eq!(seen.scalar().unwrap(), &Value::I64(n + 1));
+    assert_eq!(seen.scalar().unwrap(), &Value::I64(n), "the snapshot taken at BEGIN");
     s.execute("COMMIT").unwrap();
+    let seen = s.execute("SELECT COUNT(*) FROM t").unwrap();
+    assert_eq!(seen.scalar().unwrap(), &Value::I64(n + 1), "committed meanwhile");
     db.execute("DELETE FROM t WHERE k = -1").unwrap();
     assert_eq!(sum(&db).rows(), &before[..], "neither cancelled statement changed a row");
 
@@ -758,7 +760,7 @@ fn stable_bytes(db: &Database) -> usize {
     let tables = catalog.names().into_iter().filter_map(|t| catalog.get(&t));
     tables
         .map(|t| match &t.kind {
-            TableKind::Vectorwise { storage, .. } => storage.read().stored_bytes(),
+            TableKind::Vectorwise { storage, .. } => storage.stored_bytes(),
             TableKind::Heap { store } => store.read().stored_bytes(),
         })
         .sum()

@@ -452,7 +452,7 @@ fn stress(maintenance: bool) {
         let tables = catalog.names().into_iter().filter_map(|t| catalog.get(&t));
         tables
             .map(|t| match &t.kind {
-                TableKind::Vectorwise { storage, .. } => storage.read().stored_bytes(),
+                TableKind::Vectorwise { storage, .. } => storage.stored_bytes(),
                 TableKind::Heap { store } => store.read().stored_bytes(),
             })
             .sum()

@@ -4109,7 +4109,7 @@ mod compressed_differential {
         let TableKind::Vectorwise { storage, .. } = &cat.get("l").unwrap().kind else {
             panic!("l is a VECTORWISE table")
         };
-        let storage = storage.read().clone();
+        let storage = storage.clone();
         assert!(storage.n_packs() >= 4);
         let mut repeated = 0;
         for p in 0..storage.n_packs() {
@@ -4662,7 +4662,7 @@ mod like_kernels {
         let TableKind::Vectorwise { storage, .. } = &cat.get("w").unwrap().kind else {
             panic!("w is a VECTORWISE table")
         };
-        let storage = storage.read().clone();
+        let storage = storage.clone();
         let distinct = |c: usize| match &storage.read_pack_encoded(0, &[c]).unwrap()[..] {
             [EncodedChunk::Dict { dict, .. }] => dict.distinct(),
             _ => panic!("a string chunk comes back coded"),

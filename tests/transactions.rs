@@ -650,3 +650,221 @@ fn answers_are_invariant_under_checkpoint() {
         assert_eq!(live.execute(all).unwrap().rows(), twin.execute(all).unwrap().rows());
     }
 }
+
+/// `bulk_load` checks that the table is delta-free and installs the next
+/// generation in one step that commits wait for: a commit racing it lands
+/// before the check (and the load is refused), or after the install (on
+/// the loaded generation, or refused because its snapshot predates it). A
+/// row whose INSERT returned `Ok` is never lost. Each round, another
+/// session holds a transaction with one INSERT open, commits it while the
+/// load runs, then runs 19 auto-commit INSERTs — from a session of its
+/// own, so nothing but the engine orders them against the load.
+#[test]
+fn bulk_load_racing_commits_keeps_every_committed_row() {
+    use std::sync::{Arc, Barrier};
+    const LOAD: usize = 50_000;
+    let db = Database::open_in_memory();
+    for round in 0..100 {
+        db.execute("DROP TABLE IF EXISTS t; CREATE TABLE t (k BIGINT NOT NULL)").unwrap();
+        let start = Arc::new(Barrier::new(2));
+        let inserter = {
+            let (db, start) = (db.clone(), start.clone());
+            std::thread::spawn(move || {
+                let mut s = db.session();
+                s.execute("BEGIN; INSERT INTO t VALUES (0)").unwrap();
+                start.wait();
+                // Every order of this COMMIT and the load is correct; this
+                // pause lands it inside the load, the order that lost it.
+                std::thread::sleep(std::time::Duration::from_micros(100));
+                let mut committed = 0i64;
+                for i in 0..20 {
+                    let sql = if i == 0 {
+                        "COMMIT".to_string()
+                    } else {
+                        format!("INSERT INTO t VALUES ({i})")
+                    };
+                    match s.execute(&sql) {
+                        Ok(_) => committed += 1,
+                        Err(VwError::TxnConflict(_)) => {}
+                        Err(e) => panic!("{sql}: {e}"),
+                    }
+                }
+                committed
+            })
+        };
+        start.wait();
+        let loaded = match bulk_load(&db, "t", &[ColData::I64(vec![-1; LOAD])], &[None]) {
+            Ok(_) => LOAD as i64,
+            Err(VwError::TxnState(_)) => 0,
+            Err(e) => panic!("bulk_load: {e}"),
+        };
+        let expected = loaded + inserter.join().unwrap();
+        let count = db.execute("SELECT COUNT(*) FROM t").unwrap();
+        assert_eq!(count.scalar().unwrap(), &Value::I64(expected), "round {round}");
+    }
+}
+
+/// A CHECKPOINT from another session racing `bulk_load` materializes the
+/// generation before the load or the one after it, and installs it in the
+/// same order commits are: the loaded rows are never replaced by a
+/// generation built from the one before them.
+#[test]
+fn bulk_load_racing_checkpoint_keeps_every_loaded_row() {
+    use std::sync::{Arc, Barrier};
+    const BASE: i64 = 20_000;
+    let db = Database::open_in_memory();
+    for round in 0..100 {
+        db.execute("DROP TABLE IF EXISTS t; CREATE TABLE t (k BIGINT NOT NULL)").unwrap();
+        bulk_load(&db, "t", &[ColData::I64((0..BASE).collect())], &[None]).unwrap();
+        let start = Arc::new(Barrier::new(2));
+        let checkpointer = {
+            let (db, start) = (db.clone(), start.clone());
+            std::thread::spawn(move || {
+                let mut s = db.session();
+                start.wait();
+                s.execute("CHECKPOINT t").map(|r| r.affected)
+            })
+        };
+        start.wait();
+        // Every order is correct; this pause lets the CHECKPOINT read its
+        // image before the load, the order that lost the loaded rows.
+        std::thread::sleep(std::time::Duration::from_micros(200));
+        bulk_load(&db, "t", &[ColData::I64(vec![-1; 10])], &[None]).unwrap();
+        checkpointer.join().unwrap().unwrap();
+        let count = db.execute("SELECT COUNT(*), SUM(k) FROM t").unwrap();
+        let want = [Value::I64(BASE + 10), Value::I64(BASE * (BASE - 1) / 2 - 10)];
+        assert_eq!(count.rows()[0], want, "round {round}");
+    }
+}
+
+/// Snapshot isolation, checked on a history rather than on one answer (the
+/// approach of Elle, Kingsbury & Alvaro, VLDB 2020). Two writer sessions
+/// move amounts between 2–4 one-row tables, each move one transaction
+/// (`BEGIN; UPDATE; UPDATE; COMMIT`), and now and then CHECKPOINT a table,
+/// so every committed state sums to the same total. Reader sessions read
+/// all tables meanwhile in three shapes — one statement with a scalar
+/// subquery per further table, `BEGIN` plus one SELECT per table, and a
+/// comma-FROM join — and every answer must sum to the total. It runs at
+/// DOP {1, 4} over a fixed set of seeds; `VW_SERVICE_SEED` runs one seed
+/// of its own.
+#[test]
+fn readers_see_each_transfer_whole_or_not_at_all() {
+    let seeds = match std::env::var("VW_SERVICE_SEED") {
+        Ok(s) => vec![s.trim().parse().unwrap_or_else(|_| panic!("bad VW_SERVICE_SEED: {s:?}"))],
+        Err(_) => vec![1, 2, 3],
+    };
+    for seed in seeds {
+        for dop in [1, 4] {
+            transfer_history(seed, dop);
+        }
+    }
+}
+
+/// One history of [`readers_see_each_transfer_whole_or_not_at_all`].
+fn transfer_history(seed: u64, dop: usize) {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Arc;
+    const READS: usize = 150;
+    let tables = 2 + (seed % 3) as usize;
+    let total = 1000 * tables as i64;
+    let names: Vec<String> = (0..tables).map(|t| format!("h{t}")).collect();
+    let db = Database::open_in_memory();
+    for name in &names {
+        db.execute(&format!("CREATE TABLE {name} (x BIGINT NOT NULL)")).unwrap();
+        db.execute(&format!("INSERT INTO {name} VALUES (1000)")).unwrap();
+    }
+    let stop = Arc::new(AtomicBool::new(false));
+    let writers: Vec<_> = (0..2u64)
+        .map(|w| {
+            let (db, stop, n) = (db.clone(), stop.clone(), tables as u64);
+            std::thread::spawn(move || {
+                let mut s = db.session();
+                let mut rng = vectorwise::common::hash::hash_u64(seed * 2 + w);
+                let mut next = move |below: u64| {
+                    rng = vectorwise::common::hash::hash_u64(rng);
+                    rng % below
+                };
+                let mut commits = 0u32;
+                while !stop.load(Ordering::Relaxed) {
+                    let (from, step, amount) = (next(n), 1 + next(n - 1), 1 + next(50));
+                    let to = (from + step) % n;
+                    let moved = format!(
+                        "BEGIN; UPDATE h{from} SET x = x - {amount}; \
+                         UPDATE h{to} SET x = x + {amount}; COMMIT"
+                    );
+                    match s.execute(&moved) {
+                        Ok(_) => commits += 1,
+                        Err(VwError::TxnConflict(_)) => {}
+                        Err(e) => panic!("seed {seed}: {moved}: {e}"),
+                    }
+                    if next(20) == 0 {
+                        s.execute(&format!("CHECKPOINT h{}", next(n))).unwrap();
+                    }
+                }
+                commits
+            })
+        })
+        .collect();
+
+    let one_statement = {
+        let subqueries: Vec<String> =
+            names[1..].iter().map(|t| format!(" + (SELECT SUM(x) FROM {t})")).collect();
+        format!("SELECT COUNT(*) FROM h0 WHERE x{} <> {total}", subqueries.concat())
+    };
+    let join = {
+        let sum: Vec<String> = names.iter().map(|t| format!("{t}.x")).collect();
+        format!("SELECT {} FROM {}", sum.join(" + "), names.join(", "))
+    };
+    let readers: Vec<_> = (0..3)
+        .map(|shape| {
+            let (db, names) = (db.clone(), names.clone());
+            let (one_statement, join) = (one_statement.clone(), join.clone());
+            std::thread::spawn(move || {
+                let mut s = db.session();
+                s.execute(&format!("SET dop = {dop}")).unwrap();
+                let scalar = |r: vectorwise::core::QueryResult| match r.scalar().unwrap() {
+                    Value::I64(v) => *v,
+                    other => panic!("{other:?}"),
+                };
+                let mut torn = 0;
+                for _ in 0..READS {
+                    let sum = match shape {
+                        0 => total + scalar(s.execute(&one_statement).unwrap()),
+                        1 => {
+                            s.execute("BEGIN").unwrap();
+                            let sum = names
+                                .iter()
+                                .map(|t| {
+                                    scalar(s.execute(&format!("SELECT SUM(x) FROM {t}")).unwrap())
+                                })
+                                .sum();
+                            s.execute("COMMIT").unwrap();
+                            sum
+                        }
+                        _ => scalar(s.execute(&join).unwrap()),
+                    };
+                    torn += usize::from(sum != total);
+                }
+                torn
+            })
+        })
+        .collect();
+    let torn: Vec<usize> = readers.into_iter().map(|r| r.join().unwrap()).collect();
+    stop.store(true, Ordering::Relaxed);
+    let commits: u32 = writers.into_iter().map(|w| w.join().unwrap()).sum();
+    assert!(commits > 0, "seed {seed}, dop {dop}: no transfer committed");
+    assert_eq!(
+        torn,
+        [0, 0, 0],
+        "seed {seed}, dop {dop}, {tables} tables, {commits} commits: torn reads of \
+         [one statement, BEGIN + a SELECT per table, join] out of {READS} each"
+    );
+    let final_sum: i64 = names
+        .iter()
+        .map(|t| match db.execute(&format!("SELECT SUM(x) FROM {t}")).unwrap().scalar().unwrap() {
+            Value::I64(v) => *v,
+            other => panic!("{other:?}"),
+        })
+        .sum();
+    assert_eq!(final_sum, total, "seed {seed}, dop {dop}: the committed state");
+}
