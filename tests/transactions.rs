@@ -868,3 +868,99 @@ fn transfer_history(seed: u64, dop: usize) {
         .sum();
     assert_eq!(final_sum, total, "seed {seed}, dop {dop}: the committed state");
 }
+
+/// How INSERT maps its source onto the table, pinned on both table kinds:
+/// a column list in any order, an omitted nullable column filled with
+/// NULL, integers cast into DOUBLE from a literal and from a BIGINT
+/// column, and the exact texts of an omitted NOT NULL column and of both
+/// count mismatches. A refused INSERT leaves the table as it was.
+#[test]
+fn insert_maps_the_column_list_casts_and_checks_not_null_on_both_table_kinds() {
+    for kind in ["VECTORWISE", "HEAP"] {
+        let db = Database::open_in_memory();
+        db.execute(&format!(
+            "CREATE TABLE t (a BIGINT NOT NULL, b VARCHAR, c DOUBLE) WITH TYPE = {kind}"
+        ))
+        .unwrap();
+        db.execute("INSERT INTO t (c, a, b) VALUES (1.5, 1, 'x')").unwrap();
+        db.execute("INSERT INTO t (a, c) VALUES (2, 2.5)").unwrap();
+        db.execute("INSERT INTO t VALUES (3, 'y', 7)").unwrap();
+        let r = db.execute("INSERT INTO t (c, a) SELECT a, a + 10 FROM t WHERE a < 3").unwrap();
+        assert_eq!(r.affected, 2, "{kind}");
+        let r = db.execute("SELECT a, b, c FROM t ORDER BY a").unwrap();
+        let row = |a, b: Option<&str>, c| {
+            vec![Value::I64(a), b.map_or(Value::Null, |s| Value::Str(s.into())), Value::F64(c)]
+        };
+        let want = [
+            row(1, Some("x"), 1.5),
+            row(2, None, 2.5),
+            row(3, Some("y"), 7.0),
+            row(11, None, 1.0),
+            row(12, None, 2.0),
+        ];
+        assert_eq!(r.rows(), &want, "{kind}");
+
+        let refused = [
+            ("INSERT INTO t (b, c) VALUES ('z', 1.0)", "NULL in NOT NULL column a"),
+            ("INSERT INTO t VALUES (4, 'z')", "INSERT provides 2 values for 3 columns"),
+            ("INSERT INTO t SELECT a, b FROM t", "INSERT provides 2 values for 3 columns"),
+            ("INSERT INTO t (a, b) VALUES (4)", "INSERT column/value count mismatch"),
+            ("INSERT INTO t (a) SELECT a, c FROM t", "INSERT column/value count mismatch"),
+        ];
+        for (sql, text) in refused {
+            let err = db.execute(sql).unwrap_err();
+            assert!(matches!(err, VwError::Exec(_)), "{kind}: {sql}: {err:?}");
+            assert_eq!(err.to_string(), format!("E_EXEC: execution error: {text}"), "{kind}");
+        }
+        assert_eq!(db.execute("SELECT a, b, c FROM t ORDER BY a").unwrap().rows(), &want);
+    }
+}
+
+/// INSERT … SELECT of 3 000 rows spans several vectors of the plan, and a
+/// self-insert reads its target as of the statement's start. A NOT NULL
+/// violation in the last row inserts nothing; inside `BEGIN` it leaves the
+/// transaction as it was, own inserts included.
+#[test]
+fn insert_select_spans_batches_and_a_late_violation_inserts_nothing() {
+    for kind in ["VECTORWISE", "HEAP"] {
+        let db = Database::open_in_memory();
+        db.execute("CREATE TABLE src (k BIGINT NOT NULL, v BIGINT)").unwrap();
+        let values: Vec<String> = (0..3_000)
+            .map(|k| if k % 10 == 0 { format!("({k}, NULL)") } else { format!("({k}, {k})") })
+            .collect();
+        db.execute(&format!("INSERT INTO src VALUES {}", values.join(", "))).unwrap();
+        db.execute(&format!(
+            "CREATE TABLE t (k BIGINT NOT NULL, v DOUBLE, s VARCHAR) WITH TYPE = {kind}"
+        ))
+        .unwrap();
+        let r = db.execute("INSERT INTO t (k, v) SELECT k, v FROM src").unwrap();
+        assert_eq!(r.affected, 3_000, "{kind}");
+        let r = db.execute("INSERT INTO t SELECT k + 3000, v * 2, 'again' FROM t").unwrap();
+        assert_eq!(r.affected, 3_000, "{kind}: the self-insert reads 3 000 rows");
+        let summary = "SELECT COUNT(*), COUNT(v), COUNT(s), SUM(k), SUM(v) FROM t";
+        let want = vec![
+            Value::I64(6_000),
+            Value::I64(5_400),
+            Value::I64(3_000),
+            Value::I64((0..6_000).sum()),
+            Value::F64(3.0 * (0..3_000).filter(|k| k % 10 != 0).sum::<i64>() as f64),
+        ];
+        assert_eq!(db.execute(summary).unwrap().rows(), &[want.clone()], "{kind}");
+
+        let late = "INSERT INTO t (k, v) \
+                    SELECT CASE WHEN k = 2999 THEN NULL ELSE k END, v FROM src";
+        let err = db.execute(late).unwrap_err();
+        assert_eq!(err.to_string(), "E_EXEC: execution error: NULL in NOT NULL column k");
+        assert_eq!(db.execute(summary).unwrap().rows(), &[want.clone()], "{kind}");
+
+        let mut s = db.session();
+        s.execute("BEGIN").unwrap();
+        s.execute("INSERT INTO t (k, s) VALUES (-1, 'own')").unwrap();
+        assert!(s.execute(late).is_err());
+        let own = "SELECT COUNT(*), MIN(k) FROM t";
+        assert_eq!(s.execute(own).unwrap().rows(), &[vec![Value::I64(6_001), Value::I64(-1)]]);
+        s.execute("COMMIT").unwrap();
+        assert_eq!(db.execute(own).unwrap().rows(), &[vec![Value::I64(6_001), Value::I64(-1)]]);
+    }
+}
+
