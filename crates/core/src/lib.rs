@@ -869,9 +869,10 @@ impl CatalogView for CatalogSnapshot {
 }
 
 /// Bulk-load helper: append whole columns to a VECTORWISE table *without*
-/// going through the PDT (initial loads; equivalent to COPY). Rebuilds
-/// statistics from the loaded columns and resets the PDT onto the new
-/// generation.
+/// going through the PDT (initial loads; equivalent to COPY). Builds
+/// statistics from the loaded columns when they are the whole table, and
+/// marks them stale, as DML does, when the table held rows already;
+/// resets the PDT onto the new generation.
 ///
 /// The new generation is the current one's packs by reference plus the
 /// loaded ones. The load is published like a commit: the delta-free check
@@ -903,7 +904,10 @@ pub fn bulk_load(
     next.append_columns(columns, nulls, pack_size)?;
     let n = next.n_rows();
     pdt.reset_after_checkpoint(n);
-    *entry.stats.write() = TableStats::build(columns, nulls, 32);
+    match storage.n_rows() {
+        0 => *entry.stats.write() = TableStats::build(columns, nulls, 32),
+        _ => entry.stats.write().mark_stale(),
+    }
     catalog::publish(
         db,
         &guard,

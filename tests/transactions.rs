@@ -964,3 +964,31 @@ fn insert_select_spans_batches_and_a_late_violation_inserts_nothing() {
     }
 }
 
+/// `bulk_load` onto a table that already holds rows leaves statistics the
+/// planner cannot trust describing only the new rows: it marks them stale,
+/// as DML does, and the planner stops estimating from them until
+/// CHECKPOINT rebuilds them over the whole table.
+#[test]
+fn bulk_load_onto_rows_marks_statistics_stale() {
+    let db = Database::open_in_memory();
+    db.execute("CREATE TABLE t (k BIGINT NOT NULL)").unwrap();
+    let stats = |db: &std::sync::Arc<Database>| {
+        let s = db.image().get("t").unwrap().stats.read().clone();
+        (s.n_rows, s.stale)
+    };
+    bulk_load(&db, "t", &[ColData::I64((0..100_000).collect())], &[None]).unwrap();
+    assert_eq!(stats(&db), (100_000, false), "a load onto an empty table builds statistics");
+    bulk_load(&db, "t", &[ColData::I64((100_000..100_010).collect())], &[None]).unwrap();
+    assert!(stats(&db).1, "a load onto 100 000 rows describes 10 of them");
+    let select_est = |db: &std::sync::Arc<Database>| -> u64 {
+        let plan = db.execute("EXPLAIN SELECT k FROM t WHERE k < 50000").unwrap().text.unwrap();
+        let select = plan.lines().find(|l| l.trim_start().starts_with("Select")).unwrap();
+        select.rsplit("est~").next().unwrap().trim().parse().unwrap()
+    };
+    let est = select_est(&db);
+    assert!((11..100_010).contains(&est), "neither all rows nor the 10 loaded: {est}");
+    db.execute("CHECKPOINT t").unwrap();
+    assert_eq!(stats(&db), (100_010, false));
+    let est = select_est(&db);
+    assert!(est.abs_diff(50_000) < 2_000, "the rebuilt histogram: {est}");
+}
