@@ -16,13 +16,14 @@ use crate::{Database, SessionCore};
 use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::sync::Arc;
-use vw_common::{ColData, EngineConfig, Result, Schema, Value, VwError};
+use vw_common::{ColData, EngineConfig, Result, Schema, TypeId, Value, VwError};
 use vw_exec::expr::PhysExpr;
 use vw_exec::op::{Operator, VectorScan};
 use vw_exec::program::eval_const;
+use vw_exec::vector::{Batch, Vector};
 use vw_exec::CancelToken;
 use vw_pdt::treap::{size, Link};
-use vw_pdt::{PdtStore, Transaction};
+use vw_pdt::{PdtStore, Rows, Transaction};
 use vw_sql::ast::Expr;
 use vw_storage::{TableStats, TableStorage};
 use vw_volcano::RowStore;
@@ -81,68 +82,105 @@ pub fn literal_rows(rows: &[Vec<Expr>]) -> Result<Vec<Vec<Value>>> {
         .collect()
 }
 
-/// Coerce a raw row onto the table schema (casts + NOT NULL checks), with
-/// an optional explicit column list.
-fn coerce_row(schema: &Schema, columns: Option<&[String]>, row: Vec<Value>) -> Result<Vec<Value>> {
-    let mut out = vec![Value::Null; schema.len()];
-    match columns {
-        None => {
-            if row.len() != schema.len() {
-                return Err(VwError::Exec(format!(
-                    "INSERT provides {} values for {} columns",
-                    row.len(),
-                    schema.len()
-                )));
-            }
-            for (i, v) in row.into_iter().enumerate() {
-                out[i] = v;
-            }
-        }
-        Some(cols) => {
-            if row.len() != cols.len() {
-                return Err(VwError::Exec("INSERT column/value count mismatch".into()));
-            }
-            for (name, v) in cols.iter().zip(row) {
-                let idx = schema
-                    .index_of(name)
-                    .ok_or_else(|| VwError::Bind(format!("unknown column '{name}'")))?;
-                out[idx] = v;
-            }
-        }
-    }
-    for (i, f) in schema.fields.iter().enumerate() {
-        if out[i].is_null() {
-            if !f.nullable {
-                return Err(VwError::Exec(format!("NULL in NOT NULL column {}", f.name)));
-            }
-        } else {
-            out[i] = out[i].cast_to(f.ty)?;
-        }
-    }
-    Ok(out)
+/// Where an INSERT's rows come from.
+pub(crate) enum Source {
+    /// Literal rows ([`literal_rows`]).
+    Values(Vec<Vec<Value>>),
+    /// A query's output: its width and its batches.
+    Query(usize, Vec<Batch>),
 }
 
-/// INSERT rows into `table` within `open`; returns the row count.
+/// INSERT into `table` within `open`; returns the row count. The source,
+/// mapped through the optional column list, becomes table-schema columns
+/// in one pass per batch: a column moves when its type is the table's
+/// and is cast value by value when not, an unlisted column is NULL, and
+/// NOT NULL is checked on the masks. Every batch is coerced before any is
+/// appended, so a refused INSERT leaves nothing behind. A VECTORWISE table
+/// takes each batch as one run of its PDT; a heap, as rows.
 pub(crate) fn insert(
     open: &mut OpenTxn,
     table: &str,
     columns: Option<&[String]>,
-    rows: Vec<Vec<Value>>,
+    source: Source,
 ) -> Result<u64> {
     let entry = open.entry(table)?;
-    let coerced: Vec<Vec<Value>> =
-        rows.into_iter().map(|r| coerce_row(&entry.schema, columns, r)).collect::<Result<_>>()?;
-    let n = coerced.len() as u64;
+    let schema = &entry.schema;
+    let width = columns.map_or(schema.len(), <[String]>::len);
+    let provided = match &source {
+        Source::Values(rows) => rows.iter().map(Vec::len).find(|&n| n != width),
+        Source::Query(n, _) => Some(*n).filter(|&n| n != width),
+    };
+    if let Some(n) = provided {
+        return Err(VwError::Exec(match columns {
+            None => format!("INSERT provides {n} values for {width} columns"),
+            Some(_) => "INSERT column/value count mismatch".into(),
+        }));
+    }
+    // The table column each source column feeds.
+    let targets = match columns {
+        None => (0..width).collect(),
+        Some(names) => column_indices(schema, names)?,
+    };
+    let batches: Vec<(usize, Vec<Vector>)> = match source {
+        Source::Values(rows) => {
+            let n = rows.len();
+            let cast_column =
+                |(j, &t): (usize, &usize)| cast(schema.field(t).ty, n, |i| rows[i][j].clone());
+            vec![(n, targets.iter().enumerate().map(cast_column).collect::<Result<_>>()?)]
+        }
+        Source::Query(_, batches) => batches.into_iter().map(|b| (b.rows(), b.columns)).collect(),
+    };
+    let coerced = batches.into_iter().map(|(n, cols)| coerce(schema, &targets, n, cols));
+    let runs = coerced.collect::<Result<Vec<Rows>>>()?;
+    let n = runs.iter().map(Rows::n_rows).sum();
     match &entry.kind {
-        TableKind::Heap { store } => store.write().append_rows(&coerced)?,
+        TableKind::Heap { store } => {
+            let rows: Vec<Vec<Value>> =
+                runs.iter().flat_map(|r| (0..r.n_rows() as usize).map(|i| r.row(i))).collect();
+            store.write().append_rows(&rows)?
+        }
         TableKind::Vectorwise { root, version, .. } => {
             let txn = open.txn_for(table, root, *version);
-            for row in coerced {
-                txn.append(row)?;
+            for run in runs {
+                txn.insert_rows(txn.n_rows(), run)?;
             }
         }
     }
     Ok(n)
+}
+
+/// One batch of `n` source rows as table-schema columns: source column `j`
+/// feeds table column `targets[j]` (the last one listed, when named twice)
+/// and is cast to its type if it has another; a column nothing feeds is
+/// NULL, and a NULL in a NOT NULL column refuses the batch.
+fn coerce(schema: &Schema, targets: &[usize], n: usize, columns: Vec<Vector>) -> Result<Rows> {
+    let mut columns: Vec<Option<Vector>> = columns.into_iter().map(Some).collect();
+    let mut rows = Rows::default();
+    for (i, f) in schema.fields.iter().enumerate() {
+        let mut v = match targets.iter().rposition(|&t| t == i) {
+            Some(j) => columns[j].take().expect("a source column feeds one table column"),
+            None => cast(f.ty, n, |_| Value::Null)?,
+        };
+        if v.type_id() != f.ty {
+            v = cast(f.ty, n, |i| v.get(i))?;
+        }
+        v.ensure_flat();
+        if !f.nullable && v.nulls.as_ref().is_some_and(|m| m.contains(&true)) {
+            return Err(VwError::Exec(format!("NULL in NOT NULL column {}", f.name)));
+        }
+        rows.cols.push(v.data);
+        rows.nulls.push(v.nulls);
+    }
+    Ok(rows)
+}
+
+/// `n` lanes cast one by one to `ty`.
+fn cast(ty: TypeId, n: usize, lane: impl Fn(usize) -> Value) -> Result<Vector> {
+    let mut out = Vector::new(ColData::with_capacity(ty, n));
+    for i in 0..n {
+        out.push(&lane(i).cast_to(ty)?)?;
+    }
+    Ok(out)
 }
 
 /// Bind a DML expression against the table's own schema and normalize it
@@ -153,13 +191,13 @@ fn bind_on_table(e: &Expr, schema: &Schema) -> Result<PhysExpr> {
     vw_sql::optimizer::fold_expr(vw_sql::binder::bind_expr_on_schema(e, schema)?, &nullable)
 }
 
-/// Resolve the target column of each SET clause.
-fn set_columns(schema: &Schema, sets: &[(String, Expr)]) -> Result<Vec<usize>> {
-    sets.iter()
-        .map(|(col, _)| {
-            schema.index_of(col).ok_or_else(|| VwError::Bind(format!("unknown column '{col}'")))
-        })
-        .collect()
+/// Resolve column names: an INSERT's column list, SET clauses' targets.
+fn column_indices<'a>(
+    schema: &Schema,
+    names: impl IntoIterator<Item = &'a String>,
+) -> Result<Vec<usize>> {
+    let unknown = |col: &String| VwError::Bind(format!("unknown column '{col}'"));
+    names.into_iter().map(|col| schema.index_of(col).ok_or_else(|| unknown(col))).collect()
 }
 
 /// The victim search of UPDATE/DELETE: the RIDs matching `filter` in
@@ -274,7 +312,7 @@ pub(crate) fn update_or_delete(
             TableKind::Vectorwise { storage, root, version, .. } => (storage, root, *version),
         };
         let set_list = sets.unwrap_or(&[]);
-        let set_cols = set_columns(&entry.schema, set_list)?;
+        let set_cols = column_indices(&entry.schema, set_list.iter().map(|(c, _)| c))?;
         let source = VictimSource::Image(storage, open.own_root(table).unwrap_or(root));
         let (rids, values) =
             find_victims(config, cancel, &entry, source, filter, set_list, &set_cols)?;
@@ -306,7 +344,7 @@ fn rewrite_heap(
     filter: Option<&Expr>,
 ) -> Result<u64> {
     let set_list = sets.unwrap_or(&[]);
-    let set_cols = set_columns(&entry.schema, set_list)?;
+    let set_cols = column_indices(&entry.schema, set_list.iter().map(|(c, _)| c))?;
     let mut heap = store.write();
     let source = VictimSource::Heap(&heap);
     let (rids, values) = find_victims(config, cancel, entry, source, filter, set_list, &set_cols)?;

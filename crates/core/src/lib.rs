@@ -99,12 +99,6 @@ impl QueryResult {
         self.row_view.get_or_init(|| row_view(&self.batches))
     }
 
-    /// The rows by value, without copying a view already built.
-    fn into_rows(self) -> Vec<Vec<Value>> {
-        let batches = self.batches;
-        self.row_view.into_inner().unwrap_or_else(|| row_view(&batches))
-    }
-
     /// First value of the first row (single-value queries).
     pub fn scalar(&self) -> Result<&Value> {
         self.rows()
@@ -539,14 +533,15 @@ fn run_statement(
             Ok(QueryResult::empty())
         }
         Statement::Insert { table, columns, source } => {
-            let rows = match source {
-                InsertSource::Values(rows) => dml::literal_rows(rows)?,
+            let source = match source {
+                InsertSource::Values(rows) => dml::Source::Values(dml::literal_rows(rows)?),
                 InsertSource::Query(q) => {
-                    run_select(db, core, q, ExplainMode::Off, Some(sql))?.into_rows()
+                    let r = run_select(db, core, q, ExplainMode::Off, Some(sql))?;
+                    dml::Source::Query(r.schema.len(), r.batches)
                 }
             };
             let open = core.txn.as_mut().expect("DML runs in a transaction");
-            let n = dml::insert(open, table, columns.as_deref(), rows)?;
+            let n = dml::insert(open, table, columns.as_deref(), source)?;
             Ok(QueryResult { affected: n, ..QueryResult::empty() })
         }
         Statement::Update { table, sets, filter } => {

@@ -28,8 +28,9 @@
 //!    size ([`vw_pdt::treap::walk_from`]), copying the pieces the claim
 //!    overlaps into a caller-owned buffer (cleared, capacity reused —
 //!    steady-state claims allocate nothing; piece clones only bump `Arc`
-//!    refcounts). Stable runs are cut at the claim's edges, and runs that
-//!    continue each other (the seams a split leaves) are joined.
+//!    refcounts). A run, stable or inserted, is cut at the claim's edges
+//!    ([`Piece::slice`]), and stable runs that continue each other (the
+//!    seams a split leaves) are joined.
 //! 3. Claims are disjoint and cover the image exactly; a `false` return
 //!    means the source is dry for every clone.
 //! 4. Every claimed piece carries its **RID** — the position of its first
@@ -153,9 +154,8 @@ impl MorselSource {
 
     /// Claim the next morsel, filling `out` (cleared first) with
     /// `(RID, piece)` for the claimed rows the hints keep. Returns `false`
-    /// when the image is exhausted. Stable runs are cut at claim edges
-    /// and at pruned packs; single-row pieces (inserts, modifications)
-    /// are never split.
+    /// when the image is exhausted. Runs are cut at claim edges, stable
+    /// runs also at pruned packs.
     pub fn claim_into(&self, out: &mut Vec<(u64, Piece)>) -> bool {
         out.clear();
         while out.is_empty() {
@@ -167,14 +167,14 @@ impl MorselSource {
             }
             let end = (start + self.morsel_rows).min(self.total);
             treap::walk_from(&self.root, start, &mut |rid, piece| {
+                let from = start.saturating_sub(rid);
+                let len = (end - rid).min(piece.rows()) - from;
                 match piece {
-                    Piece::StableRun { sid, len } => {
-                        let from = start.saturating_sub(rid);
-                        let to = (end - rid).min(*len);
-                        self.push_stable(out, rid + from, sid + from, to - from);
+                    Piece::StableRun { sid, .. } => {
+                        self.push_stable(out, rid + from, sid + from, len)
                     }
                     Piece::StableMod { sid, mods } if self.rules_out(*sid, mods) => {}
-                    single_row => out.push((rid, single_row.clone())),
+                    _ => out.push((rid + from, piece.slice(from, len))),
                 }
                 rid + piece.rows() < end
             });
@@ -325,8 +325,12 @@ mod tests {
         Piece::StableRun { sid, len }
     }
 
-    fn ins(v: i64) -> Piece {
-        Piece::Insert { id: v as u64, row: Arc::new(vec![Value::I64(v), Value::I64(v)]) }
+    /// A run of `len` inserted rows, the insert `id`'s rows `1..=len` —
+    /// a cut of a longer run, as claims and rewrites leave them.
+    fn ins(id: u64, len: u64) -> Piece {
+        let col = || ColData::I64((0..=len as i64).collect());
+        let rows = vw_pdt::Rows { cols: vec![col(), col()], nulls: vec![None, None] };
+        Piece::Insert { id, rows: Arc::new(rows), start: 1, len }
     }
 
     fn modified(sid: u64, cols: &[usize]) -> Piece {
@@ -341,8 +345,8 @@ mod tests {
         pieces.into_iter().enumerate().fold(None, |t, (i, p)| merge(t, leaf(prio_for(i as u64), p)))
     }
 
-    /// One entry per image row: `(rid, Ok(sid) | Err(insert id))`.
-    type Row = (u64, std::result::Result<u64, u64>);
+    /// One entry per image row: `(rid, Ok(sid) | Err((insert id, its row)))`.
+    type Row = (u64, std::result::Result<u64, (u64, u64)>);
 
     fn rows(claimed: &[(u64, Piece)]) -> Vec<Row> {
         let mut out = Vec::new();
@@ -352,7 +356,9 @@ mod tests {
                     out.extend((0..*len).map(|k| (rid + k, Ok(sid + k))))
                 }
                 Piece::StableMod { sid, .. } => out.push((*rid, Ok(*sid))),
-                Piece::Insert { id, .. } => out.push((*rid, Err(*id))),
+                Piece::Insert { id, start, len, .. } => {
+                    out.extend((0..*len).map(|k| (rid + k, Err((*id, start + k)))))
+                }
             }
         }
         out
@@ -383,12 +389,12 @@ mod tests {
 
     #[test]
     fn claims_are_disjoint_and_cover_the_image() {
-        // Seams (runs that continue each other), an insert and a
-        // modified row; claims of 16 rows cut the runs.
+        // Seams (runs that continue each other), an insert run and a
+        // modified row; claims of 16 rows cut the runs, the insert run too.
         let root = image(vec![
             run(0, 60),
             run(60, 40),
-            ins(7),
+            ins(7, 20),
             modified(100, &[0]),
             run(101, 30),
             run(131, 19),
@@ -401,8 +407,8 @@ mod tests {
         }
         let got: Vec<Row> = claims.iter().flat_map(|c| rows(c)).collect();
         let mut want: Vec<Row> = (0..100).map(|s| (s, Ok(s))).collect();
-        want.push((100, Err(7)));
-        want.extend((100..150).map(|s| (s + 1, Ok(s))));
+        want.extend((0..20).map(|k| (100 + k, Err((7, 1 + k)))));
+        want.extend((100..150).map(|s| (s + 20, Ok(s))));
         assert_eq!(got, want);
     }
 
@@ -424,10 +430,10 @@ mod tests {
 
     #[test]
     fn one_claim_covers_everything_at_usize_max() {
-        let root = image(vec![run(5, 40), ins(1), modified(45, &[1])]);
+        let root = image(vec![run(5, 40), ins(1, 3), modified(45, &[1])]);
         let claims = drain_claims(&MorselSource::new(root, usize::MAX));
         assert_eq!(claims.len(), 1);
-        assert_eq!(rows(&claims[0]).len(), 42);
+        assert_eq!(rows(&claims[0]).len(), 44);
     }
 
     #[test]
@@ -440,12 +446,13 @@ mod tests {
 
     #[test]
     fn concurrent_claims_stay_disjoint() {
-        // 1 000 seams of 100 rows each, every tenth with an insert after it.
+        // 1 000 seams of 100 rows each, every tenth with a run of 7
+        // inserted rows after it.
         let mut pieces = Vec::new();
         for k in 0..1_000u64 {
             pieces.push(run(k * 100, 100));
             if k % 10 == 0 {
-                pieces.push(ins(k as i64));
+                pieces.push(ins(k, 7));
             }
         }
         let src = MorselSource::new(image(pieces), 64);
@@ -466,7 +473,7 @@ mod tests {
             all.extend(h.join().unwrap());
         }
         all.sort_unstable();
-        assert_eq!(all.len(), 100_100);
+        assert_eq!(all.len(), 100_700);
         assert!(all.iter().enumerate().all(|(i, (rid, _))| *rid == i as u64), "gap or overlap");
         let sids: Vec<u64> = all.iter().filter_map(|(_, r)| r.ok()).collect();
         assert_eq!(sids, (0..100_000).collect::<Vec<_>>());
@@ -501,7 +508,7 @@ mod tests {
             let mut sid = rnd(5);
             while sid < 200 {
                 match rnd(4) {
-                    0 => pieces.push(ins(1_000 + sid as i64)),
+                    0 => pieces.push(ins(1_000 + sid, 1 + rnd(30))),
                     1 => {
                         pieces.push(modified(sid, [&[0][..], &[1], &[0, 1]][rnd(3) as usize]));
                         sid += 1;
@@ -556,7 +563,9 @@ mod tests {
                             want.push((rid, Ok(*sid)));
                         }
                     }
-                    Piece::Insert { id, .. } => want.push((rid, Err(*id))),
+                    Piece::Insert { id, start, len, .. } => {
+                        want.extend((0..*len).map(|k| (rid + k, Err((*id, start + k)))))
+                    }
                 }
                 rid += p.rows();
             });

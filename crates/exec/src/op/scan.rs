@@ -5,9 +5,10 @@
 //! claim hands it the treap pieces of a slice of row positions
 //! ([`Piece`]). Stable runs are served by decompressing pack chunks and
 //! memcpy-ing ranges; modified rows overlay their new column values;
-//! inserted rows are appended from the delta store. Merge cost is
-//! therefore proportional to the *delta count* of what is read, not the
-//! table size — the property benchmark C4 verifies.
+//! runs of inserted rows are memcpy-ed by range out of their typed
+//! columns, through the same flat copy as a plain pack chunk. Merge cost
+//! is therefore proportional to the *delta count* of what is read, not
+//! the table size — the property benchmark C4 verifies.
 //!
 //! The scan holds the stable generation its image addresses (an
 //! `Arc<TableStorage>`) and reads packs through that generation's buffer
@@ -36,7 +37,7 @@ use crate::morsel::{BatchPool, MorselSource};
 use crate::profile::OpProfile;
 use crate::vector::Batch;
 use std::sync::Arc;
-use vw_common::{ColData, Field, Result, Schema, TypeId, Value, VwError};
+use vw_common::{ColData, Field, Result, Schema, TypeId, VwError};
 use vw_pdt::treap::{Link, Piece};
 use vw_storage::pack::EncodedChunk;
 use vw_storage::TableStorage;
@@ -158,61 +159,42 @@ impl VectorScan {
         }
     }
 
-    fn pack_of_sid(&self, sid: u64) -> Result<(usize, usize)> {
-        let pack = self
-            .table
-            .pack_of_row(sid)
-            .ok_or_else(|| VwError::Storage(format!("sid {sid} beyond stable storage")))?;
-        Ok((pack, (sid - self.table.pack(pack).row_start) as usize))
-    }
-
-    fn load_pack(&mut self, pack_idx: usize) -> Result<()> {
-        if self.cur_pack.as_ref().map(|(i, _)| *i) != Some(pack_idx) {
-            let chunks = self.table.read_pack_encoded(pack_idx, &self.columns)?;
-            self.cur_pack = Some((pack_idx, chunks));
-        }
-        Ok(())
-    }
-
-    /// Copy `take` stable rows starting at `sid` into `out`.
+    /// Copy up to `max` stable rows starting at `sid` into `out`, as many
+    /// as its pack holds from there on; returns how many.
     ///
     /// Extends straight out of the decoded pack chunks — no intermediate
     /// clone of the pack columns (a delta-heavy image visits this once per
     /// piece, so a per-call pack clone would be quadratic). Encoded
     /// chunks stay encoded when the destination vector can absorb them
     /// (see `Vector::extend_dict_range` / `Vector::extend_rle_range`).
-    fn emit_stable(&mut self, sid: u64, take: usize, out: &mut Batch) -> Result<()> {
-        let (pack_idx, off) = self.pack_of_sid(sid)?;
-        self.load_pack(pack_idx)?;
+    fn emit_stable(&mut self, sid: u64, max: usize, out: &mut Batch) -> Result<usize> {
+        let pack_idx = self
+            .table
+            .pack_of_row(sid)
+            .ok_or_else(|| VwError::Storage(format!("sid {sid} beyond stable storage")))?;
+        let pack = self.table.pack(pack_idx);
+        let off = (sid - pack.row_start) as usize;
+        let take = max.min(pack.n_rows - off);
+        let end = off + take;
+        if self.cur_pack.as_ref().map(|(i, _)| *i) != Some(pack_idx) {
+            let chunks = self.table.read_pack_encoded(pack_idx, &self.columns)?;
+            self.cur_pack = Some((pack_idx, chunks));
+        }
         let (_, chunks) = self.cur_pack.as_ref().expect("just loaded");
         for (o, chunk) in out.columns.iter_mut().zip(chunks) {
             match chunk {
                 EncodedChunk::Flat(data, nulls) => {
-                    o.ensure_flat(); // drop an RLE sidecar the previous pack left
-                    let before = o.data.len();
-                    o.data.extend_from_range(data, off, off + take);
-                    match (&mut o.nulls, nulls) {
-                        (Some(m), Some(src)) => m.extend_from_slice(&src[off..off + take]),
-                        (Some(m), None) => m.extend(std::iter::repeat_n(false, take)),
-                        (None, Some(src)) => {
-                            if src[off..off + take].iter().any(|&b| b) {
-                                let mut m = vec![false; before];
-                                m.extend_from_slice(&src[off..off + take]);
-                                o.nulls = Some(m);
-                            }
-                        }
-                        (None, None) => {}
-                    }
+                    o.extend_flat_range(data, nulls.as_deref(), off, end)
                 }
                 EncodedChunk::Dict { codes, dict, nulls } => {
-                    o.extend_dict_range(codes, dict, nulls.as_deref(), off, off + take);
+                    o.extend_dict_range(codes, dict, nulls.as_deref(), off, end)
                 }
                 EncodedChunk::Rle { data, runs, nulls } => {
-                    o.extend_rle_range(data, runs, nulls.as_deref(), off, off + take);
+                    o.extend_rle_range(data, runs, nulls.as_deref(), off, end)
                 }
             }
         }
-        Ok(())
+        Ok(take)
     }
 }
 
@@ -242,45 +224,40 @@ impl Operator for VectorScan {
                 break;
             }
             let (rid, piece) = self.morsel[self.item_idx].clone();
-            match piece {
-                Piece::StableRun { sid, len } => {
-                    let sid0 = sid + self.item_off;
-                    let remaining = (len - self.item_off) as usize;
-                    let (pack_idx, off) = self.pack_of_sid(sid0)?;
-                    let pack_rows = self.table.pack(pack_idx).n_rows;
-                    let take = remaining.min(pack_rows - off).min(self.vector_size - filled);
-                    self.emit_stable(sid0, take, &mut out)?;
-                    self.push_rids(rid + self.item_off, take, &mut out);
-                    filled += take;
-                    self.item_off += take as u64;
-                    if self.item_off == len {
-                        self.item_idx += 1;
-                        self.item_off = 0;
-                    }
+            let (first, left) = (rid + self.item_off, (piece.rows() - self.item_off) as usize);
+            let room = self.vector_size - filled;
+            let take = match piece {
+                Piece::StableRun { sid, .. } => {
+                    self.emit_stable(sid + self.item_off, left.min(room), &mut out)?
                 }
                 Piece::StableMod { sid, mods } => {
                     self.emit_stable(sid, 1, &mut out)?;
-                    let pos = filled;
                     for (col, val) in mods.iter() {
                         if let Some(slot) = self.columns.iter().position(|c| c == col) {
-                            out.columns[slot].set(pos, val)?;
+                            out.columns[slot].set(filled, val)?;
                         }
                     }
-                    self.push_rids(rid, 1, &mut out);
-                    filled += 1;
-                    self.item_idx += 1;
-                    self.item_off = 0;
+                    1
                 }
-                Piece::Insert { row, .. } => {
-                    for (slot, &col) in self.columns.iter().enumerate() {
-                        let v = row.get(col).cloned().unwrap_or(Value::Null);
-                        out.columns[slot].push(&v)?;
+                Piece::Insert { rows, start, .. } => {
+                    let (off, take) = ((start + self.item_off) as usize, left.min(room));
+                    for (o, &c) in out.columns.iter_mut().zip(&self.columns) {
+                        o.extend_flat_range(
+                            &rows.cols[c],
+                            rows.nulls[c].as_deref(),
+                            off,
+                            off + take,
+                        );
                     }
-                    self.push_rids(rid, 1, &mut out);
-                    filled += 1;
-                    self.item_idx += 1;
-                    self.item_off = 0;
+                    take
                 }
+            };
+            self.push_rids(first, take, &mut out);
+            filled += take;
+            self.item_off += take as u64;
+            if take == left {
+                self.item_idx += 1;
+                self.item_off = 0;
             }
         }
         if filled == 0 {
@@ -299,7 +276,7 @@ mod tests {
     use super::*;
     use crate::op::drain;
     use std::sync::Arc;
-    use vw_common::{ColData, Field, TypeId};
+    use vw_common::{ColData, Field, TypeId, Value};
     use vw_pdt::treap::{leaf, merge, prio_for, stable_image};
     use vw_storage::{BufferPool, SimulatedDisk};
 
@@ -323,6 +300,16 @@ mod tests {
 
     fn scan(t: &Arc<TableStorage>, cols: Vec<usize>, root: Link, vec_size: usize) -> VectorScan {
         VectorScan::new(t.clone(), cols, root, vec_size, CancelToken::new())
+    }
+
+    /// A run of inserted `(id, name)` rows: ids `first..first + n`, names
+    /// `ins<id>`, every third name NULL.
+    fn inserted(first: i64, n: usize) -> Piece {
+        let ids = ColData::I64((first..first + n as i64).collect());
+        let names = ColData::Str((first..first + n as i64).map(|i| format!("ins{i}")).collect());
+        let nulls = Some((0..n).map(|i| i % 3 == 2).collect());
+        let rows = vw_pdt::Rows { cols: vec![ids, names], nulls: vec![None, nulls] };
+        Piece::Insert { id: first as u64, rows: Arc::new(rows), start: 0, len: n as u64 }
     }
 
     /// A root holding `pieces` in order, one node each.
@@ -422,17 +409,20 @@ mod tests {
         let root = image(vec![
             Piece::StableRun { sid: 0, len: 2 },
             Piece::StableRun { sid: 2, len: 1 },
-            Piece::Insert { id: 1, row: Arc::new(vec![Value::I64(999), Value::Str("ins".into())]) },
+            inserted(900, 25).slice(2, 20),
             Piece::StableMod { sid: 50, mods: Arc::new(vec![(1, Value::Str("patched".into()))]) },
             Piece::StableRun { sid: 98, len: 2 },
         ]);
+        // 10-row vectors: the insert run spans three of them.
         let mut s = scan(&t, vec![0, 1], root, 10);
         let out = drain(&mut s).unwrap();
-        assert_eq!(out.rows(), 7);
+        assert_eq!(out.rows(), 26);
         assert_eq!(out.row_values(2)[0], Value::I64(2));
-        assert_eq!(out.row_values(3), vec![Value::I64(999), Value::Str("ins".into())]);
-        assert_eq!(out.row_values(4), vec![Value::I64(50), Value::Str("patched".into())]);
-        assert_eq!(out.row_values(5)[0], Value::I64(98));
+        assert_eq!(out.row_values(3), vec![Value::I64(902), Value::Null]);
+        assert_eq!(out.row_values(4), vec![Value::I64(903), Value::Str("ins903".into())]);
+        assert_eq!(out.row_values(22), vec![Value::I64(921), Value::Str("ins921".into())]);
+        assert_eq!(out.row_values(23), vec![Value::I64(50), Value::Str("patched".into())]);
+        assert_eq!(out.row_values(24)[0], Value::I64(98));
     }
 
     #[test]
@@ -466,24 +456,25 @@ mod tests {
     #[test]
     fn rid_column_survives_skipped_runs_and_an_empty_projection() {
         // A five-pack table whose image has a modified row in pack 0, a
-        // seam at sid 100 and an insert after sid 199. The hint keeps
-        // packs 1..=3 and the modified row (it modified the hinted
-        // column); 48-row claims and 64-row vectors cut the runs mid-pack.
+        // seam at sid 100 and a run of 60 inserted rows after sid 199. The
+        // hint keeps packs 1..=3 and the modified row (it modified the
+        // hinted column); 48-row claims and 64-row vectors cut the runs
+        // mid-pack and mid-run.
         let t = setup(500, 100);
         let root = image(vec![
             Piece::StableRun { sid: 0, len: 7 },
             Piece::StableMod { sid: 7, mods: Arc::new(vec![(0, Value::I64(-7))]) },
             Piece::StableRun { sid: 8, len: 92 },
             Piece::StableRun { sid: 100, len: 100 },
-            Piece::Insert { id: 1, row: Arc::new(vec![Value::I64(999), Value::Null]) },
+            inserted(1_000, 60),
             Piece::StableRun { sid: 200, len: 300 },
         ]);
         let (lo, hi) = (Value::I64(150), Value::I64(349));
         let mut want_rids: Vec<i64> = vec![7];
-        want_rids.extend(100..401);
+        want_rids.extend(100..460);
         let mut want_ids: Vec<i64> = vec![-7];
         want_ids.extend(100..200);
-        want_ids.push(999);
+        want_ids.extend(1_000..1_060);
         want_ids.extend(200..400);
         for cols in [vec![0], vec![]] {
             let hints = [(0, Some(&lo), Some(&hi))];

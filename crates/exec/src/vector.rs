@@ -519,36 +519,18 @@ impl Vector {
     /// [`Vector::extend_gather_sel`]); any other mix materializes this
     /// vector and the appended range only.
     pub fn extend_range(&mut self, other: &Vector, start: usize, end: usize) {
-        if self.adopts_dict_of(other) {
-            let Some((src_codes, src_dict)) = other.dict_parts() else { unreachable!() };
-            let src_dict = src_dict.clone();
-            self.extend_nulls_range(other, start, end);
-            match &mut self.enc {
-                Some(Enc::Dict { codes, dict }) => {
-                    if !Arc::ptr_eq(dict, &src_dict) {
-                        *dict = src_dict; // empty dst with a stale recycled dict
-                    }
-                    codes.extend_from_slice(&src_codes[start..end]);
-                }
-                e @ None => {
-                    *e = Some(Enc::Dict { codes: src_codes[start..end].to_vec(), dict: src_dict })
-                }
-                _ => unreachable!(),
-            }
-            return;
-        }
-        self.ensure_flat(); // as in `extend_gather_sel`
-        self.extend_nulls_range(other, start, end);
-        match other.enc {
-            Some(Enc::Dict { .. }) => self.extend_values_flat(other, start..end),
-            _ => self.data.extend_from_range(&other.data, start, end),
+        let nulls = other.nulls.as_deref();
+        match other.dict_parts() {
+            Some((codes, dict)) => self.extend_dict_range(codes, dict, nulls, start, end),
+            None => self.extend_flat_range(&other.data, nulls, start, end),
         }
     }
 
-    /// The NULL-indicator half of [`Vector::extend_range`].
-    fn extend_nulls_range(&mut self, other: &Vector, start: usize, end: usize) {
+    /// Extend the NULL indicator by `nulls[start..end]` (`None`: no NULL
+    /// there); called before the values grow, while `len` is the old one.
+    fn extend_nulls(&mut self, nulls: Option<&[bool]>, start: usize, end: usize) {
         let before = self.len();
-        match (&mut self.nulls, &other.nulls) {
+        match (&mut self.nulls, nulls) {
             (Some(a), Some(b)) => a.extend_from_slice(&b[start..end]),
             (Some(a), None) => a.extend(std::iter::repeat_n(false, end - start)),
             (None, Some(b)) => {
@@ -560,6 +542,21 @@ impl Vector {
             }
             (None, None) => {}
         }
+    }
+
+    /// Scan-facing append of a flat slice — a plain pack chunk or a run
+    /// of inserted rows: extend with `data[start..end]` and its NULLs,
+    /// flattening this vector first.
+    pub fn extend_flat_range(
+        &mut self,
+        data: &ColData,
+        nulls: Option<&[bool]>,
+        start: usize,
+        end: usize,
+    ) {
+        self.ensure_flat();
+        self.extend_nulls(nulls, start, end);
+        self.data.extend_from_range(data, start, end);
     }
 
     /// Scan-facing append of a dict-coded pack slice: extend this vector
@@ -578,20 +575,7 @@ impl Vector {
             Some(Enc::Dict { dict: d, .. }) => Arc::ptr_eq(d, dict),
             _ => false,
         };
-        // NULL indicator first (self.len() must be the pre-append length).
-        let before = self.len();
-        match (&mut self.nulls, nulls) {
-            (Some(a), Some(b)) => a.extend_from_slice(&b[start..end]),
-            (Some(a), None) => a.extend(std::iter::repeat_n(false, end - start)),
-            (None, Some(b)) => {
-                if b[start..end].iter().any(|&x| x) {
-                    let mut m = vec![false; before];
-                    m.extend_from_slice(&b[start..end]);
-                    self.nulls = Some(m);
-                }
-            }
-            (None, None) => {}
-        }
+        self.extend_nulls(nulls, start, end);
         if stays_coded {
             match &mut self.enc {
                 Some(Enc::Dict { codes: c, dict: d }) => {
@@ -636,19 +620,7 @@ impl Vector {
         end: usize,
     ) {
         let keep_runs = self.is_empty() || matches!(self.enc, Some(Enc::Rle { .. }));
-        let before = self.len();
-        match (&mut self.nulls, nulls) {
-            (Some(a), Some(b)) => a.extend_from_slice(&b[start..end]),
-            (Some(a), None) => a.extend(std::iter::repeat_n(false, end - start)),
-            (None, Some(b)) => {
-                if b[start..end].iter().any(|&x| x) {
-                    let mut m = vec![false; before];
-                    m.extend_from_slice(&b[start..end]);
-                    self.nulls = Some(m);
-                }
-            }
-            (None, None) => {}
-        }
+        self.extend_nulls(nulls, start, end);
         self.data.extend_from_range(data, start, end);
         if keep_runs {
             let dst = match &mut self.enc {

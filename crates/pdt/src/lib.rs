@@ -21,7 +21,9 @@
 //!
 //! * runs of untouched stable rows (`[sid, sid+len)`),
 //! * stable rows with modified columns,
-//! * inserted rows (values held in the delta structure).
+//! * runs of inserted rows: ranges of typed columns ([`values::Rows`],
+//!   the paper's columnar value tables), one per inserted batch, which a
+//!   scan copies by range as it does stable rows.
 //!
 //! Positional operations (insert/delete/modify at **RID** — the row id in
 //! the *current* image) cost `O(log #deltas)`, and a sorted batch of `k`
@@ -52,5 +54,7 @@
 
 pub mod store;
 pub mod treap;
+pub mod values;
 
 pub use store::{PdtStats, PdtStore, Transaction};
+pub use values::{Mods, Rows};

@@ -11,20 +11,22 @@
 //! * **Concurrent path** — after the write-write conflict check (positional
 //!   overlap of written SIDs, as in the PDT paper), the transaction's delta
 //!   log is replayed against the *current* master image: deletes/modifies
-//!   address rows by SID; inserts are re-anchored to the nearest surviving
-//!   stable predecessor. The interleaving order of different transactions'
-//!   inserts at the same anchor is unspecified (any serializable order is
-//!   legal).
+//!   address rows by SID; insert runs are re-anchored, whole and in image
+//!   order, to the nearest surviving stable predecessor. The interleaving
+//!   order of different transactions' runs at the same anchor is
+//!   unspecified (any serializable order is legal); each run stays
+//!   contiguous.
 
 use crate::treap::{
     find_stable_at_or_before, for_each_piece, leaf, merge, prio_for, rewrite_rows, size, split,
     stable_image, Link, Piece,
 };
+use crate::values::Rows;
 use parking_lot::{Mutex, MutexGuard};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use vw_common::hash::{FxHashMap, FxHashSet};
-use vw_common::{Result, Value, VwError};
+use vw_common::{Result, TypeId, Value, VwError};
 
 /// Where an insert lands, in stable coordinates (survives image changes
 /// between snapshot and commit).
@@ -94,7 +96,9 @@ pub struct Transaction {
     root: Link,
     snapshot_version: u64,
     log: Vec<Op>,
+    /// Ids of this transaction's inserts, and how many of their rows live.
     own_inserts: FxHashSet<u64>,
+    own_rows: u64,
     write_set: FxHashSet<u64>,
     /// True when this transaction modified or deleted rows that were
     /// inserted by earlier *committed* transactions (still PDT-resident,
@@ -138,6 +142,7 @@ impl PdtStore {
             snapshot_version: version,
             log: Vec::new(),
             own_inserts: FxHashSet::default(),
+            own_rows: 0,
             write_set: FxHashSet::default(),
             touched_foreign_inserts: false,
         }
@@ -226,9 +231,9 @@ impl PdtStore {
             })?;
         }
 
-        // Replay the transaction's own inserts in its image order,
+        // Replay the transaction's own insert runs in its image order,
         // re-anchored to surviving stable predecessors.
-        let mut planned: Vec<(Anchor, Arc<Vec<Value>>)> = Vec::new();
+        let mut planned: Vec<(Anchor, Piece)> = Vec::new();
         {
             let mut last_anchor = Anchor::Front;
             for_each_piece(&txn.root, &mut |p| match p {
@@ -238,15 +243,15 @@ impl PdtStore {
                 Piece::StableMod { sid, .. } => {
                     last_anchor = Anchor::AfterSid(*sid);
                 }
-                Piece::Insert { id, row } => {
+                Piece::Insert { id, .. } => {
                     if txn.own_inserts.contains(id) {
-                        planned.push((last_anchor, row.clone()));
+                        planned.push((last_anchor, p.clone()));
                     }
                 }
             });
         }
         let mut anchor_offsets: FxHashMap<Anchor, u64> = FxHashMap::default();
-        for (anchor, row) in planned {
+        for (anchor, run) in planned {
             let base = match anchor {
                 Anchor::Front => 0,
                 Anchor::AfterSid(sid) => match find_stable_at_or_before(&root, sid) {
@@ -256,10 +261,9 @@ impl PdtStore {
             };
             let off = anchor_offsets.entry(anchor).or_insert(0);
             let pos = (base + *off).min(size(&root));
-            *off += 1;
+            *off += run.rows();
             let (a, b) = split(root, pos);
-            let node = leaf(prio_for(self.next_id()), Piece::Insert { id: self.next_id(), row });
-            root = merge(a, merge(node, b));
+            root = merge(a, merge(leaf(prio_for(self.next_id()), run), b));
         }
 
         Ok(PreparedCommit { master: m, root, write_set: txn.write_set })
@@ -334,7 +338,7 @@ fn compute_stats(root: &Link, n_stable: u64) -> PdtStats {
             stable_visible += 1;
             modifies += mods.len() as u64;
         }
-        Piece::Insert { .. } => inserts += 1,
+        Piece::Insert { len, .. } => inserts += len,
     });
     PdtStats { inserts, deletes: n_stable - stable_visible, modifies }
 }
@@ -361,21 +365,29 @@ impl Transaction {
         Ok(())
     }
 
-    /// Insert `row` so that it becomes the row at position `rid`
-    /// (`rid == n_rows()` appends).
-    pub fn insert_at(&mut self, rid: u64, row: Vec<Value>) -> Result<()> {
+    /// Insert `rows` as one run so that its first row becomes the row at
+    /// position `rid` (`rid == n_rows()` appends).
+    pub fn insert_rows(&mut self, rid: u64, rows: Rows) -> Result<()> {
         self.check_rid(rid, true)?;
-        let insert_id = NEXT_LOCAL.fetch_add(1, Ordering::Relaxed);
-        let node = leaf(prio_for(insert_id), Piece::Insert { id: insert_id, row: Arc::new(row) });
+        let len = rows.n_rows();
+        if len == 0 {
+            return Ok(());
+        }
+        let id = NEXT_LOCAL.fetch_add(1, Ordering::Relaxed);
+        let run = Piece::Insert { id, rows: Arc::new(rows), start: 0, len };
         let (before, after) = split(self.root.clone(), rid);
-        self.root = merge(before, merge(node, after));
-        self.own_inserts.insert(insert_id);
+        self.root = merge(before, merge(leaf(prio_for(id), run), after));
+        self.own_inserts.insert(id);
+        self.own_rows += len;
         Ok(())
     }
 
-    /// Append `row` at the end of the image.
-    pub fn append(&mut self, row: Vec<Value>) -> Result<()> {
-        self.insert_at(self.n_rows(), row)
+    /// Insert one row of `values` at position `rid`, each column typed by
+    /// its value (a NULL as BOOLEAN: typed runs, [`Transaction::insert_rows`],
+    /// are how rows with NULLs a scan reads go in).
+    pub fn insert_at(&mut self, rid: u64, values: Vec<Value>) -> Result<()> {
+        let types = values.iter().map(|v| v.type_id().unwrap_or(TypeId::Bool));
+        self.insert_rows(rid, Rows::from_row(&values, types)?)
     }
 
     /// Delete the row at position `rid`.
@@ -397,12 +409,10 @@ impl Transaction {
                     staged.log.push(Op::DeleteStable { sid: sid + off })
                 }
                 Piece::StableMod { sid, .. } => staged.log.push(Op::DeleteStable { sid: *sid }),
-                // Deleting an own insert cancels it; a committed but not
+                // Deleting an own inserted row cancels it; a committed but not
                 // yet checkpointed one has no stable coordinates, so the
                 // removal is only expressible through the serial fast path.
-                Piece::Insert { id, .. } if own_inserts.contains(id) => {
-                    staged.cancelled_inserts.push(*id)
-                }
+                Piece::Insert { id, .. } if own_inserts.contains(id) => staged.cancelled_rows += 1,
                 Piece::Insert { .. } => staged.touched_foreign_inserts = true,
             }
             Ok(None)
@@ -423,18 +433,20 @@ impl Transaction {
         }
         self.rewrite_batch(rids, |i, piece, off, own_inserts, staged| {
             let values = &values[i];
-            if let Piece::Insert { id, row } = piece {
+            if let Piece::Insert { id, rows, start, .. } = piece {
                 if !own_inserts.contains(id) {
                     staged.touched_foreign_inserts = true;
                 }
-                let mut row = (**row).clone();
+                // The updated row leaves its run as a one-row run of its own.
+                let mut row = rows.row((start + off) as usize);
                 for (&col, value) in cols.iter().zip(values) {
                     match row.get_mut(col) {
                         Some(slot) => *slot = value.clone(),
                         None => return Err(VwError::Exec(format!("column {col} out of range"))),
                     }
                 }
-                return Ok(Some(Piece::Insert { id: *id, row: Arc::new(row) }));
+                let row = Rows::from_row(&row, rows.types())?;
+                return Ok(Some(Piece::Insert { id: *id, rows: Arc::new(row), start: 0, len: 1 }));
             }
             let (sid, modified) = overlay_mods(piece, off, cols, values);
             for (&col, value) in cols.iter().zip(values) {
@@ -483,17 +495,15 @@ impl Transaction {
         )?;
         self.write_set.extend(staged.log.iter().map(Op::sid));
         self.log.append(&mut staged.log);
-        for id in staged.cancelled_inserts {
-            self.own_inserts.remove(&id);
-        }
+        self.own_rows -= staged.cancelled_rows;
         self.touched_foreign_inserts |= staged.touched_foreign_inserts;
         Ok(())
     }
 
-    /// Number of pending logged operations plus live own inserts
+    /// Number of pending logged operations plus live own inserted rows
     /// (diagnostics).
     pub fn pending_ops(&self) -> usize {
-        self.log.len() + self.own_inserts.len()
+        self.log.len() + self.own_rows as usize
     }
 
     /// True when this transaction changed no row of its image: its commit
@@ -509,25 +519,31 @@ static NEXT_LOCAL: AtomicU64 = AtomicU64::new(1 << 32);
 #[derive(Default)]
 struct Staged {
     log: Vec<Op>,
-    cancelled_inserts: Vec<u64>,
+    cancelled_rows: u64,
     touched_foreign_inserts: bool,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vw_common::ColData;
 
     fn row(v: i64) -> Vec<Value> {
         vec![Value::I64(v)]
     }
 
-    /// One visible row of an image, whatever pieces hold it: seams and
-    /// insert ids do not show.
+    /// `len` inserted rows holding `v`, `v + 1`, … in one BIGINT column.
+    fn run_of(v: i64, len: i64) -> Rows {
+        Rows { cols: vec![ColData::I64((v..v + len).collect())], nulls: vec![None] }
+    }
+
+    /// One visible row of an image, whatever pieces hold it: seams, runs
+    /// and insert ids do not show.
     #[derive(Debug, PartialEq)]
     enum RowOf {
         Stable(u64),
-        Modified(u64, Arc<Vec<(usize, Value)>>),
-        Inserted(Arc<Vec<Value>>),
+        Modified(u64, Arc<crate::Mods>),
+        Inserted(Vec<Value>),
     }
 
     fn rows_of(root: &Link) -> Vec<RowOf> {
@@ -535,7 +551,9 @@ mod tests {
         for_each_piece(root, &mut |p| match p {
             Piece::StableRun { sid, len } => out.extend((*sid..sid + len).map(RowOf::Stable)),
             Piece::StableMod { sid, mods } => out.push(RowOf::Modified(*sid, mods.clone())),
-            Piece::Insert { row, .. } => out.push(RowOf::Inserted(row.clone())),
+            Piece::Insert { rows, start, len, .. } => {
+                out.extend((*start..start + len).map(|r| RowOf::Inserted(rows.row(r as usize))))
+            }
         });
         out
     }
@@ -581,7 +599,7 @@ mod tests {
         let store = PdtStore::new(0);
         let mut t = store.begin();
         for i in 0..5 {
-            t.append(row(i)).unwrap();
+            t.insert_at(t.n_rows(), row(i)).unwrap();
         }
         store.commit(t).unwrap();
         assert_eq!(store.visible_rows(), 5);
@@ -674,7 +692,7 @@ mod tests {
     fn update_own_insert_keeps_value() {
         let store = PdtStore::new(0);
         let mut t = store.begin();
-        t.append(row(1)).unwrap();
+        t.insert_at(0, row(1)).unwrap();
         t.update_at(0, 0, Value::I64(42)).unwrap();
         store.commit(t).unwrap();
         let (root, _, _) = store.snapshot();
@@ -778,7 +796,15 @@ mod tests {
             x = vw_common::hash::hash_u64(x);
             x % n
         };
-        let wide = |v: i64| vec![Value::I64(v), Value::I64(-v), Value::Null];
+        // `len` inserted rows of three BIGINT columns, the last NULL.
+        let wide = |v: i64, len: i64| Rows {
+            cols: vec![
+                ColData::I64((v..v + len).collect()),
+                ColData::I64((v..v + len).map(|v| -v).collect()),
+                ColData::I64(vec![0; len as usize]),
+            ],
+            nulls: vec![None, None, Some(vec![true; len as usize])],
+        };
         let (mut conflicts, mut replays) = (0, 0);
         for case in 0..300 {
             let n_stable = 1 + rnd(200);
@@ -792,7 +818,7 @@ mod tests {
                     let pos = pos % t.n_rows().max(1);
                     match kind {
                         0 if t.n_rows() > 1 => t.delete_at(pos).unwrap(),
-                        1 => t.insert_at(pos, wide(v)).unwrap(),
+                        1 => t.insert_rows(pos, wide(v, 1 + v % 4)).unwrap(),
                         _ => t.update_at(pos, (v % 3) as usize, Value::I64(v)).unwrap(),
                     }
                 }
@@ -800,12 +826,12 @@ mod tests {
             }
             assert_eq!(rows_of(&stores[0].snapshot().0), rows_of(&stores[1].snapshot().0));
 
-            // The transactions under test, each with an own insert or two.
+            // The transactions under test, each with an own run or two.
             let mut txns = [stores[0].begin(), stores[1].begin()];
             for _ in 0..rnd(3) {
                 let (pos, v) = (rnd(txns[0].n_rows() + 1), rnd(1000) as i64);
                 for t in &mut txns {
-                    t.insert_at(pos, wide(v)).unwrap();
+                    t.insert_rows(pos, wide(v, 1 + v % 5)).unwrap();
                 }
             }
             let n = txns[0].n_rows();
@@ -832,6 +858,7 @@ mod tests {
             assert_eq!(rows_of(batch.image()), rows_of(single.image()), "case {case}");
             assert_eq!(batch.write_set, single.write_set);
             assert_eq!(batch.own_inserts.len(), single.own_inserts.len());
+            assert_eq!(batch.own_rows, single.own_rows);
             assert_eq!(batch.touched_foreign_inserts, single.touched_foreign_inserts);
             // Same log up to order (a batch delete logs ascending, the
             // one-at-a-time loop descending).
@@ -896,6 +923,74 @@ mod tests {
         t.delete_at(0).unwrap();
         assert_eq!(store.prepare_commit(t).unwrap().apply(), 1);
         assert_eq!(store.visible_rows(), 3);
+    }
+
+    /// Two transactions insert 2 500 rows each, as five runs, after the
+    /// same stable row; the second commit replays its runs onto the first
+    /// one's image. Each transaction's rows stay contiguous and in its own
+    /// order: the replay advances past each run it places, not one row.
+    #[test]
+    fn concurrent_runs_at_one_anchor_stay_whole_and_in_order() {
+        let store = PdtStore::new(10);
+        let (mut a, mut b) = (store.begin(), store.begin());
+        for (t, first) in [(&mut a, 0), (&mut b, 10_000)] {
+            for k in 0..5 {
+                t.insert_rows(5 + 500 * k, run_of(first + 500 * k as i64, 500)).unwrap();
+            }
+            assert_eq!(t.pending_ops(), 2_500);
+        }
+        store.commit(a).unwrap();
+        store.commit(b).unwrap();
+        assert_eq!(store.stats(), PdtStats { inserts: 5_000, deletes: 0, modifies: 0 });
+        let f = flat(&store.snapshot().0);
+        assert_eq!(f.len(), 5_010);
+        assert_eq!((f[4], f[5_005]), ((Some(4), None), (Some(5), None)));
+        let inserted: Vec<i64> = f[5..5_005].iter().map(|r| r.1.unwrap()).collect();
+        let runs = [(0..2_500).collect::<Vec<i64>>(), (10_000..12_500).collect()];
+        assert!(
+            inserted == [runs[1].clone(), runs[0].clone()].concat()
+                || inserted == [runs[0].clone(), runs[1].clone()].concat(),
+            "each transaction's rows whole and in order"
+        );
+    }
+
+    /// Rows at the start, middle and end of a committed run and of an own
+    /// run are deleted and updated one at a time: the image matches a
+    /// row-by-row mirror after each, and the commit installs it.
+    #[test]
+    fn deletes_and_updates_cut_runs_at_any_row() {
+        let store = PdtStore::new(4);
+        let mut t = store.begin();
+        t.insert_rows(2, run_of(100, 10)).unwrap();
+        store.commit(t).unwrap();
+        let mut t = store.begin();
+        t.insert_rows(t.n_rows(), run_of(200, 10)).unwrap();
+        // Stable rows 0, 1, the committed run at 2..12, stable rows 2, 3,
+        // the own run at 14..24.
+        let mut mirror = rows_of(t.image());
+        let ops =
+            [(23, Some(-1)), (19, None), (14, Some(-2)), (11, None), (7, Some(-3)), (2, None)];
+        for (rid, update) in ops {
+            match update {
+                Some(v) => {
+                    t.update_at(rid, 0, Value::I64(v)).unwrap();
+                    mirror[rid as usize] = RowOf::Inserted(vec![Value::I64(v)]);
+                }
+                None => {
+                    t.delete_at(rid).unwrap();
+                    mirror.remove(rid as usize);
+                }
+            }
+            assert_eq!(rows_of(t.image()), mirror, "after rid {rid}");
+        }
+        assert_eq!(t.pending_ops(), 9, "nine own rows live, nothing logged");
+        store.commit(t).unwrap();
+        assert_eq!(rows_of(&store.snapshot().0), mirror);
+        assert_eq!(store.stats().inserts, 17);
+        let mut t = store.begin();
+        t.insert_rows(0, run_of(300, 3)).unwrap();
+        t.delete_batch(&[0, 1, 2]).unwrap();
+        assert!(t.is_empty(), "a run deleted row by row cancels out");
     }
 
     #[test]

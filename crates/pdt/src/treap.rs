@@ -1,15 +1,17 @@
 //! A persistent (path-copying) counted treap over the visible table image.
 //!
-//! Leaves-as-nodes: every node carries a payload describing either a run of
-//! stable rows, a modified stable row, or an inserted row. Subtree sizes
+//! Leaves-as-nodes: every node carries a [`Piece`] — a run of stable
+//! rows, a modified stable row, or a run of inserted rows. Subtree sizes
 //! enable O(log n) positional access; subtree max-SID enables O(log n)
 //! SID → position lookup (needed for commit-time replay of delta logs).
+//! A multi-row piece is cut at a position by [`Piece::slice`], which
+//! copies no value: an insert run's cuts share its typed columns.
 //!
 //! Persistence (Arc-shared immutable nodes) is what makes snapshot isolation
 //! cheap: a transaction's snapshot is a root pointer clone.
 
+use crate::values::{Mods, Rows};
 use std::sync::Arc;
-use vw_common::Value;
 
 /// Payload of one treap node.
 #[derive(Debug, Clone, PartialEq)]
@@ -25,15 +27,21 @@ pub enum Piece {
     StableMod {
         /// Stable id of the row.
         sid: u64,
-        /// `(column index, new value)` pairs, each column at most once.
-        mods: Arc<Vec<(usize, Value)>>,
+        /// Its new values.
+        mods: Arc<Mods>,
     },
-    /// One inserted row (not present in stable storage).
+    /// `len` inserted rows (not present in stable storage): rows
+    /// `start..start + len` of `rows`.
     Insert {
-        /// Transaction-unique id used to find/cancel the insert in delta logs.
+        /// Transaction-unique id used to find/cancel the insert in delta
+        /// logs; every run cut from one insert keeps it.
         id: u64,
-        /// Full row values in schema order.
-        row: Arc<Vec<Value>>,
+        /// The inserted rows this run is a range of, shared by its cuts.
+        rows: Arc<Rows>,
+        /// First row of `rows` in the run.
+        start: u64,
+        /// Number of rows in the run.
+        len: u64,
     },
 }
 
@@ -41,23 +49,29 @@ impl Piece {
     /// Number of visible rows this piece contributes.
     pub fn rows(&self) -> u64 {
         match self {
-            Piece::StableRun { len, .. } => *len,
-            _ => 1,
+            Piece::StableRun { len, .. } | Piece::Insert { len, .. } => *len,
+            Piece::StableMod { .. } => 1,
         }
     }
 
-    fn max_sid(&self) -> Option<u64> {
+    /// The `len` rows of this piece from offset `off` on, as a piece of
+    /// their own (`off + len` within [`Piece::rows`]).
+    pub fn slice(&self, off: u64, len: u64) -> Piece {
+        debug_assert!(len > 0 && off + len <= self.rows());
         match self {
-            Piece::StableRun { sid, len } => Some(sid + len - 1),
-            Piece::StableMod { sid, .. } => Some(*sid),
-            Piece::Insert { .. } => None,
+            Piece::StableRun { sid, .. } => Piece::StableRun { sid: sid + off, len },
+            Piece::Insert { id, rows, start, .. } => {
+                Piece::Insert { id: *id, rows: rows.clone(), start: start + off, len }
+            }
+            Piece::StableMod { .. } => self.clone(),
         }
     }
 
-    fn min_sid(&self) -> Option<u64> {
+    /// The first and last stable id the piece shows; none for inserted rows.
+    fn sids(&self) -> Option<(u64, u64)> {
         match self {
-            Piece::StableRun { sid, .. } => Some(*sid),
-            Piece::StableMod { sid, .. } => Some(*sid),
+            Piece::StableRun { sid, len } => Some((*sid, sid + len - 1)),
+            Piece::StableMod { sid, .. } => Some((*sid, *sid)),
             Piece::Insert { .. } => None,
         }
     }
@@ -101,8 +115,9 @@ fn mk(prio: u64, piece: Piece, left: Link, right: Link) -> Link {
     let size = size(&left) + piece.rows() + size(&right);
     // Stable sids ascend in traversal order, so the leftmost subtree that
     // has one holds the minimum and the rightmost the maximum.
-    let max_sid = max_sid(&right).or(piece.max_sid()).or(max_sid(&left));
-    let min_sid = min_sid(&left).or(piece.min_sid()).or(min_sid(&right));
+    let own = piece.sids();
+    let max_sid = max_sid(&right).or(own.map(|s| s.1)).or(max_sid(&left));
+    let min_sid = min_sid(&left).or(own.map(|s| s.0)).or(min_sid(&right));
     Some(Arc::new(Node { prio, size, max_sid, min_sid, piece, left, right }))
 }
 
@@ -127,9 +142,9 @@ pub fn merge(a: Link, b: Link) -> Link {
     }
 }
 
-/// Split `t` into (first `k` rows, rest). Splits stable runs at interior
-/// offsets by synthesizing two run pieces sharing the original priority
-/// (heap order stays valid: equal priorities are allowed).
+/// Split `t` into (first `k` rows, rest). A piece holding the cut is
+/// sliced into two pieces sharing the original priority (heap order stays
+/// valid: equal priorities are allowed).
 pub fn split(t: Link, k: u64) -> (Link, Link) {
     let Some(n) = t else {
         return (None, None);
@@ -143,23 +158,9 @@ pub fn split(t: Link, k: u64) -> (Link, Link) {
         let (a, b) = split(n.right.clone(), k - lsize - own);
         (clone_with(&n, n.left.clone(), a), b)
     } else {
-        // Split inside this node's piece — only possible for StableRun.
         let off = k - lsize;
-        match &n.piece {
-            Piece::StableRun { sid, len } => {
-                debug_assert!(off > 0 && off < *len);
-                let left_run =
-                    mk(n.prio, Piece::StableRun { sid: *sid, len: off }, n.left.clone(), None);
-                let right_run = mk(
-                    n.prio,
-                    Piece::StableRun { sid: sid + off, len: len - off },
-                    None,
-                    n.right.clone(),
-                );
-                (left_run, right_run)
-            }
-            _ => unreachable!("interior split of a single-row piece"),
-        }
+        let left = mk(n.prio, n.piece.slice(0, off), n.left.clone(), None);
+        (left, mk(n.prio, n.piece.slice(off, own - off), None, n.right.clone()))
     }
 }
 
@@ -186,15 +187,15 @@ fn join(prio: u64, piece: Piece, left: Link, right: Link) -> Link {
 /// `f(piece, off)` is called once per RID, in ascending order, with the
 /// piece covering the row and the row's offset inside it; it returns the
 /// single-row piece that replaces the row, or `None` to delete it. A
-/// stable run hit at interior offsets is cut into the surviving run
-/// fragments around the rewritten rows.
+/// multi-row piece hit at interior offsets is cut into the surviving
+/// slices around the rewritten rows ([`Piece::slice`]).
 ///
 /// Every node on a path to a touched row is copied once and every
 /// untouched subtree is shared with `t`, so `k` RIDs cost
 /// O(k · log(n / k)) node copies — a batch shares the upper levels of the
 /// tree that `k` separate root-to-leaf updates would each copy. A
 /// single-row piece is replaced in place (same priority). The fragments
-/// of a cut run each draw an independent priority from `fresh_prio` —
+/// of a cut piece each draw an independent priority from `fresh_prio` —
 /// priorities must not depend on a node's history, or an ascending
 /// sequence of rewrites grows a spine — and merge into place; where one
 /// lands above an ancestor, that ancestor merges too instead of being
@@ -228,23 +229,23 @@ pub fn rewrite_rows<E>(
     // Otherwise `fragments` (possibly none: a deleted row) take its place.
     let (in_place, fragments) = match &n.piece {
         piece if own.is_empty() => (Some(piece.clone()), Vec::new()),
-        run @ Piece::StableRun { sid, len } => {
+        one_row if one_row.rows() == 1 => (f(one_row, 0)?, Vec::new()),
+        piece => {
             let mut fragments = Vec::with_capacity(2 * own.len() + 1);
             let mut cursor = 0u64;
             for &rid in own {
                 let off = rid - lo;
                 if off > cursor {
-                    fragments.push(Piece::StableRun { sid: sid + cursor, len: off - cursor });
+                    fragments.push(piece.slice(cursor, off - cursor));
                 }
-                fragments.extend(f(run, off)?);
+                fragments.extend(f(piece, off)?);
                 cursor = off + 1;
             }
-            if cursor < *len {
-                fragments.push(Piece::StableRun { sid: sid + cursor, len: len - cursor });
+            if cursor < piece.rows() {
+                fragments.push(piece.slice(cursor, piece.rows() - cursor));
             }
             (None, fragments)
         }
-        single_row => (f(single_row, 0)?, Vec::new()),
     };
     let right = rewrite_rows(&n.right, hi, &rids[j..], fresh_prio, f)?;
     Ok(match in_place {
@@ -322,13 +323,21 @@ pub fn stable_image(n_rows: u64) -> Link {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vw_common::Value;
 
     fn run(sid: u64, len: u64) -> Piece {
         Piece::StableRun { sid, len }
     }
 
+    /// A run of `len` inserted rows holding `id`, `id + 1`, ….
+    fn ins_run(id: u64, len: u64) -> Piece {
+        let values = vw_common::ColData::I64((id as i64..(id + len) as i64).collect());
+        let rows = Rows { cols: vec![values], nulls: vec![None] };
+        Piece::Insert { id, rows: Arc::new(rows), start: 0, len }
+    }
+
     fn ins(id: u64) -> Piece {
-        Piece::Insert { id, row: Arc::new(vec![Value::I64(id as i64)]) }
+        ins_run(id, 1)
     }
 
     fn build(pieces: Vec<Piece>) -> Link {
@@ -465,7 +474,8 @@ mod tests {
 
     #[test]
     fn rewrite_rows_matches_a_row_vector_model() {
-        // The image as one entry per row: Ok(sid) stable, Err(id) insert.
+        // The image as one entry per row: Ok(sid) stable, Err((id, row))
+        // inserted — row `row` of the insert `id`.
         let mut x = 7u64;
         let mut rnd = move |n: u64| {
             x = vw_common::hash::hash_u64(x);
@@ -473,12 +483,14 @@ mod tests {
         };
         for round in 0..60u64 {
             let mut pieces = Vec::new();
-            let mut model: Vec<std::result::Result<u64, u64>> = Vec::new();
+            let mut model: Vec<std::result::Result<u64, (u64, u64)>> = Vec::new();
             let mut sid = 0;
             for i in 0..1 + rnd(12) {
                 if rnd(3) == 0 {
-                    pieces.push(ins(1000 + i));
-                    model.push(Err(1000 + i));
+                    // A run of inserted rows, possibly a slice of a longer one.
+                    let (id, len, skip) = (1000 + 100 * i, 1 + rnd(30), rnd(3));
+                    pieces.push(ins_run(id, len + skip).slice(skip, len));
+                    model.extend((skip..skip + len).map(|r| Err((id, r))));
                 } else {
                     let len = 1 + rnd(40);
                     sid += rnd(3); // gaps: deleted rows
@@ -506,7 +518,7 @@ mod tests {
                 &mut |piece, off| {
                     seen.push(match piece {
                         Piece::StableRun { sid, .. } => Ok(sid + off),
-                        Piece::Insert { id, .. } => Err(*id),
+                        Piece::Insert { id, start, .. } => Err((*id, start + off)),
                         Piece::StableMod { .. } => unreachable!(),
                     });
                     Ok::<_, ()>((!delete).then(|| ins(9_000 + seen.len() as u64)))
@@ -524,18 +536,35 @@ mod tests {
                 if delete {
                     let _ = want.remove(r as usize);
                 } else {
-                    want[r as usize] = Err(9_001 + k as u64);
+                    want[r as usize] = Err((9_001 + k as u64, 0));
                 }
             }
             let mut got = Vec::new();
             for_each_piece(&out, &mut |p| match p {
                 Piece::StableRun { sid, len } => got.extend((*sid..sid + len).map(Ok)),
-                Piece::Insert { id, .. } => got.push(Err(*id)),
+                Piece::Insert { id, start, len, .. } => {
+                    got.extend((*start..start + len).map(|r| Err((*id, r))))
+                }
                 Piece::StableMod { .. } => unreachable!(),
             });
             assert_eq!(got, want, "round {round}");
             assert_eq!(size(&out), want.len() as u64);
         }
+    }
+
+    #[test]
+    fn split_inside_an_insert_run_shares_its_rows() {
+        let t = build(vec![run(0, 3), ins_run(50, 10), run(3, 2)]);
+        let (a, b) = split(t, 7);
+        assert_eq!(collect(&a), vec![run(0, 3), ins_run(50, 10).slice(0, 4)]);
+        assert_eq!(collect(&b), vec![ins_run(50, 10).slice(4, 6), run(3, 2)]);
+        let (Some(Piece::Insert { rows: left, .. }), Some(Piece::Insert { rows: right, .. })) =
+            (collect(&a).pop(), collect(&b).first().cloned())
+        else {
+            panic!("both halves end and start with the run")
+        };
+        assert!(Arc::ptr_eq(&left, &right), "a cut copies no value");
+        assert_eq!(left.row(4), vec![Value::I64(54)]);
     }
 
     #[test]

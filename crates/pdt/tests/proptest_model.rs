@@ -1,12 +1,12 @@
 //! Property test: the PDT image must match a naive Vec-based model under
-//! arbitrary positional update sequences, and serial transactions must
+//! arbitrary positional update sequences — inserts as runs of rows,
+//! deletes and updates anywhere in a run — and serial transactions must
 //! compose like sequential application.
 
 use proptest::prelude::*;
-use std::sync::Arc;
-use vw_common::Value;
+use vw_common::{ColData, Value};
 use vw_pdt::treap::{for_each_piece, Piece};
-use vw_pdt::PdtStore;
+use vw_pdt::{PdtStore, Rows};
 
 /// The reference model: the visible image as a vector of rows, where each
 /// row is either an untouched stable row (Ok(sid)) or an inserted value
@@ -25,14 +25,21 @@ impl Model {
 
 #[derive(Debug, Clone)]
 enum Action {
-    Insert(u64, i64),
+    /// A run of `len` rows holding `v`, `v + 1`, … at a position.
+    Insert(u64, i64, i64),
     Delete(u64),
     Update(u64, i64),
 }
 
+/// A run of `len` inserted rows holding `v`, `v + 1`, ….
+fn run_of(v: i64, len: i64) -> Rows {
+    Rows { cols: vec![ColData::I64((v..v + len).collect())], nulls: vec![None] }
+}
+
 fn action_strategy() -> impl Strategy<Value = Action> {
     prop_oneof![
-        (any::<u64>(), any::<i64>()).prop_map(|(p, v)| Action::Insert(p, v)),
+        (any::<u64>(), -1_000_000i64..1_000_000, 1i64..6)
+            .prop_map(|(p, v, len)| Action::Insert(p, v, len)),
         any::<u64>().prop_map(Action::Delete),
         (any::<u64>(), any::<i64>()).prop_map(|(p, v)| Action::Update(p, v)),
     ]
@@ -44,23 +51,17 @@ fn flatten(store: &PdtStore, model: &Model) -> (Vec<Option<i64>>, Vec<Option<i64
     let (root, _, _) = store.snapshot();
     let mut pdt_side = Vec::new();
     for_each_piece(&root, &mut |piece| match piece {
-        Piece::StableRun { sid, len } => {
-            for s in *sid..sid + len {
-                assert!(!model.mods.contains_key(&s) || true);
-                pdt_side.push(None::<i64>.or({
-                    // untouched stable row
-                    None
-                }));
-                let _ = s;
-            }
-        }
+        // Untouched stable rows.
+        Piece::StableRun { len, .. } => pdt_side.extend((0..*len).map(|_| None)),
         Piece::StableMod { mods, .. } => {
             let Value::I64(v) = mods[0].1 else { panic!() };
             pdt_side.push(Some(v));
         }
-        Piece::Insert { row, .. } => {
-            let Value::I64(v) = row[0] else { panic!() };
-            pdt_side.push(Some(v));
+        Piece::Insert { rows, start, len, .. } => {
+            for r in *start..start + len {
+                let Value::I64(v) = rows.row(r as usize)[0] else { panic!() };
+                pdt_side.push(Some(v));
+            }
         }
     });
     let model_side = model
@@ -83,11 +84,12 @@ fn apply(
     let mut txn = store.begin();
     for (i, a) in actions.iter().enumerate() {
         match a {
-            Action::Insert(pos, v) => {
+            Action::Insert(pos, v, len) => {
                 let n = txn.n_rows();
                 let pos = pos % (n + 1);
-                txn.insert_at(pos, vec![Value::I64(*v)]).unwrap();
-                model.rows.insert(pos as usize, Err(*v));
+                txn.insert_rows(pos, run_of(*v, *len)).unwrap();
+                let at = pos as usize;
+                model.rows.splice(at..at, (*v..v + len).map(Err));
             }
             Action::Delete(pos) => {
                 let n = txn.n_rows();
@@ -168,22 +170,28 @@ proptest! {
     }
 
     #[test]
-    fn row_payload_roundtrip(values in proptest::collection::vec(any::<i64>(), 1..40)) {
+    fn row_payload_roundtrip(
+        values in proptest::collection::vec(any::<i64>(), 1..40),
+        run in 1usize..8,
+    ) {
         let store = PdtStore::new(0);
         let mut t = store.begin();
-        for &v in &values {
-            t.append(vec![Value::I64(v)]).unwrap();
+        for chunk in values.chunks(run) {
+            let rows = Rows { cols: vec![ColData::I64(chunk.to_vec())], nulls: vec![None] };
+            t.insert_rows(t.n_rows(), rows).unwrap();
         }
         store.commit(t).unwrap();
+        prop_assert_eq!(store.stats().inserts, values.len() as u64);
         let (root, _, _) = store.snapshot();
         let mut seen = Vec::new();
         for_each_piece(&root, &mut |piece| {
-            if let Piece::Insert { row, .. } = piece {
-                let Value::I64(v) = row[0] else { panic!() };
-                seen.push(v);
+            if let Piece::Insert { rows, start, len, .. } = piece {
+                for r in *start..start + len {
+                    let Value::I64(v) = rows.row(r as usize)[0] else { panic!() };
+                    seen.push(v);
+                }
             }
         });
         prop_assert_eq!(seen, values);
-        let _ = Arc::strong_count(&Arc::new(()));
     }
 }

@@ -1078,6 +1078,53 @@ fn one_image_representation() {
     assert!(!fields.contains("Vec<"), "the dispenser keeps a vector beside the root:\n{fields}");
 }
 
+/// Inserted rows are typed runs, held at source level: the treap's
+/// non-test source names no `Value` (what its pieces hold is
+/// `vw_pdt::values`'s), the scan names none either and pushes no value
+/// one at a time, and no non-test source names the row-at-a-time insert
+/// path — the per-row coercion, the result's row drain, the PDT's
+/// one-row append. Names are spelled in halves so a grep for them finds
+/// nothing, this file included.
+#[test]
+fn inserted_rows_are_typed_runs() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let code = |file: &std::path::Path| -> Vec<String> {
+        let text = std::fs::read_to_string(file).unwrap();
+        let non_test = text.lines().take_while(|l| !l.starts_with("#[cfg(test)]"));
+        non_test.filter(|l| !l.trim_start().starts_with("//")).map(str::to_string).collect()
+    };
+    for (file, names) in [
+        ("crates/pdt/src/treap.rs", &[concat!("Val", "ue")][..]),
+        ("crates/exec/src/op/scan.rs", &[concat!("Val", "ue"), concat!(".push", "(&")]),
+    ] {
+        for line in code(&root.join(file)) {
+            for name in names {
+                assert!(!line.contains(name), "{file}: `{name}` in `{}`", line.trim());
+            }
+        }
+    }
+    let gone = [
+        concat!("coerce", "_row"),
+        concat!("fn into", "_rows("),
+        concat!("pub fn ", "append(&mut self, row"),
+    ];
+    let mut files = Vec::new();
+    for dir in ["crates", "src", "examples"] {
+        rust_files(&root.join(dir), &mut files);
+    }
+    let non_test = |f: &&std::path::PathBuf| !f.components().any(|c| c.as_os_str() == "tests");
+    let mut checked = 0;
+    for file in files.iter().filter(non_test) {
+        for line in code(file) {
+            for name in gone {
+                assert!(!line.contains(name), "{}: `{name}` in `{}`", file.display(), line.trim());
+            }
+        }
+        checked += 1;
+    }
+    assert!(checked > 60, "the walk found the crates ({checked} files)");
+}
+
 /// The database has one published image (`catalog::publish`). No non-test
 /// source of `vw-core` reads a table's committed state anywhere else: no
 /// per-table storage lock, no per-scan read of a table's latest commit, no

@@ -1,25 +1,37 @@
 //! A statement pays for the deltas it reads, not for the PDT's size: the
 //! scan claims its rows from the pinned treap by position, so a point
 //! lookup or a point UPDATE whose zone maps rule out the packs holding
-//! the deltas allocates the same bytes at 10² and at 10⁴ live deltas. A
-//! counting allocator, switched on for the current thread only, holds it.
+//! the deltas allocates the same bytes at 10² and at 10⁴ live deltas. And
+//! an INSERT pays per vector of rows, not per row: each batch it inserts
+//! is one run of typed columns. A counting allocator, switched on for the
+//! current thread only, holds both.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
 use vectorwise::common::{ColData, Value};
+use vectorwise::core::catalog::TableKind;
 use vectorwise::core::{bulk_load, Database};
+use vectorwise::pdt::treap::{for_each_piece, Piece};
 
 struct Counting;
 
 thread_local! {
-    /// Bytes allocated on this thread while counting is on (`Some`).
-    static BYTES: Cell<Option<u64>> = const { Cell::new(None) };
+    /// Bytes allocated and allocations made on this thread while counting
+    /// is on (`Some`).
+    static COUNTS: Cell<Option<(u64, u64)>> = const { Cell::new(None) };
 }
 
 fn count(bytes: usize) {
     // `try_with`: the allocator also runs while thread-locals are torn down.
-    let _ = BYTES.try_with(|c| c.set(c.get().map(|n| n + bytes as u64)));
+    let _ = COUNTS.try_with(|c| c.set(c.get().map(|(b, n)| (b + bytes as u64, n + 1))));
+}
+
+/// `(bytes, allocations)` of `f` on this thread.
+fn counted<T>(f: impl FnOnce() -> T) -> (T, (u64, u64)) {
+    COUNTS.with(|c| c.set(Some((0, 0))));
+    let out = f();
+    (out, COUNTS.with(|c| c.replace(None)).unwrap())
 }
 
 // SAFETY: every method forwards its arguments unchanged to `System`, which
@@ -55,11 +67,9 @@ static ALLOC: Counting = Counting;
 /// The fewest bytes `sql` allocates on this thread over five warm runs.
 fn statement_bytes(db: &Arc<Database>, sql: &str) -> u64 {
     let run = || {
-        BYTES.with(|c| c.set(Some(0)));
-        let r = db.execute(sql).unwrap();
-        let n = BYTES.with(|c| c.replace(None)).unwrap();
+        let (r, (bytes, _)) = counted(|| db.execute(sql).unwrap());
         assert_eq!(r.affected.max(r.num_rows() as u64), 1, "{sql} touches one row");
-        n
+        bytes
     };
     run(); // warm: first-use allocations are not the statement's
     (0..5).map(|_| run()).min().unwrap()
@@ -100,4 +110,41 @@ fn a_point_lookup_and_a_point_update_do_not_pay_for_the_pdt_size() {
             "`{sql}` allocated {small} B at 100 live deltas, {large} B at 10 000"
         );
     }
+}
+
+/// INSERT … SELECT of `n` rows into an empty table of three fixed-width
+/// columns adds one insert run per vector the plan produced — at most
+/// ⌈n / vector_size⌉ + 1 pieces, counted over the published image — and
+/// its allocation count grows with the vectors, not the rows.
+#[test]
+fn an_insert_select_pays_per_vector_not_per_row() {
+    let db = Database::open_in_memory();
+    db.execute("SET dop = 1").unwrap();
+    db.execute("SET mem_budget = 0").unwrap();
+    let vector_size = db.config().vector_size as u64;
+    let ddl = "(k BIGINT NOT NULL, v BIGINT NOT NULL, d DOUBLE NOT NULL)";
+    let mut per_size = Vec::new();
+    for n in [10_000i64, 100_000] {
+        db.execute(&format!("CREATE TABLE src{n} {ddl}")).unwrap();
+        db.execute(&format!("CREATE TABLE dst{n} {ddl}")).unwrap();
+        let columns = [
+            ColData::I64((0..n).collect()),
+            ColData::I64((0..n).map(|k| k % 7).collect()),
+            ColData::F64((0..n).map(|k| k as f64).collect()),
+        ];
+        bulk_load(&db, &format!("src{n}"), &columns, &[None, None, None]).unwrap();
+        let insert = format!("INSERT INTO dst{n} SELECT * FROM src{n}");
+        let (r, (_, allocations)) = counted(|| db.execute(&insert).unwrap());
+        assert_eq!(r.affected, n as u64);
+        let image = db.image().get(&format!("dst{n}")).unwrap();
+        let TableKind::Vectorwise { root, .. } = &image.kind else { unreachable!() };
+        let mut runs = 0u64;
+        for_each_piece(root, &mut |p| runs += matches!(p, Piece::Insert { .. }) as u64);
+        let vectors = (n as u64).div_ceil(vector_size);
+        assert!(runs <= vectors + 1, "{n} rows in {runs} insert pieces, {vectors} vectors");
+        per_size.push((vectors, allocations));
+    }
+    let [(v0, a0), (v1, a1)] = per_size[..] else { unreachable!() };
+    let per_vector = (a1 - a0.min(a1)) / (v1 - v0);
+    assert!(per_vector <= 40, "{a0} allocations at {v0} vectors, {a1} at {v1}");
 }

@@ -945,13 +945,13 @@ fn insert_select_spans_batches_and_a_late_violation_inserts_nothing() {
             Value::I64((0..6_000).sum()),
             Value::F64(3.0 * (0..3_000).filter(|k| k % 10 != 0).sum::<i64>() as f64),
         ];
-        assert_eq!(db.execute(summary).unwrap().rows(), &[want.clone()], "{kind}");
+        assert_eq!(db.execute(summary).unwrap().rows(), std::slice::from_ref(&want), "{kind}");
 
         let late = "INSERT INTO t (k, v) \
                     SELECT CASE WHEN k = 2999 THEN NULL ELSE k END, v FROM src";
         let err = db.execute(late).unwrap_err();
         assert_eq!(err.to_string(), "E_EXEC: execution error: NULL in NOT NULL column k");
-        assert_eq!(db.execute(summary).unwrap().rows(), &[want.clone()], "{kind}");
+        assert_eq!(db.execute(summary).unwrap().rows(), std::slice::from_ref(&want), "{kind}");
 
         let mut s = db.session();
         s.execute("BEGIN").unwrap();
@@ -991,4 +991,66 @@ fn bulk_load_onto_rows_marks_statistics_stale() {
     assert_eq!(stats(&db), (100_010, false));
     let est = select_est(&db);
     assert!(est.abs_diff(50_000) < 2_000, "the rebuilt histogram: {est}");
+}
+
+/// Rows at the start, middle and end of committed insert runs and of a
+/// transaction's own runs are updated and deleted: every answer matches a
+/// row-by-row mirror, inside the transaction, after its commit and after
+/// CHECKPOINT.
+#[test]
+fn updates_and_deletes_cut_insert_runs_like_a_mirror() {
+    use std::collections::BTreeMap;
+    let db = Database::open_in_memory();
+    let vs = db.config().vector_size as i64;
+    db.execute("CREATE TABLE src (k BIGINT NOT NULL)").unwrap();
+    bulk_load(&db, "src", &[ColData::I64((0..3 * vs).collect())], &[None]).unwrap();
+    db.execute("CREATE TABLE t (k BIGINT NOT NULL, v BIGINT)").unwrap();
+    bulk_load(
+        &db,
+        "t",
+        &[ColData::I64((0..10).collect()), ColData::I64(vec![0; 10])],
+        &[None, None],
+    )
+    .unwrap();
+    let mut mirror: BTreeMap<i64, Option<i64>> = (0..10).map(|k| (k, Some(0))).collect();
+    let matches = |s: &mut vectorwise::core::Session, mirror: &BTreeMap<i64, Option<i64>>| {
+        let want: Vec<Vec<Value>> = mirror
+            .iter()
+            .map(|(&k, &v)| vec![Value::I64(k), v.map_or(Value::Null, Value::I64)])
+            .collect();
+        assert_eq!(s.execute("SELECT k, v FROM t ORDER BY k").unwrap().rows(), &want[..]);
+    };
+    // Inserts `src` shifted by `base` (runs of a vector each, at DOP 1),
+    // then cuts them at the start, middle and end of a run.
+    let cut = |s: &mut vectorwise::core::Session, mirror: &mut BTreeMap<_, _>, base: i64| {
+        let insert = format!("INSERT INTO t SELECT k + {base}, k FROM src");
+        assert_eq!(s.execute(&insert).unwrap().affected, 3 * vs as u64);
+        mirror.extend((0..3 * vs).map(|k| (base + k, Some(k))));
+        matches(s, mirror);
+        let (start, middle, end) = (base, base + vs + vs / 2, base + 3 * vs - 1);
+        for (k, update) in [(start, true), (base + vs - 1, false), (middle, false), (end, true)] {
+            let sql = match update {
+                true => format!("UPDATE t SET v = NULL WHERE k = {k}"),
+                false => format!("DELETE FROM t WHERE k = {k}"),
+            };
+            assert_eq!(s.execute(&sql).unwrap().affected, 1, "{sql}");
+            match update {
+                true => mirror.insert(k, None),
+                false => mirror.remove(&k),
+            };
+            matches(s, mirror);
+        }
+    };
+    let mut s = db.session();
+    s.execute("SET dop = 1").unwrap();
+    cut(&mut s, &mut mirror, 100);
+    s.execute("BEGIN").unwrap();
+    cut(&mut s, &mut mirror, 10_000);
+    s.execute(&format!("UPDATE t SET v = -1 WHERE k = {}", 100 + vs)).unwrap();
+    mirror.insert(100 + vs, Some(-1));
+    matches(&mut s, &mirror);
+    s.execute("COMMIT").unwrap();
+    matches(&mut s, &mirror);
+    s.execute("CHECKPOINT t").unwrap();
+    matches(&mut s, &mirror);
 }
