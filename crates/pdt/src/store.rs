@@ -445,7 +445,7 @@ impl Transaction {
                         None => return Err(VwError::Exec(format!("column {col} out of range"))),
                     }
                 }
-                let row = Rows::from_row(&row, rows.types())?;
+                let row = Rows::from_row(&row, rows.cols.iter().map(|c| c.type_id()))?;
                 return Ok(Some(Piece::Insert { id: *id, rows: Arc::new(row), start: 0, len: 1 }));
             }
             let (sid, modified) = overlay_mods(piece, off, cols, values);

@@ -49,9 +49,4 @@ impl Rows {
         };
         self.cols.iter().zip(&self.nulls).map(cell).collect()
     }
-
-    /// The column types.
-    pub fn types(&self) -> impl Iterator<Item = TypeId> + '_ {
-        self.cols.iter().map(ColData::type_id)
-    }
 }
