@@ -1054,3 +1054,144 @@ fn updates_and_deletes_cut_insert_runs_like_a_mirror() {
     s.execute("CHECKPOINT t").unwrap();
     matches(&mut s, &mirror);
 }
+
+/// UPDATE on VECTORWISE and HEAP: a BIGINT expression and an integer
+/// literal written into a DOUBLE column are cast, NULL goes into a
+/// nullable column and is refused in a NOT NULL one (a late violation
+/// changes nothing), a column named twice in SET keeps the last value, and
+/// rows re-updated with other columns — inside `BEGIN`, after COMMIT,
+/// after CHECKPOINT, and inside an insert run — match a row mirror.
+#[test]
+fn update_casts_checks_not_null_and_re_updates_like_a_mirror_on_both_table_kinds() {
+    type Row = [Value; 4];
+    fn check(s: &mut vectorwise::core::Session, mirror: &[Row], what: &str) {
+        let got = s.execute("SELECT k, a, b, c FROM t ORDER BY k").unwrap();
+        let want: Vec<Vec<Value>> = mirror.iter().map(|r| r.to_vec()).collect();
+        assert_eq!(got.rows(), &want[..], "{what}");
+    }
+    let str = |s: &str| Value::Str(s.into());
+    for kind in ["VECTORWISE", "HEAP"] {
+        let db = Database::open_in_memory();
+        db.execute(&format!(
+            "CREATE TABLE t (k BIGINT NOT NULL, a BIGINT NOT NULL, b VARCHAR, c DOUBLE) \
+             WITH TYPE = {kind}"
+        ))
+        .unwrap();
+        let values: Vec<String> =
+            (0..20).map(|k| format!("({k}, {}, 'r{k}', 0.5)", 10 * k)).collect();
+        db.execute(&format!("INSERT INTO t VALUES {}", values.join(", "))).unwrap();
+        db.execute("CHECKPOINT t").unwrap();
+        let mut mirror: Vec<Row> = (0..20)
+            .map(|k| [Value::I64(k), Value::I64(10 * k), str(&format!("r{k}")), Value::F64(0.5)])
+            .collect();
+        let mut s = db.session();
+        let step = |s: &mut vectorwise::core::Session,
+                    mirror: &mut Vec<Row>,
+                    sql: &str,
+                    hit: &dyn Fn(i64) -> bool,
+                    set: &dyn Fn(&mut Row)| {
+            let n = mirror.iter().filter(|r| matches!(r[0], Value::I64(k) if hit(k))).count();
+            assert_eq!(s.execute(sql).unwrap().affected, n as u64, "{kind}: {sql}");
+            mirror.iter_mut().filter(|r| matches!(r[0], Value::I64(k) if hit(k))).for_each(set);
+            check(s, mirror, &format!("{kind}: {sql}"));
+        };
+
+        // Casts into DOUBLE: a BIGINT expression, an integer literal.
+        step(&mut s, &mut mirror, "UPDATE t SET c = a * 2 WHERE k < 5", &|k| k < 5, &|r| {
+            let Value::I64(a) = r[1] else { unreachable!() };
+            r[3] = Value::F64(2.0 * a as f64);
+        });
+        step(&mut s, &mut mirror, "UPDATE t SET c = 7 WHERE k = 5", &|k| k == 5, &|r| {
+            r[3] = Value::F64(7.0)
+        });
+        // NULL into nullable columns; refused in a NOT NULL one, also when
+        // only the last victim is NULL.
+        step(
+            &mut s,
+            &mut mirror,
+            "UPDATE t SET b = NULL, c = NULL WHERE k = 6",
+            &|k| k == 6,
+            &|r| (r[2], r[3]) = (Value::Null, Value::Null),
+        );
+        for sql in [
+            "UPDATE t SET a = NULL WHERE k = 7",
+            "UPDATE t SET a = CASE WHEN k = 19 THEN NULL ELSE -a END",
+        ] {
+            let err = s.execute(sql).unwrap_err();
+            assert!(matches!(err, VwError::Exec(_)), "{kind}: {sql}: {err:?}");
+            assert_eq!(err.to_string(), "E_EXEC: execution error: NULL in NOT NULL column a");
+            check(&mut s, &mirror, &format!("{kind}: refused {sql}"));
+        }
+        // A column named twice keeps the last value.
+        step(&mut s, &mut mirror, "UPDATE t SET a = 1, a = 2 WHERE k = 8", &|k| k == 8, &|r| {
+            r[1] = Value::I64(2)
+        });
+
+        // Re-updates with other column sets: inside BEGIN, after COMMIT,
+        // after CHECKPOINT.
+        s.execute("BEGIN").unwrap();
+        step(
+            &mut s,
+            &mut mirror,
+            "UPDATE t SET a = 100 WHERE k BETWEEN 9 AND 11",
+            &|k| (9..=11).contains(&k),
+            &|r| r[1] = Value::I64(100),
+        );
+        step(
+            &mut s,
+            &mut mirror,
+            "UPDATE t SET b = 'x', c = 1.5 WHERE k >= 10 AND k <= 12",
+            &|k| (10..=12).contains(&k),
+            &|r| (r[2], r[3]) = (str("x"), Value::F64(1.5)),
+        );
+        s.execute("COMMIT").unwrap();
+        check(&mut s, &mirror, &format!("{kind}: committed"));
+        step(
+            &mut s,
+            &mut mirror,
+            "UPDATE t SET a = a + 1, c = NULL WHERE k BETWEEN 8 AND 12",
+            &|k| (8..=12).contains(&k),
+            &|r| {
+                let Value::I64(a) = r[1] else { unreachable!() };
+                (r[1], r[3]) = (Value::I64(a + 1), Value::Null);
+            },
+        );
+        s.execute("CHECKPOINT t").unwrap();
+        check(&mut s, &mirror, &format!("{kind}: checkpointed"));
+        step(&mut s, &mut mirror, "UPDATE t SET b = 'y' WHERE k = 10", &|k| k == 10, &|r| {
+            r[2] = str("y")
+        });
+
+        // Rows inside an insert run, updated twice with other columns.
+        let r = s.execute("INSERT INTO t SELECT k + 100, a, b, c FROM t").unwrap();
+        assert_eq!(r.affected, 20, "{kind}");
+        let copies: Vec<Row> = mirror
+            .iter()
+            .map(|r| {
+                let Value::I64(k) = r[0] else { unreachable!() };
+                [Value::I64(k + 100), r[1].clone(), r[2].clone(), r[3].clone()]
+            })
+            .collect();
+        mirror.extend(copies);
+        check(&mut s, &mirror, &format!("{kind}: inserted"));
+        step(
+            &mut s,
+            &mut mirror,
+            "UPDATE t SET c = 0.25, b = 'run' WHERE k BETWEEN 103 AND 106",
+            &|k| (103..=106).contains(&k),
+            &|r| (r[2], r[3]) = (str("run"), Value::F64(0.25)),
+        );
+        step(
+            &mut s,
+            &mut mirror,
+            "UPDATE t SET a = -k WHERE k >= 105 AND k < 110",
+            &|k| (105..110).contains(&k),
+            &|r| {
+                let Value::I64(k) = r[0] else { unreachable!() };
+                r[1] = Value::I64(-k);
+            },
+        );
+        s.execute("CHECKPOINT t").unwrap();
+        check(&mut s, &mirror, &format!("{kind}: insert run checkpointed"));
+    }
+}
