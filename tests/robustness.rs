@@ -29,16 +29,19 @@ fn exclusive() -> MutexGuard<'static, ()> {
 }
 
 /// A table big enough that a self-join at DOP 1 runs for hundreds of ms.
+/// Rows of `slow_db`'s table `big`.
+const BIG_ROWS: i64 = 400_000;
+
 fn slow_db() -> Arc<Database> {
     let db = Database::open_in_memory();
     db.execute("CREATE TABLE big (k BIGINT NOT NULL, v BIGINT NOT NULL)").unwrap();
-    let n = 200_000i64;
-    // 100 matches per key: a ~20M-row join output that runs for hundreds
+    // 100 matches per key: a ~40M-row join output that runs for hundreds
     // of ms but emits modest per-call batches (cancellation latency is
     // bounded by one vector per stage, so the fan-out per probe batch
-    // must stay small for the 2x-deadline bound to be meaningful).
-    let k = ColData::I64((0..n).map(|i| i % 2000).collect());
-    let v = ColData::I64((0..n).collect());
+    // must stay small for the 2x-deadline bound to be meaningful). A
+    // longer join takes more keys, never more matches per key.
+    let k = ColData::I64((0..BIG_ROWS).map(|i| i % (BIG_ROWS / 100)).collect());
+    let v = ColData::I64((0..BIG_ROWS).collect());
     bulk_load(&db, "big", &[k, v], &[None, None]).unwrap();
     db
 }
@@ -487,7 +490,8 @@ fn kill_racing_query_completion_never_panics_or_corrupts_state() {
     let mut cancelled = 0;
     for _ in 0..30 {
         match db.execute("SELECT COUNT(*) FROM big WHERE v % 7 = 3") {
-            Ok(r) => assert_eq!(r.scalar().unwrap(), &Value::I64(28571)),
+            // The v in 0..BIG_ROWS with v % 7 = 3.
+            Ok(r) => assert_eq!(r.scalar().unwrap(), &Value::I64((BIG_ROWS + 3) / 7)),
             Err(VwError::Cancelled) => cancelled += 1,
             Err(other) => panic!("raced query surfaced {other}"),
         }
