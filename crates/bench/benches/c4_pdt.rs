@@ -1,7 +1,8 @@
 //! C4: PDT positional update + merge costs.
-use vw_common::Value;
+use std::sync::Arc;
+use vw_common::{ColData, Value};
 use vw_exec::morsel::MorselSource;
-use vw_pdt::PdtStore;
+use vw_pdt::{Block, PdtStore, Rows};
 
 fn bench(c: &mut Criterion) {
     let mut g = c.benchmark_group("c4");
@@ -26,12 +27,13 @@ fn bench(c: &mut Criterion) {
     // root-to-leaf copy per row above.
     let mut rids: Vec<u64> = (0..1000u64).map(|i| (i * 7919) % 100_000).collect();
     rids.sort_unstable();
-    let values = vec![vec![Value::I64(1)]; rids.len()];
+    let rows = Rows { cols: vec![ColData::I64(vec![1; rids.len()])], nulls: vec![None] };
+    let block = Arc::new(Block { cols: vec![0], rows });
     g.bench_function("apply_1k_updates_batch_on_100k", |b| {
         b.iter(|| {
             let store = PdtStore::new(100_000);
             let mut t = store.begin();
-            t.update_batch(&rids, &[0], &values).unwrap();
+            t.update_batch(&rids, block.clone()).unwrap();
             store.commit(t).unwrap()
         })
     });

@@ -546,7 +546,8 @@ fn lower_scan(
         if hints.is_empty() {
             MorselSource::new(root.clone(), config.morsel_rows)
         } else {
-            let hints = hints.iter().map(|h| (h.col, h.lo.as_ref(), h.hi.as_ref()));
+            let hints =
+                hints.iter().map(|h| (h.col, storage.prune(h.col, h.lo.as_ref(), h.hi.as_ref())));
             MorselSource::pruned(root.clone(), storage.clone(), hints, config.morsel_rows)
         }
     };

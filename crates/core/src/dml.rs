@@ -23,7 +23,7 @@ use vw_exec::program::eval_const;
 use vw_exec::vector::{Batch, Vector};
 use vw_exec::CancelToken;
 use vw_pdt::treap::{size, Link};
-use vw_pdt::{PdtStore, Rows, Transaction};
+use vw_pdt::{Block, PdtStore, Rows, Transaction};
 use vw_sql::ast::Expr;
 use vw_storage::{TableStats, TableStorage};
 use vw_volcano::RowStore;
@@ -130,13 +130,17 @@ pub(crate) fn insert(
         }
         Source::Query(_, batches) => batches.into_iter().map(|b| (b.rows(), b.columns)).collect(),
     };
-    let coerced = batches.into_iter().map(|(n, cols)| coerce(schema, &targets, n, cols));
+    let all: Vec<usize> = (0..schema.len()).collect();
+    let coerced = batches.into_iter().map(|(n, cols)| coerce(schema, &all, &targets, n, cols));
     let runs = coerced.collect::<Result<Vec<Rows>>>()?;
     let n = runs.iter().map(Rows::n_rows).sum();
     match &entry.kind {
         TableKind::Heap { store } => {
-            let rows: Vec<Vec<Value>> =
-                runs.iter().flat_map(|r| (0..r.n_rows() as usize).map(|i| r.row(i))).collect();
+            let row = |r: &Rows, i| (0..all.len()).map(|c| cell(r, c, i)).collect();
+            let rows: Vec<Vec<Value>> = runs
+                .iter()
+                .flat_map(|r| (0..r.n_rows() as usize).map(move |i| row(r, i)))
+                .collect();
             store.write().append_rows(&rows)?
         }
         TableKind::Vectorwise { root, version, .. } => {
@@ -149,14 +153,22 @@ pub(crate) fn insert(
     Ok(n)
 }
 
-/// One batch of `n` source rows as table-schema columns: source column `j`
-/// feeds table column `targets[j]` (the last one listed, when named twice)
-/// and is cast to its type if it has another; a column nothing feeds is
-/// NULL, and a NULL in a NOT NULL column refuses the batch.
-fn coerce(schema: &Schema, targets: &[usize], n: usize, columns: Vec<Vector>) -> Result<Rows> {
+/// One batch of `n` source rows as the table columns `cols`, typed: source
+/// column `j` feeds table column `targets[j]` (the last one listed, when
+/// named twice) and is cast to its type if it has another; a column
+/// nothing feeds is NULL, and a NULL in a NOT NULL column refuses the
+/// batch. INSERT coerces into every column, UPDATE into its SET columns.
+fn coerce(
+    schema: &Schema,
+    cols: &[usize],
+    targets: &[usize],
+    n: usize,
+    columns: Vec<Vector>,
+) -> Result<Rows> {
     let mut columns: Vec<Option<Vector>> = columns.into_iter().map(Some).collect();
     let mut rows = Rows::default();
-    for (i, f) in schema.fields.iter().enumerate() {
+    for &i in cols {
+        let f = schema.field(i);
         let mut v = match targets.iter().rposition(|&t| t == i) {
             Some(j) => columns[j].take().expect("a source column feeds one table column"),
             None => cast(f.ty, n, |_| Value::Null)?,
@@ -172,6 +184,14 @@ fn coerce(schema: &Schema, targets: &[usize], n: usize, columns: Vec<Vector>) ->
         rows.nulls.push(v.nulls);
     }
     Ok(rows)
+}
+
+/// Lane `i` of column `c` of `rows` as a value.
+fn cell(rows: &Rows, c: usize, i: usize) -> Value {
+    match &rows.nulls[c] {
+        Some(m) if m[i] => Value::Null,
+        _ => rows.cols[c].get_value(i),
+    }
 }
 
 /// `n` lanes cast one by one to `ty`.
@@ -202,8 +222,9 @@ fn column_indices<'a>(
 
 /// The victim search of UPDATE/DELETE: the RIDs matching `filter` in
 /// `source` (the image a transaction sees, or a heap), ascending, and for
-/// UPDATE each victim's new values (one per SET clause, cast to the
-/// column type, NOT NULL checked).
+/// UPDATE the victims' new values as one typed block over the SET
+/// columns, row `i` for victim `i` — each victim batch coerced like an
+/// INSERT's ([`coerce`]).
 ///
 /// It is a query like any other — `Project ∘ Filter ∘ Scan` over only the
 /// columns WHERE and the SET right-hand sides read, with the WHERE's
@@ -224,7 +245,7 @@ fn find_victims(
     filter: Option<&Expr>,
     sets: &[(String, Expr)],
     set_cols: &[usize],
-) -> Result<(Vec<u64>, Vec<Vec<Value>>)> {
+) -> Result<(Vec<u64>, Block)> {
     let schema = &entry.schema;
     let predicate = filter.map(|f| bind_on_table(f, schema)).transpose()?;
     let set_exprs: Vec<PhysExpr> =
@@ -257,30 +278,21 @@ fn find_victims(
         source,
     )?;
     let mut rids: Vec<u64> = Vec::new();
-    let mut values: Vec<Vec<Value>> = Vec::new();
-    while let Some(batch) = op.next()? {
-        let (rid_col, set_vecs) = batch.columns.split_last().expect("victim scan emits rids");
+    let mut block = Block { cols: set_cols.to_vec(), rows: Rows::default() };
+    block.cols.sort_unstable();
+    block.cols.dedup();
+    while let Some(mut batch) = op.next()? {
+        let rid_col = batch.columns.pop().expect("victim scan emits rids");
         let ColData::I64(batch_rids) = &rid_col.data else {
             unreachable!("the RID column is BIGINT")
         };
         rids.extend(batch_rids.iter().map(|&r| r as u64));
-        if set_cols.is_empty() {
-            continue;
-        }
-        for i in 0..batch_rids.len() {
-            let mut row = Vec::with_capacity(set_cols.len());
-            for (&col, v) in set_cols.iter().zip(set_vecs) {
-                let field = schema.field(col);
-                let val = v.get(i).cast_to(field.ty)?;
-                if val.is_null() && !field.nullable {
-                    return Err(VwError::Exec(format!("NULL in NOT NULL column {}", field.name)));
-                }
-                row.push(val);
-            }
-            values.push(row);
+        if !set_cols.is_empty() {
+            let n = batch_rids.len();
+            block.rows.append(coerce(schema, &block.cols, set_cols, n, batch.columns)?);
         }
     }
-    Ok((rids, values))
+    Ok((rids, block))
 }
 
 /// UPDATE (`sets` given) or DELETE of the rows matching `filter` within
@@ -314,11 +326,11 @@ pub(crate) fn update_or_delete(
         let set_list = sets.unwrap_or(&[]);
         let set_cols = column_indices(&entry.schema, set_list.iter().map(|(c, _)| c))?;
         let source = VictimSource::Image(storage, open.own_root(table).unwrap_or(root));
-        let (rids, values) =
+        let (rids, block) =
             find_victims(config, cancel, &entry, source, filter, set_list, &set_cols)?;
         let txn = open.txn_for(table, root, version);
         match sets {
-            Some(_) => txn.update_batch(&rids, &set_cols, &values)?,
+            Some(_) => txn.update_batch(&rids, Arc::new(block))?,
             None => txn.delete_batch(&rids)?,
         }
         Ok(rids.len() as u64)
@@ -347,7 +359,7 @@ fn rewrite_heap(
     let set_cols = column_indices(&entry.schema, set_list.iter().map(|(c, _)| c))?;
     let mut heap = store.write();
     let source = VictimSource::Heap(&heap);
-    let (rids, values) = find_victims(config, cancel, entry, source, filter, set_list, &set_cols)?;
+    let (rids, block) = find_victims(config, cancel, entry, source, filter, set_list, &set_cols)?;
     if rids.is_empty() {
         return Ok(0);
     }
@@ -357,9 +369,9 @@ fn rewrite_heap(
     }
     match sets {
         Some(_) => {
-            for (&rid, new) in rids.iter().zip(values) {
-                for (&col, v) in set_cols.iter().zip(new) {
-                    rows[rid as usize][col] = v;
+            for (i, &rid) in rids.iter().enumerate() {
+                for (j, &col) in block.cols.iter().enumerate() {
+                    rows[rid as usize][col] = cell(&block.rows, j, i);
                 }
             }
         }
@@ -452,36 +464,23 @@ pub fn checkpoint(db: &Arc<Database>, config: &EngineConfig, table: Option<&str>
         let vs = config.vector_size;
         let mut scan =
             VectorScan::new(storage.clone(), all_cols, root.clone(), vs, CancelToken::new());
-        let mut columns: Vec<ColData> = entry
-            .schema
-            .fields
-            .iter()
-            .map(|f| ColData::with_capacity(f.ty, size(root) as usize))
-            .collect();
-        let mut nulls: Vec<Option<Vec<bool>>> = vec![None; entry.schema.len()];
-        let mut row_count = 0usize;
+        let (n, fields) = (size(root) as usize, &entry.schema.fields);
+        let cols = fields.iter().map(|f| ColData::with_capacity(f.ty, n)).collect();
+        let mut rows = Rows { cols, nulls: vec![None; fields.len()] };
         while let Some(mut batch) = scan.next()? {
             // The scan hands dictionary-coded strings out still coded.
             batch.ensure_flat();
-            for (i, v) in batch.columns.iter().enumerate() {
-                columns[i].extend_from_range(&v.data, 0, v.len());
-                if v.nulls.is_some() || nulls[i].is_some() {
-                    let m = nulls[i].get_or_insert_with(|| vec![false; row_count]);
-                    match &v.nulls {
-                        Some(vm) => m.extend_from_slice(vm),
-                        None => m.extend(std::iter::repeat_n(false, v.len())),
-                    }
-                }
-            }
-            row_count += batch.rows();
+            let (cols, nulls) = batch.columns.into_iter().map(|v| (v.data, v.nulls)).unzip();
+            rows.append(Rows { cols, nulls });
         }
+        let row_count = rows.n_rows();
         let mut next = TableStorage::new(db.pool.clone(), entry.schema.clone());
-        next.append_columns(&columns, &nulls, config.pack_size)?;
-        pdt.reset_after_checkpoint(row_count as u64);
-        *entry.stats.write() = TableStats::build(&columns, &nulls, 32);
+        next.append_columns(&rows.cols, &rows.nulls, config.pack_size)?;
+        pdt.reset_after_checkpoint(row_count);
+        *entry.stats.write() = TableStats::build(&rows.cols, &rows.nulls, 32);
         publish(db, &guard, vec![(name.clone(), Some(entry.on_generation(next)))], false);
         db.monitor.log(EventLevel::Info, format!("checkpointed {name}: {row_count} rows"));
-        total += row_count as u64;
+        total += row_count;
     }
     Ok(total)
 }

@@ -30,7 +30,7 @@
 //!    steady-state claims allocate nothing; piece clones only bump `Arc`
 //!    refcounts). A run, stable or inserted, is cut at the claim's edges
 //!    ([`Piece::slice`]), and stable runs that continue each other (the
-//!    seams a split leaves) are joined.
+//!    seams a split leaves) are joined ([`Piece::absorb`]).
 //! 3. Claims are disjoint and cover the image exactly; a `false` return
 //!    means the source is dry for every clone.
 //! 4. Every claimed piece carries its **RID** — the position of its first
@@ -76,9 +76,9 @@
 use crate::vector::Batch;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use vw_common::{SelVec, TypeId, Value};
+use vw_common::{SelVec, TypeId};
 use vw_pdt::treap::{self, Link, Piece};
-use vw_storage::TableStorage;
+use vw_storage::{ScanRange, TableStorage};
 
 /// Default rows per morsel claim: large enough that claim overhead (one
 /// atomic add + a short treap walk) vanishes, small enough that a
@@ -119,25 +119,26 @@ impl MorselSource {
     }
 
     /// A dispenser like [`MorselSource::new`] that drops, inside each
-    /// claim, the rows the MinMax `hints` — `(column, lo, hi)`, bounds
-    /// inclusive — rule out in `table`, the generation `root` addresses.
+    /// claim, the rows zone-map `hints` rule out in `table`, the
+    /// generation `root` addresses: per hint, its column and the packs its
+    /// MinMax bounds keep ([`TableStorage::prune`]).
     ///
     /// Zone maps describe *stable* values, so only what still has them is
     /// dropped: a stable run is cut down to the packs every hint keeps,
-    /// and a modified stable row goes only when a hint on a column it did
-    /// **not** modify prunes its pack. Inserted rows always stay — their
-    /// values are not what any zone map describes.
-    pub fn pruned<'a>(
+    /// except that a hint on a column the run's overlay writes keeps every
+    /// pack. Inserted rows always stay — their values are not what any
+    /// zone map describes.
+    pub fn pruned(
         root: Link,
         table: Arc<TableStorage>,
-        hints: impl IntoIterator<Item = (usize, Option<&'a Value>, Option<&'a Value>)>,
+        hints: impl IntoIterator<Item = (usize, Vec<ScanRange>)>,
         morsel_rows: usize,
     ) -> Arc<MorselSource> {
         let hints = hints
             .into_iter()
-            .map(|(col, lo, hi)| {
+            .map(|(col, kept)| {
                 let mut keep = vec![false; table.n_packs()];
-                for r in table.prune(col, lo, hi) {
+                for r in kept {
                     keep[r.pack] = true;
                 }
                 (col, keep)
@@ -170,11 +171,10 @@ impl MorselSource {
                 let from = start.saturating_sub(rid);
                 let len = (end - rid).min(piece.rows()) - from;
                 match piece {
-                    Piece::StableRun { sid, .. } => {
-                        self.push_stable(out, rid + from, sid + from, len)
+                    Piece::StableRun { .. } => {
+                        self.push_stable(out, rid + from, piece.slice(from, len))
                     }
-                    Piece::StableMod { sid, mods } if self.rules_out(*sid, mods) => {}
-                    _ => out.push((rid + from, piece.slice(from, len))),
+                    Piece::Insert { .. } => out.push((rid + from, piece.slice(from, len))),
                 }
                 rid + piece.rows() < end
             });
@@ -182,53 +182,42 @@ impl MorselSource {
         true
     }
 
-    /// Push the `len` stable rows from `sid` on (at `rid`) that every
-    /// hint keeps.
-    fn push_stable(&self, out: &mut Vec<(u64, Piece)>, rid: u64, sid: u64, len: u64) {
+    /// Push the rows of the stable run `run` (at `rid`) that every hint
+    /// keeps.
+    fn push_stable(&self, out: &mut Vec<(u64, Piece)>, rid: u64, run: Piece) {
         let Some(p) = &self.prune else {
-            return push_run(out, rid, sid, len);
+            return push_run(out, rid, run);
         };
-        let end = sid + len;
-        let mut s = sid;
-        while s < end {
+        let Piece::StableRun { sid, len, overlay } = &run else { unreachable!("a stable run") };
+        let overlaid = |col: usize| overlay.as_ref().is_some_and(|(b, _)| b.find(col).is_some());
+        let mut off = 0;
+        while off < *len {
             // The image addresses the generation pinned with it, so every
             // sid has a pack; one that has none is kept: the scan reports it.
-            let (e, keep) = match p.table.pack_of_row(s) {
+            let (end, keep) = match p.table.pack_of_row(sid + off) {
                 Some(pack) => {
                     let meta = p.table.pack(pack);
-                    let pack_end = meta.row_start + meta.n_rows as u64;
-                    (end.min(pack_end), p.hints.iter().all(|(_, keep)| keep[pack]))
+                    let pack_end = meta.row_start + meta.n_rows as u64 - sid;
+                    (pack_end.min(*len), p.hints.iter().all(|(c, keep)| keep[pack] || overlaid(*c)))
                 }
-                None => (end, true),
+                None => (*len, true),
             };
             if keep {
-                push_run(out, rid + (s - sid), s, e - s);
+                push_run(out, rid + off, run.slice(off, end - off));
             }
-            s = e;
+            off = end;
         }
-    }
-
-    /// Whether a hint on a column the modified row `sid` did not modify
-    /// prunes its pack.
-    fn rules_out(&self, sid: u64, mods: &[(usize, Value)]) -> bool {
-        self.prune.as_ref().is_some_and(|p| {
-            p.table.pack_of_row(sid).is_some_and(|pack| {
-                p.hints.iter().any(|(col, keep)| !keep[pack] && mods.iter().all(|(c, _)| c != col))
-            })
-        })
     }
 }
 
 /// Append a stable run at `rid`, joining it onto the previous one when it
-/// continues it in both sid and position.
-fn push_run(out: &mut Vec<(u64, Piece)>, rid: u64, sid: u64, len: u64) {
-    if let Some((r0, Piece::StableRun { sid: s0, len: l0 })) = out.last_mut() {
-        if *s0 + *l0 == sid && *r0 + *l0 == rid {
-            *l0 += len;
-            return;
-        }
+/// continues it ([`Piece::absorb`]). Within a claim, a run that continues
+/// the previous one in sid does in position too: a row between them would
+/// have a sid between them, and pruning it leaves a sid gap.
+fn push_run(out: &mut Vec<(u64, Piece)>, rid: u64, run: Piece) {
+    if !out.last_mut().is_some_and(|(_, last)| last.absorb(&run)) {
+        out.push((rid, run));
     }
-    out.push((rid, Piece::StableRun { sid, len }));
 }
 
 /// The batch free-list shared along one worker pipeline. Cloning shares
@@ -316,13 +305,13 @@ fn fresh_batch(types: &[TypeId], capacity: usize) -> Batch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vw_common::{ColData, Field, Schema};
+    use vw_common::{ColData, Field, Schema, Value};
     use vw_pdt::treap::{for_each_piece, leaf, merge, prio_for};
     use vw_pdt::PdtStore;
     use vw_storage::{BufferPool, SimulatedDisk};
 
     fn run(sid: u64, len: u64) -> Piece {
-        Piece::StableRun { sid, len }
+        Piece::StableRun { sid, len, overlay: None }
     }
 
     /// A run of `len` inserted rows, the insert `id`'s rows `1..=len` —
@@ -333,11 +322,15 @@ mod tests {
         Piece::Insert { id, rows: Arc::new(rows), start: 1, len }
     }
 
-    fn modified(sid: u64, cols: &[usize]) -> Piece {
-        Piece::StableMod {
-            sid,
-            mods: Arc::new(cols.iter().map(|&c| (c, Value::I64(-1))).collect()),
-        }
+    /// `len` stable rows from `sid` on, overlaid by a block writing `cols`.
+    fn modified(sid: u64, len: u64, cols: &[usize]) -> Piece {
+        let col = || ColData::I64(vec![-1; len as usize]);
+        let rows = vw_pdt::Rows {
+            cols: cols.iter().map(|_| col()).collect(),
+            nulls: vec![None; cols.len()],
+        };
+        let block = vw_pdt::Block { cols: cols.to_vec(), rows };
+        Piece::StableRun { sid, len, overlay: Some((Arc::new(block), 0)) }
     }
 
     /// A root holding `pieces` in order, one node each.
@@ -352,10 +345,9 @@ mod tests {
         let mut out = Vec::new();
         for (rid, p) in claimed {
             match p {
-                Piece::StableRun { sid, len } => {
+                Piece::StableRun { sid, len, .. } => {
                     out.extend((0..*len).map(|k| (rid + k, Ok(sid + k))))
                 }
-                Piece::StableMod { sid, .. } => out.push((*rid, Ok(*sid))),
                 Piece::Insert { id, start, len, .. } => {
                     out.extend((0..*len).map(|k| (rid + k, Err((*id, start + k)))))
                 }
@@ -371,13 +363,10 @@ mod tests {
         while src.claim_into(&mut buf) {
             assert!(!buf.is_empty(), "a successful claim holds rows");
             for w in buf.windows(2) {
-                let ((r0, p0), (r1, _)) = (&w[0], &w[1]);
+                let ((r0, p0), (r1, p1)) = (&w[0], &w[1]);
                 assert!(r0 + p0.rows() <= *r1, "pieces ascend by RID");
-                if let (Piece::StableRun { sid: s0, len: l0 }, Piece::StableRun { sid: s1, .. }) =
-                    (p0, &w[1].1)
-                {
-                    assert!(s0 + l0 != *s1 || r0 + l0 != *r1, "contiguous runs are joined");
-                }
+                let continues = r0 + p0.rows() == *r1 && p0.clone().absorb(p1);
+                assert!(!continues, "contiguous runs are joined");
             }
             claims.push(buf.clone());
         }
@@ -395,7 +384,7 @@ mod tests {
             run(0, 60),
             run(60, 40),
             ins(7, 20),
-            modified(100, &[0]),
+            modified(100, 1, &[0]),
             run(101, 30),
             run(131, 19),
         ]);
@@ -430,7 +419,7 @@ mod tests {
 
     #[test]
     fn one_claim_covers_everything_at_usize_max() {
-        let root = image(vec![run(5, 40), ins(1, 3), modified(45, &[1])]);
+        let root = image(vec![run(5, 40), ins(1, 3), modified(45, 1, &[1])]);
         let claims = drain_claims(&MorselSource::new(root, usize::MAX));
         assert_eq!(claims.len(), 1);
         assert_eq!(rows(&claims[0]).len(), 44);
@@ -503,15 +492,17 @@ mod tests {
         };
         for round in 0..200 {
             // A random image of the table: runs with gaps (deleted rows),
-            // seams, modified rows (of column 0, 1 or both) and inserts.
+            // seams, overlaid runs (of column 0, 1 or both) and inserts.
             let mut pieces = Vec::new();
             let mut sid = rnd(5);
             while sid < 200 {
                 match rnd(4) {
                     0 => pieces.push(ins(1_000 + sid, 1 + rnd(30))),
                     1 => {
-                        pieces.push(modified(sid, [&[0][..], &[1], &[0, 1]][rnd(3) as usize]));
-                        sid += 1;
+                        let len = (1 + rnd(20)).min(200 - sid);
+                        let cols = [&[0][..], &[1], &[0, 1]][rnd(3) as usize];
+                        pieces.push(modified(sid, len, cols));
+                        sid += len;
                     }
                     _ => {
                         let len = (1 + rnd(40)).min(200 - sid);
@@ -530,7 +521,7 @@ mod tests {
                     (col, Value::I64(lo), Value::I64(lo + rnd(60) as i64))
                 })
                 .collect();
-            let hints = bounds.iter().map(|(c, lo, hi)| (*c, Some(lo), Some(hi)));
+            let hints = bounds.iter().map(|(c, lo, hi)| (*c, table.prune(*c, Some(lo), Some(hi))));
             let morsel = 1 + rnd(40) as usize;
             let src = MorselSource::pruned(root.clone(), table.clone(), hints, morsel);
             let got: Vec<Row> = drain_claims(&src).iter().flat_map(|c| rows(c)).collect();
@@ -548,19 +539,13 @@ mod tests {
             let mut rid = 0u64;
             for_each_piece(&root, &mut |p| {
                 match p {
-                    Piece::StableRun { sid, len } => {
+                    Piece::StableRun { sid, len, overlay } => {
+                        let overlaid =
+                            |c| overlay.as_ref().is_some_and(|(b, _)| b.cols.contains(c));
                         for s in *sid..sid + len {
-                            if bounds.iter().all(|h| keeps(s / 16, h)) {
+                            if bounds.iter().all(|h| keeps(s / 16, h) || overlaid(&h.0)) {
                                 want.push((rid + s - sid, Ok(s)));
                             }
-                        }
-                    }
-                    Piece::StableMod { sid, mods } => {
-                        let out = bounds
-                            .iter()
-                            .any(|h| !keeps(sid / 16, h) && mods.iter().all(|(c, _)| *c != h.0));
-                        if !out {
-                            want.push((rid, Ok(*sid)));
                         }
                     }
                     Piece::Insert { id, start, len, .. } => {

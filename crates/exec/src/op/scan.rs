@@ -4,11 +4,12 @@
 //! The scan reads the image where it lies, the pinned PDT root: each
 //! claim hands it the treap pieces of a slice of row positions
 //! ([`Piece`]). Stable runs are served by decompressing pack chunks and
-//! memcpy-ing ranges; modified rows overlay their new column values;
-//! runs of inserted rows are memcpy-ed by range out of their typed
-//! columns, through the same flat copy as a plain pack chunk. Merge cost
-//! is therefore proportional to the *delta count* of what is read, not
-//! the table size — the property benchmark C4 verifies.
+//! memcpy-ing ranges; a run's overlay supplies the columns it modified
+//! instead, copied by range out of its typed block; runs of inserted rows
+//! are memcpy-ed by range out of their typed columns. Overlay and insert
+//! columns take the same flat copy as a plain pack chunk. Merge cost is
+//! therefore proportional to the *delta count* of what is read, not the
+//! table size — the property benchmark C4 verifies.
 //!
 //! The scan holds the stable generation its image addresses (an
 //! `Arc<TableStorage>`) and reads packs through that generation's buffer
@@ -35,10 +36,11 @@ use super::Operator;
 use crate::cancel::CancelToken;
 use crate::morsel::{BatchPool, MorselSource};
 use crate::profile::OpProfile;
-use crate::vector::Batch;
+use crate::vector::{Batch, Vector};
 use std::sync::Arc;
 use vw_common::{ColData, Field, Result, Schema, TypeId, VwError};
 use vw_pdt::treap::{Link, Piece};
+use vw_pdt::Rows;
 use vw_storage::pack::EncodedChunk;
 use vw_storage::TableStorage;
 
@@ -159,15 +161,19 @@ impl VectorScan {
         }
     }
 
-    /// Copy up to `max` stable rows starting at `sid` into `out`, as many
-    /// as its pack holds from there on; returns how many.
+    /// Copy up to `max` rows of the stable run `run` from the current
+    /// offset on into `out`, as many as their pack holds; returns how many.
+    /// The columns the run's overlay writes come from its block instead,
+    /// and the pack is read only for the others.
     ///
     /// Extends straight out of the decoded pack chunks — no intermediate
     /// clone of the pack columns (a delta-heavy image visits this once per
     /// piece, so a per-call pack clone would be quadratic). Encoded
     /// chunks stay encoded when the destination vector can absorb them
     /// (see `Vector::extend_dict_range` / `Vector::extend_rle_range`).
-    fn emit_stable(&mut self, sid: u64, max: usize, out: &mut Batch) -> Result<usize> {
+    fn emit_stable(&mut self, run: &Piece, max: usize, out: &mut Batch) -> Result<usize> {
+        let Piece::StableRun { sid, overlay, .. } = run else { unreachable!("a stable run") };
+        let (sid, at) = (sid + self.item_off, self.item_off);
         let pack_idx = self
             .table
             .pack_of_row(sid)
@@ -176,13 +182,21 @@ impl VectorScan {
         let off = (sid - pack.row_start) as usize;
         let take = max.min(pack.n_rows - off);
         let end = off + take;
-        if self.cur_pack.as_ref().map(|(i, _)| *i) != Some(pack_idx) {
+        let overlaid = |c: usize| {
+            overlay.as_ref().and_then(|(b, row)| Some((b, b.find(c)?, (row + at) as usize)))
+        };
+        let stale = self.cur_pack.as_ref().map(|(i, _)| *i) != Some(pack_idx);
+        if stale && self.columns.iter().any(|&c| overlaid(c).is_none()) {
             let chunks = self.table.read_pack_encoded(pack_idx, &self.columns)?;
             self.cur_pack = Some((pack_idx, chunks));
         }
-        let (_, chunks) = self.cur_pack.as_ref().expect("just loaded");
-        for (o, chunk) in out.columns.iter_mut().zip(chunks) {
-            match chunk {
+        for (k, (o, &c)) in out.columns.iter_mut().zip(&self.columns).enumerate() {
+            if let Some((block, j, row)) = overlaid(c) {
+                extend_from_rows(o, &block.rows, j, row, take);
+                continue;
+            }
+            let (_, chunks) = self.cur_pack.as_ref().expect("loaded for a column from the pack");
+            match &chunks[k] {
                 EncodedChunk::Flat(data, nulls) => {
                     o.extend_flat_range(data, nulls.as_deref(), off, end)
                 }
@@ -227,27 +241,11 @@ impl Operator for VectorScan {
             let (first, left) = (rid + self.item_off, (piece.rows() - self.item_off) as usize);
             let room = self.vector_size - filled;
             let take = match piece {
-                Piece::StableRun { sid, .. } => {
-                    self.emit_stable(sid + self.item_off, left.min(room), &mut out)?
-                }
-                Piece::StableMod { sid, mods } => {
-                    self.emit_stable(sid, 1, &mut out)?;
-                    for (col, val) in mods.iter() {
-                        if let Some(slot) = self.columns.iter().position(|c| c == col) {
-                            out.columns[slot].set(filled, val)?;
-                        }
-                    }
-                    1
-                }
+                Piece::StableRun { .. } => self.emit_stable(&piece, left.min(room), &mut out)?,
                 Piece::Insert { rows, start, .. } => {
                     let (off, take) = ((start + self.item_off) as usize, left.min(room));
                     for (o, &c) in out.columns.iter_mut().zip(&self.columns) {
-                        o.extend_flat_range(
-                            &rows.cols[c],
-                            rows.nulls[c].as_deref(),
-                            off,
-                            off + take,
-                        );
+                        extend_from_rows(o, &rows, c, off, take);
                     }
                     take
                 }
@@ -269,6 +267,11 @@ impl Operator for VectorScan {
         self.profile.record_enc_batch(&out);
         Ok(Some(out))
     }
+}
+
+/// Append rows `from..from + n` of column `c` of `rows` to `o`.
+fn extend_from_rows(o: &mut Vector, rows: &Rows, c: usize, from: usize, n: usize) {
+    o.extend_flat_range(&rows.cols[c], rows.nulls[c].as_deref(), from, from + n);
 }
 
 #[cfg(test)]
@@ -310,6 +313,17 @@ mod tests {
         let nulls = Some((0..n).map(|i| i % 3 == 2).collect());
         let rows = vw_pdt::Rows { cols: vec![ids, names], nulls: vec![None, nulls] };
         Piece::Insert { id: first as u64, rows: Arc::new(rows), start: 0, len: n as u64 }
+    }
+
+    fn run(sid: u64, len: u64) -> Piece {
+        Piece::StableRun { sid, len, overlay: None }
+    }
+
+    /// `len` stable rows from `sid` on, overlaid by the block writing
+    /// `cols` with `rows` from its row `start` on.
+    fn overlaid(sid: u64, len: u64, cols: &[usize], rows: vw_pdt::Rows, start: u64) -> Piece {
+        let block = Arc::new(vw_pdt::Block { cols: cols.to_vec(), rows });
+        Piece::StableRun { sid, len, overlay: Some((block, start)) }
     }
 
     /// A root holding `pieces` in order, one node each.
@@ -406,32 +420,40 @@ mod tests {
     #[test]
     fn pieces_with_deltas_and_seams() {
         let t = setup(100, 32);
+        // Names of sids 62..66 from a block's rows 1..5, one NULL.
+        let names = ["x", "p62", "", "p64", "p65"].map(String::from).to_vec();
+        let nulls = Some(vec![false, false, true, false, false]);
+        let patch = vw_pdt::Rows { cols: vec![ColData::Str(names)], nulls: vec![nulls] };
         let root = image(vec![
-            Piece::StableRun { sid: 0, len: 2 },
-            Piece::StableRun { sid: 2, len: 1 },
+            run(0, 2),
+            run(2, 1),
             inserted(900, 25).slice(2, 20),
-            Piece::StableMod { sid: 50, mods: Arc::new(vec![(1, Value::Str("patched".into()))]) },
-            Piece::StableRun { sid: 98, len: 2 },
+            overlaid(62, 4, &[1], patch, 1),
+            run(98, 2),
         ]);
-        // 10-row vectors: the insert run spans three of them.
-        let mut s = scan(&t, vec![0, 1], root, 10);
+        // 8-row vectors: the insert run spans three of them, the overlaid
+        // run two, and it crosses a pack boundary at sid 64.
+        let mut s = scan(&t, vec![0, 1], root, 8);
         let out = drain(&mut s).unwrap();
-        assert_eq!(out.rows(), 26);
+        assert_eq!(out.rows(), 29);
         assert_eq!(out.row_values(2)[0], Value::I64(2));
         assert_eq!(out.row_values(3), vec![Value::I64(902), Value::Null]);
         assert_eq!(out.row_values(4), vec![Value::I64(903), Value::Str("ins903".into())]);
         assert_eq!(out.row_values(22), vec![Value::I64(921), Value::Str("ins921".into())]);
-        assert_eq!(out.row_values(23), vec![Value::I64(50), Value::Str("patched".into())]);
-        assert_eq!(out.row_values(24)[0], Value::I64(98));
+        let patched = [(62, Value::Str("p62".into())), (63, Value::Null)];
+        let patched = patched.into_iter().chain([64, 65].map(|s| (s, Value::Str(format!("p{s}")))));
+        for (k, (sid, name)) in patched.enumerate() {
+            assert_eq!(out.row_values(23 + k), vec![Value::I64(sid), name]);
+        }
+        assert_eq!(out.row_values(27)[0], Value::I64(98));
     }
 
     #[test]
     fn modification_to_null_and_unprojected_column() {
         let t = setup(10, 10);
-        let root = image(vec![Piece::StableMod {
-            sid: 1,
-            mods: Arc::new(vec![(1, Value::Null), (0, Value::I64(-5))]),
-        }]);
+        let cols = vec![ColData::Str(vec![String::new()]), ColData::I64(vec![-5])];
+        let mods = vw_pdt::Rows { cols, nulls: vec![Some(vec![true]), None] };
+        let root = image(vec![overlaid(1, 1, &[1, 0], mods, 0)]);
         // Project only column 1: the mod on column 0 must be ignored.
         let mut s = scan(&t, vec![1], root.clone(), 4);
         let out = drain(&mut s).unwrap();
@@ -445,7 +467,7 @@ mod tests {
     fn pruned_ranges_scan() {
         let t = setup(1000, 100);
         let (lo, hi) = (Value::I64(350), Value::I64(449));
-        let hints = [(0, Some(&lo), Some(&hi))];
+        let hints = [(0, t.prune(0, Some(&lo), Some(&hi)))];
         let source = MorselSource::pruned(stable_image(1000), t.clone(), hints, usize::MAX);
         let mut s = VectorScan::with_source(t, vec![0], source, 128, CancelToken::new());
         let out = drain(&mut s).unwrap();
@@ -455,19 +477,20 @@ mod tests {
 
     #[test]
     fn rid_column_survives_skipped_runs_and_an_empty_projection() {
-        // A five-pack table whose image has a modified row in pack 0, a
+        // A five-pack table whose image has an overlaid row in pack 0, a
         // seam at sid 100 and a run of 60 inserted rows after sid 199. The
         // hint keeps packs 1..=3 and the modified row (it modified the
         // hinted column); 48-row claims and 64-row vectors cut the runs
         // mid-pack and mid-run.
         let t = setup(500, 100);
+        let minus_seven = vw_pdt::Rows { cols: vec![ColData::I64(vec![-7])], nulls: vec![None] };
         let root = image(vec![
-            Piece::StableRun { sid: 0, len: 7 },
-            Piece::StableMod { sid: 7, mods: Arc::new(vec![(0, Value::I64(-7))]) },
-            Piece::StableRun { sid: 8, len: 92 },
-            Piece::StableRun { sid: 100, len: 100 },
+            run(0, 7),
+            overlaid(7, 1, &[0], minus_seven, 0),
+            run(8, 92),
+            run(100, 100),
             inserted(1_000, 60),
-            Piece::StableRun { sid: 200, len: 300 },
+            run(200, 300),
         ]);
         let (lo, hi) = (Value::I64(150), Value::I64(349));
         let mut want_rids: Vec<i64> = vec![7];
@@ -477,7 +500,7 @@ mod tests {
         want_ids.extend(1_000..1_060);
         want_ids.extend(200..400);
         for cols in [vec![0], vec![]] {
-            let hints = [(0, Some(&lo), Some(&hi))];
+            let hints = [(0, t.prune(0, Some(&lo), Some(&hi)))];
             let source = MorselSource::pruned(root.clone(), t.clone(), hints, 48);
             let mut s =
                 VectorScan::with_source(t.clone(), cols.clone(), source, 64, CancelToken::new())

@@ -265,22 +265,6 @@ impl Vector {
         Ok(())
     }
 
-    /// Overwrite position `i` (PDT modification overlay during scans).
-    pub fn set(&mut self, i: usize, v: &Value) -> Result<()> {
-        self.ensure_flat();
-        if v.is_null() {
-            let n = self.len();
-            self.nulls.get_or_insert_with(|| vec![false; n])[i] = true;
-            self.data.set_value(i, &Value::Null)?;
-        } else {
-            if let Some(m) = &mut self.nulls {
-                m[i] = false;
-            }
-            self.data.set_value(i, v)?;
-        }
-        Ok(())
-    }
-
     /// Gather `positions` into a new vector (dict codes stay coded).
     pub fn gather(&self, positions: &SelVec) -> Vector {
         if let Some((codes, dict)) = self.dict_parts() {

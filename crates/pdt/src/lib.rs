@@ -19,16 +19,21 @@
 //! 0..n_stable). The current visible image is described by a persistent
 //! counted rope ([`treap`]) whose in-order traversal yields:
 //!
-//! * runs of untouched stable rows (`[sid, sid+len)`),
-//! * stable rows with modified columns,
-//! * runs of inserted rows: ranges of typed columns ([`values::Rows`],
-//!   the paper's columnar value tables), one per inserted batch, which a
-//!   scan copies by range as it does stable rows.
+//! * runs of stable rows (`[sid, sid+len)`), each optionally overlaid by
+//!   a range of modified values ([`values::Block`]: the SET columns of
+//!   one UPDATE, typed, one row per modified row), which replace the
+//!   stable values of the columns the block holds,
+//! * runs of inserted rows: ranges of typed columns ([`values::Rows`]),
+//!   one per inserted batch.
+//!
+//! Every value lives in typed columns — the paper's columnar value
+//! tables — and a scan copies them by range as it does stable rows.
 //!
 //! Positional operations (insert/delete/modify at **RID** — the row id in
 //! the *current* image) cost `O(log #deltas)`, and a sorted batch of `k`
 //! modifies or deletes is one descent of `O(k · log(#deltas / k))`
-//! ([`treap::rewrite_rows`]); a full scan-with-merge costs
+//! ([`treap::rewrite_rows`]) that leaves the rows of a run modified
+//! together one overlaid run; a full scan-with-merge costs
 //! the stable scan plus `O(#deltas)` — the same asymptotics as the paper's
 //! three-layer PDT encoding. Snapshots are O(1) (persistent structure), which
 //! provides the paper's layered read-/write-/trans-PDT semantics:
@@ -57,4 +62,4 @@ pub mod treap;
 pub mod values;
 
 pub use store::{PdtStats, PdtStore, Transaction};
-pub use values::{Mods, Rows};
+pub use values::{Block, Rows};

@@ -10,9 +10,11 @@
 //!   inserts.
 //! * **Concurrent path** — after the write-write conflict check (positional
 //!   overlap of written SIDs, as in the PDT paper), the transaction's delta
-//!   log is replayed against the *current* master image: deletes/modifies
-//!   address rows by SID; insert runs are re-anchored, whole and in image
-//!   order, to the nearest surviving stable predecessor. The interleaving
+//!   log is replayed against the *current* master image: deletes and
+//!   modifies address rows by SID, in one batch rewrite, a modify
+//!   installing the row of the typed block it points into; insert runs are
+//!   re-anchored, whole and in image order, to the nearest surviving
+//!   stable predecessor. The interleaving
 //!   order of different transactions' runs at the same anchor is
 //!   unspecified (any serializable order is legal); each run stays
 //!   contiguous.
@@ -21,12 +23,13 @@ use crate::treap::{
     find_stable_at_or_before, for_each_piece, leaf, merge, prio_for, rewrite_rows, size, split,
     stable_image, Link, Piece,
 };
-use crate::values::Rows;
+use crate::values::{Block, Rows};
 use parking_lot::{Mutex, MutexGuard};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use vw_common::hash::{FxHashMap, FxHashSet};
-use vw_common::{Result, TypeId, Value, VwError};
+use vw_common::{ColData, Result, TypeId, VwError};
 
 /// Where an insert lands, in stable coordinates (survives image changes
 /// between snapshot and commit).
@@ -39,10 +42,13 @@ enum Anchor {
     AfterSid(u64),
 }
 
+/// A logged write, by stable id. A modify points at the overlay row
+/// `(block, row)` the row now shows, which holds every column modified in
+/// it since the last checkpoint.
 #[derive(Debug, Clone)]
 enum Op {
     DeleteStable { sid: u64 },
-    ModifyStable { sid: u64, col: usize, value: Value },
+    ModifyStable { sid: u64, overlay: (Arc<Block>, u64) },
 }
 
 impl Op {
@@ -216,20 +222,22 @@ impl PdtStore {
             }
         }
 
-        // Replay deletes/modifies by SID onto the current master image.
-        let mut root = m.root.clone();
+        // Replay deletes and modifies by SID onto the current master image
+        // in one batch: each row's last op is its outcome (a modify points
+        // at every column written to the row), and rows ascend by sid as
+        // by position, so one block's consecutive rows stay one run.
+        let last: BTreeMap<u64, &Op> = txn.log.iter().map(|op| (op.sid(), op)).collect();
+        let rids = last.keys().map(|&sid| locate_sid(&m.root, sid)).collect::<Result<Vec<_>>>()?;
         let mut fresh_prio = || prio_for(self.next_id());
-        for op in &txn.log {
-            let rid = locate_sid(&root, op.sid())?;
-            root = rewrite_rows(&root, 0, &[rid], &mut fresh_prio, &mut |piece, off| {
-                Ok::<_, VwError>(match op {
-                    Op::DeleteStable { .. } => None,
-                    Op::ModifyStable { col, value, .. } => {
-                        Some(overlay_mods(piece, off, &[*col], std::slice::from_ref(value)).1)
-                    }
-                })
-            })?;
-        }
+        let mut ops = last.into_iter();
+        let mut root = rewrite_rows(&m.root, 0, &rids, &mut fresh_prio, &mut |_, _| {
+            Ok::<_, VwError>(match ops.next().expect("one op per rid") {
+                (_, Op::DeleteStable { .. }) => None,
+                (sid, Op::ModifyStable { overlay, .. }) => {
+                    Some(Piece::StableRun { sid, len: 1, overlay: Some(overlay.clone()) })
+                }
+            })
+        })?;
 
         // Replay the transaction's own insert runs in its image order,
         // re-anchored to surviving stable predecessors.
@@ -237,11 +245,8 @@ impl PdtStore {
         {
             let mut last_anchor = Anchor::Front;
             for_each_piece(&txn.root, &mut |p| match p {
-                Piece::StableRun { sid, len } => {
+                Piece::StableRun { sid, len, .. } => {
                     last_anchor = Anchor::AfterSid(sid + len - 1);
-                }
-                Piece::StableMod { sid, .. } => {
-                    last_anchor = Anchor::AfterSid(*sid);
                 }
                 Piece::Insert { id, .. } => {
                     if txn.own_inserts.contains(id) {
@@ -302,24 +307,6 @@ impl PreparedCommit<'_> {
     }
 }
 
-/// The stable row at offset `off` of `piece` with `values` written to
-/// `cols` (in order; a repeated column keeps the last value) on top of
-/// the modifications it already carries: `(sid, the StableMod piece)`.
-fn overlay_mods(piece: &Piece, off: u64, cols: &[usize], values: &[Value]) -> (u64, Piece) {
-    let (sid, mut mods) = match piece {
-        Piece::StableRun { sid, .. } => (sid + off, Vec::with_capacity(cols.len())),
-        Piece::StableMod { sid, mods } => (*sid, (**mods).clone()),
-        Piece::Insert { .. } => unreachable!("inserted rows have no stable id"),
-    };
-    for (&col, value) in cols.iter().zip(values) {
-        match mods.iter_mut().find(|(c, _)| *c == col) {
-            Some(slot) => slot.1 = value.clone(),
-            None => mods.push((col, value.clone())),
-        }
-    }
-    (sid, Piece::StableMod { sid, mods: Arc::new(mods) })
-}
-
 /// Find the RID of exactly `sid`, or report the row as vanished.
 fn locate_sid(root: &Link, sid: u64) -> Result<u64> {
     match find_stable_at_or_before(root, sid) {
@@ -333,10 +320,9 @@ fn compute_stats(root: &Link, n_stable: u64) -> PdtStats {
     let mut inserts = 0u64;
     let mut modifies = 0u64;
     for_each_piece(root, &mut |p| match p {
-        Piece::StableRun { len, .. } => stable_visible += len,
-        Piece::StableMod { mods, .. } => {
-            stable_visible += 1;
-            modifies += mods.len() as u64;
+        Piece::StableRun { len, overlay, .. } => {
+            stable_visible += len;
+            modifies += overlay.as_ref().map_or(0, |(block, _)| len * block.cols.len() as u64);
         }
         Piece::Insert { len, .. } => inserts += len,
     });
@@ -385,9 +371,14 @@ impl Transaction {
     /// Insert one row of `values` at position `rid`, each column typed by
     /// its value (a NULL as BOOLEAN: typed runs, [`Transaction::insert_rows`],
     /// are how rows with NULLs a scan reads go in).
-    pub fn insert_at(&mut self, rid: u64, values: Vec<Value>) -> Result<()> {
-        let types = values.iter().map(|v| v.type_id().unwrap_or(TypeId::Bool));
-        self.insert_rows(rid, Rows::from_row(&values, types)?)
+    pub fn insert_at(&mut self, rid: u64, values: Vec<vw_common::Value>) -> Result<()> {
+        let mut row = Rows::default();
+        for v in &values {
+            row.cols.push(ColData::new(v.type_id().unwrap_or(TypeId::Bool)));
+            row.cols.last_mut().expect("just pushed").push_value(v)?;
+            row.nulls.push(v.is_null().then(|| vec![true]));
+        }
+        self.insert_rows(rid, row)
     }
 
     /// Delete the row at position `rid`.
@@ -395,9 +386,13 @@ impl Transaction {
         self.delete_batch(&[rid])
     }
 
-    /// Set column `col` of the row at position `rid` to `value`.
-    pub fn update_at(&mut self, rid: u64, col: usize, value: Value) -> Result<()> {
-        self.update_batch(&[rid], &[col], &[vec![value]])
+    /// Set column `col` of the row at position `rid` to `value`, typed by
+    /// itself like [`Transaction::insert_at`]'s.
+    pub fn update_at(&mut self, rid: u64, col: usize, value: vw_common::Value) -> Result<()> {
+        let mut data = ColData::new(value.type_id().unwrap_or(TypeId::Bool));
+        data.push_value(&value)?;
+        let rows = Rows { cols: vec![data], nulls: vec![value.is_null().then(|| vec![true])] };
+        self.update_batch(&[rid], Arc::new(Block { cols: vec![col], rows }))
     }
 
     /// Delete the rows at the strictly ascending positions `rids` (all in
@@ -408,7 +403,6 @@ impl Transaction {
                 Piece::StableRun { sid, .. } => {
                     staged.log.push(Op::DeleteStable { sid: sid + off })
                 }
-                Piece::StableMod { sid, .. } => staged.log.push(Op::DeleteStable { sid: *sid }),
                 // Deleting an own inserted row cancels it; a committed but not
                 // yet checkpointed one has no stable coordinates, so the
                 // removal is only expressible through the serial fast path.
@@ -419,40 +413,46 @@ impl Transaction {
         })
     }
 
-    /// Set columns `cols` of the rows at the strictly ascending positions
-    /// `rids` in one pass over the tree: `values[i]` holds the new values
-    /// of row `rids[i]`, one per entry of `cols` (written in order).
-    pub fn update_batch(
-        &mut self,
-        rids: &[u64],
-        cols: &[usize],
-        values: &[Vec<Value>],
-    ) -> Result<()> {
-        if values.len() != rids.len() || values.iter().any(|v| v.len() != cols.len()) {
-            return Err(VwError::Exec("update batch: values do not match rids × cols".into()));
+    /// Write `block` to the rows at the strictly ascending positions
+    /// `rids` in one pass over the tree: block row `i` holds the new values
+    /// of row `rids[i]`. A stable row is overlaid by its block row, so the
+    /// rows of a run updated together stay one run; one whose earlier
+    /// overlay wrote columns this block does not, and an inserted row,
+    /// become a one-row piece of their own, built by typed lane copies.
+    pub fn update_batch(&mut self, rids: &[u64], block: Arc<Block>) -> Result<()> {
+        if block.rows.n_rows() != rids.len() as u64 {
+            return Err(VwError::Exec("update batch: block rows do not match rids".into()));
         }
         self.rewrite_batch(rids, |i, piece, off, own_inserts, staged| {
-            let values = &values[i];
-            if let Piece::Insert { id, rows, start, .. } = piece {
-                if !own_inserts.contains(id) {
-                    staged.touched_foreign_inserts = true;
-                }
-                // The updated row leaves its run as a one-row run of its own.
-                let mut row = rows.row((start + off) as usize);
-                for (&col, value) in cols.iter().zip(values) {
-                    match row.get_mut(col) {
-                        Some(slot) => *slot = value.clone(),
-                        None => return Err(VwError::Exec(format!("column {col} out of range"))),
+            let i = i as u64;
+            let (sid, earlier) = match piece {
+                Piece::StableRun { sid, overlay, .. } => (sid + off, overlay),
+                Piece::Insert { id, rows, start, .. } => {
+                    staged.touched_foreign_inserts |= !own_inserts.contains(id);
+                    let width = rows.cols.len();
+                    if let Some(col) = block.cols.iter().find(|&&c| c >= width) {
+                        return Err(VwError::Exec(format!("column {col} out of range")));
                     }
+                    let lane = |c| match block.find(c) {
+                        Some(j) => (&block.rows, j, i),
+                        None => (&**rows, c, start + off),
+                    };
+                    let row = Arc::new(Rows::gather((0..width).map(lane)));
+                    return Ok(Some(Piece::Insert { id: *id, rows: row, start: 0, len: 1 }));
                 }
-                let row = Rows::from_row(&row, rows.cols.iter().map(|c| c.type_id()))?;
-                return Ok(Some(Piece::Insert { id: *id, rows: Arc::new(row), start: 0, len: 1 }));
-            }
-            let (sid, modified) = overlay_mods(piece, off, cols, values);
-            for (&col, value) in cols.iter().zip(values) {
-                staged.log.push(Op::ModifyStable { sid, col, value: value.clone() });
-            }
-            Ok(Some(modified))
+            };
+            let overlay = match earlier {
+                Some((old, start)) if old.cols.iter().any(|&c| block.find(c).is_none()) => {
+                    let kept = (0..old.cols.len()).filter(|&j| block.find(old.cols[j]).is_none());
+                    let kept = kept.map(|j| (old.cols[j], (&old.rows, j, start + off)));
+                    let new = block.cols.iter().enumerate().map(|(j, &c)| (c, (&block.rows, j, i)));
+                    let (cols, lanes): (Vec<usize>, Vec<_>) = kept.chain(new).unzip();
+                    (Arc::new(Block { cols, rows: Rows::gather(lanes) }), 0)
+                }
+                _ => (block.clone(), i),
+            };
+            staged.log.push(Op::ModifyStable { sid, overlay: overlay.clone() });
+            Ok(Some(Piece::StableRun { sid, len: 1, overlay: Some(overlay) }))
         })
     }
 
@@ -526,10 +526,28 @@ struct Staged {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vw_common::ColData;
+    use vw_common::Value;
 
     fn row(v: i64) -> Vec<Value> {
         vec![Value::I64(v)]
+    }
+
+    /// Row `i` of `rows` as values.
+    fn values_of(rows: &Rows, i: u64) -> Vec<Value> {
+        let cell = |(c, m): (&ColData, &Option<Vec<bool>>)| match m {
+            Some(m) if m[i as usize] => Value::Null,
+            _ => c.get_value(i as usize),
+        };
+        rows.cols.iter().zip(&rows.nulls).map(cell).collect()
+    }
+
+    /// A block writing BIGINT columns `cols`: `values[r][j]` is row `r`'s
+    /// value of `cols[j]`.
+    fn block(cols: &[usize], values: &[Vec<i64>]) -> Arc<Block> {
+        let column = |j: usize| ColData::I64(values.iter().map(|r| r[j]).collect());
+        let nulls = vec![None; cols.len()];
+        let rows = Rows { cols: (0..cols.len()).map(column).collect(), nulls };
+        Arc::new(Block { cols: cols.to_vec(), rows })
     }
 
     /// `len` inserted rows holding `v`, `v + 1`, … in one BIGINT column.
@@ -539,20 +557,33 @@ mod tests {
 
     /// One visible row of an image, whatever pieces hold it: seams, runs
     /// and insert ids do not show.
-    #[derive(Debug, PartialEq)]
+    #[derive(Debug, Clone, PartialEq)]
     enum RowOf {
         Stable(u64),
-        Modified(u64, Arc<crate::Mods>),
+        /// A stable row and its overlay's `(column, value)`s, by column.
+        Modified(u64, Vec<(usize, Value)>),
         Inserted(Vec<Value>),
+    }
+
+    /// The overlay row `(block, row)` as `(column, value)`s, by column.
+    fn modified(block: &Block, row: u64) -> Vec<(usize, Value)> {
+        let mut mods: Vec<_> =
+            block.cols.iter().copied().zip(values_of(&block.rows, row)).collect();
+        mods.sort_by_key(|m| m.0);
+        mods
     }
 
     fn rows_of(root: &Link) -> Vec<RowOf> {
         let mut out = Vec::new();
         for_each_piece(root, &mut |p| match p {
-            Piece::StableRun { sid, len } => out.extend((*sid..sid + len).map(RowOf::Stable)),
-            Piece::StableMod { sid, mods } => out.push(RowOf::Modified(*sid, mods.clone())),
+            Piece::StableRun { sid, len, overlay: None } => {
+                out.extend((*sid..sid + len).map(RowOf::Stable))
+            }
+            Piece::StableRun { sid, len, overlay: Some((block, start)) } => {
+                out.extend((0..*len).map(|k| RowOf::Modified(sid + k, modified(block, start + k))))
+            }
             Piece::Insert { rows, start, len, .. } => {
-                out.extend((*start..start + len).map(|r| RowOf::Inserted(rows.row(r as usize))))
+                out.extend((*start..start + len).map(|r| RowOf::Inserted(values_of(rows, r))))
             }
         });
         out
@@ -778,7 +809,7 @@ mod tests {
         let (root, _, _) = store.snapshot();
         match &rows_of(&root)[0] {
             RowOf::Modified(_, mods) => {
-                assert_eq!(mods.as_slice(), &[(0, Value::I64(2))]);
+                assert_eq!(mods, &[(0, Value::I64(2))]);
             }
             other => panic!("expected a modified row, got {other:?}"),
         }
@@ -844,15 +875,11 @@ mod tests {
                 }
             } else {
                 let cols: Vec<usize> = if rnd(2) == 0 { vec![1] } else { vec![2, 0] };
-                let values: Vec<Vec<Value>> = rids
-                    .iter()
-                    .map(|_| cols.iter().map(|_| Value::I64(rnd(50) as i64)).collect())
-                    .collect();
-                batch.update_batch(&rids, &cols, &values).unwrap();
+                let values: Vec<Vec<i64>> =
+                    rids.iter().map(|_| cols.iter().map(|_| rnd(50) as i64).collect()).collect();
+                batch.update_batch(&rids, block(&cols, &values)).unwrap();
                 for (&rid, row) in rids.iter().zip(&values) {
-                    for (&col, v) in cols.iter().zip(row) {
-                        single.update_at(rid, col, v.clone()).unwrap();
-                    }
+                    single.update_batch(&[rid], block(&cols, std::slice::from_ref(row))).unwrap();
                 }
             }
             assert_eq!(rows_of(batch.image()), rows_of(single.image()), "case {case}");
@@ -861,9 +888,17 @@ mod tests {
             assert_eq!(batch.own_rows, single.own_rows);
             assert_eq!(batch.touched_foreign_inserts, single.touched_foreign_inserts);
             // Same log up to order (a batch delete logs ascending, the
-            // one-at-a-time loop descending).
+            // one-at-a-time loop descending), modifies compared by the
+            // values they point at.
             let sorted_log = |t: &Transaction| {
-                let mut l: Vec<String> = t.log.iter().map(|op| format!("{op:?}")).collect();
+                let mut l: Vec<String> = (t.log.iter())
+                    .map(|op| match op {
+                        Op::DeleteStable { sid } => format!("delete {sid}"),
+                        Op::ModifyStable { sid, overlay: (b, r) } => {
+                            format!("modify {sid} {:?}", modified(b, *r))
+                        }
+                    })
+                    .collect();
                 l.sort();
                 l
             };
@@ -902,10 +937,10 @@ mod tests {
         let before = rows_of(t.image());
         // The insert at rid 5 has one column: column 3 is out of range,
         // after rid 2 was already rewritten.
-        let v = vec![Value::I64(0)];
-        assert!(t.update_batch(&[2, 5], &[3], &[v.clone(), v.clone()]).is_err());
-        assert!(t.update_batch(&[5, 2], &[0], &[v.clone(), v.clone()]).is_err(), "not ascending");
-        assert!(t.update_batch(&[2], &[0], &[]).is_err(), "values do not match rids");
+        assert!(t.update_batch(&[2, 5], block(&[3], &[vec![0], vec![0]])).is_err());
+        let zeros = block(&[0], &[vec![0], vec![0]]);
+        assert!(t.update_batch(&[5, 2], zeros).is_err(), "not ascending");
+        assert!(t.update_batch(&[2], block(&[0], &[])).is_err(), "values do not match rids");
         assert!(t.delete_batch(&[3, 11]).is_err(), "out of range");
         assert_eq!(rows_of(t.image()), before);
         assert_eq!(t.pending_ops(), 1, "only the insert is pending");
@@ -952,6 +987,128 @@ mod tests {
                 || inserted == [runs[0].clone(), runs[1].clone()].concat(),
             "each transaction's rows whole and in order"
         );
+    }
+
+    /// Rows of a stable run are re-updated with other and overlapping
+    /// column sets, in one transaction and across commits: the image
+    /// matches a mirror of every row's modified columns after each, a
+    /// run updated together stays one piece, and a re-update that keeps
+    /// columns of an earlier one carries them into a one-row block.
+    #[test]
+    fn re_updates_with_a_union_of_columns_match_a_mirror() {
+        use std::collections::BTreeMap;
+        let store = PdtStore::new(60);
+        let mut mirror: Vec<BTreeMap<usize, i64>> = vec![BTreeMap::new(); 60];
+        let pieces = |root: &Link| {
+            let mut n = 0;
+            for_each_piece(root, &mut |_| n += 1);
+            n
+        };
+        let check = |root: &Link, mirror: &[BTreeMap<usize, i64>]| {
+            let want: Vec<RowOf> = (mirror.iter().enumerate())
+                .map(|(sid, m)| match m.is_empty() {
+                    true => RowOf::Stable(sid as u64),
+                    false => RowOf::Modified(
+                        sid as u64,
+                        m.iter().map(|(&c, &v)| (c, Value::I64(v))).collect(),
+                    ),
+                })
+                .collect();
+            assert_eq!(rows_of(root), want);
+        };
+        let steps: [(std::ops::Range<u64>, &[usize], bool); 5] = [
+            (10..30, &[0], false),
+            (15..25, &[1], false),
+            (20..22, &[2, 0], true),
+            (5..40, &[1], false),
+            (18..19, &[2], true),
+        ];
+        let mut t = store.begin();
+        for (k, (rids, cols, commit)) in steps.into_iter().enumerate() {
+            let rids: Vec<u64> = rids.collect();
+            let values: Vec<Vec<i64>> = (rids.iter())
+                .map(|&r| {
+                    cols.iter().map(|&c| 1_000 * k as i64 + 10 * r as i64 + c as i64).collect()
+                })
+                .collect();
+            t.update_batch(&rids, block(cols, &values)).unwrap();
+            for (&r, row) in rids.iter().zip(&values) {
+                mirror[r as usize].extend(cols.iter().copied().zip(row.iter().copied()));
+            }
+            check(t.image(), &mirror);
+            if k == 0 {
+                assert_eq!(pieces(t.image()), 3, "rows 10..30 updated together are one run");
+            }
+            if commit {
+                store.commit(std::mem::replace(&mut t, store.begin())).unwrap();
+                t = store.begin();
+                check(&store.snapshot().0, &mirror);
+            }
+        }
+        let modifies: usize = mirror.iter().map(BTreeMap::len).sum();
+        assert_eq!(store.stats().modifies, modifies as u64);
+        // Rows 25..30 kept step 0's column 0 and took step 3's column 1:
+        // one-row union blocks; rows 30..40 took column 1 alone, still one
+        // run of step 3's block.
+        let (root, _, _) = store.snapshot();
+        let mut runs = Vec::new();
+        for_each_piece(&root, &mut |p| {
+            if let Piece::StableRun { sid, len, overlay: Some((b, _)) } = p {
+                runs.push((*sid, *len, b.cols.len()));
+            }
+        });
+        assert!(runs.contains(&(30, 10, 1)), "{runs:?}");
+        assert!(runs.contains(&(27, 1, 2)), "{runs:?}");
+    }
+
+    /// While one transaction commits deletes and updates, another
+    /// overlays runs (and re-updates part of them with another column)
+    /// and inserts a run; its commit replays every overlay row by sid onto
+    /// the changed image, pointing into its own blocks.
+    #[test]
+    fn a_concurrent_commit_replays_overlay_rows_by_sid() {
+        let store = PdtStore::new(100);
+        let (mut a, mut b) = (store.begin(), store.begin());
+        a.delete_batch(&[0, 1, 2, 3, 4]).unwrap();
+        let a_rows: Vec<u64> = (5..55).collect(); // sids 10..60
+        let a_vals: Vec<Vec<i64>> = a_rows.iter().map(|&r| vec![-(r as i64 + 5)]).collect();
+        a.update_batch(&a_rows, block(&[0], &a_vals)).unwrap();
+        let b_rids: Vec<u64> = (70..90).collect();
+        let b_vals: Vec<Vec<i64>> = b_rids.iter().map(|&r| vec![r as i64, 2 * r as i64]).collect();
+        let b_block = block(&[1, 2], &b_vals);
+        b.update_batch(&b_rids, b_block.clone()).unwrap();
+        let re: Vec<u64> = (80..85).collect();
+        b.update_batch(&re, block(&[0], &vec![vec![7]; 5])).unwrap();
+        b.insert_rows(3, run_of(500, 4)).unwrap();
+        store.commit(a).unwrap();
+        store.commit(b).unwrap();
+
+        let mut want: Vec<RowOf> = (500..504).map(|v| RowOf::Inserted(row(v))).collect();
+        for sid in 5..100u64 {
+            let v = sid as i64;
+            want.push(match sid {
+                10..60 => RowOf::Modified(sid, vec![(0, Value::I64(-v))]),
+                80..85 => RowOf::Modified(
+                    sid,
+                    vec![(0, Value::I64(7)), (1, Value::I64(v)), (2, Value::I64(2 * v))],
+                ),
+                70..90 => RowOf::Modified(sid, vec![(1, Value::I64(v)), (2, Value::I64(2 * v))]),
+                _ => RowOf::Stable(sid),
+            });
+        }
+        let (root, _, _) = store.snapshot();
+        assert_eq!(rows_of(&root), want);
+        assert_eq!(store.stats(), PdtStats { inserts: 4, deletes: 5, modifies: 50 + 40 + 5 });
+        // The replay is one batch: B's block rows for sids 70..80 and
+        // 85..90 stay runs, A's for 10..60 too.
+        let mut runs = Vec::new();
+        for_each_piece(&root, &mut |p| {
+            if let Piece::StableRun { sid, len, overlay: Some((blk, _)) } = p {
+                runs.push((*sid, *len, Arc::ptr_eq(blk, &b_block)));
+            }
+        });
+        assert!(runs.contains(&(70, 10, true)) && runs.contains(&(85, 5, true)), "{runs:?}");
+        assert!(runs.contains(&(10, 50, false)), "{runs:?}");
     }
 
     /// Rows at the start, middle and end of a committed run and of an own

@@ -1,34 +1,34 @@
 //! A persistent (path-copying) counted treap over the visible table image.
 //!
 //! Leaves-as-nodes: every node carries a [`Piece`] — a run of stable
-//! rows, a modified stable row, or a run of inserted rows. Subtree sizes
-//! enable O(log n) positional access; subtree max-SID enables O(log n)
-//! SID → position lookup (needed for commit-time replay of delta logs).
-//! A multi-row piece is cut at a position by [`Piece::slice`], which
-//! copies no value: an insert run's cuts share its typed columns.
+//! rows, optionally overlaid by a block of modified values, or a run of
+//! inserted rows. Subtree sizes enable O(log n) positional access;
+//! subtree max-SID enables O(log n) SID → position lookup (needed for
+//! commit-time replay of delta logs). A multi-row piece is cut at a
+//! position by [`Piece::slice`], which copies no value: the cuts of a run
+//! share its typed columns, and [`rewrite_rows`] joins the fragments that
+//! continue each other ([`Piece::absorb`]), so an UPDATE of contiguous
+//! rows leaves one overlaid run, not one piece per row.
 //!
 //! Persistence (Arc-shared immutable nodes) is what makes snapshot isolation
 //! cheap: a transaction's snapshot is a root pointer clone.
 
-use crate::values::{Mods, Rows};
+use crate::values::{Block, Rows};
 use std::sync::Arc;
 
 /// Payload of one treap node.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Piece {
-    /// `len` untouched stable rows starting at `sid`.
+    /// `len` stable rows starting at `sid`; with an overlay `(block,
+    /// start)`, the block's columns replace theirs with its rows
+    /// `start..start + len`.
     StableRun {
         /// First stable id of the run.
         sid: u64,
         /// Number of rows in the run.
         len: u64,
-    },
-    /// One stable row with modified column values.
-    StableMod {
-        /// Stable id of the row.
-        sid: u64,
-        /// Its new values.
-        mods: Arc<Mods>,
+        /// The modified values of the run's rows, if any.
+        overlay: Option<(Arc<Block>, u64)>,
     },
     /// `len` inserted rows (not present in stable storage): rows
     /// `start..start + len` of `rows`.
@@ -50,7 +50,6 @@ impl Piece {
     pub fn rows(&self) -> u64 {
         match self {
             Piece::StableRun { len, .. } | Piece::Insert { len, .. } => *len,
-            Piece::StableMod { .. } => 1,
         }
     }
 
@@ -59,19 +58,38 @@ impl Piece {
     pub fn slice(&self, off: u64, len: u64) -> Piece {
         debug_assert!(len > 0 && off + len <= self.rows());
         match self {
-            Piece::StableRun { sid, .. } => Piece::StableRun { sid: sid + off, len },
+            Piece::StableRun { sid, overlay, .. } => Piece::StableRun {
+                sid: sid + off,
+                len,
+                overlay: overlay.as_ref().map(|(block, start)| (block.clone(), start + off)),
+            },
             Piece::Insert { id, rows, start, .. } => {
                 Piece::Insert { id: *id, rows: rows.clone(), start: start + off, len }
             }
-            Piece::StableMod { .. } => self.clone(),
         }
+    }
+
+    /// Grow this stable run by `next` when `next` continues it: the
+    /// following sids, overlaid by the same block's following rows or both
+    /// by none. Returns whether it did (the seam join of a cut run).
+    pub fn absorb(&mut self, next: &Piece) -> bool {
+        let Piece::StableRun { sid, len, overlay } = self else { return false };
+        let continues = match (&*overlay, next) {
+            (_, Piece::StableRun { sid: s, .. }) if *sid + *len != *s => false,
+            (None, Piece::StableRun { overlay: None, .. }) => true,
+            (Some((a, start)), Piece::StableRun { overlay: Some((b, next)), .. }) => {
+                Arc::ptr_eq(a, b) && start + *len == *next
+            }
+            _ => false,
+        };
+        *len += if continues { next.rows() } else { 0 };
+        continues
     }
 
     /// The first and last stable id the piece shows; none for inserted rows.
     fn sids(&self) -> Option<(u64, u64)> {
         match self {
-            Piece::StableRun { sid, len } => Some((*sid, sid + len - 1)),
-            Piece::StableMod { sid, .. } => Some((*sid, *sid)),
+            Piece::StableRun { sid, len, .. } => Some((*sid, sid + len - 1)),
             Piece::Insert { .. } => None,
         }
     }
@@ -188,7 +206,9 @@ fn join(prio: u64, piece: Piece, left: Link, right: Link) -> Link {
 /// piece covering the row and the row's offset inside it; it returns the
 /// single-row piece that replaces the row, or `None` to delete it. A
 /// multi-row piece hit at interior offsets is cut into the surviving
-/// slices around the rewritten rows ([`Piece::slice`]).
+/// slices around the rewritten rows ([`Piece::slice`]), and the fragments
+/// that continue each other are joined ([`Piece::absorb`]): a run
+/// rewritten row by row into one block's consecutive rows stays one run.
 ///
 /// Every node on a path to a touched row is copied once and every
 /// untouched subtree is shared with `t`, so `k` RIDs cost
@@ -231,18 +251,25 @@ pub fn rewrite_rows<E>(
         piece if own.is_empty() => (Some(piece.clone()), Vec::new()),
         one_row if one_row.rows() == 1 => (f(one_row, 0)?, Vec::new()),
         piece => {
-            let mut fragments = Vec::with_capacity(2 * own.len() + 1);
+            let mut fragments: Vec<Piece> = Vec::new();
+            let mut push = |p: Piece| {
+                if !fragments.last_mut().is_some_and(|last| last.absorb(&p)) {
+                    fragments.push(p);
+                }
+            };
             let mut cursor = 0u64;
             for &rid in own {
                 let off = rid - lo;
                 if off > cursor {
-                    fragments.push(piece.slice(cursor, off - cursor));
+                    push(piece.slice(cursor, off - cursor));
                 }
-                fragments.extend(f(piece, off)?);
+                if let Some(p) = f(piece, off)? {
+                    push(p);
+                }
                 cursor = off + 1;
             }
             if cursor < piece.rows() {
-                fragments.push(piece.slice(cursor, piece.rows() - cursor));
+                push(piece.slice(cursor, piece.rows() - cursor));
             }
             (None, fragments)
         }
@@ -274,12 +301,9 @@ pub fn find_stable_at_or_before(t: &Link, sid: u64) -> Option<(u64, u64)> {
     }
     // Otherwise this node's own piece is the candidate...
     match &n.piece {
-        Piece::StableRun { sid: s0, len } if *s0 <= sid => {
+        Piece::StableRun { sid: s0, len, .. } if *s0 <= sid => {
             let off = (sid - s0).min(len - 1);
             return Some((size(&n.left) + off, s0 + off));
-        }
-        Piece::StableMod { sid: s0, .. } if *s0 <= sid => {
-            return Some((size(&n.left), *s0));
         }
         _ => {}
     }
@@ -315,23 +339,35 @@ fn walk(t: &Link, base: u64, from: u64, f: &mut impl FnMut(u64, &Piece) -> bool)
         && walk(&n.right, hi, from, f)
 }
 
-/// The image of `n_rows` untouched stable rows: one run (none when empty).
-pub fn stable_image(n_rows: u64) -> Link {
-    (n_rows > 0).then(|| leaf(prio_for(0), Piece::StableRun { sid: 0, len: n_rows }))?
+/// The image of `n` untouched stable rows: one run (none when empty).
+pub fn stable_image(n: u64) -> Link {
+    (n > 0).then(|| leaf(prio_for(0), Piece::StableRun { sid: 0, len: n, overlay: None }))?
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vw_common::Value;
+    use vw_common::{ColData, Value};
 
     fn run(sid: u64, len: u64) -> Piece {
-        Piece::StableRun { sid, len }
+        Piece::StableRun { sid, len, overlay: None }
+    }
+
+    /// A block of one BIGINT column, `col`, holding `0..n`.
+    fn block(col: usize, n: i64) -> Arc<Block> {
+        let rows = Rows { cols: vec![ColData::I64((0..n).collect())], nulls: vec![None] };
+        Arc::new(Block { cols: vec![col], rows })
+    }
+
+    /// `len` stable rows from `sid` on, overlaid by `block`'s rows from
+    /// `start` on.
+    fn over(sid: u64, len: u64, block: &Arc<Block>, start: u64) -> Piece {
+        Piece::StableRun { sid, len, overlay: Some((block.clone(), start)) }
     }
 
     /// A run of `len` inserted rows holding `id`, `id + 1`, ….
     fn ins_run(id: u64, len: u64) -> Piece {
-        let values = vw_common::ColData::I64((id as i64..(id + len) as i64).collect());
+        let values = ColData::I64((id as i64..(id + len) as i64).collect());
         let rows = Rows { cols: vec![values], nulls: vec![None] };
         Piece::Insert { id, rows: Arc::new(rows), start: 0, len }
     }
@@ -472,39 +508,72 @@ mod tests {
         );
     }
 
+    /// One image row of the model below.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum R {
+        /// A stable row, with the row of the test block overlaying it.
+        Stable(u64, Option<u64>),
+        /// Row `row` of the insert `id`.
+        Ins(u64, u64),
+    }
+
+    fn model_rows(t: &Link, blk: &Arc<Block>) -> Vec<R> {
+        let mut out = Vec::new();
+        for_each_piece(t, &mut |p| match p {
+            Piece::StableRun { sid, len, overlay } => out.extend((0..*len).map(|k| {
+                R::Stable(
+                    sid + k,
+                    overlay.as_ref().map(|(b, start)| {
+                        assert!(Arc::ptr_eq(b, blk));
+                        start + k
+                    }),
+                )
+            })),
+            Piece::Insert { id, start, len, .. } => {
+                out.extend((*start..start + len).map(|r| R::Ins(*id, r)))
+            }
+        });
+        out
+    }
+
     #[test]
     fn rewrite_rows_matches_a_row_vector_model() {
-        // The image as one entry per row: Ok(sid) stable, Err((id, row))
-        // inserted — row `row` of the insert `id`.
         let mut x = 7u64;
         let mut rnd = move |n: u64| {
             x = vw_common::hash::hash_u64(x);
             x % n
         };
-        for round in 0..60u64 {
+        let blk = block(0, 1_000);
+        for round in 0..90u64 {
             let mut pieces = Vec::new();
-            let mut model: Vec<std::result::Result<u64, (u64, u64)>> = Vec::new();
             let mut sid = 0;
             for i in 0..1 + rnd(12) {
-                if rnd(3) == 0 {
+                match rnd(4) {
                     // A run of inserted rows, possibly a slice of a longer one.
-                    let (id, len, skip) = (1000 + 100 * i, 1 + rnd(30), rnd(3));
-                    pieces.push(ins_run(id, len + skip).slice(skip, len));
-                    model.extend((skip..skip + len).map(|r| Err((id, r))));
-                } else {
-                    let len = 1 + rnd(40);
-                    sid += rnd(3); // gaps: deleted rows
-                    pieces.push(run(sid, len));
-                    model.extend((sid..sid + len).map(Ok));
-                    sid += len;
+                    0 => {
+                        let (id, len, skip) = (1000 + 100 * i, 1 + rnd(30), rnd(3));
+                        pieces.push(ins_run(id, len + skip).slice(skip, len));
+                    }
+                    kind => {
+                        let len = 1 + rnd(40);
+                        sid += rnd(3); // gaps: deleted rows
+                        pieces.push(match kind {
+                            1 => over(sid, len, &blk, 500 + rnd(400)),
+                            _ => run(sid, len),
+                        });
+                        sid += len;
+                    }
                 }
             }
             let t = build(pieces);
             let before = collect(&t);
-            // Every third row or so, ascending; odd rounds delete, even
-            // rounds replace the row by a marker insert.
-            let rids: Vec<u64> = (0..model.len() as u64).filter(|_| rnd(3) == 0).collect();
-            let delete = round % 2 == 1;
+            let model = model_rows(&t, &blk);
+            // Every third row or so, ascending (or all of them): round 0
+            // mod 3 deletes, 1 replaces the row by a marker insert, 2
+            // overlays each stable row with the block's row k for its k-th
+            // rid, so consecutive rows continue each other and join.
+            let every = round % 5 == 4;
+            let rids: Vec<u64> = (0..model.len() as u64).filter(|_| every || rnd(3) == 0).collect();
             let mut seen = Vec::new();
             let mut counter = 0u64;
             let out = rewrite_rows(
@@ -516,39 +585,42 @@ mod tests {
                     prio_for(round * 1_000 + counter)
                 },
                 &mut |piece, off| {
-                    seen.push(match piece {
-                        Piece::StableRun { sid, .. } => Ok(sid + off),
-                        Piece::Insert { id, start, .. } => Err((*id, start + off)),
-                        Piece::StableMod { .. } => unreachable!(),
-                    });
-                    Ok::<_, ()>((!delete).then(|| ins(9_000 + seen.len() as u64)))
+                    let k = seen.len() as u64;
+                    let stable = match piece {
+                        Piece::StableRun { sid, .. } => Some(sid + off),
+                        Piece::Insert { .. } => None,
+                    };
+                    seen.push(model_rows(&leaf(0, piece.slice(off, 1)), &blk)[0]);
+                    Ok::<_, ()>(match (round % 3, stable) {
+                        (0, _) => None,
+                        (2, Some(sid)) => Some(over(sid, 1, &blk, k)),
+                        _ => Some(ins(9_000 + k)),
+                    })
                 },
             )
             .unwrap();
             assert_valid(&out);
             assert_eq!(collect(&t), before, "the input tree is persistent");
             // `f` saw exactly the addressed rows, in order.
-            let want_seen: Vec<_> = rids.iter().map(|&r| model[r as usize]).collect();
+            let want_seen: Vec<R> = rids.iter().map(|&r| model[r as usize]).collect();
             assert_eq!(seen, want_seen);
             // The output, row by row.
             let mut want = model.clone();
             for (k, &r) in rids.iter().enumerate().rev() {
-                if delete {
-                    let _ = want.remove(r as usize);
-                } else {
-                    want[r as usize] = Err((9_001 + k as u64, 0));
+                match (round % 3, want[r as usize]) {
+                    (0, _) => drop(want.remove(r as usize)),
+                    (2, R::Stable(sid, _)) => want[r as usize] = R::Stable(sid, Some(k as u64)),
+                    _ => want[r as usize] = R::Ins(9_000 + k as u64, 0),
                 }
             }
-            let mut got = Vec::new();
-            for_each_piece(&out, &mut |p| match p {
-                Piece::StableRun { sid, len } => got.extend((*sid..sid + len).map(Ok)),
-                Piece::Insert { id, start, len, .. } => {
-                    got.extend((*start..start + len).map(|r| Err((*id, r))))
-                }
-                Piece::StableMod { .. } => unreachable!(),
-            });
-            assert_eq!(got, want, "round {round}");
+            assert_eq!(model_rows(&out, &blk), want, "round {round}");
             assert_eq!(size(&out), want.len() as u64);
+            if every && round % 3 == 2 {
+                // Each stable piece, overlaid row by row, stays one piece.
+                let stable = before.iter().filter(|p| matches!(p, Piece::StableRun { .. }));
+                let inserted = model.iter().filter(|r| matches!(r, R::Ins(..)));
+                assert_eq!(collect(&out).len(), stable.count() + inserted.count(), "{round}");
+            }
         }
     }
 
@@ -564,7 +636,29 @@ mod tests {
             panic!("both halves end and start with the run")
         };
         assert!(Arc::ptr_eq(&left, &right), "a cut copies no value");
-        assert_eq!(left.row(4), vec![Value::I64(54)]);
+        assert_eq!(left.cols[0].get_value(4), Value::I64(54));
+    }
+
+    #[test]
+    fn split_inside_an_overlay_run_shares_its_block() {
+        let blk = block(2, 40);
+        let t = build(vec![run(0, 3), over(3, 10, &blk, 20), run(13, 2)]);
+        let (a, b) = split(t, 7);
+        assert_eq!(collect(&a), vec![run(0, 3), over(3, 4, &blk, 20)]);
+        assert_eq!(collect(&b), vec![over(7, 6, &blk, 24), run(13, 2)]);
+        let (Some(Piece::StableRun { overlay: Some((left, _)), .. }), Some(right)) =
+            (collect(&a).pop(), collect(&b).first().cloned())
+        else {
+            panic!("the left half ends with the overlaid run")
+        };
+        assert!(Arc::ptr_eq(&left, &blk), "a cut copies no value");
+        assert_eq!(find_stable_at_or_before(&b, 9), Some((2, 9)));
+        // The halves continue each other: joined, they are the run again.
+        let mut joined = collect(&a).pop().unwrap();
+        assert!(joined.absorb(&right));
+        assert_eq!(joined, over(3, 10, &blk, 20));
+        assert!(!joined.absorb(&run(13, 2)), "an overlay does not absorb plain rows");
+        assert!(!over(0, 2, &blk, 0).absorb(&over(2, 1, &blk, 3)), "rows must continue too");
     }
 
     #[test]

@@ -1,22 +1,20 @@
 //! The PDT's value space: what its pieces hold besides positions.
 //!
-//! Inserted rows are typed columns ([`Rows`]): a batch of inserted rows
-//! is one `Rows`, shared by `Arc` among every run cut from it, so cutting
-//! a run copies no value. A modified stable row keeps its new values as
-//! `(column, Value)` pairs ([`Mods`]).
+//! Every value the PDT keeps is in typed columns ([`Rows`]), shared by
+//! `Arc` among every piece cut from them, so cutting a piece copies no
+//! value. A batch of inserted rows is one `Rows` in schema order. The new
+//! values one UPDATE writes are one [`Block`] — its SET columns and a
+//! `Rows` over them, row `i` for its `i`-th victim — which the modified
+//! stable runs overlay.
 
-use vw_common::{ColData, Result, TypeId, Value};
+use vw_common::ColData;
 
-/// The new values of a modified stable row: `(column index, value)`
-/// pairs, each column at most once.
-pub type Mods = Vec<(usize, Value)>;
-
-/// Inserted rows as typed columns in schema order, each with its NULL
-/// mask — the `(&[ColData], &[Option<Vec<bool>>])` shape a bulk load
-/// appends. NULL lanes hold the type's safe default.
+/// Typed rows: columns each with its NULL mask — the
+/// `(&[ColData], &[Option<Vec<bool>>])` shape a bulk load appends. NULL
+/// lanes hold the type's safe default.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Rows {
-    /// One column per schema column, all of one length.
+    /// The columns, all of one length.
     pub cols: Vec<ColData>,
     /// Each column's NULL mask; `None`: no NULLs.
     pub nulls: Vec<Option<Vec<bool>>>,
@@ -28,25 +26,54 @@ impl Rows {
         self.cols.first().map_or(0, |c| c.len() as u64)
     }
 
-    /// One row of `values`, column `c` of type `types[c]`, a NULL value
-    /// as its type's safe default.
-    pub fn from_row(values: &[Value], types: impl IntoIterator<Item = TypeId>) -> Result<Rows> {
-        let column = |(v, ty)| {
-            let mut col = ColData::new(ty);
-            col.push_value(v).map(|_| col)
-        };
-        Ok(Rows {
-            cols: values.iter().zip(types).map(column).collect::<Result<_>>()?,
-            nulls: values.iter().map(|v| v.is_null().then(|| vec![true])).collect(),
-        })
+    /// One row whose `k`-th column is lane `i` of column `c` of `rows`,
+    /// for the `k`-th `(rows, c, i)` of `lanes`: typed single-lane copies.
+    pub fn gather<'a>(lanes: impl IntoIterator<Item = (&'a Rows, usize, u64)>) -> Rows {
+        let mut out = Rows::default();
+        for (rows, c, i) in lanes {
+            let i = i as usize;
+            let mut col = ColData::with_capacity(rows.cols[c].type_id(), 1);
+            col.extend_from_range(&rows.cols[c], i, i + 1);
+            out.cols.push(col);
+            out.nulls.push(rows.nulls[c].as_ref().filter(|m| m[i]).map(|_| vec![true]));
+        }
+        out
     }
 
-    /// Row `i` as values.
-    pub fn row(&self, i: usize) -> Vec<Value> {
-        let cell = |(c, m): (&ColData, &Option<Vec<bool>>)| match m {
-            Some(m) if m[i] => Value::Null,
-            _ => c.get_value(i),
-        };
-        self.cols.iter().zip(&self.nulls).map(cell).collect()
+    /// Append `more` below these rows: the same column types, or these
+    /// rows have no columns yet.
+    pub fn append(&mut self, more: Rows) {
+        if self.cols.is_empty() {
+            *self = more;
+            return;
+        }
+        let n = self.n_rows() as usize;
+        for (k, (col, mask)) in more.cols.into_iter().zip(more.nulls).enumerate() {
+            let added = col.len();
+            self.cols[k].extend_from_range(&col, 0, added);
+            match (&mut self.nulls[k], mask) {
+                (Some(a), Some(b)) => a.extend(b),
+                (Some(a), None) => a.resize(a.len() + added, false),
+                (a @ None, Some(b)) => *a = Some([vec![false; n], b].concat()),
+                (None, None) => {}
+            }
+        }
+    }
+}
+
+/// The new values of modified stable rows: typed rows over the schema
+/// columns `cols` (each at most once; `rows.cols[j]` is column `cols[j]`).
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Block {
+    /// The schema columns the block writes.
+    pub cols: Vec<usize>,
+    /// Their values, one row per modified row.
+    pub rows: Rows,
+}
+
+impl Block {
+    /// Where in `rows` schema column `col` is, if the block writes it.
+    pub fn find(&self, col: usize) -> Option<usize> {
+        self.cols.iter().position(|&c| c == col)
     }
 }

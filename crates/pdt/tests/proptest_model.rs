@@ -1,12 +1,14 @@
 //! Property test: the PDT image must match a naive Vec-based model under
 //! arbitrary positional update sequences — inserts as runs of rows,
-//! deletes and updates anywhere in a run — and serial transactions must
-//! compose like sequential application.
+//! deletes and updates anywhere in a run, updates of stable rows as
+//! overlays — and serial transactions must compose like sequential
+//! application.
 
 use proptest::prelude::*;
+use std::sync::Arc;
 use vw_common::{ColData, Value};
 use vw_pdt::treap::{for_each_piece, Piece};
-use vw_pdt::{PdtStore, Rows};
+use vw_pdt::{Block, PdtStore, Rows};
 
 /// The reference model: the visible image as a vector of rows, where each
 /// row is either an untouched stable row (Ok(sid)) or an inserted value
@@ -29,6 +31,9 @@ enum Action {
     Insert(u64, i64, i64),
     Delete(u64),
     Update(u64, i64),
+    /// Up to `len` rows from a position updated as one batch to `v`,
+    /// `v + 1`, …: one block that stable rows overlay as a run.
+    UpdateRun(u64, i64, i64),
 }
 
 /// A run of `len` inserted rows holding `v`, `v + 1`, ….
@@ -42,6 +47,8 @@ fn action_strategy() -> impl Strategy<Value = Action> {
             .prop_map(|(p, v, len)| Action::Insert(p, v, len)),
         any::<u64>().prop_map(Action::Delete),
         (any::<u64>(), any::<i64>()).prop_map(|(p, v)| Action::Update(p, v)),
+        (any::<u64>(), -1_000_000i64..1_000_000, 1i64..8)
+            .prop_map(|(p, v, len)| Action::UpdateRun(p, v, len)),
     ]
 }
 
@@ -50,18 +57,20 @@ fn flatten(store: &PdtStore, model: &Model) -> (Vec<Option<i64>>, Vec<Option<i64
     // modified value if modified, None otherwise; inserts yield Some(v).
     let (root, _, _) = store.snapshot();
     let mut pdt_side = Vec::new();
+    let value = |col: &ColData, r: u64| {
+        let Value::I64(v) = col.get_value(r as usize) else { panic!() };
+        Some(v)
+    };
     for_each_piece(&root, &mut |piece| match piece {
         // Untouched stable rows.
-        Piece::StableRun { len, .. } => pdt_side.extend((0..*len).map(|_| None)),
-        Piece::StableMod { mods, .. } => {
-            let Value::I64(v) = mods[0].1 else { panic!() };
-            pdt_side.push(Some(v));
+        Piece::StableRun { len, overlay: None, .. } => pdt_side.extend((0..*len).map(|_| None)),
+        // Modified stable rows: every update writes column 0.
+        Piece::StableRun { len, overlay: Some((block, start)), .. } => {
+            let col = &block.rows.cols[block.find(0).expect("column 0 modified")];
+            pdt_side.extend((*start..start + len).map(|r| value(col, r)));
         }
         Piece::Insert { rows, start, len, .. } => {
-            for r in *start..start + len {
-                let Value::I64(v) = rows.row(r as usize)[0] else { panic!() };
-                pdt_side.push(Some(v));
-            }
+            pdt_side.extend((*start..start + len).map(|r| value(&rows.cols[0], r)))
         }
     });
     let model_side = model
@@ -129,6 +138,23 @@ fn apply(
                     }
                 }
             }
+            Action::UpdateRun(pos, v, len) => {
+                let n = txn.n_rows();
+                if n == 0 {
+                    continue;
+                }
+                let pos = pos % n;
+                let rids: Vec<u64> = (pos..(pos + *len as u64).min(n)).collect();
+                let values: Vec<i64> = (0..rids.len() as i64).map(|k| v + k).collect();
+                let rows = Rows { cols: vec![ColData::I64(values.clone())], nulls: vec![None] };
+                txn.update_batch(&rids, Arc::new(Block { cols: vec![0], rows })).unwrap();
+                for (&rid, &x) in rids.iter().zip(&values) {
+                    match model.rows[rid as usize] {
+                        Ok(sid) => drop(model.mods.insert(sid, x)),
+                        Err(_) => model.rows[rid as usize] = Err(x),
+                    }
+                }
+            }
         }
         if (i + 1) % ops_per_txn == 0 {
             store.commit(std::mem::replace(&mut txn, store.begin())).unwrap();
@@ -187,7 +213,7 @@ proptest! {
         for_each_piece(&root, &mut |piece| {
             if let Piece::Insert { rows, start, len, .. } = piece {
                 for r in *start..start + len {
-                    let Value::I64(v) = rows.row(r as usize)[0] else { panic!() };
+                    let Value::I64(v) = rows.cols[0].get_value(r as usize) else { panic!() };
                     seen.push(v);
                 }
             }

@@ -1125,6 +1125,66 @@ fn inserted_rows_are_typed_runs() {
     assert!(checked > 60, "the walk found the crates ({checked} files)");
 }
 
+/// Modified rows are typed runs too, held at source level: the non-test
+/// source of `vw-pdt` names `Value` only inside the `Value`-taking
+/// adapters `insert_at` and `update_at`, the scan and the morsel
+/// dispenser name none, and no non-test source names the one-row modified
+/// piece, its `(column, Value)` pairs or the vector's one-lane overwrite.
+/// Names are spelled in halves so a grep for them finds nothing, this
+/// file included.
+#[test]
+fn modified_rows_are_typed_runs() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let code = |file: &std::path::Path| -> Vec<String> {
+        let text = std::fs::read_to_string(file).unwrap();
+        let non_test = text.lines().take_while(|l| !l.starts_with("#[cfg(test)]"));
+        non_test.filter(|l| !l.trim_start().starts_with("//")).map(str::to_string).collect()
+    };
+    let value = concat!("Val", "ue");
+    let mut pdt = Vec::new();
+    rust_files(&root.join("crates/pdt/src"), &mut pdt);
+    let mut adapters = 0;
+    for file in &pdt {
+        // Inside an adapter from its `pub fn` line to its closing brace.
+        let mut inside = false;
+        for line in code(file) {
+            if ["pub fn insert_at(", "pub fn update_at("].iter().any(|f| line.contains(f)) {
+                inside = true;
+                adapters += 1;
+            }
+            let at = file.display();
+            assert!(inside || !line.contains(value), "{at}: `{value}` in `{}`", line.trim());
+            inside &= line != "    }";
+        }
+    }
+    assert_eq!(adapters, 2, "both adapters found in {pdt:?}");
+    for file in ["crates/exec/src/op/scan.rs", "crates/exec/src/morsel.rs"] {
+        for line in code(&root.join(file)) {
+            assert!(!line.contains(value), "{file}: `{value}` in `{}`", line.trim());
+        }
+    }
+    let gone = [
+        concat!("Stable", "Mod"),
+        concat!("type ", "Mods"),
+        concat!("pub fn set(&mut self, i: usize, v: &", "Value)"),
+    ];
+    let mut files = Vec::new();
+    for dir in ["crates", "src", "examples"] {
+        rust_files(&root.join(dir), &mut files);
+    }
+    let non_test = |f: &&std::path::PathBuf| !f.components().any(|c| c.as_os_str() == "tests");
+    let mut checked = 0;
+    for file in files.iter().filter(non_test) {
+        for line in code(file) {
+            for name in gone {
+                assert!(!line.contains(name), "{}: `{name}` in `{}`", file.display(), line.trim());
+            }
+        }
+        checked += 1;
+    }
+    assert!(checked > 60, "the walk found the crates ({checked} files)");
+}
+
 /// The database has one published image (`catalog::publish`). No non-test
 /// source of `vw-core` reads a table's committed state anywhere else: no
 /// per-table storage lock, no per-scan read of a table's latest commit, no

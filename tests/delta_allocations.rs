@@ -2,9 +2,10 @@
 //! scan claims its rows from the pinned treap by position, so a point
 //! lookup or a point UPDATE whose zone maps rule out the packs holding
 //! the deltas allocates the same bytes at 10² and at 10⁴ live deltas. And
-//! an INSERT pays per vector of rows, not per row: each batch it inserts
-//! is one run of typed columns. A counting allocator, switched on for the
-//! current thread only, holds both.
+//! an INSERT or an UPDATE pays per vector of rows, not per row: each batch
+//! an INSERT inserts is one run of typed columns, and the rows an UPDATE
+//! writes are one typed block its overlaid stable runs share. A counting
+//! allocator, switched on for the current thread only, holds all three.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -142,6 +143,46 @@ fn an_insert_select_pays_per_vector_not_per_row() {
         for_each_piece(root, &mut |p| runs += matches!(p, Piece::Insert { .. }) as u64);
         let vectors = (n as u64).div_ceil(vector_size);
         assert!(runs <= vectors + 1, "{n} rows in {runs} insert pieces, {vectors} vectors");
+        per_size.push((vectors, allocations));
+    }
+    let [(v0, a0), (v1, a1)] = per_size[..] else { unreachable!() };
+    let per_vector = (a1 - a0.min(a1)) / (v1 - v0);
+    assert!(per_vector <= 40, "{a0} allocations at {v0} vectors, {a1} at {v1}");
+}
+
+/// `UPDATE t SET v = v + 1` over every row of a bulk-loaded table of
+/// three fixed-width columns writes one typed block: the stable rows it
+/// overlays stay runs — at most ⌈n / vector_size⌉ + 1 pieces, counted over
+/// the published image — and its allocation count grows with the vectors,
+/// not the rows.
+#[test]
+fn an_update_pays_per_vector_not_per_row() {
+    let db = Database::open_in_memory();
+    db.execute("SET dop = 1").unwrap();
+    db.execute("SET mem_budget = 0").unwrap();
+    let vector_size = db.config().vector_size as u64;
+    let mut per_size = Vec::new();
+    for n in [10_000i64, 100_000] {
+        db.execute(&format!("CREATE TABLE t{n} (k BIGINT NOT NULL, v BIGINT NOT NULL, d DOUBLE)"))
+            .unwrap();
+        let columns = [
+            ColData::I64((0..n).collect()),
+            ColData::I64((0..n).map(|k| k % 7).collect()),
+            ColData::F64((0..n).map(|k| k as f64).collect()),
+        ];
+        bulk_load(&db, &format!("t{n}"), &columns, &[None, None, None]).unwrap();
+        let update = format!("UPDATE t{n} SET v = v + 1");
+        let (r, (_, allocations)) = counted(|| db.execute(&update).unwrap());
+        assert_eq!(r.affected, n as u64);
+        let image = db.image().get(&format!("t{n}")).unwrap();
+        let TableKind::Vectorwise { root, .. } = &image.kind else { unreachable!() };
+        let mut pieces = 0u64;
+        for_each_piece(root, &mut |_| pieces += 1);
+        let vectors = (n as u64).div_ceil(vector_size);
+        assert!(pieces <= vectors + 1, "{n} rows in {pieces} pieces, {vectors} vectors");
+        let sum = format!("SELECT SUM(v) FROM t{n}");
+        let want = (0..n).map(|k| k % 7 + 1).sum::<i64>();
+        assert_eq!(db.execute(&sum).unwrap().rows(), &[vec![Value::I64(want)]]);
         per_size.push((vectors, allocations));
     }
     let [(v0, a0), (v1, a1)] = per_size[..] else { unreachable!() };
