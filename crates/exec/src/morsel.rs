@@ -171,9 +171,7 @@ impl MorselSource {
                 let from = start.saturating_sub(rid);
                 let len = (end - rid).min(piece.rows()) - from;
                 match piece {
-                    Piece::StableRun { .. } => {
-                        self.push_stable(out, rid + from, piece.slice(from, len))
-                    }
+                    Piece::StableRun { .. } => self.push_stable(out, rid, piece, from, len),
                     Piece::Insert { .. } => out.push((rid + from, piece.slice(from, len))),
                 }
                 rid + piece.rows() < end
@@ -182,30 +180,30 @@ impl MorselSource {
         true
     }
 
-    /// Push the rows of the stable run `run` (at `rid`) that every hint
-    /// keeps.
-    fn push_stable(&self, out: &mut Vec<(u64, Piece)>, rid: u64, run: Piece) {
+    /// Push the rows `from..from + len` of the stable run `run` (at
+    /// `rid`) that every hint keeps.
+    fn push_stable(&self, out: &mut Vec<(u64, Piece)>, rid: u64, run: &Piece, from: u64, len: u64) {
         let Some(p) = &self.prune else {
-            return push_run(out, rid, run);
+            return push_run(out, rid + from, run.slice(from, len));
         };
-        let Piece::StableRun { sid, len, overlay } = &run else { unreachable!("a stable run") };
+        let Piece::StableRun { sid, overlay, .. } = run else { unreachable!("a stable run") };
         let overlaid = |col: usize| overlay.as_ref().is_some_and(|(b, _)| b.find(col).is_some());
-        let mut off = 0;
-        while off < *len {
+        let (mut off, end) = (from, from + len);
+        while off < end {
             // The image addresses the generation pinned with it, so every
             // sid has a pack; one that has none is kept: the scan reports it.
-            let (end, keep) = match p.table.pack_of_row(sid + off) {
+            let (stop, keep) = match p.table.pack_of_row(sid + off) {
                 Some(pack) => {
                     let meta = p.table.pack(pack);
                     let pack_end = meta.row_start + meta.n_rows as u64 - sid;
-                    (pack_end.min(*len), p.hints.iter().all(|(c, keep)| keep[pack] || overlaid(*c)))
+                    (pack_end.min(end), p.hints.iter().all(|(c, keep)| keep[pack] || overlaid(*c)))
                 }
-                None => (*len, true),
+                None => (end, true),
             };
             if keep {
-                push_run(out, rid + off, run.slice(off, end - off));
+                push_run(out, rid + off, run.slice(off, stop - off));
             }
-            off = end;
+            off = stop;
         }
     }
 }
