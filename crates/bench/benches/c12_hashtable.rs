@@ -18,8 +18,14 @@
 //! The bulk CSR build (`JoinTable::build`) is swept over 8 k → 1 M
 //! rows, first call and warm, with allocated bytes per row, against the
 //! layout it replaced (reconstructed here: 16-byte slots, a cursor clone of
-//! the directory, one global histogram and scatter). This sweep is what
-//! picked `CSR_RANGE_ROWS`.
+//! the directory, one global histogram and scatter) and against the direct
+//! layout over unique dense keys (`JoinTable::build_direct`, no hash). This
+//! sweep is what picked `CSR_RANGE_ROWS`.
+//!
+//! Build and probe run for both layouts: the hashed table over the hashes
+//! of the build keys, and the direct one over the keys themselves (they
+//! are `n` draws from `0..2n`, which the byte rule admits), with the same
+//! zero-allocation proof for the direct probe loop.
 
 use criterion::{black_box, criterion_group, Criterion};
 use rand::rngs::SmallRng;
@@ -136,6 +142,16 @@ struct FlatSide {
     keys: Vec<Vector>,
 }
 
+/// The direct table over `keys`, as the join builds it: the range is the
+/// keys' own, tracked batch by batch.
+fn direct_build(keys: &[i64]) -> FlatSide {
+    let (lo, hi) = keys.iter().fold((i64::MAX, i64::MIN), |(l, h), &k| (l.min(k), h.max(k)));
+    assert!(JoinTable::fits_direct(keys.len(), lo, hi), "the byte rule admits the build");
+    let chunks: Vec<&[i64]> = keys.chunks(VECTOR).collect();
+    let table = JoinTable::build_direct(&chunks, lo, hi);
+    FlatSide { table, keys: vec![Vector::new(ColData::I64(keys.to_vec()))] }
+}
+
 fn flat_build(keys: &[i64]) -> FlatSide {
     let key_vec = vec![Vector::new(ColData::I64(keys.to_vec()))];
     let (mut lanes, mut hashes) = (Vec::new(), Vec::new());
@@ -160,7 +176,8 @@ struct Scratch {
 
 /// The vectorized probe loop over pre-chunked probe vectors; the counted /
 /// timed region is exactly what the operators run per batch — the fused
-/// single-column i64 kernel (`JoinTable::probe_join`) with reused scratch.
+/// single-column i64 kernel (`JoinTable::probe_join`, or
+/// `JoinTable::probe_direct` on a direct table) with reused scratch.
 fn flat_probe(side: &FlatSide, chunks: &[Vec<Vector>], s: &mut Scratch) -> u64 {
     let mut hits = 0u64;
     let build = side.keys[0].data.as_i64();
@@ -173,17 +190,29 @@ fn flat_probe(side: &FlatSide, chunks: &[Vec<Vector>], s: &mut Scratch) -> u64 {
         s.out_probe.clear();
         s.out_build.clear();
         let probe = chunk[0].data.as_i64();
-        side.table.probe_join(
-            n,
-            None,
-            true,
-            |p| hash_u64(probe[p] as u64),
-            |p, row| probe[p] == build[row as usize],
-            &mut s.matched_flags,
-            &mut s.out_probe,
-            &mut s.out_build,
-            &mut s.buf,
-        );
+        if side.table.is_direct() {
+            side.table.probe_direct(
+                n,
+                None,
+                true,
+                |p| probe[p],
+                &mut s.matched_flags,
+                &mut s.out_probe,
+                &mut s.out_build,
+            );
+        } else {
+            side.table.probe_join(
+                n,
+                None,
+                true,
+                |p| hash_u64(probe[p] as u64),
+                |p, row| probe[p] == build[row as usize],
+                &mut s.matched_flags,
+                &mut s.out_probe,
+                &mut s.out_build,
+                &mut s.buf,
+            );
+        }
         hits += s.out_probe.len() as u64;
     }
     hits
@@ -194,21 +223,25 @@ fn chunked(probe: &[i64]) -> Vec<Vec<Vector>> {
 }
 
 /// Acceptance check: after one warm-up pass, a full probe pass over 64
-/// batches must allocate nothing.
+/// batches must allocate nothing, in either layout.
 fn steady_state_alloc_check() {
     let n = 1 << 16;
     let build = build_keys(n, 1);
-    let side = flat_build(&build);
     let probe = probe_keys(64 * VECTOR, 2 * n as i64, 50, 2);
     let chunks = chunked(&probe);
-    let mut s = Scratch::default();
-    let warm = flat_probe(&side, &chunks, &mut s); // warm the scratch
-    let before = ALLOCS.load(Ordering::Relaxed);
-    let hits = flat_probe(&side, &chunks, &mut s);
-    let allocated = ALLOCS.load(Ordering::Relaxed) - before;
-    assert_eq!(hits, warm);
-    assert_eq!(allocated, 0, "steady-state vectorized probe loop must not allocate");
-    println!("steady-state probe allocations over 64 batches: {allocated} (OK)");
+    let hashed = flat_build(&build);
+    let mut expect = None;
+    for (layout, side) in [("hashed", hashed), ("direct", direct_build(&build))] {
+        let mut s = Scratch::default();
+        let warm = flat_probe(&side, &chunks, &mut s); // warm the scratch
+        let before = ALLOCS.load(Ordering::Relaxed);
+        let hits = flat_probe(&side, &chunks, &mut s);
+        let allocated = ALLOCS.load(Ordering::Relaxed) - before;
+        assert_eq!(hits, warm);
+        assert_eq!(*expect.get_or_insert(hits), hits, "{layout}: the layouts disagree");
+        assert_eq!(allocated, 0, "{layout}: steady-state probe loop must not allocate");
+        println!("steady-state {layout} probe allocations over 64 batches: {allocated} (OK)");
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -434,9 +467,15 @@ fn csr_build_sweep() {
         let hashes: Vec<u64> = (0..n as u64).map(|i| hash_u64(i ^ (n as u64) << 32)).collect();
         let (of, ow, ob) = time_build(&hashes, old_build_csr);
         let (nf, nw, nb) = time_build(&hashes, |h| JoinTable::build(&[h]));
+        // The same rows keyed by a permutation of `0..n` (7 919 is prime
+        // and divides no size here): one row per direct bucket.
+        let keys: Vec<i64> = (0..n as i64).map(|i| i * 7919 % n as i64).collect();
+        let (df, dw, db) =
+            time_build(&hashes, |_| JoinTable::build_direct(&[&keys[..]], 0, n as i64 - 1));
         println!(
             "  {n:>9} rows: old {of:>5.1} / {ow:>5.1}  {ob:>5.1} B/row   \
-             new {nf:>5.1} / {nw:>5.1}  {nb:>5.1} B/row   warm x{:.2}",
+             new {nf:>5.1} / {nw:>5.1}  {nb:>5.1} B/row   warm x{:.2}   \
+             direct {df:>5.1} / {dw:>5.1}  {db:>5.1} B/row",
             ow / nw
         );
     }
@@ -510,20 +549,28 @@ fn bench(c: &mut Criterion) {
         g.bench_function(format!("build_flat_{n}"), |b| {
             b.iter(|| black_box(flat_build(&build)).table.len())
         });
+        g.bench_function(format!("build_direct_{n}"), |b| {
+            b.iter(|| black_box(direct_build(&build)).table.len())
+        });
 
         let map = map_build(&build);
         let flat = flat_build(&build);
+        let direct = direct_build(&build);
         let mut s = Scratch::default();
         for &pct in &[95usize, 50, 5] {
             let probe = probe_keys(64 * VECTOR, 2 * n as i64, pct, 7);
             let chunks = chunked(&probe);
             let expect = map_probe(&map, &build, &probe);
             assert_eq!(flat_probe(&flat, &chunks, &mut s), expect, "probe results differ");
+            assert_eq!(flat_probe(&direct, &chunks, &mut s), expect, "probe results differ");
             g.bench_function(format!("probe_map_{n}_match{pct}"), |b| {
                 b.iter(|| black_box(map_probe(&map, &build, &probe)))
             });
             g.bench_function(format!("probe_flat_{n}_match{pct}"), |b| {
                 b.iter(|| black_box(flat_probe(&flat, &chunks, &mut s)))
+            });
+            g.bench_function(format!("probe_direct_{n}_match{pct}"), |b| {
+                b.iter(|| black_box(flat_probe(&direct, &chunks, &mut s)))
             });
         }
     }

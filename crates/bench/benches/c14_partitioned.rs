@@ -4,7 +4,10 @@
 //! pools of 1/2/4 workers, with the build side made once for the exchange
 //! (`SharedBuild`: `dop` sinks, one table set, `dop` probers) against the
 //! lowering it replaced, rebuilt here as the reference — every fragment a
-//! `HashJoin` that drains the whole build side for itself.
+//! `HashJoin` that drains the whole build side for itself. Its keys are
+//! spread over a sparse domain, so the shared build is the hashed one with
+//! a table per slot; a second row runs the same join on dense keys, whose
+//! build is one direct table.
 //!
 //! The kernel-level one: one `JoinTable` over 1 M build rows against
 //! `P = 4` tables over their radix partitions (what a shared build above
@@ -342,13 +345,24 @@ fn join_at(
 
 fn shared_vs_per_fragment_build() {
     let n = 200_000;
-    let build: Vec<i64> = (0..n as i64).collect();
-    let probe = gen_keys(n, n as i64, 21);
     println!(
         "200k x 200k join, ms (best of 15): build per fragment -> shared build \
          ({} hardware threads)",
         std::thread::available_parallelism().map_or(0, |n| n.get())
     );
+    // Sparse keys keep every build hashed; dense ones make it direct.
+    for (keys, scale) in [("sparse keys, hashed", 1_000_003), ("dense keys, direct", 1)] {
+        println!(" {keys}:");
+        let build: Vec<i64> = (0..n as i64).map(|k| k * scale).collect();
+        let probe: Vec<i64> = gen_keys(n, n as i64, 21).iter().map(|k| k * scale).collect();
+        join_at_every_dop(&build, &probe);
+    }
+}
+
+/// One line per pool size: the join at DOP 1, then at DOP 2 and 4 with a
+/// build per fragment and with the shared build.
+fn join_at_every_dop(build: &[i64], probe: &[i64]) {
+    let n = probe.len();
     let best = |f: &dyn Fn() -> usize| {
         (0..15)
             .map(|_| {
@@ -360,11 +374,11 @@ fn shared_vs_per_fragment_build() {
     };
     for workers in [1usize, 2, 4] {
         let pool = WorkerPool::new(workers);
-        let serial = best(&|| join_at(&pool, &build, &probe, 1, false));
+        let serial = best(&|| join_at(&pool, build, probe, 1, false));
         print!("  {workers} workers: dop 1 {serial:>6.2}");
         for dop in [2usize, 4] {
-            let each = best(&|| join_at(&pool, &build, &probe, dop, false));
-            let once = best(&|| join_at(&pool, &build, &probe, dop, true));
+            let each = best(&|| join_at(&pool, build, probe, dop, false));
+            let once = best(&|| join_at(&pool, build, probe, dop, true));
             print!("   dop {dop} {each:>6.2} -> {once:>6.2} (x{:.2})", each / once);
         }
         println!();

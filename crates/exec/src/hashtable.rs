@@ -22,20 +22,32 @@
 //!   integers already (a composite dictionary code, an integer key minus a
 //!   base): a zeroed code → group array, no hash, no chain.
 //! * [`JoinTable`] — hash join's: its whole build input is staged before
-//!   the first probe, so it is immutable and bulk-constructed
-//!   ([`JoinTable::build`]: histogram → prefix sum → scatter, no chain
-//!   phase at all, the directory its own scatter cursor; past a cache-sized
-//!   row count the rows are first split by the directory's top bits so
-//!   every pass works inside one window of it). The layout is
-//!   bucket-grouped and contiguous (CSR), so a probe is a short sequential
-//!   scan: a directory of `u32` offsets, one bloom byte per bucket, and
-//!   8-byte slots — a row id and the upper half of its hash (the lower half
-//!   *is* the bucket).
+//!   the first probe, so it is immutable and bulk-constructed (histogram →
+//!   prefix sum → scatter, no chain phase at all, the directory its own
+//!   scatter cursor). The layout is bucket-grouped and contiguous (CSR), so
+//!   a probe is a short sequential scan of a `u32` offsets directory's
+//!   bucket, in one of two layouts chosen per build from the data it holds:
+//!   - **hashed** ([`JoinTable::build`]): the bucket is the key hash's low
+//!     bits; one bloom byte per bucket, and 8-byte slots — a row id and the
+//!     upper half of its hash. Past a cache-sized row count the rows are
+//!     first split by the directory's top bits so every pass works inside
+//!     one window of it.
+//!   - **direct** ([`JoinTable::build_direct`]): one integer key column
+//!     (BIGINT, INT, SMALLINT, TINYINT, DATE) whose bucket is `key − lo`,
+//!     and 4-byte row ids. No hash, no bloom byte, no tag: a probe lane is
+//!     one subtract and one bounds check, and every row of its bucket
+//!     matches. The byte rule [`JoinTable::fits_direct`] takes it when the
+//!     key range does not overflow and its arrays are no larger than the
+//!     hashed table of the same rows — no knob, and never more memory.
 //!
-//! The tables store *only* hashes and links. Key and payload columns live in
-//! ordinary contiguous [`Vector`]s owned by the operator, indexed by row id
-//! — which is what makes the probe a gather over columnar data rather than
-//! a pointer chase through per-key heap nodes.
+//!   Either way a bucket holds its rows in ascending row id, so both
+//!   layouts emit the same pairs in the same order.
+//!
+//! The tables store *only* hashes and links (a direct one: row ids). Key
+//! and payload columns live in ordinary contiguous [`Vector`]s owned by the
+//! operator, indexed by row id — which is what makes the probe a gather
+//! over columnar data rather than a pointer chase through per-key heap
+//! nodes.
 //!
 //! Probing is fully vectorized: hash the whole key vector with the
 //! `vw_common::hash` kernels ([`hash_keys`]), gather hash-matching
@@ -44,8 +56,11 @@
 //! ([`keys_match_sel`] → `advance_matching`). Single-column keys take a
 //! fused, type-monomorphized fast path instead ([`JoinTable::probe_join`] /
 //! [`GroupTable::probe_groups`]) that stages hash → prefetch → scan across
-//! the whole vector. All scratch buffers are caller-owned and reused across
-//! batches, so the steady-state probe loop performs no allocations.
+//! the whole vector. A direct table's probe ([`JoinTable::probe_direct`])
+//! reads the keys instead of hashes; past a cache-sized directory it first
+//! prefetches every lane's bucket bounds, then its first row. All scratch
+//! buffers are caller-owned and reused across batches, so the steady-state
+//! probe loop performs no allocations.
 //!
 //! **Partitioned builds** (see [`crate::partition`]): one table is also the
 //! unit of radix sharding. The partition id is the *top* bits of the same
@@ -55,13 +70,17 @@
 //! `P`× smaller. They are never merged; probes split partition-wise by the
 //! same bits and run these same kernels against the owning table.
 //!
+//! A direct table is never partitioned: it is one table over every build
+//! row, and its probes take no router.
+//!
 //! **Grace-spilled builds** rehydrate through the same entry point:
 //! a spilled partition's rows are replayed from its spill file
 //! ([`crate::spill`]), their key hashes recomputed with [`hash_keys`]
 //! (hashing is a pure function of the key values, so rehydrated runs
 //! land in the same buckets), and the partition's table bulk-built with
-//! [`JoinTable::build`] exactly like any staged build. Nothing in this
-//! module knows whether its input ever touched disk.
+//! [`JoinTable::build`] exactly like any staged build (or, by the same
+//! byte rule, [`JoinTable::build_direct`]). Nothing in this module knows
+//! whether its input ever touched disk.
 
 use crate::primitives;
 use crate::vector::Vector;
@@ -434,20 +453,37 @@ impl DirectMap {
 const CSR_RANGE_ROWS: usize = 8192;
 
 /// Hash join's table: rows counting-sorted into bucket-grouped contiguous
-/// `slots` under a CSR `offsets` directory, built in one go over the whole
-/// build input and immutable afterwards.
+/// runs under a CSR `offsets` directory, built in one go over the whole
+/// build input and immutable afterwards — hashed or direct (see the module
+/// docs).
 #[derive(Debug, Clone)]
 pub struct JoinTable {
-    /// Bucket `b` owns `slots[offsets[b]..offsets[b + 1]]`.
+    /// Bucket `b` owns positions `offsets[b]..offsets[b + 1]` of the
+    /// layout's row array.
     offsets: Vec<u32>,
-    slots: Vec<Slot>,
-    /// Per-bucket 8-bit bloom tag (one bit per resident hash's high bits).
-    /// One byte per bucket keeps the array dense enough to stay
-    /// cache-resident, so most probe *misses* resolve without ever touching
-    /// the (much larger) offsets or slot arrays — the same trick behind
-    /// SwissTable control bytes and Vectorwise's bloom-filtered joins.
-    bloom: Vec<u8>,
-    mask: u64,
+    layout: TableLayout,
+}
+
+/// How a [`JoinTable`] maps a key to its bucket.
+#[derive(Debug, Clone)]
+enum TableLayout {
+    /// The bucket is the key hash's low bits; a slot keeps the upper half
+    /// of its row's hash for the compare that precedes the key compare.
+    Hashed {
+        slots: Vec<Slot>,
+        /// Per-bucket 8-bit bloom tag (one bit per resident hash's high
+        /// bits). One byte per bucket keeps the array dense enough to stay
+        /// cache-resident, so most probe *misses* resolve without ever
+        /// touching the (much larger) offsets or slot arrays — the same
+        /// trick behind SwissTable control bytes and Vectorwise's
+        /// bloom-filtered joins.
+        bloom: Vec<u8>,
+        mask: u64,
+    },
+    /// One integer key: bucket `b` holds the rows whose key is `lo + b`,
+    /// so every row of a probed bucket is a match — no hash, no bloom
+    /// byte, no tag, no key compare.
+    Direct { lo: i64, rows: Vec<u32> },
 }
 
 impl Default for JoinTable {
@@ -458,8 +494,8 @@ impl Default for JoinTable {
 }
 
 impl JoinTable {
-    /// Bulk-build the table from a complete hash array that arrives in
-    /// pieces (the per-worker stages of a shared build; one piece for a
+    /// Bulk-build the hashed table from a complete hash array that arrives
+    /// in pieces (the per-worker stages of a shared build; one piece for a
     /// build with one sink): row ids number the chunks' hashes
     /// consecutively, in chunk order.
     ///
@@ -537,22 +573,83 @@ impl JoinTable {
                 );
             }
         }
-        JoinTable { offsets, slots, bloom, mask }
+        JoinTable { offsets, layout: TableLayout::Hashed { slots, bloom, mask } }
+    }
+
+    /// Whether a build of `rows` rows of one integer key spanning
+    /// `lo..=hi` takes the direct layout: `hi − lo` does not overflow and
+    /// the direct arrays — `4·(range + 1)` bytes of offsets and `4·rows` of
+    /// row ids — are no larger than the hashed table of the same rows
+    /// (`5·directory` bytes of offsets and bloom tags, `8·rows` of slots).
+    /// So a direct table never needs more memory than the one it replaces.
+    pub fn fits_direct(rows: usize, lo: i64, hi: i64) -> bool {
+        let Some(range) = hi.checked_sub(lo).filter(|&r| r >= 0 && rows > 0) else {
+            return false;
+        };
+        let (rows, range) = (rows as u128, range as u128);
+        4 * (range + 1) + 4 * rows <= 5 * directory_size(rows as usize) as u128 + 8 * rows
+    }
+
+    /// Bulk-build the direct table over the keys of a build of one integer
+    /// key, arriving in pieces like [`JoinTable::build`]'s hashes, every
+    /// key within `lo..=hi` (which [`JoinTable::fits_direct`] admitted).
+    /// The same histogram → prefix sum → scatter, bucket `key − lo`, so a
+    /// bucket holds its rows in ascending order, as a hashed one does.
+    ///
+    /// # Panics
+    /// At `u32::MAX` rows or more, like [`JoinTable::build`].
+    pub fn build_direct<T: Copy + Into<i64>>(chunks: &[&[T]], lo: i64, hi: i64) -> JoinTable {
+        let n: usize = chunks.iter().map(|c| c.len()).sum();
+        assert!(n < EMPTY as usize, "a hash table holds at most u32::MAX - 1 rows");
+        let buckets = (hi as i128 - lo as i128 + 1) as usize;
+        let bucket = |k: T| (k.into() as u64).wrapping_sub(lo as u64) as usize;
+        let mut offsets = vec![0u32; buckets + 1];
+        for &k in chunks.iter().flat_map(|c| c.iter()) {
+            offsets[bucket(k) + 1] += 1;
+        }
+        let mut filled = 0u32;
+        for o in &mut offsets[1..] {
+            filled += std::mem::replace(o, filled);
+        }
+        let mut rows = vec![0u32; n];
+        for (&k, row) in chunks.iter().flat_map(|c| c.iter()).zip(0u32..) {
+            let cursor = &mut offsets[bucket(k) + 1];
+            rows[*cursor as usize] = row;
+            *cursor += 1;
+        }
+        JoinTable { offsets, layout: TableLayout::Direct { lo, rows } }
+    }
+
+    /// Is this the direct layout?
+    pub fn is_direct(&self) -> bool {
+        matches!(self.layout, TableLayout::Direct { .. })
     }
 
     /// Number of build rows.
     pub fn len(&self) -> usize {
-        self.slots.len()
+        match &self.layout {
+            TableLayout::Hashed { slots, .. } => slots.len(),
+            TableLayout::Direct { rows, .. } => rows.len(),
+        }
     }
 
     /// True for a table of no rows.
     pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
+        self.len() == 0
     }
 
+    /// The hashed layout's arrays: slots, bloom tags and bucket mask.
+    ///
+    /// # Panics
+    /// On a direct table, which no hash reaches.
     #[inline]
-    fn bucket(&self, h: u64) -> usize {
-        (h & self.mask) as usize
+    fn hashed(&self) -> (&[Slot], &[u8], u64) {
+        match &self.layout {
+            TableLayout::Hashed { slots, bloom, mask } => (slots, bloom, *mask),
+            TableLayout::Direct { .. } => {
+                panic!("a direct join table is probed by key, not by hash")
+            }
+        }
     }
 
     /// Gather each selected lane's first *hash-matching* slot by scanning
@@ -566,17 +663,18 @@ impl JoinTable {
         cand: &mut Vec<u32>,
         active: &mut SelVec,
     ) {
+        let (slots, _, mask) = self.hashed();
         if cand.len() < hashes.len() {
             cand.resize(hashes.len(), EMPTY);
         }
         sel.retain_from(
             |p| {
                 let h = hashes[p];
-                let b = self.bucket(h);
+                let b = (h & mask) as usize;
                 let end = self.offsets[b + 1] as usize;
                 let mut i = self.offsets[b] as usize;
                 while i < end {
-                    if self.slots[i].tag == tag_of(h) {
+                    if slots[i].tag == tag_of(h) {
                         cand[p] = i as u32;
                         return true;
                     }
@@ -598,13 +696,14 @@ impl JoinTable {
         cand: &mut [u32],
         out: &mut SelVec,
     ) {
+        let (slots, _, mask) = self.hashed();
         sel.retain_from(
             |p| {
                 let h = hashes[p];
-                let end = self.offsets[self.bucket(h) + 1] as usize;
+                let end = self.offsets[(h & mask) as usize + 1] as usize;
                 let mut i = cand[p] as usize + 1;
                 while i < end {
-                    if self.slots[i].tag == tag_of(h) {
+                    if slots[i].tag == tag_of(h) {
                         cand[p] = i as u32;
                         return true;
                     }
@@ -620,11 +719,12 @@ impl JoinTable {
     /// lanes: `rows[p]` receives the row id behind `cand[p]`. Key comparison
     /// and output assembly index build columns by row id.
     pub fn candidate_rows(&self, cand: &[u32], sel: &SelVec, rows: &mut Vec<u32>) {
+        let (slots, _, _) = self.hashed();
         if rows.len() < cand.len() {
             rows.resize(cand.len(), EMPTY);
         }
         for p in sel.iter() {
-            rows[p] = self.slots[cand[p] as usize].row;
+            rows[p] = slots[cand[p] as usize].row;
         }
     }
 
@@ -684,17 +784,18 @@ impl JoinTable {
                 out_build.push($row);
             }};
         }
-        if self.slots.len() <= SMALL_TABLE {
+        let (slots, bloom, mask) = self.hashed();
+        if slots.len() <= SMALL_TABLE {
             macro_rules! lane {
                 ($p:expr) => {{
                     let p = $p;
                     let h = hash_of(p);
-                    let b = self.bucket(h);
-                    if self.bloom[b] & bloom_bit(h) != 0 {
+                    let b = (h & mask) as usize;
+                    if bloom[b] & bloom_bit(h) != 0 {
                         let end = self.offsets[b + 1] as usize;
                         let mut i = self.offsets[b] as usize;
                         while i < end {
-                            let slot = self.slots[i];
+                            let slot = slots[i];
                             if slot.tag == tag_of(h) && key_eq(p, slot.row) {
                                 emit!(p, slot.row, break);
                             }
@@ -713,7 +814,7 @@ impl JoinTable {
                     let end = buf.ends[p] as usize;
                     let mut i = buf.cand[p] as usize;
                     while i < end {
-                        let slot = self.slots[i];
+                        let slot = slots[i];
                         if slot.tag == tag_of(h) && key_eq(p, slot.row) {
                             emit!(p, slot.row, break);
                         }
@@ -723,6 +824,95 @@ impl JoinTable {
             }
             for_lanes!(lane);
         }
+    }
+
+    /// The direct table's probe, the counterpart of
+    /// [`JoinTable::probe_join`]: `key_of` reads lane `p`'s key as `i64`
+    /// (monomorphized per probe type), and a lane is one subtract and one
+    /// bounds check from its bucket, every row of which matches — no hash,
+    /// no bloom test, no key compare. Matches set `matched_flags[p]` and,
+    /// under `emit_all`, append the `(probe lane, build row)` pairs in
+    /// ascending row order; `sel = None` probes all `n` lanes.
+    ///
+    /// # Panics
+    /// On a hashed table.
+    #[inline]
+    #[allow(clippy::too_many_arguments)]
+    pub fn probe_direct<K: FnMut(usize) -> i64>(
+        &self,
+        n: usize,
+        sel: Option<&SelVec>,
+        emit_all: bool,
+        mut key_of: K,
+        matched_flags: &mut [bool],
+        out_probe: &mut Vec<u32>,
+        out_build: &mut Vec<u32>,
+    ) {
+        let TableLayout::Direct { lo, rows } = &self.layout else {
+            panic!("a hashed join table is probed by hash, not by key");
+        };
+        let (lo, last) = (*lo as u64, self.offsets.len() as u64 - 2);
+        macro_rules! for_lanes {
+            ($lane:ident) => {
+                match sel {
+                    None => {
+                        for p in 0..n {
+                            $lane!(p);
+                        }
+                    }
+                    Some(s) => {
+                        for p in s.iter() {
+                            $lane!(p);
+                        }
+                    }
+                }
+            };
+        }
+        if self.offsets.len() > SMALL_TABLE {
+            // Past the cache: prefetch every lane's bucket bounds, then
+            // (pairs only) its first row, before any lane reads them.
+            macro_rules! bounds {
+                ($p:expr) => {{
+                    let b = (key_of($p) as u64).wrapping_sub(lo);
+                    if b <= last {
+                        prefetch(&self.offsets[b as usize]);
+                    }
+                }};
+            }
+            for_lanes!(bounds);
+            if emit_all {
+                macro_rules! first_row {
+                    ($p:expr) => {{
+                        let b = (key_of($p) as u64).wrapping_sub(lo);
+                        if b <= last {
+                            prefetch(
+                                &rows[(self.offsets[b as usize] as usize).min(rows.len() - 1)],
+                            );
+                        }
+                    }};
+                }
+                for_lanes!(first_row);
+            }
+        }
+        macro_rules! lane {
+            ($p:expr) => {{
+                let p = $p;
+                let b = (key_of(p) as u64).wrapping_sub(lo);
+                if b <= last {
+                    let (start, end) = (self.offsets[b as usize], self.offsets[b as usize + 1]);
+                    if start < end {
+                        matched_flags[p] = true;
+                        if emit_all {
+                            for &row in &rows[start as usize..end as usize] {
+                                out_probe.push(p as u32);
+                                out_build.push(row);
+                            }
+                        }
+                    }
+                }
+            }};
+        }
+        for_lanes!(lane);
     }
 
     /// Probe staging: hash every lane, bloom-test every lane on the dense
@@ -738,21 +928,22 @@ impl JoinTable {
         hash_of: &mut H,
         buf: &mut ProbeBuf,
     ) {
+        let (slots, bloom, mask) = self.hashed();
         buf.ensure(n);
         macro_rules! hash_lane {
             ($p:expr) => {{
                 let p = $p;
                 let h = hash_of(p);
                 buf.hashes[p] = h;
-                prefetch(&self.bloom[self.bucket(h)]);
+                prefetch(&bloom[(h & mask) as usize]);
             }};
         }
         macro_rules! bloom_lane {
             ($p:expr) => {{
                 let p = $p;
                 let h = buf.hashes[p];
-                let b = self.bucket(h);
-                if self.bloom[b] & bloom_bit(h) != 0 {
+                let b = (h & mask) as usize;
+                if bloom[b] & bloom_bit(h) != 0 {
                     buf.cand[p] = b as u32;
                     buf.ends[p] = 1; // marker: range to be resolved
                     prefetch(&self.offsets[b]);
@@ -772,7 +963,7 @@ impl JoinTable {
                     buf.cand[p] = start;
                     buf.ends[p] = end;
                     if start != end {
-                        prefetch(&self.slots[start as usize]);
+                        prefetch(&slots[start as usize]);
                     }
                 }
             }};
@@ -1497,11 +1688,83 @@ mod tests {
             ] {
                 assert_eq!(t.len(), n);
                 assert_eq!(t.offsets, offsets, "{n} rows");
-                assert_eq!(t.slots, slots, "{n} rows");
-                assert_eq!(t.bloom, bloom, "{n} rows");
+                assert_eq!(t.hashed().0, slots, "{n} rows");
+                assert_eq!(t.hashed().1, bloom, "{n} rows");
             }
         }
         assert!(JoinTable::default().is_empty());
+    }
+
+    #[test]
+    fn the_direct_layout_takes_a_build_no_larger_than_its_hashed_table() {
+        // 4·(range + 1) + 4·n against 5·directory(n) + 8·n.
+        assert!(JoinTable::fits_direct(1, 7, 7));
+        assert!(JoinTable::fits_direct(200_000, 1, 200_000));
+        assert!(JoinTable::fits_direct(200_000, -400_000, 400_000));
+        assert!(!JoinTable::fits_direct(200_000, 0, 1_000_000));
+        // directory(4 724) = 16 384: 81 920 + 37 792 bytes hashed.
+        assert!(!JoinTable::fits_direct(4_724, 1, 50_000));
+        assert!(JoinTable::fits_direct(4_724, 1, 20_000));
+        assert!(!JoinTable::fits_direct(0, 0, 0), "an empty build stays hashed");
+        assert!(!JoinTable::fits_direct(2, i64::MIN, i64::MAX), "the range overflows");
+        assert!(!JoinTable::fits_direct(2, -1, i64::MAX), "the range overflows");
+        assert!(!JoinTable::fits_direct(2, i64::MAX - 100, i64::MAX), "sparse, not overflowing");
+        assert!(JoinTable::fits_direct(2, i64::MAX - 1, i64::MAX));
+    }
+
+    #[test]
+    fn a_direct_build_groups_rows_by_key_in_ascending_order_across_chunks() {
+        let keys: Vec<i32> = vec![5, -2, 5, 3, -2, 5, 9];
+        let t = JoinTable::build_direct(&[&keys[..3], &[], &keys[3..]], -2, 9);
+        assert!(t.is_direct() && t.len() == 7);
+        // Buckets -2..=9: -2 → rows 1, 4; 3 → 3; 5 → 0, 2, 5; 9 → 6.
+        let TableLayout::Direct { lo, rows } = &t.layout else { unreachable!() };
+        assert_eq!((*lo, rows.as_slice()), (-2, &[1, 4, 3, 0, 2, 5, 6][..]));
+        let mut want = vec![0u32; 13];
+        for (b, end) in [(0, 2), (5, 3), (7, 6), (11, 7)] {
+            want[b + 1..].iter_mut().for_each(|o| *o = end);
+        }
+        assert_eq!(t.offsets, want);
+        assert!(!JoinTable::build(&[&[1, 2]]).is_direct());
+    }
+
+    #[test]
+    fn the_direct_probe_finds_what_the_hashed_probe_finds_in_the_same_order() {
+        let build: Vec<i64> = (0..3000).map(|i| (i * 7919) % 1000 - 300).collect();
+        let probe: Vec<i64> = (0..2048).map(|i| (i * 104_729) % 1400 - 500).collect();
+        let hashes: Vec<u64> = build.iter().map(|&k| hash_u64(k as u64)).collect();
+        let (lo, hi) = (-300, 699);
+        assert!(JoinTable::fits_direct(build.len(), lo, hi));
+        let direct = JoinTable::build_direct(&[&build[..1000], &build[1000..]], lo, hi);
+        let hashed = JoinTable::build(&[&hashes]);
+        // Every other lane, so both the dense and the selected loop run.
+        let sel = SelVec::from_positions((0..2048).step_by(2).collect());
+        for (emit_all, sel) in [(true, None), (false, None), (true, Some(&sel))] {
+            let run = |direct_layout: bool| {
+                let mut flags = vec![false; probe.len()];
+                let (mut op, mut ob, mut buf) = (Vec::new(), Vec::new(), ProbeBuf::default());
+                if direct_layout {
+                    let key = |p: usize| probe[p];
+                    direct.probe_direct(2048, sel, emit_all, key, &mut flags, &mut op, &mut ob);
+                } else {
+                    hashed.probe_join(
+                        2048,
+                        sel,
+                        emit_all,
+                        |p| hash_u64(probe[p] as u64),
+                        |p, row| probe[p] == build[row as usize],
+                        &mut flags,
+                        &mut op,
+                        &mut ob,
+                        &mut buf,
+                    );
+                }
+                (flags, op, ob)
+            };
+            let want = run(false);
+            assert!(want.1.len() > 1000 || !emit_all, "{} pairs", want.1.len());
+            assert_eq!(run(true), want, "emit_all {emit_all}, sel {}", sel.is_some());
+        }
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! Vectorized hash join over the bulk-built CSR hash table.
+//! Vectorized hash join over the bulk-built CSR join table, hashed or
+//! direct.
 //!
 //! **Build** (right child) and **probe** (left child) are two halves that
 //! meet in one immutable value, the [`JoinBuild`].
@@ -9,13 +10,23 @@
 //! [`RadixRouter`] (at `P = 1` nothing is routed) and appended to the
 //! owning slot's contiguous vectors straight from the batch, each column
 //! once (a bare-column key *is* its payload column; ungoverned semi and
-//! anti joins stage no payload at all). When the last sink has deposited
-//! its slots, the finalize work is cut into units — one table per slot
-//! (or a single one below the cost gate), bulk-built by
-//! [`JoinTable::build`] over the sinks' hashes, and one concatenation of
-//! the slots per build column — and whichever sink is free claims the
-//! next unit; the one that finishes the last unit publishes the
-//! [`JoinBuild`] and wakes whoever waits for it.
+//! anti joins stage no payload at all). A build on one integer key stages
+//! no hashes — it hashes only to route — and tracks its keys' range
+//! instead. When the last sink has deposited its slots, the build picks
+//! its table's layout by [`JoinTable::fits_direct`]'s byte rule, from the
+//! key type, the row count and the key range alone, and the finalize work
+//! is cut into units:
+//! - **hashed**: one table per slot (or a single one below the cost gate),
+//!   bulk-built by [`JoinTable::build`] over the sinks' hashes (a build on
+//!   one integer key hashes its staged keys here), and one concatenation
+//!   of the slots per build column;
+//! - **direct**: one table over the slot-major rows, never fanned out,
+//!   bulk-built by [`JoinTable::build_direct`] over the staged keys, which
+//!   the same unit concatenates into the key column when the join emits
+//!   it; and one concatenation per other build column.
+//!
+//! Whichever sink is free claims the next unit; the one that finishes the
+//! last unit publishes the [`JoinBuild`] and wakes whoever waits for it.
 //!
 //! Under the query's memory budget the build is built the same way and
 //! charges the budget what its sinks hold resident. A build is resident
@@ -38,14 +49,17 @@
 //! thread: a sink with nothing to claim yet, and a fragment whose build is
 //! not published yet, report `Blocked` and are woken.
 //!
-//! **Probe** is vector-at-a-time. Against a single table the fused
-//! per-type kernel hashes, walks and compares in one pass per lane;
-//! against `P` tables the batch is hashed once, split by the build's radix
-//! bits into the prober's own per-slot `SelVec`s, and the same kernels run
-//! slot-wise with slot-local row ids rebased onto the concatenated build
-//! columns, so output assembly is the same either way. All probe scratch
-//! is per operator and reused across batches: the steady-state loop
-//! allocates nothing.
+//! **Probe** is vector-at-a-time. Against a direct table a lane is one
+//! subtract and one bounds check, and every row of its bucket matches (a
+//! probe key of another integer type is read as `i64`, an RLE-coded one
+//! by value). Against a single hashed table the fused per-type kernel
+//! hashes, walks and compares in one pass per lane; against `P` tables the
+//! batch is hashed once, split by the build's radix bits into the prober's
+//! own per-slot `SelVec`s, and the same kernels run slot-wise with
+//! slot-local row ids rebased onto the concatenated build columns, so
+//! output assembly is the same either way. All probe scratch is per
+//! operator and reused across batches: the steady-state loop allocates
+//! nothing.
 //!
 //! **Deferred phase** (builds that overflowed): a prober diverts every
 //! non-NULL lane to its *own* routed spill, on the build's stratum and
@@ -53,8 +67,9 @@
 //! input is exhausted it replays each probe partition against the
 //! partition's shared, read-only build files through an inner `HashJoin`
 //! — same keys, same join type, the next hash-bit stratum, the same
-//! budget — i.e. this component one level down. Workers do not wait for
-//! each other: grace works at any DOP with no barrier beyond the publish.
+//! budget — i.e. this component one level down, whose partition build picks
+//! its own layout by the same rule. Workers do not wait for each other:
+//! grace works at any DOP with no barrier beyond the publish.
 //!
 //! Supports inner, left outer, left semi, left anti, and the **NULL-aware
 //! left anti join** that gives `NOT IN` its treacherous SQL semantics — the
@@ -207,17 +222,34 @@ fn presized(ty: TypeId, rows: usize) -> Vector {
 struct JoinStage {
     /// One vector per [`StageLayout::tys`].
     vecs: Vec<Vector>,
+    /// The rows' key hashes — none for a build on one integer key, whose
+    /// table is likely direct and reads the keys themselves (see
+    /// [`JoinStage::hash_keys`]).
     hashes: Vec<u64>,
     /// Approximate staged bytes (maintained for governed builds only).
     bytes: usize,
 }
 
 impl JoinStage {
-    fn new(tys: &[TypeId], rows: usize) -> JoinStage {
+    fn new(tys: &[TypeId], rows: usize, hashed: bool) -> JoinStage {
         JoinStage {
             vecs: tys.iter().map(|&t| presized(t, rows)).collect(),
-            hashes: Vec::with_capacity(rows),
+            hashes: Vec::with_capacity(if hashed { rows } else { 0 }),
             bytes: 0,
+        }
+    }
+
+    /// Rows staged (the keys come first and are always staged).
+    fn rows(&self) -> usize {
+        self.vecs[0].len()
+    }
+
+    /// Hash the staged keys of a stage that kept no hashes, once they are
+    /// needed after all: its build turned out hashed, or it goes to disk.
+    fn hash_keys(&mut self, n_keys: usize) {
+        if self.hashes.len() < self.rows() {
+            let (keys, mut lanes) = (&self.vecs[..n_keys], Vec::new());
+            hashtable::hash_keys(keys, self.rows(), false, &mut lanes, &mut self.hashes);
         }
     }
 
@@ -228,7 +260,7 @@ impl JoinStage {
     fn append<'a>(
         &mut self,
         srcs: impl Iterator<Item = &'a Vector>,
-        hashes: &[u64],
+        hashes: Option<&[u64]>,
         sel: &SelVec,
         dense: bool,
         charge: bool,
@@ -243,6 +275,7 @@ impl JoinStage {
                 dst.extend_gather_sel(src, sel);
             }
         }
+        let Some(hashes) = hashes else { return };
         if charge {
             self.bytes += sel.len() * 8;
         }
@@ -256,9 +289,10 @@ impl JoinStage {
     /// Write the staged rows through `spill` — their build columns, routed
     /// by their hashes — and free them, keeping the typed layout.
     fn spill_to(&mut self, layout: &StageLayout, spill: &mut RoutedSpill) -> Result<()> {
-        if self.hashes.is_empty() {
+        if self.rows() == 0 {
             return Ok(());
         }
+        self.hash_keys(layout.n_keys);
         spill.push(&layout.payload(&self.vecs), &self.hashes, None)?;
         for v in &mut self.vecs {
             *v = Vector::new(ColData::new(v.type_id()));
@@ -349,6 +383,10 @@ impl JoinBuild {
 enum Unit {
     /// Bulk-build table `idx` over these hash runs, in order.
     Table { idx: usize, hashes: Vec<Vec<u64>> },
+    /// Bulk-build the one direct table over the resident stages' key
+    /// vectors, of `rows` rows spanning `lo..=hi`, in table order — and
+    /// concatenate them into the key column when the join emits it.
+    Direct { keys: Vec<Vector>, rows: usize, lo: i64, hi: i64 },
     /// Concatenate the resident stages' vector `at`, in table order, into
     /// the build's, of `rows` rows.
     Column { at: usize, pieces: Vec<Vector>, rows: usize },
@@ -368,6 +406,9 @@ struct Held {
     charge: Option<Charge>,
     /// Where this sink's rows go once the build overflowed.
     spill: Option<RoutedSpill>,
+    /// The smallest and largest resident key of a build on one integer
+    /// key (`lo > hi`: none yet).
+    range: (i64, i64),
 }
 
 struct BuildState {
@@ -495,14 +536,16 @@ impl SharedBuild {
         let mut per_slot = rows / self.sinks / self.slots.max(1).next_power_of_two();
         per_slot += per_slot / 8;
         let router = RadixRouter::new(self.slots);
-        let stages = (0..router.partitions()).map(|_| JoinStage::new(tys, per_slot)).collect();
+        let hashed = !self.integer_key();
+        let stages =
+            (0..router.partitions()).map(|_| JoinStage::new(tys, per_slot, hashed)).collect();
         let charge = self.spill.as_ref().map(|cfg| Charge::new(cfg.budget.clone()));
         BuildSink {
             build: self.clone(),
             input,
             deps,
             router,
-            held: Some(Held { stages, charge, spill: None }),
+            held: Some(Held { stages, charge, spill: None, range: NO_KEYS }),
             has_null_key: false,
             rows_in: 0,
             pool: VectorPool::new(),
@@ -668,19 +711,23 @@ impl SharedBuild {
         }
         // [sink][slot]
         let mut stages: Vec<Vec<JoinStage>> = Vec::with_capacity(held.len());
+        let (mut lo, mut hi) = NO_KEYS;
         for h in held {
             if let (Some(all), Some(c)) = (&mut build._charge, h.charge) {
                 all.absorb(c);
             }
+            (lo, hi) = (lo.min(h.range.0), hi.max(h.range.1));
             stages.push(h.stages);
         }
         let slots = stages[0].len();
         let slot_rows: Vec<usize> =
-            (0..slots).map(|si| stages.iter().map(|own| own[si].hashes.len()).sum()).collect();
+            (0..slots).map(|si| stages.iter().map(|own| own[si].rows()).sum()).collect();
         let rows: usize = slot_rows.iter().sum();
         check_build_rows(rows as u64, MAX_BUILD_ROWS)?;
 
-        let fan_out = slots > 1 && rows >= self.min_rows;
+        // A direct table is one table over every row: nothing to fan out.
+        let direct = self.integer_key() && JoinTable::fits_direct(rows, lo, hi);
+        let fan_out = !direct && slots > 1 && rows >= self.min_rows;
         let table_rows = if fan_out { slot_rows } else { vec![rows] };
         let mut base = 0u32;
         for &n in &table_rows {
@@ -694,19 +741,30 @@ impl SharedBuild {
         for si in 0..slots {
             for own in &mut stages {
                 let stage = &mut own[si];
-                if !stage.hashes.is_empty() {
-                    hashes[if fan_out { si } else { 0 }].push(std::mem::take(&mut stage.hashes));
+                if stage.rows() > 0 {
+                    if !direct {
+                        // Hashed after all: a build on one integer key
+                        // hashes its keys here.
+                        stage.hash_keys(self.layout.n_keys);
+                        hashes[if fan_out { si } else { 0 }]
+                            .push(std::mem::take(&mut stage.hashes));
+                    }
                     for (pieces, v) in pieces.iter_mut().zip(stage.vecs.drain(..)) {
                         pieces.push(v);
                     }
                 }
             }
         }
-        let columns = pieces.into_iter().enumerate();
+        let mut columns = pieces.into_iter().enumerate();
+        // A direct table reads the keys, and ignores the staged hashes.
+        let keys = direct.then(|| columns.next().expect("one key column").1);
         st.units = columns.map(|(at, pieces)| Unit::Column { at, pieces, rows }).collect();
-        st.units.extend(
-            hashes.into_iter().enumerate().map(|(idx, hashes)| Unit::Table { idx, hashes }),
-        );
+        match keys {
+            Some(keys) => st.units.push(Unit::Direct { keys, rows, lo, hi }),
+            None => st.units.extend(
+                hashes.into_iter().enumerate().map(|(idx, hashes)| Unit::Table { idx, hashes }),
+            ),
+        }
         st.unfinished = st.units.len();
         st.assembling = Some(build);
         Ok(false)
@@ -729,35 +787,28 @@ impl SharedBuild {
                 None => return Ok(Step::Done),
             }
         };
-        enum Built {
-            Table(usize, JoinTable),
-            Column(usize, Vector),
-        }
-        let built = match unit {
+        let (table, column) = match unit {
             Unit::Table { idx, hashes } => {
                 let runs: Vec<&[u64]> = hashes.iter().map(Vec::as_slice).collect();
-                Built::Table(idx, JoinTable::build(&runs))
+                (Some((idx, JoinTable::build(&runs))), None)
             }
-            // One stage holds it all (every P = 1 build of one sink): its
-            // vectors are the build columns, nothing is copied.
-            Unit::Column { at, mut pieces, .. } if pieces.len() == 1 => {
-                Built::Column(at, pieces.pop().expect("one piece"))
+            Unit::Direct { keys, rows, lo, hi } => {
+                let table = direct_table(&keys, lo, hi);
+                // A semi or anti join reads the table alone.
+                let emitted = self.layout.payload_at.contains(&0);
+                (Some((0, table)), emitted.then(|| (0, self.concat(0, keys, rows))))
             }
-            Unit::Column { at, pieces, rows } => {
-                let mut all = presized(self.layout.tys[at], rows);
-                for piece in pieces {
-                    all.extend_range(&piece, 0, piece.len()); // and the piece is freed
-                }
-                Built::Column(at, all)
-            }
+            Unit::Column { at, pieces, rows } => (None, Some((at, self.concat(at, pieces, rows)))),
         };
         {
             let mut st = self.lock();
             // A failure meanwhile dropped the build under assembly.
             let Some(build) = &mut st.assembling else { return Ok(Step::Done) };
-            match built {
-                Built::Table(idx, table) => build.tables[idx] = table,
-                Built::Column(at, column) => build.staged[at] = column,
+            if let Some((idx, table)) = table {
+                build.tables[idx] = table;
+            }
+            if let Some((at, column)) = column {
+                build.staged[at] = column;
             }
             st.unfinished -= 1;
             if st.unfinished > 0 {
@@ -769,6 +820,86 @@ impl SharedBuild {
         }
         self.wake_all(true);
         Ok(Step::Done)
+    }
+
+    /// Staged vector `at` of the whole build: `pieces`, of `rows` rows in
+    /// all, in table order. One stage holds it all in every P = 1 build of
+    /// one sink: its vector is the build column, nothing is copied.
+    fn concat(&self, at: usize, mut pieces: Vec<Vector>, rows: usize) -> Vector {
+        if pieces.len() == 1 {
+            return pieces.pop().expect("one piece");
+        }
+        let mut all = presized(self.layout.tys[at], rows);
+        for piece in pieces {
+            all.extend_range(&piece, 0, piece.len()); // and the piece is freed
+        }
+        all
+    }
+
+    /// Is the build keyed by one integer column — may its table be direct?
+    fn integer_key(&self) -> bool {
+        self.layout.n_keys == 1 && integer_type(self.layout.tys[0])
+    }
+}
+
+/// The empty key range, `lo > hi`, that any key widens.
+const NO_KEYS: (i64, i64) = (i64::MAX, i64::MIN);
+
+/// The key types a direct table indexes: integers, read as `i64`.
+fn integer_type(ty: TypeId) -> bool {
+    matches!(ty, TypeId::I64 | TypeId::I32 | TypeId::I16 | TypeId::I8 | TypeId::Date)
+}
+
+/// Dispatch `$body!(d)` over an integer key column's typed slice `d`;
+/// any other type runs `$other`.
+macro_rules! integer_keys {
+    ($data:expr, $body:ident, $other:expr) => {
+        match $data {
+            ColData::I64(d) => $body!(d),
+            ColData::I32(d) => $body!(d),
+            ColData::I16(d) => $body!(d),
+            ColData::I8(d) => $body!(d),
+            ColData::Date(d) => $body!(d),
+            _ => $other,
+        }
+    };
+}
+
+/// Widen `range` by the `sel` lanes of an integer key (`dense`: they are
+/// all of its lanes).
+fn widen_range(key: &Vector, sel: &SelVec, dense: bool, range: &mut (i64, i64)) {
+    let (lo, hi) = range;
+    macro_rules! widen {
+        ($d:expr) => {{
+            let mut widen = |x: i64| (*lo, *hi) = ((*lo).min(x), (*hi).max(x));
+            if dense {
+                $d.iter().for_each(|&x| widen(x.into()));
+            } else {
+                sel.iter().for_each(|p| widen($d[p].into()));
+            }
+        }};
+    }
+    integer_keys!(&key.data, widen, {})
+}
+
+/// The direct table over a build's key vectors, in table order.
+fn direct_table(keys: &[Vector], lo: i64, hi: i64) -> JoinTable {
+    macro_rules! build {
+        ($v:ident) => {{
+            let typed = keys.iter().map(|k| match &k.data {
+                ColData::$v(d) => d.as_slice(),
+                _ => unreachable!("the key vectors of one build share a type"),
+            });
+            JoinTable::build_direct(&typed.collect::<Vec<_>>(), lo, hi)
+        }};
+    }
+    match keys[0].data {
+        ColData::I64(_) => build!(I64),
+        ColData::I32(_) => build!(I32),
+        ColData::I16(_) => build!(I16),
+        ColData::I8(_) => build!(I8),
+        ColData::Date(_) => build!(Date),
+        _ => unreachable!("a direct build has an integer key"),
     }
 }
 
@@ -805,7 +936,8 @@ impl BuildSink {
     fn stage(&mut self, batch: Batch) -> Result<()> {
         let BuildSink { build, router, held, pool, scratch, .. } = self;
         let ProbeScratch { refs, lanes, hashes, live, nonnull, .. } = scratch;
-        let Held { stages, charge, spill } = held.as_mut().expect("staging before the deposit");
+        let Held { stages, charge, spill, range } =
+            held.as_mut().expect("staging before the deposit");
         build.cancel.check()?;
         // Run the compiled key programs; results live in the pool until
         // `recycle` at the end of this batch.
@@ -837,13 +969,19 @@ impl BuildSink {
             self.has_null_key |= nonnull.len() != live.len();
             if !nonnull.is_empty() {
                 let n = batch.capacity();
-                hashtable::hash_keys(keys.iter().copied(), n, false, lanes, hashes);
+                // A build on one integer key hashes only to route or spill.
+                let (routed, hashed) = (stages.len() > 1, !build.integer_key());
+                if routed || hashed || spill.is_some() {
+                    hashtable::hash_keys(keys.iter().copied(), n, false, lanes, hashes);
+                }
                 if let Some(spill) = spill {
                     // On disk: the build columns only — keys and hashes
                     // are program outputs, recomputed at rehydration.
                     spill.push(&batch.columns, hashes, Some(nonnull))?;
                 } else {
-                    let routed = stages.len() > 1;
+                    if !hashed {
+                        widen_range(keys[0], nonnull, nonnull.len() == n, range);
+                    }
                     if routed {
                         // A full-length sorted selection is the identity:
                         // skip the indirection.
@@ -854,6 +992,7 @@ impl BuildSink {
                         if !sel.is_empty() {
                             let rest = build.layout.rest.iter().map(|&c| &batch.columns[c]);
                             let srcs = keys.iter().copied().chain(rest);
+                            let hashes = hashed.then_some(&hashes[..]);
                             stage.append(srcs, hashes, sel, sel.len() == n, charge.is_some());
                         }
                     }
@@ -875,7 +1014,7 @@ impl BuildSink {
     /// [`SharedBuild::plan`].
     fn govern(&mut self) -> Result<()> {
         let build = &self.build;
-        let Some(Held { stages, charge: Some(charge), spill }) = &mut self.held else {
+        let Some(Held { stages, charge: Some(charge), spill, .. }) = &mut self.held else {
             return Ok(());
         };
         if let Some(spill) = spill {
@@ -1092,6 +1231,7 @@ impl HashJoin {
         let build = self.shared.as_ref().expect("a join has a build side").take_build()?;
         for (si, table) in build.tables.iter().enumerate() {
             self.profile.record_shard_build(si, table.len() as u64);
+            self.profile.direct |= table.is_direct();
         }
         self.profile.spill = build.spill.as_ref().map(|cfg| cfg.metrics.clone());
         self.router = build.router();
@@ -1227,7 +1367,10 @@ fn probe_batch(
 ) {
     let emit_pairs = !join_type.first_match_only();
     let Some(router) = router else {
-        probe_one(&build.tables[0], build.keys(), s, keys, None, 0, emit_pairs, false);
+        match &build.tables[0] {
+            table if table.is_direct() => probe_direct(table, s, keys[0], emit_pairs),
+            table => probe_one(table, build.keys(), s, keys, None, 0, emit_pairs, false),
+        }
         return;
     };
     let n = keys.first().map_or(0, |k| k.len());
@@ -1240,6 +1383,23 @@ fn probe_batch(
             probe_one(table, build.keys(), s, keys, Some(sel), build.bases[si], emit_pairs, true);
         }
     }
+}
+
+/// Probe a direct table (one integer key, one table) with the batch's
+/// non-NULL lanes. A probe key of another integer type is read as `i64`,
+/// an RLE-coded one by its values; a key of any other type matches no
+/// build key, as in the hashed layout's mixed-type compare.
+fn probe_direct(table: &JoinTable, s: &mut ProbeScratch, key: &Vector, emit_pairs: bool) {
+    let n = key.len();
+    let sel = (s.nonnull.len() != n).then_some(&s.nonnull);
+    let (flags, out_probe, out_build) = (&mut s.matched_flags, &mut s.out_probe, &mut s.out_build);
+    macro_rules! probe {
+        ($d:expr) => {{
+            let d = $d;
+            table.probe_direct(n, sel, emit_pairs, |p| d[p].into(), flags, out_probe, out_build)
+        }};
+    }
+    integer_keys!(&key.data, probe, {})
 }
 
 /// The build is on disk: stage every non-NULL lane of `batch` for the
@@ -1428,7 +1588,7 @@ impl Operator for HashJoin {
             // NULL-aware anti short-circuits: any build NULL key → nothing
             // can ever pass; empty build side → everything passes. A build
             // on disk holds no resident row, but it is not empty.
-            let build_empty = !build.on_disk() && build.keys()[0].is_empty();
+            let build_empty = !build.on_disk() && build.tables.iter().all(JoinTable::is_empty);
             let has_null_key = build.has_null_key;
             let skip_probe =
                 self.join_type == JoinType::NullAwareLeftAnti && (has_null_key || build_empty);

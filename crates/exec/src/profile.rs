@@ -26,6 +26,7 @@
 //! | `actual=N` | rows the node's operator returned, over all clones. | compare with `est~`: a large ratio either way marks the estimate that misled join order or build side — CHECKPOINT if DML left statistics stale. |
 //! | `time=X.XXXms` | wall time inside the operator's `next()`, children included, summed over clones. | a parent minus its children is the node's own cost. A join's line holds its own build outside an Exchange; inside one the build runs in the build's sink tasks and only its `build:` subtree is timed. |
 //! | `×k rows a..b time a..b` | `k` clones ran this node; per clone the fewest..most rows and least..most time (ms). Only when `k > 1`. | ranges near the mean; a wide `time` range is a straggler, the number behind "when more cores hurts". |
+//! | `direct` | the join's table is direct: one integer key whose bucket is `key − lo` (no hash, no key compare), chosen when its arrays are no larger than the hashed table's. Never with `shards=`: a direct table is one table. | expected for a dense integer key (row ids, order keys); its absence on one means a sparse or overflowing key range. |
 //! | `shards=P×skew` | a join build shared inside an Exchange with a table per slot (`P > 1`); skew is build rows per table, `max/mean`. An aggregate, a one-table build and a build on disk (see `spill=`) never print it. | skew near 1.00; ≫ 1 is a clustered radix split. |
 //! | `spill=Fp W/R` | grace spilling: spill files begun (one per partition of a routed spill that took a row — builds and probes, all strata), encoded bytes written / read back. | any value means the query ran over `mem_budget`; read ≫ written is deep re-partitioning. |
 //! | `enc=E/F+S` | batches the operator took in still encoded (dictionary codes, RLE) / fully inflated, plus `S` rows decided wholesale at the encoding level (whole runs, dictionary-code bitmaps, the aggregate's code memo). `+S` only when `S > 0`. | `0/F` on a dictionary column means the encoded path fell back. |
@@ -53,6 +54,9 @@ pub struct OpProfile {
     /// table, none for a build on disk), or an aggregate's groups (one
     /// entry); empty without a hash build.
     pub shard_build_rows: Vec<u64>,
+    /// A join build's table is direct ([`crate::hashtable::JoinTable`]'s
+    /// layout keyed by `key − lo`).
+    pub direct: bool,
     /// The spill traffic counters of a memory-governed hash build — shared
     /// down its recursion, and by every prober of one shared build.
     pub spill: Option<Arc<SpillMetrics>>,
@@ -104,6 +108,7 @@ impl OpProfile {
         for (shard, &rows) in other.shard_build_rows.iter().enumerate() {
             self.record_shard_build(shard, rows);
         }
+        self.direct |= other.direct;
         self.enc_batches += other.enc_batches;
         self.flat_batches += other.flat_batches;
         self.enc_skipped += other.enc_skipped;
@@ -175,6 +180,9 @@ impl NodeProfile {
             );
         }
         let c = &s.counters;
+        if c.direct {
+            out.push_str(" direct");
+        }
         if c.shard_build_rows.len() > 1 && c.shard_skew() > 0.0 {
             let _ = write!(out, " shards={}×{:.2}", c.shard_build_rows.len(), c.shard_skew());
         }
@@ -346,6 +354,17 @@ mod tests {
         p.record_shard_build(0, 100);
         node.merge(1, Duration::ZERO, Some(&p));
         assert_eq!(node.suffix(), " actual=1 time=0.000ms");
+    }
+
+    #[test]
+    fn a_direct_join_table_prints_its_layout_once() {
+        let node = NodeProfile::default();
+        let mut p = OpProfile { direct: true, ..Default::default() };
+        p.record_shard_build(0, 100);
+        // Two clones probing one shared direct table.
+        node.merge(3, Duration::ZERO, Some(&p));
+        node.merge(4, Duration::ZERO, Some(&p));
+        assert_eq!(masked(&node), " actual=7 time=* ×2 rows 3..4 time * direct");
     }
 
     #[test]

@@ -486,12 +486,16 @@ fn a_budget_never_crossed_changes_no_explain_analyze_line() {
     let db = Database::open_in_memory();
     db.execute("CREATE TABLE fact (k BIGINT NOT NULL, g BIGINT NOT NULL)").unwrap();
     db.execute("CREATE TABLE dim (k BIGINT NOT NULL, v BIGINT NOT NULL)").unwrap();
+    // Keys over a sparse domain keep the build hashed (a dense one would
+    // be direct, one table): the shared build makes a table per slot.
     let fact = [
-        ColData::I64((0..20_000).map(|i| i % 10_000).collect()),
+        ColData::I64((0..20_000).map(|i| i % 10_000 * 1_000_003).collect()),
         ColData::I64((0..20_000).map(|i| i % 7).collect()),
     ];
-    let dim =
-        [ColData::I64((0..10_000).collect()), ColData::I64((0..10_000).map(|i| i * 3).collect())];
+    let dim = [
+        ColData::I64((0..10_000).map(|k| k * 1_000_003).collect()),
+        ColData::I64((0..10_000).map(|i| i * 3).collect()),
+    ];
     bulk_load(&db, "fact", &fact, &[None, None]).unwrap();
     bulk_load(&db, "dim", &dim, &[None, None]).unwrap();
     // How many batches the clones of a node took in depends on how the
@@ -523,6 +527,40 @@ fn a_budget_never_crossed_changes_no_explain_analyze_line() {
         assert_eq!(none, ample, "dop {dop}: an ample budget changed a line");
         assert_eq!(none.contains(" shards=2×"), dop == 2, "a table per slot at DOP 2:\n{none}");
         assert!(!none.contains(" shards=") || dop == 2, "one table at DOP 1:\n{none}");
+    }
+}
+
+/// A build on one dense integer key is a direct table, one table at any
+/// DOP: its `EXPLAIN ANALYZE` line prints ` direct` and no `shards=`. The
+/// same rows keyed over a sparse domain stay hashed, a table per slot at
+/// DOP 2.
+#[test]
+fn a_dense_integer_key_builds_a_direct_table() {
+    let db = Database::open_in_memory();
+    db.execute("CREATE TABLE fact (k BIGINT NOT NULL, ks BIGINT NOT NULL)").unwrap();
+    db.execute("CREATE TABLE dim (k BIGINT NOT NULL, ks BIGINT NOT NULL, v BIGINT NOT NULL)")
+        .unwrap();
+    let keys = |n: i64, scale: i64| ColData::I64((0..n).map(|i| i % 10_000 * scale).collect());
+    let fact = [keys(20_000, 1), keys(20_000, 1_000_003)];
+    let dim = [keys(10_000, 1), keys(10_000, 1_000_003), ColData::I64((0..10_000).collect())];
+    bulk_load(&db, "fact", &fact, &[None, None]).unwrap();
+    bulk_load(&db, "dim", &dim, &[None, None, None]).unwrap();
+    for dop in [1, 2] {
+        db.execute(&format!("SET parallelism = {dop}")).unwrap();
+        let join_line = |key: &str| -> String {
+            let sql = format!(
+                "EXPLAIN ANALYZE SELECT COUNT(*), SUM(d.v) FROM fact f JOIN dim d ON f.{key} = d.{key}"
+            );
+            let r = db.execute(&sql).unwrap();
+            let text = r.text.unwrap();
+            text.lines().find(|l| l.contains("HashJoin")).expect("a join line").to_string()
+        };
+        let dense = join_line("k");
+        assert!(dense.contains(" direct"), "dop {dop}: {dense}");
+        assert!(!dense.contains(" shards="), "dop {dop}: {dense}");
+        let sparse = join_line("ks");
+        assert!(!sparse.contains(" direct"), "dop {dop}: {sparse}");
+        assert_eq!(sparse.contains(" shards=2×"), dop == 2, "dop {dop}: {sparse}");
     }
 }
 

@@ -1722,8 +1722,18 @@ mod build_mode_matrix {
     #[test]
     fn a_budget_that_is_never_crossed_changes_nothing() {
         let mut rng = SmallRng::seed_from_u64(0xa3b1e);
-        let left = random_rows(&mut rng, 223, "l");
-        let right = random_rows(&mut rng, 157, "r");
+        // Keys spread over a sparse domain keep the build hashed, so the
+        // shared build makes a table per slot.
+        let sparse = |mut rows: Vec<Vec<Value>>| {
+            for r in &mut rows {
+                if let Value::I64(k) = r[0] {
+                    r[0] = Value::I64(k * 1_000_003);
+                }
+            }
+            rows
+        };
+        let left = sparse(random_rows(&mut rng, 223, "l"));
+        let right = sparse(random_rows(&mut rng, 157, "r"));
         let keys = Keys::Single;
         // Drains `op`; returns its partition sizes.
         let shards = |op: &mut dyn Operator| -> Vec<u64> {
@@ -4828,6 +4838,9 @@ mod join_key_shapes {
         name: &'static str,
         build: Side,
         probe: Side,
+        /// Does the build take the direct layout — one integer key whose
+        /// range is dense enough?
+        dense: bool,
     }
 
     fn side(ty: &'static str, keys: Vec<Option<i64>>) -> Side {
@@ -4860,46 +4873,55 @@ mod join_key_shapes {
                 name: "dense unique",
                 build: side("BIGINT", unique.clone()),
                 probe: side("BIGINT", draw(rng, 2500, -20, 1520, 0)),
+                dense: true,
             },
             Shape {
                 name: "dense with duplicates",
                 build: side("BIGINT", dups.clone()),
                 probe: side("BIGINT", draw(rng, 2000, -5, 405, 0)),
+                dense: true,
             },
             Shape {
                 name: "negative",
                 build: side("BIGINT", draw(rng, 1200, -3000, -1000, 0)),
                 probe: side("BIGINT", draw(rng, 2000, -3100, -900, 0)),
+                dense: true,
             },
             Shape {
                 name: "INT",
                 build: side("INT", draw(rng, 1200, -600, 600, 0)),
                 probe: side("INT", draw(rng, 2000, -700, 700, 0)),
+                dense: true,
             },
             Shape {
                 name: "SMALLINT",
                 build: side("SMALLINT", draw(rng, 900, 100, 700, 0)),
                 probe: side("SMALLINT", draw(rng, 1500, 0, 800, 0)),
+                dense: true,
             },
             Shape {
                 name: "DATE",
                 build: side("DATE", draw(rng, 1200, 9000, 10_000, 0)),
                 probe: side("DATE", draw(rng, 2000, 8900, 10_100, 0)),
+                dense: true,
             },
             Shape {
                 name: "INT probe, BIGINT build",
                 build: side("BIGINT", unique.clone()),
                 probe: side("INT", draw(rng, 2000, -30, 1530, 0)),
+                dense: true,
             },
             Shape {
                 name: "clustered probe",
                 build: side("BIGINT", draw(rng, 200, 0, 90, 0)),
                 probe: side("BIGINT", (0..6400).map(|i| Some(i / 800 * 13 - 4)).collect()),
+                dense: true,
             },
             Shape {
                 name: "range overflows",
                 build: side("BIGINT", extreme_build),
                 probe: side("BIGINT", extreme_probe),
+                dense: false,
             },
             Shape {
                 name: "probe outside the build's range",
@@ -4908,26 +4930,31 @@ mod join_key_shapes {
                     "BIGINT",
                     [draw(rng, 500, -2000, 999, 0), draw(rng, 500, 2001, 5000, 0)].concat(),
                 ),
+                dense: true,
             },
             Shape {
                 name: "NULL keys on both sides",
                 build: side("BIGINT", draw(rng, 1200, 0, 900, 10)),
                 probe: side("BIGINT", draw(rng, 2000, -10, 910, 10)),
+                dense: true,
             },
             Shape {
                 name: "sparse",
                 build: side("BIGINT", sparse(dups)),
                 probe: side("BIGINT", sparse(draw(rng, 2000, -5, 405, 5))),
+                dense: false,
             },
             Shape {
                 name: "one-row build",
                 build: side("BIGINT", vec![Some(7)]),
                 probe: side("BIGINT", draw(rng, 300, 0, 14, 5)),
+                dense: true,
             },
             Shape {
                 name: "empty build",
                 build: side("BIGINT", Vec::new()),
                 probe: side("BIGINT", draw(rng, 300, 0, 14, 5)),
+                dense: false,
             },
         ]
     }
@@ -5016,6 +5043,11 @@ mod join_key_shapes {
         ),
     ];
 
+    /// The `EXPLAIN ANALYZE` line of the join in `text`.
+    fn join_line(text: &str) -> &str {
+        text.lines().find(|l| l.contains("HashJoin")).expect("a HashJoin line")
+    }
+
     #[test]
     fn every_join_type_agrees_with_volcano_over_every_key_shape() {
         for s in shapes() {
@@ -5028,6 +5060,18 @@ mod join_key_shapes {
                     db.execute(&format!("SET parallelism = {dop}")).unwrap();
                     let got = sorted(db.execute(sql).unwrap().rows().to_vec());
                     assert_eq!(got, want, "{}, DOP {dop}: {sql}", s.name);
+                    // The outer join builds on `b` whatever the planner
+                    // knows: its line names the layout `b`'s keys take.
+                    if kind == TupleJoinKind::LeftOuter {
+                        let text = db.execute(&format!("EXPLAIN ANALYZE {sql}")).unwrap().text;
+                        let line = join_line(text.as_deref().unwrap()).to_string();
+                        assert_eq!(
+                            line.contains(" direct"),
+                            s.dense,
+                            "{}, DOP {dop}: {line}",
+                            s.name
+                        );
+                    }
                 }
             }
         }
