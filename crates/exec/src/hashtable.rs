@@ -597,7 +597,8 @@ impl JoinTable {
     /// bucket holds its rows in ascending order, as a hashed one does.
     ///
     /// # Panics
-    /// At `u32::MAX` rows or more, like [`JoinTable::build`].
+    /// At `u32::MAX` rows or more, like [`JoinTable::build`], and on a key
+    /// outside `lo..=hi`.
     pub fn build_direct<T: Copy + Into<i64>>(chunks: &[&[T]], lo: i64, hi: i64) -> JoinTable {
         let n: usize = chunks.iter().map(|c| c.len()).sum();
         assert!(n < EMPTY as usize, "a hash table holds at most u32::MAX - 1 rows");

@@ -545,6 +545,8 @@ fn a_dense_integer_key_builds_a_direct_table() {
     let dim = [keys(10_000, 1), keys(10_000, 1_000_003), ColData::I64((0..10_000).collect())];
     bulk_load(&db, "fact", &fact, &[None, None]).unwrap();
     bulk_load(&db, "dim", &dim, &[None, None, None]).unwrap();
+    // Resident builds: under a budget they overflow to disk, no table.
+    db.execute("SET mem_budget = 0").unwrap();
     for dop in [1, 2] {
         db.execute(&format!("SET parallelism = {dop}")).unwrap();
         let join_line = |key: &str| -> String {
