@@ -756,7 +756,7 @@ impl SharedBuild {
             }
         }
         let mut columns = pieces.into_iter().enumerate();
-        // A direct table reads the keys, and ignores the staged hashes.
+        // A direct table is built from the key vectors themselves.
         let keys = direct.then(|| columns.next().expect("one key column").1);
         st.units = columns.map(|(at, pieces)| Unit::Column { at, pieces, rows }).collect();
         match keys {
