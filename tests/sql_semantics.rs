@@ -5076,3 +5076,412 @@ mod join_key_shapes {
         }
     }
 }
+
+// ---------------------------------------------------------------------------
+// Probe paths: every join type over a probe key reached through a GROUP BY,
+// through either side of an inner join and through a LEFT join's preserved
+// side; the paths a probe key must not be followed along (below a LIMIT,
+// below ORDER BY … LIMIT, a LEFT join's null-extended side, a semi or anti
+// join's build side); LEFT joins under predicates that do and do not reject
+// the NULLs they pad with — over direct, hashed, two-key, one-row and empty
+// builds with NULL keys, against the volcano engine, at DOP 1 and 2 and at
+// 64-row and default morsels.
+// ---------------------------------------------------------------------------
+mod probe_paths {
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+    use std::sync::Arc;
+    use vectorwise::common::{ColData, Field, Schema, TypeId, Value};
+    use vectorwise::core::{bulk_load, Database};
+    use vectorwise::volcano::{collect_rows, TupleHashJoin, TupleJoinKind, TupleValues};
+
+    type Row = Vec<Value>;
+
+    /// What `b` and `c` are built from: the build keys, and the factor
+    /// every key of the `k` domain is scaled by (1: dense keys, a direct
+    /// table; a large prime: sparse keys, a hashed one).
+    struct Flavor {
+        name: &'static str,
+        keys: Vec<Option<i64>>,
+        scale: i64,
+    }
+
+    /// `n` keys drawn from `lo..=hi`, `null_pct` percent of them NULL.
+    fn draw(rng: &mut SmallRng, n: usize, lo: i64, hi: i64, null_pct: u32) -> Vec<Option<i64>> {
+        (0..n)
+            .map(|_| (rng.gen_range(0..100) >= null_pct).then(|| rng.gen_range(lo..=hi)))
+            .collect()
+    }
+
+    fn flavors() -> Vec<Flavor> {
+        let mut rng = SmallRng::seed_from_u64(0x5eed_f117);
+        let keys = draw(&mut rng, 150, 0, 600, 5);
+        vec![
+            Flavor { name: "direct", keys: keys.clone(), scale: 1 },
+            Flavor { name: "hashed", keys, scale: 1_000_003 },
+            Flavor { name: "one-row", keys: vec![Some(7)], scale: 1 },
+            Flavor { name: "empty", keys: Vec::new(), scale: 1 },
+        ]
+    }
+
+    fn int(k: Option<i64>) -> Value {
+        k.map_or(Value::Null, Value::I64)
+    }
+
+    /// The tables' rows, every column BIGINT:
+    /// - `p (k, x NOT NULL)`: 3 000 probe rows, `x` numbering them;
+    /// - `q (k NOT NULL, y)`: 500 rows joining `p.x = q.k`, `y` in the `k`
+    ///   domain;
+    /// - `b (k, x NOT NULL)`: the flavor's build;
+    /// - `p2 (k1, k2, x NOT NULL)` and `c (k1, k2, x NOT NULL)`: a two-key
+    ///   probe and build (`c` holds the flavor's keys, `k2 = k1 mod 5`).
+    struct Tables {
+        p: Vec<Row>,
+        q: Vec<Row>,
+        b: Vec<Row>,
+        p2: Vec<Row>,
+        c: Vec<Row>,
+    }
+
+    fn tables(f: &Flavor) -> Tables {
+        let mut rng = SmallRng::seed_from_u64(0x0b5e_55ed);
+        let rng = &mut rng;
+        let scaled = |k: Option<i64>| int(k.map(|k| k * f.scale));
+        let p = draw(rng, 3000, -20, 620, 5)
+            .into_iter()
+            .zip(0..)
+            .map(|(k, x)| vec![scaled(k), Value::I64(x)])
+            .collect();
+        let q = draw(rng, 500, -20, 620, 5)
+            .into_iter()
+            .zip(0i64..)
+            .map(|(y, i)| vec![Value::I64(i % 450), scaled(y)])
+            .collect();
+        let b = f.keys.iter().zip(1_000_000..).map(|(&k, x)| vec![scaled(k), Value::I64(x)]);
+        let c = f
+            .keys
+            .iter()
+            .zip(2_000_000..)
+            .map(|(&k, x)| vec![scaled(k), int(k.map(|k| k.rem_euclid(5))), Value::I64(x)]);
+        let p2 = (0..2000)
+            .map(|x| {
+                let k1 = (rng.gen_range(0..100) >= 5).then(|| rng.gen_range(-20..=620));
+                let k2 = (rng.gen_range(0..100) >= 5).then(|| rng.gen_range(0..5));
+                vec![scaled(k1), int(k2), Value::I64(x)]
+            })
+            .collect();
+        Tables { p, q, b: b.collect(), p2, c: c.collect() }
+    }
+
+    /// Create `name` with BIGINT `cols` (`!` marks NOT NULL) and load `rows`.
+    fn load(db: &Arc<Database>, name: &str, cols: &[&str], rows: &[Row]) {
+        let ddl: Vec<String> = cols
+            .iter()
+            .map(|c| match c.strip_suffix('!') {
+                Some(c) => format!("{c} BIGINT NOT NULL"),
+                None => format!("{c} BIGINT"),
+            })
+            .collect();
+        db.execute(&format!("CREATE TABLE {name} ({})", ddl.join(", "))).unwrap();
+        if rows.is_empty() {
+            return;
+        }
+        let (mut data, mut nulls) = (Vec::new(), Vec::new());
+        for c in 0..cols.len() {
+            let at = |r: &Row| match r[c] {
+                Value::I64(v) => Some(v),
+                _ => None,
+            };
+            data.push(ColData::I64(rows.iter().map(|r| at(r).unwrap_or(0)).collect()));
+            nulls.push(Some(rows.iter().map(|r| at(r).is_none()).collect()));
+        }
+        bulk_load(db, name, &data, &nulls).unwrap();
+    }
+
+    fn schema(width: usize) -> Schema {
+        Schema::new((0..width).map(|i| Field::nullable(format!("c{i}"), TypeId::I64)).collect())
+            .unwrap()
+    }
+
+    /// The volcano join of `l` and `r` on `l[lk] = r[rk]`.
+    fn join(
+        l: &[Row],
+        lw: usize,
+        r: &[Row],
+        rw: usize,
+        lk: usize,
+        rk: usize,
+        kind: TupleJoinKind,
+    ) -> Vec<Row> {
+        let left = Box::new(TupleValues::new(schema(lw), l.to_vec()));
+        let right = Box::new(TupleValues::new(schema(rw), r.to_vec()));
+        collect_rows(&mut TupleHashJoin::with_kind(left, right, lk, rk, kind)).unwrap()
+    }
+
+    /// `rows` grouped by `keys`: the keys, then the group's row count.
+    fn count_by(rows: &[Row], keys: &[usize]) -> Vec<Row> {
+        let mut groups: Vec<(Row, i64)> = Vec::new();
+        for r in rows {
+            let key: Row = keys.iter().map(|&k| r[k].clone()).collect();
+            match groups.iter_mut().find(|(k, _)| *k == key) {
+                Some((_, n)) => *n += 1,
+                None => groups.push((key, 1)),
+            }
+        }
+        groups
+            .into_iter()
+            .map(|(mut k, n)| {
+                k.push(Value::I64(n));
+                k
+            })
+            .collect()
+    }
+
+    fn pick(rows: Vec<Row>, cols: &[usize]) -> Vec<Row> {
+        rows.into_iter().map(|r| cols.iter().map(|&c| r[c].clone()).collect()).collect()
+    }
+
+    fn sorted(mut rows: Vec<Row>) -> Vec<Row> {
+        rows.sort_by_key(|r| format!("{r:?}"));
+        rows
+    }
+
+    const KINDS: [TupleJoinKind; 5] = [
+        TupleJoinKind::Inner,
+        TupleJoinKind::LeftOuter,
+        TupleJoinKind::LeftSemi,
+        TupleJoinKind::LeftAnti,
+        TupleJoinKind::NullAwareLeftAnti,
+    ];
+
+    /// One statement and its answer; `serial`: compared at DOP 1 only (a
+    /// LIMIT without ORDER BY takes the rows a parallel scan hands it first).
+    struct Case {
+        sql: String,
+        want: Vec<Row>,
+        serial: bool,
+    }
+
+    /// The five join types of the probe relation `from` (its rows `rel`,
+    /// `width` wide, the probe key at `key`, the SQL expression `key_sql`,
+    /// selected as `cols_sql` = columns `cols`) against `b`, whose rows
+    /// are `build`.
+    #[allow(clippy::too_many_arguments)]
+    fn five(
+        out: &mut Vec<Case>,
+        from: &str,
+        cols_sql: &str,
+        key_sql: &str,
+        rel: &[Row],
+        width: usize,
+        cols: &[usize],
+        key: usize,
+        build: &[Row],
+        serial: bool,
+    ) {
+        for kind in KINDS {
+            let sql = match kind {
+                TupleJoinKind::Inner => {
+                    format!("SELECT {cols_sql}, b.x FROM {from} JOIN b ON {key_sql} = b.k")
+                }
+                TupleJoinKind::LeftOuter => {
+                    format!("SELECT {cols_sql}, b.x FROM {from} LEFT JOIN b ON {key_sql} = b.k")
+                }
+                TupleJoinKind::LeftSemi => {
+                    format!("SELECT {cols_sql} FROM {from} WHERE {key_sql} IN (SELECT k FROM b)")
+                }
+                TupleJoinKind::LeftAnti => format!(
+                    "SELECT {cols_sql} FROM {from} WHERE NOT EXISTS \
+                     (SELECT 1 FROM b WHERE b.k = {key_sql})"
+                ),
+                TupleJoinKind::NullAwareLeftAnti => {
+                    format!(
+                        "SELECT {cols_sql} FROM {from} WHERE {key_sql} NOT IN (SELECT k FROM b)"
+                    )
+                }
+            };
+            let joined = join(rel, width, build, 2, key, 0, kind);
+            let mut keep = cols.to_vec();
+            if matches!(kind, TupleJoinKind::Inner | TupleJoinKind::LeftOuter) {
+                keep.push(width + 1);
+            }
+            out.push(Case { sql, want: sorted(pick(joined, &keep)), serial });
+        }
+    }
+
+    fn cases(t: &Tables) -> Vec<Case> {
+        use TupleJoinKind::*;
+        let mut out = Vec::new();
+        let out_ = &mut out;
+        // Through a GROUP BY.
+        let g = count_by(&t.p, &[0]);
+        let from = "(SELECT k, COUNT(*) AS n FROM p GROUP BY k) g";
+        five(out_, from, "g.k, g.n", "g.k", &g, 2, &[0, 1], 0, &t.b, false);
+        // Through either side of an inner join, and a LEFT join's preserved
+        // side; then its null-extended side, a path no filter may take.
+        let pq = join(&t.p, 2, &t.q, 2, 1, 0, Inner);
+        let from = "p JOIN q ON p.x = q.k";
+        five(out_, from, "p.k, p.x, q.y", "p.k", &pq, 4, &[0, 1, 3], 0, &t.b, false);
+        five(out_, from, "p.k, p.x, q.y", "q.y", &pq, 4, &[0, 1, 3], 3, &t.b, false);
+        let pq = join(&t.p, 2, &t.q, 2, 1, 0, LeftOuter);
+        let from = "p LEFT JOIN q ON p.x = q.k";
+        five(out_, from, "p.k, p.x, q.y", "p.k", &pq, 4, &[0, 1, 3], 0, &t.b, false);
+        five(out_, from, "p.k, p.x, q.y", "q.y", &pq, 4, &[0, 1, 3], 3, &t.b, false);
+        // Below a LIMIT, and below ORDER BY … LIMIT.
+        let first = t.p[..700].to_vec();
+        let from = "(SELECT k, x FROM p LIMIT 700) l";
+        five(out_, from, "l.k, l.x", "l.k", &first, 2, &[0, 1], 0, &t.b, true);
+        let mut by_x = t.p.clone();
+        by_x.sort_by_key(|r| {
+            std::cmp::Reverse(format!(
+                "{:020}",
+                match r[1] {
+                    Value::I64(x) => x,
+                    _ => unreachable!(),
+                }
+            ))
+        });
+        by_x.truncate(700);
+        let from = "(SELECT k, x FROM p ORDER BY x DESC LIMIT 700) l";
+        five(out_, from, "l.k, l.x", "l.k", &by_x, 2, &[0, 1], 0, &t.b, false);
+        // Over the output of a semi and of an anti join, whose build sides
+        // (`q.y`, NULLs included) are out of the probe key's reach.
+        let semi = join(&t.p, 2, &t.q, 2, 0, 1, LeftSemi);
+        let from = "(SELECT k, x FROM p WHERE k IN (SELECT y FROM q)) s";
+        five(out_, from, "s.k, s.x", "s.k", &semi, 2, &[0, 1], 0, &t.b, false);
+        let anti = join(&t.p, 2, &t.q, 2, 0, 1, LeftAnti);
+        let from = "(SELECT k, x FROM p WHERE NOT EXISTS (SELECT 1 FROM q WHERE q.y = p.k)) s";
+        five(out_, from, "s.k, s.x", "s.k", &anti, 2, &[0, 1], 0, &t.b, false);
+        let q_set: Vec<Row> = t.q.iter().filter(|r| !r[1].is_null()).cloned().collect();
+        let not_in = join(&t.p, 2, &q_set, 2, 0, 1, NullAwareLeftAnti);
+        let from = "(SELECT k, x FROM p WHERE k NOT IN (SELECT y FROM q WHERE y IS NOT NULL)) s";
+        five(out_, from, "s.k, s.x", "s.k", &not_in, 2, &[0, 1], 0, &t.b, false);
+
+        // LEFT joins under predicates over the padded side: only a
+        // predicate that rejects NULL may drop the padded rows.
+        let left = join(&t.p, 2, &t.b, 2, 0, 0, LeftOuter);
+        let bx = |r: &Row| match r[3] {
+            Value::I64(x) => Some(x),
+            _ => None,
+        };
+        let px = |r: &Row| match r[1] {
+            Value::I64(x) => x,
+            _ => unreachable!("p.x is NOT NULL"),
+        };
+        let under = |pred: &dyn Fn(&Row) -> bool| -> Vec<Row> {
+            sorted(pick(left.iter().filter(|r| pred(r)).cloned().collect(), &[0, 1, 3]))
+        };
+        let base = "SELECT p.k, p.x, b.x FROM p LEFT JOIN b ON p.k = b.k WHERE";
+        for (pred, want) in [
+            ("b.x IS NULL", under(&|r| bx(r).is_none())),
+            ("COALESCE(b.x, 0) = 0", under(&|r| bx(r).unwrap_or(0) == 0)),
+            (
+                "(b.x > 1000100 OR p.x < 100)",
+                under(&|r| bx(r).is_some_and(|x| x > 1_000_100) || px(r) < 100),
+            ),
+            ("b.x > 1000100", under(&|r| bx(r).is_some_and(|x| x > 1_000_100))),
+        ] {
+            out_.push(Case { sql: format!("{base} {pred}"), want, serial: false });
+        }
+        // A decorrelated scalar subquery: a LEFT join under a comparison.
+        let sums: Vec<Row> = {
+            let mut s: Vec<(Value, i64)> = Vec::new();
+            for r in t.b.iter().filter(|r| !r[0].is_null()) {
+                let x = match r[1] {
+                    Value::I64(x) => x,
+                    _ => unreachable!(),
+                };
+                match s.iter_mut().find(|(k, _)| *k == r[0]) {
+                    Some((_, sum)) => *sum += x,
+                    None => s.push((r[0].clone(), x)),
+                }
+            }
+            s.into_iter().map(|(k, sum)| vec![k, Value::I64(sum)]).collect()
+        };
+        let want = join(&t.p, 2, &sums, 2, 0, 0, LeftOuter)
+            .into_iter()
+            .filter(|r| matches!(r[3], Value::I64(s) if px(r) * 400 < s))
+            .collect();
+        out_.push(Case {
+            sql: "SELECT p.k, p.x FROM p WHERE p.x * 400 < (SELECT SUM(x) FROM b WHERE b.k = p.k)"
+                .into(),
+            want: sorted(pick(want, &[0, 1])),
+            serial: false,
+        });
+
+        // Two-key builds, through a GROUP BY and straight from the scan.
+        let pair = |r: &Row, a: usize, b: usize| match (&r[a], &r[b]) {
+            (Value::I64(x), Value::I64(y)) => Value::Str(format!("{x}|{y}")),
+            _ => Value::Null,
+        };
+        let keyed = |rows: &[Row], a: usize, b: usize| -> Vec<Row> {
+            rows.iter().map(|r| [r.clone(), vec![pair(r, a, b)]].concat()).collect()
+        };
+        let c = keyed(&t.c, 0, 1);
+        let g = keyed(&count_by(&t.p2, &[0, 1]), 0, 1);
+        let want = join(&g, 4, &c, 4, 3, 3, Inner);
+        out_.push(Case {
+            sql: "SELECT g.k1, g.k2, g.n, c.x FROM (SELECT k1, k2, COUNT(*) AS n FROM p2 \
+                  GROUP BY k1, k2) g JOIN c ON g.k1 = c.k1 AND g.k2 = c.k2"
+                .into(),
+            want: sorted(pick(want, &[0, 1, 2, 6])),
+            serial: false,
+        });
+        let p2 = keyed(&t.p2, 0, 1);
+        for (kind, sql) in [
+            (
+                Inner,
+                "SELECT p2.k1, p2.k2, p2.x, c.x FROM p2 JOIN c ON p2.k1 = c.k1 AND p2.k2 = c.k2",
+            ),
+            (
+                LeftOuter,
+                "SELECT p2.k1, p2.k2, p2.x, c.x FROM p2 LEFT JOIN c \
+                 ON p2.k1 = c.k1 AND p2.k2 = c.k2",
+            ),
+            (
+                LeftSemi,
+                "SELECT p2.k1, p2.k2, p2.x FROM p2 WHERE EXISTS \
+                 (SELECT 1 FROM c WHERE c.k1 = p2.k1 AND c.k2 = p2.k2)",
+            ),
+            (
+                LeftAnti,
+                "SELECT p2.k1, p2.k2, p2.x FROM p2 WHERE NOT EXISTS \
+                 (SELECT 1 FROM c WHERE c.k1 = p2.k1 AND c.k2 = p2.k2)",
+            ),
+        ] {
+            let joined = join(&p2, 4, &c, 4, 3, 3, kind);
+            let keep: &[usize] =
+                if kind == Inner || kind == LeftOuter { &[0, 1, 2, 6] } else { &[0, 1, 2] };
+            out_.push(Case { sql: sql.into(), want: sorted(pick(joined, keep)), serial: false });
+        }
+        out
+    }
+
+    #[test]
+    fn every_join_type_agrees_with_volcano_along_every_probe_path() {
+        for f in flavors() {
+            let t = tables(&f);
+            let db = Database::open_in_memory();
+            load(&db, "p", &["k", "x!"], &t.p);
+            load(&db, "q", &["k!", "y"], &t.q);
+            load(&db, "b", &["k", "x!"], &t.b);
+            load(&db, "p2", &["k1", "k2", "x!"], &t.p2);
+            load(&db, "c", &["k1", "k2", "x!"], &t.c);
+            let cases = cases(&t);
+            for dop in [1, 2] {
+                for morsel in [64, 16 * 1024] {
+                    db.execute(&format!("SET parallelism = {dop}")).unwrap();
+                    db.execute(&format!("SET morsel_rows = {morsel}")).unwrap();
+                    for case in cases.iter().filter(|c| dop == 1 || !c.serial) {
+                        let got = sorted(db.execute(&case.sql).unwrap().rows().to_vec());
+                        assert_eq!(
+                            got, case.want,
+                            "{} build, DOP {dop}, {morsel}-row morsels: {}",
+                            f.name, case.sql
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
