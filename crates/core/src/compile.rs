@@ -39,8 +39,8 @@ use vw_common::{EngineConfig, Field, Result, Schema, TypeId, Value, VwError};
 use vw_exec::expr::PhysExpr;
 use vw_exec::morsel::{BatchPool, MorselSource};
 use vw_exec::op::{
-    AggSpec, BoxedOp, BuildSink, HashAggregate, HashJoin, JoinType, Limit, Project, Select,
-    SharedBuild, Sort, SortKey, TopN, UnionAll, Values, VectorScan, Xchg,
+    AggSpec, BoxedOp, BuildSink, HashAggregate, HashJoin, JoinFilter, JoinType, Limit, Project,
+    Select, SharedBuild, Sort, SortKey, TopN, UnionAll, Values, VectorScan, Xchg,
 };
 use vw_exec::partition::{MemBudget, SpillConfig, DEFAULT_PARALLEL_BUILD_MIN_ROWS};
 use vw_exec::profile::{NodeProfile, Profiled};
@@ -101,6 +101,100 @@ struct QueryWide<'p> {
     estimates: PlanEstimates<'p>,
     /// `EXPLAIN ANALYZE`'s slots (`None` for every other statement).
     analyze: Option<&'p Analyze<'p>>,
+    /// Where the runtime join filters go.
+    filters: JoinFilters,
+}
+
+/// The identity of a plan node: its address (the plan is borrowed while
+/// the compile runs).
+fn node_id(node: &LogicalPlan) -> usize {
+    node as *const LogicalPlan as usize
+}
+
+/// Where the runtime join filters go, by plan-node identity (as
+/// [`Analyze`] keys its slots): the filter each inner or semi join's build
+/// publishes, and the filters each scan applies, with the scan's output
+/// columns holding their joins' probe keys. Placement reads the plan
+/// alone; whether a build publishes is the join's business at run time.
+#[derive(Default)]
+struct JoinFilters {
+    joins: HashMap<usize, Arc<JoinFilter>>,
+    scans: HashMap<usize, Vec<ScanFilter>>,
+}
+
+/// A filter a scan applies, with its output columns holding the keys.
+type ScanFilter = (Arc<JoinFilter>, Vec<usize>);
+
+impl JoinFilters {
+    /// A filter for every inner or semi join of `plan` whose probe keys
+    /// are bare columns, each of its build key's type, that one scan below
+    /// produces unchanged ([`key_source`]).
+    fn place(plan: &LogicalPlan) -> JoinFilters {
+        let mut filters = JoinFilters::default();
+        filters.walk(plan);
+        filters
+    }
+
+    fn walk(&mut self, node: &LogicalPlan) {
+        if let LogicalPlan::Join { left, kind: JoinKind::Inner | JoinKind::Semi, keys, .. } = node {
+            let mut scan: Option<&LogicalPlan> = None;
+            let mut cols = Vec::with_capacity(keys.len());
+            let traced = keys.iter().all(|(probe, build)| {
+                let PhysExpr::ColRef(c, ty) = probe else { return false };
+                match key_source(left, *c) {
+                    Some((s, col))
+                        if *ty == build.type_id() && scan.is_none_or(|t| std::ptr::eq(t, s)) =>
+                    {
+                        scan = Some(s);
+                        cols.push(col);
+                        true
+                    }
+                    _ => false,
+                }
+            });
+            if let (true, Some(scan)) = (traced, scan) {
+                let filter = Arc::new(JoinFilter::default());
+                self.joins.insert(node_id(node), filter.clone());
+                self.scans.entry(node_id(scan)).or_default().push((filter, cols));
+            }
+        }
+        node.children().into_iter().for_each(|c| self.walk(c));
+    }
+
+    /// The filters the scan lowered from `node` applies.
+    fn of_scan(&self, node: &LogicalPlan) -> Vec<ScanFilter> {
+        self.scans.get(&node_id(node)).cloned().unwrap_or_default()
+    }
+}
+
+/// The scan below `plan` that produces `plan`'s output column `col`
+/// unchanged, and the column's place in that scan's output — followed
+/// only where every row the column's join would discard can go early:
+/// through filters, exchanges, pass-through projections, either side of
+/// an inner join, the preserved side of a LEFT, semi, anti or NULL-aware
+/// anti join, and an aggregate's bare-column group keys. Not through a
+/// LIMIT (it would take other rows), a sort, a union or a computed column.
+fn key_source(plan: &LogicalPlan, col: usize) -> Option<(&LogicalPlan, usize)> {
+    match plan {
+        LogicalPlan::Scan { .. } => Some((plan, col)),
+        LogicalPlan::Filter { input, .. } | LogicalPlan::Exchange { input, .. } => {
+            key_source(input, col)
+        }
+        LogicalPlan::Project { input, exprs, .. } => match exprs.get(col)? {
+            PhysExpr::ColRef(c, _) => key_source(input, *c),
+            _ => None,
+        },
+        LogicalPlan::Join { left, right, kind, .. } => match left.schema().len() {
+            lw if col < lw => key_source(left, col),
+            lw if *kind == JoinKind::Inner => key_source(right, col - lw),
+            _ => None,
+        },
+        LogicalPlan::Aggregate { input, group, .. } => match group.get(col)? {
+            PhysExpr::ColRef(c, _) => key_source(input, *c),
+            _ => None,
+        },
+        _ => None,
+    }
 }
 
 /// `EXPLAIN ANALYZE`'s half of a compile: one [`NodeProfile`] per node of
@@ -117,7 +211,7 @@ impl<'p> Analyze<'p> {
     /// An empty slot for every node of `plan`.
     pub(crate) fn new(plan: &'p LogicalPlan) -> Analyze<'p> {
         fn walk(node: &LogicalPlan, nodes: &mut HashMap<usize, Arc<NodeProfile>>) {
-            nodes.insert(node as *const LogicalPlan as usize, Arc::default());
+            nodes.insert(node_id(node), Arc::default());
             node.children().into_iter().for_each(|c| walk(c, nodes));
         }
         let mut nodes = HashMap::new();
@@ -127,7 +221,7 @@ impl<'p> Analyze<'p> {
 
     /// The slot of `node`, a node of the plan.
     pub(crate) fn node(&self, node: &LogicalPlan) -> &Arc<NodeProfile> {
-        &self.nodes[&(node as *const LogicalPlan as usize)]
+        &self.nodes[&node_id(node)]
     }
 }
 
@@ -191,7 +285,7 @@ pub(crate) fn build_plan_with<'p>(
     });
     let view = crate::CatalogSnapshot::new(txn.image.clone(), config);
     let estimates = Estimator::new(&view).estimate_all(plan);
-    let query = QueryWide { spill, estimates, analyze };
+    let query = QueryWide { spill, estimates, analyze, filters: JoinFilters::place(plan) };
     build_plan_inner(db, plan, config, cancel, txn, None, false, &BatchPool::new(), &query)
 }
 
@@ -240,9 +334,9 @@ fn build_plan_node<'p>(
             match &entry.kind {
                 TableKind::Vectorwise { storage, root, .. } => {
                     let image = (storage, txn.own_root(table).unwrap_or(root));
-                    Box::new(lower_scan(
-                        image, projection, hints, config, cancel, partition, batch_pool,
-                    ))
+                    let scan =
+                        lower_scan(image, projection, hints, config, cancel, partition, batch_pool);
+                    Box::new(scan.with_filters(query.filters.of_scan(plan)))
                 }
                 TableKind::Heap { store } => Box::new(heap_scan(
                     &store.read(),
@@ -302,6 +396,7 @@ fn build_plan_node<'p>(
                 JoinKind::NullAwareAnti => JoinType::NullAwareLeftAnti,
             };
             let build_rows = query.estimates.rows(right).map_or(0, |r| r as usize);
+            let filter = query.filters.joins.get(&node_id(plan)).cloned();
             let side = |plan: &'p LogicalPlan, partition: Option<&mut Partition<'_>>| {
                 build_plan_inner(
                     db,
@@ -325,6 +420,9 @@ fn build_plan_node<'p>(
                 if let Some(qs) = &query.spill {
                     join = join.with_spill(qs.config(db));
                 }
+                if let Some(filter) = filter {
+                    join = join.with_filter(filter);
+                }
                 return Ok(Box::new(join.with_batch_pool(batch_pool.clone())));
             };
             let l = side(left, Some(&mut *p))?;
@@ -344,9 +442,13 @@ fn build_plan_node<'p>(
             let idx = p.joins;
             p.joins += 1;
             let shared = get_or_create(&p.shared.builds, idx, || {
-                let build = SharedBuild::new(rk, right.schema().clone(), jt, p.dop, cancel.clone())
-                    .expecting(build_rows)
-                    .partitioned(config.build_partitions(), DEFAULT_PARALLEL_BUILD_MIN_ROWS);
+                let mut build =
+                    SharedBuild::new(rk, right.schema().clone(), jt, p.dop, cancel.clone())
+                        .expecting(build_rows)
+                        .partitioned(config.build_partitions(), DEFAULT_PARALLEL_BUILD_MIN_ROWS);
+                if let Some(filter) = filter {
+                    build = build.filtering(filter);
+                }
                 Arc::new(match &query.spill {
                     Some(qs) => build.governed(qs.config(db)),
                     None => build,

@@ -916,6 +916,61 @@ impl JoinTable {
         for_lanes!(lane);
     }
 
+    /// The runtime join filter's test against a direct table: narrow `sel`
+    /// to the lanes whose key `key_of(p)` has a bucket holding rows — the
+    /// probe's own subtract and bounds check, so membership is exact.
+    ///
+    /// # Panics
+    /// On a hashed table.
+    #[inline]
+    pub fn retain_direct<K: FnMut(usize) -> i64>(
+        &self,
+        sel: &SelVec,
+        mut key_of: K,
+        out: &mut SelVec,
+    ) {
+        let TableLayout::Direct { lo, .. } = &self.layout else {
+            panic!("a hashed join table is tested by hash, not by key");
+        };
+        let (lo, last, offsets) = (*lo as u64, self.offsets.len() as u64 - 2, &self.offsets);
+        sel.retain_from(
+            |p| {
+                // Branch-free: a lane outside the range reads the last
+                // bucket and is dropped by the range test.
+                let b = (key_of(p) as u64).wrapping_sub(lo);
+                let at = b.min(last) as usize;
+                (b <= last) & (offsets[at] < offsets[at + 1])
+            },
+            out,
+        );
+    }
+
+    /// The runtime join filter's test against hashed tables: narrow `sel`
+    /// to the lanes whose hash (of the lane's keys, by [`hash_keys`])
+    /// passes its bucket's bloom byte in `tables[table_of(h)]` — what a
+    /// probe tests first. Conservative: a passing lane may still match
+    /// nothing.
+    ///
+    /// # Panics
+    /// On a direct table.
+    #[inline]
+    pub fn retain_bloom(
+        tables: &[JoinTable],
+        table_of: impl Fn(u64) -> usize,
+        hashes: &[u64],
+        sel: &SelVec,
+        out: &mut SelVec,
+    ) {
+        sel.retain_from(
+            |p| {
+                let h = hashes[p];
+                let (_, bloom, mask) = tables[table_of(h)].hashed();
+                bloom[(h & mask) as usize] & bloom_bit(h) != 0
+            },
+            out,
+        );
+    }
+
     /// Probe staging: hash every lane, bloom-test every lane on the dense
     /// tag array (prefetching the offsets line only for bloom-positive
     /// lanes), then gather bucket ranges (prefetching the first slot).

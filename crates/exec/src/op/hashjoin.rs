@@ -61,6 +61,19 @@
 //! operator and reused across batches: the steady-state loop allocates
 //! nothing.
 //!
+//! **What a published build tells the probe side.** An inner or semi join
+//! over a resident build with no row answers alone: its first `next`
+//! returns end-of-stream without pulling the probe child. And its build
+//! is its **runtime filter**: published once into the [`JoinFilter`] the
+//! compiler handed the build (held weakly, so the probers still free the
+//! rows), it is tested by the lowest scan producing the probe key columns
+//! ([`super::scan`]) — a direct table answers membership exactly, hashed
+//! tables through the bloom byte of the probe's own key hash
+//! (`JoinBuild::retain`). The filter drops only rows the join would:
+//! LEFT, anti and NULL-aware anti joins, which keep unmatched probe rows,
+//! publish none, and a build on disk, which has no table, publishes none
+//! and is never empty.
+//!
 //! **Deferred phase** (builds that overflowed): a prober diverts every
 //! non-NULL lane to its *own* routed spill, on the build's stratum and
 //! fan-out, and answers the NULL-keyed lanes on the spot; once its probe
@@ -94,7 +107,7 @@ use crate::program::{ExprProgram, VecRef, VectorPool};
 use crate::spill::{RoutedSpill, SpillScan};
 use crate::vector::{Batch, Vector};
 use std::sync::atomic::{AtomicU8, Ordering::SeqCst};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, Weak};
 use vw_common::{ColData, Result, Schema, SelVec, TypeId, VwError};
 use vw_service::{CoopTask, Step, Waker};
 use vw_storage::SpillFile;
@@ -374,7 +387,7 @@ impl JoinBuild {
 
     /// A router splitting probe hashes the way the sinks split build rows
     /// (`None` for a single table: nothing to route).
-    fn router(&self) -> Option<RadixRouter> {
+    pub(crate) fn router(&self) -> Option<RadixRouter> {
         (self.tables.len() > 1).then(|| RadixRouter::new(self.tables.len()))
     }
 }
@@ -444,6 +457,9 @@ pub struct SharedBuild {
     spill: Option<SpillConfig>,
     /// Expected build rows (0 = unknown): the stages are sized for it.
     rows_hint: usize,
+    /// Where a resident build of an inner or semi join is published as
+    /// its probe side's runtime filter.
+    filter: Option<Arc<JoinFilter>>,
     /// `state.outcome`, readable without the lock.
     phase: AtomicU8,
     state: Mutex<BuildState>,
@@ -476,6 +492,7 @@ impl SharedBuild {
             min_rows: DEFAULT_PARALLEL_BUILD_MIN_ROWS,
             spill: None,
             rows_hint: 0,
+            filter: None,
             phase: AtomicU8::new(PENDING),
             state: Mutex::new(BuildState {
                 draining: sinks,
@@ -515,6 +532,17 @@ impl SharedBuild {
     /// Size the stages for about `rows` build rows in all.
     pub fn expecting(mut self, rows: usize) -> SharedBuild {
         self.rows_hint = rows;
+        self
+    }
+
+    /// Publish the build into `filter` too, once, when it is resident and
+    /// the join is inner or semi: the join's runtime filter (see the
+    /// module docs). Other join types keep every probe row they are
+    /// handed, so they publish nothing.
+    pub fn filtering(mut self, filter: Arc<JoinFilter>) -> SharedBuild {
+        if matches!(self.join_type, JoinType::Inner | JoinType::LeftSemi) {
+            self.filter = Some(filter);
+        }
         self
     }
 
@@ -814,8 +842,11 @@ impl SharedBuild {
             if st.unfinished > 0 {
                 return Ok(Step::Progress);
             }
-            let build = st.assembling.take().expect("checked above");
-            st.outcome = Some(Ok(Arc::new(build)));
+            let build = Arc::new(st.assembling.take().expect("checked above"));
+            if let Some(filter) = &self.filter {
+                filter.publish(&build);
+            }
+            st.outcome = Some(Ok(build));
             self.phase.store(READY, SeqCst);
         }
         self.wake_all(true);
@@ -900,6 +931,78 @@ fn direct_table(keys: &[Vector], lo: i64, hi: i64) -> JoinTable {
         ColData::I8(_) => build!(I8),
         ColData::Date(_) => build!(Date),
         _ => unreachable!("a direct build has an integer key"),
+    }
+}
+
+/// A join's key set as a runtime filter on its probe side: the published
+/// build itself, tested by the lowest scan producing the probe key columns
+/// (see the module docs). Empty until an inner or semi join's build is
+/// published resident. It holds the build weakly, so the probers still
+/// free it when they are done.
+#[derive(Default)]
+pub struct JoinFilter(OnceLock<Weak<JoinBuild>>);
+
+impl JoinFilter {
+    fn publish(&self, build: &Arc<JoinBuild>) {
+        let _ = self.0.set(Arc::downgrade(build));
+    }
+
+    /// The published build, while a prober still holds it.
+    pub(crate) fn build(&self) -> Option<Arc<JoinBuild>> {
+        self.0.get()?.upgrade()
+    }
+}
+
+/// A runtime filter's per-batch scratch, reused by its scan.
+#[derive(Default)]
+pub(crate) struct FilterScratch {
+    lanes: Vec<u64>,
+    hashes: Vec<u64>,
+    tmp: SelVec,
+}
+
+impl JoinBuild {
+    /// The runtime filter's test: narrow `sel` to the lanes whose probe
+    /// keys `keys` may match a build row. A NULL key matches none. A
+    /// direct table answers exactly; hashed tables test the bloom byte of
+    /// the lane's hash, which `router` (the build's [`JoinBuild::router`])
+    /// routes to its table. A key of a type the table cannot hold keeps
+    /// every lane: the filter only ever drops what the join would.
+    pub(crate) fn retain(
+        &self,
+        keys: &[&Vector],
+        router: Option<&RadixRouter>,
+        sel: &mut SelVec,
+        s: &mut FilterScratch,
+    ) {
+        if keys.iter().any(|k| k.nulls.is_some()) {
+            sel.retain_from(|p| !keys.iter().any(|k| k.is_null(p)), &mut s.tmp);
+            std::mem::swap(sel, &mut s.tmp);
+        }
+        let table = &self.tables[0];
+        if table.is_direct() {
+            macro_rules! test {
+                ($d:expr) => {{
+                    let d = $d;
+                    table.retain_direct(sel, |p| d[p].into(), &mut s.tmp)
+                }};
+            }
+            integer_keys!(&keys[0].data, test, return);
+        } else {
+            let n = keys[0].len();
+            hashtable::hash_keys(keys.iter().copied(), n, false, &mut s.lanes, &mut s.hashes);
+            match router {
+                Some(r) => JoinTable::retain_bloom(
+                    &self.tables,
+                    |h| r.shard_of(h),
+                    &s.hashes,
+                    sel,
+                    &mut s.tmp,
+                ),
+                None => JoinTable::retain_bloom(&self.tables, |_| 0, &s.hashes, sel, &mut s.tmp),
+            }
+        }
+        std::mem::swap(sel, &mut s.tmp);
     }
 }
 
@@ -1204,6 +1307,11 @@ impl HashJoin {
         self.own_build(|b| b.expecting(rows))
     }
 
+    /// Publish the own build into `filter` ([`SharedBuild::filtering`]).
+    pub fn with_filter(self, filter: Arc<JoinFilter>) -> HashJoin {
+        self.own_build(|b| b.filtering(filter))
+    }
+
     /// Run the own build: one sink over the right child, stepped here to
     /// its end — the drain, the deposit and every finalize unit.
     fn run_own_build(&mut self, own: OwnBuild) -> Result<Arc<SharedBuild>> {
@@ -1241,6 +1349,17 @@ impl HashJoin {
         }
         self.build = Some(build);
         Ok(())
+    }
+
+    /// Does the published build answer this join without its probe side?
+    /// An inner or semi join over a resident build with no row emits
+    /// nothing, so its probe input is never pulled. A build on disk holds
+    /// no resident row, but it is not empty.
+    fn answers_alone(&self) -> bool {
+        let build = self.build.as_ref().expect("attached");
+        matches!(self.join_type, JoinType::Inner | JoinType::LeftSemi)
+            && !build.on_disk()
+            && build.tables.iter().all(JoinTable::is_empty)
     }
 
     /// Assemble the output batch from the recorded pairs, gathering into
@@ -1572,6 +1691,11 @@ impl Operator for HashJoin {
         }
         if self.build.is_none() {
             self.attach_build()?;
+            if self.answers_alone() {
+                self.probe_done = true;
+                self.build = None;
+                return Ok(None);
+            }
         }
         loop {
             self.cancel.check()?;
@@ -2153,6 +2277,147 @@ mod tests {
         for i in 0..out.rows() {
             let r = out.row_values(i);
             assert_eq!(r[0], r[1], "probe key equals matched build key");
+        }
+    }
+
+    /// `input`, counting the `next` calls it answers.
+    struct Counted(BoxedOp, Arc<std::sync::atomic::AtomicUsize>);
+
+    impl Operator for Counted {
+        fn schema(&self) -> &Schema {
+            self.0.schema()
+        }
+
+        fn name(&self) -> &'static str {
+            "Counted"
+        }
+
+        fn next(&mut self) -> Result<Option<Batch>> {
+            self.1.fetch_add(1, SeqCst);
+            self.0.next()
+        }
+    }
+
+    #[test]
+    fn an_empty_resident_build_answers_inner_and_semi_joins_alone() {
+        use crate::partition::{MemBudget, SpillConfig};
+        use vw_storage::SimulatedDisk;
+        let probe: Vec<(Option<i64>, &str)> = (0..20).map(|i| (Some(i % 5), "p")).collect();
+        let run = |jt: JoinType, build: Vec<(Option<i64>, &str)>, spill: bool| {
+            let calls = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+            let left = Box::new(Counted(source("l", probe.clone()), calls.clone()));
+            let mut j = join(left, source("r", build), jt);
+            if spill {
+                j = j.with_spill(SpillConfig::new(MemBudget::new(1), SimulatedDisk::instant(), 4));
+            }
+            let rows = drain(&mut j).unwrap().rows();
+            (rows, calls.load(SeqCst))
+        };
+        for jt in [JoinType::Inner, JoinType::LeftSemi] {
+            assert_eq!(
+                run(jt, Vec::new(), false),
+                (0, 0),
+                "{jt:?}: the probe side is never pulled"
+            );
+            // A build of NULL keys only holds no row either.
+            assert_eq!(run(jt, vec![(None, "n")], false), (0, 0), "{jt:?}");
+            // An overflowed build holds no resident row, but it is not empty.
+            let (rows, calls) = run(jt, vec![(Some(3), "b"), (Some(4), "b")], true);
+            assert_eq!(rows, 8, "{jt:?} over a build on disk");
+            assert!(calls > 1, "{jt:?} over a build on disk pulls its probe side");
+        }
+        for (jt, want) in
+            [(JoinType::LeftOuter, 20), (JoinType::LeftAnti, 20), (JoinType::NullAwareLeftAnti, 20)]
+        {
+            let (rows, calls) = run(jt, Vec::new(), false);
+            assert_eq!(rows, want, "{jt:?}");
+            assert!(calls > 1, "{jt:?} over an empty build pulls its probe side");
+        }
+    }
+
+    /// splitmix64: the filter property test's keys.
+    fn mix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    #[test]
+    fn a_published_filter_keeps_every_lane_the_join_would_match() {
+        // One or two BIGINT key columns; `spread` scales the keys apart
+        // (1: dense, a direct table; else sparse, hashed tables).
+        for (n_keys, spread, direct) in [(1, 1, true), (1, 1_000_003, false), (2, 1, false)] {
+            for dop in [1usize, 4] {
+                let mut rng = 0xf117_u64 + dop as u64 + spread as u64;
+                let fields: Vec<Field> =
+                    (0..n_keys).map(|i| Field::nullable(format!("k{i}"), TypeId::I64)).collect();
+                let schema = Schema::new(fields).unwrap();
+                let key_of = |rng: &mut u64| -> Vec<Value> {
+                    let k = (mix(rng) % 3000) as i64;
+                    let null = mix(rng).is_multiple_of(20);
+                    (0..n_keys)
+                        .map(|c| match (null, c) {
+                            (true, _) => Value::Null,
+                            (false, 0) => Value::I64(k * spread),
+                            (false, _) => Value::I64(k % 7),
+                        })
+                        .collect()
+                };
+                let build_rows: Vec<Vec<Value>> = (0..1500).map(|_| key_of(&mut rng)).collect();
+                let keys = key_cols(&(0..n_keys).map(|c| (c, TypeId::I64)).collect::<Vec<_>>());
+                let filter = Arc::new(JoinFilter::default());
+                let shared = Arc::new(
+                    SharedBuild::new(
+                        keys,
+                        schema.clone(),
+                        JoinType::Inner,
+                        dop,
+                        CancelToken::new(),
+                    )
+                    .partitioned(dop, 0)
+                    .filtering(filter.clone()),
+                );
+                let mut sinks: Vec<BuildSink> = (0..dop)
+                    .map(|w| {
+                        let share = build_rows.iter().skip(w).step_by(dop).cloned().collect();
+                        let input: BoxedOp =
+                            Box::new(Values::new(schema.clone(), share, 64, CancelToken::new()));
+                        shared.sink(Some(input), Vec::new(), None)
+                    })
+                    .collect();
+                while !sinks.is_empty() {
+                    sinks.retain_mut(|s| !matches!(s.step().unwrap(), Step::Done));
+                }
+                let build = filter.build().expect("published");
+                assert_eq!(build.tables[0].is_direct(), direct);
+                let router = build.router();
+                let mut scratch = FilterScratch::default();
+                for _ in 0..20 {
+                    let probe: Vec<Vec<Value>> = (0..1024).map(|_| key_of(&mut rng)).collect();
+                    let cols: Vec<Vector> = (0..n_keys)
+                        .map(|c| {
+                            let vals: Vec<Value> = probe.iter().map(|r| r[c].clone()).collect();
+                            crate::vector::vector_from_values(TypeId::I64, &vals).unwrap()
+                        })
+                        .collect();
+                    let refs: Vec<&Vector> = cols.iter().collect();
+                    let mut sel = SelVec::identity(probe.len());
+                    build.retain(&refs, router.as_ref(), &mut sel, &mut scratch);
+                    let kept: std::collections::HashSet<usize> = sel.iter().collect();
+                    for (p, row) in probe.iter().enumerate() {
+                        let matches = !row[0].is_null() && build_rows.contains(row);
+                        assert!(!matches || kept.contains(&p), "a matching lane dropped: {row:?}");
+                        if direct {
+                            assert_eq!(kept.contains(&p), matches, "direct membership is exact");
+                        }
+                        if row[0].is_null() {
+                            assert!(!kept.contains(&p), "a NULL key is dropped");
+                        }
+                    }
+                }
+            }
         }
     }
 }

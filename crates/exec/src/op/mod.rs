@@ -13,7 +13,7 @@ pub mod sort;
 pub mod xchg;
 
 pub use hashagg::{AggFunc, AggSpec, HashAggregate};
-pub use hashjoin::{BuildSink, HashJoin, JoinType, SharedBuild};
+pub use hashjoin::{BuildSink, HashJoin, JoinFilter, JoinType, SharedBuild};
 pub use scan::VectorScan;
 pub use simple::{Limit, Project, Select, UnionAll, Values};
 pub use sort::{Sort, SortKey, TopN};

@@ -26,19 +26,34 @@
 //! when one is attached, so a steady-state scan reuses the buffers its
 //! consumer recycled instead of allocating.
 //!
+//! A scan built [`with_filters`](VectorScan::with_filters) applies the
+//! runtime filters of the joins whose probe keys it produces: once a
+//! join's build is published, every batch the scan emits is narrowed to
+//! the lanes whose keys may match it, as a selection vector (a batch with
+//! no lane left is not emitted). Until the publish — a scan feeding
+//! another join's build may start first — it passes every row. A filter
+//! is judged after its first `FILTER_TRIAL_VECTORS` vectors and
+//! switches itself off for the rest of the scan if it kept more than
+//! `FILTER_MAX_KEPT_PCT` percent of the lanes it tested: a full build
+//! costs a few vectors of tests, no knob. The scan lets go of the builds
+//! at its end of input; `EXPLAIN ANALYZE` prints what the filters dropped
+//! of what they tested as ` rtf=D/T`.
+//!
 //! A scan built [`with_rids`](VectorScan::with_rids) appends one BIGINT
 //! column holding every row's position in the table image — the position
 //! where its claim found it, correct however many pruned rows the claim
 //! skipped, and it gives a scan with an empty projection its row count.
 //! The DML victim search is its consumer.
 
+use super::hashjoin::{FilterScratch, JoinBuild, JoinFilter};
 use super::Operator;
 use crate::cancel::CancelToken;
 use crate::morsel::{BatchPool, MorselSource};
+use crate::partition::RadixRouter;
 use crate::profile::OpProfile;
 use crate::vector::{Batch, Vector};
 use std::sync::Arc;
-use vw_common::{ColData, Field, Result, Schema, TypeId, VwError};
+use vw_common::{ColData, Field, Result, Schema, SelVec, TypeId, VwError};
 use vw_pdt::treap::{Link, Piece};
 use vw_pdt::Rows;
 use vw_storage::pack::EncodedChunk;
@@ -49,6 +64,31 @@ use vw_storage::TableStorage;
 /// encoding ([`EncodedChunk`]) and flow into batches still coded; every
 /// other chunk is [`EncodedChunk::Flat`].
 type DecodedPack = Vec<EncodedChunk>;
+
+/// Vectors a scan tests a runtime join filter on before it judges it.
+const FILTER_TRIAL_VECTORS: u32 = 4;
+
+/// The share of the lanes it tested, in percent, that a runtime join
+/// filter may keep over its trial and stay on. A filter keeping more drops
+/// too little to pay for its test (a hashed build's costs a hash per
+/// lane), so the scan switches it off for the rest of its input.
+const FILTER_MAX_KEPT_PCT: u64 = 50;
+
+/// One runtime join filter as one scan applies it (see the module docs).
+struct ScanFilter {
+    filter: Arc<JoinFilter>,
+    /// The scan's output columns holding the join's probe keys, in key
+    /// order.
+    cols: Vec<usize>,
+    /// The published build once seen, and its router; let go when the
+    /// filter switches off or the scan ends.
+    build: Option<(Arc<JoinBuild>, Option<RadixRouter>)>,
+    /// Lanes tested and kept over the trial, and the vectors it spanned.
+    tested: u64,
+    kept: u64,
+    vectors: u32,
+    off: bool,
+}
 
 /// Scan of one table image, pulling work from a morsel dispenser.
 pub struct VectorScan {
@@ -69,6 +109,12 @@ pub struct VectorScan {
     batch_pool: Option<BatchPool>,
     /// Append the RID column (always the last output column).
     emit_rids: bool,
+    /// The runtime join filters this scan applies, and their scratch.
+    filters: Vec<ScanFilter>,
+    filter_scratch: FilterScratch,
+    /// The selection the filters narrow (handed out with a batch they
+    /// narrowed, taken back from the batch pool).
+    sel: SelVec,
     profile: OpProfile,
     cancel: CancelToken,
 }
@@ -112,9 +158,27 @@ impl VectorScan {
             vector_size,
             batch_pool: None,
             emit_rids: false,
+            filters: Vec::new(),
+            filter_scratch: FilterScratch::default(),
+            sel: SelVec::new(),
             profile: OpProfile::default(),
             cancel,
         }
+    }
+
+    /// Apply the runtime join `filters`, each with the output columns
+    /// holding its join's probe keys (see the module docs).
+    pub fn with_filters(mut self, filters: Vec<(Arc<JoinFilter>, Vec<usize>)>) -> VectorScan {
+        self.filters.extend(filters.into_iter().map(|(filter, cols)| ScanFilter {
+            filter,
+            cols,
+            build: None,
+            tested: 0,
+            kept: 0,
+            vectors: 0,
+            off: false,
+        }));
+        self
     }
 
     /// Lease output batches from (and let consumers recycle into) `pool`.
@@ -226,6 +290,77 @@ impl Operator for VectorScan {
     }
 
     fn next(&mut self) -> Result<Option<Batch>> {
+        loop {
+            let Some(mut out) = self.fill()? else {
+                // Let go of the builds: the probers free them.
+                self.filters.clear();
+                return Ok(None);
+            };
+            if self.filters.is_empty() {
+                return Ok(Some(out));
+            }
+            let n = out.capacity();
+            self.sel.fill_identity(n);
+            self.apply_filters(&out);
+            if self.sel.is_empty() {
+                if let Some(bp) = &self.batch_pool {
+                    bp.recycle(out);
+                }
+                continue;
+            }
+            if self.sel.len() < n {
+                let spare = self.batch_pool.as_ref().and_then(BatchPool::take_sel);
+                out.sel = Some(std::mem::replace(&mut self.sel, spare.unwrap_or_default()));
+            }
+            return Ok(Some(out));
+        }
+    }
+}
+
+impl VectorScan {
+    /// Narrow `self.sel` by every runtime join filter whose build is
+    /// published and that is still on, judging each once its trial is
+    /// over.
+    fn apply_filters(&mut self, out: &Batch) {
+        for f in &mut self.filters {
+            if f.off || self.sel.is_empty() {
+                continue;
+            }
+            if f.build.is_none() {
+                f.build = f.filter.build().map(|b| {
+                    let router = b.router();
+                    (b, router)
+                });
+            }
+            let Some((build, router)) = &f.build else { continue };
+            let before = self.sel.len() as u64;
+            // One key (the common case) resolves through a stack array.
+            let single;
+            let multi: Vec<&Vector>;
+            let keys: &[&Vector] = if f.cols.len() == 1 {
+                single = [&out.columns[f.cols[0]]];
+                &single
+            } else {
+                multi = f.cols.iter().map(|&c| &out.columns[c]).collect();
+                &multi
+            };
+            build.retain(keys, router.as_ref(), &mut self.sel, &mut self.filter_scratch);
+            let kept = self.sel.len() as u64;
+            self.profile.rtf_tested += before;
+            self.profile.rtf_dropped += before - kept;
+            f.tested += before;
+            f.kept += kept;
+            f.vectors += 1;
+            if f.vectors == FILTER_TRIAL_VECTORS && f.kept * 100 > f.tested * FILTER_MAX_KEPT_PCT {
+                f.off = true;
+                f.build = None;
+            }
+        }
+    }
+
+    /// The next batch of the image, before any runtime filter (`None`:
+    /// the image is exhausted).
+    fn fill(&mut self) -> Result<Option<Batch>> {
         self.cancel.check()?;
         if !self.ensure_morsel() {
             return Ok(None);

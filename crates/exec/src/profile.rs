@@ -30,10 +30,13 @@
 //! | `shards=P×skew` | a join build shared inside an Exchange with a table per slot (`P > 1`); skew is build rows per table, `max/mean`. An aggregate, a one-table build and a build on disk (see `spill=`) never print it. | skew near 1.00; ≫ 1 is a clustered radix split. |
 //! | `spill=Fp W/R` | grace spilling: spill files begun (one per partition of a routed spill that took a row — builds and probes, all strata), encoded bytes written / read back. | any value means the query ran over `mem_budget`; read ≫ written is deep re-partitioning. |
 //! | `enc=E/F+S` | batches the operator took in still encoded (dictionary codes, RLE) / fully inflated, plus `S` rows decided wholesale at the encoding level (whole runs, dictionary-code bitmaps, the aggregate's code memo). `+S` only when `S > 0`. | `0/F` on a dictionary column means the encoded path fell back. |
+//! | `rtf=D/T` | a scan's runtime join filters: rows dropped / rows tested, over all clones. A filter keeping more than half of its first few vectors switches off, so `T` stops there. | on a selective build `D` near `T` and `T` the scan's rows; `T` of a few vectors is a full build's filter that switched off. |
 //!
 //! A node with no operator of its own prints no suffix: a `Sort` fused
 //! into the `TopN` its `Limit` lowers to (the `Limit` line carries the
-//! `TopN`'s figures).
+//! `TopN`'s figures). Neither does a node whose operators were never
+//! pulled: the probe side of an inner or semi join whose empty build
+//! answered alone.
 
 use crate::op::{BoxedOp, Operator};
 use crate::partition::SpillMetrics;
@@ -66,6 +69,10 @@ pub struct OpProfile {
     pub flat_batches: u64,
     /// Rows decided wholesale at the encoding level instead of per row.
     pub enc_skipped: u64,
+    /// A scan's runtime join filters: rows they dropped, of the rows they
+    /// tested.
+    pub rtf_dropped: u64,
+    pub rtf_tested: u64,
 }
 
 impl OpProfile {
@@ -112,6 +119,8 @@ impl OpProfile {
         self.enc_batches += other.enc_batches;
         self.flat_batches += other.flat_batches;
         self.enc_skipped += other.enc_skipped;
+        self.rtf_dropped += other.rtf_dropped;
+        self.rtf_tested += other.rtf_tested;
     }
 }
 
@@ -199,6 +208,9 @@ impl NodeProfile {
                 let _ = write!(out, "+{}", c.enc_skipped);
             }
         }
+        if c.rtf_tested > 0 {
+            let _ = write!(out, " rtf={}/{}", c.rtf_dropped, c.rtf_tested);
+        }
         out
     }
 }
@@ -229,12 +241,15 @@ pub struct Profiled {
     node: Arc<NodeProfile>,
     rows: u64,
     time: Duration,
+    /// Was `next()` ever called? An operator never pulled (the probe side
+    /// of a join whose empty build answered alone) reports nothing.
+    pulled: bool,
 }
 
 impl Profiled {
     /// `op`, reporting into `node` when it drops.
     pub fn wrap(op: BoxedOp, node: Arc<NodeProfile>) -> BoxedOp {
-        Box::new(Profiled { op, node, rows: 0, time: Duration::ZERO })
+        Box::new(Profiled { op, node, rows: 0, time: Duration::ZERO, pulled: false })
     }
 }
 
@@ -252,6 +267,7 @@ impl Operator for Profiled {
     }
 
     fn next(&mut self) -> Result<Option<Batch>> {
+        self.pulled = true;
         let t0 = Instant::now();
         let out = self.op.next();
         self.time += t0.elapsed();
@@ -264,7 +280,9 @@ impl Operator for Profiled {
 
 impl Drop for Profiled {
     fn drop(&mut self) {
-        self.node.merge(self.rows, self.time, self.op.profile());
+        if self.pulled {
+            self.node.merge(self.rows, self.time, self.op.profile());
+        }
     }
 }
 

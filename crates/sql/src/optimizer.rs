@@ -17,7 +17,9 @@
 //!    pack-skip decisions;
 //! 6. **Join-aware projection pruning** — unused columns are dropped
 //!    through joins and projections, not just at scans;
-//! 7. **Build-side choice** by the [`Estimator`]'s cardinalities.
+//! 7. **Outer-join simplification** — a LEFT join under a filter conjunct
+//!    that rejects the NULLs it pads with becomes inner, in place;
+//! 8. **Build-side choice** by the [`Estimator`]'s cardinalities.
 //!
 //! Estimates come from `storage::stats` (row counts, distinct counts,
 //! equi-depth histograms) surfaced through the [`CatalogView`] trait; a
@@ -31,7 +33,7 @@ use crate::binder::CatalogView;
 use crate::plan::{AggCall, ApplyKind, JoinKind, LogicalPlan, ScanHint};
 use std::collections::HashMap;
 use vw_common::{Field, Result, Schema, TypeId, Value, VwError};
-use vw_exec::expr::{CmpOp, PhysExpr};
+use vw_exec::expr::{BinOp, CmpOp, Func, PhysExpr};
 use vw_exec::program::eval_const;
 
 /// Selectivity floor: a conjunction never claims to filter below this.
@@ -54,6 +56,7 @@ pub fn optimize(plan: LogicalPlan, catalog: &dyn CatalogView) -> Result<LogicalP
     let plan = reorder_joins(plan, &est)?;
     let plan = push_hints(plan);
     let plan = prune_projections(plan)?;
+    let plan = reject_nulls(plan, &[]);
     Ok(choose_build_side(plan, &est))
 }
 
@@ -449,7 +452,10 @@ pub fn hint_from(e: &PhysExpr, projection: &[usize]) -> Option<ScanHint> {
 /// below joins (a join can eliminate the very row that would have
 /// divided by zero or overflowed). Comparisons, boolean connectives,
 /// NULL tests, LIKE and error-free casts qualify (so do IN-lists, bound
-/// as OR chains); arithmetic, functions and CASE do not.
+/// as OR chains), and so do UPPER, LOWER, TRIM, LENGTH, SUBSTR with
+/// constant bounds it accepts, and integer `/` and `%` by a constant
+/// other than 0 and −1. `+`, `-` and `*` (which overflow), other
+/// functions and CASE do not.
 fn error_free(e: &PhysExpr) -> bool {
     match e {
         PhysExpr::ColRef(..) | PhysExpr::Const(..) => true,
@@ -458,7 +464,26 @@ fn error_free(e: &PhysExpr) -> bool {
         PhysExpr::Not(x) | PhysExpr::IsNull(x) | PhysExpr::IsNotNull(x) => error_free(x),
         PhysExpr::Like { input, .. } => error_free(input),
         PhysExpr::Cast { input, to } => cast_cannot_fail(input.type_id(), *to) && error_free(input),
-        PhysExpr::Arith { .. } | PhysExpr::FuncCall { .. } | PhysExpr::Case { .. } => false,
+        PhysExpr::Arith { op: BinOp::Div | BinOp::Rem, lhs, rhs, ty: TypeId::I64 } => {
+            matches!(**rhs, PhysExpr::Const(Value::I64(d), _) if d != 0 && d != -1)
+                && error_free(lhs)
+        }
+        PhysExpr::FuncCall { func, args, .. } => {
+            let bounds_ok = match (func, args.get(1), args.get(2)) {
+                (Func::Upper | Func::Lower | Func::Trim | Func::Length, ..) => true,
+                (Func::Substr, Some(PhysExpr::Const(Value::I64(start), _)), len) => {
+                    *start >= 1
+                        && match len {
+                            None => true,
+                            Some(PhysExpr::Const(Value::I64(n), _)) => *n >= 0,
+                            Some(_) => false,
+                        }
+                }
+                _ => false,
+            };
+            bounds_ok && error_free(&args[0])
+        }
+        PhysExpr::Arith { .. } | PhysExpr::Case { .. } => false,
     }
 }
 
@@ -1276,6 +1301,81 @@ fn base_column(plan: &LogicalPlan, col: usize) -> Option<(&str, usize)> {
 }
 
 // ---------------------------------------------------------------------------
+// outer-join simplification
+// ---------------------------------------------------------------------------
+
+/// `plan` with every LEFT join made inner whose null-extended side a
+/// filter conjunct above it rejects; `strict` are the output columns of
+/// `plan` that such conjuncts above it are strict in (see
+/// [`strict_cols`]). A conjunct strict in a null-extended column is never
+/// TRUE on a padded row, so the join need not make them (Galindo-Legaria
+/// & Rosenthal, TODS 1997). Only the join kind changes: the order stays,
+/// the conjunct stays where it is and sees only the rows it kept before,
+/// and [`choose_build_side`] may then build the smaller side.
+fn reject_nulls(plan: LogicalPlan, strict: &[usize]) -> LogicalPlan {
+    match plan {
+        LogicalPlan::Filter { input, predicate } => {
+            let mut cols = strict.to_vec();
+            strict_cols(&predicate, &mut cols);
+            LogicalPlan::Filter { input: Box::new(reject_nulls(*input, &cols)), predicate }
+        }
+        LogicalPlan::Project { input, exprs, schema } => {
+            let cols: Vec<usize> = strict
+                .iter()
+                .filter_map(|&c| match exprs.get(c) {
+                    Some(PhysExpr::ColRef(i, _)) => Some(*i),
+                    _ => None,
+                })
+                .collect();
+            LogicalPlan::Project { input: Box::new(reject_nulls(*input, &cols)), exprs, schema }
+        }
+        LogicalPlan::Join { left, right, mut kind, keys, schema } => {
+            let lw = left.schema().len();
+            if kind == JoinKind::Left && strict.iter().any(|&c| c >= lw) {
+                kind = JoinKind::Inner;
+            }
+            let (l, r): (Vec<usize>, Vec<usize>) = strict.iter().partition(|&&c| c < lw);
+            let r: Vec<usize> = match kind {
+                JoinKind::Inner => r.into_iter().map(|c| c - lw).collect(),
+                _ => Vec::new(),
+            };
+            let left = Box::new(reject_nulls(*left, &l));
+            let right = Box::new(reject_nulls(*right, &r));
+            LogicalPlan::Join { left, right, kind, keys, schema }
+        }
+        other => map_inputs(other, &mut |c| Ok(reject_nulls(c, &[])))
+            .expect("reject_nulls is infallible"),
+    }
+}
+
+/// Add to `out` the columns a NULL in which makes predicate `e` NULL, and
+/// so not TRUE: the columns of a comparison's or a LIKE's operands,
+/// through arithmetic and casts, in any conjunct. Nothing under OR, NOT,
+/// IS [NOT] NULL, CASE or a function — COALESCE binds to a CASE.
+fn strict_cols(e: &PhysExpr, out: &mut Vec<usize>) {
+    fn operand(e: &PhysExpr, out: &mut Vec<usize>) {
+        match e {
+            PhysExpr::ColRef(c, _) => out.push(*c),
+            PhysExpr::Arith { lhs, rhs, .. } => {
+                operand(lhs, out);
+                operand(rhs, out);
+            }
+            PhysExpr::Cast { input, .. } => operand(input, out),
+            _ => {}
+        }
+    }
+    match e {
+        PhysExpr::Cmp { lhs, rhs, .. } => {
+            operand(lhs, out);
+            operand(rhs, out);
+        }
+        PhysExpr::Like { input, .. } => operand(input, out),
+        PhysExpr::And(v) => v.iter().for_each(|c| strict_cols(c, out)),
+        _ => {}
+    }
+}
+
+// ---------------------------------------------------------------------------
 // join build-side choice
 // ---------------------------------------------------------------------------
 
@@ -1813,6 +1913,69 @@ mod tests {
             rhs: Box::new(col),
             ty: TypeId::I64,
         }));
+    }
+
+    /// The line right below the `Select` of `text` (the filter's input).
+    fn below_select(text: &str) -> &str {
+        let mut lines = text.lines().skip_while(|l| !l.contains("Select"));
+        lines.nth(1).expect("a Select with an input")
+    }
+
+    #[test]
+    fn conjuncts_that_cannot_fail_sink_to_their_scan() {
+        for pred in [
+            "big.id % 100 = 0",
+            "big.id / 7 = 3",
+            "SUBSTR(big.b, 1, 2) IN ('ab', 'cd')",
+            "UPPER(big.b) = 'X' AND LENGTH(TRIM(LOWER(big.b))) > 2",
+        ] {
+            let text = explain(&plan_for(&format!(
+                "SELECT COUNT(*) FROM small, big WHERE small.id = big.id AND {pred}"
+            )));
+            assert!(below_select(&text).contains("Scan big"), "{pred}:\n{text}");
+        }
+        for pred in [
+            "big.id * 5 > 10",
+            "big.id + 1 > 10",
+            "big.id % 0 = 0",
+            "big.id / -1 = 3",
+            "SUBSTR(big.b, 0, 2) = 'ab'",
+        ] {
+            let text = explain(&plan_for(&format!(
+                "SELECT COUNT(*) FROM small, big WHERE small.id = big.id AND {pred}"
+            )));
+            let (select, join) = (text.find("Select").unwrap(), text.find("HashJoin").unwrap());
+            assert!(select < join, "{pred} stays above the join:\n{text}");
+        }
+    }
+
+    #[test]
+    fn a_left_join_is_inner_under_a_conjunct_that_rejects_its_padding() {
+        let join_of = |pred: &str| {
+            let text = explain(&plan_for(&format!(
+                "SELECT small.a FROM small LEFT JOIN big ON small.id = big.id WHERE {pred}"
+            )));
+            text.lines().find(|l| l.contains("HashJoin")).unwrap().trim().to_string()
+        };
+        for pred in ["big.a > 3", "big.a * 2 < small.a", "big.b LIKE 'x%'"] {
+            assert!(join_of(pred).starts_with("HashJoin Inner"), "{pred}");
+        }
+        for pred in [
+            "big.a IS NULL",
+            "big.a IS NOT NULL OR small.a > 1",
+            "COALESCE(big.a, 0) = 0",
+            "big.a > 3 OR small.a > 1",
+            "NOT (big.a > 3 AND small.a > 1)",
+            "CASE WHEN big.a > 3 THEN 1 ELSE 0 END = 0",
+            "small.a > 3",
+        ] {
+            assert!(join_of(pred).starts_with("HashJoin Left"), "{pred}");
+        }
+        // The padded side is the small one: once inner, it is the build.
+        let text = explain(&plan_for(
+            "SELECT small.a FROM small LEFT JOIN big ON small.id = big.id WHERE big.a > 3",
+        ));
+        assert!(text.contains("probe: Scan big") && text.contains("build: Scan small"), "{text}");
     }
 
     #[test]

@@ -317,13 +317,15 @@ fn explain_golden_setop_and_decorrelated_plans() {
         "decorrelated-EXISTS plan with statistics drifted"
     );
     // A correlated scalar becomes a Left join against the grouped
-    // subquery, a value projection, and the comparison as a Select.
+    // subquery, a value projection, and the comparison as a Select. The
+    // comparison rejects the NULL the join pads with, so the join is
+    // inner.
     assert_eq!(
         explain(&db, scalar),
-        "Project [1 exprs] est~60\n\
-         \u{20} Project [1 exprs] est~60\n\
-         \u{20}   Select est~60\n\
-         \u{20}     HashJoin Left on 1 key(s) est~200\n\
+        "Project [1 exprs] est~38\n\
+         \u{20} Project [1 exprs] est~38\n\
+         \u{20}   Select est~38\n\
+         \u{20}     HashJoin Inner on 1 key(s) est~125\n\
          \u{20}       probe: Scan t1 cols=[0, 1]/2 hints=0 est~200\n\
          \u{20}       build: Project [2 exprs] est~25\n\
          \u{20}         Aggr groups=1 aggs=1 est~25\n\
@@ -384,10 +386,10 @@ fn explain_golden_setop_and_decorrelated_plans() {
     );
     assert_eq!(
         explain(&db, scalar),
-        "Project [1 exprs] est~60\n\
-         \u{20} Project [1 exprs] est~60\n\
-         \u{20}   Select est~60\n\
-         \u{20}     HashJoin Left on 1 key(s) est~200\n\
+        "Project [1 exprs] est~2\n\
+         \u{20} Project [1 exprs] est~2\n\
+         \u{20}   Select est~2\n\
+         \u{20}     HashJoin Inner on 1 key(s) est~8\n\
          \u{20}       probe: Scan t1 cols=[0, 1]/2 hints=0 est~200\n\
          \u{20}       build: Project [2 exprs] est~8\n\
          \u{20}         Aggr groups=1 aggs=1 est~8\n\
@@ -563,6 +565,71 @@ fn a_dense_integer_key_builds_a_direct_table() {
         let sparse = join_line("ks");
         assert!(!sparse.contains(" direct"), "dop {dop}: {sparse}");
         assert_eq!(sparse.contains(" shards=2×"), dop == 2, "dop {dop}: {sparse}");
+    }
+}
+
+/// A published build narrows its probe side: the scan producing the probe
+/// key drops the rows no build key matches, and prints ` rtf=<dropped>/
+/// <tested>` after its ` actual=`. A filter that keeps most of what it
+/// tests switches itself off after a few vectors, and an empty inner build
+/// answers without pulling its probe side at all.
+#[test]
+fn a_published_build_filters_its_probe_scan() {
+    let db = Database::open_in_memory();
+    db.execute("CREATE TABLE fact (k BIGINT NOT NULL, ks BIGINT NOT NULL)").unwrap();
+    db.execute("CREATE TABLE dim (k BIGINT NOT NULL, ks BIGINT NOT NULL, v BIGINT NOT NULL)")
+        .unwrap();
+    let keys = |n: i64, scale: i64| ColData::I64((0..n).map(|i| i % 10_000 * scale).collect());
+    let fact = [keys(20_000, 1), keys(20_000, 1_000_003)];
+    let dim = [keys(10_000, 1), keys(10_000, 1_000_003), ColData::I64((0..10_000).collect())];
+    bulk_load(&db, "fact", &fact, &[None, None]).unwrap();
+    bulk_load(&db, "dim", &dim, &[None, None, None]).unwrap();
+    // Resident builds: a build on disk publishes no filter.
+    db.execute("SET mem_budget = 0").unwrap();
+    let vector = db.config().vector_size as u64;
+    for dop in [1, 2] {
+        db.execute(&format!("SET parallelism = {dop}")).unwrap();
+        let scan_line = |key: &str, pred: &str| -> String {
+            let sql = format!(
+                "EXPLAIN ANALYZE SELECT COUNT(*) FROM fact f JOIN dim d ON f.{key} = d.{key} {pred}"
+            );
+            let text = db.execute(&sql).unwrap().text.unwrap();
+            text.lines().find(|l| l.contains("Scan fact")).expect("a scan line").to_string()
+        };
+        let rtf = |line: &str| -> (u64, u64) {
+            let field = line.split(" rtf=").nth(1).unwrap_or_else(|| panic!("no rtf= in {line}"));
+            let (d, t) = field.split_once('/').unwrap();
+            (d.parse().unwrap(), t.split(' ').next().unwrap().parse().unwrap())
+        };
+        // 100 dense build keys, each on 2 fact rows: the direct table
+        // answers exactly.
+        let line = scan_line("k", "WHERE d.v < 100");
+        assert!(line.contains(" actual=200 "), "dop {dop}: {line}");
+        assert_eq!(rtf(&line), (19_800, 20_000), "dop {dop}: {line}");
+        assert!(line.find(" actual=") < line.find(" rtf="), "{line}");
+        // The same keys spread apart: a hashed table's bloom bytes keep a
+        // few more.
+        let line = scan_line("ks", "WHERE d.v < 100");
+        let (dropped, tested) = rtf(&line);
+        assert_eq!(tested, 20_000, "dop {dop}: {line}");
+        assert!((18_000..=19_800).contains(&dropped), "dop {dop}: {line}");
+        // Every fact row matches a full build: the filter switches off after
+        // its trial, a few vectors per scan clone.
+        for key in ["k", "ks"] {
+            let line = scan_line(key, "");
+            let (dropped, tested) = rtf(&line);
+            assert_eq!(dropped, 0, "dop {dop}: {line}");
+            assert!(tested <= 4 * vector * dop && tested < 20_000, "dop {dop}: {line}");
+        }
+        // An empty inner build: the probe side is never pulled, so its
+        // lines carry no measured suffix.
+        let sql = "EXPLAIN ANALYZE SELECT COUNT(*) FROM fact f JOIN dim d ON f.k = d.k \
+                   WHERE d.v < 0";
+        let text = db.execute(sql).unwrap().text.unwrap();
+        let join = text.lines().find(|l| l.contains("HashJoin")).unwrap();
+        assert!(join.contains(" actual=0 "), "dop {dop}:\n{text}");
+        let probe = text.lines().find(|l| l.contains("Scan fact")).unwrap();
+        assert!(!probe.contains(" actual="), "dop {dop}:\n{text}");
     }
 }
 

@@ -365,17 +365,19 @@ fn tpch_goldens() {
         }
         tsv.push('\n');
     }
-    let artifact = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("target/tpch_pass_matrix.tsv");
-    std::fs::write(&artifact, &tsv).unwrap();
+    let target = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("target");
+    std::fs::write(target.join("tpch_pass_matrix.tsv"), &tsv).unwrap();
+    // Each failure's query, lane and diff, beside the matrix: a failing
+    // run keeps its evidence whoever captured the output.
+    let detail: String = failures.iter().map(|f| format!("----\n{f}\n")).collect();
+    std::fs::write(target.join("tpch_failures.txt"), &detail).unwrap();
 
     println!("{passing} of {} pass", matrix.len());
     println!("{tsv}");
-    for f in &failures {
-        println!("----\n{f}");
-    }
+    print!("{detail}");
     assert!(
         passing >= FLOOR,
-        "{passing} of {} TPC-H queries pass; committed floor is {FLOOR}",
+        "{passing} of {} TPC-H queries pass; committed floor is {FLOOR}\n{detail}",
         matrix.len()
     );
 }
