@@ -30,9 +30,9 @@
 //! The runtime join filter's test is timed per lane against both layouts
 //! at 5 %, 50 % and 95 % of lanes passing — the direct table's exact
 //! membership test (`JoinTable::retain_direct`), and the hashed table's
-//! key hashing plus bloom test (`hashtable::hash_keys`,
-//! `JoinTable::retain_bloom`), as a scan runs them — with the same
-//! zero-allocation proof.
+//! bloom test over each lane's key hash, computed inline as the fused
+//! probe kernel computes it (`JoinTable::retain_bloom`), as a scan runs
+//! them — with the same zero-allocation proof.
 
 use criterion::{black_box, criterion_group, Criterion};
 use rand::rngs::SmallRng;
@@ -551,32 +551,23 @@ fn filter_keys(build: &[i64], n_probe: usize, pass_pct: usize, seed: u64) -> Vec
 }
 
 /// One pass of the runtime filter's test over `chunks`, as a scan runs
-/// it per batch (reused selections, lanes and hashes); returns the lanes
+/// it per batch (into one reused selection); returns the lanes
 /// kept.
-fn filter_pass(
-    side: &FlatSide,
-    chunks: &[Vec<Vector>],
-    sels: &mut (SelVec, SelVec),
-    bufs: &mut (Vec<u64>, Vec<u64>),
-) -> usize {
+fn filter_pass(side: &FlatSide, chunks: &[Vec<Vector>], out: &mut SelVec) -> usize {
     let mut kept = 0;
     for chunk in chunks {
         let n = chunk[0].len();
-        sels.0.fill_identity(n);
         if side.table.is_direct() {
             let keys = chunk[0].data.as_i64();
-            side.table.retain_direct(&sels.0, |p| keys[p], &mut sels.1);
+            side.table.retain_direct(n, None, |p| keys[p], out);
         } else {
-            hashtable::hash_keys(&chunk[..], n, false, &mut bufs.0, &mut bufs.1);
-            JoinTable::retain_bloom(
-                std::slice::from_ref(&side.table),
-                |_| 0,
-                &bufs.1,
-                &sels.0,
-                &mut sels.1,
-            );
+            // A flat BIGINT key hashes inline, as the scan's test does.
+            let keys = chunk[0].data.as_i64();
+            let table = std::slice::from_ref(&side.table);
+            let hash = |p: usize| hash_u64(keys[p] as u64);
+            JoinTable::retain_bloom(table, |_| 0, n, None, hash, out);
         }
-        kept += sels.1.len();
+        kept += out.len();
     }
     kept
 }
@@ -593,16 +584,16 @@ fn runtime_filter() {
     for (layout, side) in [("direct", direct_build(&build)), ("hashed", flat_build(&build))] {
         for pct in [5usize, 50, 95] {
             let chunks = chunked(&filter_keys(&build, 64 * VECTOR, pct, 11));
-            let (mut sels, mut bufs) = Default::default();
-            let kept = filter_pass(&side, &chunks, &mut sels, &mut bufs); // warm
+            let mut out = SelVec::new();
+            let kept = filter_pass(&side, &chunks, &mut out); // warm
             let before = ALLOCS.load(Ordering::Relaxed);
-            assert_eq!(filter_pass(&side, &chunks, &mut sels, &mut bufs), kept);
+            assert_eq!(filter_pass(&side, &chunks, &mut out), kept);
             let allocated = ALLOCS.load(Ordering::Relaxed) - before;
             assert_eq!(allocated, 0, "{layout}: the steady-state filter test allocated");
             let best = (0..5)
                 .map(|_| {
                     let t0 = Instant::now();
-                    black_box(filter_pass(&side, &chunks, &mut sels, &mut bufs));
+                    black_box(filter_pass(&side, &chunks, &mut out));
                     t0.elapsed().as_nanos() as f64 / (64 * VECTOR) as f64
                 })
                 .fold(f64::MAX, f64::min);

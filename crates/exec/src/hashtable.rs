@@ -206,9 +206,7 @@ impl GroupTable {
     pub fn sync(&mut self, keys: &[Vector]) {
         let rows = keys.first().map_or(0, Vector::len);
         for row in self.len()..rows {
-            let mut cols = keys.iter().map(|k| lane_of(k, row));
-            let first = hash_u64(cols.next().expect("at least one key column"));
-            self.insert(cols.fold(first, hash_combine));
+            self.insert(hash_row(keys, row));
         }
     }
 
@@ -916,16 +914,18 @@ impl JoinTable {
         for_lanes!(lane);
     }
 
-    /// The runtime join filter's test against a direct table: narrow `sel`
-    /// to the lanes whose key `key_of(p)` has a bucket holding rows — the
-    /// probe's own subtract and bounds check, so membership is exact.
+    /// The runtime join filter's test against a direct table: fill `out`
+    /// with the lanes of `sel` (all `n` lanes when `None`) whose key
+    /// `key_of(p)` has a bucket holding rows — the probe's own subtract and
+    /// bounds check, so membership is exact.
     ///
     /// # Panics
     /// On a hashed table.
     #[inline]
     pub fn retain_direct<K: FnMut(usize) -> i64>(
         &self,
-        sel: &SelVec,
+        n: usize,
+        sel: Option<&SelVec>,
         mut key_of: K,
         out: &mut SelVec,
     ) {
@@ -933,20 +933,19 @@ impl JoinTable {
             panic!("a hashed join table is tested by hash, not by key");
         };
         let (lo, last, offsets) = (*lo as u64, self.offsets.len() as u64 - 2, &self.offsets);
-        sel.retain_from(
-            |p| {
-                // Branch-free: a lane outside the range reads the last
-                // bucket and is dropped by the range test.
-                let b = (key_of(p) as u64).wrapping_sub(lo);
-                let at = b.min(last) as usize;
-                (b <= last) & (offsets[at] < offsets[at + 1])
-            },
-            out,
-        );
+        // Branch-free: a lane outside the range reads the last bucket and
+        // is dropped by the range test.
+        let keep = |p: usize| {
+            let b = (key_of(p) as u64).wrapping_sub(lo);
+            let at = b.min(last) as usize;
+            (b <= last) & (offsets[at] < offsets[at + 1])
+        };
+        select(n, sel, keep, out);
     }
 
-    /// The runtime join filter's test against hashed tables: narrow `sel`
-    /// to the lanes whose hash (of the lane's keys, by [`hash_keys`])
+    /// The runtime join filter's test against hashed tables: fill `out`
+    /// with the lanes of `sel` (all `n` lanes when `None`) whose hash
+    /// `hash_of(p)` (the probe's own: a fused kernel's, or [`hash_keys`]')
     /// passes its bucket's bloom byte in `tables[table_of(h)]` — what a
     /// probe tests first. Conservative: a passing lane may still match
     /// nothing.
@@ -954,21 +953,30 @@ impl JoinTable {
     /// # Panics
     /// On a direct table.
     #[inline]
-    pub fn retain_bloom(
+    pub fn retain_bloom<H: FnMut(usize) -> u64>(
         tables: &[JoinTable],
         table_of: impl Fn(u64) -> usize,
-        hashes: &[u64],
-        sel: &SelVec,
+        n: usize,
+        sel: Option<&SelVec>,
+        mut hash_of: H,
         out: &mut SelVec,
     ) {
-        sel.retain_from(
-            |p| {
-                let h = hashes[p];
-                let (_, bloom, mask) = tables[table_of(h)].hashed();
-                bloom[(h & mask) as usize] & bloom_bit(h) != 0
-            },
-            out,
-        );
+        let hit = |bloom: &[u8], mask: u64, h: u64| bloom[(h & mask) as usize] & bloom_bit(h) != 0;
+        if let [table] = tables {
+            let (_, bloom, mask) = table.hashed();
+            select(n, sel, |p| hit(bloom, mask, hash_of(p)), out);
+        } else {
+            select(
+                n,
+                sel,
+                |p| {
+                    let h = hash_of(p);
+                    let (_, bloom, mask) = tables[table_of(h)].hashed();
+                    hit(bloom, mask, h)
+                },
+                out,
+            );
+        }
     }
 
     /// Probe staging: hash every lane, bloom-test every lane on the dense
@@ -1113,6 +1121,16 @@ macro_rules! dispatch_typed_keys {
     };
 }
 pub(crate) use dispatch_typed_keys;
+
+/// Fill `out` with the lanes of `sel` (all `n` lanes when `None`) that
+/// `keep`.
+#[inline]
+fn select(n: usize, sel: Option<&SelVec>, keep: impl FnMut(usize) -> bool, out: &mut SelVec) {
+    match sel {
+        None => out.fill_filtered(0..n as u32, keep),
+        Some(sel) => sel.retain_from(keep, out),
+    }
+}
 
 /// Tables at or below this row count are treated as cache-resident:
 /// probes skip the staged-prefetch passes, whose latency-hiding only pays
@@ -1263,6 +1281,26 @@ fn lane_of(v: &Vector, row: usize) -> u64 {
         ColData::F64(d) => d[row].to_bits(),
         ColData::Date(d) => d[row] as u64,
         ColData::Str(_) => hash_bytes(v.str_at(row).as_bytes()),
+    }
+}
+
+/// [`hash_keys`] of one lane, NULLs as a group.
+fn hash_row<K: std::borrow::Borrow<Vector>>(keys: &[K], row: usize) -> u64 {
+    let mut cols = keys.iter().map(|k| lane_of(k.borrow(), row));
+    let first = hash_u64(cols.next().expect("at least one key column"));
+    cols.fold(first, hash_combine)
+}
+
+/// [`hash_keys`] of the `sel` lanes alone, into `out[p]` (`out` is sized
+/// to the keys' length; other lanes are left as they were): what a sparse
+/// selection costs instead of hashing every lane.
+pub fn hash_keys_sel<K: std::borrow::Borrow<Vector>>(keys: &[K], sel: &SelVec, out: &mut Vec<u64>) {
+    let n = keys.first().map_or(0, |k| k.borrow().len());
+    if out.len() < n {
+        out.resize(n, 0);
+    }
+    for p in sel.iter() {
+        out[p] = hash_row(keys, p);
     }
 }
 

@@ -380,6 +380,11 @@ impl JoinBuild {
         &self.staged[..self.n_keys]
     }
 
+    /// Is its table direct (exact membership, the cheapest filter test)?
+    pub(crate) fn is_direct(&self) -> bool {
+        self.tables.first().is_some_and(JoinTable::is_direct)
+    }
+
     /// Did the build overflow — is it on disk as a whole?
     fn on_disk(&self) -> bool {
         self.tables.is_empty()
@@ -962,44 +967,69 @@ pub(crate) struct FilterScratch {
 }
 
 impl JoinBuild {
-    /// The runtime filter's test: narrow `sel` to the lanes whose probe
-    /// keys `keys` may match a build row. A NULL key matches none. A
-    /// direct table answers exactly; hashed tables test the bloom byte of
-    /// the lane's hash, which `router` (the build's [`JoinBuild::router`])
-    /// routes to its table. A key of a type the table cannot hold keeps
-    /// every lane: the filter only ever drops what the join would.
+    /// The runtime filter's test: narrow `sel` (every lane of `keys` when
+    /// `all`) to the lanes whose probe keys `keys` may match a build row.
+    /// A NULL key matches none. A direct table answers exactly; hashed
+    /// tables test the bloom byte of the lane's hash, which `router` (the
+    /// build's [`JoinBuild::router`]) routes to its table. A key of a type
+    /// the table cannot hold keeps every lane: the filter only ever drops
+    /// what the join would.
     pub(crate) fn retain(
         &self,
         keys: &[&Vector],
         router: Option<&RadixRouter>,
         sel: &mut SelVec,
+        mut all: bool,
         s: &mut FilterScratch,
     ) {
+        let n = keys[0].len();
         if keys.iter().any(|k| k.nulls.is_some()) {
-            sel.retain_from(|p| !keys.iter().any(|k| k.is_null(p)), &mut s.tmp);
+            let valid = |p: usize| !keys.iter().any(|k| k.is_null(p));
+            match all {
+                true => s.tmp.fill_filtered(0..n as u32, valid),
+                false => sel.retain_from(valid, &mut s.tmp),
+            }
             std::mem::swap(sel, &mut s.tmp);
+            all = false;
         }
-        let table = &self.tables[0];
-        if table.is_direct() {
+        let from = (!all).then_some(&*sel);
+        let (tables, out) = (&self.tables, &mut s.tmp);
+        if tables[0].is_direct() {
             macro_rules! test {
                 ($d:expr) => {{
                     let d = $d;
-                    table.retain_direct(sel, |p| d[p].into(), &mut s.tmp)
+                    tables[0].retain_direct(n, from, |p| d[p].into(), out)
                 }};
             }
-            integer_keys!(&keys[0].data, test, return);
+            integer_keys!(&keys[0].data, test, {
+                if all {
+                    sel.fill_identity(n);
+                }
+                return;
+            });
         } else {
-            let n = keys[0].len();
-            hashtable::hash_keys(keys.iter().copied(), n, false, &mut s.lanes, &mut s.hashes);
-            match router {
-                Some(r) => JoinTable::retain_bloom(
-                    &self.tables,
-                    |h| r.shard_of(h),
-                    &s.hashes,
-                    sel,
-                    &mut s.tmp,
-                ),
-                None => JoinTable::retain_bloom(&self.tables, |_| 0, &s.hashes, sel, &mut s.tmp),
+            let table_of = |h| router.map_or(0, |r| r.shard_of(h));
+            // One flat key hashes inline, as the fused probe kernel does;
+            // others through `hash_keys` — of the selected lanes alone
+            // when few are left.
+            macro_rules! fused {
+                ($pa:expr, $same:expr, $hash:expr, $eq:expr) => {{
+                    let (pa, _) = ($pa, $same);
+                    #[allow(clippy::redundant_closure_call)]
+                    JoinTable::retain_bloom(tables, table_of, n, from, |p| $hash(&pa[p]), out)
+                }};
+            }
+            let flat = keys.len() == 1 && !keys[0].is_encoded();
+            if flat {
+                let data = &keys[0].data;
+                hashtable::dispatch_typed_keys!(data, data, fused, unreachable!("one column"));
+            } else {
+                let hashes = &mut s.hashes;
+                match from {
+                    Some(sel) if sel.len() * 4 < n => hashtable::hash_keys_sel(keys, sel, hashes),
+                    _ => hashtable::hash_keys(keys.iter().copied(), n, false, &mut s.lanes, hashes),
+                }
+                JoinTable::retain_bloom(tables, table_of, n, from, |p| hashes[p], out);
             }
         }
         std::mem::swap(sel, &mut s.tmp);
@@ -2403,9 +2433,17 @@ mod tests {
                         })
                         .collect();
                     let refs: Vec<&Vector> = cols.iter().collect();
-                    let mut sel = SelVec::identity(probe.len());
-                    build.retain(&refs, router.as_ref(), &mut sel, &mut scratch);
+                    let mut sel = SelVec::new();
+                    build.retain(&refs, router.as_ref(), &mut sel, true, &mut scratch);
                     let kept: std::collections::HashSet<usize> = sel.iter().collect();
+                    // A sparse selection (hashed lane by lane) keeps the
+                    // same lanes of its own.
+                    let mut sparse = SelVec::from_positions((0..1024).step_by(8).collect());
+                    build.retain(&refs, router.as_ref(), &mut sparse, false, &mut scratch);
+                    let mut every_8th: Vec<usize> =
+                        kept.iter().filter(|&&p| p % 8 == 0).copied().collect();
+                    every_8th.sort_unstable();
+                    assert_eq!(sparse.iter().collect::<Vec<_>>(), every_8th);
                     for (p, row) in probe.iter().enumerate() {
                         let matches = !row[0].is_null() && build_rows.contains(row);
                         assert!(!matches || kept.contains(&p), "a matching lane dropped: {row:?}");

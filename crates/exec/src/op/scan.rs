@@ -28,9 +28,12 @@
 //!
 //! A scan built [`with_filters`](VectorScan::with_filters) applies the
 //! runtime filters of the joins whose probe keys it produces: once a
-//! join's build is published, every batch the scan emits is narrowed to
-//! the lanes whose keys may match it, as a selection vector (a batch with
-//! no lane left is not emitted). Until the publish — a scan feeding
+//! join's build is published, each batch the scan reads is narrowed to
+//! the lanes whose keys may match it by a selection vector, and the kept
+//! lanes are gathered into dense batches of up to a vector each — a
+//! filter leaves few lanes per batch, and the operators above pay per
+//! batch (an aggregate hashes every lane of one). A batch the filters
+//! keep whole passes as it is. Until the publish — a scan feeding
 //! another join's build may start first — it passes every row. A filter
 //! is judged after its first `FILTER_TRIAL_VECTORS` vectors and
 //! switches itself off for the rest of the scan if it kept more than
@@ -112,9 +115,12 @@ pub struct VectorScan {
     /// The runtime join filters this scan applies, and their scratch.
     filters: Vec<ScanFilter>,
     filter_scratch: FilterScratch,
-    /// The selection the filters narrow (handed out with a batch they
-    /// narrowed, taken back from the batch pool).
+    /// The lanes the filters keep of the batch at hand, and the batch
+    /// their kept rows are gathered into.
     sel: SelVec,
+    kept: Option<Batch>,
+    /// A batch kept whole, due after the gathered one just emitted.
+    whole: Option<Batch>,
     profile: OpProfile,
     cancel: CancelToken,
 }
@@ -161,6 +167,8 @@ impl VectorScan {
             filters: Vec::new(),
             filter_scratch: FilterScratch::default(),
             sel: SelVec::new(),
+            kept: None,
+            whole: None,
             profile: OpProfile::default(),
             cancel,
         }
@@ -290,72 +298,103 @@ impl Operator for VectorScan {
     }
 
     fn next(&mut self) -> Result<Option<Batch>> {
+        if let Some(whole) = self.whole.take() {
+            return Ok(Some(whole));
+        }
         loop {
-            let Some(mut out) = self.fill()? else {
+            let Some(raw) = self.fill()? else {
                 // Let go of the builds: the probers free them.
                 self.filters.clear();
-                return Ok(None);
+                return Ok(self.kept.take());
             };
-            if self.filters.is_empty() {
-                return Ok(Some(out));
+            if self.filters.is_empty() && self.kept.is_none() {
+                return Ok(Some(raw));
             }
-            let n = out.capacity();
-            self.sel.fill_identity(n);
-            self.apply_filters(&out);
-            if self.sel.is_empty() {
-                if let Some(bp) = &self.batch_pool {
-                    bp.recycle(out);
+            let n = raw.capacity();
+            if !self.apply_filters(&raw) || self.sel.len() == n {
+                // Kept whole: it passes as it is, after the rows gathered
+                // before it.
+                return Ok(Some(match self.kept.take() {
+                    Some(kept) => {
+                        self.whole = Some(raw);
+                        kept
+                    }
+                    None => raw,
+                }));
+            }
+            // Gather the kept lanes into one dense batch: the operators
+            // above pay per batch, and a filter leaves few lanes in each.
+            let full = self
+                .kept
+                .as_ref()
+                .is_some_and(|k| k.rows() + self.sel.len() > n || !same_arenas(k, &raw));
+            let done = if full { self.kept.take() } else { None };
+            if !self.sel.is_empty() {
+                let pool = self.batch_pool.as_ref();
+                let kept = self.kept.get_or_insert_with(|| {
+                    BatchPool::lease_or_new(pool, &self.out_types, self.vector_size)
+                });
+                for (dst, src) in kept.columns.iter_mut().zip(&raw.columns) {
+                    dst.extend_gather_sel(src, &self.sel);
                 }
-                continue;
             }
-            if self.sel.len() < n {
-                let spare = self.batch_pool.as_ref().and_then(BatchPool::take_sel);
-                out.sel = Some(std::mem::replace(&mut self.sel, spare.unwrap_or_default()));
+            if let Some(bp) = &self.batch_pool {
+                bp.recycle(raw);
             }
-            return Ok(Some(out));
+            if done.is_some() {
+                return Ok(done);
+            }
         }
     }
 }
 
 impl VectorScan {
-    /// Narrow `self.sel` by every runtime join filter whose build is
-    /// published and that is still on, judging each once its trial is
-    /// over.
-    fn apply_filters(&mut self, out: &Batch) {
+    /// Narrow `raw`'s lanes into `self.sel` by every runtime join filter
+    /// whose build is published, judging each once its trial is over.
+    /// `false`: no filter ran, and every lane is kept.
+    fn apply_filters(&mut self, raw: &Batch) -> bool {
+        let (mut all, mut attached) = (true, false);
         for f in &mut self.filters {
-            if f.off || self.sel.is_empty() {
-                continue;
+            if !all && self.sel.is_empty() {
+                break;
             }
             if f.build.is_none() {
                 f.build = f.filter.build().map(|b| {
                     let router = b.router();
                     (b, router)
                 });
+                attached |= f.build.is_some();
             }
             let Some((build, router)) = &f.build else { continue };
-            let before = self.sel.len() as u64;
+            let before = if all { raw.capacity() } else { self.sel.len() } as u64;
             // One key (the common case) resolves through a stack array.
             let single;
             let multi: Vec<&Vector>;
             let keys: &[&Vector] = if f.cols.len() == 1 {
-                single = [&out.columns[f.cols[0]]];
+                single = [&raw.columns[f.cols[0]]];
                 &single
             } else {
-                multi = f.cols.iter().map(|&c| &out.columns[c]).collect();
+                multi = f.cols.iter().map(|&c| &raw.columns[c]).collect();
                 &multi
             };
-            build.retain(keys, router.as_ref(), &mut self.sel, &mut self.filter_scratch);
+            build.retain(keys, router.as_ref(), &mut self.sel, all, &mut self.filter_scratch);
+            all = false;
             let kept = self.sel.len() as u64;
             self.profile.rtf_tested += before;
             self.profile.rtf_dropped += before - kept;
             f.tested += before;
             f.kept += kept;
             f.vectors += 1;
-            if f.vectors == FILTER_TRIAL_VECTORS && f.kept * 100 > f.tested * FILTER_MAX_KEPT_PCT {
-                f.off = true;
-                f.build = None;
-            }
+            f.off =
+                f.vectors == FILTER_TRIAL_VECTORS && f.kept * 100 > f.tested * FILTER_MAX_KEPT_PCT;
         }
+        // A filter switched off is gone for the rest of the scan; direct
+        // tables test first, leaving the hashed ones fewer lanes to hash.
+        self.filters.retain(|f| !f.off);
+        if attached {
+            self.filters.sort_by_key(|f| !f.build.as_ref().is_some_and(|(b, _)| b.is_direct()));
+        }
+        !all
     }
 
     /// The next batch of the image, before any runtime filter (`None`:
@@ -402,6 +441,16 @@ impl VectorScan {
         self.profile.record_enc_batch(&out);
         Ok(Some(out))
     }
+}
+
+/// Do the coded string columns of `kept` and `raw` share their arenas —
+/// may `raw`'s lanes join `kept`'s and stay coded? A gather across arenas
+/// would inflate the strings for every operator above.
+fn same_arenas(kept: &Batch, raw: &Batch) -> bool {
+    kept.columns.iter().zip(&raw.columns).all(|(k, r)| match (k.dict_parts(), r.dict_parts()) {
+        (Some((_, a)), Some((_, b))) => Arc::ptr_eq(a, b),
+        (a, b) => a.is_none() && b.is_none() || k.is_empty(),
+    })
 }
 
 /// Append rows `from..from + n` of column `c` of `rows` to `o`.
