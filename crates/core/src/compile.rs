@@ -128,14 +128,17 @@ type ScanFilter = (Arc<JoinFilter>, Vec<usize>);
 impl JoinFilters {
     /// A filter for every inner or semi join of `plan` whose probe keys
     /// are bare columns, each of its build key's type, that one scan below
-    /// produces unchanged ([`key_source`]).
-    fn place(plan: &LogicalPlan) -> JoinFilters {
+    /// produces unchanged ([`key_source`]) — a scan `estimates` expects to
+    /// read more than one `vector` of rows: a smaller one costs whatever
+    /// reads it one batch either way, and the filter's fixed cost (its
+    /// selections, the batch it gathers into) would be all it added.
+    fn place(plan: &LogicalPlan, estimates: &PlanEstimates<'_>, vector: usize) -> JoinFilters {
         let mut filters = JoinFilters::default();
-        filters.walk(plan);
+        filters.walk(plan, &|scan| estimates.rows(scan).is_some_and(|r| r > vector as f64));
         filters
     }
 
-    fn walk(&mut self, node: &LogicalPlan) {
+    fn walk(&mut self, node: &LogicalPlan, worth: &dyn Fn(&LogicalPlan) -> bool) {
         if let LogicalPlan::Join { left, kind: JoinKind::Inner | JoinKind::Semi, keys, .. } = node {
             let mut scan: Option<&LogicalPlan> = None;
             let mut cols = Vec::with_capacity(keys.len());
@@ -152,13 +155,13 @@ impl JoinFilters {
                     _ => false,
                 }
             });
-            if let (true, Some(scan)) = (traced, scan) {
+            if let (true, Some(scan)) = (traced, scan.filter(|&s| worth(s))) {
                 let filter = Arc::new(JoinFilter::default());
                 self.joins.insert(node_id(node), filter.clone());
                 self.scans.entry(node_id(scan)).or_default().push((filter, cols));
             }
         }
-        node.children().into_iter().for_each(|c| self.walk(c));
+        node.children().into_iter().for_each(|c| self.walk(c, worth));
     }
 
     /// The filters the scan lowered from `node` applies.
@@ -285,7 +288,8 @@ pub(crate) fn build_plan_with<'p>(
     });
     let view = crate::CatalogSnapshot::new(txn.image.clone(), config);
     let estimates = Estimator::new(&view).estimate_all(plan);
-    let query = QueryWide { spill, estimates, analyze, filters: JoinFilters::place(plan) };
+    let filters = JoinFilters::place(plan, &estimates, config.vector_size);
+    let query = QueryWide { spill, estimates, analyze, filters };
     build_plan_inner(db, plan, config, cancel, txn, None, false, &BatchPool::new(), &query)
 }
 

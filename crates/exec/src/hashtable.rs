@@ -940,7 +940,7 @@ impl JoinTable {
             let at = b.min(last) as usize;
             (b <= last) & (offsets[at] < offsets[at + 1])
         };
-        select(n, sel, keep, out);
+        primitives::select_by(n, sel, out, keep);
     }
 
     /// The runtime join filter's test against hashed tables: fill `out`
@@ -964,18 +964,13 @@ impl JoinTable {
         let hit = |bloom: &[u8], mask: u64, h: u64| bloom[(h & mask) as usize] & bloom_bit(h) != 0;
         if let [table] = tables {
             let (_, bloom, mask) = table.hashed();
-            select(n, sel, |p| hit(bloom, mask, hash_of(p)), out);
+            primitives::select_by(n, sel, out, |p| hit(bloom, mask, hash_of(p)));
         } else {
-            select(
-                n,
-                sel,
-                |p| {
-                    let h = hash_of(p);
-                    let (_, bloom, mask) = tables[table_of(h)].hashed();
-                    hit(bloom, mask, h)
-                },
-                out,
-            );
+            primitives::select_by(n, sel, out, |p| {
+                let h = hash_of(p);
+                let (_, bloom, mask) = tables[table_of(h)].hashed();
+                hit(bloom, mask, h)
+            });
         }
     }
 
@@ -1121,16 +1116,6 @@ macro_rules! dispatch_typed_keys {
     };
 }
 pub(crate) use dispatch_typed_keys;
-
-/// Fill `out` with the lanes of `sel` (all `n` lanes when `None`) that
-/// `keep`.
-#[inline]
-fn select(n: usize, sel: Option<&SelVec>, keep: impl FnMut(usize) -> bool, out: &mut SelVec) {
-    match sel {
-        None => out.fill_filtered(0..n as u32, keep),
-        Some(sel) => sel.retain_from(keep, out),
-    }
-}
 
 /// Tables at or below this row count are treated as cache-resident:
 /// probes skip the staged-prefetch passes, whose latency-hiding only pays

@@ -96,48 +96,9 @@ pub fn map_un_full<T: Copy, R>(a: &[T], out: &mut Vec<R>, mut f: impl FnMut(T) -
     out.extend(a.iter().map(|&x| f(x)));
 }
 
-/// Selective unary map. **Unselected output lanes are garbage** — see
-/// [`map_bin_sel`].
-#[inline]
-pub fn map_un_sel<T: Copy, R: Default + Clone>(
-    a: &[T],
-    sel: &SelVec,
-    out: &mut Vec<R>,
-    mut f: impl FnMut(T) -> R,
-) {
-    resize_uninit(out, a.len());
-    for p in sel.iter() {
-        out[p] = f(a[p]);
-    }
-}
-
 // ---------------------------------------------------------------------------
 // select primitives (predicates producing selection vectors)
 // ---------------------------------------------------------------------------
-
-/// Full select: emit positions where `pred(a[i], b[i])`.
-#[inline]
-pub fn select_bin_full<T: Copy, U: Copy>(
-    a: &[T],
-    b: &[U],
-    out: &mut SelVec,
-    mut pred: impl FnMut(T, U) -> bool,
-) {
-    debug_assert_eq!(a.len(), b.len());
-    select_by(a.len(), None, out, |i| pred(a[i], b[i]));
-}
-
-/// Selective select: emit selected positions where the predicate holds.
-#[inline]
-pub fn select_bin_sel<T: Copy, U: Copy>(
-    a: &[T],
-    b: &[U],
-    sel: &SelVec,
-    out: &mut SelVec,
-    mut pred: impl FnMut(T, U) -> bool,
-) {
-    select_by(a.len(), Some(sel), out, |p| pred(a[p], b[p]));
-}
 
 /// Selective gather-equality: keep lanes `p` of `sel` where
 /// `a[p] == b[idx[p]]` under `eq`. The hash-table probe loop uses this to
@@ -397,7 +358,7 @@ mod tests {
         let a = [7i64; 8];
         let mut out = vec![-1i64; 8];
         let sel = SelVec::from_positions(vec![2, 5]);
-        map_un_sel(&a, &sel, &mut out, |x| x * 2);
+        map_bin_sel(&a, &a, &sel, &mut out, |x, y| x + y);
         assert_eq!(out[2], 14);
         assert_eq!(out[5], 14);
         for p in [0usize, 1, 3, 4, 6, 7] {
@@ -409,10 +370,10 @@ mod tests {
     fn select_chains_narrow() {
         let a = [5i64, 10, 15, 20, 25];
         let mut s1 = SelVec::new();
-        select_bin_full(&a, &[12i64; 5], &mut s1, |x, y| x > y);
+        select_by(a.len(), None, &mut s1, |i| a[i] > 12);
         assert_eq!(s1.as_slice(), &[2, 3, 4]);
         let mut s2 = SelVec::new();
-        select_bin_sel(&a, &[22i64; 5], &s1, &mut s2, |x, y| x < y);
+        select_by(a.len(), Some(&s1), &mut s2, |i| a[i] < 22);
         assert_eq!(s2.as_slice(), &[2, 3]);
     }
 
