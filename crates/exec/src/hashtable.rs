@@ -1279,7 +1279,11 @@ fn hash_row<K: std::borrow::Borrow<Vector>>(keys: &[K], row: usize) -> u64 {
 /// [`hash_keys`] of the `sel` lanes alone, into `out[p]` (`out` is sized
 /// to the keys' length; other lanes are left as they were): what a sparse
 /// selection costs instead of hashing every lane.
-pub fn hash_keys_sel<K: std::borrow::Borrow<Vector>>(keys: &[K], sel: &SelVec, out: &mut Vec<u64>) {
+pub(crate) fn hash_keys_sel<K: std::borrow::Borrow<Vector>>(
+    keys: &[K],
+    sel: &SelVec,
+    out: &mut Vec<u64>,
+) {
     let n = keys.first().map_or(0, |k| k.borrow().len());
     if out.len() < n {
         out.resize(n, 0);
