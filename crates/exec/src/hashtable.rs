@@ -206,7 +206,9 @@ impl GroupTable {
     pub fn sync(&mut self, keys: &[Vector]) {
         let rows = keys.first().map_or(0, Vector::len);
         for row in self.len()..rows {
-            self.insert(hash_row(keys, row));
+            let mut cols = keys.iter().map(|k| lane_of(k, row));
+            let first = hash_u64(cols.next().expect("at least one key column"));
+            self.insert(cols.fold(first, hash_combine));
         }
     }
 
@@ -1266,30 +1268,6 @@ fn lane_of(v: &Vector, row: usize) -> u64 {
         ColData::F64(d) => d[row].to_bits(),
         ColData::Date(d) => d[row] as u64,
         ColData::Str(_) => hash_bytes(v.str_at(row).as_bytes()),
-    }
-}
-
-/// [`hash_keys`] of one lane, NULLs as a group.
-fn hash_row<K: std::borrow::Borrow<Vector>>(keys: &[K], row: usize) -> u64 {
-    let mut cols = keys.iter().map(|k| lane_of(k.borrow(), row));
-    let first = hash_u64(cols.next().expect("at least one key column"));
-    cols.fold(first, hash_combine)
-}
-
-/// [`hash_keys`] of the `sel` lanes alone, into `out[p]` (`out` is sized
-/// to the keys' length; other lanes are left as they were): what a sparse
-/// selection costs instead of hashing every lane.
-pub(crate) fn hash_keys_sel<K: std::borrow::Borrow<Vector>>(
-    keys: &[K],
-    sel: &SelVec,
-    out: &mut Vec<u64>,
-) {
-    let n = keys.first().map_or(0, |k| k.borrow().len());
-    if out.len() < n {
-        out.resize(n, 0);
-    }
-    for p in sel.iter() {
-        out[p] = hash_row(keys, p);
     }
 }
 

@@ -380,11 +380,6 @@ impl JoinBuild {
         &self.staged[..self.n_keys]
     }
 
-    /// Is its table direct (exact membership, the cheapest filter test)?
-    pub(crate) fn is_direct(&self) -> bool {
-        self.tables.first().is_some_and(JoinTable::is_direct)
-    }
-
     /// Did the build overflow — is it on disk as a whole?
     fn on_disk(&self) -> bool {
         self.tables.is_empty()
@@ -1010,8 +1005,7 @@ impl JoinBuild {
         } else {
             let table_of = |h| router.map_or(0, |r| r.shard_of(h));
             // One flat key hashes inline, as the fused probe kernel does;
-            // others through `hash_keys` — of the selected lanes alone
-            // when few are left.
+            // others through `hash_keys`.
             macro_rules! fused {
                 ($pa:expr, $same:expr, $hash:expr, $eq:expr) => {{
                     let (pa, _) = ($pa, $same);
@@ -1025,10 +1019,7 @@ impl JoinBuild {
                 hashtable::dispatch_typed_keys!(data, data, fused, unreachable!("one column"));
             } else {
                 let hashes = &mut s.hashes;
-                match from {
-                    Some(sel) if sel.len() * 4 < n => hashtable::hash_keys_sel(keys, sel, hashes),
-                    _ => hashtable::hash_keys(keys.iter().copied(), n, false, &mut s.lanes, hashes),
-                }
+                hashtable::hash_keys(keys.iter().copied(), n, false, &mut s.lanes, hashes);
                 JoinTable::retain_bloom(tables, table_of, n, from, |p| hashes[p], out);
             }
         }
@@ -2436,8 +2427,8 @@ mod tests {
                     let mut sel = SelVec::new();
                     build.retain(&refs, router.as_ref(), &mut sel, true, &mut scratch);
                     let kept: std::collections::HashSet<usize> = sel.iter().collect();
-                    // A sparse selection (hashed lane by lane) keeps the
-                    // same lanes of its own.
+                    // A narrower incoming selection keeps the same lanes
+                    // of its own.
                     let mut sparse = SelVec::from_positions((0..1024).step_by(8).collect());
                     build.retain(&refs, router.as_ref(), &mut sparse, false, &mut scratch);
                     let mut every_8th: Vec<usize> =

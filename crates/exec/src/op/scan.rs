@@ -33,7 +33,9 @@
 //! lanes are gathered into dense batches of up to a vector each — a
 //! filter leaves few lanes per batch, and the operators above pay per
 //! batch (an aggregate hashes every lane of one). A batch the filters
-//! keep whole passes as it is. Until the publish — a scan feeding
+//! keep more than `FILTER_MAX_KEPT_PCT` percent of passes as it is: the
+//! gather would copy more than the filter saves, and the join drops the
+//! rest. Until the publish — a scan feeding
 //! another join's build may start first — it passes every row. A filter
 //! is judged after its first `FILTER_TRIAL_VECTORS` vectors and
 //! switches itself off for the rest of the scan if it kept more than
@@ -74,7 +76,8 @@ const FILTER_TRIAL_VECTORS: u32 = 4;
 /// The share of the lanes it tested, in percent, that a runtime join
 /// filter may keep over its trial and stay on. A filter keeping more drops
 /// too little to pay for its test (a hashed build's costs a hash per
-/// lane), so the scan switches it off for the rest of its input.
+/// lane), so the scan switches it off for the rest of its input. A batch
+/// the filters keep more of passes whole instead of being gathered.
 const FILTER_MAX_KEPT_PCT: u64 = 50;
 
 /// One runtime join filter as one scan applies it (see the module docs).
@@ -311,9 +314,12 @@ impl Operator for VectorScan {
                 return Ok(Some(raw));
             }
             let n = raw.capacity();
-            if !self.apply_filters(&raw) || self.sel.len() == n {
-                // Kept whole: it passes as it is, after the rows gathered
-                // before it.
+            if !self.apply_filters(&raw)
+                || self.sel.len() as u64 * 100 > n as u64 * FILTER_MAX_KEPT_PCT
+            {
+                // Kept mostly: gathering would copy more than the filter
+                // saves, so it passes as it is — the join drops the rest —
+                // after the rows gathered before it.
                 return Ok(Some(match self.kept.take() {
                     Some(kept) => {
                         self.whole = Some(raw);
@@ -324,6 +330,7 @@ impl Operator for VectorScan {
             }
             // Gather the kept lanes into one dense batch: the operators
             // above pay per batch, and a filter leaves few lanes in each.
+            self.profile.rtf_dropped += (n - self.sel.len()) as u64;
             let full = self
                 .kept
                 .as_ref()
@@ -353,7 +360,7 @@ impl VectorScan {
     /// whose build is published, judging each once its trial is over.
     /// `false`: no filter ran, and every lane is kept.
     fn apply_filters(&mut self, raw: &Batch) -> bool {
-        let (mut all, mut attached) = (true, false);
+        let mut all = true;
         for f in &mut self.filters {
             if !all && self.sel.is_empty() {
                 break;
@@ -363,7 +370,6 @@ impl VectorScan {
                     let router = b.router();
                     (b, router)
                 });
-                attached |= f.build.is_some();
             }
             let Some((build, router)) = &f.build else { continue };
             let before = if all { raw.capacity() } else { self.sel.len() } as u64;
@@ -379,21 +385,15 @@ impl VectorScan {
             };
             build.retain(keys, router.as_ref(), &mut self.sel, all, &mut self.filter_scratch);
             all = false;
-            let kept = self.sel.len() as u64;
             self.profile.rtf_tested += before;
-            self.profile.rtf_dropped += before - kept;
             f.tested += before;
-            f.kept += kept;
+            f.kept += self.sel.len() as u64;
             f.vectors += 1;
             f.off =
                 f.vectors == FILTER_TRIAL_VECTORS && f.kept * 100 > f.tested * FILTER_MAX_KEPT_PCT;
         }
-        // A filter switched off is gone for the rest of the scan; direct
-        // tables test first, leaving the hashed ones fewer lanes to hash.
+        // A filter switched off is gone for the rest of the scan.
         self.filters.retain(|f| !f.off);
-        if attached {
-            self.filters.sort_by_key(|f| !f.build.as_ref().is_some_and(|(b, _)| b.is_direct()));
-        }
         !all
     }
 

@@ -30,7 +30,7 @@
 //! | `shards=P×skew` | a join build shared inside an Exchange with a table per slot (`P > 1`); skew is build rows per table, `max/mean`. An aggregate, a one-table build and a build on disk (see `spill=`) never print it. | skew near 1.00; ≫ 1 is a clustered radix split. |
 //! | `spill=Fp W/R` | grace spilling: spill files begun (one per partition of a routed spill that took a row — builds and probes, all strata), encoded bytes written / read back. | any value means the query ran over `mem_budget`; read ≫ written is deep re-partitioning. |
 //! | `enc=E/F+S` | batches the operator took in still encoded (dictionary codes, RLE) / fully inflated, plus `S` rows decided wholesale at the encoding level (whole runs, dictionary-code bitmaps, the aggregate's code memo). `+S` only when `S > 0`. | `0/F` on a dictionary column means the encoded path fell back. |
-//! | `rtf=D/T` | a scan's runtime join filters: rows dropped / rows tested, over all clones. A filter keeping more than half of its first few vectors switches off, so `T` stops there. | on a selective build `D` near `T` and `T` the scan's rows; `T` of a few vectors is a full build's filter that switched off. |
+//! | `rtf=D/T` | a scan's runtime join filters: rows dropped / rows tested, over all clones. A batch they keep more than half of passes whole, dropping none. A filter keeping more than half of its first few vectors switches off, so `T` stops there. | on a selective build `D` near `T` and `T` the scan's rows; `T` of a few vectors is a full build's filter that switched off. |
 //!
 //! A node with no operator of its own prints no suffix: a `Sort` fused
 //! into the `TopN` its `Limit` lowers to (the `Limit` line carries the
