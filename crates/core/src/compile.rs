@@ -116,10 +116,11 @@ fn node_id(node: &LogicalPlan) -> usize {
 /// publishes, and the filters each scan applies, with the scan's output
 /// columns holding their joins' probe keys. Placement reads the plan
 /// alone; whether a build publishes is the join's business at run time.
+/// Lists, not maps: a plan holds a handful of filters, and most plans none.
 #[derive(Default)]
 struct JoinFilters {
-    joins: HashMap<usize, Arc<JoinFilter>>,
-    scans: HashMap<usize, Vec<ScanFilter>>,
+    joins: Vec<(usize, Arc<JoinFilter>)>,
+    scans: Vec<(usize, ScanFilter)>,
 }
 
 /// A filter a scan applies, with its output columns holding the keys.
@@ -141,7 +142,7 @@ impl JoinFilters {
     fn walk(&mut self, node: &LogicalPlan, worth: &dyn Fn(&LogicalPlan) -> bool) {
         if let LogicalPlan::Join { left, kind: JoinKind::Inner | JoinKind::Semi, keys, .. } = node {
             let mut scan: Option<&LogicalPlan> = None;
-            let mut cols = Vec::with_capacity(keys.len());
+            let mut cols = Vec::new();
             let traced = keys.iter().all(|(probe, build)| {
                 let PhysExpr::ColRef(c, ty) = probe else { return false };
                 match key_source(left, *c) {
@@ -157,16 +158,21 @@ impl JoinFilters {
             });
             if let (true, Some(scan)) = (traced, scan.filter(|&s| worth(s))) {
                 let filter = Arc::new(JoinFilter::default());
-                self.joins.insert(node_id(node), filter.clone());
-                self.scans.entry(node_id(scan)).or_default().push((filter, cols));
+                self.joins.push((node_id(node), filter.clone()));
+                self.scans.push((node_id(scan), (filter, cols)));
             }
         }
         node.children().into_iter().for_each(|c| self.walk(c, worth));
     }
 
+    /// The filter the join lowered from `node` publishes.
+    fn of_join(&self, node: &LogicalPlan) -> Option<Arc<JoinFilter>> {
+        self.joins.iter().find(|(id, _)| *id == node_id(node)).map(|(_, f)| f.clone())
+    }
+
     /// The filters the scan lowered from `node` applies.
     fn of_scan(&self, node: &LogicalPlan) -> Vec<ScanFilter> {
-        self.scans.get(&node_id(node)).cloned().unwrap_or_default()
+        self.scans.iter().filter(|(id, _)| *id == node_id(node)).map(|(_, f)| f.clone()).collect()
     }
 }
 
@@ -400,7 +406,7 @@ fn build_plan_node<'p>(
                 JoinKind::NullAwareAnti => JoinType::NullAwareLeftAnti,
             };
             let build_rows = query.estimates.rows(right).map_or(0, |r| r as usize);
-            let filter = query.filters.joins.get(&node_id(plan)).cloned();
+            let filter = query.filters.of_join(plan);
             let side = |plan: &'p LogicalPlan, partition: Option<&mut Partition<'_>>| {
                 build_plan_inner(
                     db,

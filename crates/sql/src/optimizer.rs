@@ -55,8 +55,8 @@ pub fn optimize(plan: LogicalPlan, catalog: &dyn CatalogView) -> Result<LogicalP
     let est = Estimator::new(catalog);
     let plan = reorder_joins(plan, &est)?;
     let plan = push_hints(plan);
-    let plan = prune_projections(plan)?;
-    let plan = reject_nulls(plan, &[]);
+    let mut plan = prune_projections(plan)?;
+    reject_nulls(&mut plan, &[]);
     Ok(choose_build_side(plan, &est))
 }
 
@@ -1304,22 +1304,23 @@ fn base_column(plan: &LogicalPlan, col: usize) -> Option<(&str, usize)> {
 // outer-join simplification
 // ---------------------------------------------------------------------------
 
-/// `plan` with every LEFT join made inner whose null-extended side a
-/// filter conjunct above it rejects; `strict` are the output columns of
-/// `plan` that such conjuncts above it are strict in (see
+/// Make inner, in place, every LEFT join of `plan` whose null-extended
+/// side a filter conjunct above it rejects; `strict` are the output
+/// columns of `plan` that such conjuncts above it are strict in (see
 /// [`strict_cols`]). A conjunct strict in a null-extended column is never
 /// TRUE on a padded row, so the join need not make them (Galindo-Legaria
 /// & Rosenthal, TODS 1997). Only the join kind changes: the order stays,
 /// the conjunct stays where it is and sees only the rows it kept before,
-/// and [`choose_build_side`] may then build the smaller side.
-fn reject_nulls(plan: LogicalPlan, strict: &[usize]) -> LogicalPlan {
+/// and [`choose_build_side`] may then build the smaller side. In place,
+/// unlike the passes before it: most plans have no LEFT join to change.
+fn reject_nulls(plan: &mut LogicalPlan, strict: &[usize]) {
     match plan {
         LogicalPlan::Filter { input, predicate } => {
             let mut cols = strict.to_vec();
-            strict_cols(&predicate, &mut cols);
-            LogicalPlan::Filter { input: Box::new(reject_nulls(*input, &cols)), predicate }
+            strict_cols(predicate, &mut cols);
+            reject_nulls(input, &cols);
         }
-        LogicalPlan::Project { input, exprs, schema } => {
+        LogicalPlan::Project { input, exprs, .. } => {
             let cols: Vec<usize> = strict
                 .iter()
                 .filter_map(|&c| match exprs.get(c) {
@@ -1327,24 +1328,32 @@ fn reject_nulls(plan: LogicalPlan, strict: &[usize]) -> LogicalPlan {
                     _ => None,
                 })
                 .collect();
-            LogicalPlan::Project { input: Box::new(reject_nulls(*input, &cols)), exprs, schema }
+            reject_nulls(input, &cols);
         }
-        LogicalPlan::Join { left, right, mut kind, keys, schema } => {
+        LogicalPlan::Join { left, right, kind, .. } => {
             let lw = left.schema().len();
-            if kind == JoinKind::Left && strict.iter().any(|&c| c >= lw) {
-                kind = JoinKind::Inner;
+            if *kind == JoinKind::Left && strict.iter().any(|&c| c >= lw) {
+                *kind = JoinKind::Inner;
             }
             let (l, r): (Vec<usize>, Vec<usize>) = strict.iter().partition(|&&c| c < lw);
-            let r: Vec<usize> = match kind {
-                JoinKind::Inner => r.into_iter().map(|c| c - lw).collect(),
-                _ => Vec::new(),
-            };
-            let left = Box::new(reject_nulls(*left, &l));
-            let right = Box::new(reject_nulls(*right, &r));
-            LogicalPlan::Join { left, right, kind, keys, schema }
+            // A conjunct above reaches the right side only through an inner join.
+            let inner = *kind == JoinKind::Inner;
+            let r: Vec<usize> = r.into_iter().filter(|_| inner).map(|c| c - lw).collect();
+            reject_nulls(left, &l);
+            reject_nulls(right, &r);
         }
-        other => map_inputs(other, &mut |c| Ok(reject_nulls(c, &[])))
-            .expect("reject_nulls is infallible"),
+        LogicalPlan::Aggregate { input, .. }
+        | LogicalPlan::Sort { input, .. }
+        | LogicalPlan::Limit { input, .. }
+        | LogicalPlan::Exchange { input, .. } => reject_nulls(input, &[]),
+        LogicalPlan::Apply { input, subquery, .. } => {
+            reject_nulls(input, &[]);
+            reject_nulls(subquery, &[]);
+        }
+        LogicalPlan::UnionAll { inputs, .. } => {
+            inputs.iter_mut().for_each(|i| reject_nulls(i, &[]))
+        }
+        LogicalPlan::Scan { .. } | LogicalPlan::Values { .. } => {}
     }
 }
 
