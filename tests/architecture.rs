@@ -482,7 +482,8 @@ fn explain_analyze_prints_every_operator_on_its_plan_line() {
 /// build two workers share (a table per slot) at DOP 2, print the same
 /// `EXPLAIN ANALYZE` lines under an ample `mem_budget` as under none —
 /// measured times and what the clones of a node split between them
-/// masked, `spill=` cut.
+/// (their encodings, the lanes each clone's runtime filter tested before
+/// it switched off) masked, `spill=` cut.
 #[test]
 fn a_budget_never_crossed_changes_no_explain_analyze_line() {
     let db = Database::open_in_memory();
@@ -510,6 +511,7 @@ fn a_budget_never_crossed_changes_no_explain_analyze_line() {
                 _ if w.starts_with("time=") => "time=*",
                 _ if w.contains("..") => "*",
                 _ if clones && w.starts_with("enc=") => "enc=*",
+                _ if clones && w.starts_with("rtf=") => "rtf=*",
                 _ => w,
             });
             words.collect::<Vec<_>>().join(" ")
