@@ -19,13 +19,16 @@
 //! rows, first call and warm, with allocated bytes per row, against the
 //! layout it replaced (reconstructed here: 16-byte slots, a cursor clone of
 //! the directory, one global histogram and scatter) and against the direct
-//! layout over unique dense keys (`JoinTable::build_direct`, no hash). This
-//! sweep is what picked `CSR_RANGE_ROWS`.
+//! layout over unique dense keys (`DirectBuild`, no hash), filled whole and
+//! split by key range into two parts filled on two threads (as the two
+//! sinks of a DOP-2 build fill it).
+//! This sweep is what picked `CSR_RANGE_ROWS`.
 //!
 //! Build and probe run for both layouts: the hashed table over the hashes
 //! of the build keys, and the direct one over the keys themselves (they
-//! are `n` draws from `0..2n`, which the byte rule admits), with the same
-//! zero-allocation proof for the direct probe loop.
+//! are `n` draws from `0..2n`, which the byte rule admits), at 5 %, 50 %
+//! and 95 % of probe keys matching, with the same zero-allocation proof
+//! for the direct probe loop (whose first-row emit is branch-free).
 //!
 //! The runtime join filter's test is timed per lane against both layouts
 //! at 5 %, 50 % and 95 % of lanes passing — the direct table's exact
@@ -45,7 +48,7 @@ use std::time::Instant;
 use vw_common::hash::{hash_u64, FxHashMap};
 use vw_common::{CancelToken, ColData, Field, Result, Schema, SelVec, TypeId};
 use vw_exec::expr::PhysExpr;
-use vw_exec::hashtable::{self, JoinTable};
+use vw_exec::hashtable::{self, DirectBuild, JoinTable};
 use vw_exec::op::{AggFunc, AggSpec, HashAggregate, Operator};
 use vw_exec::program::ExprProgram;
 use vw_exec::{Batch, StrArena, Vector};
@@ -153,9 +156,11 @@ struct FlatSide {
 /// keys' own, tracked batch by batch.
 fn direct_build(keys: &[i64]) -> FlatSide {
     let (lo, hi) = keys.iter().fold((i64::MAX, i64::MIN), |(l, h), &k| (l.min(k), h.max(k)));
-    assert!(JoinTable::fits_direct(keys.len(), lo, hi), "the byte rule admits the build");
+    assert!(JoinTable::fits_direct(keys.len(), lo, hi, 0), "the byte rule admits the build");
     let chunks: Vec<&[i64]> = keys.chunks(VECTOR).collect();
-    let table = JoinTable::build_direct(&chunks, lo, hi);
+    let table = DirectBuild::new(keys.len(), lo, hi, 0);
+    table.fill(&chunks, 0, 1);
+    let table = table.finish();
     FlatSide { table, keys: vec![Vector::new(ColData::I64(keys.to_vec()))] }
 }
 
@@ -206,6 +211,7 @@ fn flat_probe(side: &FlatSide, chunks: &[Vec<Vector>], s: &mut Scratch) -> u64 {
                 &mut s.matched_flags,
                 &mut s.out_probe,
                 &mut s.out_build,
+                &mut s.buf,
             );
         } else {
             side.table.probe_join(
@@ -477,12 +483,26 @@ fn csr_build_sweep() {
         // The same rows keyed by a permutation of `0..n` (7 919 is prime
         // and divides no size here): one row per direct bucket.
         let keys: Vec<i64> = (0..n as i64).map(|i| i * 7919 % n as i64).collect();
-        let (df, dw, db) =
-            time_build(&hashes, |_| JoinTable::build_direct(&[&keys[..]], 0, n as i64 - 1));
+        let hi = n as i64 - 1;
+        let (df, dw, db) = time_build(&hashes, |_| {
+            let table = DirectBuild::new(n, 0, hi, 0);
+            table.fill(&[&keys[..]], 0, 1);
+            table.finish()
+        });
+        // Split by key range into two parts, one per thread, as the two
+        // sinks of a DOP-2 build fill it.
+        let (sf, sw, _) = time_build(&hashes, |_| {
+            let table = DirectBuild::new(n, 0, hi, 0);
+            std::thread::scope(|s| {
+                s.spawn(|| table.fill(&[&keys[..]], 1, 2));
+                table.fill(&[&keys[..]], 0, 2);
+            });
+            table.finish()
+        });
         println!(
             "  {n:>9} rows: old {of:>5.1} / {ow:>5.1}  {ob:>5.1} B/row   \
              new {nf:>5.1} / {nw:>5.1}  {nb:>5.1} B/row   warm x{:.2}   \
-             direct {df:>5.1} / {dw:>5.1}  {db:>5.1} B/row",
+             direct {df:>5.1} / {dw:>5.1}  {db:>5.1} B/row   split x2 {sf:>5.1} / {sw:>5.1}",
             ow / nw
         );
     }

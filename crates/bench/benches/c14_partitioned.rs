@@ -7,7 +7,10 @@
 //! `HashJoin` that drains the whole build side for itself. Its keys are
 //! spread over a sparse domain, so the shared build is the hashed one with
 //! a table per slot; a second row runs the same join on dense keys, whose
-//! build is one direct table.
+//! build is one direct table, its finalize split by key range into one
+//! part per sink. The same two joins then run at DOP 1 under a budget a
+//! quarter of the build: the sparse build spills routed by hash and
+//! replays hashed, the dense one routed by key and replays direct.
 //!
 //! The kernel-level one: one `JoinTable` over 1 M build rows against
 //! `P = 4` tables over their radix partitions (what a shared build above
@@ -29,7 +32,7 @@ use vw_exec::cancel::CancelToken;
 use vw_exec::expr::PhysExpr;
 use vw_exec::hashtable::{JoinTable, ProbeBuf};
 use vw_exec::op::{BoxedOp, HashJoin, JoinType, Operator, SharedBuild, Xchg};
-use vw_exec::partition::{RadixRouter, WorkerPool};
+use vw_exec::partition::{MemBudget, RadixRouter, SpillConfig, WorkerPool};
 use vw_exec::program::ExprProgram;
 use vw_exec::{Batch, Vector};
 
@@ -359,6 +362,64 @@ fn shared_vs_per_fragment_build() {
     }
 }
 
+/// The 200 k × 200 k join at DOP 1, resident and under a budget a quarter
+/// of its build's 3.2 MB (16 grace partitions), on sparse and on dense
+/// keys: ms, best of 7, and the replayed partitions that built direct.
+fn spilled_build() {
+    let n = 200_000;
+    println!("200k x 200k join at DOP 1, ms (best of 7): resident -> spilled under n*16/4 bytes");
+    for (keys, scale) in [("sparse keys, hashed", 1_000_003), ("dense keys, direct", 1)] {
+        let build: Vec<i64> = (0..n as i64).map(|k| k * scale).collect();
+        let probe: Vec<i64> = gen_keys(n, n as i64, 21).iter().map(|k| k * scale).collect();
+        let run = |budget: Option<usize>| {
+            let disk = vw_storage::SimulatedDisk::instant();
+            let cfg = budget.map(|b| SpillConfig::new(MemBudget::new(b), disk, 16));
+            let mut j = HashJoin::new(
+                kv_source(&probe, 0, 1),
+                kv_source(&build, 0, 1),
+                key_program(),
+                key_program(),
+                JoinType::Inner,
+                kv_schema().join(&kv_schema()),
+                CancelToken::new(),
+            );
+            if let Some(cfg) = cfg.clone() {
+                j = j.with_spill(cfg);
+            }
+            let t0 = Instant::now();
+            let mut rows = 0;
+            while let Some(b) = j.next().unwrap() {
+                rows += b.rows();
+            }
+            assert_eq!(rows, n, "every probe key has its one build row");
+            let replays = cfg.map_or((0, 0), |c| {
+                let m = &c.metrics;
+                (m.replayed_direct.load(Ordering::Relaxed), m.replayed.load(Ordering::Relaxed))
+            });
+            (t0.elapsed().as_secs_f64() * 1e3, replays)
+        };
+        let best = |budget| {
+            (0..7).map(|_| run(budget)).fold(
+                (f64::MAX, (0, 0)),
+                |a, b| {
+                    if b.0 < a.0 {
+                        b
+                    } else {
+                        a
+                    }
+                },
+            )
+        };
+        let (resident, _) = best(None);
+        let (spilled, (direct, replayed)) = best(Some(n * 16 / 4));
+        println!(
+            " {keys}: {resident:>6.2} -> {spilled:>6.2} (x{:.2}), \
+             {direct} of {replayed} replayed partitions direct",
+            spilled / resident
+        );
+    }
+}
+
 /// One line per pool size: the join at DOP 1, then at DOP 2 and 4 with a
 /// build per fragment and with the shared build.
 fn join_at_every_dop(build: &[i64], probe: &[i64]) {
@@ -388,6 +449,7 @@ fn join_at_every_dop(build: &[i64], probe: &[i64]) {
 
 fn bench(c: &mut Criterion) {
     shared_vs_per_fragment_build();
+    spilled_build();
 
     correctness_and_alloc_check();
 

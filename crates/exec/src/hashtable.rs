@@ -32,9 +32,11 @@
 //!     upper half of its hash. Past a cache-sized row count the rows are
 //!     first split by the directory's top bits so every pass works inside
 //!     one window of it.
-//!   - **direct** ([`JoinTable::build_direct`]): one integer key column
-//!     (BIGINT, INT, SMALLINT, TINYINT, DATE) whose bucket is `key − lo`,
-//!     and 4-byte row ids. No hash, no bloom byte, no tag: a probe lane is
+//!   - **direct** ([`DirectBuild`]): one integer key column
+//!     (BIGINT, INT, SMALLINT, TINYINT, DATE) whose bucket is
+//!     `(key − lo) >> shift` (`shift` the low key bits every row shares:
+//!     0 but in a replayed partition of a build routed by key), and 4-byte
+//!     row ids, filled in independent key-range parts. No hash, no bloom byte, no tag: a probe lane is
 //!     one subtract and one bounds check, and every row of its bucket
 //!     matches. The byte rule [`JoinTable::fits_direct`] takes it when the
 //!     key range does not overflow and its arrays are no larger than the
@@ -58,7 +60,8 @@
 //! [`GroupTable::probe_groups`]) that stages hash → prefetch → scan across
 //! the whole vector. A direct table's probe ([`JoinTable::probe_direct`])
 //! reads the keys instead of hashes; past a cache-sized directory it first
-//! prefetches every lane's bucket bounds, then its first row. All scratch
+//! prefetches every lane's bucket bounds, then its first row (or reads the
+//! bounds into scratch when it emits branch-free, see there). All scratch
 //! buffers are caller-owned and reused across batches, so the steady-state
 //! probe loop performs no allocations.
 //!
@@ -71,7 +74,9 @@
 //! same bits and run these same kernels against the owning table.
 //!
 //! A direct table is never partitioned: it is one table over every build
-//! row, and its probes take no router.
+//! row, and its probes take no router. Its build may be split, by key
+//! range, into parts that fill disjoint slices of its one offsets/rows
+//! pair ([`DirectBuild::fill`]).
 //!
 //! **Grace-spilled builds** rehydrate through the same entry point:
 //! a spilled partition's rows are replayed from its spill file
@@ -79,13 +84,33 @@
 //! (hashing is a pure function of the key values, so rehydrated runs
 //! land in the same buckets), and the partition's table bulk-built with
 //! [`JoinTable::build`] exactly like any staged build (or, by the same
-//! byte rule, [`JoinTable::build_direct`]). Nothing in this module knows
+//! byte rule, a [`DirectBuild`]). Nothing in this module knows
 //! whether its input ever touched disk.
 
 use crate::primitives;
 use crate::vector::Vector;
+use std::sync::atomic::{AtomicU32, Ordering::Relaxed};
 use vw_common::hash::{hash_bytes, hash_combine, hash_u64};
 use vw_common::{ColData, SelVec};
+
+/// Run `$lane!(p)` for every lane `p` of the selection `$sel`, or of
+/// `0..$n` when it is `None`: a dense batch loops without indirection.
+macro_rules! for_lanes {
+    ($sel:expr, $n:expr, $lane:ident) => {
+        match $sel {
+            None => {
+                for p in 0..$n {
+                    $lane!(p);
+                }
+            }
+            Some(s) => {
+                for p in s.iter() {
+                    $lane!(p);
+                }
+            }
+        }
+    };
+}
 
 /// Sentinel row id: a free directory bucket or the end of a chain.
 pub const EMPTY: u32 = u32::MAX;
@@ -327,18 +352,7 @@ impl GroupTable {
                 }
             }};
         }
-        match sel {
-            None => {
-                for p in 0..n {
-                    lane!(p);
-                }
-            }
-            Some(s) => {
-                for p in s.iter() {
-                    lane!(p);
-                }
-            }
-        }
+        for_lanes!(sel, n, lane);
     }
 
     /// Probe staging: hash every lane (prefetching its directory line),
@@ -371,24 +385,8 @@ impl GroupTable {
                 }
             }};
         }
-        match sel {
-            None => {
-                for p in 0..n {
-                    hash_lane!(p);
-                }
-                for p in 0..n {
-                    head_lane!(p);
-                }
-            }
-            Some(s) => {
-                for p in s.iter() {
-                    hash_lane!(p);
-                }
-                for p in s.iter() {
-                    head_lane!(p);
-                }
-            }
-        }
+        for_lanes!(sel, n, hash_lane);
+        for_lanes!(sel, n, head_lane);
     }
 }
 
@@ -480,10 +478,32 @@ enum TableLayout {
         bloom: Vec<u8>,
         mask: u64,
     },
-    /// One integer key: bucket `b` holds the rows whose key is `lo + b`,
-    /// so every row of a probed bucket is a match — no hash, no bloom
-    /// byte, no tag, no key compare.
-    Direct { lo: i64, rows: Vec<u32> },
+    /// One integer key: bucket `b` holds the rows whose key is
+    /// `lo + (b << shift)`, so every row of a probed bucket is a match — no
+    /// hash, no bloom byte, no tag, no key compare. Every build row shares
+    /// the key's low `shift` bits (a replayed partition of a build routed
+    /// by key; 0 for a resident one).
+    Direct { lo: i64, shift: u32, rows: Vec<u32> },
+}
+
+/// A direct table under construction: one offsets/rows pair whose
+/// bucket ranges independent parts fill ([`DirectBuild::fill`]), on one
+/// thread or several at once — a part writes only its own buckets' bounds
+/// and its own rows, with relaxed atomics (plain loads and stores).
+#[derive(Debug)]
+pub struct DirectBuild {
+    lo: i64,
+    shift: u32,
+    offsets: Vec<AtomicU32>,
+    rows: Vec<AtomicU32>,
+}
+
+/// The bucket of key `k` in a direct table over `lo` and `shift`: a key
+/// below `lo`, or off the build's shared low bits, rotates far past any
+/// bucket.
+#[inline(always)]
+fn direct_bucket(k: i64, lo: i64, shift: u32) -> u64 {
+    (k as u64).wrapping_sub(lo as u64).rotate_right(shift)
 }
 
 impl Default for JoinTable {
@@ -577,48 +597,19 @@ impl JoinTable {
     }
 
     /// Whether a build of `rows` rows of one integer key spanning
-    /// `lo..=hi` takes the direct layout: `hi − lo` does not overflow and
-    /// the direct arrays — `4·(range + 1)` bytes of offsets and `4·rows` of
-    /// row ids — are no larger than the hashed table of the same rows
-    /// (`5·directory` bytes of offsets and bloom tags, `8·rows` of slots).
-    /// So a direct table never needs more memory than the one it replaces.
-    pub fn fits_direct(rows: usize, lo: i64, hi: i64) -> bool {
+    /// `lo..=hi`, every key sharing its low `shift` bits, takes the direct
+    /// layout: `hi − lo` does not overflow and the direct arrays —
+    /// `4·(buckets + 1)` bytes of offsets, `(hi − lo) >> shift` + 1
+    /// buckets, and `4·rows` of row ids — are no larger than the hashed
+    /// table of the same rows (`5·directory` bytes of offsets and bloom
+    /// tags, `8·rows` of slots). So a direct table never needs more memory
+    /// than the one it replaces.
+    pub fn fits_direct(rows: usize, lo: i64, hi: i64, shift: u32) -> bool {
         let Some(range) = hi.checked_sub(lo).filter(|&r| r >= 0 && rows > 0) else {
             return false;
         };
-        let (rows, range) = (rows as u128, range as u128);
+        let (rows, range) = (rows as u128, range as u128 >> shift);
         4 * (range + 1) + 4 * rows <= 5 * directory_size(rows as usize) as u128 + 8 * rows
-    }
-
-    /// Bulk-build the direct table over the keys of a build of one integer
-    /// key, arriving in pieces like [`JoinTable::build`]'s hashes, every
-    /// key within `lo..=hi` (which [`JoinTable::fits_direct`] admitted).
-    /// The same histogram → prefix sum → scatter, bucket `key − lo`, so a
-    /// bucket holds its rows in ascending order, as a hashed one does.
-    ///
-    /// # Panics
-    /// At `u32::MAX` rows or more, like [`JoinTable::build`], and on a key
-    /// outside `lo..=hi`.
-    pub fn build_direct<T: Copy + Into<i64>>(chunks: &[&[T]], lo: i64, hi: i64) -> JoinTable {
-        let n: usize = chunks.iter().map(|c| c.len()).sum();
-        assert!(n < EMPTY as usize, "a hash table holds at most u32::MAX - 1 rows");
-        let buckets = (hi as i128 - lo as i128 + 1) as usize;
-        let bucket = |k: T| (k.into() as u64).wrapping_sub(lo as u64) as usize;
-        let mut offsets = vec![0u32; buckets + 1];
-        for &k in chunks.iter().flat_map(|c| c.iter()) {
-            offsets[bucket(k) + 1] += 1;
-        }
-        let mut filled = 0u32;
-        for o in &mut offsets[1..] {
-            filled += std::mem::replace(o, filled);
-        }
-        let mut rows = vec![0u32; n];
-        for (&k, row) in chunks.iter().flat_map(|c| c.iter()).zip(0u32..) {
-            let cursor = &mut offsets[bucket(k) + 1];
-            rows[*cursor as usize] = row;
-            *cursor += 1;
-        }
-        JoinTable { offsets, layout: TableLayout::Direct { lo, rows } }
     }
 
     /// Is this the direct layout?
@@ -759,22 +750,6 @@ impl JoinTable {
         out_build: &mut Vec<u32>,
         buf: &mut ProbeBuf,
     ) {
-        macro_rules! for_lanes {
-            ($lane:ident) => {
-                match sel {
-                    None => {
-                        for p in 0..n {
-                            $lane!(p);
-                        }
-                    }
-                    Some(s) => {
-                        for p in s.iter() {
-                            $lane!(p);
-                        }
-                    }
-                }
-            };
-        }
         macro_rules! emit {
             ($p:expr, $row:expr, $brk:stmt) => {{
                 matched_flags[$p] = true;
@@ -805,7 +780,7 @@ impl JoinTable {
                     }
                 }};
             }
-            for_lanes!(lane);
+            for_lanes!(sel, n, lane);
         } else {
             self.stage(n, sel, &mut hash_of, buf);
             macro_rules! lane {
@@ -823,17 +798,29 @@ impl JoinTable {
                     }
                 }};
             }
-            for_lanes!(lane);
+            for_lanes!(sel, n, lane);
         }
     }
 
     /// The direct table's probe, the counterpart of
     /// [`JoinTable::probe_join`]: `key_of` reads lane `p`'s key as `i64`
-    /// (monomorphized per probe type), and a lane is one subtract and one
-    /// bounds check from its bucket, every row of which matches — no hash,
-    /// no bloom test, no key compare. Matches set `matched_flags[p]` and,
-    /// under `emit_all`, append the `(probe lane, build row)` pairs in
-    /// ascending row order; `sel = None` probes all `n` lanes.
+    /// (monomorphized per probe type), and a lane is one subtract, one
+    /// rotate and one bounds check from its bucket, every row of which
+    /// matches — no hash, no bloom test, no key compare. Matches set
+    /// `matched_flags[p]` and, under `emit_all`, append the `(probe lane,
+    /// build row)` pairs in ascending row order; `sel = None` probes all
+    /// `n` lanes.
+    ///
+    /// Pairs are emitted one of two ways, picked by the share of lanes the
+    /// previous batch matched (kept in `buf`). When it was mostly all or
+    /// mostly none, a lane's branch on its hit is predicted, and one fused
+    /// pass probes it (past a cache-sized directory, after passes that
+    /// prefetch every lane's bucket bounds and first row). Otherwise that
+    /// branch is a coin toss, and the emit is branch-free: a first pass
+    /// reads every lane's bucket bounds into `buf`, independently, so the
+    /// cache misses of many lanes are in flight at once; the second writes
+    /// each lane's first pair whether it matches or not and keeps it by
+    /// its hit bit, so only a bucket of two rows or more branches.
     ///
     /// # Panics
     /// On a hashed table.
@@ -848,77 +835,112 @@ impl JoinTable {
         matched_flags: &mut [bool],
         out_probe: &mut Vec<u32>,
         out_build: &mut Vec<u32>,
+        buf: &mut ProbeBuf,
     ) {
-        let TableLayout::Direct { lo, rows } = &self.layout else {
+        let TableLayout::Direct { lo, shift, ref rows } = self.layout else {
             panic!("a hashed join table is probed by hash, not by key");
         };
-        let (lo, last) = (*lo as u64, self.offsets.len() as u64 - 2);
-        macro_rules! for_lanes {
-            ($lane:ident) => {
-                match sel {
-                    None => {
-                        for p in 0..n {
-                            $lane!(p);
-                        }
-                    }
-                    Some(s) => {
-                        for p in s.iter() {
-                            $lane!(p);
-                        }
-                    }
-                }
-            };
+        let mut bucket_of = |p| direct_bucket(key_of(p), lo, shift);
+        if rows.is_empty() {
+            return;
         }
-        if self.offsets.len() > SMALL_TABLE {
-            // Past the cache: prefetch every lane's bucket bounds, then
-            // (pairs only) its first row, before any lane reads them.
+        let offsets = &self.offsets;
+        let (last, last_row) = (offsets.len() as u64 - 2, rows.len() - 1);
+        let (lanes, mut hits) = (sel.map_or(n, |s| s.len()), 0);
+        if emit_all && buf.mixed {
+            buf.ensure(n);
+            let (starts, ends) = (&mut buf.cand, &mut buf.ends);
+            // A lane outside the range reads the last bucket, and the
+            // range test empties it.
             macro_rules! bounds {
                 ($p:expr) => {{
-                    let b = (key_of($p) as u64).wrapping_sub(lo);
-                    if b <= last {
-                        prefetch(&self.offsets[b as usize]);
+                    let p = $p;
+                    let b = bucket_of(p);
+                    let at = b.min(last) as usize;
+                    let (start, end) = (offsets[at], offsets[at + 1]);
+                    let hit = (b <= last) & (start < end);
+                    matched_flags[p] = hit;
+                    (starts[p], ends[p]) = (start, if hit { end } else { start });
+                    prefetch(&rows[(start as usize).min(last_row)]);
+                }};
+            }
+            for_lanes!(sel, n, bounds);
+            // Room for every lane's first pair; a longer bucket makes room
+            // for its rest.
+            let (mut at, room) = (out_probe.len(), out_probe.len() + lanes);
+            out_probe.resize(room, 0);
+            out_build.resize(room, 0);
+            macro_rules! emit {
+                ($p:expr) => {{
+                    let p = $p;
+                    let (start, end) = (starts[p] as usize, ends[p] as usize);
+                    out_probe[at] = p as u32;
+                    out_build[at] = rows[start.min(last_row)];
+                    at += (start < end) as usize;
+                    hits += (start < end) as usize;
+                    if end - start > 1 {
+                        let more = end - start - 1;
+                        out_probe.resize(out_probe.len() + more, 0);
+                        out_build.resize(out_build.len() + more, 0);
+                        for &row in &rows[start + 1..end] {
+                            out_probe[at] = p as u32;
+                            out_build[at] = row;
+                            at += 1;
+                        }
                     }
                 }};
             }
-            for_lanes!(bounds);
-            if emit_all {
-                macro_rules! first_row {
+            for_lanes!(sel, n, emit);
+            out_probe.truncate(at);
+            out_build.truncate(at);
+        } else {
+            if offsets.len() > SMALL_TABLE {
+                // Past the cache: prefetch every lane's bucket bounds,
+                // then (pairs only) its first row, before any lane reads
+                // them.
+                macro_rules! bounds {
                     ($p:expr) => {{
-                        let b = (key_of($p) as u64).wrapping_sub(lo);
-                        if b <= last {
-                            prefetch(
-                                &rows[(self.offsets[b as usize] as usize).min(rows.len() - 1)],
-                            );
-                        }
+                        prefetch(&offsets[bucket_of($p).min(last) as usize]);
                     }};
                 }
-                for_lanes!(first_row);
+                for_lanes!(sel, n, bounds);
+                if emit_all {
+                    macro_rules! first_row {
+                        ($p:expr) => {{
+                            let at = offsets[bucket_of($p).min(last) as usize] as usize;
+                            prefetch(&rows[at.min(last_row)]);
+                        }};
+                    }
+                    for_lanes!(sel, n, first_row);
+                }
             }
-        }
-        macro_rules! lane {
-            ($p:expr) => {{
-                let p = $p;
-                let b = (key_of(p) as u64).wrapping_sub(lo);
-                if b <= last {
-                    let (start, end) = (self.offsets[b as usize], self.offsets[b as usize + 1]);
-                    if start < end {
-                        matched_flags[p] = true;
-                        if emit_all {
-                            for &row in &rows[start as usize..end as usize] {
-                                out_probe.push(p as u32);
-                                out_build.push(row);
+            macro_rules! lane {
+                ($p:expr) => {{
+                    let p = $p;
+                    let b = bucket_of(p);
+                    if b <= last {
+                        let (start, end) = (offsets[b as usize], offsets[b as usize + 1]);
+                        if start < end {
+                            matched_flags[p] = true;
+                            hits += 1;
+                            if emit_all {
+                                for &row in &rows[start as usize..end as usize] {
+                                    out_probe.push(p as u32);
+                                    out_build.push(row);
+                                }
                             }
                         }
                     }
-                }
-            }};
+                }};
+            }
+            for_lanes!(sel, n, lane);
         }
-        for_lanes!(lane);
+        buf.mixed = (lanes / 8 < hits) & (hits < lanes - lanes / 8);
     }
 
     /// The runtime join filter's test against a direct table: fill `out`
     /// with the lanes of `sel` (all `n` lanes when `None`) whose key
-    /// `key_of(p)` has a bucket holding rows — the probe's own subtract and
+    /// `key_of(p)` has a bucket holding rows — the probe's own bucket and
     /// bounds check, so membership is exact.
     ///
     /// # Panics
@@ -931,14 +953,15 @@ impl JoinTable {
         mut key_of: K,
         out: &mut SelVec,
     ) {
-        let TableLayout::Direct { lo, .. } = &self.layout else {
+        let TableLayout::Direct { lo, shift, .. } = &self.layout else {
             panic!("a hashed join table is tested by hash, not by key");
         };
-        let (lo, last, offsets) = (*lo as u64, self.offsets.len() as u64 - 2, &self.offsets);
+        let (lo, shift, offsets) = (*lo, *shift, &self.offsets);
+        let last = offsets.len() as u64 - 2;
         // Branch-free: a lane outside the range reads the last bucket and
         // is dropped by the range test.
         let keep = |p: usize| {
-            let b = (key_of(p) as u64).wrapping_sub(lo);
+            let b = direct_bucket(key_of(p), lo, shift);
             let at = b.min(last) as usize;
             (b <= last) & (offsets[at] < offsets[at + 1])
         };
@@ -1029,30 +1052,9 @@ impl JoinTable {
                 }
             }};
         }
-        match sel {
-            None => {
-                for p in 0..n {
-                    hash_lane!(p);
-                }
-                for p in 0..n {
-                    bloom_lane!(p);
-                }
-                for p in 0..n {
-                    range_lane!(p);
-                }
-            }
-            Some(s) => {
-                for p in s.iter() {
-                    hash_lane!(p);
-                }
-                for p in s.iter() {
-                    bloom_lane!(p);
-                }
-                for p in s.iter() {
-                    range_lane!(p);
-                }
-            }
-        }
+        for_lanes!(sel, n, hash_lane);
+        for_lanes!(sel, n, bloom_lane);
+        for_lanes!(sel, n, range_lane);
     }
 }
 
@@ -1119,6 +1121,68 @@ macro_rules! dispatch_typed_keys {
 }
 pub(crate) use dispatch_typed_keys;
 
+impl DirectBuild {
+    /// Room for the direct table of a build of `rows` rows of one integer
+    /// key within `lo..=hi`, every key sharing its low `shift` bits (which
+    /// [`JoinTable::fits_direct`] admitted): bucket `(key − lo) >> shift`.
+    ///
+    /// # Panics
+    /// At `u32::MAX` rows or more, like [`JoinTable::build`].
+    pub fn new(rows: usize, lo: i64, hi: i64, shift: u32) -> DirectBuild {
+        assert!(rows < EMPTY as usize, "a hash table holds at most u32::MAX - 1 rows");
+        let zeroed = |n| vec![0u32; n].into_iter().map(AtomicU32::new).collect();
+        let buckets = direct_bucket(hi, lo, shift) as usize + 1;
+        DirectBuild { lo, shift, offsets: zeroed(buckets + 1), rows: zeroed(rows) }
+    }
+
+    /// Fill part `part` of `parts` from the build's keys `chunks` (row ids
+    /// number them consecutively, in chunk order): the rows of its even
+    /// share of the buckets. Histogram → prefix sum → scatter, so a bucket
+    /// holds its rows in ascending order, as a hashed one does. The
+    /// histogram also counts the rows below the part's buckets, which is
+    /// where its rows start: parts need not wait for each other.
+    pub fn fill<T: Copy + Into<i64>>(&self, chunks: &[&[T]], part: usize, parts: usize) {
+        let (lo, shift, offsets) = (self.lo, self.shift, &self.offsets);
+        let buckets = offsets.len() - 1;
+        let (first, end) = (buckets * part / parts, buckets * (part + 1) / parts);
+        // Below the part's buckets, the offset wraps past its length.
+        let ours = |k: T| {
+            let b = direct_bucket(k.into(), lo, shift) as usize;
+            (b, b.wrapping_sub(first) < end - first)
+        };
+        let keys = || chunks.iter().flat_map(|c| c.iter().copied());
+        let add = |a: &AtomicU32, n: u32| a.store(a.load(Relaxed) + n, Relaxed);
+        let mut below = 0u32;
+        for k in keys() {
+            match ours(k) {
+                (b, true) => add(&offsets[b + 1], 1),
+                (b, false) => below += (b < first) as u32,
+            }
+        }
+        let mut filled = below;
+        for o in &offsets[first + 1..=end] {
+            let n = o.load(Relaxed);
+            o.store(filled, Relaxed);
+            filled += n;
+        }
+        // The scatter's cursor is the directory itself, one entry ahead.
+        for (k, row) in keys().zip(0u32..) {
+            if let (b, true) = ours(k) {
+                let at = offsets[b + 1].load(Relaxed);
+                self.rows[at as usize].store(row, Relaxed);
+                add(&offsets[b + 1], 1);
+            }
+        }
+    }
+
+    /// The table, once every part is filled.
+    pub fn finish(self) -> JoinTable {
+        let plain = |v: Vec<AtomicU32>| v.into_iter().map(AtomicU32::into_inner).collect();
+        let layout = TableLayout::Direct { lo: self.lo, shift: self.shift, rows: plain(self.rows) };
+        JoinTable { offsets: plain(self.offsets), layout }
+    }
+}
+
 /// Tables at or below this row count are treated as cache-resident:
 /// probes skip the staged-prefetch passes, whose latency-hiding only pays
 /// off once the directory and slots spill out of the last-level cache.
@@ -1164,6 +1228,9 @@ pub struct ProbeBuf {
     cand: Vec<u32>,
     /// Bucket end bound per lane ([`JoinTable`] only).
     ends: Vec<u32>,
+    /// Did the last direct probe match between an eighth and seven
+    /// eighths of its lanes ([`JoinTable::probe_direct`])?
+    mixed: bool,
 }
 
 impl ProbeBuf {
@@ -1756,30 +1823,38 @@ mod tests {
         assert!(JoinTable::default().is_empty());
     }
 
+    /// The direct table over `chunks`, built in one part.
+    fn direct<T: Copy + Into<i64>>(chunks: &[&[T]], lo: i64, hi: i64, shift: u32) -> JoinTable {
+        let rows = chunks.iter().map(|c| c.len()).sum();
+        let table = DirectBuild::new(rows, lo, hi, shift);
+        table.fill(chunks, 0, 1);
+        table.finish()
+    }
+
     #[test]
     fn the_direct_layout_takes_a_build_no_larger_than_its_hashed_table() {
         // 4·(range + 1) + 4·n against 5·directory(n) + 8·n.
-        assert!(JoinTable::fits_direct(1, 7, 7));
-        assert!(JoinTable::fits_direct(200_000, 1, 200_000));
-        assert!(JoinTable::fits_direct(200_000, -400_000, 400_000));
-        assert!(!JoinTable::fits_direct(200_000, 0, 1_000_000));
+        assert!(JoinTable::fits_direct(1, 7, 7, 0));
+        assert!(JoinTable::fits_direct(200_000, 1, 200_000, 0));
+        assert!(JoinTable::fits_direct(200_000, -400_000, 400_000, 0));
+        assert!(!JoinTable::fits_direct(200_000, 0, 1_000_000, 0));
         // directory(4 724) = 16 384: 81 920 + 37 792 bytes hashed.
-        assert!(!JoinTable::fits_direct(4_724, 1, 50_000));
-        assert!(JoinTable::fits_direct(4_724, 1, 20_000));
-        assert!(!JoinTable::fits_direct(0, 0, 0), "an empty build stays hashed");
-        assert!(!JoinTable::fits_direct(2, i64::MIN, i64::MAX), "the range overflows");
-        assert!(!JoinTable::fits_direct(2, -1, i64::MAX), "the range overflows");
-        assert!(!JoinTable::fits_direct(2, i64::MAX - 100, i64::MAX), "sparse, not overflowing");
-        assert!(JoinTable::fits_direct(2, i64::MAX - 1, i64::MAX));
+        assert!(!JoinTable::fits_direct(4_724, 1, 50_000, 0));
+        assert!(JoinTable::fits_direct(4_724, 1, 20_000, 0));
+        assert!(!JoinTable::fits_direct(0, 0, 0, 0), "an empty build stays hashed");
+        assert!(!JoinTable::fits_direct(2, i64::MIN, i64::MAX, 0), "the range overflows");
+        assert!(!JoinTable::fits_direct(2, -1, i64::MAX, 0), "the range overflows");
+        assert!(!JoinTable::fits_direct(2, i64::MAX - 100, i64::MAX, 0), "sparse, not overflowing");
+        assert!(JoinTable::fits_direct(2, i64::MAX - 1, i64::MAX, 0));
     }
 
     #[test]
     fn a_direct_build_groups_rows_by_key_in_ascending_order_across_chunks() {
         let keys: Vec<i32> = vec![5, -2, 5, 3, -2, 5, 9];
-        let t = JoinTable::build_direct(&[&keys[..3], &[], &keys[3..]], -2, 9);
+        let t = direct(&[&keys[..3], &[], &keys[3..]], -2, 9, 0);
         assert!(t.is_direct() && t.len() == 7);
         // Buckets -2..=9: -2 → rows 1, 4; 3 → 3; 5 → 0, 2, 5; 9 → 6.
-        let TableLayout::Direct { lo, rows } = &t.layout else { unreachable!() };
+        let TableLayout::Direct { lo, rows, .. } = &t.layout else { unreachable!() };
         assert_eq!((*lo, rows.as_slice()), (-2, &[1, 4, 3, 0, 2, 5, 6][..]));
         let mut want = vec![0u32; 13];
         for (b, end) in [(0, 2), (5, 3), (7, 6), (11, 7)] {
@@ -1790,23 +1865,62 @@ mod tests {
     }
 
     #[test]
+    fn a_direct_build_in_key_range_parts_is_the_table_built_whole() {
+        // Every key ≡ 3 (mod 8), as in a partition routed on three key bits.
+        let keys: Vec<i64> = (0..5000).map(|i| (i * 7919) % 3001 * 8 + 3).collect();
+        let (lo, hi, chunks) = (3, 3000 * 8 + 3, [&keys[..2000], &keys[2000..]]);
+        assert!(!JoinTable::fits_direct(2_000, lo, hi, 0));
+        assert!(JoinTable::fits_direct(2_000, lo, hi, 3));
+        let layout = |t: &JoinTable| match &t.layout {
+            TableLayout::Direct { lo, shift, rows } => {
+                (t.offsets.clone(), *lo, *shift, rows.clone())
+            }
+            TableLayout::Hashed { .. } => unreachable!(),
+        };
+        let whole = direct(&chunks, lo, hi, 3);
+        assert_eq!(whole.offsets.len(), 3002);
+        for parts in [2, 3, 7] {
+            let t = DirectBuild::new(keys.len(), lo, hi, 3);
+            // In reverse: a part need not wait for the ones below it.
+            (0..parts).rev().for_each(|u| t.fill(&chunks, u, parts));
+            let t = t.finish();
+            assert_eq!(layout(&t), layout(&whole), "{parts} parts");
+        }
+        // A probe key off the build's low bits is in no bucket.
+        let probe: Vec<i64> = (-8..24_020).collect();
+        let mut flags = vec![false; probe.len()];
+        let (mut op, mut ob, mut buf) = (Vec::new(), Vec::new(), ProbeBuf::default());
+        let key = |p: usize| probe[p];
+        whole.probe_direct(probe.len(), None, true, key, &mut flags, &mut op, &mut ob, &mut buf);
+        for (p, &hit) in flags.iter().enumerate() {
+            assert_eq!(hit, keys.contains(&probe[p]), "key {}", probe[p]);
+        }
+        assert_eq!(op.len(), keys.len(), "every build row pairs once");
+        assert!(op.iter().zip(&ob).all(|(&p, &b)| probe[p as usize] == keys[b as usize]));
+    }
+
+    #[test]
     fn the_direct_probe_finds_what_the_hashed_probe_finds_in_the_same_order() {
         let build: Vec<i64> = (0..3000).map(|i| (i * 7919) % 1000 - 300).collect();
         let probe: Vec<i64> = (0..2048).map(|i| (i * 104_729) % 1400 - 500).collect();
         let hashes: Vec<u64> = build.iter().map(|&k| hash_u64(k as u64)).collect();
         let (lo, hi) = (-300, 699);
-        assert!(JoinTable::fits_direct(build.len(), lo, hi));
-        let direct = JoinTable::build_direct(&[&build[..1000], &build[1000..]], lo, hi);
+        assert!(JoinTable::fits_direct(build.len(), lo, hi, 0));
+        let direct = direct(&[&build[..1000], &build[1000..]], lo, hi, 0);
         let hashed = JoinTable::build(&[&hashes]);
         // Every other lane, so both the dense and the selected loop run.
         let sel = SelVec::from_positions((0..2048).step_by(2).collect());
+        // A direct probe after a batch that matched about half its lanes
+        // emits branch-free; the first one does not.
+        let mut mixed = ProbeBuf::default();
         for (emit_all, sel) in [(true, None), (false, None), (true, Some(&sel))] {
-            let run = |direct_layout: bool| {
+            let mut run = |direct_layout: bool| {
                 let mut flags = vec![false; probe.len()];
                 let (mut op, mut ob, mut buf) = (Vec::new(), Vec::new(), ProbeBuf::default());
                 if direct_layout {
                     let key = |p: usize| probe[p];
-                    direct.probe_direct(2048, sel, emit_all, key, &mut flags, &mut op, &mut ob);
+                    let (flags, buf) = (&mut flags, &mut mixed);
+                    direct.probe_direct(2048, sel, emit_all, key, flags, &mut op, &mut ob, buf);
                 } else {
                     hashed.probe_join(
                         2048,
@@ -1824,7 +1938,10 @@ mod tests {
             };
             let want = run(false);
             assert!(want.1.len() > 1000 || !emit_all, "{} pairs", want.1.len());
-            assert_eq!(run(true), want, "emit_all {emit_all}, sel {}", sel.is_some());
+            for pass in ["first", "second"] {
+                assert_eq!(run(true), want, "{pass}, emit_all {emit_all}, sel {}", sel.is_some());
+            }
+            assert!(mixed.mixed, "about two thirds of the lanes matched");
         }
     }
 

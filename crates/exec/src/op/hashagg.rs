@@ -609,9 +609,10 @@ struct DirectKeys {
     base: i64,
     map: DirectMap,
     synced: usize,
-    /// Rows seen since the map was last laid out. Laying it out reads
-    /// every group key, so it waits until as many rows have passed as
-    /// there are groups: a key range that wanders costs O(1) a row.
+    /// Rows seen since the map was last laid out onto a batch's range
+    /// alone. That reads every group key for a map that may cover few of
+    /// them, so it waits until as many rows have passed as there are
+    /// groups: a key range that wanders costs O(1) a row.
     credit: usize,
 }
 
@@ -634,12 +635,14 @@ impl DirectKeys {
     /// Whether a batch of `lanes` live keys spanning `[lo, hi]` resolves
     /// through the map over the stored keys `stored`/`nulls` (one column,
     /// one row per group). A batch outside the map's range lays the map
-    /// out again once the credit allows: over twice the span of the old
-    /// range and the batch's (of the batch's alone when that union is over
-    /// [`DIRECT_SPAN_MAX`]), centred, so keys that spread re-lay it a
-    /// logarithmic number of times and the credit bounds what a drifting
-    /// range costs. A batch that no span within the cap covers drops the
-    /// map.
+    /// out again, centred over twice the span of the old range and the
+    /// batch's: at once, since the map at least doubles up to
+    /// [`DIRECT_SPAN_MAX`] and these re-layouts together cost O(its final
+    /// length) — keys that spread, as a final aggregate's partials do with
+    /// one row per group, stay direct. When that union is over the cap
+    /// the map is laid out over the batch's span alone once the credit
+    /// allows, which bounds what a drifting range costs. A batch that no
+    /// span within the cap covers drops the map.
     fn cover<T: Copy + Into<i64>>(
         &mut self,
         lo: i64,
@@ -651,10 +654,11 @@ impl DirectKeys {
         self.credit += lanes;
         if !self.covers(lo, hi) {
             const MAX: i128 = DIRECT_SPAN_MAX as i128;
-            let (mut lo, mut hi) = (lo as i128, hi as i128);
+            let (mut lo, mut hi, mut grows) = (lo as i128, hi as i128, false);
             if !self.map.is_empty() {
                 let (base, end) = (self.base as i128, self.base as i128 + self.map.len() as i128);
-                if hi.max(end - 1) - lo.min(base) < MAX {
+                grows = hi.max(end - 1) - lo.min(base) < MAX;
+                if grows {
                     (lo, hi) = (lo.min(base), hi.max(end - 1));
                 }
             }
@@ -663,7 +667,7 @@ impl DirectKeys {
                 self.map = DirectMap::default();
                 return false;
             }
-            if self.credit < stored.len() {
+            if !grows && self.credit < stored.len() {
                 return false;
             }
             let len = (2 * span).min(MAX);
@@ -1854,9 +1858,9 @@ mod tests {
 
     #[test]
     fn an_integer_key_indexes_its_groups_directly_and_the_table_catches_up() {
-        let key = ExprProgram::compile(&PhysExpr::ColRef(0, TypeId::I64));
-        let count = AggSpec { func: AggFunc::CountStar, input: None, out_ty: TypeId::I64 };
-        let mut shard = AggShard::new(&[key], &[count]).unwrap();
+        let key_prog = || ExprProgram::compile(&PhysExpr::ColRef(0, TypeId::I64));
+        let count = || AggSpec { func: AggFunc::CountStar, input: None, out_ty: TypeId::I64 };
+        let mut shard = AggShard::new(&[key_prog()], &[count()]).unwrap();
         let fold = |shard: &mut AggShard, keys: Vec<i64>| {
             let n = keys.len();
             let keys = [Vector::new(ColData::I64(keys))];
@@ -1880,6 +1884,18 @@ mod tests {
         assert_eq!((shard.n_groups, shard.table.len()), (6, 5));
         let Some(AggState::Count(c)) = shard.states.first() else { panic!() };
         assert_eq!(c, &[3, 2, 2, 1, 2, 1]);
+
+        // A final aggregate's input: one row per key, from two partials
+        // that took alternate 64-key morsels and emit 32-row batches in
+        // ascending key order, interleaved. Every lane goes direct.
+        let mut shard = AggShard::new(&[key_prog()], &[count()]).unwrap();
+        for k in 0..32 {
+            for partial in [0, 64] {
+                let first = k / 2 * 128 + partial + k % 2 * 32;
+                fold(&mut shard, (first..first + 32).collect());
+            }
+        }
+        assert_eq!((shard.n_groups, shard.table.len()), (2048, 0));
     }
 
     // Every build configuration (resident, and overflowed under a tight

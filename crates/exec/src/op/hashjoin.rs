@@ -20,10 +20,11 @@
 //!   bulk-built by [`JoinTable::build`] over the sinks' hashes (a build on
 //!   one integer key hashes its staged keys here), and one concatenation
 //!   of the slots per build column;
-//! - **direct**: one table over the slot-major rows, never fanned out,
-//!   bulk-built by [`JoinTable::build_direct`] over the staged keys, which
-//!   the same unit concatenates into the key column when the join emits
-//!   it; and one concatenation per other build column.
+//! - **direct**: one table over the slot-major rows, built by a
+//!   [`DirectBuild`] in one part per sink — each fills its share of the
+//!   key range from the staged keys, into disjoint slices of the one
+//!   offsets/rows pair — and one concatenation per build column (the key
+//!   column only when the join emits it).
 //!
 //! Whichever sink is free claims the next unit; the one that finishes the
 //! last unit publishes the [`JoinBuild`] and wakes whoever waits for it.
@@ -74,15 +75,25 @@
 //! publish none, and a build on disk, which has no table, publishes none
 //! and is never empty.
 //!
+//! **Routing an overflowed build.** Rows go to disk routed by their key
+//! hash — or by their key, when the first sink to overflow finds that
+//! what it holds resident would make a direct table (the choice is made
+//! once, in the [`SharedBuild`], so every sink and prober routes alike):
+//! the one integer key, read as `i64` and bit-reversed, feeds the same
+//! [`RadixRouter`], so each stratum takes the key's next low bits. A
+//! partition is then as dense as the build, and replays direct with bucket
+//! `(key − lo) >> shift`, `shift` the key bits of the strata above it.
+//!
 //! **Deferred phase** (builds that overflowed): a prober diverts every
 //! non-NULL lane to its *own* routed spill, on the build's stratum and
-//! fan-out, and answers the NULL-keyed lanes on the spot; once its probe
-//! input is exhausted it replays each probe partition against the
-//! partition's shared, read-only build files through an inner `HashJoin`
-//! — same keys, same join type, the next hash-bit stratum, the same
-//! budget — i.e. this component one level down, whose partition build picks
-//! its own layout by the same rule. Workers do not wait for each other:
-//! grace works at any DOP with no barrier beyond the publish.
+//! fan-out and routed as the build is, and answers the NULL-keyed lanes
+//! on the spot; once its probe input is exhausted it replays each probe
+//! partition against the partition's shared, read-only build files
+//! through an inner `HashJoin` — same keys, same join type, the next
+//! stratum, the same budget — i.e. this component one level down, whose
+//! partition build picks its own layout by the same rule. Workers do not
+//! wait for each other: grace works at any DOP with no barrier beyond the
+//! publish.
 //!
 //! Supports inner, left outer, left semi, left anti, and the **NULL-aware
 //! left anti join** that gives `NOT IN` its treacherous SQL semantics — the
@@ -99,14 +110,16 @@
 
 use super::{BoxedOp, Operator};
 use crate::cancel::CancelToken;
-use crate::hashtable::{self, JoinTable, EMPTY};
+use crate::hashtable::{self, DirectBuild, JoinTable, EMPTY};
 use crate::morsel::BatchPool;
 use crate::partition::{Charge, RadixRouter, SpillConfig, DEFAULT_PARALLEL_BUILD_MIN_ROWS};
 use crate::profile::OpProfile;
 use crate::program::{ExprProgram, VecRef, VectorPool};
 use crate::spill::{RoutedSpill, SpillScan};
 use crate::vector::{Batch, Vector};
-use std::sync::atomic::{AtomicU8, Ordering::SeqCst};
+use std::borrow::Borrow;
+use std::sync::atomic::AtomicU8;
+use std::sync::atomic::Ordering::{Relaxed, SeqCst};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, Weak};
 use vw_common::{ColData, Result, Schema, SelVec, TypeId, VwError};
 use vw_service::{CoopTask, Step, Waker};
@@ -258,11 +271,12 @@ impl JoinStage {
     }
 
     /// Hash the staged keys of a stage that kept no hashes, once they are
-    /// needed after all: its build turned out hashed, or it goes to disk.
-    fn hash_keys(&mut self, n_keys: usize) {
+    /// needed after all: its build turned out hashed, or it goes to disk
+    /// (routed `by_key`: the routing words of [`route_words`]).
+    fn hash_keys(&mut self, n_keys: usize, by_key: bool) {
         if self.hashes.len() < self.rows() {
             let (keys, mut lanes) = (&self.vecs[..n_keys], Vec::new());
-            hashtable::hash_keys(keys, self.rows(), false, &mut lanes, &mut self.hashes);
+            route_words(keys, self.rows(), by_key, &mut lanes, &mut self.hashes);
         }
     }
 
@@ -300,12 +314,18 @@ impl JoinStage {
     }
 
     /// Write the staged rows through `spill` — their build columns, routed
-    /// by their hashes — and free them, keeping the typed layout.
-    fn spill_to(&mut self, layout: &StageLayout, spill: &mut RoutedSpill) -> Result<()> {
+    /// by their hashes or, `by_key`, by their one integer key (see
+    /// [`route_words`]) — and free them, keeping the typed layout.
+    fn spill_to(
+        &mut self,
+        layout: &StageLayout,
+        spill: &mut RoutedSpill,
+        by_key: bool,
+    ) -> Result<()> {
         if self.rows() == 0 {
             return Ok(());
         }
-        self.hash_keys(layout.n_keys);
+        self.hash_keys(layout.n_keys, by_key);
         spill.push(&layout.payload(&self.vecs), &self.hashes, None)?;
         for v in &mut self.vecs {
             *v = Vector::new(ColData::new(v.type_id()));
@@ -396,13 +416,13 @@ impl JoinBuild {
 enum Unit {
     /// Bulk-build table `idx` over these hash runs, in order.
     Table { idx: usize, hashes: Vec<Vec<u64>> },
-    /// Bulk-build the one direct table over the resident stages' key
-    /// vectors, of `rows` rows spanning `lo..=hi`, in table order — and
-    /// concatenate them into the key column when the join emits it.
-    Direct { keys: Vec<Vector>, rows: usize, lo: i64, hi: i64 },
+    /// Fill part `part` of the one direct table — its share of the key
+    /// range, one part per sink — from the resident stages' key vectors,
+    /// in table order.
+    Direct { keys: Arc<Vec<Vector>>, table: Arc<DirectBuild>, part: usize },
     /// Concatenate the resident stages' vector `at`, in table order, into
     /// the build's, of `rows` rows.
-    Column { at: usize, pieces: Vec<Vector>, rows: usize },
+    Column { at: usize, pieces: Arc<Vec<Vector>>, rows: usize },
 }
 
 const PENDING: u8 = 0;
@@ -457,6 +477,13 @@ pub struct SharedBuild {
     spill: Option<SpillConfig>,
     /// Expected build rows (0 = unknown): the stages are sized for it.
     rows_hint: usize,
+    /// The low key bits every build row shares: a direct table's bucket
+    /// is `(key − lo) >> shift` (a replayed partition of a build routed by
+    /// key; 0 otherwise).
+    shift: u32,
+    /// Does the build, once it overflowed, route its rows by key rather
+    /// than by hash? Decided by the first sink to overflow.
+    by_key: OnceLock<bool>,
     /// Where a resident build of an inner or semi join is published as
     /// its probe side's runtime filter.
     filter: Option<Arc<JoinFilter>>,
@@ -492,6 +519,8 @@ impl SharedBuild {
             min_rows: DEFAULT_PARALLEL_BUILD_MIN_ROWS,
             spill: None,
             rows_hint: 0,
+            shift: 0,
+            by_key: OnceLock::new(),
             filter: None,
             phase: AtomicU8::new(PENDING),
             state: Mutex::new(BuildState {
@@ -533,6 +562,12 @@ impl SharedBuild {
     pub fn expecting(mut self, rows: usize) -> SharedBuild {
         self.rows_hint = rows;
         self
+    }
+
+    /// Does the overflowed build route its rows by key (see the module
+    /// docs)?
+    fn routes_by_key(&self) -> bool {
+        self.by_key.get() == Some(&true)
     }
 
     /// Publish the build into `filter` too, once, when it is resident and
@@ -724,7 +759,7 @@ impl SharedBuild {
             let mut rest = RoutedSpill::new(cfg);
             for h in &mut held {
                 for stage in &mut h.stages {
-                    stage.spill_to(&self.layout, &mut rest)?;
+                    stage.spill_to(&self.layout, &mut rest, self.routes_by_key())?;
                 }
             }
             build.files = vec![Vec::new(); cfg.partitions];
@@ -753,8 +788,7 @@ impl SharedBuild {
         let rows: usize = slot_rows.iter().sum();
         check_build_rows(rows as u64, MAX_BUILD_ROWS)?;
 
-        // A direct table is one table over every row: nothing to fan out.
-        let direct = self.integer_key() && JoinTable::fits_direct(rows, lo, hi);
+        let direct = self.integer_key() && JoinTable::fits_direct(rows, lo, hi, self.shift);
         let fan_out = !direct && slots > 1 && rows >= self.min_rows;
         let table_rows = if fan_out { slot_rows } else { vec![rows] };
         let mut base = 0u32;
@@ -773,7 +807,7 @@ impl SharedBuild {
                     if !direct {
                         // Hashed after all: a build on one integer key
                         // hashes its keys here.
-                        stage.hash_keys(self.layout.n_keys);
+                        stage.hash_keys(self.layout.n_keys, false);
                         hashes[if fan_out { si } else { 0 }]
                             .push(std::mem::take(&mut stage.hashes));
                     }
@@ -783,15 +817,28 @@ impl SharedBuild {
                 }
             }
         }
-        let mut columns = pieces.into_iter().enumerate();
-        // A direct table is built from the key vectors themselves.
-        let keys = direct.then(|| columns.next().expect("one key column").1);
-        st.units = columns.map(|(at, pieces)| Unit::Column { at, pieces, rows }).collect();
-        match keys {
-            Some(keys) => st.units.push(Unit::Direct { keys, rows, lo, hi }),
-            None => st.units.extend(
+        let pieces: Vec<Arc<Vec<Vector>>> = pieces.into_iter().map(Arc::new).collect();
+        // A semi or anti join over a direct table reads the table alone.
+        let emitted = |at: &usize| !direct || *at > 0 || self.layout.payload_at.contains(&0);
+        st.units = (0..pieces.len())
+            .filter(emitted)
+            .map(|at| Unit::Column { at, pieces: pieces[at].clone(), rows })
+            .collect();
+        if direct {
+            // Claimed first, so a sink alone reads the keys before it
+            // takes them for the key column.
+            let table = Arc::new(DirectBuild::new(rows, lo, hi, self.shift));
+            let keys = &pieces[0];
+            let parts = (0..self.sinks).map(|part| Unit::Direct {
+                keys: keys.clone(),
+                table: table.clone(),
+                part,
+            });
+            st.units.extend(parts);
+        } else {
+            st.units.extend(
                 hashes.into_iter().enumerate().map(|(idx, hashes)| Unit::Table { idx, hashes }),
-            ),
+            );
         }
         st.unfinished = st.units.len();
         st.assembling = Some(build);
@@ -820,11 +867,10 @@ impl SharedBuild {
                 let runs: Vec<&[u64]> = hashes.iter().map(Vec::as_slice).collect();
                 (Some((idx, JoinTable::build(&runs))), None)
             }
-            Unit::Direct { keys, rows, lo, hi } => {
-                let table = direct_table(&keys, lo, hi);
-                // A semi or anti join reads the table alone.
-                let emitted = self.layout.payload_at.contains(&0);
-                (Some((0, table)), emitted.then(|| (0, self.concat(0, keys, rows))))
+            Unit::Direct { keys, table, part } => {
+                fill_direct(&table, &keys, part, self.sinks);
+                // The last part to let go of the table finishes it.
+                (Arc::into_inner(table).map(|table| (0, table.finish())), None)
             }
             Unit::Column { at, pieces, rows } => (None, Some((at, self.concat(at, pieces, rows)))),
         };
@@ -855,14 +901,16 @@ impl SharedBuild {
 
     /// Staged vector `at` of the whole build: `pieces`, of `rows` rows in
     /// all, in table order. One stage holds it all in every P = 1 build of
-    /// one sink: its vector is the build column, nothing is copied.
-    fn concat(&self, at: usize, mut pieces: Vec<Vector>, rows: usize) -> Vector {
-        if pieces.len() == 1 {
-            return pieces.pop().expect("one piece");
+    /// one sink: once no direct part reads it, its vector is the build
+    /// column, nothing is copied.
+    fn concat(&self, at: usize, mut pieces: Arc<Vec<Vector>>, rows: usize) -> Vector {
+        match Arc::get_mut(&mut pieces) {
+            Some(own) if own.len() == 1 => return own.pop().expect("one piece"),
+            _ => {}
         }
         let mut all = presized(self.layout.tys[at], rows);
-        for piece in pieces {
-            all.extend_range(&piece, 0, piece.len()); // and the piece is freed
+        for piece in pieces.iter() {
+            all.extend_range(piece, 0, piece.len());
         }
         all
     }
@@ -913,15 +961,42 @@ fn widen_range(key: &Vector, sel: &SelVec, dense: bool, range: &mut (i64, i64)) 
     integer_keys!(&key.data, widen, {})
 }
 
-/// The direct table over a build's key vectors, in table order.
-fn direct_table(keys: &[Vector], lo: i64, hi: i64) -> JoinTable {
+/// Fill `words` with what routes each of the `n` lanes of `keys` to a
+/// spill partition: the key hashes, or — `by_key` — the one integer key
+/// read as `i64` (as the direct probe reads it), bit-reversed, so that
+/// stratum `d` of a [`RadixRouter`] takes the key's bits
+/// `[bits·d, bits·(d + 1))`. A probe key of another type matches no build
+/// key wherever it goes: it routes by hash.
+fn route_words<V: Borrow<Vector>>(
+    keys: &[V],
+    n: usize,
+    by_key: bool,
+    lanes: &mut Vec<u64>,
+    words: &mut Vec<u64>,
+) {
+    macro_rules! reversed {
+        ($d:expr) => {{
+            words.clear();
+            words.extend($d[..n].iter().map(|&x| (Into::<i64>::into(x) as u64).reverse_bits()));
+        }};
+    }
+    let key = keys[0].borrow();
+    if by_key && integer_type(key.type_id()) {
+        return integer_keys!(&key.data, reversed, unreachable!("an integer key"));
+    }
+    hashtable::hash_keys(keys.iter().map(Borrow::borrow), n, false, lanes, words);
+}
+
+/// Fill part `part` of `parts` of the direct table from a build's key
+/// vectors, in table order ([`DirectBuild::fill`]).
+fn fill_direct(table: &DirectBuild, keys: &[Vector], part: usize, parts: usize) {
     macro_rules! build {
         ($v:ident) => {{
             let typed = keys.iter().map(|k| match &k.data {
                 ColData::$v(d) => d.as_slice(),
                 _ => unreachable!("the key vectors of one build share a type"),
             });
-            JoinTable::build_direct(&typed.collect::<Vec<_>>(), lo, hi)
+            table.fill(&typed.collect::<Vec<_>>(), part, parts)
         }};
     }
     match keys[0].data {
@@ -1095,14 +1170,15 @@ impl BuildSink {
                 let n = batch.capacity();
                 // A build on one integer key hashes only to route or spill.
                 let (routed, hashed) = (stages.len() > 1, !build.integer_key());
-                if routed || hashed || spill.is_some() {
-                    hashtable::hash_keys(keys.iter().copied(), n, false, lanes, hashes);
-                }
                 if let Some(spill) = spill {
                     // On disk: the build columns only — keys and hashes
                     // are program outputs, recomputed at rehydration.
+                    route_words(keys, n, build.routes_by_key(), lanes, hashes);
                     spill.push(&batch.columns, hashes, Some(nonnull))?;
                 } else {
+                    if routed || hashed {
+                        hashtable::hash_keys(keys.iter().copied(), n, false, lanes, hashes);
+                    }
                     if !hashed {
                         widen_range(keys[0], nonnull, nonnull.len() == n, range);
                     }
@@ -1138,7 +1214,7 @@ impl BuildSink {
     /// [`SharedBuild::plan`].
     fn govern(&mut self) -> Result<()> {
         let build = &self.build;
-        let Some(Held { stages, charge: Some(charge), spill, .. }) = &mut self.held else {
+        let Some(Held { stages, charge: Some(charge), spill, range }) = &mut self.held else {
             return Ok(());
         };
         if let Some(spill) = spill {
@@ -1147,9 +1223,19 @@ impl BuildSink {
         charge.set(stages.iter().map(|stage| stage.bytes).sum());
         let cfg = build.spill.as_ref().expect("a charged build is governed");
         if charge.bytes() > 0 && cfg.budget.over() {
+            // The routing rule, judged once, on what the first sink to
+            // overflow holds resident: route by key when its rows would
+            // make a direct table and every row shares exactly the key
+            // bits of the strata above (all of them routed by key), so
+            // each partition is as dense as the build and replays direct.
+            let rows = stages.iter().map(JoinStage::rows).sum();
+            let above = cfg.partitions.trailing_zeros() * cfg.depth;
+            let dense = JoinTable::fits_direct(rows, range.0, range.1, above);
+            let keyed = dense && build.integer_key() && build.shift == above;
+            let by_key = *build.by_key.get_or_init(|| keyed);
             let mut routed = RoutedSpill::new(cfg);
             for stage in stages.iter_mut() {
-                stage.spill_to(&build.layout, &mut routed)?;
+                stage.spill_to(&build.layout, &mut routed, by_key)?;
             }
             charge.set(0);
             routed.flush_if_over()?;
@@ -1447,10 +1533,18 @@ impl HashJoin {
         loop {
             self.cancel.check()?;
             if let Some(inner) = &mut self.inner {
-                match inner.next()? {
-                    Some(b) => return Ok(Some(b)),
-                    None => self.inner = None,
+                if let Some(b) = inner.next()? {
+                    return Ok(Some(b));
                 }
+                // A partition built resident made one table; count it
+                // when it holds rows.
+                if let (Some(m), &[1..=u64::MAX]) =
+                    (&self.profile.spill, &inner.profile.shard_build_rows[..])
+                {
+                    m.replayed.fetch_add(1, Relaxed);
+                    m.replayed_direct.fetch_add(inner.profile.direct as u64, Relaxed);
+                }
+                self.inner = None;
             }
             let Some((build_files, probe_file)) = self.deferred.pop() else {
                 return Ok(None);
@@ -1474,6 +1568,12 @@ impl HashJoin {
                 self.schema.clone(),
                 self.cancel.clone(),
             );
+            // Routed by key, the partition's rows share the key bits of
+            // every stratum down to this one.
+            if shared.routes_by_key() {
+                let bits = cfg.partitions.trailing_zeros();
+                inner = inner.own_build(|b| SharedBuild { shift: bits * (cfg.depth + 1), ..b });
+            }
             // Recurse with the governor attached (one stratum deeper) until
             // the depth floor; past it the partition builds in memory
             // regardless — 8 strata of 8-way splits divide a build ~16M×
@@ -1533,17 +1633,19 @@ fn probe_direct(table: &JoinTable, s: &mut ProbeScratch, key: &Vector, emit_pair
     let n = key.len();
     let sel = (s.nonnull.len() != n).then_some(&s.nonnull);
     let (flags, out_probe, out_build) = (&mut s.matched_flags, &mut s.out_probe, &mut s.out_build);
+    let buf = &mut s.buf;
     macro_rules! probe {
         ($d:expr) => {{
-            let d = $d;
-            table.probe_direct(n, sel, emit_pairs, |p| d[p].into(), flags, out_probe, out_build)
+            let (d, emit) = ($d, emit_pairs);
+            table.probe_direct(n, sel, emit, |p| d[p].into(), flags, out_probe, out_build, buf)
         }};
     }
     integer_keys!(&key.data, probe, {})
 }
 
 /// The build is on disk: stage every non-NULL lane of `batch` for the
-/// deferred phase through this prober's routed spill, and leave only the
+/// deferred phase through this prober's routed spill — routed as the
+/// build's rows are, by hash or `by_key` — and leave only the
 /// NULL-keyed lanes live — their answer (outer padding, anti emission)
 /// needs no build row.
 fn divert(
@@ -1551,10 +1653,11 @@ fn divert(
     s: &mut ProbeScratch,
     keys: &[&Vector],
     batch: &Batch,
+    by_key: bool,
 ) -> Result<()> {
     if !s.nonnull.is_empty() {
         let n = keys.first().map_or(0, |k| k.len());
-        hashtable::hash_keys(keys.iter().copied(), n, false, &mut s.lanes, &mut s.hashes);
+        route_words(keys, n, by_key, &mut s.lanes, &mut s.hashes);
         spill.push(&batch.columns, &s.hashes, Some(&s.nonnull))?;
         spill.flush_if_over()?;
     }
@@ -1735,6 +1838,7 @@ impl Operator for HashJoin {
             // on disk holds no resident row, but it is not empty.
             let build_empty = !build.on_disk() && build.tables.iter().all(JoinTable::is_empty);
             let has_null_key = build.has_null_key;
+            let by_key = self.shared.as_ref().is_some_and(|b| b.routes_by_key());
             let skip_probe =
                 self.join_type == JoinType::NullAwareLeftAnti && (has_null_key || build_empty);
             {
@@ -1766,7 +1870,7 @@ impl Operator for HashJoin {
                         s.matched_flags[p] = false;
                     }
                     match &mut self.probe_spill {
-                        Some(spill) => divert(spill, s, keys, &batch)?,
+                        Some(spill) => divert(spill, s, keys, &batch, by_key)?,
                         None => probe_batch(build, self.router.as_mut(), self.join_type, s, keys),
                     }
                 }
@@ -2105,6 +2209,56 @@ mod tests {
         drop(j);
         assert_eq!(tracker.used(), 0, "budget fully uncharged");
         assert_eq!(disk.used_bytes(), 0, "all spill blocks reclaimed");
+    }
+
+    #[test]
+    fn a_spilled_build_on_dense_keys_replays_every_partition_direct() {
+        use crate::partition::{MemBudget, SpillConfig};
+        use std::sync::atomic::Ordering::Relaxed;
+        use vw_storage::SimulatedDisk;
+        // 20 000 unique dense keys in a scattered order, staged with a
+        // payload (~320 KB) against a 64 KB budget: the build overflows,
+        // routed by key, and each of its 8 partitions (~40 KB) replays
+        // resident. Half the probe keys miss, below and above the range.
+        let n = 20_000i64;
+        let schema =
+            Schema::new(vec![Field::nullable("k", TypeId::I64), Field::nullable("v", TypeId::I64)])
+                .unwrap();
+        let mk = |keys: Vec<i64>| -> BoxedOp {
+            let rows = keys.into_iter().map(|k| vec![Value::I64(k), Value::I64(3 * k)]).collect();
+            Box::new(Values::new(schema.clone(), rows, 256, CancelToken::new()))
+        };
+        let build: Vec<i64> = (0..n).map(|i| i * 7919 % n).collect();
+        let probe: Vec<i64> = (0..2 * n).map(|i| i * 104_729 % (2 * n) - n / 2).collect();
+        let disk = SimulatedDisk::instant();
+        let budget = MemBudget::new(64 * 1024);
+        let cfg = SpillConfig::new(budget.clone(), disk.clone(), 8);
+        let metrics = cfg.metrics.clone();
+        let mut j = HashJoin::new(
+            mk(probe.clone()),
+            mk(build),
+            key_cols(&[(0, TypeId::I64)]),
+            key_cols(&[(0, TypeId::I64)]),
+            JoinType::Inner,
+            schema.join(&schema),
+            CancelToken::new(),
+        )
+        .with_spill(cfg);
+        let out = drain(&mut j).unwrap();
+        let mut got: Vec<Vec<Value>> = (0..out.rows()).map(|i| out.row_values(i)).collect();
+        got.sort_by_key(|r| format!("{r:?}"));
+        let mut want: Vec<Vec<Value>> = probe
+            .iter()
+            .filter(|&&k| (0..n).contains(&k))
+            .map(|&k| [k, 3 * k, k, 3 * k].map(Value::I64).to_vec())
+            .collect();
+        want.sort_by_key(|r| format!("{r:?}"));
+        assert_eq!(got, want);
+        assert!(metrics.files.load(Relaxed) >= 16, "the build and the probe spilled");
+        let replayed = (metrics.replayed_direct.load(Relaxed), metrics.replayed.load(Relaxed));
+        assert_eq!(replayed, (8, 8), "(direct, replayed) partition builds");
+        drop(j);
+        assert_eq!((budget.used(), disk.used_bytes()), (0, 0), "every byte and block let go");
     }
 
     /// A probe input that notes, at every pull, the spill chunks written

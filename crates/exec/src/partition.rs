@@ -28,14 +28,18 @@
 //! *private* — a build row's key hash (the same `hash_keys` output the
 //! tables of [`crate::hashtable`] index by) picks its slot by the *top*
 //! `bits` bits, provably independent of the table's low-bit directory
-//! index, and equal keys always meet in one slot. Probes are not merged
+//! index, and equal keys always meet in one slot. A join build that spills
+//! on a dense integer key routes the key itself instead, bit-reversed, so
+//! the strata take its low bits and every partition stays dense enough to
+//! replay direct (`op/hashjoin.rs`). Probes are not merged
 //! back: a probe batch is hashed once, split by the same bits into reused
 //! per-slot [`SelVec`]s, and each sub-selection runs the ordinary
 //! per-table kernel against a table `P`× smaller.
 //!
 //! What a build reports is what `EXPLAIN ANALYZE` prints for it (see
 //! [`crate::profile`]): a shared join build's final rows per table
-//! (`shards=P×skew`) and its governor's [`SpillMetrics`] (`spill=Fp W/R`).
+//! (`shards=P×skew`) and its governor's [`SpillMetrics`] (`spill=Fp W/R`,
+//! and on a join `dir=D/B`, the replayed partitions built direct).
 //! Probes are not counted — a probe's cost is its operator's `time=`.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -279,6 +283,10 @@ pub struct SpillMetrics {
     pub chunks_written: AtomicU64,
     /// Encoded bytes read back while rehydrating.
     pub bytes_read: AtomicU64,
+    /// A join's spilled partitions built resident on replay, and how many
+    /// of them built a direct table.
+    pub replayed: AtomicU64,
+    pub replayed_direct: AtomicU64,
 }
 
 impl SpillMetrics {

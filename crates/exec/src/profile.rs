@@ -28,7 +28,7 @@
 //! | `×k rows a..b time a..b` | `k` clones ran this node; per clone the fewest..most rows and least..most time (ms). Only when `k > 1`. | ranges near the mean; a wide `time` range is a straggler, the number behind "when more cores hurts". |
 //! | `direct` | the join's table is direct: one integer key whose bucket is `key − lo` (no hash, no key compare), chosen when its arrays are no larger than the hashed table's. Never with `shards=`: a direct table is one table. | expected for a dense integer key (row ids, order keys); its absence on one means a sparse or overflowing key range. |
 //! | `shards=P×skew` | a join build shared inside an Exchange with a table per slot (`P > 1`); skew is build rows per table, `max/mean`. An aggregate, a one-table build and a build on disk (see `spill=`) never print it. | skew near 1.00; ≫ 1 is a clustered radix split. |
-//! | `spill=Fp W/R` | grace spilling: spill files begun (one per partition of a routed spill that took a row — builds and probes, all strata), encoded bytes written / read back. | any value means the query ran over `mem_budget`; read ≫ written is deep re-partitioning. |
+//! | `spill=Fp W/R dir=D/B` | grace spilling: spill files begun (one per partition of a routed spill that took a row — builds and probes, all strata), encoded bytes written / read back; on a join, of the `B` spilled partitions that built resident with rows on replay (every prober's), the `D` that built direct. | any value means the query ran over `mem_budget`; read ≫ written is deep re-partitioning; `D < B` on a dense key means partitions that fell back to the hashed layout. |
 //! | `enc=E/F+S` | batches the operator took in still encoded (dictionary codes, RLE) / fully inflated, plus `S` rows decided wholesale at the encoding level (whole runs, dictionary-code bitmaps, the aggregate's code memo). `+S` only when `S > 0`. | `0/F` on a dictionary column means the encoded path fell back. |
 //! | `rtf=D/T` | a scan's runtime join filters: rows dropped / rows tested, over all clones. A batch they keep more than half of passes whole, dropping none. A filter keeping more than half of its first few vectors switches off, so `T` stops there. | on a selective build `D` near `T` and `T` the scan's rows; `T` of a few vectors is a full build's filter that switched off. |
 //!
@@ -201,6 +201,10 @@ impl NodeProfile {
             let written = human_bytes(sum(|m| m.bytes_written.load(Relaxed)));
             let read = human_bytes(sum(|m| m.bytes_read.load(Relaxed)));
             let _ = write!(out, " spill={spilled}p {written}/{read}");
+            let replayed = sum(|m| m.replayed.load(Relaxed));
+            if replayed > 0 {
+                let _ = write!(out, " dir={}/{replayed}", sum(|m| m.replayed_direct.load(Relaxed)));
+            }
         }
         if c.enc_batches + c.flat_batches > 0 {
             let _ = write!(out, " enc={}/{}", c.enc_batches, c.flat_batches);

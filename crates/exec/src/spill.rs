@@ -11,8 +11,9 @@
 //! Rows reach disk one way only, a [`RoutedSpill`]: a join build that
 //! overflowed, the probe rows of such a build, an aggregate's partial
 //! state and the aggregate's re-partitioning pass all push rows with
-//! their key hashes, which one radix router splits into one spill file
-//! per partition. The policy half — *when* a build overflows — is the
+//! their routing words — the key hashes, or for a join build on a dense
+//! integer key the bit-reversed key (`op/hashjoin.rs`) — which one radix
+//! router splits into one spill file per partition. The policy half — *when* a build overflows — is the
 //! [`MemBudget`] governor's (see [`crate::partition`]); what is written
 //! and how a spilled partition is re-processed is the operators'
 //! (`op/hashjoin.rs`, `op/hashagg.rs`).
@@ -66,8 +67,8 @@ pub const SPILL_CHUNK_ROWS: usize = 2048;
 /// Where the rows of a hash build that overflowed go: one
 /// [`RadixRouter`] on the governor's stratum and fan-out in front of one
 /// stage per partition, each the one writer of the partition's spill
-/// file. Rows arrive with their key hashes; equal keys meet in one
-/// partition, and a partition's rows are re-processed on the next stratum
+/// file. Rows arrive with their routing words (key hashes, or
+/// bit-reversed keys); equal keys meet in one partition, and a partition's rows are re-processed on the next stratum
 /// (`op/hashjoin.rs`'s deferred phase, `op/hashagg.rs`'s re-aggregation).
 ///
 /// A partition's rows are gathered until a chunk's worth is staged and

@@ -33,6 +33,11 @@ fn exclusive() -> MutexGuard<'static, ()> {
 const BIG_ROWS: i64 = 400_000;
 
 fn slow_db() -> Arc<Database> {
+    db_of(BIG_ROWS)
+}
+
+/// `slow_db`'s table `big`, of `rows` rows.
+fn db_of(rows: i64) -> Arc<Database> {
     let db = Database::open_in_memory();
     db.execute("CREATE TABLE big (k BIGINT NOT NULL, v BIGINT NOT NULL)").unwrap();
     // 100 matches per key: a ~40M-row join output that runs for hundreds
@@ -40,18 +45,35 @@ fn slow_db() -> Arc<Database> {
     // bounded by one vector per stage, so the fan-out per probe batch
     // must stay small for the 2x-deadline bound to be meaningful). A
     // longer join takes more keys, never more matches per key.
-    let k = ColData::I64((0..BIG_ROWS).map(|i| i % (BIG_ROWS / 100)).collect());
-    let v = ColData::I64((0..BIG_ROWS).collect());
+    let k = ColData::I64((0..rows).map(|i| i % (rows / 100)).collect());
+    let v = ColData::I64((0..rows).collect());
     bulk_load(&db, "big", &[k, v], &[None, None]).unwrap();
     db
 }
 
 const SLOW_JOIN: &str = "SELECT COUNT(*) FROM big a JOIN big b ON a.k = b.k";
 
+/// `slow_db`, its table grown by keys — doubled at most twice — until an
+/// unbounded `SLOW_JOIN` over it runs longer than `min`: on a fast build
+/// the join at `BIG_ROWS` can end before a deadline test's precondition.
+fn slower_than(min: Duration) -> Arc<Database> {
+    let mut rows = BIG_ROWS;
+    loop {
+        let db = db_of(rows);
+        let t0 = Instant::now();
+        db.execute(SLOW_JOIN).unwrap();
+        if t0.elapsed() > min || rows >= 4 * BIG_ROWS {
+            return db;
+        }
+        rows *= 2;
+    }
+}
+
 #[test]
 fn statement_timeout_fires_within_twice_the_deadline_and_reclaims() {
     let _x = exclusive();
-    let db = slow_db();
+    // A margin over the 250 ms the test asks of its own run below.
+    let db = slower_than(Duration::from_millis(400));
     let baseline = db.disk().used_bytes();
     // Sanity: the query takes much longer than the deadline we'll set.
     let t0 = Instant::now();

@@ -4956,6 +4956,12 @@ mod join_key_shapes {
                 probe: side("BIGINT", draw(rng, 300, 0, 14, 5)),
                 dense: false,
             },
+            Shape {
+                name: "aligned",
+                build: side("BIGINT", (0..1200).map(|i| Some(i * 16)).collect()),
+                probe: side("BIGINT", (0..2000).map(|i| Some(i * 8 - 104)).collect()),
+                dense: false,
+            },
         ]
     }
 
@@ -5048,18 +5054,47 @@ mod join_key_shapes {
         text.lines().find(|l| l.contains("HashJoin")).expect("a HashJoin line")
     }
 
+    /// `(D, B)` of the `dir=D/B` field of an `EXPLAIN ANALYZE` line: of
+    /// `B` spilled partitions built resident on replay, `D` built direct.
+    fn replayed(line: &str) -> (u64, u64) {
+        let field = line.split(' ').find_map(|w| w.strip_prefix("dir=")).unwrap_or("0/0");
+        let (d, b) = field.split_once('/').expect("dir=D/B");
+        (d.parse().unwrap(), b.parse().unwrap())
+    }
+
     #[test]
     fn every_join_type_agrees_with_volcano_over_every_key_shape() {
         for s in shapes() {
             let db = Database::open_in_memory();
             load(&db, "b", &s.build, 1_000_000);
             load(&db, "p", &s.probe, 0);
-            for (sql, kind) in QUERIES {
-                let want = volcano(&s, kind);
-                for dop in [1, 2] {
-                    db.execute(&format!("SET parallelism = {dop}")).unwrap();
-                    let got = sorted(db.execute(sql).unwrap().rows().to_vec());
-                    assert_eq!(got, want, "{}, DOP {dop}: {sql}", s.name);
+            // Under the lane's budget, if any, then under four bytes a
+            // build row, which puts every non-empty build on disk.
+            let forced = format!("SET mem_budget = {}", (4 * s.build.keys.len()).max(1));
+            for budget in [None, Some(&forced)] {
+                if let Some(set) = budget {
+                    db.execute(set).unwrap();
+                }
+                for (sql, kind) in QUERIES {
+                    let want = volcano(&s, kind);
+                    for dop in [1, 2] {
+                        db.execute(&format!("SET parallelism = {dop}")).unwrap();
+                        let got = sorted(db.execute(sql).unwrap().rows().to_vec());
+                        assert_eq!(got, want, "{}, DOP {dop}, {budget:?}: {sql}", s.name);
+                    }
+                }
+            }
+            // On disk, a dense build routes by key: every partition it
+            // replays builds direct.
+            for dop in [1, 2] {
+                db.execute(&format!("SET parallelism = {dop}")).unwrap();
+                let sql = format!("EXPLAIN ANALYZE {}", QUERIES[1].0);
+                let text = db.execute(&sql).unwrap().text;
+                let line = join_line(text.as_deref().unwrap()).to_string();
+                let (direct, all) = replayed(&line);
+                assert!(line.contains(" spill=") || s.build.keys.is_empty(), "{line}");
+                if s.dense {
+                    assert!(all > 0 && direct == all, "{}, DOP {dop}: {line}", s.name);
                 }
             }
             // The outer join builds on `b` whatever the planner knows: its
