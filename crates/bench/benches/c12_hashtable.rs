@@ -28,7 +28,7 @@
 //! of the build keys, and the direct one over the keys themselves (they
 //! are `n` draws from `0..2n`, which the byte rule admits), at 5 %, 50 %
 //! and 95 % of probe keys matching, with the same zero-allocation proof
-//! for the direct probe loop (whose first-row emit is branch-free).
+//! for the direct probe loop.
 //!
 //! The runtime join filter's test is timed per lane against both layouts
 //! at 5 %, 50 % and 95 % of lanes passing — the direct table's exact
@@ -211,7 +211,6 @@ fn flat_probe(side: &FlatSide, chunks: &[Vec<Vector>], s: &mut Scratch) -> u64 {
                 &mut s.matched_flags,
                 &mut s.out_probe,
                 &mut s.out_build,
-                &mut s.buf,
             );
         } else {
             side.table.probe_join(

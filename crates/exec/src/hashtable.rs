@@ -60,8 +60,7 @@
 //! [`GroupTable::probe_groups`]) that stages hash → prefetch → scan across
 //! the whole vector. A direct table's probe ([`JoinTable::probe_direct`])
 //! reads the keys instead of hashes; past a cache-sized directory it first
-//! prefetches every lane's bucket bounds, then its first row (or reads the
-//! bounds into scratch when it emits branch-free, see there). All scratch
+//! prefetches every lane's bucket bounds, then its first row. All scratch
 //! buffers are caller-owned and reused across batches, so the steady-state
 //! probe loop performs no allocations.
 //!
@@ -811,16 +810,9 @@ impl JoinTable {
     /// build row)` pairs in ascending row order; `sel = None` probes all
     /// `n` lanes.
     ///
-    /// Pairs are emitted one of two ways, picked by the share of lanes the
-    /// previous batch matched (kept in `buf`). When it was mostly all or
-    /// mostly none, a lane's branch on its hit is predicted, and one fused
-    /// pass probes it (past a cache-sized directory, after passes that
-    /// prefetch every lane's bucket bounds and first row). Otherwise that
-    /// branch is a coin toss, and the emit is branch-free: a first pass
-    /// reads every lane's bucket bounds into `buf`, independently, so the
-    /// cache misses of many lanes are in flight at once; the second writes
-    /// each lane's first pair whether it matches or not and keeps it by
-    /// its hit bit, so only a bucket of two rows or more branches.
+    /// A table of shift 0 — every resident build — probes without the
+    /// rotate: one by a variable count made a 200 k-lane probe about 15 %
+    /// slower.
     ///
     /// # Panics
     /// On a hashed table.
@@ -835,107 +827,79 @@ impl JoinTable {
         matched_flags: &mut [bool],
         out_probe: &mut Vec<u32>,
         out_build: &mut Vec<u32>,
-        buf: &mut ProbeBuf,
     ) {
         let TableLayout::Direct { lo, shift, ref rows } = self.layout else {
             panic!("a hashed join table is probed by hash, not by key");
         };
-        let mut bucket_of = |p| direct_bucket(key_of(p), lo, shift);
+        let (flags, out) = (matched_flags, (out_probe, out_build));
+        match shift {
+            0 => {
+                let bucket_of = |p| (key_of(p) as u64).wrapping_sub(lo as u64);
+                self.probe_buckets(n, sel, emit_all, bucket_of, rows, flags, out);
+            }
+            _ => {
+                let bucket_of = |p| direct_bucket(key_of(p), lo, shift);
+                self.probe_buckets(n, sel, emit_all, bucket_of, rows, flags, out);
+            }
+        }
+    }
+
+    /// [`JoinTable::probe_direct`] with lane `p`'s bucket `bucket_of(p)`.
+    #[inline]
+    #[allow(clippy::too_many_arguments)]
+    fn probe_buckets<B: FnMut(usize) -> u64>(
+        &self,
+        n: usize,
+        sel: Option<&SelVec>,
+        emit_all: bool,
+        mut bucket_of: B,
+        rows: &[u32],
+        matched_flags: &mut [bool],
+        (out_probe, out_build): (&mut Vec<u32>, &mut Vec<u32>),
+    ) {
         if rows.is_empty() {
             return;
         }
         let offsets = &self.offsets;
         let (last, last_row) = (offsets.len() as u64 - 2, rows.len() - 1);
-        let (lanes, mut hits) = (sel.map_or(n, |s| s.len()), 0);
-        if emit_all && buf.mixed {
-            buf.ensure(n);
-            let (starts, ends) = (&mut buf.cand, &mut buf.ends);
-            // A lane outside the range reads the last bucket, and the
-            // range test empties it.
+        if offsets.len() > SMALL_TABLE {
+            // Past the cache: prefetch every lane's bucket bounds, then
+            // (pairs only) its first row, before any lane reads them.
             macro_rules! bounds {
                 ($p:expr) => {{
-                    let p = $p;
-                    let b = bucket_of(p);
-                    let at = b.min(last) as usize;
-                    let (start, end) = (offsets[at], offsets[at + 1]);
-                    let hit = (b <= last) & (start < end);
-                    matched_flags[p] = hit;
-                    (starts[p], ends[p]) = (start, if hit { end } else { start });
-                    prefetch(&rows[(start as usize).min(last_row)]);
+                    prefetch(&offsets[bucket_of($p).min(last) as usize]);
                 }};
             }
             for_lanes!(sel, n, bounds);
-            // Room for every lane's first pair; a longer bucket makes room
-            // for its rest.
-            let (mut at, room) = (out_probe.len(), out_probe.len() + lanes);
-            out_probe.resize(room, 0);
-            out_build.resize(room, 0);
-            macro_rules! emit {
-                ($p:expr) => {{
-                    let p = $p;
-                    let (start, end) = (starts[p] as usize, ends[p] as usize);
-                    out_probe[at] = p as u32;
-                    out_build[at] = rows[start.min(last_row)];
-                    at += (start < end) as usize;
-                    hits += (start < end) as usize;
-                    if end - start > 1 {
-                        let more = end - start - 1;
-                        out_probe.resize(out_probe.len() + more, 0);
-                        out_build.resize(out_build.len() + more, 0);
-                        for &row in &rows[start + 1..end] {
-                            out_probe[at] = p as u32;
-                            out_build[at] = row;
-                            at += 1;
-                        }
-                    }
-                }};
-            }
-            for_lanes!(sel, n, emit);
-            out_probe.truncate(at);
-            out_build.truncate(at);
-        } else {
-            if offsets.len() > SMALL_TABLE {
-                // Past the cache: prefetch every lane's bucket bounds,
-                // then (pairs only) its first row, before any lane reads
-                // them.
-                macro_rules! bounds {
+            if emit_all {
+                macro_rules! first_row {
                     ($p:expr) => {{
-                        prefetch(&offsets[bucket_of($p).min(last) as usize]);
+                        let at = offsets[bucket_of($p).min(last) as usize] as usize;
+                        prefetch(&rows[at.min(last_row)]);
                     }};
                 }
-                for_lanes!(sel, n, bounds);
-                if emit_all {
-                    macro_rules! first_row {
-                        ($p:expr) => {{
-                            let at = offsets[bucket_of($p).min(last) as usize] as usize;
-                            prefetch(&rows[at.min(last_row)]);
-                        }};
-                    }
-                    for_lanes!(sel, n, first_row);
-                }
+                for_lanes!(sel, n, first_row);
             }
-            macro_rules! lane {
-                ($p:expr) => {{
-                    let p = $p;
-                    let b = bucket_of(p);
-                    if b <= last {
-                        let (start, end) = (offsets[b as usize], offsets[b as usize + 1]);
-                        if start < end {
-                            matched_flags[p] = true;
-                            hits += 1;
-                            if emit_all {
-                                for &row in &rows[start as usize..end as usize] {
-                                    out_probe.push(p as u32);
-                                    out_build.push(row);
-                                }
+        }
+        macro_rules! lane {
+            ($p:expr) => {{
+                let p = $p;
+                let b = bucket_of(p);
+                if b <= last {
+                    let (start, end) = (offsets[b as usize], offsets[b as usize + 1]);
+                    if start < end {
+                        matched_flags[p] = true;
+                        if emit_all {
+                            for &row in &rows[start as usize..end as usize] {
+                                out_probe.push(p as u32);
+                                out_build.push(row);
                             }
                         }
                     }
-                }};
-            }
-            for_lanes!(sel, n, lane);
+                }
+            }};
         }
-        buf.mixed = (lanes / 8 < hits) & (hits < lanes - lanes / 8);
+        for_lanes!(sel, n, lane);
     }
 
     /// The runtime join filter's test against a direct table: fill `out`
@@ -960,12 +924,17 @@ impl JoinTable {
         let last = offsets.len() as u64 - 2;
         // Branch-free: a lane outside the range reads the last bucket and
         // is dropped by the range test.
-        let keep = |p: usize| {
-            let b = direct_bucket(key_of(p), lo, shift);
+        let keep = |b: u64| {
             let at = b.min(last) as usize;
             (b <= last) & (offsets[at] < offsets[at + 1])
         };
-        primitives::select_by(n, sel, out, keep);
+        // Without the rotate at shift 0, as in the probe.
+        match shift {
+            0 => primitives::select_by(n, sel, out, |p| {
+                keep((key_of(p) as u64).wrapping_sub(lo as u64))
+            }),
+            _ => primitives::select_by(n, sel, out, |p| keep(direct_bucket(key_of(p), lo, shift))),
+        }
     }
 
     /// The runtime join filter's test against hashed tables: fill `out`
@@ -1228,9 +1197,6 @@ pub struct ProbeBuf {
     cand: Vec<u32>,
     /// Bucket end bound per lane ([`JoinTable`] only).
     ends: Vec<u32>,
-    /// Did the last direct probe match between an eighth and seven
-    /// eighths of its lanes ([`JoinTable::probe_direct`])?
-    mixed: bool,
 }
 
 impl ProbeBuf {
@@ -1889,9 +1855,9 @@ mod tests {
         // A probe key off the build's low bits is in no bucket.
         let probe: Vec<i64> = (-8..24_020).collect();
         let mut flags = vec![false; probe.len()];
-        let (mut op, mut ob, mut buf) = (Vec::new(), Vec::new(), ProbeBuf::default());
+        let (mut op, mut ob) = (Vec::new(), Vec::new());
         let key = |p: usize| probe[p];
-        whole.probe_direct(probe.len(), None, true, key, &mut flags, &mut op, &mut ob, &mut buf);
+        whole.probe_direct(probe.len(), None, true, key, &mut flags, &mut op, &mut ob);
         for (p, &hit) in flags.iter().enumerate() {
             assert_eq!(hit, keys.contains(&probe[p]), "key {}", probe[p]);
         }
@@ -1910,17 +1876,13 @@ mod tests {
         let hashed = JoinTable::build(&[&hashes]);
         // Every other lane, so both the dense and the selected loop run.
         let sel = SelVec::from_positions((0..2048).step_by(2).collect());
-        // A direct probe after a batch that matched about half its lanes
-        // emits branch-free; the first one does not.
-        let mut mixed = ProbeBuf::default();
         for (emit_all, sel) in [(true, None), (false, None), (true, Some(&sel))] {
-            let mut run = |direct_layout: bool| {
+            let run = |direct_layout: bool| {
                 let mut flags = vec![false; probe.len()];
                 let (mut op, mut ob, mut buf) = (Vec::new(), Vec::new(), ProbeBuf::default());
                 if direct_layout {
                     let key = |p: usize| probe[p];
-                    let (flags, buf) = (&mut flags, &mut mixed);
-                    direct.probe_direct(2048, sel, emit_all, key, flags, &mut op, &mut ob, buf);
+                    direct.probe_direct(2048, sel, emit_all, key, &mut flags, &mut op, &mut ob);
                 } else {
                     hashed.probe_join(
                         2048,
@@ -1938,10 +1900,7 @@ mod tests {
             };
             let want = run(false);
             assert!(want.1.len() > 1000 || !emit_all, "{} pairs", want.1.len());
-            for pass in ["first", "second"] {
-                assert_eq!(run(true), want, "{pass}, emit_all {emit_all}, sel {}", sel.is_some());
-            }
-            assert!(mixed.mixed, "about two thirds of the lanes matched");
+            assert_eq!(run(true), want, "emit_all {emit_all}, sel {}", sel.is_some());
         }
     }
 

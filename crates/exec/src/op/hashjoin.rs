@@ -83,6 +83,11 @@
 //! [`RadixRouter`], so each stratum takes the key's next low bits. A
 //! partition is then as dense as the build, and replays direct with bucket
 //! `(key − lo) >> shift`, `shift` the key bits of the strata above it.
+//! Each replayed partition is judged again, on all of its rows (the
+//! routed spill keeps their count and key range, a [`KeySpan`]): one
+//! that would not make a direct table, because its keys turned sparse or
+//! aligned after the rows the first choice saw, replays hashed and routes
+//! by hash if it overflows in turn.
 //!
 //! **Deferred phase** (builds that overflowed): a prober diverts every
 //! non-NULL lane to its *own* routed spill, on the build's stratum and
@@ -115,11 +120,11 @@ use crate::morsel::BatchPool;
 use crate::partition::{Charge, RadixRouter, SpillConfig, DEFAULT_PARALLEL_BUILD_MIN_ROWS};
 use crate::profile::OpProfile;
 use crate::program::{ExprProgram, VecRef, VectorPool};
-use crate::spill::{RoutedSpill, SpillScan};
+use crate::spill::{KeySpan, RoutedSpill, SpillScan};
 use crate::vector::{Batch, Vector};
 use std::borrow::Borrow;
-use std::sync::atomic::AtomicU8;
 use std::sync::atomic::Ordering::{Relaxed, SeqCst};
+use std::sync::atomic::{AtomicU8, AtomicUsize};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, Weak};
 use vw_common::{ColData, Result, Schema, SelVec, TypeId, VwError};
 use vw_service::{CoopTask, Step, Waker};
@@ -389,6 +394,9 @@ pub struct JoinBuild {
     /// routed spill that wrote any (a sink's, and the one `plan` writes
     /// the resident rest through). Empty for a resident build.
     files: Vec<Vec<Arc<SpillFile>>>,
+    /// Per partition of a build routed by key, the rows and keys its files
+    /// hold (empty otherwise).
+    spans: Vec<KeySpan>,
     /// The governor the build ran under; probers divert and recurse with it.
     spill: Option<SpillConfig>,
     /// The resident rows' charge, returned when the build drops.
@@ -416,10 +424,10 @@ impl JoinBuild {
 enum Unit {
     /// Bulk-build table `idx` over these hash runs, in order.
     Table { idx: usize, hashes: Vec<Vec<u64>> },
-    /// Fill part `part` of the one direct table — its share of the key
-    /// range, one part per sink — from the resident stages' key vectors,
-    /// in table order.
-    Direct { keys: Arc<Vec<Vector>>, table: Arc<DirectBuild>, part: usize },
+    /// Fill part `part` of `parts` of the one direct table — its share
+    /// of the key range — from the resident stages' key vectors, in table
+    /// order.
+    Direct { keys: Arc<Vec<Vector>>, table: Arc<DirectBuild>, part: usize, parts: usize },
     /// Concatenate the resident stages' vector `at`, in table order, into
     /// the build's, of `rows` rows.
     Column { at: usize, pieces: Arc<Vec<Vector>>, rows: usize },
@@ -470,6 +478,9 @@ pub struct SharedBuild {
     cancel: CancelToken,
     /// Sinks that deposit (and probers that take the result).
     sinks: usize,
+    /// The threads that run the sinks' tasks, when known (`usize::MAX`:
+    /// unknown): a direct table is filled in at most that many parts.
+    workers: AtomicUsize,
     /// Slots per sink, and the build rows below which they still make one
     /// table.
     slots: usize,
@@ -482,7 +493,8 @@ pub struct SharedBuild {
     /// key; 0 otherwise).
     shift: u32,
     /// Does the build, once it overflowed, route its rows by key rather
-    /// than by hash? Decided by the first sink to overflow.
+    /// than by hash? Decided by the first sink to overflow, or — for a
+    /// replayed partition — from the partition's [`KeySpan`].
     by_key: OnceLock<bool>,
     /// Where a resident build of an inner or semi join is published as
     /// its probe side's runtime filter.
@@ -515,6 +527,7 @@ impl SharedBuild {
             join_type,
             cancel,
             sinks,
+            workers: AtomicUsize::new(usize::MAX),
             slots: 1,
             min_rows: DEFAULT_PARALLEL_BUILD_MIN_ROWS,
             spill: None,
@@ -568,6 +581,15 @@ impl SharedBuild {
     /// docs)?
     fn routes_by_key(&self) -> bool {
         self.by_key.get() == Some(&true)
+    }
+
+    /// A routed spill for the build rows, once the routing is decided.
+    fn routed_spill(&self, cfg: &SpillConfig) -> RoutedSpill {
+        if self.routes_by_key() {
+            RoutedSpill::by_key(cfg)
+        } else {
+            RoutedSpill::new(cfg)
+        }
     }
 
     /// Publish the build into `filter` too, once, when it is resident and
@@ -751,19 +773,26 @@ impl SharedBuild {
             payload_at: self.layout.payload_at.clone(),
             has_null_key: st.has_null_key,
             files: Vec::new(),
+            spans: Vec::new(),
             spill: self.spill.clone(),
             _charge: self.spill.as_ref().map(|cfg| Charge::new(cfg.budget.clone())),
         };
         if held.iter().any(|h| h.spill.is_some()) {
             let cfg = self.spill.as_ref().expect("only a governed build overflows");
-            let mut rest = RoutedSpill::new(cfg);
+            let mut rest = self.routed_spill(cfg);
             for h in &mut held {
                 for stage in &mut h.stages {
                     stage.spill_to(&self.layout, &mut rest, self.routes_by_key())?;
                 }
             }
             build.files = vec![Vec::new(); cfg.partitions];
+            if self.routes_by_key() {
+                build.spans = vec![KeySpan::default(); cfg.partitions];
+            }
             for spill in held.into_iter().filter_map(|h| h.spill).chain([rest]) {
+                for (all, span) in build.spans.iter_mut().zip(spill.spans().unwrap_or_default()) {
+                    all.absorb(*span);
+                }
                 for (at, file) in build.files.iter_mut().zip(spill.finish()?) {
                     at.extend(file.map(Arc::new));
                 }
@@ -829,12 +858,15 @@ impl SharedBuild {
             // takes them for the key column.
             let table = Arc::new(DirectBuild::new(rows, lo, hi, self.shift));
             let keys = &pieces[0];
-            let parts = (0..self.sinks).map(|part| Unit::Direct {
+            // One part per sink, but no more than can run at once: each
+            // part reads every key.
+            let parts = self.sinks.min(self.workers.load(Relaxed));
+            st.units.extend((0..parts).map(|part| Unit::Direct {
                 keys: keys.clone(),
                 table: table.clone(),
                 part,
-            });
-            st.units.extend(parts);
+                parts,
+            }));
         } else {
             st.units.extend(
                 hashes.into_iter().enumerate().map(|(idx, hashes)| Unit::Table { idx, hashes }),
@@ -867,8 +899,8 @@ impl SharedBuild {
                 let runs: Vec<&[u64]> = hashes.iter().map(Vec::as_slice).collect();
                 (Some((idx, JoinTable::build(&runs))), None)
             }
-            Unit::Direct { keys, table, part } => {
-                fill_direct(&table, &keys, part, self.sinks);
+            Unit::Direct { keys, table, part, parts } => {
+                fill_direct(&table, &keys, part, parts);
                 // The last part to let go of the table finishes it.
                 (Arc::into_inner(table).map(|table| (0, table.finish())), None)
             }
@@ -1124,6 +1156,13 @@ pub struct BuildSink {
 }
 
 impl BuildSink {
+    /// The sink's task runs on a pool of `workers` threads (with the
+    /// other sinks of its build, on pools no larger): a direct table is
+    /// filled in no more parts than that.
+    pub fn runs_on(&self, workers: usize) {
+        self.build.workers.fetch_min(workers.max(1), Relaxed);
+    }
+
     /// The builds whose progress this sink's task must be woken for: the
     /// ones its input probes, and its own.
     pub fn subscriptions(&self) -> impl Iterator<Item = &Arc<SharedBuild>> {
@@ -1228,12 +1267,14 @@ impl BuildSink {
             // make a direct table and every row shares exactly the key
             // bits of the strata above (all of them routed by key), so
             // each partition is as dense as the build and replays direct.
+            // A replayed partition comes with the rule judged on all of
+            // its rows (`HashJoin::next_deferred`).
             let rows = stages.iter().map(JoinStage::rows).sum();
             let above = cfg.partitions.trailing_zeros() * cfg.depth;
             let dense = JoinTable::fits_direct(rows, range.0, range.1, above);
             let keyed = dense && build.integer_key() && build.shift == above;
             let by_key = *build.by_key.get_or_init(|| keyed);
-            let mut routed = RoutedSpill::new(cfg);
+            let mut routed = build.routed_spill(cfg);
             for stage in stages.iter_mut() {
                 stage.spill_to(&build.layout, &mut routed, by_key)?;
             }
@@ -1302,8 +1343,9 @@ pub struct HashJoin {
     /// the deferred phase.
     probe_schema: Schema,
     /// Spilled partition pairs awaiting the deferred (recursive) joins:
-    /// the partition's shared build files, and this prober's probe file.
-    deferred: Vec<(Vec<Arc<SpillFile>>, SpillFile)>,
+    /// the partition's shared build files, what they hold when the build
+    /// routed by key, and this prober's probe file.
+    deferred: Vec<(Vec<Arc<SpillFile>>, Option<KeySpan>, SpillFile)>,
     /// The recursive join currently draining one spilled partition pair.
     inner: Option<Box<HashJoin>>,
     /// Has the probe input been exhausted (deferred phase reached)?
@@ -1523,9 +1565,10 @@ impl HashJoin {
             if let Some(spill) = self.probe_spill.take() {
                 // A partition no probe row reached has no output row
                 // (every join type here is probe-driven).
-                for (files, probe) in build.files.iter().zip(spill.finish()?) {
+                for (at, probe) in spill.finish()?.into_iter().enumerate() {
                     if let Some(probe) = probe {
-                        self.deferred.push((files.clone(), probe));
+                        let span = build.spans.get(at).copied();
+                        self.deferred.push((build.files[at].clone(), span, probe));
                     }
                 }
             }
@@ -1546,7 +1589,7 @@ impl HashJoin {
                 }
                 self.inner = None;
             }
-            let Some((build_files, probe_file)) = self.deferred.pop() else {
+            let Some((build_files, span, probe_file)) = self.deferred.pop() else {
                 return Ok(None);
             };
             let shared = self.shared.clone().expect("a join has a build side");
@@ -1569,11 +1612,19 @@ impl HashJoin {
                 self.cancel.clone(),
             );
             // Routed by key, the partition's rows share the key bits of
-            // every stratum down to this one.
-            if shared.routes_by_key() {
-                let bits = cfg.partitions.trailing_zeros();
-                inner = inner.own_build(|b| SharedBuild { shift: bits * (cfg.depth + 1), ..b });
-            }
+            // every stratum down to this one, and it routes by key again
+            // if it overflows only when all of its rows would make a
+            // direct table: keys that turn sparse or aligned after the
+            // rows the routing was judged on route by hash from here on.
+            // A partition routed by hash shares the bits its build did.
+            let (shift, by_key) = match span {
+                Some(span) => {
+                    let shift = cfg.partitions.trailing_zeros() * (cfg.depth + 1);
+                    (shift, JoinTable::fits_direct(span.rows as usize, span.lo, span.hi, shift))
+                }
+                None => (shared.shift, false),
+            };
+            inner = inner.own_build(|b| SharedBuild { shift, by_key: OnceLock::from(by_key), ..b });
             // Recurse with the governor attached (one stratum deeper) until
             // the depth floor; past it the partition builds in memory
             // regardless — 8 strata of 8-way splits divide a build ~16M×
@@ -1633,11 +1684,10 @@ fn probe_direct(table: &JoinTable, s: &mut ProbeScratch, key: &Vector, emit_pair
     let n = key.len();
     let sel = (s.nonnull.len() != n).then_some(&s.nonnull);
     let (flags, out_probe, out_build) = (&mut s.matched_flags, &mut s.out_probe, &mut s.out_build);
-    let buf = &mut s.buf;
     macro_rules! probe {
         ($d:expr) => {{
-            let (d, emit) = ($d, emit_pairs);
-            table.probe_direct(n, sel, emit, |p| d[p].into(), flags, out_probe, out_build, buf)
+            let d = $d;
+            table.probe_direct(n, sel, emit_pairs, |p| d[p].into(), flags, out_probe, out_build)
         }};
     }
     integer_keys!(&key.data, probe, {})
@@ -2257,6 +2307,69 @@ mod tests {
         assert!(metrics.files.load(Relaxed) >= 16, "the build and the probe spilled");
         let replayed = (metrics.replayed_direct.load(Relaxed), metrics.replayed.load(Relaxed));
         assert_eq!(replayed, (8, 8), "(direct, replayed) partition builds");
+        drop(j);
+        assert_eq!((budget.used(), disk.used_bytes()), (0, 0), "every byte and block let go");
+    }
+
+    #[test]
+    fn a_partition_whose_keys_turn_aligned_routes_by_hash_below() {
+        use crate::partition::{MemBudget, SpillConfig};
+        use std::sync::atomic::Ordering::Relaxed;
+        use vw_storage::SimulatedDisk;
+        // 32 000 dense keys first, in order, so the build overflows on
+        // them and routes by key on three key bits; then 8 000 keys that are
+        // multiples of 2^24, all in partition 0 (their low 24 bits are
+        // zero). Every partition holds 4 000 dense rows, more than the
+        // 48 KB budget holds, so each overflows again. Partitions
+        // 1..8 are dense and route by key below; partition 0's keys as a
+        // whole would not make a direct table, so it routes by hash and
+        // splits on stratum 1. Judged on its first rows alone (dense),
+        // it would route by key again and send the aligned rows on to a
+        // third stratum.
+        let n = 32_000i64;
+        let schema =
+            Schema::new(vec![Field::nullable("k", TypeId::I64), Field::nullable("v", TypeId::I64)])
+                .unwrap();
+        let mk = |keys: Vec<i64>| -> BoxedOp {
+            let rows = keys.into_iter().map(|k| vec![Value::I64(k), Value::I64(k ^ 5)]).collect();
+            Box::new(Values::new(schema.clone(), rows, 256, CancelToken::new()))
+        };
+        let mut build: Vec<i64> = (0..n).collect();
+        build.extend((1..=8_000).map(|i| i << 24));
+        // Every build key, and as many keys that miss.
+        let probe: Vec<i64> = build.iter().flat_map(|&k| [k, k + n]).collect();
+        let disk = SimulatedDisk::instant();
+        let budget = MemBudget::new(48 * 1024);
+        let cfg = SpillConfig::new(budget.clone(), disk.clone(), 8);
+        let metrics = cfg.metrics.clone();
+        let mut j = HashJoin::new(
+            mk(probe.clone()),
+            mk(build.clone()),
+            key_cols(&[(0, TypeId::I64)]),
+            key_cols(&[(0, TypeId::I64)]),
+            JoinType::Inner,
+            schema.join(&schema),
+            CancelToken::new(),
+        )
+        .with_spill(cfg);
+        let out = drain(&mut j).unwrap();
+        let mut got: Vec<Vec<Value>> = (0..out.rows()).map(|i| out.row_values(i)).collect();
+        got.sort_by_key(|r| format!("{r:?}"));
+        let keys: std::collections::HashSet<i64> = build.iter().copied().collect();
+        let mut want: Vec<Vec<Value>> = probe
+            .iter()
+            .filter(|k| keys.contains(k))
+            .map(|&k| [k, k ^ 5, k, k ^ 5].map(Value::I64).to_vec())
+            .collect();
+        want.sort_by_key(|r| format!("{r:?}"));
+        assert_eq!(got, want);
+        // Stratum 0, and every partition's split on stratum 1: a build
+        // and a probe file per partition at each.
+        assert_eq!(metrics.files.load(Relaxed), 16 + 8 * 16, "spill files");
+        // Partitions 1..8 replay in 8 direct parts each; partition 0's
+        // eight parts mix both kinds of key and replay hashed.
+        let replayed = (metrics.replayed_direct.load(Relaxed), metrics.replayed.load(Relaxed));
+        assert_eq!(replayed, (56, 64), "(direct, replayed) partition builds");
         drop(j);
         assert_eq!((budget.used(), disk.used_bytes()), (0, 0), "every byte and block let go");
     }

@@ -164,6 +164,7 @@ impl Xchg {
         let sinks: Vec<_> = sinks
             .into_iter()
             .map(|sink| {
+                sink.runs_on(pool.workers());
                 let subs: Vec<_> = sink.subscriptions().cloned().collect();
                 let task = TaskHandle::new(pool, &query_cancel, "hash build sink", sink);
                 subs.iter().for_each(|b| b.subscribe(task.waker()));

@@ -30,8 +30,9 @@
 //! `bits` bits, provably independent of the table's low-bit directory
 //! index, and equal keys always meet in one slot. A join build that spills
 //! on a dense integer key routes the key itself instead, bit-reversed, so
-//! the strata take its low bits and every partition stays dense enough to
-//! replay direct (`op/hashjoin.rs`). Probes are not merged
+//! the strata take its low bits and a partition of dense keys stays dense
+//! enough to replay direct; a partition that is not routes by hash below
+//! (`op/hashjoin.rs`). Probes are not merged
 //! back: a probe batch is hashed once, split by the same bits into reused
 //! per-slot [`SelVec`]s, and each sub-selection runs the ordinary
 //! per-table kernel against a table `P`× smaller.

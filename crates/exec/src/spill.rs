@@ -13,7 +13,10 @@
 //! state and the aggregate's re-partitioning pass all push rows with
 //! their routing words — the key hashes, or for a join build on a dense
 //! integer key the bit-reversed key (`op/hashjoin.rs`) — which one radix
-//! router splits into one spill file per partition. The policy half — *when* a build overflows — is the
+//! router splits into one spill file per partition. A spill routed by key
+//! also keeps each partition's row count and key range ([`KeySpan`]), from
+//! which the join judges the partition's own routing when it replays.
+//! The policy half — *when* a build overflows — is the
 //! [`MemBudget`] governor's (see [`crate::partition`]); what is written
 //! and how a spilled partition is re-processed is the operators'
 //! (`op/hashjoin.rs`, `op/hashagg.rs`).
@@ -84,7 +87,36 @@ pub struct RoutedSpill {
     router: RadixRouter,
     /// Per partition, once it took a row.
     stages: Vec<Option<SpillStage>>,
+    /// Per partition, what it took — `None` unless the routing words are
+    /// bit-reversed keys ([`RoutedSpill::by_key`]).
+    spans: Option<Vec<KeySpan>>,
     cfg: SpillConfig,
+}
+
+/// The rows a [`RoutedSpill`] routed by key sent to one partition: how
+/// many, and their smallest and largest key (`lo > hi`: none).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct KeySpan {
+    /// Rows routed to the partition.
+    pub rows: u64,
+    /// Their smallest key.
+    pub lo: i64,
+    /// Their largest key.
+    pub hi: i64,
+}
+
+impl Default for KeySpan {
+    fn default() -> KeySpan {
+        KeySpan { rows: 0, lo: i64::MAX, hi: i64::MIN }
+    }
+}
+
+impl KeySpan {
+    /// Take in `other`'s rows and keys.
+    pub fn absorb(&mut self, other: KeySpan) {
+        self.rows += other.rows;
+        (self.lo, self.hi) = (self.lo.min(other.lo), self.hi.max(other.hi));
+    }
 }
 
 impl RoutedSpill {
@@ -93,7 +125,15 @@ impl RoutedSpill {
     pub fn new(cfg: &SpillConfig) -> RoutedSpill {
         let router = RadixRouter::at_depth(cfg.partitions, cfg.depth);
         let stages = std::iter::repeat_with(|| None).take(router.partitions()).collect();
-        RoutedSpill { router, stages, cfg: cfg.clone() }
+        RoutedSpill { router, stages, spans: None, cfg: cfg.clone() }
+    }
+
+    /// A routed spill whose routing words are keys read as `i64` and
+    /// bit-reversed: it also keeps each partition's [`KeySpan`].
+    pub fn by_key(cfg: &SpillConfig) -> RoutedSpill {
+        let mut spill = RoutedSpill::new(cfg);
+        spill.spans = Some(vec![KeySpan::default(); spill.stages.len()]);
+        spill
     }
 
     /// Stage the `sel` lanes (all of them when `None`) of `cols`, routed
@@ -108,7 +148,7 @@ impl RoutedSpill {
         // A full-length sorted selection is the identity: skip the
         // indirection.
         let sel = sel.filter(|s| s.len() != n);
-        let RoutedSpill { router, stages, cfg } = self;
+        let RoutedSpill { router, stages, spans, cfg } = self;
         router.split(hashes, sel, n);
         for (si, stage) in stages.iter_mut().enumerate() {
             let lanes = router.shard_sel(si);
@@ -118,9 +158,21 @@ impl RoutedSpill {
                     SpillStage::new(cfg)
                 });
                 stage.push(cols, lanes)?;
+                if let Some(span) = spans.as_mut().map(|s| &mut s[si]) {
+                    span.rows += lanes.len() as u64;
+                    for p in lanes.iter() {
+                        let key = hashes[p].reverse_bits() as i64;
+                        (span.lo, span.hi) = (span.lo.min(key), span.hi.max(key));
+                    }
+                }
             }
         }
         Ok(())
+    }
+
+    /// Each partition's [`KeySpan`] so far (`None`: not routed by key).
+    pub fn spans(&self) -> Option<&[KeySpan]> {
+        self.spans.as_deref()
     }
 
     /// While the budget is over, write out the fullest stage (the fewer
