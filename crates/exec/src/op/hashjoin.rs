@@ -120,7 +120,7 @@ use crate::morsel::BatchPool;
 use crate::partition::{Charge, RadixRouter, SpillConfig, DEFAULT_PARALLEL_BUILD_MIN_ROWS};
 use crate::profile::OpProfile;
 use crate::program::{ExprProgram, VecRef, VectorPool};
-use crate::spill::{KeySpan, RoutedSpill, SpillScan};
+use crate::spill::{KeySpan, RoutedSpill, SpillScan, NO_SPAN};
 use crate::vector::{Batch, Vector};
 use std::borrow::Borrow;
 use std::sync::atomic::Ordering::{Relaxed, SeqCst};
@@ -319,18 +319,13 @@ impl JoinStage {
     }
 
     /// Write the staged rows through `spill` — their build columns, routed
-    /// by their hashes or, `by_key`, by their one integer key (see
-    /// [`route_words`]) — and free them, keeping the typed layout.
-    fn spill_to(
-        &mut self,
-        layout: &StageLayout,
-        spill: &mut RoutedSpill,
-        by_key: bool,
-    ) -> Result<()> {
+    /// by their hashes or, for a spill routed by key, by their one integer
+    /// key (see [`route_words`]) — and free them, keeping the typed layout.
+    fn spill_to(&mut self, layout: &StageLayout, spill: &mut RoutedSpill) -> Result<()> {
         if self.rows() == 0 {
             return Ok(());
         }
-        self.hash_keys(layout.n_keys, by_key);
+        self.hash_keys(layout.n_keys, spill.spans.is_some());
         spill.push(&layout.payload(&self.vecs), &self.hashes, None)?;
         for v in &mut self.vecs {
             *v = Vector::new(ColData::new(v.type_id()));
@@ -577,21 +572,6 @@ impl SharedBuild {
         self
     }
 
-    /// Does the overflowed build route its rows by key (see the module
-    /// docs)?
-    fn routes_by_key(&self) -> bool {
-        self.by_key.get() == Some(&true)
-    }
-
-    /// A routed spill for the build rows, once the routing is decided.
-    fn routed_spill(&self, cfg: &SpillConfig) -> RoutedSpill {
-        if self.routes_by_key() {
-            RoutedSpill::by_key(cfg)
-        } else {
-            RoutedSpill::new(cfg)
-        }
-    }
-
     /// Publish the build into `filter` too, once, when it is resident and
     /// the join is inner or semi: the join's runtime filter (see the
     /// module docs). Other join types keep every probe row they are
@@ -779,19 +759,18 @@ impl SharedBuild {
         };
         if held.iter().any(|h| h.spill.is_some()) {
             let cfg = self.spill.as_ref().expect("only a governed build overflows");
-            let mut rest = self.routed_spill(cfg);
+            let by_key = self.by_key.get() == Some(&true);
+            let mut rest = if by_key { RoutedSpill::by_key(cfg) } else { RoutedSpill::new(cfg) };
             for h in &mut held {
                 for stage in &mut h.stages {
-                    stage.spill_to(&self.layout, &mut rest, self.routes_by_key())?;
+                    stage.spill_to(&self.layout, &mut rest)?;
                 }
             }
             build.files = vec![Vec::new(); cfg.partitions];
-            if self.routes_by_key() {
-                build.spans = vec![KeySpan::default(); cfg.partitions];
-            }
+            build.spans = vec![NO_SPAN; if by_key { cfg.partitions } else { 0 }];
             for spill in held.into_iter().filter_map(|h| h.spill).chain([rest]) {
-                for (all, span) in build.spans.iter_mut().zip(spill.spans().unwrap_or_default()) {
-                    all.absorb(*span);
+                for (all, s) in build.spans.iter_mut().zip(spill.spans.iter().flatten()) {
+                    *all = (all.0 + s.0, all.1.min(s.1), all.2.max(s.2));
                 }
                 for (at, file) in build.files.iter_mut().zip(spill.finish()?) {
                     at.extend(file.map(Arc::new));
@@ -1212,7 +1191,7 @@ impl BuildSink {
                 if let Some(spill) = spill {
                     // On disk: the build columns only — keys and hashes
                     // are program outputs, recomputed at rehydration.
-                    route_words(keys, n, build.routes_by_key(), lanes, hashes);
+                    route_words(keys, n, spill.spans.is_some(), lanes, hashes);
                     spill.push(&batch.columns, hashes, Some(nonnull))?;
                 } else {
                     if routed || hashed {
@@ -1274,9 +1253,9 @@ impl BuildSink {
             let dense = JoinTable::fits_direct(rows, range.0, range.1, above);
             let keyed = dense && build.integer_key() && build.shift == above;
             let by_key = *build.by_key.get_or_init(|| keyed);
-            let mut routed = build.routed_spill(cfg);
+            let mut routed = if by_key { RoutedSpill::by_key(cfg) } else { RoutedSpill::new(cfg) };
             for stage in stages.iter_mut() {
-                stage.spill_to(&build.layout, &mut routed, by_key)?;
+                stage.spill_to(&build.layout, &mut routed)?;
             }
             charge.set(0);
             routed.flush_if_over()?;
@@ -1617,13 +1596,10 @@ impl HashJoin {
             // direct table: keys that turn sparse or aligned after the
             // rows the routing was judged on route by hash from here on.
             // A partition routed by hash shares the bits its build did.
-            let (shift, by_key) = match span {
-                Some(span) => {
-                    let shift = cfg.partitions.trailing_zeros() * (cfg.depth + 1);
-                    (shift, JoinTable::fits_direct(span.rows as usize, span.lo, span.hi, shift))
-                }
-                None => (shared.shift, false),
-            };
+            let deeper = cfg.partitions.trailing_zeros() * (cfg.depth + 1);
+            let shift = if span.is_some() { deeper } else { shared.shift };
+            let dense = |(rows, lo, hi)| JoinTable::fits_direct(rows as usize, lo, hi, shift);
+            let by_key = span.is_some_and(dense);
             inner = inner.own_build(|b| SharedBuild { shift, by_key: OnceLock::from(by_key), ..b });
             // Recurse with the governor attached (one stratum deeper) until
             // the depth floor; past it the partition builds in memory
@@ -1888,7 +1864,7 @@ impl Operator for HashJoin {
             // on disk holds no resident row, but it is not empty.
             let build_empty = !build.on_disk() && build.tables.iter().all(JoinTable::is_empty);
             let has_null_key = build.has_null_key;
-            let by_key = self.shared.as_ref().is_some_and(|b| b.routes_by_key());
+            let by_key = self.shared.as_ref().is_some_and(|b| b.by_key.get() == Some(&true));
             let skip_probe =
                 self.join_type == JoinType::NullAwareLeftAnti && (has_null_key || build_empty);
             {

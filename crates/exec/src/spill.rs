@@ -89,35 +89,16 @@ pub struct RoutedSpill {
     stages: Vec<Option<SpillStage>>,
     /// Per partition, what it took — `None` unless the routing words are
     /// bit-reversed keys ([`RoutedSpill::by_key`]).
-    spans: Option<Vec<KeySpan>>,
+    pub(crate) spans: Option<Vec<KeySpan>>,
     cfg: SpillConfig,
 }
 
 /// The rows a [`RoutedSpill`] routed by key sent to one partition: how
-/// many, and their smallest and largest key (`lo > hi`: none).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct KeySpan {
-    /// Rows routed to the partition.
-    pub rows: u64,
-    /// Their smallest key.
-    pub lo: i64,
-    /// Their largest key.
-    pub hi: i64,
-}
+/// many, and their smallest and largest key.
+pub type KeySpan = (u64, i64, i64);
 
-impl Default for KeySpan {
-    fn default() -> KeySpan {
-        KeySpan { rows: 0, lo: i64::MAX, hi: i64::MIN }
-    }
-}
-
-impl KeySpan {
-    /// Take in `other`'s rows and keys.
-    pub fn absorb(&mut self, other: KeySpan) {
-        self.rows += other.rows;
-        (self.lo, self.hi) = (self.lo.min(other.lo), self.hi.max(other.hi));
-    }
-}
+/// The span of no rows (`lo > hi`).
+pub const NO_SPAN: KeySpan = (0, i64::MAX, i64::MIN);
 
 impl RoutedSpill {
     /// A routed spill on `cfg`'s stratum and fan-out, writing to `cfg`'s
@@ -132,7 +113,7 @@ impl RoutedSpill {
     /// bit-reversed: it also keeps each partition's [`KeySpan`].
     pub fn by_key(cfg: &SpillConfig) -> RoutedSpill {
         let mut spill = RoutedSpill::new(cfg);
-        spill.spans = Some(vec![KeySpan::default(); spill.stages.len()]);
+        spill.spans = Some(vec![NO_SPAN; spill.stages.len()]);
         spill
     }
 
@@ -158,21 +139,16 @@ impl RoutedSpill {
                     SpillStage::new(cfg)
                 });
                 stage.push(cols, lanes)?;
-                if let Some(span) = spans.as_mut().map(|s| &mut s[si]) {
-                    span.rows += lanes.len() as u64;
+                if let Some((rows, lo, hi)) = spans.as_mut().map(|s| &mut s[si]) {
+                    *rows += lanes.len() as u64;
                     for p in lanes.iter() {
                         let key = hashes[p].reverse_bits() as i64;
-                        (span.lo, span.hi) = (span.lo.min(key), span.hi.max(key));
+                        (*lo, *hi) = ((*lo).min(key), (*hi).max(key));
                     }
                 }
             }
         }
         Ok(())
-    }
-
-    /// Each partition's [`KeySpan`] so far (`None`: not routed by key).
-    pub fn spans(&self) -> Option<&[KeySpan]> {
-        self.spans.as_deref()
     }
 
     /// While the budget is over, write out the fullest stage (the fewer
