@@ -8,7 +8,7 @@
 //! spread over a sparse domain, so the shared build is the hashed one with
 //! a table per slot; a second row runs the same join on dense keys, whose
 //! build is one direct table, its finalize split by key range into one
-//! part per sink. The same two joins then run at DOP 1 under a budget a
+//! part per sink, at most one per pool worker. The same two joins then run at DOP 1 under a budget a
 //! quarter of the build: the sparse build spills routed by hash and
 //! replays hashed, the dense one routed by key and replays direct.
 //!

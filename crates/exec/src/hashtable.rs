@@ -499,10 +499,18 @@ pub struct DirectBuild {
 
 /// The bucket of key `k` in a direct table over `lo` and `shift`: a key
 /// below `lo`, or off the build's shared low bits, rotates far past any
-/// bucket.
+/// bucket. At shift 0 — every resident build — there is no rotate: one by
+/// a variable count made a 200 k-lane probe about 15 % slower than the
+/// branch, which the compiler hoists out of a loop as small as a fill's or
+/// a filter test's (the probe picks its loop by the shift itself).
 #[inline(always)]
 fn direct_bucket(k: i64, lo: i64, shift: u32) -> u64 {
-    (k as u64).wrapping_sub(lo as u64).rotate_right(shift)
+    let b = (k as u64).wrapping_sub(lo as u64);
+    if shift == 0 {
+        b
+    } else {
+        b.rotate_right(shift)
+    }
 }
 
 impl Default for JoinTable {
@@ -810,10 +818,6 @@ impl JoinTable {
     /// build row)` pairs in ascending row order; `sel = None` probes all
     /// `n` lanes.
     ///
-    /// A table of shift 0 — every resident build — probes without the
-    /// rotate: one by a variable count made a 200 k-lane probe about 15 %
-    /// slower.
-    ///
     /// # Panics
     /// On a hashed table.
     #[inline]
@@ -823,7 +827,7 @@ impl JoinTable {
         n: usize,
         sel: Option<&SelVec>,
         emit_all: bool,
-        mut key_of: K,
+        key_of: K,
         matched_flags: &mut [bool],
         out_probe: &mut Vec<u32>,
         out_build: &mut Vec<u32>,
@@ -831,32 +835,30 @@ impl JoinTable {
         let TableLayout::Direct { lo, shift, ref rows } = self.layout else {
             panic!("a hashed join table is probed by hash, not by key");
         };
-        let (flags, out) = (matched_flags, (out_probe, out_build));
-        match shift {
-            0 => {
-                let bucket_of = |p| (key_of(p) as u64).wrapping_sub(lo as u64);
-                self.probe_buckets(n, sel, emit_all, bucket_of, rows, flags, out);
-            }
-            _ => {
-                let bucket_of = |p| direct_bucket(key_of(p), lo, shift);
-                self.probe_buckets(n, sel, emit_all, bucket_of, rows, flags, out);
-            }
+        let out = (matched_flags, out_probe, out_build);
+        // A loop per case: the compiler does not hoist `direct_bucket`'s
+        // test of the shift out of a loop as large as the probe's.
+        if shift == 0 {
+            self.probe_buckets(n, sel, emit_all, key_of, (lo, 0), rows, out);
+        } else {
+            self.probe_buckets(n, sel, emit_all, key_of, (lo, shift), rows, out);
         }
     }
 
-    /// [`JoinTable::probe_direct`] with lane `p`'s bucket `bucket_of(p)`.
-    #[inline]
+    /// [`JoinTable::probe_direct`] over a table's `(lo, shift)` and rows.
+    #[inline(always)]
     #[allow(clippy::too_many_arguments)]
-    fn probe_buckets<B: FnMut(usize) -> u64>(
+    fn probe_buckets<K: FnMut(usize) -> i64>(
         &self,
         n: usize,
         sel: Option<&SelVec>,
         emit_all: bool,
-        mut bucket_of: B,
+        mut key_of: K,
+        (lo, shift): (i64, u32),
         rows: &[u32],
-        matched_flags: &mut [bool],
-        (out_probe, out_build): (&mut Vec<u32>, &mut Vec<u32>),
+        (matched_flags, out_probe, out_build): (&mut [bool], &mut Vec<u32>, &mut Vec<u32>),
     ) {
+        let mut bucket_of = |p| direct_bucket(key_of(p), lo, shift);
         if rows.is_empty() {
             return;
         }
@@ -924,17 +926,12 @@ impl JoinTable {
         let last = offsets.len() as u64 - 2;
         // Branch-free: a lane outside the range reads the last bucket and
         // is dropped by the range test.
-        let keep = |b: u64| {
+        let keep = |p: usize| {
+            let b = direct_bucket(key_of(p), lo, shift);
             let at = b.min(last) as usize;
             (b <= last) & (offsets[at] < offsets[at + 1])
         };
-        // Without the rotate at shift 0, as in the probe.
-        match shift {
-            0 => primitives::select_by(n, sel, out, |p| {
-                keep((key_of(p) as u64).wrapping_sub(lo as u64))
-            }),
-            _ => primitives::select_by(n, sel, out, |p| keep(direct_bucket(key_of(p), lo, shift))),
-        }
+        primitives::select_by(n, sel, out, keep);
     }
 
     /// The runtime join filter's test against hashed tables: fill `out`

@@ -21,10 +21,11 @@
 //!   one integer key hashes its staged keys here), and one concatenation
 //!   of the slots per build column;
 //! - **direct**: one table over the slot-major rows, built by a
-//!   [`DirectBuild`] in one part per sink — each fills its share of the
-//!   key range from the staged keys, into disjoint slices of the one
-//!   offsets/rows pair — and one concatenation per build column (the key
-//!   column only when the join emits it).
+//!   [`DirectBuild`] in one part per sink, but no more parts than the
+//!   pool running the sinks has workers (each part reads every key) — each
+//!   fills its share of the key range from the staged keys, into disjoint
+//!   slices of the one offsets/rows pair — and one concatenation per build
+//!   column (the key column only when the join emits it).
 //!
 //! Whichever sink is free claims the next unit; the one that finishes the
 //! last unit publishes the [`JoinBuild`] and wakes whoever waits for it.
