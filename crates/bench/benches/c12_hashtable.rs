@@ -582,9 +582,7 @@ fn filter_pass(side: &FlatSide, chunks: &[Vec<Vector>], out: &mut SelVec) -> usi
         } else {
             // A flat BIGINT key hashes inline, as the scan's test does.
             let keys = chunk[0].data.as_i64();
-            let table = std::slice::from_ref(&side.table);
-            let hash = |p: usize| hash_u64(keys[p] as u64);
-            JoinTable::retain_bloom(table, |_| 0, n, None, hash, out);
+            side.table.retain_bloom(n, None, |p| hash_u64(keys[p] as u64), out);
         }
         kept += out.len();
     }

@@ -110,8 +110,8 @@ pub struct EngineConfig {
     /// Buffer pool capacity in bytes for the storage layer.
     pub buffer_pool_bytes: usize,
     /// Default degree of parallelism the rewriter targets when inserting
-    /// exchange (Xchg) operators, and from which the hash operators derive
-    /// their partition count ([`EngineConfig::build_partitions`]).
+    /// exchange (Xchg) operators, and from which a governed hash build
+    /// derives its spill fan-out ([`EngineConfig::build_partitions`]).
     /// 1 disables parallelization.
     pub parallelism: usize,
     /// Rows per morsel claim from a scan's shared work dispenser
@@ -306,9 +306,10 @@ impl EngineConfig {
         }
     }
 
-    /// Number of radix partitions a partitioned hash build should use:
-    /// one per worker (`next_pow2(parallelism)`), capped at 2^10 — beyond
-    /// that the scatter cost dwarfs any locality win.
+    /// Radix partitions per stratum of a governed hash build's spills
+    /// (`vw-core::compile` raises it to at least 8):
+    /// `next_pow2(parallelism)`, capped at 2^10 — beyond that the scatter
+    /// cost dwarfs any locality win.
     pub fn build_partitions(&self) -> usize {
         self.parallelism.next_power_of_two().min(MAX_PARALLELISM)
     }

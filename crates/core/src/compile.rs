@@ -42,7 +42,7 @@ use vw_exec::op::{
     AggSpec, BoxedOp, BuildSink, HashAggregate, HashJoin, JoinFilter, JoinType, Limit, Project,
     Select, SharedBuild, Sort, SortKey, TopN, UnionAll, Values, VectorScan, Xchg,
 };
-use vw_exec::partition::{MemBudget, SpillConfig, DEFAULT_PARALLEL_BUILD_MIN_ROWS};
+use vw_exec::partition::{MemBudget, SpillConfig};
 use vw_exec::profile::{NodeProfile, Profiled};
 use vw_exec::program::{ExprProgram, SelectProgram};
 use vw_exec::CancelToken;
@@ -454,8 +454,7 @@ fn build_plan_node<'p>(
             let shared = get_or_create(&p.shared.builds, idx, || {
                 let mut build =
                     SharedBuild::new(rk, right.schema().clone(), jt, p.dop, cancel.clone())
-                        .expecting(build_rows)
-                        .partitioned(config.build_partitions(), DEFAULT_PARALLEL_BUILD_MIN_ROWS);
+                        .expecting(build_rows);
                 if let Some(filter) = filter {
                     build = build.filtering(filter);
                 }

@@ -121,7 +121,7 @@ fn row_view(batches: &[Batch]) -> Vec<Vec<Value>> {
 ///
 /// Concurrency model (PR 7): one fixed [`WorkerPool`] of
 /// `EngineConfig::workers` threads serves *every* query's Exchange
-/// fragments and parallel hash-build shards as cooperative tasks, so N
+/// fragments and hash-build sinks as cooperative tasks, so N
 /// concurrent sessions cost O(workers) engine threads, not O(N × dop).
 /// When `EngineConfig::global_mem_bytes` is set, an
 /// [`AdmissionController`] partitions that global budget across admitted

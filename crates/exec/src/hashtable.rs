@@ -64,18 +64,13 @@
 //! buffers are caller-owned and reused across batches, so the steady-state
 //! probe loop performs no allocations.
 //!
-//! **Partitioned builds** (see [`crate::partition`]): one table is also the
-//! unit of radix sharding. The partition id is the *top* bits of the same
-//! 64-bit key hash — provably disjoint from the directory index (low bits)
-//! and nearly so from the bloom tag (bits 57..60) — so `P` tables built from
-//! a radix split stay exactly as balanced as one big table, while each is
-//! `P`× smaller. They are never merged; probes split partition-wise by the
-//! same bits and run these same kernels against the owning table.
-//!
-//! A direct table is never partitioned: it is one table over every build
-//! row, and its probes take no router. Its build may be split, by key
-//! range, into parts that fill disjoint slices of its one offsets/rows
-//! pair ([`DirectBuild::fill`]).
+//! **One table per join build**, at any DOP: the sinks of a build shared
+//! inside an Exchange stage their rows apart, and one table indexes all of
+//! them. A hashed table is bulk-built by one [`JoinTable::build`] call over
+//! the sinks' hash runs; a direct one may be split, by key range, into
+//! parts that fill disjoint slices of its one offsets/rows pair
+//! ([`DirectBuild::fill`]). A probe never routes: every lane probes the one
+//! table.
 //!
 //! **Grace-spilled builds** rehydrate through the same entry point:
 //! a spilled partition's rows are replayed from its spill file
@@ -513,13 +508,6 @@ fn direct_bucket(k: i64, lo: i64, shift: u32) -> u64 {
     }
 }
 
-impl Default for JoinTable {
-    /// A table of no rows.
-    fn default() -> JoinTable {
-        JoinTable::build(&[])
-    }
-}
-
 impl JoinTable {
     /// Bulk-build the hashed table from a complete hash array that arrives
     /// in pieces (the per-worker stages of a shared build; one piece for a
@@ -934,35 +922,27 @@ impl JoinTable {
         primitives::select_by(n, sel, out, keep);
     }
 
-    /// The runtime join filter's test against hashed tables: fill `out`
+    /// The runtime join filter's test against a hashed table: fill `out`
     /// with the lanes of `sel` (all `n` lanes when `None`) whose hash
     /// `hash_of(p)` (the probe's own: a fused kernel's, or [`hash_keys`]')
-    /// passes its bucket's bloom byte in `tables[table_of(h)]` — what a
-    /// probe tests first. Conservative: a passing lane may still match
-    /// nothing.
+    /// passes its bucket's bloom byte — what a probe tests first.
+    /// Conservative: a passing lane may still match nothing.
     ///
     /// # Panics
     /// On a direct table.
     #[inline]
     pub fn retain_bloom<H: FnMut(usize) -> u64>(
-        tables: &[JoinTable],
-        table_of: impl Fn(u64) -> usize,
+        &self,
         n: usize,
         sel: Option<&SelVec>,
         mut hash_of: H,
         out: &mut SelVec,
     ) {
-        let hit = |bloom: &[u8], mask: u64, h: u64| bloom[(h & mask) as usize] & bloom_bit(h) != 0;
-        if let [table] = tables {
-            let (_, bloom, mask) = table.hashed();
-            primitives::select_by(n, sel, out, |p| hit(bloom, mask, hash_of(p)));
-        } else {
-            primitives::select_by(n, sel, out, |p| {
-                let h = hash_of(p);
-                let (_, bloom, mask) = tables[table_of(h)].hashed();
-                hit(bloom, mask, h)
-            });
-        }
+        let (_, bloom, mask) = self.hashed();
+        primitives::select_by(n, sel, out, |p| {
+            let h = hash_of(p);
+            bloom[(h & mask) as usize] & bloom_bit(h) != 0
+        });
     }
 
     /// Probe staging: hash every lane, bloom-test every lane on the dense
@@ -1783,7 +1763,7 @@ mod tests {
                 assert_eq!(t.hashed().1, bloom, "{n} rows");
             }
         }
-        assert!(JoinTable::default().is_empty());
+        assert!(JoinTable::build(&[]).is_empty());
     }
 
     /// The direct table over `chunks`, built in one part.

@@ -32,10 +32,9 @@
 //!   while probed) under hash aggregation, [`hashtable::JoinTable`]
 //!   (bulk-built, immutable, bucket-grouped) under hash join, and the
 //!   vectorized key hashing and comparison both probe with;
-//! * [`partition`] — radix routing and the memory governor under join and
-//!   aggregation: a [`partition::RadixRouter`] splits a batch's lanes
-//!   across the `P` slots of one sink of a shared join build, and a build
-//!   under a [`partition::SpillConfig`] charges the
+//! * [`partition`] — the memory governor under join and aggregation and
+//!   the radix routing of its spills: a build under a
+//!   [`partition::SpillConfig`] charges the
 //!   [`partition::MemBudget`] one [`partition::Charge`] — its resident
 //!   bytes — and overflows to disk as a whole once the query is over
 //!   budget; it starts no task — the only tasks of this crate are the

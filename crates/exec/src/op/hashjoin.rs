@@ -2,25 +2,23 @@
 //! direct.
 //!
 //! **Build** (right child) and **probe** (left child) are two halves that
-//! meet in one immutable value, the [`JoinBuild`].
+//! meet in one immutable value, the [`JoinBuild`]: one [`JoinTable`] over
+//! every build row, at any DOP, or none when the build is on disk.
 //!
 //! A build is a [`SharedBuild`] fed by one or more [`BuildSink`]s. A sink
-//! drains its share of the build input into *private* slots: every
-//! batch's non-NULL key lanes are hashed, routed to `P` slots by a
-//! [`RadixRouter`] (at `P = 1` nothing is routed) and appended to the
-//! owning slot's contiguous vectors straight from the batch, each column
-//! once (a bare-column key *is* its payload column; ungoverned semi and
-//! anti joins stage no payload at all). A build on one integer key stages
-//! no hashes — it hashes only to route — and tracks its keys' range
-//! instead. When the last sink has deposited its slots, the build picks
-//! its table's layout by [`JoinTable::fits_direct`]'s byte rule, from the
-//! key type, the row count and the key range alone, and the finalize work
-//! is cut into units:
-//! - **hashed**: one table per slot (or a single one below the cost gate),
-//!   bulk-built by [`JoinTable::build`] over the sinks' hashes (a build on
-//!   one integer key hashes its staged keys here), and one concatenation
-//!   of the slots per build column;
-//! - **direct**: one table over the slot-major rows, built by a
+//! drains its share of the build input into one *private* stage: every
+//! batch's non-NULL key lanes are appended to the stage's contiguous
+//! vectors straight from the batch, each column once (a bare-column key
+//! *is* its payload column; ungoverned semi and anti joins stage no
+//! payload at all), with their key hashes. A build on one integer key
+//! stages no hashes and tracks its keys' range instead. When the last sink
+//! has deposited its stage, the build picks its table's layout by
+//! [`JoinTable::fits_direct`]'s byte rule, from the key type, the row count
+//! and the key range alone, and the finalize work is cut into units:
+//! - **hashed**: the table, bulk-built by [`JoinTable::build`] over the
+//!   sinks' hashes (a build on one integer key hashes its staged keys
+//!   here), and one concatenation of the stages per build column;
+//! - **direct**: the table over the sink-major rows, built by a
 //!   [`DirectBuild`] in one part per sink, but no more parts than the
 //!   pool running the sinks has workers (each part reads every key) — each
 //!   fills its share of the key range from the staged keys, into disjoint
@@ -54,12 +52,8 @@
 //! **Probe** is vector-at-a-time. Against a direct table a lane is one
 //! subtract and one bounds check, and every row of its bucket matches (a
 //! probe key of another integer type is read as `i64`, an RLE-coded one
-//! by value). Against a single hashed table the fused per-type kernel
-//! hashes, walks and compares in one pass per lane; against `P` tables the
-//! batch is hashed once, split by the build's radix bits into the prober's
-//! own per-slot `SelVec`s, and the same kernels run slot-wise with
-//! slot-local row ids rebased onto the concatenated build columns, so
-//! output assembly is the same either way. All probe scratch is per
+//! by value). Against a hashed table the fused per-type kernel hashes,
+//! walks and compares in one pass per lane. All probe scratch is per
 //! operator and reused across batches: the steady-state loop allocates
 //! nothing.
 //!
@@ -69,8 +63,8 @@
 //! is its **runtime filter**: published once into the [`JoinFilter`] the
 //! compiler handed the build (held weakly, so the probers still free the
 //! rows), it is tested by the lowest scan producing the probe key columns
-//! ([`super::scan`]) — a direct table answers membership exactly, hashed
-//! tables through the bloom byte of the probe's own key hash
+//! ([`super::scan`]) — a direct table answers membership exactly, a
+//! hashed one through the bloom byte of the probe's own key hash
 //! (`JoinBuild::retain`). The filter drops only rows the join would:
 //! LEFT, anti and NULL-aware anti joins, which keep unmatched probe rows,
 //! publish none, and a build on disk, which has no table, publishes none
@@ -81,9 +75,10 @@
 //! what it holds resident would make a direct table (the choice is made
 //! once, in the [`SharedBuild`], so every sink and prober routes alike):
 //! the one integer key, read as `i64` and bit-reversed, feeds the same
-//! [`RadixRouter`], so each stratum takes the key's next low bits. A
-//! partition is then as dense as the build, and replays direct with bucket
-//! `(key − lo) >> shift`, `shift` the key bits of the strata above it.
+//! [`RadixRouter`](crate::partition::RadixRouter), so each stratum takes
+//! the key's next low bits. A partition is then as dense as the build, and
+//! replays direct with bucket `(key − lo) >> shift`, `shift` the key bits
+//! of the strata above it.
 //! Each replayed partition is judged again, on all of its rows (the
 //! routed spill keeps their count and key range, a [`KeySpan`]): one
 //! that would not make a direct table, because its keys turned sparse or
@@ -118,7 +113,7 @@ use super::{BoxedOp, Operator};
 use crate::cancel::CancelToken;
 use crate::hashtable::{self, DirectBuild, JoinTable, EMPTY};
 use crate::morsel::BatchPool;
-use crate::partition::{Charge, RadixRouter, SpillConfig, DEFAULT_PARALLEL_BUILD_MIN_ROWS};
+use crate::partition::{Charge, SpillConfig};
 use crate::profile::OpProfile;
 use crate::program::{ExprProgram, VecRef, VectorPool};
 use crate::spill::{KeySpan, RoutedSpill, SpillScan, NO_SPAN};
@@ -248,9 +243,9 @@ fn presized(ty: TypeId, rows: usize) -> Vector {
     })
 }
 
-/// What one build partition of one sink holds while the build runs: the
-/// gathered rows and their hashes, waiting to become part of a CSR table
-/// — or to be written to disk if the build overflows.
+/// What one sink holds resident while the build runs: the gathered rows
+/// and their hashes, waiting to become part of the CSR table — or to be
+/// written to disk if the build overflows.
 struct JoinStage {
     /// One vector per [`StageLayout::tys`].
     vecs: Vec<Vector>,
@@ -372,13 +367,12 @@ fn check_build_rows(rows: u64, limit: u64) -> Result<()> {
 }
 
 /// A finished build — plain immutable data, shared by every prober: the
-/// tables (one per slot, or a single one), each table's base
-/// offset into the slot-order concatenated build rows, and the rows
-/// themselves. A build that overflowed has no table and no row: its rows
-/// are in its files, and every prober diverts its non-NULL lanes to disk.
+/// table and the rows it indexes. A build that overflowed has no table
+/// and no row: its rows are in its files, and every prober diverts its
+/// non-NULL lanes to disk.
 pub struct JoinBuild {
-    tables: Vec<JoinTable>,
-    bases: Vec<u32>,
+    /// `None` for a build on disk.
+    table: Option<JoinTable>,
     /// The build rows, laid out by [`StageLayout`]: keys, then the rest.
     staged: Vec<Vector>,
     n_keys: usize,
@@ -406,20 +400,20 @@ impl JoinBuild {
 
     /// Did the build overflow — is it on disk as a whole?
     fn on_disk(&self) -> bool {
-        self.tables.is_empty()
+        self.table.is_none()
     }
 
-    /// A router splitting probe hashes the way the sinks split build rows
-    /// (`None` for a single table: nothing to route).
-    pub(crate) fn router(&self) -> Option<RadixRouter> {
-        (self.tables.len() > 1).then(|| RadixRouter::new(self.tables.len()))
+    /// Is the build resident with no row? (A build on disk holds no
+    /// resident row, but it is not empty.)
+    fn is_empty(&self) -> bool {
+        self.table.as_ref().is_some_and(JoinTable::is_empty)
     }
 }
 
 /// Finalize work one sink can do on its own.
 enum Unit {
-    /// Bulk-build table `idx` over these hash runs, in order.
-    Table { idx: usize, hashes: Vec<Vec<u64>> },
+    /// Bulk-build the hashed table over these hash runs, in order.
+    Table { hashes: Vec<Vec<u64>> },
     /// Fill part `part` of `parts` of the one direct table — its share
     /// of the key range — from the resident stages' key vectors, in table
     /// order.
@@ -436,9 +430,8 @@ const FAILED: u8 = 2;
 /// What one sink holds while it drains, handed to the build at its
 /// deposit.
 struct Held {
-    /// The resident rows, one stage per slot (emptied when the build
-    /// overflows).
-    stages: Vec<JoinStage>,
+    /// The resident rows (emptied when the build overflows).
+    stage: JoinStage,
     /// Their bytes, charged to the query's budget (governed builds).
     charge: Option<Charge>,
     /// Where this sink's rows go once the build overflowed.
@@ -449,7 +442,7 @@ struct Held {
 }
 
 struct BuildState {
-    /// Sinks that have not deposited their slots yet.
+    /// Sinks that have not deposited their stages yet.
     draining: usize,
     deposits: Vec<Held>,
     has_null_key: bool,
@@ -477,10 +470,6 @@ pub struct SharedBuild {
     /// The threads that run the sinks' tasks, when known (`usize::MAX`:
     /// unknown): a direct table is filled in at most that many parts.
     workers: AtomicUsize,
-    /// Slots per sink, and the build rows below which they still make one
-    /// table.
-    slots: usize,
-    min_rows: usize,
     spill: Option<SpillConfig>,
     /// Expected build rows (0 = unknown): the stages are sized for it.
     rows_hint: usize,
@@ -506,7 +495,7 @@ pub struct SharedBuild {
 impl SharedBuild {
     /// The build side of a `join_type` join on `right_keys` over rows of
     /// `build_schema`, fed by `sinks` sinks and probed by as many probers
-    /// (1 and 1 for a join that builds for itself): one slot, no budget.
+    /// (1 and 1 for a join that builds for itself), with no budget.
     pub fn new(
         right_keys: Vec<ExprProgram>,
         build_schema: Schema,
@@ -524,8 +513,6 @@ impl SharedBuild {
             cancel,
             sinks,
             workers: AtomicUsize::new(usize::MAX),
-            slots: 1,
-            min_rows: DEFAULT_PARALLEL_BUILD_MIN_ROWS,
             spill: None,
             rows_hint: 0,
             shift: 0,
@@ -547,27 +534,18 @@ impl SharedBuild {
         }
     }
 
-    /// Route the build rows to `slots` slots (rounded up to a power of
-    /// two) and, once they are at least `min_rows`, build and probe one
-    /// table per slot; smaller builds still make a single table.
-    pub fn partitioned(mut self, slots: usize, min_rows: usize) -> SharedBuild {
-        self.slots = slots;
-        self.min_rows = min_rows;
-        self
-    }
-
     /// Run under the query's memory governor: every sink charges
     /// `cfg.budget` for what it holds resident, and the build overflows
     /// to disk through routed spills on `cfg`'s stratum and fan-out the
     /// first time a sink finds the query over budget (see the module
-    /// docs). The slots and the tables are what they are without it.
+    /// docs). The table is what it is without it.
     pub fn governed(mut self, cfg: SpillConfig) -> SharedBuild {
         self.layout = StageLayout::new(&self.right_keys, &self.build_schema, true);
         self.spill = Some(cfg);
         self
     }
 
-    /// Size the stages for about `rows` build rows in all.
+    /// Size the sinks' stages for about `rows` build rows in all.
     pub fn expecting(mut self, rows: usize) -> SharedBuild {
         self.rows_hint = rows;
         self
@@ -595,23 +573,18 @@ impl SharedBuild {
         deps: Vec<Arc<SharedBuild>>,
         batch_pool: Option<BatchPool>,
     ) -> BuildSink {
-        let tys = &self.layout.tys;
         // Over-reserving costs address space only; an estimate gone wild
         // is capped all the same.
         let rows = if input.is_some() { self.rows_hint.min(1 << 22) } else { 0 };
-        let mut per_slot = rows / self.sinks / self.slots.max(1).next_power_of_two();
-        per_slot += per_slot / 8;
-        let router = RadixRouter::new(self.slots);
-        let hashed = !self.integer_key();
-        let stages =
-            (0..router.partitions()).map(|_| JoinStage::new(tys, per_slot, hashed)).collect();
+        let mut per_sink = rows / self.sinks;
+        per_sink += per_sink / 8;
+        let stage = JoinStage::new(&self.layout.tys, per_sink, !self.integer_key());
         let charge = self.spill.as_ref().map(|cfg| Charge::new(cfg.budget.clone()));
         BuildSink {
             build: self.clone(),
             input,
             deps,
-            router,
-            held: Some(Held { stages, charge, spill: None, range: NO_KEYS }),
+            held: Some(Held { stage, charge, spill: None, range: NO_KEYS }),
             has_null_key: false,
             rows_in: 0,
             pool: VectorPool::new(),
@@ -747,8 +720,7 @@ impl SharedBuild {
     fn plan(&self, st: &mut BuildState) -> Result<bool> {
         let mut held = std::mem::take(&mut st.deposits);
         let mut build = JoinBuild {
-            tables: Vec::new(),
-            bases: Vec::new(),
+            table: None,
             staged: self.layout.tys.iter().map(|&t| presized(t, 0)).collect(),
             n_keys: self.layout.n_keys,
             payload_at: self.layout.payload_at.clone(),
@@ -763,9 +735,7 @@ impl SharedBuild {
             let by_key = self.by_key.get() == Some(&true);
             let mut rest = if by_key { RoutedSpill::by_key(cfg) } else { RoutedSpill::new(cfg) };
             for h in &mut held {
-                for stage in &mut h.stages {
-                    stage.spill_to(&self.layout, &mut rest)?;
-                }
+                h.stage.spill_to(&self.layout, &mut rest)?;
             }
             build.files = vec![Vec::new(); cfg.partitions];
             build.spans = vec![NO_SPAN; if by_key { cfg.partitions } else { 0 }];
@@ -781,49 +751,31 @@ impl SharedBuild {
             self.phase.store(READY, SeqCst);
             return Ok(true);
         }
-        // [sink][slot]
-        let mut stages: Vec<Vec<JoinStage>> = Vec::with_capacity(held.len());
         let (mut lo, mut hi) = NO_KEYS;
+        let mut stages = Vec::with_capacity(held.len());
         for h in held {
             if let (Some(all), Some(c)) = (&mut build._charge, h.charge) {
                 all.absorb(c);
             }
             (lo, hi) = (lo.min(h.range.0), hi.max(h.range.1));
-            stages.push(h.stages);
+            stages.push(h.stage);
         }
-        let slots = stages[0].len();
-        let slot_rows: Vec<usize> =
-            (0..slots).map(|si| stages.iter().map(|own| own[si].rows()).sum()).collect();
-        let rows: usize = slot_rows.iter().sum();
+        let rows: usize = stages.iter().map(JoinStage::rows).sum();
         check_build_rows(rows as u64, MAX_BUILD_ROWS)?;
 
         let direct = self.integer_key() && JoinTable::fits_direct(rows, lo, hi, self.shift);
-        let fan_out = !direct && slots > 1 && rows >= self.min_rows;
-        let table_rows = if fan_out { slot_rows } else { vec![rows] };
-        let mut base = 0u32;
-        for &n in &table_rows {
-            build.tables.push(JoinTable::default());
-            build.bases.push(base);
-            base += n as u32;
-        }
-        // Slot-major, sink-minor: the order of the build's row ids.
-        let mut hashes: Vec<Vec<Vec<u64>>> = table_rows.iter().map(|_| Vec::new()).collect();
+        // Sink-major: the order of the build's row ids.
+        let mut hashes = Vec::new();
         let mut pieces: Vec<Vec<Vector>> = self.layout.tys.iter().map(|_| Vec::new()).collect();
-        for si in 0..slots {
-            for own in &mut stages {
-                let stage = &mut own[si];
-                if stage.rows() > 0 {
-                    if !direct {
-                        // Hashed after all: a build on one integer key
-                        // hashes its keys here.
-                        stage.hash_keys(self.layout.n_keys, false);
-                        hashes[if fan_out { si } else { 0 }]
-                            .push(std::mem::take(&mut stage.hashes));
-                    }
-                    for (pieces, v) in pieces.iter_mut().zip(stage.vecs.drain(..)) {
-                        pieces.push(v);
-                    }
-                }
+        for mut stage in stages.into_iter().filter(|stage| stage.rows() > 0) {
+            if !direct {
+                // Hashed after all: a build on one integer key hashes its
+                // keys here.
+                stage.hash_keys(self.layout.n_keys, false);
+                hashes.push(stage.hashes);
+            }
+            for (pieces, v) in pieces.iter_mut().zip(stage.vecs) {
+                pieces.push(v);
             }
         }
         let pieces: Vec<Arc<Vec<Vector>>> = pieces.into_iter().map(Arc::new).collect();
@@ -848,9 +800,7 @@ impl SharedBuild {
                 parts,
             }));
         } else {
-            st.units.extend(
-                hashes.into_iter().enumerate().map(|(idx, hashes)| Unit::Table { idx, hashes }),
-            );
+            st.units.push(Unit::Table { hashes });
         }
         st.unfinished = st.units.len();
         st.assembling = Some(build);
@@ -875,14 +825,14 @@ impl SharedBuild {
             }
         };
         let (table, column) = match unit {
-            Unit::Table { idx, hashes } => {
+            Unit::Table { hashes } => {
                 let runs: Vec<&[u64]> = hashes.iter().map(Vec::as_slice).collect();
-                (Some((idx, JoinTable::build(&runs))), None)
+                (Some(JoinTable::build(&runs)), None)
             }
             Unit::Direct { keys, table, part, parts } => {
                 fill_direct(&table, &keys, part, parts);
                 // The last part to let go of the table finishes it.
-                (Arc::into_inner(table).map(|table| (0, table.finish())), None)
+                (Arc::into_inner(table).map(DirectBuild::finish), None)
             }
             Unit::Column { at, pieces, rows } => (None, Some((at, self.concat(at, pieces, rows)))),
         };
@@ -890,8 +840,8 @@ impl SharedBuild {
             let mut st = self.lock();
             // A failure meanwhile dropped the build under assembly.
             let Some(build) = &mut st.assembling else { return Ok(Step::Done) };
-            if let Some((idx, table)) = table {
-                build.tables[idx] = table;
+            if table.is_some() {
+                build.table = table;
             }
             if let Some((at, column)) = column {
                 build.staged[at] = column;
@@ -912,9 +862,9 @@ impl SharedBuild {
     }
 
     /// Staged vector `at` of the whole build: `pieces`, of `rows` rows in
-    /// all, in table order. One stage holds it all in every P = 1 build of
-    /// one sink: once no direct part reads it, its vector is the build
-    /// column, nothing is copied.
+    /// all, in table order. One stage holds it all in every build of one
+    /// sink: once no direct part reads it, its vector is the build column,
+    /// nothing is copied.
     fn concat(&self, at: usize, mut pieces: Arc<Vec<Vector>>, rows: usize) -> Vector {
         match Arc::get_mut(&mut pieces) {
             Some(own) if own.len() == 1 => return own.pop().expect("one piece"),
@@ -976,9 +926,9 @@ fn widen_range(key: &Vector, sel: &SelVec, dense: bool, range: &mut (i64, i64)) 
 /// Fill `words` with what routes each of the `n` lanes of `keys` to a
 /// spill partition: the key hashes, or — `by_key` — the one integer key
 /// read as `i64` (as the direct probe reads it), bit-reversed, so that
-/// stratum `d` of a [`RadixRouter`] takes the key's bits
-/// `[bits·d, bits·(d + 1))`. A probe key of another type matches no build
-/// key wherever it goes: it routes by hash.
+/// stratum `d` of a [`RadixRouter`](crate::partition::RadixRouter) takes
+/// the key's bits `[bits·d, bits·(d + 1))`. A probe key of another type
+/// matches no build key wherever it goes: it routes by hash.
 fn route_words<V: Borrow<Vector>>(
     keys: &[V],
     n: usize,
@@ -1051,15 +1001,13 @@ pub(crate) struct FilterScratch {
 impl JoinBuild {
     /// The runtime filter's test: narrow `sel` (every lane of `keys` when
     /// `all`) to the lanes whose probe keys `keys` may match a build row.
-    /// A NULL key matches none. A direct table answers exactly; hashed
-    /// tables test the bloom byte of the lane's hash, which `router` (the
-    /// build's [`JoinBuild::router`]) routes to its table. A key of a type
-    /// the table cannot hold keeps every lane: the filter only ever drops
-    /// what the join would.
+    /// A NULL key matches none. A direct table answers exactly; a hashed
+    /// one tests the bloom byte of the lane's hash. A key of a type the
+    /// table cannot hold keeps every lane: the filter only ever drops what
+    /// the join would.
     pub(crate) fn retain(
         &self,
         keys: &[&Vector],
-        router: Option<&RadixRouter>,
         sel: &mut SelVec,
         mut all: bool,
         s: &mut FilterScratch,
@@ -1075,12 +1023,13 @@ impl JoinBuild {
             all = false;
         }
         let from = (!all).then_some(&*sel);
-        let (tables, out) = (&self.tables, &mut s.tmp);
-        if tables[0].is_direct() {
+        let table = self.table.as_ref().expect("only a resident build is published");
+        let out = &mut s.tmp;
+        if table.is_direct() {
             macro_rules! test {
                 ($d:expr) => {{
                     let d = $d;
-                    tables[0].retain_direct(n, from, |p| d[p].into(), out)
+                    table.retain_direct(n, from, |p| d[p].into(), out)
                 }};
             }
             integer_keys!(&keys[0].data, test, {
@@ -1090,14 +1039,13 @@ impl JoinBuild {
                 return;
             });
         } else {
-            let table_of = |h| router.map_or(0, |r| r.shard_of(h));
             // One flat key hashes inline, as the fused probe kernel does;
             // others through `hash_keys`.
             macro_rules! fused {
                 ($pa:expr, $same:expr, $hash:expr, $eq:expr) => {{
                     let (pa, _) = ($pa, $same);
                     #[allow(clippy::redundant_closure_call)]
-                    JoinTable::retain_bloom(tables, table_of, n, from, |p| $hash(&pa[p]), out)
+                    table.retain_bloom(n, from, |p| $hash(&pa[p]), out)
                 }};
             }
             let flat = keys.len() == 1 && !keys[0].is_encoded();
@@ -1107,15 +1055,15 @@ impl JoinBuild {
             } else {
                 let hashes = &mut s.hashes;
                 hashtable::hash_keys(keys.iter().copied(), n, false, &mut s.lanes, hashes);
-                JoinTable::retain_bloom(tables, table_of, n, from, |p| hashes[p], out);
+                table.retain_bloom(n, from, |p| hashes[p], out);
             }
         }
         std::mem::swap(sel, &mut s.tmp);
     }
 }
 
-/// One sink of a [`SharedBuild`]: drains its input into private slots,
-/// deposits them, then helps finalize. A cooperative task inside an
+/// One sink of a [`SharedBuild`]: drains its input into a private stage,
+/// deposits it, then helps finalize. A cooperative task inside an
 /// Exchange ([`super::xchg`]); stepped inline by a join that builds for
 /// itself.
 pub struct BuildSink {
@@ -1123,8 +1071,6 @@ pub struct BuildSink {
     input: Option<BoxedOp>,
     /// Builds the input probes, not yet seen published.
     deps: Vec<Arc<SharedBuild>>,
-    /// Splits each batch's lanes across the slots.
-    router: RadixRouter,
     /// What the sink holds while draining; `None` once deposited.
     held: Option<Held>,
     has_null_key: bool,
@@ -1149,12 +1095,12 @@ impl BuildSink {
         self.deps.iter().chain(std::iter::once(&self.build))
     }
 
-    /// Stage one input batch: into the private slots, or — once the build
+    /// Stage one input batch: into the private stage, or — once the build
     /// overflowed — through this sink's routed spill.
     fn stage(&mut self, batch: Batch) -> Result<()> {
-        let BuildSink { build, router, held, pool, scratch, .. } = self;
+        let BuildSink { build, held, pool, scratch, .. } = self;
         let ProbeScratch { refs, lanes, hashes, live, nonnull, .. } = scratch;
-        let Held { stages, charge, spill, range } =
+        let Held { stage, charge, spill, range } =
             held.as_mut().expect("staging before the deposit");
         build.cancel.check()?;
         // Run the compiled key programs; results live in the pool until
@@ -1187,34 +1133,24 @@ impl BuildSink {
             self.has_null_key |= nonnull.len() != live.len();
             if !nonnull.is_empty() {
                 let n = batch.capacity();
-                // A build on one integer key hashes only to route or spill.
-                let (routed, hashed) = (stages.len() > 1, !build.integer_key());
                 if let Some(spill) = spill {
                     // On disk: the build columns only — keys and hashes
                     // are program outputs, recomputed at rehydration.
                     route_words(keys, n, spill.spans.is_some(), lanes, hashes);
                     spill.push(&batch.columns, hashes, Some(nonnull))?;
                 } else {
-                    if routed || hashed {
+                    // A build on one integer key hashes only if it spills.
+                    let hashed = !build.integer_key();
+                    if hashed {
                         hashtable::hash_keys(keys.iter().copied(), n, false, lanes, hashes);
-                    }
-                    if !hashed {
+                    } else {
                         widen_range(keys[0], nonnull, nonnull.len() == n, range);
                     }
-                    if routed {
-                        // A full-length sorted selection is the identity:
-                        // skip the indirection.
-                        router.split(hashes, (nonnull.len() != n).then_some(nonnull), n);
-                    }
-                    for (si, stage) in stages.iter_mut().enumerate() {
-                        let sel = if routed { router.shard_sel(si) } else { &*nonnull };
-                        if !sel.is_empty() {
-                            let rest = build.layout.rest.iter().map(|&c| &batch.columns[c]);
-                            let srcs = keys.iter().copied().chain(rest);
-                            let hashes = hashed.then_some(&hashes[..]);
-                            stage.append(srcs, hashes, sel, sel.len() == n, charge.is_some());
-                        }
-                    }
+                    let rest = build.layout.rest.iter().map(|&c| &batch.columns[c]);
+                    let srcs = keys.iter().copied().chain(rest);
+                    let hashes = hashed.then_some(&hashes[..]);
+                    let dense = nonnull.len() == n;
+                    stage.append(srcs, hashes, nonnull, dense, charge.is_some());
                 }
             }
         }
@@ -1233,13 +1169,13 @@ impl BuildSink {
     /// [`SharedBuild::plan`].
     fn govern(&mut self) -> Result<()> {
         let build = &self.build;
-        let Some(Held { stages, charge: Some(charge), spill, range }) = &mut self.held else {
+        let Some(Held { stage, charge: Some(charge), spill, range }) = &mut self.held else {
             return Ok(());
         };
         if let Some(spill) = spill {
             return spill.flush_if_over();
         }
-        charge.set(stages.iter().map(|stage| stage.bytes).sum());
+        charge.set(stage.bytes);
         let cfg = build.spill.as_ref().expect("a charged build is governed");
         if charge.bytes() > 0 && cfg.budget.over() {
             // The routing rule, judged once, on what the first sink to
@@ -1249,15 +1185,13 @@ impl BuildSink {
             // each partition is as dense as the build and replays direct.
             // A replayed partition comes with the rule judged on all of
             // its rows (`HashJoin::next_deferred`).
-            let rows = stages.iter().map(JoinStage::rows).sum();
+            let rows = stage.rows();
             let above = cfg.partitions.trailing_zeros() * cfg.depth;
             let dense = JoinTable::fits_direct(rows, range.0, range.1, above);
             let keyed = dense && build.integer_key() && build.shift == above;
             let by_key = *build.by_key.get_or_init(|| keyed);
             let mut routed = if by_key { RoutedSpill::by_key(cfg) } else { RoutedSpill::new(cfg) };
-            for stage in stages.iter_mut() {
-                stage.spill_to(&build.layout, &mut routed)?;
-            }
+            stage.spill_to(&build.layout, &mut routed)?;
             charge.set(0);
             routed.flush_if_over()?;
             *spill = Some(routed);
@@ -1312,8 +1246,8 @@ pub struct HashJoin {
     /// The published build (None before it is taken and after the last
     /// in-memory probe, when the deferred phase has let go of it).
     build: Option<Arc<JoinBuild>>,
-    /// Splits probe hashes across a multi-table build's slots.
-    router: Option<RadixRouter>,
+    /// Rows of the resident table this join probes (0 on disk).
+    resident_rows: usize,
     /// Where the probe rows go when the build is on disk.
     probe_spill: Option<RoutedSpill>,
     scratch: ProbeScratch,
@@ -1391,7 +1325,7 @@ impl HashJoin {
             own,
             shared,
             build: None,
-            router: None,
+            resident_rows: 0,
             probe_spill: None,
             scratch: ProbeScratch::default(),
             batch_pool: None,
@@ -1466,12 +1400,11 @@ impl HashJoin {
             self.shared = Some(self.run_own_build(own)?);
         }
         let build = self.shared.as_ref().expect("a join has a build side").take_build()?;
-        for (si, table) in build.tables.iter().enumerate() {
-            self.profile.record_shard_build(si, table.len() as u64);
-            self.profile.direct |= table.is_direct();
+        if let Some(table) = &build.table {
+            self.resident_rows = table.len();
+            self.profile.direct = table.is_direct();
         }
         self.profile.spill = build.spill.as_ref().map(|cfg| cfg.metrics.clone());
-        self.router = build.router();
         if build.on_disk() {
             let cfg = build.spill.as_ref().expect("only a governed build is on disk");
             self.probe_spill = Some(RoutedSpill::new(cfg));
@@ -1486,9 +1419,7 @@ impl HashJoin {
     /// no resident row, but it is not empty.
     fn answers_alone(&self) -> bool {
         let build = self.build.as_ref().expect("attached");
-        matches!(self.join_type, JoinType::Inner | JoinType::LeftSemi)
-            && !build.on_disk()
-            && build.tables.iter().all(JoinTable::is_empty)
+        matches!(self.join_type, JoinType::Inner | JoinType::LeftSemi) && build.is_empty()
     }
 
     /// Assemble the output batch from the recorded pairs, gathering into
@@ -1559,11 +1490,8 @@ impl HashJoin {
                 if let Some(b) = inner.next()? {
                     return Ok(Some(b));
                 }
-                // A partition built resident made one table; count it
-                // when it holds rows.
-                if let (Some(m), &[1..=u64::MAX]) =
-                    (&self.profile.spill, &inner.profile.shard_build_rows[..])
-                {
+                // Count a partition that built resident with rows.
+                if let (Some(m), 1..) = (&self.profile.spill, inner.resident_rows) {
                     m.replayed.fetch_add(1, Relaxed);
                     m.replayed_direct.fetch_add(inner.profile.direct as u64, Relaxed);
                 }
@@ -1620,36 +1548,11 @@ impl HashJoin {
 ///
 /// A free function over disjoint operator fields: the probe keys are pool
 /// references, so `&mut self` is off the table while they are alive.
-///
-/// A single-table build probes through the fused kernels directly. A
-/// partitioned one hashes the batch once and splits it by the build's
-/// radix bits into the prober's reused per-slot `SelVec`s; each slot runs
-/// the same kernels over its sub-selection (emitted build rows rebased to
-/// global ids).
-fn probe_batch(
-    build: &JoinBuild,
-    router: Option<&mut RadixRouter>,
-    join_type: JoinType,
-    s: &mut ProbeScratch,
-    keys: &[&Vector],
-) {
+fn probe_batch(build: &JoinBuild, join_type: JoinType, s: &mut ProbeScratch, keys: &[&Vector]) {
     let emit_pairs = !join_type.first_match_only();
-    let Some(router) = router else {
-        match &build.tables[0] {
-            table if table.is_direct() => probe_direct(table, s, keys[0], emit_pairs),
-            table => probe_one(table, build.keys(), s, keys, None, 0, emit_pairs, false),
-        }
-        return;
-    };
-    let n = keys.first().map_or(0, |k| k.len());
-    hashtable::hash_keys(keys.iter().copied(), n, false, &mut s.lanes, &mut s.hashes);
-    // A full-length sorted selection is the identity: skip the indirection.
-    router.split(&s.hashes, (s.nonnull.len() != n).then_some(&s.nonnull), n);
-    for (si, table) in build.tables.iter().enumerate() {
-        let sel = router.shard_sel(si);
-        if !sel.is_empty() {
-            probe_one(table, build.keys(), s, keys, Some(sel), build.bases[si], emit_pairs, true);
-        }
+    match build.table.as_ref().expect("a resident build is probed") {
+        table if table.is_direct() => probe_direct(table, s, keys[0], emit_pairs),
+        table => probe_one(table, build.keys(), s, keys, emit_pairs),
     }
 }
 
@@ -1694,21 +1597,13 @@ fn divert(
     Ok(())
 }
 
-/// Probe one table (the only one, or one partition's) over one lane set.
-/// `sel = None` derives the selection from `scratch.nonnull` (single table);
-/// `Some` probes an externally-routed sub-selection. `base` rebases the
-/// table's local build row ids onto the global build columns. `prehashed`
-/// promises `scratch.hashes` already holds this batch's key hashes.
-#[allow(clippy::too_many_arguments)]
+/// Probe a hashed table with the batch's non-NULL lanes.
 fn probe_one(
     table: &JoinTable,
     build_keys: &[Vector],
     s: &mut ProbeScratch,
     keys: &[&Vector],
-    sel: Option<&SelVec>,
-    base: u32,
     emit_pairs: bool,
-    prehashed: bool,
 ) {
     let n = keys.first().map_or(0, |k| k.len());
     // Fast path: single-column keys probe through a fused kernel
@@ -1722,15 +1617,7 @@ fn probe_one(
     // hashes codes through the per-code projection and compares codes /
     // dict entries in `keys_match_sel` without inflating.
     if keys.len() == 1 && !keys[0].is_encoded() && !build_keys[0].is_encoded() {
-        let sel = match sel {
-            Some(sub) => Some(sub),
-            None if s.nonnull.len() == n => None,
-            None => Some(&s.nonnull),
-        };
-        // Shard-local build rows rebase onto the global columns after the
-        // fused pass (only pair emitters record rows).
-        let fixup_from = s.out_build.len();
-        let mut fused_ran = true;
+        let sel = (s.nonnull.len() != n).then_some(&s.nonnull);
         macro_rules! fused {
             ($pa:expr, $ba:expr, $hash:expr, $eq:expr) => {{
                 let (pa, ba) = ($pa, $ba);
@@ -1740,61 +1627,38 @@ fn probe_one(
                     sel,
                     emit_pairs,
                     |p| $hash(&pa[p]),
-                    |p, row| $eq(&pa[p], &ba[(base + row) as usize]),
+                    |p, row| $eq(&pa[p], &ba[row as usize]),
                     &mut s.matched_flags,
                     &mut s.out_probe,
                     &mut s.out_build,
                     &mut s.buf,
-                )
+                );
+                return;
             }};
         }
-        hashtable::dispatch_typed_keys!(&keys[0].data, &build_keys[0].data, fused, {
-            fused_ran = false;
-        });
-        if fused_ran {
-            if base != 0 {
-                for b in &mut s.out_build[fixup_from..] {
-                    *b += base;
-                }
-            }
-            return;
-        }
+        hashtable::dispatch_typed_keys!(&keys[0].data, &build_keys[0].data, fused, {});
     }
-    probe_general(table, build_keys, s, keys, sel, base, emit_pairs, prehashed);
+    probe_general(table, build_keys, s, keys, emit_pairs);
 }
 
 /// General vectorized probe: gather hash-matching candidates for all
 /// lanes, then iteratively confirm keys and re-probe the still-active
 /// lanes through `SelVec`s (multi-column or mixed-type keys).
-#[allow(clippy::too_many_arguments)]
 fn probe_general(
     table: &JoinTable,
     build_keys: &[Vector],
     s: &mut ProbeScratch,
     keys: &[&Vector],
-    sel: Option<&SelVec>,
-    base: u32,
     emit_pairs: bool,
-    prehashed: bool,
 ) {
     let n = keys.first().map_or(0, |k| k.len());
-    if !prehashed {
-        hashtable::hash_keys(keys.iter().copied(), n, false, &mut s.lanes, &mut s.hashes);
-    }
-    let start_sel = sel.unwrap_or(&s.nonnull);
+    hashtable::hash_keys(keys.iter().copied(), n, false, &mut s.lanes, &mut s.hashes);
     // Every lane in `active` holds a hash-matching candidate; the loop
     // below only confirms keys and re-probes the (rare) hash-collision
     // or multi-match lanes.
-    table.gather_matching(&s.hashes, start_sel, &mut s.cand, &mut s.active);
+    table.gather_matching(&s.hashes, &s.nonnull, &mut s.cand, &mut s.active);
     while !s.active.is_empty() {
         table.candidate_rows(&s.cand, &s.active, &mut s.rows);
-        if base != 0 {
-            // Rebase shard-local rows to global ids *before* the key
-            // comparison — the build columns are the concatenated shards.
-            for p in s.active.iter() {
-                s.rows[p] += base;
-            }
-        }
         hashtable::keys_match_sel(
             keys.iter().copied(),
             build_keys,
@@ -1863,7 +1727,7 @@ impl Operator for HashJoin {
             // NULL-aware anti short-circuits: any build NULL key → nothing
             // can ever pass; empty build side → everything passes. A build
             // on disk holds no resident row, but it is not empty.
-            let build_empty = !build.on_disk() && build.tables.iter().all(JoinTable::is_empty);
+            let build_empty = build.is_empty();
             let has_null_key = build.has_null_key;
             let by_key = self.shared.as_ref().is_some_and(|b| b.by_key.get() == Some(&true));
             let skip_probe =
@@ -1898,7 +1762,7 @@ impl Operator for HashJoin {
                     }
                     match &mut self.probe_spill {
                         Some(spill) => divert(spill, s, keys, &batch, by_key)?,
-                        None => probe_batch(build, self.router.as_mut(), self.join_type, s, keys),
+                        None => probe_batch(build, self.join_type, s, keys),
                     }
                 }
             }
@@ -2144,8 +2008,8 @@ mod tests {
     }
 
     // Every build configuration (resident and on disk; own and shared
-    // inside an exchange, one table and one per slot) × join type × key
-    // shape is checked against the volcano engine in
+    // inside an exchange) × join type × key shape is checked against the
+    // volcano engine in
     // `tests/sql_semantics.rs::build_mode_matrix`.
 
     #[test]
@@ -2612,7 +2476,7 @@ mod tests {
     #[test]
     fn a_published_filter_keeps_every_lane_the_join_would_match() {
         // One or two BIGINT key columns; `spread` scales the keys apart
-        // (1: dense, a direct table; else sparse, hashed tables).
+        // (1: dense, a direct table; else sparse, a hashed one).
         for (n_keys, spread, direct) in [(1, 1, true), (1, 1_000_003, false), (2, 1, false)] {
             for dop in [1usize, 4] {
                 let mut rng = 0xf117_u64 + dop as u64 + spread as u64;
@@ -2641,7 +2505,6 @@ mod tests {
                         dop,
                         CancelToken::new(),
                     )
-                    .partitioned(dop, 0)
                     .filtering(filter.clone()),
                 );
                 let mut sinks: Vec<BuildSink> = (0..dop)
@@ -2656,8 +2519,7 @@ mod tests {
                     sinks.retain_mut(|s| !matches!(s.step().unwrap(), Step::Done));
                 }
                 let build = filter.build().expect("published");
-                assert_eq!(build.tables[0].is_direct(), direct);
-                let router = build.router();
+                assert_eq!(build.table.as_ref().unwrap().is_direct(), direct);
                 let mut scratch = FilterScratch::default();
                 for _ in 0..20 {
                     let probe: Vec<Vec<Value>> = (0..1024).map(|_| key_of(&mut rng)).collect();
@@ -2669,12 +2531,12 @@ mod tests {
                         .collect();
                     let refs: Vec<&Vector> = cols.iter().collect();
                     let mut sel = SelVec::new();
-                    build.retain(&refs, router.as_ref(), &mut sel, true, &mut scratch);
+                    build.retain(&refs, &mut sel, true, &mut scratch);
                     let kept: std::collections::HashSet<usize> = sel.iter().collect();
                     // A narrower incoming selection keeps the same lanes
                     // of its own.
                     let mut sparse = SelVec::from_positions((0..1024).step_by(8).collect());
-                    build.retain(&refs, router.as_ref(), &mut sparse, false, &mut scratch);
+                    build.retain(&refs, &mut sparse, false, &mut scratch);
                     let mut every_8th: Vec<usize> =
                         kept.iter().filter(|&&p| p % 8 == 0).copied().collect();
                     every_8th.sort_unstable();

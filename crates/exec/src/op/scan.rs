@@ -54,7 +54,6 @@ use super::hashjoin::{FilterScratch, JoinBuild, JoinFilter};
 use super::Operator;
 use crate::cancel::CancelToken;
 use crate::morsel::{BatchPool, MorselSource};
-use crate::partition::RadixRouter;
 use crate::profile::OpProfile;
 use crate::vector::{Batch, Vector};
 use std::sync::Arc;
@@ -86,9 +85,9 @@ struct ScanFilter {
     /// The scan's output columns holding the join's probe keys, in key
     /// order.
     cols: Vec<usize>,
-    /// The published build once seen, and its router; let go when the
-    /// filter switches off or the scan ends.
-    build: Option<(Arc<JoinBuild>, Option<RadixRouter>)>,
+    /// The published build once seen; let go when the filter switches
+    /// off or the scan ends.
+    build: Option<Arc<JoinBuild>>,
     /// Lanes tested and kept over the trial, and the vectors it spanned.
     tested: u64,
     kept: u64,
@@ -366,12 +365,9 @@ impl VectorScan {
                 break;
             }
             if f.build.is_none() {
-                f.build = f.filter.build().map(|b| {
-                    let router = b.router();
-                    (b, router)
-                });
+                f.build = f.filter.build();
             }
-            let Some((build, router)) = &f.build else { continue };
+            let Some(build) = &f.build else { continue };
             let before = if all { raw.capacity() } else { self.sel.len() } as u64;
             // One key (the common case) resolves through a stack array.
             let single;
@@ -383,7 +379,7 @@ impl VectorScan {
                 multi = f.cols.iter().map(|&c| &raw.columns[c]).collect();
                 &multi
             };
-            build.retain(keys, router.as_ref(), &mut self.sel, all, &mut self.filter_scratch);
+            build.retain(keys, &mut self.sel, all, &mut self.filter_scratch);
             all = false;
             self.profile.rtf_tested += before;
             f.tested += before;

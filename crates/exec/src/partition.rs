@@ -2,11 +2,8 @@
 //! hash aggregation.
 //!
 //! A hash build is built the same way whether or not its query has a
-//! memory budget: one table (`P = 1`) for a join that builds for itself
-//! and for every aggregate, and `P = next_pow2(dop)` slots behind a
-//! [`RadixRouter`] for a join build shared inside an Exchange — one table
-//! per slot once the build holds [`DEFAULT_PARALLEL_BUILD_MIN_ROWS`] rows,
-//! a single one below. A budget ([`SpillConfig`]) changes two things only:
+//! memory budget: one table, for a join at any DOP and for every
+//! aggregate. A budget ([`SpillConfig`]) changes two things only:
 //!
 //! * the build charges the query's [`MemBudget`] **one** number, the bytes
 //!   it holds resident ([`Charge`]);
@@ -18,28 +15,21 @@
 //!   build is resident or on disk, never half; what happens to an
 //!   overflowed one is the operators' (`op/hashjoin.rs`, `op/hashagg.rs`).
 //!
-//! A set of slots has one writer. A join build inside an Exchange has
-//! `dop` writers — one sink per worker, each with a set of its own, all on
-//! the same fan-out — joined up slot by slot when the last sink is done
-//! (`op/hashjoin.rs`): there is no shared table and no lock per row.
-//!
-//! The "when more cores hurts" lesson behind the radix design: threading
-//! one shared table serializes on cache-line ping-pong, so every slot is
-//! *private* — a build row's key hash (the same `hash_keys` output the
-//! tables of [`crate::hashtable`] index by) picks its slot by the *top*
-//! `bits` bits, provably independent of the table's low-bit directory
-//! index, and equal keys always meet in one slot. A join build that spills
-//! on a dense integer key routes the key itself instead, bit-reversed, so
-//! the strata take its low bits and a partition of dense keys stays dense
-//! enough to replay direct; a partition that is not routes by hash below
-//! (`op/hashjoin.rs`). Probes are not merged
-//! back: a probe batch is hashed once, split by the same bits into reused
-//! per-slot [`SelVec`]s, and each sub-selection runs the ordinary
-//! per-table kernel against a table `P`× smaller.
+//! A join build inside an Exchange has `dop` writers — one sink per
+//! worker, each staging its rows privately — and one table built over all
+//! of them when the last sink is done (`op/hashjoin.rs`): no lock per row,
+//! and no routing. Only a routed spill routes rows: a row's key hash (the
+//! same `hash_keys` output the tables of [`crate::hashtable`] index by)
+//! picks its partition by the *top* `bits` bits of the stratum, provably
+//! independent of the table's low-bit directory index, and equal keys
+//! always meet in one partition. A join build that spills on a dense
+//! integer key routes the key itself instead, bit-reversed, so the strata
+//! take its low bits and a partition of dense keys stays dense enough to
+//! replay direct; a partition that is not routes by hash below
+//! (`op/hashjoin.rs`).
 //!
 //! What a build reports is what `EXPLAIN ANALYZE` prints for it (see
-//! [`crate::profile`]): a shared join build's final rows per table
-//! (`shards=P×skew`) and its governor's [`SpillMetrics`] (`spill=Fp W/R`,
+//! [`crate::profile`]): its governor's [`SpillMetrics`] (`spill=Fp W/R`,
 //! and on a join `dir=D/B`, the replayed partitions built direct).
 //! Probes are not counted — a probe's cost is its operator's `time=`.
 
@@ -49,11 +39,6 @@ use vw_common::SelVec;
 pub use vw_service::WorkerPool;
 use vw_storage::SimulatedDisk;
 
-/// Cost gate of a table per slot: a join build shared inside an Exchange
-/// with fewer rows than this still makes (and probes) a single table —
-/// the probe-side split does not pay for tables that small.
-pub const DEFAULT_PARALLEL_BUILD_MIN_ROWS: usize = 8192;
-
 /// Deepest hash-bit stratum grace spilling will re-partition on. Each
 /// recursion level consumes `log2(P)` fresh hash bits below the previous
 /// level's; past this depth a partition is rehydrated and built in memory
@@ -61,9 +46,9 @@ pub const DEFAULT_PARALLEL_BUILD_MIN_ROWS: usize = 8192;
 /// divide the build 8^8 ≈ 16M ways first).
 pub const MAX_SPILL_DEPTH: u32 = 8;
 
-/// Routes hashes to radix partitions and splits probe selections
-/// partition-wise. All scratch (`P` selection vectors) is reused across
-/// batches.
+/// Routes a routed spill's rows to radix partitions by their routing
+/// words (key hashes, or bit-reversed keys). All scratch (`P` selection
+/// vectors) is reused across batches.
 ///
 /// A router lives on a hash-bit **stratum**: depth 0 routes on the top
 /// `bits` bits (disjoint from the low-bit directory index of the tables in
@@ -80,13 +65,8 @@ pub struct RadixRouter {
 }
 
 impl RadixRouter {
-    /// A router over `next_pow2(partitions)` radix partitions on stratum 0
-    /// (the hash's top bits).
-    pub fn new(partitions: usize) -> RadixRouter {
-        RadixRouter::at_depth(partitions, 0)
-    }
-
-    /// A router on hash-bit stratum `depth` (grace-spill recursion).
+    /// A router over `next_pow2(partitions)` radix partitions on hash-bit
+    /// stratum `depth` (0: the hash's top bits).
     pub fn at_depth(partitions: usize, depth: u32) -> RadixRouter {
         let p = partitions.max(1).next_power_of_two();
         let bits = p.trailing_zeros();
@@ -97,18 +77,6 @@ impl RadixRouter {
     /// Number of partitions (a power of two).
     pub fn partitions(&self) -> usize {
         self.sels.len()
-    }
-
-    /// The partition owning hash `h` (this stratum's `bits` bits —
-    /// independent of the low-bit table directory index and of every
-    /// shallower stratum).
-    #[inline]
-    pub fn shard_of(&self, h: u64) -> usize {
-        if self.bits == 0 {
-            0
-        } else {
-            ((h >> self.shift) as usize) & (self.sels.len() - 1)
-        }
     }
 
     /// Split the selected lanes (`sel`, or `0..n` when `None`) by radix
@@ -145,7 +113,7 @@ impl RadixRouter {
     }
 
     /// The per-partition selections filled by the last [`RadixRouter::split`]
-    /// (borrow-friendly accessor for callers that also hold the shards).
+    /// (borrow-friendly accessor for callers that also hold the stages).
     pub fn shard_sel(&self, shard: usize) -> &SelVec {
         &self.sels[shard]
     }
@@ -390,7 +358,7 @@ mod tests {
     #[test]
     fn router_splits_cover_all_lanes_disjointly() {
         let hashes: Vec<u64> = (0..1000u64).map(hash_u64).collect();
-        let mut r = RadixRouter::new(4);
+        let mut r = RadixRouter::at_depth(4, 0);
         assert_eq!(r.partitions(), 4);
         r.split(&hashes, None, hashes.len());
         let mut seen = vec![false; hashes.len()];
@@ -401,7 +369,7 @@ mod tests {
             for p in sel.iter() {
                 assert!(!seen[p], "lane routed twice");
                 seen[p] = true;
-                assert_eq!(r.shard_of(hashes[p]), s);
+                assert_eq!((hashes[p] >> 62) as usize, s, "the top two bits");
             }
             assert!(sel.as_slice().windows(2).all(|w| w[0] < w[1]), "sorted");
         }
@@ -412,9 +380,9 @@ mod tests {
 
     #[test]
     fn router_rounds_up_to_power_of_two_and_handles_one() {
-        assert_eq!(RadixRouter::new(3).partitions(), 4);
-        assert_eq!(RadixRouter::new(5).partitions(), 8);
-        let mut r = RadixRouter::new(1);
+        assert_eq!(RadixRouter::at_depth(3, 0).partitions(), 4);
+        assert_eq!(RadixRouter::at_depth(5, 0).partitions(), 8);
+        let mut r = RadixRouter::at_depth(1, 0);
         let hashes = vec![7u64, 8, 9];
         let sels = r.split(&hashes, None, 3);
         assert_eq!(sels.len(), 1);
@@ -425,7 +393,7 @@ mod tests {
     fn split_respects_selection() {
         let hashes: Vec<u64> = (0..64u64).map(hash_u64).collect();
         let sel: SelVec = (0..64u32).filter(|p| p % 3 == 0).collect();
-        let mut r = RadixRouter::new(2);
+        let mut r = RadixRouter::at_depth(2, 0);
         let total: usize = r.split(&hashes, Some(&sel), 64).iter().map(|s| s.len()).sum();
         assert_eq!(total, sel.len());
     }
@@ -447,8 +415,8 @@ mod tests {
         assert!(sub_counts.iter().all(|&c| c > 0), "{sub_counts:?}");
         for s in 0..4 {
             for p in d1.shard_sel(s).iter() {
-                assert_eq!(d0.shard_of(hashes[p]), 0, "stratum 0 routing preserved");
-                assert_eq!(d1.shard_of(hashes[p]), s);
+                assert_eq!(hashes[p] >> 62, 0, "stratum 0 routing preserved");
+                assert_eq!((hashes[p] >> 60) as usize & 3, s, "the next two bits");
             }
         }
     }

@@ -26,8 +26,7 @@
 //! | `actual=N` | rows the node's operator returned, over all clones. | compare with `est~`: a large ratio either way marks the estimate that misled join order or build side — CHECKPOINT if DML left statistics stale. |
 //! | `time=X.XXXms` | wall time inside the operator's `next()`, children included, summed over clones. | a parent minus its children is the node's own cost. A join's line holds its own build outside an Exchange; inside one the build runs in the build's sink tasks and only its `build:` subtree is timed. |
 //! | `×k rows a..b time a..b` | `k` clones ran this node; per clone the fewest..most rows and least..most time (ms). Only when `k > 1`. | ranges near the mean; a wide `time` range is a straggler, the number behind "when more cores hurts". |
-//! | `direct` | the join's table is direct: one integer key whose bucket is `key − lo` (no hash, no key compare), chosen when its arrays are no larger than the hashed table's. Never with `shards=`: a direct table is one table. | expected for a dense integer key (row ids, order keys); its absence on one means a sparse or overflowing key range. |
-//! | `shards=P×skew` | a join build shared inside an Exchange with a table per slot (`P > 1`); skew is build rows per table, `max/mean`. An aggregate, a one-table build and a build on disk (see `spill=`) never print it. | skew near 1.00; ≫ 1 is a clustered radix split. |
+//! | `direct` | the join's table is direct: one integer key whose bucket is `key − lo` (no hash, no key compare), chosen when its arrays are no larger than the hashed table's. | expected for a dense integer key (row ids, order keys); its absence on one means a sparse or overflowing key range. |
 //! | `spill=Fp W/R dir=D/B` | grace spilling: spill files begun (one per partition of a routed spill that took a row — builds and probes, all strata), encoded bytes written / read back; on a join, of the `B` spilled partitions that built resident with rows on replay (every prober's), the `D` that built direct. | any value means the query ran over `mem_budget`; read ≫ written is deep re-partitioning; `D < B` on a dense key means partitions that fell back to the hashed layout. |
 //! | `enc=E/F+S` | batches the operator took in still encoded (dictionary codes, RLE) / fully inflated, plus `S` rows decided wholesale at the encoding level (whole runs, dictionary-code bitmaps, the aggregate's code memo). `+S` only when `S > 0`. | `0/F` on a dictionary column means the encoded path fell back. |
 //! | `rtf=D/T` | a scan's runtime join filters: rows dropped / rows tested, over all clones. A batch they keep more than half of passes whole, dropping none. A filter keeping more than half of its first few vectors switches off, so `T` stops there. | on a selective build `D` near `T` and `T` the scan's rows; `T` of a few vectors is a full build's filter that switched off. |
@@ -53,10 +52,6 @@ use vw_common::{Result, Schema};
 /// module docs).
 #[derive(Debug, Default, Clone)]
 pub struct OpProfile {
-    /// Build rows per table of a join build (one entry for a single
-    /// table, none for a build on disk), or an aggregate's groups (one
-    /// entry); empty without a hash build.
-    pub shard_build_rows: Vec<u64>,
     /// A join build's table is direct ([`crate::hashtable::JoinTable`]'s
     /// layout keyed by `key − lo`).
     pub direct: bool,
@@ -76,14 +71,6 @@ pub struct OpProfile {
 }
 
 impl OpProfile {
-    /// Record the final size of radix partition `shard` of a hash build.
-    pub(crate) fn record_shard_build(&mut self, shard: usize, rows: u64) {
-        if self.shard_build_rows.len() <= shard {
-            self.shard_build_rows.resize(shard + 1, 0);
-        }
-        self.shard_build_rows[shard] += rows;
-    }
-
     /// Record one input batch, encoded when it still carries at least one
     /// encoded column.
     #[inline]
@@ -95,26 +82,9 @@ impl OpProfile {
         }
     }
 
-    /// Build-row skew across partitions: `max/mean` (1.0 = even; 0.0 when
-    /// the build was empty).
-    fn shard_skew(&self) -> f64 {
-        let n = self.shard_build_rows.len();
-        let total: u64 = self.shard_build_rows.iter().sum();
-        if n == 0 || total == 0 {
-            return 0.0;
-        }
-        let max = *self.shard_build_rows.iter().max().expect("non-empty") as f64;
-        max / (total as f64 / n as f64)
-    }
-
-    /// Fold one clone's counters into the slot's. Partition sizes add up
-    /// slot by slot (the skew of clones probing one shared build is the
-    /// build's own); a spill counter set is kept once however many clones
-    /// share it.
+    /// Fold one clone's counters into the slot's. A spill counter set is
+    /// kept once however many clones share it.
     fn merge(&mut self, other: &OpProfile) {
-        for (shard, &rows) in other.shard_build_rows.iter().enumerate() {
-            self.record_shard_build(shard, rows);
-        }
         self.direct |= other.direct;
         self.enc_batches += other.enc_batches;
         self.flat_batches += other.flat_batches;
@@ -191,9 +161,6 @@ impl NodeProfile {
         let c = &s.counters;
         if c.direct {
             out.push_str(" direct");
-        }
-        if c.shard_build_rows.len() > 1 && c.shard_skew() > 0.0 {
-            let _ = write!(out, " shards={}×{:.2}", c.shard_build_rows.len(), c.shard_skew());
         }
         let sum = |f: fn(&SpillMetrics) -> u64| s.spills.iter().map(|m| f(m)).sum::<u64>();
         let spilled = sum(|m| m.files.load(Relaxed));
@@ -355,34 +322,27 @@ mod tests {
         metrics.record_read(512);
         let node = NodeProfile::default();
         let mut p = OpProfile { spill: Some(metrics), enc_skipped: 2048, ..Default::default() };
-        p.record_shard_build(0, 100);
-        p.record_shard_build(1, 300);
         p.enc_batches = 2;
         p.flat_batches = 1;
-        // Two clones probing one shared build: the same partitions, the
-        // same spill counters.
+        // Two clones probing one shared build: the same spill counters.
         node.merge(5, Duration::from_millis(2), Some(&p));
         node.merge(7, Duration::from_millis(1), Some(&p));
         let s = node.suffix();
         assert!(s.starts_with(" actual=12 time=3.000ms ×2 rows 5..7 time 1.000..2.000ms"), "{s}");
-        // max/mean = 600 / 400
-        assert!(s.contains(" shards=2×1.50 spill=2p 1.5M/512B enc=4/2+4096"), "{s}");
+        assert!(s.ends_with(" spill=2p 1.5M/512B enc=4/2+4096"), "{s}");
     }
 
     #[test]
-    fn one_partition_and_no_batches_print_nothing() {
+    fn no_counters_print_nothing() {
         let node = NodeProfile::default();
-        let mut p = OpProfile::default();
-        p.record_shard_build(0, 100);
-        node.merge(1, Duration::ZERO, Some(&p));
+        node.merge(1, Duration::ZERO, Some(&OpProfile::default()));
         assert_eq!(node.suffix(), " actual=1 time=0.000ms");
     }
 
     #[test]
     fn a_direct_join_table_prints_its_layout_once() {
         let node = NodeProfile::default();
-        let mut p = OpProfile { direct: true, ..Default::default() };
-        p.record_shard_build(0, 100);
+        let p = OpProfile { direct: true, ..Default::default() };
         // Two clones probing one shared direct table.
         node.merge(3, Duration::ZERO, Some(&p));
         node.merge(4, Duration::ZERO, Some(&p));

@@ -276,9 +276,8 @@ fn a_shared_build_overflows_all_or_nothing() {
                 let cfg = SpillConfig::new(MemBudget::new(limit), disk.clone(), 8);
                 let metrics = cfg.metrics.clone();
                 let cancel = CancelToken::new();
-                let build = SharedBuild::new(key(), schema.clone(), jt, dop, cancel.clone())
-                    .partitioned(dop, 0)
-                    .governed(cfg);
+                let build =
+                    SharedBuild::new(key(), schema.clone(), jt, dop, cancel.clone()).governed(cfg);
                 let build = Arc::new(build);
                 let sinks = shares
                     .iter()
@@ -325,8 +324,9 @@ fn a_shared_build_overflows_all_or_nothing() {
                 }
                 let probers = probers.lock().unwrap();
                 assert_eq!(probers.len(), dop, "{what}");
+                // Resident, these dense keys would make a direct table.
                 assert!(
-                    probers.iter().all(|p| p.shard_build_rows.is_empty()),
+                    probers.iter().all(|p| !p.direct),
                     "{what}: the published build holds a table"
                 );
                 assert_eq!(MemBudget::global_in_use(), 0, "{what}: budget still charged");

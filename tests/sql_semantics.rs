@@ -1476,16 +1476,13 @@ mod build_mode_matrix {
                         let p = Operator::profile(&j).unwrap().clone();
                         match mode {
                             // One table, with or without a budget it never
-                            // crosses: one shard, nothing to skew.
+                            // crosses: direct on the dense BIGINT key.
                             Mode::Serial | Mode::Governed { budget: AMPLE } => {
-                                assert_eq!(p.shard_build_rows, vec![build_keys], "{what}")
+                                assert_eq!(p.direct, matches!(keys, Keys::Single), "{what}")
                             }
                             // Overflowed: the whole build is on disk, and
                             // the published build holds no table.
-                            Mode::Governed { .. } if build_keys > 0 => {
-                                assert!(p.shard_build_rows.is_empty(), "{what}")
-                            }
-                            Mode::Governed { .. } => {}
+                            Mode::Governed { .. } => assert!(!p.direct, "{what}"),
                         }
                         if let (Mode::Governed { budget }, Some(g)) = (mode, &gov) {
                             // A NULL-aware anti join with a NULL build key
@@ -1650,8 +1647,7 @@ mod build_mode_matrix {
     ) -> Exchange {
         let cancel = CancelToken::new();
         let kc = keys.volcano_join_col();
-        let mut build = SharedBuild::new(keys.programs(), schema(), jt, dop, cancel.clone())
-            .partitioned(dop, 0);
+        let mut build = SharedBuild::new(keys.programs(), schema(), jt, dop, cancel.clone());
         let gov = budget.map(spill_config);
         if let Some((cfg, _)) = &gov {
             build = build.governed(cfg.clone());
@@ -1716,14 +1712,13 @@ mod build_mode_matrix {
     }
 
     /// A budget the query never crosses changes nothing about a build: a
-    /// join that builds for itself, a shared build at DOP 2 (one table per
-    /// slot) and a GROUP BY print the `EXPLAIN ANALYZE` suffix they print
-    /// with no budget, `spill=` aside, from the same partition sizes.
+    /// join that builds for itself, a shared build at DOP 2 (one hashed
+    /// table) and a GROUP BY print the `EXPLAIN ANALYZE` suffix they print
+    /// with no budget, `spill=` aside.
     #[test]
     fn a_budget_that_is_never_crossed_changes_nothing() {
         let mut rng = SmallRng::seed_from_u64(0xa3b1e);
-        // Keys spread over a sparse domain keep the build hashed, so the
-        // shared build makes a table per slot.
+        // Keys spread over a sparse domain keep the build hashed.
         let sparse = |mut rows: Vec<Vec<Value>>| {
             for r in &mut rows {
                 if let Value::I64(k) = r[0] {
@@ -1735,44 +1730,35 @@ mod build_mode_matrix {
         let left = sparse(random_rows(&mut rng, 223, "l"));
         let right = sparse(random_rows(&mut rng, 157, "r"));
         let keys = Keys::Single;
-        // Drains `op`; returns its partition sizes.
-        let shards = |op: &mut dyn Operator| -> Vec<u64> {
-            run(op).unwrap();
-            Operator::profile(op).unwrap().shard_build_rows.clone()
-        };
         let [serial, governed] = [Mode::Serial, Mode::Governed { budget: AMPLE }].map(|mode| {
             let node = Arc::new(NodeProfile::default());
             let probe = source(&left, 64, usize::MAX);
             let (j, _) =
                 join_in(mode, probe, source(&right, 16, usize::MAX), keys, JoinType::Inner);
             let mut j = Profiled::wrap(Box::new(j), node.clone());
-            let join_shards = shards(j.as_mut());
+            run(j.as_mut()).unwrap();
             drop(j);
             let agg_node = Arc::new(NodeProfile::default());
             let (agg, _) = agg_in(mode, source(&left, 16, usize::MAX), keys);
             let mut agg = Profiled::wrap(Box::new(agg), agg_node.clone());
-            let agg_shards = shards(agg.as_mut());
+            run(agg.as_mut()).unwrap();
             drop(agg);
-            (masked(&node), join_shards, masked(&agg_node), agg_shards)
+            (masked(&node), masked(&agg_node))
         });
         assert_eq!(serial, governed, "a join and a GROUP BY under an ample budget");
-        assert_eq!(serial.1.len(), 1, "one table");
         let pool = WorkerPool::new(2);
         let [serial, governed] = [None, Some(AMPLE)].map(|budget| {
             let (jt, drained) = (JoinType::Inner, Ending::Drained);
             let mut x = exchange_join(&pool, 2, budget, &left, &right, keys, jt, true, drained);
             run(&mut x.root).unwrap();
             drop(x.root);
-            let mut probers = x.probers.lock().unwrap().clone();
-            probers.sort_by_key(|p| p.shard_build_rows.clone());
-            let shards: Vec<Vec<u64>> =
-                probers.iter().map(|p| p.shard_build_rows.clone()).collect();
-            (masked(&x.node), shards)
+            let probers = x.probers.lock().unwrap().len();
+            (masked(&x.node), probers)
         });
         pool.shutdown();
         assert_eq!(serial, governed, "a shared build at DOP 2 under an ample budget");
-        assert!(serial.0.contains(" shards=2×"), "one table per slot: {}", serial.0);
-        assert_eq!(serial.1.len(), 2, "two probers");
+        assert!(!serial.0.contains(" shards="), "one table: {}", serial.0);
+        assert_eq!(serial.1, 2, "two probers");
     }
 
     #[test]
@@ -1884,6 +1870,36 @@ mod build_mode_matrix {
             }
             pool.shutdown();
         }
+        // A sparse build of more than 8 192 rows at DOP 4 on two workers:
+        // one hashed table over the rows of every sink.
+        let spread = |mut rows: Vec<Vec<Value>>, domain: i64, rng: &mut SmallRng| {
+            for r in &mut rows {
+                if !r[kc].is_null() {
+                    r[kc] = Value::I64(rng.gen_range(0..domain) * 1_000_003);
+                }
+            }
+            rows
+        };
+        let left = spread(random_rows(&mut rng, 2_000, "l"), 24_000, &mut rng);
+        let mut right = spread(random_rows(&mut rng, 10_000, "r"), 12_000, &mut rng);
+        right.retain(|r| !r[kc].is_null());
+        assert!(right.len() > 8192, "{} build rows", right.len());
+        let pool = WorkerPool::new(2);
+        for (jt, kind) in cases {
+            let expect = {
+                let l = Box::new(TupleValues::new(schema(), left.clone()));
+                let r = Box::new(TupleValues::new(schema(), right.clone()));
+                let mut j = TupleHashJoin::with_kind(l, r, kc, kc, kind);
+                sort_rows(collect_rows(&mut j).unwrap())
+            };
+            let what = format!("{jt:?} over {} sparse build rows, dop 4 on 2 workers", right.len());
+            let drained = Ending::Drained;
+            let mut x = exchange_join(&pool, 4, None, &left, &right, keys, jt, true, drained);
+            assert_eq!(sort_rows(run(&mut x.root).unwrap()), expect, "{what}");
+            drop(x.root);
+            assert!(x.probers.lock().unwrap().iter().all(|p| !p.direct), "{what}: hashed");
+        }
+        pool.shutdown();
     }
 
     /// A governed join is charged for its build once, whatever the DOP:
@@ -2037,12 +2053,6 @@ mod build_mode_matrix {
                     let (mut agg, gov) = agg_in(mode, source(&rows, chunk, usize::MAX), keys);
                     assert_eq!(sort_rows(run(&mut agg).unwrap()), expect, "{what}");
                     let p = Operator::profile(&agg).unwrap().clone();
-                    // One shard, with or without a budget it never crosses.
-                    // (An overflowed build reports through `spill`, not
-                    // `shards`.)
-                    if !matches!(mode, Mode::Governed { budget: TIGHT | 1 }) {
-                        assert_eq!(p.shard_build_rows, vec![expect.len() as u64], "{what}");
-                    }
                     if let (Mode::Governed { budget }, Some(g)) = (mode, &gov) {
                         // `spill=` reads the governor's own counters, which
                         // `check_governor` checks.
