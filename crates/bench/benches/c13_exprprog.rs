@@ -1,13 +1,12 @@
-//! C13: compiled expression programs vs. the tree-walking interpreter.
+//! C13: compiled expression programs.
 //!
-//! Reproduces the expression-evaluation experiment behind the `ExprProgram`
-//! redesign: the interpreter re-matches every node, re-fills every constant
-//! through a per-value `push_value` loop, and allocates a fresh output
-//! vector per node per batch; the compiled program dispatches a flat
-//! instruction list into pooled registers. Measured at 1K / 64K / 1M rows,
-//! plus the fused select path, plus the acceptance-criterion proof that the
-//! steady-state per-batch `run` loop performs **zero heap allocations**
-//! (counting global allocator, same technique as C12).
+//! The compiled program dispatches a flat instruction list into pooled
+//! registers. Measured at 1K / 64K / 1M rows, plus the fused select path,
+//! each checked first against the per-tuple reference
+//! (`PhysExpr::eval_tuple` / `selects_tuple`) over every row, plus the
+//! acceptance-criterion proof that the steady-state per-batch `run` loop
+//! performs **zero heap allocations** (counting global allocator, same
+//! technique as C12).
 //!
 //! `dense_vs_selective` sets `program::DENSE_PCT`: it times the two loops
 //! an F64 `+ - *` can run under a selection — every lane, or the selected
@@ -100,6 +99,19 @@ fn pred() -> PhysExpr {
 
 fn checksum(v: &Vector) -> i64 {
     v.data.as_i64().iter().fold(0i64, |a, &b| a.wrapping_add(b))
+}
+
+/// Row `i` of `b` as a tuple.
+fn tuple(b: &Batch, i: usize) -> Vec<Value> {
+    b.columns.iter().map(|c| c.get(i)).collect()
+}
+
+/// [`checksum`] of `e` interpreted per tuple over every row of `b`.
+fn reference_checksum(e: &PhysExpr, b: &Batch) -> i64 {
+    (0..b.capacity()).fold(0i64, |a, i| match e.eval_tuple(&tuple(b, i)).unwrap() {
+        Value::I64(v) => a.wrapping_add(v),
+        other => panic!("BIGINT expected, got {other:?}"),
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -211,16 +223,12 @@ fn bench(c: &mut Criterion) {
 
     for &n in &[1usize << 10, 1 << 16, 1 << 20] {
         let b = batch(n, 7);
-        // Correctness cross-check before timing anything.
+        // Correctness cross-check against the reference before timing.
         let mut pool = VectorPool::new();
         let vr = prog.run(&mut pool, &b).unwrap();
-        let want = checksum(&e.eval(&b).unwrap());
-        assert_eq!(checksum(pool.get(&b, vr)), want, "engines disagree");
+        assert_eq!(checksum(pool.get(&b, vr)), reference_checksum(&e, &b), "engines disagree");
         pool.recycle();
 
-        g.bench_function(format!("tree_interp_{n}"), |bench| {
-            bench.iter(|| checksum(&e.eval(black_box(&b)).unwrap()))
-        });
         g.bench_function(format!("compiled_prog_{n}"), |bench| {
             bench.iter(|| {
                 let vr = prog.run(&mut pool, black_box(&b)).unwrap();
@@ -230,14 +238,12 @@ fn bench(c: &mut Criterion) {
             })
         });
 
-        let interp_sel = p.eval_select(&b).unwrap().len();
+        let want: Vec<u32> =
+            (0..n as u32).filter(|&i| p.selects_tuple(&tuple(&b, i as usize)).unwrap()).collect();
         let compiled_sel = sel_prog.run(&mut pool, &b).unwrap();
-        assert_eq!(compiled_sel.len(), interp_sel, "select paths disagree");
+        assert_eq!(compiled_sel.as_slice(), want, "select paths disagree");
         pool.put_sel(compiled_sel);
         pool.recycle();
-        g.bench_function(format!("tree_select_{n}"), |bench| {
-            bench.iter(|| p.eval_select(black_box(&b)).unwrap().len())
-        });
         g.bench_function(format!("fused_select_{n}"), |bench| {
             bench.iter(|| {
                 let s = sel_prog.run(&mut pool, black_box(&b)).unwrap();

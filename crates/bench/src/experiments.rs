@@ -9,7 +9,7 @@ use vw_common::{ColData, Field, Schema, TypeId, Value};
 use vw_exec::expr::{BinOp, CmpOp, PhysExpr};
 use vw_exec::op::{drain, AggFunc, AggSpec, HashAggregate, Operator, Select};
 use vw_exec::{Batch, CancelToken, Vector};
-use vw_volcano::{ScalarExpr, TupleAgg, TupleAggregate, TupleFilter};
+use vw_volcano::{TupleAgg, TupleAggregate, TupleFilter};
 
 /// An operator source that re-serves pre-chunked batches (keeps C1's
 /// vectorized measurements free of row-materialization noise).
@@ -117,52 +117,57 @@ fn f64lit(v: f64) -> PhysExpr {
     PhysExpr::Const(Value::F64(v), TypeId::F64)
 }
 
-/// Q6-like predicate + aggregate on the vectorized engine; returns revenue.
-pub fn q6_vectorized(src: BatchSource, vector_size: usize) -> f64 {
-    let cancel = CancelToken::new();
-    let year94 = vw_common::Date::from_ymd(1994, 1, 1).unwrap().0;
-    let year95 = vw_common::Date::from_ymd(1995, 1, 1).unwrap().0;
-    let pred = PhysExpr::And(vec![
-        PhysExpr::Cmp {
-            op: CmpOp::Ge,
-            lhs: Box::new(colref(3, TypeId::Date)),
-            rhs: Box::new(PhysExpr::Const(Value::Date(vw_common::Date(year94)), TypeId::Date)),
-        },
-        PhysExpr::Cmp {
-            op: CmpOp::Lt,
-            lhs: Box::new(colref(3, TypeId::Date)),
-            rhs: Box::new(PhysExpr::Const(Value::Date(vw_common::Date(year95)), TypeId::Date)),
-        },
-        PhysExpr::Cmp {
-            op: CmpOp::Ge,
-            lhs: Box::new(colref(2, TypeId::F64)),
-            rhs: Box::new(f64lit(0.05)),
-        },
-        PhysExpr::Cmp {
-            op: CmpOp::Le,
-            lhs: Box::new(colref(2, TypeId::F64)),
-            rhs: Box::new(f64lit(0.07)),
-        },
-        PhysExpr::Cmp {
-            op: CmpOp::Lt,
-            lhs: Box::new(colref(0, TypeId::I64)),
-            rhs: Box::new(PhysExpr::Const(Value::I64(24), TypeId::I64)),
-        },
-    ]);
-    let select =
-        Select::new(Box::new(src), vw_exec::program::SelectProgram::compile(&pred), cancel.clone());
-    let revenue = PhysExpr::Arith {
+/// Q6's predicate over [`q6_schema`]: shipdate in 1994, discount in
+/// [0.05, 0.07], quantity below 24.
+fn q6_predicate() -> PhysExpr {
+    let date = |y| {
+        let d = vw_common::Date::from_ymd(y, 1, 1).unwrap();
+        PhysExpr::Const(Value::Date(d), TypeId::Date)
+    };
+    let cmp = |op, lhs, rhs| PhysExpr::Cmp { op, lhs: Box::new(lhs), rhs: Box::new(rhs) };
+    let (shipdate, discount) = (colref(3, TypeId::Date), colref(2, TypeId::F64));
+    PhysExpr::And(vec![
+        cmp(CmpOp::Ge, shipdate.clone(), date(1994)),
+        cmp(CmpOp::Lt, shipdate, date(1995)),
+        cmp(CmpOp::Ge, discount.clone(), f64lit(0.05)),
+        cmp(CmpOp::Le, discount, f64lit(0.07)),
+        cmp(CmpOp::Lt, colref(0, TypeId::I64), PhysExpr::Const(Value::I64(24), TypeId::I64)),
+    ])
+}
+
+/// Q6's revenue term: extendedprice * discount.
+fn q6_revenue() -> PhysExpr {
+    PhysExpr::Arith {
         op: BinOp::Mul,
         lhs: Box::new(colref(1, TypeId::F64)),
         rhs: Box::new(colref(2, TypeId::F64)),
         ty: TypeId::F64,
-    };
+    }
+}
+
+/// The one revenue value of a single-row aggregate result.
+fn revenue_of(v: &Value) -> f64 {
+    match v {
+        Value::F64(v) => *v,
+        Value::Null => 0.0,
+        _ => unreachable!(),
+    }
+}
+
+/// Q6-like predicate + aggregate on the vectorized engine; returns revenue.
+pub fn q6_vectorized(src: BatchSource, vector_size: usize) -> f64 {
+    let cancel = CancelToken::new();
+    let select = Select::new(
+        Box::new(src),
+        vw_exec::program::SelectProgram::compile(&q6_predicate()),
+        cancel.clone(),
+    );
     let mut agg = HashAggregate::new(
         Box::new(select),
         vec![],
         vec![AggSpec {
             func: AggFunc::Sum,
-            input: Some(vw_exec::program::ExprProgram::compile(&revenue)),
+            input: Some(vw_exec::program::ExprProgram::compile(&q6_revenue())),
             out_ty: TypeId::F64,
         }],
         Schema::unchecked(vec![Field::nullable("revenue", TypeId::F64)]),
@@ -171,38 +176,19 @@ pub fn q6_vectorized(src: BatchSource, vector_size: usize) -> f64 {
     )
     .unwrap();
     let out = drain(&mut agg).unwrap();
-    match out.row_values(0)[0] {
-        Value::F64(v) => v,
-        Value::Null => 0.0,
-        _ => unreachable!(),
-    }
+    revenue_of(&out.row_values(0)[0])
 }
 
-/// Q6-like on the tuple-at-a-time baseline.
+/// Q6-like on the tuple-at-a-time baseline: the same expression trees,
+/// interpreted per tuple.
 pub fn q6_volcano(rows: &Arc<Vec<Vec<Value>>>) -> f64 {
-    let year94 = Value::Date(vw_common::Date::from_ymd(1994, 1, 1).unwrap());
-    let year95 = Value::Date(vw_common::Date::from_ymd(1995, 1, 1).unwrap());
-    let c = |i| Box::new(ScalarExpr::Col(i));
-    let l = |v: Value| Box::new(ScalarExpr::Lit(v));
-    let pred = ScalarExpr::And(
-        Box::new(ScalarExpr::And(
-            Box::new(ScalarExpr::Cmp(">=", c(3), l(year94))),
-            Box::new(ScalarExpr::Cmp("<", c(3), l(year95))),
-        )),
-        Box::new(ScalarExpr::And(
-            Box::new(ScalarExpr::And(
-                Box::new(ScalarExpr::Cmp(">=", c(2), l(Value::F64(0.05)))),
-                Box::new(ScalarExpr::Cmp("<=", c(2), l(Value::F64(0.07)))),
-            )),
-            Box::new(ScalarExpr::Cmp("<", c(0), l(Value::I64(24)))),
-        )),
-    );
+    let (pred, revenue) = (q6_predicate(), q6_revenue());
     // Materialize revenue per tuple then aggregate.
     let src = TupleRef::new(q6_schema(), rows.clone());
-    let filter = TupleFilter::new(Box::new(src), pred);
+    let filter = TupleFilter::new(Box::new(src), move |r| pred.selects_tuple(r));
     let proj = vw_volcano::TupleProject::new(
         Box::new(filter),
-        vec![ScalarExpr::Arith('*', c(1), c(2))],
+        vec![Box::new(move |r| revenue.eval_tuple(r))],
         Schema::unchecked(vec![Field::nullable("rev", TypeId::F64)]),
     );
     let mut agg = TupleAggregate::new(
@@ -212,11 +198,7 @@ pub fn q6_volcano(rows: &Arc<Vec<Vec<Value>>>) -> f64 {
         Schema::unchecked(vec![Field::nullable("revenue", TypeId::F64)]),
     );
     let out = vw_volcano::collect_rows(&mut agg).unwrap();
-    match out[0][0] {
-        Value::F64(v) => v,
-        Value::Null => 0.0,
-        _ => unreachable!(),
-    }
+    revenue_of(&out[0][0])
 }
 
 /// Approximate row equality: floats within 1e-9 relative error (parallel

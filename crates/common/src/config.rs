@@ -1,7 +1,8 @@
 //! Engine-wide tuning knobs, threaded from `Database` down to the
 //! operators. Kernel-level strawmen and reference paths (branchy NULLs,
-//! unchecked arithmetic, inflate-at-scan, the tree interpreter) are not
-//! knobs: they live in benches and test modules.
+//! unchecked arithmetic, inflate-at-scan) are not knobs: they live in
+//! benches and test modules. Nor is the per-tuple expression reference
+//! (`PhysExpr::eval_tuple`), which no operator calls.
 //!
 //! The repo-root `ARCHITECTURE.md` ("Knobs") tabulates every field with
 //! its SET name (when it has one), default, and env override — a test

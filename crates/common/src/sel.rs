@@ -4,8 +4,9 @@
 //! dense vector. It produces a *selection vector*: a sorted list of positions
 //! into the (untouched) data vectors. Every primitive comes in a pair of
 //! variants — `*_full` operating on positions `0..n`, and `*_sel` operating
-//! only on the listed positions. The `select_ablation` bench measures when
-//! this beats re-materialization (low selectivity) and when it does not.
+//! only on the listed positions. Bench `c13_exprprog` (`dense_vs_selective`)
+//! times the two variants of one kernel against each other across
+//! selectivities.
 
 /// A sorted list of selected positions within a vector of length `<= capacity`.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]

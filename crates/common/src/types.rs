@@ -284,8 +284,12 @@ impl Value {
             ($variant:ident, $ty:ty) => {{
                 match self {
                     Value::F64(f) => {
+                        // The bounds are ±2^(bits-1), exact as doubles:
+                        // `MAX as f64` rounds up to 2^(bits-1) itself for
+                        // BIGINT, which is out of range.
                         let r = f.round();
-                        if r < <$ty>::MIN as f64 || r > <$ty>::MAX as f64 || r.is_nan() {
+                        let (lo, hi) = (<$ty>::MIN as f64, -(<$ty>::MIN as f64));
+                        if r < lo || r >= hi || r.is_nan() {
                             return Err(overflow(f));
                         }
                         Ok(Value::$variant(r as $ty))
@@ -488,6 +492,17 @@ mod tests {
         assert_eq!(Value::F64(2.6).cast_to(TypeId::I32).unwrap(), Value::I32(3));
         assert!(Value::F64(1e30).cast_to(TypeId::I32).is_err());
         assert!(Value::F64(f64::NAN).cast_to(TypeId::I32).is_err());
+        // 2^(bits-1) is one past the largest value at every width; the
+        // largest double below 2^63 and -2^63 itself convert.
+        let two_63 = 9_223_372_036_854_775_808.0f64;
+        assert!(Value::F64(two_63).cast_to(TypeId::I64).is_err());
+        assert_eq!(Value::F64(-two_63).cast_to(TypeId::I64).unwrap(), Value::I64(i64::MIN));
+        let below = f64::from_bits(two_63.to_bits() - 1);
+        assert_eq!(Value::F64(below).cast_to(TypeId::I64).unwrap(), Value::I64(below as i64));
+        assert!(Value::F64(2_147_483_647.5).cast_to(TypeId::I32).is_err());
+        assert_eq!(Value::F64(2_147_483_647.4).cast_to(TypeId::I32).unwrap(), Value::I32(i32::MAX));
+        assert!(Value::F64(128.0).cast_to(TypeId::I8).is_err());
+        assert_eq!(Value::F64(-128.0).cast_to(TypeId::I8).unwrap(), Value::I8(-128));
     }
 
     #[test]

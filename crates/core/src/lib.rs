@@ -222,16 +222,7 @@ impl Database {
     /// default session (one shared SET state), serialized per statement
     /// batch; open explicit [`Database::session`]s for concurrency.
     pub fn execute(self: &Arc<Self>, sql: &str) -> Result<QueryResult> {
-        let stmts = vw_sql::parse(sql)?;
-        if stmts.is_empty() {
-            return Ok(QueryResult::empty());
-        }
-        let mut core = self.default_session.lock();
-        let mut last = QueryResult::empty();
-        for stmt in stmts {
-            last = execute_statement(self, &mut core, &stmt, sql.trim())?;
-        }
-        Ok(last)
+        execute_script(self, &mut self.default_session.lock(), sql)
     }
 
     /// Open a session (holds transaction and SET state across
@@ -466,15 +457,7 @@ impl Session {
 
     /// Execute `;`-separated statements; returns the last result.
     pub fn execute(&mut self, sql: &str) -> Result<QueryResult> {
-        let stmts = vw_sql::parse(sql)?;
-        if stmts.is_empty() {
-            return Ok(QueryResult::empty());
-        }
-        let mut last = QueryResult::empty();
-        for stmt in stmts {
-            last = execute_statement(&self.db, &mut self.core, &stmt, sql.trim())?;
-        }
-        Ok(last)
+        execute_script(&self.db, &mut self.core, sql)
     }
 }
 
@@ -482,6 +465,18 @@ impl Drop for Session {
     fn drop(&mut self) {
         self.db.monitor.close_session(self.core.id);
     }
+}
+
+/// Parse `;`-separated statements and run them in order on behalf of one
+/// session core, stopping at the first error; the last statement's result
+/// (empty when there is none). The loop behind [`Database::execute`] and
+/// [`Session::execute`].
+fn execute_script(db: &Arc<Database>, core: &mut SessionCore, sql: &str) -> Result<QueryResult> {
+    let mut last = QueryResult::empty();
+    for stmt in vw_sql::parse(sql)? {
+        last = execute_statement(db, core, &stmt, sql.trim())?;
+    }
+    Ok(last)
 }
 
 /// One statement, on behalf of one session core — the single execution

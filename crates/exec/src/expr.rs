@@ -1,6 +1,7 @@
-//! Expression trees and the reference vector-at-a-time interpreter.
+//! Expression trees and the per-tuple reference interpreter.
 //!
-//! The expression API is split in two, mirroring X100:
+//! The expression API is split in two, mirroring X100, with a reference
+//! beside it:
 //!
 //! * **Describe** — [`PhysExpr`], the one expression tree: the binder
 //!   emits it, logical plans carry it, the optimizer normalizes it and the
@@ -16,33 +17,33 @@
 //!   executes expressions this way, and so does constant folding (a
 //!   column-free subtree is compiled and run over one row).
 //!
-//! The tree-walking [`PhysExpr::eval`] / [`PhysExpr::eval_select`]
-//! interpreter below is **test support, not an execution path**: nothing
-//! in the engine calls it. Its callers are `#[cfg(test)]` modules and the
-//! integration suites, which cross-check compiled programs against it,
-//! and `crates/bench` (`c13_exprprog` measures the compiled path's win
-//! over it). It re-matches every node and allocates a fresh [`Vector`]
-//! per node per batch — exactly the overhead the compiled path exists to
-//! avoid.
+//! * **Refer** — [`PhysExpr::eval_tuple`] and [`PhysExpr::selects_tuple`]
+//!   interpret the tree over one tuple of [`Value`]s. No operator of the
+//!   engine calls them. They are what the compiled programs are checked
+//!   against (this crate's tests, `expr_differential` in
+//!   `tests/sql_semantics.rs`, the set-up check of `c13_exprprog`), and
+//!   the expression evaluator the tuple-at-a-time engine (`vw-volcano`)
+//!   is handed as closures, so C1 runs one `PhysExpr` both ways. They are
+//!   built from [`Value`], [`LikeMatcher`] and [`vw_common::date`] alone
+//!   and call no vector kernel and no program item
+//!   (`tests/architecture.rs::one_expression_evaluator` holds that): a
+//!   fault in a kernel shows as a disagreement, not on both sides of the
+//!   check.
 //!
 //! NULLs follow the production Vectorwise design (paper §1, "NULLs"): a
 //! value vector of safe values plus a boolean indicator vector. Kernels stay
 //! NULL-oblivious; indicator propagation (OR of input indicators) is
 //! composed around them. (The per-value-NULL-test strawman it is measured
-//! against is written out in bench C6.)
-//!
-//! Division by a NULL demonstrates why "safe values" need care: the NULL
-//! position holds 0, which would raise a spurious division-by-zero, so the
-//! evaluator patches NULL denominators to 1 before the kernel runs — an
-//! instance of the paper's "special algorithms in the kernel". The
-//! compiled path ports this as a dedicated instruction (`DivRemI64`).
+//! against is written out in bench C6.) The reference has no safe values:
+//! a NULL is [`Value::Null`], so where a program must take care of one —
+//! a NULL denominator holds 0, which the `DivRemI64` instruction patches
+//! to 1 before the kernel runs, the paper's "special algorithms in the
+//! kernel" — the reference checks that it did.
 //!
 //! [`program`]: crate::program
 
-use crate::primitives::{self, ArithCheck};
-use crate::vector::{Batch, Vector};
 use vw_common::date::DateField;
-use vw_common::{ColData, Result, SelVec, TypeId, Value, VwError};
+use vw_common::{Date, Result, TypeId, Value, VwError};
 
 /// Binary arithmetic operators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -359,643 +360,212 @@ impl PhysExpr {
         }
     }
 
-    /// Evaluate over the live rows of `batch`, producing a full-length
-    /// vector (positions outside the selection hold unspecified safe
-    /// values).
-    pub fn eval(&self, batch: &Batch) -> Result<Vector> {
-        let n = batch.capacity();
-        let sel = batch.sel.as_ref();
-        match self {
-            PhysExpr::ColRef(i, _) => Ok(batch.columns[*i].clone()),
-            PhysExpr::Const(v, ty) => {
-                let mut col = ColData::with_capacity(*ty, n);
-                let mut nulls = None;
-                if v.is_null() {
-                    for _ in 0..n {
-                        col.push_safe_default();
-                    }
-                    nulls = Some(vec![true; n]);
-                } else {
-                    for _ in 0..n {
-                        col.push_value(v)?;
-                    }
-                }
-                Ok(Vector::with_nulls(col, nulls))
-            }
+    /// The expression's value over one tuple: the reference interpreter
+    /// the compiled programs are checked against, and the expression
+    /// evaluator of the tuple-at-a-time engine.
+    ///
+    /// Every node evaluates all of its operands, in [`children`] order,
+    /// before it combines them — CASE and AND/OR too — as a program runs
+    /// every instruction over every live lane: an operand that errors on
+    /// the tuple makes the whole expression error, whichever arm is taken.
+    /// A NULL operand makes the node NULL except where three-valued logic
+    /// says otherwise (AND/OR, IS NULL, IS NOT NULL, CASE).
+    ///
+    /// It is built from [`Value`] ([`Value::sql_cmp`], [`Value::cast_to`]),
+    /// [`LikeMatcher`] and [`vw_common::date`] alone, and shares no kernel
+    /// with the programs it checks.
+    ///
+    /// [`children`]: PhysExpr::children
+    pub fn eval_tuple(&self, row: &[Value]) -> Result<Value> {
+        let all = |xs: &[PhysExpr]| -> Result<Vec<Value>> {
+            xs.iter().map(|x| x.eval_tuple(row)).collect()
+        };
+        Ok(match self {
+            PhysExpr::ColRef(i, _) => row[*i].clone(),
+            PhysExpr::Const(k, _) => k.clone(),
             PhysExpr::Arith { op, lhs, rhs, ty } => {
-                let a = lhs.eval(batch)?;
-                let b = rhs.eval(batch)?;
-                eval_arith(*op, &a, &b, *ty, sel)
+                tuple_arith(*op, *ty, &lhs.eval_tuple(row)?, &rhs.eval_tuple(row)?)?
             }
             PhysExpr::Cmp { op, lhs, rhs } => {
-                let a = lhs.eval(batch)?;
-                let b = rhs.eval(batch)?;
-                let nulls = union_nulls(n, &[&a, &b]);
-                let mut out = vec![false; n];
-                let run = |i: usize, out: &mut Vec<bool>| {
-                    if let Some(o) = a.data.get_value(i).sql_cmp(&b.data.get_value(i)) {
-                        out[i] = op.holds(o);
+                match (lhs.eval_tuple(row)?, rhs.eval_tuple(row)?) {
+                    (Value::Null, _) | (_, Value::Null) => Value::Null,
+                    // Non-NULL values of incomparable types compare FALSE.
+                    (a, b) => Value::Bool(a.sql_cmp(&b).is_some_and(|o| op.holds(o))),
+                }
+            }
+            PhysExpr::And(parts) | PhysExpr::Or(parts) => {
+                // The dominant value (FALSE for AND, TRUE for OR) wins,
+                // then NULL, then the other.
+                let is_and = matches!(self, PhysExpr::And(_));
+                let mut unknown = false;
+                for x in all(parts)? {
+                    match x {
+                        Value::Null => unknown = true,
+                        x if x.as_bool()? != is_and => return Ok(Value::Bool(!is_and)),
+                        _ => {}
                     }
-                };
-                match sel {
-                    None => (0..n).for_each(|i| run(i, &mut out)),
-                    Some(s) => s.iter().for_each(|i| run(i, &mut out)),
                 }
-                Ok(Vector::with_nulls(ColData::Bool(out), nulls))
-            }
-            PhysExpr::And(parts) => eval_and_or(parts, batch, true),
-            PhysExpr::Or(parts) => eval_and_or(parts, batch, false),
-            PhysExpr::Not(inner) => {
-                let v = inner.eval(batch)?;
-                let vals = v.data.as_bool().iter().map(|b| !b).collect();
-                Ok(Vector::with_nulls(ColData::Bool(vals), v.nulls.clone()))
-            }
-            PhysExpr::Cast { input, to } => {
-                let v = input.eval(batch)?;
-                eval_cast(&v, *to, sel)
-            }
-            PhysExpr::IsNull(inner) => {
-                let v = inner.eval(batch)?;
-                let out = match &v.nulls {
-                    Some(m) => m.clone(),
-                    None => vec![false; n],
-                };
-                Ok(Vector::new(ColData::Bool(out)))
-            }
-            PhysExpr::IsNotNull(inner) => {
-                let v = inner.eval(batch)?;
-                let out = match &v.nulls {
-                    Some(m) => m.iter().map(|b| !b).collect(),
-                    None => vec![true; n],
-                };
-                Ok(Vector::new(ColData::Bool(out)))
-            }
-            PhysExpr::Case { branches, else_expr, ty } => {
-                eval_case(branches, else_expr.as_deref(), *ty, batch)
-            }
-            PhysExpr::FuncCall { func, args, ty } => eval_func(*func, args, *ty, batch),
-            PhysExpr::Like { input, pattern, negated } => {
-                let v = input.eval(batch)?;
-                let pat = LikeMatcher::new(pattern);
-                let strs = v.data.as_str();
-                let mut out = vec![false; n];
-                let mut run = |i: usize| out[i] = pat.matches(&strs[i]) != *negated;
-                match sel {
-                    None => (0..n).for_each(&mut run),
-                    Some(s) => s.iter().for_each(&mut run),
+                if unknown {
+                    Value::Null
+                } else {
+                    Value::Bool(is_and)
                 }
-                Ok(Vector::with_nulls(ColData::Bool(out), v.nulls.clone()))
             }
-        }
+            PhysExpr::Not(x) => match x.eval_tuple(row)? {
+                Value::Null => Value::Null,
+                b => Value::Bool(!b.as_bool()?),
+            },
+            PhysExpr::Cast { input, to } => input.eval_tuple(row)?.cast_to(*to)?,
+            PhysExpr::IsNull(x) => Value::Bool(x.eval_tuple(row)?.is_null()),
+            PhysExpr::IsNotNull(x) => Value::Bool(!x.eval_tuple(row)?.is_null()),
+            PhysExpr::Case { branches, else_expr, .. } => {
+                let arms = branches
+                    .iter()
+                    .map(|(c, v)| Ok((c.eval_tuple(row)?, v.eval_tuple(row)?)))
+                    .collect::<Result<Vec<_>>>()?;
+                let other = else_expr.as_ref().map(|e| e.eval_tuple(row)).transpose()?;
+                match arms.into_iter().find(|(c, _)| *c == Value::Bool(true)) {
+                    Some((_, v)) => v,
+                    None => other.unwrap_or(Value::Null),
+                }
+            }
+            PhysExpr::FuncCall { func, args, .. } => {
+                let args = all(args)?;
+                if args.iter().any(Value::is_null) {
+                    Value::Null
+                } else {
+                    tuple_func(*func, &args)?
+                }
+            }
+            PhysExpr::Like { input, pattern, negated } => match input.eval_tuple(row)? {
+                Value::Null => Value::Null,
+                s => Value::Bool(LikeMatcher::new(pattern).matches(s.as_str()?) != *negated),
+            },
+        })
     }
 
-    /// Evaluate as a predicate, producing the selection of live rows where
-    /// the expression is TRUE (NULL counts as false, per SQL semantics).
-    pub fn eval_select(&self, batch: &Batch) -> Result<SelVec> {
-        let n = batch.capacity();
-        let sel_in = batch.sel.as_ref();
+    /// Whether the predicate selects the tuple (it is TRUE; NULL is not):
+    /// the reference for [`SelectProgram`]. AND tries its conjuncts in
+    /// order and stops at the first that does not select the tuple, as the
+    /// program narrows its selection conjunct by conjunct; OR tries every
+    /// arm, as the program runs each under the incoming selection. Any
+    /// other node is [`eval_tuple`](PhysExpr::eval_tuple).
+    ///
+    /// [`SelectProgram`]: crate::program::SelectProgram
+    pub fn selects_tuple(&self, row: &[Value]) -> Result<bool> {
         match self {
             PhysExpr::And(parts) => {
-                // Conjunction = chained selective evaluation: each branch
-                // only looks at rows that survived the previous ones.
-                let mut current = Batch { columns: batch.columns.clone(), sel: batch.sel.clone() };
                 for p in parts {
-                    let next = p.eval_select(&current)?;
-                    current.sel = Some(next);
+                    if !p.selects_tuple(row)? {
+                        return Ok(false);
+                    }
                 }
-                Ok(current.sel.unwrap_or_else(|| SelVec::identity(n)))
+                Ok(true)
             }
             PhysExpr::Or(parts) => {
-                // Union of branch selections (each under the original sel).
-                let mut acc: Option<SelVec> = None;
-                for p in parts {
-                    let s = p.eval_select(batch)?;
-                    acc = Some(match acc {
-                        None => s,
-                        Some(prev) => union_sorted(&prev, &s),
-                    });
-                }
-                Ok(acc.unwrap_or_default())
+                parts.iter().try_fold(false, |any, p| Ok(p.selects_tuple(row)? || any))
             }
-            PhysExpr::Const(Value::Bool(true), _) => Ok(match sel_in {
-                Some(s) => s.clone(),
-                None => SelVec::identity(n),
-            }),
-            PhysExpr::Const(Value::Bool(false), _) | PhysExpr::Const(Value::Null, _) => {
-                Ok(SelVec::new())
-            }
-            PhysExpr::Cmp { op, lhs, rhs } => {
-                // Typed selection primitives for the hot col-vs-const and
-                // col-vs-col shapes — the X100 select_* kernels. Falls back
-                // to the generic boolean path for everything else.
-                if let Some(sel) = fast_select_cmp(*op, lhs, rhs, batch) {
-                    return Ok(sel);
-                }
-                let v = self.eval(batch)?;
-                let vals = v.data.as_bool();
-                let mut out = SelVec::with_capacity(batch.rows());
-                primitives::select_by(n, sel_in, &mut out, |i| vals[i] && !v.is_null(i));
-                Ok(out)
-            }
-            _ => {
-                // Generic path: evaluate to a boolean vector, keep TRUEs.
-                let v = self.eval(batch)?;
-                let vals = v.data.as_bool();
-                let mut out = SelVec::with_capacity(batch.rows());
-                primitives::select_by(n, sel_in, &mut out, |i| vals[i] && !v.is_null(i));
-                Ok(out)
-            }
+            other => Ok(other.eval_tuple(row)? == Value::Bool(true)),
         }
     }
 }
 
-/// Typed fast path for `col <op> const` selections. Returns None when the
-/// shape or type has no specialized kernel.
-fn fast_select_cmp(op: CmpOp, lhs: &PhysExpr, rhs: &PhysExpr, batch: &Batch) -> Option<SelVec> {
-    let (PhysExpr::ColRef(ci, _), PhysExpr::Const(k, _)) = (lhs, rhs) else {
-        return None;
-    };
-    let col = &batch.columns[*ci];
-    let n = col.len();
-    let sel_in = batch.sel.as_ref();
-    let mut out = SelVec::with_capacity(batch.rows());
-    macro_rules! run {
-        ($vals:expr, $k:expr) => {{
-            let vals = $vals;
-            let k = $k;
-            match &col.nulls {
-                None => {
-                    primitives::select_by(n, sel_in, &mut out, |i| op.holds(cmp_total(vals[i], k)))
-                }
-                Some(m) => primitives::select_by(n, sel_in, &mut out, |i| {
-                    !m[i] && op.holds(cmp_total(vals[i], k))
-                }),
-            }
-        }};
-    }
-    match (&col.data, k) {
-        (ColData::I64(v), Value::I64(k)) => run!(v.as_slice(), *k),
-        (ColData::I32(v), Value::I32(k)) => run!(v.as_slice(), *k),
-        (ColData::Date(v), Value::Date(k)) => run!(v.as_slice(), k.0),
-        (ColData::F64(v), Value::F64(k)) => {
-            let k = *k;
-            match &col.nulls {
-                None => {
-                    primitives::select_by(n, sel_in, &mut out, |i| op.holds(v[i].total_cmp(&k)))
-                }
-                Some(m) => primitives::select_by(n, sel_in, &mut out, |i| {
-                    !m[i] && op.holds(v[i].total_cmp(&k))
-                }),
-            }
-        }
-        (ColData::Str(v), Value::Str(k)) => match &col.nulls {
-            None => primitives::select_by(n, sel_in, &mut out, |i| {
-                op.holds(v[i].as_str().cmp(k.as_str()))
-            }),
-            Some(m) => primitives::select_by(n, sel_in, &mut out, |i| {
-                !m[i] && op.holds(v[i].as_str().cmp(k.as_str()))
-            }),
-        },
-        _ => return None,
-    }
-    Some(out)
-}
-
-#[inline]
-fn cmp_total<T: Ord>(a: T, b: T) -> std::cmp::Ordering {
-    a.cmp(&b)
-}
-
-fn union_sorted(a: &SelVec, b: &SelVec) -> SelVec {
-    let mut out = SelVec::with_capacity(a.len() + b.len());
-    crate::program::union_sorted_into(a, b, &mut out);
-    out
-}
-
-/// OR together the null indicators of several vectors.
-fn union_nulls(n: usize, vs: &[&Vector]) -> Option<Vec<bool>> {
-    if vs.iter().all(|v| v.nulls.is_none()) {
-        return None;
-    }
-    let mut out = vec![false; n];
-    for v in vs {
-        if let Some(m) = &v.nulls {
-            for (o, &b) in out.iter_mut().zip(m) {
-                *o |= b;
-            }
-        }
-    }
-    Some(out)
-}
-
-fn eval_arith(
-    op: BinOp,
-    a: &Vector,
-    b: &Vector,
-    ty: TypeId,
-    sel: Option<&SelVec>,
-) -> Result<Vector> {
-    let n = a.len();
-    let nulls = union_nulls(n, &[a, b]);
-    match ty {
-        TypeId::I64 => {
-            let x = a.data.as_i64();
-            let y = b.data.as_i64();
-            let mut out = Vec::with_capacity(n);
-            // Division/modulo by a NULL: the safe value 0 would fault, so
-            // patch NULL denominators to 1 (their result is NULL anyway).
-            let patched;
-            let y = if let (BinOp::Div | BinOp::Rem, Some(m)) = (op, &b.nulls) {
-                patched = y
-                    .iter()
-                    .zip(m)
-                    .map(|(&v, &is_null)| if is_null { 1 } else { v })
-                    .collect::<Vec<i64>>();
-                &patched[..]
-            } else {
-                y
-            };
-            match op {
-                BinOp::Add => primitives::add_i64(x, y, sel, &mut out, ArithCheck::Lazy)?,
-                BinOp::Sub => primitives::sub_i64(x, y, sel, &mut out, ArithCheck::Lazy)?,
-                BinOp::Mul => primitives::mul_i64(x, y, sel, &mut out, ArithCheck::Lazy)?,
-                BinOp::Div => primitives::div_i64(x, y, sel, &mut out, ArithCheck::Lazy)?,
-                BinOp::Rem => primitives::rem_i64(x, y, sel, &mut out, ArithCheck::Lazy)?,
-            }
-            Ok(Vector::with_nulls(ColData::I64(out), nulls))
-        }
-        TypeId::F64 => {
-            let x = a.data.as_f64();
-            let y = b.data.as_f64();
-            let mut out = Vec::with_capacity(n);
-            let f = |p: f64, q: f64| match op {
-                BinOp::Add => p + q,
-                BinOp::Sub => p - q,
-                BinOp::Mul => p * q,
-                BinOp::Div => p / q,
-                BinOp::Rem => p % q,
-            };
-            match sel {
-                None => primitives::map_bin_full(x, y, &mut out, f),
-                Some(s) => primitives::map_bin_sel(x, y, s, &mut out, f),
-            }
-            // SQL: float division by zero is an error (not infinity), but
-            // only at live, non-NULL positions.
-            if matches!(op, BinOp::Div | BinOp::Rem) {
-                let bad = |i: usize| y[i] == 0.0 && !a.is_null(i) && !b.is_null(i);
-                let any_bad = match sel {
-                    None => (0..n).any(bad),
-                    Some(s) => s.iter().any(bad),
-                };
-                if any_bad {
-                    return Err(VwError::DivideByZero);
-                }
-            }
-            Ok(Vector::with_nulls(ColData::F64(out), nulls))
-        }
-        other => Err(VwError::Plan(format!(
+/// Arithmetic on one pair of values: BIGINT checked, DOUBLE as IEEE
+/// (division by zero is an error, not infinity); NULL in, NULL out.
+fn tuple_arith(op: BinOp, ty: TypeId, a: &Value, b: &Value) -> Result<Value> {
+    if !matches!(ty, TypeId::I64 | TypeId::F64) {
+        return Err(VwError::Plan(format!(
             "arithmetic on {} must be pre-promoted to BIGINT or DOUBLE",
-            other.sql_name()
-        ))),
+            ty.sql_name()
+        )));
     }
-}
-
-fn eval_and_or(parts: &[PhysExpr], batch: &Batch, is_and: bool) -> Result<Vector> {
-    // Three-valued logic on full boolean vectors.
-    let n = batch.capacity();
-    let mut acc_val = vec![is_and; n];
-    let mut acc_null = vec![false; n];
-    for p in parts {
-        let v = p.eval(batch)?;
-        let vals = v.data.as_bool();
-        for i in 0..n {
-            let (pv, pn) = (vals[i], v.is_null(i));
-            let (av, an) = (acc_val[i], acc_null[i]);
-            let (nv, nn) = if is_and {
-                // AND: false dominates, then NULL, then true.
-                if (!av && !an) || (!pv && !pn) {
-                    (false, false)
-                } else if an || pn {
-                    (false, true)
-                } else {
-                    (true, false)
-                }
-            } else {
-                // OR: true dominates, then NULL, then false.
-                if (av && !an) || (pv && !pn) {
-                    (true, false)
-                } else if an || pn {
-                    (false, true)
-                } else {
-                    (false, false)
-                }
-            };
-            acc_val[i] = nv;
-            acc_null[i] = nn;
+    if a.is_null() || b.is_null() {
+        return Ok(Value::Null);
+    }
+    if ty == TypeId::F64 {
+        let (x, y) = (a.as_f64()?, b.as_f64()?);
+        if matches!(op, BinOp::Div | BinOp::Rem) && y == 0.0 {
+            return Err(VwError::DivideByZero);
         }
+        return Ok(Value::F64(match op {
+            BinOp::Add => x + y,
+            BinOp::Sub => x - y,
+            BinOp::Mul => x * y,
+            BinOp::Div => x / y,
+            BinOp::Rem => x % y,
+        }));
     }
-    Ok(Vector::with_nulls(ColData::Bool(acc_val), Some(acc_null)))
-}
-
-fn eval_cast(v: &Vector, to: TypeId, sel: Option<&SelVec>) -> Result<Vector> {
-    if v.type_id() == to {
-        return Ok(v.clone());
-    }
-    let n = v.len();
-    // Fast widening paths.
-    let widened: Option<ColData> = match (&v.data, to) {
-        (ColData::I8(x), TypeId::I64) => Some(ColData::I64(x.iter().map(|&a| a as i64).collect())),
-        (ColData::I16(x), TypeId::I64) => Some(ColData::I64(x.iter().map(|&a| a as i64).collect())),
-        (ColData::I32(x), TypeId::I64) => Some(ColData::I64(x.iter().map(|&a| a as i64).collect())),
-        (ColData::I8(x), TypeId::F64) => Some(ColData::F64(x.iter().map(|&a| a as f64).collect())),
-        (ColData::I16(x), TypeId::F64) => Some(ColData::F64(x.iter().map(|&a| a as f64).collect())),
-        (ColData::I32(x), TypeId::F64) => Some(ColData::F64(x.iter().map(|&a| a as f64).collect())),
-        (ColData::I64(x), TypeId::F64) => Some(ColData::F64(x.iter().map(|&a| a as f64).collect())),
-        _ => None,
+    let (x, y) = (a.as_i64()?, b.as_i64()?);
+    let (r, what) = match op {
+        BinOp::Add => (x.checked_add(y), "BIGINT +"),
+        BinOp::Sub => (x.checked_sub(y), "BIGINT -"),
+        BinOp::Mul => (x.checked_mul(y), "BIGINT *"),
+        BinOp::Div | BinOp::Rem if y == 0 => return Err(VwError::DivideByZero),
+        BinOp::Div => (x.checked_div(y), "BIGINT /"),
+        // MIN % -1 is 0: the remainder cannot overflow.
+        BinOp::Rem => (Some(x.wrapping_rem(y)), "BIGINT %"),
     };
-    if let Some(data) = widened {
-        return Ok(Vector::with_nulls(data, v.nulls.clone()));
-    }
-    // Generic per-value path (checked; only live non-NULL positions).
-    let mut out = ColData::with_capacity(to, n);
-    let run = |i: usize, out: &mut ColData| -> Result<()> {
-        if v.is_null(i) {
-            out.push_safe_default();
-        } else {
-            out.push_value(&v.data.get_value(i).cast_to(to)?)?;
-        }
-        Ok(())
-    };
-    match sel {
-        None => {
-            for i in 0..n {
-                run(i, &mut out)?;
-            }
-        }
-        Some(s) => {
-            // Unselected positions must still occupy slots.
-            let live: std::collections::HashSet<usize> = s.iter().collect();
-            for i in 0..n {
-                if live.contains(&i) {
-                    run(i, &mut out)?;
-                } else {
-                    out.push_safe_default();
-                }
-            }
-        }
-    }
-    Ok(Vector::with_nulls(out, v.nulls.clone()))
-}
-
-fn eval_case(
-    branches: &[(PhysExpr, PhysExpr)],
-    else_expr: Option<&PhysExpr>,
-    ty: TypeId,
-    batch: &Batch,
-) -> Result<Vector> {
-    let n = batch.capacity();
-    // Evaluate all branches over the full batch, then pick per row. (A
-    // production kernel narrows the selection per branch; the semantics and
-    // vectorized structure are the same.)
-    let conds: Vec<Vector> = branches.iter().map(|(c, _)| c.eval(batch)).collect::<Result<_>>()?;
-    let vals: Vec<Vector> = branches.iter().map(|(_, v)| v.eval(batch)).collect::<Result<_>>()?;
-    let else_v = else_expr.map(|e| e.eval(batch)).transpose()?;
-    let mut out = Vector::new(ColData::with_capacity(ty, n));
-    for i in 0..n {
-        let mut chosen: Option<Value> = None;
-        for (c, v) in conds.iter().zip(&vals) {
-            if !c.is_null(i) && c.data.as_bool()[i] {
-                chosen = Some(v.get(i));
-                break;
-            }
-        }
-        let val = chosen.unwrap_or_else(|| else_v.as_ref().map_or(Value::Null, |e| e.get(i)));
-        out.push(&val)?;
-    }
-    Ok(out)
+    r.map(Value::I64).ok_or(VwError::Overflow(what))
 }
 
 fn arg_err(func: Func, msg: &str) -> VwError {
     VwError::InvalidParameter(format!("{func:?}: {msg}"))
 }
 
-fn eval_func(func: Func, args: &[PhysExpr], ty: TypeId, batch: &Batch) -> Result<Vector> {
-    let n = batch.capacity();
-    let sel = batch.sel.as_ref();
-    let vs: Vec<Vector> = args.iter().map(|a| a.eval(batch)).collect::<Result<_>>()?;
-    let nulls = union_nulls(n, &vs.iter().collect::<Vec<_>>());
-    let live = |i: usize| -> bool { !nulls.as_ref().is_some_and(|m| m[i]) };
-    macro_rules! for_live {
-        ($body:expr) => {{
-            match sel {
-                None => {
-                    for i in 0..n {
-                        $body(i)?;
-                    }
-                }
-                Some(s) => {
-                    for i in s.iter() {
-                        $body(i)?;
-                    }
-                }
-            }
-        }};
-    }
-    let out: ColData = match func {
-        Func::Upper | Func::Lower | Func::Trim => {
-            let s = vs[0].data.as_str();
-            let mut out = vec![String::new(); n];
-            let mut f = |i: usize| -> Result<()> {
-                out[i] = match func {
-                    Func::Upper => s[i].to_uppercase(),
-                    Func::Lower => s[i].to_lowercase(),
-                    _ => s[i].trim().to_string(),
-                };
-                Ok(())
-            };
-            for_live!(f);
-            ColData::Str(out)
-        }
-        Func::Length => {
-            let s = vs[0].data.as_str();
-            let mut out = vec![0i64; n];
-            let mut f = |i: usize| -> Result<()> {
-                out[i] = s[i].chars().count() as i64;
-                Ok(())
-            };
-            for_live!(f);
-            ColData::I64(out)
-        }
+/// One native function call on non-NULL argument values.
+fn tuple_func(func: Func, a: &[Value]) -> Result<Value> {
+    let text = |i: usize| a[i].as_str();
+    let date = |i: usize| match a[i] {
+        Value::Date(d) => Ok(d.0),
+        _ => Err(arg_err(func, "arguments must be DATE")),
+    };
+    Ok(match func {
+        Func::Upper => Value::Str(text(0)?.to_uppercase()),
+        Func::Lower => Value::Str(text(0)?.to_lowercase()),
+        Func::Trim => Value::Str(text(0)?.trim().to_string()),
+        Func::Length => Value::I64(text(0)?.chars().count() as i64),
         Func::Substr => {
-            let s = vs[0].data.as_str();
-            let start = vs[1].data.as_i64();
-            let len = vs.get(2).map(|v| v.data.as_i64());
-            let mut out = vec![String::new(); n];
-            let mut f = |i: usize| -> Result<()> {
-                if !live(i) {
-                    return Ok(());
-                }
-                if start[i] < 1 {
-                    return Err(arg_err(func, "start position must be >= 1"));
-                }
-                let take = match len {
-                    Some(l) => {
-                        if l[i] < 0 {
-                            return Err(arg_err(func, "length must be >= 0"));
-                        }
-                        l[i] as usize
-                    }
-                    None => usize::MAX,
-                };
-                out[i] = s[i].chars().skip(start[i] as usize - 1).take(take).collect();
-                Ok(())
-            };
-            for_live!(f);
-            ColData::Str(out)
-        }
-        Func::Concat => {
-            let a = vs[0].data.as_str();
-            let b = vs[1].data.as_str();
-            let mut out = vec![String::new(); n];
-            let mut f = |i: usize| -> Result<()> {
-                let mut s = String::with_capacity(a[i].len() + b[i].len());
-                s.push_str(&a[i]);
-                s.push_str(&b[i]);
-                out[i] = s;
-                Ok(())
-            };
-            for_live!(f);
-            ColData::Str(out)
-        }
-        Func::Replace => {
-            let s = vs[0].data.as_str();
-            let from = vs[1].data.as_str();
-            let to = vs[2].data.as_str();
-            let mut out = vec![String::new(); n];
-            let mut f = |i: usize| -> Result<()> {
-                out[i] =
-                    if from[i].is_empty() { s[i].clone() } else { s[i].replace(&from[i], &to[i]) };
-                Ok(())
-            };
-            for_live!(f);
-            ColData::Str(out)
-        }
-        Func::Abs => match &vs[0].data {
-            ColData::I64(x) => {
-                let mut out = vec![0i64; n];
-                let mut f = |i: usize| -> Result<()> {
-                    if live(i) {
-                        out[i] = x[i].checked_abs().ok_or(VwError::Overflow("ABS"))?;
-                    }
-                    Ok(())
-                };
-                for_live!(f);
-                ColData::I64(out)
+            let start = a[1].as_i64()?;
+            if start < 1 {
+                return Err(arg_err(func, "start position must be >= 1"));
             }
-            ColData::F64(x) => {
-                let mut out = vec![0f64; n];
-                let mut f = |i: usize| -> Result<()> {
-                    out[i] = x[i].abs();
-                    Ok(())
-                };
-                for_live!(f);
-                ColData::F64(out)
-            }
-            other => return Err(arg_err(func, &format!("bad input {}", other.type_id()))),
+            let take = match a.get(2).map(Value::as_i64).transpose()? {
+                Some(l) if l < 0 => return Err(arg_err(func, "length must be >= 0")),
+                Some(l) => l as usize,
+                None => usize::MAX,
+            };
+            Value::Str(text(0)?.chars().skip(start as usize - 1).take(take).collect())
+        }
+        Func::Concat => Value::Str(format!("{}{}", text(0)?, text(1)?)),
+        Func::Replace => match text(1)? {
+            "" => a[0].clone(),
+            from => Value::Str(text(0)?.replace(from, text(2)?)),
         },
-        Func::Sqrt => {
-            let x = vs[0].data.as_f64();
-            let mut out = vec![0f64; n];
-            let mut f = |i: usize| -> Result<()> {
-                if live(i) {
-                    if x[i] < 0.0 {
-                        return Err(arg_err(func, "negative input"));
-                    }
-                    out[i] = x[i].sqrt();
-                }
-                Ok(())
-            };
-            for_live!(f);
-            ColData::F64(out)
-        }
-        Func::Floor | Func::Ceil | Func::Round => {
-            let x = vs[0].data.as_f64();
-            let mut out = vec![0f64; n];
-            let mut f = |i: usize| -> Result<()> {
-                out[i] = match func {
-                    Func::Floor => x[i].floor(),
-                    Func::Ceil => x[i].ceil(),
-                    _ => x[i].round(),
-                };
-                Ok(())
-            };
-            for_live!(f);
-            ColData::F64(out)
-        }
-        Func::Extract => {
-            let ColData::Date(days) = &vs[0].data else {
-                return Err(arg_err(func, "first argument must be DATE"));
-            };
-            let field_code = vs[1].data.as_i64();
-            let mut out = vec![0i64; n];
-            let mut f = |i: usize| -> Result<()> {
-                if live(i) {
-                    let field = decode_field(field_code[i])?;
-                    out[i] = field.extract(days[i]) as i64;
-                }
-                Ok(())
-            };
-            for_live!(f);
-            ColData::I64(out)
-        }
+        Func::Abs => match a[0] {
+            Value::I64(x) => Value::I64(x.checked_abs().ok_or(VwError::Overflow("ABS"))?),
+            Value::F64(x) => Value::F64(x.abs()),
+            ref other => return Err(arg_err(func, &format!("bad input {other:?}"))),
+        },
+        Func::Sqrt => match a[0].as_f64()? {
+            x if x < 0.0 => return Err(arg_err(func, "negative input")),
+            x => Value::F64(x.sqrt()),
+        },
+        Func::Floor => Value::F64(a[0].as_f64()?.floor()),
+        Func::Ceil => Value::F64(a[0].as_f64()?.ceil()),
+        Func::Round => Value::F64(a[0].as_f64()?.round()),
+        Func::Extract => Value::I64(decode_field(a[1].as_i64()?)?.extract(date(0)?) as i64),
         Func::DateAddDays => {
-            let ColData::Date(days) = &vs[0].data else {
-                return Err(arg_err(func, "first argument must be DATE"));
-            };
-            let delta = vs[1].data.as_i64();
-            let mut out = vec![0i32; n];
-            let mut f = |i: usize| -> Result<()> {
-                if live(i) {
-                    let v = days[i] as i64 + delta[i];
-                    out[i] = i32::try_from(v).map_err(|_| VwError::Overflow("DATE + days"))?;
-                }
-                Ok(())
-            };
-            for_live!(f);
-            ColData::Date(out)
+            let days = i64::from(date(0)?).checked_add(a[1].as_i64()?);
+            let days = days.and_then(|d| i32::try_from(d).ok());
+            Value::Date(Date(days.ok_or(VwError::Overflow("DATE + days"))?))
         }
         Func::DateAddMonths => {
-            let ColData::Date(days) = &vs[0].data else {
-                return Err(arg_err(func, "first argument must be DATE"));
-            };
-            let delta = vs[1].data.as_i64();
-            let mut out = vec![0i32; n];
-            let mut f = |i: usize| -> Result<()> {
-                if live(i) {
-                    let m =
-                        i32::try_from(delta[i]).map_err(|_| VwError::Overflow("DATE + months"))?;
-                    out[i] = vw_common::date::add_months(days[i], m)?;
-                }
-                Ok(())
-            };
-            for_live!(f);
-            ColData::Date(out)
+            let months =
+                i32::try_from(a[1].as_i64()?).map_err(|_| VwError::Overflow("DATE + months"))?;
+            Value::Date(Date(vw_common::date::add_months(date(0)?, months)?))
         }
-        Func::DateDiffDays => {
-            let (ColData::Date(a), ColData::Date(b)) = (&vs[0].data, &vs[1].data) else {
-                return Err(arg_err(func, "arguments must be DATE"));
-            };
-            let mut out = vec![0i64; n];
-            let mut f = |i: usize| -> Result<()> {
-                out[i] = a[i] as i64 - b[i] as i64;
-                Ok(())
-            };
-            for_live!(f);
-            ColData::I64(out)
-        }
-    };
-    debug_assert_eq!(out.type_id(), ty);
-    Ok(Vector::with_nulls(out, nulls))
+        Func::DateDiffDays => Value::I64(i64::from(date(0)?) - i64::from(date(1)?)),
+    })
 }
 
 /// Encodes a [`DateField`] as the i64 constant second argument of EXTRACT.
@@ -1268,10 +838,63 @@ mod tests {
             assert_eq!(op.negated().negated(), op);
         }
     }
-    use vw_common::Date;
+    use crate::program::{ExprProgram, SelectProgram, VectorPool};
+    use crate::vector::{vector_from_values, Batch, Vector};
+    use vw_common::{ColData, SelVec};
+
+    /// The tuple at position `pos` of `batch`.
+    fn tuple(batch: &Batch, pos: usize) -> Vec<Value> {
+        batch.columns.iter().map(|c| c.get(pos)).collect()
+    }
+
+    /// `e` at every live row of `batch`, through the reference and through
+    /// the compiled program: asserts that they agree (both failing with the
+    /// same error code counts) and returns the answer.
+    fn values(e: &PhysExpr, batch: &Batch) -> Result<Vec<Value>> {
+        let reference: Result<Vec<Value>> =
+            batch.live().map(|i| e.eval_tuple(&tuple(batch, i))).collect();
+        let mut pool = VectorPool::new();
+        let compiled = ExprProgram::compile(e).run(&mut pool, batch).map(|r| {
+            let v = pool.get(batch, r);
+            batch.live().map(|i| v.get(i)).collect::<Vec<_>>()
+        });
+        agree(e, &reference, &compiled);
+        reference
+    }
+
+    /// The live positions of `batch` that predicate `e` selects, through
+    /// the reference and through the compiled select program (checked to
+    /// agree).
+    fn selected(e: &PhysExpr, batch: &Batch) -> Result<Vec<u32>> {
+        let mut reference = Vec::new();
+        let reference = batch
+            .live()
+            .try_for_each(|i| {
+                e.selects_tuple(&tuple(batch, i))
+                    .map(|keep| reference.extend(keep.then_some(i as u32)))
+            })
+            .map(|()| reference);
+        let compiled = SelectProgram::compile(e)
+            .run(&mut VectorPool::new(), batch)
+            .map(|s| s.as_slice().to_vec());
+        agree(e, &reference, &compiled);
+        reference
+    }
+
+    fn agree<T: PartialEq + std::fmt::Debug>(e: &PhysExpr, a: &Result<T>, b: &Result<T>) {
+        match (a, b) {
+            (Ok(x), Ok(y)) => assert_eq!(x, y, "reference vs program for {e:?}"),
+            (Err(x), Err(y)) => assert_eq!(x.code(), y.code(), "{x} vs {y} for {e:?}"),
+            _ => panic!("reference {a:?} vs program {b:?} for {e:?}"),
+        }
+    }
 
     fn batch_i64(vals: Vec<i64>) -> Batch {
         Batch::new(vec![Vector::new(ColData::I64(vals))])
+    }
+
+    fn column(ty: TypeId, vals: &[Value]) -> Vector {
+        vector_from_values(ty, vals).unwrap()
     }
 
     fn col(i: usize, ty: TypeId) -> PhysExpr {
@@ -1282,41 +905,46 @@ mod tests {
         PhysExpr::Const(Value::I64(v), TypeId::I64)
     }
 
+    fn arith(op: BinOp, lhs: PhysExpr, rhs: PhysExpr, ty: TypeId) -> PhysExpr {
+        PhysExpr::Arith { op, lhs: Box::new(lhs), rhs: Box::new(rhs), ty }
+    }
+
+    fn cmp(op: CmpOp, lhs: PhysExpr, rhs: PhysExpr) -> PhysExpr {
+        PhysExpr::Cmp { op, lhs: Box::new(lhs), rhs: Box::new(rhs) }
+    }
+
     #[test]
     fn arithmetic_and_nulls_two_column() {
-        let mut v = Vector::new(ColData::new(TypeId::I64));
-        for x in [Value::I64(10), Value::Null, Value::I64(30)] {
-            v.push(&x).unwrap();
-        }
-        let batch = Batch::new(vec![v]);
-        let e = PhysExpr::Arith {
-            op: BinOp::Add,
-            lhs: Box::new(col(0, TypeId::I64)),
-            rhs: Box::new(lit_i64(5)),
-            ty: TypeId::I64,
-        };
-        let r = e.eval(&batch).unwrap();
-        assert_eq!(r.get(0), Value::I64(15));
-        assert_eq!(r.get(1), Value::Null);
-        assert_eq!(r.get(2), Value::I64(35));
+        let batch =
+            Batch::new(vec![column(TypeId::I64, &[Value::I64(10), Value::Null, Value::I64(30)])]);
+        let e = arith(BinOp::Add, col(0, TypeId::I64), lit_i64(5), TypeId::I64);
+        assert_eq!(values(&e, &batch).unwrap(), [Value::I64(15), Value::Null, Value::I64(35)]);
+    }
+
+    #[test]
+    fn null_operands_make_null_and_a_zero_divisor_errors() {
+        let batch = Batch::new(vec![
+            column(TypeId::I64, &[Value::Null]),
+            Vector::new(ColData::I64(vec![5])),
+        ]);
+        let (a, b) = (col(0, TypeId::I64), col(1, TypeId::I64));
+        let sum = arith(BinOp::Add, a.clone(), b.clone(), TypeId::I64);
+        assert_eq!(values(&sum, &batch).unwrap(), [Value::Null]);
+        assert_eq!(values(&cmp(CmpOp::Eq, a, b.clone()), &batch).unwrap(), [Value::Null]);
+        let div = arith(BinOp::Div, b, lit_i64(0), TypeId::I64);
+        assert!(matches!(values(&div, &batch), Err(VwError::DivideByZero)));
     }
 
     #[test]
     fn division_by_null_is_null_not_error() {
-        let mut denom = Vector::new(ColData::new(TypeId::I64));
-        for x in [Value::I64(2), Value::Null] {
-            denom.push(&x).unwrap();
+        let batch = Batch::new(vec![
+            Vector::new(ColData::I64(vec![10, 10])),
+            column(TypeId::I64, &[Value::I64(2), Value::Null]),
+        ]);
+        for (op, first) in [(BinOp::Div, 5), (BinOp::Rem, 0)] {
+            let e = arith(op, col(0, TypeId::I64), col(1, TypeId::I64), TypeId::I64);
+            assert_eq!(values(&e, &batch).unwrap(), [Value::I64(first), Value::Null], "{op:?}");
         }
-        let batch = Batch::new(vec![Vector::new(ColData::I64(vec![10, 10])), denom]);
-        let e = PhysExpr::Arith {
-            op: BinOp::Div,
-            lhs: Box::new(col(0, TypeId::I64)),
-            rhs: Box::new(col(1, TypeId::I64)),
-            ty: TypeId::I64,
-        };
-        let r = e.eval(&batch).unwrap();
-        assert_eq!(r.get(0), Value::I64(5));
-        assert_eq!(r.get(1), Value::Null);
     }
 
     #[test]
@@ -1325,156 +953,149 @@ mod tests {
             Vector::new(ColData::I64(vec![10])),
             Vector::new(ColData::I64(vec![0])),
         ]);
-        let e = PhysExpr::Arith {
-            op: BinOp::Div,
-            lhs: Box::new(col(0, TypeId::I64)),
-            rhs: Box::new(col(1, TypeId::I64)),
-            ty: TypeId::I64,
-        };
-        assert!(matches!(e.eval(&batch), Err(VwError::DivideByZero)));
+        for op in [BinOp::Div, BinOp::Rem] {
+            let e = arith(op, col(0, TypeId::I64), col(1, TypeId::I64), TypeId::I64);
+            assert!(matches!(values(&e, &batch), Err(VwError::DivideByZero)), "{op:?}");
+        }
     }
 
     #[test]
     fn float_div_zero_checked_but_not_under_null() {
-        let mut denom = Vector::new(ColData::new(TypeId::F64));
-        denom.push(&Value::Null).unwrap(); // safe value 0.0
-        let batch = Batch::new(vec![Vector::new(ColData::F64(vec![1.0])), denom]);
-        let e = PhysExpr::Arith {
-            op: BinOp::Div,
-            lhs: Box::new(col(0, TypeId::F64)),
-            rhs: Box::new(col(1, TypeId::F64)),
-            ty: TypeId::F64,
-        };
-        let r = e.eval(&batch).unwrap();
-        assert!(r.is_null(0));
+        // The NULL's safe value is 0.0: no error, a NULL result.
+        let batch = Batch::new(vec![
+            Vector::new(ColData::F64(vec![1.0, 1.0])),
+            column(TypeId::F64, &[Value::Null, Value::F64(4.0)]),
+        ]);
+        let e = arith(BinOp::Div, col(0, TypeId::F64), col(1, TypeId::F64), TypeId::F64);
+        assert_eq!(values(&e, &batch).unwrap(), [Value::Null, Value::F64(0.25)]);
+        let zero = Batch::new(vec![
+            Vector::new(ColData::F64(vec![1.0])),
+            Vector::new(ColData::F64(vec![-0.0])),
+        ]);
+        assert!(matches!(values(&e, &zero), Err(VwError::DivideByZero)));
     }
 
     #[test]
     fn select_on_comparison() {
         let batch = batch_i64((0..100).collect());
-        let e = PhysExpr::Cmp {
-            op: CmpOp::Lt,
-            lhs: Box::new(col(0, TypeId::I64)),
-            rhs: Box::new(lit_i64(10)),
-        };
-        let s = e.eval_select(&batch).unwrap();
-        assert_eq!(s.len(), 10);
+        let e = cmp(CmpOp::Lt, col(0, TypeId::I64), lit_i64(10));
+        assert_eq!(selected(&e, &batch).unwrap(), (0..10).collect::<Vec<u32>>());
     }
 
     #[test]
     fn and_narrows_or_unions() {
         let batch = batch_i64((0..20).collect());
-        let ge5 = PhysExpr::Cmp {
-            op: CmpOp::Ge,
-            lhs: Box::new(col(0, TypeId::I64)),
-            rhs: Box::new(lit_i64(5)),
-        };
-        let lt10 = PhysExpr::Cmp {
-            op: CmpOp::Lt,
-            lhs: Box::new(col(0, TypeId::I64)),
-            rhs: Box::new(lit_i64(10)),
-        };
-        let and = PhysExpr::And(vec![ge5.clone(), lt10.clone()]);
-        assert_eq!(and.eval_select(&batch).unwrap().len(), 5);
-        let lt3 = PhysExpr::Cmp {
-            op: CmpOp::Lt,
-            lhs: Box::new(col(0, TypeId::I64)),
-            rhs: Box::new(lit_i64(3)),
-        };
+        let ge5 = cmp(CmpOp::Ge, col(0, TypeId::I64), lit_i64(5));
+        let lt10 = cmp(CmpOp::Lt, col(0, TypeId::I64), lit_i64(10));
+        let and = PhysExpr::And(vec![ge5.clone(), lt10]);
+        assert_eq!(selected(&and, &batch).unwrap().len(), 5);
+        let lt3 = cmp(CmpOp::Lt, col(0, TypeId::I64), lit_i64(3));
         let or = PhysExpr::Or(vec![lt3, ge5]);
-        assert_eq!(or.eval_select(&batch).unwrap().len(), 18);
+        assert_eq!(selected(&or, &batch).unwrap().len(), 18);
+    }
+
+    /// As a predicate, AND stops at the first conjunct that is not TRUE
+    /// (a later one is not evaluated for that row), while OR, and AND as
+    /// a value, evaluate everything.
+    #[test]
+    fn a_predicate_and_stops_where_a_value_and_does_not() {
+        let batch = batch_i64(vec![0, 4]);
+        let nonzero = cmp(CmpOp::Ne, col(0, TypeId::I64), lit_i64(0));
+        let eight_over = cmp(
+            CmpOp::Eq,
+            arith(BinOp::Div, lit_i64(8), col(0, TypeId::I64), TypeId::I64),
+            lit_i64(2),
+        );
+        let and = PhysExpr::And(vec![nonzero.clone(), eight_over.clone()]);
+        assert_eq!(selected(&and, &batch).unwrap(), [1]);
+        assert!(matches!(values(&and, &batch), Err(VwError::DivideByZero)));
+        let or = PhysExpr::Or(vec![PhysExpr::Not(Box::new(nonzero)), eight_over]);
+        assert!(matches!(selected(&or, &batch), Err(VwError::DivideByZero)));
     }
 
     #[test]
     fn three_valued_logic() {
         // NULL AND FALSE = FALSE; NULL AND TRUE = NULL; NULL OR TRUE = TRUE.
-        let mut v = Vector::new(ColData::new(TypeId::Bool));
-        v.push(&Value::Null).unwrap();
-        let batch = Batch::new(vec![v]);
+        let batch = Batch::new(vec![column(TypeId::Bool, &[Value::Null])]);
         let null_b = col(0, TypeId::Bool);
         let t = PhysExpr::bool_const(true);
         let f = PhysExpr::bool_const(false);
-        let and_f = PhysExpr::And(vec![null_b.clone(), f]).eval(&batch).unwrap();
-        assert_eq!(and_f.get(0), Value::Bool(false));
-        let and_t = PhysExpr::And(vec![null_b.clone(), t.clone()]).eval(&batch).unwrap();
-        assert!(and_t.is_null(0));
-        let or_t = PhysExpr::Or(vec![null_b, t]).eval(&batch).unwrap();
-        assert_eq!(or_t.get(0), Value::Bool(true));
+        let and_f = PhysExpr::And(vec![null_b.clone(), f]);
+        assert_eq!(values(&and_f, &batch).unwrap(), [Value::Bool(false)]);
+        let and_t = PhysExpr::And(vec![null_b.clone(), t.clone()]);
+        assert_eq!(values(&and_t, &batch).unwrap(), [Value::Null]);
+        let or_t = PhysExpr::Or(vec![null_b.clone(), t]);
+        assert_eq!(values(&or_t, &batch).unwrap(), [Value::Bool(true)]);
+        assert_eq!(values(&PhysExpr::Not(Box::new(null_b)), &batch).unwrap(), [Value::Null]);
     }
 
     #[test]
     fn case_expression() {
         let batch = batch_i64(vec![1, 5, 9]);
+        let text = |s: &str| PhysExpr::Const(Value::Str(s.into()), TypeId::Str);
         let e = PhysExpr::Case {
-            branches: vec![(
-                PhysExpr::Cmp {
-                    op: CmpOp::Lt,
-                    lhs: Box::new(col(0, TypeId::I64)),
-                    rhs: Box::new(lit_i64(4)),
-                },
-                PhysExpr::Const(Value::Str("small".into()), TypeId::Str),
-            )],
-            else_expr: Some(Box::new(PhysExpr::Const(Value::Str("big".into()), TypeId::Str))),
+            branches: vec![(cmp(CmpOp::Lt, col(0, TypeId::I64), lit_i64(4)), text("small"))],
+            else_expr: Some(Box::new(text("big"))),
             ty: TypeId::Str,
         };
-        let r = e.eval(&batch).unwrap();
-        assert_eq!(r.get(0), Value::Str("small".into()));
-        assert_eq!(r.get(1), Value::Str("big".into()));
+        let want = ["small", "big", "big"].map(|s| Value::Str(s.into()));
+        assert_eq!(values(&e, &batch).unwrap(), want);
+        // No arm holds and no ELSE: NULL. A NULL condition does not hold.
+        let e = PhysExpr::Case {
+            branches: vec![(
+                cmp(CmpOp::Lt, col(0, TypeId::I64), PhysExpr::Const(Value::Null, TypeId::I64)),
+                lit_i64(1),
+            )],
+            else_expr: None,
+            ty: TypeId::I64,
+        };
+        assert_eq!(values(&e, &batch).unwrap(), [Value::Null, Value::Null, Value::Null]);
     }
 
     #[test]
     fn string_functions() {
         let batch =
             Batch::new(vec![Vector::new(ColData::Str(vec!["  Hello  ".into(), "World".into()]))]);
-        let upper = PhysExpr::FuncCall {
-            func: Func::Upper,
-            args: vec![col(0, TypeId::Str)],
-            ty: TypeId::Str,
-        };
-        let r = upper.eval(&batch).unwrap();
-        assert_eq!(r.get(1), Value::Str("WORLD".into()));
-        let trim = PhysExpr::FuncCall {
-            func: Func::Trim,
-            args: vec![col(0, TypeId::Str)],
-            ty: TypeId::Str,
-        };
-        assert_eq!(trim.eval(&batch).unwrap().get(0), Value::Str("Hello".into()));
+        let call =
+            |func| PhysExpr::FuncCall { func, args: vec![col(0, TypeId::Str)], ty: TypeId::Str };
+        assert_eq!(values(&call(Func::Upper), &batch).unwrap()[1], Value::Str("WORLD".into()));
+        assert_eq!(values(&call(Func::Trim), &batch).unwrap()[0], Value::Str("Hello".into()));
     }
 
     #[test]
     fn substr_invalid_parameter_detected() {
         let batch = Batch::new(vec![Vector::new(ColData::Str(vec!["abc".into()]))]);
-        let e = PhysExpr::FuncCall {
+        let substr = |start| PhysExpr::FuncCall {
             func: Func::Substr,
-            args: vec![col(0, TypeId::Str), lit_i64(0)],
+            args: vec![col(0, TypeId::Str), lit_i64(start)],
             ty: TypeId::Str,
         };
-        assert!(matches!(e.eval(&batch), Err(VwError::InvalidParameter(_))));
-        let ok = PhysExpr::FuncCall {
-            func: Func::Substr,
-            args: vec![col(0, TypeId::Str), lit_i64(2)],
-            ty: TypeId::Str,
-        };
-        assert_eq!(ok.eval(&batch).unwrap().get(0), Value::Str("bc".into()));
+        assert!(matches!(values(&substr(0), &batch), Err(VwError::InvalidParameter(_))));
+        assert_eq!(values(&substr(2), &batch).unwrap(), [Value::Str("bc".into())]);
     }
 
     #[test]
     fn date_functions() {
         let d = Date::parse("1996-03-13").unwrap();
         let batch = Batch::new(vec![Vector::new(ColData::Date(vec![d.0]))]);
-        let year = PhysExpr::FuncCall {
-            func: Func::Extract,
-            args: vec![col(0, TypeId::Date), lit_i64(encode_field(DateField::Year))],
-            ty: TypeId::I64,
+        let date_fn = |func, arg, ty| PhysExpr::FuncCall {
+            func,
+            args: vec![col(0, TypeId::Date), lit_i64(arg)],
+            ty,
         };
-        assert_eq!(year.eval(&batch).unwrap().get(0), Value::I64(1996));
-        let plus = PhysExpr::FuncCall {
-            func: Func::DateAddDays,
-            args: vec![col(0, TypeId::Date), lit_i64(30)],
-            ty: TypeId::Date,
-        };
-        let r = plus.eval(&batch).unwrap();
-        assert_eq!(r.get(0), Value::Date(Date::parse("1996-04-12").unwrap()));
+        let year = date_fn(Func::Extract, encode_field(DateField::Year), TypeId::I64);
+        assert_eq!(values(&year, &batch).unwrap(), [Value::I64(1996)]);
+        let plus = date_fn(Func::DateAddDays, 30, TypeId::Date);
+        assert_eq!(
+            values(&plus, &batch).unwrap(),
+            [Value::Date(Date::parse("1996-04-12").unwrap())]
+        );
+        // Past the DATE range is a typed overflow, also where the sum
+        // leaves BIGINT itself.
+        for days in [i64::MAX, i64::MIN, i64::from(i32::MAX)] {
+            let e = date_fn(Func::DateAddDays, days, TypeId::Date);
+            assert!(matches!(values(&e, &batch), Err(VwError::Overflow("DATE + days"))), "{days}");
+        }
     }
 
     #[test]
@@ -1558,66 +1179,53 @@ mod tests {
 
     #[test]
     fn like_expression_with_nulls() {
-        let mut v = Vector::new(ColData::new(TypeId::Str));
-        v.push(&Value::Str("promo pack".into())).unwrap();
-        v.push(&Value::Null).unwrap();
-        let batch = Batch::new(vec![v]);
+        let batch =
+            Batch::new(vec![column(TypeId::Str, &[Value::Str("promo pack".into()), Value::Null])]);
         let e = PhysExpr::Like {
             input: Box::new(col(0, TypeId::Str)),
             pattern: "promo%".into(),
             negated: false,
         };
-        let r = e.eval(&batch).unwrap();
-        assert_eq!(r.get(0), Value::Bool(true));
-        assert!(r.is_null(1));
+        assert_eq!(values(&e, &batch).unwrap(), [Value::Bool(true), Value::Null]);
         // As a predicate, NULL rows are filtered out.
-        let s = e.eval_select(&batch).unwrap();
-        assert_eq!(s.as_slice(), &[0]);
+        assert_eq!(selected(&e, &batch).unwrap(), [0]);
     }
 
     #[test]
     fn is_null_predicates() {
-        let mut v = Vector::new(ColData::new(TypeId::I64));
-        v.push(&Value::I64(1)).unwrap();
-        v.push(&Value::Null).unwrap();
-        let batch = Batch::new(vec![v]);
+        let batch = Batch::new(vec![column(TypeId::I64, &[Value::I64(1), Value::Null])]);
         let e = PhysExpr::IsNull(Box::new(col(0, TypeId::I64)));
-        assert_eq!(e.eval_select(&batch).unwrap().as_slice(), &[1]);
+        assert_eq!(selected(&e, &batch).unwrap(), [1]);
         let e = PhysExpr::IsNotNull(Box::new(col(0, TypeId::I64)));
-        assert_eq!(e.eval_select(&batch).unwrap().as_slice(), &[0]);
+        assert_eq!(selected(&e, &batch).unwrap(), [0]);
     }
 
     #[test]
     fn cast_widen_and_string() {
         let batch = Batch::new(vec![Vector::new(ColData::I32(vec![1, 2]))]);
         let e = PhysExpr::Cast { input: Box::new(col(0, TypeId::I32)), to: TypeId::F64 };
-        assert_eq!(e.eval(&batch).unwrap().get(1), Value::F64(2.0));
+        assert_eq!(values(&e, &batch).unwrap()[1], Value::F64(2.0));
         let e = PhysExpr::Cast { input: Box::new(col(0, TypeId::I32)), to: TypeId::Str };
-        assert_eq!(e.eval(&batch).unwrap().get(0), Value::Str("1".into()));
+        assert_eq!(values(&e, &batch).unwrap()[0], Value::Str("1".into()));
+        // DOUBLE → BIGINT: 2^63 is out of range, though `i64::MAX as f64`
+        // rounds up to it.
+        let batch = Batch::new(vec![Vector::new(ColData::F64(vec![9_223_372_036_854_775_808.0]))]);
+        let e = PhysExpr::Cast { input: Box::new(col(0, TypeId::F64)), to: TypeId::I64 };
+        assert!(matches!(values(&e, &batch), Err(VwError::InvalidCast(_))));
     }
 
     #[test]
-    fn selection_respected_by_eval_select() {
+    fn an_incoming_selection_is_respected() {
         let mut batch = batch_i64((0..10).collect());
         batch.sel = Some(SelVec::from_positions(vec![0, 1, 2]));
-        let e = PhysExpr::Cmp {
-            op: CmpOp::Gt,
-            lhs: Box::new(col(0, TypeId::I64)),
-            rhs: Box::new(lit_i64(0)),
-        };
-        let s = e.eval_select(&batch).unwrap();
-        assert_eq!(s.as_slice(), &[1, 2], "rows outside sel must not leak in");
+        let e = cmp(CmpOp::Gt, col(0, TypeId::I64), lit_i64(0));
+        assert_eq!(selected(&e, &batch).unwrap(), [1, 2], "rows outside sel must not leak in");
     }
 
     #[test]
     fn lazy_overflow_error_surfaces() {
         let batch = batch_i64(vec![i64::MAX, 1]);
-        let e = PhysExpr::Arith {
-            op: BinOp::Add,
-            lhs: Box::new(col(0, TypeId::I64)),
-            rhs: Box::new(lit_i64(1)),
-            ty: TypeId::I64,
-        };
-        assert!(matches!(e.eval(&batch), Err(VwError::Overflow(_))));
+        let e = arith(BinOp::Add, col(0, TypeId::I64), lit_i64(1), TypeId::I64);
+        assert!(matches!(values(&e, &batch), Err(VwError::Overflow(_))));
     }
 }

@@ -19,8 +19,9 @@
 //!   engine passes the lazy one, benchmark C7 all three);
 //! * [`expr`] — the physical expression tree ([`expr::PhysExpr`]:
 //!   arithmetic, comparisons, CASE, casts, the SQL function library —
-//!   "many functions", §1) plus its tree-walking reference interpreter,
-//!   which only tests and benches call;
+//!   "many functions", §1) plus its per-tuple reference interpreter,
+//!   which no operator calls: tests check the programs against it and
+//!   the tuple-at-a-time engine evaluates through it;
 //! * [`program`] — the **compiled** expression path every operator uses:
 //!   [`program::ExprProgram`] flattens a `PhysExpr` once per query into
 //!   primitive invocations over a register file leased from a reusable

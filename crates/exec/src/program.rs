@@ -292,7 +292,7 @@ enum Instr {
     /// Dedicated I64 `/ %` instruction: NULL denominators are patched to 1
     /// before the kernel runs (their lanes are NULL anyway; the safe value
     /// 0 would raise a spurious division-by-zero) — the paper's "special
-    /// algorithms in the kernel", ported verbatim from the interpreter.
+    /// algorithms in the kernel".
     DivRemI64 { op: BinOp, a: Opd, b: Opd, dst: u16 },
     /// F64 arithmetic (division-by-zero checked at live non-NULL lanes).
     ArithF64 { op: BinOp, a: Opd, b: Opd, dst: u16 },
@@ -311,11 +311,9 @@ enum Instr {
     Case { branches: Vec<(Opd, Opd)>, else_v: Option<Opd>, dst: u16 },
     /// Native scalar function call.
     Call { func: Func, args: Vec<Opd>, ty: TypeId, dst: u16 },
-    /// `LIKE` with the pattern compiled once (the interpreter re-parsed it
-    /// every batch).
+    /// `LIKE` with the pattern compiled once.
     Like { a: Opd, matcher: LikeMatcher, negated: bool, dst: u16 },
-    /// Compile-time-detected plan error surfaced at run time (mirrors the
-    /// interpreter, which raised it on first evaluation).
+    /// Compile-time-detected plan error surfaced at run time.
     Fail { message: String },
 }
 
@@ -952,9 +950,9 @@ fn exec_instr(
                     for_lanes(n, sel, |i| o[i] = op.holds(x.get(i).cmp(y.get(i))));
                 }
                 _ => {
-                    // Mixed types: Value comparison with numeric widening
-                    // (exactly the interpreter's generic path). Incomparable
-                    // pairs must read FALSE, so this arm does zero-fill.
+                    // Mixed types: Value comparison with numeric widening.
+                    // Incomparable pairs must read FALSE, so this arm does
+                    // zero-fill.
                     o.iter_mut().for_each(|b| *b = false);
                     for_lanes(n, sel, |i| {
                         if let Some(ord) = av.get(i).sql_cmp(&bv.get(i)) {
@@ -1185,7 +1183,7 @@ fn exec_cast(
     n: usize,
     out: &mut Vector,
 ) -> Result<()> {
-    // Fast widening paths (full width, like the interpreter).
+    // Fast widening paths (full width).
     macro_rules! widen {
         ($src:expr, $o:expr, $t:ty) => {{
             let (src, o) = ($src, $o);
@@ -1218,8 +1216,8 @@ fn exec_cast(
     }
     // Generic per-value path: live lanes convert (checked), unselected
     // lanes must still occupy slots. The selection is sorted, so a single
-    // pointer walk replaces the interpreter's HashSet. A string source is
-    // parsed where it lies.
+    // pointer walk finds the live lanes. A string source is parsed where it
+    // lies.
     let out = &mut out.data;
     out.clear();
     let strs = (v.type_id() == TypeId::Str).then(|| v.str_lanes());
@@ -1342,8 +1340,7 @@ fn arg_err(func: Func, msg: &str) -> VwError {
     VwError::InvalidParameter(format!("{func:?}: {msg}"))
 }
 
-/// Scalar function execution into a pooled register — the interpreter's
-/// `eval_func`, re-pointed at reusable output buffers. String arguments
+/// Scalar function execution into a pooled register. String arguments
 /// are read where they lie and string results written into the
 /// register's own arena ([`Vector::str_output`]), once per live lane.
 fn exec_func(
@@ -1515,8 +1512,9 @@ fn exec_func(
             let o = fresh!(as_date_mut(&mut out.data), 0i32);
             let mut f = |i: usize| -> Result<()> {
                 if live(i) {
-                    let v = days[i] as i64 + delta[i];
-                    o[i] = i32::try_from(v).map_err(|_| VwError::Overflow("DATE + days"))?;
+                    let v = i64::from(days[i]).checked_add(delta[i]);
+                    let v = v.and_then(|v| i32::try_from(v).ok());
+                    o[i] = v.ok_or(VwError::Overflow("DATE + days"))?;
                 }
                 Ok(())
             };
@@ -2010,9 +2008,8 @@ fn select_col_const(
     0
 }
 
-/// Merge two sorted selections into `out` (cleared first). Also backs the
-/// interpreter's `union_sorted` so the OR-semantics cannot drift.
-pub(crate) fn union_sorted_into(a: &SelVec, b: &SelVec, out: &mut SelVec) {
+/// Merge two sorted selections into `out` (cleared first).
+fn union_sorted_into(a: &SelVec, b: &SelVec, out: &mut SelVec) {
     out.clear();
     let (x, y) = (a.as_slice(), b.as_slice());
     let (mut i, mut j) = (0, 0);
@@ -2060,6 +2057,21 @@ mod tests {
     }
 
     /// Run a program and read its result values at every lane.
+    /// The reference value of `e` at position `i` of `batch`.
+    fn reference_at(e: &PhysExpr, batch: &Batch, i: usize) -> Value {
+        let tuple: Vec<Value> = batch.columns.iter().map(|c| c.get(i)).collect();
+        e.eval_tuple(&tuple).unwrap()
+    }
+
+    /// The live positions of `batch` predicate `e` selects, per tuple.
+    fn reference_selection(e: &PhysExpr, batch: &Batch) -> SelVec {
+        let selects = |&i: &usize| {
+            let tuple: Vec<Value> = batch.columns.iter().map(|c| c.get(i)).collect();
+            e.selects_tuple(&tuple).unwrap()
+        };
+        batch.live().filter(selects).map(|i| i as u32).collect()
+    }
+
     fn run_values(prog: &ExprProgram, pool: &mut VectorPool, batch: &Batch) -> Vec<Value> {
         let vr = prog.run(pool, batch).unwrap();
         let v = pool.get(batch, vr);
@@ -2206,10 +2218,9 @@ mod tests {
                 _ => vec![Value::I64(0), Value::Null, Value::Null],
             };
             assert_eq!(got, want, "{op:?}");
-            // And identically through the reference interpreter.
-            let r = e.eval(&batch).unwrap();
+            // And identically through the reference.
             for (i, w) in want.iter().enumerate() {
-                assert_eq!(&r.get(i), w, "interpreter {op:?}");
+                assert_eq!(&reference_at(&e, &batch, i), w, "reference {op:?}");
             }
         }
     }
@@ -2243,10 +2254,10 @@ mod tests {
     }
 
     #[test]
-    fn f64_arithmetic_agrees_with_the_interpreter_at_every_density() {
+    fn f64_arithmetic_agrees_with_the_reference_at_every_density() {
         // `+ - *` compute every lane over a dense selection and the
         // selected ones over a sparse one; either way every live lane
-        // carries the interpreter's bits (signed zeros, NaN, infinities,
+        // carries the reference's bits (signed zeros, NaN, infinities,
         // subnormals and NULLs included).
         let n = 1024;
         let special =
@@ -2272,16 +2283,13 @@ mod tests {
                     Vector::with_nulls(ColData::F64(y.clone()), Some(y_nulls.clone())),
                 ]);
                 batch.sel = Some(sel.clone());
-                let want = e.eval(&batch).unwrap();
                 let mut pool = VectorPool::new();
                 let vr = ExprProgram::compile(&e).run(&mut pool, &batch).unwrap();
                 let got = pool.get(&batch, vr);
                 for p in sel.iter() {
-                    assert_eq!(got.is_null(p), want.is_null(p), "{op:?} at {pct} %, lane {p}");
-                    let (g, w) = (got.data.as_f64()[p], want.data.as_f64()[p]);
-                    if !want.is_null(p) {
-                        assert_eq!(g.to_bits(), w.to_bits(), "{op:?} at {pct} %, lane {p}");
-                    }
+                    // `Value`'s equality compares doubles bit for bit.
+                    let want = reference_at(&e, &batch, p);
+                    assert_eq!(got.get(p), want, "{op:?} at {pct} %, lane {p}");
                 }
             }
         }
@@ -2323,7 +2331,7 @@ mod tests {
     }
 
     #[test]
-    fn select_program_conjunction_chains_and_matches_interpreter() {
+    fn select_program_conjunction_chains_and_matches_the_reference() {
         // 5 <= x AND x < 10 AND (x % 2) = 1 — two typed steps + one
         // boolean program, all under chained narrowing.
         let e = PhysExpr::And(vec![
@@ -2347,8 +2355,7 @@ mod tests {
         let batch = batch_i64((0..32).collect());
         let mut pool = VectorPool::new();
         let got = sp.run(&mut pool, &batch).unwrap();
-        let want = e.eval_select(&batch).unwrap();
-        assert_eq!(got.as_slice(), want.as_slice());
+        assert_eq!(got, reference_selection(&e, &batch));
         assert_eq!(got.as_slice(), &[5, 7, 9]);
     }
 
@@ -2356,7 +2363,7 @@ mod tests {
     fn large_bigint_comparisons_are_exact_everywhere() {
         // 2^53 vs 2^53+1 are equal after f64 widening; BIGINT comparison
         // must stay exact and agree between the compiled typed kernel, the
-        // interpreter's generic sql_cmp path, and constant folding.
+        // per-tuple reference's sql_cmp, and constant folding.
         let a = 1i64 << 53;
         let b = a + 1;
         let e = PhysExpr::Cmp {
@@ -2371,7 +2378,7 @@ mod tests {
         let p = ExprProgram::compile(&e);
         let mut pool = VectorPool::new();
         assert_eq!(run_values(&p, &mut pool, &batch), vec![Value::Bool(false)]);
-        assert_eq!(e.eval(&batch).unwrap().get(0), Value::Bool(false));
+        assert_eq!(reference_at(&e, &batch, 0), Value::Bool(false));
         // Folded constant form of the same comparison agrees.
         let folded = PhysExpr::Cmp { op: CmpOp::Eq, lhs: Box::new(lit(a)), rhs: Box::new(lit(b)) };
         let fp = ExprProgram::compile(&folded);
@@ -2452,7 +2459,7 @@ mod tests {
                 let mut flat = batch.clone();
                 flat.columns[0].ensure_flat();
                 let got = sp.run(&mut pool, &batch).unwrap();
-                assert_eq!(got, e.eval_select(&flat).unwrap(), "{e:?} over {v:?}");
+                assert_eq!(got, reference_selection(e, &flat), "{e:?} over {v:?}");
             }
         }
     }
@@ -2460,7 +2467,7 @@ mod tests {
     #[test]
     fn double_compare_keeps_the_total_order() {
         // -0.0 < 0.0 and NaN above everything, as `Instr::Cmp` and the
-        // interpreter order doubles — for every operator, dense and under
+        // reference order doubles — for every operator, dense and under
         // a selection, with and without NULLs.
         let vals =
             vec![-1.5, -0.0, 0.0, 2.25, f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -f64::NAN];
@@ -2483,8 +2490,7 @@ mod tests {
                     for sel in [None, Some(SelVec::from_positions(vec![1, 2, 3, 4, 7]))] {
                         batch.sel = sel;
                         let got = sp.run(&mut pool, &batch).unwrap();
-                        let want = e.eval_select(&batch).unwrap();
-                        assert_eq!(got, want, "{op:?} {k}");
+                        assert_eq!(got, reference_selection(&e, &batch), "{op:?} {k}");
                     }
                 }
             }
@@ -2528,7 +2534,7 @@ mod tests {
     }
 
     #[test]
-    fn case_and_like_and_funcs_match_interpreter() {
+    fn case_and_like_and_funcs_match_the_reference() {
         let strs = Vector::new(ColData::Str(vec![
             "  promo HOT  ".into(),
             "plain".into(),
@@ -2572,9 +2578,8 @@ mod tests {
             let p = ExprProgram::compile(e);
             let mut pool = VectorPool::new();
             let got = run_values(&p, &mut pool, &batch);
-            let want = e.eval(&batch).unwrap();
             for (i, g) in got.iter().enumerate() {
-                assert_eq!(g, &want.get(i), "{e:?} lane {i}");
+                assert_eq!(g, &reference_at(e, &batch, i), "{e:?} lane {i}");
             }
         }
     }
@@ -2606,9 +2611,9 @@ mod tests {
     /// Over a coded column — an arena with fewer entries than the batch has
     /// live lanes (LIKE runs once per entry) and one with more (once per
     /// lane, through the codes) — with NULLs and a selection, every string
-    /// kernel answers as the interpreter over the flat column does.
+    /// kernel answers as the reference over the flat column does.
     #[test]
-    fn string_kernels_on_coded_lanes_match_the_interpreter() {
+    fn string_kernels_on_coded_lanes_match_the_reference() {
         let s = || col(0, TypeId::Str);
         let k = |v: &str| PhysExpr::Const(Value::Str(v.into()), TypeId::Str);
         let f = |func, args: Vec<PhysExpr>, ty| PhysExpr::FuncCall { func, args, ty };
@@ -2665,9 +2670,8 @@ mod tests {
                     let p = ExprProgram::compile(e);
                     let mut pool = VectorPool::new();
                     let got = run_values(&p, &mut pool, &batch);
-                    let want = e.eval(&reference).unwrap();
                     for i in reference.live() {
-                        assert_eq!(got[i], want.get(i), "{e:?} lane {i}");
+                        assert_eq!(got[i], reference_at(e, &reference, i), "{e:?} lane {i}");
                     }
                 }
             }

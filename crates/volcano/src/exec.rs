@@ -2,8 +2,11 @@
 //! conventional engines against.
 //!
 //! Every operator produces one row per `next()` call through a virtual
-//! call; expressions are interpreted per tuple over boxed [`Value`]s. This
-//! is deliberately the "conventional query engine" of the paper's >10×
+//! call; filters and projections call a closure per tuple over boxed
+//! [`Value`]s — the suites and benches hand in closures over the one
+//! expression tree's per-tuple interpreter (`vw_exec`'s
+//! `PhysExpr::eval_tuple`), which this crate does not depend on. This is
+//! deliberately the "conventional query engine" of the paper's >10×
 //! claim: correctness-equivalent to the vectorized kernel, but paying
 //! interpretation overhead per *value* instead of per *vector*.
 
@@ -16,128 +19,11 @@ use vw_common::{Result, Schema, TypeId, Value, VwError};
 /// A materialized row.
 pub type Row = Vec<Value>;
 
-/// Per-tuple interpreted scalar expression.
-#[derive(Debug, Clone)]
-pub enum ScalarExpr {
-    /// Column reference.
-    Col(usize),
-    /// Literal.
-    Lit(Value),
-    /// Arithmetic (`+ - * / %`) with SQL NULL propagation and checking.
-    Arith(char, Box<ScalarExpr>, Box<ScalarExpr>),
-    /// Comparison (`= != < <= > >=`) with three-valued logic.
-    Cmp(&'static str, Box<ScalarExpr>, Box<ScalarExpr>),
-    /// Conjunction.
-    And(Box<ScalarExpr>, Box<ScalarExpr>),
-    /// Disjunction.
-    Or(Box<ScalarExpr>, Box<ScalarExpr>),
-    /// Negation.
-    Not(Box<ScalarExpr>),
-}
+/// A per-tuple expression: one value computed from a row.
+pub type TupleExpr = Box<dyn Fn(&Row) -> Result<Value> + Send>;
 
-impl ScalarExpr {
-    /// Evaluate against one row.
-    pub fn eval(&self, row: &Row) -> Result<Value> {
-        match self {
-            ScalarExpr::Col(i) => Ok(row[*i].clone()),
-            ScalarExpr::Lit(v) => Ok(v.clone()),
-            ScalarExpr::Arith(op, l, r) => {
-                let a = l.eval(row)?;
-                let b = r.eval(row)?;
-                if a.is_null() || b.is_null() {
-                    return Ok(Value::Null);
-                }
-                // Numeric promotion, exactly as the vectorized kernel.
-                if a.type_id() == Some(TypeId::F64) || b.type_id() == Some(TypeId::F64) {
-                    let (x, y) = (a.as_f64()?, b.as_f64()?);
-                    if (*op == '/' || *op == '%') && y == 0.0 {
-                        return Err(VwError::DivideByZero);
-                    }
-                    Ok(Value::F64(match op {
-                        '+' => x + y,
-                        '-' => x - y,
-                        '*' => x * y,
-                        '/' => x / y,
-                        '%' => x % y,
-                        _ => return Err(VwError::Exec(format!("bad op {op}"))),
-                    }))
-                } else {
-                    let (x, y) = (a.as_i64()?, b.as_i64()?);
-                    let r = match op {
-                        '+' => x.checked_add(y),
-                        '-' => x.checked_sub(y),
-                        '*' => x.checked_mul(y),
-                        '/' => {
-                            if y == 0 {
-                                return Err(VwError::DivideByZero);
-                            }
-                            x.checked_div(y)
-                        }
-                        '%' => {
-                            if y == 0 {
-                                return Err(VwError::DivideByZero);
-                            }
-                            Some(x.wrapping_rem(y))
-                        }
-                        _ => return Err(VwError::Exec(format!("bad op {op}"))),
-                    };
-                    r.map(Value::I64).ok_or(VwError::Overflow("arith"))
-                }
-            }
-            ScalarExpr::Cmp(op, l, r) => {
-                let a = l.eval(row)?;
-                let b = r.eval(row)?;
-                Ok(match a.sql_cmp(&b) {
-                    None => Value::Null,
-                    Some(o) => Value::Bool(match *op {
-                        "=" => o == Ordering::Equal,
-                        "!=" => o != Ordering::Equal,
-                        "<" => o == Ordering::Less,
-                        "<=" => o != Ordering::Greater,
-                        ">" => o == Ordering::Greater,
-                        ">=" => o != Ordering::Less,
-                        _ => return Err(VwError::Exec(format!("bad cmp {op}"))),
-                    }),
-                })
-            }
-            ScalarExpr::And(l, r) => {
-                let a = l.eval(row)?;
-                let b = r.eval(row)?;
-                Ok(match (bool3(&a)?, bool3(&b)?) {
-                    (Some(false), _) | (_, Some(false)) => Value::Bool(false),
-                    (Some(true), Some(true)) => Value::Bool(true),
-                    _ => Value::Null,
-                })
-            }
-            ScalarExpr::Or(l, r) => {
-                let a = l.eval(row)?;
-                let b = r.eval(row)?;
-                Ok(match (bool3(&a)?, bool3(&b)?) {
-                    (Some(true), _) | (_, Some(true)) => Value::Bool(true),
-                    (Some(false), Some(false)) => Value::Bool(false),
-                    _ => Value::Null,
-                })
-            }
-            ScalarExpr::Not(e) => Ok(match bool3(&e.eval(row)?)? {
-                Some(b) => Value::Bool(!b),
-                None => Value::Null,
-            }),
-        }
-    }
-
-    /// Predicate helper: TRUE or not (NULL = false).
-    pub fn eval_pred(&self, row: &Row) -> Result<bool> {
-        Ok(matches!(self.eval(row)?, Value::Bool(true)))
-    }
-}
-
-fn bool3(v: &Value) -> Result<Option<bool>> {
-    match v {
-        Value::Null => Ok(None),
-        Value::Bool(b) => Ok(Some(*b)),
-        other => Err(VwError::Exec(format!("expected boolean, got {other:?}"))),
-    }
-}
+/// A per-tuple predicate: whether a row passes.
+type TuplePred = Box<dyn Fn(&Row) -> Result<bool> + Send>;
 
 /// The Volcano iterator interface: one row per call.
 pub trait TupleIterator: Send {
@@ -213,13 +99,16 @@ impl TupleIterator for TupleValues {
 /// Tuple-at-a-time filter.
 pub struct TupleFilter {
     input: BoxedIter,
-    predicate: ScalarExpr,
+    predicate: TuplePred,
 }
 
 impl TupleFilter {
-    /// Filter `input` by `predicate`.
-    pub fn new(input: BoxedIter, predicate: ScalarExpr) -> TupleFilter {
-        TupleFilter { input, predicate }
+    /// Keep the rows of `input` that `predicate` passes.
+    pub fn new(
+        input: BoxedIter,
+        predicate: impl Fn(&Row) -> Result<bool> + Send + 'static,
+    ) -> TupleFilter {
+        TupleFilter { input, predicate: Box::new(predicate) }
     }
 }
 
@@ -230,7 +119,7 @@ impl TupleIterator for TupleFilter {
 
     fn next(&mut self) -> Result<Option<Row>> {
         while let Some(row) = self.input.next()? {
-            if self.predicate.eval_pred(&row)? {
+            if (self.predicate)(&row)? {
                 return Ok(Some(row));
             }
         }
@@ -241,13 +130,13 @@ impl TupleIterator for TupleFilter {
 /// Tuple-at-a-time projection.
 pub struct TupleProject {
     input: BoxedIter,
-    exprs: Vec<ScalarExpr>,
+    exprs: Vec<TupleExpr>,
     schema: Schema,
 }
 
 impl TupleProject {
-    /// Map rows through `exprs`.
-    pub fn new(input: BoxedIter, exprs: Vec<ScalarExpr>, schema: Schema) -> TupleProject {
+    /// Map rows through `exprs`, one output column each.
+    pub fn new(input: BoxedIter, exprs: Vec<TupleExpr>, schema: Schema) -> TupleProject {
         TupleProject { input, exprs, schema }
     }
 }
@@ -263,7 +152,7 @@ impl TupleIterator for TupleProject {
             Some(row) => {
                 let mut out = Vec::with_capacity(self.exprs.len());
                 for e in &self.exprs {
-                    out.push(e.eval(&row)?);
+                    out.push(e(&row)?);
                 }
                 Ok(Some(out))
             }
@@ -729,21 +618,10 @@ mod tests {
 
     #[test]
     fn filter_project_pipeline() {
-        let filter = TupleFilter::new(
-            values(100),
-            ScalarExpr::Cmp(
-                ">=",
-                Box::new(ScalarExpr::Col(0)),
-                Box::new(ScalarExpr::Lit(Value::I64(95))),
-            ),
-        );
+        let filter = TupleFilter::new(values(100), |r| Ok(r[0].as_i64()? >= 95));
         let mut proj = TupleProject::new(
             Box::new(filter),
-            vec![ScalarExpr::Arith(
-                '*',
-                Box::new(ScalarExpr::Col(0)),
-                Box::new(ScalarExpr::Lit(Value::I64(2))),
-            )],
+            vec![Box::new(|r| Ok(Value::I64(r[0].as_i64()? * 2)))],
             Schema::new(vec![Field::not_null("x", TypeId::I64)]).unwrap(),
         );
         let rows = collect_rows(&mut proj).unwrap();
@@ -794,21 +672,6 @@ mod tests {
         let sorted = TupleSort::new(values(10), vec![(0, false)]);
         let mut lim = TupleLimit::new(Box::new(sorted), 3);
         assert_eq!(collect_rows(&mut lim).unwrap().len(), 3);
-    }
-
-    #[test]
-    fn null_propagation_in_scalar_exprs() {
-        let row = vec![Value::Null, Value::I64(5)];
-        let e = ScalarExpr::Arith('+', Box::new(ScalarExpr::Col(0)), Box::new(ScalarExpr::Col(1)));
-        assert_eq!(e.eval(&row).unwrap(), Value::Null);
-        let e = ScalarExpr::Cmp("=", Box::new(ScalarExpr::Col(0)), Box::new(ScalarExpr::Col(1)));
-        assert_eq!(e.eval(&row).unwrap(), Value::Null);
-        let div = ScalarExpr::Arith(
-            '/',
-            Box::new(ScalarExpr::Col(1)),
-            Box::new(ScalarExpr::Lit(Value::I64(0))),
-        );
-        assert!(matches!(div.eval(&row), Err(VwError::DivideByZero)));
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //!    integrated engine, favouring OLTP-style whole-row access;
 //! 2. **Classic execution** — a tuple-at-a-time Volcano interpreter
 //!    ([`exec`]): every operator's `next()` produces one row; expressions
-//!    are interpreted per tuple over boxed [`Value`]s, with all the
+//!    are closures called per tuple over boxed [`Value`]s, with all the
 //!    per-tuple overhead (dynamic dispatch, branching, no cache locality)
 //!    that the X100 papers measured conventional engines to waste >90% of
 //!    their cycles on.
@@ -22,7 +22,7 @@ pub mod exec;
 pub mod store;
 
 pub use exec::{
-    collect_rows, BoxedIter, Row, ScalarExpr, TupleAgg, TupleAggregate, TupleFilter, TupleHashJoin,
+    collect_rows, BoxedIter, Row, TupleAgg, TupleAggregate, TupleExpr, TupleFilter, TupleHashJoin,
     TupleIterator, TupleJoinKind, TupleLimit, TupleProject, TupleScan, TupleSort, TupleValues,
 };
 pub use store::RowStore;

@@ -989,16 +989,23 @@ fn the_load_path_boxes_no_value() {
 
 /// One expression evaluator, held at source level: the compiled programs
 /// evaluate every expression the engine runs, plan-time constants
-/// included. No non-test source of an engine crate names the evaluators
-/// that did it twice — the optimizer's `Value` arithmetic and DML's
-/// one-row program — and the optimizer's folding pass evaluates through
-/// `eval_const` and compares, casts and computes nothing of its own. Names
-/// are spelled in halves so a grep for them finds nothing, this file
-/// included.
+/// included, and one per-tuple reference (`PhysExpr::eval_tuple`) checks
+/// them. No non-test source of an engine crate names the evaluators that
+/// did it twice or three times — the optimizer's `Value` arithmetic, DML's
+/// one-row program, the vectorized tree interpreter's predicate entry and
+/// the tuple engine's own expression tree — and the optimizer's folding
+/// pass evaluates through `eval_const` and compares, casts and computes
+/// nothing of its own. Names are spelled in halves so a grep for them
+/// finds nothing, this file included.
 #[test]
 fn one_expression_evaluator() {
-    let gone =
-        [concat!("eval_const", "_arith"), concat!("Scalar", "Program"), concat!("eval", "_row")];
+    let gone = [
+        concat!("eval_const", "_arith"),
+        concat!("Scalar", "Program"),
+        concat!("eval", "_row"),
+        concat!("eval", "_select"),
+        concat!("Scalar", "Expr"),
+    ];
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("crates");
     let mut checked = 0;
     for krate in ["common", "exec", "rewriter", "sql", "core", "volcano"] {
@@ -1029,6 +1036,34 @@ fn one_expression_evaluator() {
     assert!(folder.contains("eval_const(&"), "folding evaluates through eval_const:\n{folder}");
     for own in ["sql_cmp", "cast_to", "checked_", "as_i64", "as_f64", "BinOp", "CmpOp"] {
         assert!(!folder.contains(own), "the folder evaluates on its own (`{own}`):\n{folder}");
+    }
+}
+
+/// The per-tuple reference shares nothing with what it checks: the code of
+/// `vw-exec`'s `expr.rs`, where the tree and its reference interpreter
+/// live, uses no item of the crate — no vector kernel (`primitives`), no
+/// program, no vector — only `vw_common` (`Value`, dates) and the module's
+/// own `LikeMatcher`. A kernel fault then shows as a disagreement between
+/// the programs and the reference, not on both sides of the check.
+#[test]
+fn the_reference_interpreter_calls_no_kernel() {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/exec/src/expr.rs");
+    let text = std::fs::read_to_string(&path).unwrap();
+    let code: Vec<&str> = text
+        .lines()
+        .take_while(|l| !l.trim_start().starts_with("#[cfg(test)]"))
+        .filter(|l| !l.trim_start().starts_with("//"))
+        .collect();
+    for name in ["pub fn eval_tuple(", "pub fn selects_tuple(", "pub struct LikeMatcher"] {
+        assert!(code.iter().any(|l| l.contains(name)), "expr.rs defines `{name}`");
+    }
+    for line in &code {
+        for item in ["crate::", "primitives", "program", "Vector", "Batch", "super::"] {
+            assert!(!line.contains(item), "expr.rs uses `{item}`: `{}`", line.trim());
+        }
+        if line.starts_with("use ") {
+            assert!(line.starts_with("use vw_common::"), "expr.rs imports `{line}`");
+        }
     }
 }
 

@@ -92,6 +92,36 @@ fn error_detection_is_exact_not_approximate() {
     assert!(matches!(db2.execute("SELECT SQRT(-1.0)"), Err(VwError::InvalidParameter(_))));
 }
 
+/// DOUBLE → BIGINT at 2^63, one past the largest BIGINT, is an invalid
+/// cast — as a constant (folded at plan time) and from a column — while
+/// -2^63 converts. `i64::MAX as f64` is 2^63 itself, so the upper bound
+/// must be exclusive.
+#[test]
+fn a_double_cast_to_bigint_at_two_to_the_63_is_an_invalid_cast() {
+    let db = db_with(
+        "CREATE TABLE d (x DOUBLE)",
+        &["INSERT INTO d VALUES (9223372036854775808.0), (-9223372036854775808.0)"],
+    );
+    let constant = db.execute("SELECT CAST(9223372036854775808.0 AS BIGINT)");
+    assert!(matches!(constant, Err(VwError::InvalidCast(_))), "{constant:?}");
+    let column = db.execute("SELECT CAST(x AS BIGINT) FROM d");
+    assert!(matches!(column, Err(VwError::InvalidCast(_))), "{column:?}");
+    let r = db.execute("SELECT CAST(x AS BIGINT) FROM d WHERE x < 0").unwrap();
+    assert_eq!(r.rows(), &[vec![Value::I64(i64::MIN)]]);
+}
+
+/// `DATE + n` whose sum leaves BIGINT itself is the typed DATE overflow,
+/// not an arithmetic panic.
+#[test]
+fn date_plus_a_day_count_past_bigint_is_an_overflow_error() {
+    let db = db_with(
+        "CREATE TABLE d (x DATE, n BIGINT)",
+        &["INSERT INTO d VALUES (DATE '1996-03-13', 9223372036854775807)"],
+    );
+    let r = db.execute("SELECT x + n FROM d");
+    assert!(matches!(r, Err(VwError::Overflow("DATE + days"))), "{r:?}");
+}
+
 #[test]
 fn function_battery() {
     let db = Database::open_in_memory();
@@ -2502,230 +2532,356 @@ mod build_mode_matrix {
 }
 
 // ---------------------------------------------------------------------------
-// Differential tests for the compiled expression path: random expression
-// trees evaluated three ways — compiled ExprProgram, the reference tree
-// interpreter, and the tuple-at-a-time volcano evaluator — over randomized
-// NULL-bearing data. Any compile-time transformation (constant folding,
-// CSE, register reuse, the fused select path) that changes semantics shows
-// up as a lane mismatch.
+// Differential tests for the compiled expression path: random typed
+// expression trees over randomized NULL-bearing data, evaluated two ways —
+// the compiled programs (`ExprProgram`; `SelectProgram` with and without an
+// incoming selection) and the per-tuple reference (`PhysExpr::eval_tuple` /
+// `selects_tuple`), which calls none of the kernels the programs run. Any
+// compile-time transformation (constant folding, CSE, register reuse, the
+// fused select path) or kernel fault that changes semantics shows up as a
+// lane mismatch. The base seed is `VW_FUZZ_SEED` (0 when unset); every
+// failure names it and its test's seed:
+//   VW_FUZZ_SEED=<seed> cargo test --test sql_semantics expr_differential
 // ---------------------------------------------------------------------------
 
 mod expr_differential {
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
-    use vectorwise::common::{ColData, SelVec, TypeId, Value};
+    use vectorwise::common::{ColData, Date, SelVec, TypeId, Value};
     use vectorwise::exec::expr::{BinOp, CmpOp, Func, PhysExpr};
     use vectorwise::exec::program::{ExprProgram, SelectProgram, VectorPool};
     use vectorwise::exec::vector::{vector_from_values, Batch};
     use vectorwise::exec::Vector;
-    use vectorwise::volcano::ScalarExpr;
 
-    fn nullable_i64(vals: &[Option<i64>]) -> Vector {
-        let mut v = Vector::new(ColData::new(TypeId::I64));
-        for x in vals {
-            v.push(&x.map_or(Value::Null, Value::I64)).unwrap();
-        }
-        v
-    }
-
-    /// Random i64-typed expression over columns 0 and 1, mirrored as a
-    /// volcano ScalarExpr. Div/Rem denominators are nonzero constants: the
-    /// NULL-denominator and zero-denominator corners have dedicated unit
-    /// tests, and vectorized-vs-volcano error timing differs there by
-    /// design (the kernel touches safe values the row engine never sees).
-    fn gen_i64(rng: &mut SmallRng, depth: usize) -> (PhysExpr, ScalarExpr) {
-        let leaf = depth == 0 || rng.gen_range(0..100) < 25;
-        if leaf {
-            if rng.gen_bool(0.5) {
-                let c = rng.gen_range(0..2usize);
-                (PhysExpr::ColRef(c, TypeId::I64), ScalarExpr::Col(c))
-            } else {
-                let k = rng.gen_range(-8..=8i64);
-                (PhysExpr::Const(Value::I64(k), TypeId::I64), ScalarExpr::Lit(Value::I64(k)))
-            }
-        } else {
-            let (op, ch) = match rng.gen_range(0..5) {
-                0 => (BinOp::Add, '+'),
-                1 => (BinOp::Sub, '-'),
-                2 => (BinOp::Mul, '*'),
-                3 => (BinOp::Div, '/'),
-                _ => (BinOp::Rem, '%'),
-            };
-            let (pl, vl) = gen_i64(rng, depth - 1);
-            let (pr, vr) = if matches!(op, BinOp::Div | BinOp::Rem) {
-                let mut k = rng.gen_range(1..=6i64);
-                if rng.gen_bool(0.5) {
-                    k = -k;
-                }
-                (PhysExpr::Const(Value::I64(k), TypeId::I64), ScalarExpr::Lit(Value::I64(k)))
-            } else {
-                gen_i64(rng, depth - 1)
-            };
-            (
-                PhysExpr::Arith { op, lhs: Box::new(pl), rhs: Box::new(pr), ty: TypeId::I64 },
-                ScalarExpr::Arith(ch, Box::new(vl), Box::new(vr)),
-            )
+    /// The base seed: `VW_FUZZ_SEED` when set, 0 otherwise.
+    fn base_seed() -> u64 {
+        match std::env::var("VW_FUZZ_SEED") {
+            Ok(s) => s.trim().parse().unwrap_or_else(|_| panic!("bad VW_FUZZ_SEED: {s:?}")),
+            Err(_) => 0,
         }
     }
 
-    /// Random boolean expression (comparisons, 3VL AND/OR/NOT).
-    fn gen_bool(rng: &mut SmallRng, depth: usize) -> (PhysExpr, ScalarExpr) {
-        if depth == 0 || rng.gen_range(0..100) < 40 {
-            let (op, sv) = match rng.gen_range(0..6) {
-                0 => (CmpOp::Eq, "="),
-                1 => (CmpOp::Ne, "!="),
-                2 => (CmpOp::Lt, "<"),
-                3 => (CmpOp::Le, "<="),
-                4 => (CmpOp::Gt, ">"),
-                _ => (CmpOp::Ge, ">="),
-            };
-            let (pl, vl) = gen_i64(rng, depth.min(2));
-            let (pr, vr) = gen_i64(rng, depth.min(2));
-            (
-                PhysExpr::Cmp { op, lhs: Box::new(pl), rhs: Box::new(pr) },
-                ScalarExpr::Cmp(sv, Box::new(vl), Box::new(vr)),
-            )
-        } else {
-            match rng.gen_range(0..3) {
-                0 => {
-                    let (pl, vl) = gen_bool(rng, depth - 1);
-                    let (pr, vr) = gen_bool(rng, depth - 1);
-                    (PhysExpr::And(vec![pl, pr]), ScalarExpr::And(Box::new(vl), Box::new(vr)))
-                }
-                1 => {
-                    let (pl, vl) = gen_bool(rng, depth - 1);
-                    let (pr, vr) = gen_bool(rng, depth - 1);
-                    (PhysExpr::Or(vec![pl, pr]), ScalarExpr::Or(Box::new(vl), Box::new(vr)))
-                }
-                _ => {
-                    let (p, v) = gen_bool(rng, depth - 1);
-                    (PhysExpr::Not(Box::new(p)), ScalarExpr::Not(Box::new(v)))
-                }
-            }
-        }
+    /// `count` generators for one test, seeded `base + salt + i`, each with
+    /// the label its failures print.
+    fn seeds(salt: u64, count: u64) -> impl Iterator<Item = (SmallRng, String)> {
+        let base = base_seed();
+        (0..count).map(move |i| {
+            let seed = base.wrapping_add(salt).wrapping_add(i);
+            (SmallRng::seed_from_u64(seed), format!("VW_FUZZ_SEED={base}, seed {seed}"))
+        })
     }
 
-    fn random_rows(rng: &mut SmallRng, n: usize) -> Vec<(Option<i64>, Option<i64>)> {
+    /// The columns of the random data: two BIGINTs, a DOUBLE, a DATE and
+    /// a VARCHAR, each NULL in about a fifth of the rows.
+    const TYPES: [TypeId; 5] = [TypeId::I64, TypeId::I64, TypeId::F64, TypeId::Date, TypeId::Str];
+    /// Nonzero DOUBLE values, small so that BIGINT casts of them stay
+    /// small.
+    const DOUBLES: [f64; 8] = [-2.5, -1.0, 0.25, 0.5, 1.5, 3.25, 4.0, 6.5];
+    const WORDS: [&str; 8] = ["", "a", "ab", "Ab%", "b_a", "x y", "é", "日本a"];
+    const PATTERNS: [&str; 6] = ["%a%", "a%", "_b%", "%", "", "%_"];
+
+    /// A DOUBLE from [`DOUBLES`], or one of the two zeros once in `one_in`
+    /// draws: a DOUBLE denominator is zero in some data sets, not all.
+    fn double(rng: &mut SmallRng, one_in: u32) -> Value {
+        Value::F64(match rng.gen_range(0..one_in) {
+            0 => [0.0, -0.0][rng.gen_range(0..2usize)],
+            _ => DOUBLES[rng.gen_range(0..DOUBLES.len())],
+        })
+    }
+
+    fn day(k: i64) -> Value {
+        Value::Date(Date(9_000 + k as i32))
+    }
+
+    fn random_rows(rng: &mut SmallRng, n: usize) -> Vec<Vec<Value>> {
         (0..n)
             .map(|_| {
-                let v = |rng: &mut SmallRng| {
-                    if rng.gen_range(0..100) < 20 {
-                        None
+                TYPES
+                    .iter()
+                    .map(|&ty| {
+                        if rng.gen_range(0..100) < 20 {
+                            return Value::Null;
+                        }
+                        match ty {
+                            TypeId::I64 => Value::I64(rng.gen_range(-6..=6i64)),
+                            TypeId::F64 => double(rng, 150),
+                            TypeId::Date => day(rng.gen_range(-40..=40i64)),
+                            _ => Value::Str(WORDS[rng.gen_range(0..WORDS.len())].into()),
+                        }
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    fn batch_of(rows: &[Vec<Value>]) -> Batch {
+        let column = |c: usize| rows.iter().map(|r| r[c].clone()).collect::<Vec<_>>();
+        Batch::new(
+            TYPES
+                .iter()
+                .enumerate()
+                .map(|(c, &ty)| vector_from_values(ty, &column(c)).unwrap())
+                .collect(),
+        )
+    }
+
+    fn konst(v: Value, ty: TypeId) -> PhysExpr {
+        PhysExpr::Const(v, ty)
+    }
+
+    fn boxed(e: PhysExpr) -> Box<PhysExpr> {
+        Box::new(e)
+    }
+
+    /// A random expression of type `ty`.
+    fn gen(rng: &mut SmallRng, ty: TypeId, depth: usize) -> PhysExpr {
+        // A NULL constant now and then, of any type.
+        if rng.gen_range(0..100) < 4 {
+            return konst(Value::Null, ty);
+        }
+        // CASE of any type (conditions kept shallow).
+        if depth > 0 && rng.gen_range(0..100) < 12 {
+            let branches = (0..rng.gen_range(1..=2))
+                .map(|_| (gen(rng, TypeId::Bool, depth.min(2) - 1), gen(rng, ty, depth - 1)))
+                .collect();
+            let else_expr = rng.gen_bool(0.7).then(|| boxed(gen(rng, ty, depth - 1)));
+            return PhysExpr::Case { branches, else_expr, ty };
+        }
+        match ty {
+            TypeId::I64 => gen_i64(rng, depth),
+            TypeId::F64 => gen_f64(rng, depth),
+            TypeId::Date => gen_date(rng, depth),
+            TypeId::Str => gen_str(rng, depth),
+            _ => gen_bool(rng, depth),
+        }
+    }
+
+    /// BIGINT: every lane, live or NULL, stays below 8^(2^depth) in
+    /// magnitude — no overflow at the depths used. BIGINT `/` and `%` take
+    /// nonzero constant denominators: over a NULL numerator a zero
+    /// denominator raises in the kernel, which computes on the NULL's safe
+    /// value, where the reference answers NULL.
+    fn gen_i64(rng: &mut SmallRng, depth: usize) -> PhysExpr {
+        let leaf = depth == 0 || rng.gen_range(0..100) < 25;
+        if leaf {
+            return match rng.gen_range(0..10) {
+                0..=3 => PhysExpr::ColRef(rng.gen_range(0..2usize), TypeId::I64),
+                4..=7 => konst(Value::I64(rng.gen_range(-8..=8i64)), TypeId::I64),
+                _ => PhysExpr::Cast {
+                    input: boxed(PhysExpr::ColRef(2, TypeId::F64)),
+                    to: TypeId::I64,
+                },
+            };
+        }
+        let op = [BinOp::Add, BinOp::Sub, BinOp::Mul, BinOp::Div, BinOp::Rem][rng.gen_range(0..5)];
+        let lhs = gen_i64(rng, depth - 1);
+        let rhs = if matches!(op, BinOp::Div | BinOp::Rem) {
+            let k = rng.gen_range(1..=6i64);
+            konst(Value::I64(if rng.gen_bool(0.5) { -k } else { k }), TypeId::I64)
+        } else {
+            gen_i64(rng, depth - 1)
+        };
+        PhysExpr::Arith { op, lhs: boxed(lhs), rhs: boxed(rhs), ty: TypeId::I64 }
+    }
+
+    /// DOUBLE: any operand may be a denominator, zero and NULL ones
+    /// included.
+    fn gen_f64(rng: &mut SmallRng, depth: usize) -> PhysExpr {
+        if depth == 0 || rng.gen_range(0..100) < 25 {
+            return match rng.gen_range(0..10) {
+                0..=4 => PhysExpr::ColRef(2, TypeId::F64),
+                5..=7 => konst(double(rng, 20), TypeId::F64),
+                _ => PhysExpr::Cast { input: boxed(gen_i64(rng, 1)), to: TypeId::F64 },
+            };
+        }
+        let op = [BinOp::Add, BinOp::Sub, BinOp::Mul, BinOp::Div, BinOp::Rem][rng.gen_range(0..5)];
+        let (lhs, rhs) = (gen_f64(rng, depth - 1), gen_f64(rng, depth - 1));
+        PhysExpr::Arith { op, lhs: boxed(lhs), rhs: boxed(rhs), ty: TypeId::F64 }
+    }
+
+    /// DATE: the column, constants, and `DATE + days` — now and then by a
+    /// day count that overflows (BIGINT itself, when added to the date).
+    fn gen_date(rng: &mut SmallRng, depth: usize) -> PhysExpr {
+        if depth == 0 || rng.gen_range(0..100) < 40 {
+            return match rng.gen_range(0..3) {
+                0 => konst(day(rng.gen_range(-40..=40i64)), TypeId::Date),
+                _ => PhysExpr::ColRef(3, TypeId::Date),
+            };
+        }
+        let days = match rng.gen_range(0..20) {
+            0 => konst(Value::I64(i64::MAX), TypeId::I64),
+            1 => konst(Value::I64(-i64::MAX), TypeId::I64),
+            _ => gen_i64(rng, 1),
+        };
+        PhysExpr::FuncCall {
+            func: Func::DateAddDays,
+            args: vec![gen_date(rng, depth - 1), days],
+            ty: TypeId::Date,
+        }
+    }
+
+    /// VARCHAR: the column, constants, UPPER, SUBSTR (now and then with a
+    /// start position that is invalid) and casts to text.
+    fn gen_str(rng: &mut SmallRng, depth: usize) -> PhysExpr {
+        if depth == 0 || rng.gen_range(0..100) < 30 {
+            return match rng.gen_range(0..3) {
+                0 => konst(Value::Str(WORDS[rng.gen_range(0..WORDS.len())].into()), TypeId::Str),
+                _ => PhysExpr::ColRef(4, TypeId::Str),
+            };
+        }
+        let call = |func, args| PhysExpr::FuncCall { func, args, ty: TypeId::Str };
+        match rng.gen_range(0..4) {
+            0 => call(Func::Upper, vec![gen_str(rng, depth - 1)]),
+            1 => {
+                let mut args = vec![gen_str(rng, depth - 1)];
+                args.push(konst(Value::I64(rng.gen_range(0..=3i64)), TypeId::I64));
+                if rng.gen_bool(0.5) {
+                    args.push(konst(Value::I64(rng.gen_range(0..=3i64)), TypeId::I64));
+                }
+                call(Func::Substr, args)
+            }
+            2 => PhysExpr::Cast { input: boxed(gen_i64(rng, 1)), to: TypeId::Str },
+            _ => PhysExpr::Cast { input: boxed(gen_date(rng, 1)), to: TypeId::Str },
+        }
+    }
+
+    /// BOOLEAN: comparisons of every type, IS [NOT] NULL, LIKE, and
+    /// three-valued AND/OR/NOT over them.
+    fn gen_bool(rng: &mut SmallRng, depth: usize) -> PhysExpr {
+        if depth == 0 || rng.gen_range(0..100) < 40 {
+            let ty =
+                [TypeId::I64, TypeId::I64, TypeId::I64, TypeId::F64, TypeId::Date, TypeId::Str]
+                    [rng.gen_range(0..6)];
+            return match rng.gen_range(0..10) {
+                0 => {
+                    let x = boxed(gen(rng, ty, depth.min(2)));
+                    if rng.gen_bool(0.5) {
+                        PhysExpr::IsNull(x)
                     } else {
-                        Some(rng.gen_range(-6..=6i64))
+                        PhysExpr::IsNotNull(x)
                     }
-                };
-                (v(rng), v(rng))
-            })
-            .collect()
+                }
+                1 => PhysExpr::Like {
+                    input: boxed(gen_str(rng, depth.min(2))),
+                    pattern: PATTERNS[rng.gen_range(0..PATTERNS.len())].into(),
+                    negated: rng.gen_bool(0.3),
+                },
+                _ => {
+                    let op = [CmpOp::Eq, CmpOp::Ne, CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge]
+                        [rng.gen_range(0..6)];
+                    let (lhs, rhs) = (gen(rng, ty, depth.min(2)), gen(rng, ty, depth.min(2)));
+                    PhysExpr::Cmp { op, lhs: boxed(lhs), rhs: boxed(rhs) }
+                }
+            };
+        }
+        match rng.gen_range(0..3) {
+            0 => {
+                PhysExpr::And((0..rng.gen_range(2..=3)).map(|_| gen_bool(rng, depth - 1)).collect())
+            }
+            1 => {
+                PhysExpr::Or((0..rng.gen_range(2..=3)).map(|_| gen_bool(rng, depth - 1)).collect())
+            }
+            _ => PhysExpr::Not(boxed(gen_bool(rng, depth - 1))),
+        }
     }
 
-    fn batch_of(rows: &[(Option<i64>, Option<i64>)]) -> Batch {
-        Batch::new(vec![
-            nullable_i64(&rows.iter().map(|r| r.0).collect::<Vec<_>>()),
-            nullable_i64(&rows.iter().map(|r| r.1).collect::<Vec<_>>()),
-        ])
+    /// Every third row dropped: an incoming selection.
+    fn thinned(n: usize) -> SelVec {
+        (0..n as u32).filter(|p| p % 3 != 1).collect()
     }
 
-    fn volcano_eval_all(
-        e: &ScalarExpr,
-        rows: &[(Option<i64>, Option<i64>)],
-    ) -> Result<Vec<Value>, ()> {
-        rows.iter()
-            .map(|&(a, b)| {
-                let row =
-                    vec![a.map_or(Value::Null, Value::I64), b.map_or(Value::Null, Value::I64)];
-                e.eval(&row).map_err(|_| ())
-            })
-            .collect()
+    /// `e`'s value through `ExprProgram` against `eval_tuple`, over every
+    /// row and under an incoming selection: both fail, or every live lane
+    /// agrees.
+    fn check_values(e: &PhysExpr, rows: &[Vec<Value>], label: &str) {
+        let mut batch = batch_of(rows);
+        for sel in [None, Some(thinned(rows.len()))] {
+            batch.sel = sel;
+            let want: Result<Vec<Value>, _> =
+                batch.live().map(|i| e.eval_tuple(&rows[i])).collect();
+            let mut pool = VectorPool::new();
+            let got = ExprProgram::compile(e).run(&mut pool, &batch);
+            let sel = batch.sel.is_some();
+            match (&want, &got) {
+                (Ok(want), Ok(r)) => {
+                    let got = pool.get(&batch, *r);
+                    for (k, i) in batch.live().enumerate() {
+                        assert_eq!(got.get(i), want[k], "{label} (sel {sel}): lane {i} of {e:?}");
+                    }
+                }
+                (Err(_), Err(_)) => {}
+                _ => panic!("{label} (sel {sel}): reference {want:?} vs program {got:?} for {e:?}"),
+            }
+        }
     }
 
-    /// Core three-way check for one expression over one data set.
-    fn check_three_ways(
-        pe: &PhysExpr,
-        ve: &ScalarExpr,
-        rows: &[(Option<i64>, Option<i64>)],
-        label: &str,
-    ) {
-        let batch = batch_of(rows);
-        let interp = pe.eval(&batch);
-        let prog = ExprProgram::compile(pe);
-        let mut pool = VectorPool::new();
-        let compiled = prog.run(&mut pool, &batch);
-        let volcano = volcano_eval_all(ve, rows);
-        assert_eq!(
-            interp.is_err(),
-            compiled.is_err(),
-            "{label}: interpreter vs compiled error disagreement for {pe:?}"
-        );
-        assert_eq!(
-            interp.is_err(),
-            volcano.is_err(),
-            "{label}: vectorized vs volcano error disagreement for {pe:?}"
-        );
-        if let (Ok(iv), Ok(vr), Ok(vol)) = (&interp, &compiled, &volcano) {
-            let cv = pool.get(&batch, *vr);
-            for (i, vol_val) in vol.iter().enumerate() {
-                assert_eq!(
-                    iv.get(i),
-                    cv.get(i),
-                    "{label}: interpreter vs compiled lane {i} for {pe:?}"
-                );
-                assert_eq!(
-                    &iv.get(i),
-                    vol_val,
-                    "{label}: vectorized vs volcano lane {i} for {pe:?}"
-                );
+    /// Predicate `e` through `SelectProgram` against `selects_tuple`, with
+    /// and without an incoming selection.
+    fn check_selects(e: &PhysExpr, rows: &[Vec<Value>], label: &str) {
+        let mut batch = batch_of(rows);
+        let mut program = SelectProgram::compile(e);
+        for sel in [None, Some(thinned(rows.len()))] {
+            batch.sel = sel;
+            let mut want = Vec::new();
+            let verdict = batch.live().try_for_each(|i| {
+                e.selects_tuple(&rows[i]).map(|keep| want.extend(keep.then_some(i as u32)))
+            });
+            let got = program.run(&mut VectorPool::new(), &batch);
+            let sel = batch.sel.is_some();
+            match (verdict, got) {
+                (Ok(()), Ok(got)) => {
+                    assert_eq!(got.as_slice(), want, "{label} (sel {sel}): {e:?}")
+                }
+                (Err(_), Err(_)) => {}
+                (v, g) => panic!("{label} (sel {sel}): reference {v:?} vs program {g:?} for {e:?}"),
             }
         }
     }
 
     #[test]
-    fn random_arithmetic_agrees_three_ways() {
-        for seed in 0..30u64 {
-            let mut rng = SmallRng::seed_from_u64(0xa17_000 + seed);
+    fn random_arithmetic_agrees_with_the_reference() {
+        for (mut rng, label) in seeds(0xa17_000, 30) {
             let rows = random_rows(&mut rng, 97);
-            let (pe, ve) = gen_i64(&mut rng, 4);
-            check_three_ways(&pe, &ve, &rows, "arith");
+            check_values(&gen_i64(&mut rng, 4), &rows, &label);
+            check_values(&gen_f64(&mut rng, 3), &rows, &label);
         }
     }
 
     #[test]
-    fn random_booleans_agree_three_ways() {
-        for seed in 0..30u64 {
-            let mut rng = SmallRng::seed_from_u64(0xb0_0100 + seed);
+    fn random_booleans_agree_with_the_reference() {
+        for (mut rng, label) in seeds(0xb0_0100, 30) {
             let rows = random_rows(&mut rng, 83);
-            let (pe, ve) = gen_bool(&mut rng, 3);
-            check_three_ways(&pe, &ve, &rows, "bool");
+            check_values(&gen_bool(&mut rng, 3), &rows, &label);
         }
     }
 
     #[test]
     fn random_predicates_select_identically() {
-        // The fused SelectProgram path vs the interpreter's eval_select,
-        // with and without an incoming selection.
-        for seed in 0..30u64 {
-            let mut rng = SmallRng::seed_from_u64(0x5e1_000 + seed);
+        for (mut rng, label) in seeds(0x5e1_000, 30) {
             let rows = random_rows(&mut rng, 101);
-            let (pe, _) = gen_bool(&mut rng, 3);
-            let mut batch = batch_of(&rows);
-            let interp = pe.eval_select(&batch);
-            let mut sp = SelectProgram::compile(&pe);
-            let mut pool = VectorPool::new();
-            let compiled = sp.run(&mut pool, &batch);
-            assert_eq!(interp.is_err(), compiled.is_err(), "seed {seed}: {pe:?}");
-            if let (Ok(a), Ok(b)) = (&interp, &compiled) {
-                assert_eq!(a.as_slice(), b.as_slice(), "seed {seed}: {pe:?}");
-            }
-            // Under a narrowed incoming selection.
-            let sel: Vec<u32> = (0..rows.len() as u32).filter(|p| p % 3 != 1).collect();
-            batch.sel = Some(SelVec::from_positions(sel));
-            let interp = pe.eval_select(&batch);
-            let mut pool = VectorPool::new();
-            let compiled = sp.run(&mut pool, &batch);
-            assert_eq!(interp.is_err(), compiled.is_err(), "seed {seed} (sel): {pe:?}");
-            if let (Ok(a), Ok(b)) = (&interp, &compiled) {
-                assert_eq!(a.as_slice(), b.as_slice(), "seed {seed} (sel): {pe:?}");
+            check_selects(&gen_bool(&mut rng, 3), &rows, &label);
+        }
+    }
+
+    /// Every type the generator knows, CASE among them: each expression as
+    /// a value, and a predicate over it (itself when it is one, else a
+    /// comparison with another of its type) through the select path.
+    #[test]
+    fn random_typed_expressions_agree_with_the_reference() {
+        for (mut rng, label) in seeds(0x7e9_000, 30) {
+            let rows = random_rows(&mut rng, 89);
+            for ty in [TypeId::I64, TypeId::F64, TypeId::Date, TypeId::Str, TypeId::Bool] {
+                let e = gen(&mut rng, ty, 3);
+                check_values(&e, &rows, &label);
+                let pred = match ty {
+                    TypeId::Bool => e,
+                    _ => PhysExpr::Cmp {
+                        op: CmpOp::Le,
+                        lhs: boxed(e),
+                        rhs: boxed(gen(&mut rng, ty, 1)),
+                    },
+                };
+                check_selects(&pred, &rows, &label);
             }
         }
     }
@@ -2792,26 +2948,31 @@ mod expr_differential {
     /// for every shape above, binding a row's values into the tree must
     /// fold it to a single constant fill of exactly the value the unbound
     /// tree computes over that row as a one-row batch of columns — NULLs,
-    /// Div/Rem signs and function results included.
+    /// Div/Rem signs and function results included. A tree that fails on
+    /// the row is not folded, and fails bound too.
     #[test]
     fn folded_constants_equal_the_one_row_program_result() {
         let check = |e: &PhysExpr, batch: &Batch| {
             let mut pool = VectorPool::new();
             let mut value_of = |p: &ExprProgram| {
-                let r = p.run(&mut pool, batch).unwrap();
-                pool.get(batch, r).get(0)
+                let r = p.run(&mut pool, batch)?;
+                Ok::<_, vectorwise::common::VwError>(pool.get(batch, r).get(0))
             };
             let over_columns = value_of(&ExprProgram::compile(e));
             let bound = bind_row(e, &batch.row_values(0));
             let folded = ExprProgram::compile(&bound);
-            assert_eq!(folded.len(), 1, "one constant fill for {bound:?}");
-            assert_eq!(value_of(&folded), over_columns, "{bound:?}");
+            match over_columns {
+                Ok(v) => {
+                    assert_eq!(folded.len(), 1, "one constant fill for {bound:?}");
+                    assert_eq!(value_of(&folded).unwrap(), v, "{bound:?}");
+                }
+                Err(_) => assert!(value_of(&folded).is_err(), "{bound:?}"),
+            }
         };
-        for seed in 0..40u64 {
-            let mut rng = SmallRng::seed_from_u64(0xf01d + seed);
-            let exprs = [gen_i64(&mut rng, 4).0, gen_bool(&mut rng, 3).0];
+        for (mut rng, _) in seeds(0xf01d, 40) {
+            let exprs = [gen_i64(&mut rng, 4), gen_bool(&mut rng, 3)];
             for row in random_rows(&mut rng, 4) {
-                exprs.iter().for_each(|e| check(e, &batch_of(&[row])));
+                exprs.iter().for_each(|e| check(e, &batch_of(std::slice::from_ref(&row))));
             }
         }
         let rows = [
@@ -2828,10 +2989,10 @@ mod expr_differential {
         }
     }
 
-    /// Scalar functions and NULL propagation: compiled vs interpreter
-    /// (volcano has no function battery) over NULL-bearing strings.
+    /// Scalar functions and NULL propagation: compiled vs the reference
+    /// over NULL-bearing strings.
     #[test]
-    fn scalar_funcs_agree_with_interpreter() {
+    fn scalar_funcs_agree_with_the_reference() {
         let mut rng = SmallRng::seed_from_u64(0xf0_0d);
         let mut sv = Vector::new(ColData::new(TypeId::Str));
         let mut iv = Vector::new(ColData::new(TypeId::I64));
@@ -2851,13 +3012,13 @@ mod expr_differential {
         }
         let batch = Batch::new(vec![sv, iv]);
         for e in &scalar_func_exprs() {
-            let interp = e.eval(&batch).unwrap();
             let prog = ExprProgram::compile(e);
             let mut pool = VectorPool::new();
             let vr = prog.run(&mut pool, &batch).unwrap();
             let got = pool.get(&batch, vr);
             for i in 0..batch.capacity() {
-                assert_eq!(interp.get(i), got.get(i), "{e:?} lane {i}");
+                let want = e.eval_tuple(&batch.row_values(i)).unwrap();
+                assert_eq!(want, got.get(i), "{e:?} lane {i}");
             }
         }
     }

@@ -490,7 +490,9 @@ mod dml_matrix {
     /// skipping off for the whole table.
     #[test]
     fn one_updated_row_does_not_disable_pack_skipping() {
-        use vectorwise::volcano::{collect_rows, ScalarExpr, TupleFilter, TupleValues};
+        use vectorwise::common::TypeId;
+        use vectorwise::exec::expr::{CmpOp, PhysExpr};
+        use vectorwise::volcano::{collect_rows, TupleFilter, TupleValues};
         let n = 2_000i64;
         // A buffer pool smaller than one column of one pack: every chunk
         // a scan touches is a device read.
@@ -526,11 +528,13 @@ mod dml_matrix {
         // — the updated row (k = 1234) is inside the range.
         let schema = db.execute("SELECT k, a FROM t WHERE k < 0").unwrap().schema.clone();
         let k_vs = |op, v| {
-            let (k, v) = (ScalarExpr::Col(0), ScalarExpr::Lit(Value::I64(v)));
-            Box::new(ScalarExpr::Cmp(op, Box::new(k), Box::new(v)))
+            let (k, v) =
+                (PhysExpr::ColRef(0, TypeId::I64), PhysExpr::Const(Value::I64(v), TypeId::I64));
+            PhysExpr::Cmp { op, lhs: Box::new(k), rhs: Box::new(v) }
         };
-        let pred = ScalarExpr::And(k_vs(">=", 1200), k_vs("<", 1300));
-        let mut volcano = TupleFilter::new(Box::new(TupleValues::new(schema, mirror)), pred);
+        let pred = PhysExpr::And(vec![k_vs(CmpOp::Ge, 1200), k_vs(CmpOp::Lt, 1300)]);
+        let rows = Box::new(TupleValues::new(schema, mirror));
+        let mut volcano = TupleFilter::new(rows, move |r| pred.selects_tuple(r));
         assert_eq!(got, collect_rows(&mut volcano).unwrap());
         assert!(got.contains(&vec![Value::I64(1234), Value::I64(-1)]));
     }
